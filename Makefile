@@ -18,8 +18,8 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lifting-lint ./...
 
-# The concurrent halves of the runtime seam under the race detector, plus
-# the reputation substrate (manager boards are hit from node goroutines
+# The concurrent half of the runtime seam (the UDP transport and the cluster
+# assembled on it) under the race detector, plus the reputation substrate (manager boards are hit from node goroutines
 # while the harness ticks periods and hands state off), the sharded
 # discrete-event engine (node events run on shard goroutines inside
 # lookahead windows), the metrics collector (striped atomic counters
@@ -27,7 +27,7 @@ lint:
 # and the content plane (chunk stores and the HTTP gateway serve shared
 # payload slices to concurrent readers).
 race:
-	$(GO) test -race -timeout 600s ./internal/live/ ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
+	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
 
 # Regenerate the perf trajectory document for this PR, gating on the
 # previous PR's baseline (normalized by the calibration loop, so a slower

@@ -114,7 +114,7 @@ func BenchmarkChurn(b *testing.B) {
 // any scenario regressing to zero detection moves it), and oracle failures
 // (must stay 0).
 func BenchmarkMatrix(b *testing.B) {
-	// Sim only: nil Backends would pull wise-degree's live/udp rows into
+	// Sim only: nil Backends would pull wise-degree's udp row into
 	// the bench, streaming in wall-clock time and exposing the oracle
 	// metrics to machine load.
 	cfg := experiment.MatrixConfig{Quick: true, Backends: []runtime.Kind{runtime.KindSim}}

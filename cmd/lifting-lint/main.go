@@ -24,10 +24,11 @@ import (
 
 // deterministicPackages is where the byte-identical contract holds: every
 // package on the seeded path from root rng stream to emitted document. The
-// wall-clock packages — internal/live and internal/transport (real timers
-// and sockets are their job), internal/obs and internal/gateway (ops HTTP
-// surfaces reporting real uptime and latency), cmd and examples (drivers
-// that time and print runs for humans) — are deliberately absent.
+// wall-clock packages — internal/transport (real timers and sockets are its
+// job; it is the only wall-clock half of the runtime seam), internal/obs and
+// internal/gateway (ops HTTP surfaces reporting real uptime and latency),
+// cmd and examples (drivers that time and print runs for humans) — are
+// deliberately absent.
 var deterministicPackages = lint.PackageSet{
 	"lifting",
 	"lifting/internal/analysis",

@@ -147,7 +147,14 @@ func TestRunMatrix(t *testing.T) {
 	if !strings.Contains(out, "unknown backend") {
 		t.Errorf("bad backend not explained:\n%s", out)
 	}
-	code, _, out = capture(t, context.Background(), []string{"-backend", "sim,live", "churn"})
+	code, _, out = capture(t, context.Background(), []string{"-backend", "live", "churn"})
+	if code == 0 {
+		t.Fatal("removed live backend accepted")
+	}
+	if !strings.Contains(out, "removed") || !strings.Contains(out, "udp") {
+		t.Errorf("removed backend not explained with its replacement:\n%s", out)
+	}
+	code, _, out = capture(t, context.Background(), []string{"-backend", "sim,udp", "churn"})
 	if code == 0 {
 		t.Fatal("backend list accepted for a single-backend experiment")
 	}

@@ -3,7 +3,7 @@
 // standing duplication/reordering/clock-skew that layers onto any runtime
 // backend. The schedule is materialized up front as a Plan — a plain value
 // derived only from a Config — so the same seed produces the same faults on
-// the simulator, the live runtime and a multi-process UDP deployment, and
+// the simulator, the in-process UDP runtime and a multi-process deployment, and
 // the sharded simulator stays byte-identical across shard counts (events
 // are applied from the harness timer, which runs in the engine's global
 // phase).

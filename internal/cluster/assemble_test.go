@@ -1,0 +1,219 @@
+package cluster
+
+import (
+	"context"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"lifting/internal/freerider"
+	"lifting/internal/gossip"
+	"lifting/internal/membership"
+	"lifting/internal/metrics"
+	"lifting/internal/msg"
+	"lifting/internal/net"
+	"lifting/internal/reputation"
+	"lifting/internal/rng"
+	"lifting/internal/runtime"
+	"lifting/internal/sim"
+)
+
+// wired reads an unexported field path out of an assembled protocol object.
+// The protocol packages expose no accessors for their wiring (and this test
+// must observe what a node was actually built with, not what the caller
+// meant to build), so it goes through reflection; a renamed field fails
+// loudly here.
+func wired(t *testing.T, v any, path ...string) reflect.Value {
+	t.Helper()
+	rv := reflect.ValueOf(v)
+	for _, name := range path {
+		for rv.Kind() == reflect.Pointer || rv.Kind() == reflect.Interface {
+			rv = rv.Elem()
+		}
+		rv = rv.FieldByName(name)
+		if !rv.IsValid() {
+			t.Fatalf("%T has no field path %v", v, path)
+		}
+	}
+	return rv
+}
+
+// auxTypes lists the dynamic types on a node's aux chain, in order.
+func auxTypes(t *testing.T, node *gossip.Node) []string {
+	t.Helper()
+	chain := wired(t, node, "deps", "Aux").Elem()
+	out := make([]string, chain.Len())
+	for i := range out {
+		out[i] = chain.Index(i).Elem().Type().String()
+	}
+	return out
+}
+
+// TestClusterAndNodeHostAssembleAlike is the first step of the differential
+// Cluster vs N×NodeHost model test: for one seed and one configuration, node
+// i built through cluster.New and node i built through NewNodeHost are the
+// same node — same propose phase, same random streams, same store, same
+// compensation, same stream bytes, same aux chain up to the two handlers
+// the callers declare (the cluster's auditor proxy at the source, the
+// deployment's score reader) — and a freerider scenario reaches the same
+// verdict, with the same scores, through both entry points. It fails as soon
+// as either caller grows private assembly again.
+func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
+	const (
+		n         = 24
+		firstFree = 20
+		duration  = 2400 * time.Millisecond
+	)
+	rider := freerider.Degree{Delta1: 0.5, Delta2: 0.5, Delta3: 0.5}
+	opts := fastOptions(runtime.KindSim, n)
+	opts.BlameMode = BlameMessages
+	// Lossy links, so the default compensation (Equation 5) is nonzero: the
+	// cluster derives pl from its network defaults, a deployment is told.
+	opts.NetDefaults = net.Uniform(0.02, 2*time.Millisecond)
+	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
+		if id >= firstFree {
+			return rider
+		}
+		return nil
+	}
+	c := New(opts)
+
+	members := make([]msg.NodeID, n)
+	for i := range members {
+		members[i] = msg.NodeID(i)
+	}
+	engine := sim.NewEngine()
+	collector := metrics.NewCollector()
+	rt := runtime.NewSim(engine, net.NewSimNet(engine, rng.New(opts.Seed).Derive("net"), collector, opts.NetDefaults))
+	hosts := make([]*NodeHost, n)
+	for i := range hosts {
+		ho := NodeOptions{
+			ID:        msg.NodeID(i),
+			Members:   members,
+			Seed:      opts.Seed,
+			Gossip:    opts.Gossip,
+			Core:      opts.Core,
+			Rep:       opts.Rep,
+			Stream:    opts.Stream,
+			LiFTinG:   true,
+			Source:    i == 0,
+			Collector: collector,
+
+			ExpectedLoss: c.Opts.ExpectedLoss,
+		}
+		if i >= firstFree {
+			ho.Behavior = rider
+		}
+		hosts[i] = NewNodeHost(rt, ho)
+	}
+
+	// The recipe: every observable ingredient agrees, node by node.
+	const (
+		auditorAux = "cluster.auditorProxy"
+		readerAux  = "*reputation.Reader"
+	)
+	if c.Opts.Rep.Compensation <= 0 {
+		t.Fatalf("cluster defaulted no compensation: %v", c.Opts.Rep.Compensation)
+	}
+	_, wantHash := c.Content.Chunk(0)
+	offsets := make(map[int64]bool)
+	for i, h := range hosts {
+		id := msg.NodeID(i)
+		cn, hn := c.Nodes[id], h.Node
+		co := wired(t, cn, "cfg", "StartOffset").Int()
+		if ho := wired(t, hn, "cfg", "StartOffset").Int(); co != ho {
+			t.Errorf("node %d: StartOffset %v via Cluster, %v via NodeHost", i, time.Duration(co), time.Duration(ho))
+		}
+		offsets[co] = true
+		if cs, hs := wired(t, cn, "deps", "Rand", "seed").Uint(), wired(t, hn, "deps", "Rand", "seed").Uint(); cs != hs {
+			t.Errorf("node %d: gossip stream seed %#x via Cluster, %#x via NodeHost", i, cs, hs)
+		}
+		if cc, hc := cn.Store().Capacity(), hn.Store().Capacity(); cc != hc || cc == 0 {
+			t.Errorf("node %d: store capacity %d via Cluster, %d via NodeHost", i, cc, hc)
+		}
+		cb := wired(t, c.Managers[id], "cfg", "Compensation").Float()
+		if hb := wired(t, h.Manager, "cfg", "Compensation").Float(); cb != hb || cb != c.Opts.Rep.Compensation {
+			t.Errorf("node %d: compensation %v via Cluster, %v via NodeHost, defaulted %v", i, cb, hb, c.Opts.Rep.Compensation)
+		}
+		if _, hash := h.Content.Chunk(0); hash != wantHash {
+			t.Errorf("node %d: chunk 0 hashes to %#x in its deployment, %#x in the cluster", i, hash, wantHash)
+		}
+		if got, want := cn.Behavior() != (gossip.Honest{}), i >= firstFree; got != want || (hn.Behavior() != gossip.Honest{}) != want {
+			t.Errorf("node %d: freerider = %v via Cluster, %v via NodeHost, want %v", i, got, hn.Behavior() != gossip.Honest{}, want)
+		}
+
+		ca, ha := auxTypes(t, cn), auxTypes(t, hn)
+		if slices.Contains(ca, auditorAux) != (i == 0) {
+			t.Errorf("node %d: cluster aux chain %v; the auditor proxy belongs to the source only", i, ca)
+		}
+		if !slices.Contains(ha, readerAux) {
+			t.Errorf("node %d: deployment aux chain %v lacks the score reader", i, ha)
+		}
+		shared := func(chain []string) []string {
+			return slices.DeleteFunc(slices.Clone(chain), func(s string) bool { return s == auditorAux || s == readerAux })
+		}
+		if !slices.Equal(shared(ca), shared(ha)) || len(shared(ca)) == 0 {
+			t.Errorf("node %d: aux chain %v via Cluster, %v via NodeHost", i, ca, ha)
+		}
+	}
+	if len(offsets) < n/2 {
+		t.Errorf("only %d distinct StartOffsets over %d nodes: the offset stream is not per-node", len(offsets), n)
+	}
+
+	// The verdict: freeriders score below the honest mean either way.
+	verdict := func(entry string, scores map[msg.NodeID]float64) {
+		var honest, riders float64
+		for id, s := range scores {
+			switch {
+			case id == 0:
+			case id >= firstFree:
+				riders += s
+			default:
+				honest += s
+			}
+		}
+		honest /= firstFree - 1
+		riders /= n - firstFree
+		t.Logf("%s: honest mean %.2f, freerider mean %.2f", entry, honest, riders)
+		if riders >= honest {
+			t.Errorf("%s: freerider mean %.2f not below honest mean %.2f", entry, riders, honest)
+		}
+	}
+
+	c.Start()
+	c.StartStream(duration)
+	c.Run(duration + 200*time.Millisecond)
+	verdict("cluster.New", c.Scores())
+
+	for _, h := range hosts {
+		h.Start()
+	}
+	hosts[0].StartStream(duration)
+	if err := rt.Run(context.Background(), duration+200*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// Min-vote over the manager copies, read in-process the way
+	// Cluster.Scores reads them (an over-the-wire ReadScores would block on
+	// virtual time).
+	scores := make(map[msg.NodeID]float64, n)
+	for _, target := range members {
+		var copies []float64
+		for _, m := range hosts[0].Dir.Managers(target, opts.Rep.M) {
+			if s, tracked := hosts[m].Manager.Score(target); tracked {
+				copies = append(copies, s)
+			}
+		}
+		scores[target], _ = reputation.MinVoteScore(copies, nil)
+	}
+	verdict("NewNodeHost", scores)
+
+	// Same nodes on the same seeded network: with static membership the two
+	// harnesses differ only in who drives the period clock, so the scores
+	// agree to the bit, not just in verdict.
+	for id, s := range c.Scores() {
+		if s != scores[id] {
+			t.Errorf("node %d scores %v through cluster.New, %v through NewNodeHost", id, s, scores[id])
+		}
+	}
+}

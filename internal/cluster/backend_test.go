@@ -20,7 +20,7 @@ import (
 )
 
 // fastOptions is a scaled-down scenario that finishes in a couple of
-// wall-clock seconds under the live backend: short gossip period, small
+// wall-clock seconds under the udp backend: short gossip period, small
 // population.
 func fastOptions(backend runtime.Kind, n int) Options {
 	const tg = 60 * time.Millisecond
@@ -51,9 +51,8 @@ func fastOptions(backend runtime.Kind, n int) Options {
 
 // TestScenarioAgreesAcrossBackends is the acceptance check for the runtime
 // seam: one cluster-assembled freerider scenario executes under the
-// discrete-event engine, the goroutine live runtime AND the UDP socket
-// transport, and LiFTinG's verdict — freeriders score below honest nodes —
-// agrees.
+// discrete-event engine AND the UDP socket transport, and LiFTinG's verdict
+// — freeriders score below honest nodes — agrees.
 func TestScenarioAgreesAcrossBackends(t *testing.T) {
 	const (
 		n         = 24
@@ -89,7 +88,7 @@ func TestScenarioAgreesAcrossBackends(t *testing.T) {
 		return honest / float64(nh), riders / float64(nr)
 	}
 
-	for _, backend := range []runtime.Kind{runtime.KindSim, runtime.KindLive, runtime.KindUDP} {
+	for _, backend := range []runtime.Kind{runtime.KindSim, runtime.KindUDP} {
 		h, r := verdict(backend)
 		t.Logf("backend %v: honest mean %.2f, freerider mean %.2f", backend, h, r)
 		if r >= h {
@@ -99,33 +98,55 @@ func TestScenarioAgreesAcrossBackends(t *testing.T) {
 }
 
 // TestLiveBackendDisseminates checks the plain dissemination path through
-// the seam: a chunk injected at the source reaches everyone over the
-// goroutine runtime and the codec.
+// the seam on the wall-clock backend (loopback UDP sockets; "live" in these
+// test names means live sockets and real time): chunks injected at the
+// source reach everyone through the codec, with and without modelled loss,
+// and under loss the traffic books still balance.
 func TestLiveBackendDisseminates(t *testing.T) {
-	opts := fastOptions(runtime.KindLive, 16)
-	c := New(opts)
-	c.Start()
-	c.StartStream(time.Second)
-	c.Run(1500 * time.Millisecond)
-	c.Close()
-	total := opts.Stream.ChunksBy(800 * time.Millisecond)
-	if total == 0 {
-		t.Fatal("no chunks scheduled")
-	}
-	// Every node should hold most of the early chunks.
-	for id, node := range c.Nodes {
-		got := 0
-		for ch := 0; ch < total; ch++ {
-			if node.Have(msg.ChunkID(ch)) {
-				got++
+	for _, loss := range []float64{0, 0.05} {
+		t.Run(fmt.Sprintf("loss=%v", loss), func(t *testing.T) {
+			opts := fastOptions(runtime.KindUDP, 16)
+			opts.NetDefaults = net.Uniform(loss, 2*time.Millisecond)
+			c := New(opts)
+			c.Start()
+			c.StartStream(time.Second)
+			c.Run(1500 * time.Millisecond)
+			c.Close()
+			total := opts.Stream.ChunksBy(800 * time.Millisecond)
+			if total == 0 {
+				t.Fatal("no chunks scheduled")
 			}
-		}
-		if got*2 < total {
-			t.Errorf("node %d received %d/%d chunks over the live backend", id, got, total)
-		}
-	}
-	if c.Collector.SentMsgs(msg.KindAck) == 0 {
-		t.Error("no verification traffic crossed the live backend")
+			// Every node should hold most of the early chunks.
+			for id, node := range c.Nodes {
+				got := 0
+				for ch := 0; ch < total; ch++ {
+					if node.Have(msg.ChunkID(ch)) {
+						got++
+					}
+				}
+				if got*2 < total {
+					t.Errorf("node %d received %d/%d chunks over the udp backend", id, got, total)
+				}
+			}
+			if c.Collector.SentMsgs(msg.KindAck) == 0 {
+				t.Error("no verification traffic crossed the udp backend")
+			}
+			// Conservation bound: each send is delivered or dropped at most
+			// once (messages in flight when Close cancels their timers are
+			// the only ones unaccounted, so ≤ rather than =).
+			var sent, recv, dropped uint64
+			for k := msg.Kind(1); k <= msg.KindAuditPollResp; k++ {
+				sent += c.Collector.SentMsgs(k)
+				recv += c.Collector.RecvMsgs(k)
+				dropped += c.Collector.Dropped(k)
+			}
+			if recv+dropped > sent {
+				t.Errorf("conservation broke: sent %d, delivered %d + dropped %d", sent, recv, dropped)
+			}
+			if loss > 0 && dropped == 0 {
+				t.Errorf("%v loss produced no recorded drops", loss)
+			}
+		})
 	}
 }
 
@@ -274,9 +295,10 @@ func TestChurnScenario(t *testing.T) {
 }
 
 // TestChurnRunsUnderLiveBackend runs the same churn wiring on the
-// goroutine backend: joins and leaves mid-stream with real concurrency.
+// wall-clock backend (loopback UDP): joins and leaves mid-stream with real
+// concurrency.
 func TestChurnRunsUnderLiveBackend(t *testing.T) {
-	opts := fastOptions(runtime.KindLive, 20)
+	opts := fastOptions(runtime.KindUDP, 20)
 	opts.BlameMode = BlameMessages
 	c := New(opts)
 	c.Start()
@@ -287,15 +309,15 @@ func TestChurnRunsUnderLiveBackend(t *testing.T) {
 	c.Close()
 
 	if _, ok := c.Joined[id]; !ok {
-		t.Fatal("join never happened under the live backend")
+		t.Fatal("join never happened under the udp backend")
 	}
 	if _, ok := c.Departed[5]; !ok {
-		t.Fatal("leave never happened under the live backend")
+		t.Fatal("leave never happened under the udp backend")
 	}
 	if got := c.Nodes[id].ChunkCount(); got == 0 {
-		t.Error("live churn arrival received nothing")
+		t.Error("udp churn arrival received nothing")
 	}
 	if !c.Nodes[5].Stopped() {
-		t.Error("live departed node still running")
+		t.Error("udp departed node still running")
 	}
 }

@@ -1,0 +1,168 @@
+package cluster
+
+import (
+	"lifting/internal/chaos"
+	"lifting/internal/msg"
+	"lifting/internal/net"
+)
+
+// The fault plane: applying a chaos.Plan to a running cluster.
+
+// startChaos schedules every event of the configured fault plan. All
+// scheduling happens up front, in the plan's (sorted, deterministic) order,
+// from harness timers — under the sharded engine they fire in the global
+// phase, where membership and condition mutations are safe and
+// shard-count-invariant.
+func (c *Cluster) startChaos() {
+	plan := c.Opts.Chaos
+	if plan == nil {
+		return
+	}
+	for _, e := range plan.Events {
+		ev := e
+		c.RT.After(ev.At, func() { c.applyChaosEvent(ev) })
+	}
+}
+
+// applyChaosEvent performs one fault transition.
+func (c *Cluster) applyChaosEvent(ev chaos.Event) {
+	c.mu.Lock()
+	c.chaosApplied++
+	c.mu.Unlock()
+	switch ev.Kind {
+	case chaos.Crash:
+		for _, id := range ev.Nodes {
+			c.crash(id)
+		}
+	case chaos.Restart:
+		for _, id := range ev.Nodes {
+			c.restart(id)
+		}
+	case chaos.Partition:
+		c.mu.Lock()
+		c.partitioned = true
+		for _, id := range ev.Nodes {
+			c.partMinority[id] = true
+		}
+		c.mu.Unlock()
+		c.applyChaosConditionsAll()
+	case chaos.Heal:
+		c.mu.Lock()
+		c.partitioned = false
+		c.partMinority = make(map[msg.NodeID]bool)
+		c.mu.Unlock()
+		c.applyChaosConditionsAll()
+	case chaos.LossBurst:
+		c.mu.Lock()
+		for _, id := range ev.Nodes {
+			c.burstLoss[id] = ev.Loss
+		}
+		c.mu.Unlock()
+		for _, id := range ev.Nodes {
+			c.applyChaosConditions(id)
+		}
+	case chaos.LossHeal:
+		c.mu.Lock()
+		for _, id := range ev.Nodes {
+			delete(c.burstLoss, id)
+		}
+		c.mu.Unlock()
+		for _, id := range ev.Nodes {
+			c.applyChaosConditions(id)
+		}
+	}
+}
+
+// chaosConditionsLocked rebuilds node id's effective conditions from its
+// base (defaults or ConditionsFor) plus the current fault overlays. Caller
+// holds c.mu.
+func (c *Cluster) chaosConditionsLocked(id msg.NodeID) net.Conditions {
+	cond := c.Opts.NetDefaults
+	if cf := c.Opts.ConditionsFor; cf != nil {
+		if o, ok := cf(id); ok {
+			cond = o
+		}
+	}
+	if c.partitioned {
+		if c.partMinority[id] {
+			cond.PartitionGroup = 2
+		} else {
+			cond.PartitionGroup = 1
+		}
+	}
+	if extra, ok := c.burstLoss[id]; ok {
+		// The correlated burst stacks on the link's own loss.
+		cond.LossIn = 1 - (1-cond.LossIn)*(1-extra)
+	}
+	if c.goneLocked(id) || c.crashedNow[id] {
+		cond.Down = true
+	}
+	return cond
+}
+
+// applyChaosConditions pushes node id's rebuilt conditions to the backend.
+func (c *Cluster) applyChaosConditions(id msg.NodeID) {
+	c.mu.Lock()
+	cond := c.chaosConditionsLocked(id)
+	c.mu.Unlock()
+	c.RT.SetConditions(id, cond)
+}
+
+// applyChaosConditionsAll reapplies conditions for every id ever seen —
+// partition transitions change the group of all nodes, including down ones
+// (whose Down flag the rebuild preserves).
+func (c *Cluster) applyChaosConditionsAll() {
+	c.mu.Lock()
+	limit := c.nextID
+	c.mu.Unlock()
+	for id := msg.NodeID(0); id < limit; id++ {
+		c.applyChaosConditions(id)
+	}
+}
+
+// crash takes node id down hard: off the membership and the network, its
+// process state (gossip history, pending blames, its manager replica's
+// clock) frozen. The node's own score lives on its remote managers and is
+// untouched. No-op for nodes already gone.
+func (c *Cluster) crash(id msg.NodeID) {
+	c.mu.Lock()
+	if c.goneLocked(id) || c.crashedNow[id] {
+		c.mu.Unlock()
+		return
+	}
+	c.crashedNow[id] = true
+	c.Crashed[id] = c.RT.Now()
+	node := c.Nodes[id]
+	// The crashed process's unflushed blames die with it.
+	kept := c.clients[:0]
+	for _, oc := range c.clients {
+		if oc.owner != id {
+			kept = append(kept, oc)
+		}
+	}
+	c.clients = kept
+	c.mu.Unlock()
+	c.remove(id, node)
+}
+
+// restart brings a crashed node back with fresh protocol state, admitted
+// like a churn join of the same id. A node expelled or departed while down
+// stays out.
+func (c *Cluster) restart(id msg.NodeID) {
+	c.mu.Lock()
+	if !c.crashedNow[id] || c.goneLocked(id) {
+		c.mu.Unlock()
+		return
+	}
+	delete(c.crashedNow, id)
+	c.Restarted[id] = c.RT.Now()
+	c.mu.Unlock()
+	c.admit(id)
+}
+
+// ChaosApplied returns how many fault-plan events have fired so far.
+func (c *Cluster) ChaosApplied() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.chaosApplied
+}

@@ -162,10 +162,10 @@ func TestChaosPartitionCutsMinority(t *testing.T) {
 }
 
 // TestChaosRunsOnLiveBackend exercises the same fault schedule on the
-// wall-clock goroutine runtime: crash, restart, partition and heal all
-// apply without deadlock or expulsion.
+// wall-clock socket runtime (loopback UDP): crash, restart, partition and
+// heal all apply without deadlock or expulsion.
 func TestChaosRunsOnLiveBackend(t *testing.T) {
-	opts := fastOptions(runtime.KindLive, 12)
+	opts := fastOptions(runtime.KindUDP, 12)
 	opts.BlameMode = BlameMessages
 	opts.Chaos = &chaos.Plan{
 		Events: []chaos.Event{
@@ -183,15 +183,15 @@ func TestChaosRunsOnLiveBackend(t *testing.T) {
 	c.Close()
 
 	if _, ok := c.Crashed[5]; !ok {
-		t.Fatal("crash never applied under live backend")
+		t.Fatal("crash never applied under udp backend")
 	}
 	if _, ok := c.Restarted[5]; !ok {
-		t.Fatal("restart never applied under live backend")
+		t.Fatal("restart never applied under udp backend")
 	}
 	if !c.Dir.Alive(5) {
 		t.Error("restarted node 5 not alive")
 	}
 	if len(c.Expelled) != 0 {
-		t.Errorf("fault plan expelled nodes under live backend: %v", c.Expelled)
+		t.Errorf("fault plan expelled nodes under udp backend: %v", c.Expelled)
 	}
 }

@@ -5,19 +5,17 @@
 //
 // Assembly is written against the runtime.Runtime seam, so the same wiring
 // executes under the deterministic discrete-event engine (Options.Backend =
-// runtime.KindSim, the default), under the goroutine-per-node live runtime
-// (runtime.KindLive), or over real UDP sockets on loopback
-// (runtime.KindUDP, one socket per node). Scenarios — quickstart,
-// collusion, PlanetLab heterogeneity, churn — are therefore written once
-// and run on any backend. For deployments where each node is its own OS
-// process, see NodeHost.
+// runtime.KindSim, the default) or over real UDP sockets on loopback
+// (runtime.KindUDP, one socket per node, wall-clock time). Scenarios —
+// quickstart, collusion, PlanetLab heterogeneity, churn — are therefore
+// written once and run on either backend. For deployments where each node
+// is its own OS process, see NodeHost; both build their nodes through the
+// one recipe in assemble.go.
 package cluster
 
 import (
 	"context"
-	"fmt"
 	gort "runtime"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,11 +35,7 @@ import (
 	"lifting/internal/sim"
 	"lifting/internal/stats"
 	"lifting/internal/stream"
-
-	// Execution backends register themselves with the runtime registry;
-	// importing them here makes every Options.Backend constructible.
-	_ "lifting/internal/live"
-	_ "lifting/internal/transport"
+	"lifting/internal/transport"
 )
 
 // BlameMode selects how blames reach the scores.
@@ -66,8 +60,7 @@ type Options struct {
 	// Seed roots all randomness.
 	Seed uint64
 	// Backend selects the execution backend: the deterministic
-	// discrete-event engine (runtime.KindSim, the zero value), the
-	// goroutine-per-node live runtime (runtime.KindLive), or the UDP
+	// discrete-event engine (runtime.KindSim, the zero value) or the UDP
 	// socket transport in single-process-many-sockets mode
 	// (runtime.KindUDP).
 	Backend runtime.Kind
@@ -122,7 +115,7 @@ type Options struct {
 	StoreCapacity int
 	// OnBlame, if non-nil, observes every blame emission (diagnostics and
 	// per-reason accounting in experiments). Only effective in direct mode.
-	// Under the live backend it is invoked concurrently from node
+	// Under a wall-clock backend it is invoked concurrently from node
 	// goroutines with no lock held; synchronize externally if it mutates
 	// shared state.
 	OnBlame func(target msg.NodeID, value float64, reason msg.BlameReason)
@@ -148,21 +141,19 @@ type Cluster struct {
 	Opts Options
 	// RT is the execution backend everything is wired to.
 	RT runtime.Runtime
-	// Engine and Net expose the discrete-event internals; both are nil
-	// under the live backend.
+	// Engine exposes the discrete-event internals; nil under a wall-clock
+	// backend.
 	Engine    *sim.Engine
-	Net       *net.SimNet
 	Dir       *membership.Directory
 	Collector *metrics.Collector
 	// Content is the stream's canonical payload source (nil when the
 	// content plane is off). Its memoized slices are shared by every
 	// node's store, so large populations hold one copy of the stream.
-	Content   *content.Source
-	Nodes     map[msg.NodeID]*gossip.Node
-	Verifiers map[msg.NodeID]*core.Verifier
-	Managers  map[msg.NodeID]*reputation.Manager
-	Board     *reputation.Board // direct mode; nil in message mode
-	Playouts  map[msg.NodeID]*stream.Playout
+	Content  *content.Source
+	Nodes    map[msg.NodeID]*gossip.Node
+	Managers map[msg.NodeID]*reputation.Manager
+	Board    *reputation.Board // direct mode; nil in message mode
+	Playouts map[msg.NodeID]*stream.Playout
 	// Expelled records when each node was expelled (virtual time).
 	Expelled map[msg.NodeID]time.Duration
 	// Joined records when each churn arrival entered the system.
@@ -177,13 +168,12 @@ type Cluster struct {
 	Freeriders map[msg.NodeID]bool
 
 	// mu guards the mutable maps above plus period/clients/handoffs: under
-	// the live backend churn, expulsion and ticks run on separate
+	// a wall-clock backend churn, expulsion and ticks run on separate
 	// goroutines. boardMu serializes all access to Board and OnBlame.
 	mu      sync.Mutex
 	boardMu sync.Mutex
 
 	root          *rng.Stream
-	repCfg        reputation.Config
 	auditor       *core.Auditor
 	period        msg.Period
 	clients       []ownedClient // message-mode blame clients, flushed per period
@@ -218,40 +208,6 @@ type ownedClient struct {
 	client *reputation.Client
 }
 
-// auxChain fans a message out to handlers until one claims it.
-type auxChain []gossip.AuxHandler
-
-func (c auxChain) HandleAux(from msg.NodeID, m msg.Message) bool {
-	for _, h := range c {
-		if h != nil && h.HandleAux(from, m) {
-			return true
-		}
-	}
-	return false
-}
-
-// skewCtx runs one node's timers on a drifting local clock: every delay is
-// scaled by a constant rate factor, so a node with factor 1.02 fires its
-// gossip periods 2% late and slowly drifts against the period auditor. Now
-// stays on true time — arrival timestamps (QoE, playout) measure when
-// chunks actually land. Scaling is a pure function of the delay, so skewed
-// runs remain deterministic and shard-count-invariant.
-type skewCtx struct {
-	sim.Context
-	factor float64
-}
-
-func (s skewCtx) After(d time.Duration, fn func()) {
-	s.Context.After(time.Duration(float64(d)*s.factor), fn)
-}
-
-// managerAux adapts a reputation.Manager to gossip.AuxHandler.
-type managerAux struct{ m *reputation.Manager }
-
-func (a managerAux) HandleAux(from msg.NodeID, mm msg.Message) bool {
-	return a.m.HandleMessage(from, mm)
-}
-
 // boardSink routes blames onto the shared board under the board lock. The
 // observer callback runs outside it, so it may freely read cluster state
 // (Scores, the board) without self-deadlocking.
@@ -264,18 +220,6 @@ func (s boardSink) Blame(target msg.NodeID, value float64, reason msg.BlameReaso
 	if s.c.Opts.OnBlame != nil {
 		s.c.Opts.OnBlame(target, value, reason)
 	}
-}
-
-// countingSink wraps a BlameSink with per-reason issue accounting. The
-// counter adds commute, so wrapping does not affect sharded determinism.
-type countingSink struct {
-	coll  *metrics.Collector
-	inner core.BlameSink
-}
-
-func (s countingSink) Blame(target msg.NodeID, value float64, reason msg.BlameReason) {
-	s.coll.OnBlameIssued(reason.String())
-	s.inner.Blame(target, value, reason)
 }
 
 // auditorProxy routes audit responses to the cluster's auditor once it
@@ -295,49 +239,13 @@ func New(opts Options) *Cluster {
 	if opts.N < 2 {
 		panic("cluster: need at least 2 nodes")
 	}
-	if opts.BlameMode == 0 {
-		opts.BlameMode = BlameDirect
-	}
-	if opts.ExpectedR == 0 {
-		if opts.Gossip.MaxRequest > 0 {
-			opts.ExpectedR = opts.Gossip.MaxRequest
-		} else {
-			opts.ExpectedR = 4
-		}
-	}
-	if opts.ExpectedLoss == 0 {
-		d := opts.NetDefaults
-		opts.ExpectedLoss = 1 - (1-d.LossIn)*(1-d.LossOut)
-	}
-	if opts.Rep.Compensation == 0 && opts.LiFTinG {
-		opts.Rep.Compensation = CompensationFor(opts.ExpectedLoss, opts.Gossip.F, opts.ExpectedR, opts.Core.Pdcc)
-	}
-	if opts.Core.Population == 0 {
-		opts.Core.Population = opts.N
-	}
-	if opts.ExpelOnDetection && opts.Rep.GracePeriods == 0 {
-		// Young scores are noisy (σ(s) ∝ 1/√r); don't act on them.
-		opts.Rep.GracePeriods = 8
-	}
-	if opts.Chaos != nil {
-		// The plan's standing link perturbations apply to every node for
-		// the whole run, so they fold into the default conditions before
-		// the backend is built.
-		if opts.Chaos.DupProb > 0 {
-			opts.NetDefaults.DupProb = opts.Chaos.DupProb
-		}
-		if opts.Chaos.ReorderProb > 0 {
-			opts.NetDefaults.ReorderProb = opts.Chaos.ReorderProb
-			opts.NetDefaults.ReorderDelay = opts.Chaos.ReorderDelay
-		}
-	}
+	opts.setDefaults()
 
 	c := &Cluster{
 		Opts:       opts,
 		Dir:        membership.Sequential(opts.N),
 		Collector:  metrics.NewCollector(),
 		Nodes:      make(map[msg.NodeID]*gossip.Node, opts.N),
-		Verifiers:  make(map[msg.NodeID]*core.Verifier, opts.N),
 		Managers:   make(map[msg.NodeID]*reputation.Manager, opts.N),
 		Playouts:   make(map[msg.NodeID]*stream.Playout, opts.N),
 		Expelled:   make(map[msg.NodeID]time.Duration),
@@ -355,43 +263,34 @@ func New(opts Options) *Cluster {
 		partMinority: make(map[msg.NodeID]bool),
 		burstLoss:    make(map[msg.NodeID]float64),
 	}
-	if opts.Stream.Validate() == nil {
-		// The content seed derives from the root exactly as NodeHost derives
-		// it, so an in-process cluster and a multi-process deployment of the
-		// same seed broadcast byte-identical streams.
-		c.Content = content.NewSource(c.root.Derive("content").Seed(), opts.Stream.ChunkPayload)
-	}
+	c.Content = contentSource(c.root, opts.Stream)
 
-	if opts.Backend == runtime.KindSim {
+	switch opts.Backend {
+	case runtime.KindSim:
 		var engine *sim.Engine
 		if s := c.shardable(); s > 0 {
 			engine = sim.NewSharded(s, opts.NetDefaults.LatencyBase)
 		} else {
 			engine = sim.NewEngine()
 		}
-		simnet := net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults)
 		c.Engine = engine
-		c.Net = simnet
-		c.RT = runtime.NewSim(engine, simnet)
-	} else {
-		rt, err := runtime.New(opts.Backend, runtime.BackendOptions{
+		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
+	case runtime.KindUDP:
+		c.RT = transport.New(transport.Options{
 			Seed:      c.root.Derive("net").Seed(),
 			Collector: c.Collector,
 			Defaults:  opts.NetDefaults,
 		})
-		if err != nil {
-			panic(fmt.Sprintf("cluster: backend %v: %v", opts.Backend, err))
-		}
-		c.RT = rt
+	default:
+		panic("cluster: Options.Backend is neither runtime.KindSim nor runtime.KindUDP")
 	}
 
 	if opts.BlameMode == BlameDirect {
 		c.Board = reputation.NewBoard(opts.Rep.Compensation)
 	}
-	c.repCfg = opts.Rep
 
 	for i := 0; i < opts.N; i++ {
-		c.buildNode(msg.NodeID(i))
+		c.build(msg.NodeID(i))
 	}
 
 	if cf := opts.ConditionsFor; cf != nil {
@@ -413,138 +312,58 @@ func New(opts Options) *Cluster {
 	return c
 }
 
-// buildNode assembles one node — gossip, verifier, manager duty, behavior —
-// and attaches it to the runtime. The caller registers scorekeepers and
-// per-node conditions.
-func (c *Cluster) buildNode(id msg.NodeID) {
-	opts := c.Opts
-	nodeRand := c.root.ForNode(uint32(id))
-	ctx := c.RT.Context(id)
-	if opts.Chaos != nil {
-		if f := opts.Chaos.SkewFactor(id); f != 1 {
-			ctx = skewCtx{Context: ctx, factor: f}
-		}
+// build assembles node id from the shared recipe with the cluster's wiring
+// — shared directory and collector, board or manager duty by blame mode,
+// expulsions routed through the harness — and publishes its parts. The
+// caller registers scorekeepers and per-node conditions.
+func (c *Cluster) build(id msg.NodeID) {
+	opts := &c.Opts
+	w := wiring{
+		id:        id,
+		rt:        c.RT,
+		dir:       c.Dir,
+		root:      c.root,
+		collector: c.Collector,
+		content:   c.Content,
 	}
-	netw := c.RT.Network()
-
-	var behavior gossip.Behavior
 	if opts.BehaviorFor != nil && id != 0 {
-		behavior = opts.BehaviorFor(id, c.Dir, nodeRand.Derive("behavior"))
+		w.behavior = func(r *rng.Stream) gossip.Behavior { return opts.BehaviorFor(id, c.Dir, r) }
 	}
-	isFreerider := behavior != nil
-	if behavior == nil {
-		behavior = gossip.Honest{}
+	if opts.Chaos != nil {
+		w.skew = opts.Chaos.SkewFactor(id)
 	}
-
-	gcfg := opts.Gossip
-	gcfg.StartOffset = time.Duration(nodeRand.Derive("offset").Float64() * float64(gcfg.Period))
-
-	deps := gossip.Deps{
-		Ctx:      ctx,
-		Net:      netw,
-		Dir:      c.Dir,
-		Rand:     nodeRand.Derive("gossip"),
-		Behavior: behavior,
-		Metrics:  c.Collector,
-	}
-
-	if c.Content != nil {
-		capacity := opts.StoreCapacity
-		if capacity <= 0 {
-			capacity = content.StoreCapacityFor(opts.Stream.ChunkInterval(), opts.Gossip.Period)
-		}
-		deps.Store = content.NewStore(capacity)
-	}
-
-	var playout *stream.Playout
 	if opts.TrackPlayout {
-		playout = stream.NewPlayout(opts.Stream)
+		w.playout = stream.NewPlayout(opts.Stream)
 	}
-	if playout != nil || c.Content != nil {
-		// QoE accounting rides the same per-chunk callback as playout
-		// tracking. The closure state (previous arrival) is only touched
-		// from the node's serialized execution context, and the collector
-		// sums are commuting integer adds, so sharded runs stay
-		// byte-identical across shard counts.
-		var interval time.Duration
-		if c.Content != nil {
-			interval = opts.Stream.ChunkInterval()
-		}
-		var lastArrival time.Duration
-		seenArrival := false
-		deps.OnChunk = func(ch msg.ChunkID, at time.Duration) {
-			if playout != nil {
-				playout.Received(ch, at)
-			}
-			if c.Content == nil {
-				return
-			}
-			c.Collector.OnStreamLag(at - opts.Stream.GenTime(ch))
-			if seenArrival {
-				c.Collector.OnJitter((at - lastArrival) - interval)
-			}
-			lastArrival, seenArrival = at, true
-		}
+	if opts.BlameMode == BlameDirect {
+		w.board = boardSink{c}
+	} else {
+		// The expulsion callback carries the hosting manager's id: under a
+		// sharded engine it fires inside a lookahead window, and the
+		// resulting membership mutation must be deferred to the global
+		// phase keyed by the node that triggered it.
+		w.onExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expelFrom(id, target) }
 	}
-
-	node := gossip.NewNode(id, gcfg, deps)
-	var verifier *core.Verifier
-	var manager *reputation.Manager
-	if opts.LiFTinG {
-		var sink core.BlameSink
-		var client *reputation.Client
-		if opts.BlameMode == BlameDirect {
-			sink = boardSink{c}
-		} else {
-			client = reputation.NewClient(id, c.repCfg, netw, c.Dir)
-			sink = client
-		}
-		sink = countingSink{coll: c.Collector, inner: sink}
-		verifier = core.NewVerifier(id, opts.Core, ctx, netw, nodeRand.Derive("verify"), node.History(), behavior, sink)
-		var aux auxChain
-		aux = append(aux, verifier)
-		if opts.BlameMode == BlameMessages {
-			// The expulsion callback carries the hosting manager's id: under
-			// a sharded engine it fires inside a lookahead window, and the
-			// resulting membership mutation must be deferred to the global
-			// phase keyed by the node that triggered it.
-			mcfg := c.repCfg
-			mcfg.OnExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expelFrom(id, target) }
-			manager = reputation.NewManager(id, mcfg, netw, c.Dir)
-			aux = append(aux, managerAux{manager})
-		}
-		if id == 0 {
-			aux = append(aux, auditorProxy{c})
-		}
-		deps.Monitor = verifier
-		deps.Aux = aux
-		deps.History = node.History()
-		// Rebuild the node with the full wiring (cheap; state empty).
-		node = gossip.NewNode(id, gcfg, deps)
-		if client != nil {
-			c.mu.Lock()
-			c.clients = append(c.clients, ownedClient{owner: id, client: client})
-			c.mu.Unlock()
-		}
+	if id == 0 {
+		w.extraAux = auditorProxy{c}
 	}
+	a := assemble(opts, w)
 
 	c.mu.Lock()
-	if isFreerider {
+	if a.freerider {
 		c.Freeriders[id] = true
 	}
-	c.Nodes[id] = node
-	if verifier != nil {
-		c.Verifiers[id] = verifier
+	c.Nodes[id] = a.node
+	if a.manager != nil {
+		c.Managers[id] = a.manager
 	}
-	if manager != nil {
-		c.Managers[id] = manager
+	if a.client != nil {
+		c.clients = append(c.clients, ownedClient{owner: id, client: a.client})
 	}
-	if playout != nil {
-		c.Playouts[id] = playout
+	if w.playout != nil {
+		c.Playouts[id] = w.playout
 	}
 	c.mu.Unlock()
-
-	c.RT.Attach(id, node)
 }
 
 // registerScorekeepers starts tracking id's score as of period p.
@@ -568,24 +387,6 @@ func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
 		for _, mgr := range mgrs {
 			mgr.Track(id, p)
 		}
-	}
-}
-
-// setAssignmentLocked records set as target's current manager assignment
-// and maintains the reverse index. Callers hold c.mu. The slice comes from
-// Directory.Managers and is shared and read-only.
-func (c *Cluster) setAssignmentLocked(target msg.NodeID, set []msg.NodeID) {
-	for _, m := range c.lastMgrs[target] {
-		delete(c.mgrTargets[m], target)
-	}
-	c.lastMgrs[target] = set
-	for _, m := range set {
-		ts := c.mgrTargets[m]
-		if ts == nil {
-			ts = make(map[msg.NodeID]bool)
-			c.mgrTargets[m] = ts
-		}
-		ts[target] = true
 	}
 }
 
@@ -739,7 +540,7 @@ func (c *Cluster) scheduleTick(p msg.Period) {
 }
 
 // tick runs one score-period advance: board clock, expulsion checks, blame
-// flushes and manager ticks. Under the live backend it runs on a harness
+// flushes and manager ticks. Under a wall-clock backend it runs on a harness
 // goroutine outside any node lock.
 func (c *Cluster) tick(p msg.Period) {
 	if c.Opts.OnPeriodSnapshot != nil {
@@ -788,11 +589,7 @@ func (c *Cluster) tick(p msg.Period) {
 		}
 	}
 
-	flushEvery := msg.Period(c.Opts.Rep.FlushEvery)
-	if flushEvery < 1 {
-		flushEvery = 1
-	}
-	if p%flushEvery == 0 {
+	if flushDue(c.Opts.Rep, p) {
 		for _, oc := range clients {
 			client := oc.client
 			// Client state is written by the owner's verifier under the
@@ -813,14 +610,18 @@ func (c *Cluster) tick(p msg.Period) {
 	}
 }
 
+// goneLocked reports whether id has been expelled or has departed — either
+// way it is out of the system for good. Callers hold c.mu.
+func (c *Cluster) goneLocked(id msg.NodeID) bool {
+	_, expelled := c.Expelled[id]
+	_, departed := c.Departed[id]
+	return expelled || departed
+}
+
 // expel removes a node from the running system.
 func (c *Cluster) expel(id msg.NodeID) {
 	c.mu.Lock()
-	if _, done := c.Expelled[id]; done {
-		c.mu.Unlock()
-		return
-	}
-	if _, gone := c.Departed[id]; gone {
+	if c.goneLocked(id) {
 		c.mu.Unlock()
 		return
 	}
@@ -853,31 +654,11 @@ func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
 // StartStream schedules chunk injections at the source (node 0) for the
 // given duration.
 func (c *Cluster) StartStream(duration time.Duration) {
-	total := c.Opts.Stream.ChunksBy(duration)
-	source := c.Nodes[0]
-	ctx := c.RT.Context(0)
-	for i := 0; i < total; i++ {
-		ch := msg.ChunkID(i)
-		at := c.Opts.Stream.GenTime(ch)
-		if at > duration {
-			break
-		}
-		ctx.After(at, func() {
-			if c.Content != nil {
-				payload, hash := c.Content.Chunk(ch)
-				source.InjectChunkData(ch, payload, hash)
-			} else {
-				source.InjectChunk(ch)
-			}
-		})
-		if p, ok := c.Playouts[0]; ok {
-			p.Received(ch, at)
-		}
-	}
+	scheduleStream(c.RT.Context(0), c.Nodes[0], c.Content, c.Opts.Stream, duration, c.Playouts[0])
 }
 
 // Run advances the cluster to the given time: virtual under the
-// discrete-event backend, wall-clock under the live one. It is
+// discrete-event backend, wall-clock under the UDP one. It is
 // RunContext with a background context — for runs nothing cancels.
 func (c *Cluster) Run(until time.Duration) { c.RT.Run(context.Background(), until) }
 
@@ -895,7 +676,7 @@ func (c *Cluster) RunContext(ctx context.Context, until time.Duration) error {
 func (c *Cluster) After(d time.Duration, fn func()) { c.RT.After(d, fn) }
 
 // Close shuts the backend down and waits for in-flight callbacks. Call it
-// before reading node state after a live run; it is a no-op under the
+// before reading node state after a wall-clock run; it is a no-op under the
 // discrete-event backend.
 func (c *Cluster) Close() { c.RT.Close() }
 
@@ -911,7 +692,7 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	if c.Board != nil {
 		sink = boardSink{c}
 	} else {
-		client := reputation.NewClient(0, c.repCfg, c.RT.Network(), c.Dir)
+		client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
 		c.mu.Lock()
 		c.clients = append(c.clients, ownedClient{owner: 0, client: client})
 		c.mu.Unlock()
@@ -933,7 +714,7 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 
 // Scores returns every known node's current score: the board score in
 // direct mode, or the min-vote over manager copies in message mode. Under
-// the live backend call it after Close (or accept slightly stale reads).
+// a wall-clock backend call it after Close (or accept slightly stale reads).
 func (c *Cluster) Scores() map[msg.NodeID]float64 {
 	ids := c.Dir.All()
 	out := make(map[msg.NodeID]float64, len(ids))
@@ -1010,19 +791,31 @@ func (c *Cluster) ScheduleLeave(at time.Duration, id msg.NodeID) {
 
 // join brings a scheduled churn arrival into the running system.
 func (c *Cluster) join(id msg.NodeID) {
+	c.admit(id)
+	c.mu.Lock()
+	c.Joined[id] = c.RT.Now()
+	c.mu.Unlock()
+}
+
+// admit builds node id into the running system and starts it: a churn
+// arrival, or a crashed node coming back with fresh protocol state under
+// its old id. Scorekeepers pick it up at the current period — Track does not
+// reset an entry that survived a crash — and the full rebalance hands the
+// most pessimistic surviving replica to its fresh local manager.
+func (c *Cluster) admit(id msg.NodeID) {
 	c.Dir.Join(id)
-	c.buildNode(id)
-	if cf := c.Opts.ConditionsFor; cf != nil {
+	c.build(id)
+	if c.Opts.Chaos != nil {
+		// Rebuilt from the node's base plus the standing fault overlays: a
+		// restart clears Down, a node joining mid-partition lands on the
+		// majority side.
+		c.applyChaosConditions(id)
+	} else if cf := c.Opts.ConditionsFor; cf != nil {
 		if cond, ok := cf(id); ok {
 			c.RT.SetConditions(id, cond)
 		}
 	}
-	if c.Opts.Chaos != nil {
-		// A node joining mid-partition lands on the majority side.
-		c.applyChaosConditions(id)
-	}
 	c.mu.Lock()
-	c.Joined[id] = c.RT.Now()
 	p := c.period
 	node := c.Nodes[id]
 	c.mu.Unlock()
@@ -1039,11 +832,7 @@ func (c *Cluster) join(id msg.NodeID) {
 // leave removes a voluntarily departing node.
 func (c *Cluster) leave(id msg.NodeID) {
 	c.mu.Lock()
-	if _, gone := c.Departed[id]; gone {
-		c.mu.Unlock()
-		return
-	}
-	if _, done := c.Expelled[id]; done {
+	if c.goneLocked(id) {
 		c.mu.Unlock()
 		return
 	}
@@ -1051,394 +840,4 @@ func (c *Cluster) leave(id msg.NodeID) {
 	node := c.Nodes[id]
 	c.mu.Unlock()
 	c.remove(id, node)
-}
-
-// --- fault plane ---
-
-// startChaos schedules every event of the configured fault plan. All
-// scheduling happens up front, in the plan's (sorted, deterministic) order,
-// from harness timers — under the sharded engine they fire in the global
-// phase, where membership and condition mutations are safe and
-// shard-count-invariant.
-func (c *Cluster) startChaos() {
-	plan := c.Opts.Chaos
-	if plan == nil {
-		return
-	}
-	for _, e := range plan.Events {
-		ev := e
-		c.RT.After(ev.At, func() { c.applyChaosEvent(ev) })
-	}
-}
-
-// applyChaosEvent performs one fault transition.
-func (c *Cluster) applyChaosEvent(ev chaos.Event) {
-	c.mu.Lock()
-	c.chaosApplied++
-	c.mu.Unlock()
-	switch ev.Kind {
-	case chaos.Crash:
-		for _, id := range ev.Nodes {
-			c.crash(id)
-		}
-	case chaos.Restart:
-		for _, id := range ev.Nodes {
-			c.restart(id)
-		}
-	case chaos.Partition:
-		c.mu.Lock()
-		c.partitioned = true
-		for _, id := range ev.Nodes {
-			c.partMinority[id] = true
-		}
-		c.mu.Unlock()
-		c.applyChaosConditionsAll()
-	case chaos.Heal:
-		c.mu.Lock()
-		c.partitioned = false
-		c.partMinority = make(map[msg.NodeID]bool)
-		c.mu.Unlock()
-		c.applyChaosConditionsAll()
-	case chaos.LossBurst:
-		c.mu.Lock()
-		for _, id := range ev.Nodes {
-			c.burstLoss[id] = ev.Loss
-		}
-		c.mu.Unlock()
-		for _, id := range ev.Nodes {
-			c.applyChaosConditions(id)
-		}
-	case chaos.LossHeal:
-		c.mu.Lock()
-		for _, id := range ev.Nodes {
-			delete(c.burstLoss, id)
-		}
-		c.mu.Unlock()
-		for _, id := range ev.Nodes {
-			c.applyChaosConditions(id)
-		}
-	}
-}
-
-// chaosConditionsLocked rebuilds node id's effective conditions from its
-// base (defaults or ConditionsFor) plus the current fault overlays. Caller
-// holds c.mu.
-func (c *Cluster) chaosConditionsLocked(id msg.NodeID) net.Conditions {
-	cond := c.Opts.NetDefaults
-	if cf := c.Opts.ConditionsFor; cf != nil {
-		if o, ok := cf(id); ok {
-			cond = o
-		}
-	}
-	if c.partitioned {
-		if c.partMinority[id] {
-			cond.PartitionGroup = 2
-		} else {
-			cond.PartitionGroup = 1
-		}
-	}
-	if extra, ok := c.burstLoss[id]; ok {
-		// The correlated burst stacks on the link's own loss.
-		cond.LossIn = 1 - (1-cond.LossIn)*(1-extra)
-	}
-	if _, gone := c.Expelled[id]; gone {
-		cond.Down = true
-	}
-	if _, gone := c.Departed[id]; gone {
-		cond.Down = true
-	}
-	if c.crashedNow[id] {
-		cond.Down = true
-	}
-	return cond
-}
-
-// applyChaosConditions pushes node id's rebuilt conditions to the backend.
-func (c *Cluster) applyChaosConditions(id msg.NodeID) {
-	c.mu.Lock()
-	cond := c.chaosConditionsLocked(id)
-	c.mu.Unlock()
-	c.RT.SetConditions(id, cond)
-}
-
-// applyChaosConditionsAll reapplies conditions for every id ever seen —
-// partition transitions change the group of all nodes, including down ones
-// (whose Down flag the rebuild preserves).
-func (c *Cluster) applyChaosConditionsAll() {
-	c.mu.Lock()
-	limit := c.nextID
-	c.mu.Unlock()
-	for id := msg.NodeID(0); id < limit; id++ {
-		c.applyChaosConditions(id)
-	}
-}
-
-// crash takes node id down hard: off the membership and the network, its
-// process state (gossip history, pending blames, its manager replica's
-// clock) frozen. The node's own score lives on its remote managers and is
-// untouched. No-op for nodes already gone.
-func (c *Cluster) crash(id msg.NodeID) {
-	c.mu.Lock()
-	if _, gone := c.Expelled[id]; gone {
-		c.mu.Unlock()
-		return
-	}
-	if _, gone := c.Departed[id]; gone {
-		c.mu.Unlock()
-		return
-	}
-	if c.crashedNow[id] {
-		c.mu.Unlock()
-		return
-	}
-	c.crashedNow[id] = true
-	c.Crashed[id] = c.RT.Now()
-	node := c.Nodes[id]
-	// The crashed process's unflushed blames die with it.
-	kept := c.clients[:0]
-	for _, oc := range c.clients {
-		if oc.owner != id {
-			kept = append(kept, oc)
-		}
-	}
-	c.clients = kept
-	c.mu.Unlock()
-	c.remove(id, node)
-}
-
-// restart brings a crashed node back with fresh protocol state, as a churn
-// join of the same id: its managers re-track it at the current period (a
-// no-op where the entry survived — Track does not reset tracked state), and
-// the full rebalance re-adopts the most pessimistic surviving replica onto
-// its fresh local manager. A node expelled or departed while down stays out.
-func (c *Cluster) restart(id msg.NodeID) {
-	c.mu.Lock()
-	if !c.crashedNow[id] {
-		c.mu.Unlock()
-		return
-	}
-	if _, gone := c.Expelled[id]; gone {
-		c.mu.Unlock()
-		return
-	}
-	if _, gone := c.Departed[id]; gone {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.crashedNow, id)
-	c.Restarted[id] = c.RT.Now()
-	c.mu.Unlock()
-
-	c.Dir.Join(id)
-	c.buildNode(id)
-	if cf := c.Opts.ConditionsFor; cf != nil {
-		if cond, ok := cf(id); ok {
-			c.RT.SetConditions(id, cond)
-		}
-	}
-	// Rebuilding conditions clears Down and restores any standing overlays
-	// (partition side, loss burst) the node is still subject to.
-	c.applyChaosConditions(id)
-
-	c.mu.Lock()
-	p := c.period
-	node := c.Nodes[id]
-	c.mu.Unlock()
-	if c.Opts.LiFTinG {
-		c.registerScorekeepers(id, p)
-	}
-	c.RT.Exec(id, node.Start)
-	c.scheduleRebalance(true)
-}
-
-// ChaosApplied returns how many fault-plan events have fired so far.
-func (c *Cluster) ChaosApplied() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.chaosApplied
-}
-
-// MaxTrackedPerManager returns the largest per-manager tracked-target count
-// (message mode; 0 in direct mode). The soak invariants bound it by the
-// total population ever seen.
-func (c *Cluster) MaxTrackedPerManager() int {
-	c.mu.Lock()
-	mgrs := make([]*reputation.Manager, 0, len(c.Managers))
-	//lint:allow ordered-map-range max reduction over the collected managers commutes
-	for _, m := range c.Managers {
-		mgrs = append(mgrs, m)
-	}
-	c.mu.Unlock()
-	most := 0
-	for _, m := range mgrs {
-		if n := m.TrackedCount(); n > most {
-			most = n
-		}
-	}
-	return most
-}
-
-// scheduleRebalance queues a manager-assignment rebalance (message mode
-// only). It runs as a harness event so no manager locks are held when it
-// starts, and coalesces bursts of membership changes (a full request
-// upgrades a pending cheap one).
-func (c *Cluster) scheduleRebalance(full bool) {
-	if c.Opts.BlameMode != BlameMessages || !c.Opts.LiFTinG {
-		return
-	}
-	c.mu.Lock()
-	c.rebalanceFull = c.rebalanceFull || full
-	if c.rebalance {
-		c.mu.Unlock()
-		return
-	}
-	c.rebalance = true
-	c.mu.Unlock()
-	c.RT.After(0, c.rebalanceManagers)
-}
-
-// rebalanceManagers recomputes manager assignments after a membership
-// change and performs the state handoff: a manager that became responsible
-// for a target adopts the most pessimistic replica (consistent with
-// min-vote reads), and managers no longer responsible drop their copy.
-// Deterministic under the simulator: targets in id order, candidate
-// replicas in id order.
-//
-// The pass is incremental. The directory's probe assignment only changes a
-// target's manager set when one of the recorded managers left (a removal)
-// or the registration set grew (a join), so a removal-triggered rebalance
-// visits only the departed nodes' targets — found through the reverse
-// index — and a join-triggered one walks every target but short-circuits
-// the unchanged assignments. Handoff candidates are the union of the old
-// and new sets: the old set is by construction exactly the target's live
-// tracker set (registration seeds it, every rebalance re-establishes it),
-// so no live replica escapes the pessimism scan. Replicas frozen on
-// long-expelled managers are not candidates — they are equally invisible
-// to min-vote reads, which only consult the current assignment.
-func (c *Cluster) rebalanceManagers() {
-	c.mu.Lock()
-	c.rebalance = false
-	full := c.rebalanceFull
-	c.rebalanceFull = false
-	removed := c.pendingRemoved
-	c.pendingRemoved = nil
-	p := c.period
-	mgrByID := make(map[msg.NodeID]*reputation.Manager, len(c.Managers))
-	//lint:allow ordered-map-range map-to-map copy; the copy is order-insensitive
-	for id, m := range c.Managers {
-		mgrByID[id] = m
-	}
-	var targets []msg.NodeID
-	if full {
-		targets = c.Dir.All()
-	} else {
-		seen := make(map[msg.NodeID]bool)
-		for _, r := range removed {
-			//lint:allow ordered-map-range collect-then-sort: targets are deduped then sorted below
-			for t := range c.mgrTargets[r] {
-				if !seen[t] {
-					seen[t] = true
-					targets = append(targets, t)
-				}
-			}
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	}
-	c.mu.Unlock()
-
-	// A replica's pessimism is its per-period blame rate — the score is
-	// comp − blame/r, so the lowest score is the highest rate, not the
-	// largest raw blame (a freshly joined entry with little blame but tiny
-	// r can be the most damning copy). Expulsion verdicts trump rates.
-	rate := func(e reputation.Entry) float64 {
-		r := int(p) - int(e.JoinPeriod)
-		if r < 1 {
-			r = 1
-		}
-		return e.TotalBlame / float64(r)
-	}
-	worse := func(a, b reputation.Entry) bool { // is a more pessimistic than b?
-		if a.Expelled != b.Expelled {
-			return a.Expelled
-		}
-		return rate(a) > rate(b)
-	}
-	transfers := 0
-	for _, target := range targets {
-		newSet := c.Dir.Managers(target, c.Opts.Rep.M)
-		c.mu.Lock()
-		oldSet := c.lastMgrs[target]
-		if slices.Equal(oldSet, newSet) {
-			c.mu.Unlock()
-			continue
-		}
-		c.setAssignmentLocked(target, newSet)
-		c.mu.Unlock()
-		cand := make([]msg.NodeID, 0, len(oldSet)+len(newSet))
-		cand = append(cand, oldSet...)
-		for _, m := range newSet {
-			if !slices.Contains(oldSet, m) {
-				cand = append(cand, m)
-			}
-		}
-		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-		// The most pessimistic replica seeds (or upgrades) the responsible
-		// managers, so the min-vote score cannot jump up through a handoff.
-		var best reputation.Entry
-		bestOK := false
-		for _, id := range cand {
-			mgr, ok := mgrByID[id]
-			if !ok {
-				continue
-			}
-			if e, tracked := mgr.Snapshot(target); tracked {
-				if !bestOK || worse(e, best) {
-					best, bestOK = e, true
-				}
-			}
-		}
-		for _, m := range newSet {
-			mgr, ok := mgrByID[m]
-			if !ok {
-				continue
-			}
-			if e, tracked := mgr.Snapshot(target); tracked {
-				// Already tracking, but perhaps only a near-empty entry from
-				// an in-flight blame: adopt the historical copy if it is
-				// more pessimistic, or the outgoing managers would discard
-				// the target's record.
-				if full && bestOK && worse(best, e) {
-					mgr.Adopt(target, best, p)
-					transfers++
-				}
-				continue
-			}
-			if bestOK {
-				mgr.Adopt(target, best, p)
-				transfers++
-			} else {
-				mgr.Track(target, p)
-			}
-		}
-		if !full {
-			// A removal never strips an alive manager of responsibility:
-			// gains only, no drops.
-			continue
-		}
-		for _, id := range cand {
-			if slices.Contains(newSet, id) {
-				continue
-			}
-			mgr, ok := mgrByID[id]
-			if !ok {
-				continue
-			}
-			if _, tracked := mgr.Snapshot(target); tracked {
-				mgr.Drop(target)
-			}
-		}
-	}
-	c.mu.Lock()
-	c.handoffs += transfers
-	c.mu.Unlock()
 }

@@ -13,7 +13,7 @@ import (
 // handle SIGTERM by closing whatever is running; a double or concurrent
 // Close must never panic or deadlock, on any backend.
 func TestCloseIdempotentAllBackends(t *testing.T) {
-	for _, backend := range []runtime.Kind{runtime.KindSim, runtime.KindLive, runtime.KindUDP} {
+	for _, backend := range []runtime.Kind{runtime.KindSim, runtime.KindUDP} {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
 			opts := fastOptions(backend, 10)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -93,7 +94,6 @@ type NodeHost struct {
 
 	client *reputation.Client
 	reader *reputation.Reader
-	skew   float64 // 0 = true clock; see NodeOptions.ClockSkew
 
 	mu       sync.Mutex
 	period   msg.Period
@@ -119,20 +119,6 @@ func NewNodeHost(rt runtime.Runtime, opts NodeOptions) *NodeHost {
 	if len(opts.Members) < 2 {
 		panic("cluster: a deployment needs at least 2 members")
 	}
-	if opts.ExpectedR == 0 {
-		if opts.Gossip.MaxRequest > 0 {
-			opts.ExpectedR = opts.Gossip.MaxRequest
-		} else {
-			opts.ExpectedR = 4
-		}
-	}
-	if opts.Rep.Compensation == 0 && opts.LiFTinG {
-		opts.Rep.Compensation = CompensationFor(opts.ExpectedLoss, opts.Gossip.F, opts.ExpectedR, opts.Core.Pdcc)
-	}
-	if opts.Core.Population == 0 {
-		opts.Core.Population = len(opts.Members)
-	}
-
 	members := append([]msg.NodeID(nil), opts.Members...)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	h := &NodeHost{
@@ -141,87 +127,50 @@ func NewNodeHost(rt runtime.Runtime, opts NodeOptions) *NodeHost {
 		Dir:      membership.NewDirectory(members),
 		expelled: make(map[msg.NodeID]msg.BlameReason),
 	}
-
-	id := opts.ID
-	nodeRand := rng.New(opts.Seed).ForNode(uint32(id))
-	ctx := rt.Context(id)
-	if f := opts.ClockSkew; f > 0 && f != 1 {
-		h.skew = f
-		ctx = skewCtx{Context: ctx, factor: f}
+	// The deployment-wide recipe, defaulted exactly as Cluster defaults its
+	// own; blames always travel as messages.
+	sys := Options{
+		N:             len(members),
+		Seed:          opts.Seed,
+		Gossip:        opts.Gossip,
+		Core:          opts.Core,
+		Rep:           opts.Rep,
+		Stream:        opts.Stream,
+		LiFTinG:       opts.LiFTinG,
+		BlameMode:     BlameMessages,
+		ExpectedLoss:  opts.ExpectedLoss,
+		ExpectedR:     opts.ExpectedR,
+		StoreCapacity: opts.StoreCapacity,
 	}
-	netw := rt.Network()
+	sys.setDefaults()
 
-	behavior := opts.Behavior
-	if behavior == nil {
-		behavior = gossip.Honest{}
+	root := rng.New(opts.Seed)
+	h.Content = contentSource(root, opts.Stream)
+	w := wiring{
+		id:        opts.ID,
+		rt:        rt,
+		dir:       h.Dir,
+		root:      root,
+		collector: opts.Collector,
+		content:   h.Content,
+		skew:      opts.ClockSkew,
+		behavior:  func(*rng.Stream) gossip.Behavior { return opts.Behavior },
+		onExpel:   h.onExpel,
+		reader:    true,
 	}
-	gcfg := opts.Gossip
-	gcfg.StartOffset = time.Duration(nodeRand.Derive("offset").Float64() * float64(gcfg.Period))
+	a := assemble(&sys, w)
+	h.Node, h.Verifier, h.Manager, h.Store = a.node, a.verifier, a.manager, a.node.Store()
+	h.client, h.reader = a.client, a.reader
 
-	deps := gossip.Deps{
-		Ctx:      ctx,
-		Net:      netw,
-		Dir:      h.Dir,
-		Rand:     nodeRand.Derive("gossip"),
-		Behavior: behavior,
-		Metrics:  opts.Collector,
-	}
-	if opts.Stream.Validate() == nil {
-		// Same derivation as the in-process cluster: every process of a
-		// deployment — and any in-process run of the same seed — generates
-		// byte-identical chunk payloads.
-		h.Content = content.NewSource(rng.New(opts.Seed).Derive("content").Seed(), opts.Stream.ChunkPayload)
-		capacity := opts.StoreCapacity
-		if capacity <= 0 {
-			capacity = content.StoreCapacityFor(opts.Stream.ChunkInterval(), opts.Gossip.Period)
-		}
-		h.Store = content.NewStore(capacity)
-		deps.Store = h.Store
-		if col := opts.Collector; col != nil {
-			interval := opts.Stream.ChunkInterval()
-			var lastArrival time.Duration
-			seenArrival := false
-			deps.OnChunk = func(ch msg.ChunkID, at time.Duration) {
-				col.OnStreamLag(at - opts.Stream.GenTime(ch))
-				if seenArrival {
-					col.OnJitter((at - lastArrival) - interval)
-				}
-				lastArrival, seenArrival = at, true
-			}
-		}
-	}
-	node := gossip.NewNode(id, gcfg, deps)
-
-	if opts.LiFTinG {
-		repCfg := opts.Rep
-		repCfg.OnExpel = h.onExpel
-		h.client = reputation.NewClient(id, repCfg, netw, h.Dir)
-		var sink core.BlameSink = h.client
-		if opts.Collector != nil {
-			sink = countingSink{coll: opts.Collector, inner: sink}
-		}
-		h.Verifier = core.NewVerifier(id, opts.Core, ctx, netw, nodeRand.Derive("verify"), node.History(), behavior, sink)
-		h.Manager = reputation.NewManager(id, repCfg, netw, h.Dir)
-		h.reader = reputation.NewReader(id, repCfg, ctx, netw, h.Dir, 2*gcfg.Period)
-		deps.Monitor = h.Verifier
-		deps.Aux = auxChain{h.Verifier, managerAux{h.Manager}, h.reader}
-		deps.History = node.History()
-		node = gossip.NewNode(id, gcfg, deps)
-
+	if h.Manager != nil {
 		// Track, as of period 0, every member this node manages, so r counts
 		// time in the system — the same pre-registration the cluster does.
 		for _, target := range members {
-			for _, m := range h.Dir.Managers(target, repCfg.M) {
-				if m == id {
-					h.Manager.Track(target, 0)
-					break
-				}
+			if slices.Contains(h.Dir.Managers(target, opts.Rep.M), opts.ID) {
+				h.Manager.Track(target, 0)
 			}
 		}
 	}
-
-	h.Node = node
-	rt.Attach(id, node)
 	return h
 }
 
@@ -263,8 +212,8 @@ func (h *NodeHost) Start() {
 // this timer too and the period-drift gauge can watch the divergence.
 func (h *NodeHost) scheduleTick(p msg.Period) {
 	tick := h.Opts.Gossip.Period
-	if h.skew > 0 {
-		tick = time.Duration(float64(tick) * h.skew)
+	if h.Opts.ClockSkew > 0 {
+		tick = time.Duration(float64(tick) * h.Opts.ClockSkew)
 	}
 	h.RT.After(tick, func() {
 		h.mu.Lock()
@@ -273,14 +222,8 @@ func (h *NodeHost) scheduleTick(p msg.Period) {
 		if h.Manager != nil {
 			h.Manager.Tick(p)
 		}
-		if h.client != nil {
-			flushEvery := msg.Period(h.Opts.Rep.FlushEvery)
-			if flushEvery < 1 {
-				flushEvery = 1
-			}
-			if p%flushEvery == 0 {
-				h.RT.Exec(h.Opts.ID, h.client.Flush)
-			}
+		if h.client != nil && flushDue(h.Opts.Rep, p) {
+			h.RT.Exec(h.Opts.ID, h.client.Flush)
 		}
 		h.scheduleTick(p + 1)
 	})
@@ -323,23 +266,7 @@ func (h *NodeHost) StartStream(duration time.Duration) {
 	if !h.Opts.Source {
 		panic("cluster: StartStream on a non-source node")
 	}
-	total := h.Opts.Stream.ChunksBy(duration)
-	ctx := h.RT.Context(h.Opts.ID)
-	for i := 0; i < total; i++ {
-		ch := msg.ChunkID(i)
-		at := h.Opts.Stream.GenTime(ch)
-		if at > duration {
-			break
-		}
-		ctx.After(at, func() {
-			if h.Content != nil {
-				payload, hash := h.Content.Chunk(ch)
-				h.Node.InjectChunkData(ch, payload, hash)
-			} else {
-				h.Node.InjectChunk(ch)
-			}
-		})
-	}
+	scheduleStream(h.RT.Context(h.Opts.ID), h.Node, h.Content, h.Opts.Stream, duration, nil)
 }
 
 // ReadScores performs decentralized score reads for the given targets: each
@@ -370,7 +297,7 @@ func (h *NodeHost) ReadScores(targets []msg.NodeID) map[msg.NodeID]ScoreRead {
 	// slower means the runtime stopped scheduling our callbacks (Close
 	// dropped them), so give up rather than wait on tokens that will never
 	// come.
-	//lint:allow no-wallclock liveness deadline for the live backend's reader; sim runs resolve every read long before it fires
+	//lint:allow no-wallclock liveness deadline for a wall-clock runtime closed mid-read; never reaches a document
 	deadline := time.NewTimer(4*h.Opts.Gossip.Period + time.Second)
 	defer deadline.Stop()
 collect:

@@ -2,7 +2,7 @@
 // payload generation, content hashing, and a bounded per-node chunk store.
 //
 // Payloads are pure functions of (stream seed, chunk id, size), so every
-// backend — the discrete-event sim, the live runtime, a fleet of OS
+// backend — the discrete-event sim, loopback UDP sockets, a fleet of OS
 // processes — generates byte-identical chunks from the same seed and any
 // receiver can verify a serve against its advertised hash without trusting
 // the server. The store is a direct-mapped bounded cache: dissemination is

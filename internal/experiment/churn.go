@@ -42,7 +42,7 @@ type ChurnConfig struct {
 	Duration time.Duration
 	Seed     uint64
 	// Backend selects the execution backend; churn runs identically on the
-	// discrete-event engine and the live goroutine runtime.
+	// discrete-event engine and over loopback UDP sockets.
 	Backend runtime.Kind
 }
 
@@ -163,7 +163,7 @@ func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
 	for _, id := range arrivals {
 		node, ok := c.Nodes[id]
 		if !ok {
-			// Under the live backend a join timer due near the end of the
+			// Under the udp backend a join timer due near the end of the
 			// run can be suppressed by Close; the arrival never existed.
 			continue
 		}

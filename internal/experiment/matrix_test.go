@@ -44,8 +44,8 @@ func TestMatrixRegistryCoversAttackSpace(t *testing.T) {
 		}
 	}
 	// The cross-backend entry must cover the whole runtime seam.
-	if wd := byName["wise-degree"]; len(wd.Backends) != 3 {
-		t.Errorf("wise-degree covers %d backends, want sim+live+udp", len(wd.Backends))
+	if wd := byName["wise-degree"]; len(wd.Backends) != 2 {
+		t.Errorf("wise-degree covers %d backends, want sim+udp", len(wd.Backends))
 	}
 }
 
@@ -145,20 +145,20 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 
 // TestMatrixScenarioAgreesAcrossBackends is the matrix extension of the
 // cluster-level TestScenarioAgreesAcrossBackends: the wise-degree matrix
-// entry runs under the discrete-event engine and the goroutine live
-// runtime, and the oracle verdict — freeriders detected, honest clean,
+// entry runs under the discrete-event engine and over loopback UDP
+// sockets, and the oracle verdict — freeriders detected, honest clean,
 // modes separated — agrees.
 func TestMatrixScenarioAgreesAcrossBackends(t *testing.T) {
 	_, res, err := Matrix(context.Background(), MatrixConfig{
 		Quick:    true,
 		Filter:   "wise-degree",
-		Backends: []runtime.Kind{runtime.KindSim, runtime.KindLive},
+		Backends: []runtime.Kind{runtime.KindSim, runtime.KindUDP},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want sim and live", len(res.Rows))
+		t.Fatalf("got %d rows, want sim and udp", len(res.Rows))
 	}
 	// Both rows passing IS the agreement pinned here: the same oracle —
 	// freeriders detected, honest clean, modes separated — holds under

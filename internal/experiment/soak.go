@@ -54,7 +54,7 @@ type SoakConfig struct {
 	// Shards partitions the discrete-event engine (sim backend only; same
 	// semantics as ScaleConfig.Shards).
 	Shards int
-	// Backend selects the execution backend; the soak runs on all three.
+	// Backend selects the execution backend; the soak runs on both.
 	Backend runtime.Kind
 
 	// Joins and Leaves are mid-stream arrivals/departures, spread over the
@@ -140,8 +140,8 @@ func DefaultSoakConfig() SoakConfig {
 }
 
 // QuickSoakConfig shrinks the scenario to CI-smoke size: it must finish in
-// well under a minute per backend, wall-clock bound on live/udp. Three
-// knobs differ from a plain shrink, all for the wall-clock backends where
+// well under a minute per backend, wall-clock bound on udp. Three
+// knobs differ from a plain shrink, all for the wall-clock backend where
 // scheduler jitter rides on top of the fault plan: the window is 25 s (a
 // marginal freerider's Total/r needs the extra periods to converge past η
 // when blame messages are lost in the burst), η gets an absolute floor of

@@ -5,8 +5,8 @@
 // Dissemination is infect-and-die: a chunk is proposed exactly once.
 //
 // The protocol logic is written against sim.Context so the same node code
-// runs deterministically under the discrete-event engine and under the
-// goroutine-per-node live runtime.
+// runs deterministically under the discrete-event engine and in wall-clock
+// time over the UDP transport.
 package gossip
 
 import (

@@ -12,8 +12,8 @@ import (
 // Context.Now) or from the seeded rng — never from the host's clock. PR 5
 // spent a redesign scrubbing wall-clock timings out of the Result tables;
 // this rule keeps them from creeping back. Packages where wall clock is the
-// point (the live runtime, the UDP transport, the ops HTTP servers, the CLI
-// drivers) are simply not listed in Packages.
+// point (the UDP transport, the ops HTTP servers, the CLI drivers) are
+// simply not listed in Packages.
 type NoWallclock struct {
 	// Packages are the deterministic packages the rule applies to.
 	Packages PackageSet

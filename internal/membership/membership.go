@@ -18,7 +18,7 @@ import (
 // known, so manager assignment stays stable; nodes may also join mid-run
 // (churn).
 //
-// Directory is safe for concurrent use: the live runtime samples from many
+// Directory is safe for concurrent use: the UDP runtime samples from many
 // node goroutines while churn events mutate the view. Under the
 // single-threaded simulator the lock is uncontended.
 type Directory struct {

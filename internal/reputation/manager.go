@@ -37,7 +37,7 @@ type Config struct {
 // the targets it manages and serves blame/score/expel traffic.
 //
 // A Manager's board operations are guarded by an internal mutex: under the
-// live runtime its messages arrive on the owning node's goroutine while the
+// UDP runtime its messages arrive on the owning node's goroutine while the
 // harness ticks periods and hands off state from other goroutines.
 type Manager struct {
 	self  msg.NodeID

@@ -3,19 +3,19 @@
 // needs from its host — a clock, per-node timers, a message-passing network
 // and node lifecycle control — without fixing how any of it is implemented.
 //
-// Two backends implement the interface:
+// Two backends implement the interface, one per evaluation in the paper:
 //
 //   - the deterministic discrete-event pair sim.Engine + net.SimNet, wrapped
-//     by SimBackend in this package (virtual time, single-threaded,
-//     bit-reproducible — the Monte-Carlo workhorse of §6);
-//   - the goroutine-per-node live.Runtime (wall-clock time, real
-//     concurrency, messages round-tripped through the binary codec — the
-//     integration-realism backend of §7).
+//     by SimBackend in this package (virtual time, bit-reproducible — the
+//     Monte-Carlo workhorse of §6);
+//   - transport.Runtime (wall-clock time, one UDP socket per node, messages
+//     framed through the binary codec — the deployment backend of §7).
 //
 // internal/cluster assembles gossip nodes, verifiers, reputation and
 // freerider behaviors against this interface only, so every end-to-end
 // scenario — quickstart, collusion, PlanetLab heterogeneity, churn — runs
-// identically under either backend.
+// identically under either backend. This package is on the deterministic
+// side of the seam: it holds no wall-clock code.
 package runtime
 
 import (
@@ -37,8 +37,6 @@ const (
 	// KindSim is the single-threaded discrete-event engine over virtual
 	// time.
 	KindSim Kind = iota
-	// KindLive is the goroutine-per-node runtime over wall-clock time.
-	KindLive
 	// KindUDP is the socket-backed runtime in internal/transport: one UDP
 	// socket per locally hosted node, messages framed through the binary
 	// codec, wall-clock time. It is the deployment backend — a scenario
@@ -51,8 +49,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindSim:
 		return "sim"
-	case KindLive:
-		return "live"
 	case KindUDP:
 		return "udp"
 	default:
@@ -80,17 +76,17 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// ParseKind maps a backend name ("sim", "live", "udp") to its Kind.
+// ParseKind maps a backend name ("sim", "udp") to its Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "sim":
 		return KindSim, nil
-	case "live":
-		return KindLive, nil
 	case "udp":
 		return KindUDP, nil
+	case "live":
+		return 0, fmt.Errorf("runtime: backend %q was removed; use udp, the wall-clock backend (loopback sockets, same scenarios)", s)
 	default:
-		return 0, fmt.Errorf("runtime: unknown backend %q (want sim, live or udp)", s)
+		return 0, fmt.Errorf("runtime: unknown backend %q (want sim or udp)", s)
 	}
 }
 
@@ -98,7 +94,7 @@ func ParseKind(s string) (Kind, error) {
 //
 // The concurrency contract mirrors sim.Context: all callbacks for one node
 // (message handling, timers, Exec functions) are serialized; callbacks for
-// different nodes may run concurrently under a live backend. Harness
+// different nodes may run concurrently under a wall-clock backend. Harness
 // callbacks scheduled with After run outside any node's serialization.
 type Runtime interface {
 	// Context returns the execution context (clock + one-shot timers) for a
@@ -120,15 +116,15 @@ type Runtime interface {
 	After(d time.Duration, fn func())
 	// Exec runs fn serialized with node id's callbacks. Under the
 	// discrete-event backend it runs inline (the whole simulation is one
-	// goroutine); under a live backend it is scheduled asynchronously under
-	// the node's lock. Do not call Exec from a callback already running
+	// goroutine); under a wall-clock backend it is scheduled asynchronously
+	// under the node's lock. Do not call Exec from a callback already running
 	// under a node's serialization if that could form a lock cycle.
 	Exec(id msg.NodeID, fn func())
 	// Now returns the time elapsed since the runtime started.
 	Now() time.Duration
 	// Run advances the runtime to time until: the discrete-event backend
-	// drains its queue up to that virtual instant, the live backend blocks
-	// until that much wall-clock time has elapsed. Cancelling ctx aborts the
+	// drains its queue up to that virtual instant, a wall-clock backend
+	// blocks until that much real time has elapsed. Cancelling ctx aborts the
 	// advance promptly — the discrete-event backend checks between bounded
 	// event bursts, the wall-clock backends wake from their sleep — and Run
 	// returns ctx.Err(). A nil error means the full advance completed. After
@@ -154,13 +150,6 @@ var _ Runtime = (*SimBackend)(nil)
 func NewSim(engine *sim.Engine, netw *net.SimNet) *SimBackend {
 	return &SimBackend{engine: engine, netw: netw}
 }
-
-// Engine exposes the underlying discrete-event engine (event-queue
-// inspection, direct scheduling in tests).
-func (s *SimBackend) Engine() *sim.Engine { return s.engine }
-
-// SimNet exposes the underlying simulated network.
-func (s *SimBackend) SimNet() *net.SimNet { return s.netw }
 
 // Context implements Runtime: under a serial engine every node shares the
 // engine (the whole run is one goroutine); under a sharded engine each node

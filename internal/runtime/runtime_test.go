@@ -2,10 +2,10 @@ package runtime_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
-	"lifting/internal/live"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
@@ -68,28 +68,14 @@ func TestSimBackendDelivery(t *testing.T) {
 	}
 }
 
-// TestLiveImplementsRuntime pins that the live runtime satisfies the seam
-// and honors the per-node Exec serialization path.
-func TestLiveImplementsRuntime(t *testing.T) {
-	var rt runtime.Runtime = live.NewRuntime(1, nil, net.Conditions{})
-	done := make(chan struct{})
-	rt.Exec(5, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("live Exec never ran")
-	}
-	rt.Close()
-}
-
 func TestKindString(t *testing.T) {
-	if runtime.KindSim.String() != "sim" || runtime.KindLive.String() != "live" || runtime.KindUDP.String() != "udp" {
-		t.Fatalf("kind names wrong: %v %v %v", runtime.KindSim, runtime.KindLive, runtime.KindUDP)
+	if runtime.KindSim.String() != "sim" || runtime.KindUDP.String() != "udp" {
+		t.Fatalf("kind names wrong: %v %v", runtime.KindSim, runtime.KindUDP)
 	}
 }
 
 func TestParseKind(t *testing.T) {
-	for _, want := range []runtime.Kind{runtime.KindSim, runtime.KindLive, runtime.KindUDP} {
+	for _, want := range []runtime.Kind{runtime.KindSim, runtime.KindUDP} {
 		got, err := runtime.ParseKind(want.String())
 		if err != nil || got != want {
 			t.Errorf("ParseKind(%q) = %v, %v", want.String(), got, err)
@@ -100,33 +86,19 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-// TestRegistryBuildsBackends constructs every registered backend through the
-// registry and runs a trivial schedule on it. KindLive registers via the
-// live import above; KindSim registers in-package.
-func TestRegistryBuildsBackends(t *testing.T) {
-	for _, k := range []runtime.Kind{runtime.KindSim, runtime.KindLive} {
-		rt, err := runtime.New(k, runtime.BackendOptions{Seed: 1})
-		if err != nil {
-			t.Fatalf("New(%v): %v", k, err)
-		}
-		fired := make(chan struct{})
-		rt.After(time.Millisecond, func() { close(fired) })
-		rt.Run(context.Background(), 5*time.Millisecond)
-		if k == runtime.KindSim {
-			// Virtual time: the callback ran synchronously during Run.
-		}
-		select {
-		case <-fired:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("backend %v never fired the timer", k)
-		}
-		rt.Close()
-		rt.Close() // Close is idempotent on every backend
+// TestParseKindRejectsRemovedLive: the goroutine backend is gone; every entry point
+// that names it (the -backend flag, JSON params) must say so and point at
+// its replacement instead of reporting a bare unknown backend.
+func TestParseKindRejectsRemovedLive(t *testing.T) {
+	_, err := runtime.ParseKind("live")
+	if err == nil {
+		t.Fatal(`ParseKind("live") succeeded`)
 	}
-}
-
-func TestRegistryRejectsUnregistered(t *testing.T) {
-	if _, err := runtime.New(runtime.Kind(99), runtime.BackendOptions{}); err == nil {
-		t.Fatal("New on an unregistered kind succeeded")
+	if !strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "udp") {
+		t.Errorf("error %q does not say the backend was removed in favour of udp", err)
+	}
+	var k runtime.Kind
+	if jerr := k.UnmarshalJSON([]byte(`"live"`)); jerr == nil || jerr.Error() != err.Error() {
+		t.Errorf(`UnmarshalJSON("live") = %v, want %v`, jerr, err)
 	}
 }

@@ -1,7 +1,7 @@
-// Package transport is the deployment backend of the runtime seam: the same
-// protocol nodes that run under the discrete-event simulator and the
-// goroutine live runtime here exchange real UDP datagrams through the binary
-// codec and the datagram framing of internal/msg.
+// Package transport is the deployment backend of the runtime seam, and the
+// seam's only wall-clock implementation: the same protocol nodes that run
+// under the discrete-event simulator here exchange real UDP datagrams
+// through the binary codec and the datagram framing of internal/msg.
 //
 // Every locally hosted node owns one UDP socket; peers are found through an
 // address Book seeded from bootstrap specs and extended passively from
@@ -10,8 +10,7 @@
 // single node whose peers live in other OS processes or on other machines
 // (the lifting-node daemon) — the paper's PlanetLab deployment shape (§7).
 //
-// The concurrency contract matches sim.Context and the live runtime: all
-// callbacks for one node — inbound messages, timers, Exec functions — are
+// The concurrency contract matches sim.Context: all callbacks for one node — inbound messages, timers, Exec functions — are
 // serialized under that node's lock; callbacks for different nodes run
 // concurrently.
 package transport
@@ -33,16 +32,10 @@ import (
 	"lifting/internal/sim"
 )
 
-func init() {
-	runtime.Register(runtime.KindUDP, func(o runtime.BackendOptions) (runtime.Runtime, error) {
-		return New(Options{
-			Seed:           o.Seed,
-			Collector:      o.Collector,
-			Defaults:       o.Defaults,
-			ListenTemplate: o.ListenTemplate,
-		}), nil
-	})
-}
+// implicitListen is the address an implicitly created local socket binds
+// to: loopback, kernel-assigned port. Nodes added explicitly with AddNode
+// choose their own address.
+const implicitListen = "127.0.0.1:0"
 
 // Options configures a UDP runtime.
 type Options struct {
@@ -54,10 +47,6 @@ type Options struct {
 	// and latency are modelled on top of the real sockets, so loopback
 	// scenarios can reproduce the lossy conditions of the simulations.
 	Defaults net.Conditions
-	// ListenTemplate is the address each implicitly created local socket
-	// binds to; defaults to "127.0.0.1:0". Nodes added explicitly with
-	// AddNode choose their own address.
-	ListenTemplate string
 	// Book, if non-nil, is used as the address book — pass a shared Book to
 	// let several runtimes in one process discover each other, or a
 	// pre-seeded one for remote peers. Nil creates an empty private book.
@@ -66,11 +55,10 @@ type Options struct {
 
 // Runtime hosts a set of nodes over real UDP sockets.
 type Runtime struct {
-	start          time.Time
-	collector      *metrics.Collector
-	defaults       net.Conditions
-	listenTemplate string
-	book           *Book
+	start     time.Time
+	collector *metrics.Collector
+	defaults  net.Conditions
+	book      *Book
 
 	// mu guards nodes, conds and closed. The wire hot paths (Send, one
 	// recvLoop per socket) only read, so they share RLock and run
@@ -96,7 +84,7 @@ type Runtime struct {
 
 	// timers tracks pending AfterFuncs so Close can cancel the not-yet fired
 	// ones instead of waiting out their delays.
-	timers   runtime.Timers
+	timers   timers
 	inflight sync.WaitGroup // timers, Execs and delayed sends
 	loops    sync.WaitGroup // per-socket receive loops
 }
@@ -108,24 +96,20 @@ var (
 
 // New creates a UDP runtime with no sockets yet. Sockets appear as nodes are
 // added — explicitly via AddNode, or implicitly on the first Context/Attach
-// for an unknown id (bound to ListenTemplate).
+// for an unknown id (bound to a kernel-assigned loopback port).
 func New(o Options) *Runtime {
-	if o.ListenTemplate == "" {
-		o.ListenTemplate = "127.0.0.1:0"
-	}
 	book := o.Book
 	if book == nil {
 		book = NewBook()
 	}
 	return &Runtime{
-		start:          time.Now(),
-		collector:      o.Collector,
-		defaults:       o.Defaults,
-		listenTemplate: o.ListenTemplate,
-		book:           book,
-		rand:           rng.New(o.Seed),
-		nodes:          make(map[msg.NodeID]*nodeCtx),
-		conds:          make(map[msg.NodeID]net.Conditions),
+		start:     time.Now(),
+		collector: o.Collector,
+		defaults:  o.Defaults,
+		book:      book,
+		rand:      rng.New(o.Seed),
+		nodes:     make(map[msg.NodeID]*nodeCtx),
+		conds:     make(map[msg.NodeID]net.Conditions),
 		bufs: sync.Pool{New: func() any {
 			b := make([]byte, 0, msg.FrameHeaderSize+512)
 			return &b
@@ -205,7 +189,7 @@ func (r *Runtime) AddNode(id msg.NodeID, listen string) (*gonet.UDPAddr, error) 
 }
 
 // localNode returns the context for a locally hosted node, binding a socket
-// on the listen template the first time an id is seen. It panics if the bind
+// on loopback the first time an id is seen. It panics if the bind
 // fails (the runtime interface has no error path; use AddNode to handle bind
 // errors gracefully).
 func (r *Runtime) localNode(id msg.NodeID) *nodeCtx {
@@ -215,7 +199,7 @@ func (r *Runtime) localNode(id msg.NodeID) *nodeCtx {
 	if ok {
 		return n
 	}
-	if _, err := r.AddNode(id, r.listenTemplate); err != nil {
+	if _, err := r.AddNode(id, implicitListen); err != nil {
 		r.mu.RLock()
 		n, ok = r.nodes[id] // lost a race to another implicit add?
 		r.mu.RUnlock()
@@ -231,7 +215,7 @@ func (r *Runtime) localNode(id msg.NodeID) *nodeCtx {
 }
 
 // Context implements runtime.Runtime. For an id not hosted here yet it binds
-// a socket on the listen template.
+// a loopback socket.
 func (r *Runtime) Context(id msg.NodeID) sim.Context { return r.localNode(id) }
 
 // Attach implements runtime.Runtime: it registers the message handler for a
@@ -406,7 +390,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	latency := src.LatencyBase/2 + r.jitter(src.LatencyJitter/2)
 	if mode == net.Reliable {
 		// Connection-setup cost of the reliable transport, as modelled by
-		// the sim and live backends; each side scales its own half.
+		// the sim backend; each side scales its own half.
 		latency *= 3
 	}
 	copies := 1

@@ -10,7 +10,6 @@ import (
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
-	"lifting/internal/runtime"
 )
 
 // collect is a handler that records everything delivered to a node.
@@ -225,7 +224,7 @@ func TestModelledLatency(t *testing.T) {
 	}
 
 	// Reliable-class traffic pays the 3x connection-setup factor on both
-	// halves of the link, as under the sim and live backends.
+	// halves of the link, as under the sim backend.
 	start = time.Now()
 	rt.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable)
 	waitFor(t, "reliable delayed delivery", func() bool { return sink.count() > 1 })
@@ -286,19 +285,6 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 		t.Error("AddNode succeeded on a closed runtime")
 	}
 	time.Sleep(20 * time.Millisecond)
-}
-
-func TestRegistryBuildsUDP(t *testing.T) {
-	rt, err := runtime.New(runtime.KindUDP, runtime.BackendOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	sink := &collect{}
-	rt.Attach(1, nil)
-	rt.Attach(2, sink)
-	rt.Network().Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 4}, net.Unreliable)
-	waitFor(t, "delivery via registry-built runtime", func() bool { return sink.count() > 0 })
 }
 
 func TestAddNodeRejectsDuplicate(t *testing.T) {
