@@ -20,9 +20,10 @@ lint:
 
 # The concurrent half of the runtime seam (the UDP transport and the cluster
 # assembled on it) under the race detector, plus the reputation substrate (manager boards are hit from node goroutines
-# while the harness ticks periods and hands state off), the sharded
+# while the harness ticks periods and hands state off), the
 # discrete-event engine (node events run on shard goroutines inside
-# lookahead windows), the metrics collector (striped atomic counters
+# lookahead windows — its one layout, whatever the shard count), the
+# metrics collector (striped atomic counters
 # hammered from sender goroutines while scrapers render the exposition)
 # and the content plane (chunk stores and the HTTP gateway serve shared
 # payload slices to concurrent readers).

@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string) int {
 		noComp   = fs.Bool("no-compensation", false, "ablation: disable wrongful-blame compensation (fig10/fig11)")
 		quick    = fs.Bool("quick", false, "shrink paper-scale experiments for a fast pass")
 		workers  = fs.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		shards   = fs.Int("shards", -1, "discrete-event engine shards for eligible experiments on the sim backend (-1 = one per CPU, 0 = legacy serial engine; results are identical for any count >= 1; ignored by udp)")
+		shards   = fs.Int("shards", -1, "discrete-event engine shards for eligible experiments on the sim backend (-1 = one per CPU, 0 or 1 = one shard, n = n; results are identical for every value; ignored by udp)")
 		backendF = fs.String("backend", "sim", "execution backend: sim (deterministic discrete-event engine) or udp (loopback sockets, wall-clock time); matrix accepts a comma list or 'all' (= sim,udp)")
 		filter   = fs.String("filter", "", "matrix: run only scenarios whose name contains this substring")
 		jsonOut  = fs.Bool("json", false, "emit one structured JSON document instead of ASCII tables")

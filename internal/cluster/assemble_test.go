@@ -83,7 +83,7 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 	for i := range members {
 		members[i] = msg.NodeID(i)
 	}
-	engine := sim.NewEngine()
+	engine := sim.NewSharded(1, opts.NetDefaults.LatencyBase) // the layout New picks for opts
 	collector := metrics.NewCollector()
 	rt := runtime.NewSim(engine, net.NewSimNet(engine, rng.New(opts.Seed).Derive("net"), collector, opts.NetDefaults))
 	hosts := make([]*NodeHost, n)

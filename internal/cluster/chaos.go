@@ -10,7 +10,7 @@ import (
 
 // startChaos schedules every event of the configured fault plan. All
 // scheduling happens up front, in the plan's (sorted, deterministic) order,
-// from harness timers — under the sharded engine they fire in the global
+// from harness timers — under the sim backend they fire in the global
 // phase, where membership and condition mutations are safe and
 // shard-count-invariant.
 func (c *Cluster) startChaos() {

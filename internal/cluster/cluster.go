@@ -64,14 +64,12 @@ type Options struct {
 	// socket transport in single-process-many-sockets mode
 	// (runtime.KindUDP).
 	Backend runtime.Kind
-	// Shards partitions the discrete-event engine for eligible
-	// configurations (sim-backend LiFTinG runs in message mode with no
-	// external harness callbacks): 0 keeps the legacy serial engine, -1
-	// uses one shard per CPU, n >= 1 forces exactly n shards. Seeded
-	// results are byte-identical for every shard count >= 1 — including -1
-	// on any machine — but sharded runs legitimately differ from serial
-	// ones: the sharded network draws each node's latency and loss from a
-	// per-node random stream instead of one shared stream.
+	// Shards is how many shards (goroutines) the discrete-event engine
+	// runs on: 0 or 1 = one, -1 = one per CPU, n = n. It is an execution
+	// knob only — seeded results are byte-identical for every value on any
+	// machine. Configurations that cannot run concurrently (direct blame
+	// mode's shared board, ConditionsFor overrides, LiFTinG off, zero base
+	// latency) always get one shard; see shardCountAndWindow.
 	Shards int
 	// Gossip is the dissemination configuration.
 	Gossip gossip.Config
@@ -114,23 +112,24 @@ type Options struct {
 	// modelled-size behavior.
 	StoreCapacity int
 	// OnBlame, if non-nil, observes every blame emission (diagnostics and
-	// per-reason accounting in experiments). Only effective in direct mode.
-	// Under a wall-clock backend it is invoked concurrently from node
-	// goroutines with no lock held; synchronize externally if it mutates
-	// shared state.
+	// per-reason accounting in experiments). Only effective in direct mode,
+	// which the sim backend runs on one shard, so there it is never
+	// invoked concurrently. Under a wall-clock backend it is invoked
+	// concurrently from node goroutines with no lock held; synchronize
+	// externally if it mutates shared state.
 	OnBlame func(target msg.NodeID, value float64, reason msg.BlameReason)
 	// Chaos, if non-nil, layers a deterministic fault schedule onto the
 	// run: crash→restart cycles with manager score handoff, partitions,
 	// correlated loss bursts, standing duplication/reordering and per-node
-	// clock skew. Events apply from harness timers (the sharded engine's
-	// global phase), and the plan itself is pure data, so an eligible
-	// configuration stays shardable and byte-identical across shard
-	// counts. Keep the stream source out of the plan's candidates.
+	// clock skew. Events apply from harness timers (the engine's global
+	// phase), and the plan itself is pure data, so a run stays
+	// byte-identical across shard counts. Keep the stream source out of
+	// the plan's candidates.
 	Chaos *chaos.Plan
 	// OnPeriodSnapshot, if non-nil, receives a deterministic metrics
 	// snapshot at the start of every score period, before the period's
-	// flushes and expulsion checks. Under the sharded engine it fires in
-	// the global phase with every shard parked at the barrier, so the
+	// flushes and expulsion checks. Under the sim backend it fires in the
+	// global phase with every shard parked at the barrier, so the
 	// counts are byte-identical across shard and worker counts; the
 	// callback receives a value copy and cannot perturb the run.
 	OnPeriodSnapshot func(p msg.Period, s metrics.Snapshot)
@@ -267,12 +266,7 @@ func New(opts Options) *Cluster {
 
 	switch opts.Backend {
 	case runtime.KindSim:
-		var engine *sim.Engine
-		if s := c.shardable(); s > 0 {
-			engine = sim.NewSharded(s, opts.NetDefaults.LatencyBase)
-		} else {
-			engine = sim.NewEngine()
-		}
+		engine := sim.NewSharded(c.shardCountAndWindow())
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
 	case runtime.KindUDP:
@@ -338,8 +332,8 @@ func (c *Cluster) build(id msg.NodeID) {
 	if opts.BlameMode == BlameDirect {
 		w.board = boardSink{c}
 	} else {
-		// The expulsion callback carries the hosting manager's id: under a
-		// sharded engine it fires inside a lookahead window, and the
+		// The expulsion callback carries the hosting manager's id: under the
+		// sim backend it fires inside a lookahead window, and the
 		// resulting membership mutation must be deferred to the global
 		// phase keyed by the node that triggered it.
 		w.onExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expelFrom(id, target) }
@@ -390,26 +384,33 @@ func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
 	}
 }
 
-// shardable returns the shard count to run the discrete-event engine with,
-// or 0 for the legacy serial engine. Sharding requires the sim backend, a
-// positive base latency (the lookahead window), and a configuration whose
-// harness stays out of the event hot path: LiFTinG in message mode (the
-// direct-mode board is a shared mutable global), no per-blame observer and
-// no per-node condition overrides.
-func (c *Cluster) shardable() int {
+// shardCountAndWindow returns the shard count (>= 1) and lookahead window
+// the discrete-event engine runs with. The window is the default base
+// latency, a lower bound on every cross-node delivery delay. More than one
+// shard requires that bound to hold and be positive (no per-node condition
+// overrides) and a harness that stays out of the event hot path: LiFTinG in
+// message mode (the direct-mode board is a shared mutable global). Every
+// other configuration runs the same layout on one shard, where no delivery
+// crosses shards and the window (the gossip period, absent a latency) only
+// paces the global phase.
+func (c *Cluster) shardCountAndWindow() (int, time.Duration) {
 	o := &c.Opts
-	if o.Shards == 0 || !o.LiFTinG || o.BlameMode != BlameMessages || o.OnBlame != nil ||
-		o.ConditionsFor != nil || o.NetDefaults.LatencyBase <= 0 {
-		return 0
+	window := o.NetDefaults.LatencyBase
+	concurrent := window > 0 && o.LiFTinG && o.BlameMode == BlameMessages && o.ConditionsFor == nil
+	if window <= 0 {
+		window = o.Gossip.Period
 	}
-	if o.Shards > 0 {
-		return o.Shards
+	switch {
+	case !concurrent || o.Shards == 0:
+		return 1, window
+	case o.Shards < 0:
+		return max(1, gort.GOMAXPROCS(0)), window
 	}
-	return max(1, gort.GOMAXPROCS(0))
+	return o.Shards, window
 }
 
-// ShardCount reports how many shards the engine runs (0 when serial or on
-// a non-sim backend).
+// ShardCount reports how many shards the engine runs (0 on a non-sim
+// backend).
 func (c *Cluster) ShardCount() int {
 	if c.Engine == nil {
 		return 0
@@ -417,12 +418,12 @@ func (c *Cluster) ShardCount() int {
 	return c.Engine.ShardCount()
 }
 
-// expelFrom expels target on behalf of owner. Inside a sharded engine
-// window the membership mutation is deferred to the global phase, keyed by
-// owner so the expulsion order is shard-count-independent; everywhere else
-// it applies immediately.
+// expelFrom expels target on behalf of owner. Inside an engine window the
+// membership mutation is deferred to the global phase, keyed by owner so the
+// expulsion order is shard-count-independent; everywhere else it applies
+// immediately.
 func (c *Cluster) expelFrom(owner msg.NodeID, target msg.NodeID) {
-	if c.Engine != nil && c.Engine.Sharded() && c.Engine.InWindow() {
+	if c.Engine != nil && c.Engine.InWindow() {
 		c.Engine.DeferGlobal(int(owner), func() { c.expel(target) })
 		return
 	}

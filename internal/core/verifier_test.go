@@ -67,11 +67,9 @@ func newRig(t *testing.T, cfg Config, behavior gossip.Behavior) *rig {
 		sent: make(map[msg.NodeID][]msg.Message),
 	}
 	r.netw = net.NewSimNet(r.eng, rng.New(7), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
-	r.v = NewVerifier(1, cfg, r.eng, r.netw, rng.New(9), r.hist, behavior, r.sink)
+	r.v = NewVerifier(1, cfg, r.eng.Domain(1), r.netw, rng.New(9), r.hist, behavior, r.sink)
+	// Node 1 is attached too: the network registers senders at Attach.
 	for id := msg.NodeID(0); id < 10; id++ {
-		if id == 1 {
-			continue
-		}
 		id := id
 		r.netw.Attach(id, capture{func(from msg.NodeID, m msg.Message) {
 			r.sent[id] = append(r.sent[id], m)
@@ -92,7 +90,7 @@ func TestNewVerifierPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("invalid config did not panic")
 		}
 	}()
-	NewVerifier(1, Config{}, sim.NewEngine(), nil, rng.New(1), nil, nil, nil)
+	NewVerifier(1, Config{}, sim.NewEngine().Domain(1), nil, rng.New(1), nil, nil, nil)
 }
 
 func TestDirectVerificationBlamesMissingServes(t *testing.T) {

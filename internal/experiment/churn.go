@@ -44,6 +44,9 @@ type ChurnConfig struct {
 	// Backend selects the execution backend; churn runs identically on the
 	// discrete-event engine and over loopback UDP sockets.
 	Backend runtime.Kind
+	// Shards is the engine shard count (sim backend only; same semantics as
+	// ScaleConfig.Shards).
+	Shards int
 }
 
 // DefaultChurnConfig returns a medium-scale churn scenario.
@@ -87,6 +90,7 @@ func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
 		N:       cfg.N,
 		Seed:    cfg.Seed,
 		Backend: cfg.Backend,
+		Shards:  cfg.Shards,
 		Gossip: gossip.Config{
 			F:              cfg.F,
 			Period:         cfg.Period,

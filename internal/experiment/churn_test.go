@@ -38,9 +38,13 @@ func TestChurnSeparationSurvives(t *testing.T) {
 	}
 }
 
+// Two runs of one seed agree — on one engine shard and on four: joins and
+// leaves apply from the global phase, so the shard count cannot move them.
 func TestChurnDeterministic(t *testing.T) {
+	sharded := quickChurnConfig()
+	sharded.Shards = 4
 	_, a, errA := Churn(context.Background(), quickChurnConfig())
-	_, b, errB := Churn(context.Background(), quickChurnConfig())
+	_, b, errB := Churn(context.Background(), sharded)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}

@@ -243,11 +243,10 @@ type MatrixConfig struct {
 	Reps int
 	// Workers fans repetitions across goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Shards partitions the discrete-event engine inside each repetition
-	// (0 = serial legacy engine, −1 = one shard per CPU, n ≥ 1 = exactly
-	// n). Scenarios the engine cannot shard deterministically run serial
-	// regardless; for the rest, results are byte-identical for every
-	// shard count ≥ 1.
+	// Shards is the engine shard count inside each repetition (0 or 1 =
+	// one, −1 = one per CPU, n = n). Scenarios that cannot run concurrently
+	// get one shard regardless; results are byte-identical for every
+	// value.
 	Shards int
 }
 
@@ -323,8 +322,8 @@ type shape struct {
 	n, adv int
 	dur    time.Duration
 	// shards is the engine-shard request passed through to every
-	// repetition's cluster (scenarios that are not shardable — direct
-	// blame, per-node conditions — fall back to the serial engine there).
+	// repetition's cluster (scenarios that cannot run concurrently — direct
+	// blame, per-node conditions — get one shard there).
 	shards int
 }
 

@@ -264,6 +264,7 @@ func init() {
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
 			cfg := DefaultChurnConfig()
 			cfg.Backend = p.backend()
+			cfg.Shards = p.Shards
 			if p.Quick {
 				cfg.N = 50
 				cfg.Joins, cfg.Leaves = 6, 6

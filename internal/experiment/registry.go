@@ -52,13 +52,13 @@ type Params struct {
 	// result parameter, and the document of a seeded run must not depend on
 	// the machine that produced it.
 	Workers int `json:"-"`
-	// Shards partitions the discrete-event engine within a run (cluster
-	// experiments that opt in: scale, matrix): 0 = the serial single-heap
-	// engine, −1 = one shard per CPU, n ≥ 1 = exactly n shards. Results
-	// are bit-identical for every shard count ≥ 1 — the engine's lockstep
-	// merge guarantees it — so like Workers this is an execution knob,
-	// excluded from the JSON echo. Only 0 (the serial engine, with its
-	// shared randomness stream) changes results.
+	// Shards is how many shards (goroutines) the discrete-event engine
+	// runs one cluster on (churn, scale, soak, matrix): 0 or 1 = one,
+	// −1 = one per CPU, n = n. The cluster's eligibility rule, not the
+	// experiment, decides whether more than one is possible. Results are
+	// bit-identical for every value — the engine's lockstep merge
+	// guarantees it — so like Workers this is an execution knob, excluded
+	// from the JSON echo.
 	Shards int `json:"-"`
 	// Backends restricts execution backends. Nil means the experiment
 	// default (sim; for the matrix, every backend a scenario declares).

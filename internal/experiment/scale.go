@@ -44,10 +44,9 @@ type ScaleConfig struct {
 	MeanLoss float64
 	Duration time.Duration
 	Seed     uint64
-	// Shards partitions the discrete-event engine (0 = serial legacy
-	// engine, −1 = one shard per CPU, n ≥ 1 = exactly n). The workload is
-	// message-mode with uniform 5 ms base latency, so it is always
-	// eligible; results are byte-identical for every shard count ≥ 1.
+	// Shards is the engine shard count (0 or 1 = one, −1 = one per CPU,
+	// n = n). The workload is message-mode with uniform 5 ms base latency,
+	// so any count is eligible; results are byte-identical for every value.
 	Shards int
 }
 

@@ -94,12 +94,10 @@ func TestScaleVerdictScaleInvariant(t *testing.T) {
 	}
 }
 
-// TestScaleShardInvariant pins the sharded engine's contract at the
-// workload level: one calibration, then the same seeded population run
-// under 1, 2 and 8 engine shards must produce identical results — same
-// expulsions, same virtual detection times, same event count. (Serial — 0
-// shards — legitimately differs: it draws network randomness from one
-// shared stream instead of per-node streams.)
+// TestScaleShardInvariant pins the engine's contract at the workload level:
+// one calibration, then the same seeded population run under 1, 2 and 8
+// engine shards must produce identical results — same expulsions, same
+// virtual detection times, same event count.
 func TestScaleShardInvariant(t *testing.T) {
 	cfg := DefaultScaleConfig()
 	cfg.N = 600

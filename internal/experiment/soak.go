@@ -51,8 +51,8 @@ type SoakConfig struct {
 	Seed     uint64
 	// Grace is the minimum tracked age before η applies.
 	Grace int
-	// Shards partitions the discrete-event engine (sim backend only; same
-	// semantics as ScaleConfig.Shards).
+	// Shards is the engine shard count (sim backend only; same semantics as
+	// ScaleConfig.Shards).
 	Shards int
 	// Backend selects the execution backend; the soak runs on both.
 	Backend runtime.Kind

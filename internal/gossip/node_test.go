@@ -44,7 +44,7 @@ func newWorld(t *testing.T, n int, cfg Config, loss float64) *world {
 	for i := 0; i < n; i++ {
 		id := msg.NodeID(i)
 		node := NewNode(id, cfg, Deps{
-			Ctx:  w.eng,
+			Ctx:  w.eng.Domain(i),
 			Net:  w.netw,
 			Dir:  w.dir,
 			Rand: root.ForNode(uint32(i)),
@@ -157,7 +157,7 @@ func TestMaxRequestCap(t *testing.T) {
 	dir := membership.Sequential(2)
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
 	var requested []msg.ChunkID
-	receiver := NewNode(1, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(2)})
+	receiver := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(2)})
 	netw.Attach(1, receiver)
 	netw.Attach(0, handlerFunc(func(from msg.NodeID, m msg.Message) {
 		if r, ok := m.(*msg.Request); ok {
@@ -183,7 +183,7 @@ func TestServeOnlyProposedAndRequested(t *testing.T) {
 	dir := membership.Sequential(2)
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
 	var served []msg.ChunkID
-	server := NewNode(0, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(3)})
+	server := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
 	netw.Attach(0, server)
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
 		if s, ok := m.(*msg.Serve); ok {
@@ -206,7 +206,7 @@ func TestServeIntersectionOnly(t *testing.T) {
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	server := NewNode(0, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(3)})
+	server := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
 	netw.Attach(0, server)
 	var served []msg.ChunkID
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
@@ -238,7 +238,7 @@ func TestDuplicateRequestIgnored(t *testing.T) {
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	server := NewNode(0, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(3)})
+	server := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
 	netw.Attach(0, server)
 	serves := 0
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
@@ -263,8 +263,9 @@ func TestUnsolicitedServeRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	node := NewNode(0, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(3)})
+	node := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
 	netw.Attach(0, node)
+	netw.Attach(1, handlerFunc(func(msg.NodeID, msg.Message) {}))
 	netw.Send(1, 0, &msg.Serve{Sender: 1, Period: 1, Chunk: 77, PayloadSize: 10}, net.Unreliable)
 	eng.RunAll()
 	if node.Have(77) {
@@ -318,10 +319,11 @@ func TestOnChunkCallback(t *testing.T) {
 	var gotChunk msg.ChunkID
 	var gotAt time.Duration
 	node := NewNode(1, cfg, Deps{
-		Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(2),
+		Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(2),
 		OnChunk: func(c msg.ChunkID, at time.Duration) { gotChunk, gotAt = c, at },
 	})
 	netw.Attach(1, node)
+	netw.Attach(0, handlerFunc(func(msg.NodeID, msg.Message) {}))
 	netw.Send(0, 1, &msg.Propose{Sender: 0, Period: 1, Chunks: []msg.ChunkID{5}}, net.Unreliable)
 	eng.After(10*time.Millisecond, func() {
 		netw.Send(0, 1, &msg.Serve{Sender: 0, Period: 1, Chunk: 5, PayloadSize: 10}, net.Unreliable)
@@ -359,8 +361,8 @@ func TestMonitorHooksFire(t *testing.T) {
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
 	mon0 := &recordingMonitor{}
 	mon1 := &recordingMonitor{}
-	n0 := NewNode(0, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(2), Monitor: mon0})
-	n1 := NewNode(1, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(3), Monitor: mon1})
+	n0 := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(2), Monitor: mon0})
+	n1 := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: mon1})
 	netw.Attach(0, n0)
 	netw.Attach(1, n1)
 	n0.InjectChunk(9)
@@ -389,8 +391,8 @@ func TestPeriodStretchBehavior(t *testing.T) {
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
 	monH := &recordingMonitor{}
 	monS := &recordingMonitor{}
-	honest := NewNode(0, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(2), Monitor: monH})
-	stretch := NewNode(1, cfg, Deps{Ctx: eng, Net: netw, Dir: dir, Rand: rng.New(3), Monitor: monS, Behavior: stretchBehavior{}})
+	honest := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(2), Monitor: monH})
+	stretch := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: monS, Behavior: stretchBehavior{}})
 	netw.Attach(0, honest)
 	netw.Attach(1, stretch)
 	honest.Start()
@@ -432,7 +434,7 @@ func TestContentPlaneDissemination(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		id := msg.NodeID(i)
 		node := NewNode(id, cfg, Deps{
-			Ctx:     w.eng,
+			Ctx:     w.eng.Domain(i),
 			Net:     w.netw,
 			Dir:     w.dir,
 			Rand:    root.ForNode(uint32(i)),
@@ -474,7 +476,7 @@ func TestInvalidServeRejectedAndBlamed(t *testing.T) {
 	netw := net.NewSimNet(eng, rng.New(1), col, net.Uniform(0, time.Millisecond))
 	mon := &recordingMonitor{}
 	r := NewNode(0, cfg, Deps{
-		Ctx:     eng,
+		Ctx:     eng.Domain(0),
 		Net:     netw,
 		Dir:     membership.Sequential(3),
 		Rand:    rng.New(2),

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"fmt"
 	"time"
 
 	"lifting/internal/metrics"
@@ -16,35 +17,31 @@ const reliableSetupFactor = 3
 // SimNet delivers messages through the discrete-event engine. It is the
 // simulation-side implementation of Network.
 //
-// Under a serial engine all sends draw loss and jitter from one shared
-// stream, in send order — the legacy behavior, preserved bit for bit.
-// Under a sharded engine sends from different nodes run concurrently, so
-// each sender draws from its own derived stream and tracks its own uplink,
-// keyed by node id: the draw sequence then depends only on the sender's own
-// event order, which is what makes results shard-count-invariant.
+// Sends from different nodes may run concurrently (one goroutine per engine
+// shard), so each sender draws loss and jitter from its own derived stream
+// and tracks its own uplink, keyed by node id: the draw sequence then
+// depends only on the sender's own event order, which is what makes results
+// shard-count-invariant.
 type SimNet struct {
 	engine    *sim.Engine
-	rand      *rng.Stream
+	rand      *rng.Stream // parent of the per-node streams
 	collector *metrics.Collector
 	handlers  map[msg.NodeID]Handler
 	conds     map[msg.NodeID]*Conditions
-	uplink    map[msg.NodeID]time.Duration // uplink busy-until, per node (serial)
 	defaults  Conditions
 
-	// Sharded-engine state. Only a node's own shard touches its slots
-	// during a window; the slices grow in Attach, which is global-phase
-	// work.
-	sharded    bool
+	// Per-sender state. Only a node's own shard touches its slots during a
+	// window; the slices grow in Attach, which is global-phase work.
 	nodeRand   []*rng.Stream
-	nodeUplink []time.Duration
+	nodeUplink []time.Duration // uplink busy-until
 }
 
 var _ Network = (*SimNet)(nil)
 var _ sim.Sink = (*SimNet)(nil)
 
-// NewSimNet creates a network on the given engine. rand is the loss/latency
-// randomness source; collector may be nil to disable accounting; defaults
-// apply to nodes without explicit conditions.
+// NewSimNet creates a network on the given engine. rand is the parent of the
+// per-node loss/latency streams; collector may be nil to disable accounting;
+// defaults apply to nodes without explicit conditions.
 func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collector, defaults Conditions) *SimNet {
 	return &SimNet{
 		engine:    engine,
@@ -52,29 +49,29 @@ func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collecto
 		collector: collector,
 		handlers:  make(map[msg.NodeID]Handler),
 		conds:     make(map[msg.NodeID]*Conditions),
-		uplink:    make(map[msg.NodeID]time.Duration),
 		defaults:  defaults,
-		sharded:   engine.Sharded(),
 	}
 }
 
-// Attach registers the handler for a node. A nil handler detaches the node.
+// Attach registers the handler for a node, and on first use the node itself:
+// its engine domain, its random stream and its uplink slot. It is the one
+// registration point — a node must be attached before it sends. A nil
+// handler detaches the node.
 func (n *SimNet) Attach(id msg.NodeID, h Handler) {
 	if h == nil {
 		delete(n.handlers, id)
 		return
 	}
 	n.handlers[id] = h
-	if n.sharded {
-		for len(n.nodeRand) <= int(id) {
-			n.nodeRand = append(n.nodeRand, nil)
-			n.nodeUplink = append(n.nodeUplink, 0)
-		}
-		if n.nodeRand[id] == nil {
-			// Derivation hashes the parent seed with the id — independent
-			// of attach order, so churn joins stay deterministic.
-			n.nodeRand[id] = n.rand.ForNode(uint32(id))
-		}
+	n.engine.Domain(int(id))
+	for len(n.nodeRand) <= int(id) {
+		n.nodeRand = append(n.nodeRand, nil)
+		n.nodeUplink = append(n.nodeUplink, 0)
+	}
+	if n.nodeRand[id] == nil {
+		// Derivation hashes the parent seed with the id — independent of
+		// attach order, so churn joins stay deterministic.
+		n.nodeRand[id] = n.rand.ForNode(uint32(id))
 	}
 }
 
@@ -101,10 +98,10 @@ func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 }
 
 // Send implements Network. The message is delivered through the event queue
-// after uplink serialization and propagation delay, unless it is lost.
-// Under a sharded engine Send must be called from the sending node's own
-// callbacks (or the global phase) — the same serialization the rest of a
-// node's state already requires.
+// after uplink serialization and propagation delay, unless it is lost. Send
+// must be called from the sending node's own callbacks (or the global phase)
+// — the same serialization the rest of a node's state already requires — and
+// the sender must have been attached.
 func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	size := m.WireSize()
 	if n.collector != nil {
@@ -116,12 +113,11 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		n.drop(m, size)
 		return
 	}
-	rand := n.rand
-	now := n.engine.Now()
-	if n.sharded {
-		rand = n.nodeRand[from]
-		now = n.engine.NodeNow(int(from))
+	if int(from) >= len(n.nodeRand) || n.nodeRand[from] == nil {
+		panic(fmt.Sprintf("net: node %d sends but was never attached; attach the node first", from))
 	}
+	rand := n.nodeRand[from]
+	now := n.engine.NodeNow(int(from))
 	if mode == Unreliable {
 		if rand.Bernoulli(src.LossOut) || rand.Bernoulli(dst.LossIn) {
 			n.drop(m, size)
@@ -130,24 +126,14 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	}
 
 	start := now
-	var busy time.Duration
-	if n.sharded {
-		busy = n.nodeUplink[from]
-	} else {
-		busy = n.uplink[from]
-	}
-	if busy > start {
+	if busy := n.nodeUplink[from]; busy > start {
 		start = busy
 	}
 	var tx time.Duration
 	if src.UplinkBps > 0 {
 		tx = time.Duration(float64(size) / src.UplinkBps * float64(time.Second))
 	}
-	if n.sharded {
-		n.nodeUplink[from] = start + tx
-	} else {
-		n.uplink[from] = start + tx
-	}
+	n.nodeUplink[from] = start + tx
 
 	latency := src.LatencyBase/2 + dst.LatencyBase/2
 	jitter := src.LatencyJitter/2 + dst.LatencyJitter/2

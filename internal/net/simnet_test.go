@@ -2,6 +2,7 @@ package net
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,14 +16,16 @@ type capture struct {
 	from []msg.NodeID
 	msgs []msg.Message
 	at   []time.Duration
-	eng  *sim.Engine
+	// clock, if set, is the receiving node's context: deliveries are
+	// stamped with its event time.
+	clock sim.Context
 }
 
 func (c *capture) HandleMessage(from msg.NodeID, m msg.Message) {
 	c.from = append(c.from, from)
 	c.msgs = append(c.msgs, m)
-	if c.eng != nil {
-		c.at = append(c.at, c.eng.Now())
+	if c.clock != nil {
+		c.at = append(c.at, c.clock.Now())
 	}
 }
 
@@ -31,12 +34,13 @@ func newNet(t *testing.T, defaults Conditions) (*sim.Engine, *SimNet, *metrics.C
 	eng := sim.NewEngine()
 	col := metrics.NewCollector()
 	n := NewSimNet(eng, rng.New(1), col, defaults)
+	n.Attach(1, &capture{}) // every test sends from node 1
 	return eng, n, col
 }
 
 func TestLosslessDelivery(t *testing.T) {
 	eng, n, _ := newNet(t, Uniform(0, 10*time.Millisecond))
-	rx := &capture{eng: eng}
+	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
 	n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 9}, Unreliable)
 	eng.RunAll()
@@ -85,7 +89,7 @@ func TestReliableNeverLoses(t *testing.T) {
 
 func TestReliableSlowerThanUnreliable(t *testing.T) {
 	eng, n, _ := newNet(t, Uniform(0, 10*time.Millisecond))
-	rx := &capture{eng: eng}
+	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
 	n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, Unreliable)
 	n.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, Reliable)
@@ -138,7 +142,7 @@ func TestUnattachedDestinationDrops(t *testing.T) {
 func TestUplinkSerialization(t *testing.T) {
 	// Two 1000-byte-ish messages over a 10 kB/s uplink must be ~0.1 s apart.
 	eng, n, _ := newNet(t, Conditions{UplinkBps: 10000, LatencyBase: 0})
-	rx := &capture{eng: eng}
+	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
 	big := &msg.Serve{Sender: 1, Chunk: 1}
 	big.PayloadSize = 1000 - big.WireSize()
@@ -156,7 +160,7 @@ func TestUplinkSerialization(t *testing.T) {
 
 func TestUplinkUnlimitedWhenZero(t *testing.T) {
 	eng, n, _ := newNet(t, Conditions{LatencyBase: time.Millisecond})
-	rx := &capture{eng: eng}
+	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
 	n.Send(1, 2, &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1 << 20}, Unreliable)
 	eng.RunAll()
@@ -184,7 +188,7 @@ func TestPerNodeConditionsOverride(t *testing.T) {
 
 func TestLatencyJitterRange(t *testing.T) {
 	eng, n, _ := newNet(t, Conditions{LatencyBase: 10 * time.Millisecond, LatencyJitter: 10 * time.Millisecond})
-	rx := &capture{eng: eng}
+	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
 	for i := 0; i < 500; i++ {
 		n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, Unreliable)
@@ -243,11 +247,25 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
+// Attach is the one registration point: a send from a node that never
+// attached is a harness bug, reported with the node's id.
+func TestSendFromUnattachedNodePanics(t *testing.T) {
+	_, n, _ := newNet(t, Uniform(0, time.Millisecond))
+	defer func() {
+		got, _ := recover().(string)
+		if !strings.Contains(got, "node 5") || !strings.Contains(got, "attach the node first") {
+			t.Fatalf("panic = %q, want one naming node 5 and saying to attach it first", got)
+		}
+	}()
+	n.Send(5, 1, &msg.ScoreReq{Sender: 5, Target: 1}, Unreliable)
+}
+
 func TestDeterministicDelivery(t *testing.T) {
 	run := func() []time.Duration {
 		eng := sim.NewEngine()
 		n := NewSimNet(eng, rng.New(99), nil, Conditions{LatencyBase: time.Millisecond, LatencyJitter: 5 * time.Millisecond, LossIn: 0.1})
-		rx := &capture{eng: eng}
+		n.Attach(1, &capture{})
+		rx := &capture{clock: eng.Domain(2)}
 		n.Attach(2, rx)
 		for i := 0; i < 200; i++ {
 			n.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, Unreliable)

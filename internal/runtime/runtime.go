@@ -34,8 +34,8 @@ type Kind int
 // Available backends. KindSim is the zero value: deterministic simulation is
 // the default everywhere.
 const (
-	// KindSim is the single-threaded discrete-event engine over virtual
-	// time.
+	// KindSim is the discrete-event engine over virtual time: deterministic
+	// per seed, on one goroutine or one per engine shard.
 	KindSim Kind = iota
 	// KindUDP is the socket-backed runtime in internal/transport: one UDP
 	// socket per locally hosted node, messages framed through the binary
@@ -115,10 +115,11 @@ type Runtime interface {
 	// injections, churn arrivals.
 	After(d time.Duration, fn func())
 	// Exec runs fn serialized with node id's callbacks. Under the
-	// discrete-event backend it runs inline (the whole simulation is one
-	// goroutine); under a wall-clock backend it is scheduled asynchronously
-	// under the node's lock. Do not call Exec from a callback already running
-	// under a node's serialization if that could form a lock cycle.
+	// discrete-event backend it runs inline (harness code runs with every
+	// engine shard parked); under a wall-clock backend it is scheduled
+	// asynchronously under the node's lock. Do not call Exec from a callback
+	// already running under a node's serialization if that could form a lock
+	// cycle.
 	Exec(id msg.NodeID, fn func())
 	// Now returns the time elapsed since the runtime started.
 	Now() time.Duration
@@ -151,10 +152,8 @@ func NewSim(engine *sim.Engine, netw *net.SimNet) *SimBackend {
 	return &SimBackend{engine: engine, netw: netw}
 }
 
-// Context implements Runtime: under a serial engine every node shares the
-// engine (the whole run is one goroutine); under a sharded engine each node
-// gets its shard-bound domain, which serializes that node's callbacks on
-// its shard.
+// Context implements Runtime: each node gets its shard-bound domain, which
+// serializes that node's callbacks on its shard.
 func (s *SimBackend) Context(id msg.NodeID) sim.Context { return s.engine.Domain(int(id)) }
 
 // Attach implements Runtime.
@@ -172,8 +171,9 @@ func (s *SimBackend) SetDown(id msg.NodeID, down bool) { s.netw.SetDown(id, down
 // After implements Runtime.
 func (s *SimBackend) After(d time.Duration, fn func()) { s.engine.After(d, fn) }
 
-// Exec implements Runtime: the simulation is single-threaded, so fn runs
-// inline, preserving the exact event ordering of a direct call.
+// Exec implements Runtime: fn runs inline, preserving the exact event
+// ordering of a direct call. Callers are the harness in the global phase
+// (every shard parked) or node id's own callbacks, so inline is serialized.
 func (s *SimBackend) Exec(_ msg.NodeID, fn func()) { fn() }
 
 // Now implements Runtime.
@@ -187,9 +187,9 @@ const runChunkEvents = 8192
 
 // Run implements Runtime: events execute in exactly the order of an
 // uninterrupted engine.Run, with a cancellation check between bounded
-// bursts. RunChunk returning 0 is the done signal for both engine modes —
-// the sharded engine advances in whole lookahead windows, so a burst may
-// overshoot the chunk size but never reports 0 while work remains.
+// bursts. RunChunk returning 0 is the done signal — the engine advances in
+// whole lookahead windows, so a burst may overshoot the chunk size but
+// never reports 0 while work remains.
 func (s *SimBackend) Run(ctx context.Context, until time.Duration) error {
 	for {
 		if err := ctx.Err(); err != nil {

@@ -53,6 +53,7 @@ func TestSimBackendDelivery(t *testing.T) {
 	var rt runtime.Runtime = b
 	h := &recordingHandler{}
 	rt.Attach(2, h)
+	rt.Attach(1, &recordingHandler{}) // senders register at Attach
 
 	rt.Network().Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 2}, net.Reliable)
 	rt.Run(context.Background(), time.Second)

@@ -4,21 +4,15 @@
 // this engine (for large-scale Monte-Carlo runs, §6 of the paper) and over
 // real UDP sockets in internal/transport (the deployment of §7).
 //
-// The engine has two modes:
+// Nodes are partitioned across S ≥ 1 shards, each with its own heap and
+// clock, advancing in lockstep lookahead windows with a deterministic
+// cross-shard merge. Events are ordered by the shard-count-independent key
+// (time, scheduling domain, per-domain sequence), so results are
+// byte-identical for every S — see DESIGN.md, "The discrete-event engine".
 //
-//   - Serial (NewEngine): one event heap, one virtual clock, events totally
-//     ordered by (time, scheduling sequence). This is the legacy mode and
-//     its event order is bit-for-bit what it always was.
-//   - Sharded (NewSharded): nodes are partitioned across S shards, each
-//     with its own heap and clock, advancing in lockstep lookahead windows
-//     with a deterministic cross-shard merge. Events are ordered by the
-//     shard-count-independent key (time, scheduling domain, per-domain
-//     sequence), so results are byte-identical for every S ≥ 1 — see
-//     DESIGN.md, "Sharded discrete-event engine".
-//
-// Both modes pool event structs and use a hand-rolled binary heap, so the
-// steady-state scheduling path — including message delivery through a Sink
-// — performs no allocation.
+// Event structs are pooled and the heap is a hand-rolled binary heap, so
+// the steady-state scheduling path — including message delivery through a
+// Sink — performs no allocation.
 package sim
 
 import (
@@ -42,20 +36,20 @@ type Context interface {
 // message: the engine stores the four delivery operands in the pooled event
 // and calls Deliver when the event fires.
 type Sink interface {
-	// Deliver hands the payload scheduled from node `from` to node `to`.
-	// Under a sharded engine it runs on the goroutine of to's shard.
+	// Deliver hands the payload scheduled from node `from` to node `to`. It
+	// runs on the goroutine of to's shard.
 	Deliver(from, to int32, payload any, size int32)
 }
 
-// globalDomain is the ordering domain of harness events (After) on a
-// sharded engine. Global events always run before node events at the same
-// instant — the global queue drains to the barrier before a window starts —
-// so the domain only orders events *within* the global queue: harness
-// callbacks sort after same-instant deferred globals (which carry their
-// scheduling node's domain). That mirrors the serial engine's FIFO — a
-// follow-up scheduled with After(0) by the first deferred action of a
-// burst runs once the whole burst has drained, letting it coalesce the
-// burst (manager rebalances after an expulsion wave rely on this).
+// globalDomain is the ordering domain of harness events (After). Global
+// events always run before node events at the same instant — the global
+// queue drains to the barrier before a window starts — so the domain only
+// orders events *within* the global queue: harness callbacks sort after
+// same-instant deferred globals (which carry their scheduling node's
+// domain). A follow-up scheduled with After(0) by the first deferred action
+// of a burst therefore runs once the whole burst has drained, letting it
+// coalesce the burst (manager rebalances after an expulsion wave rely on
+// this).
 const globalDomain int32 = 1<<31 - 1
 
 // event is one scheduled occurrence. fn != nil marks a callback event;
@@ -75,8 +69,7 @@ type event struct {
 }
 
 // less is the canonical event order: time, then domain, then per-domain
-// sequence. In serial mode every event carries dom 0 and a single global
-// sequence, which reduces to the legacy (time, scheduling order) rule.
+// sequence.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -139,10 +132,9 @@ func (q *eheap) pop() *event {
 	return top
 }
 
-// shard is one partition of the sharded engine: a heap, a clock, an event
-// pool and the outboxes for cross-shard and deferred-global traffic. The
-// serial engine uses a single shard through the same code paths. During a
-// window a shard is owned exclusively by one goroutine; between windows the
+// shard is one partition of the engine: a heap, a clock, an event pool and
+// the outboxes for cross-shard and deferred-global traffic. During a window
+// a shard is owned exclusively by one goroutine; between windows the
 // coordinator owns all of them.
 type shard struct {
 	now    time.Duration
@@ -191,17 +183,11 @@ func (sh *shard) exec(ev *event) {
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not
-// usable; create one with NewEngine (serial) or NewSharded. A serial engine
-// runs entirely on the caller's goroutine. A sharded engine runs node
-// events on shard goroutines during lookahead windows; everything outside
-// Run — setup, harness callbacks, global events — still happens on the
-// caller's goroutine.
+// usable; create one with NewSharded. Node events run on shard goroutines
+// during lookahead windows (on the caller's goroutine when there is one
+// shard); everything outside Run — setup, harness callbacks, global events —
+// happens on the caller's goroutine.
 type Engine struct {
-	// serial mode state (also the single shard's identity in serial mode).
-	s   shard
-	seq uint64
-
-	// sharded mode state; shards == nil means serial.
 	shards  []*shard
 	window  time.Duration
 	now     time.Duration // global clock T: the current window's start
@@ -216,16 +202,15 @@ type Engine struct {
 	inWindow bool
 }
 
-// NewEngine returns a serial engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{}
-}
+// NewEngine returns a one-shard engine with a fixed 5 ms lookahead, for
+// callers that schedule only timers (benchmark probes, unit tests).
+func NewEngine() *Engine { return NewSharded(1, 5*time.Millisecond) }
 
 // NewSharded returns an engine that partitions nodes across s shards
 // (node → shard id%s) and advances them in lockstep windows of the given
-// lookahead. The lookahead must be a lower bound on every cross-node
+// lookahead. The lookahead must be a lower bound on every cross-shard
 // delivery delay (Deliver panics on a violation); window must be > 0 and
-// s ≥ 1. Results are byte-identical for every shard count, including 1.
+// s ≥ 1. Results are byte-identical for every shard count.
 func NewSharded(s int, window time.Duration) *Engine {
 	if s < 1 {
 		panic("sim: NewSharded needs at least one shard")
@@ -243,135 +228,97 @@ func NewSharded(s int, window time.Duration) *Engine {
 
 var _ Context = (*Engine)(nil)
 
-// Sharded reports whether the engine runs in sharded mode.
-func (e *Engine) Sharded() bool { return e.shards != nil }
-
-// ShardCount returns the number of shards (0 for a serial engine).
+// ShardCount returns the number of shards.
 func (e *Engine) ShardCount() int { return len(e.shards) }
 
-// Window returns the lookahead window (0 for a serial engine).
-func (e *Engine) Window() time.Duration { return e.window }
-
-// InWindow reports whether a sharded window is currently executing — i.e.
-// whether the caller is running inside a node callback on a shard
-// goroutine. Harness code uses it to decide between acting immediately
-// (global phase) and deferring through DeferGlobal.
+// InWindow reports whether a window is currently executing — i.e. whether
+// the caller is running inside a node callback. Harness code uses it to
+// decide between acting immediately (global phase) and deferring through
+// DeferGlobal.
 func (e *Engine) InWindow() bool { return e.inWindow }
 
-// Now returns the current virtual time: the serial clock, or the current
-// window's start under a sharded engine (node callbacks should use their
-// Domain's clock, which tracks event time within the window).
-func (e *Engine) Now() time.Duration {
-	if e.shards == nil {
-		return e.s.now
-	}
-	return e.now
-}
+// Now returns the global clock: the current window's start. Node callbacks
+// should use their Domain's clock, which tracks event time within the
+// window.
+func (e *Engine) Now() time.Duration { return e.now }
 
-// After schedules fn at Now()+d. Events scheduled for the same instant run
-// in scheduling order (FIFO), which keeps runs reproducible.
-//
-// Under a sharded engine this schedules a global (harness) event: it runs
-// in the global phase between windows, before any node event of the same
-// instant, and must itself be called from the global phase — calling it
-// from a node callback panics, because a per-node scheduling order would
-// depend on the shard layout. Node callbacks schedule through their own
-// Context (or DeferGlobal for harness work).
+// After schedules a global (harness) event at Now()+d: it runs in the global
+// phase between windows, before any node event of the same instant, and
+// harness events of one instant run in scheduling order (FIFO). It must
+// itself be called from the global phase — calling it from a node callback
+// panics, because a per-node scheduling order would depend on the shard
+// layout. Node callbacks schedule through their own Context (or DeferGlobal
+// for harness work).
 func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	if e.shards == nil {
-		e.seq++
-		ev := e.s.alloc()
-		ev.at, ev.seq, ev.fn = e.s.now+d, e.seq, fn
-		e.s.q.push(ev)
-		return
-	}
 	if e.inWindow {
-		panic("sim: After called from a node callback under a sharded engine; use the node Context or DeferGlobal")
+		panic("sim: After called from a node callback; use the node Context or DeferGlobal")
 	}
 	e.gseq++
 	e.gq.push(&event{at: e.now + d, dom: globalDomain, seq: e.gseq, fn: fn})
 }
 
-// At schedules fn at absolute virtual time t. Times in the past run
-// immediately (at the current time).
-func (e *Engine) At(t time.Duration, fn func()) {
-	e.After(t-e.Now(), fn)
-}
-
-// Domain returns the scheduling context of node id. Under a serial engine
-// every node shares the engine's single clock and queue; under a sharded
-// engine each node gets a context bound to its shard, with the per-domain
-// sequence that makes the event order shard-count-independent.
+// Domain returns the scheduling context of node id, registering the node on
+// first use: a context bound to its shard, with the per-domain sequence
+// that makes the event order shard-count-independent.
 //
-// Growing the domain table (first call for a given id) must happen outside
-// a running window — node construction is global-phase work.
+// Registering (first call for a given id) must happen outside a running
+// window — node construction is global-phase work.
 func (e *Engine) Domain(id int) Context {
-	if e.shards == nil {
-		return e
-	}
 	if id < 0 {
 		panic("sim: negative node id")
 	}
-	e.ensureNode(id)
+	if id >= len(e.domains) || e.domains[id] == nil {
+		if e.inWindow {
+			panic("sim: node domains must be created in the global phase, not from a node callback")
+		}
+		for len(e.domains) <= id {
+			e.domains = append(e.domains, nil)
+			e.nodeSeq = append(e.nodeSeq, 0)
+		}
+		e.domains[id] = &Domain{e: e, id: int32(id), sh: e.shards[id%len(e.shards)]}
+	}
 	return e.domains[id]
 }
 
-func (e *Engine) ensureNode(id int) {
-	if id < len(e.domains) && e.domains[id] != nil {
-		return
-	}
-	if e.inWindow {
-		panic("sim: node domains must be created in the global phase, not from a node callback")
-	}
-	for len(e.domains) <= id {
-		e.domains = append(e.domains, nil)
-		e.nodeSeq = append(e.nodeSeq, 0)
-	}
-	if e.domains[id] == nil {
-		e.domains[id] = &Domain{e: e, id: int32(id), sh: e.shards[id%len(e.shards)]}
-	}
+// NodeNow returns node id's current clock: its shard's event time during a
+// window, the global clock otherwise.
+func (e *Engine) NodeNow(id int) time.Duration {
+	return e.shards[id%len(e.shards)].now
 }
 
-// NodeNow returns node id's current clock: its shard's event time during a
-// window, the global clock otherwise. Serial engines have one clock.
-func (e *Engine) NodeNow(id int) time.Duration {
-	if e.shards == nil {
-		return e.s.now
+// nextSeq returns node from's next scheduling sequence number. Only a
+// registered node has one: scheduling on behalf of an id that never got a
+// Domain is a harness bug, reported by name instead of as an index error.
+func (e *Engine) nextSeq(from int32) uint64 {
+	if from < 0 || int(from) >= len(e.nodeSeq) {
+		panic(fmt.Sprintf("sim: node %d schedules an event but has no domain; attach the node first", from))
 	}
-	return e.shards[id%len(e.shards)].now
+	seq := e.nodeSeq[from]
+	e.nodeSeq[from]++
+	return seq
 }
 
 // Deliver schedules a message delivery from node `from` to node `to`, d
 // from from's current clock, through sink. This is the allocation-free
 // delivery path: the operands ride in a pooled event, no closure is built.
-// In serial mode the delivery occupies exactly the position in the event
-// order that After would have given it.
 //
-// Under a sharded engine the delivery is keyed by (time, from, from's send
-// sequence) — a shard-count-independent order — and a cross-shard delivery
-// with d < the lookahead window panics: the destination shard may already
-// have advanced past it.
+// The delivery is keyed by (time, from, from's send sequence) — a
+// shard-count-independent order — and a cross-shard delivery with d < the
+// lookahead window panics: the destination shard may already have advanced
+// past it.
 func (e *Engine) Deliver(from, to int32, d time.Duration, sink Sink, payload any, size int32) {
 	if d < 0 {
 		d = 0
 	}
-	if e.shards == nil {
-		e.seq++
-		ev := e.s.alloc()
-		ev.at, ev.seq = e.s.now+d, e.seq
-		ev.sink, ev.payload, ev.from, ev.to, ev.size = sink, payload, from, to, size
-		e.s.q.push(ev)
-		return
-	}
+	seq := e.nextSeq(from)
 	s := len(e.shards)
 	src := e.shards[int(from)%s]
 	dst := int(to) % s
 	ev := src.alloc()
-	ev.at, ev.dom, ev.seq = src.now+d, from, e.nodeSeq[from]
-	e.nodeSeq[from]++
+	ev.at, ev.dom, ev.seq = src.now+d, from, seq
 	ev.sink, ev.payload, ev.from, ev.to, ev.size = sink, payload, from, to, size
 	if dst == int(from)%s {
 		src.q.push(ev)
@@ -393,15 +340,12 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, sink Sink, payload any
 // harness work that must mutate global state (expulsions, membership): the
 // event is keyed by (time, from, from's sequence), so the order in which
 // deferred actions run is shard-count-independent. Calling it from the
-// global phase runs through the global queue at the current instant,
-// preserving the serial engine's "immediate" semantics in event order.
+// global phase runs fn through the global queue at the current instant,
+// ahead of harness events scheduled for that instant.
 func (e *Engine) DeferGlobal(from int, fn func()) {
-	if e.shards == nil {
-		panic("sim: DeferGlobal requires a sharded engine")
-	}
+	seq := e.nextSeq(int32(from))
 	sh := e.shards[from%len(e.shards)]
-	ev := &event{at: sh.now + e.window, dom: int32(from), seq: e.nodeSeq[from], fn: fn}
-	e.nodeSeq[from]++
+	ev := &event{at: sh.now + e.window, dom: int32(from), seq: seq, fn: fn}
 	if e.inWindow {
 		sh.outG = append(sh.outG, ev)
 		return
@@ -410,89 +354,28 @@ func (e *Engine) DeferGlobal(from int, fn func()) {
 	e.gq.push(ev)
 }
 
-// Step runs the next pending event and reports whether one existed. Serial
-// engines only: a sharded engine has no single "next" event.
-func (e *Engine) Step() bool {
-	if e.shards != nil {
-		panic("sim: Step requires a serial engine")
-	}
-	if e.s.q.len() == 0 {
-		return false
-	}
-	ev := e.s.q.pop()
-	e.s.now = ev.at
-	e.s.events++
-	e.s.exec(ev)
-	return true
-}
-
-// Run executes events until the queue is empty or the clock would pass
+// Run executes events until the queues are empty or the clock would pass
 // until. It returns the number of events executed. Events scheduled exactly
 // at until still run.
 func (e *Engine) Run(until time.Duration) uint64 {
-	if e.shards != nil {
-		return e.runSharded(until, ^uint64(0))
-	}
-	start := e.s.events
-	for e.s.q.len() > 0 {
-		if e.s.q.top().at > until {
-			break
-		}
-		e.Step()
-	}
-	if e.s.now < until {
-		e.s.now = until
-	}
-	return e.s.events - start
-}
-
-// RunChunk executes events up to until in a bounded burst and returns the
-// number executed, so callers can interleave event bursts with cancellation
-// checks and still end on the same clock as one uninterrupted Run. A return
-// of 0 means the advance to until is complete. The serial engine executes
-// at most max events per call; the sharded engine executes whole lookahead
-// windows and may overshoot max by the events of one window.
-func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
-	if e.shards != nil {
-		return e.runSharded(until, max)
-	}
-	start := e.s.events
-	for e.s.q.len() > 0 && e.s.events-start < max {
-		if e.s.q.top().at > until {
-			break
-		}
-		e.Step()
-	}
-	if (e.s.q.len() == 0 || e.s.q.top().at > until) && e.s.now < until {
-		e.s.now = until
-	}
-	return e.s.events - start
+	return e.RunChunk(until, ^uint64(0))
 }
 
 // RunAll executes events until every queue is empty and returns the number
 // of events executed. Use only for workloads that provably quiesce.
 func (e *Engine) RunAll() uint64 {
-	if e.shards != nil {
-		var total uint64
-		for {
-			n := e.runSharded(e.now+1000*e.window, ^uint64(0))
-			total += n
-			if n == 0 && e.Pending() == 0 {
-				return total
-			}
+	var total uint64
+	for {
+		n := e.Run(e.now + 1000*e.window)
+		total += n
+		if n == 0 && e.Pending() == 0 {
+			return total
 		}
 	}
-	start := e.s.events
-	for e.Step() {
-	}
-	return e.s.events - start
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {
-	if e.shards == nil {
-		return e.s.q.len()
-	}
 	n := e.gq.len()
 	for _, sh := range e.shards {
 		n += sh.q.len()
@@ -502,9 +385,6 @@ func (e *Engine) Pending() int {
 
 // Events returns the total number of events executed so far.
 func (e *Engine) Events() uint64 {
-	if e.shards == nil {
-		return e.s.events
-	}
 	n := e.gevents
 	for _, sh := range e.shards {
 		n += sh.events
@@ -512,10 +392,10 @@ func (e *Engine) Events() uint64 {
 	return n
 }
 
-// Domain is a node's scheduling context under a sharded engine: the shard
-// clock plus timers keyed by the node's own sequence. All of a node's
-// callbacks run serialized on its shard, so a Domain may only be used from
-// its own node's callbacks or from the global phase.
+// Domain is a node's scheduling context: the shard clock plus timers keyed
+// by the node's own sequence. All of a node's callbacks run serialized on
+// its shard, so a Domain may only be used from its own node's callbacks or
+// from the global phase.
 type Domain struct {
 	e  *Engine
 	id int32

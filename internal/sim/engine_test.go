@@ -1,73 +1,89 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
-func TestOrderingByTime(t *testing.T) {
+// newNode returns a one-shard engine and the scheduling context of node 0.
+func newNode() (*Engine, Context) {
 	e := NewEngine()
+	return e, e.Domain(0)
+}
+
+func TestOrderingByTime(t *testing.T) {
+	e, d := newNode()
 	var order []int
-	e.After(30*time.Millisecond, func() { order = append(order, 3) })
-	e.After(10*time.Millisecond, func() { order = append(order, 1) })
-	e.After(20*time.Millisecond, func() { order = append(order, 2) })
+	d.After(30*time.Millisecond, func() { order = append(order, 3) })
+	d.After(10*time.Millisecond, func() { order = append(order, 1) })
+	d.After(20*time.Millisecond, func() { order = append(order, 2) })
 	e.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
 	}
 }
 
+// Same-instant events of one scheduler — a node, or the harness — run in
+// scheduling order.
 func TestFIFOAtSameInstant(t *testing.T) {
-	e := NewEngine()
-	var order []int
+	e, d := newNode()
+	var node, harness []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.After(5*time.Millisecond, func() { order = append(order, i) })
+		d.After(5*time.Millisecond, func() { node = append(node, i) })
+		e.After(5*time.Millisecond, func() { harness = append(harness, i) })
 	}
 	e.RunAll()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-instant events not FIFO: %v", order)
+	for i := 0; i < 10; i++ {
+		if len(node) != 10 || len(harness) != 10 || node[i] != i || harness[i] != i {
+			t.Fatalf("same-instant events not FIFO: node %v harness %v", node, harness)
 		}
 	}
 }
 
 func TestClockAdvances(t *testing.T) {
-	e := NewEngine()
-	var at time.Duration
-	e.After(42*time.Millisecond, func() { at = e.Now() })
+	e, d := newNode()
+	var nodeAt, harnessAt time.Duration
+	d.After(42*time.Millisecond, func() { nodeAt = d.Now() })
+	e.After(43*time.Millisecond, func() { harnessAt = e.Now() })
 	e.RunAll()
-	if at != 42*time.Millisecond {
-		t.Fatalf("Now inside event = %v, want 42ms", at)
+	if nodeAt != 42*time.Millisecond {
+		t.Fatalf("node Now inside event = %v, want 42ms", nodeAt)
 	}
-	if e.Now() != 42*time.Millisecond {
-		t.Fatalf("Now after run = %v, want 42ms", e.Now())
+	if harnessAt != 43*time.Millisecond {
+		t.Fatalf("engine Now inside harness event = %v, want 43ms", harnessAt)
 	}
 }
 
 func TestNegativeDelayRunsNow(t *testing.T) {
-	e := NewEngine()
-	e.After(10*time.Millisecond, func() {
-		e.After(-5*time.Millisecond, func() {
-			if e.Now() != 10*time.Millisecond {
-				t.Errorf("negative-delay event ran at %v", e.Now())
+	e, d := newNode()
+	ran := false
+	d.After(10*time.Millisecond, func() {
+		d.After(-5*time.Millisecond, func() {
+			ran = true
+			if d.Now() != 10*time.Millisecond {
+				t.Errorf("negative-delay event ran at %v", d.Now())
 			}
 		})
 	})
 	e.RunAll()
+	if !ran {
+		t.Fatal("negative-delay event never ran")
+	}
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	e, d := newNode()
 	depth := 0
 	var rec func()
 	rec = func() {
 		depth++
 		if depth < 100 {
-			e.After(time.Millisecond, rec)
+			d.After(time.Millisecond, rec)
 		}
 	}
-	e.After(0, rec)
+	d.After(0, rec)
 	n := e.RunAll()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -78,11 +94,11 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestRunUntilBoundary(t *testing.T) {
-	e := NewEngine()
+	e, d := newNode()
 	ran := map[int]bool{}
-	e.After(10*time.Millisecond, func() { ran[10] = true })
-	e.After(20*time.Millisecond, func() { ran[20] = true })
-	e.After(30*time.Millisecond, func() { ran[30] = true })
+	d.After(10*time.Millisecond, func() { ran[10] = true })
+	d.After(20*time.Millisecond, func() { ran[20] = true })
+	d.After(30*time.Millisecond, func() { ran[30] = true })
 	e.Run(20 * time.Millisecond)
 	if !ran[10] || !ran[20] {
 		t.Fatal("events at or before the boundary did not run")
@@ -90,8 +106,8 @@ func TestRunUntilBoundary(t *testing.T) {
 	if ran[30] {
 		t.Fatal("event after the boundary ran")
 	}
-	if e.Now() != 20*time.Millisecond {
-		t.Fatalf("clock = %v, want 20ms", e.Now())
+	if e.Now() != 20*time.Millisecond || d.Now() != 20*time.Millisecond {
+		t.Fatalf("clocks = %v / %v, want 20ms", e.Now(), d.Now())
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", e.Pending())
@@ -104,40 +120,25 @@ func TestRunUntilBoundary(t *testing.T) {
 }
 
 func TestRunAdvancesClockToUntil(t *testing.T) {
-	e := NewEngine()
+	e, d := newNode()
 	e.Run(time.Second)
-	if e.Now() != time.Second {
-		t.Fatalf("empty Run should advance clock to until; got %v", e.Now())
-	}
-}
-
-func TestAtAbsolute(t *testing.T) {
-	e := NewEngine()
-	var at time.Duration
-	e.After(10*time.Millisecond, func() {
-		e.At(15*time.Millisecond, func() { at = e.Now() })
-	})
-	e.RunAll()
-	if at != 15*time.Millisecond {
-		t.Fatalf("At event ran at %v, want 15ms", at)
+	if e.Now() != time.Second || d.Now() != time.Second {
+		t.Fatalf("empty Run should advance every clock to until; got %v / %v", e.Now(), d.Now())
 	}
 }
 
 func TestStepAndCounters(t *testing.T) {
-	e := NewEngine()
-	e.After(time.Millisecond, func() {})
+	e, d := newNode()
+	d.After(time.Millisecond, func() {})
 	e.After(2*time.Millisecond, func() {})
-	if !e.Step() {
-		t.Fatal("Step with pending events returned false")
+	if e.Pending() != 2 || e.Events() != 0 {
+		t.Fatalf("before run: pending %d events %d, want 2 and 0", e.Pending(), e.Events())
 	}
-	if e.Events() != 1 {
-		t.Fatalf("Events = %d, want 1", e.Events())
+	if n := e.Run(time.Millisecond); n != 1 || e.Events() != 1 || e.Pending() != 1 {
+		t.Fatalf("after the first event: ran %d events %d pending %d, want 1, 1, 1", n, e.Events(), e.Pending())
 	}
-	if !e.Step() {
-		t.Fatal("second Step returned false")
-	}
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
+	if n := e.RunAll(); n != 1 || e.Events() != 2 || e.Pending() != 0 {
+		t.Fatalf("after the drain: ran %d events %d pending %d, want 1, 2, 0", n, e.Events(), e.Pending())
 	}
 }
 
@@ -148,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			i := i
 			d := time.Duration(i%7) * time.Millisecond
-			e.After(d, func() { order = append(order, i) })
+			e.Domain(i%3).After(d, func() { order = append(order, i) })
 		}
 		e.RunAll()
 		return order
@@ -158,5 +159,25 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("two identical runs diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// Scheduling on behalf of a node that never got a Domain is a harness bug;
+// it is reported with the node's id, not as a bare index error.
+func TestUnregisteredNodePanicsByName(t *testing.T) {
+	for name, schedule := range map[string]func(e *Engine){
+		"Deliver":     func(e *Engine) { e.Deliver(7, 0, time.Millisecond, &countSink{}, nil, 0) },
+		"DeferGlobal": func(e *Engine) { e.DeferGlobal(7, func() {}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, _ := newNode()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "node 7") || !strings.Contains(msg, "attach the node first") {
+					t.Fatalf("panic = %q, want one naming node 7 and saying to attach it first", msg)
+				}
+			}()
+			schedule(e)
+		})
 	}
 }

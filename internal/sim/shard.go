@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// runSharded advances the sharded engine toward until, executing at least
+// RunChunk advances the engine toward until, executing at least
 // min(max, everything due) events, in lockstep lookahead windows:
 //
 //  1. Global phase: with every shard parked at the barrier time T, drain
@@ -27,9 +27,11 @@ import (
 // the outcome identical for every shard count — see DESIGN.md.
 //
 // The return value is the number of events executed; 0 means the advance
-// to until was already complete. The event budget max is checked at window
-// granularity, so a call may overshoot it by one window's events.
-func (e *Engine) runSharded(until time.Duration, max uint64) uint64 {
+// to until is complete. The event budget max is checked at window
+// granularity, so a call may overshoot it by one window's events — callers
+// interleave bounded bursts with cancellation checks and still end on the
+// same clock as one uninterrupted Run.
+func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 	var executed uint64
 	for {
 		// Global phase at T = e.now.

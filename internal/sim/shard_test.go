@@ -129,8 +129,7 @@ func TestShardedRunChunkEquivalence(t *testing.T) {
 }
 
 // Run(until) executes events at ≤ until (inclusive boundary), leaves later
-// events queued, and parks every clock exactly at until — matching the
-// serial engine's contract.
+// events queued, and parks every clock exactly at until.
 func TestShardedRunUntilBoundary(t *testing.T) {
 	e := NewSharded(2, twin)
 	ran := map[int]bool{}
@@ -199,9 +198,8 @@ func TestDeferGlobal(t *testing.T) {
 	}
 }
 
-// After from inside a node callback panics under a sharded engine: harness
-// scheduling with a global sequence would make event order depend on the
-// shard layout.
+// After from inside a node callback panics: harness scheduling with a
+// global sequence would make event order depend on the shard layout.
 func TestShardedAfterPanicsInWindow(t *testing.T) {
 	e := NewSharded(1, twin)
 	var panicked bool
@@ -251,25 +249,7 @@ type countSink struct{ n int }
 
 func (c *countSink) Deliver(from, to int32, payload any, size int32) { c.n++ }
 
-// BenchmarkEngineDrain measures the serial scheduling hot path: pooled
-// event, heap push/pop, callback dispatch. ns/op is ns/event.
-func BenchmarkEngineDrain(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(time.Microsecond, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(0, tick)
-	e.RunAll()
-}
-
-// BenchmarkEngineSharded measures the sharded delivery path end to end —
+// BenchmarkEngineSharded measures the delivery path end to end —
 // pooled events through a Sink, window barriers, outbox merges — with a
 // constant population of in-flight messages ring-forwarded across 64 nodes.
 // ns/op is ns/event (the run is capped at b.N events, ±one window).
