@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race bench fuzz fmt vet lint
+.PHONY: test race bench benchmark profile fuzz fmt vet lint
 
 test:
 	$(GO) build ./...
@@ -35,6 +35,17 @@ race:
 # machine does not read as a regression).
 bench:
 	$(GO) run ./cmd/lifting-bench -check -baseline BENCH_PR8.json -out BENCH_PR10.json
+
+# The whole-system benchmark every perf or simplicity PR is judged by
+# (BENCHMARK.json, benchmark/README.md): four workloads, end-to-end metrics.
+benchmark:
+	$(GO) run ./benchmark
+
+# Where sim_scale's CPU goes: its traced pass (per-layer metrics, and
+# profiles under benchmark/out/sim_scale/), then the top of the CPU profile.
+profile:
+	$(GO) run ./benchmark -workload sim_scale -trace 1
+	$(GO) tool pprof -top -nodecount 30 benchmark/out/sim_scale/cpu.pprof
 
 # Extended fuzzing of the network-facing decoder (the committed seed corpus
 # replays on every plain `go test`).
