@@ -41,11 +41,13 @@ bench:
 benchmark:
 	$(GO) run ./benchmark
 
-# Where sim_scale's CPU goes: its traced pass (per-layer metrics, and
-# profiles under benchmark/out/sim_scale/), then the top of the CPU profile.
+# Where sim_scale's CPU and allocations go: its traced pass (per-layer
+# metrics, and profiles under benchmark/out/sim_scale/), then the top of the
+# CPU profile and the top allocation sites by object count.
 profile:
 	$(GO) run ./benchmark -workload sim_scale -trace 1
 	$(GO) tool pprof -top -nodecount 30 benchmark/out/sim_scale/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects benchmark/out/sim_scale/heap.pprof
 
 # Extended fuzzing of the network-facing decoder (the committed seed corpus
 # replays on every plain `go test`).

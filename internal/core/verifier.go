@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"lifting/internal/gossip"
 	"lifting/internal/history"
@@ -35,23 +36,80 @@ type Verifier struct {
 	behavior gossip.Behavior
 	sink     BlameSink
 
+	// serveChecks and expectations are the open checks, oldest first: a few
+	// periods' worth, scanned instead of indexed.
 	serveChecks  []*serveCheck
-	expectations map[msg.NodeID][]*ackExpectation
+	expectations []*ackExpectation
 	sessions     map[sessionKey]*confirmSession
 }
 
+// marks is a set of positions of a short list — the chunks of one request,
+// the witnesses of one ack — that starts full and is cleared one position at
+// a time. The first 64 positions are held inline, which is every list an
+// honest peer sends.
+type marks struct {
+	lo uint64
+	hi []uint64
+}
+
+func fullMarks(n int) marks {
+	if n <= 64 {
+		return marks{lo: 1<<n - 1}
+	}
+	m := marks{lo: ^uint64(0), hi: make([]uint64, (n-1)/64)}
+	for i := range m.hi {
+		m.hi[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		m.hi[len(m.hi)-1] = 1<<r - 1
+	}
+	return m
+}
+
+func (m *marks) word(i int) *uint64 {
+	if i < 64 {
+		return &m.lo
+	}
+	return &m.hi[i/64-1]
+}
+
+func (m *marks) has(i int) bool { return *m.word(i)&(1<<(i&63)) != 0 }
+
+func (m *marks) clear(i int) { *m.word(i) &^= 1 << (i & 63) }
+
+func (m *marks) count() int {
+	n := bits.OnesCount64(m.lo)
+	for _, w := range m.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // serveCheck tracks one sent request: the requested chunks must arrive
-// before the serve timeout.
+// before the serve timeout. missing marks the positions of requested still
+// to be served; a serve clears one position.
 type serveCheck struct {
-	server   msg.NodeID
-	missing  map[msg.ChunkID]bool
-	total    int
-	resolved bool
+	server    msg.NodeID
+	requested []msg.ChunkID
+	missing   marks
+	resolved  bool
+}
+
+// deliver clears chunk if it is still missing and reports whether it was.
+func (sc *serveCheck) deliver(chunk msg.ChunkID) bool {
+	for i, c := range sc.requested {
+		if c == chunk && sc.missing.has(i) {
+			sc.missing.clear(i)
+			return true
+		}
+	}
+	return false
 }
 
 // ackExpectation tracks one serve batch: the receiver must acknowledge
 // forwarding these chunks within the ack timeout.
 type ackExpectation struct {
+	receiver  msg.NodeID
 	chunks    []msg.ChunkID
 	satisfied bool
 }
@@ -61,10 +119,11 @@ type sessionKey struct {
 	period  msg.Period
 }
 
-// confirmSession collects witness answers about one suspect ack.
+// confirmSession collects witness answers about one suspect ack. silent
+// marks the positions of witnesses that have not confirmed (yet).
 type confirmSession struct {
 	witnesses []msg.NodeID
-	positive  map[msg.NodeID]bool
+	silent    marks
 	closed    bool
 }
 
@@ -80,16 +139,15 @@ func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network,
 		behavior = gossip.Honest{}
 	}
 	return &Verifier{
-		self:         self,
-		cfg:          cfg.withDefaults(),
-		ctx:          ctx,
-		netw:         netw,
-		rand:         rand,
-		hist:         hist,
-		behavior:     behavior,
-		sink:         sink,
-		expectations: make(map[msg.NodeID][]*ackExpectation),
-		sessions:     make(map[sessionKey]*confirmSession),
+		self:     self,
+		cfg:      cfg.withDefaults(),
+		ctx:      ctx,
+		netw:     netw,
+		rand:     rand,
+		hist:     hist,
+		behavior: behavior,
+		sink:     sink,
+		sessions: make(map[sessionKey]*confirmSession),
 	}
 }
 
@@ -110,7 +168,7 @@ func (v *Verifier) blame(target msg.NodeID, value float64, reason msg.BlameReaso
 // that served chunks during the previous period, send an Ack naming the
 // chunks forwarded and the partners they went to (§5.2). Freerider behaviors
 // may lie about both.
-func (v *Verifier) OnProposePhase(p msg.Period, partners []msg.NodeID, proposed []msg.ChunkID, serversLastPeriod map[msg.NodeID][]msg.ChunkID) {
+func (v *Verifier) OnProposePhase(p msg.Period, partners []msg.NodeID, proposed []msg.ChunkID, serversLastPeriod []msg.ServeRecord) {
 	// Bad-mouthing behaviors piggyback fabricated blames on the period
 	// boundary; the sink routes them like any verification blame because
 	// managers cannot tell them apart (§5.1).
@@ -121,15 +179,9 @@ func (v *Verifier) OnProposePhase(p msg.Period, partners []msg.NodeID, proposed 
 		return
 	}
 	claimedPartners := v.behavior.AckPartners(partners)
-	servers := make([]msg.NodeID, 0, len(serversLastPeriod))
-	//lint:allow ordered-map-range collect-then-sort: keys are sorted before acks are sent
-	for server := range serversLastPeriod {
-		servers = append(servers, server)
-	}
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
-	for _, server := range servers {
-		ackChunks := v.behavior.AckChunks(serversLastPeriod[server], proposed)
-		v.netw.Send(v.self, server, &msg.Ack{
+	for _, s := range serversLastPeriod {
+		ackChunks := v.behavior.AckChunks(s.Chunks, proposed)
+		v.netw.Send(v.self, s.Server, &msg.Ack{
 			Sender:   v.self,
 			Period:   p,
 			Chunks:   ackChunks,
@@ -145,19 +197,13 @@ func (v *Verifier) OnRequestSent(proposer msg.NodeID, _ msg.Period, requested []
 	if len(requested) == 0 {
 		return
 	}
-	sc := &serveCheck{
-		server:  proposer,
-		missing: make(map[msg.ChunkID]bool, len(requested)),
-		total:   len(requested),
-	}
-	for _, c := range requested {
-		sc.missing[c] = true
-	}
+	sc := &serveCheck{server: proposer, requested: requested, missing: fullMarks(len(requested))}
 	v.serveChecks = append(v.serveChecks, sc)
 	v.ctx.After(v.cfg.ServeTimeout, func() {
 		sc.resolved = true
-		if n := len(sc.missing); n > 0 {
-			v.blame(sc.server, PartialServeBlame(v.cfg.F, sc.total, sc.total-n), msg.ReasonPartialServe)
+		if n := sc.missing.count(); n > 0 {
+			total := len(sc.requested)
+			v.blame(sc.server, PartialServeBlame(v.cfg.F, total, total-n), msg.ReasonPartialServe)
 		}
 		v.gcServeChecks()
 	})
@@ -167,11 +213,7 @@ func (v *Verifier) OnRequestSent(proposer msg.NodeID, _ msg.Period, requested []
 // delivered.
 func (v *Verifier) OnServeReceived(server msg.NodeID, chunk msg.ChunkID) {
 	for _, sc := range v.serveChecks {
-		if sc.resolved || sc.server != server {
-			continue
-		}
-		if sc.missing[chunk] {
-			delete(sc.missing, chunk)
+		if !sc.resolved && sc.server == server && sc.deliver(chunk) {
 			return
 		}
 	}
@@ -183,15 +225,7 @@ func (v *Verifier) OnServeReceived(server msg.NodeID, chunk msg.ChunkID) {
 // cleared from the pending serve check so the serve timeout does not blame
 // the same failure twice.
 func (v *Verifier) OnServeInvalid(server msg.NodeID, chunk msg.ChunkID) {
-	for _, sc := range v.serveChecks {
-		if sc.resolved || sc.server != server {
-			continue
-		}
-		if sc.missing[chunk] {
-			delete(sc.missing, chunk)
-			break
-		}
-	}
+	v.OnServeReceived(server, chunk)
 	v.blame(server, InvalidPayloadBlame(v.cfg.F), msg.ReasonInvalidPayload)
 }
 
@@ -199,40 +233,23 @@ func (v *Verifier) OnServeInvalid(server msg.NodeID, chunk msg.ChunkID) {
 // The receiver must acknowledge forwarding the served chunks within the ack
 // timeout, or be blamed f (§5.2).
 func (v *Verifier) OnServed(receiver msg.NodeID, _ msg.Period, served []msg.ChunkID) {
-	exp := &ackExpectation{chunks: served}
-	v.expectations[receiver] = append(v.expectations[receiver], exp)
+	exp := &ackExpectation{receiver: receiver, chunks: served}
+	v.expectations = append(v.expectations, exp)
 	v.ctx.After(v.cfg.AckTimeout, func() {
 		if !exp.satisfied {
 			exp.satisfied = true // close it; blame exactly once
 			v.blame(receiver, NoAckBlame(v.cfg.F), msg.ReasonNoAck)
 		}
-		v.gcExpectations(receiver)
+		v.gcExpectations()
 	})
 }
 
 func (v *Verifier) gcServeChecks() {
-	live := v.serveChecks[:0]
-	for _, sc := range v.serveChecks {
-		if !sc.resolved {
-			live = append(live, sc)
-		}
-	}
-	v.serveChecks = live
+	v.serveChecks = slices.DeleteFunc(v.serveChecks, func(sc *serveCheck) bool { return sc.resolved })
 }
 
-func (v *Verifier) gcExpectations(receiver msg.NodeID) {
-	exps := v.expectations[receiver]
-	live := exps[:0]
-	for _, e := range exps {
-		if !e.satisfied {
-			live = append(live, e)
-		}
-	}
-	if len(live) == 0 {
-		delete(v.expectations, receiver)
-		return
-	}
-	v.expectations[receiver] = live
+func (v *Verifier) gcExpectations() {
+	v.expectations = slices.DeleteFunc(v.expectations, func(e *ackExpectation) bool { return e.satisfied })
 }
 
 // --- gossip.AuxHandler ---
@@ -264,17 +281,13 @@ func (v *Verifier) onAck(from msg.NodeID, ack *msg.Ack) {
 	if len(ack.Partners) < v.cfg.F {
 		v.blame(from, FanoutBlame(v.cfg.F, len(ack.Partners)), msg.ReasonFanoutDecrease)
 	}
-	acked := make(map[msg.ChunkID]bool, len(ack.Chunks))
-	for _, c := range ack.Chunks {
-		acked[c] = true
-	}
-	for _, exp := range v.expectations[from] {
-		if exp.satisfied {
+	for _, exp := range v.expectations {
+		if exp.satisfied || exp.receiver != from {
 			continue
 		}
 		covered := true
 		for _, c := range exp.chunks {
-			if !acked[c] {
+			if !slices.Contains(ack.Chunks, c) {
 				covered = false
 				break
 			}
@@ -290,7 +303,7 @@ func (v *Verifier) onAck(from msg.NodeID, ack *msg.Ack) {
 			v.startConfirmSession(from, ack, exp.chunks)
 		}
 	}
-	v.gcExpectations(from)
+	v.gcExpectations()
 }
 
 func (v *Verifier) startConfirmSession(suspect msg.NodeID, ack *msg.Ack, chunks []msg.ChunkID) {
@@ -300,28 +313,18 @@ func (v *Verifier) startConfirmSession(suspect msg.NodeID, ack *msg.Ack, chunks 
 		// batch covered by the same ack shares the same testimony.
 		return
 	}
-	s := &confirmSession{
-		witnesses: ack.Partners,
-		positive:  make(map[msg.NodeID]bool, len(ack.Partners)),
-	}
+	s := &confirmSession{witnesses: ack.Partners, silent: fullMarks(len(ack.Partners))}
 	v.sessions[key] = s
+	// Every witness is asked the same question: one message, read-only once
+	// sent, serves them all.
+	confirm := &msg.Confirm{Sender: v.self, Suspect: suspect, Period: ack.Period, Chunks: chunks}
 	for _, w := range ack.Partners {
-		v.netw.Send(v.self, w, &msg.Confirm{
-			Sender:  v.self,
-			Suspect: suspect,
-			Period:  ack.Period,
-			Chunks:  chunks,
-		}, net.Unreliable)
+		v.netw.Send(v.self, w, confirm, net.Unreliable)
 	}
 	v.ctx.After(v.cfg.ConfirmTimeout, func() {
 		s.closed = true
-		contradictions := 0
-		for _, w := range s.witnesses {
-			if !s.positive[w] {
-				contradictions++
-			}
-		}
-		v.blame(suspect, ContradictionBlame(contradictions), msg.ReasonPartialPropose)
+		// A witness that said no and one that said nothing both contradict.
+		v.blame(suspect, ContradictionBlame(s.silent.count()), msg.ReasonPartialPropose)
 		delete(v.sessions, key)
 	})
 }
@@ -346,7 +349,12 @@ func (v *Verifier) onConfirmResp(from msg.NodeID, r *msg.ConfirmResp) {
 		return
 	}
 	if r.Confirmed {
-		s.positive[from] = true
+		// A witness claimed more than once is every one of its positions.
+		for i, w := range s.witnesses {
+			if w == from {
+				s.silent.clear(i)
+			}
+		}
 	}
 }
 

@@ -266,13 +266,14 @@ func TestWitnessDutyAnswersFromHistory(t *testing.T) {
 
 func TestAckDutySendsAcks(t *testing.T) {
 	r := newRig(t, testCfg(), gossip.Honest{})
-	servers := map[msg.NodeID][]msg.ChunkID{
-		2: {10, 11},
-		3: {12},
+	servers := []msg.ServeRecord{
+		{Period: 3, Server: 2, Chunks: []msg.ChunkID{10, 11}},
+		{Period: 3, Server: 3, Chunks: []msg.ChunkID{12}},
 	}
 	r.v.OnProposePhase(4, []msg.NodeID{5, 6, 7}, []msg.ChunkID{10, 11, 12}, servers)
 	r.eng.Run(time.Second)
-	for server, chunks := range servers {
+	for _, s := range servers {
+		server, chunks := s.Server, s.Chunks
 		var ack *msg.Ack
 		for _, m := range r.sent[server] {
 			if a, ok := m.(*msg.Ack); ok {
@@ -381,5 +382,75 @@ func TestSpamBlamesRoutedAtProposePhase(t *testing.T) {
 	h.v.OnProposePhase(1, nil, nil, nil)
 	if len(h.sink.blames) != 0 {
 		t.Fatalf("honest propose phase emitted blames: %+v", h.sink.blames)
+	}
+}
+
+func TestMarksSpillBeyondOneWord(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200} {
+		m := fullMarks(n)
+		if m.count() != n {
+			t.Fatalf("fullMarks(%d) marks %d positions", n, m.count())
+		}
+		for i := 0; i < n; i++ {
+			if !m.has(i) {
+				t.Fatalf("fullMarks(%d) lacks position %d", n, i)
+			}
+			m.clear(i)
+			if m.has(i) || m.count() != n-i-1 {
+				t.Fatalf("fullMarks(%d): clearing %d left %d marked", n, i, m.count())
+			}
+		}
+	}
+}
+
+func TestDirectVerificationOfALongRequest(t *testing.T) {
+	// 100 chunks requested, all but three served: the check spans two words.
+	r := newRig(t, testCfg(), gossip.Honest{})
+	requested := make([]msg.ChunkID, 100)
+	for i := range requested {
+		requested[i] = msg.ChunkID(1000 + i)
+	}
+	r.v.OnRequestSent(2, 1, requested)
+	for i, c := range requested {
+		if i != 5 && i != 64 && i != 99 {
+			r.v.OnServeReceived(2, c)
+			r.v.OnServeReceived(2, c) // a second copy clears nothing more
+		}
+	}
+	r.eng.Run(time.Second)
+	want := PartialServeBlame(3, 100, 97)
+	if got := r.sink.total(msg.ReasonPartialServe); got != want {
+		t.Fatalf("partial-serve blame = %v, want %v", got, want)
+	}
+}
+
+func TestWitnessNamedTwiceAnswersForBothPlaces(t *testing.T) {
+	// A man-in-the-middle ack may name one colluder several times: its one
+	// confirmation covers every place it holds in the list.
+	r := newRig(t, testCfg(), gossip.Honest{})
+	r.v.OnServed(2, 1, []msg.ChunkID{20})
+	r.v.HandleAux(2, &msg.Ack{Sender: 2, Period: 5, Chunks: []msg.ChunkID{20}, Partners: []msg.NodeID{3, 4, 3}})
+	r.eng.After(10*time.Millisecond, func() {
+		r.v.HandleAux(3, &msg.ConfirmResp{Sender: 3, Suspect: 2, Period: 5, Confirmed: true})
+	})
+	r.eng.Run(time.Second)
+	if got := r.sink.total(msg.ReasonPartialPropose); got != 1 {
+		t.Fatalf("contradiction blame = %v, want 1 (only witness 4 silent)", got)
+	}
+	// All three confirms are the same message.
+	var first *msg.Confirm
+	for _, w := range []msg.NodeID{3, 4} {
+		for _, m := range r.sent[w] {
+			if c, ok := m.(*msg.Confirm); ok {
+				if first == nil {
+					first = c
+				} else if c != first {
+					t.Fatal("witnesses were sent different Confirm messages")
+				}
+			}
+		}
+	}
+	if first == nil {
+		t.Fatal("no confirm sent")
 	}
 }

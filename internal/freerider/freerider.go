@@ -65,20 +65,19 @@ func (d Degree) Fanout(f int) int {
 
 // FilterProposal implements gossip.Behavior: drop each server's chunks with
 // probability δ2.
-func (d Degree) FilterProposal(s *rng.Stream, chunks []msg.ChunkID, originOf func(msg.ChunkID) msg.NodeID) []msg.ChunkID {
+func (d Degree) FilterProposal(s *rng.Stream, chunks []msg.ChunkID, origins []msg.NodeID) []msg.ChunkID {
 	if d.Delta2 <= 0 {
 		return chunks
 	}
 	dropped := make(map[msg.NodeID]bool)
-	decided := make(map[msg.NodeID]bool)
 	out := make([]msg.ChunkID, 0, len(chunks))
-	for _, c := range chunks {
-		server := originOf(c)
-		if !decided[server] {
-			decided[server] = true
-			dropped[server] = s.Bernoulli(d.Delta2)
+	for i, c := range chunks {
+		drop, decided := dropped[origins[i]]
+		if !decided {
+			drop = s.Bernoulli(d.Delta2)
+			dropped[origins[i]] = drop
 		}
-		if !dropped[server] {
+		if !drop {
 			out = append(out, c)
 		}
 	}

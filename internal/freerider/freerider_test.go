@@ -45,8 +45,8 @@ func TestDegreeGain(t *testing.T) {
 func TestDegreeFilterProposalDropsWholeServers(t *testing.T) {
 	// δ2 = 1 drops everything; chunks from the same server drop together.
 	s := rng.New(1)
-	origin := func(c msg.ChunkID) msg.NodeID { return msg.NodeID(c % 3) }
 	chunks := []msg.ChunkID{0, 1, 2, 3, 4, 5}
+	origin := []msg.NodeID{0, 1, 2, 0, 1, 2}
 	d := Degree{Delta2: 1}
 	if out := d.FilterProposal(s, chunks, origin); len(out) != 0 {
 		t.Fatalf("δ2=1 kept %v", out)
@@ -72,10 +72,10 @@ func TestDegreeFilterProposalDropsWholeServers(t *testing.T) {
 
 func TestDegreeFilterProposalRate(t *testing.T) {
 	s := rng.New(2)
-	origin := func(c msg.ChunkID) msg.NodeID { return msg.NodeID(c) } // all distinct servers
 	chunks := make([]msg.ChunkID, 1000)
+	origin := make([]msg.NodeID, len(chunks)) // all distinct servers
 	for i := range chunks {
-		chunks[i] = msg.ChunkID(i)
+		chunks[i], origin[i] = msg.ChunkID(i), msg.NodeID(i)
 	}
 	d := Degree{Delta2: 0.3}
 	kept := len(d.FilterProposal(s, chunks, origin))

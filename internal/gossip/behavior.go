@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"slices"
+
 	"lifting/internal/membership"
 	"lifting/internal/msg"
 	"lifting/internal/rng"
@@ -22,11 +24,12 @@ type Behavior interface {
 	SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int) []msg.NodeID
 
 	// FilterProposal returns the chunks actually advertised out of those
-	// received in the last period (attack ii of §4.1: partial propose).
-	// originOf reports which node served each chunk — the footnote in
-	// §6.3.1 notes a freerider drops chunks from whole sources to minimize
-	// the number of blaming servers.
-	FilterProposal(s *rng.Stream, chunks []msg.ChunkID, originOf func(msg.ChunkID) msg.NodeID) []msg.ChunkID
+	// received in the last period, in the same order (attack ii of §4.1:
+	// partial propose). origins[i] is the node that served chunks[i] — the
+	// footnote in §6.3.1 notes a freerider drops chunks from whole sources
+	// to minimize the number of blaming servers. origins is only good
+	// during the call.
+	FilterProposal(s *rng.Stream, chunks []msg.ChunkID, origins []msg.NodeID) []msg.ChunkID
 
 	// FilterServe returns the chunks actually served out of those validly
 	// requested (attack i of §4.3: partial serve).
@@ -91,7 +94,7 @@ func (Honest) SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.
 }
 
 // FilterProposal implements Behavior: propose everything received.
-func (Honest) FilterProposal(_ *rng.Stream, chunks []msg.ChunkID, _ func(msg.ChunkID) msg.NodeID) []msg.ChunkID {
+func (Honest) FilterProposal(_ *rng.Stream, chunks []msg.ChunkID, _ []msg.NodeID) []msg.ChunkID {
 	return chunks
 }
 
@@ -105,20 +108,21 @@ func (Honest) PeriodFactor() float64 { return 1 }
 
 // AckChunks implements Behavior: acknowledge what was proposed.
 func (Honest) AckChunks(received, proposed []msg.ChunkID) []msg.ChunkID {
-	if len(received) == len(proposed) {
-		return received
-	}
-	set := make(map[msg.ChunkID]bool, len(proposed))
-	for _, c := range proposed {
-		set[c] = true
-	}
-	out := make([]msg.ChunkID, 0, len(received))
-	for _, c := range received {
-		if set[c] {
-			out = append(out, c)
+	// A proposal is a period's worth of chunks: scanning it beats building
+	// a set of it, and an honest node proposed all it received.
+	for i, c := range received {
+		if slices.Contains(proposed, c) {
+			continue
 		}
+		out := append(make([]msg.ChunkID, 0, len(received)-1), received[:i]...)
+		for _, c := range received[i+1:] {
+			if slices.Contains(proposed, c) {
+				out = append(out, c)
+			}
+		}
+		return out
 	}
-	return out
+	return received
 }
 
 // AckPartners implements Behavior: report the real partners.
@@ -142,9 +146,12 @@ func (Honest) SpamBlames(*rng.Stream) []Accusation { return nil }
 // dissemination protocol.
 type Monitor interface {
 	// OnProposePhase fires after a propose phase: partners were sent the
-	// proposed chunks; serversLastPeriod maps each server of the previous
-	// period to the chunks it delivered (the ack duty input, §5.2).
-	OnProposePhase(p msg.Period, partners []msg.NodeID, proposed []msg.ChunkID, serversLastPeriod map[msg.NodeID][]msg.ChunkID)
+	// proposed chunks; serversLastPeriod names, in server order, each server
+	// of the previous period and the chunks it delivered (the ack duty
+	// input, §5.2). The records are only good during the call; the chunk
+	// lists they hold may be kept, and like every list handed to a monitor
+	// must not be written to.
+	OnProposePhase(p msg.Period, partners []msg.NodeID, proposed []msg.ChunkID, serversLastPeriod []msg.ServeRecord)
 	// OnRequestSent fires when the node requests chunks from a proposer
 	// (starts the direct verification of §5.2: requested chunks must
 	// arrive).
@@ -167,8 +174,7 @@ type NopMonitor struct{}
 var _ Monitor = NopMonitor{}
 
 // OnProposePhase implements Monitor.
-func (NopMonitor) OnProposePhase(msg.Period, []msg.NodeID, []msg.ChunkID, map[msg.NodeID][]msg.ChunkID) {
-}
+func (NopMonitor) OnProposePhase(msg.Period, []msg.NodeID, []msg.ChunkID, []msg.ServeRecord) {}
 
 // OnRequestSent implements Monitor.
 func (NopMonitor) OnRequestSent(msg.NodeID, msg.Period, []msg.ChunkID) {}

@@ -36,8 +36,11 @@ func TestHonestTruthfulAtEveryDecisionPoint(t *testing.T) {
 		for i := range chunks {
 			chunks[i] = msg.ChunkID(s.IntN(1000))
 		}
-		originOf := func(c msg.ChunkID) msg.NodeID { return msg.NodeID(c % 7) }
-		if got := h.FilterProposal(s, chunks, originOf); !slices.Equal(got, chunks) {
+		origins := make([]msg.NodeID, len(chunks))
+		for i, c := range chunks {
+			origins[i] = msg.NodeID(c % 7)
+		}
+		if got := h.FilterProposal(s, chunks, origins); !slices.Equal(got, chunks) {
 			return false
 		}
 		if got := h.FilterServe(s, chunks); !slices.Equal(got, chunks) {

@@ -10,8 +10,9 @@
 package gossip
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lifting/internal/content"
@@ -109,50 +110,38 @@ type Node struct {
 
 	period  msg.Period
 	stopped bool
+	// phaseFn is proposePhase as a value, made once: every period hands it
+	// to the timer again.
+	phaseFn func()
 
-	have map[msg.ChunkID]bool
-	// requestedFrom records every server a chunk was requested from, so
-	// that serves are only accepted from nodes that proposed the chunk;
-	// lastRequest lets a node re-request a chunk from a later proposal when
-	// the serve was lost (the protocol runs over UDP).
-	requestedFrom map[msg.ChunkID]map[msg.NodeID]bool
-	lastRequest   map[msg.ChunkID]time.Duration
-	originOf      map[msg.ChunkID]msg.NodeID // chunk → server that delivered it
-	pending       []msg.ChunkID              // received since last propose phase
+	have     haveSet
+	wants    wantTable
+	askLimit int // askLimitFor(cfg)
 
-	// faninAccum groups chunks received in the current period by server;
-	// flushed into the history as one fanin record per server per period.
-	faninAccum map[msg.NodeID][]msg.ChunkID
+	// pending are the chunks received since the last propose phase, in
+	// arrival order: the next proposal. pendingFrom names the server of each
+	// (0 for an injected chunk); it is scratch, reused every period.
+	pending     []msg.ChunkID
+	pendingFrom []msg.NodeID
+	// proposed is the size of the last proposal, the size pending starts at.
+	proposed int
 
-	// outProposals tracks the last proposal sent to each partner so that
-	// requests can be validated (nodes only serve chunks in P ∩ R, §3).
-	outProposals map[msg.NodeID]*outProposal
+	// fanin logs the serves accepted in the current period in arrival order;
+	// a propose phase groups it by server into servers, one fanin record per
+	// server per period. Both are scratch, reused every period.
+	fanin   []arrival
+	servers []msg.ServeRecord
 
-	// offers remembers which other nodes proposed a still-missing chunk, so
-	// a lost request or serve can be recovered by re-requesting elsewhere.
-	offers  map[msg.ChunkID][]offer
-	retries map[msg.ChunkID]int
+	// phases is the ring of the last nh propose phases, so that requests can
+	// be validated (nodes only serve chunks in P ∩ R, §3). Period p lives in
+	// phases[p%nh]; the ring is made by the first proposal.
+	phases []phase
 }
 
-type outProposal struct {
-	period msg.Period
-	chunks map[msg.ChunkID]bool
-	// consumed marks chunks already requested from this proposal: each
-	// chunk is served at most once per proposal.
-	consumed map[msg.ChunkID]bool
+type arrival struct {
+	server msg.NodeID
+	chunk  msg.ChunkID
 }
-
-type offer struct {
-	from   msg.NodeID
-	period msg.Period
-}
-
-// maxRetries bounds per-chunk recovery attempts; maxOffers bounds the
-// remembered alternatives.
-const (
-	maxRetries = 3
-	maxOffers  = 8
-)
 
 // NewNode creates a node. It panics if cfg is invalid (programmer error);
 // use cfg.Validate to check configurations from external input.
@@ -172,19 +161,17 @@ func NewNode(id msg.NodeID, cfg Config, deps Deps) *Node {
 	if cfg.RequestRetry == 0 {
 		cfg.RequestRetry = cfg.Period / 2
 	}
-	return &Node{
-		id:            id,
-		cfg:           cfg,
-		deps:          deps,
-		have:          make(map[msg.ChunkID]bool),
-		requestedFrom: make(map[msg.ChunkID]map[msg.NodeID]bool),
-		lastRequest:   make(map[msg.ChunkID]time.Duration),
-		originOf:      make(map[msg.ChunkID]msg.NodeID),
-		faninAccum:    make(map[msg.NodeID][]msg.ChunkID),
-		outProposals:  make(map[msg.NodeID]*outProposal),
-		offers:        make(map[msg.ChunkID][]offer),
-		retries:       make(map[msg.ChunkID]int),
+	limit := wantCapFor(cfg)
+	n := &Node{
+		id:       id,
+		cfg:      cfg,
+		deps:     deps,
+		have:     haveSet{horizon: limit},
+		wants:    newWantTable(limit),
+		askLimit: askLimitFor(cfg),
 	}
+	n.phaseFn = n.proposePhase
+	return n
 }
 
 // ID returns the node id.
@@ -200,14 +187,14 @@ func (n *Node) Period() msg.Period { return n.period }
 func (n *Node) Behavior() Behavior { return n.deps.Behavior }
 
 // Have reports whether the node holds chunk c.
-func (n *Node) Have(c msg.ChunkID) bool { return n.have[c] }
+func (n *Node) Have(c msg.ChunkID) bool { return n.have.has(c) }
 
 // ChunkCount returns the number of distinct chunks held.
-func (n *Node) ChunkCount() int { return len(n.have) }
+func (n *Node) ChunkCount() int { return n.have.count }
 
 // Start schedules the periodic propose phases. Call once.
 func (n *Node) Start() {
-	n.deps.Ctx.After(n.cfg.StartOffset, n.proposePhase)
+	n.deps.Ctx.After(n.cfg.StartOffset, n.phaseFn)
 }
 
 // Stop halts the node: no further phases run and incoming messages are
@@ -221,25 +208,34 @@ func (n *Node) Stopped() bool { return n.stopped }
 // The stream source uses this to introduce fresh chunks; they are proposed
 // in the next propose phase.
 func (n *Node) InjectChunk(c msg.ChunkID) {
-	if n.have[c] {
+	if n.have.has(c) {
 		return
 	}
-	n.have[c] = true
-	n.pending = append(n.pending, c)
+	n.hold(c, 0)
 }
 
 // InjectChunkData hands the node a chunk together with its canonical payload
 // bytes: the stream source's entry point under the content plane. The
 // payload slice is retained by the store, not copied.
 func (n *Node) InjectChunkData(c msg.ChunkID, payload []byte, hash uint64) {
-	if n.have[c] {
+	if n.have.has(c) {
 		return
 	}
 	if n.deps.Store != nil {
 		n.deps.Store.Put(c, payload, hash)
 	}
-	n.have[c] = true
+	n.hold(c, 0)
+}
+
+// hold marks c held and queues it for the next proposal; from is the node
+// that served it.
+func (n *Node) hold(c msg.ChunkID, from msg.NodeID) {
+	n.have.add(c)
+	if n.pending == nil {
+		n.pending = make([]msg.ChunkID, 0, max(n.proposed, 1))
+	}
 	n.pending = append(n.pending, c)
+	n.pendingFrom = append(n.pendingFrom, from)
 }
 
 // Store returns the node's chunk store (nil in modelled-only runs).
@@ -251,48 +247,63 @@ func (n *Node) proposePhase() {
 		return
 	}
 	n.period++
-
-	// Flush last period's fanin into the accountability log, and keep the
-	// grouping for the ack duty (§5.2). Iterate servers in sorted order so
-	// runs are reproducible.
-	serversLast := n.faninAccum
-	n.faninAccum = make(map[msg.NodeID][]msg.ChunkID)
-	for _, server := range sortedNodeKeys(serversLast) {
-		n.deps.History.RecordServeReceived(n.period-1, server, serversLast[server])
+	nh := msg.Period(n.cfg.HistoryPeriods)
+	n.wants.expire(n.period, nh)
+	if n.phases != nil {
+		// The phase nh periods back leaves the ring.
+		n.phases[n.period%nh].period = 0
 	}
 
-	proposal := n.pending
-	n.pending = nil
+	// Flush last period's fanin into the accountability log, and keep the
+	// grouping for the ack duty (§5.2).
+	serversLast := n.groupFanin()
+	for _, s := range serversLast {
+		n.deps.History.RecordServeReceived(s.Period, s.Server, s.Chunks)
+	}
+
+	proposal, from := n.pending, n.pendingFrom
+	n.pending, n.pendingFrom, n.proposed = nil, n.pendingFrom[:0], len(proposal)
 
 	b := n.deps.Behavior
 	var partners []msg.NodeID
 	var advertised []msg.ChunkID
 	if len(proposal) > 0 {
-		advertised = b.FilterProposal(n.deps.Rand, proposal, func(c msg.ChunkID) msg.NodeID {
-			return n.originOf[c]
-		})
+		advertised = b.FilterProposal(n.deps.Rand, proposal, from)
+		// Everyone the list is handed to from here on only reads it.
+		advertised = slices.Clip(advertised)
 		if len(advertised) > 0 {
 			count := b.Fanout(n.cfg.F)
 			partners = b.SelectPartners(n.deps.Rand, n.deps.Dir, n.id, count)
-			for _, p := range partners {
-				origins := make([]msg.NodeID, len(advertised))
-				for i, c := range advertised {
-					origins[i] = b.ClaimedOrigin(n.originOf[c])
+		}
+	}
+	if len(partners) > 0 {
+		// One message for the whole fan-out: a message is read-only once
+		// sent. A partner gets its own only when the behavior claims other
+		// origins to it (the draws are made per partner, per chunk).
+		origins := originsOf(advertised, proposal, from)
+		shared := &msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: origins}
+		for _, p := range partners {
+			m := shared
+			var claimed []msg.NodeID
+			for i, o := range origins {
+				co := b.ClaimedOrigin(o)
+				if co != o && claimed == nil {
+					claimed = slices.Clone(origins)
 				}
-				n.deps.Net.Send(n.id, p, &msg.Propose{
-					Sender:  n.id,
-					Period:  n.period,
-					Chunks:  advertised,
-					Origins: origins,
-				}, net.Unreliable)
-				n.deps.History.RecordProposalSent(n.period, p, advertised)
-				n.outProposals[p] = &outProposal{
-					period:   n.period,
-					chunks:   chunkSet(advertised),
-					consumed: make(map[msg.ChunkID]bool),
+				if claimed != nil {
+					claimed[i] = co
 				}
 			}
+			if claimed != nil {
+				m = &msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: claimed}
+			}
+			n.deps.Net.Send(n.id, p, m, net.Unreliable)
+			n.deps.History.RecordProposalSent(n.period, p, advertised)
 		}
+		if n.phases == nil {
+			n.phases = make([]phase, nh)
+		}
+		n.phases[n.period%nh].set(n.period, advertised, partners)
 	}
 
 	n.deps.Monitor.OnProposePhase(n.period, partners, advertised, serversLast)
@@ -304,7 +315,48 @@ func (n *Node) proposePhase() {
 	if next <= 0 {
 		next = n.cfg.Period
 	}
-	n.deps.Ctx.After(next, n.proposePhase)
+	n.deps.Ctx.After(next, n.phaseFn)
+}
+
+// groupFanin turns the period's arrival log into one record per server, in
+// server order, each with its chunks in arrival order. The records are
+// scratch, good until the next call; the chunk lists are one fresh block
+// that whoever is handed them may keep.
+func (n *Node) groupFanin() []msg.ServeRecord {
+	n.servers = n.servers[:0]
+	if len(n.fanin) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(n.fanin, func(a, b arrival) int { return cmp.Compare(a.server, b.server) })
+	chunks := make([]msg.ChunkID, len(n.fanin))
+	start := 0
+	for i, a := range n.fanin {
+		chunks[i] = a.chunk
+		if i+1 == len(n.fanin) || n.fanin[i+1].server != a.server {
+			n.servers = append(n.servers, msg.ServeRecord{Period: n.period - 1, Server: a.server, Chunks: chunks[start : i+1 : i+1]})
+			start = i + 1
+		}
+	}
+	n.fanin = n.fanin[:0]
+	return n.servers
+}
+
+// originsOf returns the server of each advertised chunk, given the proposal
+// it was filtered from — a filter keeps the order — and the servers of that.
+// A chunk that is not of the proposal has origin 0.
+func originsOf(advertised, proposal []msg.ChunkID, from []msg.NodeID) []msg.NodeID {
+	origins := make([]msg.NodeID, len(advertised))
+	j := 0
+	for i, c := range advertised {
+		for j < len(proposal) && proposal[j] != c {
+			j++
+		}
+		if j < len(proposal) {
+			origins[i] = from[j]
+			j++
+		}
+	}
+	return origins
 }
 
 // HandleMessage implements net.Handler: the dissemination dispatch. Unknown
@@ -333,19 +385,25 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 	n.deps.History.RecordProposalReceived(n.period, from, m.Chunks)
 	now := n.deps.Ctx.Now()
 	var needed []msg.ChunkID
-	for _, c := range m.Chunks {
-		if n.have[c] {
+	for i, c := range m.Chunks {
+		if n.have.has(c) {
 			continue
 		}
 		// Remember the offer for loss recovery regardless of whether we
 		// request now.
-		if alts := n.offers[c]; len(alts) < maxOffers {
-			n.offers[c] = append(alts, offer{from: from, period: m.Period})
-		}
+		w := n.wants.obtain(c, n.period)
+		w.offer(from, m.Period)
 		// Skip chunks with an outstanding request that has not yet timed
 		// out; the retry timer recovers them if the serve never arrives.
-		if at, already := n.lastRequest[c]; already && now-at < n.cfg.RequestRetry {
+		if w.requested && now-w.lastRequest < n.cfg.RequestRetry {
 			continue
+		}
+		if needed == nil {
+			room := len(m.Chunks) - i
+			if n.cfg.MaxRequest > 0 {
+				room = min(room, n.cfg.MaxRequest)
+			}
+			needed = make([]msg.ChunkID, 0, room)
 		}
 		needed = append(needed, c)
 		if n.cfg.MaxRequest > 0 && len(needed) == n.cfg.MaxRequest {
@@ -362,13 +420,7 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 func (n *Node) sendRequest(to msg.NodeID, period msg.Period, chunks []msg.ChunkID) {
 	now := n.deps.Ctx.Now()
 	for _, c := range chunks {
-		set, ok := n.requestedFrom[c]
-		if !ok {
-			set = make(map[msg.NodeID]bool, 1)
-			n.requestedFrom[c] = set
-		}
-		set[to] = true
-		n.lastRequest[c] = now
+		n.wants.obtain(c, n.period).ask(to, now, n.askLimit)
 	}
 	n.deps.Net.Send(n.id, to, &msg.Request{Sender: n.id, Period: period, Chunks: chunks}, net.Unreliable)
 	n.deps.Monitor.OnRequestSent(to, period, chunks)
@@ -380,39 +432,36 @@ func (n *Node) sendRequest(to msg.NodeID, period msg.Period, chunks []msg.ChunkI
 
 // retry re-requests a still-missing chunk from an alternative proposer.
 func (n *Node) retry(c msg.ChunkID, lastServer msg.NodeID) {
-	if n.stopped || n.have[c] {
+	if n.stopped || n.have.has(c) {
 		return
 	}
-	if n.retries[c] >= maxRetries {
+	w := n.wants.get(c)
+	if w == nil || w.retries >= maxRetries {
 		return
 	}
-	var alt *offer
-	for i := range n.offers[c] {
-		o := &n.offers[c][i]
-		if o.from != lastServer && !n.requestedFrom[c][o.from] {
-			alt = o
-			break
+	for _, o := range w.offers[:w.nOffers] {
+		if o.from != lastServer && !w.askedFrom(o.from) {
+			w.retries++
+			n.sendRequest(o.from, o.period, []msg.ChunkID{c})
+			return
 		}
 	}
-	if alt == nil {
-		return
-	}
-	n.retries[c]++
-	n.sendRequest(alt.from, alt.period, []msg.ChunkID{c})
 }
 
 func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
-	op, ok := n.outProposals[from]
-	if !ok || op.period != m.Period {
+	ph, row := n.proposalTo(from, m.Period)
+	if ph == nil {
 		// Requests that do not correspond to a proposal are ignored (§4.2).
 		return
 	}
 	var valid []msg.ChunkID
 	for _, c := range m.Chunks {
-		if op.chunks[c] && !op.consumed[c] {
-			// Each chunk is served at most once per proposal, even across
-			// repeated requests.
-			op.consumed[c] = true
+		// Each chunk is served at most once per proposal, even across
+		// repeated requests.
+		if i := slices.Index(ph.advertised, c); i >= 0 && ph.consume(row, i) {
+			if valid == nil {
+				valid = make([]msg.ChunkID, 0, min(len(m.Chunks), len(ph.advertised)))
+			}
 			valid = append(valid, c)
 		}
 	}
@@ -444,8 +493,32 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 	}
 }
 
+// proposalTo returns the phase of the given period and partner's row in it,
+// if that phase is still in the ring and is the last one partner was
+// proposed to: a later proposal supersedes an earlier one.
+func (n *Node) proposalTo(partner msg.NodeID, period msg.Period) (*phase, int) {
+	nh := msg.Period(n.cfg.HistoryPeriods)
+	if n.phases == nil || period == 0 || period > n.period || n.period-period >= nh {
+		return nil, 0
+	}
+	ph := &n.phases[period%nh]
+	if ph.period != period {
+		return nil, 0
+	}
+	row := slices.Index(ph.partners, partner)
+	if row < 0 {
+		return nil, 0
+	}
+	for q := period + 1; q <= n.period; q++ {
+		if later := &n.phases[q%nh]; later.period == q && slices.Contains(later.partners, partner) {
+			return nil, 0
+		}
+	}
+	return ph, row
+}
+
 func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
-	if n.have[m.Chunk] {
+	if n.have.has(m.Chunk) {
 		// Pure redundancy on the wire: a second copy of a chunk this node
 		// already holds (a lost ack, overlapping proposals, a retry race).
 		if n.deps.Metrics != nil {
@@ -453,15 +526,16 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 		}
 		return
 	}
-	if !n.requestedFrom[m.Chunk][from] {
+	w := n.wants.get(m.Chunk)
+	if w == nil || !w.askedFrom(from) {
 		// Unsolicited serve; the protocol only accepts chunks in P ∩ R.
 		return
 	}
 	if n.deps.Store != nil {
 		if !content.Verify(m.Payload, m.Hash) {
 			// Missing or corrupted payload: reject before accepting, leaving
-			// lastRequest and the offer list intact so the armed retry timer
-			// re-requests the chunk from a different proposer.
+			// the want record intact so the armed retry timer re-requests the
+			// chunk from a different proposer.
 			if n.deps.Metrics != nil {
 				n.deps.Metrics.OnInvalidServe(n.id)
 			}
@@ -471,43 +545,17 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 		n.deps.Store.Put(m.Chunk, m.Payload, m.Hash)
 	}
 	if n.deps.Metrics != nil {
-		// lastRequest is about to be cleared below — read the latency now.
 		payloadBytes := m.PayloadSize
 		if m.Payload != nil {
 			payloadBytes = len(m.Payload)
 		}
-		n.deps.Metrics.OnUsefulChunk(n.id, n.deps.Ctx.Now()-n.lastRequest[m.Chunk], payloadBytes)
+		n.deps.Metrics.OnUsefulChunk(n.id, n.deps.Ctx.Now()-w.lastRequest, payloadBytes)
 	}
-	delete(n.requestedFrom, m.Chunk)
-	delete(n.lastRequest, m.Chunk)
-	delete(n.offers, m.Chunk)
-	delete(n.retries, m.Chunk)
-	n.have[m.Chunk] = true
-	n.originOf[m.Chunk] = from
-	n.pending = append(n.pending, m.Chunk)
-	n.faninAccum[from] = append(n.faninAccum[from], m.Chunk)
+	n.wants.release(w)
+	n.hold(m.Chunk, from)
+	n.fanin = append(n.fanin, arrival{server: from, chunk: m.Chunk})
 	if n.deps.OnChunk != nil {
 		n.deps.OnChunk(m.Chunk, n.deps.Ctx.Now())
 	}
 	n.deps.Monitor.OnServeReceived(from, m.Chunk)
-}
-
-// sortedNodeKeys returns the keys of m in ascending order, for
-// deterministic iteration.
-func sortedNodeKeys(m map[msg.NodeID][]msg.ChunkID) []msg.NodeID {
-	keys := make([]msg.NodeID, 0, len(m))
-	//lint:allow ordered-map-range collect-then-sort: this helper exists to produce the sorted order
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func chunkSet(chunks []msg.ChunkID) map[msg.ChunkID]bool {
-	s := make(map[msg.ChunkID]bool, len(chunks))
-	for _, c := range chunks {
-		s[c] = true
-	}
-	return s
 }

@@ -345,7 +345,7 @@ type recordingMonitor struct {
 	served        int
 }
 
-func (r *recordingMonitor) OnProposePhase(msg.Period, []msg.NodeID, []msg.ChunkID, map[msg.NodeID][]msg.ChunkID) {
+func (r *recordingMonitor) OnProposePhase(msg.Period, []msg.NodeID, []msg.ChunkID, []msg.ServeRecord) {
 	r.proposePhases++
 }
 func (r *recordingMonitor) OnRequestSent(msg.NodeID, msg.Period, []msg.ChunkID) { r.requests++ }

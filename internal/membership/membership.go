@@ -7,6 +7,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"lifting/internal/msg"
@@ -170,20 +171,16 @@ func (d *Directory) Sample(s *rng.Stream, k int, self msg.NodeID) []msg.NodeID {
 		return nil
 	}
 	out := make([]msg.NodeID, 0, k)
-	// Floyd's algorithm over the alive slice, skipping self by re-drawing:
-	// rejection is cheap because self occupies a single slot.
-	seen := make(map[int]struct{}, k+1)
-	if i, ok := d.aliveAt[self]; ok {
-		seen[i] = struct{}{}
-	}
+	// Draw slots of the alive slice, re-drawing self and repeats: rejection
+	// is cheap because k is a fanout, a handful against the population, and
+	// so is finding a repeat by scanning the picks made so far.
 	n := len(d.alive)
 	for len(out) < k {
-		i := s.IntN(n)
-		if _, dup := seen[i]; dup {
+		pick := d.alive[s.IntN(n)]
+		if pick == self || slices.Contains(out, pick) {
 			continue
 		}
-		seen[i] = struct{}{}
-		out = append(out, d.alive[i])
+		out = append(out, pick)
 	}
 	return out
 }

@@ -26,12 +26,14 @@ type SimNet struct {
 	engine    *sim.Engine
 	rand      *rng.Stream // parent of the per-node streams
 	collector *metrics.Collector
-	handlers  map[msg.NodeID]Handler
-	conds     map[msg.NodeID]*Conditions
 	defaults  Conditions
 
-	// Per-sender state. Only a node's own shard touches its slots during a
-	// window; the slices grow in Attach, which is global-phase work.
+	// Per-node state, indexed by node id. The slices grow, and handlers and
+	// conds are written, in Attach, SetConditions and SetDown only, which
+	// are global-phase work; during a window shards read handlers and conds
+	// and only a node's own shard touches its nodeRand and nodeUplink slots.
+	handlers   []Handler     // nil: detached, or never attached
+	conds      []*Conditions // nil: the defaults
 	nodeRand   []*rng.Stream
 	nodeUplink []time.Duration // uplink busy-until
 }
@@ -47,9 +49,17 @@ func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collecto
 		engine:    engine,
 		rand:      rand,
 		collector: collector,
-		handlers:  make(map[msg.NodeID]Handler),
-		conds:     make(map[msg.NodeID]*Conditions),
 		defaults:  defaults,
+	}
+}
+
+// grow makes room for node id in the per-node slices.
+func (n *SimNet) grow(id msg.NodeID) {
+	for len(n.handlers) <= int(id) {
+		n.handlers = append(n.handlers, nil)
+		n.conds = append(n.conds, nil)
+		n.nodeRand = append(n.nodeRand, nil)
+		n.nodeUplink = append(n.nodeUplink, 0)
 	}
 }
 
@@ -59,15 +69,14 @@ func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collecto
 // handler detaches the node.
 func (n *SimNet) Attach(id msg.NodeID, h Handler) {
 	if h == nil {
-		delete(n.handlers, id)
+		if int(id) < len(n.handlers) {
+			n.handlers[id] = nil
+		}
 		return
 	}
+	n.grow(id)
 	n.handlers[id] = h
 	n.engine.Domain(int(id))
-	for len(n.nodeRand) <= int(id) {
-		n.nodeRand = append(n.nodeRand, nil)
-		n.nodeUplink = append(n.nodeUplink, 0)
-	}
 	if n.nodeRand[id] == nil {
 		// Derivation hashes the parent seed with the id — independent of
 		// attach order, so churn joins stay deterministic.
@@ -77,16 +86,19 @@ func (n *SimNet) Attach(id msg.NodeID, h Handler) {
 
 // SetConditions overrides the connection quality of a node.
 func (n *SimNet) SetConditions(id msg.NodeID, c Conditions) {
-	cc := c
-	n.conds[id] = &cc
+	n.grow(id)
+	n.conds[id] = &c
 }
 
 // ConditionsOf returns the effective conditions of a node.
-func (n *SimNet) ConditionsOf(id msg.NodeID) Conditions {
-	if c, ok := n.conds[id]; ok {
-		return *c
+func (n *SimNet) ConditionsOf(id msg.NodeID) Conditions { return *n.cond(id) }
+
+// cond is ConditionsOf without the copy; the result is read-only.
+func (n *SimNet) cond(id msg.NodeID) *Conditions {
+	if int(id) < len(n.conds) && n.conds[id] != nil {
+		return n.conds[id]
 	}
-	return n.defaults
+	return &n.defaults
 }
 
 // SetDown marks a node as departed (true) or alive (false), preserving its
@@ -94,7 +106,7 @@ func (n *SimNet) ConditionsOf(id msg.NodeID) Conditions {
 func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 	c := n.ConditionsOf(id)
 	c.Down = down
-	n.conds[id] = &c
+	n.SetConditions(id, c)
 }
 
 // Send implements Network. The message is delivered through the event queue
@@ -107,8 +119,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	if n.collector != nil {
 		n.collector.OnSend(from, m, size)
 	}
-	src := n.ConditionsOf(from)
-	dst := n.ConditionsOf(to)
+	src, dst := n.cond(from), n.cond(to)
 	if src.Down || dst.Down || Partitioned(src.PartitionGroup, dst.PartitionGroup) {
 		n.drop(m, size)
 		return
@@ -166,8 +177,11 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 // arrival, exactly as the closure-based path did.
 func (n *SimNet) Deliver(from, to int32, payload any, size int32) {
 	m := payload.(msg.Message)
-	h, ok := n.handlers[msg.NodeID(to)]
-	if !ok || n.ConditionsOf(msg.NodeID(to)).Down {
+	var h Handler
+	if int(to) < len(n.handlers) {
+		h = n.handlers[to]
+	}
+	if h == nil || n.cond(msg.NodeID(to)).Down {
 		n.drop(m, int(size))
 		return
 	}

@@ -318,3 +318,36 @@ func TestTrafficConservation(t *testing.T) {
 		}
 	}
 }
+
+// The per-node tables are indexed by id and grown by whoever mentions an id
+// first; a detached node keeps its slot, empty, and its conditions.
+func TestDetachAndConditionsBeforeAttach(t *testing.T) {
+	eng, n, col := newNet(t, Uniform(0, time.Millisecond))
+	n.SetConditions(40, Conditions{LatencyBase: 8 * time.Millisecond})
+	if got := n.ConditionsOf(40).LatencyBase; got != 8*time.Millisecond {
+		t.Fatalf("conditions set before attach read back as %v", got)
+	}
+	if got := n.ConditionsOf(41).LatencyBase; got != time.Millisecond {
+		t.Fatalf("a node in the grown range without conditions of its own has %v, want the default", got)
+	}
+	rx := &capture{}
+	n.Attach(40, rx)
+	n.Send(1, 40, &msg.ScoreReq{Sender: 1, Target: 40}, Unreliable)
+	eng.RunAll()
+	if len(rx.msgs) != 1 {
+		t.Fatalf("attached node received %d messages, want 1", len(rx.msgs))
+	}
+	n.Attach(40, nil)
+	n.Attach(1000, nil) // detaching a node never heard of is a no-op
+	n.Send(1, 40, &msg.ScoreReq{Sender: 1, Target: 40}, Unreliable)
+	eng.RunAll()
+	if len(rx.msgs) != 1 || col.Dropped(msg.KindScoreReq) != 1 {
+		t.Fatalf("detached node: %d received, %d dropped; want 1, 1", len(rx.msgs), col.Dropped(msg.KindScoreReq))
+	}
+	// A detached node may still send: it stays registered.
+	n.Send(40, 1, &msg.ScoreReq{Sender: 40, Target: 1}, Unreliable)
+	n.SetDown(40, true)
+	if c := n.ConditionsOf(40); !c.Down || c.LatencyBase != 8*time.Millisecond {
+		t.Fatalf("SetDown lost the node's other conditions: %+v", c)
+	}
+}

@@ -61,11 +61,16 @@ func (b *Board) Period() msg.Period { return b.period }
 
 // Join starts tracking id as of the board's current period. Joining an
 // already-tracked node is a no-op.
-func (b *Board) Join(id msg.NodeID) {
-	if _, ok := b.entries[id]; ok {
-		return
+func (b *Board) Join(id msg.NodeID) { b.entry(id) }
+
+// entry returns id's entry, tracking id as of the current period if needed.
+func (b *Board) entry(id msg.NodeID) *Entry {
+	e, ok := b.entries[id]
+	if !ok {
+		e = &Entry{JoinPeriod: b.period}
+		b.entries[id] = e
 	}
-	b.entries[id] = &Entry{JoinPeriod: b.period}
+	return e
 }
 
 // Tracked reports whether id is tracked.
@@ -76,8 +81,7 @@ func (b *Board) Tracked(id msg.NodeID) bool {
 
 // AddBlame applies a blame value to target, tracking it first if needed.
 func (b *Board) AddBlame(target msg.NodeID, value float64) {
-	b.Join(target)
-	b.entries[target].TotalBlame += value
+	b.entry(target).TotalBlame += value
 }
 
 // TotalBlame returns the raw accumulated blame of target.
@@ -120,8 +124,7 @@ func (b *Board) Score(target msg.NodeID) float64 {
 // MarkExpelled flags target as expelled with the given reason and reports
 // whether this was the first expulsion. Untracked targets are joined first.
 func (b *Board) MarkExpelled(target msg.NodeID, reason msg.BlameReason) bool {
-	b.Join(target)
-	e := b.entries[target]
+	e := b.entry(target)
 	if e.Expelled {
 		return false
 	}
