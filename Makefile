@@ -19,14 +19,16 @@ lint:
 	$(GO) run ./cmd/lifting-lint ./...
 
 # The concurrent half of the runtime seam (the UDP transport and the cluster
-# assembled on it) under the race detector, plus the reputation substrate (manager boards are hit from node goroutines
-# while the harness ticks periods and hands state off), the
-# discrete-event engine (node events run on shard goroutines inside
-# lookahead windows — its one layout, whatever the shard count), the
-# metrics collector (striped atomic counters
-# hammered from sender goroutines while scrapers render the exposition)
-# and the content plane (chunk stores and the HTTP gateway serve shared
-# payload slices to concurrent readers).
+# assembled on it) under the race detector, plus the reputation substrate
+# (manager boards are hit from node goroutines while the harness ticks
+# periods and hands state off), the discrete-event engine (node events run
+# on shard goroutines inside lookahead windows — its one layout, whatever the
+# shard count — and cross shards by value, through outboxes the coordinator
+# merges at the barrier), the metrics collector (striped atomic counters
+# hammered from sender goroutines, a first-seen node's slot installed in
+# place under them, while scrapers render the exposition) and the content
+# plane (chunk stores and the HTTP gateway serve shared payload slices to
+# concurrent readers).
 race:
 	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
 
@@ -49,10 +51,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 30 benchmark/out/sim_scale/cpu.pprof
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects benchmark/out/sim_scale/heap.pprof
 
-# Extended fuzzing of the network-facing decoder (the committed seed corpus
-# replays on every plain `go test`).
+# Extended fuzzing of the network-facing decoder and of the engine's event
+# queue against a sorted reference (the committed seed corpora replay on
+# every plain `go test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 60s ./internal/msg/
+	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 60s ./internal/sim/
 
 fmt:
 	gofmt -l .

@@ -88,7 +88,7 @@ var suites = []suite{
 	{pkg: "./internal/metrics/", pattern: "BenchmarkMetricsHotPath$|BenchmarkMetricsHotPathParallel$", benchtime: "2000000x"},
 	{pkg: "./internal/membership/", pattern: "BenchmarkManagers$|BenchmarkManagersUncached$", benchtime: "200000x"},
 	{pkg: "./internal/reputation/", pattern: "BenchmarkClientFlush$", benchtime: "5000x"},
-	{pkg: "./internal/sim/", pattern: "BenchmarkEngineSharded$", benchtime: "2000000x"},
+	{pkg: "./internal/sim/", pattern: "BenchmarkEngineTraffic$", benchtime: "2000000x"},
 	{pkg: "./internal/experiment/", pattern: "BenchmarkRegistryDispatch$|BenchmarkResultJSONEncode$", benchtime: "2000x"},
 	{pkg: "./", pattern: "BenchmarkFig10WrongfulBlames$|BenchmarkFig10WrongfulBlamesSerial$|BenchmarkFig11ScoreSeparation$|BenchmarkFig11ScoreSeparationSerial$|BenchmarkChurn$|BenchmarkMatrix$|BenchmarkScale10k$", benchtime: "1x"},
 }

@@ -23,7 +23,7 @@ const kindSlots = int(msg.KindAuditPollResp) + 1
 // all contend on one cache line. Must be a power of two.
 const numStripes = 8
 
-// maxDense bounds the copy-on-write dense per-node slice. IDs at or above it
+// maxDense bounds the dense per-node table. IDs at or above it
 // (notably msg.NoNode = 0xFFFFFFFF) fall back to a mutex-guarded map so a
 // stray huge ID cannot allocate gigabytes.
 const maxDense = 1 << 22
@@ -81,19 +81,22 @@ func (n *nodeCounters) snapshot() PerNode {
 // path (OnSend/OnDeliver/OnDrop/OnDuplicateChunk/OnUsefulChunk) is
 // allocation-free and lock-free after a node's first message: per-kind
 // counters are striped atomics indexed by sender, per-node counters live in
-// a copy-on-write dense slice reached through an atomic pointer. Atomic adds
-// commute, so cumulative counts read at a sharded-engine barrier are
+// a dense table of atomic slots reached through an atomic pointer. Atomic
+// adds commute, so cumulative counts read at a sharded-engine barrier are
 // byte-identical regardless of shard or worker count.
 //
 // The zero value is not usable; create one with NewCollector.
 type Collector struct {
 	stripes [numStripes]kindStripe
 
-	// nodes is the dense per-node table: an atomically published slice
-	// indexed by NodeID. Readers load the pointer and index; growth and
-	// slot installation happen under growMu, republishing a longer slice
-	// that shares the existing *nodeCounters entries.
-	nodes  atomic.Pointer[[]*nodeCounters]
+	// nodes is the dense per-node table: an atomically published slice of
+	// atomic slots indexed by NodeID. Readers load the pointer, index and
+	// load the slot. Under growMu a first-seen node is installed in place in
+	// the newest table, and only an id beyond it republishes a table — twice
+	// as long, sharing the existing *nodeCounters entries — so registering N
+	// nodes costs O(N) bytes. A reader still holding a superseded table
+	// misses what was installed after it and finds it through nodeSlow.
+	nodes  atomic.Pointer[[]atomic.Pointer[nodeCounters]]
 	growMu sync.Mutex
 	// sparse catches IDs >= maxDense (msg.NoNode in particular).
 	sparse map[msg.NodeID]*nodeCounters
@@ -135,8 +138,7 @@ func NewCollector() *Collector {
 		blamesIssued: make(map[string]*atomic.Uint64),
 		ServeLatency: NewHistogram(HistogramBuckets),
 	}
-	empty := make([]*nodeCounters, 0)
-	c.nodes.Store(&empty)
+	c.nodes.Store(new([]atomic.Pointer[nodeCounters]))
 	return c
 }
 
@@ -153,17 +155,21 @@ func (c *Collector) stripe(id msg.NodeID) *kindStripe {
 }
 
 // node returns the counters for id, installing them on first sight. The fast
-// path is one atomic pointer load plus a bounds check.
+// path is the table load, a bounds check and the slot load.
 func (c *Collector) node(id msg.NodeID) *nodeCounters {
-	if id < maxDense {
-		tab := *c.nodes.Load()
-		if int(id) < len(tab) {
-			if n := tab[id]; n != nil {
-				return n
-			}
-		}
+	if n := c.denseNode(id); n != nil {
+		return n
 	}
 	return c.nodeSlow(id)
+}
+
+// denseNode returns id's counters from the published dense table, or nil if
+// it has none there.
+func (c *Collector) denseNode(id msg.NodeID) *nodeCounters {
+	if tab := *c.nodes.Load(); int(id) < len(tab) {
+		return tab[id].Load()
+	}
+	return nil
 }
 
 func (c *Collector) nodeSlow(id msg.NodeID) *nodeCounters {
@@ -178,21 +184,23 @@ func (c *Collector) nodeSlow(id msg.NodeID) *nodeCounters {
 		return n
 	}
 	tab := *c.nodes.Load()
-	if int(id) < len(tab) && tab[id] != nil {
-		return tab[id]
+	if int(id) >= len(tab) {
+		size := max(len(tab), 64)
+		for size <= int(id) {
+			size *= 2
+		}
+		grown := make([]atomic.Pointer[nodeCounters], size)
+		for i := range tab {
+			grown[i].Store(tab[i].Load())
+		}
+		c.nodes.Store(&grown)
+		tab = grown
 	}
-	size := len(tab)
-	if size == 0 {
-		size = 64
+	n := tab[id].Load()
+	if n == nil {
+		n = &nodeCounters{}
+		tab[id].Store(n)
 	}
-	for size <= int(id) {
-		size *= 2
-	}
-	grown := make([]*nodeCounters, size)
-	copy(grown, tab)
-	n := &nodeCounters{}
-	grown[id] = n
-	c.nodes.Store(&grown)
 	return n
 }
 
@@ -348,9 +356,8 @@ func (c *Collector) DroppedBytes(k msg.Kind) uint64 {
 // Node returns a copy of the per-node counters for id.
 func (c *Collector) Node(id msg.NodeID) PerNode {
 	if id < maxDense {
-		tab := *c.nodes.Load()
-		if int(id) < len(tab) && tab[id] != nil {
-			return tab[id].snapshot()
+		if n := c.denseNode(id); n != nil {
+			return n.snapshot()
 		}
 		return PerNode{}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -282,5 +283,56 @@ func TestMetricsHotPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates: %v allocs/run", allocs)
+	}
+}
+
+// Registering N nodes costs O(N) bytes: a first-seen node is installed in
+// place and the table is reallocated only when it doubles. (Copying the table
+// per node made this quadratic — ≈ 100 MB for the 4096 ids below.)
+func TestNodeRegistrationBytesLinear(t *testing.T) {
+	const n = 4096
+	c := NewCollector()
+	m := &msg.ScoreReq{Sender: 1, Target: 2}
+	size := m.WireSize()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := msg.NodeID(0); id < n; id++ {
+		c.OnSend(id, m, size)
+	}
+	runtime.ReadMemStats(&after)
+	// 64 B of counters and, summed over the doublings, 16 B of slots per node.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*256); got > limit {
+		t.Fatalf("registering %d nodes allocated %d bytes, want at most %d", n, got, limit)
+	}
+	for id := msg.NodeID(0); id < n; id++ {
+		if got := c.Node(id).SentMsgs; got != 1 {
+			t.Fatalf("node %d sent = %d, want 1", id, got)
+		}
+	}
+}
+
+// Goroutines that meet the same unseen ids while the table doubles under them
+// must all land on one set of counters per node: a slot is installed once, in
+// place, and a reader holding a superseded table finds it through the lock.
+func TestConcurrentNodeRegistration(t *testing.T) {
+	const n, writers = 2048, 8
+	c := NewCollector()
+	m := &msg.ScoreReq{Sender: 1, Target: 2}
+	size := m.WireSize()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				c.OnSend(msg.NodeID((i*(2*g+1)+g)%n), m, size) // a different walk of 0..n-1 each
+			}
+		}(g)
+	}
+	wg.Wait()
+	for id := msg.NodeID(0); id < n; id++ {
+		if got := c.Node(id).SentMsgs; got != writers {
+			t.Fatalf("node %d sent = %d, want %d", id, got, writers)
+		}
 	}
 }

@@ -39,18 +39,20 @@ type SimNet struct {
 }
 
 var _ Network = (*SimNet)(nil)
-var _ sim.Sink = (*SimNet)(nil)
 
-// NewSimNet creates a network on the given engine. rand is the parent of the
-// per-node loss/latency streams; collector may be nil to disable accounting;
-// defaults apply to nodes without explicit conditions.
+// NewSimNet creates the network of the given engine, binding itself as the
+// engine's delivery Sink (so an engine carries one SimNet). rand is the parent
+// of the per-node loss/latency streams; collector may be nil to disable
+// accounting; defaults apply to nodes without explicit conditions.
 func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collector, defaults Conditions) *SimNet {
-	return &SimNet{
+	n := &SimNet{
 		engine:    engine,
 		rand:      rand,
 		collector: collector,
 		defaults:  defaults,
 	}
+	engine.Bind(n)
+	return n
 }
 
 // grow makes room for node id in the per-node slices.
@@ -159,7 +161,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		latency += src.ReorderDelay
 	}
 
-	n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, n, m, int32(size))
+	n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, m, int32(size))
 
 	if mode == Unreliable && rand.Bernoulli(src.DupProb) {
 		// In-network duplication: a second identical copy arrives right
@@ -168,7 +170,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		if n.collector != nil {
 			n.collector.OnSend(from, m, size)
 		}
-		n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, n, m, int32(size))
+		n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, m, int32(size))
 	}
 }
 

@@ -4,15 +4,17 @@
 // this engine (for large-scale Monte-Carlo runs, §6 of the paper) and over
 // real UDP sockets in internal/transport (the deployment of §7).
 //
-// Nodes are partitioned across S ≥ 1 shards, each with its own heap and
-// clock, advancing in lockstep lookahead windows with a deterministic
+// Nodes are partitioned across S ≥ 1 shards, each with its own event queue
+// and clock, advancing in lockstep lookahead windows with a deterministic
 // cross-shard merge. Events are ordered by the shard-count-independent key
 // (time, scheduling domain, per-domain sequence), so results are
 // byte-identical for every S — see DESIGN.md, "The discrete-event engine".
 //
-// Event structs are pooled and the heap is a hand-rolled binary heap, so
-// the steady-state scheduling path — including message delivery through a
-// Sink — performs no allocation.
+// Events are 48-byte values, and every queue is a calendar (queue.go): a ring
+// of buckets one lookahead window wide, of which only the one being executed
+// is ordered — sorted when its window opens. Pages of events recycle within a
+// queue, so the steady-state scheduling path — including message delivery
+// through the Sink — performs no allocation.
 package sim
 
 import (
@@ -31,10 +33,10 @@ type Context interface {
 	After(d time.Duration, fn func())
 }
 
-// Sink receives a simulated message delivery. It exists so network
-// implementations can schedule deliveries without allocating a closure per
-// message: the engine stores the four delivery operands in the pooled event
-// and calls Deliver when the event fires.
+// Sink receives the engine's simulated message deliveries. It exists so a
+// network implementation can schedule deliveries without allocating a closure
+// per message: the engine keeps the four delivery operands in the event and
+// calls the Sink bound to it (Bind) when the event fires.
 type Sink interface {
 	// Deliver hands the payload scheduled from node `from` to node `to`. It
 	// runs on the goroutine of to's shard.
@@ -52,134 +54,21 @@ type Sink interface {
 // this).
 const globalDomain int32 = 1<<31 - 1
 
-// event is one scheduled occurrence. fn != nil marks a callback event;
-// otherwise it is a delivery through sink. Events are pooled: exec copies
-// the fields out and releases the struct before invoking the callback.
-type event struct {
-	at  time.Duration
-	seq uint64
-	dom int32 // ordering domain: node id, or globalDomain
-
-	fn      func()
-	sink    Sink
-	payload any
-	from    int32
-	to      int32
-	size    int32
-}
-
-// less is the canonical event order: time, then domain, then per-domain
-// sequence.
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.dom != b.dom {
-		return a.dom < b.dom
-	}
-	return a.seq < b.seq
-}
-
-// eheap is a hand-rolled binary min-heap of events. container/heap costs an
-// interface call per comparison and an allocation per Push on the hot path;
-// at tens of millions of events both show up in profiles.
-type eheap struct {
-	h []*event
-}
-
-func (q *eheap) len() int { return len(q.h) }
-
-func (q *eheap) top() *event { return q.h[0] }
-
-func (q *eheap) push(ev *event) {
-	h := append(q.h, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !less(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	q.h = h
-}
-
-func (q *eheap) pop() *event {
-	h := q.h
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && less(h[r], h[l]) {
-			c = r
-		}
-		if !less(h[c], h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	q.h = h
-	return top
-}
-
-// shard is one partition of the engine: a heap, a clock, an event pool and
-// the outboxes for cross-shard and deferred-global traffic. During a window
-// a shard is owned exclusively by one goroutine; between windows the
+// shard is one partition of the engine: an event queue, a clock and the
+// outboxes for cross-shard and deferred-global traffic. During a window a
+// shard is owned exclusively by one goroutine; between windows the
 // coordinator owns all of them.
 type shard struct {
 	now    time.Duration
-	q      eheap
-	pool   []*event
+	q      queue
 	events uint64
 	// out buffers events destined for other shards during a window; the
 	// coordinator merges them at the barrier. out[own index] is unused
 	// (same-shard events are pushed directly).
-	out [][]*event
+	out [][]event
 	// outG buffers deferred-global events scheduled from this shard's
 	// node callbacks during a window.
-	outG []*event
-}
-
-func (sh *shard) alloc() *event {
-	if n := len(sh.pool); n > 0 {
-		ev := sh.pool[n-1]
-		sh.pool[n-1] = nil
-		sh.pool = sh.pool[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// release zeroes the event's reference fields (so the pool retains neither
-// closures nor payloads) and returns it to the pool.
-func (sh *shard) release(ev *event) {
-	*ev = event{}
-	sh.pool = append(sh.pool, ev)
-}
-
-// exec runs one event on behalf of shard sh, releasing the event struct
-// back to sh's pool before invoking the callback (so the callback can
-// schedule into a warm pool).
-func (sh *shard) exec(ev *event) {
-	if ev.fn != nil {
-		fn := ev.fn
-		sh.release(ev)
-		fn()
-		return
-	}
-	sink, from, to, payload, size := ev.sink, ev.from, ev.to, ev.payload, ev.size
-	sh.release(ev)
-	sink.Deliver(from, to, payload, size)
+	outG []event
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not
@@ -191,7 +80,8 @@ type Engine struct {
 	shards  []*shard
 	window  time.Duration
 	now     time.Duration // global clock T: the current window's start
-	gq      eheap         // global events: harness callbacks and deferred globals
+	sink    Sink          // receives every delivery; set once by Bind
+	gq      queue         // global events: harness callbacks and deferred globals
 	gseq    uint64
 	gevents uint64
 	nodeSeq []uint64
@@ -219,11 +109,22 @@ func NewSharded(s int, window time.Duration) *Engine {
 		panic("sim: NewSharded needs a positive lookahead window")
 	}
 	e := &Engine{window: window, shards: make([]*shard, s)}
+	e.gq.init(window)
 	for i := range e.shards {
-		sh := &shard{out: make([][]*event, s)}
+		sh := &shard{out: make([][]event, s)}
+		sh.q.init(window)
 		e.shards[i] = sh
 	}
 	return e
+}
+
+// Bind makes sink the receiver of every delivery this engine schedules. An
+// engine carries one network, so binding a second Sink panics.
+func (e *Engine) Bind(sink Sink) {
+	if e.sink != nil {
+		panic("sim: Bind called twice; an engine delivers to one Sink")
+	}
+	e.sink = sink
 }
 
 var _ Context = (*Engine)(nil)
@@ -257,7 +158,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 		panic("sim: After called from a node callback; use the node Context or DeferGlobal")
 	}
 	e.gseq++
-	e.gq.push(&event{at: e.now + d, dom: globalDomain, seq: e.gseq, fn: fn})
+	e.gq.push(event{at: e.now + d, dom: globalDomain, seq: e.gseq, to: callback, payload: fn})
 }
 
 // Domain returns the scheduling context of node id, registering the node on
@@ -302,24 +203,29 @@ func (e *Engine) nextSeq(from int32) uint64 {
 }
 
 // Deliver schedules a message delivery from node `from` to node `to`, d
-// from from's current clock, through sink. This is the allocation-free
-// delivery path: the operands ride in a pooled event, no closure is built.
+// from from's current clock, through the bound Sink. This is the
+// allocation-free delivery path: the operands ride in the event itself, no
+// closure is built.
 //
 // The delivery is keyed by (time, from, from's send sequence) — a
 // shard-count-independent order — and a cross-shard delivery with d < the
 // lookahead window panics: the destination shard may already have advanced
 // past it.
-func (e *Engine) Deliver(from, to int32, d time.Duration, sink Sink, payload any, size int32) {
+func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, size int32) {
 	if d < 0 {
 		d = 0
+	}
+	if e.sink == nil {
+		panic("sim: Deliver before Bind; the engine has no Sink")
+	}
+	if to < 0 {
+		panic(fmt.Sprintf("sim: delivery %d→%d to a negative node id", from, to))
 	}
 	seq := e.nextSeq(from)
 	s := len(e.shards)
 	src := e.shards[int(from)%s]
 	dst := int(to) % s
-	ev := src.alloc()
-	ev.at, ev.dom, ev.seq = src.now+d, from, seq
-	ev.sink, ev.payload, ev.from, ev.to, ev.size = sink, payload, from, to, size
+	ev := event{at: src.now + d, dom: from, seq: seq, to: to, payload: payload, size: size}
 	if dst == int(from)%s {
 		src.q.push(ev)
 		return
@@ -345,7 +251,7 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, sink Sink, payload any
 func (e *Engine) DeferGlobal(from int, fn func()) {
 	seq := e.nextSeq(int32(from))
 	sh := e.shards[from%len(e.shards)]
-	ev := &event{at: sh.now + e.window, dom: int32(from), seq: seq, fn: fn}
+	ev := event{at: sh.now + e.window, dom: int32(from), seq: seq, to: callback, payload: fn}
 	if e.inWindow {
 		sh.outG = append(sh.outG, ev)
 		return
@@ -415,8 +321,6 @@ func (d *Domain) After(dur time.Duration, fn func()) {
 		dur = 0
 	}
 	e := d.e
-	ev := d.sh.alloc()
-	ev.at, ev.dom, ev.seq, ev.fn = d.sh.now+dur, d.id, e.nodeSeq[d.id], fn
+	d.sh.q.push(event{at: d.sh.now + dur, dom: d.id, seq: e.nodeSeq[d.id], to: callback, payload: fn})
 	e.nodeSeq[d.id]++
-	d.sh.q.push(ev)
 }

@@ -166,7 +166,7 @@ func TestDeterminism(t *testing.T) {
 // it is reported with the node's id, not as a bare index error.
 func TestUnregisteredNodePanicsByName(t *testing.T) {
 	for name, schedule := range map[string]func(e *Engine){
-		"Deliver":     func(e *Engine) { e.Deliver(7, 0, time.Millisecond, &countSink{}, nil, 0) },
+		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil, 0) },
 		"DeferGlobal": func(e *Engine) { e.DeferGlobal(7, func() {}) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -178,6 +178,27 @@ func TestUnregisteredNodePanicsByName(t *testing.T) {
 				}
 			}()
 			schedule(e)
+		})
+	}
+}
+
+// An engine delivers to exactly one Sink: Deliver before Bind, a second Bind
+// and a delivery to a negative node id (the callback marker's range) are
+// harness bugs and panic where they are made, not when the event fires.
+func TestSinkBinding(t *testing.T) {
+	for name, misuse := range map[string]func(e *Engine){
+		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil, 0) },
+		"Bind twice":          func(e *Engine) { e.Bind(&countSink{}); e.Bind(&countSink{}) },
+		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, _ := newNode()
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "sim: ") {
+					t.Fatalf("panic = %q, want one from sim", msg)
+				}
+			}()
+			misuse(e)
 		})
 	}
 }

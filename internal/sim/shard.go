@@ -18,12 +18,12 @@ import (
 //     inside the window land at ≥ T+window ≥ B (the lookahead guarantee),
 //     so no shard can affect another within the window; they are buffered
 //     in per-shard outboxes.
-//  3. Barrier: merge the outboxes into the destination heaps and the
+//  3. Barrier: merge the outboxes into the destination queues and the
 //     deferred globals into the global queue, advance every clock to the
 //     new T, repeat.
 //
 // Each event carries the canonical key (time, domain, per-domain seq);
-// every heap pops its slice of that one total order, which is what makes
+// every queue pops its slice of that one total order, which is what makes
 // the outcome identical for every shard count — see DESIGN.md.
 //
 // The return value is the number of events executed; 0 means the advance
@@ -35,16 +35,16 @@ func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 	var executed uint64
 	for {
 		// Global phase at T = e.now.
-		for e.gq.len() > 0 && e.gq.top().at <= e.now {
-			ev := e.gq.pop()
+		for {
+			ev, ok := e.gq.popBefore(e.now + 1)
+			if !ok {
+				break
+			}
 			e.gevents++
 			executed++
-			ev.fn()
+			ev.payload.(func())()
 		}
-		nextG := time.Duration(1<<63 - 1)
-		if e.gq.len() > 0 {
-			nextG = e.gq.top().at
-		}
+		nextG := e.gq.nextAt()
 		if e.idleUpTo(until) && nextG > until {
 			e.advanceTo(until)
 			return executed
@@ -57,9 +57,7 @@ func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 		// walking empty windows one lookahead at a time.
 		earliest := nextG
 		for _, sh := range e.shards {
-			if sh.q.len() > 0 && sh.q.top().at < earliest {
-				earliest = sh.q.top().at
-			}
+			earliest = min(earliest, sh.q.nextAt())
 		}
 		if earliest > e.now {
 			e.advanceTo(earliest)
@@ -91,7 +89,7 @@ func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 // idleUpTo reports whether no shard has an event due at or before until.
 func (e *Engine) idleUpTo(until time.Duration) bool {
 	for _, sh := range e.shards {
-		if sh.q.len() > 0 && sh.q.top().at <= until {
+		if sh.q.nextAt() <= until {
 			return false
 		}
 	}
@@ -100,15 +98,18 @@ func (e *Engine) idleUpTo(until time.Duration) bool {
 
 // advanceTo moves the global clock and every shard clock to t (never
 // backwards: a shard that executed events inside the final window sits at
-// its last event time, at most t).
+// its last event time, at most t). A queue with nothing in it follows the
+// clock, so the pushes after an idle stretch find the calendar under them.
 func (e *Engine) advanceTo(t time.Duration) {
 	if e.now < t {
 		e.now = t
 	}
+	e.gq.follow(e.now)
 	for _, sh := range e.shards {
 		if sh.now < t {
 			sh.now = t
 		}
+		sh.q.follow(sh.now)
 	}
 }
 
@@ -123,17 +124,17 @@ func (e *Engine) runWindow(bound time.Duration) uint64 {
 	}
 	e.inWindow = true
 	if len(e.shards) == 1 {
-		e.shards[0].runTo(bound)
+		e.shards[0].runTo(bound, e.sink)
 	} else {
 		var wg sync.WaitGroup
 		for _, sh := range e.shards {
-			if sh.q.len() == 0 || sh.q.top().at >= bound {
+			if sh.q.nextAt() >= bound {
 				continue
 			}
 			wg.Add(1)
 			go func(sh *shard) {
 				defer wg.Done()
-				sh.runTo(bound)
+				sh.runTo(bound, e.sink)
 			}(sh)
 		}
 		wg.Wait()
@@ -146,42 +147,41 @@ func (e *Engine) runWindow(bound time.Duration) uint64 {
 	return after - before
 }
 
-// runTo executes the shard's events with time strictly below bound.
-func (sh *shard) runTo(bound time.Duration) {
-	for sh.q.len() > 0 {
-		top := sh.q.top()
-		if top.at >= bound {
-			break
+// runTo executes the shard's events with time strictly below bound:
+// callbacks directly, deliveries through sink.
+func (sh *shard) runTo(bound time.Duration, sink Sink) {
+	for {
+		ev, ok := sh.q.popBefore(bound)
+		if !ok {
+			return
 		}
-		sh.q.pop()
-		sh.now = top.at
+		sh.now = ev.at
 		sh.events++
-		sh.exec(top)
+		if ev.to == callback {
+			ev.payload.(func())()
+		} else {
+			sink.Deliver(ev.dom, ev.to, ev.payload, ev.size)
+		}
 	}
 }
 
 // mergeOutboxes folds every shard's cross-shard and deferred-global events
 // into their destination queues. Push order is irrelevant: keys are unique
-// and the heaps order by them.
+// and the queues order by them. The emptied outboxes keep no payload alive.
 func (e *Engine) mergeOutboxes() {
 	for _, sh := range e.shards {
 		for d, lst := range sh.out {
-			if len(lst) == 0 {
-				continue
-			}
 			dst := &e.shards[d].q
-			for i, ev := range lst {
-				dst.push(ev)
-				lst[i] = nil
+			for i := range lst {
+				dst.push(lst[i])
 			}
+			clear(lst)
 			sh.out[d] = lst[:0]
 		}
-		if len(sh.outG) > 0 {
-			for i, ev := range sh.outG {
-				e.gq.push(ev)
-				sh.outG[i] = nil
-			}
-			sh.outG = sh.outG[:0]
+		for i := range sh.outG {
+			e.gq.push(sh.outG[i])
 		}
+		clear(sh.outG)
+		sh.outG = sh.outG[:0]
 	}
 }

@@ -44,7 +44,7 @@ func (t *toyNet) Deliver(from, to int32, payload any, size int32) {
 	for k := 0; k < 2; k++ {
 		tgt := (int(to)*5 + hop*13 + k*3) % len(t.nodes)
 		d := twin + time.Duration(n.state%5)*time.Millisecond
-		t.e.Deliver(to, int32(tgt), d, t, hop-1, size)
+		t.e.Deliver(to, int32(tgt), d, hop-1, size)
 	}
 	if n.state%3 == 0 {
 		n.ctx.After(time.Duration(n.state%2)*time.Millisecond, func() {
@@ -62,12 +62,13 @@ func (t *toyNet) Deliver(from, to int32, payload any, size int32) {
 func runToy(s int, drive func(e *Engine)) *toyNet {
 	e := NewSharded(s, twin)
 	t := &toyNet{e: e}
+	e.Bind(t)
 	const nodes = 24
 	for i := 0; i < nodes; i++ {
 		t.nodes = append(t.nodes, &toyNode{net: t, id: int32(i), ctx: e.Domain(i)})
 	}
 	for i := 0; i < nodes; i += 3 {
-		e.Deliver(int32(i), int32((i+1)%nodes), twin+time.Duration(i%4)*time.Millisecond, t, 6, 64)
+		e.Deliver(int32(i), int32((i+1)%nodes), twin+time.Duration(i%4)*time.Millisecond, 6, 64)
 	}
 	drive(e)
 	return t
@@ -218,12 +219,12 @@ func TestShardedAfterPanicsInWindow(t *testing.T) {
 // shard may already have advanced past the delivery time.
 func TestShardedCrossShardMinDelayPanics(t *testing.T) {
 	e := NewSharded(2, twin)
-	sink := &countSink{}
+	e.Bind(&countSink{})
 	var panicked bool
 	d := e.Domain(0)
 	d.After(time.Millisecond, func() {
 		defer func() { panicked = recover() != nil }()
-		e.Deliver(0, 1, twin/2, sink, nil, 0) // node 1 lives on the other shard
+		e.Deliver(0, 1, twin/2, nil, 0) // node 1 lives on the other shard
 	})
 	e.RunAll()
 	if !panicked {
@@ -235,9 +236,10 @@ func TestShardedCrossShardMinDelayPanics(t *testing.T) {
 func TestShardedSameShardShortDelay(t *testing.T) {
 	e := NewSharded(2, twin)
 	sink := &countSink{}
+	e.Bind(sink)
 	d := e.Domain(0)
 	d.After(time.Millisecond, func() {
-		e.Deliver(0, 2, 0, sink, nil, 0) // node 2 shares shard 0
+		e.Deliver(0, 2, 0, nil, 0) // node 2 shares shard 0
 	})
 	e.RunAll()
 	if sink.n != 1 {
@@ -249,22 +251,75 @@ type countSink struct{ n int }
 
 func (c *countSink) Deliver(from, to int32, payload any, size int32) { c.n++ }
 
-// BenchmarkEngineSharded measures the delivery path end to end —
-// pooled events through a Sink, window barriers, outbox merges — with a
-// constant population of in-flight messages ring-forwarded across 64 nodes.
+// mixRig reproduces the traffic a 4000-node sim_scale run was measured to
+// put on the engine (DESIGN.md, "The discrete-event engine"): 80 % of events
+// are deliveries scheduled exactly one lookahead window ahead, 20 % are timers
+// 50, 100 or 200 windows out, with ≈ 40 k events pending. Every event
+// schedules one successor of its own kind, so the population is constant, and
+// every callback is built at setup, so a round allocates nothing of its own.
+type mixRig struct{ e *Engine }
+
+const (
+	mixWindow     = 5 * time.Millisecond
+	mixNodes      = 4096
+	mixDeliveries = 1316  // in flight; each is re-sent on arrival
+	mixTimers     = 38400 // pending; each re-arms when it fires
+)
+
+func newMixRig(shards int) *mixRig {
+	e := NewSharded(shards, mixWindow)
+	r := &mixRig{e: e}
+	e.Bind(r)
+	ctx := make([]Context, mixNodes)
+	for i := range ctx {
+		ctx[i] = e.Domain(i)
+	}
+	for i := 0; i < mixDeliveries; i++ {
+		// Arrivals spread over the window instead of one instant.
+		offset := mixWindow * time.Duration(i) / mixDeliveries
+		e.Deliver(int32(i), int32(i+1), mixWindow+offset, nil, 64)
+	}
+	for j := 0; j < mixTimers; j++ {
+		node, fires := ctx[j%mixNodes], j
+		var fire func()
+		fire = func() {
+			fires++
+			node.After(mixWindow*time.Duration(50<<(fires%3)), fire)
+		}
+		node.After(200*mixWindow*time.Duration(j)/mixTimers, fire)
+	}
+	// Two turns of the longest timer: pages, buffers and outboxes reach the
+	// sizes the steady state needs.
+	e.Run(400 * mixWindow)
+	return r
+}
+
+// Deliver forwards every delivery one node ahead — to another shard whenever
+// there is more than one — at exactly the lookahead window.
+func (r *mixRig) Deliver(from, to int32, payload any, size int32) {
+	r.e.Deliver(to, (to+1)%mixNodes, mixWindow, payload, size)
+}
+
+// The steady-state scheduling path allocates nothing, through Deliver and
+// through Domain.After alike: events are values, and the pages, buffers and
+// outboxes they wait in are reused.
+func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
+	e := newMixRig(1).e
+	before := e.Events()
+	allocs := testing.AllocsPerRun(20, func() { e.RunChunk(time.Duration(1<<62), 20_000) })
+	if ran := e.Events() - before; allocs != 0 || ran < 20*20_000 {
+		t.Fatalf("steady-state rounds ran %d events and allocate %v objects each, want ≥ 400k and 0", ran, allocs)
+	}
+}
+
+// BenchmarkEngineTraffic measures the engine end to end — calendar pushes,
+// slice sorts and pops, window barriers, outbox merges — under the measured
+// traffic mix.
 // ns/op is ns/event (the run is capped at b.N events, ±one window).
-func BenchmarkEngineSharded(b *testing.B) {
+func BenchmarkEngineTraffic(b *testing.B) {
 	for _, s := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
-			e := NewSharded(s, twin)
-			const nodes = 64
-			sink := &ringSink{e: e, nodes: nodes}
-			for i := 0; i < nodes; i++ {
-				e.Domain(i)
-			}
-			for i := 0; i < nodes; i++ {
-				e.Deliver(int32(i), int32((i+1)%nodes), twin, sink, nil, 64)
-			}
+			e := newMixRig(s).e
 			b.ReportAllocs()
 			b.ResetTimer()
 			var total uint64
@@ -274,18 +329,3 @@ func BenchmarkEngineSharded(b *testing.B) {
 		})
 	}
 }
-
-// ringSink forwards every delivery one node ahead at exactly the lookahead
-// window, keeping the in-flight population constant.
-type ringSink struct {
-	e     *Engine
-	nodes int32
-}
-
-func (r *ringSink) Deliver(from, to int32, payload any, size int32) {
-	r.e.Deliver(to, (to+1)%r.nodes, twin, r.e.sinkOf(r), payload, size)
-}
-
-// sinkOf exists only to keep the benchmark's Deliver call shaped like the
-// production one (interface value already in hand, no per-call conversion).
-func (e *Engine) sinkOf(s Sink) Sink { return s }
