@@ -3,16 +3,17 @@
 
 GO ?= go
 
-.PHONY: test race bench benchmark profile fuzz fmt vet lint
+.PHONY: test race benchmark profile fuzz fmt vet lint
 
 test:
 	$(GO) build ./...
 	$(GO) test -shuffle=on -timeout 600s ./...
 
-# Static gates: formatting, go vet, and the determinism-lint suite
-# (cmd/lifting-lint) that mechanically enforces the byte-identical
-# document contract — wall-clock reads, global rand, unordered map
-# iteration and float/time-typed document fields (see DESIGN.md).
+# Static gates: formatting, go vet, and the lint suite (cmd/lifting-lint)
+# that mechanically enforces the byte-identical document contract —
+# wall-clock reads, global rand, unordered map iteration and
+# float/time-typed document fields — and keeps orphan packages and
+# functions only their tests call from growing back (see DESIGN.md).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -31,12 +32,6 @@ lint:
 # concurrent readers).
 race:
 	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
-
-# Regenerate the perf trajectory document for this PR, gating on the
-# previous PR's baseline (normalized by the calibration loop, so a slower
-# machine does not read as a regression).
-bench:
-	$(GO) run ./cmd/lifting-bench -check -baseline BENCH_PR8.json -out BENCH_PR10.json
 
 # The whole-system benchmark every perf or simplicity PR is judged by
 # (BENCHMARK.json, benchmark/README.md): four workloads, end-to-end metrics.

@@ -1,7 +1,9 @@
-// Command lifting-lint runs the determinism-lint suite over the module and
-// exits nonzero on any finding. It mechanically enforces the repository's
-// byte-identical contract: seeded runs emit identical lifting.experiments/v1
-// documents across shard counts, worker counts and OS processes.
+// Command lifting-lint runs the lint suite over the module and exits nonzero
+// on any finding. It mechanically enforces the repository's byte-identical
+// contract — seeded runs emit identical lifting.experiments/v1 documents
+// across shard counts, worker counts and OS processes — and, with no-orphan,
+// that every package and package-level function is reachable from something
+// that ships.
 //
 //	go run ./cmd/lifting-lint ./...
 //
@@ -50,7 +52,6 @@ var deterministicPackages = lint.PackageSet{
 	"lifting/internal/sim",
 	"lifting/internal/stats",
 	"lifting/internal/stream",
-	"lifting/internal/swarm",
 }
 
 // analyzers assembles the suite with this repository's configuration.
@@ -70,6 +71,7 @@ func analyzers() []lint.Analyzer {
 				"lifting/internal/metrics",
 			},
 		},
+		lint.NoOrphan{},
 	}
 }
 

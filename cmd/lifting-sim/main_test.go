@@ -55,10 +55,21 @@ func TestRunChurnOverUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("udp churn streams in wall-clock time")
 	}
-	args := []string{"-quick", "-backend", "udp", "-duration", "3s", "-n", "24", "churn"}
-	if code := run(context.Background(), args); code != 0 {
-		t.Fatalf("run(%v) = %d, want 0", args, code)
+	args := []string{"-quick", "-backend", "udp", "-duration", "3s", "-n", "24", "-json", "churn"}
+	code, out, errOut := capture(t, context.Background(), args)
+	if code != 0 {
+		t.Fatalf("run(%v) = %d, want 0: %s", args, code, errOut)
 	}
+	var doc experiment.Document
+	if err := json.Unmarshal([]byte(out), &doc); err != nil || len(doc.Results) != 1 {
+		t.Fatalf("-json output is not one result: %v\n%s", err, out)
+	}
+	for _, m := range doc.Results[0].Metrics {
+		if m.Name == "joined" && m.Value > 0 {
+			return
+		}
+	}
+	t.Fatalf("udp churn saw no arrivals: %+v", doc.Results[0].Metrics)
 }
 
 // TestRunScale runs the scale workload end-to-end at a reduced target

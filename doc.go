@@ -12,7 +12,7 @@
 // figure of the evaluation. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
 //
-// The root package holds the benchmark harness (bench_test.go); the
-// implementation lives under internal/, one package per subsystem, and the
-// runnable entry points under cmd/ and examples/.
+// The root package holds only this comment; the implementation lives under
+// internal/, one package per subsystem, the runnable entry points under cmd/
+// and examples/, and the whole-system benchmark under benchmark/.
 package lifting

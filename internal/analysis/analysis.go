@@ -10,10 +10,7 @@
 // suite.
 package analysis
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Params are the system parameters of the analysis.
 type Params struct {
@@ -23,20 +20,6 @@ type Params struct {
 	R int
 	// Loss is pl, the Bernoulli message-loss probability (pr = 1 − pl).
 	Loss float64
-}
-
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.F <= 0 {
-		return fmt.Errorf("analysis: fanout must be positive, got %d", p.F)
-	}
-	if p.R <= 0 {
-		return fmt.Errorf("analysis: |R| must be positive, got %d", p.R)
-	}
-	if p.Loss < 0 || p.Loss >= 1 {
-		return fmt.Errorf("analysis: loss must be in [0,1), got %v", p.Loss)
-	}
-	return nil
 }
 
 func (p Params) pr() float64 { return 1 - p.Loss }
@@ -50,17 +33,11 @@ func (p Params) DirectVerificationBlame() float64 {
 	return pr * (1 - pr*pr) * float64(p.F) * float64(p.F)
 }
 
-// CrossCheckBlame returns b̃dcc (Equation 3): the expected wrongful blame
-// per period from direct cross-checking,
-//
-//	b̃dcc = pr²(1 − pr^(|R|+4))·f²
-func (p Params) CrossCheckBlame() float64 {
-	return p.CrossCheckBlameChain() + p.CrossCheckBlameWitness()
-}
-
 // CrossCheckBlameChain returns the (a)-term of Equation 3 — the blame f
 // applied when a serve or the ack is lost: pr²(1 − pr^(|R|+1))·f². This
-// component accrues regardless of pdcc: acks are always expected.
+// component accrues regardless of pdcc: acks are always expected. With
+// CrossCheckBlameWitness it sums to b̃dcc = pr²(1 − pr^(|R|+4))·f², the
+// expected wrongful blame per period from direct cross-checking.
 func (p Params) CrossCheckBlameChain() float64 {
 	pr := p.pr()
 	return pr * pr * (1 - math.Pow(pr, float64(p.R+1))) * float64(p.F) * float64(p.F)
@@ -73,16 +50,6 @@ func (p Params) CrossCheckBlameChain() float64 {
 func (p Params) CrossCheckBlameWitness() float64 {
 	pr := p.pr()
 	return pr * pr * math.Pow(pr, float64(p.R+1)) * (1 - pr*pr*pr) * float64(p.F) * float64(p.F)
-}
-
-// APostCrossCheckBlame returns b̃apcc (Equation 4): the expected wrongful
-// blame of one a-posteriori audit over a history of nh·f proposals,
-//
-//	b̃apcc = (1 − pr)·nh·f
-//
-// (polling runs over TCP, so only the original proposal loss matters).
-func (p Params) APostCrossCheckBlame(nh int) float64 {
-	return (1 - p.pr()) * float64(nh) * float64(p.F)
 }
 
 // WrongfulBlame returns b̃ (Equation 5): the total expected wrongful blame
@@ -256,10 +223,4 @@ func (p Params) DetectionBound(d Delta, r int, eta float64) float64 {
 	sigma := p.FreeriderBlameStd(d)
 	bound := 1 - sigma*sigma/(float64(r)*margin*margin)
 	return math.Max(bound, 0)
-}
-
-// ExpectedScore returns a freerider's expected normalized score,
-// −(b̃′(∆) − b̃); for ∆ = 0 this is 0 (honest).
-func (p Params) ExpectedScore(d Delta) float64 {
-	return -(p.FreeriderBlame(d) - p.WrongfulBlame())
 }

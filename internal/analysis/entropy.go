@@ -59,32 +59,3 @@ func MaxCollusionBias(gamma float64, coalition, historyLen int) float64 {
 	}
 	return lo
 }
-
-// ExpectedHonestEntropy approximates the expected entropy of an honest
-// node's history of historyLen uniform draws over n−1 possible partners.
-// For k draws over N outcomes with k ≪ N the expected entropy is close to
-// log2(k) minus a birthday-collision correction: collisions replace two
-// singletons (2/k mass each as separate entries) with one doubleton.
-// The exact expectation uses the binomial occupancy distribution; this
-// second-order approximation is enough to position γ relative to the
-// simulated entropy distribution (Figure 13: 9.11–9.21 for k = 600,
-// n = 10000, max 9.23).
-func ExpectedHonestEntropy(historyLen, n int) float64 {
-	k := float64(historyLen)
-	numPartners := float64(n - 1)
-	if k <= 1 || numPartners <= 1 {
-		return 0
-	}
-	// Expected number of colliding pairs: C(k,2)/N.
-	pairs := k * (k - 1) / 2 / numPartners
-	// Each pair collision reduces entropy from log2(k) by
-	// (2/k)·log2(2) = 2/k bits (two 1/k masses merge into one 2/k mass:
-	// ΔH = (2/k)log2(2/k) − 2·(1/k)log2(1/k) = −2/k · ... ) — net loss of
-	// 2/k bits per collision.
-	loss := pairs * 2 / k
-	h := math.Log2(k) - loss
-	if h < 0 {
-		return 0
-	}
-	return h
-}

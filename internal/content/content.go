@@ -112,12 +112,6 @@ func NewSource(seed uint64, size int) *Source {
 	}
 }
 
-// Seed returns the stream seed.
-func (s *Source) Seed() uint64 { return s.seed }
-
-// PayloadSize returns the per-chunk payload size in bytes.
-func (s *Source) PayloadSize() int { return s.size }
-
 // Chunk returns the canonical payload and content hash of chunk c. The
 // returned slice is shared and must be treated as read-only.
 func (s *Source) Chunk(c msg.ChunkID) ([]byte, uint64) {

@@ -171,6 +171,14 @@ func TestTable3MessageCounts(t *testing.T) {
 	if c1 > float64(p.F*p.F) {
 		t.Fatalf("confirms per node-period %v exceed f² = %d", c1, p.F*p.F)
 	}
+	// The total grows with pdcc and stays within the paper's
+	// O(pdcc·f² + M·f): an ack to each of f servers, a confirm and its
+	// response per witness, a blame for at most f partners to M managers.
+	f, m := float64(p.F), float64(p.M)
+	total0, total1 := parse(tab.Rows[0][5]), parse(tab.Rows[1][5])
+	if bound := f + 2*f*f + m*f; total1 <= total0 || total1 > bound {
+		t.Fatalf("verification messages per node-period: %v at pdcc=0, %v at pdcc=1, bound %v", total0, total1, bound)
+	}
 }
 
 // parsePct parses a "12.3%" cell into a fraction.

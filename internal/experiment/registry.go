@@ -72,6 +72,8 @@ type Params struct {
 
 // DefaultParams returns the neutral parameter set: every override off, the
 // Delta/Pdcc sentinels at −1 and the engine sharding on auto.
+//
+//lint:allow no-orphan the registry tests and benchmarks (TestRegistryRunStreamsTables, BenchmarkRegistryDispatch, …) start every run from it
 func DefaultParams() Params {
 	return Params{Delta: -1, Pdcc: -1, Shards: -1}
 }
@@ -141,16 +143,6 @@ type Result struct {
 	MetricsSnapshots []metrics.Snapshot `json:"metrics_snapshots,omitempty"`
 	// Verdict is the pass/fail outcome.
 	Verdict Verdict `json:"verdict"`
-}
-
-// Metric returns the named scalar, if the result carries it.
-func (r *Result) Metric(name string) (float64, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
 }
 
 // addTable records a table and streams it to the observer.
@@ -263,7 +255,7 @@ func Names() []string {
 const Schema = "lifting.experiments/v1"
 
 // Document is the JSON document `lifting-sim -json` emits: one entry per
-// experiment run, in run order. lifting-bench and CI consume it directly.
+// experiment run, in run order. CI consumes it directly.
 type Document struct {
 	Schema  string    `json:"schema"`
 	Results []*Result `json:"results"`

@@ -152,8 +152,7 @@ func assertKeys(t *testing.T, what string, m map[string]json.RawMessage, require
 
 // TestJSONGoldenSchema pins the shape of the -json document so it cannot
 // drift silently: top-level keys, result keys, params keys, table keys,
-// verdict keys. Consumers (CI, lifting-bench, dashboards) parse exactly
-// this.
+// verdict keys. Consumers (CI, dashboards) parse exactly this.
 func TestJSONGoldenSchema(t *testing.T) {
 	p := DefaultParams()
 	p.Quick = true

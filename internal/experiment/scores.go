@@ -157,17 +157,6 @@ func Fig11(ctx context.Context, cfg ScoreConfig) (*Table, *ScoreResult, error) {
 	return t, res, nil
 }
 
-// CDFSeries renders a score CDF as (score, fraction) rows between lo and hi
-// — the series of Figures 11b and 14.
-func CDFSeries(e *stats.ECDF, lo, hi float64, points int) [][2]float64 {
-	out := make([][2]float64, 0, points)
-	for i := 0; i < points; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(points-1)
-		out = append(out, [2]float64{x, e.At(x)})
-	}
-	return out
-}
-
 // Fig12Point is one sweep point of Figure 12.
 type Fig12Point struct {
 	Delta     float64

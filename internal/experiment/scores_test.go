@@ -148,22 +148,6 @@ func TestFig12Anchors(t *testing.T) {
 	}
 }
 
-func TestCDFSeries(t *testing.T) {
-	e := stats.NewECDF([]float64{1, 2, 3})
-	pts := CDFSeries(e, 0, 4, 5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0][1] != 0 || pts[4][1] != 1 {
-		t.Fatalf("CDF endpoints wrong: %v", pts)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] < pts[i-1][1] {
-			t.Fatal("CDF series not monotone")
-		}
-	}
-}
-
 func TestRunScoresDeterministic(t *testing.T) {
 	cfg := DefaultScoreConfig()
 	cfg.N = 500

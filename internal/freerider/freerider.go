@@ -46,11 +46,6 @@ type Degree struct {
 
 var _ gossip.Behavior = Degree{}
 
-// Gain returns the saved fraction of upload bandwidth.
-func (d Degree) Gain() float64 {
-	return 1 - (1-d.Delta1)*(1-d.Delta2)*(1-d.Delta3)
-}
-
 // Fanout implements gossip.Behavior: contact (1−δ1)·f partners.
 func (d Degree) Fanout(f int) int {
 	reduced := int(math.Round((1 - d.Delta1) * float64(f)))

@@ -31,17 +31,6 @@ func TestDegreeFanout(t *testing.T) {
 	}
 }
 
-func TestDegreeGain(t *testing.T) {
-	// §6.3.1: gain = 1 − (1−δ1)(1−δ2)(1−δ3); ≈ 10% at δ = 0.035.
-	d := Degree{Delta1: 0.035, Delta2: 0.035, Delta3: 0.035}
-	if g := d.Gain(); math.Abs(g-0.10) > 0.005 {
-		t.Fatalf("gain = %v, want ≈ 0.10", g)
-	}
-	if g := (Degree{}).Gain(); g != 0 {
-		t.Fatalf("honest-equivalent gain = %v", g)
-	}
-}
-
 func TestDegreeFilterProposalDropsWholeServers(t *testing.T) {
 	// δ2 = 1 drops everything; chunks from the same server drop together.
 	s := rng.New(1)

@@ -105,9 +105,6 @@ func NewLog(retention int) *Log {
 	}
 }
 
-// Retention returns nh, the number of periods retained.
-func (l *Log) Retention() int { return int(l.retention) }
-
 // oldest returns the first period of the retained window, which is
 // (newest−retention, newest].
 func (l *Log) oldest() msg.Period {

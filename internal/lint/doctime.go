@@ -25,7 +25,8 @@ type NoTimeInResults struct {
 	NameSuffixes []string
 }
 
-func (NoTimeInResults) Name() string { return "no-time-in-results" }
+func (NoTimeInResults) Name() string           { return "no-time-in-results" }
+func (a NoTimeInResults) packages() PackageSet { return a.Packages }
 func (NoTimeInResults) Doc() string {
 	return "forbid time.Time/time.Duration fields on result, row and snapshot structs; sim-time integers only"
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"lifting/internal/lint"
@@ -107,7 +108,9 @@ func TestNoWallclockFixture(t *testing.T) {
 
 // TestNoWallclockAllowlisted pins the allowlist mechanism: the same
 // wall-clock-reading package produces findings when selected and none when
-// left off the deterministic set.
+// left off the deterministic set — where the two patterns that select
+// nothing loaded are findings themselves (a package list must not outlive
+// the packages it names).
 func TestNoWallclockAllowlisted(t *testing.T) {
 	m := loadFixture(t, "nowallclock_allowlisted")
 	if ds := lint.Run(m, []lint.Analyzer{
@@ -115,11 +118,24 @@ func TestNoWallclockAllowlisted(t *testing.T) {
 	}); len(ds) != 2 {
 		t.Errorf("selected package: got %d findings, want 2: %v", len(ds), ds)
 	}
-	if ds := lint.Run(m, []lint.Analyzer{
+	ds := lint.Run(m, []lint.Analyzer{
 		lint.NoWallclock{Packages: lint.PackageSet{"fixture/somewhere/else", "fixture/live/..."}},
-	}); len(ds) != 0 {
-		t.Errorf("allowlisted package: got findings %v, want none", ds)
+	})
+	if len(ds) != 2 {
+		t.Fatalf("allowlisted package: got %d findings, want the 2 stale patterns: %v", len(ds), ds)
 	}
+	for _, d := range ds {
+		if d.Rule != "no-wallclock" || !strings.Contains(d.Message, "matches no loaded package") {
+			t.Errorf("allowlisted package: unexpected finding %s", d)
+		}
+	}
+}
+
+// TestNoOrphanFixture pins both no-orphan findings — the package nothing
+// imports, the function only its own body or a test references — and the
+// in-place suppression that names the test a kept function serves.
+func TestNoOrphanFixture(t *testing.T) {
+	checkFixture(t, "noorphan", []lint.Analyzer{lint.NoOrphan{}})
 }
 
 func TestNoGlobalRandFixture(t *testing.T) {

@@ -7,7 +7,9 @@
 // hazards in the snapshot path (PR 6–7) — and conventions that live only in
 // reviewers' heads do not survive growth. Each analyzer in this package
 // turns one of those conventions into a build-time check; cmd/lifting-lint
-// runs the suite over the module and exits nonzero on any finding.
+// runs the suite over the module and exits nonzero on any finding. NoOrphan
+// rides the same loader for a different convention: every package and
+// package-level function is reachable from something that ships.
 //
 // The framework is built on go/ast, go/parser, go/types and go/token only —
 // no dependency on golang.org/x/tools — so go.mod stays dependency-free.
@@ -38,7 +40,7 @@ type Diagnostic struct {
 }
 
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
+	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Rule, d.Message)
 }
 
 // Package is one loaded, type-checked package of the module under analysis.

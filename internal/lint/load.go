@@ -72,6 +72,8 @@ func LoadModule(dir string) (*Module, error) {
 // package (imports restricted to the standard library). The fixture tests
 // load their testdata packages through this, so fixtures exercise the same
 // parse/type-check pipeline as a real run.
+//
+//lint:allow no-orphan every fixture test (checkFixture in fixture_test.go) loads its testdata package through it
 func LoadPackage(dir, path string) (*Module, error) {
 	l := newLoader(path, dir)
 	if err := l.parseDir(path, dir); err != nil {

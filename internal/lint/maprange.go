@@ -22,7 +22,8 @@ type OrderedMapRange struct {
 	Packages PackageSet
 }
 
-func (OrderedMapRange) Name() string { return "ordered-map-range" }
+func (OrderedMapRange) Name() string           { return "ordered-map-range" }
+func (a OrderedMapRange) packages() PackageSet { return a.Packages }
 func (OrderedMapRange) Doc() string {
 	return "flag map iteration in snapshot/table/JSON-emitting packages unless sorted or annotated order-insensitive"
 }

@@ -1,5 +1,10 @@
 package lint
 
+import (
+	"fmt"
+	"slices"
+)
+
 // ModuleAnalyzer is implemented by analyzers that reason across package
 // boundaries (the document-closure rules: a root type in one package can
 // reach fields declared in another). RunModule is invoked exactly once, with
@@ -9,10 +14,34 @@ type ModuleAnalyzer interface {
 	RunModule(pass *Pass)
 }
 
+// packageScoped is implemented by analyzers configured with a PackageSet, so
+// the runner can check the configuration against the loaded module.
+type packageScoped interface {
+	Analyzer
+	packages() PackageSet
+}
+
+// stalePatterns reports every pattern of the analyzer's PackageSet that
+// selects no loaded package: a hand-kept list otherwise keeps naming a
+// deleted package forever, the way an unused //lint:allow would.
+func stalePatterns(m *Module, a packageScoped) []Diagnostic {
+	var ds []Diagnostic
+	for _, pat := range a.packages() {
+		sel := PackageSet{pat}
+		if !slices.ContainsFunc(m.Pkgs, func(p *Package) bool { return sel.Match(p.Path) }) {
+			ds = append(ds, Diagnostic{
+				Rule:    a.Name(),
+				Message: fmt.Sprintf("package pattern %q matches no loaded package; drop it from the rule's configuration", pat),
+			})
+		}
+	}
+	return ds
+}
+
 // Run executes the analyzers over the module and returns the surviving
 // findings, sorted: raw findings minus //lint:allow-suppressed ones, plus
-// hygiene findings about the suppressions themselves. An empty result is a
-// clean tree.
+// hygiene findings about the suppressions and the package patterns
+// themselves. An empty result is a clean tree.
 func Run(m *Module, analyzers []Analyzer) []Diagnostic {
 	ix := &allowIndex{}
 	known := map[string]bool{"lint-allow": true}
@@ -48,6 +77,11 @@ func Run(m *Module, analyzers []Analyzer) []Diagnostic {
 		}
 	}
 	out = append(out, ix.hygiene(known)...)
+	for _, a := range analyzers {
+		if a, ok := a.(packageScoped); ok {
+			out = append(out, stalePatterns(m, a)...)
+		}
+	}
 	sortDiagnostics(out)
 	return out
 }

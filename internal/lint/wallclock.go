@@ -19,7 +19,8 @@ type NoWallclock struct {
 	Packages PackageSet
 }
 
-func (NoWallclock) Name() string { return "no-wallclock" }
+func (NoWallclock) Name() string           { return "no-wallclock" }
+func (a NoWallclock) packages() PackageSet { return a.Packages }
 func (NoWallclock) Doc() string {
 	return "forbid time.Now/time.Since and friends in deterministic packages; derive time from the runtime seam"
 }

@@ -3,16 +3,12 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Registry is a minimal Prometheus-style metric registry. It is purely a
 // presentation layer: primitives registered here are rendered on demand by
@@ -42,46 +38,6 @@ func (r *Registry) add(e *entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.entries = append(r.entries, e)
-}
-
-// Counter is a monotonically increasing value. Add is lock-free.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// NewCounter registers and returns a counter metric.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(&entry{name: name, help: help, typ: "counter", render: func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, c.Value())
-	}})
-	return c
-}
-
-// Gauge is a value that can go up and down. Set is lock-free.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return floatFromBits(g.bits.Load()) }
-
-// NewGauge registers and returns a gauge metric.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&entry{name: name, help: help, typ: "gauge", render: func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %s\n", n, formatFloat(g.Value()))
-	}})
-	return g
 }
 
 // NewGaugeFunc registers a gauge whose value is computed at scrape time.

@@ -11,10 +11,8 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
-	ctr := reg.NewCounter("test_ops_total", "Operations.")
-	ctr.Add(3)
-	g := reg.NewGauge("test_level", "Level.")
-	g.Set(0.5)
+	reg.NewCounterFunc("test_ops_total", "Operations.", func() uint64 { return 3 })
+	reg.NewGaugeFunc("test_level", "Level.", func() float64 { return 0.5 })
 	reg.NewGaugeFunc("test_live", "Live value.", func() float64 { return 2 })
 	h := NewHistogram([]time.Duration{10 * time.Millisecond, 100 * time.Millisecond})
 	h.Observe(5 * time.Millisecond)

@@ -46,8 +46,8 @@ func TestAppendFrameReusesBuffer(t *testing.T) {
 	if cap(buf) != cap0 {
 		t.Fatalf("buffer reallocated: cap %d → %d", cap0, cap(buf))
 	}
-	if allocs > 1 {
-		t.Errorf("AppendFrame with a reused buffer allocates %.0f times per message", allocs)
+	if allocs != 0 {
+		t.Errorf("AppendFrame with a reused buffer allocates %.0f times per message, want 0", allocs)
 	}
 }
 

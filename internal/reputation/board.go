@@ -45,9 +45,6 @@ func NewBoard(compensation float64) *Board {
 	}
 }
 
-// Compensation returns b̃.
-func (b *Board) Compensation() float64 { return b.compensation }
-
 // SetPeriod advances the board's clock to period p. Scores are normalized by
 // the number of periods a node has been tracked.
 func (b *Board) SetPeriod(p msg.Period) {

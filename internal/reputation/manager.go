@@ -59,9 +59,9 @@ func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.D
 	}
 }
 
-// Board exposes the manager's local score copies (read-mostly; used by the
-// harness for min-vote reads without extra message traffic). Callers must
-// not use it while the manager is live on another goroutine.
+// Board exposes the manager's local score copies, for tests to seed and
+// inspect without message traffic. Callers must not use it while the
+// manager is live on another goroutine.
 func (m *Manager) Board() *Board { return m.board }
 
 // Tick advances the manager's period clock and re-evaluates expulsion for
@@ -286,9 +286,6 @@ func (c *Client) Flush() {
 	clear(c.pending)
 	c.order = c.order[:0]
 }
-
-// PendingTargets returns the number of targets with unflushed blames.
-func (c *Client) PendingTargets() int { return len(c.pending) }
 
 // MinVoteScore aggregates manager score copies with the paper's voting
 // function: the minimum over the returned values (§5.1). It also reports

@@ -63,12 +63,6 @@ func (s *Stream) IntN(n int) int { return s.r.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
 
-// NormFloat64 returns a standard normal value.
-func (s *Stream) NormFloat64() float64 { return s.r.NormFloat64() }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (s *Stream) ExpFloat64() float64 { return s.r.ExpFloat64() }
-
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -79,12 +73,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 	}
 	return s.r.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // SampleK returns a uniform random k-subset of [0, n) using Floyd's
 // algorithm. The result is in random order. It panics if k > n or k < 0.
@@ -103,17 +91,6 @@ func (s *Stream) SampleK(n, k int) []int {
 		out = append(out, t)
 	}
 	s.r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// SampleKFrom returns a uniform random k-subset of the given candidate slice
-// without modifying it. It panics if k > len(candidates).
-func SampleKFrom[T any](s *Stream, candidates []T, k int) []T {
-	idx := s.SampleK(len(candidates), k)
-	out := make([]T, 0, k)
-	for _, i := range idx {
-		out = append(out, candidates[i])
-	}
 	return out
 }
 
@@ -163,38 +140,6 @@ func (s *Stream) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Binomial returns a sample from Binomial(n, p) by direct simulation for
-// small n and a normal approximation for large n (n*p*(1-p) > 100).
-func (s *Stream) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("rng: Binomial: negative n")
-	}
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if v := float64(n) * p * (1 - p); v > 100 {
-		x := float64(n)*p + s.r.NormFloat64()*math.Sqrt(v)
-		k := int(x + 0.5)
-		if k < 0 {
-			k = 0
-		}
-		if k > n {
-			k = n
-		}
-		return k
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if s.r.Float64() < p {
-			k++
-		}
-	}
-	return k
 }
 
 func putUint64(b []byte, v uint64) {

@@ -141,22 +141,6 @@ func TestSampleKPanics(t *testing.T) {
 	New(1).SampleK(3, 4)
 }
 
-func TestSampleKFrom(t *testing.T) {
-	s := New(13)
-	cands := []string{"a", "b", "c", "d", "e"}
-	out := SampleKFrom(s, cands, 3)
-	if len(out) != 3 {
-		t.Fatalf("got %d elements, want 3", len(out))
-	}
-	seen := make(map[string]bool)
-	for _, v := range out {
-		seen[v] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("SampleKFrom returned duplicates: %v", out)
-	}
-}
-
 func TestWeightedChoice(t *testing.T) {
 	s := New(21)
 	weights := []float64{1, 0, 3}
@@ -170,52 +154,5 @@ func TestWeightedChoice(t *testing.T) {
 	ratio := float64(counts[2]) / float64(counts[0])
 	if math.Abs(ratio-3) > 0.3 {
 		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	s := New(31)
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{10, 0.3}, {1000, 0.5}, {100000, 0.07}} {
-		var sum, sum2 float64
-		const trials = 3000
-		for i := 0; i < trials; i++ {
-			x := float64(s.Binomial(tc.n, tc.p))
-			sum += x
-			sum2 += x * x
-		}
-		mean := sum / trials
-		wantMean := float64(tc.n) * tc.p
-		sd := math.Sqrt(float64(tc.n) * tc.p * (1 - tc.p))
-		if math.Abs(mean-wantMean) > 5*sd/math.Sqrt(trials) {
-			t.Errorf("Binomial(%d,%v): mean = %v, want ~%v", tc.n, tc.p, mean, wantMean)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	s := New(41)
-	if got := s.Binomial(10, 0); got != 0 {
-		t.Fatalf("Binomial(10, 0) = %d, want 0", got)
-	}
-	if got := s.Binomial(10, 1); got != 10 {
-		t.Fatalf("Binomial(10, 1) = %d, want 10", got)
-	}
-	if got := s.Binomial(0, 0.5); got != 0 {
-		t.Fatalf("Binomial(0, 0.5) = %d, want 0", got)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(51)
-	p := s.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if seen[v] {
-			t.Fatal("Perm returned a duplicate")
-		}
-		seen[v] = true
 	}
 }

@@ -28,21 +28,6 @@ func (m *Multiset[T]) AddN(v T, n int) {
 	m.size += n
 }
 
-// Remove deletes one occurrence of v if present and reports whether it did.
-func (m *Multiset[T]) Remove(v T) bool {
-	c, ok := m.counts[v]
-	if !ok {
-		return false
-	}
-	if c == 1 {
-		delete(m.counts, v)
-	} else {
-		m.counts[v] = c - 1
-	}
-	m.size--
-	return true
-}
-
 // Count returns the number of occurrences of v.
 func (m *Multiset[T]) Count(v T) int { return m.counts[v] }
 
@@ -64,38 +49,4 @@ func (m *Multiset[T]) Entropy() float64 {
 		counts = append(counts, c)
 	}
 	return EntropyOfCounts(counts)
-}
-
-// Each calls fn for every distinct element with its count. Iteration order
-// is unspecified.
-func (m *Multiset[T]) Each(fn func(v T, count int)) {
-	//lint:allow ordered-map-range order is the documented contract; callers must canonicalize
-	for v, c := range m.counts {
-		fn(v, c)
-	}
-}
-
-// Elements returns all occurrences as a slice (each element repeated by its
-// count). Order is unspecified.
-func (m *Multiset[T]) Elements() []T {
-	out := make([]T, 0, m.size)
-	//lint:allow ordered-map-range order is the documented contract; callers must canonicalize
-	for v, c := range m.counts {
-		for i := 0; i < c; i++ {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Merge adds every occurrence in other into m.
-func (m *Multiset[T]) Merge(other *Multiset[T]) {
-	other.Each(func(v T, c int) { m.AddN(v, c) })
-}
-
-// Clone returns a deep copy.
-func (m *Multiset[T]) Clone() *Multiset[T] {
-	out := NewMultiset[T]()
-	out.Merge(m)
-	return out
 }

@@ -22,26 +22,6 @@ func TestMultisetBasics(t *testing.T) {
 	}
 }
 
-func TestMultisetRemove(t *testing.T) {
-	m := NewMultiset[int]()
-	m.AddN(7, 2)
-	if !m.Remove(7) {
-		t.Fatal("Remove existing element returned false")
-	}
-	if m.Count(7) != 1 || m.Len() != 1 {
-		t.Fatal("count after remove wrong")
-	}
-	if !m.Remove(7) {
-		t.Fatal("Remove second occurrence returned false")
-	}
-	if m.Remove(7) {
-		t.Fatal("Remove missing element returned true")
-	}
-	if m.Len() != 0 || m.Distinct() != 0 {
-		t.Fatal("multiset not empty after removals")
-	}
-}
-
 func TestMultisetAddNPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -87,43 +67,5 @@ func TestMultisetEntropyBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMultisetElementsAndMerge(t *testing.T) {
-	m := NewMultiset[string]()
-	m.AddN("x", 2)
-	m.Add("y")
-	el := m.Elements()
-	if len(el) != 3 {
-		t.Fatalf("Elements len = %d, want 3", len(el))
-	}
-	counts := map[string]int{}
-	for _, v := range el {
-		counts[v]++
-	}
-	if counts["x"] != 2 || counts["y"] != 1 {
-		t.Fatalf("Elements content wrong: %v", counts)
-	}
-
-	other := NewMultiset[string]()
-	other.Add("x")
-	other.Add("z")
-	m.Merge(other)
-	if m.Count("x") != 3 || m.Count("z") != 1 || m.Len() != 5 {
-		t.Fatal("Merge result wrong")
-	}
-}
-
-func TestMultisetClone(t *testing.T) {
-	m := NewMultiset[int]()
-	m.AddN(1, 3)
-	c := m.Clone()
-	c.Add(2)
-	if m.Count(2) != 0 {
-		t.Fatal("Clone is not independent of the original")
-	}
-	if c.Count(1) != 3 || c.Count(2) != 1 {
-		t.Fatal("Clone content wrong")
 	}
 }

@@ -1,39 +1,13 @@
 // Package stats provides the statistical toolkit used by LiFTinG's
 // entropy-based audits (§5.3 of the paper) and by the experiment harness:
-// Shannon entropy, Kullback-Leibler divergence, multisets, histograms,
-// empirical CDFs and streaming moments.
+// Shannon entropy of count histograms, multisets, empirical CDFs and
+// streaming moments.
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Entropy returns the Shannon entropy, in bits, of the distribution given by
-// probs. Entries that are zero contribute nothing (0·log 0 = 0 by
-// convention). The input need not be normalized: values are divided by their
-// sum. Entropy returns 0 for an empty or all-zero input.
-func Entropy(probs []float64) float64 {
-	var total float64
-	for _, p := range probs {
-		if p < 0 {
-			return math.NaN()
-		}
-		total += p
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, p := range probs {
-		if p == 0 {
-			continue
-		}
-		q := p / total
-		h -= q * math.Log2(q)
-	}
-	return h
-}
 
 // EntropyOfCounts returns the Shannon entropy, in bits, of the empirical
 // distribution given by integer counts.
@@ -79,47 +53,6 @@ func MaxEntropy(k int) float64 {
 	return math.Log2(float64(k))
 }
 
-// KLDivergence returns the Kullback-Leibler divergence D(p‖q) in bits.
-// Inputs are normalized first. The result is +Inf if p has mass where q has
-// none, and NaN if the inputs differ in length or are not distributions.
-func KLDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		return math.NaN()
-	}
-	var sp, sq float64
-	for i := range p {
-		if p[i] < 0 || q[i] < 0 {
-			return math.NaN()
-		}
-		sp += p[i]
-		sq += q[i]
-	}
-	if sp == 0 || sq == 0 {
-		return math.NaN()
-	}
-	var d float64
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		pi := p[i] / sp
-		qi := q[i] / sq
-		if qi == 0 {
-			return math.Inf(1)
-		}
-		d += pi * math.Log2(pi/qi)
-	}
-	return d
-}
-
-// UniformKLFromEntropy returns D(p‖uniform_k) = log2(k) − H(p), the KL
-// divergence of a distribution over k outcomes from the uniform one, given
-// its entropy. This is the identity the paper invokes when it reduces the
-// uniformity check to an entropy threshold (§5.3).
-func UniformKLFromEntropy(entropy float64, k int) float64 {
-	return MaxEntropy(k) - entropy
-}
-
 // Moments accumulates streaming mean/variance using Welford's algorithm.
 // The zero value is ready to use.
 type Moments struct {
@@ -162,14 +95,6 @@ func (m *Moments) Var() float64 {
 	return m.m2 / float64(m.n)
 }
 
-// SampleVar returns the unbiased sample variance (0 if fewer than two samples).
-func (m *Moments) SampleVar() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
 // Std returns the population standard deviation.
 func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
 
@@ -190,15 +115,6 @@ func NewECDF(samples []float64) *ECDF {
 	copy(s, samples)
 	sort.Float64s(s)
 	return &ECDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
 }
 
 // Quantile returns the q-th quantile for q in [0, 1].
@@ -238,68 +154,11 @@ func (e *ECDF) Max() float64 {
 	return e.sorted[len(e.sorted)-1]
 }
 
-// Histogram is a fixed-width binned histogram over [Lo, Hi). Samples outside
-// the range are clamped into the first/last bin so no mass is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-// It panics if hi <= lo or bins <= 0.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if hi <= lo || bins <= 0 {
-		panic("stats: NewHistogram: invalid bounds or bins")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add incorporates x.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
 // ChiSquareUniform returns the chi-square statistic of counts against the
 // uniform distribution over len(counts) categories. Large values indicate
 // non-uniformity; the degrees of freedom are len(counts)−1.
+//
+//lint:allow no-orphan membership's TestSampleUniformity judges partner sampling with it
 func ChiSquareUniform(counts []int) float64 {
 	k := len(counts)
 	if k == 0 {
@@ -334,6 +193,8 @@ func Mean(xs []float64) float64 {
 }
 
 // Std returns the population standard deviation of xs.
+//
+//lint:allow no-orphan Std and Mean are the batch reference TestMomentsMatchesBatch holds Moments to
 func Std(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0

@@ -37,11 +37,6 @@ func (c Config) ChunkInterval() time.Duration {
 	return time.Duration(float64(c.ChunkPayload) / bytesPerSecond * float64(time.Second))
 }
 
-// ChunksPerSecond returns the emission rate.
-func (c Config) ChunksPerSecond() float64 {
-	return float64(c.BitrateBps) / 8 / float64(c.ChunkPayload)
-}
-
 // GenTime returns the instant chunk c is generated by the source, measured
 // from the start of the broadcast.
 func (c Config) GenTime(id msg.ChunkID) time.Duration {
@@ -55,12 +50,6 @@ func (c Config) ChunksBy(t time.Duration) int {
 		return 0
 	}
 	return int(t/c.ChunkInterval()) + 1
-}
-
-// DefaultConfig returns the paper's 674 kbps stream with chunks sized so
-// that roughly 64 chunks are emitted per second.
-func DefaultConfig() Config {
-	return Config{BitrateBps: 674_000, ChunkPayload: 1316}
 }
 
 // Playout records chunk arrival times at one node.
@@ -82,9 +71,6 @@ func (p *Playout) Received(id msg.ChunkID, at time.Duration) {
 	}
 	p.arrived[id] = at
 }
-
-// Count returns the number of distinct chunks received.
-func (p *Playout) Count() int { return len(p.arrived) }
 
 // DeliveredRatio returns the fraction of the first total chunks that arrived
 // within lag of their generation time. This is the per-node ingredient of
@@ -109,17 +95,6 @@ func (p *Playout) DeliveredRatio(total int, lag time.Duration) float64 {
 // arrived within lag of generation.
 func (p *Playout) ViewsClearStream(total int, lag time.Duration, threshold float64) bool {
 	return p.DeliveredRatio(total, lag) >= threshold
-}
-
-// Missing returns the ids among the first total chunks that never arrived.
-func (p *Playout) Missing(total int) []msg.ChunkID {
-	var out []msg.ChunkID
-	for i := 0; i < total; i++ {
-		if _, ok := p.arrived[msg.ChunkID(i)]; !ok {
-			out = append(out, msg.ChunkID(i))
-		}
-	}
-	return out
 }
 
 // ClearThreshold is the delivered-ratio above which a stream is considered

@@ -8,9 +8,13 @@ import (
 	"lifting/internal/msg"
 )
 
+// paperStream is the paper's 674 kbps stream in 1316-byte chunks, roughly 64
+// per second.
+var paperStream = Config{BitrateBps: 674_000, ChunkPayload: 1316}
+
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	if err := paperStream.Validate(); err != nil {
+		t.Fatalf("paper stream invalid: %v", err)
 	}
 	if err := (Config{BitrateBps: 0, ChunkPayload: 1}).Validate(); err == nil {
 		t.Fatal("zero bitrate accepted")
@@ -21,18 +25,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestChunkInterval674(t *testing.T) {
-	cfg := DefaultConfig()
 	// 674 kbps / 8 = 84250 B/s; 1316-byte chunks → ~64 chunks/s.
-	if cps := cfg.ChunksPerSecond(); math.Abs(cps-64) > 1 {
-		t.Fatalf("chunks per second = %v, want ~64", cps)
-	}
-	if iv := cfg.ChunkInterval(); math.Abs(iv.Seconds()-1.0/64) > 0.001 {
+	if iv := paperStream.ChunkInterval(); math.Abs(iv.Seconds()-1.0/64) > 0.001 {
 		t.Fatalf("chunk interval = %v, want ~15.6ms", iv)
 	}
 }
 
 func TestGenTimeMonotone(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := paperStream
 	prev := time.Duration(-1)
 	for i := 0; i < 100; i++ {
 		g := cfg.GenTime(msg.ChunkID(i))
@@ -60,17 +60,13 @@ func TestChunksBy(t *testing.T) {
 }
 
 func TestPlayoutEarliestArrivalWins(t *testing.T) {
-	p := NewPlayout(DefaultConfig())
+	p := NewPlayout(paperStream)
 	p.Received(5, 100*time.Millisecond)
 	p.Received(5, 50*time.Millisecond)
 	p.Received(5, 200*time.Millisecond)
-	if p.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", p.Count())
-	}
 	// The earliest arrival (50ms) must be the one retained: with total=6 the
 	// chunk is on time for a 50ms lag but would not be at its later arrivals.
-	cfg := DefaultConfig()
-	lag := 50*time.Millisecond - cfg.GenTime(5)
+	lag := 50*time.Millisecond - paperStream.GenTime(5)
 	if r := p.DeliveredRatio(6, lag); math.Abs(r-1.0/6) > 1e-12 {
 		t.Fatalf("ratio = %v, want 1/6 (earliest arrival retained)", r)
 	}
