@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race benchmark profile fuzz fmt vet lint
+.PHONY: test race benchmark profile heap fuzz fmt vet lint
 
 test:
 	$(GO) build ./...
@@ -45,6 +45,15 @@ profile:
 	$(GO) run ./benchmark -workload sim_scale -trace 1
 	$(GO) tool pprof -top -nodecount 30 benchmark/out/sim_scale/cpu.pprof
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects benchmark/out/sim_scale/heap.pprof
+
+# Where a node's bytes are: TestBytesPerNode's cluster (sim_scale's shape at
+# n = 500, streamed past nh periods so every log is full), profiled while it
+# is alive — the test parks it in a package variable, so the profile `go test`
+# writes at exit still sees it. benchmark/out/sim_scale/heap.pprof cannot
+# answer this: it is written after the probes, when the cluster is long gone.
+heap:
+	$(GO) test -run '^TestBytesPerNode$$' -count=1 -v -o cluster.test -memprofile cluster-heap.pprof -memprofilerate 4096 ./internal/cluster/
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 cluster.test cluster-heap.pprof
 
 # Extended fuzzing of the network-facing decoder and of the engine's event
 # queue against a sorted reference (the committed seed corpora replay on

@@ -73,7 +73,7 @@ func TestAuditorHonestEndToEnd(t *testing.T) {
 	for p := msg.Period(1); p <= 50; p++ {
 		partner := msg.NodeID(2 + (int(p)*7)%60)
 		chunks := []msg.ChunkID{msg.ChunkID(p)}
-		h1.RecordProposalSent(p, partner, chunks)
+		h1.RecordProposalsSent(p, []msg.NodeID{partner}, chunks)
 		h1.RecordServeReceived(p, msg.NodeID(2+(int(p)*11)%60), chunks)
 	}
 	r.attachVerifier(1, h1, gossip.Honest{})
@@ -126,7 +126,7 @@ func TestAuditorForgedHistoryBlamed(t *testing.T) {
 	h1 := history.NewLog(50)
 	for p := msg.Period(1); p <= 50; p++ {
 		// Claims diverse partners…
-		h1.RecordProposalSent(p, msg.NodeID(2+int(p)%60), []msg.ChunkID{msg.ChunkID(p)})
+		h1.RecordProposalsSent(p, []msg.NodeID{msg.NodeID(2 + int(p)%60)}, []msg.ChunkID{msg.ChunkID(p)})
 	}
 	r.attachVerifier(1, h1, gossip.Honest{})
 	// …but the alleged receivers know nothing.
@@ -154,7 +154,7 @@ func TestAuditorPeriodStretchDetected(t *testing.T) {
 	h1 := history.NewLog(50)
 	for p := msg.Period(1); p <= 50; p += 2 {
 		partner := msg.NodeID(2 + int(p)%10)
-		h1.RecordProposalSent(p, partner, []msg.ChunkID{msg.ChunkID(p)})
+		h1.RecordProposalsSent(p, []msg.NodeID{partner}, []msg.ChunkID{msg.ChunkID(p)})
 	}
 	r.attachVerifier(1, h1, gossip.Honest{})
 	for i := 2; i < 12; i++ {
@@ -187,7 +187,7 @@ func TestAuditorMaxPollsSampled(t *testing.T) {
 	r := newAuditRig(t, cfg)
 	h1 := history.NewLog(50)
 	for p := msg.Period(1); p <= 50; p++ {
-		h1.RecordProposalSent(p, msg.NodeID(2+int(p)), []msg.ChunkID{msg.ChunkID(p)})
+		h1.RecordProposalsSent(p, []msg.NodeID{msg.NodeID(2 + int(p))}, []msg.ChunkID{msg.ChunkID(p)})
 	}
 	r.attachVerifier(1, h1, gossip.Honest{})
 	r.auditor.Audit(1)

@@ -295,7 +295,7 @@ func TestAckDutySendsAcks(t *testing.T) {
 func TestAuditReqServesForgedSnapshot(t *testing.T) {
 	forger := forgingBehavior{}
 	r := newRig(t, testCfg(), forger)
-	r.hist.RecordProposalSent(1, 2, []msg.ChunkID{1})
+	r.hist.RecordProposalsSent(1, []msg.NodeID{2}, []msg.ChunkID{1})
 	r.v.HandleAux(8, &msg.AuditReq{Sender: 8, Horizon: time.Hour})
 	r.eng.Run(time.Second)
 	var resp *msg.AuditResp

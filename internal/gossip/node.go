@@ -298,8 +298,8 @@ func (n *Node) proposePhase() {
 				m = &msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: claimed}
 			}
 			n.deps.Net.Send(n.id, p, m, net.Unreliable)
-			n.deps.History.RecordProposalSent(n.period, p, advertised)
 		}
+		n.deps.History.RecordProposalsSent(n.period, partners, advertised)
 		if n.phases == nil {
 			n.phases = make([]phase, nh)
 		}

@@ -142,7 +142,6 @@ func (n *refNode) proposePhase() {
 					Chunks:  advertised,
 					Origins: origins,
 				}, net.Unreliable)
-				n.deps.History.RecordProposalSent(n.period, p, advertised)
 				op := &refOutProposal{
 					period:   n.period,
 					chunks:   make(map[msg.ChunkID]bool, len(advertised)),
@@ -152,6 +151,9 @@ func (n *refNode) proposePhase() {
 					op.chunks[c] = true
 				}
 				n.outProposals[p] = op
+			}
+			if len(partners) > 0 {
+				n.deps.History.RecordProposalsSent(n.period, partners, advertised)
 			}
 		}
 	}

@@ -10,14 +10,23 @@
 //   - a-posteriori cross-checking: the list of proposals to be confirmed by
 //     their alleged receivers (§5.3).
 //
-// The log is a ring of nh period slots, reused in place, plus one index of
-// received proposals keyed by sender. The retained window is the periods
-// (newest−nh, newest]: a slot is emptied the moment its period leaves the
-// window, and a record for a period already outside it is dropped.
+// The log is four queues of small records, each in period order: the owner's
+// propose phases, the proposals it received, the serves it received and the
+// nodes that asked it to confirm somebody. The retained window is the periods
+// (newest−nh, newest]: a record leaves the head of its queue the moment its
+// period leaves the window, and a record for a period already outside it is
+// dropped.
+//
+// The log keeps the partner and chunk-id lists it is handed; it copies none
+// and writes to none. A caller never writes to a list after recording it
+// (messages are read-only once sent, and these lists are what messages
+// carry), and what the accessors return shares the same lists under the same
+// rule, for as long as anybody holds them.
 package history
 
 import (
 	"slices"
+	"sort"
 
 	"lifting/internal/msg"
 	"lifting/internal/stats"
@@ -31,66 +40,156 @@ import (
 type Log struct {
 	retention msg.Period
 	newest    msg.Period
-	// slots is the ring; a retained period p lives in slots[p%retention].
-	// It is allocated by the first record, so that building a node costs
-	// no more than the log's header.
-	slots []slot
-	// index holds, per sender, the proposals that sender made to the owner
-	// inside the window. A sender with none left in the window has no key.
-	index map[msg.NodeID][]received
-	// spare keeps the backing arrays of deleted index entries for the next
-	// new sender; slab is where a new sender's first entry is carved from
-	// when there is none to reuse.
-	spare [][]received
-	slab  []received
+	// sent holds one record per propose phase: the fanout entries of a
+	// period are its partners, each offered the same chunks.
+	sent queue[proposePhase]
+	// received holds the proposals made to the owner and senders, place for
+	// place, who made each: witness duty scans the ids, 4 bytes a proposal,
+	// and touches a record only where the id matches.
+	received queue[receivedProposal]
+	senders  queue[msg.NodeID]
+	// serves holds the owner's fanin entries (as recorded; a freerider may
+	// have recorded forged origins).
+	serves queue[serve]
+	// askers records who asked the owner to confirm which suspect's
+	// proposals. For an honest suspect these askers are exactly the suspect's
+	// servers, which is how the auditor reconstructs F'h (§5.3).
+	askers queue[confirmAsker]
 }
 
-// slabSize is the number of index entries allocated at a time: a few
-// periods' worth of new senders at f = 7.
-const slabSize = 64
+// record is what a queue of the log holds: a value that knows its period.
+type record interface{ when() msg.Period }
 
-// received is one proposal witnessed by the owner. Its chunk ids live in
-// the arena of the slot of its period, and go when that slot is emptied.
-type received struct {
+type proposePhase struct {
+	period   msg.Period
+	partners []msg.NodeID
+	chunks   []msg.ChunkID
+}
+
+type receivedProposal struct {
 	period msg.Period
 	chunks []msg.ChunkID
 }
 
-// slot holds one period's records. A slot is reused for period p+retention
-// once p leaves the window: its slices are truncated, not reallocated.
-type slot struct {
-	period msg.Period
-	used   bool
-	// proposalsSent are the owner's fanout entries for the period.
-	proposalsSent []msg.ProposalRecord
-	// servesReceived are the owner's fanin entries (as recorded; a
-	// freerider may have recorded forged origins).
-	servesReceived []msg.ServeRecord
-	// askers records, in arrival order, who asked the owner to confirm
-	// which suspect's proposals. For an honest suspect these askers are
-	// exactly the suspect's servers, which is how the auditor reconstructs
-	// F'h (§5.3).
-	askers []confirmAsker
-	// senders lists the index keys this period appended to, so that
-	// emptying the slot trims exactly those.
-	senders []msg.NodeID
-	// arena backs the chunk-id copies of the records above and of the
-	// period's index entries; last is the most recent copy, shared by the
-	// next record with equal content (a propose phase records one
-	// advertised set once per partner).
-	arena []msg.ChunkID
-	last  []msg.ChunkID
-	// kept counts the chunk ids copied this period, over all the blocks
-	// the arena went through: the size of the one block that would do.
-	kept int
-	// lent is set once records of this slot were handed to a caller: the
-	// arena then belongs to that snapshot and the slot takes a new one
-	// when it is reused.
-	lent bool
-}
+type serve msg.ServeRecord
 
 type confirmAsker struct {
+	period         msg.Period
 	suspect, asker msg.NodeID
+}
+
+func (r proposePhase) when() msg.Period     { return r.period }
+func (r receivedProposal) when() msg.Period { return r.period }
+func (r serve) when() msg.Period            { return r.Period }
+func (r confirmAsker) when() msg.Period     { return r.period }
+
+// queue is a ring of records held by value, oldest first: place i is
+// buf[(head+i) mod len(buf)]. It is made by the first record, so that
+// building a node costs no more than the log's header, and it never shrinks:
+// its size follows the most records one window ever held.
+type queue[T any] struct {
+	buf     []T
+	head, n int
+}
+
+// at returns place i.
+func (q *queue[T]) at(i int) *T {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
+
+// runs returns the records from place i on, oldest first, as the two
+// contiguous stretches of the ring they lie in (the second is empty unless
+// they wrap around its end).
+func (q *queue[T]) runs(i int) [2][]T {
+	if i >= q.n {
+		return [2][]T{}
+	}
+	lo, hi := q.head+i, q.head+q.n
+	switch size := len(q.buf); {
+	case lo >= size:
+		return [2][]T{q.buf[lo-size : hi-size]}
+	case hi > size:
+		return [2][]T{q.buf[lo:], q.buf[:hi-size]}
+	}
+	return [2][]T{q.buf[lo:hi]}
+}
+
+// resize moves the records into a ring of the given size.
+func (q *queue[T]) resize(size int) {
+	buf, runs := make([]T, size), q.runs(0)
+	copy(buf[copy(buf, runs[0]):], runs[1])
+	q.buf, q.head = buf, 0
+}
+
+// insert adds v k places before the tail of a ring that has room.
+func (q *queue[T]) insert(v T, k int) {
+	i := q.n
+	q.n++
+	for ; k > 0; k, i = k-1, i-1 {
+		*q.at(i) = *q.at(i - 1)
+	}
+	*q.at(i) = v
+}
+
+// drop removes the oldest record. The vacated place is zeroed, so that the
+// ring pins no list past its period.
+func (q *queue[T]) drop() {
+	*q.at(0) = *new(T)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+}
+
+// trim drops the records of periods before oldest and returns how many went.
+func trim[T record](q *queue[T], oldest msg.Period) int {
+	k := 0
+	for ; q.n > 0 && (*q.at(0)).when() < oldest; k++ {
+		q.drop()
+	}
+	return k
+}
+
+// file puts r into q behind the records of its period and of earlier ones,
+// and returns how far before the tail that is. Gossip records the serves of
+// p−1 at the top of phase p, before anything of p, and everything else under
+// the period it happens in, so its records arrive in period order, queue by
+// queue, and the answer is 0; a late record is moved back to its period's
+// place, so that every read is a plain walk.
+func file[T record](l *Log, q *queue[T], r T) int {
+	k := 0
+	for k < q.n && (*q.at(q.n - 1 - k)).when() > r.when() {
+		k++
+	}
+	if q.n == len(q.buf) {
+		q.resize(room(l, q))
+	}
+	q.insert(r, k)
+	return k
+}
+
+// room returns the size a full ring grows to: twice what it holds while the
+// window fills, but no more than an eighth over what the whole window will
+// hold at the rate of the periods so far — which, once the window is full, is
+// an eighth more. The logs are the largest structure of a run, so what a
+// growing ring leaves the collector and what a grown one never uses both
+// count: growing by a quarter left four times the ring behind, and plain
+// doubling ends up to half empty.
+func room[T record](l *Log, q *queue[T]) int {
+	if q.n == 0 {
+		return 8
+	}
+	span := l.newest - (*q.at(0)).when() + 1
+	window := q.n * int(l.retention) / int(span)
+	return min(2*q.n, window+window/8) + 8
+}
+
+// after returns the place of the first record of a period after since.
+func after[T record](q *queue[T], since msg.Period) int {
+	return sort.Search(q.n, func(i int) bool { return (*q.at(i)).when() > since })
 }
 
 // NewLog creates a log retaining the given number of gossip periods (nh).
@@ -99,10 +198,7 @@ func NewLog(retention int) *Log {
 	if retention <= 0 {
 		panic("history: retention must be positive")
 	}
-	return &Log{
-		retention: msg.Period(retention),
-		index:     make(map[msg.NodeID][]received),
-	}
+	return &Log{retention: msg.Period(retention)}
 }
 
 // oldest returns the first period of the retained window, which is
@@ -114,183 +210,97 @@ func (l *Log) oldest() msg.Period {
 	return l.newest - l.retention + 1
 }
 
-// slotFor returns the slot to record period p into, advancing the window
-// when p is newer than anything seen, or nil when p has already left it.
-func (l *Log) slotFor(p msg.Period) *slot {
-	if l.slots == nil {
-		l.slots = make([]slot, l.retention)
-	}
+// admit reports whether period p is inside the window, advancing the window
+// first when p is newer than anything seen.
+func (l *Log) admit(p msg.Period) bool {
 	if p > l.newest {
-		// Each period entering the window shares its slot with the one
-		// retention before it, which leaves.
-		q := l.newest + 1
 		l.newest = p
-		for q = max(q, l.oldest()); q <= p; q++ {
-			l.empty(&l.slots[q%l.retention])
+		oldest := l.oldest()
+		trim(&l.sent, oldest)
+		for k := trim(&l.received, oldest); k > 0; k-- {
+			l.senders.drop()
 		}
-	} else if p < l.oldest() {
-		return nil
+		trim(&l.serves, oldest)
+		trim(&l.askers, oldest)
 	}
-	s := &l.slots[p%l.retention]
-	if !s.used {
-		s.period, s.used = p, true
-		// Expect a period like the last one: without this, each of a
-		// node's first nh periods grows five slices from nothing.
-		prev := &l.slots[(p+l.retention-1)%l.retention]
-		s.proposalsSent = sized(s.proposalsSent, len(prev.proposalsSent))
-		s.servesReceived = sized(s.servesReceived, len(prev.servesReceived))
-		s.askers = sized(s.askers, len(prev.askers))
-		s.senders = sized(s.senders, len(prev.senders))
-		s.arena = sized(s.arena, prev.kept)
-	}
-	return s
+	return p >= l.oldest()
 }
 
-// sized returns the empty slice s with room for n elements.
-func sized[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s
-	}
-	return make([]T, 0, n)
-}
-
-// empty drops a slot's records and the index entries it contributed.
-func (l *Log) empty(s *slot) {
-	if !s.used {
-		return
-	}
-	for _, sender := range s.senders {
-		entries, ok := l.index[sender]
-		if !ok {
-			continue // listed twice, trimmed the first time
-		}
-		left := slices.DeleteFunc(entries, func(e received) bool { return e.period == s.period })
-		if len(left) > 0 {
-			l.index[sender] = left
-		} else {
-			delete(l.index, sender)
-			l.spare = append(l.spare, left)
-		}
-	}
-	s.used = false
-	s.proposalsSent = s.proposalsSent[:0]
-	s.servesReceived = s.servesReceived[:0]
-	s.askers = s.askers[:0]
-	s.senders = s.senders[:0]
-	s.last = nil
-	if s.lent || s.kept > cap(s.arena) {
-		s.arena, s.lent = make([]msg.ChunkID, 0, max(s.kept, cap(s.arena))), false
-	} else {
-		s.arena = s.arena[:0]
-	}
-	s.kept = 0
-}
-
-// keep copies chunks into the slot's arena.
-func (s *slot) keep(chunks []msg.ChunkID) []msg.ChunkID {
-	if slices.Equal(s.last, chunks) {
-		return s.last
-	}
-	if cap(s.arena)-len(s.arena) < len(chunks) {
-		// A further block, not append's doubled copy: the copies handed
-		// out so far keep the old block alive whatever happens to it.
-		s.arena = make([]msg.ChunkID, 0, max(len(chunks), cap(s.arena)))
-	}
-	s.kept += len(chunks)
-	start := len(s.arena)
-	s.arena = append(s.arena, chunks...)
-	s.last = s.arena[start:len(s.arena):len(s.arena)]
-	return s.last
-}
-
-// walk calls fn on every retained period in (since, newest], oldest first.
-// Snapshot record order follows it: an audited freerider's forgery draws
-// and the auditor's poll sampling both consume randomness in record order.
-func (l *Log) walk(since msg.Period, fn func(*slot)) {
-	if since >= l.newest {
-		return
-	}
-	for p := max(since+1, l.oldest()); p <= l.newest; p++ {
-		if s := &l.slots[p%l.retention]; s.used {
-			fn(s)
-		}
-	}
-}
-
-// RecordProposalSent logs that the owner proposed chunks to partner during
-// period p.
-func (l *Log) RecordProposalSent(p msg.Period, partner msg.NodeID, chunks []msg.ChunkID) {
-	if s := l.slotFor(p); s != nil {
-		s.proposalsSent = append(s.proposalsSent, msg.ProposalRecord{Period: p, Partner: partner, Chunks: s.keep(chunks)})
+// RecordProposalsSent logs that the owner proposed chunks to each of partners
+// during period p: one call per propose phase.
+func (l *Log) RecordProposalsSent(p msg.Period, partners []msg.NodeID, chunks []msg.ChunkID) {
+	if l.admit(p) && len(partners) > 0 {
+		file(l, &l.sent, proposePhase{period: p, partners: partners, chunks: chunks})
 	}
 }
 
 // RecordServeReceived logs that server delivered chunks to the owner during
 // period p (a fanin entry).
 func (l *Log) RecordServeReceived(p msg.Period, server msg.NodeID, chunks []msg.ChunkID) {
-	if s := l.slotFor(p); s != nil {
-		s.servesReceived = append(s.servesReceived, msg.ServeRecord{Period: p, Server: server, Chunks: s.keep(chunks)})
+	if l.admit(p) {
+		file(l, &l.serves, serve{Period: p, Server: server, Chunks: chunks})
 	}
 }
 
 // RecordProposalReceived logs that from proposed chunks to the owner during
 // period p, for later witness duty.
 func (l *Log) RecordProposalReceived(p msg.Period, from msg.NodeID, chunks []msg.ChunkID) {
-	s := l.slotFor(p)
-	if s == nil || len(chunks) == 0 {
-		return
+	if l.admit(p) && len(chunks) > 0 {
+		k := file(l, &l.received, receivedProposal{period: p, chunks: chunks})
+		if len(l.senders.buf) != len(l.received.buf) {
+			l.senders.resize(len(l.received.buf))
+		}
+		l.senders.insert(from, k)
 	}
-	entries, ok := l.index[from]
-	if !ok {
-		entries = l.newEntries()
-	}
-	l.index[from] = append(entries, received{period: p, chunks: s.keep(chunks)})
-	s.senders = append(s.senders, from)
-}
-
-// newEntries returns an empty entry slice for a sender new to the index: a
-// recycled one if there is any, else room for one entry carved from the slab.
-func (l *Log) newEntries() []received {
-	if k := len(l.spare); k > 0 {
-		entries := l.spare[k-1]
-		l.spare = l.spare[:k-1]
-		return entries
-	}
-	if len(l.slab) == cap(l.slab) {
-		l.slab = make([]received, 0, slabSize)
-	}
-	k := len(l.slab)
-	l.slab = l.slab[:k+1]
-	return l.slab[k : k : k+1]
 }
 
 // RecordConfirmAsker logs that asker sent a Confirm about suspect during
 // period p.
 func (l *Log) RecordConfirmAsker(p msg.Period, suspect, asker msg.NodeID) {
-	if s := l.slotFor(p); s != nil {
-		s.askers = append(s.askers, confirmAsker{suspect: suspect, asker: asker})
+	if l.admit(p) {
+		file(l, &l.askers, confirmAsker{period: p, suspect: suspect, asker: asker})
 	}
 }
 
 // hasProposalFrom reports whether the owner received, during the retained
 // periods in [from, to], proposals from sender that together cover every
-// chunk in chunks. This is the witness-side truth for direct cross-checking
-// (§5.2): one index lookup and a scan of that sender's entries.
-func (l *Log) hasProposalFrom(sender msg.NodeID, from, to msg.Period, chunks []msg.ChunkID) bool {
-	if len(chunks) == 0 {
+// chunk in asked. This is the witness-side truth for direct cross-checking
+// (§5.2): one pass over the window's sender ids, newest first — a witness is
+// asked within a period or two of the proposal, so the usual yes stops a few
+// ids in — marking what each proposal of that sender covers. O(window records
+// + |asked| × chunk ids that sender proposed), without allocating unless
+// asked is longer than 64, which only a hostile Confirm or AuditPoll is.
+func (l *Log) hasProposalFrom(sender msg.NodeID, from, to msg.Period, asked []msg.ChunkID) bool {
+	var word [1]uint64
+	covered, left := word[:], len(asked) // bit j: asked[j] was proposed
+	if left == 0 {
 		return true
+	} else if left > 64 {
+		covered = make([]uint64, (left+63)/64)
 	}
-	entries := l.index[sender]
-next:
-	for _, c := range chunks {
-		for _, e := range entries {
-			if from <= e.period && e.period <= to && slices.Contains(e.chunks, c) {
-				continue next
+	runs, base := l.senders.runs(0), l.senders.n
+	for k := 1; k >= 0; k-- {
+		run := runs[k]
+		base -= len(run) // the place of run[0]
+		for i := len(run) - 1; i >= 0; i-- {
+			if run[i] != sender {
+				continue
+			}
+			r := l.received.at(base + i)
+			if r.period < from || to < r.period {
+				continue
+			}
+			for j, c := range asked {
+				if covered[j>>6]>>(j&63)&1 == 0 && slices.Contains(r.chunks, c) {
+					covered[j>>6] |= 1 << (j & 63)
+					if left--; left == 0 {
+						return true
+					}
+				}
 			}
 		}
-		return false
 	}
-	return true
+	return false
 }
 
 // HasRecentProposalFrom reports whether any combination of retained
@@ -304,11 +314,9 @@ func (l *Log) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) boo
 // during periods (since, newest].
 func (l *Log) FanoutMultiset(since msg.Period) *stats.Multiset[msg.NodeID] {
 	ms := stats.NewMultiset[msg.NodeID]()
-	l.walk(since, func(s *slot) {
-		for i := range s.proposalsSent {
-			ms.Add(s.proposalsSent[i].Partner)
-		}
-	})
+	for _, r := range l.Proposals(since) {
+		ms.Add(r.Partner)
+	}
 	return ms
 }
 
@@ -316,35 +324,39 @@ func (l *Log) FanoutMultiset(since msg.Period) *stats.Multiset[msg.NodeID] {
 // fanin during periods (since, newest].
 func (l *Log) FaninMultiset(since msg.Period) *stats.Multiset[msg.NodeID] {
 	ms := stats.NewMultiset[msg.NodeID]()
-	l.walk(since, func(s *slot) {
-		for i := range s.servesReceived {
-			ms.Add(s.servesReceived[i].Server)
-		}
-	})
+	for _, r := range l.Serves(since) {
+		ms.Add(r.Server)
+	}
 	return ms
 }
 
 // Proposals returns the owner's fanout records for periods (since, newest],
-// oldest period first, in recording order within a period. The records
-// share chunk slices with the log; callers must not modify them, and may
-// hold them for as long as they like (see slot.lent).
+// oldest period first, in recording order within a period: a propose phase
+// expands into one record per partner, all sharing its chunk list. Record
+// order matters: an audited freerider's forgery draws and the auditor's poll
+// sampling both consume randomness in it.
 func (l *Log) Proposals(since msg.Period) []msg.ProposalRecord {
 	var out []msg.ProposalRecord
-	l.walk(since, func(s *slot) {
-		out = append(out, s.proposalsSent...)
-		s.lent = true
-	})
+	for _, run := range l.sent.runs(after(&l.sent, since)) {
+		for _, ph := range run {
+			for _, partner := range ph.partners {
+				out = append(out, msg.ProposalRecord{Period: ph.period, Partner: partner, Chunks: ph.chunks})
+			}
+		}
+	}
 	return out
 }
 
 // Serves returns the owner's fanin records for periods (since, newest], in
-// the order and under the sharing rule of Proposals.
+// the order of Proposals.
 func (l *Log) Serves(since msg.Period) []msg.ServeRecord {
 	var out []msg.ServeRecord
-	l.walk(since, func(s *slot) {
-		out = append(out, s.servesReceived...)
-		s.lent = true
-	})
+	for _, run := range l.serves.runs(after(&l.serves, since)) {
+		out = slices.Grow(out, len(run))
+		for _, r := range run {
+			out = append(out, msg.ServeRecord(r))
+		}
+	}
 	return out
 }
 
@@ -354,12 +366,14 @@ func (l *Log) Serves(since msg.Period) []msg.ServeRecord {
 // (§5.3: "checking the gossip period boils down to counting the number of
 // proposals in the local history").
 func (l *Log) ProposalPeriods(since msg.Period) int {
-	n := 0
-	l.walk(since, func(s *slot) {
-		if len(s.proposalsSent) > 0 {
-			n++
+	n, last := 0, since
+	for _, run := range l.sent.runs(after(&l.sent, since)) {
+		for _, ph := range run {
+			if ph.period != last {
+				n, last = n+1, ph.period
+			}
 		}
-	})
+	}
 	return n
 }
 
@@ -369,13 +383,13 @@ func (l *Log) ProposalPeriods(since msg.Period) int {
 // evidence.
 func (l *Log) AskersFor(suspect msg.NodeID, since msg.Period) []msg.NodeID {
 	var out []msg.NodeID
-	l.walk(since, func(s *slot) {
-		for _, a := range s.askers {
+	for _, run := range l.askers.runs(after(&l.askers, since)) {
+		for _, a := range run {
 			if a.suspect == suspect {
 				out = append(out, a.asker)
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -388,23 +402,8 @@ func (l *Log) Snapshot(owner msg.NodeID, horizon int) *msg.AuditResp {
 	if h := msg.Period(horizon); l.newest > h {
 		since = l.newest - h
 	}
-	resp := &msg.AuditResp{Sender: owner}
-	resp.Proposals = l.Proposals(since)
-	resp.Serves = l.Serves(since)
-	return resp
+	return &msg.AuditResp{Sender: owner, Proposals: l.Proposals(since), Serves: l.Serves(since)}
 }
 
 // Newest returns the most recent period recorded.
 func (l *Log) Newest() msg.Period { return l.newest }
-
-// PeriodsRetained returns the number of periods currently held (bounded by
-// Retention).
-func (l *Log) PeriodsRetained() int {
-	n := 0
-	for i := range l.slots {
-		if l.slots[i].used {
-			n++
-		}
-	}
-	return n
-}

@@ -2,6 +2,8 @@ package history
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"lifting/internal/msg"
@@ -19,9 +21,8 @@ func TestNewLogPanics(t *testing.T) {
 
 func TestFanoutMultiset(t *testing.T) {
 	l := NewLog(10)
-	l.RecordProposalSent(1, 7, []msg.ChunkID{1, 2})
-	l.RecordProposalSent(1, 8, []msg.ChunkID{1, 2})
-	l.RecordProposalSent(2, 7, []msg.ChunkID{3})
+	l.RecordProposalsSent(1, []msg.NodeID{7, 8}, []msg.ChunkID{1, 2})
+	l.RecordProposalsSent(2, []msg.NodeID{7}, []msg.ChunkID{3})
 	ms := l.FanoutMultiset(0)
 	if ms.Len() != 3 {
 		t.Fatalf("Fh size = %d, want 3", ms.Len())
@@ -74,10 +75,10 @@ func TestHasProposalFrom(t *testing.T) {
 func TestPruneKeepsRetentionWindow(t *testing.T) {
 	l := NewLog(3)
 	for p := msg.Period(1); p <= 10; p++ {
-		l.RecordProposalSent(p, msg.NodeID(p), []msg.ChunkID{msg.ChunkID(p)})
+		l.RecordProposalsSent(p, []msg.NodeID{msg.NodeID(p)}, []msg.ChunkID{msg.ChunkID(p)})
 	}
-	if l.PeriodsRetained() > 3 {
-		t.Fatalf("retained %d periods, want <= 3", l.PeriodsRetained())
+	if got := l.Proposals(0); len(got) != 3 || got[0].Period != 8 {
+		t.Fatalf("retained %v, want the proposals of periods 8, 9 and 10", got)
 	}
 	ms := l.FanoutMultiset(0)
 	if ms.Count(1) != 0 {
@@ -93,9 +94,8 @@ func TestPruneKeepsRetentionWindow(t *testing.T) {
 
 func TestProposalPeriods(t *testing.T) {
 	l := NewLog(20)
-	l.RecordProposalSent(1, 2, []msg.ChunkID{1})
-	l.RecordProposalSent(1, 3, []msg.ChunkID{1})
-	l.RecordProposalSent(4, 2, []msg.ChunkID{2})
+	l.RecordProposalsSent(1, []msg.NodeID{2, 3}, []msg.ChunkID{1})
+	l.RecordProposalsSent(4, []msg.NodeID{2}, []msg.ChunkID{2})
 	// Period 3 exists but has no proposals sent (only a serve received):
 	l.RecordServeReceived(3, 9, []msg.ChunkID{5})
 	if got := l.ProposalPeriods(0); got != 2 {
@@ -121,7 +121,7 @@ func TestAskersFor(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	l := NewLog(50)
 	for p := msg.Period(1); p <= 10; p++ {
-		l.RecordProposalSent(p, 5, []msg.ChunkID{msg.ChunkID(p)})
+		l.RecordProposalsSent(p, []msg.NodeID{5}, []msg.ChunkID{msg.ChunkID(p)})
 		l.RecordServeReceived(p, 6, []msg.ChunkID{msg.ChunkID(p)})
 	}
 	resp := l.Snapshot(42, 5)
@@ -143,14 +143,31 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestRecordCopiesChunks(t *testing.T) {
+// The log keeps the lists it is handed and hands the same lists out: nothing
+// is copied on the way in or on the way out (what makes that safe is the
+// callers' side of the contract, see the package comment).
+func TestRecordKeepsLists(t *testing.T) {
 	l := NewLog(5)
-	chunks := []msg.ChunkID{1, 2}
-	l.RecordProposalSent(1, 2, chunks)
-	chunks[0] = 99
-	got := l.Proposals(0)
-	if got[0].Chunks[0] != 1 {
-		t.Fatal("log aliases caller's chunk slice")
+	partners, chunks := []msg.NodeID{2, 3}, []msg.ChunkID{1, 2}
+	l.RecordProposalsSent(1, partners, chunks)
+	l.RecordServeReceived(1, 4, chunks[1:])
+	snap := l.Snapshot(9, 5)
+	if len(snap.Proposals) != 2 || len(snap.Serves) != 1 {
+		t.Fatalf("snapshot = %v", *snap)
+	}
+	for _, r := range snap.Proposals {
+		if &r.Chunks[0] != &chunks[0] {
+			t.Fatal("a proposal record holds a copy of the advertised list")
+		}
+	}
+	if &snap.Serves[0].Chunks[0] != &chunks[1] {
+		t.Fatal("a serve record holds a copy of its chunk list")
+	}
+	// A snapshot is the reader's own: rewriting a record of it, as a forger
+	// does, does not reach the log.
+	snap.Proposals[0].Partner = 77
+	if got := l.Proposals(0)[0].Partner; got != 2 {
+		t.Fatalf("partner read back as %d after a snapshot was rewritten, want 2", got)
 	}
 }
 
@@ -167,34 +184,36 @@ func TestWitnessRecordsAccumulate(t *testing.T) {
 // and a late record for such a period is dropped, not resurrected.
 func TestSparseLogForgetsOldPeriods(t *testing.T) {
 	l := NewLog(50)
-	l.RecordProposalSent(1, 2, []msg.ChunkID{1})
+	l.RecordProposalsSent(1, []msg.NodeID{2}, []msg.ChunkID{1})
 	l.RecordServeReceived(1, 3, []msg.ChunkID{1})
 	l.RecordProposalReceived(1, 4, []msg.ChunkID{1})
 	l.RecordConfirmAsker(1, 4, 5)
-	l.RecordProposalSent(100, 6, []msg.ChunkID{2})
+	l.RecordProposalsSent(100, []msg.NodeID{6}, []msg.ChunkID{2})
 	if l.HasRecentProposalFrom(4, []msg.ChunkID{1}) {
 		t.Fatal("witness answer from a period 99 behind newest, nh = 50")
 	}
 	if got := l.Proposals(0); len(got) != 1 || got[0].Period != 100 {
 		t.Fatalf("Proposals = %v, want only period 100", got)
 	}
-	if len(l.Serves(0)) != 0 || len(l.AskersFor(4, 0)) != 0 || l.PeriodsRetained() != 1 {
-		t.Fatalf("period 1 still visible: %v %v, %d periods", l.Serves(0), l.AskersFor(4, 0), l.PeriodsRetained())
+	if len(l.Serves(0)) != 0 || len(l.AskersFor(4, 0)) != 0 || l.received.n != 0 {
+		t.Fatalf("period 1 still visible: %v %v, %d received proposals", l.Serves(0), l.AskersFor(4, 0), l.received.n)
 	}
 	l.RecordProposalReceived(50, 4, []msg.ChunkID{1}) // newest−nh: outside
 	l.RecordProposalReceived(51, 7, []msg.ChunkID{1}) // oldest retained
 	if l.HasRecentProposalFrom(4, []msg.ChunkID{1}) || !l.HasRecentProposalFrom(7, []msg.ChunkID{1}) {
 		t.Fatal("window edge wrong: period 50 must be dropped and 51 kept at newest 100, nh 50")
 	}
-	if l.Newest() != 100 || len(l.index) != 1 {
-		t.Fatalf("Newest = %d, index holds %d senders; want 100, 1", l.Newest(), len(l.index))
+	if l.Newest() != 100 || l.received.n != 1 || l.senders.n != 1 {
+		t.Fatalf("Newest = %d, %d received proposals from %d senders; want 100, 1, 1", l.Newest(), l.received.n, l.senders.n)
 	}
 }
 
 // TestDifferentialAgainstReference drives Log and the map-based reference
 // model with the same seeded random operations — dense and skipped periods,
-// jumps past the whole window, late records, records behind the window —
-// and compares every query after every step, record order included.
+// jumps past the whole window, late records, records behind the window,
+// propose phases of one and two partners, witness questions of up to three
+// chunks and of more than 64 — and compares every query after every step,
+// record order included.
 func TestDifferentialAgainstReference(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		r := rng.New(seed)
@@ -223,8 +242,11 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			a, b, c := node(), node(), chunks()
 			switch r.IntN(4) {
 			case 0:
-				l.RecordProposalSent(at, a, c)
-				ref.RecordProposalSent(at, a, c)
+				partners := []msg.NodeID{a, b}[:1+b%2]
+				l.RecordProposalsSent(at, partners, c)
+				for _, partner := range partners {
+					ref.RecordProposalSent(at, partner, c)
+				}
 			case 1:
 				l.RecordServeReceived(at, a, c)
 				ref.RecordServeReceived(at, a, c)
@@ -235,12 +257,18 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				l.RecordConfirmAsker(at, a, b)
 				ref.RecordConfirmAsker(at, a, b)
 			}
+			checkQueues(t, l)
 
 			since := msg.Period(0)
 			if r.IntN(2) == 0 {
 				since = p - min(p, msg.Period(r.IntN(nh+3)))
 			}
 			who, from, want := node(), since, chunks()
+			if len(want) > 0 && r.IntN(8) == 0 {
+				for len(want) <= 64 {
+					want = append(want, want...)
+				}
+			}
 			same := func(what string, got, ref any) {
 				t.Helper()
 				if g, w := fmt.Sprint(got), fmt.Sprint(ref); g != w {
@@ -248,7 +276,6 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				}
 			}
 			same("Newest", l.Newest(), ref.newest)
-			same("PeriodsRetained", l.PeriodsRetained(), len(ref.periods))
 			same("HasRecentProposalFrom", l.HasRecentProposalFrom(who, want), ref.HasRecentProposalFrom(who, want))
 			same("hasProposalFrom", l.hasProposalFrom(who, from, p-min(p, 1), want), ref.hasProposalFrom(who, from, p-min(p, 1), want))
 			same("Proposals", l.Proposals(since), ref.Proposals(since))
@@ -277,22 +304,122 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 }
 
-// streamPeriod records one gossip period at the benchmark workloads' shape:
-// f = 7 partners offered one 8-chunk set, 7 servers, 7 proposers that are
-// each new to the window, 7 confirm askers.
+// checkQueues fails unless every queue of l is in period order inside the
+// window with nothing but zero values in the places it does not hold, and
+// the sender ring follows the received proposals place for place.
+func checkQueues(t *testing.T, l *Log) {
+	t.Helper()
+	checkQueue(t, l, "sent", &l.sent)
+	checkQueue(t, l, "received", &l.received)
+	checkQueue(t, l, "serves", &l.serves)
+	checkQueue(t, l, "askers", &l.askers)
+	if s, r := &l.senders, &l.received; s.n != r.n || s.head != r.head || len(s.buf) != len(r.buf) {
+		t.Fatalf("senders ring (head %d, n %d of %d) out of step with received (head %d, n %d of %d)", s.head, s.n, len(s.buf), r.head, r.n, len(r.buf))
+	}
+	checkVacated(t, "senders", &l.senders)
+}
+
+func checkQueue[T record](t *testing.T, l *Log, name string, q *queue[T]) {
+	t.Helper()
+	last := l.oldest()
+	for i := 0; i < q.n; i++ {
+		p := (*q.at(i)).when()
+		if p < last || p > l.newest {
+			t.Fatalf("%s: place %d holds period %d after %d, window (%d, %d]", name, i, p, last, l.newest-l.retention, l.newest)
+		}
+		last = p
+	}
+	checkVacated(t, name, q)
+}
+
+func checkVacated[T any](t *testing.T, name string, q *queue[T]) {
+	t.Helper()
+	for i := q.n; i < len(q.buf); i++ {
+		if !reflect.ValueOf(q.at(i)).Elem().IsZero() {
+			t.Fatalf("%s: place %d of %d, outside the %d held, is %v: a vacated place must be zeroed", name, i, len(q.buf), q.n, *q.at(i))
+		}
+	}
+}
+
+// A record that arrives after records of later periods — gossip never
+// produces one, its records are monotone in period queue by queue — takes its
+// period's place behind the records already there, or is dropped if its
+// period has left the window.
+func TestLateRecordsKeepPeriodOrder(t *testing.T) {
+	const nh = 5
+	for _, tc := range []struct {
+		name string
+		jump msg.Period   // newest is moved here first (0: stays at 10)
+		late msg.Period   // the period of the late records
+		want []msg.Period // Proposals(0) by period afterwards
+	}{
+		{"inside the window", 0, 8, []msg.Period{6, 7, 8, 8, 9, 10}},
+		{"at its oldest edge", 0, 6, []msg.Period{6, 6, 7, 8, 9, 10}},
+		{"behind it", 0, 5, []msg.Period{6, 7, 8, 9, 10}},
+		{"inside it after a jump past the whole window", 30, 27, []msg.Period{27, 30}},
+		{"behind it after a jump past the whole window", 30, 10, []msg.Period{30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, ref := NewLog(nh), newRefLog(nh)
+			record := func(p msg.Period, peer msg.NodeID) {
+				ids := []msg.ChunkID{msg.ChunkID(peer)}
+				l.RecordProposalsSent(p, []msg.NodeID{peer}, ids)
+				ref.RecordProposalSent(p, peer, ids)
+				l.RecordServeReceived(p, peer, ids)
+				ref.RecordServeReceived(p, peer, ids)
+				l.RecordProposalReceived(p, peer, ids)
+				ref.RecordProposalReceived(p, peer, ids)
+				l.RecordConfirmAsker(p, 1, peer)
+				ref.RecordConfirmAsker(p, 1, peer)
+				checkQueues(t, l)
+			}
+			for p := msg.Period(1); p <= 10; p++ {
+				record(p, msg.NodeID(p))
+			}
+			if tc.jump != 0 {
+				record(tc.jump, msg.NodeID(tc.jump))
+			}
+			record(tc.late, 99)
+			var got []msg.Period
+			for _, r := range l.Proposals(0) {
+				got = append(got, r.Period)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("proposals are of periods %v, want %v", got, tc.want)
+			}
+			if got, want := l.HasRecentProposalFrom(99, []msg.ChunkID{99}), slices.Contains(tc.want, tc.late); got != want {
+				t.Errorf("late proposal witnessed = %v, want %v", got, want)
+			}
+			if got, want := fmt.Sprint(l.Proposals(0), l.Serves(0), l.AskersFor(1, 0)), fmt.Sprint(ref.Proposals(0), ref.Serves(0), ref.AskersFor(1, 0)); got != want {
+				t.Errorf("Proposals, Serves, AskersFor =\n%s, reference\n%s", got, want)
+			}
+		})
+	}
+}
+
+// streamPeriod records one gossip period at the benchmark workloads' shape,
+// in the order gossip does: 7 servers of the period before, one propose
+// phase of f = 7 partners offered one 8-chunk set, 7 proposers that are each
+// new to the window, 7 confirm askers.
 func streamPeriod(l *Log, p msg.Period) {
 	ids := make([]msg.ChunkID, 8)
 	for i := range ids {
 		ids[i] = msg.ChunkID(8*int(p) + i)
 	}
-	streamPeriodWith(l, p, ids)
+	partners := make([]msg.NodeID, 7)
+	for i := range partners {
+		partners[i] = msg.NodeID(7*int(p) + i)
+	}
+	streamPeriodWith(l, p, partners, ids)
 }
 
-func streamPeriodWith(l *Log, p msg.Period, ids []msg.ChunkID) {
+func streamPeriodWith(l *Log, p msg.Period, partners []msg.NodeID, ids []msg.ChunkID) {
+	for i := 0; i < 7; i++ {
+		l.RecordServeReceived(p-1, msg.NodeID(7*int(p)+i), ids[i:i+1])
+	}
+	l.RecordProposalsSent(p, partners, ids)
 	for i := 0; i < 7; i++ {
 		peer := msg.NodeID(7*int(p) + i)
-		l.RecordServeReceived(p-1, peer, ids[i:i+1])
-		l.RecordProposalSent(p, peer, ids)
 		l.RecordProposalReceived(p, peer, ids)
 		l.RecordConfirmAsker(p, peer, peer+1)
 	}
@@ -305,9 +432,9 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	for ; p <= 2*nh; p++ {
 		streamPeriod(l, p)
 	}
-	ids := make([]msg.ChunkID, 8)
+	partners, ids := make([]msg.NodeID, 7), make([]msg.ChunkID, 8)
 	if got := testing.AllocsPerRun(4*nh, func() {
-		streamPeriodWith(l, p, ids)
+		streamPeriodWith(l, p, partners, ids)
 		p++
 	}); got != 0 {
 		t.Errorf("a steady-state period of Record* calls allocates %v times, want 0", got)
@@ -321,30 +448,52 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// What senders can cost the owner is bounded by the window: after 10·nh
-// periods of proposers that never repeat, the index holds exactly the ones
-// seen in the last nh periods, and no emptied entry is left unused.
-func TestIndexForgetsDepartedSenders(t *testing.T) {
+// What neighbours can cost the owner is bounded by the window: after 10·nh
+// periods of proposers, servers and askers that never repeat, each queue
+// holds exactly the records of the last nh periods, in a ring no larger than
+// twice that, and every place a departed record held is zeroed — nothing
+// pins a list whose period has left.
+func TestQueuesHoldExactlyTheWindow(t *testing.T) {
 	const nh = 20
 	l := NewLog(nh)
 	for p := msg.Period(1); p <= 10*nh; p++ {
 		streamPeriod(l, p)
 	}
-	if len(l.index) != 7*nh || len(l.spare) != 0 {
-		t.Fatalf("index holds %d senders and %d spare entries, want %d and 0", len(l.index), len(l.spare), 7*nh)
-	}
-	for sender, entries := range l.index {
-		if len(entries) != 1 || len(entries[0].chunks) != 8 {
-			t.Fatalf("sender %d has index entries %v, want one proposal of 8 chunk ids", sender, entries)
+	checkQueues(t, l)
+	for _, q := range []struct {
+		name             string
+		held, size, want int
+	}{
+		{"sent", l.sent.n, len(l.sent.buf), nh},
+		{"received", l.received.n, len(l.received.buf), 7 * nh},
+		{"senders", l.senders.n, len(l.senders.buf), 7 * nh},
+		{"serves", l.serves.n, len(l.serves.buf), 7 * (nh - 1)}, // the newest period's are recorded by the next
+		{"askers", l.askers.n, len(l.askers.buf), 7 * nh},
+	} {
+		if q.held != q.want || q.size > 2*q.want+8 {
+			t.Errorf("%s holds %d records in a ring of %d, want %d in at most %d", q.name, q.held, q.size, q.want, 2*q.want+8)
 		}
-		if p := entries[0].period; p <= 9*nh || int(sender)/7 != int(p) {
-			t.Fatalf("sender %d indexed under period %d, outside the window (%d, %d]", sender, p, 9*nh, 10*nh)
+	}
+	if got := l.Proposals(0); len(got) != 7*nh || got[0].Period != 9*nh+1 {
+		t.Errorf("%d proposals from period %d on, want %d from %d on", len(got), got[0].Period, 7*nh, 9*nh+1)
+	}
+	if got := l.Serves(0); len(got) != 7*(nh-1) || got[0].Period != 9*nh+1 {
+		t.Errorf("%d serves from period %d on, want %d from %d on", len(got), got[0].Period, 7*(nh-1), 9*nh+1)
+	}
+	for p := msg.Period(9 * nh); p <= 10*nh; p++ {
+		sender, ids := msg.NodeID(7*p), []msg.ChunkID{msg.ChunkID(8 * p), msg.ChunkID(8*p + 7)}
+		if got, want := l.HasRecentProposalFrom(sender, ids), p > 9*nh; got != want {
+			t.Errorf("proposal of period %d witnessed = %v, want %v (window (%d, %d])", p, got, want, 9*nh, 10*nh)
+		}
+		if got, want := len(l.AskersFor(sender, 0)), 1; (got == want) != (p > 9*nh) {
+			t.Errorf("%d askers about the proposer of period %d, window (%d, %d]", got, p, 9*nh, 10*nh)
 		}
 	}
 }
 
-// A snapshot may be in flight in an AuditResp while the log moves on: slot
-// and arena reuse must not reach into records already handed out.
+// A snapshot may be in flight in an AuditResp while the log moves on: what
+// the window drops and what the rings reuse must not reach into records
+// already handed out.
 func TestSnapshotSurvivesSlotReuse(t *testing.T) {
 	const nh = 10
 	l := NewLog(nh)
@@ -366,8 +515,10 @@ func TestSnapshotSurvivesSlotReuse(t *testing.T) {
 }
 
 // BenchmarkWitnessConfirm is the witness duty at workload shape: nh = 50,
-// 7 proposers a period, 8 chunk ids a proposal, every poll about a sender
-// inside the window and answered yes.
+// 7 proposers a period, 8 chunk ids a proposal. hit polls about senders
+// inside the window and is answered yes; miss polls about senders with
+// nothing in the window, the whole scan for nothing; long is the hostile
+// question, 65 535 ids that a retained proposal does cover.
 func BenchmarkWitnessConfirm(b *testing.B) {
 	const nh = 50
 	l := NewLog(nh)
@@ -382,12 +533,28 @@ func BenchmarkWitnessConfirm(b *testing.B) {
 			asked[i][j] = msg.ChunkID(8*p + j)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % len(asked)
-		if !l.HasRecentProposalFrom(msg.NodeID(7*nh+7+k), asked[k]) {
-			b.Fatal("retained proposal not confirmed")
-		}
+	long := make([]msg.ChunkID, 65535)
+	for j := range long {
+		long[j] = asked[0][j%8]
+	}
+	for _, bc := range []struct {
+		name   string
+		sender func(k int) msg.NodeID
+		asked  func(k int) []msg.ChunkID
+		want   bool
+	}{
+		{"hit", func(k int) msg.NodeID { return msg.NodeID(7*nh + 7 + k) }, func(k int) []msg.ChunkID { return asked[k] }, true},
+		{"miss", func(k int) msg.NodeID { return msg.NodeID(k) }, func(k int) []msg.ChunkID { return asked[k] }, false},
+		{"long", func(int) msg.NodeID { return 7*nh + 7 }, func(int) []msg.ChunkID { return long }, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % len(asked)
+				if l.HasRecentProposalFrom(bc.sender(k), bc.asked(k)) != bc.want {
+					b.Fatalf("HasRecentProposalFrom = %v, want %v", !bc.want, bc.want)
+				}
+			}
+		})
 	}
 }

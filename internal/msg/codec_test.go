@@ -202,6 +202,34 @@ func TestDecodeServeAliasesInput(t *testing.T) {
 	}
 }
 
+// Every list a decoded message carries is the message's own. The UDP receive
+// loop reads the next datagram into the same buffer, while nodes keep these
+// lists: history.Log records Propose.Chunks by reference for nh periods, and
+// the verifier's open checks hold Request.Chunks, Ack.Chunks and Ack.Partners.
+// Serve.Payload alone aliases the buffer, on purpose (above); the transport
+// clones that one.
+func TestDecodedListsDoNotAliasInput(t *testing.T) {
+	for _, m := range allMessages() {
+		if s, ok := m.(*Serve); ok && s.Payload != nil {
+			continue
+		}
+		b, err := Encode(m)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", m, err)
+		}
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("Decode(%T): %v", m, err)
+		}
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Errorf("%T changed when the buffer it was decoded from was overwritten:\n  sent %+v\n  now  %+v", m, m, got)
+		}
+	}
+}
+
 func TestServeEmptyPayloadCanonical(t *testing.T) {
 	// A zero-length payload decodes as nil, so modelled-only serves stay the
 	// canonical form and encode is a fixed point either way.
