@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race benchmark profile heap fuzz fmt vet lint
+.PHONY: test race benchmark profile heap fuzz fmt vet lint identical
 
 test:
 	$(GO) build ./...
@@ -61,6 +61,46 @@ heap:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 60s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 60s ./internal/sim/
+
+# The identity check every refactor of the seeded path runs: lifting-sim built
+# at BASE (a `git archive` of that revision in a temporary directory — nothing
+# is written to the repository or its .git) and at the working tree, the
+# standing set of seeded documents run on both, `cmp`ed pair by pair. A
+# mismatch names the first experiment whose result differs. ~1 min.
+BASE ?= HEAD
+identical:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" "$$tmp/base" "$$tmp/work"; \
+	git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base/lifting-sim" ./cmd/lifting-sim); \
+	$(GO) build -o "$$tmp/work/lifting-sim" ./cmd/lifting-sim; \
+	fail=0; \
+	for spec in \
+		"all-quick: all -quick" \
+		"scale-shards0: scale -n 1000 -seed 7 -shards 0" \
+		"scale-shards1: scale -n 1000 -seed 7 -shards 1" \
+		"scale-shards2: scale -n 1000 -seed 7 -shards 2" \
+		"scale-shards8: scale -n 1000 -seed 7 -shards 8" \
+		"churn-shards1: churn -backend sim -shards 1" \
+		"churn-shards8: churn -backend sim -shards 8" \
+		"soak-shards1: soak -quick -backend sim -shards 1" \
+		"soak-shards8: soak -quick -backend sim -shards 8" \
+		"matrix: matrix -quick -backend sim"; do \
+		name=$${spec%%:*}; args=$${spec#*:}; \
+		for side in base work; do \
+			"$$tmp/$$side/lifting-sim" $$args -json > "$$tmp/$$side/$$name.json" 2> "$$tmp/$$side/$$name.err" || true; \
+			[ -s "$$tmp/$$side/$$name.json" ] || { echo "NO DOCUMENT from $$side for:$$args"; cat "$$tmp/$$side/$$name.err"; exit 1; }; \
+		done; \
+		if cmp -s "$$tmp/base/$$name.json" "$$tmp/work/$$name.json"; then \
+			echo "identical $$name ($$(wc -c < "$$tmp/work/$$name.json" | tr -d ' ') bytes):$$args"; \
+		else \
+			line=$$(cmp "$$tmp/base/$$name.json" "$$tmp/work/$$name.json" 2>/dev/null | awk '{print $$NF}'); \
+			exp=$$(head -n "$${line:-1}" "$$tmp/base/$$name.json" | grep '"experiment":' | tail -n 1 | cut -d '"' -f 4); \
+			echo "DIFFERS   $$name:$$args — first differing experiment: $${exp:-?} (line $${line:-?})"; fail=1; \
+		fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "identical: documents differ from $(BASE)"; exit 1; fi; \
+	echo "identical: every document byte-equal to $(BASE)'s"
 
 fmt:
 	gofmt -l .

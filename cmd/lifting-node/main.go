@@ -157,23 +157,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		clockSkew = plan.SkewFactor(self)
 	}
 	host := cluster.NewNodeHost(rt, cluster.NodeOptions{
-		ID:      self,
-		Members: members,
-		Seed:    *seed,
-		Gossip: gossip.Config{
-			F:              *f,
-			Period:         *period,
-			ChunkPayload:   *payload,
-			HistoryPeriods: 50,
-		},
-		Core: core.Config{
-			F:              *f,
-			Period:         *period,
-			Pdcc:           *pdcc,
-			HistoryPeriods: 50,
-			Gamma:          8.95,
-			Eta:            *eta,
-		},
+		ID:           self,
+		Members:      members,
+		Seed:         *seed,
+		Gossip:       gossip.Config{F: *f, Period: *period, HistoryPeriods: 50},
+		Core:         core.Config{Pdcc: *pdcc, Gamma: 8.95},
 		Rep:          reputation.Config{M: *m, Eta: *eta, GracePeriods: *grace},
 		Stream:       stream.Config{BitrateBps: *bitrate, ChunkPayload: *payload},
 		LiFTinG:      true,

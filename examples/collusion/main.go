@@ -50,16 +50,10 @@ func run(w io.Writer, nodes, coalitionSize int, gamma float64, streamFor time.Du
 	}
 
 	opts := cluster.Options{
-		N:    nodes,
-		Seed: 11,
-		Gossip: gossip.Config{
-			F: 7, Period: tg, ChunkPayload: 1316, HistoryPeriods: 50,
-		},
-		Core: core.Config{
-			F: 7, Period: tg, Pdcc: 1, HistoryPeriods: 50,
-			Gamma:      gamma,
-			GammaFanin: 2.0,
-		},
+		N:           nodes,
+		Seed:        11,
+		Gossip:      gossip.Config{F: 7, Period: tg, HistoryPeriods: 50},
+		Core:        core.Config{Pdcc: 1, Gamma: gamma, GammaFanin: 2.0},
 		Rep:         reputation.Config{M: 10},
 		Stream:      stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
 		NetDefaults: net.Uniform(0.02, 5*time.Millisecond),

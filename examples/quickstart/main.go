@@ -35,20 +35,14 @@ func main() {
 func run(w io.Writer, nodes, freeriders int, duration time.Duration) (honestMean, riderMean float64, detected int) {
 	const tg = 500 * time.Millisecond
 	opts := cluster.Options{
-		N:    nodes,
-		Seed: 7,
-		Gossip: gossip.Config{
-			F:              7,
-			Period:         tg,
-			ChunkPayload:   1316,
-			HistoryPeriods: 50,
-		},
+		N:      nodes,
+		Seed:   7,
+		Gossip: gossip.Config{F: 7, Period: tg, HistoryPeriods: 50},
+		// Fanout, period and history horizon are Gossip's; the verifier
+		// adds its own knobs.
 		Core: core.Config{
-			F:              7,
-			Period:         tg,
-			Pdcc:           1, // always cross-check
-			HistoryPeriods: 50,
-			Gamma:          8.95,
+			Pdcc:  1, // always cross-check
+			Gamma: 8.95,
 		},
 		Rep:          reputation.Config{M: 10},
 		Stream:       stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},

@@ -28,6 +28,21 @@ func (o *Options) setDefaults() {
 	if o.BlameMode == 0 {
 		o.BlameMode = BlameDirect
 	}
+	// The verifier checks the protocol the node gossips and a serve carries
+	// the stream's chunks: what Core and Gossip leave zero of those is read
+	// off the field that states it.
+	if o.Core.F == 0 {
+		o.Core.F = o.Gossip.F
+	}
+	if o.Core.Period == 0 {
+		o.Core.Period = o.Gossip.Period
+	}
+	if o.Core.HistoryPeriods == 0 {
+		o.Core.HistoryPeriods = o.Gossip.HistoryPeriods
+	}
+	if o.Gossip.ChunkPayload == 0 {
+		o.Gossip.ChunkPayload = o.Stream.ChunkPayload
+	}
 	if o.ExpectedR == 0 {
 		if o.Gossip.MaxRequest > 0 {
 			o.ExpectedR = o.Gossip.MaxRequest

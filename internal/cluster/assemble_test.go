@@ -217,3 +217,60 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedOptionsAssembleTheSameNode pins setDefaults' derivations: a
+// zero Core.F/Period/HistoryPeriods and a zero Gossip.ChunkPayload assemble
+// the node the restated literal does — TestBytesPerNode's shape, one seed,
+// equal collector snapshot after 5 s — and a value stated explicitly, equal
+// or not, is left alone.
+func TestDerivedOptionsAssembleTheSameNode(t *testing.T) {
+	shape := func() Options {
+		opts := baseOptions(120, 0.01)
+		opts.Seed, opts.Shards, opts.BlameMode = 23, 1, BlameMessages
+		opts.Gossip.ChunkPayload, opts.Stream.ChunkPayload = 5264, 5264
+		opts.Rep = reputation.Config{M: 25, Eta: -1e9, FlushEvery: 5, GracePeriods: 24}
+		opts.NetDefaults = net.Uniform(0.01, 5*time.Millisecond)
+		opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
+			if id >= 108 {
+				return freerider.Degree{Delta1: 0.7, Delta2: 0.7}
+			}
+			return nil
+		}
+		return opts
+	}
+	snapshot := func(opts Options) (Options, metrics.Snapshot) {
+		c := New(opts)
+		c.Start()
+		c.StartStream(5 * time.Second)
+		c.Run(5 * time.Second)
+		return c.Opts, c.Collector.SnapshotAt(0)
+	}
+
+	restated := shape()
+	derived := shape()
+	derived.Core.F, derived.Core.Period, derived.Core.HistoryPeriods = 0, 0, 0
+	derived.Gossip.ChunkPayload = 0
+	wantOpts, want := snapshot(restated)
+	gotOpts, got := snapshot(derived)
+	if want.UsefulChunks == 0 || want.VerificationBytes == 0 {
+		t.Fatalf("the restated run disseminated or verified nothing: %+v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("derived options ran a different system:\n derived:  %+v\n restated: %+v", got, want)
+	}
+	if gotOpts.Core != wantOpts.Core || gotOpts.Gossip != wantOpts.Gossip {
+		t.Errorf("derived options resolved differently:\n derived:  %+v %+v\n restated: %+v %+v",
+			gotOpts.Gossip, gotOpts.Core, wantOpts.Gossip, wantOpts.Core)
+	}
+
+	explicit := shape()
+	explicit.Core.F, explicit.Core.Period, explicit.Core.HistoryPeriods = 5, 2*tg, 20
+	explicit.Gossip.ChunkPayload = 256
+	explicit.setDefaults()
+	if c := explicit.Core; c.F != 5 || c.Period != 2*tg || c.HistoryPeriods != 20 {
+		t.Errorf("explicit Core overwritten: F %d, Period %v, HistoryPeriods %d", c.F, c.Period, c.HistoryPeriods)
+	}
+	if explicit.Gossip.ChunkPayload != 256 {
+		t.Errorf("explicit Gossip.ChunkPayload overwritten: %d", explicit.Gossip.ChunkPayload)
+	}
+}

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 	"time"
 
 	"lifting/internal/chaos"
+	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/runtime"
 )
@@ -193,5 +195,39 @@ func TestChaosRunsOnLiveBackend(t *testing.T) {
 	}
 	if len(c.Expelled) != 0 {
 		t.Errorf("fault plan expelled nodes under udp backend: %v", c.Expelled)
+	}
+}
+
+// TestCalibrateIgnoresChaosAndSnapshots: Calibrate owns what an honest,
+// clean pilot is. A fault plan and a snapshot hook on the options it is
+// handed change nothing it measures, and the hook — the caller's, meant for
+// the run the pilot calibrates — is never called.
+func TestCalibrateIgnoresChaosAndSnapshots(t *testing.T) {
+	const pilot = 3 * time.Second
+	clean := fastOptions(runtime.KindSim, 24)
+	clean.NetDefaults.LossIn = 0.03 // wrongful blame to measure
+	want, err := Calibrate(context.Background(), clean, pilot)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulty := clean
+	faulty.Chaos = chaosPlan()
+	faulty.Chaos.DupProb = 0.05
+	snapshots := 0
+	faulty.OnPeriodSnapshot = func(msg.Period, metrics.Snapshot) { snapshots++ }
+	got, err := Calibrate(context.Background(), faulty, pilot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshots != 0 {
+		t.Errorf("the pilot called the caller's snapshot hook %d times", snapshots)
+	}
+	if got.Compensation != want.Compensation || got.ScoreStd != want.ScoreStd || got.Periods != want.Periods {
+		t.Errorf("the fault plan reached the pilot:\n with plan: b̃ %v σ %v over %d periods\n without:   b̃ %v σ %v over %d periods",
+			got.Compensation, got.ScoreStd, got.Periods, want.Compensation, want.ScoreStd, want.Periods)
+	}
+	if want.Compensation <= 0 {
+		t.Fatalf("clean pilot measured no wrongful blame (b̃ = %v); the comparison is vacuous", want.Compensation)
 	}
 }

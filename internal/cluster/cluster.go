@@ -71,13 +71,17 @@ type Options struct {
 	// mode's shared board, ConditionsFor overrides, LiFTinG off, zero base
 	// latency) always get one shard; see shardCountAndWindow.
 	Shards int
-	// Gossip is the dissemination configuration.
+	// Gossip is the dissemination configuration. A zero ChunkPayload is
+	// Stream.ChunkPayload: serves carry the stream's chunks.
 	Gossip gossip.Config
-	// Core is LiFTinG's configuration. Used when LiFTinG is enabled.
+	// Core is LiFTinG's configuration. Used when LiFTinG is enabled. Zero
+	// F, Period and HistoryPeriods are Gossip's: the verifier checks the
+	// protocol the node runs. Population defaults to N.
 	Core core.Config
-	// Rep configures the reputation substrate. If Rep.Compensation is 0 it
-	// is derived from ExpectedLoss via the analysis (Equation 5, scaled by
-	// Pdcc-dependent terms are left to the caller).
+	// Rep configures the reputation substrate. A zero Rep.Compensation is
+	// derived from ExpectedLoss, the fanout, ExpectedR and Core.Pdcc via the
+	// analysis (CompensationFor: Equation 5 at pdcc = 1, the witness term
+	// scaled by pdcc below it).
 	Rep reputation.Config
 	// Stream describes the broadcast content.
 	Stream stream.Config
@@ -466,10 +470,12 @@ type Calibration struct {
 // Calibrate runs an all-honest pilot with the given options and returns the
 // empirical compensation and honest score spread. The pilot always runs on
 // the discrete-event backend (it is a Monte-Carlo measurement, not an
-// integration test), ignores BehaviorFor, expulsion and playout tracking,
-// and discards the first 25% of the run as warmup (the dissemination
-// ramp-up produces atypical blame). Cancelling ctx aborts the pilot and
-// returns ctx.Err() with a zero Calibration.
+// integration test) and owns what "honest and clean" means: it ignores
+// BehaviorFor, expulsion, playout tracking, the fault plan and the caller's
+// blame and snapshot hooks, so a caller hands it the options of the run it is
+// about to police as they are. It discards the first 25% of the run as
+// warmup (the dissemination ramp-up produces atypical blame). Cancelling ctx
+// aborts the pilot and returns ctx.Err() with a zero Calibration.
 func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calibration, error) {
 	pilot := opts
 	pilot.Backend = runtime.KindSim
@@ -478,6 +484,8 @@ func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calib
 	pilot.TrackPlayout = false
 	pilot.BlameMode = BlameDirect
 	pilot.OnBlame = nil
+	pilot.Chaos = nil
+	pilot.OnPeriodSnapshot = nil
 	pilot.Seed = opts.Seed ^ 0x5afec0de
 	c := New(pilot)
 	c.Start()

@@ -37,10 +37,11 @@ type NodeOptions struct {
 	// seed; per-node streams are derived from it exactly as the in-process
 	// cluster derives them.
 	Seed uint64
-	// Gossip is the dissemination configuration.
+	// Gossip is the dissemination configuration and Core LiFTinG's (used
+	// when LiFTinG is enabled); what either leaves zero is derived exactly
+	// as Options derives it.
 	Gossip gossip.Config
-	// Core is LiFTinG's configuration. Used when LiFTinG is enabled.
-	Core core.Config
+	Core   core.Config
 	// Rep configures the reputation substrate.
 	Rep reputation.Config
 	// Stream describes the broadcast content (used by the source).

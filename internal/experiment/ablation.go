@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"lifting/internal/analysis"
-	"lifting/internal/cluster"
-	"lifting/internal/msg"
 	"lifting/internal/rng"
-	"lifting/internal/stream"
 )
 
 // AblationConfig sizes the ablation study.
@@ -89,7 +86,7 @@ func Ablations(ctx context.Context, cfg AblationConfig) (*Table, error) {
 		F(gap(1), 1), F(gap(0), 1))
 
 	// 3. Loss recovery.
-	health := func(retry bool) (float64, error) {
+	recovery := func(retry bool) (float64, error) {
 		p := DefaultPlanetLabConfig()
 		p.N = cfg.ClusterN
 		p.Seed = cfg.Seed
@@ -97,31 +94,22 @@ func Ablations(ctx context.Context, cfg AblationConfig) (*Table, error) {
 		p.FreeriderPct = 0
 		opts := p.buildOptions()
 		opts.LiFTinG = false
-		opts.BehaviorFor = nil
 		opts.TrackPlayout = true
 		if !retry {
 			// A retry window longer than the run disables recovery.
 			opts.Gossip.RequestRetry = time.Hour
 		}
-		c := cluster.New(opts)
-		c.Start()
-		c.StartStream(cfg.Duration)
-		if err := c.RunContext(ctx, cfg.Duration+2*time.Second); err != nil {
-			c.Close()
+		c := launch(opts, cfg.Duration, nil)
+		if err := advance(ctx, c, nil, cfg.Duration+2*time.Second); err != nil {
 			return 0, err
 		}
-		total := opts.Stream.ChunksBy(cfg.Duration - time.Second)
-		playouts := make([]*stream.Playout, 0, cfg.ClusterN-1)
-		for i := 1; i < cfg.ClusterN; i++ {
-			playouts = append(playouts, c.Playouts[msg.NodeID(i)])
-		}
-		return stream.Health(playouts, total, []time.Duration{cfg.Duration})[0], nil
+		return health(c, cfg.Duration, []time.Duration{cfg.Duration})[0], nil
 	}
-	healthOn, err := health(true)
+	healthOn, err := recovery(true)
 	if err != nil {
 		return nil, err
 	}
-	healthOff, err := health(false)
+	healthOff, err := recovery(false)
 	if err != nil {
 		return nil, err
 	}

@@ -2,15 +2,11 @@ package experiment
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"lifting/internal/cluster"
 	"lifting/internal/core"
-	"lifting/internal/freerider"
 	"lifting/internal/gossip"
-	"lifting/internal/membership"
-	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/reputation"
 	"lifting/internal/rng"
@@ -84,70 +80,30 @@ type ChurnResult struct {
 // Churn runs the churn scenario and reports whether LiFTinG's separation
 // survives a shifting membership. Cancelling ctx aborts the run mid-stream.
 func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
-	nFree := int(cfg.FreeriderPct * float64(cfg.N))
-	firstFree := msg.NodeID(cfg.N - nFree)
+	co := cohortOf(cfg.N, cfg.FreeriderPct, degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2]))
 	opts := cluster.Options{
 		N:       cfg.N,
 		Seed:    cfg.Seed,
 		Backend: cfg.Backend,
 		Shards:  cfg.Shards,
-		Gossip: gossip.Config{
-			F:              cfg.F,
-			Period:         cfg.Period,
-			ChunkPayload:   1316,
-			HistoryPeriods: 50,
-		},
-		Core: core.Config{
-			F:              cfg.F,
-			Period:         cfg.Period,
-			Pdcc:           1,
-			HistoryPeriods: 50,
-			Gamma:          8,
-			Eta:            -1e9,
-		},
+		Gossip:  gossip.Config{F: cfg.F, Period: cfg.Period, HistoryPeriods: 50},
+		Core:    core.Config{Pdcc: 1, Gamma: 8},
+		// Nothing is expelled: the subject is whether the separation
+		// survives, read off the surviving population's scores.
 		Rep:          reputation.Config{M: cfg.M, Eta: -1e9},
 		Stream:       stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
 		NetDefaults:  net.Uniform(cfg.MeanLoss, 5*time.Millisecond),
 		LiFTinG:      true,
 		BlameMode:    cluster.BlameMessages,
 		ExpectedLoss: cfg.MeanLoss,
-		BehaviorFor: func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
-			if id >= firstFree && id < msg.NodeID(cfg.N) {
-				return freerider.Degree{Delta1: cfg.Delta[0], Delta2: cfg.Delta[1], Delta3: cfg.Delta[2]}
-			}
-			return nil
-		},
+		BehaviorFor:  co.behaviorFor(),
 	}
-	c := cluster.New(opts)
-	c.Start()
-	c.StartStream(cfg.Duration)
-
-	// Churn events are spread over the middle half of the run: the ramp-up
-	// and the tail stay quiet so catch-up and separation are measurable.
-	churnRand := rng.New(cfg.Seed).Derive("churn")
-	window := cfg.Duration / 2
-	windowStart := cfg.Duration / 4
-	joinAt := make(map[msg.NodeID]time.Duration, cfg.Joins)
-	for i := 0; i < cfg.Joins; i++ {
-		at := windowStart + time.Duration(float64(i)/float64(cfg.Joins)*float64(window))
-		joinAt[c.ScheduleJoin(at)] = at
-	}
-	// Departures are drawn from the honest initial population (the source
-	// excluded); freeriders staying put keeps the separation readable.
-	leavePool := int(firstFree) - 1
-	if cfg.Leaves > leavePool {
-		cfg.Leaves = leavePool
-	}
-	for i, idx := range churnRand.SampleK(leavePool, cfg.Leaves) {
-		at := windowStart + time.Duration(float64(i)/float64(cfg.Leaves)*float64(window))
-		c.ScheduleLeave(at, msg.NodeID(idx+1))
-	}
-
-	if err := c.RunContext(ctx, cfg.Duration+cfg.Period); err != nil {
-		c.Close()
+	c := launch(opts, cfg.Duration, nil)
+	arrivals, joinAt := scheduleChurn(c, cfg.Duration, cfg.Joins,
+		co.drawLeavers(rng.New(cfg.Seed).Derive("churn"), cfg.Leaves))
+	if err := advance(ctx, c, nil, cfg.Duration+cfg.Period); err != nil {
 		return nil, nil, err
 	}
-	c.Close()
 
 	res := &ChurnResult{
 		Joined:   len(c.Joined),
@@ -156,22 +112,16 @@ func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
 		AliveEnd: c.Dir.NAlive(),
 	}
 	totalChunks := opts.Stream.ChunksBy(cfg.Duration)
-	// Accumulate in sorted id order: the Moments mean is a float fold, so
-	// map-order iteration would break bit-reproducibility.
-	arrivals := make([]msg.NodeID, 0, len(joinAt))
-	//lint:allow ordered-map-range collect-then-sort: ids are sorted before the float fold below
-	for id := range joinAt {
-		arrivals = append(arrivals, id)
-	}
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
-	for _, id := range arrivals {
+	// Arrivals come in ascending id order: the Moments mean is a float
+	// fold, so the order is part of the result.
+	for i, id := range arrivals {
 		node, ok := c.Nodes[id]
 		if !ok {
 			// Under the udp backend a join timer due near the end of the
 			// run can be suppressed by Close; the arrival never existed.
 			continue
 		}
-		missed := opts.Stream.ChunksBy(joinAt[id])
+		missed := opts.Stream.ChunksBy(joinAt[i])
 		generatedAfter := totalChunks - missed
 		if generatedAfter <= 0 {
 			continue
@@ -188,7 +138,7 @@ func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
 		if id == 0 || !c.Dir.Alive(id) {
 			continue
 		}
-		if c.Freeriders[id] {
+		if co.has(id) {
 			res.FreeriderMean += scores[id]
 			nr++
 		} else {

@@ -113,16 +113,18 @@ type Scenario struct {
 	Behavior func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior
 }
 
+// degree is the behavior constructor of a (δ1, δ2, δ3) freerider cohort.
+func degree(d1, d2, d3 float64) behaviorFunc {
+	return func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
+		return freerider.Degree{Delta1: d1, Delta2: d2, Delta3: d3}
+	}
+}
+
 // Scenarios returns the full attack registry: every §4/§5 deviation as a
 // runnable scenario. The returned slice is freshly built; callers may filter
 // it freely.
 func Scenarios() []Scenario {
-	degree := func(d1, d2, d3 float64) func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
-		return func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
-			return freerider.Degree{Delta1: d1, Delta2: d2, Delta3: d3}
-		}
-	}
-	colluder := func(mitm, forge bool) func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
+	colluder := func(mitm, forge bool) behaviorFunc {
 		return func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior {
 			c := freerider.NewColluder(id, adv, 0.9, dir, r)
 			c.MITM = mitm
@@ -302,38 +304,35 @@ type MatrixResult struct {
 	Failed bool
 }
 
-// repOutcome is the classification of a single repetition.
+// repOutcome is the classification of a single repetition on top of its
+// tally (whose HonestExpelled counts the source too: a spam flood that
+// expels node 0 kills the stream for everyone and must fail
+// NoHonestExpulsion).
 type repOutcome struct {
+	tallyResult
 	advDetected, advTotal      int
 	honestFlagged, honestTotal int
 	honestMean, advMean        float64
-	honestExpelled             int
-	// Wire accounting for the row's overhead/redundancy columns.
-	protoBytes, verifBytes  uint64
-	dupChunks, usefulChunks uint64
-	// Content-plane QoE for the row's goodput/lag/jitter columns.
-	goodputBytes            uint64
-	lagMeanNs, jitterMeanNs uint64
 }
 
-// shape is a Scenario with sizing defaults resolved.
+// shape is a Scenario with sizing defaults resolved: its cohort (n nodes,
+// the top k adversarial), its stream length and the engine-shard request
+// passed through to every repetition's cluster (scenarios that cannot run
+// concurrently — direct blame, per-node conditions — get one shard there).
 type shape struct {
 	Scenario
-	n, adv int
+	cohort
 	dur    time.Duration
-	// shards is the engine-shard request passed through to every
-	// repetition's cluster (scenarios that cannot run concurrently — direct
-	// blame, per-node conditions — get one shard there).
 	shards int
 }
 
 func (s Scenario) resolve(quick bool) shape {
-	sh := shape{Scenario: s, n: s.N, adv: s.Adversaries, dur: s.Duration}
+	sh := shape{Scenario: s, cohort: cohort{n: s.N, k: s.Adversaries, behavior: s.Behavior}, dur: s.Duration}
 	if sh.n == 0 {
 		sh.n = 60
 	}
-	if sh.adv == 0 {
-		sh.adv = 6
+	if sh.k == 0 {
+		sh.k = 6
 	}
 	if sh.dur == 0 {
 		sh.dur = 10 * time.Second
@@ -362,7 +361,7 @@ func (s Scenario) resolve(quick bool) shape {
 		// The adversary cohort does not shrink: coalition attacks need
 		// enough colluders to concentrate the fanout history.
 		if s.QuickAdversaries > 0 {
-			sh.adv = s.QuickAdversaries
+			sh.k = s.QuickAdversaries
 		}
 		if s.QuickDuration > 0 {
 			sh.dur = s.QuickDuration
@@ -373,19 +372,8 @@ func (s Scenario) resolve(quick bool) shape {
 	return sh
 }
 
-// adversaryIDs returns the cohort: the top adv ids.
-func (sh shape) adversaryIDs() []msg.NodeID {
-	ids := make([]msg.NodeID, 0, sh.adv)
-	for i := sh.n - sh.adv; i < sh.n; i++ {
-		ids = append(ids, msg.NodeID(i))
-	}
-	return ids
-}
-
 // options assembles the cluster options for one repetition.
 func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
-	adv := sh.adversaryIDs()
-	first := adv[0]
 	gamma := sh.Gamma
 	if gamma == 0 {
 		gamma = 4.5
@@ -406,7 +394,6 @@ func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
 		Gossip: gossip.Config{
 			F:              sh.F,
 			Period:         sh.Period,
-			ChunkPayload:   1316,
 			HistoryPeriods: 50,
 			// Without jitter the propose order — and with it each node's
 			// share of the first-proposal race — is frozen at start time,
@@ -415,10 +402,7 @@ func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
 			PhaseJitter: sh.Period / 2,
 		},
 		Core: core.Config{
-			F:                 sh.F,
-			Period:            sh.Period,
 			Pdcc:              1,
-			HistoryPeriods:    50,
 			Gamma:             gamma,
 			GammaFanin:        gammaFanin,
 			MinEntropySamples: minSamples,
@@ -427,7 +411,6 @@ func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
 			// more slack than the default 0.8 to keep honest histories
 			// clean while still condemning a ×2 stretcher (~0.5).
 			PeriodCheckSlack: 0.6,
-			Eta:              -1e9,
 		},
 		Rep:    reputation.Config{M: 8, Eta: -1e9},
 		Stream: stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
@@ -443,12 +426,7 @@ func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
 		LiFTinG:      true,
 		BlameMode:    sh.BlameMode,
 		ExpectedLoss: sh.Loss,
-		BehaviorFor: func(id msg.NodeID, dir *membership.Directory, r *rng.Stream) gossip.Behavior {
-			if id >= first && id < msg.NodeID(sh.n) {
-				return sh.Behavior(id, dir, r, adv)
-			}
-			return nil
-		},
+		BehaviorFor:  sh.behaviorFor(),
 	}
 }
 
@@ -463,55 +441,40 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 		opts.Rep.Eta = eta
 		opts.Rep.GracePeriods = sh.Grace
 	}
-	c := cluster.New(opts)
-
 	var mu sync.Mutex
 	audits := make(map[msg.NodeID]core.AuditOutcome)
 	auditing := sh.Detect != DetectScore
-	adv := sh.adversaryIDs()
-	if auditing {
-		auditor := c.Auditor(func(o core.AuditOutcome) {
-			mu.Lock()
-			audits[o.Target] = o
-			mu.Unlock()
-		})
-		targets := append([]msg.NodeID{}, adv...)
-		// An equal-sized honest control sample: the same audit must not
-		// condemn protocol-faithful histories.
-		for i := 1; len(targets) < 2*len(adv) && i < sh.n-sh.adv; i++ {
-			targets = append(targets, msg.NodeID(i))
-		}
-		c.After(sh.dur, func() {
-			for _, id := range targets {
-				auditor.Audit(id)
-			}
-		})
-	}
-
-	c.Start()
-	c.StartStream(sh.dur)
 	tail := 6 * sh.Period
+	var audit func(*cluster.Cluster)
 	if auditing {
 		tail = 12 * sh.Period // AuditReq + poll round-trips (4·Tg timeouts each)
+		// The auditor and its timer are set up before the nodes start: a
+		// timer's place in the schedule is part of the seeded result.
+		audit = func(c *cluster.Cluster) {
+			auditor := c.Auditor(func(o core.AuditOutcome) {
+				mu.Lock()
+				audits[o.Target] = o
+				mu.Unlock()
+			})
+			targets := sh.ids()
+			// An equal-sized honest control sample: the same audit must not
+			// condemn protocol-faithful histories.
+			for i := 1; len(targets) < 2*sh.k && i < sh.n-sh.k; i++ {
+				targets = append(targets, msg.NodeID(i))
+			}
+			c.After(sh.dur, func() {
+				for _, id := range targets {
+					auditor.Audit(id)
+				}
+			})
+		}
 	}
-	if err := c.RunContext(ctx, sh.dur+tail); err != nil {
-		c.Close()
+	c := launch(opts, sh.dur, audit)
+	if err := advance(ctx, c, nil, sh.dur+tail); err != nil {
 		return repOutcome{}
 	}
-	c.Close()
 
-	isAdv := make(map[msg.NodeID]bool, len(adv))
-	for _, id := range adv {
-		isAdv[id] = true
-	}
-	out := repOutcome{}
-	_, out.protoBytes = c.Collector.ProtocolTotals()
-	_, out.verifBytes = c.Collector.VerificationTotals()
-	out.dupChunks = c.Collector.DupChunks()
-	out.usefulChunks = c.Collector.UsefulChunks()
-	out.goodputBytes = c.Collector.GoodputBytes()
-	out.lagMeanNs = c.Collector.StreamLagMeanNs()
-	out.jitterMeanNs = c.Collector.StreamJitterMeanNs()
+	out := repOutcome{tallyResult: tally(c, sh.cohort)}
 	scores := c.Scores()
 	ids := make([]msg.NodeID, 0, len(scores))
 	//lint:allow ordered-map-range collect-then-sort: ids are sorted before classification
@@ -541,15 +504,10 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 	for _, id := range ids {
 		if id == 0 {
 			// The source serves everyone but requests nothing, so it is
-			// excluded from the score statistics — but not from the
-			// expulsion count: a spam flood that expels node 0 kills the
-			// stream for everyone and must fail NoHonestExpulsion.
-			if _, expelled := c.Expelled[id]; expelled {
-				out.honestExpelled++
-			}
+			// excluded from the score statistics.
 			continue
 		}
-		if isAdv[id] {
+		if sh.has(id) {
 			out.advMean += scores[id]
 			if !auditing || audited(id) {
 				out.advTotal++
@@ -560,9 +518,6 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 			continue
 		}
 		out.honestMean += scores[id]
-		if _, expelled := c.Expelled[id]; expelled {
-			out.honestExpelled++
-		}
 		if !auditing || audited(id) {
 			out.honestTotal++
 			if detected(id) {
@@ -570,11 +525,11 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 			}
 		}
 	}
-	if nh := sh.n - 1 - sh.adv; nh > 0 {
+	if nh := sh.n - 1 - sh.k; nh > 0 {
 		out.honestMean /= float64(nh)
 	}
-	if sh.adv > 0 {
-		out.advMean /= float64(sh.adv)
+	if sh.k > 0 {
+		out.advMean /= float64(sh.k)
 	}
 	return out
 }
@@ -638,13 +593,9 @@ func Matrix(ctx context.Context, cfg MatrixConfig) (*Table, *MatrixResult, error
 		// on the discrete-event backend): the analysis's saturated-workload
 		// b̃ over-compensates the real chunk workload, and the threshold
 		// must sit at a margin below the empirical honest spread.
-		cal, err := cluster.Calibrate(ctx, sh.options(runtime.KindSim, scRoot.Derive("cal").Seed()), sh.dur)
+		cal, eta, err := calibrate(ctx, sh.options(runtime.KindSim, scRoot.Derive("cal").Seed()), sh.dur, sh.EtaSigma, sh.EtaFloor)
 		if err != nil {
 			return nil, nil, err
-		}
-		eta := -sh.EtaSigma * cal.ScoreStd
-		if floor := -sh.EtaFloor; eta > floor {
-			eta = floor
 		}
 
 		ran := false
@@ -677,14 +628,14 @@ func Matrix(ctx context.Context, cfg MatrixConfig) (*Table, *MatrixResult, error
 				honFlag += o.honestFlagged
 				honTot += o.honestTotal
 				row.Gap += o.honestMean - o.advMean
-				row.HonestExpelled += o.honestExpelled
+				row.HonestExpelled += o.HonestExpelled
 				proto += o.protoBytes
 				verif += o.verifBytes
-				dup += o.dupChunks
-				useful += o.usefulChunks
-				row.GoodputBytes += o.goodputBytes
-				lagNs += o.lagMeanNs
-				jitterNs += o.jitterMeanNs
+				dup += o.DupChunks
+				useful += o.UsefulChunks
+				row.GoodputBytes += o.GoodputBytes
+				lagNs += o.StreamLagMeanNs
+				jitterNs += o.StreamJitterMeanNs
 			}
 			if advTot > 0 {
 				row.Detection = float64(advDet) / float64(advTot)

@@ -8,6 +8,15 @@ import (
 	"lifting/internal/msg"
 )
 
+// overheadRun streams the scenario with blames travelling as messages — the
+// traffic Tables 3 and 5 count — and returns the finished cluster.
+func (p PlanetLabConfig) overheadRun(ctx context.Context) (*cluster.Cluster, error) {
+	opts := p.buildOptions()
+	opts.BlameMode = cluster.BlameMessages
+	c := launch(opts, p.Duration, nil)
+	return c, advance(ctx, c, nil, p.Duration+time.Second)
+}
+
 // Table3 reproduces Table 3 of the paper: the per-node, per-period message
 // overhead of the verifications, for a sweep of pdcc values. The paper gives
 // the asymptotics — O(pdcc·f²) confirm traffic for the verifier and each
@@ -27,13 +36,8 @@ func Table3(ctx context.Context, p PlanetLabConfig, pdccs []float64) (*Table, er
 	for _, pdcc := range pdccs {
 		pc := p
 		pc.Pdcc = pdcc
-		opts := pc.buildOptions()
-		opts.BlameMode = cluster.BlameMessages
-		c := cluster.New(opts)
-		c.Start()
-		c.StartStream(pc.Duration)
-		if err := c.RunContext(ctx, pc.Duration+time.Second); err != nil {
-			c.Close()
+		c, err := pc.overheadRun(ctx)
+		if err != nil {
 			return nil, err
 		}
 
@@ -101,13 +105,8 @@ func Table5(ctx context.Context, p PlanetLabConfig, bitrates []int, pdccs []floa
 			pc := p
 			pc.Pdcc = pdcc
 			pc.BitrateBps = rate
-			opts := pc.buildOptions()
-			opts.BlameMode = cluster.BlameMessages
-			c := cluster.New(opts)
-			c.Start()
-			c.StartStream(pc.Duration)
-			if err := c.RunContext(ctx, pc.Duration+time.Second); err != nil {
-				c.Close()
+			c, err := pc.overheadRun(ctx)
+			if err != nil {
 				return nil, nil, err
 			}
 			ratio := c.Collector.Overhead()

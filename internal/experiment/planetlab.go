@@ -6,9 +6,7 @@ import (
 
 	"lifting/internal/cluster"
 	"lifting/internal/core"
-	"lifting/internal/freerider"
 	"lifting/internal/gossip"
-	"lifting/internal/membership"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/reputation"
@@ -57,76 +55,68 @@ func DefaultPlanetLabConfig() PlanetLabConfig {
 	}
 }
 
-// buildOptions assembles cluster options for the scenario. Freeriders are
-// the highest node ids; poor honest nodes are drawn deterministically from
-// the seed.
+// cohort is the scenario's freerider share: the highest node ids.
+func (p PlanetLabConfig) cohort() cohort {
+	return cohortOf(p.N, p.FreeriderPct, degree(p.Delta[0], p.Delta[1], p.Delta[2]))
+}
+
+// buildOptions assembles cluster options for the scenario. Poor honest
+// nodes are drawn from the seed as ConditionsFor is called, node by node: the
+// closure is stateful, so a calibration pilot and the run it calibrates must
+// share one returned value, pilot first.
 func (p PlanetLabConfig) buildOptions() cluster.Options {
-	// The chunk rate is held constant across stream rates (≈64 chunks/s, as
-	// in the paper's streaming substrate [6]): a faster stream means bigger
-	// chunks, not more of them. This is why Table 5's overhead falls as the
-	// bitrate grows — verification traffic depends on the chunk rate only.
-	payload := 1316 * p.BitrateBps / 674_000
-	streamCfg := stream.Config{BitrateBps: p.BitrateBps, ChunkPayload: payload}
-	opts := cluster.Options{
-		N:    p.N,
-		Seed: p.Seed,
-		Gossip: gossip.Config{
-			F:              p.F,
-			Period:         p.Period,
-			ChunkPayload:   streamCfg.ChunkPayload,
-			HistoryPeriods: 50,
-		},
-		Core: core.Config{
-			F:              p.F,
-			Period:         p.Period,
-			Pdcc:           p.Pdcc,
-			HistoryPeriods: 50,
-			Gamma:          8.95,
-			Eta:            -9.75,
-		},
-		// Blames are reported to the managers every 10 gossip periods:
-		// scores act on the r ≈ 50-period timescale, and per-period
-		// reporting to M = 25 managers would alone exceed the paper's
-		// measured blaming overhead (Table 5).
-		Rep:          reputation.Config{M: p.M, Eta: -9.75, FlushEvery: 10},
-		Stream:       streamCfg,
-		NetDefaults:  net.Uniform(p.MeanLoss, 20*time.Millisecond),
-		LiFTinG:      true,
-		ExpectedLoss: p.MeanLoss,
-	}
+	co := p.cohort()
 	// Heterogeneity: a PoorPct tail of honest nodes suffers triple loss and
 	// a capped uplink — they cannot contribute their fair share even though
 	// they follow the protocol (§7.3's false-positive population).
 	poor := rng.New(p.Seed).Derive("poor")
-	opts.ConditionsFor = func(id msg.NodeID) (net.Conditions, bool) {
-		if id == 0 || p.freerider(id) {
+	return cluster.Options{
+		N:      p.N,
+		Seed:   p.Seed,
+		Gossip: gossip.Config{F: p.F, Period: p.Period, HistoryPeriods: 50},
+		Core:   core.Config{Pdcc: p.Pdcc, Gamma: 8.95},
+		// Blames are reported to the managers every 10 gossip periods:
+		// scores act on the r ≈ 50-period timescale, and per-period
+		// reporting to M = 25 managers would alone exceed the paper's
+		// measured blaming overhead (Table 5).
+		Rep: reputation.Config{M: p.M, Eta: -9.75, FlushEvery: 10},
+		// The chunk rate is held constant across stream rates (≈64 chunks/s,
+		// as in the paper's streaming substrate [6]): a faster stream means
+		// bigger chunks, not more of them. This is why Table 5's overhead
+		// falls as the bitrate grows — verification traffic depends on the
+		// chunk rate only.
+		Stream:       stream.Config{BitrateBps: p.BitrateBps, ChunkPayload: 1316 * p.BitrateBps / 674_000},
+		NetDefaults:  net.Uniform(p.MeanLoss, 20*time.Millisecond),
+		LiFTinG:      true,
+		ExpectedLoss: p.MeanLoss,
+		BehaviorFor:  co.behaviorFor(),
+		ConditionsFor: func(id msg.NodeID) (net.Conditions, bool) {
+			if id == 0 || co.has(id) {
+				return net.Conditions{}, false
+			}
+			if poor.Bernoulli(p.PoorPct) {
+				// Doubled loss and high latency jitter: blamed like a mild
+				// freerider (§7.3: the false positives "do not deliberately
+				// freeride, but their connection does not allow them to
+				// contribute their fair share").
+				c := net.Uniform(2*p.MeanLoss, 60*time.Millisecond)
+				c.LatencyJitter = 60 * time.Millisecond
+				return c, true
+			}
 			return net.Conditions{}, false
-		}
-		if poor.Bernoulli(p.PoorPct) {
-			// Doubled loss and high latency jitter: blamed like a mild
-			// freerider (§7.3: the false positives "do not deliberately
-			// freeride, but their connection does not allow them to
-			// contribute their fair share").
-			c := net.Uniform(2*p.MeanLoss, 60*time.Millisecond)
-			c.LatencyJitter = 60 * time.Millisecond
-			return c, true
-		}
-		return net.Conditions{}, false
+		},
 	}
-	nFree := int(p.FreeriderPct * float64(p.N))
-	first := msg.NodeID(p.N - nFree)
-	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
-		if id >= first {
-			return freerider.Degree{Delta1: p.Delta[0], Delta2: p.Delta[1], Delta3: p.Delta[2]}
-		}
-		return nil
-	}
-	return opts
 }
 
-func (p PlanetLabConfig) freerider(id msg.NodeID) bool {
-	nFree := int(p.FreeriderPct * float64(p.N))
-	return int(id) >= p.N-nFree
+// health is the fraction of nodes 1..N−1 (the source plays its own stream)
+// viewing a clear stream at each lag, over the chunks of the first
+// streamed − 1 s. The cluster must have tracked playout.
+func health(c *cluster.Cluster, streamed time.Duration, lags []time.Duration) []float64 {
+	playouts := make([]*stream.Playout, 0, c.Opts.N-1)
+	for i := 1; i < c.Opts.N; i++ {
+		playouts = append(playouts, c.Playouts[msg.NodeID(i)])
+	}
+	return stream.Health(playouts, c.Opts.Stream.ChunksBy(streamed-time.Second), lags)
 }
 
 // Fig14Snapshot is one CDF snapshot of Figure 14.
@@ -162,18 +152,16 @@ func Fig14(ctx context.Context, p PlanetLabConfig, snapshots []time.Duration) (*
 	if len(snapshots) == 0 {
 		snapshots = []time.Duration{25 * time.Second, 30 * time.Second, 35 * time.Second}
 	}
+	// One options value for pilot and run, in that order (see buildOptions).
+	// The pilot supplies b̃ only; η is placed below.
 	opts := p.buildOptions()
-
-	cal, err := cluster.Calibrate(ctx, opts, p.Duration)
+	cal, _, err := calibrate(ctx, opts, p.Duration, 0, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	opts.Rep.Compensation = cal.Compensation
 	opts.BlameMode = cluster.BlameDirect
-
-	c := cluster.New(opts)
-	c.Start()
-	c.StartStream(p.Duration + time.Second)
+	c := launch(opts, p.Duration+time.Second, nil)
 
 	// The detection threshold is placed from the observed mixture at the
 	// first snapshot, at the quantile expected to be flagged: freeriders
@@ -182,13 +170,10 @@ func Fig14(ctx context.Context, p PlanetLabConfig, snapshots []time.Duration) (*
 	// and accepts ≈12% honest flags, "most of them nodes whose decreased
 	// contribution is due to poor capabilities" (§7.3).
 	var eta float64
+	co := p.cohort()
 	res := &Fig14Result{Pdcc: p.Pdcc}
-	for si, at := range snapshots {
-		if err := c.RunContext(ctx, at); err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-		snap := Fig14Snapshot{At: at}
+	err = advance(ctx, c, func(si int) {
+		snap := Fig14Snapshot{At: snapshots[si]}
 		scores := c.Scores()
 		if si == 0 {
 			all := make([]float64, 0, p.N-1)
@@ -202,7 +187,7 @@ func Fig14(ctx context.Context, p PlanetLabConfig, snapshots []time.Duration) (*
 		for i := 1; i < p.N; i++ {
 			id := msg.NodeID(i)
 			s := scores[id]
-			if p.freerider(id) {
+			if co.has(id) {
 				snap.Freerider = append(snap.Freerider, s)
 				if s < eta {
 					snap.Detection++
@@ -221,6 +206,9 @@ func Fig14(ctx context.Context, p PlanetLabConfig, snapshots []time.Duration) (*
 			snap.FalsePositives /= float64(len(snap.Honest))
 		}
 		res.Snapshots = append(res.Snapshots, snap)
+	}, snapshots...)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	t := &Table{
@@ -272,8 +260,20 @@ func Fig1(ctx context.Context, p PlanetLabConfig, scenario Fig1Scenario, lags []
 	}
 	p.FreeriderPct = 0.25
 	p.PoorPct = 0 // Figure 1 isolates the freeriding effect
+	switch scenario {
+	case Fig1NoFreeriders:
+		p.FreeriderPct = 0
+	case Fig1Freeriders:
+		// No verification: rational freeriders decrease their contribution
+		// "as much as possible" (§1) — to nothing.
+		p.Delta = [3]float64{1, 1, 1}
+	case Fig1FreeridersLiFTinG:
+		// Coerced: wise freeriders keep P(caught) < 50% → δ = 0.035.
+		p.Delta = [3]float64{0.035, 0.035, 0.035}
+	}
 	opts := p.buildOptions()
 	opts.TrackPlayout = true
+	opts.LiFTinG = scenario == Fig1FreeridersLiFTinG
 
 	// Finite upload capacity: every node's uplink is twice the stream rate.
 	// The system fits when everyone contributes (demand ≈ 1× per node) but
@@ -289,68 +289,30 @@ func Fig1(ctx context.Context, p PlanetLabConfig, scenario Fig1Scenario, lags []
 			c.UplinkBps = 0 // unlimited
 			return c, true
 		}
-		if prevCond != nil {
-			return prevCond(id)
-		}
-		return net.Conditions{}, false
+		return prevCond(id)
 	}
 
-	switch scenario {
-	case Fig1NoFreeriders:
-		opts.LiFTinG = false
-		opts.BehaviorFor = nil
-	case Fig1Freeriders:
-		// No verification: rational freeriders decrease their contribution
-		// "as much as possible" (§1) — to nothing.
-		opts.LiFTinG = false
-		prev := opts.BehaviorFor
-		opts.BehaviorFor = func(id msg.NodeID, dir *membership.Directory, r *rng.Stream) gossip.Behavior {
-			if prev(id, dir, r) != nil {
-				return freerider.Degree{Delta1: 1, Delta2: 1, Delta3: 1}
-			}
-			return nil
-		}
-	case Fig1FreeridersLiFTinG:
-		// Coerced: wise freeriders keep P(caught) < 50% → δ = 0.035.
-		cal, err := cluster.Calibrate(ctx, opts, 10*time.Second)
+	if opts.LiFTinG {
+		cal, eta, err := calibrate(ctx, opts, 10*time.Second, 2.5, 0)
 		if err != nil {
 			return nil, nil, err
 		}
 		opts.Rep.Compensation = cal.Compensation
-		opts.Rep.Eta = -2.5 * cal.ScoreStd
+		opts.Rep.Eta = eta
 		opts.ExpelOnDetection = true
-		prev := opts.BehaviorFor
-		opts.BehaviorFor = func(id msg.NodeID, dir *membership.Directory, r *rng.Stream) gossip.Behavior {
-			if prev(id, dir, r) != nil {
-				return freerider.Degree{Delta1: 0.035, Delta2: 0.035, Delta3: 0.035}
-			}
-			return nil
-		}
 	}
 
-	c := cluster.New(opts)
-	c.Start()
-	c.StartStream(p.Duration)
-	maxLag := lags[len(lags)-1]
-	if err := c.RunContext(ctx, p.Duration+maxLag); err != nil {
-		c.Close()
+	c := launch(opts, p.Duration, nil)
+	if err := advance(ctx, c, nil, p.Duration+lags[len(lags)-1]); err != nil {
 		return nil, nil, err
 	}
-
-	total := opts.Stream.ChunksBy(p.Duration - time.Second)
-	playouts := make([]*stream.Playout, 0, p.N-1)
-	for i := 1; i < p.N; i++ {
-		playouts = append(playouts, c.Playouts[msg.NodeID(i)])
-	}
-	health := stream.Health(playouts, total, lags)
-
-	res := &Fig1Result{Scenario: scenario, Lags: lags, Health: health}
+	res := &Fig1Result{Scenario: scenario, Lags: lags, Health: health(c, p.Duration, lags)}
 	t := &Table{
 		Title:   "Figure 1 — fraction of nodes viewing a clear stream vs stream lag (scenario " + fig1Name(scenario) + ")",
 		Columns: []string{"lag", "health"},
 	}
 	for i, lag := range lags {
-		t.AddRow(lag.String(), F(health[i], 3))
+		t.AddRow(lag.String(), F(res.Health[i], 3))
 	}
 	return t, res, nil
 }

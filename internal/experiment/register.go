@@ -16,51 +16,30 @@ import (
 // it lives here now so a library caller and the CLI resolve overrides
 // identically.
 
-// scoreConfig maps Params onto the Monte-Carlo score experiments
-// (fig10/fig11/fig12).
-func scoreConfig(p Params) ScoreConfig {
+// scoreConfig maps the named experiment's resolved Params onto the
+// Monte-Carlo score experiments (fig10/fig11/fig12).
+func scoreConfig(name string, p Params) ScoreConfig {
+	r := p.resolve(name, Params{N: 2000})
 	cfg := DefaultScoreConfig()
-	if p.Quick {
-		cfg.N = 2000
-		cfg.Freeriders = 200
-	}
-	if p.N > 0 {
-		cfg.N = p.N
-		cfg.Freeriders = p.N / 10
-	}
-	if p.Seed > 0 {
-		cfg.Seed = p.Seed
-	}
-	if p.Periods > 0 {
-		cfg.Periods = p.Periods
-	}
-	if p.Delta >= 0 {
-		cfg.Delta = analysis.Uniform(p.Delta)
+	cfg.N, cfg.Freeriders = r.N, r.N/10
+	cfg.Seed = r.Seed
+	cfg.Periods = r.Periods
+	if r.Delta >= 0 {
+		cfg.Delta = analysis.Uniform(r.Delta)
 	}
 	cfg.NoCompensation = p.NoCompensation
 	cfg.Workers = p.Workers
 	return cfg
 }
 
-// planetLabConfig maps Params onto the §7 deployment scenario
-// (fig1/fig14/table3/table5).
-func planetLabConfig(p Params) PlanetLabConfig {
+// planetLabConfig maps the named experiment's resolved Params onto the §7
+// deployment scenario (fig1/fig14/table3/table5).
+func planetLabConfig(name string, p Params) PlanetLabConfig {
+	r := p.resolve(name, Params{N: 100, Duration: 20 * time.Second})
 	pl := DefaultPlanetLabConfig()
-	if p.Quick {
-		pl.N = 100
-		pl.Duration = 20 * time.Second
-	}
-	if p.N > 0 {
-		pl.N = p.N
-	}
-	if p.Seed > 0 {
-		pl.Seed = p.Seed
-	}
-	if p.Duration > 0 {
-		pl.Duration = p.Duration
-	}
-	if p.Pdcc >= 0 {
-		pl.Pdcc = p.Pdcc
+	pl.N, pl.Seed, pl.Duration = r.N, r.Seed, r.Duration
+	if r.Pdcc >= 0 {
+		pl.Pdcc = r.Pdcc
 	}
 	return pl
 }
@@ -81,12 +60,18 @@ func fig14Pdccs(override float64) []float64 {
 }
 
 func init() {
+	// DefaultParams are read off the default configs, so each default is
+	// stated once; Delta and Pdcc start at their −1 "unset" (fig11's paper
+	// value of 0.1 aside).
+	score, entropy, planet := DefaultScoreConfig(), DefaultEntropyConfig(), DefaultPlanetLabConfig()
+	churn, scale, soak := DefaultChurnConfig(), DefaultScaleConfig(), DefaultSoakConfig()
+
 	Register(Experiment{
 		Name: "fig10", Paper: "§6.2, Figure 10",
 		Describe:      "compensated honest scores after one period under message loss",
-		DefaultParams: Params{N: 10_000, Seed: 1, Periods: 1, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: score.N, Seed: score.Seed, Periods: 1, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			tab, res, err := Fig10(ctx, scoreConfig(p))
+			tab, res, err := Fig10(ctx, scoreConfig("fig10", p))
 			if err != nil {
 				return nil, err
 			}
@@ -100,9 +85,9 @@ func init() {
 	Register(Experiment{
 		Name: "fig11", Paper: "§6.3.1, Figure 11",
 		Describe:      "normalized score separation, honest vs freeriders, after r periods",
-		DefaultParams: Params{N: 10_000, Seed: 1, Periods: 50, Delta: 0.1, Pdcc: -1},
+		DefaultParams: Params{N: score.N, Seed: score.Seed, Periods: score.Periods, Delta: 0.1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			tab, res, err := Fig11(ctx, scoreConfig(p))
+			tab, res, err := Fig11(ctx, scoreConfig("fig11", p))
 			if err != nil {
 				return nil, err
 			}
@@ -117,13 +102,13 @@ func init() {
 	Register(Experiment{
 		Name: "fig12", Paper: "§6.3.1, Figure 12",
 		Describe:      "detection probability and bandwidth gain vs degree of freeriding",
-		DefaultParams: Params{N: 10_000, Seed: 1, Periods: 50, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: score.N, Seed: score.Seed, Periods: score.Periods, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
 			samples := 4000
 			if p.Quick {
 				samples = 1000
 			}
-			tab, _, err := Fig12(ctx, scoreConfig(p), nil, samples)
+			tab, _, err := Fig12(ctx, scoreConfig("fig12", p), nil, samples)
 			if err != nil {
 				return nil, err
 			}
@@ -135,18 +120,13 @@ func init() {
 	Register(Experiment{
 		Name: "fig13", Paper: "§6.3.2, Figure 13",
 		Describe:      "entropy of honest fanout/fanin histories vs the audit threshold γ",
-		DefaultParams: Params{N: 10_000, Seed: 1, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: entropy.N, Seed: entropy.Seed, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			cfg := DefaultEntropyConfig()
+			r := p.resolve("fig13", Params{N: 2000})
+			cfg := entropy
+			cfg.N, cfg.Seed = r.N, r.Seed
 			if p.Quick {
-				cfg.N = 2000
 				cfg.SampleNodes = 500
-			}
-			if p.N > 0 {
-				cfg.N = p.N
-			}
-			if p.Seed > 0 {
-				cfg.Seed = p.Seed
 			}
 			tab, res, err := Fig13(ctx, cfg)
 			if err != nil {
@@ -176,7 +156,7 @@ func init() {
 	Register(Experiment{
 		Name: "ablate", Paper: "beyond the paper — mechanism ablations",
 		Describe:      "what compensation, cross-checking and loss recovery each buy",
-		DefaultParams: Params{Seed: 21, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{Seed: DefaultAblationConfig().Seed, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
 			cfg := DefaultAblationConfig()
 			if p.Quick {
@@ -184,9 +164,7 @@ func init() {
 				cfg.ClusterN = 50
 				cfg.Duration = 8 * time.Second
 			}
-			if p.Seed > 0 {
-				cfg.Seed = p.Seed
-			}
+			cfg.Seed = p.resolve("ablate", Params{}).Seed
 			tab, err := Ablations(ctx, cfg)
 			if err != nil {
 				return nil, err
@@ -199,9 +177,9 @@ func init() {
 	Register(Experiment{
 		Name: "table3", Paper: "§6.1/§7.2, Table 3",
 		Describe:      "verification messages per node per gossip period, swept over pdcc",
-		DefaultParams: Params{N: 300, Seed: 42, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: planet.N, Seed: planet.Seed, Duration: planet.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			tab, err := Table3(ctx, planetLabConfig(p), nil)
+			tab, err := Table3(ctx, planetLabConfig("table3", p), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -213,9 +191,9 @@ func init() {
 	Register(Experiment{
 		Name: "table5", Paper: "§7.2, Table 5",
 		Describe:      "relative bandwidth overhead across stream rates and pdcc",
-		DefaultParams: Params{N: 300, Seed: 42, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: planet.N, Seed: planet.Seed, Duration: planet.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			tab, points, err := Table5(ctx, planetLabConfig(p), nil, nil)
+			tab, points, err := Table5(ctx, planetLabConfig("table5", p), nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -260,24 +238,15 @@ func init() {
 	Register(Experiment{
 		Name: "churn", Paper: "beyond the paper — churn workload",
 		Describe:      "joins and leaves mid-stream with reputation-manager handoff",
-		DefaultParams: Params{N: 120, Seed: 17, Duration: 30 * time.Second, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: churn.N, Seed: churn.Seed, Duration: churn.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			cfg := DefaultChurnConfig()
+			r := p.resolve("churn", Params{N: 50, Duration: 8 * time.Second})
+			cfg := churn
+			cfg.N, cfg.Seed, cfg.Duration = r.N, r.Seed, r.Duration
 			cfg.Backend = p.backend()
 			cfg.Shards = p.Shards
 			if p.Quick {
-				cfg.N = 50
 				cfg.Joins, cfg.Leaves = 6, 6
-				cfg.Duration = 8 * time.Second
-			}
-			if p.N > 0 {
-				cfg.N = p.N
-			}
-			if p.Seed > 0 {
-				cfg.Seed = p.Seed
-			}
-			if p.Duration > 0 {
-				cfg.Duration = p.Duration
 			}
 			tab, res, err := Churn(ctx, cfg)
 			if err != nil {
@@ -296,21 +265,11 @@ func init() {
 	Register(Experiment{
 		Name: "scale", Paper: "beyond the paper — 10k-node scale workload",
 		Describe:      "expulsion verdict at a large population vs the 300-node baseline",
-		DefaultParams: Params{N: 10_000, Seed: 23, Duration: 20 * time.Second, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: scale.N, Seed: scale.Seed, Duration: scale.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			cfg := DefaultScaleConfig()
-			if p.Quick {
-				cfg.N = 1000
-			}
-			if p.N > 0 {
-				cfg.N = p.N
-			}
-			if p.Seed > 0 {
-				cfg.Seed = p.Seed
-			}
-			if p.Duration > 0 {
-				cfg.Duration = p.Duration
-			}
+			r := p.resolve("scale", Params{N: 1000})
+			cfg := scale
+			cfg.N, cfg.Seed, cfg.Duration = r.N, r.Seed, r.Duration
 			cfg.Shards = p.Shards
 			tab, res, err := Scale(ctx, cfg)
 			if err != nil {
@@ -367,25 +326,19 @@ func init() {
 	Register(Experiment{
 		Name: "soak", Paper: "beyond the paper — fault-plane soak",
 		Describe:      "churn + one attack + a seeded fault schedule under standing invariant checkers",
-		DefaultParams: Params{N: 120, Seed: 29, Duration: 30 * time.Second, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: soak.N, Seed: soak.Seed, Duration: soak.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			cfg := DefaultSoakConfig()
+			cfg, quick := soak, QuickSoakConfig()
 			if p.Quick {
-				cfg = QuickSoakConfig()
+				cfg = quick
 			}
+			r := p.resolve("soak", Params{N: quick.N, Duration: quick.Duration})
+			cfg.N, cfg.Seed, cfg.Duration = r.N, r.Seed, r.Duration
 			cfg.Backend = p.backend()
 			cfg.Shards = p.Shards
-			if p.N > 0 {
-				cfg.N = p.N
-			}
-			if p.Seed > 0 {
-				cfg.Seed = p.Seed
-			}
-			if p.Duration > 0 {
-				cfg.Duration = p.Duration
-			}
-			// -filter selects the attack for the soak (freeride, blame-spam,
-			// period-stretch); the flag is free-form, Soak validates it.
+			// -filter selects the attack for the soak (freeride, or a matrix
+			// scenario such as blame-spam or period-stretch); the flag is
+			// free-form, Soak validates it.
 			if p.Filter != "" {
 				cfg.Attack = p.Filter
 			}
@@ -440,7 +393,7 @@ func init() {
 				Quick:    p.Quick,
 				Backends: p.Backends,
 				Filter:   p.Filter,
-				Seed:     p.Seed,
+				Seed:     p.resolve("matrix", Params{}).Seed,
 				Workers:  p.Workers,
 				Shards:   p.Shards,
 			})
@@ -472,9 +425,9 @@ func init() {
 	Register(Experiment{
 		Name: "fig14", Paper: "§7.3, Figure 14",
 		Describe:      "score CDF snapshots over time on the heterogeneous deployment",
-		DefaultParams: Params{N: 300, Seed: 42, Duration: 35 * time.Second, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: planet.N, Seed: planet.Seed, Duration: planet.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			pl := planetLabConfig(p)
+			pl := planetLabConfig("fig14", p)
 			out := newResult("fig14", p)
 			for _, pd := range fig14Pdccs(p.Pdcc) {
 				pl.Pdcc = pd
@@ -493,12 +446,9 @@ func init() {
 	Register(Experiment{
 		Name: "fig1", Paper: "§1/§7.3, Figure 1",
 		Describe:      "stream health vs lag: baseline, unpoliced freeriders, LiFTinG",
-		DefaultParams: Params{N: 300, Seed: 42, Duration: 45 * time.Second, Delta: -1, Pdcc: -1},
+		DefaultParams: Params{N: planet.N, Seed: planet.Seed, Duration: 45 * time.Second, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			pl := planetLabConfig(p)
-			if pl.Duration == DefaultPlanetLabConfig().Duration && p.Duration == 0 {
-				pl.Duration = 45 * time.Second
-			}
+			pl := planetLabConfig("fig1", p)
 			var lags []time.Duration
 			for s := 0; s <= int(pl.Duration/time.Second); s += 5 {
 				lags = append(lags, time.Duration(s)*time.Second)

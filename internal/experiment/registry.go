@@ -22,10 +22,10 @@ import (
 
 // Params is the one typed parameter set every experiment runs from. It
 // carries exactly the overrides the lifting-sim flags expose; each
-// experiment maps the fields it understands onto its own config (via the
-// same rules the old per-experiment flag plumbing applied) and ignores the
-// rest. The zero value of the sentinel fields means "experiment default":
-// use DefaultParams as the base so Delta and Pdcc start at −1.
+// experiment resolves them against its defaults (Params.resolve), maps the
+// fields it understands onto its own config and ignores the rest. The zero
+// value of the sentinel fields means "experiment default": use DefaultParams
+// as the base so Delta and Pdcc start at −1.
 type Params struct {
 	// N overrides the system size (0 = experiment default).
 	N int `json:"n,omitempty"`
@@ -76,6 +76,41 @@ type Params struct {
 //lint:allow no-orphan the registry tests and benchmarks (TestRegistryRunStreamsTables, BenchmarkRegistryDispatch, …) start every run from it
 func DefaultParams() Params {
 	return Params{Delta: -1, Pdcc: -1, Shards: -1}
+}
+
+// resolve fills every parameter the caller left at "experiment default", in
+// the one precedence every experiment shares: an explicit value, else — under
+// Quick — the experiment's quick value, else its registered DefaultParams.
+// Sizes, seeds, durations and period counts are set when positive; Delta and
+// Pdcc (−1 = unset, no quick values) when non-negative. Execution knobs pass
+// through. A Result echoes the Params it was given, never these.
+func (p Params) resolve(name string, quick Params) Params {
+	e, _ := Lookup(name)
+	if !p.Quick {
+		quick = Params{}
+	}
+	r := p
+	for _, l := range []Params{e.DefaultParams, quick, p} {
+		if l.N > 0 {
+			r.N = l.N
+		}
+		if l.Seed > 0 {
+			r.Seed = l.Seed
+		}
+		if l.Duration > 0 {
+			r.Duration = l.Duration
+		}
+		if l.Periods > 0 {
+			r.Periods = l.Periods
+		}
+	}
+	if p.Delta < 0 {
+		r.Delta = e.DefaultParams.Delta
+	}
+	if p.Pdcc < 0 {
+		r.Pdcc = e.DefaultParams.Pdcc
+	}
+	return r
 }
 
 // backend returns the single execution backend the params select.
@@ -191,8 +226,9 @@ type Experiment struct {
 	// matrix); every other experiment takes exactly one backend, which the
 	// driver enforces generically from this flag.
 	MultiBackend bool
-	// DefaultParams are the effective defaults a parameterless run uses,
-	// for `list -json` and `-describe` (informational; Run applies them).
+	// DefaultParams are the defaults a parameterless run uses — what `list
+	// -json` and `-describe` print and what Params.resolve falls back to, so
+	// the two cannot drift.
 	DefaultParams Params
 	// Run executes the experiment.
 	Run RunFunc

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"lifting/internal/runtime"
 )
@@ -247,4 +249,57 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 	expectPanic("a nameless experiment", Experiment{Run: func(context.Context, Params, Observer) (*Result, error) { return nil, nil }})
 	expectPanic("a runless experiment", Experiment{Name: "runless"})
 	expectPanic("a duplicate", Experiment{Name: "fig10", Run: func(context.Context, Params, Observer) (*Result, error) { return nil, nil }})
+}
+
+// TestParamsResolution pins the one precedence every experiment resolves
+// its parameters by: explicit value > -quick value > DefaultParams. A
+// parameterless resolution is DefaultParams field for field, for every
+// registered experiment — so what `list -json` and `-describe` print is what
+// runs.
+func TestParamsResolution(t *testing.T) {
+	quick := Params{N: 7, Seed: 8, Duration: 9 * time.Second, Periods: 10}
+	for _, e := range Experiments() {
+		def := e.DefaultParams
+		got := DefaultParams().resolve(e.Name, quick)
+		got.Shards = def.Shards // an execution knob, passed through
+		if !reflect.DeepEqual(got, def) {
+			t.Errorf("%s: parameterless resolution %+v, want DefaultParams %+v", e.Name, got, def)
+		}
+
+		p := DefaultParams()
+		p.Quick = true
+		got = p.resolve(e.Name, quick)
+		if got.N != 7 || got.Seed != 8 || got.Duration != 9*time.Second || got.Periods != 10 {
+			t.Errorf("%s: -quick did not override the defaults: %+v", e.Name, got)
+		}
+		if got.Delta != def.Delta || got.Pdcc != def.Pdcc {
+			t.Errorf("%s: -quick moved Delta/Pdcc to %v/%v, want the defaults %v/%v", e.Name, got.Delta, got.Pdcc, def.Delta, def.Pdcc)
+		}
+		if got = p.resolve(e.Name, Params{}); got.N != def.N || got.Duration != def.Duration {
+			t.Errorf("%s: an empty quick set overrode the defaults: %+v", e.Name, got)
+		}
+
+		p.N, p.Seed, p.Duration, p.Periods, p.Delta, p.Pdcc = 11, 12, 13*time.Second, 14, 0, 0.5
+		got = p.resolve(e.Name, quick)
+		if got.N != 11 || got.Seed != 12 || got.Duration != 13*time.Second || got.Periods != 14 || got.Delta != 0 || got.Pdcc != 0.5 {
+			t.Errorf("%s: explicit values did not override -quick and the defaults: %+v", e.Name, got)
+		}
+	}
+
+	// The §7 scenario's mapping, fig1's longer stream included.
+	p := DefaultParams()
+	if d := planetLabConfig("fig1", p).Duration; d != 45*time.Second {
+		t.Errorf("fig1 streams %v by default, want 45s", d)
+	}
+	if d := planetLabConfig("fig14", p).Duration; d != DefaultPlanetLabConfig().Duration {
+		t.Errorf("fig14 streams %v by default, want the §7 scenario's %v", d, DefaultPlanetLabConfig().Duration)
+	}
+	p.Quick = true
+	if pl := planetLabConfig("fig1", p); pl.Duration != 20*time.Second || pl.N != 100 {
+		t.Errorf("fig1 -quick runs n=%d for %v, want n=100 for 20s", pl.N, pl.Duration)
+	}
+	p.Duration = 35 * time.Second
+	if d := planetLabConfig("fig1", p).Duration; d != 35*time.Second {
+		t.Errorf("fig1 -quick -duration 35s streams %v", d)
+	}
 }

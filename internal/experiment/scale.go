@@ -6,14 +6,11 @@ import (
 
 	"lifting/internal/cluster"
 	"lifting/internal/core"
-	"lifting/internal/freerider"
 	"lifting/internal/gossip"
-	"lifting/internal/membership"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/reputation"
-	"lifting/internal/rng"
 	"lifting/internal/runtime"
 	"lifting/internal/stream"
 )
@@ -76,61 +73,12 @@ func DefaultScaleConfig() ScaleConfig {
 	}
 }
 
-// ScaleRun is the outcome of one population's run.
+// ScaleRun is the outcome of one population's run: its size and the run's
+// tally.
 type ScaleRun struct {
-	N, Freeriders      int
-	FreeridersExpelled int
-	HonestExpelled     int
-	// DetectionMean is the mean expulsion time of the detected freeriders,
-	// on the engine's virtual clock — a seed-determined quantity.
-	//lint:allow no-time-in-results sim-time mean on the engine clock; byte-stable for a fixed seed
-	DetectionMean time.Duration
-	// Events is the number of discrete events the engine executed.
-	Events uint64
-	// OverheadPpm is the verification overhead (verification bytes /
-	// dissemination bytes) in parts per million — integral so the run
-	// stays a comparable struct and seeded output stays byte-stable.
-	OverheadPpm uint64
-	// DupChunks and UsefulChunks split received serves into redundant
-	// copies and first deliveries.
-	DupChunks, UsefulChunks uint64
-	// GoodputBytes is the verified chunk payload delivered to first-time
-	// receivers — the content plane's QoE headline.
-	GoodputBytes uint64
-	// StreamLagMeanNs and StreamJitterMeanNs are the mean source-to-receiver
-	// chunk lag and the mean inter-arrival deviation from the chunk interval,
-	// in integer nanoseconds so the run stays a comparable struct.
-	StreamLagMeanNs, StreamJitterMeanNs uint64
-	// Elapsed is the wall-clock cost of the run, for the bench harness. It
-	// never reaches tables or the JSON document; document-building callers
-	// must keep it out (see Scale's table construction).
-	//lint:allow no-time-in-results bench-only wall-clock cost; excluded from tables and the JSON document
-	Elapsed time.Duration
+	N int
+	tallyResult
 }
-
-// StreamLag returns the mean chunk lag as a duration.
-func (r ScaleRun) StreamLag() time.Duration { return time.Duration(r.StreamLagMeanNs) }
-
-// StreamJitter returns the mean inter-arrival jitter as a duration.
-func (r ScaleRun) StreamJitter() time.Duration { return time.Duration(r.StreamJitterMeanNs) }
-
-// Overhead returns the verification overhead as a ratio.
-func (r ScaleRun) Overhead() float64 { return float64(r.OverheadPpm) / 1e6 }
-
-// DupRatio returns the share of received serves that were redundant.
-func (r ScaleRun) DupRatio() float64 {
-	total := r.DupChunks + r.UsefulChunks
-	if total == 0 {
-		return 0
-	}
-	return float64(r.DupChunks) / float64(total)
-}
-
-// CohortExpelled reports whether every freerider was expelled.
-func (r ScaleRun) CohortExpelled() bool { return r.FreeridersExpelled == r.Freeriders }
-
-// HonestClean reports whether no honest node was expelled.
-func (r ScaleRun) HonestClean() bool { return r.HonestExpelled == 0 }
 
 // Verdict summarizes the run's expulsion outcome.
 func (r ScaleRun) Verdict() string {
@@ -169,10 +117,13 @@ const snapshotEvery = 5
 // coarser chunks keep the honest blame tail within the calibrated spread.
 const chunkPayload = 5264
 
+// cohort is the freerider share of a population of n.
+func (cfg ScaleConfig) cohort(n int) cohort {
+	return cohortOf(n, cfg.FreeriderPct, degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2]))
+}
+
 // scaleOptions assembles the cluster for one population of the workload.
 func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
-	nFree := int(cfg.FreeriderPct * float64(n))
-	firstFree := msg.NodeID(n - nFree)
 	return cluster.Options{
 		N:    n,
 		Seed: cfg.Seed,
@@ -180,19 +131,8 @@ func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
 		// deployment question, not this workload's.
 		Backend: runtime.KindSim,
 		Shards:  cfg.Shards,
-		Gossip: gossip.Config{
-			F:              cfg.F,
-			Period:         cfg.Period,
-			ChunkPayload:   chunkPayload,
-			HistoryPeriods: 50,
-		},
-		Core: core.Config{
-			F:              cfg.F,
-			Period:         cfg.Period,
-			Pdcc:           1,
-			HistoryPeriods: 50,
-			Gamma:          8.95,
-		},
+		Gossip:  gossip.Config{F: cfg.F, Period: cfg.Period, HistoryPeriods: 50},
+		Core:    core.Config{Pdcc: 1, Gamma: 8.95},
 		// Grace of 24 periods: a single late-ack burst (the heavy tail of
 		// honest wrongful blame — one lost ack forfeits a whole period of
 		// per-chunk serve expectations) amortizes over r ≥ 24 before η ever
@@ -204,12 +144,7 @@ func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
 		LiFTinG:      true,
 		BlameMode:    cluster.BlameMessages,
 		ExpectedLoss: cfg.MeanLoss,
-		BehaviorFor: func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
-			if id >= firstFree && id < msg.NodeID(n) {
-				return freerider.Degree{Delta1: cfg.Delta[0], Delta2: cfg.Delta[1], Delta3: cfg.Delta[2]}
-			}
-			return nil
-		},
+		BehaviorFor:  cfg.cohort(n).behaviorFor(),
 	}
 }
 
@@ -217,8 +152,6 @@ func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
 // Alongside the outcome it returns the run's periodic metrics snapshots,
 // sampled on period boundaries (sim time), every snapshotEvery periods.
 func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta float64) (ScaleRun, []metrics.Snapshot, error) {
-	//lint:allow no-wallclock bench-only wall-clock cost kept out of the document
-	start := time.Now()
 	opts := cfg.scaleOptions(n)
 	opts.Rep.Compensation = compensation
 	opts.Rep.Eta = eta
@@ -229,44 +162,11 @@ func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta fl
 			snaps = append(snaps, snap)
 		}
 	}
-	c := cluster.New(opts)
-	c.Start()
-	c.StartStream(cfg.Duration)
-	if err := c.RunContext(ctx, cfg.Duration+2*cfg.Period); err != nil {
-		c.Close()
+	c := launch(opts, cfg.Duration, nil)
+	if err := advance(ctx, c, nil, cfg.Duration+2*cfg.Period); err != nil {
 		return ScaleRun{}, nil, err
 	}
-	c.Close()
-
-	//lint:allow no-wallclock bench-only wall-clock cost kept out of the document
-	run := ScaleRun{N: n, Freeriders: len(c.Freeriders), Elapsed: time.Since(start)}
-	if c.Engine != nil {
-		run.Events = c.Engine.Events()
-	}
-	_, vb := c.Collector.VerificationTotals()
-	_, pb := c.Collector.ProtocolTotals()
-	if pb > 0 {
-		run.OverheadPpm = vb * 1_000_000 / pb
-	}
-	run.DupChunks = c.Collector.DupChunks()
-	run.UsefulChunks = c.Collector.UsefulChunks()
-	run.GoodputBytes = c.Collector.GoodputBytes()
-	run.StreamLagMeanNs = c.Collector.StreamLagMeanNs()
-	run.StreamJitterMeanNs = c.Collector.StreamJitterMeanNs()
-	var latency time.Duration
-	//lint:allow ordered-map-range commutative integer sums and counts; order cannot affect the totals
-	for id, at := range c.Expelled {
-		if c.Freeriders[id] {
-			run.FreeridersExpelled++
-			latency += at
-		} else {
-			run.HonestExpelled++
-		}
-	}
-	if run.FreeridersExpelled > 0 {
-		run.DetectionMean = latency / time.Duration(run.FreeridersExpelled)
-	}
-	return run, snaps, nil
+	return ScaleRun{N: n, tallyResult: tally(c, cfg.cohort(n))}, snaps, nil
 }
 
 // Scale runs the scale workload: calibrate at the baseline population, run
@@ -278,14 +178,13 @@ func Scale(ctx context.Context, cfg ScaleConfig) (*Table, *ScaleResult, error) {
 	// per-node wrongful-blame rate depends on fanout and loss, not on N, so
 	// the threshold is meaningful at both populations — and a 300-node pilot
 	// costs nothing next to the 10k-node run.
-	cal, err := cluster.Calibrate(ctx, cfg.scaleOptions(cfg.BaselineN), cfg.Duration)
-	if err != nil {
-		return nil, nil, err
-	}
 	// −10σ: the honest extreme over 10k nodes — including one amortized
 	// late-ack burst — stays above it, while the least-blamed δ = 0.7
 	// freerider sits a full unit below it by grace expiry.
-	eta := -10 * cal.ScoreStd
+	cal, eta, err := calibrate(ctx, cfg.scaleOptions(cfg.BaselineN), cfg.Duration, 10, 0)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	res := &ScaleResult{Compensation: cal.Compensation, Eta: eta}
 	if res.Baseline, _, err = cfg.scaleRun(ctx, cfg.BaselineN, cal.Compensation, eta); err != nil {
@@ -297,8 +196,7 @@ func Scale(ctx context.Context, cfg ScaleConfig) (*Table, *ScaleResult, error) {
 	res.Agree = res.Baseline.Verdict() == res.Target.Verdict()
 
 	// The table carries only seed-determined quantities (virtual detection
-	// time, event counts) — wall-clock cost stays in ScaleRun.Elapsed for
-	// programmatic callers, so the structured JSON document of a seeded run
+	// time, event counts), so the structured JSON document of a seeded run
 	// is byte-identical across repetitions.
 	t := &Table{
 		Title: "Scale — expulsion verdict at baseline vs large population (message-mode reputation)",

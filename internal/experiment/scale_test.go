@@ -115,7 +115,6 @@ func TestScaleShardInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run.Elapsed = 0 // wall clock is the one legitimately varying field
 		encoded, err := json.Marshal(snaps)
 		if err != nil {
 			t.Fatal(err)

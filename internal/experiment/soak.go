@@ -3,15 +3,14 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"lifting/internal/chaos"
 	"lifting/internal/cluster"
 	"lifting/internal/core"
-	"lifting/internal/freerider"
 	"lifting/internal/gossip"
-	"lifting/internal/membership"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
@@ -37,8 +36,9 @@ type SoakConfig struct {
 	// FreeriderPct of the initial population runs the attack behavior.
 	FreeriderPct float64
 	// Attack selects the adversary cohort's behavior: "freeride" (degree
-	// Delta, the default), "blame-spam" (§5.1 bad-mouthing) or
-	// "period-stretch" (§4.1(iv) gossip-period ×2).
+	// Delta, the default) or the name of a matrix scenario, whose behavior
+	// the cohort then runs — "blame-spam" (§5.1 bad-mouthing) and
+	// "period-stretch" (§4.1(iv) gossip-period ×2) are the ones the tests soak.
 	Attack string
 	Delta  [3]float64
 	F      int
@@ -174,7 +174,10 @@ func QuickSoakConfig() SoakConfig {
 
 // SoakResult aggregates one soak run.
 type SoakResult struct {
-	N, Freeriders    int
+	N int
+	// The run's tally: the cohort size and the expulsion split (cohort, live
+	// honest, departed-then-expelled), goodput and overhead.
+	tallyResult
 	Joined, Departed int
 	Handoffs         int
 	// PlanEvents and ChaosApplied pin schedule execution: every generated
@@ -187,12 +190,6 @@ type SoakResult struct {
 	PartitionEpisodes int
 	LossBurstEpisodes int
 	SkewedNodes       int
-	// Expulsion split. DepartedExpelled counts nodes blamed past η after
-	// they had already left voluntarily — a verdict about a node no longer
-	// in the system, tracked separately from live honest casualties.
-	FreeridersExpelled int
-	HonestExpelled     int
-	DepartedExpelled   int
 	// PeriodsChecked is how many period snapshots the standing invariants
 	// ran against; MaxTracked is the largest per-manager tracked-target
 	// count ever observed.
@@ -200,21 +197,12 @@ type SoakResult struct {
 	MaxTracked     int
 	// Violations lists every standing-invariant violation, in period order.
 	Violations []string
-	// GoodputBytes and OverheadPpm summarize the content plane.
-	GoodputBytes uint64
-	OverheadPpm  uint64
 	// Compensation and Eta are the calibrated b̃ and threshold.
 	Compensation, Eta float64
 	// Snapshots are the periodic metrics snapshots (every snapshotEvery
 	// periods) — the JSON document's metrics_snapshots section.
 	Snapshots []metrics.Snapshot
 }
-
-// HonestClean reports whether no live honest node was expelled.
-func (r *SoakResult) HonestClean() bool { return r.HonestExpelled == 0 }
-
-// CohortExpelled reports whether the whole adversary cohort was expelled.
-func (r *SoakResult) CohortExpelled() bool { return r.FreeridersExpelled == r.Freeriders }
 
 // etaFloor returns the configured or attack-specific threshold floor.
 func (cfg SoakConfig) etaFloor() float64 {
@@ -227,65 +215,39 @@ func (cfg SoakConfig) etaFloor() float64 {
 	return 3
 }
 
-// attackBehavior maps the attack name onto a cohort behavior constructor,
-// or nil for an unknown name.
-func (cfg SoakConfig) attackBehavior(firstFree msg.NodeID) func(msg.NodeID, *membership.Directory, *rng.Stream) gossip.Behavior {
-	n := msg.NodeID(cfg.N)
-	inCohort := func(id msg.NodeID) bool { return id >= firstFree && id < n }
-	switch cfg.Attack {
-	case "", "freeride":
-		return func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
-			if inCohort(id) {
-				return freerider.Degree{Delta1: cfg.Delta[0], Delta2: cfg.Delta[1], Delta3: cfg.Delta[2]}
-			}
-			return nil
-		}
-	case "blame-spam":
-		return func(id msg.NodeID, dir *membership.Directory, _ *rng.Stream) gossip.Behavior {
-			if inCohort(id) {
-				return &freerider.BlameSpammer{Self: id, Dir: dir, Targets: 2, Value: 7}
-			}
-			return nil
-		}
-	case "period-stretch":
-		return func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
-			if inCohort(id) {
-				return freerider.PeriodStretcher{Factor: 2}
-			}
-			return nil
+// cohort resolves the attack name to the adversary cohort: "freeride" is
+// the soak's own degree Delta, every other name a row of the matrix's
+// Scenarios table.
+func (cfg SoakConfig) cohort() (cohort, error) {
+	if cfg.Attack == "" || cfg.Attack == "freeride" {
+		return cohortOf(cfg.N, cfg.FreeriderPct, degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2])), nil
+	}
+	for _, sc := range Scenarios() {
+		if sc.Name == cfg.Attack {
+			return cohortOf(cfg.N, cfg.FreeriderPct, sc.Behavior), nil
 		}
 	}
-	return nil
+	return cohort{}, fmt.Errorf("soak: unknown attack %q (want freeride or a matrix scenario: %s)",
+		cfg.Attack, strings.Join(ScenarioNames(), ", "))
 }
 
 // soakOptions assembles the cluster options (threshold fields are filled in
 // after calibration).
-func (cfg SoakConfig) soakOptions(behavior func(msg.NodeID, *membership.Directory, *rng.Stream) gossip.Behavior) cluster.Options {
+func (cfg SoakConfig) soakOptions(co cohort) cluster.Options {
 	return cluster.Options{
-		N:       cfg.N,
-		Seed:    cfg.Seed,
-		Backend: cfg.Backend,
-		Shards:  cfg.Shards,
-		Gossip: gossip.Config{
-			F:              cfg.F,
-			Period:         cfg.Period,
-			ChunkPayload:   1316,
-			HistoryPeriods: 50,
-		},
-		Core: core.Config{
-			F:              cfg.F,
-			Period:         cfg.Period,
-			Pdcc:           1,
-			HistoryPeriods: 50,
-			Gamma:          8,
-		},
+		N:            cfg.N,
+		Seed:         cfg.Seed,
+		Backend:      cfg.Backend,
+		Shards:       cfg.Shards,
+		Gossip:       gossip.Config{F: cfg.F, Period: cfg.Period, HistoryPeriods: 50},
+		Core:         core.Config{Pdcc: 1, Gamma: 8},
 		Rep:          reputation.Config{M: cfg.M, GracePeriods: cfg.Grace},
 		Stream:       stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
 		NetDefaults:  net.Uniform(cfg.MeanLoss, 5*time.Millisecond),
 		LiFTinG:      true,
 		BlameMode:    cluster.BlameMessages,
 		ExpectedLoss: cfg.MeanLoss,
-		BehaviorFor:  behavior,
+		BehaviorFor:  co.behaviorFor(),
 	}
 }
 
@@ -431,11 +393,9 @@ func (k *soakChecker) recovery(plan *chaos.Plan, period time.Duration, recoveryP
 // generated fault plan, with the standing invariants checked at every score
 // period. Cancelling ctx aborts the run.
 func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
-	nFree := int(cfg.FreeriderPct * float64(cfg.N))
-	firstFree := msg.NodeID(cfg.N - nFree)
-	behavior := cfg.attackBehavior(firstFree)
-	if behavior == nil {
-		return nil, nil, fmt.Errorf("soak: unknown attack %q (want freeride, blame-spam or period-stretch)", cfg.Attack)
+	co, err := cfg.cohort()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Draw the departure set before generating the fault plan: a node that
@@ -443,20 +403,10 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 	// so the plan's candidates are the honest stayers. The adversary cohort
 	// and the source stay out too — their fates are what the oracles
 	// assert, so a fault must never be an alternative explanation.
-	churnRand := rng.New(cfg.Seed).Derive("soak-churn")
-	leavePool := int(firstFree) - 1
-	leaves := cfg.Leaves
-	if leaves > leavePool {
-		leaves = leavePool
-	}
-	leaveIdx := churnRand.SampleK(leavePool, leaves)
-	leaving := make(map[msg.NodeID]bool, leaves)
-	for _, idx := range leaveIdx {
-		leaving[msg.NodeID(idx+1)] = true
-	}
-	candidates := make([]msg.NodeID, 0, leavePool-leaves)
-	for id := msg.NodeID(1); id < firstFree; id++ {
-		if !leaving[id] {
+	leavers := co.drawLeavers(rng.New(cfg.Seed).Derive("soak-churn"), cfg.Leaves)
+	candidates := make([]msg.NodeID, 0, int(co.first())-1-len(leavers))
+	for id := msg.NodeID(1); id < co.first(); id++ {
+		if !slices.Contains(leavers, id) {
 			candidates = append(candidates, id)
 		}
 	}
@@ -480,17 +430,14 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 		SkewMax:       cfg.SkewMax,
 	})
 
-	opts := cfg.soakOptions(behavior)
 	// Calibrate on the clean configuration: b̃ and σ describe honest
 	// behavior on the healthy network; the faults are what the threshold
 	// must then tolerate.
-	calOpts := opts
-	calOpts.Chaos = nil
-	cal, err := cluster.Calibrate(ctx, calOpts, cfg.Duration)
+	opts := cfg.soakOptions(co)
+	cal, eta, err := calibrate(ctx, opts, cfg.Duration, cfg.EtaSigma, cfg.etaFloor())
 	if err != nil {
 		return nil, nil, err
 	}
-	eta := -math.Max(cfg.EtaSigma*cal.ScoreStd, cfg.etaFloor())
 	opts.Chaos = plan
 	opts.Rep.Compensation = cal.Compensation
 	opts.Rep.Eta = eta
@@ -501,34 +448,19 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 	opts.OnPeriodSnapshot = func(p msg.Period, snap metrics.Snapshot) {
 		chk.check(p, snap, c.MaxTrackedPerManager())
 	}
-	c = cluster.New(opts)
-	c.Start()
-	c.StartStream(cfg.Duration)
-
 	// Churn rides the same middle-half window as the fault plan: the soak's
 	// point is everything at once.
-	window := cfg.Duration / 2
-	windowStart := cfg.Duration / 4
-	for i := 0; i < cfg.Joins; i++ {
-		at := windowStart + time.Duration(float64(i)/float64(cfg.Joins)*float64(window))
-		c.ScheduleJoin(at)
-	}
-	for i, idx := range leaveIdx {
-		at := windowStart + time.Duration(float64(i)/float64(leaves)*float64(window))
-		c.ScheduleLeave(at, msg.NodeID(idx+1))
-	}
-
-	if err := c.RunContext(ctx, cfg.Duration+2*cfg.Period); err != nil {
-		c.Close()
+	c = launch(opts, cfg.Duration, nil)
+	scheduleChurn(c, cfg.Duration, cfg.Joins, leavers)
+	if err := advance(ctx, c, nil, cfg.Duration+2*cfg.Period); err != nil {
 		return nil, nil, err
 	}
-	c.Close()
 	chk.recovery(plan, cfg.Period, cfg.RecoveryPeriods)
 
 	counts := plan.Counts()
 	res := &SoakResult{
 		N:                 cfg.N,
-		Freeriders:        len(c.Freeriders),
+		tallyResult:       tally(c, co),
 		Joined:            len(c.Joined),
 		Departed:          len(c.Departed),
 		Handoffs:          c.Handoffs(),
@@ -544,25 +476,6 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 		Compensation:      cal.Compensation,
 		Eta:               eta,
 		Snapshots:         chk.snaps,
-	}
-	//lint:allow ordered-map-range commutative counts partitioned per id; order cannot affect the totals
-	for id := range c.Expelled {
-		switch {
-		case c.Freeriders[id]:
-			res.FreeridersExpelled++
-		default:
-			if _, gone := c.Departed[id]; gone {
-				res.DepartedExpelled++
-			} else {
-				res.HonestExpelled++
-			}
-		}
-	}
-	res.GoodputBytes = c.Collector.GoodputBytes()
-	_, vb := c.Collector.VerificationTotals()
-	_, pb := c.Collector.ProtocolTotals()
-	if pb > 0 {
-		res.OverheadPpm = vb * 1_000_000 / pb
 	}
 
 	t := &Table{
@@ -583,7 +496,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 	t.AddRow("max tracked per manager", F(float64(res.MaxTracked), 0))
 	t.AddRow("invariant violations", F(float64(len(res.Violations)), 0))
 	t.AddRow("goodput", F(float64(res.GoodputBytes), 0)+" B")
-	t.AddRow("overhead", Pct(float64(res.OverheadPpm)/1e6))
+	t.AddRow("overhead", Pct(res.Overhead()))
 	t.Notes = append(t.Notes,
 		"b̃ = "+F(cal.Compensation, 2)+" blame/period and η = "+F(eta, 2)+" calibrated on an honest chaos-free pilot",
 		"standing invariants, checked at every score period: counters monotone, sent ≥ recv + dropped per kind, per-manager state bounded by the population, goodput recovering within "+F(float64(cfg.RecoveryPeriods), 0)+" periods of every heal",
