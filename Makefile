@@ -66,7 +66,20 @@ fuzz:
 # at BASE (a `git archive` of that revision in a temporary directory — nothing
 # is written to the repository or its .git) and at the working tree, the
 # standing set of seeded documents run on both, `cmp`ed pair by pair. A
-# mismatch names the first experiment whose result differs. ~1 min.
+# document that differs lists every scalar that does — experiment, JSON path,
+# the column of a table cell, old → new (JSONDIFF, a jq program) — so "only
+# scale's events cells moved" is this command's output. ~1 min.
+define JSONDIFF
+($$a[0] | [paths(scalars)]) + ($$b[0] | [paths(scalars)]) | unique | .[] as $$p
+| (try ($$a[0] | getpath($$p)) catch null) as $$old
+| (try ($$b[0] | getpath($$p)) catch null) as $$new
+| select($$old != $$new)
+| (if $$p[0] == "results" then "\($$b[0].results[$$p[1]].experiment // "?"): " else "" end) as $$exp
+| (if ($$p | length) == 7 and $$p[2] == "tables" and $$p[4] == "rows"
+   then " (\(try ($$b[0] | getpath($$p[0:4] + ["columns", $$p[6]])) catch "?"))" else "" end) as $$col
+| "    \($$exp)\($$p | map(tostring) | join("."))\($$col)  \($$old | tojson) → \($$new | tojson)"
+endef
+export JSONDIFF
 BASE ?= HEAD
 identical:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -94,9 +107,8 @@ identical:
 		if cmp -s "$$tmp/base/$$name.json" "$$tmp/work/$$name.json"; then \
 			echo "identical $$name ($$(wc -c < "$$tmp/work/$$name.json" | tr -d ' ') bytes):$$args"; \
 		else \
-			line=$$(cmp "$$tmp/base/$$name.json" "$$tmp/work/$$name.json" 2>/dev/null | awk '{print $$NF}'); \
-			exp=$$(head -n "$${line:-1}" "$$tmp/base/$$name.json" | grep '"experiment":' | tail -n 1 | cut -d '"' -f 4); \
-			echo "DIFFERS   $$name:$$args — first differing experiment: $${exp:-?} (line $${line:-?})"; fail=1; \
+			echo "DIFFERS   $$name:$$args"; \
+			jq -rn --slurpfile a "$$tmp/base/$$name.json" --slurpfile b "$$tmp/work/$$name.json" "$$JSONDIFF"; fail=1; \
 		fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then echo "identical: documents differ from $(BASE)"; exit 1; fi; \

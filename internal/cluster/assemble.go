@@ -103,7 +103,7 @@ type wiring struct {
 	// behavior picks the node's behavior from its "behavior" stream; a nil
 	// func or result means honest.
 	behavior func(*rng.Stream) gossip.Behavior
-	skew     float64         // clock-rate factor (see skewCtx); 0 or 1 is a true clock
+	skew     float64         // clock-rate factor (see sim.Skewed); 0 or 1 is a true clock
 	playout  *stream.Playout // nil = arrivals untracked
 	// board takes the node's blames directly (the shared board of direct
 	// mode). Nil routes them as messages: the node gets a blame client and
@@ -133,7 +133,7 @@ func assemble(o *Options, w wiring) assembled {
 	nodeRand := w.root.ForNode(uint32(id))
 	ctx := w.rt.Context(id)
 	if w.skew > 0 && w.skew != 1 {
-		ctx = skewCtx{Context: ctx, factor: w.skew}
+		ctx = sim.Skewed(ctx, w.skew)
 	}
 	netw := w.rt.Network()
 
@@ -241,21 +241,6 @@ func (c auxChain) HandleAux(from msg.NodeID, m msg.Message) bool {
 		}
 	}
 	return false
-}
-
-// skewCtx runs one node's timers on a drifting local clock: every delay is
-// scaled by a constant rate factor, so a node with factor 1.02 fires its
-// gossip periods 2% late and slowly drifts against the period auditor. Now
-// stays on true time — arrival timestamps (QoE, playout) measure when
-// chunks actually land. Scaling is a pure function of the delay, so skewed
-// runs remain deterministic and shard-count-invariant.
-type skewCtx struct {
-	sim.Context
-	factor float64
-}
-
-func (s skewCtx) After(d time.Duration, fn func()) {
-	s.Context.After(time.Duration(float64(d)*s.factor), fn)
 }
 
 // managerAux adapts a reputation.Manager to gossip.AuxHandler.

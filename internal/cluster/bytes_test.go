@@ -33,8 +33,9 @@ func TestBytesPerNode(t *testing.T) {
 		n        = 500
 		streamed = 30 * time.Second
 		// Measured 63.5 KB, 22 of them the node's history.Log (112.3 and 72
-		// at the parent commit, whose log copied every list it was handed);
-		// the gate allows 20 % over. `make heap` prints where they are.
+		// while the log copied every list it was handed), and 64.6 since the
+		// open checks sit in per-node rings until their timeouts; the gate
+		// allows 20 % over. `make heap` prints where they are.
 		wantKB = 63.5
 	)
 	opts := baseOptions(n, 0.01)

@@ -29,18 +29,17 @@ import (
 type Verifier struct {
 	self     msg.NodeID
 	cfg      Config
-	ctx      sim.Context
 	netw     net.Network
 	rand     *rng.Stream
 	hist     *history.Log
 	behavior gossip.Behavior
 	sink     BlameSink
 
-	// serveChecks and expectations are the open checks, oldest first: a few
+	// The open checks, oldest first, each kind until its timeout: a few
 	// periods' worth, scanned instead of indexed.
-	serveChecks  []*serveCheck
-	expectations []*ackExpectation
-	sessions     map[sessionKey]*confirmSession
+	serveChecks  *sim.Deadlines[serveCheck]
+	expectations *sim.Deadlines[ackExpectation]
+	sessions     *sim.Deadlines[confirmSession]
 }
 
 // marks is a set of positions of a short list — the chunks of one request,
@@ -92,7 +91,6 @@ type serveCheck struct {
 	server    msg.NodeID
 	requested []msg.ChunkID
 	missing   marks
-	resolved  bool
 }
 
 // deliver clears chunk if it is still missing and reports whether it was.
@@ -114,17 +112,14 @@ type ackExpectation struct {
 	satisfied bool
 }
 
-type sessionKey struct {
-	suspect msg.NodeID
-	period  msg.Period
-}
-
-// confirmSession collects witness answers about one suspect ack. silent
-// marks the positions of witnesses that have not confirmed (yet).
+// confirmSession collects witness answers about one suspect ack, of the
+// suspect's propose phase of the given period. silent marks the positions of
+// witnesses that have not confirmed (yet).
 type confirmSession struct {
+	suspect   msg.NodeID
+	period    msg.Period
 	witnesses []msg.NodeID
 	silent    marks
-	closed    bool
 }
 
 // NewVerifier creates the LiFTinG component of one node. behavior is the
@@ -138,17 +133,19 @@ func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network,
 	if behavior == nil {
 		behavior = gossip.Honest{}
 	}
-	return &Verifier{
+	v := &Verifier{
 		self:     self,
 		cfg:      cfg.withDefaults(),
-		ctx:      ctx,
 		netw:     netw,
 		rand:     rand,
 		hist:     hist,
 		behavior: behavior,
 		sink:     sink,
-		sessions: make(map[sessionKey]*confirmSession),
 	}
+	v.serveChecks = sim.NewDeadlines(ctx, v.cfg.ServeTimeout, v.serveTimedOut)
+	v.expectations = sim.NewDeadlines(ctx, v.cfg.AckTimeout, v.ackTimedOut)
+	v.sessions = sim.NewDeadlines(ctx, v.cfg.ConfirmTimeout, v.sessionClosed)
+	return v
 }
 
 var (
@@ -197,23 +194,21 @@ func (v *Verifier) OnRequestSent(proposer msg.NodeID, _ msg.Period, requested []
 	if len(requested) == 0 {
 		return
 	}
-	sc := &serveCheck{server: proposer, requested: requested, missing: fullMarks(len(requested))}
-	v.serveChecks = append(v.serveChecks, sc)
-	v.ctx.After(v.cfg.ServeTimeout, func() {
-		sc.resolved = true
-		if n := sc.missing.count(); n > 0 {
-			total := len(sc.requested)
-			v.blame(sc.server, PartialServeBlame(v.cfg.F, total, total-n), msg.ReasonPartialServe)
-		}
-		v.gcServeChecks()
-	})
+	v.serveChecks.Push(serveCheck{server: proposer, requested: requested, missing: fullMarks(len(requested))})
+}
+
+func (v *Verifier) serveTimedOut(sc serveCheck) {
+	if n := sc.missing.count(); n > 0 {
+		total := len(sc.requested)
+		v.blame(sc.server, PartialServeBlame(v.cfg.F, total, total-n), msg.ReasonPartialServe)
+	}
 }
 
 // OnServeReceived implements gossip.Monitor: mark a requested chunk as
 // delivered.
 func (v *Verifier) OnServeReceived(server msg.NodeID, chunk msg.ChunkID) {
-	for _, sc := range v.serveChecks {
-		if !sc.resolved && sc.server == server && sc.deliver(chunk) {
+	for i := 0; i < v.serveChecks.Pending(); i++ {
+		if sc := v.serveChecks.At(i); sc.server == server && sc.deliver(chunk) {
 			return
 		}
 	}
@@ -233,23 +228,13 @@ func (v *Verifier) OnServeInvalid(server msg.NodeID, chunk msg.ChunkID) {
 // The receiver must acknowledge forwarding the served chunks within the ack
 // timeout, or be blamed f (§5.2).
 func (v *Verifier) OnServed(receiver msg.NodeID, _ msg.Period, served []msg.ChunkID) {
-	exp := &ackExpectation{receiver: receiver, chunks: served}
-	v.expectations = append(v.expectations, exp)
-	v.ctx.After(v.cfg.AckTimeout, func() {
-		if !exp.satisfied {
-			exp.satisfied = true // close it; blame exactly once
-			v.blame(receiver, NoAckBlame(v.cfg.F), msg.ReasonNoAck)
-		}
-		v.gcExpectations()
-	})
+	v.expectations.Push(ackExpectation{receiver: receiver, chunks: served})
 }
 
-func (v *Verifier) gcServeChecks() {
-	v.serveChecks = slices.DeleteFunc(v.serveChecks, func(sc *serveCheck) bool { return sc.resolved })
-}
-
-func (v *Verifier) gcExpectations() {
-	v.expectations = slices.DeleteFunc(v.expectations, func(e *ackExpectation) bool { return e.satisfied })
+func (v *Verifier) ackTimedOut(exp ackExpectation) {
+	if !exp.satisfied {
+		v.blame(exp.receiver, NoAckBlame(v.cfg.F), msg.ReasonNoAck)
+	}
 }
 
 // --- gossip.AuxHandler ---
@@ -281,7 +266,8 @@ func (v *Verifier) onAck(from msg.NodeID, ack *msg.Ack) {
 	if len(ack.Partners) < v.cfg.F {
 		v.blame(from, FanoutBlame(v.cfg.F, len(ack.Partners)), msg.ReasonFanoutDecrease)
 	}
-	for _, exp := range v.expectations {
+	for i := 0; i < v.expectations.Pending(); i++ {
+		exp := v.expectations.At(i)
 		if exp.satisfied || exp.receiver != from {
 			continue
 		}
@@ -303,30 +289,37 @@ func (v *Verifier) onAck(from msg.NodeID, ack *msg.Ack) {
 			v.startConfirmSession(from, ack, exp.chunks)
 		}
 	}
-	v.gcExpectations()
+}
+
+// session returns the open session about suspect's phase of the given
+// period, or nil.
+func (v *Verifier) session(suspect msg.NodeID, period msg.Period) *confirmSession {
+	for i := 0; i < v.sessions.Pending(); i++ {
+		if s := v.sessions.At(i); s.suspect == suspect && s.period == period {
+			return s
+		}
+	}
+	return nil
 }
 
 func (v *Verifier) startConfirmSession(suspect msg.NodeID, ack *msg.Ack, chunks []msg.ChunkID) {
-	key := sessionKey{suspect: suspect, period: ack.Period}
-	if _, dup := v.sessions[key]; dup {
+	if v.session(suspect, ack.Period) != nil {
 		// One session per suspect propose phase is enough: a second serve
 		// batch covered by the same ack shares the same testimony.
 		return
 	}
-	s := &confirmSession{witnesses: ack.Partners, silent: fullMarks(len(ack.Partners))}
-	v.sessions[key] = s
 	// Every witness is asked the same question: one message, read-only once
 	// sent, serves them all.
 	confirm := &msg.Confirm{Sender: v.self, Suspect: suspect, Period: ack.Period, Chunks: chunks}
 	for _, w := range ack.Partners {
 		v.netw.Send(v.self, w, confirm, net.Unreliable)
 	}
-	v.ctx.After(v.cfg.ConfirmTimeout, func() {
-		s.closed = true
-		// A witness that said no and one that said nothing both contradict.
-		v.blame(suspect, ContradictionBlame(s.silent.count()), msg.ReasonPartialPropose)
-		delete(v.sessions, key)
-	})
+	v.sessions.Push(confirmSession{suspect: suspect, period: ack.Period, witnesses: ack.Partners, silent: fullMarks(len(ack.Partners))})
+}
+
+func (v *Verifier) sessionClosed(s confirmSession) {
+	// A witness that said no and one that said nothing both contradict.
+	v.blame(s.suspect, ContradictionBlame(s.silent.count()), msg.ReasonPartialPropose)
 }
 
 // onConfirm is the witness duty: answer from the local history and record
@@ -344,8 +337,8 @@ func (v *Verifier) onConfirm(from msg.NodeID, c *msg.Confirm) {
 }
 
 func (v *Verifier) onConfirmResp(from msg.NodeID, r *msg.ConfirmResp) {
-	s, ok := v.sessions[sessionKey{suspect: r.Suspect, period: r.Period}]
-	if !ok || s.closed {
+	s := v.session(r.Suspect, r.Period)
+	if s == nil {
 		return
 	}
 	if r.Confirmed {

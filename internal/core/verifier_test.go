@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"lifting/internal/gossip"
 	"lifting/internal/history"
@@ -452,5 +453,61 @@ func TestWitnessNamedTwiceAnswersForBothPlaces(t *testing.T) {
 	}
 	if first == nil {
 		t.Fatal("no confirm sent")
+	}
+}
+
+// TestOpenChecksAreBoundedByTheirTimeouts floods a verifier for one period —
+// 300 requests sent, 300 serve batches, each acknowledged at once and
+// cross-checked — and checks the bound of each queue of open checks: it holds
+// exactly what was opened within its timeout (serve checks Tg, ack
+// expectations 2·Tg, confirm sessions Tg), one by-value record each, and all
+// three are empty one ack timeout after the flood. (That a lapsed record's
+// place pins none of its lists, and that a ring — which never shrinks — ends
+// within a quarter of the most records ever open, are sim.Deadlines' own
+// tests: this flood leaves some 340 places of each kind behind, 56 KB in all.)
+func TestOpenChecksAreBoundedByTheirTimeouts(t *testing.T) {
+	r := newRig(t, testCfg(), gossip.Honest{})
+	const floods = 300
+	var opened []time.Duration
+	next := msg.ChunkID(0)
+	for i := 0; i < floods; i++ {
+		at := time.Duration(i) * tg / floods
+		asked := []msg.ChunkID{next, next + 1, next + 2}
+		served := []msg.ChunkID{next + 3, next + 4}
+		next += 5
+		ack := &msg.Ack{Sender: 3, Period: msg.Period(i + 1), Chunks: served, Partners: []msg.NodeID{4, 5, 6}}
+		opened = append(opened, at)
+		r.eng.After(at, func() {
+			r.v.OnRequestSent(2, 1, asked)
+			r.v.OnServed(3, 1, served)
+			r.v.HandleAux(3, ack)
+		})
+	}
+	within := func(timeout, probe time.Duration) int {
+		n := 0
+		for _, at := range opened {
+			if at <= probe && at+timeout > probe {
+				n++
+			}
+		}
+		return n
+	}
+	for _, probe := range []time.Duration{tg / 2, tg, tg * 3 / 2, tg * 5 / 2} {
+		r.eng.Run(probe)
+		checks, expectations, sessions := r.v.serveChecks.Pending(), r.v.expectations.Pending(), r.v.sessions.Pending()
+		if checks != within(tg, probe) || expectations != within(2*tg, probe) || sessions != within(tg, probe) {
+			t.Fatalf("at %v: %d serve checks, %d ack expectations, %d confirm sessions open; want %d, %d, %d",
+				probe, checks, expectations, sessions, within(tg, probe), within(2*tg, probe), within(tg, probe))
+		}
+	}
+	r.eng.Run(3 * tg)
+	if n := r.v.serveChecks.Pending() + r.v.expectations.Pending() + r.v.sessions.Pending(); n != 0 {
+		t.Fatalf("%d checks open one ack timeout after the flood", n)
+	}
+	if got := len(r.sink.blames); got != 2*floods {
+		t.Fatalf("%d blames, want one partial serve and one contradiction per flooded round", got)
+	}
+	if a, b, c := unsafe.Sizeof(serveCheck{}), unsafe.Sizeof(ackExpectation{}), unsafe.Sizeof(confirmSession{}); a != 64 || b != 40 || c != 64 {
+		t.Fatalf("a serve check, an ack expectation and a confirm session take %d, %d and %d bytes; DESIGN.md says 64, 40 and 64", a, b, c)
 	}
 }

@@ -65,6 +65,9 @@ type plan struct {
 	cond       net.Conditions
 	far        bool // the source also emits a chunk id far above the stream's
 	forged     []forged
+	// skew, unless 0, is the clock-rate factor of every node's timers
+	// (sim.Skewed): set by the test, not drawn.
+	skew float64
 }
 
 func newPlan(seed uint64) plan {
@@ -251,8 +254,12 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 		}
 		nodeCfg := cfg
 		nodeCfg.StartOffset = time.Duration(i) * eqPeriod / time.Duration(p.n)
+		ctx := eng.Domain(i)
+		if p.skew != 0 {
+			ctx = sim.Skewed(ctx, p.skew)
+		}
 		deps := gossip.Deps{
-			Ctx: eng.Domain(i), Net: netw, Dir: dir, Rand: root.ForNode(uint32(i)),
+			Ctx: ctx, Net: netw, Dir: dir, Rand: root.ForNode(uint32(i)),
 			Behavior: b, Monitor: recMonitor{id: id, log: &res.log},
 		}
 		if p.store {
@@ -324,12 +331,20 @@ func ids(from, to msg.ChunkID) []msg.ChunkID {
 // through the same seeded schedules — loss, duplication and reordering on the
 // network; honest, Degree and MITM-colluder behaviours; forged stale,
 // repeated, unsolicited and corrupted messages — and demands the same sends,
-// the same Monitor calls and the same histories from both.
+// the same Monitor calls and the same histories from both. The reference
+// arms one timer per requested chunk where Node queues one deadline per
+// request, so the same transcript is also the proof that the queue lapses
+// what the timers fired, in their order — on true clocks and, for a sixth of
+// the schedules each, on clocks running 2 % fast and 5 % slow.
 func TestNodeMatchesMapReference(t *testing.T) {
-	const schedules = 240
+	const schedules, skewed = 240, 80
 	var requests, single, invalid, batches, swarmed int
-	for seed := uint64(1); seed <= schedules; seed++ {
-		p := newPlan(seed)
+	for run := uint64(0); run < schedules+skewed; run++ {
+		p := newPlan(run%schedules + 1)
+		if run >= schedules {
+			p.skew = []float64{0.98, 1.05}[run%2]
+		}
+		seed := p.seed
 		got := runWorld(p, func(id msg.NodeID, cfg gossip.Config, deps gossip.Deps) disseminator {
 			return gossip.NewNode(id, cfg, deps)
 		})
@@ -342,8 +357,8 @@ func TestNodeMatchesMapReference(t *testing.T) {
 				if i < len(got.log) {
 					line = got.log[i]
 				}
-				t.Fatalf("seed %d (n=%d f=%d |R|=%d store=%t degree=%t mitm=%t): transcripts part at line %d:\n  node:      %s\n  reference: %s",
-					seed, p.n, p.f, p.maxRequest, p.store, p.degree, p.mitm, i, line, want.log[i])
+				t.Fatalf("seed %d (n=%d f=%d |R|=%d store=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
+					seed, p.n, p.f, p.maxRequest, p.store, p.degree, p.mitm, p.skew, i, line, want.log[i])
 			}
 		}
 		if len(got.log) != len(want.log) {
@@ -377,6 +392,6 @@ func TestNodeMatchesMapReference(t *testing.T) {
 		t.Fatalf("schedules too tame: %d requests, %d of them for one chunk, %d invalid serves, %d serve batches, %d chunks taken from the first of many servers asked, over %d schedules",
 			requests, single, invalid, batches, swarmed, schedules)
 	}
-	t.Logf("%d schedules: %d requests (%d for one chunk), %d invalid serves, %d serve batches, %d many-server episodes that ended well",
-		schedules, requests, single, invalid, batches, swarmed)
+	t.Logf("%d schedules, %d of them again on skewed clocks: %d requests (%d for one chunk), %d invalid serves, %d serve batches, %d many-server episodes that ended well",
+		schedules, skewed, requests, single, invalid, batches, swarmed)
 }

@@ -117,6 +117,9 @@ type Node struct {
 	have     haveSet
 	wants    wantTable
 	askLimit int // askLimitFor(cfg)
+	// retries are the requests of the last RequestRetry: when one's time is
+	// up, each chunk of it still missing is asked of another proposer.
+	retries *sim.Deadlines[sentRequest]
 
 	// pending are the chunks received since the last propose phase, in
 	// arrival order: the next proposal. pendingFrom names the server of each
@@ -141,6 +144,13 @@ type Node struct {
 type arrival struct {
 	server msg.NodeID
 	chunk  msg.ChunkID
+}
+
+// sentRequest is one Request as loss recovery remembers it; chunks is the
+// list the message carries.
+type sentRequest struct {
+	server msg.NodeID
+	chunks []msg.ChunkID
 }
 
 // NewNode creates a node. It panics if cfg is invalid (programmer error);
@@ -171,6 +181,7 @@ func NewNode(id msg.NodeID, cfg Config, deps Deps) *Node {
 		askLimit: askLimitFor(cfg),
 	}
 	n.phaseFn = n.proposePhase
+	n.retries = sim.NewDeadlines(deps.Ctx, cfg.RequestRetry, n.retry)
 	return n
 }
 
@@ -197,9 +208,12 @@ func (n *Node) Start() {
 	n.deps.Ctx.After(n.cfg.StartOffset, n.phaseFn)
 }
 
-// Stop halts the node: no further phases run and incoming messages are
-// ignored. Used when a node is expelled.
-func (n *Node) Stop() { n.stopped = true }
+// Stop halts the node: no further phases run, incoming messages are ignored
+// and nothing is re-requested. Used when a node is expelled.
+func (n *Node) Stop() {
+	n.stopped = true
+	n.retries.Release()
+}
 
 // Stopped reports whether the node has been stopped.
 func (n *Node) Stopped() bool { return n.stopped }
@@ -394,7 +408,7 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 		w := n.wants.obtain(c, n.period)
 		w.offer(from, m.Period)
 		// Skip chunks with an outstanding request that has not yet timed
-		// out; the retry timer recovers them if the serve never arrives.
+		// out; its retry deadline recovers them if the serve never arrives.
 		if w.requested && now-w.lastRequest < n.cfg.RequestRetry {
 			continue
 		}
@@ -416,7 +430,7 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 	n.sendRequest(from, m.Period, needed)
 }
 
-// sendRequest issues a request and arms per-chunk recovery timers.
+// sendRequest issues a request and opens its recovery deadline.
 func (n *Node) sendRequest(to msg.NodeID, period msg.Period, chunks []msg.ChunkID) {
 	now := n.deps.Ctx.Now()
 	for _, c := range chunks {
@@ -424,26 +438,26 @@ func (n *Node) sendRequest(to msg.NodeID, period msg.Period, chunks []msg.ChunkI
 	}
 	n.deps.Net.Send(n.id, to, &msg.Request{Sender: n.id, Period: period, Chunks: chunks}, net.Unreliable)
 	n.deps.Monitor.OnRequestSent(to, period, chunks)
-	for _, c := range chunks {
-		c := c
-		n.deps.Ctx.After(n.cfg.RequestRetry, func() { n.retry(c, to) })
-	}
+	n.retries.Push(sentRequest{server: to, chunks: chunks})
 }
 
-// retry re-requests a still-missing chunk from an alternative proposer.
-func (n *Node) retry(c msg.ChunkID, lastServer msg.NodeID) {
-	if n.stopped || n.have.has(c) {
-		return
-	}
-	w := n.wants.get(c)
-	if w == nil || w.retries >= maxRetries {
-		return
-	}
-	for _, o := range w.offers[:w.nOffers] {
-		if o.from != lastServer && !w.askedFrom(o.from) {
-			w.retries++
-			n.sendRequest(o.from, o.period, []msg.ChunkID{c})
-			return
+// retry re-requests each still-missing chunk of a request from an
+// alternative proposer.
+func (n *Node) retry(r sentRequest) {
+	for _, c := range r.chunks {
+		if n.have.has(c) {
+			continue
+		}
+		w := n.wants.get(c)
+		if w == nil || w.retries >= maxRetries {
+			continue
+		}
+		for _, o := range w.offers[:w.nOffers] {
+			if o.from != r.server && !w.askedFrom(o.from) {
+				w.retries++
+				n.sendRequest(o.from, o.period, []msg.ChunkID{c})
+				break
+			}
 		}
 	}
 }
@@ -469,8 +483,12 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 		return
 	}
 	served := n.deps.Behavior.FilterServe(n.deps.Rand, valid)
-	for _, c := range served {
-		serve := &msg.Serve{
+	// The serves of one request are one block; a message is read-only once
+	// sent, so nothing else tells them apart from separate ones.
+	serves := make([]msg.Serve, len(served))
+	for i, c := range served {
+		serve := &serves[i]
+		*serve = msg.Serve{
 			Sender:      n.id,
 			Period:      m.Period,
 			Chunk:       c,
@@ -534,7 +552,7 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 	if n.deps.Store != nil {
 		if !content.Verify(m.Payload, m.Hash) {
 			// Missing or corrupted payload: reject before accepting, leaving
-			// the want record intact so the armed retry timer re-requests the
+			// the want record intact so the open retry deadline re-requests the
 			// chunk from a different proposer.
 			if n.deps.Metrics != nil {
 				n.deps.Metrics.OnInvalidServe(n.id)

@@ -66,8 +66,10 @@ func (r *roundRig) round() {
 }
 
 // roundAllocs is what one round allocates once every ring, pool and slice
-// has reached its size. What is left is what a sent message owns, and one
-// object per armed timer or open check:
+// has reached its size. What is left is what a sent message owns. An armed
+// deadline or an open check is none of it: the retry of a request, a serve
+// check, an ack expectation and a confirm session are by-value records in the
+// node's four sim.Deadlines queues, armed with a func value made once.
 //
 //	per propose phase, ×2 nodes:
 //	  1  the pending list, which becomes the advertised list of the message
@@ -77,20 +79,16 @@ func (r *roundRig) round() {
 //	node 1, receiving and requesting:
 //	  1  the requested list (message, serve check and recovery share it)
 //	  1  the Request
-//	  4  one retry timer closure per requested chunk
-//	  2  the verifier's serve check and its timeout closure
 //	node 0, serving:
 //	  1  the list of chunks to serve (the ack expectation keeps it)
-//	  4  the Serves
-//	  2  the verifier's ack expectation and its timeout closure
+//	  1  the four Serves, one block
 //	node 1, at its next phase:
 //	  1  the fan-in block: the served chunks grouped by server
 //	  1  the Ack
 //	node 0, cross-checking the ack:
-//	  2  the confirm session and its timeout closure
 //	  1  the Confirm, shared by the 7 witnesses
 //	  1  the ConfirmResp node 0, a witness of its own, answers with
-const roundAllocs = 8 + 8 + 7 + 2 + 4
+const roundAllocs = 8 + 2 + 2 + 2 + 2
 
 func TestSteadyStateRoundAllocations(t *testing.T) {
 	r := newRoundRig()

@@ -3,6 +3,7 @@ package gossip
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"lifting/internal/membership"
 	"lifting/internal/msg"
@@ -324,5 +325,86 @@ func TestSteadyStateIsBoundedByProtocolParameters(t *testing.T) {
 		if cap(n.pendingFrom) > 64 || cap(n.fanin) > 64 || cap(n.servers) > 64 {
 			t.Errorf("node %d: per-period scratch grew to %d/%d/%d entries", id, cap(n.pendingFrom), cap(n.fanin), cap(n.servers))
 		}
+	}
+}
+
+// requestTimes is a Monitor that notes when each request was sent.
+type requestTimes struct {
+	NopMonitor
+	now func() time.Duration
+	at  []time.Duration
+}
+
+func (r *requestTimes) OnRequestSent(msg.NodeID, msg.Period, []msg.ChunkID) {
+	r.at = append(r.at, r.now())
+}
+
+// TestRetryQueueHoldsTheRequestsOfOneRetryTimeout floods a node for one
+// period with proposals of ids nobody serves — 400 of them, each answered
+// with a request — and checks the bound of the retry queue: it holds exactly
+// the requests sent in the last RequestRetry, one 32-byte record each
+// whatever the request's size, is empty one RequestRetry after the flood, and
+// is let go of, ring and all, by Stop. (That a lapsed record's place pins
+// nothing, and that the ring — which never shrinks — ends within a quarter of
+// the most records ever open, are sim.Deadlines' own tests: this flood leaves
+// the node some 220 places, 7 KB.)
+func TestRetryQueueHoldsTheRequestsOfOneRetryTimeout(t *testing.T) {
+	cfg := testConfig()
+	eng := sim.NewEngine()
+	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	sent := &requestTimes{now: func() time.Duration { return eng.NodeNow(0) }}
+	victim := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: membership.Sequential(2), Rand: rng.New(3), Monitor: sent})
+	netw.Attach(0, victim)
+	netw.Attach(1, handlerFunc(func(msg.NodeID, msg.Message) {})) // never serves
+	victim.Start()
+
+	const proposals = 400
+	next := msg.ChunkID(1 << 20)
+	flood := func() { // one period of it, from now
+		for i := 0; i < proposals; i++ {
+			ids := []msg.ChunkID{next, next + 1, next + 2}
+			next += 3
+			eng.After(time.Duration(i)*cfg.Period/proposals, func() {
+				netw.Send(1, 0, &msg.Propose{Sender: 1, Period: 1, Chunks: ids}, net.Unreliable)
+			})
+		}
+	}
+	retry := cfg.Period / 2 // the default RequestRetry
+	flood()
+	for _, probe := range []time.Duration{cfg.Period / 4, cfg.Period * 3 / 4, cfg.Period} {
+		eng.Run(probe)
+		open := 0
+		for _, at := range sent.at {
+			if at+retry > probe {
+				open++
+			}
+		}
+		if got := victim.retries.Pending(); got != open || open < proposals/5 {
+			t.Fatalf("at %v the retry queue holds %d requests, want the %d sent since %v (at least %d)", probe, got, open, probe-retry, proposals/5)
+		}
+	}
+	eng.Run(cfg.Period + retry + 2*time.Millisecond)
+	if len(sent.at) != proposals || victim.retries.Pending() != 0 {
+		t.Fatalf("%d requests sent for %d proposals, %d still queued one RequestRetry after the last", len(sent.at), proposals, victim.retries.Pending())
+	}
+	if size := unsafe.Sizeof(sentRequest{}); size != 32 {
+		t.Fatalf("a queued request takes %d bytes, DESIGN.md says 32", size)
+	}
+
+	// Stopped in mid-flood, the node forgets its requests at once, and the
+	// timers armed for them find nothing.
+	flood()
+	eng.Run(eng.Now() + cfg.Period/4)
+	if victim.retries.Pending() == 0 {
+		t.Fatal("no request queued in mid-flood")
+	}
+	victim.Stop()
+	if victim.retries.Pending() != 0 {
+		t.Fatalf("%d requests queued after Stop", victim.retries.Pending())
+	}
+	before := len(sent.at)
+	eng.Run(eng.Now() + 2*cfg.Period)
+	if len(sent.at) != before {
+		t.Fatalf("a stopped node sent %d requests", len(sent.at)-before)
 	}
 }

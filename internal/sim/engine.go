@@ -33,6 +33,24 @@ type Context interface {
 	After(d time.Duration, fn func())
 }
 
+// Skewed returns ctx with every delay scaled by a constant clock-rate factor:
+// one node's timers on a drifting local clock. A node at factor 1.02 fires its
+// gossip periods 2% late and slowly drifts against the period auditor. Now
+// stays on true time — arrival timestamps (QoE, playout) measure when chunks
+// actually land — so a due time computed as Now()+d is not when After(d)
+// fires. Scaling is a pure function of the delay, so skewed runs remain
+// deterministic and shard-count-invariant.
+func Skewed(ctx Context, factor float64) Context { return skewed{ctx, factor} }
+
+type skewed struct {
+	Context
+	factor float64
+}
+
+func (s skewed) After(d time.Duration, fn func()) {
+	s.Context.After(time.Duration(float64(d)*s.factor), fn)
+}
+
 // Sink receives the engine's simulated message deliveries. It exists so a
 // network implementation can schedule deliveries without allocating a closure
 // per message: the engine keeps the four delivery operands in the event and
