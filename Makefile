@@ -27,11 +27,12 @@ lint:
 # shard count — and cross shards by value, through outboxes the coordinator
 # merges at the barrier), the metrics collector (striped atomic counters
 # hammered from sender goroutines, a first-seen node's slot installed in
-# place under them, while scrapers render the exposition) and the content
-# plane (chunk stores and the HTTP gateway serve shared payload slices to
-# concurrent readers).
+# place under them, while scrapers render the exposition), the content plane
+# (chunk stores and the HTTP gateway serve shared payload slices to
+# concurrent readers) and gossip (its serve path is where shard goroutines
+# meet the verified-once table a sim cluster's nodes share).
 race:
-	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/
+	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/
 
 # The whole-system benchmark every perf or simplicity PR is judged by
 # (BENCHMARK.json, benchmark/README.md): four workloads, end-to-end metrics.

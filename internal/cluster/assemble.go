@@ -78,6 +78,15 @@ func (o *Options) setDefaults() {
 	}
 }
 
+// storeCapacity is the size of a chunk store of the system: the configured
+// one, else the horizon past which no node can still serve a chunk.
+func (o *Options) storeCapacity() int {
+	if o.StoreCapacity > 0 {
+		return o.StoreCapacity
+	}
+	return content.StoreCapacityFor(o.Stream.ChunkInterval(), o.Gossip.Period)
+}
+
 // contentSource returns the stream's canonical payload source, or nil when
 // the content plane is off (an invalid/zero stream configuration). The seed
 // derives from the deployment's root stream alone, so an in-process cluster
@@ -100,6 +109,9 @@ type wiring struct {
 	root      *rng.Stream           // the deployment's root stream; per-node streams derive from it
 	collector *metrics.Collector    // nil leaves the node unmetered
 	content   *content.Source       // nil keeps the content plane (store, QoE) off
+	// verified is the verified-once table the nodes of a sim cluster share
+	// (gossip.Deps.VerifiedOnce); nil wherever payloads cross a socket.
+	verified *content.Store
 	// behavior picks the node's behavior from its "behavior" stream; a nil
 	// func or result means honest.
 	behavior func(*rng.Stream) gossip.Behavior
@@ -161,11 +173,8 @@ func assemble(o *Options, w wiring) assembled {
 	}
 
 	if w.content != nil {
-		capacity := o.StoreCapacity
-		if capacity <= 0 {
-			capacity = content.StoreCapacityFor(o.Stream.ChunkInterval(), gcfg.Period)
-		}
-		deps.Store = content.NewStore(capacity)
+		deps.Store = content.NewStore(o.storeCapacity())
+		deps.VerifiedOnce = w.verified
 	}
 
 	qoe := w.content != nil && w.collector != nil

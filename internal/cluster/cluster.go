@@ -177,6 +177,7 @@ type Cluster struct {
 	boardMu sync.Mutex
 
 	root          *rng.Stream
+	verified      *content.Store // the nodes' shared verified-once table; nil off the sim backend
 	auditor       *core.Auditor
 	period        msg.Period
 	clients       []ownedClient // message-mode blame clients, flushed per period
@@ -238,7 +239,11 @@ func (p auditorProxy) HandleAux(from msg.NodeID, m msg.Message) bool {
 
 // New assembles a cluster. It panics on invalid configuration (experiments
 // are code, not user input).
-func New(opts Options) *Cluster {
+func New(opts Options) *Cluster { return newCluster(opts, true) }
+
+// newCluster is New with the sim backend's verified-once table optional: the
+// test that shows no run can see the table builds the same cluster without.
+func newCluster(opts Options, verifyOnce bool) *Cluster {
 	if opts.N < 2 {
 		panic("cluster: need at least 2 nodes")
 	}
@@ -273,6 +278,12 @@ func New(opts Options) *Cluster {
 		engine := sim.NewSharded(c.shardCountAndWindow())
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
+		if c.Content != nil && verifyOnce {
+			// The one runtime that delivers payloads by reference: every
+			// node is handed the source's own slices, so one full hash per
+			// slice holds for all of them (DESIGN.md "Verified once").
+			c.verified = content.NewStore(c.Opts.storeCapacity())
+		}
 	case runtime.KindUDP:
 		c.RT = transport.New(transport.Options{
 			Seed:      c.root.Derive("net").Seed(),
@@ -323,6 +334,7 @@ func (c *Cluster) build(id msg.NodeID) {
 		root:      c.root,
 		collector: c.Collector,
 		content:   c.Content,
+		verified:  c.verified,
 	}
 	if opts.BehaviorFor != nil && id != 0 {
 		w.behavior = func(r *rng.Stream) gossip.Behavior { return opts.BehaviorFor(id, c.Dir, r) }

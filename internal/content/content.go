@@ -226,6 +226,30 @@ func (s *Store) Get(c msg.ChunkID) ([]byte, uint64, bool) {
 	return slot.payload, slot.hash, true
 }
 
+// Verified reports what Verify(payload, hash) reports, hashing only a payload
+// it has not seen pass before: the store doubles as the verified-once table
+// of a runtime that delivers payloads by reference (see DESIGN.md "Verified
+// once"). A hit is the very slice — same first byte, same length, same
+// advertised hash — that passed the full HashBytes earlier; a copy, a
+// sub-slice, other bytes or another hash take the full hash, and only a
+// payload that passes is remembered, under chunk id c. Two facts make the
+// hit sound: nobody writes to a payload slice once it is handed out, and the
+// slot holds the slice, so its array cannot be freed and its address reused
+// for other bytes while the entry lives. A nil store hashes every payload.
+func (s *Store) Verified(c msg.ChunkID, payload []byte, hash uint64) bool {
+	if s == nil {
+		return Verify(payload, hash)
+	}
+	if p, h, ok := s.Get(c); ok && h == hash && len(p) == len(payload) && len(p) > 0 && &p[0] == &payload[0] {
+		return true
+	}
+	if !Verify(payload, hash) {
+		return false
+	}
+	s.Put(c, payload, hash)
+	return true
+}
+
 // Len returns the number of chunks currently stored.
 func (s *Store) Len() int {
 	s.mu.RLock()

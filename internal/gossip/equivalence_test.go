@@ -68,6 +68,10 @@ type plan struct {
 	// skew, unless 0, is the clock-rate factor of every node's timers
 	// (sim.Skewed): set by the test, not drawn.
 	skew float64
+	// verified hands the nodes one shared verified-once table, as a sim
+	// cluster does: set by the test, not drawn. The reference has no such
+	// field to read and hashes every payload.
+	verified bool
 }
 
 func newPlan(seed uint64) plan {
@@ -241,6 +245,10 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 	}
 	coalition := []msg.NodeID{msg.NodeID(p.n - 3), msg.NodeID(p.n - 2)}
 	nodes := make([]disseminator, p.n)
+	var verified *content.Store
+	if p.verified {
+		verified = content.NewStore(0)
+	}
 	for i := range nodes {
 		id := msg.NodeID(i)
 		var b gossip.Behavior = gossip.Honest{}
@@ -270,6 +278,7 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 				capacity = 2
 			}
 			deps.Store = content.NewStore(capacity)
+			deps.VerifiedOnce = verified
 		}
 		nodes[i] = build(id, nodeCfg, deps)
 		simnet.Attach(id, nodes[i])
@@ -344,6 +353,10 @@ func TestNodeMatchesMapReference(t *testing.T) {
 		if run >= schedules {
 			p.skew = []float64{0.98, 1.05}[run%2]
 		}
+		// Every other schedule, and every one of them the second time round:
+		// the forged serves — the source's own slices, copies corrupted under
+		// the right hash, nothing at all — meet a table that knows the slice.
+		p.verified = run%2 == 1 || run >= schedules
 		seed := p.seed
 		got := runWorld(p, func(id msg.NodeID, cfg gossip.Config, deps gossip.Deps) disseminator {
 			return gossip.NewNode(id, cfg, deps)
@@ -357,8 +370,8 @@ func TestNodeMatchesMapReference(t *testing.T) {
 				if i < len(got.log) {
 					line = got.log[i]
 				}
-				t.Fatalf("seed %d (n=%d f=%d |R|=%d store=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
-					seed, p.n, p.f, p.maxRequest, p.store, p.degree, p.mitm, p.skew, i, line, want.log[i])
+				t.Fatalf("seed %d (n=%d f=%d |R|=%d store=%t verified=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
+					seed, p.n, p.f, p.maxRequest, p.store, p.verified, p.degree, p.mitm, p.skew, i, line, want.log[i])
 			}
 		}
 		if len(got.log) != len(want.log) {

@@ -100,6 +100,13 @@ type Deps struct {
 	// rejected and blamed like an undelivered serve. Nil keeps the
 	// modelled-size behavior (serves carry only PayloadSize).
 	Store *content.Store
+	// VerifiedOnce, if non-nil, is the table of payloads that already
+	// passed the full content hash, shared by every node of a runtime that
+	// delivers payloads by reference (the sim): a serve carrying the very
+	// slice a neighbour verified is accepted without hashing it again
+	// (content.Store.Verified). Nil hashes every payload — what a node
+	// behind a socket does, where every receiver decodes its own copy.
+	VerifiedOnce *content.Store
 }
 
 // Node is one participant in the dissemination protocol.
@@ -550,7 +557,7 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 		return
 	}
 	if n.deps.Store != nil {
-		if !content.Verify(m.Payload, m.Hash) {
+		if !n.deps.VerifiedOnce.Verified(m.Chunk, m.Payload, m.Hash) {
 			// Missing or corrupted payload: reject before accepting, leaving
 			// the want record intact so the open retry deadline re-requests the
 			// chunk from a different proposer.

@@ -469,24 +469,35 @@ func TestContentPlaneDissemination(t *testing.T) {
 func TestInvalidServeRejectedAndBlamed(t *testing.T) {
 	// A serve with a corrupted (or missing) payload must be rejected — the
 	// chunk stays missing, the monitor hears about it, and the outstanding
-	// request survives so the retry path can recover from another proposer.
+	// request survives so the retry path can recover from another proposer —
+	// whether the node hashes every payload or shares a verified-once table
+	// in which a neighbour already holds the canonical slice.
+	t.Run("hash every payload", func(t *testing.T) { invalidServeRejectedAndBlamed(t, nil) })
+	t.Run("verified-once table", func(t *testing.T) { invalidServeRejectedAndBlamed(t, content.NewStore(0)) })
+}
+
+func invalidServeRejectedAndBlamed(t *testing.T, verified *content.Store) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	col := metrics.NewCollector()
 	netw := net.NewSimNet(eng, rng.New(1), col, net.Uniform(0, time.Millisecond))
 	mon := &recordingMonitor{}
 	r := NewNode(0, cfg, Deps{
-		Ctx:     eng.Domain(0),
-		Net:     netw,
-		Dir:     membership.Sequential(3),
-		Rand:    rng.New(2),
-		Monitor: mon,
-		Metrics: col,
-		Store:   content.NewStore(0),
+		Ctx:          eng.Domain(0),
+		Net:          netw,
+		Dir:          membership.Sequential(3),
+		Rand:         rng.New(2),
+		Monitor:      mon,
+		Metrics:      col,
+		Store:        content.NewStore(0),
+		VerifiedOnce: verified,
 	})
 	netw.Attach(0, r)
 
 	payload, hash := content.NewSource(7, 256).Chunk(5)
+	if !verified.Verified(5, payload, hash) {
+		t.Fatal("the canonical payload fails its own hash")
+	}
 	r.HandleMessage(1, &msg.Propose{Sender: 1, Period: 1, Chunks: []msg.ChunkID{5}, Origins: []msg.NodeID{1}})
 
 	// Corrupted bytes under the right hash.

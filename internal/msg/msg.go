@@ -169,8 +169,8 @@ type Serve struct {
 	// non-nil the wire carries the real bytes and this field equals
 	// len(Payload).
 	PayloadSize int
-	// Hash is the 64-bit content hash (content.HashBytes) of the chunk payload
-	// (content.HashBytes). Zero in modelled-only runs.
+	// Hash is the 64-bit content hash (content.HashBytes) of the chunk
+	// payload. Zero in modelled-only runs.
 	Hash uint64
 	// Payload is the chunk content. Decode aliases the input buffer —
 	// callers that retain the message beyond the buffer's lifetime must

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
+	"unsafe"
 
 	"lifting/internal/msg"
 )
@@ -11,24 +13,31 @@ import (
 // sequence of datagram payloads — truncated headers, contradictory trains,
 // duplicate indices, interleavings from two sources — and then proves the
 // properties the transport relies on still hold: no panic, the half-built
-// table never exceeds its bound, and a legitimate fragment train delivered
-// afterwards (with duplicates, out of order) reassembles byte-exactly.
+// table never exceeds its bound, what it holds never exceeds what the peers
+// sent by more than a bounded parts table per entry (no datagram buys more
+// memory than its own bytes plus that), and a legitimate fragment train
+// delivered afterwards (with duplicates, out of order) reassembles
+// byte-exactly.
 //
 // The input is a length-prefixed stream: each record is one byte N followed
 // by N payload bytes, handed to the reassembler as if RawFrame had unwrapped
 // it off the socket, alternating between two source addresses.
 func FuzzReassembly(f *testing.F) {
 	// A complete single-fragment message, a two-source split train with a
-	// contradictory count, a short header, raw garbage.
+	// contradictory count, a short header, raw garbage, nothing, a train
+	// longer than any message.
 	f.Add([]byte("\t\x00\x00\x00\x01\x00\x00\x00\x01A"))
 	f.Add([]byte("\n\x00\x00\x00\x02\x00\x00\x00\x02xx\n\x00\x00\x00\x02\x00\x01\x00\x03yy"))
 	f.Add([]byte("\x03abc"))
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte{})
+	f.Add([]byte("\t\x00\x00\x00\x03\x00\x00\xff\xffA")) // one byte of a 65 535-fragment train
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		ra := &reassembler{entries: make(map[string]*reasmEntry)}
-		srcs := [2]string{"10.0.0.1:9000", "10.0.0.2:9000"}
+		ra := &reassembler{entries: make(map[reasmKey]*reasmEntry)}
+		srcs := [2]netip.AddrPort{netip.MustParseAddrPort("10.0.0.1:9000"), netip.MustParseAddrPort("10.0.0.2:9000")}
+		fresh := netip.MustParseAddrPort("10.0.0.3:9000")
+		received := 0
 		for i, n := 0, 0; i < len(stream); n++ {
 			ln := int(stream[i])
 			i++
@@ -37,12 +46,16 @@ func FuzzReassembly(f *testing.F) {
 				end = len(stream)
 			}
 			out, done := ra.add(srcs[n%2], stream[i:end])
+			received += end - i
 			i = end
 			if done && len(out) == 0 {
 				t.Fatal("reassembler reported a completed message with no bytes")
 			}
 			if len(ra.entries) > maxReassembly {
 				t.Fatalf("reassembly table overflowed its bound: %d entries", len(ra.entries))
+			}
+			if held, budget := heldBytes(ra), received+len(ra.entries)*maxFragments*sliceHeaderBytes; held > budget {
+				t.Fatalf("reassembler holds %d bytes for %d received in %d entries, budget %d", held, received, len(ra.entries), budget)
 			}
 		}
 
@@ -78,7 +91,7 @@ func FuzzReassembly(f *testing.F) {
 				t.Fatalf("unwrapping our own fragment frame: %v", err)
 			}
 			for rep := 0; rep < 2; rep++ {
-				if out, done := ra.add("10.0.0.3:9000", payload); done {
+				if out, done := ra.add(fresh, payload); done {
 					got = out
 					completions++
 				}
@@ -91,4 +104,65 @@ func FuzzReassembly(f *testing.F) {
 			t.Fatalf("reassembled %d bytes differ from the %d-byte original", len(got), len(body))
 		}
 	})
+}
+
+const sliceHeaderBytes = int(unsafe.Sizeof([]byte(nil)))
+
+// heldBytes is the memory the half-built messages pin: every parts table and
+// every fragment body copied into one.
+func heldBytes(ra *reassembler) int {
+	held := 0
+	for _, e := range ra.entries {
+		held += cap(e.parts) * sliceHeaderBytes
+		for _, p := range e.parts {
+			held += len(p)
+		}
+	}
+	return held
+}
+
+// TestHostileFragmentCountIsRejected: one small datagram announcing a train
+// of 65 535 fragments used to make the receiver allocate a 1.5 MB parts
+// table, 256 of them 400 MB before the table cleared. The longest train the
+// transport ships is maxFragments; a longer one is dropped at the header,
+// and a flood of the longest admissible ones pins what was sent plus one
+// small parts table each.
+func TestHostileFragmentCountIsRejected(t *testing.T) {
+	ra := &reassembler{entries: make(map[reasmKey]*reasmEntry)}
+	src := netip.MustParseAddrPort("10.6.6.6:666")
+	fragment := func(msgID uint32, count uint16) []byte {
+		frame, err := msg.AppendFragment(nil, msgID, 0, count, []byte{'x'}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := msg.RawFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	for _, count := range []uint16{0xFFFF, maxFragments + 1} {
+		if _, done := ra.add(src, fragment(1, count)); done || len(ra.entries) != 0 {
+			t.Fatalf("a train of %d fragments was admitted: %d entries, %d bytes held", count, len(ra.entries), heldBytes(ra))
+		}
+	}
+	for id := uint32(0); id < 4*maxReassembly; id++ {
+		ra.add(src, fragment(id, maxFragments))
+		if held, budget := heldBytes(ra), maxReassembly*(maxFragments*sliceHeaderBytes+1); len(ra.entries) > maxReassembly || held > budget {
+			t.Fatalf("%d entries holding %d bytes after %d one-byte fragments, budget %d", len(ra.entries), held, id+1, budget)
+		}
+	}
+	if len(ra.entries) == 0 {
+		t.Fatal("the longest admissible train was rejected")
+	}
+
+	// The largest message the codec can emit still fits the bound.
+	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: msg.MaxChunkPayload, Payload: make([]byte, msg.MaxChunkPayload)}
+	body, err := msg.Encode(serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if need := (len(body) + msg.MaxFragmentBody - 1) / msg.MaxFragmentBody; need > maxFragments {
+		t.Fatalf("a Serve of MaxChunkPayload needs %d fragments, maxFragments is %d", need, maxFragments)
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	gonet "net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -473,7 +474,7 @@ func (r *Runtime) sendFragments(sender *nodeCtx, addr *gonet.UDPAddr, m msg.Mess
 		panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
 	}
 	count := (len(body) + msg.MaxFragmentBody - 1) / msg.MaxFragmentBody
-	if count > 0xFFFF {
+	if count > maxFragments {
 		if r.collector != nil {
 			r.collector.OnDrop(m, size)
 		}
@@ -521,11 +522,25 @@ func (r *Runtime) sendFragments(sender *nodeCtx, addr *gonet.UDPAddr, m msg.Mess
 // half-built state is a retry, keeping it unbounded is a memory hole.
 const maxReassembly = 256
 
+// maxFragments is the longest fragment train a peer may announce — and the
+// longest sendFragments ships. The largest message the protocol sends is a
+// Serve of msg.MaxChunkPayload bytes: that many fragments carry it with most
+// of a fragment to spare for its fixed fields (17 at today's constants). A
+// header announcing more is not part of any message worth a parts table:
+// without the bound one ≈ 30-byte datagram claiming 65 535 fragments made
+// the receiver allocate 1.5 MB of slice headers.
+const maxFragments = msg.MaxChunkPayload/msg.MaxFragmentBody + 1
+
 // reassembler rebuilds fragmented messages for one receive loop. Keyed by
 // (source address, message id); fragment bodies are copied out of the shared
 // read buffer. Single-goroutine use, no locking.
 type reassembler struct {
-	entries map[string]*reasmEntry
+	entries map[reasmKey]*reasmEntry
+}
+
+type reasmKey struct {
+	src   netip.AddrPort
+	msgID uint32
 }
 
 type reasmEntry struct {
@@ -536,19 +551,20 @@ type reasmEntry struct {
 
 // add folds in one fragment frame payload and returns the full message
 // encoding once every fragment has arrived.
-func (ra *reassembler) add(src string, payload []byte) ([]byte, bool) {
+func (ra *reassembler) add(src netip.AddrPort, payload []byte) ([]byte, bool) {
 	msgID, index, count, body, err := msg.ParseFragment(payload)
-	if err != nil || len(body) == 0 {
-		// sendFragments never emits an empty fragment body; dropping them
-		// here keeps a hostile peer from completing a zero-byte "message"
-		// (found by FuzzReassembly).
+	if err != nil || len(body) == 0 || count > maxFragments {
+		// sendFragments never emits an empty fragment body, nor a train
+		// longer than maxFragments; dropping them here keeps a hostile peer
+		// from completing a zero-byte "message" (found by FuzzReassembly)
+		// and from sizing the parts table.
 		return nil, false
 	}
-	key := fmt.Sprintf("%s#%d", src, msgID)
+	key := reasmKey{src, msgID}
 	e := ra.entries[key]
 	if e == nil {
 		if len(ra.entries) >= maxReassembly {
-			ra.entries = make(map[string]*reasmEntry)
+			ra.entries = make(map[reasmKey]*reasmEntry)
 		}
 		e = &reasmEntry{count: count, parts: make([][]byte, count)}
 		ra.entries[key] = e
@@ -580,7 +596,7 @@ func (ra *reassembler) add(src string, payload []byte) ([]byte, bool) {
 func (r *Runtime) recvLoop(n *nodeCtx) {
 	defer r.loops.Done()
 	buf := make([]byte, 1<<16)
-	reasm := &reassembler{entries: make(map[string]*reasmEntry)}
+	reasm := &reassembler{entries: make(map[reasmKey]*reasmEntry)}
 	for {
 		sz, srcAddr, err := n.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -595,7 +611,7 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 		}
 		var m msg.Message
 		if flags&msg.FlagFragment != 0 {
-			body, done := reasm.add(srcAddr.String(), payload)
+			body, done := reasm.add(srcAddr.AddrPort(), payload)
 			if !done {
 				continue
 			}
