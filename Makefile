@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race benchmark profile heap fuzz fmt vet lint identical
+.PHONY: test race benchmark profile heap fuzz fmt vet lint identical size
 
 test:
 	$(GO) build ./...
@@ -114,6 +114,16 @@ identical:
 	done; \
 	if [ $$fail -ne 0 ]; then echo "identical: documents differ from $(BASE)"; exit 1; fi; \
 	echo "identical: every document byte-equal to $(BASE)'s"
+
+# The figures a simplicity PR and a re-anchor quote: non-test Go lines outside
+# benchmark/, per package directory and in total, and how many //lint:allow
+# escapes those files carry.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%6d non-test Go lines outside benchmark/\n", t }'
+	@printf '%6d //lint:allow in them\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec grep -c '//lint:allow' {} + | awk -F: '{ s += $$NF } END { print s }')
 
 fmt:
 	gofmt -l .

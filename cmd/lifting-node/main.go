@@ -94,6 +94,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		fmt.Fprintf(stderr, "lifting-node: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
+	// The flags are the one outside input of the assembly below, which
+	// panics on a configuration it cannot run.
+	gcfg := gossip.Config{F: *f, Period: *period, HistoryPeriods: 50}
+	ccfg := core.Config{F: gcfg.F, Period: gcfg.Period, HistoryPeriods: gcfg.HistoryPeriods, Pdcc: *pdcc, Gamma: 8.95}
+	scfg := stream.Config{BitrateBps: *bitrate, ChunkPayload: *payload}
+	checks := []error{gcfg.Validate(), ccfg.Validate(), scfg.Validate()}
+	if *m < 1 {
+		checks = append(checks, fmt.Errorf("reputation: managers per node (-m) must be positive, got %d", *m))
+	}
+	for _, err := range checks {
+		if err != nil {
+			fmt.Fprintf(stderr, "lifting-node: %v\n", err)
+			return 2
+		}
+	}
 
 	peerAddrs, err := transport.ParsePeers(*peers)
 	if err != nil {
@@ -160,10 +175,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		ID:           self,
 		Members:      members,
 		Seed:         *seed,
-		Gossip:       gossip.Config{F: *f, Period: *period, HistoryPeriods: 50},
-		Core:         core.Config{Pdcc: *pdcc, Gamma: 8.95},
+		Gossip:       gcfg,
+		Core:         ccfg,
 		Rep:          reputation.Config{M: *m, Eta: *eta, GracePeriods: *grace},
-		Stream:       stream.Config{BitrateBps: *bitrate, ChunkPayload: *payload},
+		Stream:       scfg,
 		LiFTinG:      true,
 		Source:       *source,
 		Behavior:     behavior,
@@ -312,11 +327,8 @@ type soakPlane struct {
 	plan    *chaos.Plan
 	base    map[msg.NodeID]net.Conditions
 
-	mu       sync.Mutex
-	down     map[msg.NodeID]bool
-	minority map[msg.NodeID]bool
-	split    bool
-	burst    map[msg.NodeID]float64
+	mu     sync.Mutex
+	faults *chaos.Overlay
 }
 
 // newSoakPlane builds the per-member baseline: the modelled -loss on our own
@@ -330,8 +342,7 @@ func newSoakPlane(rt *transport.Runtime, out io.Writer, self msg.NodeID, members
 		members: append([]msg.NodeID(nil), members...),
 		plan:    plan,
 		base:    make(map[msg.NodeID]net.Conditions, len(members)),
-		down:    map[msg.NodeID]bool{},
-		burst:   map[msg.NodeID]float64{},
+		faults:  chaos.NewOverlay(),
 	}
 	for _, id := range members {
 		c := net.Conditions{
@@ -359,59 +370,18 @@ func (s *soakPlane) schedule(offset time.Duration) {
 
 func (s *soakPlane) fire(ev chaos.Event) {
 	s.mu.Lock()
-	switch ev.Kind {
-	case chaos.Crash:
-		for _, id := range ev.Nodes {
-			s.down[id] = true
-		}
-	case chaos.Restart:
-		for _, id := range ev.Nodes {
-			delete(s.down, id)
-		}
-	case chaos.Partition:
-		s.split = true
-		s.minority = make(map[msg.NodeID]bool, len(ev.Nodes))
-		for _, id := range ev.Nodes {
-			s.minority[id] = true
-		}
-	case chaos.Heal:
-		s.split = false
-		s.minority = nil
-	case chaos.LossBurst:
-		for _, id := range ev.Nodes {
-			s.burst[id] = ev.Loss
-		}
-	case chaos.LossHeal:
-		for _, id := range ev.Nodes {
-			delete(s.burst, id)
-		}
-	}
+	s.faults.Apply(ev)
 	s.mu.Unlock()
 	s.apply()
 	fmt.Fprintf(s.out, "CHAOS %d %s %v\n", s.self, ev.Kind, ev.Nodes)
 }
 
 // apply rebuilds every member's conditions from the baseline plus the
-// current fault state. Conditions compose: a node can sit in the partition
-// minority AND under a loss burst AND be blackholed.
+// standing faults.
 func (s *soakPlane) apply() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range s.members {
-		c := s.base[id]
-		if s.split {
-			if s.minority[id] {
-				c.PartitionGroup = 2
-			} else {
-				c.PartitionGroup = 1
-			}
-		}
-		if extra, ok := s.burst[id]; ok {
-			c.LossIn = 1 - (1-c.LossIn)*(1-extra)
-		}
-		if s.down[id] {
-			c.Down = true
-		}
-		s.rt.SetConditions(id, c)
+		s.rt.SetConditions(id, s.faults.Conditions(id, s.base[id]))
 	}
 }

@@ -45,6 +45,28 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, errOut.String())
 		}
 	}
+
+	// A number the assembly cannot run with, on an otherwise valid command
+	// line: refused in one line naming it, before a socket is bound — not a
+	// panic out of the assembly (-f 0 once) nor a run that streams nothing
+	// (-bitrate 0 once).
+	numeric := []struct{ flag, value, names string }{
+		{"-f", "0", "fanout"},
+		{"-period", "0", "period"},
+		{"-pdcc", "2", "pdcc"},
+		{"-bitrate", "0", "bitrate"},
+		{"-payload", "0", "payload"},
+		{"-m", "0", "-m"},
+	}
+	for _, c := range numeric {
+		args := []string{"-id", "1", "-peers", "0=127.0.0.1:9", c.flag, c.value}
+		var out, errOut bytes.Buffer
+		code := run(context.Background(), args, &out, &errOut, nil)
+		msg := errOut.String()
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.names) {
+			t.Errorf("run(%v) = %d, stdout %q, stderr %q; want 2, nothing, one line naming %q", args, code, out.String(), msg, c.names)
+		}
+	}
 }
 
 // TestRunInterrupt pins the daemon's cancellation path: a node started with

@@ -43,19 +43,12 @@ func (o *Options) setDefaults() {
 	if o.Gossip.ChunkPayload == 0 {
 		o.Gossip.ChunkPayload = o.Stream.ChunkPayload
 	}
-	if o.ExpectedR == 0 {
-		if o.Gossip.MaxRequest > 0 {
-			o.ExpectedR = o.Gossip.MaxRequest
-		} else {
-			o.ExpectedR = 4
-		}
-	}
 	if o.ExpectedLoss == 0 {
 		d := o.NetDefaults
 		o.ExpectedLoss = 1 - (1-d.LossIn)*(1-d.LossOut)
 	}
 	if o.Rep.Compensation == 0 && o.LiFTinG {
-		o.Rep.Compensation = CompensationFor(o.ExpectedLoss, o.Gossip.F, o.ExpectedR, o.Core.Pdcc)
+		o.Rep.Compensation = CompensationFor(o.ExpectedLoss, o.Gossip.F, o.Gossip.NominalRequest(), o.Core.Pdcc)
 	}
 	if o.Core.Population == 0 {
 		o.Core.Population = o.N
@@ -87,14 +80,14 @@ func (o *Options) storeCapacity() int {
 	return content.StoreCapacityFor(o.Stream.ChunkInterval(), o.Gossip.Period)
 }
 
-// contentSource returns the stream's canonical payload source, or nil when
-// the content plane is off (an invalid/zero stream configuration). The seed
-// derives from the deployment's root stream alone, so an in-process cluster
-// and every process of a multi-process deployment of the same seed
-// broadcast byte-identical streams.
+// contentSource returns the stream's canonical payload source; a system
+// cannot be assembled around an invalid stream. The seed derives from the
+// deployment's root stream alone, so an in-process cluster and every process
+// of a multi-process deployment of the same seed broadcast byte-identical
+// streams.
 func contentSource(root *rng.Stream, cfg stream.Config) *content.Source {
-	if cfg.Validate() != nil {
-		return nil
+	if err := cfg.Validate(); err != nil {
+		panic("cluster: " + err.Error())
 	}
 	return content.NewSource(root.Derive("content").Seed(), cfg.ChunkPayload)
 }
@@ -108,7 +101,6 @@ type wiring struct {
 	dir       *membership.Directory // shared by a Cluster's nodes, private to a NodeHost
 	root      *rng.Stream           // the deployment's root stream; per-node streams derive from it
 	collector *metrics.Collector    // nil leaves the node unmetered
-	content   *content.Source       // nil keeps the content plane (store, QoE) off
 	// verified is the verified-once table the nodes of a sim cluster share
 	// (gossip.Deps.VerifiedOnce); nil wherever payloads cross a socket.
 	verified *content.Store
@@ -117,10 +109,10 @@ type wiring struct {
 	behavior func(*rng.Stream) gossip.Behavior
 	skew     float64         // clock-rate factor (see sim.Skewed); 0 or 1 is a true clock
 	playout  *stream.Playout // nil = arrivals untracked
-	// board takes the node's blames directly (the shared board of direct
-	// mode). Nil routes them as messages: the node gets a blame client and
-	// serves manager duty, reporting verdicts to onExpel.
-	board    core.BlameSink
+	// sink takes the node's blames by call (direct mode's keeper). Nil
+	// routes them as messages: the node gets a blame client and serves
+	// manager duty, reporting verdicts to onExpel.
+	sink     core.BlameSink
 	onExpel  func(target msg.NodeID, reason msg.BlameReason)
 	reader   bool              // add the over-the-wire score reader (deployments)
 	extraAux gossip.AuxHandler // appended to the aux chain; may be nil
@@ -170,15 +162,12 @@ func assemble(o *Options, w wiring) assembled {
 		Behavior: behavior,
 		History:  history.NewLog(gcfg.HistoryPeriods),
 		Metrics:  w.collector,
+
+		Store:        content.NewStore(o.storeCapacity()),
+		VerifiedOnce: w.verified,
 	}
 
-	if w.content != nil {
-		deps.Store = content.NewStore(o.storeCapacity())
-		deps.VerifiedOnce = w.verified
-	}
-
-	qoe := w.content != nil && w.collector != nil
-	if w.playout != nil || qoe {
+	if w.playout != nil || w.collector != nil {
 		// QoE accounting rides the same per-chunk callback as playout
 		// tracking. The closure state (previous arrival) is only touched
 		// from the node's serialized execution context, and the collector
@@ -186,17 +175,14 @@ func assemble(o *Options, w wiring) assembled {
 		// byte-identical across shard counts. It lives as long as the node:
 		// capture the three values it needs, not the wiring.
 		playout, coll, scfg := w.playout, w.collector, o.Stream
-		var interval time.Duration
-		if qoe {
-			interval = scfg.ChunkInterval()
-		}
+		interval := scfg.ChunkInterval()
 		var lastArrival time.Duration
 		seenArrival := false
 		deps.OnChunk = func(ch msg.ChunkID, at time.Duration) {
 			if playout != nil {
 				playout.Received(ch, at)
 			}
-			if !qoe {
+			if coll == nil {
 				return
 			}
 			coll.OnStreamLag(at - scfg.GenTime(ch))
@@ -208,7 +194,7 @@ func assemble(o *Options, w wiring) assembled {
 	}
 
 	if o.LiFTinG {
-		sink := w.board
+		sink := w.sink
 		if sink == nil {
 			a.client = reputation.NewClient(id, o.Rep, netw, w.dir)
 			sink = a.client
@@ -271,10 +257,9 @@ func (s countingSink) Blame(target msg.NodeID, value float64, reason msg.BlameRe
 	s.inner.Blame(target, value, reason)
 }
 
-// scheduleStream schedules the source's chunk injections for the given
-// duration on its execution context: real payload bytes when the content
-// plane is on, modelled-size chunks otherwise. The source's own playout, if
-// tracked, holds every chunk from its generation time.
+// scheduleStream schedules the source's chunk injections, payload bytes and
+// hash, for the given duration on its execution context. The source's own
+// playout, if tracked, holds every chunk from its generation time.
 func scheduleStream(ctx sim.Context, source *gossip.Node, src *content.Source, cfg stream.Config, duration time.Duration, playout *stream.Playout) {
 	total := cfg.ChunksBy(duration)
 	for i := 0; i < total; i++ {
@@ -284,12 +269,8 @@ func scheduleStream(ctx sim.Context, source *gossip.Node, src *content.Source, c
 			break
 		}
 		ctx.After(at, func() {
-			if src != nil {
-				payload, hash := src.Chunk(ch)
-				source.InjectChunkData(ch, payload, hash)
-			} else {
-				source.InjectChunk(ch)
-			}
+			payload, hash := src.Chunk(ch)
+			source.InjectChunkData(ch, payload, hash)
 		})
 		if playout != nil {
 			playout.Received(ch, at)

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,5 +274,30 @@ func TestDerivedOptionsAssembleTheSameNode(t *testing.T) {
 	}
 	if explicit.Gossip.ChunkPayload != 256 {
 		t.Errorf("explicit Gossip.ChunkPayload overwritten: %d", explicit.Gossip.ChunkPayload)
+	}
+}
+
+// TestInvalidStreamPanics pins that no system is assembled around a stream
+// that cannot be broadcast: both entry points refuse it like N < 2, where
+// they once ran with the content plane silently off.
+func TestInvalidStreamPanics(t *testing.T) {
+	opts := fastOptions(runtime.KindSim, 4)
+	opts.Stream.BitrateBps = 0
+	engine := sim.NewSharded(1, time.Millisecond)
+	rt := runtime.NewSim(engine, net.NewSimNet(engine, rng.New(1), nil, opts.NetDefaults))
+	for name, assemble := range map[string]func(){
+		"New": func() { New(opts) },
+		"NewNodeHost": func() {
+			NewNodeHost(rt, NodeOptions{Members: []msg.NodeID{0, 1}, Gossip: opts.Gossip, Stream: opts.Stream})
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stream:") {
+					t.Errorf("%s: recovered %v, want a panic naming the invalid %+v", name, r, opts.Stream)
+				}
+			}()
+			assemble()
+		}()
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"lifting/internal/chaos"
 	"lifting/internal/msg"
-	"lifting/internal/net"
 )
 
 // The fault plane: applying a chaos.Plan to a running cluster.
@@ -24,10 +23,13 @@ func (c *Cluster) startChaos() {
 	}
 }
 
-// applyChaosEvent performs one fault transition.
+// applyChaosEvent performs one fault transition: the overlay records it, the
+// harness tears down or re-admits what a crash or restart names, and every
+// node whose conditions the event can have changed gets them rebuilt.
 func (c *Cluster) applyChaosEvent(ev chaos.Event) {
 	c.mu.Lock()
 	c.chaosApplied++
+	c.faults.Apply(ev)
 	c.mu.Unlock()
 	switch ev.Kind {
 	case chaos.Crash:
@@ -38,72 +40,30 @@ func (c *Cluster) applyChaosEvent(ev chaos.Event) {
 		for _, id := range ev.Nodes {
 			c.restart(id)
 		}
-	case chaos.Partition:
-		c.mu.Lock()
-		c.partitioned = true
-		for _, id := range ev.Nodes {
-			c.partMinority[id] = true
-		}
-		c.mu.Unlock()
+	case chaos.Partition, chaos.Heal:
 		c.applyChaosConditionsAll()
-	case chaos.Heal:
-		c.mu.Lock()
-		c.partitioned = false
-		c.partMinority = make(map[msg.NodeID]bool)
-		c.mu.Unlock()
-		c.applyChaosConditionsAll()
-	case chaos.LossBurst:
-		c.mu.Lock()
-		for _, id := range ev.Nodes {
-			c.burstLoss[id] = ev.Loss
-		}
-		c.mu.Unlock()
-		for _, id := range ev.Nodes {
-			c.applyChaosConditions(id)
-		}
-	case chaos.LossHeal:
-		c.mu.Lock()
-		for _, id := range ev.Nodes {
-			delete(c.burstLoss, id)
-		}
-		c.mu.Unlock()
+	case chaos.LossBurst, chaos.LossHeal:
 		for _, id := range ev.Nodes {
 			c.applyChaosConditions(id)
 		}
 	}
 }
 
-// chaosConditionsLocked rebuilds node id's effective conditions from its
-// base (defaults or ConditionsFor) plus the current fault overlays. Caller
-// holds c.mu.
-func (c *Cluster) chaosConditionsLocked(id msg.NodeID) net.Conditions {
+// applyChaosConditions pushes node id's conditions to the backend, rebuilt
+// from its base (defaults or ConditionsFor) plus the standing faults. A node
+// that was expelled or left stays down whatever the plan restarts.
+func (c *Cluster) applyChaosConditions(id msg.NodeID) {
 	cond := c.Opts.NetDefaults
 	if cf := c.Opts.ConditionsFor; cf != nil {
 		if o, ok := cf(id); ok {
 			cond = o
 		}
 	}
-	if c.partitioned {
-		if c.partMinority[id] {
-			cond.PartitionGroup = 2
-		} else {
-			cond.PartitionGroup = 1
-		}
-	}
-	if extra, ok := c.burstLoss[id]; ok {
-		// The correlated burst stacks on the link's own loss.
-		cond.LossIn = 1 - (1-cond.LossIn)*(1-extra)
-	}
-	if c.goneLocked(id) || c.crashedNow[id] {
+	c.mu.Lock()
+	cond = c.faults.Conditions(id, cond)
+	if c.goneLocked(id) {
 		cond.Down = true
 	}
-	return cond
-}
-
-// applyChaosConditions pushes node id's rebuilt conditions to the backend.
-func (c *Cluster) applyChaosConditions(id msg.NodeID) {
-	c.mu.Lock()
-	cond := c.chaosConditionsLocked(id)
 	c.mu.Unlock()
 	c.RT.SetConditions(id, cond)
 }

@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	gort "runtime"
 	"sort"
 	"sync"
@@ -43,9 +44,10 @@ type BlameMode int
 
 // Blame routing modes.
 const (
-	// BlameDirect applies blames straight onto a shared board — the
-	// idealized reputation used by the large-scale score experiments
-	// (equivalent to min-vote over loss-free managers).
+	// BlameDirect hands blames by function call to one keeper, a manager
+	// nobody sends to — the idealized reputation used by the large-scale
+	// score experiments (equivalent to min-vote over loss-free managers). It
+	// decides at period boundaries, and only under ExpelOnDetection.
 	BlameDirect BlameMode = iota + 1
 	// BlameMessages routes blames as messages to each target's M managers,
 	// as deployed on PlanetLab (§7).
@@ -68,7 +70,7 @@ type Options struct {
 	// runs on: 0 or 1 = one, -1 = one per CPU, n = n. It is an execution
 	// knob only — seeded results are byte-identical for every value on any
 	// machine. Configurations that cannot run concurrently (direct blame
-	// mode's shared board, ConditionsFor overrides, LiFTinG off, zero base
+	// mode's one keeper, ConditionsFor overrides, LiFTinG off, zero base
 	// latency) always get one shard; see shardCountAndWindow.
 	Shards int
 	// Gossip is the dissemination configuration. A zero ChunkPayload is
@@ -79,11 +81,12 @@ type Options struct {
 	// protocol the node runs. Population defaults to N.
 	Core core.Config
 	// Rep configures the reputation substrate. A zero Rep.Compensation is
-	// derived from ExpectedLoss, the fanout, ExpectedR and Core.Pdcc via the
-	// analysis (CompensationFor: Equation 5 at pdcc = 1, the witness term
-	// scaled by pdcc below it).
+	// derived from ExpectedLoss, the fanout, |R| (Gossip.NominalRequest) and
+	// Core.Pdcc via the analysis (CompensationFor: Equation 5 at pdcc = 1,
+	// the witness term scaled by pdcc below it).
 	Rep reputation.Config
-	// Stream describes the broadcast content.
+	// Stream describes the broadcast content: serves carry its payload
+	// bytes and receivers verify their hashes. It must be valid.
 	Stream stream.Config
 	// NetDefaults is the default connection quality.
 	NetDefaults net.Conditions
@@ -103,17 +106,11 @@ type Options struct {
 	// ExpectedLoss is the pl used for compensation (defaults to
 	// NetDefaults' effective loss).
 	ExpectedLoss float64
-	// ExpectedR is the |R| used for compensation (defaults to
-	// Gossip.MaxRequest, else 4).
-	ExpectedR int
 	// TrackPlayout enables per-node playout recording for health curves.
 	TrackPlayout bool
 	// StoreCapacity is the per-node chunk store capacity in chunks (0 =
 	// sized from the stream rate and gossip period via
-	// content.StoreCapacityFor). The content plane — real payload
-	// bytes in serves, hash verification on receipt — is on whenever Stream
-	// is a valid configuration; an invalid/zero Stream keeps the legacy
-	// modelled-size behavior.
+	// content.StoreCapacityFor).
 	StoreCapacity int
 	// OnBlame, if non-nil, observes every blame emission (diagnostics and
 	// per-reason accounting in experiments). Only effective in direct mode,
@@ -149,13 +146,12 @@ type Cluster struct {
 	Engine    *sim.Engine
 	Dir       *membership.Directory
 	Collector *metrics.Collector
-	// Content is the stream's canonical payload source (nil when the
-	// content plane is off). Its memoized slices are shared by every
-	// node's store, so large populations hold one copy of the stream.
+	// Content is the stream's canonical payload source. Its memoized slices
+	// are shared by every node's store, so large populations hold one copy
+	// of the stream.
 	Content  *content.Source
 	Nodes    map[msg.NodeID]*gossip.Node
-	Managers map[msg.NodeID]*reputation.Manager
-	Board    *reputation.Board // direct mode; nil in message mode
+	Managers map[msg.NodeID]*reputation.Manager // message mode; empty in direct mode
 	Playouts map[msg.NodeID]*stream.Playout
 	// Expelled records when each node was expelled (virtual time).
 	Expelled map[msg.NodeID]time.Duration
@@ -172,9 +168,13 @@ type Cluster struct {
 
 	// mu guards the mutable maps above plus period/clients/handoffs: under
 	// a wall-clock backend churn, expulsion and ticks run on separate
-	// goroutines. boardMu serializes all access to Board and OnBlame.
-	mu      sync.Mutex
-	boardMu sync.Mutex
+	// goroutines.
+	mu sync.Mutex
+
+	// keeper is direct mode's one score-keeper and sink what blames it by
+	// call: itself, or itself and then OnBlame. Both nil in message mode.
+	keeper *reputation.Manager
+	sink   core.BlameSink
 
 	root          *rng.Stream
 	verified      *content.Store // the nodes' shared verified-once table; nil off the sim backend
@@ -195,13 +195,11 @@ type Cluster struct {
 	mgrTargets     map[msg.NodeID]map[msg.NodeID]bool
 	pendingRemoved []msg.NodeID
 
-	// Fault-plane state (guarded by mu): nodes currently down from a crash,
-	// the current partition's minority island, the loss-burst overlays, and
-	// how many plan events have been applied.
+	// Fault-plane state (guarded by mu): the plan's standing faults, the
+	// nodes this harness has torn down for a crash and not yet re-admitted,
+	// and how many plan events have been applied.
+	faults       *chaos.Overlay
 	crashedNow   map[msg.NodeID]bool
-	partMinority map[msg.NodeID]bool
-	partitioned  bool
-	burstLoss    map[msg.NodeID]float64
 	chaosApplied int
 }
 
@@ -210,20 +208,6 @@ type Cluster struct {
 type ownedClient struct {
 	owner  msg.NodeID
 	client *reputation.Client
-}
-
-// boardSink routes blames onto the shared board under the board lock. The
-// observer callback runs outside it, so it may freely read cluster state
-// (Scores, the board) without self-deadlocking.
-type boardSink struct{ c *Cluster }
-
-func (s boardSink) Blame(target msg.NodeID, value float64, reason msg.BlameReason) {
-	s.c.boardMu.Lock()
-	s.c.Board.AddBlame(target, value)
-	s.c.boardMu.Unlock()
-	if s.c.Opts.OnBlame != nil {
-		s.c.Opts.OnBlame(target, value, reason)
-	}
 }
 
 // auditorProxy routes audit responses to the cluster's auditor once it
@@ -237,8 +221,8 @@ func (p auditorProxy) HandleAux(from msg.NodeID, m msg.Message) bool {
 	return p.c.auditor.HandleAux(from, m)
 }
 
-// New assembles a cluster. It panics on invalid configuration (experiments
-// are code, not user input).
+// New assembles a cluster. It panics on invalid configuration, N < 2 or an
+// invalid Stream among it (experiments are code, not user input).
 func New(opts Options) *Cluster { return newCluster(opts, true) }
 
 // newCluster is New with the sim backend's verified-once table optional: the
@@ -267,9 +251,8 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		lastMgrs:   make(map[msg.NodeID][]msg.NodeID),
 		mgrTargets: make(map[msg.NodeID]map[msg.NodeID]bool),
 
-		crashedNow:   make(map[msg.NodeID]bool),
-		partMinority: make(map[msg.NodeID]bool),
-		burstLoss:    make(map[msg.NodeID]float64),
+		faults:     chaos.NewOverlay(),
+		crashedNow: make(map[msg.NodeID]bool),
 	}
 	c.Content = contentSource(c.root, opts.Stream)
 
@@ -278,7 +261,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		engine := sim.NewSharded(c.shardCountAndWindow())
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
-		if c.Content != nil && verifyOnce {
+		if verifyOnce {
 			// The one runtime that delivers payloads by reference: every
 			// node is handed the source's own slices, so one full hash per
 			// slice holds for all of them (DESIGN.md "Verified once").
@@ -295,7 +278,22 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 	}
 
 	if opts.BlameMode == BlameDirect {
-		c.Board = reputation.NewBoard(opts.Rep.Compensation)
+		// M = 0 and no network: a verdict goes to expel and to nobody else.
+		kcfg := opts.Rep
+		kcfg.M = 0
+		kcfg.OnExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expel(target) }
+		if !opts.ExpelOnDetection {
+			kcfg.Eta = math.Inf(-1)
+		}
+		c.keeper = reputation.NewManager(0, kcfg, nil, c.Dir)
+		c.sink = c.keeper
+		if observe := opts.OnBlame; observe != nil {
+			// Outside the keeper's lock: the observer may read Scores.
+			c.sink = core.BlameFunc(func(target msg.NodeID, value float64, reason msg.BlameReason) {
+				c.keeper.Blame(target, value, reason)
+				observe(target, value, reason)
+			})
+		}
 	}
 
 	for i := 0; i < opts.N; i++ {
@@ -322,8 +320,8 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 }
 
 // build assembles node id from the shared recipe with the cluster's wiring
-// — shared directory and collector, board or manager duty by blame mode,
-// expulsions routed through the harness — and publishes its parts. The
+// — shared directory and collector, the keeper or manager duty by blame
+// mode, expulsions routed through the harness — and publishes its parts. The
 // caller registers scorekeepers and per-node conditions.
 func (c *Cluster) build(id msg.NodeID) {
 	opts := &c.Opts
@@ -333,8 +331,8 @@ func (c *Cluster) build(id msg.NodeID) {
 		dir:       c.Dir,
 		root:      c.root,
 		collector: c.Collector,
-		content:   c.Content,
 		verified:  c.verified,
+		sink:      c.sink,
 	}
 	if opts.BehaviorFor != nil && id != 0 {
 		w.behavior = func(r *rng.Stream) gossip.Behavior { return opts.BehaviorFor(id, c.Dir, r) }
@@ -345,9 +343,7 @@ func (c *Cluster) build(id msg.NodeID) {
 	if opts.TrackPlayout {
 		w.playout = stream.NewPlayout(opts.Stream)
 	}
-	if opts.BlameMode == BlameDirect {
-		w.board = boardSink{c}
-	} else {
+	if opts.BlameMode == BlameMessages {
 		// The expulsion callback carries the hosting manager's id: under the
 		// sim backend it fires inside a lookahead window, and the
 		// resulting membership mutation must be deferred to the global
@@ -378,25 +374,22 @@ func (c *Cluster) build(id msg.NodeID) {
 
 // registerScorekeepers starts tracking id's score as of period p.
 func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
-	switch c.Opts.BlameMode {
-	case BlameDirect:
-		c.boardMu.Lock()
-		c.Board.Join(id)
-		c.boardMu.Unlock()
-	case BlameMessages:
-		set := c.Dir.Managers(id, c.Opts.Rep.M)
-		c.mu.Lock()
-		c.setAssignmentLocked(id, set)
-		mgrs := make([]*reputation.Manager, 0, len(set))
-		for _, m := range set {
-			if mgr, ok := c.Managers[m]; ok {
-				mgrs = append(mgrs, mgr)
-			}
+	if c.keeper != nil {
+		c.keeper.Track(id, p)
+		return
+	}
+	set := c.Dir.Managers(id, c.Opts.Rep.M)
+	c.mu.Lock()
+	c.setAssignmentLocked(id, set)
+	mgrs := make([]*reputation.Manager, 0, len(set))
+	for _, m := range set {
+		if mgr, ok := c.Managers[m]; ok {
+			mgrs = append(mgrs, mgr)
 		}
-		c.mu.Unlock()
-		for _, mgr := range mgrs {
-			mgr.Track(id, p)
-		}
+	}
+	c.mu.Unlock()
+	for _, mgr := range mgrs {
+		mgr.Track(id, p)
 	}
 }
 
@@ -405,10 +398,10 @@ func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
 // latency, a lower bound on every cross-node delivery delay. More than one
 // shard requires that bound to hold and be positive (no per-node condition
 // overrides) and a harness that stays out of the event hot path: LiFTinG in
-// message mode (the direct-mode board is a shared mutable global). Every
-// other configuration runs the same layout on one shard, where no delivery
-// crosses shards and the window (the gossip period, absent a latency) only
-// paces the global phase.
+// message mode (in direct mode every node adds floats onto the one keeper,
+// and float addition is order-dependent). Every other configuration runs the
+// same layout on one shard, where no delivery crosses shards and the window
+// (the gossip period, absent a latency) only paces the global phase.
 func (c *Cluster) shardCountAndWindow() (int, time.Duration) {
 	o := &c.Opts
 	window := o.NetDefaults.LatencyBase
@@ -508,24 +501,26 @@ func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calib
 		c.Close()
 		return Calibration{}, err
 	}
-	warmupPeriod := int(c.Board.Period())
+	warmupPeriod := int(c.Period())
 	atWarmup := make(map[msg.NodeID]float64, pilot.N)
 	for i := 1; i < pilot.N; i++ {
-		atWarmup[msg.NodeID(i)] = c.Board.TotalBlame(msg.NodeID(i))
+		e, _ := c.keeper.Snapshot(msg.NodeID(i))
+		atWarmup[msg.NodeID(i)] = e.TotalBlame
 	}
 	if err := c.RunContext(ctx, duration+pilot.Gossip.Period); err != nil {
 		c.Close()
 		return Calibration{}, err
 	}
 
-	periods := int(c.Board.Period()) - warmupPeriod
+	periods := int(c.Period()) - warmupPeriod
 	if periods < 1 {
 		periods = 1
 	}
 	var blame stats.Moments
 	rates := make([]float64, 0, pilot.N-1)
 	for i := 1; i < pilot.N; i++ { // skip the source: it never requests
-		rate := (c.Board.TotalBlame(msg.NodeID(i)) - atWarmup[msg.NodeID(i)]) / float64(periods)
+		e, _ := c.keeper.Snapshot(msg.NodeID(i))
+		rate := (e.TotalBlame - atWarmup[msg.NodeID(i)]) / float64(periods)
 		blame.Add(rate)
 		rates = append(rates, rate)
 	}
@@ -560,9 +555,9 @@ func (c *Cluster) scheduleTick(p msg.Period) {
 	})
 }
 
-// tick runs one score-period advance: board clock, expulsion checks, blame
-// flushes and manager ticks. Under a wall-clock backend it runs on a harness
-// goroutine outside any node lock.
+// tick runs one score-period advance: blame flushes, and the tick of every
+// manager — period clock, expulsion checks. Under a wall-clock backend it
+// runs on a harness goroutine outside any node lock.
 func (c *Cluster) tick(p msg.Period) {
 	if c.Opts.OnPeriodSnapshot != nil {
 		// Sampled before the period's flushes so the snapshot reflects
@@ -586,28 +581,8 @@ func (c *Cluster) tick(p msg.Period) {
 	}
 	c.mu.Unlock()
 
-	if c.Board != nil {
-		c.boardMu.Lock()
-		c.Board.SetPeriod(p)
-		var toExpel []msg.NodeID
-		if c.Opts.ExpelOnDetection {
-			c.Board.Each(func(id msg.NodeID, e reputation.Entry) {
-				if e.Expelled || c.Board.Periods(id) < c.Opts.Rep.GracePeriods {
-					return
-				}
-				if c.Board.Score(id) < c.Opts.Rep.Eta {
-					toExpel = append(toExpel, id)
-				}
-			})
-			sort.Slice(toExpel, func(i, j int) bool { return toExpel[i] < toExpel[j] })
-			for _, id := range toExpel {
-				c.Board.MarkExpelled(id, msg.ReasonUnknown)
-			}
-		}
-		c.boardMu.Unlock()
-		for _, id := range toExpel {
-			c.expel(id)
-		}
+	if c.keeper != nil {
+		c.keeper.Tick(p)
 	}
 
 	if flushDue(c.Opts.Rep, p) {
@@ -709,10 +684,8 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	if c.auditor != nil {
 		return c.auditor
 	}
-	var sink core.BlameSink
-	if c.Board != nil {
-		sink = boardSink{c}
-	} else {
+	sink := c.sink
+	if sink == nil {
 		client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
 		c.mu.Lock()
 		c.clients = append(c.clients, ownedClient{owner: 0, client: client})
@@ -733,18 +706,16 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	return c.auditor
 }
 
-// Scores returns every known node's current score: the board score in
+// Scores returns every known node's current score: the keeper's copy in
 // direct mode, or the min-vote over manager copies in message mode. Under
 // a wall-clock backend call it after Close (or accept slightly stale reads).
 func (c *Cluster) Scores() map[msg.NodeID]float64 {
 	ids := c.Dir.All()
 	out := make(map[msg.NodeID]float64, len(ids))
-	if c.Board != nil {
-		c.boardMu.Lock()
+	if c.keeper != nil {
 		for _, id := range ids {
-			out[id] = c.Board.Score(id)
+			out[id], _ = c.keeper.Score(id)
 		}
-		c.boardMu.Unlock()
 		return out
 	}
 	c.mu.Lock()

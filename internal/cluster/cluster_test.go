@@ -185,7 +185,7 @@ func TestExpelOnDetectionRemovesFreeriders(t *testing.T) {
 
 func TestMessageModeAgreesWithDirectMode(t *testing.T) {
 	// Blames routed through managers (min-vote) must separate freeriders
-	// from honest nodes just like the direct board.
+	// from honest nodes just like the direct keeper.
 	opts := baseOptions(50, 0.02)
 	opts.BlameMode = BlameMessages
 	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {

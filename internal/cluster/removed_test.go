@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"lifting/internal/freerider"
+	"lifting/internal/gossip"
+	"lifting/internal/membership"
 	"lifting/internal/msg"
+	"lifting/internal/rng"
 )
 
 // TestRemovedNodeStillTimesOutItsChecks pins what a node taken out of the
@@ -15,8 +19,8 @@ import (
 // honest servers and receivers.
 //
 //   - In message mode the blames die at the network: their sender is down.
-//   - In direct mode boardSink applies them to the shared board: live nodes
-//     are blamed by a node that is no longer in the system.
+//   - In direct mode they are calls on the keeper, which land: live nodes are
+//     blamed by a node that is no longer in the system.
 //
 // This is today's behaviour, pinned and not endorsed: it is a candidate cause
 // of direct and message mode reading differently (DESIGN.md, "Assembly and
@@ -83,9 +87,9 @@ func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
 				}
 			default:
 				if len(ghosts) == 0 || len(blamedLive) == 0 {
-					t.Fatalf("direct mode: %d blames of live nodes, %d live scores moved; want the departed nodes' blames on the board", len(ghosts), len(blamedLive))
+					t.Fatalf("direct mode: %d blames of live nodes, %d live scores moved; want the departed nodes' blames on the keeper", len(ghosts), len(blamedLive))
 				}
-				timeout := 2 * opts.Gossip.Period // the longest: AckTimeout
+				timeout := 2 * opts.Gossip.Period // the longest: the ack timeout
 				for _, g := range ghosts {
 					if g.reason != msg.ReasonNoAck && g.reason != msg.ReasonPartialServe {
 						t.Fatalf("live node %d blamed for %v", g.target, g.reason)
@@ -95,6 +99,54 @@ func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
 					}
 				}
 				t.Logf("direct mode: %d blames by departed nodes applied to %d live nodes", len(ghosts), len(blamedLive))
+			}
+		}
+	}
+}
+
+// TestVerdictsWithoutExpelOnDetection pins the other way the two routes
+// differ once scores cross η: with ExpelOnDetection off nobody is removed in
+// either mode, but message mode's managers still reach their verdicts — they
+// are recorded in Expelled and counted — while direct mode's keeper runs
+// with η = −∞ and records none. Pinned, not endorsed (DESIGN.md, "Assembly and
+// workloads"): experiments read Expelled as detection under both.
+func TestVerdictsWithoutExpelOnDetection(t *testing.T) {
+	const n, firstRider, eta = 40, 34, -2.0
+	for _, mode := range []BlameMode{BlameDirect, BlameMessages} {
+		opts := baseOptions(n, 0)
+		opts.BlameMode = mode
+		opts.Rep.Eta = eta
+		opts.Rep.GracePeriods = 8
+		opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
+			if id >= firstRider {
+				return freerider.Degree{Delta1: 0.5, Delta2: 0.5, Delta3: 0.5}
+			}
+			return nil
+		}
+		c := New(opts)
+		run(c, 10*time.Second)
+
+		under := 0
+		for id, score := range c.Scores() {
+			if id >= firstRider && score < eta {
+				under++
+			}
+		}
+		if under == 0 {
+			t.Fatalf("mode %v: no freerider scored under η = %v; the run decides nothing", mode, eta)
+		}
+		if alive := c.Dir.NAlive(); alive != n {
+			t.Fatalf("mode %v: %d of %d nodes alive with ExpelOnDetection off", mode, alive, n)
+		}
+		verdicts, counted := len(c.Expelled), c.Collector.Expulsions()
+		switch mode {
+		case BlameDirect:
+			if verdicts != 0 || counted != 0 {
+				t.Fatalf("direct mode: %d verdicts recorded, %d counted, with %d freeriders under η; want none without ExpelOnDetection", verdicts, counted, under)
+			}
+		case BlameMessages:
+			if verdicts == 0 || counted == 0 {
+				t.Fatalf("message mode: %d verdicts recorded, %d counted, with %d freeriders under η; want some", verdicts, counted, under)
 			}
 		}
 	}

@@ -26,7 +26,7 @@ import (
 // only through the runtime's network.
 //
 // Blames always travel as messages (the BlameMessages mode of the full
-// Cluster): there is no shared board across processes.
+// Cluster): no keeper can be called across processes.
 type NodeOptions struct {
 	// ID is this node's identity.
 	ID msg.NodeID
@@ -44,7 +44,8 @@ type NodeOptions struct {
 	Core   core.Config
 	// Rep configures the reputation substrate.
 	Rep reputation.Config
-	// Stream describes the broadcast content (used by the source).
+	// Stream describes the broadcast content; it must be valid. The source
+	// injects it, every node sizes its chunk store from it.
 	Stream stream.Config
 	// LiFTinG enables the verification machinery.
 	LiFTinG bool
@@ -53,10 +54,9 @@ type NodeOptions struct {
 	Source bool
 	// Behavior is this node's dissemination behavior; nil means honest.
 	Behavior gossip.Behavior
-	// ExpectedLoss and ExpectedR feed the default compensation (Equation 5)
-	// when Rep.Compensation is zero, mirroring Options.
+	// ExpectedLoss feeds the default compensation (Equation 5) when
+	// Rep.Compensation is zero, mirroring Options.
 	ExpectedLoss float64
-	ExpectedR    int
 	// OnExpel, if non-nil, observes every expulsion this node learns about.
 	OnExpel func(target msg.NodeID, reason msg.BlameReason)
 	// Collector, if non-nil, receives this node's traffic, redundancy and
@@ -64,11 +64,6 @@ type NodeOptions struct {
 	// (transport.Options.Collector) to add wire-level send/recv/drop
 	// counts; the host adds the gossip- and reputation-plane events.
 	Collector *metrics.Collector
-	// StoreCapacity is the node's chunk store capacity in chunks (0 =
-	// sized from the stream rate and gossip period via
-	// content.StoreCapacityFor). As in the full cluster, the content
-	// plane is on whenever Stream is a valid configuration.
-	StoreCapacity int
 	// ClockSkew is this node's clock-rate factor: 1.02 fires every local
 	// timer — gossip rounds, verifier deadlines, the score-period clock —
 	// 2% late, drifting against the period auditors on other processes.
@@ -86,10 +81,9 @@ type NodeHost struct {
 	Verifier *core.Verifier
 	Manager  *reputation.Manager
 	// Store is the node's chunk store and Content the stream's canonical
-	// payload source; both are nil when the content plane is off. The HTTP
-	// stream gateway reads the store concurrently with node callbacks (the
-	// store is internally locked) and uses Content — on the source node —
-	// to regenerate chunks that have aged out of the store.
+	// payload source. The HTTP stream gateway reads the store concurrently
+	// with node callbacks (the store is internally locked) and uses Content
+	// — on the source node — to regenerate chunks that have aged out of it.
 	Store   *content.Store
 	Content *content.Source
 
@@ -131,17 +125,15 @@ func NewNodeHost(rt runtime.Runtime, opts NodeOptions) *NodeHost {
 	// The deployment-wide recipe, defaulted exactly as Cluster defaults its
 	// own; blames always travel as messages.
 	sys := Options{
-		N:             len(members),
-		Seed:          opts.Seed,
-		Gossip:        opts.Gossip,
-		Core:          opts.Core,
-		Rep:           opts.Rep,
-		Stream:        opts.Stream,
-		LiFTinG:       opts.LiFTinG,
-		BlameMode:     BlameMessages,
-		ExpectedLoss:  opts.ExpectedLoss,
-		ExpectedR:     opts.ExpectedR,
-		StoreCapacity: opts.StoreCapacity,
+		N:            len(members),
+		Seed:         opts.Seed,
+		Gossip:       opts.Gossip,
+		Core:         opts.Core,
+		Rep:          opts.Rep,
+		Stream:       opts.Stream,
+		LiFTinG:      opts.LiFTinG,
+		BlameMode:    BlameMessages,
+		ExpectedLoss: opts.ExpectedLoss,
 	}
 	sys.setDefaults()
 
@@ -153,7 +145,6 @@ func NewNodeHost(rt runtime.Runtime, opts NodeOptions) *NodeHost {
 		dir:       h.Dir,
 		root:      root,
 		collector: opts.Collector,
-		content:   h.Content,
 		skew:      opts.ClockSkew,
 		behavior:  func(*rng.Stream) gossip.Behavior { return opts.Behavior },
 		onExpel:   h.onExpel,

@@ -169,7 +169,7 @@ func (a *Auditor) Audit(target msg.NodeID) {
 		Sender:  a.self,
 		Horizon: time.Duration(a.cfg.HistoryPeriods) * a.cfg.Period,
 	}, net.Reliable)
-	a.ctx.After(a.cfg.AuditPollTimeout, func() {
+	a.ctx.After(a.cfg.auditPollTimeout(), func() {
 		if !st.gotResp && !st.closed {
 			// Refusing an audit is treated as failing it: otherwise
 			// freeriders would simply stay silent.
@@ -279,7 +279,7 @@ func (a *Auditor) onAuditResp(from msg.NodeID, resp *msg.AuditResp) {
 	}
 	st.outcome.Polled = len(order)
 
-	a.ctx.After(a.cfg.AuditPollTimeout, func() {
+	a.ctx.After(a.cfg.auditPollTimeout(), func() {
 		if !st.closed {
 			a.conclude(from, st)
 		}

@@ -13,7 +13,8 @@
 //
 // The Verifier type attaches to a gossip.Node via its Monitor and AuxHandler
 // hooks; the Auditor runs sporadically from any node. Blames flow into a
-// BlameSink — either the message-driven reputation client or a local board.
+// BlameSink — the message-driven reputation client, or a manager blamed by
+// call.
 package core
 
 import (
@@ -33,15 +34,6 @@ type Config struct {
 	// serve (§5: 1 purges, 0 disables, anything in between trades overhead
 	// for detection speed).
 	Pdcc float64
-	// AckTimeout is how long a server waits for the receiver's ack before
-	// blaming f. Defaults to 2·Period.
-	AckTimeout time.Duration
-	// ConfirmTimeout is how long the verifier collects confirm responses.
-	// Defaults to Period.
-	ConfirmTimeout time.Duration
-	// ServeTimeout is how long a requester waits for requested chunks
-	// before emitting partial-serve blames. Defaults to Period.
-	ServeTimeout time.Duration
 	// HistoryPeriods is nh, the audit horizon in gossip periods.
 	HistoryPeriods int
 	// Gamma is the entropy threshold γ for fanout/fanin audits (8.95 in
@@ -54,9 +46,6 @@ type Config struct {
 	GammaFanin float64
 	// Eta is the expulsion threshold η on normalized scores (−9.75).
 	Eta float64
-	// AuditPollTimeout bounds the a-posteriori cross-check collection.
-	// Defaults to 4·Period (polls use the reliable transport).
-	AuditPollTimeout time.Duration
 	// MaxAuditPolls caps how many history entries an audit polls
 	// (0 = poll all; §5.3 allows "all or a subset").
 	MaxAuditPolls int
@@ -91,20 +80,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults fills zero timeouts with their Period-derived defaults.
+// The verification deadlines are the protocol's, each a multiple of Tg: a
+// server waits ackTimeout for the receiver's ack before blaming f, a
+// requester serveTimeout for its chunks before partial-serve blames, the
+// verifier collects confirm responses for confirmTimeout, and an audit's
+// a-posteriori polls (reliable transport) are bounded by auditPollTimeout.
+func (c Config) ackTimeout() time.Duration       { return 2 * c.Period }
+func (c Config) serveTimeout() time.Duration     { return c.Period }
+func (c Config) confirmTimeout() time.Duration   { return c.Period }
+func (c Config) auditPollTimeout() time.Duration { return 4 * c.Period }
+
+// withDefaults fills the zero tuning knobs with their defaults.
 func (c Config) withDefaults() Config {
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 2 * c.Period
-	}
-	if c.ConfirmTimeout == 0 {
-		c.ConfirmTimeout = c.Period
-	}
-	if c.ServeTimeout == 0 {
-		c.ServeTimeout = c.Period
-	}
-	if c.AuditPollTimeout == 0 {
-		c.AuditPollTimeout = 4 * c.Period
-	}
 	if c.PeriodCheckSlack == 0 {
 		c.PeriodCheckSlack = 0.8
 	}
@@ -126,8 +113,8 @@ func (c Config) nominalEntropySize() int {
 }
 
 // BlameSink receives blame emissions from verification procedures.
-// reputation.Client (message-driven) and reputation-board adapters both
-// satisfy it.
+// reputation.Client (message-driven) and reputation.Manager (blamed by call)
+// both satisfy it.
 type BlameSink interface {
 	Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 }

@@ -87,7 +87,7 @@ func (v *refVerifier) OnRequestSent(proposer msg.NodeID, _ msg.Period, requested
 	}
 	sc := &refServeCheck{server: proposer, requested: requested, missing: fullMarks(len(requested))}
 	v.serveChecks = append(v.serveChecks, sc)
-	v.ctx.After(v.cfg.ServeTimeout, func() {
+	v.ctx.After(v.cfg.serveTimeout(), func() {
 		sc.resolved = true
 		if n := sc.missing.count(); n > 0 {
 			total := len(sc.requested)
@@ -113,7 +113,7 @@ func (v *refVerifier) OnServeInvalid(server msg.NodeID, chunk msg.ChunkID) {
 func (v *refVerifier) OnServed(receiver msg.NodeID, _ msg.Period, served []msg.ChunkID) {
 	exp := &refAckExpectation{receiver: receiver, chunks: served}
 	v.expectations = append(v.expectations, exp)
-	v.ctx.After(v.cfg.AckTimeout, func() {
+	v.ctx.After(v.cfg.ackTimeout(), func() {
 		if !exp.satisfied {
 			exp.satisfied = true
 			v.blame(receiver, NoAckBlame(v.cfg.F), msg.ReasonNoAck)
@@ -175,7 +175,7 @@ func (v *refVerifier) startConfirmSession(suspect msg.NodeID, ack *msg.Ack, chun
 	for _, w := range ack.Partners {
 		v.netw.Send(v.self, w, confirm, net.Unreliable)
 	}
-	v.ctx.After(v.cfg.ConfirmTimeout, func() {
+	v.ctx.After(v.cfg.confirmTimeout(), func() {
 		s.closed = true
 		v.blame(suspect, ContradictionBlame(s.silent.count()), msg.ReasonPartialPropose)
 		delete(v.sessions, key)

@@ -142,9 +142,9 @@ func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network,
 		behavior: behavior,
 		sink:     sink,
 	}
-	v.serveChecks = sim.NewDeadlines(ctx, v.cfg.ServeTimeout, v.serveTimedOut)
-	v.expectations = sim.NewDeadlines(ctx, v.cfg.AckTimeout, v.ackTimedOut)
-	v.sessions = sim.NewDeadlines(ctx, v.cfg.ConfirmTimeout, v.sessionClosed)
+	v.serveChecks = sim.NewDeadlines(ctx, v.cfg.serveTimeout(), v.serveTimedOut)
+	v.expectations = sim.NewDeadlines(ctx, v.cfg.ackTimeout(), v.ackTimedOut)
+	v.sessions = sim.NewDeadlines(ctx, v.cfg.confirmTimeout(), v.sessionClosed)
 	return v
 }
 

@@ -25,6 +25,10 @@ const (
 	nominalRequest = 4
 )
 
+// NominalRequest is the |R| a bound or an expectation is sized for: the
+// analysis's constant request size, or MaxRequest where that is larger.
+func (c Config) NominalRequest() int { return max(c.MaxRequest, nominalRequest) }
+
 // askLimitFor is the most servers a want remembers having asked: as many as
 // it can ask in the nh periods it lives, one every RequestRetry plus the
 // retries. Beyond it the earliest is forgotten, and a serve it sends after
@@ -41,7 +45,7 @@ func askLimitFor(cfg Config) int {
 // a want lives milliseconds); a flood of ids nobody serves is held to it,
 // oldest want evicted first.
 func wantCapFor(cfg Config) int {
-	return cfg.F * max(cfg.MaxRequest, nominalRequest) * cfg.HistoryPeriods
+	return cfg.F * cfg.NominalRequest() * cfg.HistoryPeriods
 }
 
 // haveSet is the set of chunks a node holds: a bitset over the dense stream

@@ -10,9 +10,10 @@ import (
 	"lifting/internal/sim"
 )
 
-// reliableSetupFactor models the extra one-way latency of establishing a TCP
-// connection (SYN/SYN-ACK) relative to a bare datagram.
-const reliableSetupFactor = 3
+// ReliableSetupFactor models the extra one-way latency of establishing a TCP
+// connection (SYN/SYN-ACK) relative to a bare datagram. Every backend scales
+// a reliable send's latency by it.
+const ReliableSetupFactor = 3
 
 // SimNet delivers messages through the discrete-event engine. It is the
 // simulation-side implementation of Network.
@@ -154,7 +155,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		latency += time.Duration(rand.Float64() * float64(jitter))
 	}
 	if mode == Reliable {
-		latency *= reliableSetupFactor
+		latency *= ReliableSetupFactor
 	}
 	if mode == Unreliable && rand.Bernoulli(src.ReorderProb) {
 		// Hold the datagram back so later sends overtake it.

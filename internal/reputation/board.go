@@ -5,14 +5,15 @@
 // minimum (which makes score inflation by colluding managers ineffective);
 // expulsion is triggered through the same managers.
 //
-// The package provides two layers:
-//
-//   - Board: the pure score algebra — blame accumulation, per-period
-//     compensation of wrongful blames (b̃ of Equation 5) and normalization
-//     by the time spent in the system (Equation 6). Large-scale experiments
-//     use a Board directly.
-//   - Manager/Client: the message-driven layer used at PlanetLab scale,
-//     where blames and score reads travel as (lossy) messages.
+// There is one score-keeper, the Manager: it holds copies of scores on a
+// Board — the pure score algebra: blame accumulation, per-period
+// compensation of wrongful blames (b̃ of Equation 5) and normalization by the
+// time spent in the system (Equation 6) — and decides expulsion under η.
+// What varies is how blames reach one. As deployed on PlanetLab a Client
+// batches them into (lossy) messages to the target's M managers, and a
+// Reader takes the min-vote over their replies; the idealized system of the
+// large-scale score experiments is a single Manager nobody sends to, blamed
+// by function call (Manager.Blame) and ticked by the harness.
 package reputation
 
 import (
@@ -53,9 +54,6 @@ func (b *Board) SetPeriod(p msg.Period) {
 	}
 }
 
-// Period returns the board's current period.
-func (b *Board) Period() msg.Period { return b.period }
-
 // Join starts tracking id as of the board's current period. Joining an
 // already-tracked node is a no-op.
 func (b *Board) Join(id msg.NodeID) { b.entry(id) }
@@ -79,14 +77,6 @@ func (b *Board) Tracked(id msg.NodeID) bool {
 // AddBlame applies a blame value to target, tracking it first if needed.
 func (b *Board) AddBlame(target msg.NodeID, value float64) {
 	b.entry(target).TotalBlame += value
-}
-
-// TotalBlame returns the raw accumulated blame of target.
-func (b *Board) TotalBlame(target msg.NodeID) float64 {
-	if e, ok := b.entries[target]; ok {
-		return e.TotalBlame
-	}
-	return 0
 }
 
 // Periods returns r, the number of gossip periods target has been tracked

@@ -59,11 +59,6 @@ func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.D
 	}
 }
 
-// Board exposes the manager's local score copies, for tests to seed and
-// inspect without message traffic. Callers must not use it while the
-// manager is live on another goroutine.
-func (m *Manager) Board() *Board { return m.board }
-
 // Tick advances the manager's period clock and re-evaluates expulsion for
 // every tracked node: scores change with r even without new blames.
 func (m *Manager) Tick(p msg.Period) {
@@ -83,6 +78,15 @@ func (m *Manager) Tick(p msg.Period) {
 	for _, id := range toExpel {
 		m.expel(id, msg.ReasonUnknown)
 	}
+}
+
+// Blame applies a blame to target's copy here, by call instead of by
+// message (core.BlameSink). It only accumulates: a manager blamed this way
+// decides at the period boundary, in Tick, never on arrival.
+func (m *Manager) Blame(target msg.NodeID, value float64, _ msg.BlameReason) {
+	m.mu.Lock()
+	m.board.AddBlame(target, value)
+	m.mu.Unlock()
 }
 
 // Track registers target with this manager as of period p.

@@ -16,7 +16,7 @@ func TestReaderMinVote(t *testing.T) {
 	mgrs := dir.Managers(7, 5)
 	for i, m := range mgrs {
 		managers[m].Track(7, 0)
-		managers[m].Board().AddBlame(7, float64(i)) // scores 2, 1, 0, -1, -2
+		managers[m].board.AddBlame(7, float64(i)) // scores 2, 1, 0, -1, -2
 		managers[m].Tick(1)
 	}
 
@@ -48,9 +48,9 @@ func TestReaderToleratesLossAndInflation(t *testing.T) {
 	for i, m := range mgrs {
 		managers[m].Track(9, 0)
 		if i%2 == 0 {
-			managers[m].Board().AddBlame(9, -1000) // inflating colluder
+			managers[m].board.AddBlame(9, -1000) // inflating colluder
 		} else {
-			managers[m].Board().AddBlame(9, 50)
+			managers[m].board.AddBlame(9, 50)
 		}
 		managers[m].Tick(1)
 	}
@@ -76,7 +76,7 @@ func TestReaderExpelledFlag(t *testing.T) {
 	eng, netw, dir, managers, _ := managed(t, 20, cfg, 0)
 	m0 := dir.Managers(5, 3)[0]
 	managers[m0].Track(5, 0)
-	managers[m0].Board().MarkExpelled(5, msg.ReasonAuditEntropy)
+	managers[m0].board.MarkExpelled(5, msg.ReasonAuditEntropy)
 	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
 		reader.HandleAux(from, m)
@@ -124,7 +124,7 @@ func TestReaderDiscardsUntrackedReplies(t *testing.T) {
 	mgrs := dir.Managers(7, 5)
 	for _, m := range mgrs[:4] {
 		managers[m].Track(7, 0)
-		managers[m].Board().AddBlame(7, 1)
+		managers[m].board.AddBlame(7, 1)
 		managers[m].Tick(2)
 	}
 	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
@@ -173,7 +173,7 @@ func TestReaderCompletesBeforeTimeout(t *testing.T) {
 	mgrs := dir.Managers(7, 5)
 	for i, m := range mgrs {
 		managers[m].Track(7, 0)
-		managers[m].Board().AddBlame(7, float64(i))
+		managers[m].board.AddBlame(7, float64(i))
 		managers[m].Tick(1)
 	}
 	const timeout = 10 * time.Second
@@ -211,7 +211,7 @@ func TestReaderIgnoresForgedSenders(t *testing.T) {
 	mgrs := dir.Managers(7, 3)
 	for _, m := range mgrs {
 		managers[m].Track(7, 0)
-		managers[m].Board().AddBlame(7, 50) // genuine copies at -50
+		managers[m].board.AddBlame(7, 50) // genuine copies at -50
 		managers[m].Tick(1)
 	}
 	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)

@@ -138,8 +138,8 @@ func TestClientBlameReachesAllManagers(t *testing.T) {
 	client.Flush()
 	eng.RunAll()
 	for _, mgr := range dir.Managers(7, 5) {
-		if got := managers[mgr].Board().TotalBlame(7); got != 3 {
-			t.Fatalf("manager %d has blame %v, want 3", mgr, got)
+		if e, _ := managers[mgr].Snapshot(7); e.TotalBlame != 3 {
+			t.Fatalf("manager %d has blame %v, want 3", mgr, e.TotalBlame)
 		}
 	}
 	// A non-manager holds nothing.
@@ -148,7 +148,7 @@ func TestClientBlameReachesAllManagers(t *testing.T) {
 		isMgr[id] = true
 	}
 	for id, m := range managers {
-		if !isMgr[id] && m.Board().Tracked(7) {
+		if !isMgr[id] && m.board.Tracked(7) {
 			t.Fatalf("non-manager %d tracked the target", id)
 		}
 	}
@@ -162,7 +162,7 @@ func TestClientIgnoresNonPositiveBlame(t *testing.T) {
 	client.Flush()
 	eng.RunAll()
 	for _, mgr := range dir.Managers(7, 5) {
-		if managers[mgr].Board().Tracked(7) {
+		if managers[mgr].board.Tracked(7) {
 			t.Fatal("non-positive blame reached a manager")
 		}
 	}
@@ -181,7 +181,7 @@ func TestExpulsionPropagatesAcrossManagers(t *testing.T) {
 	client.Flush()
 	eng.RunAll()
 	for _, mgr := range dir.Managers(7, 5) {
-		if !managers[mgr].Board().Expelled(7) {
+		if !managers[mgr].board.Expelled(7) {
 			t.Fatalf("manager %d did not adopt the expulsion", mgr)
 		}
 	}
@@ -201,7 +201,7 @@ func TestTickTriggersExpulsion(t *testing.T) {
 	_ = netw
 	mgr := managers[dir.Managers(4, 3)[0]]
 	mgr.Track(4, 0)
-	mgr.Board().AddBlame(4, 12) // below η at r=1: score -12
+	mgr.board.AddBlame(4, 12) // below η at r=1: score -12
 	mgr.Tick(1)
 	eng.RunAll()
 	if len(got) == 0 || got[0] != 4 {
@@ -215,7 +215,7 @@ func TestScoreReqResp(t *testing.T) {
 	_ = client
 	mgrID := dir.Managers(9, 3)[0]
 	managers[mgrID].Track(9, 0)
-	managers[mgrID].Board().AddBlame(9, 6)
+	managers[mgrID].board.AddBlame(9, 6)
 	managers[mgrID].Tick(3)
 
 	var resp *msg.ScoreResp

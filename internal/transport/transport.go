@@ -390,9 +390,9 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	}
 	latency := src.LatencyBase/2 + r.jitter(src.LatencyJitter/2)
 	if mode == net.Reliable {
-		// Connection-setup cost of the reliable transport, as modelled by
-		// the sim backend; each side scales its own half.
-		latency *= 3
+		// Connection-setup cost of the reliable transport; each side scales
+		// its own half.
+		latency *= net.ReliableSetupFactor
 	}
 	copies := 1
 	if !drop && mode == net.Unreliable {
@@ -660,7 +660,7 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 		}
 		delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
 		if flags&msg.FlagReliable != 0 {
-			delay *= 3 // the receiver's half of the reliable-setup cost
+			delay *= net.ReliableSetupFactor // the receiver's half
 		}
 		if delay > 0 {
 			n.After(delay, dispatch) // serialized under the node's lock
