@@ -39,13 +39,15 @@ race:
 benchmark:
 	$(GO) run ./benchmark
 
-# Where sim_scale's CPU and allocations go: its traced pass (per-layer
-# metrics, and profiles under benchmark/out/sim_scale/), then the top of the
-# CPU profile and the top allocation sites by object count.
+# Where a workload's CPU and allocations go (sim_scale unless WORKLOAD names
+# another, e.g. `make profile WORKLOAD=wire_udp`): its traced pass (per-layer
+# metrics, and profiles under benchmark/out/$(WORKLOAD)/), then the top of
+# the CPU profile and the top allocation sites by object count.
+WORKLOAD ?= sim_scale
 profile:
-	$(GO) run ./benchmark -workload sim_scale -trace 1
-	$(GO) tool pprof -top -nodecount 30 benchmark/out/sim_scale/cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects benchmark/out/sim_scale/heap.pprof
+	$(GO) run ./benchmark -workload $(WORKLOAD) -trace 1
+	$(GO) tool pprof -top -nodecount 30 benchmark/out/$(WORKLOAD)/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects benchmark/out/$(WORKLOAD)/heap.pprof
 
 # Where a node's bytes are: TestBytesPerNode's cluster (sim_scale's shape at
 # n = 500, streamed past nh periods so every log is full), profiled while it

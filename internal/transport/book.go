@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	gonet "net"
+	"net/netip"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,12 +20,12 @@ import (
 // several runtimes in one process (the single-process-many-sockets mode).
 type Book struct {
 	mu    sync.RWMutex
-	addrs map[msg.NodeID]*gonet.UDPAddr
+	addrs map[msg.NodeID]netip.AddrPort
 }
 
 // NewBook returns an empty address book.
 func NewBook() *Book {
-	return &Book{addrs: make(map[msg.NodeID]*gonet.UDPAddr)}
+	return &Book{addrs: make(map[msg.NodeID]netip.AddrPort)}
 }
 
 // Set resolves addr ("host:port") and records it as id's address,
@@ -34,29 +35,43 @@ func (b *Book) Set(id msg.NodeID, addr string) error {
 	if err != nil {
 		return fmt.Errorf("transport: resolving %q for node %d: %w", addr, id, err)
 	}
-	b.SetAddr(id, u)
+	b.SetAddr(id, u.AddrPort())
 	return nil
 }
 
 // SetAddr records a resolved address for id, overwriting any previous entry.
-func (b *Book) SetAddr(id msg.NodeID, addr *gonet.UDPAddr) {
+func (b *Book) SetAddr(id msg.NodeID, addr netip.AddrPort) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.addrs[id] = addr
+	b.addrs[id] = unmap(addr)
 }
 
 // Learn records an address for id only if none is known — the passive path
-// fed by inbound datagrams, which must never clobber a bootstrap seed.
-func (b *Book) Learn(id msg.NodeID, addr *gonet.UDPAddr) {
+// fed by every inbound datagram, which must never clobber a bootstrap seed.
+// Almost every call finds the id known, so it asks under the read lock first.
+func (b *Book) Learn(id msg.NodeID, addr netip.AddrPort) {
+	b.mu.RLock()
+	_, known := b.addrs[id]
+	b.mu.RUnlock()
+	if known {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, known := b.addrs[id]; !known {
-		b.addrs[id] = addr
+		b.addrs[id] = unmap(addr)
 	}
 }
 
+// unmap stores IPv4 peers in their 4-byte form, whichever socket family
+// reported them: a dual-stack socket reads ::ffff:a.b.c.d, and an IPv4
+// socket cannot write to that form.
+func unmap(a netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
+}
+
 // Lookup returns id's address.
-func (b *Book) Lookup(id msg.NodeID) (*gonet.UDPAddr, bool) {
+func (b *Book) Lookup(id msg.NodeID) (netip.AddrPort, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	a, ok := b.addrs[id]

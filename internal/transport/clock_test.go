@@ -1,0 +1,196 @@
+package transport
+
+import (
+	"testing"
+	"time"
+
+	"lifting/internal/metrics"
+	"lifting/internal/msg"
+	"lifting/internal/net"
+)
+
+// FuzzClockOrder drives a jobHeap with a fuzzer-written schedule and checks
+// every pop against the model of a clock: the pending job with the least
+// due, ties to the one pushed first. Dues come from a small range, so ties
+// are the common case. The committed corpus under testdata/fuzz replays on
+// every plain `go test`.
+//
+// The schedule is two bytes per step, an operation and its argument: push
+// one job (arg = due), push a run of jobs with one due, or pop a few.
+func FuzzClockOrder(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 1, 2, 2, 0, 1, 3, 0})
+	f.Add([]byte{1, 0x47, 0, 7, 2, 1, 1, 0x27, 2, 7})
+	f.Fuzz(func(t *testing.T, schedule []byte) {
+		if len(schedule) > 4096 {
+			t.Skip("long schedules only repeat short ones")
+		}
+		var h jobHeap
+		var model []job // pending, in push order; from numbers the pushes
+		pushed := msg.NodeID(0)
+		push := func(due time.Duration) {
+			j := job{due: due, from: pushed}
+			pushed++
+			wantHead := true
+			for _, p := range model {
+				wantHead = wantHead && p.due > due
+			}
+			if head := h.push(j); head != wantHead {
+				t.Fatalf("push #%d (due %v) reported head=%v, the model says %v", j.from, due, head, wantHead)
+			}
+			model = append(model, j)
+		}
+		var last job
+		popped := 0
+		pop := func() {
+			if len(model) == 0 {
+				return
+			}
+			k := 0
+			for i, p := range model {
+				if p.due < model[k].due {
+					k = i
+				}
+			}
+			want := model[k]
+			model = append(model[:k], model[k+1:]...)
+			got := h.pop()
+			if got.from != want.from || got.due != want.due {
+				t.Fatalf("pop #%d = push #%d (due %v), the model says push #%d (due %v)", popped, got.from, got.due, want.from, want.due)
+			}
+			if popped > 0 && got.due == last.due && got.from < last.from {
+				t.Fatalf("equal dues %v popped out of push order: #%d after #%d", got.due, got.from, last.from)
+			}
+			last = got
+			popped++
+			if len(h.jobs) != len(model) {
+				t.Fatalf("heap holds %d jobs, the model %d", len(h.jobs), len(model))
+			}
+		}
+		for i := 0; i+1 < len(schedule); i += 2 {
+			op, arg := schedule[i]%3, schedule[i+1]
+			switch op {
+			case 0:
+				push(time.Duration(arg % 16))
+			case 1:
+				for k := byte(0); k <= arg>>4; k++ {
+					push(time.Duration(arg % 16))
+				}
+			case 2:
+				for k := byte(0); k <= arg%8; k++ {
+					pop()
+				}
+			}
+		}
+		for len(model) > 0 {
+			pop()
+		}
+		for _, j := range h.jobs[:cap(h.jobs)] {
+			if j.due != 0 || j.from != 0 || j.seq != 0 {
+				t.Fatalf("drained heap still holds push #%d (due %v)", j.from, j.due)
+			}
+		}
+	})
+}
+
+// TestWireAllocs pins the clock's promise: queuing a delay allocates
+// nothing — a node timer with a shared func value, a delayed Send of a
+// Propose (its frame from the pool) and a delayed dispatch are each one
+// by-value job. Every delay is an hour, so nothing fires while measuring.
+func TestWireAllocs(t *testing.T) {
+	rt := New(Options{Seed: 1, Defaults: net.Conditions{LatencyBase: 2 * time.Hour}})
+	defer rt.Close()
+	rt.Attach(1, nil)
+	rt.Attach(2, nil)
+	const runs = 200
+	n := rt.localNode(1)
+	n.clock.mu.Lock()
+	n.clock.heap.jobs = make([]job, 0, 4*runs) // steady state: the heap has grown
+	n.clock.mu.Unlock()
+	for i := 0; i <= runs; i++ { // steady state: sent frames come back to the pool
+		b := make([]byte, 0, msg.FrameHeaderSize+512)
+		rt.bufs.Put(&b)
+	}
+
+	noop := func() {}
+	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8}}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"nodeCtx.After", func() { n.After(time.Hour, noop) }},
+		{"delayed Send", func() { rt.Send(1, 2, propose, net.Unreliable) }},
+		{"delayed dispatch", func() { rt.deliver(n, propose, 0) }},
+	} {
+		if allocs := testing.AllocsPerRun(runs, c.f); allocs != 0 {
+			t.Errorf("%s allocates %v objects, want 0", c.name, allocs)
+		}
+	}
+	if jobs, datagrams := n.clock.pending(); jobs != 3*(runs+1) || datagrams != 2*(runs+1) {
+		t.Fatalf("clock holds %d jobs, %d of them datagrams; want %d and %d", jobs, datagrams, 3*(runs+1), 2*(runs+1))
+	}
+}
+
+// TestCloseDropsPendingWork: a callback, a harness callback and a delayed
+// send an hour out are neither run nor waited for.
+func TestCloseDropsPendingWork(t *testing.T) {
+	rt := New(Options{Seed: 1})
+	rt.Attach(1, nil)
+	rt.Attach(2, &collect{})
+	rt.SetConditions(1, net.Conditions{LatencyBase: 2 * time.Hour})
+	rt.Context(1).After(time.Hour, func() { t.Error("node callback ran after Close") })
+	rt.After(time.Hour, func() { t.Error("harness callback ran after Close") })
+	rt.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 4}, net.Unreliable)
+	n := rt.localNode(1)
+	if jobs, datagrams := n.clock.pending(); jobs != 2 || datagrams != 1 {
+		t.Fatalf("node clock holds %d jobs (%d datagrams), want 2 (1)", jobs, datagrams)
+	}
+
+	start := time.Now()
+	rt.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Close took %v with an hour of work pending, want < 100ms", took)
+	}
+	for _, c := range []*clock{rt.clock, n.clock} {
+		if jobs, datagrams := c.pending(); jobs != 0 || datagrams != 0 {
+			t.Errorf("closed clock still holds %d jobs (%d datagrams)", jobs, datagrams)
+		}
+	}
+}
+
+// TestDelayedDatagramsAreBounded floods one node's clock — its own sends and
+// datagrams it receives, both waiting out its half of a 1 s link — past
+// maxDelayedDatagrams: the clock holds exactly the bound, every datagram
+// past it is an accounted drop, and a callback still gets in.
+func TestDelayedDatagramsAreBounded(t *testing.T) {
+	coll := metrics.NewCollector()
+	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{LatencyBase: time.Second}})
+	defer rt.Close()
+	rt.Attach(1, nil)
+	rt.Attach(2, nil)
+	n := rt.localNode(1)
+
+	// Reliable-class traffic: each half of the link is 3 × 0.5 s, far longer
+	// than the flood takes.
+	const extra = 100
+	start := time.Now()
+	m := &msg.AuditReq{Sender: 2, Horizon: time.Second}
+	for i := 0; i < maxDelayedDatagrams/2; i++ {
+		rt.Send(1, 2, m, net.Reliable)
+	}
+	for i := 0; i < maxDelayedDatagrams/2+extra; i++ {
+		rt.deliver(n, m, msg.FlagReliable)
+	}
+	if time.Since(start) > time.Second {
+		t.Skip("the flood outlasted the modelled latency on this machine")
+	}
+	if _, datagrams := n.clock.pending(); datagrams != maxDelayedDatagrams {
+		t.Fatalf("clock holds %d delayed datagrams, want the bound %d", datagrams, maxDelayedDatagrams)
+	}
+	if got := coll.Dropped(msg.KindAuditReq); got != extra {
+		t.Fatalf("%d drops accounted, want the %d datagrams past the bound", got, extra)
+	}
+	n.After(time.Hour, func() {})
+	if jobs, datagrams := n.clock.pending(); jobs != maxDelayedDatagrams+1 || datagrams != maxDelayedDatagrams {
+		t.Fatalf("a callback on a full clock: %d jobs, %d datagrams; want %d and %d", jobs, datagrams, maxDelayedDatagrams+1, maxDelayedDatagrams)
+	}
+}

@@ -34,7 +34,7 @@ func FuzzReassembly(f *testing.F) {
 	f.Add([]byte("\t\x00\x00\x00\x03\x00\x00\xff\xffA")) // one byte of a 65 535-fragment train
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		ra := &reassembler{entries: make(map[reasmKey]*reasmEntry)}
+		ra := newReassembler()
 		srcs := [2]netip.AddrPort{netip.MustParseAddrPort("10.0.0.1:9000"), netip.MustParseAddrPort("10.0.0.2:9000")}
 		fresh := netip.MustParseAddrPort("10.0.0.3:9000")
 		received := 0
@@ -61,7 +61,7 @@ func FuzzReassembly(f *testing.F) {
 
 		// Whatever state the garbage left behind, a well-formed train from a
 		// fresh source must still get through. Build a body from the fuzz
-		// input itself, fragment it exactly as sendFragments does, and
+		// input itself, fragment it exactly as writeFragments does, and
 		// deliver the train out of order with every fragment duplicated.
 		body := append(append([]byte(nil), stream...), "tail"...)
 		for len(body) < msg.MaxFragmentBody+1 {
@@ -128,7 +128,7 @@ func heldBytes(ra *reassembler) int {
 // and a flood of the longest admissible ones pins what was sent plus one
 // small parts table each.
 func TestHostileFragmentCountIsRejected(t *testing.T) {
-	ra := &reassembler{entries: make(map[reasmKey]*reasmEntry)}
+	ra := newReassembler()
 	src := netip.MustParseAddrPort("10.6.6.6:666")
 	fragment := func(msgID uint32, count uint16) []byte {
 		frame, err := msg.AppendFragment(nil, msgID, 0, count, []byte{'x'}, 0)
@@ -164,5 +164,61 @@ func TestHostileFragmentCountIsRejected(t *testing.T) {
 	}
 	if need := (len(body) + msg.MaxFragmentBody - 1) / msg.MaxFragmentBody; need > maxFragments {
 		t.Fatalf("a Serve of MaxChunkPayload needs %d fragments, maxFragments is %d", need, maxFragments)
+	}
+}
+
+// TestOneSourceCannotEvictAnother: a peer flooding one-fragment starts of
+// fresh trains used to fill the table and make everyone's half-built
+// messages go with it. Past its quota only its own go; a second source's
+// train, started before the flood, still completes after it — and so does
+// one started by a third source while the table is full of the flooder's
+// and of many small sources'.
+func TestOneSourceCannotEvictAnother(t *testing.T) {
+	ra := newReassembler()
+	fragment := func(msgID uint32, index, count uint16, body string) []byte {
+		frame, err := msg.AppendFragment(nil, msgID, index, count, []byte(body), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := msg.RawFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	victim := netip.MustParseAddrPort("10.0.0.1:9000")
+	spammer := netip.MustParseAddrPort("10.6.6.6:666")
+	if _, done := ra.add(victim, fragment(1, 0, 2, "hello ")); done {
+		t.Fatal("half a train completed")
+	}
+	most := 0
+	for id := uint32(0); id < 4*maxReassembly; id++ {
+		ra.add(spammer, fragment(id, 0, 2, "x"))
+		most = max(most, len(ra.entries))
+	}
+	out, done := ra.add(victim, fragment(1, 1, 2, "world"))
+	if !done || string(out) != "hello world" {
+		t.Fatalf("the victim's train gave %q, %v after the flood; want \"hello world\"", out, done)
+	}
+	if most > 1+maxReassemblyPerSource {
+		t.Fatalf("the flood grew the table to %d entries; the spammer's quota is %d", most, maxReassemblyPerSource)
+	}
+
+	// Many sources, each under its quota, fill the table: a newcomer evicts
+	// the heaviest of them, and a lighter source's train survives.
+	for s := 0; len(ra.entries) < maxReassembly; s++ {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, byte(s), 0}), 9000)
+		for id := uint32(0); id < maxReassemblyPerSource-1 && len(ra.entries) < maxReassembly; id++ {
+			ra.add(src, fragment(id, 0, 2, "y"))
+		}
+	}
+	ra.add(victim, fragment(2, 0, 2, "still "))
+	newcomer := netip.MustParseAddrPort("10.9.9.9:9000")
+	ra.add(newcomer, fragment(1, 0, 2, "x"))
+	if len(ra.entries) > maxReassembly {
+		t.Fatalf("%d entries, bound %d", len(ra.entries), maxReassembly)
+	}
+	if out, done := ra.add(victim, fragment(2, 1, 2, "here")); !done || string(out) != "still here" {
+		t.Fatalf("a one-entry source's train gave %q, %v in a full table; want \"still here\"", out, done)
 	}
 }

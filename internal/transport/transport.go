@@ -10,9 +10,11 @@
 // single node whose peers live in other OS processes or on other machines
 // (the lifting-node daemon) — the paper's PlanetLab deployment shape (§7).
 //
-// The concurrency contract matches sim.Context: all callbacks for one node — inbound messages, timers, Exec functions — are
-// serialized under that node's lock; callbacks for different nodes run
-// concurrently.
+// The concurrency contract matches sim.Context: all callbacks for one node —
+// inbound messages, timers, Exec functions — are serialized under that node's
+// lock; callbacks for different nodes run concurrently. Every delay a node
+// sees — its timers, its half of each link's latency on both the send and
+// the receive side — is a job on that node's one clock (clock.go).
 package transport
 
 import (
@@ -83,11 +85,8 @@ type Runtime struct {
 	// reassembly needs.
 	fragID atomic.Uint32
 
-	// timers tracks pending AfterFuncs so Close can cancel the not-yet fired
-	// ones instead of waiting out their delays.
-	timers   timers
-	inflight sync.WaitGroup // timers, Execs and delayed sends
-	loops    sync.WaitGroup // per-socket receive loops
+	clock *clock         // harness callbacks (After), outside any node's lock
+	loops sync.WaitGroup // receive loops and clock goroutines
 }
 
 var (
@@ -103,7 +102,7 @@ func New(o Options) *Runtime {
 	if book == nil {
 		book = NewBook()
 	}
-	return &Runtime{
+	r := &Runtime{
 		start:     time.Now(),
 		collector: o.Collector,
 		defaults:  o.Defaults,
@@ -116,16 +115,19 @@ func New(o Options) *Runtime {
 			return &b
 		}},
 	}
+	r.clock = startClock(r, nil)
+	return r
 }
 
-// nodeCtx is one locally hosted node: its socket plus the lock serializing
-// all its callbacks.
+// nodeCtx is one locally hosted node: its socket, the lock serializing all
+// its callbacks, and its clock.
 type nodeCtx struct {
-	rt   *Runtime
-	id   msg.NodeID
-	conn *gonet.UDPConn
-	mu   sync.Mutex
-	h    net.Handler
+	rt    *Runtime
+	id    msg.NodeID
+	conn  *gonet.UDPConn
+	clock *clock
+	mu    sync.Mutex
+	h     net.Handler
 }
 
 var _ sim.Context = (*nodeCtx)(nil)
@@ -133,57 +135,45 @@ var _ sim.Context = (*nodeCtx)(nil)
 // Now implements sim.Context: time elapsed since the runtime started.
 func (n *nodeCtx) Now() time.Duration { return time.Since(n.rt.start) }
 
-// After implements sim.Context: fn runs on a timer goroutine under the
-// node's lock, unless the runtime has been closed.
-func (n *nodeCtx) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	n.rt.schedule(d, func() {
-		defer n.rt.inflight.Done()
-		if n.rt.isClosed() {
-			return
-		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		fn()
-	})
-}
+// After implements sim.Context: fn runs on the node's clock under the
+// node's lock, unless the runtime has been closed first.
+func (n *nodeCtx) After(d time.Duration, fn func()) { n.clock.push(d, job{fn: fn}) }
 
 // Book returns the runtime's address book.
 func (r *Runtime) Book() *Book { return r.book }
 
 // AddNode binds a UDP socket for a locally hosted node and starts its
-// receive loop. The bound address (with the kernel-assigned port when listen
-// ends in ":0") is recorded in the address book and returned. Adding a node
-// twice fails.
-func (r *Runtime) AddNode(id msg.NodeID, listen string) (*gonet.UDPAddr, error) {
+// receive loop and its clock. The bound address (with the kernel-assigned
+// port when listen ends in ":0") is recorded in the address book and
+// returned. Adding a node twice fails.
+func (r *Runtime) AddNode(id msg.NodeID, listen string) (netip.AddrPort, error) {
 	addr, err := gonet.ResolveUDPAddr("udp", listen)
 	if err != nil {
-		return nil, fmt.Errorf("transport: resolving listen address %q: %w", listen, err)
+		return netip.AddrPort{}, fmt.Errorf("transport: resolving listen address %q: %w", listen, err)
 	}
 	conn, err := gonet.ListenUDP("udp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: binding node %d to %q: %w", id, listen, err)
+		return netip.AddrPort{}, fmt.Errorf("transport: binding node %d to %q: %w", id, listen, err)
 	}
 
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		conn.Close()
-		return nil, errors.New("transport: runtime is closed")
+		return netip.AddrPort{}, errors.New("transport: runtime is closed")
 	}
 	if _, dup := r.nodes[id]; dup {
 		r.mu.Unlock()
 		conn.Close()
-		return nil, fmt.Errorf("transport: node %d already hosted here", id)
+		return netip.AddrPort{}, fmt.Errorf("transport: node %d already hosted here", id)
 	}
 	n := &nodeCtx{rt: r, id: id, conn: conn}
+	n.clock = startClock(r, n)
 	r.nodes[id] = n
 	r.loops.Add(1)
 	r.mu.Unlock()
 
-	bound := conn.LocalAddr().(*gonet.UDPAddr)
+	bound := unmap(conn.LocalAddr().(*gonet.UDPAddr).AddrPort())
 	r.book.SetAddr(id, bound)
 	go r.recvLoop(n)
 	return bound, nil
@@ -251,25 +241,13 @@ func (r *Runtime) SetDown(id msg.NodeID, down bool) {
 	r.conds[id] = c
 }
 
-// After implements runtime.Runtime: a harness callback outside any node's
-// serialization.
-func (r *Runtime) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	r.schedule(d, func() {
-		defer r.inflight.Done()
-		if r.isClosed() {
-			return
-		}
-		fn()
-	})
-}
+// After implements runtime.Runtime: a harness callback on the runtime's own
+// clock, outside any node's serialization.
+func (r *Runtime) After(d time.Duration, fn func()) { r.clock.push(d, job{fn: fn}) }
 
-// Exec implements runtime.Runtime: fn runs under node id's lock.
-func (r *Runtime) Exec(id msg.NodeID, fn func()) {
-	r.Context(id).After(0, fn)
-}
+// Exec implements runtime.Runtime: fn runs on node id's clock, under its
+// lock, behind every job of that clock already due.
+func (r *Runtime) Exec(id msg.NodeID, fn func()) { r.localNode(id).After(0, fn) }
 
 // Now implements runtime.Runtime.
 func (r *Runtime) Now() time.Duration { return time.Since(r.start) }
@@ -298,31 +276,6 @@ func (r *Runtime) conditionsOf(id msg.NodeID) net.Conditions {
 		return c
 	}
 	return r.defaults
-}
-
-func (r *Runtime) isClosed() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.closed
-}
-
-// schedule atomically — with respect to Close — registers one in-flight
-// callback AND its timer, unless the runtime has closed (then nothing is
-// scheduled and false is returned). Both steps happen while the closed flag
-// is held shared: Close flips the flag under the exclusive lock before
-// cancelling timers and waiting, so every timer either registers in time to
-// be cancelled by StopAll or never registers — a timer slipping through the
-// gap would stall Close for its full delay, and a late inflight.Add would
-// race the WaitGroup contract.
-func (r *Runtime) schedule(d time.Duration, fn func()) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return false
-	}
-	r.inflight.Add(1)
-	r.timers.AfterFunc(d, fn)
-	return true
 }
 
 // bernoulli draws from the shared loss stream; p = 0 short-circuits without
@@ -394,7 +347,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		// its own half.
 		latency *= net.ReliableSetupFactor
 	}
-	copies := 1
+	copies := uint8(1)
 	if !drop && mode == net.Unreliable {
 		if r.bernoulli(src.ReorderProb) {
 			// Hold the datagram back so later sends overtake it.
@@ -418,114 +371,125 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		return
 	}
 
-	var flags uint8
+	j := job{m: m, copies: copies, addr: addr}
 	if mode == net.Reliable {
-		flags |= msg.FlagReliable
+		j.flags = msg.FlagReliable
 	}
-	bufp := r.bufs.Get().(*[]byte)
-	frame, err := msg.AppendFrame((*bufp)[:0], m, flags)
+	j.frame = r.bufs.Get().(*[]byte)
+	frame, err := msg.AppendFrame((*j.frame)[:0], m, j.flags)
 	if err != nil {
 		// Outbound messages are constructed by our own protocol code; an
 		// encoding failure is a programming error — except for messages that
 		// outgrew a datagram (big audit histories, oversized chunks), which
 		// ship as a train of fragment frames instead.
-		r.bufs.Put(bufp)
-		if errors.Is(err, msg.ErrPayloadTooLarge) {
-			r.sendFragments(sender, addr, m, size, flags, latency, copies)
-			return
+		r.bufs.Put(j.frame)
+		if !errors.Is(err, msg.ErrPayloadTooLarge) {
+			panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
 		}
-		panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
-	}
-	*bufp = frame
-
-	write := func() {
-		for i := 0; i < copies; i++ {
-			_, werr := sender.conn.WriteToUDP(frame, addr)
-			if werr != nil && r.collector != nil {
+		body, err := msg.Encode(m)
+		if err != nil {
+			panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
+		}
+		if fragments(body) > maxFragments {
+			if r.collector != nil {
 				r.collector.OnDrop(m, size)
 			}
-		}
-		r.bufs.Put(bufp)
-	}
-	if latency <= 0 {
-		write()
-		return
-	}
-	if !r.schedule(latency, func() {
-		defer r.inflight.Done()
-		if r.isClosed() {
-			r.bufs.Put(bufp)
 			return
 		}
-		write()
-	}) {
-		r.bufs.Put(bufp)
+		j.frame, j.flags = &body, j.flags|msg.FlagFragment
+	} else {
+		*j.frame = frame
+	}
+	if latency <= 0 {
+		r.write(sender, &j)
+		return
+	}
+	sender.clock.push(latency, j)
+}
+
+// write ships a send job's datagrams from sender's socket; a failed write
+// is a drop. The frame goes back to the pool.
+func (r *Runtime) write(sender *nodeCtx, j *job) {
+	defer r.release(j)
+	if j.flags&msg.FlagFragment != 0 {
+		r.writeFragments(sender, j)
+		return
+	}
+	for i := 0; i < int(j.copies); i++ {
+		if _, err := sender.conn.WriteToUDPAddrPort(*j.frame, j.addr); err != nil && r.collector != nil {
+			r.collector.OnDrop(j.m, j.m.WireSize())
+		}
 	}
 }
 
-// sendFragments ships a message too large for one datagram as a train of
-// fragment frames; the receiver's reassembler rebuilds the encoding before
-// dispatch. All fragments share the modelled latency draw — they leave one
-// socket back-to-back. copies > 1 replays the whole train (fault-injected
-// duplication); the reassembler ignores the repeats.
-func (r *Runtime) sendFragments(sender *nodeCtx, addr *gonet.UDPAddr, m msg.Message, size int, flags uint8, latency time.Duration, copies int) {
-	body, err := msg.Encode(m)
-	if err != nil {
-		panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
-	}
-	count := (len(body) + msg.MaxFragmentBody - 1) / msg.MaxFragmentBody
-	if count > maxFragments {
-		if r.collector != nil {
-			r.collector.OnDrop(m, size)
-		}
-		return
-	}
+// fragments is the length of the train that carries an encoding.
+func fragments(body []byte) int {
+	return (len(body) + msg.MaxFragmentBody - 1) / msg.MaxFragmentBody
+}
+
+// writeFragments ships a message too large for one datagram as a train of
+// fragment frames cut from its encoding; the receiver's reassembler rebuilds
+// the encoding before dispatch. The fragments leave one socket back-to-back.
+// copies > 1 replays the whole train (fault-injected duplication).
+func (r *Runtime) writeFragments(sender *nodeCtx, j *job) {
+	body := *j.frame
+	count := fragments(body)
 	msgID := r.fragID.Add(1)
 	frames := make([][]byte, 0, count)
 	for i := 0; i < count; i++ {
-		start, end := i*msg.MaxFragmentBody, (i+1)*msg.MaxFragmentBody
-		if end > len(body) {
-			end = len(body)
-		}
-		f, err := msg.AppendFragment(nil, msgID, uint16(i), uint16(count), body[start:end], flags)
+		start, end := i*msg.MaxFragmentBody, min((i+1)*msg.MaxFragmentBody, len(body))
+		f, err := msg.AppendFragment(nil, msgID, uint16(i), uint16(count), body[start:end], j.flags)
 		if err != nil {
-			panic(fmt.Sprintf("transport: fragmenting %T: %v", m, err))
+			panic(fmt.Sprintf("transport: fragmenting %T: %v", j.m, err))
 		}
 		frames = append(frames, f)
 	}
-	write := func() {
-		for i := 0; i < copies; i++ {
-			for _, f := range frames {
-				if _, werr := sender.conn.WriteToUDP(f, addr); werr != nil {
-					if r.collector != nil {
-						r.collector.OnDrop(m, size)
-					}
-					return
+	for i := 0; i < int(j.copies); i++ {
+		for _, f := range frames {
+			if _, err := sender.conn.WriteToUDPAddrPort(f, j.addr); err != nil {
+				if r.collector != nil {
+					r.collector.OnDrop(j.m, j.m.WireSize())
 				}
+				return
 			}
 		}
 	}
-	if latency <= 0 {
-		write()
-		return
-	}
-	r.schedule(latency, func() {
-		defer r.inflight.Done()
-		if !r.isClosed() {
-			write()
-		}
-	})
 }
 
-// maxReassembly bounds the half-built messages a socket keeps. Overflow (a
-// burst of loss, or garbage from a hostile peer) clears the table: losing
-// half-built state is a retry, keeping it unbounded is a memory hole.
-const maxReassembly = 256
+// release returns a job's pooled frame, if it holds one.
+func (r *Runtime) release(j *job) {
+	if j.frame != nil && j.flags&msg.FlagFragment == 0 {
+		r.bufs.Put(j.frame)
+	}
+}
+
+// drop accounts a delayed datagram its clock had no room for as lost — each
+// copy of a send — and releases it.
+func (r *Runtime) drop(j *job) {
+	if r.collector != nil {
+		for i := 0; i < max(int(j.copies), 1); i++ {
+			r.collector.OnDrop(j.m, j.m.WireSize())
+		}
+	}
+	r.release(j)
+}
+
+// maxReassembly bounds the half-built messages a socket keeps, and
+// maxReassemblyPerSource the share of them one source address may hold. A
+// new message from a source at its quota evicts that source's half-built
+// messages; one arriving at a table filled by many sources, each under its
+// quota, evicts the heaviest source's. Nobody else's are touched: losing
+// half-built state is a retry, keeping it unbounded is a memory hole, and
+// one spammer must not cost every other peer its trains.
+const (
+	maxReassembly          = 256
+	maxReassemblyPerSource = maxReassembly / 8
+)
 
 // maxFragments is the longest fragment train a peer may announce — and the
-// longest sendFragments ships. The largest message the protocol sends is a
-// Serve of msg.MaxChunkPayload bytes: that many fragments carry it with most
-// of a fragment to spare for its fixed fields (17 at today's constants). A
+// longest Send ships. The largest message the protocol sends is a Serve of
+// msg.MaxChunkPayload bytes: that many fragments carry it with most of a
+// fragment to spare for its fixed fields (17 at today's constants). A
 // header announcing more is not part of any message worth a parts table:
 // without the bound one ≈ 30-byte datagram claiming 65 535 fragments made
 // the receiver allocate 1.5 MB of slice headers.
@@ -536,6 +500,11 @@ const maxFragments = msg.MaxChunkPayload/msg.MaxFragmentBody + 1
 // read buffer. Single-goroutine use, no locking.
 type reassembler struct {
 	entries map[reasmKey]*reasmEntry
+	held    map[netip.AddrPort]int // entries per source
+}
+
+func newReassembler() *reassembler {
+	return &reassembler{entries: make(map[reasmKey]*reasmEntry), held: make(map[netip.AddrPort]int)}
 }
 
 type reasmKey struct {
@@ -554,7 +523,7 @@ type reasmEntry struct {
 func (ra *reassembler) add(src netip.AddrPort, payload []byte) ([]byte, bool) {
 	msgID, index, count, body, err := msg.ParseFragment(payload)
 	if err != nil || len(body) == 0 || count > maxFragments {
-		// sendFragments never emits an empty fragment body, nor a train
+		// writeFragments never emits an empty fragment body, nor a train
 		// longer than maxFragments; dropping them here keeps a hostile peer
 		// from completing a zero-byte "message" (found by FuzzReassembly)
 		// and from sizing the parts table.
@@ -563,15 +532,14 @@ func (ra *reassembler) add(src netip.AddrPort, payload []byte) ([]byte, bool) {
 	key := reasmKey{src, msgID}
 	e := ra.entries[key]
 	if e == nil {
-		if len(ra.entries) >= maxReassembly {
-			ra.entries = make(map[reasmKey]*reasmEntry)
-		}
+		ra.makeRoom(src)
 		e = &reasmEntry{count: count, parts: make([][]byte, count)}
 		ra.entries[key] = e
+		ra.held[src]++
 	}
 	if e.count != count || int(index) >= len(e.parts) {
 		// Contradictory fragment train; throw the whole message away.
-		delete(ra.entries, key)
+		ra.remove(key)
 		return nil, false
 	}
 	if e.parts[index] == nil {
@@ -581,7 +549,7 @@ func (ra *reassembler) add(src netip.AddrPort, payload []byte) ([]byte, bool) {
 	if e.got < e.count {
 		return nil, false
 	}
-	delete(ra.entries, key)
+	ra.remove(key)
 	var out []byte
 	for _, p := range e.parts {
 		out = append(out, p...)
@@ -589,18 +557,47 @@ func (ra *reassembler) add(src netip.AddrPort, payload []byte) ([]byte, bool) {
 	return out, true
 }
 
+// makeRoom evicts whose half-built messages must go before src starts a new
+// one: src's own at its quota, else the heaviest source's in a full table.
+func (ra *reassembler) makeRoom(src netip.AddrPort) {
+	victim := src
+	if ra.held[src] < maxReassemblyPerSource {
+		if len(ra.entries) < maxReassembly {
+			return
+		}
+		for s, n := range ra.held {
+			if n > ra.held[victim] {
+				victim = s
+			}
+		}
+	}
+	for key := range ra.entries {
+		if key.src == victim {
+			delete(ra.entries, key)
+		}
+	}
+	delete(ra.held, victim)
+}
+
+func (ra *reassembler) remove(key reasmKey) {
+	delete(ra.entries, key)
+	if ra.held[key.src]--; ra.held[key.src] == 0 {
+		delete(ra.held, key.src)
+	}
+}
+
 // recvLoop reads datagrams off one node's socket until the runtime closes:
 // validate the frame, reassemble fragments, learn the sender's address,
-// dispatch under the node's lock. Malformed datagrams are dropped —
-// FuzzDecode guarantees the decoder survives anything the network delivers.
+// deliver. Malformed datagrams are dropped — FuzzDecode guarantees the
+// decoder survives anything the network delivers.
 func (r *Runtime) recvLoop(n *nodeCtx) {
 	defer r.loops.Done()
 	buf := make([]byte, 1<<16)
-	reasm := &reassembler{entries: make(map[reasmKey]*reasmEntry)}
+	reasm := newReassembler()
 	for {
-		sz, srcAddr, err := n.conn.ReadFromUDP(buf)
+		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if r.isClosed() || errors.Is(err, gonet.ErrClosed) {
+			if errors.Is(err, gonet.ErrClosed) {
 				return
 			}
 			continue
@@ -611,7 +608,7 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 		}
 		var m msg.Message
 		if flags&msg.FlagFragment != 0 {
-			body, done := reasm.add(srcAddr.AddrPort(), payload)
+			body, done := reasm.add(src, payload)
 			if !done {
 				continue
 			}
@@ -630,69 +627,75 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 				s.Payload = append([]byte(nil), s.Payload...)
 			}
 		}
-		from := m.From()
-		r.book.Learn(from, srcAddr)
-
-		r.mu.RLock()
-		closed := r.closed
-		cond := r.conditionsOf(n.id)
-		r.mu.RUnlock()
-		if closed {
-			return
-		}
-		// The receiver's side of the link: its inbound loss and its half of
-		// the latency apply here, where the node's own conditions are known
-		// even when the sender is another process.
-		lost := flags&msg.FlagReliable == 0 && r.bernoulli(cond.LossIn)
-		if cond.Down || lost {
-			if r.collector != nil {
-				r.collector.OnDrop(m, m.WireSize())
-			}
-			continue
-		}
-		dispatch := func() {
-			if r.collector != nil {
-				r.collector.OnDeliver(n.id, m, m.WireSize())
-			}
-			if n.h != nil {
-				n.h.HandleMessage(from, m)
-			}
-		}
-		delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
-		if flags&msg.FlagReliable != 0 {
-			delay *= net.ReliableSetupFactor // the receiver's half
-		}
-		if delay > 0 {
-			n.After(delay, dispatch) // serialized under the node's lock
-			continue
-		}
-		n.mu.Lock()
-		dispatch()
-		n.mu.Unlock()
+		r.book.Learn(m.From(), src)
+		r.deliver(n, m, flags)
 	}
 }
 
-// Close implements runtime.Runtime: it stops delivery, closes every socket,
-// cancels every timer that has not fired, and waits for receive loops and
-// in-flight callbacks to drain. Close is idempotent and safe to call
+// deliver applies the receiver's side of the link to m: its inbound loss
+// and its half of the latency apply here, where the node's own conditions
+// are known even when the sender is another process. Without a delay m is
+// dispatched at once, otherwise it waits on the node's clock.
+func (r *Runtime) deliver(n *nodeCtx, m msg.Message, flags uint8) {
+	r.mu.RLock()
+	closed := r.closed
+	cond := r.conditionsOf(n.id)
+	r.mu.RUnlock()
+	if closed {
+		return
+	}
+	lost := flags&msg.FlagReliable == 0 && r.bernoulli(cond.LossIn)
+	if cond.Down || lost {
+		if r.collector != nil {
+			r.collector.OnDrop(m, m.WireSize())
+		}
+		return
+	}
+	delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
+	if flags&msg.FlagReliable != 0 {
+		delay *= net.ReliableSetupFactor // the receiver's half
+	}
+	if delay > 0 {
+		n.clock.push(delay, job{m: m, from: m.From()})
+		return
+	}
+	n.mu.Lock()
+	r.dispatch(n, m.From(), m)
+	n.mu.Unlock()
+}
+
+// dispatch hands m to n's handler. n's lock is held.
+func (r *Runtime) dispatch(n *nodeCtx, from msg.NodeID, m msg.Message) {
+	if r.collector != nil {
+		r.collector.OnDeliver(n.id, m, m.WireSize())
+	}
+	if n.h != nil {
+		n.h.HandleMessage(from, m)
+	}
+}
+
+// Close implements runtime.Runtime: it stops delivery, stops every clock —
+// their pending jobs are dropped, not waited out, and delayed frames go back
+// to the pool — closes every socket, and waits for the receive loops and for
+// the job each clock may be running. Close is idempotent and safe to call
 // concurrently; every caller returns only after the drain completes.
 func (r *Runtime) Close() {
 	r.mu.Lock()
 	first := !r.closed
 	r.closed = true
-	var conns []*gonet.UDPConn
+	var nodes []*nodeCtx
 	if first {
 		for _, n := range r.nodes {
-			conns = append(conns, n.conn)
+			nodes = append(nodes, n)
 		}
 	}
 	r.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	if first {
+		r.clock.stop()
 	}
-	// A cancelled timer's callback never runs (a delayed send's frame buffer
-	// is simply dropped); release the in-flight count it holds.
-	r.timers.StopAll(r.inflight.Done)
-	r.inflight.Wait()
+	for _, n := range nodes {
+		n.clock.stop()
+		n.conn.Close()
+	}
 	r.loops.Wait()
 }
