@@ -12,8 +12,9 @@ test:
 # Static gates: formatting, go vet, and the lint suite (cmd/lifting-lint)
 # that mechanically enforces the byte-identical document contract —
 # wall-clock reads, global rand, unordered map iteration and
-# float/time-typed document fields — and keeps orphan packages and
-# functions only their tests call from growing back (see DESIGN.md).
+# float/time-typed document fields — and keeps orphan packages, functions and
+# methods only their tests call, and fields only their tests set, from growing
+# back (see DESIGN.md).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -26,11 +27,10 @@ lint:
 # on shard goroutines inside lookahead windows — its one layout, whatever the
 # shard count — and cross shards by value, through outboxes the coordinator
 # merges at the barrier), the metrics collector (striped atomic counters
-# hammered from sender goroutines, a first-seen node's slot installed in
-# place under them, while scrapers render the exposition), the content plane
-# (chunk stores and the HTTP gateway serve shared payload slices to
-# concurrent readers) and gossip (its serve path is where shard goroutines
-# meet the verified-once table a sim cluster's nodes share).
+# hammered from sender goroutines while scrapers render the exposition), the
+# content plane (chunk stores and the HTTP gateway serve shared payload
+# slices to concurrent readers) and gossip (its serve path is where shard
+# goroutines meet the verified-once table a sim cluster's nodes share).
 race:
 	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/
 

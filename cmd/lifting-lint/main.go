@@ -2,8 +2,8 @@
 // on any finding. It mechanically enforces the repository's byte-identical
 // contract — seeded runs emit identical lifting.experiments/v1 documents
 // across shard counts, worker counts and OS processes — and, with no-orphan,
-// that every package and package-level function is reachable from something
-// that ships.
+// that every package, function and method is reachable from something that
+// ships and every struct field is set by it.
 //
 //	go run ./cmd/lifting-lint ./...
 //

@@ -194,6 +194,8 @@ func (p Params) FreeriderBlameStd(d Delta) float64 {
 // threshold η (< 0):
 //
 //	β ≤ σ(b)² / (r·η²)
+//
+//lint:allow no-orphan TestChebyshevBoundsHoldEmpirically holds the measured β against it
 func (p Params) FalsePositiveBound(r int, eta float64) float64 {
 	if r <= 0 || eta == 0 {
 		return 1

@@ -14,7 +14,7 @@ import (
 // standing make of its base, and a bystander's only ever show the partition.
 func TestOverlayComposesAndHealsInAnyOrder(t *testing.T) {
 	const victim, bystander = msg.NodeID(3), msg.NodeID(5)
-	base := net.Conditions{LossIn: 0.1, LossOut: 0.02, LatencyBase: 4 * time.Millisecond, DupProb: 0.01}
+	base := net.Conditions{LossIn: 0.1, LatencyBase: 4 * time.Millisecond, DupProb: 0.01}
 	const (
 		split = 1 << iota
 		burst

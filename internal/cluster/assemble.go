@@ -44,11 +44,10 @@ func (o *Options) setDefaults() {
 		o.Gossip.ChunkPayload = o.Stream.ChunkPayload
 	}
 	if o.ExpectedLoss == 0 {
-		d := o.NetDefaults
-		o.ExpectedLoss = 1 - (1-d.LossIn)*(1-d.LossOut)
+		o.ExpectedLoss = o.NetDefaults.LossIn
 	}
 	if o.Rep.Compensation == 0 && o.LiFTinG {
-		o.Rep.Compensation = CompensationFor(o.ExpectedLoss, o.Gossip.F, o.Gossip.NominalRequest(), o.Core.Pdcc)
+		o.Rep.Compensation = CompensationFor(o.ExpectedLoss, o.Gossip.F, gossip.NominalRequest, o.Core.Pdcc)
 	}
 	if o.Core.Population == 0 {
 		o.Core.Population = o.N
@@ -253,7 +252,7 @@ type countingSink struct {
 }
 
 func (s countingSink) Blame(target msg.NodeID, value float64, reason msg.BlameReason) {
-	s.coll.OnBlameIssued(reason.String())
+	s.coll.OnBlameIssued(reason)
 	s.inner.Blame(target, value, reason)
 }
 

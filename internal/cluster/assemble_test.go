@@ -131,7 +131,7 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 		if cs, hs := wired(t, cn, "deps", "Rand", "seed").Uint(), wired(t, hn, "deps", "Rand", "seed").Uint(); cs != hs {
 			t.Errorf("node %d: gossip stream seed %#x via Cluster, %#x via NodeHost", i, cs, hs)
 		}
-		if cc, hc := cn.Store().Capacity(), hn.Store().Capacity(); cc != hc || cc == 0 {
+		if cc, hc := wired(t, cn, "deps", "Store", "slots").Len(), wired(t, hn, "deps", "Store", "slots").Len(); cc != hc || cc == 0 {
 			t.Errorf("node %d: store capacity %d via Cluster, %d via NodeHost", i, cc, hc)
 		}
 		cb := wired(t, c.Managers[id], "cfg", "Compensation").Float()

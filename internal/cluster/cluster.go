@@ -81,7 +81,7 @@ type Options struct {
 	// protocol the node runs. Population defaults to N.
 	Core core.Config
 	// Rep configures the reputation substrate. A zero Rep.Compensation is
-	// derived from ExpectedLoss, the fanout, |R| (Gossip.NominalRequest) and
+	// derived from ExpectedLoss, the fanout, |R| (gossip.NominalRequest) and
 	// Core.Pdcc via the analysis (CompensationFor: Equation 5 at pdcc = 1,
 	// the witness term scaled by pdcc below it).
 	Rep reputation.Config
@@ -104,13 +104,14 @@ type Options struct {
 	// audit): they are stopped, marked down, and leave the membership.
 	ExpelOnDetection bool
 	// ExpectedLoss is the pl used for compensation (defaults to
-	// NetDefaults' effective loss).
+	// NetDefaults.LossIn).
 	ExpectedLoss float64
 	// TrackPlayout enables per-node playout recording for health curves.
 	TrackPlayout bool
 	// StoreCapacity is the per-node chunk store capacity in chunks (0 =
 	// sized from the stream rate and gossip period via
 	// content.StoreCapacityFor).
+	//lint:allow no-orphan TestShardsZeroEqualsOne shrinks the stores to force misses
 	StoreCapacity int
 	// OnBlame, if non-nil, observes every blame emission (diagnostics and
 	// per-reason accounting in experiments). Only effective in direct mode,
@@ -693,7 +694,7 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 		sink = client
 	}
 	sink = countingSink{coll: c.Collector, inner: sink}
-	c.auditor = core.NewAuditor(0, c.Opts.Core, c.RT.Context(0), c.RT.Network(), c.root.Derive("auditor"), sink,
+	c.auditor = core.NewAuditor(0, c.Opts.Core, c.RT.Context(0), c.RT.Network(), sink,
 		func(out core.AuditOutcome) {
 			c.Collector.OnAuditOutcome(out.Responded, !out.Expel)
 			if out.Expel {

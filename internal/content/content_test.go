@@ -108,7 +108,7 @@ func TestSourceMemoizes(t *testing.T) {
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore(8)
-	if s.Len() != 0 || s.Capacity() != 8 {
+	if s.Len() != 0 || len(s.slots) != 8 {
 		t.Fatal("fresh store not empty")
 	}
 	payload := Generate(1, 3, 32)
@@ -147,9 +147,6 @@ func TestStoreEvictsInStreamOrder(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("len = %d, want 4", s.Len())
 	}
-	if s.Evictions() != 6 {
-		t.Fatalf("evictions = %d, want 6", s.Evictions())
-	}
 	want := []msg.ChunkID{6, 7, 8, 9}
 	got := s.Chunks()
 	if len(got) != len(want) {
@@ -166,11 +163,8 @@ func TestStoreRePutSameChunk(t *testing.T) {
 	s := NewStore(4)
 	s.Put(1, []byte("a"), 1)
 	s.Put(1, []byte("b"), 2)
-	if s.Evictions() != 0 {
-		t.Fatal("re-put of the same chunk counted as eviction")
-	}
 	if s.Len() != 1 {
-		t.Fatalf("len = %d, want 1", s.Len())
+		t.Fatalf("len = %d, want 1: a re-put displaces nothing", s.Len())
 	}
 	p, h, _ := s.Get(1)
 	if string(p) != "b" || h != 2 {

@@ -38,7 +38,7 @@ type verifiedModel struct {
 func (m *verifiedModel) step(st serveStep) {
 	m.t.Helper()
 	want := Verify(st.payload, st.hash)
-	slot := int(uint32(st.c)) % m.s.Capacity()
+	slot := int(uint32(st.c)) % len(m.s.slots)
 	e, ok := m.passed[slot]
 	wantHit := ok && len(st.payload) > 0 && e == passedEntry{st.c, &st.payload[0], len(st.payload), st.hash}
 	if wantHit && !want {
@@ -66,8 +66,8 @@ func (m *verifiedModel) step(st serveStep) {
 	} else if want {
 		delete(m.passed, slot) // an empty payload holds the slot and can never hit
 	}
-	if m.s.Len() > m.s.Capacity() {
-		m.t.Fatalf("%s: %d entries in %d slots", st.name, m.s.Len(), m.s.Capacity())
+	if m.s.Len() > len(m.s.slots) {
+		m.t.Fatalf("%s: %d entries in %d slots", st.name, m.s.Len(), len(m.s.slots))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"lifting/internal/msg"
 	"lifting/internal/net"
-	"lifting/internal/rng"
 	"lifting/internal/sim"
 	"lifting/internal/stats"
 )
@@ -111,7 +110,6 @@ type Auditor struct {
 	cfg  Config
 	ctx  sim.Context
 	netw net.Network
-	rand *rng.Stream
 	sink BlameSink
 	// onOutcome receives every finished audit.
 	onOutcome func(AuditOutcome)
@@ -124,7 +122,6 @@ type auditState struct {
 	polls     map[pollKey]bool // outstanding polls
 	confirmed map[pollKey]bool
 	askers    *stats.Multiset[msg.NodeID]
-	expected  int
 	gotResp   bool
 	closed    bool
 }
@@ -136,7 +133,7 @@ type pollKey struct {
 
 // NewAuditor creates an auditor hosted at node self. Outcomes are delivered
 // to onOutcome; blames flow into sink.
-func NewAuditor(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, sink BlameSink, onOutcome func(AuditOutcome)) *Auditor {
+func NewAuditor(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network, sink BlameSink, onOutcome func(AuditOutcome)) *Auditor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -145,7 +142,6 @@ func NewAuditor(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network, 
 		cfg:       cfg.withDefaults(),
 		ctx:       ctx,
 		netw:      netw,
-		rand:      rand,
 		sink:      sink,
 		onOutcome: onOutcome,
 		pending:   make(map[msg.NodeID]*auditState),
@@ -240,8 +236,9 @@ func (a *Auditor) onAuditResp(from msg.NodeID, resp *msg.AuditResp) {
 		a.sink.Blame(from, st.outcome.PeriodBlame, msg.ReasonPeriodStretch)
 	}
 
-	// A-posteriori cross-checking: poll the alleged receivers, coalescing
-	// one poll per (partner, period).
+	// A-posteriori cross-checking: poll every alleged receiver (§5.3 allows
+	// "all or a subset"; this polls all), coalescing one poll per (partner,
+	// period).
 	type pollBody struct {
 		partner msg.NodeID
 		period  msg.Period
@@ -258,14 +255,6 @@ func (a *Auditor) onAuditResp(from msg.NodeID, resp *msg.AuditResp) {
 		}
 		merged[key] = &pollBody{partner: rec.Partner, period: rec.Period, chunks: append([]msg.ChunkID(nil), rec.Chunks...)}
 		order = append(order, key)
-	}
-	if max := a.cfg.MaxAuditPolls; max > 0 && len(order) > max {
-		idx := a.rand.SampleK(len(order), max)
-		sampled := make([]pollKey, 0, max)
-		for _, i := range idx {
-			sampled = append(sampled, order[i])
-		}
-		order = sampled
 	}
 	for _, key := range order {
 		b := merged[key]

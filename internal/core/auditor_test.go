@@ -26,7 +26,7 @@ func newAuditRig(t *testing.T, cfg Config) *auditRig {
 	t.Helper()
 	r := &auditRig{eng: sim.NewEngine(), sink: &sinkRec{}}
 	r.netw = net.NewSimNet(r.eng, rng.New(5), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
-	r.auditor = NewAuditor(0, cfg, r.eng.Domain(0), r.netw, rng.New(6), r.sink,
+	r.auditor = NewAuditor(0, cfg, r.eng.Domain(0), r.netw, r.sink,
 		func(out AuditOutcome) { r.outcomes = append(r.outcomes, out) })
 	r.netw.Attach(0, capture{func(from msg.NodeID, m msg.Message) {
 		r.auditor.HandleAux(from, m)
@@ -181,9 +181,10 @@ func TestAuditorPeriodStretchDetected(t *testing.T) {
 	}
 }
 
-func TestAuditorMaxPollsSampled(t *testing.T) {
+// §5.3 lets an audit poll "all or a subset" of the history; this auditor
+// polls every (partner, period) entry.
+func TestAuditorPollsEveryEntry(t *testing.T) {
 	cfg := auditCfg()
-	cfg.MaxAuditPolls = 5
 	r := newAuditRig(t, cfg)
 	h1 := history.NewLog(50)
 	for p := msg.Period(1); p <= 50; p++ {
@@ -193,8 +194,8 @@ func TestAuditorMaxPollsSampled(t *testing.T) {
 	r.auditor.Audit(1)
 	r.eng.Run(time.Minute)
 	out := r.outcomes[0]
-	if out.Polled != 5 {
-		t.Fatalf("polled %d entries, want MaxAuditPolls = 5", out.Polled)
+	if out.Polled != 50 {
+		t.Fatalf("polled %d entries, want all 50", out.Polled)
 	}
 }
 

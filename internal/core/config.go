@@ -46,9 +46,6 @@ type Config struct {
 	GammaFanin float64
 	// Eta is the expulsion threshold η on normalized scores (−9.75).
 	Eta float64
-	// MaxAuditPolls caps how many history entries an audit polls
-	// (0 = poll all; §5.3 allows "all or a subset").
-	MaxAuditPolls int
 	// PeriodCheckSlack is the fraction of the expected propose phases below
 	// which the gossip-period check emits period-stretch blame. Defaults to
 	// 0.8 (tolerates jitter and empty periods).

@@ -88,14 +88,13 @@ type Scenario struct {
 	// Oracle is the pass/fail contract.
 	Oracle Oracle
 
-	// Population shape: N nodes, the top Adversaries ids adversarial.
-	// Quick* override under MatrixConfig.Quick (0 = same as full).
-	N, Adversaries           int
-	QuickN, QuickAdversaries int
-	F                        int
-	Loss                     float64
-	Period                   time.Duration
-	Duration, QuickDuration  time.Duration
+	// Population shape: N nodes, the top Adversaries ids adversarial, on
+	// lossless links. QuickDuration overrides Duration under
+	// MatrixConfig.Quick (0 = same as full).
+	N, Adversaries          int
+	F                       int
+	Period                  time.Duration
+	Duration, QuickDuration time.Duration
 	// BlameMode defaults to cluster.BlameDirect.
 	BlameMode cluster.BlameMode
 	// Expel turns on expulsion at the calibrated η, after Grace periods
@@ -105,9 +104,6 @@ type Scenario struct {
 	// EtaSigma and EtaFloor place the threshold: η = −max(EtaSigma·σ,
 	// EtaFloor) with σ from an honest calibration pilot. Defaults: 6, 1.5.
 	EtaSigma, EtaFloor float64
-	// Entropy-audit knobs (DetectAudit/DetectAuditBlame scenarios).
-	Gamma, GammaFanin float64
-	MinEntropySamples int
 	// Behavior builds the adversary behavior for id; adv is the adversary
 	// cohort in ascending id order.
 	Behavior func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior
@@ -238,11 +234,9 @@ type MatrixConfig struct {
 	Backends []runtime.Kind
 	// Filter keeps only scenarios whose name contains this substring.
 	Filter string
-	// Seed roots all randomness (0 = 1).
+	// Seed roots all randomness (0 = 1). The sim backend runs 3 seeded
+	// repetitions per scenario (1 under Quick); wall-clock backends run one.
 	Seed uint64
-	// Reps is the Monte-Carlo repetition count on the sim backend
-	// (0 = 3 full, 1 quick). Wall-clock backends always run one.
-	Reps int
 	// Workers fans repetitions across goroutines (0 = GOMAXPROCS).
 	Workers int
 	// Shards is the engine shard count inside each repetition (0 or 1 =
@@ -353,15 +347,10 @@ func (s Scenario) resolve(quick bool) shape {
 		sh.EtaFloor = 1.5
 	}
 	if quick {
-		if s.QuickN > 0 {
-			sh.n = s.QuickN
-		} else if s.N == 0 {
+		// Only the population shrinks: coalition attacks need the full
+		// adversary cohort to concentrate the fanout history.
+		if s.N == 0 {
 			sh.n = 40
-		}
-		// The adversary cohort does not shrink: coalition attacks need
-		// enough colluders to concentrate the fanout history.
-		if s.QuickAdversaries > 0 {
-			sh.k = s.QuickAdversaries
 		}
 		if s.QuickDuration > 0 {
 			sh.dur = s.QuickDuration
@@ -374,18 +363,6 @@ func (s Scenario) resolve(quick bool) shape {
 
 // options assembles the cluster options for one repetition.
 func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
-	gamma := sh.Gamma
-	if gamma == 0 {
-		gamma = 4.5
-	}
-	gammaFanin := sh.GammaFanin
-	if gammaFanin == 0 {
-		gammaFanin = 2.0
-	}
-	minSamples := sh.MinEntropySamples
-	if minSamples == 0 {
-		minSamples = 16
-	}
 	return cluster.Options{
 		N:       sh.n,
 		Seed:    seed,
@@ -403,9 +380,9 @@ func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
 		},
 		Core: core.Config{
 			Pdcc:              1,
-			Gamma:             gamma,
-			GammaFanin:        gammaFanin,
-			MinEntropySamples: minSamples,
+			Gamma:             4.5,
+			GammaFanin:        2.0,
+			MinEntropySamples: 16,
 			// An honest node skips a propose phase whenever jittered
 			// arrivals leave it nothing pending, so the period check needs
 			// more slack than the default 0.8 to keep honest histories
@@ -419,14 +396,12 @@ func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
 		// with no service demand — and no blame — by accident of its start
 		// offset rather than by strategy.
 		NetDefaults: net.Conditions{
-			LossIn:        sh.Loss,
 			LatencyBase:   2 * time.Millisecond,
 			LatencyJitter: 4 * time.Millisecond,
 		},
-		LiFTinG:      true,
-		BlameMode:    sh.BlameMode,
-		ExpectedLoss: sh.Loss,
-		BehaviorFor:  sh.behaviorFor(),
+		LiFTinG:     true,
+		BlameMode:   sh.BlameMode,
+		BehaviorFor: sh.behaviorFor(),
 	}
 }
 
@@ -556,15 +531,18 @@ func (o Oracle) check(r *MatrixRow) {
 // Cancelling ctx aborts the sweep — mid-calibration or mid-repetition — and
 // returns ctx.Err().
 func Matrix(ctx context.Context, cfg MatrixConfig) (*Table, *MatrixResult, error) {
+	reps := 3
+	if cfg.Quick {
+		reps = 1
+	}
+	return matrix(ctx, cfg, reps)
+}
+
+// matrix is Matrix with the sim backend's repetition count given, so a test
+// can fan several repetitions of a quick scenario across workers.
+func matrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *MatrixResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = 3
-		if cfg.Quick {
-			reps = 1
-		}
 	}
 	root := rng.New(cfg.Seed).Derive("matrix")
 

@@ -111,14 +111,13 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 			Filter:   tc.filter,
 			Backends: []runtime.Kind{runtime.KindSim},
 			Seed:     42,
-			Reps:     2,
 		}
 		if tc.shards != nil {
 			cfg.Shards = 1
 		}
-		_, a, errA := Matrix(context.Background(), cfg)
+		_, a, errA := matrix(context.Background(), cfg, 2)
 		cfg.Workers = 1 // worker count must not change a single bit either
-		_, b, errB := Matrix(context.Background(), cfg)
+		_, b, errB := matrix(context.Background(), cfg, 2)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -131,7 +130,7 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 		}
 		for _, s := range tc.shards {
 			cfg.Shards = s
-			_, c, err := Matrix(context.Background(), cfg)
+			_, c, err := matrix(context.Background(), cfg, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

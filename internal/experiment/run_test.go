@@ -36,10 +36,10 @@ func TestTally(t *testing.T) {
 	c.Collector.OnSend(1, &msg.Propose{}, 1000)
 	c.Collector.OnSend(2, &msg.Ack{}, 300)
 	c.Collector.OnSend(2, &msg.Blame{}, 100)
-	c.Collector.OnUsefulChunk(1, time.Millisecond, 1316)
-	c.Collector.OnUsefulChunk(2, time.Millisecond, 1316)
-	c.Collector.OnUsefulChunk(3, time.Millisecond, 1316)
-	c.Collector.OnDuplicateChunk(1)
+	c.Collector.OnUsefulChunk(time.Millisecond, 1316)
+	c.Collector.OnUsefulChunk(time.Millisecond, 1316)
+	c.Collector.OnUsefulChunk(time.Millisecond, 1316)
+	c.Collector.OnDuplicateChunk()
 	c.Collector.OnStreamLag(30 * time.Millisecond)
 	c.Collector.OnJitter(4 * time.Millisecond)
 

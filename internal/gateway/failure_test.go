@@ -3,10 +3,15 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,4 +205,50 @@ func TestGatewayCloseUnderLoad(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("goroutines did not drain after Close: %d now vs %d at start", runtime.NumGoroutine(), baseline)
+}
+
+// A hostile client bounds nothing but the header phase it is allowed: one
+// that stalls mid request line is disconnected once readHeaderTimeout has
+// passed, and a 64 KB header is answered 431 without reaching a handler.
+func TestHeaderPhaseBounded(t *testing.T) {
+	g := New(Options{Origin: content.NewSource(1, 64)})
+	addr, err := g.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+
+	t.Run("stalled request line", func(t *testing.T) {
+		t.Parallel()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		if _, err := io.WriteString(conn, "GET /stream/st"); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second))
+		// The server may answer before it hangs up; it must hang up.
+		if reply, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("half a request line still holds its connection after %v (read %q)", time.Since(start), reply)
+		}
+	})
+	t.Run("oversized header", func(t *testing.T) {
+		t.Parallel()
+		req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/stream/stats", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Padding", strings.Repeat("a", 64<<10))
+		resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+			t.Fatalf("64 KB header: status %d, want 431", resp.StatusCode)
+		}
+	})
 }

@@ -55,9 +55,16 @@ type Options struct {
 	// CacheCapacity bounds the gateway's own chunk cache
 	// (0 = content.DefaultStoreCapacity).
 	CacheCapacity int
-	// Client performs upstream fetches (nil = a client with a 5 s timeout).
-	Client *http.Client
 }
+
+// The header phase is bounded far above what a bare GET needs: headers must
+// arrive within readHeaderTimeout (from accept, or from a kept-alive
+// connection's next first byte) and fit in maxHeaderBytes (else 431), or the
+// connection is closed. Idle keep-alive connections are cut by neither.
+const (
+	readHeaderTimeout = 5 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
 
 // Stats is a point-in-time snapshot of the gateway's counters.
 type Stats struct {
@@ -106,11 +113,8 @@ func New(opts Options) *Gateway {
 	g := &Gateway{
 		opts:   opts,
 		cache:  content.NewStore(opts.CacheCapacity),
-		client: opts.Client,
+		client: &http.Client{Timeout: 5 * time.Second},
 		flight: make(map[msg.ChunkID]*flightCall),
-	}
-	if g.client == nil {
-		g.client = &http.Client{Timeout: 5 * time.Second}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /stream/chunk/{id}", g.handleChunk)
@@ -131,7 +135,7 @@ func (g *Gateway) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("gateway: %w", err)
 	}
-	g.srv = &http.Server{Handler: g.mux}
+	g.srv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 	go func() { _ = g.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

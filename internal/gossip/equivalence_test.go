@@ -24,7 +24,6 @@ import (
 type disseminator interface {
 	net.Handler
 	Start()
-	InjectChunk(c msg.ChunkID)
 	InjectChunkData(c msg.ChunkID, payload []byte, hash uint64)
 	History() *history.Log
 	Have(c msg.ChunkID) bool
@@ -56,15 +55,14 @@ type forged struct {
 
 // plan is one seeded schedule; both worlds run the same one.
 type plan struct {
-	seed       uint64
-	n, f       int
-	maxRequest int
-	store      bool
-	degree     bool // the last node is a freerider.Degree
-	mitm       bool // the two before it are MITM colluders
-	cond       net.Conditions
-	far        bool // the source also emits a chunk id far above the stream's
-	forged     []forged
+	seed   uint64
+	n, f   int
+	store  bool
+	degree bool // the last node is a freerider.Degree
+	mitm   bool // the two before it are MITM colluders
+	cond   net.Conditions
+	far    bool // the source also emits a chunk id far above the stream's
+	forged []forged
 	// skew, unless 0, is the clock-rate factor of every node's timers
 	// (sim.Skewed): set by the test, not drawn.
 	skew float64
@@ -77,17 +75,15 @@ type plan struct {
 func newPlan(seed uint64) plan {
 	r := rng.New(seed).Derive("plan")
 	p := plan{
-		seed:       seed,
-		n:          6 + r.IntN(9),
-		f:          2 + r.IntN(3),
-		maxRequest: []int{0, 2, 4}[r.IntN(3)],
-		store:      r.IntN(2) == 0,
-		degree:     r.IntN(3) > 0,
-		mitm:       r.IntN(3) > 0,
-		far:        r.IntN(4) == 0,
+		seed:   seed,
+		n:      6 + r.IntN(9),
+		f:      2 + r.IntN(3),
+		store:  r.IntN(2) == 0,
+		degree: r.IntN(3) > 0,
+		mitm:   r.IntN(3) > 0,
+		far:    r.IntN(4) == 0,
 		cond: net.Conditions{
-			LossIn:        0.03 + 0.12*r.Float64(),
-			LossOut:       0.02,
+			LossIn:        0.05 + 0.12*r.Float64(),
 			LatencyBase:   2 * time.Millisecond,
 			LatencyJitter: 4 * time.Millisecond,
 			DupProb:       0.05,
@@ -240,7 +236,7 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 	simnet := net.NewSimNet(eng, root.Derive("net"), nil, p.cond)
 	netw := recNet{inner: simnet, eng: eng, log: &res.log}
 	cfg := gossip.Config{
-		F: p.f, Period: eqPeriod, ChunkPayload: eqPayload, MaxRequest: p.maxRequest,
+		F: p.f, Period: eqPeriod, ChunkPayload: eqPayload,
 		HistoryPeriods: eqRetention, PhaseJitter: eqPeriod / 5,
 	}
 	coalition := []msg.NodeID{msg.NodeID(p.n - 3), msg.NodeID(p.n - 2)}
@@ -288,12 +284,12 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 	// Node 0 is the source: four chunks a period, dense ids.
 	src := content.NewSource(p.seed, eqPayload)
 	inject := func(c msg.ChunkID) {
+		var payload []byte
+		var hash uint64
 		if p.store {
-			payload, hash := src.Chunk(c)
-			nodes[0].InjectChunkData(c, payload, hash)
-		} else {
-			nodes[0].InjectChunk(c)
+			payload, hash = src.Chunk(c)
 		}
+		nodes[0].InjectChunkData(c, payload, hash)
 	}
 	last := msg.ChunkID(4 * (eqPeriods - 5))
 	for c := msg.ChunkID(0); c < last; c++ {
@@ -370,8 +366,8 @@ func TestNodeMatchesMapReference(t *testing.T) {
 				if i < len(got.log) {
 					line = got.log[i]
 				}
-				t.Fatalf("seed %d (n=%d f=%d |R|=%d store=%t verified=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
-					seed, p.n, p.f, p.maxRequest, p.store, p.verified, p.degree, p.mitm, p.skew, i, line, want.log[i])
+				t.Fatalf("seed %d (n=%d f=%d store=%t verified=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
+					seed, p.n, p.f, p.store, p.verified, p.degree, p.mitm, p.skew, i, line, want.log[i])
 			}
 		}
 		if len(got.log) != len(want.log) {

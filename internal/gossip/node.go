@@ -33,9 +33,6 @@ type Config struct {
 	Period time.Duration
 	// ChunkPayload is the modelled chunk payload size in bytes.
 	ChunkPayload int
-	// MaxRequest caps |R|, the number of chunks requested per proposal
-	// (0 = unlimited). The paper's analysis assumes a constant |R| = 4.
-	MaxRequest int
 	// RequestRetry is how long an outstanding request blocks re-requesting
 	// the same chunk from a later proposal (loss recovery over UDP).
 	// Defaults to Period/2.
@@ -192,16 +189,14 @@ func NewNode(id msg.NodeID, cfg Config, deps Deps) *Node {
 	return n
 }
 
-// ID returns the node id.
-func (n *Node) ID() msg.NodeID { return n.id }
-
 // History returns the node's accountability log.
+//
+//lint:allow no-orphan TestNodeMatchesMapReference and TestShardsZeroEqualsOne read the logs the nodes keep
 func (n *Node) History() *history.Log { return n.deps.History }
 
-// Period returns the node's current gossip period index.
-func (n *Node) Period() msg.Period { return n.period }
-
 // Behavior returns the node's behavior.
+//
+//lint:allow no-orphan TestClusterAndNodeHostAssembleAlike compares it across the two assemblies
 func (n *Node) Behavior() Behavior { return n.deps.Behavior }
 
 // Have reports whether the node holds chunk c.
@@ -223,21 +218,14 @@ func (n *Node) Stop() {
 }
 
 // Stopped reports whether the node has been stopped.
+//
+//lint:allow no-orphan TestExpelOnDetectionRemovesFreeriders and TestChurnScenario check that removed nodes stop
 func (n *Node) Stopped() bool { return n.stopped }
 
-// InjectChunk hands the node a chunk out-of-band, as if generated locally.
-// The stream source uses this to introduce fresh chunks; they are proposed
-// in the next propose phase.
-func (n *Node) InjectChunk(c msg.ChunkID) {
-	if n.have.has(c) {
-		return
-	}
-	n.hold(c, 0)
-}
-
-// InjectChunkData hands the node a chunk together with its canonical payload
-// bytes: the stream source's entry point under the content plane. The
-// payload slice is retained by the store, not copied.
+// InjectChunkData hands the node a chunk out-of-band, as if generated
+// locally, together with its canonical payload bytes: the stream source's
+// entry point. The chunk is proposed in the next propose phase; the payload
+// slice is retained by the store, not copied.
 func (n *Node) InjectChunkData(c msg.ChunkID, payload []byte, hash uint64) {
 	if n.have.has(c) {
 		return
@@ -420,16 +408,9 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 			continue
 		}
 		if needed == nil {
-			room := len(m.Chunks) - i
-			if n.cfg.MaxRequest > 0 {
-				room = min(room, n.cfg.MaxRequest)
-			}
-			needed = make([]msg.ChunkID, 0, room)
+			needed = make([]msg.ChunkID, 0, len(m.Chunks)-i)
 		}
 		needed = append(needed, c)
-		if n.cfg.MaxRequest > 0 && len(needed) == n.cfg.MaxRequest {
-			break
-		}
 	}
 	if len(needed) == 0 {
 		return
@@ -547,7 +528,7 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 		// Pure redundancy on the wire: a second copy of a chunk this node
 		// already holds (a lost ack, overlapping proposals, a retry race).
 		if n.deps.Metrics != nil {
-			n.deps.Metrics.OnDuplicateChunk(n.id)
+			n.deps.Metrics.OnDuplicateChunk()
 		}
 		return
 	}
@@ -562,7 +543,7 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 			// the want record intact so the open retry deadline re-requests the
 			// chunk from a different proposer.
 			if n.deps.Metrics != nil {
-				n.deps.Metrics.OnInvalidServe(n.id)
+				n.deps.Metrics.OnInvalidServe()
 			}
 			n.deps.Monitor.OnServeInvalid(from, m.Chunk)
 			return
@@ -574,7 +555,7 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 		if m.Payload != nil {
 			payloadBytes = len(m.Payload)
 		}
-		n.deps.Metrics.OnUsefulChunk(n.id, n.deps.Ctx.Now()-w.lastRequest, payloadBytes)
+		n.deps.Metrics.OnUsefulChunk(n.deps.Ctx.Now()-w.lastRequest, payloadBytes)
 	}
 	n.wants.release(w)
 	n.hold(m.Chunk, from)

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -83,7 +84,7 @@ func TestNewNodePanicsOnBadConfig(t *testing.T) {
 
 func TestDisseminationReachesEveryone(t *testing.T) {
 	w := newWorld(t, 40, testConfig(), 0)
-	w.nodes[0].InjectChunk(7)
+	w.nodes[0].InjectChunkData(7, nil, 0)
 	w.eng.Run(3 * time.Second)
 	for id, n := range w.nodes {
 		if !n.Have(7) {
@@ -98,7 +99,7 @@ func TestDisseminationUnderLoss(t *testing.T) {
 	cfg := testConfig()
 	cfg.F = 6
 	w := newWorld(t, 60, cfg, 0.07)
-	w.nodes[0].InjectChunk(1)
+	w.nodes[0].InjectChunkData(1, nil, 0)
 	w.eng.Run(4 * time.Second)
 	got := 0
 	for _, n := range w.nodes {
@@ -115,7 +116,7 @@ func TestInfectAndDie(t *testing.T) {
 	// A chunk is proposed exactly once by each node: once the whole system
 	// has it, propose traffic for it stops.
 	w := newWorld(t, 10, testConfig(), 0)
-	w.nodes[0].InjectChunk(3)
+	w.nodes[0].InjectChunkData(3, nil, 0)
 	w.eng.Run(2 * time.Second)
 	sent := w.col.SentMsgs(msg.KindPropose)
 	w.eng.Run(4 * time.Second)
@@ -130,8 +131,8 @@ func TestInfectAndDie(t *testing.T) {
 
 func TestInjectDuplicateIgnored(t *testing.T) {
 	w := newWorld(t, 5, testConfig(), 0)
-	w.nodes[0].InjectChunk(1)
-	w.nodes[0].InjectChunk(1)
+	w.nodes[0].InjectChunkData(1, nil, 0)
+	w.nodes[0].InjectChunkData(1, nil, 0)
 	if w.nodes[0].ChunkCount() != 1 {
 		t.Fatal("duplicate injection created a second chunk")
 	}
@@ -142,7 +143,7 @@ func TestRequestOnlyMissingChunks(t *testing.T) {
 	cfg := testConfig()
 	w := newWorld(t, 6, cfg, 0)
 	for id := range w.nodes {
-		w.nodes[id].InjectChunk(5) // everyone already has it
+		w.nodes[id].InjectChunkData(5, nil, 0) // everyone already has it
 	}
 	w.eng.Run(time.Second)
 	if w.col.SentMsgs(msg.KindRequest) != 0 {
@@ -150,9 +151,10 @@ func TestRequestOnlyMissingChunks(t *testing.T) {
 	}
 }
 
-func TestMaxRequestCap(t *testing.T) {
+// A proposal's missing chunks are requested in one request, however many
+// there are: |R| is the proposal's, not a setting.
+func TestRequestEveryMissingChunk(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxRequest = 2
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
 	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
@@ -166,8 +168,8 @@ func TestMaxRequestCap(t *testing.T) {
 	}))
 	netw.Send(0, 1, &msg.Propose{Sender: 0, Period: 1, Chunks: []msg.ChunkID{1, 2, 3, 4, 5}}, net.Unreliable)
 	eng.RunAll()
-	if len(requested) != 2 {
-		t.Fatalf("requested %d chunks, want 2 (MaxRequest)", len(requested))
+	if !slices.Equal(requested, []msg.ChunkID{1, 2, 3, 4, 5}) {
+		t.Fatalf("requested %v, want all five proposed chunks", requested)
 	}
 }
 
@@ -218,8 +220,8 @@ func TestServeIntersectionOnly(t *testing.T) {
 			served = append(served, v.Chunk)
 		}
 	}))
-	server.InjectChunk(1)
-	server.InjectChunk(2)
+	server.InjectChunkData(1, nil, 0)
+	server.InjectChunkData(2, nil, 0)
 	server.Start()
 	eng.Run(time.Second)
 	if len(served) != 2 {
@@ -250,7 +252,7 @@ func TestDuplicateRequestIgnored(t *testing.T) {
 			serves++
 		}
 	}))
-	server.InjectChunk(1)
+	server.InjectChunkData(1, nil, 0)
 	server.Start()
 	eng.Run(time.Second)
 	if serves != 1 {
@@ -276,7 +278,7 @@ func TestUnsolicitedServeRejected(t *testing.T) {
 func TestStopHaltsNode(t *testing.T) {
 	w := newWorld(t, 10, testConfig(), 0)
 	w.nodes[3].Stop()
-	w.nodes[0].InjectChunk(1)
+	w.nodes[0].InjectChunkData(1, nil, 0)
 	w.eng.Run(3 * time.Second)
 	if w.nodes[3].Have(1) {
 		t.Fatal("stopped node still received a chunk")
@@ -288,12 +290,11 @@ func TestStopHaltsNode(t *testing.T) {
 
 func TestHistoryRecordsFanoutAndFanin(t *testing.T) {
 	w := newWorld(t, 20, testConfig(), 0)
-	w.nodes[0].InjectChunk(1)
+	w.nodes[0].InjectChunkData(1, nil, 0)
 	w.eng.Run(2 * time.Second)
 	// Node 0 proposed to F partners in its first phase.
-	fh := w.nodes[0].History().FanoutMultiset(0)
-	if fh.Len() != testConfig().F {
-		t.Fatalf("source fanout history has %d entries, want %d", fh.Len(), testConfig().F)
+	if got := len(w.nodes[0].History().Proposals(0)); got != testConfig().F {
+		t.Fatalf("source fanout history has %d entries, want %d", got, testConfig().F)
 	}
 	// Some node received the chunk and has a fanin record naming a server.
 	found := false
@@ -301,7 +302,7 @@ func TestHistoryRecordsFanoutAndFanin(t *testing.T) {
 		if id == 0 {
 			continue
 		}
-		if n.History().FaninMultiset(0).Len() > 0 {
+		if len(n.History().Serves(0)) > 0 {
 			found = true
 			break
 		}
@@ -365,7 +366,7 @@ func TestMonitorHooksFire(t *testing.T) {
 	n1 := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: mon1})
 	netw.Attach(0, n0)
 	netw.Attach(1, n1)
-	n0.InjectChunk(9)
+	n0.InjectChunkData(9, nil, 0)
 	n0.Start()
 	n1.Start()
 	eng.Run(500 * time.Millisecond)
@@ -410,7 +411,7 @@ func (stretchBehavior) PeriodFactor() float64 { return 2 }
 func TestDeterministicDissemination(t *testing.T) {
 	run := func() uint64 {
 		w := newWorld(t, 30, testConfig(), 0.05)
-		w.nodes[0].InjectChunk(1)
+		w.nodes[0].InjectChunkData(1, nil, 0)
 		w.eng.Run(2 * time.Second)
 		return w.col.SentMsgs(msg.KindPropose) + w.col.SentMsgs(msg.KindServe)*1000
 	}

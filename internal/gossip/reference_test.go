@@ -78,14 +78,6 @@ func (n *refNode) Have(c msg.ChunkID) bool { return n.have[c] }
 func (n *refNode) ChunkCount() int         { return len(n.have) }
 func (n *refNode) Start()                  { n.deps.Ctx.After(n.cfg.StartOffset, n.proposePhase) }
 
-func (n *refNode) InjectChunk(c msg.ChunkID) {
-	if n.have[c] {
-		return
-	}
-	n.have[c] = true
-	n.pending = append(n.pending, c)
-}
-
 func (n *refNode) InjectChunkData(c msg.ChunkID, payload []byte, hash uint64) {
 	if n.have[c] {
 		return
@@ -199,9 +191,6 @@ func (n *refNode) onPropose(from msg.NodeID, m *msg.Propose) {
 			continue
 		}
 		needed = append(needed, c)
-		if n.cfg.MaxRequest > 0 && len(needed) == n.cfg.MaxRequest {
-			break
-		}
 	}
 	if len(needed) == 0 {
 		return
@@ -290,7 +279,7 @@ func (n *refNode) onRequest(from msg.NodeID, m *msg.Request) {
 func (n *refNode) onServe(from msg.NodeID, m *msg.Serve) {
 	if n.have[m.Chunk] {
 		if n.deps.Metrics != nil {
-			n.deps.Metrics.OnDuplicateChunk(n.id)
+			n.deps.Metrics.OnDuplicateChunk()
 		}
 		return
 	}
@@ -300,7 +289,7 @@ func (n *refNode) onServe(from msg.NodeID, m *msg.Serve) {
 	if n.deps.Store != nil {
 		if !content.Verify(m.Payload, m.Hash) {
 			if n.deps.Metrics != nil {
-				n.deps.Metrics.OnInvalidServe(n.id)
+				n.deps.Metrics.OnInvalidServe()
 			}
 			n.deps.Monitor.OnServeInvalid(from, m.Chunk)
 			return
@@ -312,7 +301,7 @@ func (n *refNode) onServe(from msg.NodeID, m *msg.Serve) {
 		if m.Payload != nil {
 			payloadBytes = len(m.Payload)
 		}
-		n.deps.Metrics.OnUsefulChunk(n.id, n.deps.Ctx.Now()-n.lastRequest[m.Chunk], payloadBytes)
+		n.deps.Metrics.OnUsefulChunk(n.deps.Ctx.Now()-n.lastRequest[m.Chunk], payloadBytes)
 	}
 	delete(n.requestedFrom, m.Chunk)
 	delete(n.lastRequest, m.Chunk)

@@ -56,9 +56,9 @@ func newRoundRig() *roundRig {
 
 func (r *roundRig) round() {
 	for i := 0; i < 8; i++ {
-		r.nodes[0].InjectChunk(r.next)
+		r.nodes[0].InjectChunkData(r.next, nil, 0)
 		if i < 4 {
-			r.nodes[1].InjectChunk(r.next)
+			r.nodes[1].InjectChunkData(r.next, nil, 0)
 		}
 		r.next++
 	}

@@ -20,14 +20,11 @@ const (
 	maxRetries = 3
 	maxOffers  = 8
 	maxAsked   = maxOffers
-	// nominalRequest is |R| where Config.MaxRequest leaves it open: the
-	// constant request size of the paper's analysis.
-	nominalRequest = 4
 )
 
 // NominalRequest is the |R| a bound or an expectation is sized for: the
-// analysis's constant request size, or MaxRequest where that is larger.
-func (c Config) NominalRequest() int { return max(c.MaxRequest, nominalRequest) }
+// constant request size of the paper's analysis (§6.2).
+const NominalRequest = 4
 
 // askLimitFor is the most servers a want remembers having asked: as many as
 // it can ask in the nh periods it lives, one every RequestRetry plus the
@@ -45,7 +42,7 @@ func askLimitFor(cfg Config) int {
 // a want lives milliseconds); a flood of ids nobody serves is held to it,
 // oldest want evicted first.
 func wantCapFor(cfg Config) int {
-	return cfg.F * cfg.NominalRequest() * cfg.HistoryPeriods
+	return cfg.F * NominalRequest * cfg.HistoryPeriods
 }
 
 // haveSet is the set of chunks a node holds: a bitset over the dense stream

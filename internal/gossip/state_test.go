@@ -143,7 +143,7 @@ func TestWideProposalServedOncePerPartner(t *testing.T) {
 		}))
 	}
 	for c := msg.ChunkID(0); c < 100; c++ {
-		node.InjectChunk(c)
+		node.InjectChunkData(c, nil, 0)
 	}
 	node.Start()
 	eng.Run(10 * time.Millisecond)
@@ -187,10 +187,10 @@ func TestRequestForSupersededOrForgottenProposalIgnored(t *testing.T) {
 		eng.Run(eng.Now() + 10*time.Millisecond)
 		return serves - before
 	}
-	node.InjectChunk(1)
+	node.InjectChunkData(1, nil, 0)
 	node.Start()
 	eng.Run(10 * time.Millisecond) // period 1 proposes chunk 1
-	node.InjectChunk(2)
+	node.InjectChunkData(2, nil, 0)
 	eng.Run(110 * time.Millisecond) // period 2 proposes chunk 2
 	if got := request(1, 1); got != 0 {
 		t.Fatal("a request naming a proposal that a later one superseded was served")
@@ -202,7 +202,7 @@ func TestRequestForSupersededOrForgottenProposalIgnored(t *testing.T) {
 		t.Fatalf("the last proposal was served %d times, want 1", got)
 	}
 	// Nothing more is proposed; period 2 leaves the ring after nh periods.
-	node.InjectChunk(3)
+	node.InjectChunkData(3, nil, 0)
 	eng.Run(610 * time.Millisecond) // period 7 is running: 7 − 3 < nh, 7 − 2 = nh
 	if got := request(3, 3); got != 1 {
 		t.Fatalf("a proposal inside the retention window was served %d times, want 1", got)
@@ -210,7 +210,7 @@ func TestRequestForSupersededOrForgottenProposalIgnored(t *testing.T) {
 	if node.phases[2%5].period == 2 {
 		t.Fatal("the ring still holds a phase nh periods old")
 	}
-	node.InjectChunk(4)
+	node.InjectChunkData(4, nil, 0)
 	eng.Run(1210 * time.Millisecond) // period 8 proposed chunk 4; period 13 is running
 	if got := request(8, 4); got != 0 {
 		t.Fatal("a proposal nh periods old was still served")
@@ -301,7 +301,7 @@ func TestSteadyStateIsBoundedByProtocolParameters(t *testing.T) {
 	w := newWorld(t, 20, cfg, 0.05)
 	for c := 0; c < periods*perPeriod; c++ {
 		c := msg.ChunkID(c)
-		w.eng.After(time.Duration(c)*cfg.Period/perPeriod, func() { w.nodes[0].InjectChunk(c) })
+		w.eng.After(time.Duration(c)*cfg.Period/perPeriod, func() { w.nodes[0].InjectChunkData(c, nil, 0) })
 	}
 	w.eng.Run(time.Duration(periods+5) * cfg.Period)
 	limit := wantCapFor(cfg) // 4·4·10 = 160

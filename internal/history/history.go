@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"lifting/internal/msg"
-	"lifting/internal/stats"
 )
 
 // Log is one node's bounded history. It retains the last Retention periods;
@@ -310,31 +309,11 @@ func (l *Log) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) boo
 	return l.hasProposalFrom(sender, 0, l.newest, chunks)
 }
 
-// FanoutMultiset returns Fh: the multiset of partners the owner proposed to
-// during periods (since, newest].
-func (l *Log) FanoutMultiset(since msg.Period) *stats.Multiset[msg.NodeID] {
-	ms := stats.NewMultiset[msg.NodeID]()
-	for _, r := range l.Proposals(since) {
-		ms.Add(r.Partner)
-	}
-	return ms
-}
-
-// FaninMultiset returns F'h: the multiset of servers recorded in the owner's
-// fanin during periods (since, newest].
-func (l *Log) FaninMultiset(since msg.Period) *stats.Multiset[msg.NodeID] {
-	ms := stats.NewMultiset[msg.NodeID]()
-	for _, r := range l.Serves(since) {
-		ms.Add(r.Server)
-	}
-	return ms
-}
-
 // Proposals returns the owner's fanout records for periods (since, newest],
 // oldest period first, in recording order within a period: a propose phase
 // expands into one record per partner, all sharing its chunk list. Record
-// order matters: an audited freerider's forgery draws and the auditor's poll
-// sampling both consume randomness in it.
+// order matters: an audited freerider's forgery draws consume randomness in
+// it.
 func (l *Log) Proposals(since msg.Period) []msg.ProposalRecord {
 	var out []msg.ProposalRecord
 	for _, run := range l.sent.runs(after(&l.sent, since)) {
@@ -358,23 +337,6 @@ func (l *Log) Serves(since msg.Period) []msg.ServeRecord {
 		}
 	}
 	return out
-}
-
-// ProposalPeriods returns the number of distinct periods in (since, newest]
-// during which the owner sent at least one proposal. Comparing this count
-// against the expected number of periods detects gossip-period stretching
-// (§5.3: "checking the gossip period boils down to counting the number of
-// proposals in the local history").
-func (l *Log) ProposalPeriods(since msg.Period) int {
-	n, last := 0, since
-	for _, run := range l.sent.runs(after(&l.sent, since)) {
-		for _, ph := range run {
-			if ph.period != last {
-				n, last = n+1, ph.period
-			}
-		}
-	}
-	return n
 }
 
 // AskersFor returns the multiset of nodes that asked the owner to confirm

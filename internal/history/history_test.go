@@ -19,31 +19,37 @@ func TestNewLogPanics(t *testing.T) {
 	NewLog(0)
 }
 
+// Fh, the fanout multiset an audit checks, is the partners of Proposals(since):
+// one record per partner of each propose phase in (since, newest].
 func TestFanoutMultiset(t *testing.T) {
 	l := NewLog(10)
 	l.RecordProposalsSent(1, []msg.NodeID{7, 8}, []msg.ChunkID{1, 2})
 	l.RecordProposalsSent(2, []msg.NodeID{7}, []msg.ChunkID{3})
-	ms := l.FanoutMultiset(0)
-	if ms.Len() != 3 {
-		t.Fatalf("Fh size = %d, want 3", ms.Len())
+	fh := make(map[msg.NodeID]int)
+	for _, r := range l.Proposals(0) {
+		fh[r.Partner]++
 	}
-	if ms.Count(7) != 2 || ms.Count(8) != 1 {
-		t.Fatalf("Fh counts wrong: 7→%d, 8→%d", ms.Count(7), ms.Count(8))
+	if !reflect.DeepEqual(fh, map[msg.NodeID]int{7: 2, 8: 1}) {
+		t.Fatalf("Fh = %v, want 7→2, 8→1", fh)
 	}
 	// Filtering by since excludes older periods.
-	if got := l.FanoutMultiset(1).Len(); got != 1 {
+	if got := len(l.Proposals(1)); got != 1 {
 		t.Fatalf("Fh since period 1 = %d entries, want 1", got)
 	}
 }
 
+// F'h, the fanin multiset, is the servers of Serves(since).
 func TestFaninMultiset(t *testing.T) {
 	l := NewLog(10)
 	l.RecordServeReceived(3, 4, []msg.ChunkID{9})
 	l.RecordServeReceived(3, 4, []msg.ChunkID{10})
 	l.RecordServeReceived(4, 5, []msg.ChunkID{11})
-	ms := l.FaninMultiset(0)
-	if ms.Count(4) != 2 || ms.Count(5) != 1 {
-		t.Fatalf("F'h counts wrong: %d, %d", ms.Count(4), ms.Count(5))
+	fh := make(map[msg.NodeID]int)
+	for _, r := range l.Serves(0) {
+		fh[r.Server]++
+	}
+	if !reflect.DeepEqual(fh, map[msg.NodeID]int{4: 2, 5: 1}) {
+		t.Fatalf("F'h = %v, want 4→2, 5→1", fh)
 	}
 }
 
@@ -80,26 +86,31 @@ func TestPruneKeepsRetentionWindow(t *testing.T) {
 	if got := l.Proposals(0); len(got) != 3 || got[0].Period != 8 {
 		t.Fatalf("retained %v, want the proposals of periods 8, 9 and 10", got)
 	}
-	ms := l.FanoutMultiset(0)
-	if ms.Count(1) != 0 {
-		t.Fatal("pruned period still visible in Fh")
+	fh := make(map[msg.NodeID]int)
+	for _, r := range l.Proposals(0) {
+		fh[r.Partner]++
 	}
-	if ms.Count(10) != 1 || ms.Count(9) != 1 || ms.Count(8) != 1 {
-		t.Fatal("recent periods missing from Fh")
+	if !reflect.DeepEqual(fh, map[msg.NodeID]int{8: 1, 9: 1, 10: 1}) {
+		t.Fatalf("Fh = %v, want only the partners of periods 8, 9 and 10", fh)
 	}
 	if l.Newest() != 10 {
 		t.Fatalf("Newest = %d, want 10", l.Newest())
 	}
 }
 
+// The gossip-period check counts the distinct periods of the proposals a
+// snapshot carries: a period with only a serve received adds none.
 func TestProposalPeriods(t *testing.T) {
 	l := NewLog(20)
 	l.RecordProposalsSent(1, []msg.NodeID{2, 3}, []msg.ChunkID{1})
 	l.RecordProposalsSent(4, []msg.NodeID{2}, []msg.ChunkID{2})
-	// Period 3 exists but has no proposals sent (only a serve received):
 	l.RecordServeReceived(3, 9, []msg.ChunkID{5})
-	if got := l.ProposalPeriods(0); got != 2 {
-		t.Fatalf("ProposalPeriods = %d, want 2", got)
+	periods := make(map[msg.Period]bool)
+	for _, r := range l.Snapshot(1, 20).Proposals {
+		periods[r.Period] = true
+	}
+	if !reflect.DeepEqual(periods, map[msg.Period]bool{1: true, 4: true}) {
+		t.Fatalf("proposal periods = %v, want 1 and 4", periods)
 	}
 }
 
@@ -281,25 +292,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			same("Proposals", l.Proposals(since), ref.Proposals(since))
 			same("Serves", l.Serves(since), ref.Serves(since))
 			same("AskersFor", l.AskersFor(who, since), ref.AskersFor(who, since))
-			same("ProposalPeriods", l.ProposalPeriods(since), ref.ProposalPeriods(since))
 			horizon := r.IntN(nh + 3)
 			same("Snapshot", *l.Snapshot(9, horizon), *ref.Snapshot(9, horizon))
-			fanout, fanin := l.FanoutMultiset(since), l.FaninMultiset(since)
-			for id := msg.NodeID(0); id < 5; id++ {
-				nout, nin := 0, 0
-				for _, rec := range ref.Proposals(since) {
-					if rec.Partner == id {
-						nout++
-					}
-				}
-				for _, rec := range ref.Serves(since) {
-					if rec.Server == id {
-						nin++
-					}
-				}
-				same("FanoutMultiset", fanout.Count(id), nout)
-				same("FaninMultiset", fanin.Count(id), nin)
-			}
 		}
 	}
 }

@@ -130,16 +130,6 @@ func (l *refLog) Serves(since msg.Period) []msg.ServeRecord {
 	return out
 }
 
-func (l *refLog) ProposalPeriods(since msg.Period) int {
-	n := 0
-	for _, p := range l.periodsAfter(since) {
-		if len(l.periods[p].proposalsSent) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (l *refLog) AskersFor(suspect msg.NodeID, since msg.Period) []msg.NodeID {
 	var out []msg.NodeID
 	for _, p := range l.periodsAfter(since) {

@@ -7,7 +7,7 @@ import (
 
 // NoTimeInResults forbids time.Time and time.Duration fields on result
 // types: everything reachable from the document roots, plus — by name — the
-// Result/Run/Row/Snapshot/Table structs of the configured packages even
+// result-shaped structs (resultSuffixes) of the configured packages even
 // when a field is currently excluded from marshalling.
 //
 // This is the PR 5 bug class: wall-clock timings measured during a run sat
@@ -20,9 +20,6 @@ type NoTimeInResults struct {
 	Roots []TypeRef
 	// Packages are additionally scanned for result-shaped struct names.
 	Packages PackageSet
-	// NameSuffixes select the result-shaped structs ("Result", "Run",
-	// "Row", "Snapshot", "Table" by default when nil).
-	NameSuffixes []string
 }
 
 func (NoTimeInResults) Name() string           { return "no-time-in-results" }
@@ -31,15 +28,10 @@ func (NoTimeInResults) Doc() string {
 	return "forbid time.Time/time.Duration fields on result, row and snapshot structs; sim-time integers only"
 }
 
-// DefaultResultSuffixes are the struct-name suffixes treated as
-// result-shaped when NameSuffixes is nil.
-var DefaultResultSuffixes = []string{"Result", "Run", "Row", "Snapshot", "Table"}
+// resultSuffixes are the struct-name suffixes treated as result-shaped.
+var resultSuffixes = []string{"Result", "Run", "Row", "Snapshot", "Table"}
 
 func (a NoTimeInResults) RunModule(pass *Pass) {
-	suffixes := a.NameSuffixes
-	if suffixes == nil {
-		suffixes = DefaultResultSuffixes
-	}
 	reported := make(map[token.Pos]bool)
 	isTime := func(t types.Type) bool {
 		return isNamedAs(t, "time", "Time") || isNamedAs(t, "time", "Duration")
@@ -67,7 +59,7 @@ func (a NoTimeInResults) RunModule(pass *Pass) {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !hasSuffixAny(name, suffixes) {
+			if !ok || !hasSuffixAny(name, resultSuffixes) {
 				continue
 			}
 			named, ok := tn.Type().(*types.Named)

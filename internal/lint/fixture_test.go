@@ -131,9 +131,12 @@ func TestNoWallclockAllowlisted(t *testing.T) {
 	}
 }
 
-// TestNoOrphanFixture pins both no-orphan findings — the package nothing
-// imports, the function only its own body or a test references — and the
-// in-place suppression that names the test a kept function serves.
+// TestNoOrphanFixture pins every no-orphan finding — the package nothing
+// imports, the function and the method only their own body or a test
+// references, the field nothing writes — what escapes one (a method an
+// interface reaches, a generic method reached through an instantiation, a
+// field written only by calling a pointer method on it), and the in-place
+// suppression that names the test a kept declaration serves.
 func TestNoOrphanFixture(t *testing.T) {
 	checkFixture(t, "noorphan", []lint.Analyzer{lint.NoOrphan{}})
 }

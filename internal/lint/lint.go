@@ -8,8 +8,9 @@
 // reviewers' heads do not survive growth. Each analyzer in this package
 // turns one of those conventions into a build-time check; cmd/lifting-lint
 // runs the suite over the module and exits nonzero on any finding. NoOrphan
-// rides the same loader for a different convention: every package and
-// package-level function is reachable from something that ships.
+// rides the same loader for a different convention: every package, function
+// and method is reachable from something that ships, and every struct field
+// is set by something that ships.
 //
 // The framework is built on go/ast, go/parser, go/types and go/token only —
 // no dependency on golang.org/x/tools — so go.mod stays dependency-free.

@@ -1,44 +1,49 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strconv"
 )
 
-// NoOrphan flags code that nothing which ships can reach: a package no
-// non-test file imports, and a package-level function no non-test file
-// references.
+// NoOrphan flags code that nothing which ships reaches or sets: a package no
+// non-test file imports, a function or method no non-test file references
+// outside its own body, and a struct field no non-test file writes. A test
+// is not a caller, and a field only a test sets is a setting the product
+// never varies. The details (DESIGN.md, "Determinism lint"):
 //
-// PR 19 deleted ≈ 1 900 non-test lines that had accreted this way — a TfT
-// swarm imported only by a benchmark file, a peer-sampling layer no node
-// used, leaf functions kept alive by their own unit tests. A test is not a
-// caller: a function only its test reaches is dead code with a maintenance
-// cost. Two findings:
+//   - main and init are exempt; a reference through an instantiation counts
+//     for the generic method;
+//   - a method is exempt when an interface type declared in the module, or
+//     in a package it imports directly or not, has a method of that name: a
+//     call through the interface reaches it without naming it;
+//   - a write is a keyed or positional composite literal, an assignment,
+//     ++ or --, taking an address, or calling a pointer method through an
+//     addressable operand, and it counts for every field on the path
+//     (c.cfg.limit = 1 writes cfg and limit).
 //
-//   - a non-main package that declares something and is imported by no
-//     non-test file of the module (reported at its first package clause);
-//   - a package-level function in a non-test file that no non-test file
-//     references outside its own body (main and init are exempt).
-//
-// Methods are out of scope: whether one is reachable depends on the
-// interfaces its receiver satisfies, which a reference count cannot decide.
-// So are types, variables and constants: the rule counts references to
-// functions only. A function kept on purpose because a test of something
-// else sets up or observes through it says so in place:
+// Types, variables and constants are out of scope. Code kept on purpose
+// because a test of something else sets up or observes through it says so
+// in place:
 //
 //	//lint:allow no-orphan <the test that uses it>
 type NoOrphan struct{}
 
 func (NoOrphan) Name() string { return "no-orphan" }
 func (NoOrphan) Doc() string {
-	return "flag packages no non-test file imports and package-level functions no non-test file references (methods out of scope)"
+	return "flag packages no non-test file imports, functions and methods no non-test file references, and struct fields no non-test file writes"
 }
+
+// orphanHint ends every finding about a declaration: what to do about it.
+const orphanHint = "; delete it (with its test), or name the test that needs it in a //lint:allow"
 
 func (NoOrphan) RunModule(pass *Pass) {
 	imported := make(map[string]bool)
+	implementable := interfaceMethodNames(pass.Module)
 	decls := make(map[types.Object]*ast.FuncDecl)
+	fields := make(map[types.Object]string) // field → its struct's name
 	for _, pkg := range pass.Module {
 		for _, f := range pkg.Files {
 			for _, imp := range f.Imports {
@@ -48,25 +53,58 @@ func (NoOrphan) RunModule(pass *Pass) {
 			}
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || fd.Name.Name == "_" || fd.Name.Name == "init" ||
-					(fd.Name.Name == "main" && f.Name.Name == "main") {
+				if !ok || fd.Name.Name == "_" || (fd.Recv != nil && implementable[fd.Name.Name]) ||
+					(fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && f.Name.Name == "main")) {
 					continue
 				}
 				if obj := pkg.Info.Defs[fd.Name]; obj != nil {
 					decls[obj] = fd
 				}
 			}
+			owners := make(map[*ast.StructType]string)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						owners[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					for _, fl := range n.Fields.List {
+						for _, name := range fl.Names {
+							if name.Name != "_" {
+								fields[pkg.Info.Defs[name]] = cmp.Or(owners[n], "struct")
+							}
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 	for _, pkg := range pass.Module {
 		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
 			if fd := decls[obj]; fd != nil && (id.Pos() < fd.Pos() || id.Pos() >= fd.End()) {
 				delete(decls, obj)
 			}
 		}
+		for _, f := range pkg.Files {
+			forEachWrite(pkg.Info, f, func(v *types.Var) { delete(fields, v.Origin()) })
+		}
 	}
 	for obj, fd := range decls {
-		pass.Report(fd.Pos(), "func %s.%s is referenced by no non-test file; delete it with its test, or name the test that needs it in a //lint:allow", obj.Pkg().Name(), obj.Name())
+		if fd.Recv == nil {
+			pass.Report(fd.Pos(), "func %s.%s is referenced by no non-test file"+orphanHint, obj.Pkg().Name(), obj.Name())
+		} else {
+			pass.Report(fd.Pos(), "method %s.(%s).%s is referenced by no non-test file and no interface has a method of that name"+orphanHint,
+				obj.Pkg().Name(), types.ExprString(fd.Recv.List[0].Type), obj.Name())
+		}
+	}
+	for obj, owner := range fields {
+		pass.Report(obj.Pos(), "field %s.%s.%s is written by no non-test file, so every reader sees its zero value"+orphanHint,
+			obj.Pkg().Name(), owner, obj.Name())
 	}
 
 	for _, pkg := range pass.Module {
@@ -75,6 +113,111 @@ func (NoOrphan) RunModule(pass *Pass) {
 		}
 		pass.Report(pkg.Files[0].Package, "package %s is imported by no non-test file of the module; wire it to a command or delete it", pkg.Path)
 	}
+}
+
+// interfaceMethodNames collects the method names of every interface the
+// module can call through: error, every interface type in the module, and
+// every package-level one of every package it imports, transitively.
+func interfaceMethodNames(module []*Package) map[string]bool {
+	names := make(map[string]bool)
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				names[it.Method(i).Name()] = true
+			}
+		}
+	}
+	seen := make(map[*types.Package]bool)
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	for _, pkg := range module {
+		visit(pkg.Types)
+		for _, tv := range pkg.Info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+	}
+	return names
+}
+
+// forEachWrite calls write for every struct field f writes (see NoOrphan),
+// as the type checker resolved it at the site.
+func forEachWrite(info *types.Info, f *ast.File, write func(*types.Var)) {
+	path := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					write(sel.Obj().(*types.Var))
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.(*types.Pointer); ok { // an elided &T
+				t = p.Elem()
+			}
+			if named, ok := t.(*types.Named); ok {
+				t = named.Origin()
+			}
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						write(info.Uses[kv.Key.(*ast.Ident)].(*types.Var))
+					} else {
+						write(st.Field(i))
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				path(lhs)
+			}
+		case *ast.IncDecStmt:
+			path(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				path(n.X)
+			}
+		case *ast.SelectorExpr:
+			// A pointer method called (or taken as a value) through an
+			// addressable operand takes the operand's address.
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				if _, ptrOperand := info.TypeOf(n.X).Underlying().(*types.Pointer); ptrRecv && !ptrOperand {
+					path(n.X)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // declares reports whether the package's non-test files declare anything

@@ -24,11 +24,47 @@ func testOnly() int { return 2 } // want "no-orphan: func noorphan.testOnly is r
 //lint:allow no-orphan TestSubject compares the subject against it
 func oracle() int { return 3 }
 
-// T's methods are out of scope: whether one is reachable depends on the
-// interfaces T satisfies.
-type T struct{}
+// T is used, and so is its field; only its unused method is an orphan.
+type T struct{ n int }
 
-func (T) unused() {}
+func (T) unused() {} // want "no-orphan: method noorphan.\\(T\\).unused is referenced by no non-test file"
+
+// name satisfies namer, an interface the package calls through, so nothing
+// need name it to reach it.
+func (T) name() string { return "t" }
+
+type namer interface{ name() string }
+
+var _ = namer(T{n: 1}).name()
+
+// Box's method is reached only through an instantiation, Box[int]; it counts
+// for the generic declaration, and so does the keyed write of its field.
+type Box[V any] struct{ v V }
+
+func (b Box[V]) get() V { return b.v }
+
+var _ = Box[int]{v: 1}.get()
+
+// Config.Limit is read but written nowhere: every reader sees 0.
+type Config struct {
+	Limit int // want "no-orphan: field noorphan.Config.Limit is written by no non-test file"
+	//lint:allow no-orphan TestSubject sets it
+	Knob int
+}
+
+var _ = Config{}.Limit + Config{}.Knob
+
+// counter.n is written by its pointer method, and holder.c only through
+// calling that method on it: the call takes c's address.
+type counter struct{ n int }
+
+func (c *counter) inc() int { c.n++; return c.n }
+
+type holder struct{ c counter }
+
+var h holder
+
+var _ = h.c.inc()
 
 // init is exempt, as main would be in a main package.
 func init() {}

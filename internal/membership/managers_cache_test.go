@@ -43,9 +43,11 @@ func TestManagersCachedMatchesFreshUnderChurn(t *testing.T) {
 			d.Join(next)
 			next++
 		case 1: // revival of a possibly-departed node
-			d.Join(d.All()[r.IntN(d.N())])
+			all := d.All()
+			d.Join(all[r.IntN(len(all))])
 		default: // departure
-			d.Expel(d.All()[r.IntN(d.N())])
+			all := d.All()
+			d.Expel(all[r.IntN(len(all))])
 		}
 		check()
 	}

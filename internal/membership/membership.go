@@ -77,13 +77,6 @@ func Sequential(n int) *Directory {
 	return NewDirectory(ids)
 }
 
-// N returns the total number of nodes ever registered.
-func (d *Directory) N() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.all)
-}
-
 // NAlive returns the number of live (non-expelled, non-departed) nodes.
 func (d *Directory) NAlive() int {
 	d.mu.RLock()

@@ -11,8 +11,8 @@ import (
 
 func TestSequential(t *testing.T) {
 	d := Sequential(5)
-	if d.N() != 5 || d.NAlive() != 5 {
-		t.Fatalf("N/NAlive = %d/%d, want 5/5", d.N(), d.NAlive())
+	if len(d.All()) != 5 || d.NAlive() != 5 {
+		t.Fatalf("All/NAlive = %d/%d, want 5/5", len(d.All()), d.NAlive())
 	}
 	for i := 0; i < 5; i++ {
 		if !d.Alive(msg.NodeID(i)) {
@@ -47,8 +47,8 @@ func TestExpel(t *testing.T) {
 	if d.Expel(2) {
 		t.Fatal("second Expel returned true")
 	}
-	if d.N() != 4 {
-		t.Fatal("N changed after expulsion")
+	if len(d.All()) != 4 {
+		t.Fatal("All changed after expulsion")
 	}
 	// Remaining nodes still sampleable.
 	s := rng.New(1)

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,10 +22,10 @@ const kindSlots = int(msg.KindAuditPollResp) + 1
 // all contend on one cache line. Must be a power of two.
 const numStripes = 8
 
-// maxDense bounds the dense per-node table. IDs at or above it
-// (notably msg.NoNode = 0xFFFFFFFF) fall back to a mutex-guarded map so a
-// stray huge ID cannot allocate gigabytes.
-const maxDense = 1 << 22
+// reasonSlots is the size of the per-reason blame counter array: one slot
+// per named msg.BlameReason; an out-of-range reason lands in ReasonUnknown's,
+// as its String does.
+const reasonSlots = int(msg.ReasonInvalidPayload) + 1
 
 // kindStripe holds one stripe of the global per-kind counters, padded to its
 // own cache lines.
@@ -40,66 +39,18 @@ type kindStripe struct {
 	_         [64]byte
 }
 
-// PerNode aggregates traffic for a single node.
-type PerNode struct {
-	SentMsgs      uint64
-	SentBytes     uint64
-	RecvMsgs      uint64
-	RecvBytes     uint64
-	DupChunks     uint64
-	UsefulChunks  uint64
-	GoodputBytes  uint64
-	InvalidServes uint64
-}
-
-// nodeCounters is the live (atomic) form of PerNode.
-type nodeCounters struct {
-	sentMsgs      atomic.Uint64
-	sentBytes     atomic.Uint64
-	recvMsgs      atomic.Uint64
-	recvBytes     atomic.Uint64
-	dupChunks     atomic.Uint64
-	usefulChunks  atomic.Uint64
-	goodputBytes  atomic.Uint64
-	invalidServes atomic.Uint64
-}
-
-func (n *nodeCounters) snapshot() PerNode {
-	return PerNode{
-		SentMsgs:      n.sentMsgs.Load(),
-		SentBytes:     n.sentBytes.Load(),
-		RecvMsgs:      n.recvMsgs.Load(),
-		RecvBytes:     n.recvBytes.Load(),
-		DupChunks:     n.dupChunks.Load(),
-		UsefulChunks:  n.usefulChunks.Load(),
-		GoodputBytes:  n.goodputBytes.Load(),
-		InvalidServes: n.invalidServes.Load(),
-	}
-}
-
-// Collector accumulates global and per-node traffic statistics. The record
-// path (OnSend/OnDeliver/OnDrop/OnDuplicateChunk/OnUsefulChunk) is
-// allocation-free and lock-free after a node's first message: per-kind
-// counters are striped atomics indexed by sender, per-node counters live in
-// a dense table of atomic slots reached through an atomic pointer. Atomic
-// adds commute, so cumulative counts read at a sharded-engine barrier are
+// Collector accumulates global traffic statistics: totals per message kind
+// and per blame reason, the accounting of the paper's Tables 3 and 5. The
+// record path (OnSend/OnDeliver/OnDrop/OnDuplicateChunk/OnUsefulChunk) is
+// allocation-free and lock-free: per-kind counters are striped atomics
+// indexed by sender, everything else is one atomic each. It keeps nothing
+// per node id, so no id — msg.NoNode included — makes it grow. Atomic adds
+// commute, so cumulative counts read at a sharded-engine barrier are
 // byte-identical regardless of shard or worker count.
 //
 // The zero value is not usable; create one with NewCollector.
 type Collector struct {
 	stripes [numStripes]kindStripe
-
-	// nodes is the dense per-node table: an atomically published slice of
-	// atomic slots indexed by NodeID. Readers load the pointer, index and
-	// load the slot. Under growMu a first-seen node is installed in place in
-	// the newest table, and only an id beyond it republishes a table — twice
-	// as long, sharing the existing *nodeCounters entries — so registering N
-	// nodes costs O(N) bytes. A reader still holding a superseded table
-	// misses what was installed after it and finds it through nodeSlow.
-	nodes  atomic.Pointer[[]atomic.Pointer[nodeCounters]]
-	growMu sync.Mutex
-	// sparse catches IDs >= maxDense (msg.NoNode in particular).
-	sparse map[msg.NodeID]*nodeCounters
 
 	// Redundancy accounting (gossip plane).
 	dupChunks    atomic.Uint64
@@ -121,8 +72,7 @@ type Collector struct {
 	ServeLatency *Histogram
 
 	// Verification-plane instrumentation.
-	blameMu      sync.Mutex
-	blamesIssued map[string]*atomic.Uint64
+	blamesIssued [reasonSlots]atomic.Uint64
 
 	auditsResponded    atomic.Uint64
 	auditsUnresponsive atomic.Uint64
@@ -133,13 +83,7 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	c := &Collector{
-		sparse:       make(map[msg.NodeID]*nodeCounters),
-		blamesIssued: make(map[string]*atomic.Uint64),
-		ServeLatency: NewHistogram(HistogramBuckets),
-	}
-	c.nodes.Store(new([]atomic.Pointer[nodeCounters]))
-	return c
+	return &Collector{ServeLatency: NewHistogram(HistogramBuckets)}
 }
 
 func kindIndex(k msg.Kind) int {
@@ -154,65 +98,12 @@ func (c *Collector) stripe(id msg.NodeID) *kindStripe {
 	return &c.stripes[uint32(id)&(numStripes-1)]
 }
 
-// node returns the counters for id, installing them on first sight. The fast
-// path is the table load, a bounds check and the slot load.
-func (c *Collector) node(id msg.NodeID) *nodeCounters {
-	if n := c.denseNode(id); n != nil {
-		return n
-	}
-	return c.nodeSlow(id)
-}
-
-// denseNode returns id's counters from the published dense table, or nil if
-// it has none there.
-func (c *Collector) denseNode(id msg.NodeID) *nodeCounters {
-	if tab := *c.nodes.Load(); int(id) < len(tab) {
-		return tab[id].Load()
-	}
-	return nil
-}
-
-func (c *Collector) nodeSlow(id msg.NodeID) *nodeCounters {
-	c.growMu.Lock()
-	defer c.growMu.Unlock()
-	if id >= maxDense {
-		n, ok := c.sparse[id]
-		if !ok {
-			n = &nodeCounters{}
-			c.sparse[id] = n
-		}
-		return n
-	}
-	tab := *c.nodes.Load()
-	if int(id) >= len(tab) {
-		size := max(len(tab), 64)
-		for size <= int(id) {
-			size *= 2
-		}
-		grown := make([]atomic.Pointer[nodeCounters], size)
-		for i := range tab {
-			grown[i].Store(tab[i].Load())
-		}
-		c.nodes.Store(&grown)
-		tab = grown
-	}
-	n := tab[id].Load()
-	if n == nil {
-		n = &nodeCounters{}
-		tab[id].Store(n)
-	}
-	return n
-}
-
 // OnSend records that from sent m (size bytes on the wire).
 func (c *Collector) OnSend(from msg.NodeID, m msg.Message, size int) {
 	s := c.stripe(from)
 	i := kindIndex(m.Kind())
 	s.sentMsgs[i].Add(1)
 	s.sentBytes[i].Add(uint64(size))
-	n := c.node(from)
-	n.sentMsgs.Add(1)
-	n.sentBytes.Add(uint64(size))
 }
 
 // OnDeliver records that to received m (size bytes on the wire).
@@ -221,9 +112,6 @@ func (c *Collector) OnDeliver(to msg.NodeID, m msg.Message, size int) {
 	i := kindIndex(m.Kind())
 	s.recvMsgs[i].Add(1)
 	s.recvBytes[i].Add(uint64(size))
-	n := c.node(to)
-	n.recvMsgs.Add(1)
-	n.recvBytes.Add(uint64(size))
 }
 
 // OnDrop records that a message of the given kind (size bytes on the wire)
@@ -235,31 +123,22 @@ func (c *Collector) OnDrop(m msg.Message, size int) {
 	s.dropBytes[i].Add(uint64(size))
 }
 
-// OnDuplicateChunk records that node id received a serve for a chunk it
+// OnDuplicateChunk records that a node received a serve for a chunk it
 // already held — pure redundancy on the wire.
-func (c *Collector) OnDuplicateChunk(id msg.NodeID) {
-	c.dupChunks.Add(1)
-	c.node(id).dupChunks.Add(1)
-}
+func (c *Collector) OnDuplicateChunk() { c.dupChunks.Add(1) }
 
-// OnUsefulChunk records that node id received a new chunk of payloadBytes
+// OnUsefulChunk records that a node received a new chunk of payloadBytes
 // payload, latency after requesting it (propose→serve latency). The payload
 // bytes accumulate into goodput — the QoE numerator.
-func (c *Collector) OnUsefulChunk(id msg.NodeID, latency time.Duration, payloadBytes int) {
+func (c *Collector) OnUsefulChunk(latency time.Duration, payloadBytes int) {
 	c.usefulChunks.Add(1)
 	c.goodputBytes.Add(uint64(payloadBytes))
-	n := c.node(id)
-	n.usefulChunks.Add(1)
-	n.goodputBytes.Add(uint64(payloadBytes))
 	c.ServeLatency.Observe(latency)
 }
 
-// OnInvalidServe records that node id rejected a serve whose payload was
+// OnInvalidServe records that a node rejected a serve whose payload was
 // missing or failed hash verification.
-func (c *Collector) OnInvalidServe(id msg.NodeID) {
-	c.invalidServes.Add(1)
-	c.node(id).invalidServes.Add(1)
-}
+func (c *Collector) OnInvalidServe() { c.invalidServes.Add(1) }
 
 // OnStreamLag records one chunk's stream lag: arrival time minus the source's
 // generation time. Negative lags (a chunk outracing its nominal schedule)
@@ -282,16 +161,13 @@ func (c *Collector) OnJitter(dev time.Duration) {
 	c.jitterSamples.Add(1)
 }
 
-// OnBlameIssued records a blame emitted locally, keyed by reason.
-func (c *Collector) OnBlameIssued(reason string) {
-	c.blameMu.Lock()
-	ctr, ok := c.blamesIssued[reason]
-	if !ok {
-		ctr = &atomic.Uint64{}
-		c.blamesIssued[reason] = ctr
+// OnBlameIssued records a blame emitted locally, by reason.
+func (c *Collector) OnBlameIssued(reason msg.BlameReason) {
+	i := int(reason)
+	if i >= reasonSlots {
+		i = int(msg.ReasonUnknown)
 	}
-	c.blameMu.Unlock()
-	ctr.Add(1)
+	c.blamesIssued[i].Add(1)
 }
 
 // OnAuditOutcome records one completed audit: whether the target responded
@@ -353,23 +229,6 @@ func (c *Collector) DroppedBytes(k msg.Kind) uint64 {
 	return c.sum(func(s *kindStripe) *[kindSlots]atomic.Uint64 { return &s.dropBytes }, k)
 }
 
-// Node returns a copy of the per-node counters for id.
-func (c *Collector) Node(id msg.NodeID) PerNode {
-	if id < maxDense {
-		if n := c.denseNode(id); n != nil {
-			return n.snapshot()
-		}
-		return PerNode{}
-	}
-	c.growMu.Lock()
-	n, ok := c.sparse[id]
-	c.growMu.Unlock()
-	if !ok {
-		return PerNode{}
-	}
-	return n.snapshot()
-}
-
 // DupChunks returns the total number of duplicate chunks received.
 func (c *Collector) DupChunks() uint64 { return c.dupChunks.Load() }
 
@@ -404,15 +263,25 @@ func (c *Collector) StreamJitterMeanNs() uint64 {
 // Expulsions returns the number of expulsion decisions recorded.
 func (c *Collector) Expulsions() uint64 { return c.expulsions.Load() }
 
-// BlamesIssued returns the locally issued blame counts keyed by reason.
+// BlamesIssued returns the locally issued blame counts keyed by reason name,
+// zeros omitted.
 func (c *Collector) BlamesIssued() map[string]uint64 {
-	c.blameMu.Lock()
-	defer c.blameMu.Unlock()
-	out := make(map[string]uint64, len(c.blamesIssued))
-	//lint:allow ordered-map-range map-to-map copy; the copy is order-insensitive
-	for reason, ctr := range c.blamesIssued {
-		out[reason] = ctr.Load()
+	out := make(map[string]uint64)
+	for _, rc := range c.blameCounts() {
+		out[rc.Reason] = rc.Count
 	}
+	return out
+}
+
+// blameCounts returns the non-zero blame counts sorted by reason name.
+func (c *Collector) blameCounts() []ReasonCount {
+	var out []ReasonCount
+	for r := range c.blamesIssued {
+		if v := c.blamesIssued[r].Load(); v > 0 {
+			out = append(out, ReasonCount{Reason: msg.BlameReason(r).String(), Count: v})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Reason < out[j].Reason })
 	return out
 }
 
@@ -524,6 +393,7 @@ func (c *Collector) SnapshotAt(period uint64) Snapshot {
 			Failed:       c.auditsFailed.Load(),
 		},
 		ServeLatency:   c.ServeLatency.Snapshot(),
+		BlamesIssued:   c.blameCounts(),
 		BlamesReceived: c.RecvMsgs(msg.KindBlame),
 	}
 	for k := msg.Kind(1); int(k) < kindSlots; k++ {
@@ -551,17 +421,6 @@ func (c *Collector) SnapshotAt(period uint64) Snapshot {
 		// exact and deterministic where float formatting invites drift.
 		s.OverheadPpm = s.VerificationBytes * 1_000_000 / s.ProtocolBytes
 	}
-	c.blameMu.Lock()
-	//lint:allow ordered-map-range collect-then-sort: the slice is sorted by reason below
-	for reason, ctr := range c.blamesIssued {
-		if v := ctr.Load(); v > 0 {
-			s.BlamesIssued = append(s.BlamesIssued, ReasonCount{Reason: reason, Count: v})
-		}
-	}
-	c.blameMu.Unlock()
-	sort.Slice(s.BlamesIssued, func(i, j int) bool {
-		return s.BlamesIssued[i].Reason < s.BlamesIssued[j].Reason
-	})
 	return s
 }
 
@@ -620,17 +479,11 @@ func (c *Collector) Register(reg *Registry) {
 		func() float64 { return float64(c.StreamJitterMeanNs()) / 1e9 })
 	reg.NewLabeledCounterFunc("lifting_blames_issued_total",
 		"Blames issued locally, by reason.", func() []LabeledValue {
-			c.blameMu.Lock()
-			out := make([]LabeledValue, 0, len(c.blamesIssued))
-			//lint:allow ordered-map-range exposition sorts labeled series before rendering
-			for reason, ctr := range c.blamesIssued {
-				out = append(out, LabeledValue{
-					Labels: [][2]string{{"reason", reason}},
-					Value:  ctr.Load(),
-				})
+			var out []LabeledValue
+			for _, rc := range c.blameCounts() {
+				out = append(out, LabeledValue{Labels: [][2]string{{"reason", rc.Reason}}, Value: rc.Count})
 			}
-			c.blameMu.Unlock()
-			return sortLabeled(out)
+			return out
 		})
 	reg.NewCounterFunc("lifting_blames_received_total",
 		"Blame messages delivered to this collector's nodes.",

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -121,9 +120,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.inf.Add(1)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // SumNanos returns the integer-nanosecond sum of all observations.
 func (h *Histogram) SumNanos() int64 { return h.sumNs.Load() }
 
@@ -222,11 +218,4 @@ func escapeHelp(s string) string {
 // shortest representation without trailing zeros.
 func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
-}
-
-// sortLabeled sorts labeled samples by their first label value — used by
-// scrape-time producers so label order is deterministic.
-func sortLabeled(lvs []LabeledValue) []LabeledValue {
-	sort.Slice(lvs, func(i, j int) bool { return lvs[i].Labels[0][1] < lvs[j].Labels[0][1] })
-	return lvs
 }

@@ -55,14 +55,17 @@ func TestExpositionWellFormed(t *testing.T) {
 	c.OnDeliver(2, serve, serve.WireSize())
 	c.OnSend(2, blame, blame.WireSize())
 	c.OnDrop(serve, serve.WireSize())
-	c.OnUsefulChunk(2, 30*time.Millisecond, 1316)
-	c.OnDuplicateChunk(2)
-	c.OnBlameIssued(`weird "reason"` + "\nwith newline")
+	c.OnUsefulChunk(30*time.Millisecond, 1316)
+	c.OnDuplicateChunk()
+	c.OnBlameIssued(msg.ReasonPartialServe)
 	c.OnAuditOutcome(true, false)
 	c.OnExpel()
 
 	reg := NewRegistry()
 	c.Register(reg)
+	reg.NewLabeledCounterFunc("test_labeled_total", "Labels that need escaping.", func() []LabeledValue {
+		return []LabeledValue{{Labels: [][2]string{{"reason", `weird "reason"` + "\nwith newline"}}, Value: 1}}
+	})
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
 	out := sb.String()
@@ -106,6 +109,7 @@ func TestExpositionWellFormed(t *testing.T) {
 		"lifting_useful_chunks_total 1",
 		`lifting_dropped_bytes_total{kind="serve"}`,
 		"lifting_expulsions_total 1",
+		`lifting_blames_issued_total{reason="partial-serve"} 1`,
 		`lifting_audit_outcomes_total{result="failed"} 1`,
 		"lifting_serve_latency_seconds_count 1",
 	} {
@@ -113,7 +117,7 @@ func TestExpositionWellFormed(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.Contains(out, `reason="weird \"reason\"\nwith newline"`) {
+	if !strings.Contains(out, `test_labeled_total{reason="weird \"reason\"\nwith newline"} 1`) {
 		t.Fatalf("label escaping broken:\n%s", out)
 	}
 }
@@ -147,14 +151,11 @@ func BenchmarkMetricsHotPath(b *testing.B) {
 	c := NewCollector()
 	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1000}
 	size := serve.WireSize()
-	c.OnSend(1, serve, size)
-	c.OnDeliver(2, serve, size)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.OnSend(1, serve, size)
 		c.OnDeliver(2, serve, size)
-		c.OnUsefulChunk(2, 10*time.Millisecond, 1316)
+		c.OnUsefulChunk(10*time.Millisecond, 1316)
 	}
 }
 
@@ -164,9 +165,6 @@ func BenchmarkMetricsHotPathParallel(b *testing.B) {
 	c := NewCollector()
 	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1000}
 	size := serve.WireSize()
-	for id := msg.NodeID(0); id < 16; id++ {
-		c.OnSend(id, serve, size)
-	}
 	b.ReportAllocs()
 	var next atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {

@@ -38,10 +38,10 @@ type Network interface {
 
 // Conditions models one node's connection quality.
 type Conditions struct {
-	// LossIn and LossOut are per-message Bernoulli loss probabilities
-	// applied to unreliable traffic entering/leaving the node. The
-	// effective loss of a link is 1-(1-out)(1-in).
-	LossIn, LossOut float64
+	// LossIn is the per-message Bernoulli loss probability applied to
+	// unreliable traffic entering the node: one draw per message, the
+	// receiver's, as in the analysis (§6.2).
+	LossIn float64
 	// LatencyBase is the one-way propagation delay; LatencyJitter adds a
 	// uniform random component in [0, LatencyJitter).
 	LatencyBase, LatencyJitter time.Duration
@@ -79,9 +79,6 @@ func Partitioned(a, b uint8) bool {
 // of the paper's analysis (§6.2).
 func Uniform(loss float64, latency time.Duration) Conditions {
 	return Conditions{
-		// Attribute the whole link loss to the receiving side so that a
-		// single Bernoulli draw with parameter pl governs each message,
-		// exactly as in the analysis.
 		LossIn:      loss,
 		LatencyBase: latency,
 	}

@@ -133,7 +133,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	rand := n.nodeRand[from]
 	now := n.engine.NodeNow(int(from))
 	if mode == Unreliable {
-		if rand.Bernoulli(src.LossOut) || rand.Bernoulli(dst.LossIn) {
+		if rand.Bernoulli(dst.LossIn) {
 			n.drop(m, size)
 			return
 		}

@@ -237,13 +237,9 @@ func TestMetricsAccounting(t *testing.T) {
 	if ov := col.Overhead(); math.Abs(ov-float64(vb)/float64(pb)) > 1e-12 {
 		t.Fatalf("overhead = %v", ov)
 	}
-	node1 := col.Node(1)
-	if node1.SentMsgs != 2 || node1.SentBytes == 0 {
-		t.Fatal("per-node counters wrong")
-	}
-	node2 := col.Node(2)
-	if node2.RecvMsgs != 2 {
-		t.Fatal("receiver counters wrong")
+	if col.RecvMsgs(msg.KindServe) != 1 || col.RecvMsgs(msg.KindBlame) != 1 ||
+		col.RecvBytes(msg.KindServe)+col.RecvBytes(msg.KindBlame) != pb+vb {
+		t.Fatal("receiver counters wrong: every lossless send must be delivered, bytes included")
 	}
 }
 

@@ -36,6 +36,15 @@ type Status struct {
 	Scores          []Score  `json:"scores"`
 }
 
+// The header phase is bounded: headers must arrive within readHeaderTimeout
+// (from accept, or from a kept-alive connection's next first byte) and fit in
+// maxHeaderBytes (else 431), or the connection is closed. Idle keep-alive
+// connections are cut by neither.
+const (
+	readHeaderTimeout = 5 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
+
 // Server is a small HTTP server exposing one node's metrics and status.
 type Server struct {
 	mux    *http.ServeMux
@@ -85,7 +94,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 	go s.srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

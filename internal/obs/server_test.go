@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -176,4 +179,50 @@ func TestServerClose(t *testing.T) {
 	if _, err := client.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("server still serving after Close")
 	}
+}
+
+// A hostile client bounds nothing but the header phase it is allowed: one
+// that stalls mid request line is disconnected once readHeaderTimeout has
+// passed, and a 64 KB header is answered 431 without reaching a handler.
+func TestHeaderPhaseBounded(t *testing.T) {
+	srv := New(metrics.NewRegistry(), func() Status { return Status{} })
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	t.Run("stalled request line", func(t *testing.T) {
+		t.Parallel()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		if _, err := io.WriteString(conn, "GET /metr"); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second))
+		// The server may answer before it hangs up; it must hang up.
+		if reply, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("half a request line still holds its connection after %v (read %q)", time.Since(start), reply)
+		}
+	})
+	t.Run("oversized header", func(t *testing.T) {
+		t.Parallel()
+		req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/metrics", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Padding", strings.Repeat("a", 64<<10))
+		resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+			t.Fatalf("64 KB header: status %d, want 431", resp.StatusCode)
+		}
+	})
 }

@@ -96,6 +96,8 @@ func (s *Stream) SampleK(n, k int) []int {
 
 // WeightedChoice returns an index in [0, len(weights)) with probability
 // proportional to weights[i]. It panics if the total weight is not positive.
+//
+//lint:allow no-orphan TestQueueMatchesSortedReference draws each schedule's operation mix with it
 func (s *Stream) WeightedChoice(weights []float64) int {
 	var total float64
 	for _, w := range weights {

@@ -28,14 +28,8 @@ func (m *Multiset[T]) AddN(v T, n int) {
 	m.size += n
 }
 
-// Count returns the number of occurrences of v.
-func (m *Multiset[T]) Count(v T) int { return m.counts[v] }
-
 // Len returns the total number of occurrences.
 func (m *Multiset[T]) Len() int { return m.size }
-
-// Distinct returns the number of distinct elements.
-func (m *Multiset[T]) Distinct() int { return len(m.counts) }
 
 // Entropy returns the Shannon entropy, in bits, of the empirical
 // distribution of elements. This is H(d̃h) of Equation (1) in the paper.

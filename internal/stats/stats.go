@@ -81,9 +81,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// N returns the number of samples added.
-func (m *Moments) N() int { return m.n }
-
 // Mean returns the sample mean (0 if empty).
 func (m *Moments) Mean() float64 { return m.mean }
 
@@ -134,9 +131,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.sorted[i]
 }
-
-// N returns the sample count.
-func (e *ECDF) N() int { return len(e.sorted) }
 
 // Min returns the smallest sample.
 func (e *ECDF) Min() float64 {

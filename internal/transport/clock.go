@@ -162,6 +162,8 @@ func (c *clock) stop() {
 
 // pending returns the number of queued jobs and how many of them are
 // datagrams.
+//
+//lint:allow no-orphan TestDelayedDatagramsAreBounded and TestCloseDropsPendingWork observe the queue through it
 func (c *clock) pending() (jobs, datagrams int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

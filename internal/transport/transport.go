@@ -139,9 +139,6 @@ func (n *nodeCtx) Now() time.Duration { return time.Since(n.rt.start) }
 // node's lock, unless the runtime has been closed first.
 func (n *nodeCtx) After(d time.Duration, fn func()) { n.clock.push(d, job{fn: fn}) }
 
-// Book returns the runtime's address book.
-func (r *Runtime) Book() *Book { return r.book }
-
 // AddNode binds a UDP socket for a locally hosted node and starts its
 // receive loop and its clock. The bound address (with the kernel-assigned
 // port when listen ends in ":0") is recorded in the address book and
@@ -306,9 +303,9 @@ func (r *Runtime) jitter(j time.Duration) time.Duration {
 // scenarios still want the paper's 4%-loss PlanetLab links); messages to
 // down or unknown destinations are dropped like any other network loss.
 //
-// Each side of a link applies its own conditions: the sender draws LossOut
-// and delays by its half of the latency, the receiver draws LossIn and
-// delays by its half before dispatching. In a multi-process deployment a
+// Each side of a link applies its own conditions: the sender delays by its
+// half of the latency, the receiver draws LossIn and delays by its half
+// before dispatching. In a multi-process deployment a
 // process only knows its own conditions, so this split is what makes -loss
 // and per-node latency work there; in single-process mode it adds up to the
 // same end-to-end link model as the other backends.
@@ -338,9 +335,6 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		}
 	}
 	r.mu.RUnlock()
-	if !drop && mode == net.Unreliable {
-		drop = r.bernoulli(src.LossOut)
-	}
 	latency := src.LatencyBase/2 + r.jitter(src.LatencyJitter/2)
 	if mode == net.Reliable {
 		// Connection-setup cost of the reliable transport; each side scales

@@ -76,7 +76,8 @@ func TestSendReceiveOverRealSockets(t *testing.T) {
 // (standing in for two OS processes), a bootstrap seed for one direction,
 // and address learning for the reply path.
 func TestCrossRuntimeDelivery(t *testing.T) {
-	a := New(Options{Seed: 1})
+	bookA := NewBook()
+	a := New(Options{Seed: 1, Book: bookA})
 	b := New(Options{Seed: 2})
 	defer a.Close()
 	defer b.Close()
@@ -89,7 +90,7 @@ func TestCrossRuntimeDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a only knows b through a bootstrap seed; b has no seed for a at all.
-	a.Book().SetAddr(2, addrB)
+	bookA.SetAddr(2, addrB)
 
 	sinkA, sinkB := &collect{}, &collect{}
 	a.Attach(1, sinkA)
@@ -124,12 +125,13 @@ func TestSharedBook(t *testing.T) {
 // TestMalformedDatagramsIgnored blasts garbage at a node's socket: nothing
 // may crash, and real traffic must keep flowing afterwards.
 func TestMalformedDatagramsIgnored(t *testing.T) {
-	rt := New(Options{Seed: 1})
+	book := NewBook()
+	rt := New(Options{Seed: 1, Book: book})
 	defer rt.Close()
 	sink := &collect{}
 	rt.Attach(1, nil)
 	rt.Attach(2, sink)
-	addr, _ := rt.Book().Lookup(2)
+	addr, _ := book.Lookup(2)
 
 	raw, err := gonet.DialUDP("udp", nil, gonet.UDPAddrFromAddrPort(addr))
 	if err != nil {
