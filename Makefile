@@ -20,8 +20,9 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lifting-lint ./...
 
-# The concurrent half of the runtime seam (the UDP transport and the cluster
-# assembled on it) under the race detector, plus the reputation substrate
+# The concurrent half of the runtime seam (the UDP transport, whose receive
+# loops each own a decoder that hands out memory other goroutines keep, and
+# the cluster assembled on it) under the race detector, plus the reputation substrate
 # (manager boards are hit from node goroutines while the harness ticks
 # periods and hands state off), the discrete-event engine (node events run
 # on shard goroutines inside lookahead windows — its one layout, whatever the
@@ -58,12 +59,15 @@ heap:
 	$(GO) test -run '^TestBytesPerNode$$' -count=1 -v -o cluster.test -memprofile cluster-heap.pprof -memprofilerate 4096 ./internal/cluster/
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 cluster.test cluster-heap.pprof
 
-# Extended fuzzing of the network-facing decoder and of the engine's event
-# queue against a sorted reference (the committed seed corpora replay on
-# every plain `go test`).
+# Extended fuzzing of the network-facing decoder and fragment reassembler,
+# and of the engine's event queue and the wire clock's deadline heap against
+# their reference models (the committed seed corpora replay on every plain
+# `go test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 60s ./internal/msg/
+	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 60s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 60s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 60s ./internal/transport/
 
 # The identity check every refactor of the seeded path runs: lifting-sim built
 # at BASE (a `git archive` of that revision in a temporary directory — nothing

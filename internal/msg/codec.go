@@ -137,206 +137,196 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return w.buf, nil
 }
 
-// Decode parses a message previously produced by Encode.
+// Decode parses a message previously produced by Encode. Everything it
+// returns is allocated for this one message, exactly sized, and shares no
+// memory with b: the caller may reuse b at once.
 func Decode(b []byte) (Message, error) {
-	r := &reader{buf: b}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, err
+	d := Decoder{exact: true}
+	return d.Decode(b)
+}
+
+// Block sizes of a Decoder, one block per field: message structs per hot
+// kind, ids per list field, payload bytes. A socket's decoder holds one
+// partly used block of each for good, so the sizes trade that standing cost
+// (DESIGN.md, "Wire frame") against how often a block is refilled.
+const (
+	structBlock  = 32
+	idBlock      = 512
+	payloadBlock = 16 << 10
+)
+
+// Decoder decodes exactly as Decode does, for one goroutine at a time, but
+// carves the structs, id lists and payloads of the hot message kinds (serve,
+// blame, confirm, confirm-resp, propose, request, ack) from blocks it owns,
+// one block per field, so a steady stream of messages costs a block refill
+// every few dozen messages instead of an allocation or three each. Nothing
+// is ever carved twice: a receiver may keep, forever, whatever a Decoder
+// hands it, and nothing it holds shares memory with another message's —
+// every carved slice has cap == len, so even an append cannot reach a
+// neighbour. The zero value is ready to use.
+type Decoder struct {
+	exact bool // Decode's one-off decoder: every carve is its own allocation
+
+	proposes     []Propose
+	requests     []Request
+	serves       []Serve
+	acks         []Ack
+	confirms     []Confirm
+	confirmResps []ConfirmResp
+	blames       []Blame
+
+	proposeChunks  []ChunkID
+	proposeOrigins []NodeID
+	requestChunks  []ChunkID
+	ackChunks      []ChunkID
+	ackPartners    []NodeID
+	confirmChunks  []ChunkID
+
+	payloads []byte
+}
+
+// Decode parses one message; see Decoder.
+func (d *Decoder) Decode(b []byte) (Message, error) {
+	r := reader{buf: b}
+	kind := Kind(r.u8())
+	sender := r.node()
+	if r.err != nil {
+		return nil, r.err
 	}
-	sender32, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	sender := NodeID(sender32)
 	var m Message
-	switch Kind(kind) {
+	switch kind {
 	case KindPropose:
-		v := &Propose{Sender: sender}
-		v.Period, err = r.period()
-		if err == nil {
-			v.Chunks, err = r.chunkList()
-		}
-		if err == nil {
-			v.Origins, err = r.nodeList()
-		}
-		m = v
+		v := Propose{Sender: sender, Period: r.period()}
+		v.Chunks = ids(&r, d, &d.proposeChunks)
+		v.Origins = ids(&r, d, &d.proposeOrigins)
+		m = place(&r, d, &d.proposes, v)
 	case KindRequest:
-		v := &Request{Sender: sender}
-		v.Period, err = r.period()
-		if err == nil {
-			v.Chunks, err = r.chunkList()
-		}
-		m = v
+		v := Request{Sender: sender, Period: r.period()}
+		v.Chunks = ids(&r, d, &d.requestChunks)
+		m = place(&r, d, &d.requests, v)
 	case KindServe:
-		v := &Serve{Sender: sender}
-		v.Period, err = r.period()
-		var c, p uint32
-		if err == nil {
-			c, err = r.u32()
-			v.Chunk = ChunkID(c)
+		v := Serve{Sender: sender, Period: r.period(), Chunk: ChunkID(r.u32())}
+		if size := r.u32(); size <= MaxChunkPayload {
+			v.PayloadSize = int(size)
+		} else {
+			r.fail(ErrPayloadBounds)
 		}
-		if err == nil {
-			p, err = r.u32()
-			v.PayloadSize = int(p)
-			if err == nil && p > MaxChunkPayload {
-				err = ErrPayloadBounds
-			}
-		}
-		if err == nil {
-			v.Hash, err = r.u64()
-		}
-		if err == nil {
-			v.Payload, err = r.payload()
-		}
-		m = v
+		v.Hash = r.u64()
+		v.Payload = chunkPayload(&r, d)
+		m = place(&r, d, &d.serves, v)
 	case KindAck:
-		v := &Ack{Sender: sender}
-		v.Period, err = r.period()
-		if err == nil {
-			v.Chunks, err = r.chunkList()
-		}
-		if err == nil {
-			v.Partners, err = r.nodeList()
-		}
-		m = v
+		v := Ack{Sender: sender, Period: r.period()}
+		v.Chunks = ids(&r, d, &d.ackChunks)
+		v.Partners = ids(&r, d, &d.ackPartners)
+		m = place(&r, d, &d.acks, v)
 	case KindConfirm:
-		v := &Confirm{Sender: sender}
-		v.Suspect, err = r.node()
-		if err == nil {
-			v.Period, err = r.period()
-		}
-		if err == nil {
-			v.Chunks, err = r.chunkList()
-		}
-		m = v
+		v := Confirm{Sender: sender, Suspect: r.node(), Period: r.period()}
+		v.Chunks = ids(&r, d, &d.confirmChunks)
+		m = place(&r, d, &d.confirms, v)
 	case KindConfirmResp:
-		v := &ConfirmResp{Sender: sender}
-		v.Suspect, err = r.node()
-		if err == nil {
-			v.Period, err = r.period()
-		}
-		if err == nil {
-			v.Confirmed, err = r.bool()
-		}
-		m = v
+		v := ConfirmResp{Sender: sender, Suspect: r.node(), Period: r.period(), Confirmed: r.bool()}
+		m = place(&r, d, &d.confirmResps, v)
 	case KindBlame:
-		v := &Blame{Sender: sender}
-		v.Target, err = r.node()
-		if err == nil {
-			v.Value, err = r.f64()
-		}
-		var reason uint8
-		if err == nil {
-			reason, err = r.u8()
-			v.Reason = BlameReason(reason)
-		}
-		m = v
+		v := Blame{Sender: sender, Target: r.node(), Value: r.f64(), Reason: BlameReason(r.u8())}
+		m = place(&r, d, &d.blames, v)
 	case KindScoreReq:
-		v := &ScoreReq{Sender: sender}
-		v.Target, err = r.node()
-		m = v
+		m = &ScoreReq{Sender: sender, Target: r.node()}
 	case KindScoreResp:
-		v := &ScoreResp{Sender: sender}
-		v.Target, err = r.node()
-		if err == nil {
-			v.Score, err = r.f64()
-		}
-		if err == nil {
-			v.Expelled, err = r.bool()
-		}
-		if err == nil {
-			v.Tracked, err = r.bool()
-		}
-		m = v
+		m = &ScoreResp{Sender: sender, Target: r.node(), Score: r.f64(), Expelled: r.bool(), Tracked: r.bool()}
 	case KindExpel:
-		v := &Expel{Sender: sender}
-		v.Target, err = r.node()
-		var reason uint8
-		if err == nil {
-			reason, err = r.u8()
-			v.Reason = BlameReason(reason)
-		}
-		m = v
+		m = &Expel{Sender: sender, Target: r.node(), Reason: BlameReason(r.u8())}
 	case KindAuditReq:
-		v := &AuditReq{Sender: sender}
-		var h uint64
-		h, err = r.u64()
-		v.Horizon = time.Duration(h)
-		m = v
+		m = &AuditReq{Sender: sender, Horizon: time.Duration(r.u64())}
 	case KindAuditResp:
 		v := &AuditResp{Sender: sender}
-		var n uint16
-		n, err = r.u16()
-		if err == nil && n > 0 {
+		// A record is at least period, node and list length: 10 bytes. A
+		// 7-byte message must not buy 65 535 of them.
+		if n := r.count(10); n > 0 {
 			v.Proposals = make([]ProposalRecord, n)
 			for i := range v.Proposals {
-				rec := &v.Proposals[i]
-				rec.Period, err = r.period()
-				if err == nil {
-					rec.Partner, err = r.node()
-				}
-				if err == nil {
-					rec.Chunks, err = r.chunkList()
-				}
-				if err != nil {
-					break
-				}
+				v.Proposals[i] = ProposalRecord{Period: r.period(), Partner: r.node(), Chunks: ids[ChunkID](&r, d, nil)}
 			}
 		}
-		if err == nil {
-			n, err = r.u16()
-		}
-		if err == nil && n > 0 {
+		if n := r.count(10); n > 0 {
 			v.Serves = make([]ServeRecord, n)
 			for i := range v.Serves {
-				rec := &v.Serves[i]
-				rec.Period, err = r.period()
-				if err == nil {
-					rec.Server, err = r.node()
-				}
-				if err == nil {
-					rec.Chunks, err = r.chunkList()
-				}
-				if err != nil {
-					break
-				}
+				v.Serves[i] = ServeRecord{Period: r.period(), Server: r.node(), Chunks: ids[ChunkID](&r, d, nil)}
 			}
 		}
 		m = v
 	case KindAuditPoll:
-		v := &AuditPoll{Sender: sender}
-		v.Suspect, err = r.node()
-		if err == nil {
-			v.Period, err = r.period()
-		}
-		if err == nil {
-			v.Chunks, err = r.chunkList()
-		}
-		m = v
+		m = &AuditPoll{Sender: sender, Suspect: r.node(), Period: r.period(), Chunks: ids[ChunkID](&r, d, nil)}
 	case KindAuditPollResp:
-		v := &AuditPollResp{Sender: sender}
-		v.Suspect, err = r.node()
-		if err == nil {
-			v.Period, err = r.period()
-		}
-		if err == nil {
-			v.Confirmed, err = r.bool()
-		}
-		if err == nil {
-			v.Askers, err = r.nodeList()
-		}
-		m = v
+		m = &AuditPollResp{Sender: sender, Suspect: r.node(), Period: r.period(), Confirmed: r.bool(), Askers: ids[NodeID](&r, d, nil)}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("msg: %d trailing bytes after %s", len(r.buf)-r.off, Kind(kind))
+	if !r.done() {
+		return nil, r.err
 	}
 	return m, nil
+}
+
+// carve cuts an n-element slice with cap == len off *free, refilling *free
+// with a fresh block of size elements when it runs short. The one-off
+// decoder, a nil free (the rare kinds) and a request over a quarter of a
+// block get an allocation of their own.
+func carve[T any](d *Decoder, free *[]T, n, size int) []T {
+	if d.exact || free == nil || n > size/4 {
+		return make([]T, n)
+	}
+	if len(*free) < n {
+		*free = make([]T, size)
+	}
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
+}
+
+// place copies a parsed message into a struct carved from *free once the
+// parse is known to be good, so a message that fails takes no struct. It
+// returns nil otherwise; Decode then returns the reader's error.
+func place[T any](r *reader, d *Decoder, free *[]T, v T) *T {
+	if !r.done() {
+		return nil
+	}
+	s := carve(d, free, 1, structBlock)
+	s[0] = v
+	return &s[0]
+}
+
+// ids reads a length-prefixed list of 4-byte ids into a slice carved from
+// *free, once the bytes are known to be there: a datagram a few bytes long
+// must not buy a 65 535-id list. An empty list decodes as nil, so encodings
+// stay canonical.
+func ids[T ~uint32](r *reader, d *Decoder, free *[]T) []T {
+	b := r.take(4 * int(r.u16()))
+	if len(b) == 0 {
+		return nil
+	}
+	out := carve(d, free, len(b)/4, idBlock)
+	for i := range out {
+		out[i] = T(binary.BigEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+// chunkPayload reads a 4-byte-length-prefixed byte string, bounded by
+// MaxChunkPayload, and copies it into the decoder's payload block. An empty
+// payload decodes as nil so encodings stay canonical.
+func chunkPayload(r *reader, d *Decoder) []byte {
+	n := r.u32()
+	if n > MaxChunkPayload {
+		r.fail(ErrPayloadBounds)
+		return nil
+	}
+	src := r.take(int(n))
+	if len(src) == 0 {
+		return nil
+	}
+	p := carve(d, &d.payloads, len(src), payloadBlock)
+	copy(p, src)
+	return p
 }
 
 type writer struct {
@@ -381,129 +371,84 @@ func (w *writer) nodeList(nodes []NodeID) error {
 	return nil
 }
 
+// reader walks one encoded message. The first error sticks: every later
+// read returns zero and allocates nothing, so a parse reads straight
+// through and checks once, at the end.
 type reader struct {
 	buf []byte
 	off int
+	err error
 }
 
-func (r *reader) take(n int) ([]byte, error) {
-	if r.off+n > len(r.buf) {
-		return nil, ErrTruncated
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// take returns the next n bytes, aliasing buf, or nil once anything failed.
+func (r *reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.buf)-r.off {
+		r.err = ErrTruncated
+		return nil
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
-	return b, nil
+	return b
 }
 
-func (r *reader) u8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
+// count reads a 2-byte list length and checks it against the bytes left,
+// each item taking at least size of them, before anything is allocated for
+// the list.
+func (r *reader) count(size int) int {
+	n := int(r.u16())
+	if n*size > len(r.buf)-r.off {
+		r.fail(ErrTruncated)
+		return 0
 	}
-	return b[0], nil
+	return n
 }
 
-func (r *reader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
+// done reports whether the message parsed and used every byte.
+func (r *reader) done() bool {
+	if r.err == nil && r.off != len(r.buf) {
+		r.err = fmt.Errorf("msg: %d trailing bytes after %s", len(r.buf)-r.off, Kind(r.buf[0]))
 	}
-	return binary.BigEndian.Uint16(b), nil
+	return r.err == nil
 }
 
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+func (r *reader) u8() uint8 {
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	return binary.BigEndian.Uint32(b), nil
+	return 0
 }
 
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+func (r *reader) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return 0
 }
 
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
+func (r *reader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	return math.Float64frombits(v), nil
+	return 0
 }
 
-func (r *reader) bool() (bool, error) {
-	v, err := r.u8()
-	if err != nil {
-		return false, err
+func (r *reader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	return v != 0, nil
+	return 0
 }
 
-func (r *reader) node() (NodeID, error) {
-	v, err := r.u32()
-	return NodeID(v), err
-}
-
-func (r *reader) period() (Period, error) {
-	v, err := r.u32()
-	return Period(v), err
-}
-
-func (r *reader) chunkList() ([]ChunkID, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]ChunkID, n)
-	for i := range out {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ChunkID(v)
-	}
-	return out, nil
-}
-
-// payload reads a 4-byte-length-prefixed byte string, bounded by
-// MaxChunkPayload. The returned slice aliases the input buffer (zero-copy);
-// an empty payload decodes as nil so encodings stay canonical.
-func (r *reader) payload() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxChunkPayload {
-		return nil, ErrPayloadBounds
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return r.take(int(n))
-}
-
-func (r *reader) nodeList() ([]NodeID, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]NodeID, n)
-	for i := range out {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = NodeID(v)
-	}
-	return out, nil
-}
+func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
+func (r *reader) bool() bool     { return r.u8() != 0 }
+func (r *reader) node() NodeID   { return NodeID(r.u32()) }
+func (r *reader) period() Period { return Period(r.u32()) }

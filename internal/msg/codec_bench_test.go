@@ -42,6 +42,17 @@ func BenchmarkEncodeFresh(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
+	benchDecode(b, Decode)
+}
+
+// BenchmarkDecoder decodes the same mix through one Decoder, as a receive
+// loop does.
+func BenchmarkDecoder(b *testing.B) {
+	var dec Decoder
+	benchDecode(b, dec.Decode)
+}
+
+func benchDecode(b *testing.B, decode func([]byte) (Message, error)) {
 	var encoded [][]byte
 	for _, m := range benchMessages() {
 		e, err := Encode(m)
@@ -53,7 +64,7 @@ func BenchmarkDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(encoded[i%len(encoded)]); err != nil {
+		if _, err := decode(encoded[i%len(encoded)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,8 +91,8 @@ func BenchmarkEncodeServePayload(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeServePayload measures the zero-copy decode of a
-// payload-carrying serve frame.
+// BenchmarkDecodeServePayload measures the decode of a payload-carrying
+// serve frame, one copy of the payload included.
 func BenchmarkDecodeServePayload(b *testing.B) {
 	payload := make([]byte, 1316)
 	m := &Serve{Sender: 1, Period: 40, Chunk: 102, PayloadSize: len(payload), Hash: 99, Payload: payload}

@@ -181,53 +181,186 @@ func TestServePayloadBounds(t *testing.T) {
 	}
 }
 
-func TestDecodeServeAliasesInput(t *testing.T) {
-	// The hot receive path depends on decode not copying payload bytes; the
-	// transport clones once after reassembly instead.
+// Decode and Decoder copy a serve's payload out of the input like every
+// list: the UDP receive loop reads the next datagram into the same buffer
+// while the node still holds the chunk.
+func TestDecodeServeCopiesPayload(t *testing.T) {
 	payload := []byte{9, 8, 7, 6, 5}
 	b, err := Encode(&Serve{Sender: 1, Period: 2, Chunk: 3, PayloadSize: 5, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.(*Serve).Payload
-	if !reflect.DeepEqual(got, payload) {
-		t.Fatalf("payload = %v, want %v", got, payload)
-	}
-	if &got[0] != &b[len(b)-5] {
-		t.Fatal("decoded payload does not alias the input buffer")
+	var dec Decoder
+	for name, decode := range map[string]func([]byte) (Message, error){"Decode": Decode, "Decoder": dec.Decode} {
+		m, err := decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.(*Serve).Payload
+		if !reflect.DeepEqual(got, payload) {
+			t.Fatalf("%s: payload = %v, want %v", name, got, payload)
+		}
+		if &got[0] == &b[len(b)-5] {
+			t.Fatalf("%s: decoded payload aliases the input buffer", name)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%s: payload has cap %d, len %d", name, cap(got), len(got))
+		}
 	}
 }
 
-// Every list a decoded message carries is the message's own. The UDP receive
-// loop reads the next datagram into the same buffer, while nodes keep these
-// lists: history.Log records Propose.Chunks by reference for nh periods, and
-// the verifier's open checks hold Request.Chunks, Ack.Chunks and Ack.Partners.
-// Serve.Payload alone aliases the buffer, on purpose (above); the transport
-// clones that one.
+// Nothing a decoded message carries shares memory with the input. The UDP
+// receive loop reads the next datagram into the same buffer, while nodes
+// keep what they were handed: history.Log records Propose.Chunks by
+// reference for nh periods, the verifier's open checks hold Request.Chunks,
+// Ack.Chunks and Ack.Partners, and the chunk store keeps Serve.Payload.
 func TestDecodedListsDoNotAliasInput(t *testing.T) {
-	for _, m := range allMessages() {
-		if s, ok := m.(*Serve); ok && s.Payload != nil {
-			continue
-		}
-		b, err := Encode(m)
-		if err != nil {
-			t.Fatalf("Encode(%T): %v", m, err)
-		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("Decode(%T): %v", m, err)
-		}
-		for i := range b {
-			b[i] ^= 0xFF
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("%T changed when the buffer it was decoded from was overwritten:\n  sent %+v\n  now  %+v", m, m, got)
+	var dec Decoder
+	for name, decode := range map[string]func([]byte) (Message, error){"Decode": Decode, "Decoder": dec.Decode} {
+		for _, m := range allMessages() {
+			b, err := Encode(m)
+			if err != nil {
+				t.Fatalf("Encode(%T): %v", m, err)
+			}
+			got, err := decode(b)
+			if err != nil {
+				t.Fatalf("%s(%T): %v", name, m, err)
+			}
+			for i := range b {
+				b[i] ^= 0xFF
+			}
+			if !reflect.DeepEqual(m, got) {
+				t.Errorf("%s: %T changed when the buffer it was decoded from was overwritten:\n  sent %+v\n  now  %+v", name, m, m, got)
+			}
 		}
 	}
+}
+
+// TestDecoderResultsAreIndependent decodes a mixed stream, several blocks'
+// worth of every hot kind, through one Decoder, then writes over and appends
+// to every list and payload it returned, last message first. Each message
+// must end up equal to its Decode twin treated the same way: a write that
+// reached a neighbour's memory, or an append that found spare capacity,
+// shows as a difference. Every returned slice must have cap == len.
+func TestDecoderResultsAreIndependent(t *testing.T) {
+	stream := decoderStream()
+	var dec Decoder
+	got, want := make([]Message, len(stream)), make([]Message, len(stream))
+	for i, b := range stream {
+		var err error
+		if got[i], err = dec.Decode(b); err != nil {
+			t.Fatalf("message %d: Decoder: %v", i, err)
+		}
+		if want[i], err = Decode(b); err != nil {
+			t.Fatalf("message %d: Decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("message %d: Decoder gave %+v, Decode %+v", i, got[i], want[i])
+		}
+		eachSlice(reflect.ValueOf(got[i]).Elem(), func(s reflect.Value) {
+			if s.Cap() != s.Len() {
+				t.Fatalf("message %d (%T): a %s with len %d, cap %d", i, got[i], s.Type(), s.Len(), s.Cap())
+			}
+		})
+	}
+	for i := len(got) - 1; i >= 0; i-- {
+		scribble(got[i], i)
+		scribble(want[i], i)
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("message %d (%T) was changed by writes to another message's lists", i, got[i])
+		}
+	}
+}
+
+// decoderStream encodes every kind, the hot ones 200 times each with list
+// and payload lengths that run past a quarter of a block now and then:
+// more than three blocks of every struct, id list and the payloads.
+func decoderStream() [][]byte {
+	var msgs []Message
+	for i := 0; i < 200; i++ {
+		n := i % 25
+		if i%50 == 7 {
+			n = idBlock/4 + 1 + i
+		}
+		chunks := make([]ChunkID, n)
+		nodes := make([]NodeID, n)
+		for k := range chunks {
+			chunks[k], nodes[k] = ChunkID(1000*i+k), NodeID(2000*i+k)
+		}
+		p := []byte(nil)
+		if size := []int{0, 1, 700, 1316, payloadBlock / 4, payloadBlock/4 + 1, 5264}[i%7]; size > 0 {
+			p = make([]byte, size)
+			for k := range p {
+				p[k] = byte(i + k)
+			}
+		}
+		msgs = append(msgs,
+			&Propose{Sender: NodeID(i), Period: Period(i), Chunks: chunks, Origins: nodes},
+			&Request{Sender: NodeID(i), Period: Period(i), Chunks: chunks},
+			&Serve{Sender: NodeID(i), Period: Period(i), Chunk: ChunkID(i), PayloadSize: len(p), Hash: uint64(i), Payload: p},
+			&Ack{Sender: NodeID(i), Period: Period(i), Chunks: chunks, Partners: nodes},
+			&Confirm{Sender: NodeID(i), Suspect: 7, Period: Period(i), Chunks: chunks},
+			&ConfirmResp{Sender: NodeID(i), Suspect: 7, Period: Period(i), Confirmed: i%2 == 0},
+			&Blame{Sender: NodeID(i), Target: 7, Value: float64(i), Reason: ReasonNoAck},
+		)
+		if i%20 == 0 {
+			msgs = append(msgs, allMessages()...)
+		}
+	}
+	stream := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		b, err := Encode(m)
+		if err != nil {
+			panic(err)
+		}
+		stream[i] = b
+	}
+	return stream
+}
+
+// eachSlice calls fn on every slice a message struct holds, records'
+// included.
+func eachSlice(v reflect.Value, fn func(reflect.Value)) {
+	for f := 0; f < v.NumField(); f++ {
+		s := v.Field(f)
+		if s.Kind() != reflect.Slice || s.IsNil() {
+			continue
+		}
+		fn(s)
+		if s.Type().Elem().Kind() == reflect.Struct {
+			for k := 0; k < s.Len(); k++ {
+				eachSlice(s.Index(k), fn)
+			}
+		}
+	}
+}
+
+// scribble overwrites every element of every list and payload m holds with
+// values unique to seed, then appends one more to each.
+func scribble(m Message, seed int) {
+	v := reflect.ValueOf(m).Elem()
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for f := 0; f < v.NumField(); f++ {
+			s := v.Field(f)
+			if s.Kind() != reflect.Slice || s.IsNil() {
+				continue
+			}
+			if s.Type().Elem().Kind() == reflect.Struct {
+				for k := 0; k < s.Len(); k++ {
+					walk(s.Index(k))
+				}
+				continue
+			}
+			for k := 0; k < s.Len(); k++ {
+				s.Index(k).SetUint(uint64(seed*7919 + k + 1))
+			}
+			s.Set(reflect.Append(s, reflect.ValueOf(uint64(seed)).Convert(s.Type().Elem())))
+		}
+	}
+	walk(v)
 }
 
 func TestServeEmptyPayloadCanonical(t *testing.T) {

@@ -95,19 +95,12 @@ func AppendFrame(dst []byte, m Message, flags uint8) ([]byte, error) {
 	return out, nil
 }
 
-// AppendRawFrame frames arbitrary payload bytes. The transport uses it to
-// ship fragment payloads; the framing (magic, version, length, CRC) is
-// identical to AppendFrame's.
-func AppendRawFrame(dst, payload []byte, flags uint8) ([]byte, error) {
-	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(payload))
-	}
-	var hdr [FrameHeaderSize]byte
-	hdr[0], hdr[1], hdr[2], hdr[3] = frameMagic0, frameMagic1, FrameVersion, flags
-	binary.BigEndian.PutUint16(hdr[4:], uint16(len(payload)))
-	binary.BigEndian.PutUint32(hdr[6:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+// appendHeader appends the header of a frame whose payload is n bytes with
+// checksum sum.
+func appendHeader(dst []byte, flags uint8, n int, sum uint32) []byte {
+	dst = append(dst, frameMagic0, frameMagic1, FrameVersion, flags)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(n))
+	return binary.BigEndian.AppendUint32(dst, sum)
 }
 
 // RawFrame validates the frame header and checksum of one datagram and
@@ -139,7 +132,8 @@ func RawFrame(b []byte) ([]byte, uint8, error) {
 // AppendFragment appends one fragment frame to dst: a FlagFragment frame
 // whose payload is the fragment header (msgID, index, count) followed by
 // body — a slice of a complete message encoding. flags are OR'd with
-// FlagFragment.
+// FlagFragment. The checksum runs over the fragment header and then body,
+// so body is copied once, into dst.
 func AppendFragment(dst []byte, msgID uint32, index, count uint16, body []byte, flags uint8) ([]byte, error) {
 	if count == 0 || index >= count || len(body) > MaxFragmentBody {
 		return nil, ErrBadFragment
@@ -148,10 +142,10 @@ func AppendFragment(dst []byte, msgID uint32, index, count uint16, body []byte, 
 	binary.BigEndian.PutUint32(hdr[0:], msgID)
 	binary.BigEndian.PutUint16(hdr[4:], index)
 	binary.BigEndian.PutUint16(hdr[6:], count)
-	payload := make([]byte, 0, FragmentHeaderSize+len(body))
-	payload = append(payload, hdr[:]...)
-	payload = append(payload, body...)
-	return AppendRawFrame(dst, payload, flags|FlagFragment)
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, body)
+	dst = appendHeader(dst, flags|FlagFragment, len(hdr)+len(body), sum)
+	dst = append(dst, hdr[:]...)
+	return append(dst, body...), nil
 }
 
 // ParseFragment splits a FlagFragment frame payload into its fragment

@@ -176,16 +176,10 @@ func TestFragmentRejectsMalformed(t *testing.T) {
 }
 
 func TestRawFrameRoundTrip(t *testing.T) {
-	b, err := AppendRawFrame(nil, []byte("hello"), FlagReliable)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := append(appendHeader(nil, FlagReliable, 5, crc32.ChecksumIEEE([]byte("hello"))), "hello"...)
 	payload, flags, err := RawFrame(b)
 	if err != nil || string(payload) != "hello" || flags != FlagReliable {
 		t.Fatalf("RawFrame = (%q, %#x, %v)", payload, flags, err)
-	}
-	if _, err := AppendRawFrame(nil, make([]byte, MaxFramePayload+1), 0); !errors.Is(err, ErrPayloadTooLarge) {
-		t.Fatalf("oversize raw payload: err = %v, want ErrPayloadTooLarge", err)
 	}
 }
 

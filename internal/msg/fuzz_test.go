@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,8 +58,9 @@ func TestDecodeValidPrefixMutations(t *testing.T) {
 // through both the raw codec and the datagram framing. Whatever a remote
 // peer puts in a datagram must produce a message or an error — never a
 // panic, a hang, or an unbounded allocation. Successful decodes must
-// re-encode, and the re-encoding must be a fixed point (canonical form).
-// The seed corpus under testdata/fuzz/FuzzDecode holds one framed encoding
+// re-encode, and the re-encoding must be a fixed point (canonical form). A
+// Decoder shared across inputs, as a receive loop shares one across
+// datagrams, must agree with Decode on every input. The seed corpus under testdata/fuzz/FuzzDecode holds one framed encoding
 // of every message kind plus the malformed shapes that matter (length
 // bombs, bad checksums, truncations); `go test` replays it on every run.
 func FuzzDecode(f *testing.F) {
@@ -75,15 +77,25 @@ func FuzzDecode(f *testing.F) {
 	for _, seed := range malformedSeeds() {
 		f.Add(seed.data)
 	}
+	// A NaN score: the two decoders agree byte for byte, not by ==.
+	f.Add([]byte("\t00000000\xff\xff00000000"))
+	var dec Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if (m != nil) == (err != nil) {
 			t.Fatalf("Decode: message %v, err %v — want exactly one", m, err)
 		}
+		dm, derr := dec.Decode(data)
+		if fmt.Sprint(derr) != fmt.Sprint(err) {
+			t.Fatalf("Decoder gave error %v, Decode %v", derr, err)
+		}
 		if err == nil {
 			b, err := Encode(m)
 			if err != nil {
 				t.Fatalf("re-encoding a decoded message failed: %v", err)
+			}
+			if db, err := Encode(dm); err != nil || string(db) != string(b) {
+				t.Fatalf("Decoder gave %+v, Decode %+v (err %v)", dm, m, err)
 			}
 			m2, err := Decode(b)
 			if err != nil {
@@ -199,17 +211,33 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	t.Logf("wrote %d corpus files to %s", len(seeds), dir)
 }
 
-// TestDecodeLengthBomb checks that a huge claimed list length on a short
-// message errors out instead of allocating unbounded memory and crashing.
+// TestDecodeLengthBomb: a claimed count is checked against the bytes left
+// before anything is allocated for it. Each of these datagrams once bought a
+// quarter or more of a megabyte per decode.
 func TestDecodeLengthBomb(t *testing.T) {
-	// Propose with a claimed 65535-chunk list but no payload.
-	b := []byte{
-		byte(KindPropose),
-		0, 0, 0, 1, // sender
-		0, 0, 0, 2, // period
-		0xFF, 0xFF, // chunk count 65535
+	bombs := map[string][]byte{
+		// kind, sender, period, 65 535 chunks and none of their bytes.
+		"propose": {byte(KindPropose), 0, 0, 0, 1, 0, 0, 0, 2, 0xFF, 0xFF},
+		// kind, sender, period, no chunks, 65 535 partners.
+		"ack": {byte(KindAck), 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0xFF, 0xFF},
+		// kind, sender, 65 535 proposal records.
+		"audit-resp": {byte(KindAuditResp), 0, 0, 0, 1, 0xFF, 0xFF},
 	}
-	if _, err := Decode(b); err == nil {
-		t.Fatal("length bomb decoded successfully")
+	var dec Decoder
+	for name, b := range bombs {
+		for how, decode := range map[string]func([]byte) (Message, error){"Decode": Decode, "Decoder": dec.Decode} {
+			const runs = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := decode(b); err == nil {
+					t.Fatalf("%s: the %s bomb decoded", how, name)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1<<10 {
+				t.Errorf("%s: the %d-byte %s bomb allocates %d bytes per decode, want ≤ 1 KB", how, len(b), name, per)
+			}
+		}
 	}
 }

@@ -172,9 +172,8 @@ type Serve struct {
 	// Hash is the 64-bit content hash (content.HashBytes) of the chunk
 	// payload. Zero in modelled-only runs.
 	Hash uint64
-	// Payload is the chunk content. Decode aliases the input buffer —
-	// callers that retain the message beyond the buffer's lifetime must
-	// copy (the UDP transport clones it out of its reused receive buffer).
+	// Payload is the chunk content. Decode and Decoder copy it out of the
+	// input, like every list they return, so a receiver may keep it.
 	Payload []byte
 }
 

@@ -95,7 +95,10 @@ func FuzzClockOrder(f *testing.F) {
 // TestWireAllocs pins the clock's promise: queuing a delay allocates
 // nothing — a node timer with a shared func value, a delayed Send of a
 // Propose (its frame from the pool) and a delayed dispatch are each one
-// by-value job. Every delay is an hour, so nothing fires while measuring.
+// by-value job. It pins the receive path's too: a Propose or a Serve
+// datagram through a warmed Decoder, then onto the clock, costs a block
+// refill every few dozen datagrams, 0 in AllocsPerRun's integer mean. Every
+// delay is an hour, so nothing fires while measuring.
 func TestWireAllocs(t *testing.T) {
 	rt := New(Options{Seed: 1, Defaults: net.Conditions{LatencyBase: 2 * time.Hour}})
 	defer rt.Close()
@@ -104,7 +107,7 @@ func TestWireAllocs(t *testing.T) {
 	const runs = 200
 	n := rt.localNode(1)
 	n.clock.mu.Lock()
-	n.clock.heap.jobs = make([]job, 0, 4*runs) // steady state: the heap has grown
+	n.clock.heap.jobs = make([]job, 0, 6*runs) // steady state: the heap has grown
 	n.clock.mu.Unlock()
 	for i := 0; i <= runs; i++ { // steady state: sent frames come back to the pool
 		b := make([]byte, 0, msg.FrameHeaderSize+512)
@@ -112,7 +115,19 @@ func TestWireAllocs(t *testing.T) {
 	}
 
 	noop := func() {}
-	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8}}
+	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8}, Origins: []msg.NodeID{4, 5}}
+	serve := &msg.Serve{Sender: 1, Period: 3, Chunk: 7, PayloadSize: 1316, Hash: 9, Payload: make([]byte, 1316)}
+	datagram := func(m msg.Message) []byte {
+		b, err := msg.AppendFrame(nil, m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	proposeDatagram, serveDatagram := datagram(propose), datagram(serve)
+	src, _ := rt.book.Lookup(1)
+	var dec msg.Decoder
+	reasm := newReassembler()
 	for _, c := range []struct {
 		name string
 		f    func()
@@ -120,13 +135,15 @@ func TestWireAllocs(t *testing.T) {
 		{"nodeCtx.After", func() { n.After(time.Hour, noop) }},
 		{"delayed Send", func() { rt.Send(1, 2, propose, net.Unreliable) }},
 		{"delayed dispatch", func() { rt.deliver(n, propose, 0) }},
+		{"decode a Propose datagram", func() { rt.receive(n, &dec, reasm, proposeDatagram, src) }},
+		{"decode a Serve datagram", func() { rt.receive(n, &dec, reasm, serveDatagram, src) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, c.f); allocs != 0 {
 			t.Errorf("%s allocates %v objects, want 0", c.name, allocs)
 		}
 	}
-	if jobs, datagrams := n.clock.pending(); jobs != 3*(runs+1) || datagrams != 2*(runs+1) {
-		t.Fatalf("clock holds %d jobs, %d of them datagrams; want %d and %d", jobs, datagrams, 3*(runs+1), 2*(runs+1))
+	if jobs, datagrams := n.clock.pending(); jobs != 5*(runs+1) || datagrams != 4*(runs+1) {
+		t.Fatalf("clock holds %d jobs, %d of them datagrams; want %d and %d", jobs, datagrams, 5*(runs+1), 4*(runs+1))
 	}
 }
 

@@ -15,13 +15,17 @@ import (
 // properties the transport relies on still hold: no panic, the half-built
 // table never exceeds its bound, what it holds never exceeds what the peers
 // sent by more than a bounded parts table per entry (no datagram buys more
-// memory than its own bytes plus that), and a legitimate fragment train
-// delivered afterwards (with duplicates, out of order) reassembles
+// memory than its own bytes plus that), the fragment bytes it holds stay
+// inside maxReassemblyBytes and match its books, and a legitimate fragment
+// train delivered afterwards (with duplicates, out of order) reassembles
 // byte-exactly.
 //
 // The input is a length-prefixed stream: each record is one byte N followed
-// by N payload bytes, handed to the reassembler as if RawFrame had unwrapped
-// it off the socket, alternating between two source addresses.
+// by N&0x7F payload bytes, handed to the reassembler as if RawFrame had
+// unwrapped it off the socket, alternating between two source addresses.
+// With N's top bit set the fragment body past the 8-byte header is repeated
+// out to a full msg.MaxFragmentBody, so a short input can reach the byte
+// budget.
 func FuzzReassembly(f *testing.F) {
 	// A complete single-fragment message, a two-source split train with a
 	// contradictory count, a short header, raw garbage, nothing, a train
@@ -32,6 +36,12 @@ func FuzzReassembly(f *testing.F) {
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte{})
 	f.Add([]byte("\t\x00\x00\x00\x03\x00\x00\xff\xffA")) // one byte of a 65 535-fragment train
+	// 40 full-size fragments from each source: past the byte budget.
+	var flood []byte
+	for n := byte(0); n < 80; n++ {
+		flood = append(flood, 0x80|10, 0, 0, 0, n/32, 0, n/2%16, 0, maxFragments, 'x', 'y')
+	}
+	f.Add(flood)
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		ra := newReassembler()
@@ -39,15 +49,19 @@ func FuzzReassembly(f *testing.F) {
 		fresh := netip.MustParseAddrPort("10.0.0.3:9000")
 		received := 0
 		for i, n := 0, 0; i < len(stream); n++ {
-			ln := int(stream[i])
-			i++
-			end := i + ln
-			if end > len(stream) {
-				end = len(stream)
-			}
-			out, done := ra.add(srcs[n%2], stream[i:end])
-			received += end - i
+			full := stream[i]&0x80 != 0
+			end := min(i+1+int(stream[i]&0x7F), len(stream))
+			payload := stream[i+1 : end]
 			i = end
+			if full && len(payload) > msg.FragmentHeaderSize {
+				payload = append([]byte(nil), payload...)
+				for len(payload) < msg.FragmentHeaderSize+msg.MaxFragmentBody {
+					payload = append(payload, payload[msg.FragmentHeaderSize:]...)
+				}
+				payload = payload[:msg.FragmentHeaderSize+msg.MaxFragmentBody]
+			}
+			out, done := ra.add(srcs[n%2], payload)
+			received += len(payload)
 			if done && len(out) == 0 {
 				t.Fatal("reassembler reported a completed message with no bytes")
 			}
@@ -57,6 +71,7 @@ func FuzzReassembly(f *testing.F) {
 			if held, budget := heldBytes(ra), received+len(ra.entries)*maxFragments*sliceHeaderBytes; held > budget {
 				t.Fatalf("reassembler holds %d bytes for %d received in %d entries, budget %d", held, received, len(ra.entries), budget)
 			}
+			checkBooks(t, ra)
 		}
 
 		// Whatever state the garbage left behind, a well-formed train from a
@@ -119,6 +134,93 @@ func heldBytes(ra *reassembler) int {
 		}
 	}
 	return held
+}
+
+// checkBooks holds the reassembler to its byte budget and its books to
+// what its entries really hold.
+func checkBooks(t *testing.T, ra *reassembler) {
+	t.Helper()
+	perSource := map[netip.AddrPort]load{}
+	total := 0
+	for key, e := range ra.entries {
+		n := 0
+		for _, p := range e.parts {
+			n += len(p)
+		}
+		if n != e.bytes {
+			t.Fatalf("an entry holds %d fragment bytes, its books say %d", n, e.bytes)
+		}
+		l := perSource[key.src]
+		l.entries++
+		l.bytes += n
+		perSource[key.src] = l
+		total += n
+	}
+	if total != ra.bytes || len(perSource) != len(ra.held) {
+		t.Fatalf("the table holds %d bytes from %d sources, its books say %d from %d", total, len(perSource), ra.bytes, len(ra.held))
+	}
+	for src, l := range perSource {
+		if ra.held[src] != l {
+			t.Fatalf("%v holds %+v, the books say %+v", src, l, ra.held[src])
+		}
+	}
+	if ra.bytes > maxReassemblyBytes {
+		t.Fatalf("the table holds %d fragment bytes, budget %d", ra.bytes, maxReassemblyBytes)
+	}
+}
+
+// TestReassemblyByteBudget: a source sending real, full-size fragments used
+// to park its 32 entries' worth of 16-fragment trains, ≈ 33.5 MB, in one
+// socket's table. The table now holds at most maxReassemblyBytes of
+// fragments; the flood evicts the flooder, the source holding the most, and
+// a lighter source's Serve of msg.MaxChunkPayload, started before the flood
+// and finished after it, still arrives whole.
+func TestReassemblyByteBudget(t *testing.T) {
+	ra := newReassembler()
+	fragment := func(msgID uint32, index, count uint16, body []byte) []byte {
+		frame, err := msg.AppendFragment(nil, msgID, index, count, body, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := msg.RawFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	victim := netip.MustParseAddrPort("10.0.0.1:9000")
+	spammer := netip.MustParseAddrPort("10.6.6.6:666")
+
+	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: msg.MaxChunkPayload, Payload: bytes.Repeat([]byte{7}, msg.MaxChunkPayload)}
+	body, err := msg.Encode(serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := (len(body) + msg.MaxFragmentBody - 1) / msg.MaxFragmentBody
+	part := func(i int) []byte { return body[i*msg.MaxFragmentBody : min((i+1)*msg.MaxFragmentBody, len(body))] }
+	for i := 0; i < count-1; i++ {
+		ra.add(victim, fragment(1, uint16(i), uint16(count), part(i)))
+	}
+
+	full := bytes.Repeat([]byte{'x'}, msg.MaxFragmentBody)
+	most := 0
+	for id := uint32(0); id < maxReassemblyPerSource; id++ {
+		for i := uint16(0); i < maxFragments-1; i++ {
+			ra.add(spammer, fragment(id, i, maxFragments, full))
+			checkBooks(t, ra)
+			most = max(most, ra.bytes)
+		}
+	}
+	if most < maxReassemblyBytes-msg.MaxFragmentBody {
+		t.Fatalf("the flood never reached the budget: at most %d bytes held, budget %d", most, maxReassemblyBytes)
+	}
+	out, done := ra.add(victim, fragment(1, uint16(count-1), uint16(count), part(count-1)))
+	if !done || !bytes.Equal(out, body) {
+		t.Fatalf("the victim's %d-byte train gave %d bytes, done %v, after the flood", len(body), len(out), done)
+	}
+	if cap(out) != len(out) {
+		t.Fatalf("the assembled message has cap %d for %d bytes", cap(out), len(out))
+	}
 }
 
 // TestHostileFragmentCountIsRejected: one small datagram announcing a train

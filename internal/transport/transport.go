@@ -489,16 +489,28 @@ const (
 // the receiver allocate 1.5 MB of slice headers.
 const maxFragments = msg.MaxChunkPayload/msg.MaxFragmentBody + 1
 
+// maxReassemblyBytes bounds the fragment bytes a socket holds in half-built
+// messages: four full trains, each room for a Serve of msg.MaxChunkPayload
+// (≈ 4.5 MB). A fragment that would take the table past it evicts the
+// source holding the most bytes, repeatedly, the way a full table evicts the
+// source holding the most entries. Without it one source could park 32
+// trains of 16 full fragments, ≈ 33.5 MB, and a full table ≈ 268 MB.
+const maxReassemblyBytes = 4 * maxFragments * msg.MaxFragmentBody
+
 // reassembler rebuilds fragmented messages for one receive loop. Keyed by
 // (source address, message id); fragment bodies are copied out of the shared
 // read buffer. Single-goroutine use, no locking.
 type reassembler struct {
 	entries map[reasmKey]*reasmEntry
-	held    map[netip.AddrPort]int // entries per source
+	held    map[netip.AddrPort]load // what each source holds
+	bytes   int                     // fragment bytes held, all sources
 }
 
+// load is what one source holds in the table.
+type load struct{ entries, bytes int }
+
 func newReassembler() *reassembler {
-	return &reassembler{entries: make(map[reasmKey]*reasmEntry), held: make(map[netip.AddrPort]int)}
+	return &reassembler{entries: make(map[reasmKey]*reasmEntry), held: make(map[netip.AddrPort]load)}
 }
 
 type reasmKey struct {
@@ -509,6 +521,7 @@ type reasmKey struct {
 type reasmEntry struct {
 	count uint16
 	got   uint16
+	bytes int // fragment bytes held
 	parts [][]byte
 }
 
@@ -529,65 +542,108 @@ func (ra *reassembler) add(src netip.AddrPort, payload []byte) ([]byte, bool) {
 		ra.makeRoom(src)
 		e = &reasmEntry{count: count, parts: make([][]byte, count)}
 		ra.entries[key] = e
-		ra.held[src]++
+		l := ra.held[src]
+		l.entries++
+		ra.held[src] = l
 	}
 	if e.count != count || int(index) >= len(e.parts) {
 		// Contradictory fragment train; throw the whole message away.
 		ra.remove(key)
 		return nil, false
 	}
-	if e.parts[index] == nil {
-		e.parts[index] = append([]byte(nil), body...)
-		e.got++
+	if e.parts[index] != nil {
+		return nil, false // a duplicate
 	}
+	if !ra.spend(key, len(body)) {
+		return nil, false
+	}
+	e.parts[index] = append([]byte(nil), body...)
+	e.got++
 	if e.got < e.count {
 		return nil, false
 	}
 	ra.remove(key)
-	var out []byte
+	out := make([]byte, 0, e.bytes)
 	for _, p := range e.parts {
 		out = append(out, p...)
 	}
 	return out, true
 }
 
+// spend accounts n more bytes to key's entry, first evicting the sources
+// that hold the most bytes until they fit the budget. It reports false if
+// key's own source was among them: its entry is gone.
+func (ra *reassembler) spend(key reasmKey, n int) bool {
+	for ra.bytes+n > maxReassemblyBytes {
+		victim := key.src
+		for s, l := range ra.held {
+			if l.bytes > ra.held[victim].bytes {
+				victim = s
+			}
+		}
+		ra.evict(victim)
+		if victim == key.src {
+			return false
+		}
+	}
+	e := ra.entries[key]
+	e.bytes += n
+	l := ra.held[key.src]
+	l.bytes += n
+	ra.held[key.src] = l
+	ra.bytes += n
+	return true
+}
+
 // makeRoom evicts whose half-built messages must go before src starts a new
 // one: src's own at its quota, else the heaviest source's in a full table.
 func (ra *reassembler) makeRoom(src netip.AddrPort) {
 	victim := src
-	if ra.held[src] < maxReassemblyPerSource {
+	if ra.held[src].entries < maxReassemblyPerSource {
 		if len(ra.entries) < maxReassembly {
 			return
 		}
-		for s, n := range ra.held {
-			if n > ra.held[victim] {
+		for s, l := range ra.held {
+			if l.entries > ra.held[victim].entries {
 				victim = s
 			}
 		}
 	}
+	ra.evict(victim)
+}
+
+// evict drops every half-built message of one source.
+func (ra *reassembler) evict(src netip.AddrPort) {
 	for key := range ra.entries {
-		if key.src == victim {
-			delete(ra.entries, key)
+		if key.src == src {
+			ra.remove(key)
 		}
 	}
-	delete(ra.held, victim)
 }
 
 func (ra *reassembler) remove(key reasmKey) {
+	e := ra.entries[key]
 	delete(ra.entries, key)
-	if ra.held[key.src]--; ra.held[key.src] == 0 {
+	ra.bytes -= e.bytes
+	l := ra.held[key.src]
+	l.entries--
+	l.bytes -= e.bytes
+	if l.entries == 0 {
 		delete(ra.held, key.src)
+	} else {
+		ra.held[key.src] = l
 	}
 }
 
-// recvLoop reads datagrams off one node's socket until the runtime closes:
-// validate the frame, reassemble fragments, learn the sender's address,
-// deliver. Malformed datagrams are dropped — FuzzDecode guarantees the
-// decoder survives anything the network delivers.
+// recvLoop reads datagrams off one node's socket until the runtime closes.
+// The loop owns the socket's read buffer, fragment reassembler and message
+// decoder: every datagram is read into the same buffer, and the decoder
+// copies out whatever the message keeps.
 func (r *Runtime) recvLoop(n *nodeCtx) {
 	defer r.loops.Done()
 	buf := make([]byte, 1<<16)
 	reasm := newReassembler()
+	var dec msg.Decoder
 	for {
 		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -596,34 +652,31 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 			}
 			continue
 		}
-		payload, flags, err := msg.RawFrame(buf[:sz])
-		if err != nil {
-			continue
-		}
-		var m msg.Message
-		if flags&msg.FlagFragment != 0 {
-			body, done := reasm.add(src, payload)
-			if !done {
-				continue
-			}
-			// body is freshly assembled memory; a serve payload aliasing it
-			// is owned by the decoded message, no clone needed.
-			if m, err = msg.Decode(body); err != nil {
-				continue
-			}
-		} else {
-			if m, err = msg.Decode(payload); err != nil {
-				continue
-			}
-			// Decode aliases the reused read buffer; clone retained bytes
-			// before the next datagram overwrites them.
-			if s, isServe := m.(*msg.Serve); isServe && s.Payload != nil {
-				s.Payload = append([]byte(nil), s.Payload...)
-			}
-		}
-		r.book.Learn(m.From(), src)
-		r.deliver(n, m, flags)
+		r.receive(n, &dec, reasm, buf[:sz], src)
 	}
+}
+
+// receive handles one datagram for n: validate the frame, reassemble
+// fragments, decode, learn the sender's address, deliver. Malformed
+// datagrams are dropped — FuzzDecode guarantees the decoder survives
+// anything the network delivers.
+func (r *Runtime) receive(n *nodeCtx, dec *msg.Decoder, reasm *reassembler, datagram []byte, src netip.AddrPort) {
+	payload, flags, err := msg.RawFrame(datagram)
+	if err != nil {
+		return
+	}
+	if flags&msg.FlagFragment != 0 {
+		var done bool
+		if payload, done = reasm.add(src, payload); !done {
+			return
+		}
+	}
+	m, err := dec.Decode(payload)
+	if err != nil {
+		return
+	}
+	r.book.Learn(m.From(), src)
+	r.deliver(n, m, flags)
 }
 
 // deliver applies the receiver's side of the link to m: its inbound loss

@@ -453,8 +453,9 @@ func TestMetricsConcurrentSendersScrape(t *testing.T) {
 }
 
 func TestServePayloadSurvivesBufferReuse(t *testing.T) {
-	// The receive loop decodes into a reused buffer; serve payloads must be
-	// cloned before the next datagram lands on top of them.
+	// The receive loop reads every datagram into one reused buffer; the
+	// decoder must have copied each serve's payload out of it before the next
+	// datagram lands on top.
 	rt := New(Options{Seed: 1})
 	defer rt.Close()
 	sink := &collect{}
