@@ -105,6 +105,7 @@ identical:
 		"churn-shards8: churn -backend sim -shards 8" \
 		"soak-shards1: soak -quick -backend sim -shards 1" \
 		"soak-shards8: soak -quick -backend sim -shards 8" \
+		"soak-full: soak -backend sim -shards 8" \
 		"matrix: matrix -quick -backend sim"; do \
 		name=$${spec%%:*}; args=$${spec#*:}; \
 		for side in base work; do \

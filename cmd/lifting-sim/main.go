@@ -100,6 +100,21 @@ func run(ctx context.Context, args []string) int {
 			return 2
 		}
 	}
+	// The flags are the one outside input of the experiments, which panic
+	// on a population or a probability they cannot run.
+	if *n != 0 && *n < 2 {
+		fmt.Fprintf(stderrW, "lifting-sim: -n must be 0 (the experiment's default) or at least 2, got %d\n", *n)
+		return 2
+	}
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"pdcc", *pdcc}, {"delta", *delta}} {
+		if p.v != -1 && !(p.v >= 0 && p.v <= 1) {
+			fmt.Fprintf(stderrW, "lifting-sim: -%s must be -1 (the experiment's default) or in [0, 1], got %v\n", p.flag, p.v)
+			return 2
+		}
+	}
 	if name == "list" {
 		return list(*jsonOut)
 	}
@@ -198,17 +213,20 @@ func run(ctx context.Context, args []string) int {
 	return 0
 }
 
+// entry is one experiment's inventory record as `list -json` and
+// `-describe -json` print it.
+type entry struct {
+	Name          string            `json:"name"`
+	Paper         string            `json:"paper"`
+	Describe      string            `json:"describe"`
+	MultiBackend  bool              `json:"multi_backend,omitempty"`
+	DefaultParams experiment.Params `json:"default_params"`
+}
+
 // list prints the experiment inventory from the registry: plain
 // tab-separated lines, or the full entries as JSON.
 func list(jsonOut bool) int {
 	if jsonOut {
-		type entry struct {
-			Name          string            `json:"name"`
-			Paper         string            `json:"paper"`
-			Describe      string            `json:"describe"`
-			MultiBackend  bool              `json:"multi_backend,omitempty"`
-			DefaultParams experiment.Params `json:"default_params"`
-		}
 		entries := make([]entry, 0)
 		for _, e := range experiment.Experiments() {
 			entries = append(entries, entry{e.Name, e.Paper, e.Describe, e.MultiBackend, e.DefaultParams})
@@ -230,13 +248,7 @@ func describeExperiment(name string, jsonOut bool) int {
 		return 2
 	}
 	if jsonOut {
-		return encodeJSON(struct {
-			Name          string            `json:"name"`
-			Paper         string            `json:"paper"`
-			Describe      string            `json:"describe"`
-			MultiBackend  bool              `json:"multi_backend,omitempty"`
-			DefaultParams experiment.Params `json:"default_params"`
-		}{e.Name, e.Paper, e.Describe, e.MultiBackend, e.DefaultParams})
+		return encodeJSON(entry{e.Name, e.Paper, e.Describe, e.MultiBackend, e.DefaultParams})
 	}
 	fmt.Fprintf(stdoutW, "%s — %s\n  %s\n", e.Name, e.Paper, e.Describe)
 	fmt.Fprintf(stdoutW, "  defaults: n=%d seed=%d duration=%v periods=%d delta=%v pdcc=%v\n",

@@ -104,6 +104,35 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: a population or probability no experiment can run
+// is refused right after parsing — one line naming the flag, exit 2 — not
+// handed to a run that panics on it (or, for -delta, silently uses it).
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-n", []string{"fig13", "-n", "1"}},
+		{"-n", []string{"churn", "-n", "1"}},
+		{"-n", []string{"scale", "-n", "1"}},
+		{"-n", []string{"fig14", "-n", "1"}},
+		{"-n", []string{"-n", "-3", "fig10"}},
+		{"-pdcc", []string{"fig14", "-quick", "-pdcc", "3"}},
+		{"-pdcc", []string{"-pdcc", "NaN", "fig14"}},
+		{"-delta", []string{"fig11", "-delta", "3"}},
+		{"-delta", []string{"-delta", "-0.5", "fig11"}},
+	} {
+		code, out, errOut := capture(t, context.Background(), c.args)
+		if code != 2 || out != "" {
+			t.Errorf("run(%v) = %d with stdout %q, want 2 and nothing", c.args, code, out)
+		}
+		if lines := strings.Split(strings.TrimSuffix(errOut, "\n"), "\n"); len(lines) != 1 ||
+			!strings.HasPrefix(lines[0], "lifting-sim: "+c.flag+" ") {
+			t.Errorf("run(%v) stderr %q, want one lifting-sim line naming %s", c.args, errOut, c.flag)
+		}
+	}
+}
+
 func TestRunOverrides(t *testing.T) {
 	if code := run(context.Background(), []string{"-seed", "9", "-delta", "0.2", "-periods", "5", "-n", "400", "fig11"}); code != 0 {
 		t.Fatal("overrides rejected")

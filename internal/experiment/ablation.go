@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lifting/internal/analysis"
+	"lifting/internal/cluster"
 	"lifting/internal/rng"
 )
 
@@ -68,17 +69,16 @@ func Ablations(ctx context.Context, cfg AblationConfig) (*Table, error) {
 	// attacking only the propose phase (δ2) — the attack only
 	// cross-checking can see.
 	gap := func(pdcc float64) float64 {
-		p := analysis.Params{F: 12, R: 4, Loss: 0.07}
-		delta := analysis.Delta{D2: 0.3}
-		comp := p.DirectVerificationBlame() + p.CrossCheckBlameChain() + pdcc*p.CrossCheckBlameWitness()
+		p := paperParams
+		comp := cluster.CompensationFor(p.Loss, p.F, p.R, pdcc)
 		root := rng.New(cfg.Seed)
 		honest := BlameProcess{P: p, Rand: root.Derive("h" + F(pdcc, 2))}
-		rider := BlameProcess{P: p, Delta: delta, Rand: root.Derive("f" + F(pdcc, 2))}
+		rider := BlameProcess{P: p, Delta: analysis.Delta{D2: 0.3}, Rand: root.Derive("f" + F(pdcc, 2))}
 		var hs, fs float64
 		const samples = 400
 		for i := 0; i < samples; i++ {
-			hs += sampleScorePdcc(&honest, cfg.ScorePeriods, comp, pdcc)
-			fs += sampleScorePdcc(&rider, cfg.ScorePeriods, comp, pdcc)
+			hs += honest.SampleScore(cfg.ScorePeriods, comp, pdcc)
+			fs += rider.SampleScore(cfg.ScorePeriods, comp, pdcc)
 		}
 		return (hs - fs) / samples
 	}
@@ -120,17 +120,4 @@ func Ablations(ctx context.Context, cfg AblationConfig) (*Table, error) {
 		"compensation off: every honest score sits at ≈ −b̃, below η (§6.2's motivation)",
 		"pdcc off: propose-phase freeriding becomes invisible to the score")
 	return t, nil
-}
-
-// sampleScorePdcc draws a normalized score after r periods under partial
-// cross-checking.
-func sampleScorePdcc(bp *BlameProcess, r int, compensation, pdcc float64) float64 {
-	if r < 1 {
-		r = 1
-	}
-	var total float64
-	for i := 0; i < r; i++ {
-		total += bp.SamplePeriodPdcc(pdcc)
-	}
-	return compensation - total/float64(r)
 }

@@ -52,14 +52,14 @@ func TestAblationsTable(t *testing.T) {
 
 func TestSamplePeriodPdccZeroDropsWitnessBlame(t *testing.T) {
 	// With pdcc = 0, expected blame = DV + chain terms only.
-	bp := BlameProcess{P: paperParams(), Rand: rng.New(7)}
+	bp := BlameProcess{P: paperParams, Rand: rng.New(7)}
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += bp.SamplePeriodPdcc(0)
+		sum += bp.SamplePeriod(0)
 	}
 	mean := sum / n
-	want := paperParams().DirectVerificationBlame() + paperParams().CrossCheckBlameChain()
+	want := paperParams.DirectVerificationBlame() + paperParams.CrossCheckBlameChain()
 	if diff := mean - want; diff > 0.6 || diff < -0.6 {
 		t.Fatalf("pdcc=0 mean blame %v, want %v", mean, want)
 	}

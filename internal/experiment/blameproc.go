@@ -9,7 +9,7 @@ import (
 // workload model of the paper's analysis (§6.2): every period the node
 // proposes to (1−δ1)·f partners, each answering with an |R|-chunk request,
 // and is itself served by f verifiers that run direct cross-checking with
-// pdcc = 1. Message losses are i.i.d. Bernoulli(pl).
+// probability pdcc. Message losses are i.i.d. Bernoulli(pl).
 //
 // The sampler's event structure mirrors Equations (2), (3) and b̃′(∆)
 // term-for-term, so its empirical mean converges to the closed forms — the
@@ -21,17 +21,12 @@ type BlameProcess struct {
 	Rand  *rng.Stream
 }
 
-// SamplePeriod draws one period's total blame with pdcc = 1 (the setting
-// the paper analyzes).
-func (bp *BlameProcess) SamplePeriod() float64 {
-	return bp.SamplePeriodPdcc(1)
-}
-
-// SamplePeriodPdcc draws one period's total blame when verifiers poll
-// witnesses with probability pdcc. Direct verification and the
-// missing/incomplete-ack blame are pdcc-independent; witness contradictions
-// (including the detection of dropped proposals, δ2) require a poll.
-func (bp *BlameProcess) SamplePeriodPdcc(pdcc float64) float64 {
+// SamplePeriod draws one period's total blame when verifiers poll
+// witnesses with probability pdcc (1 is the setting the paper analyzes).
+// Direct verification and the missing/incomplete-ack blame are
+// pdcc-independent; witness contradictions (including the detection of
+// dropped proposals, δ2) require a poll.
+func (bp *BlameProcess) SamplePeriod(pdcc float64) float64 {
 	pr := 1 - bp.P.Loss
 	f := bp.P.F
 	r := bp.P.R
@@ -104,14 +99,15 @@ func (bp *BlameProcess) SamplePeriodPdcc(pdcc float64) float64 {
 }
 
 // SampleScore draws a normalized score after r periods with the given
-// compensation (Equation 6): s = −(1/r)·Σ(bᵢ − b̃).
-func (bp *BlameProcess) SampleScore(r int, compensation float64) float64 {
+// compensation (Equation 6), s = −(1/r)·Σ(bᵢ − b̃), verifiers polling with
+// probability pdcc.
+func (bp *BlameProcess) SampleScore(r int, compensation, pdcc float64) float64 {
 	if r < 1 {
 		r = 1
 	}
 	var total float64
 	for i := 0; i < r; i++ {
-		total += bp.SamplePeriod()
+		total += bp.SamplePeriod(pdcc)
 	}
 	return compensation - total/float64(r)
 }

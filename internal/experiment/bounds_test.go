@@ -12,9 +12,9 @@ import (
 // the blame-process Monte Carlo: the Bienaymé–Tchebychev inequalities must
 // never be violated by the empirical α and β, across δ and r.
 func TestChebyshevBoundsHoldEmpirically(t *testing.T) {
-	p := analysis.Params{F: 12, R: 4, Loss: 0.07}
+	p := paperParams
 	comp := p.WrongfulBlame()
-	const eta = -9.75
+	const eta = paperEta
 	const samples = 1500
 
 	for _, r := range []int{10, 50, 100} {
@@ -23,7 +23,7 @@ func TestChebyshevBoundsHoldEmpirically(t *testing.T) {
 			bp := BlameProcess{P: p, Delta: delta, Rand: rng.New(uint64(r*1000) + uint64(d*100))}
 			below := 0
 			for i := 0; i < samples; i++ {
-				if bp.SampleScore(r, comp) < eta {
+				if bp.SampleScore(r, comp, 1) < eta {
 					below++
 				}
 			}
@@ -49,14 +49,14 @@ func TestChebyshevBoundsHoldEmpirically(t *testing.T) {
 // TestFreeriderStdMatchesMC cross-validates our σ(b′(∆)) derivation (the
 // paper defers it to its technical report) against the Monte Carlo.
 func TestFreeriderStdMatchesMC(t *testing.T) {
-	p := analysis.Params{F: 12, R: 4, Loss: 0.07}
+	p := paperParams
 	for _, d := range []float64{0, 0.1, 0.2} {
 		delta := analysis.Uniform(d)
 		bp := BlameProcess{P: p, Delta: delta, Rand: rng.New(uint64(100 + d*1000))}
 		var sum, sum2 float64
 		const n = 30000
 		for i := 0; i < n; i++ {
-			x := bp.SamplePeriod()
+			x := bp.SamplePeriod(1)
 			sum += x
 			sum2 += x * x
 		}

@@ -27,16 +27,8 @@ type ChurnConfig struct {
 	// Joins and Leaves are the number of mid-stream arrivals/departures,
 	// spread uniformly over the middle half of the run.
 	Joins, Leaves int
-	// FreeriderPct of the initial population freerides at degree Delta.
-	FreeriderPct float64
-	Delta        [3]float64
-	F            int
-	Period       time.Duration
-	// M managers per node; blames travel as messages (the handoff path).
-	M        int
-	MeanLoss float64
-	Duration time.Duration
-	Seed     uint64
+	Duration      time.Duration
+	Seed          uint64
 	// Backend selects the execution backend; churn runs identically on the
 	// discrete-event engine and over loopback UDP sockets.
 	Backend runtime.Kind
@@ -48,17 +40,11 @@ type ChurnConfig struct {
 // DefaultChurnConfig returns a medium-scale churn scenario.
 func DefaultChurnConfig() ChurnConfig {
 	return ChurnConfig{
-		N:            120,
-		Joins:        20,
-		Leaves:       20,
-		FreeriderPct: 0.10,
-		Delta:        [3]float64{0.3, 0.3, 0.3},
-		F:            7,
-		Period:       500 * time.Millisecond,
-		M:            10,
-		MeanLoss:     0.02,
-		Duration:     30 * time.Second,
-		Seed:         17,
+		N:        120,
+		Joins:    20,
+		Leaves:   20,
+		Duration: 30 * time.Second,
+		Seed:     17,
 	}
 }
 
@@ -80,28 +66,29 @@ type ChurnResult struct {
 // Churn runs the churn scenario and reports whether LiFTinG's separation
 // survives a shifting membership. Cancelling ctx aborts the run mid-stream.
 func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
-	co := cohortOf(cfg.N, cfg.FreeriderPct, degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2]))
+	// A tenth of the initial population freerides mildly on every prong.
+	co := cohortOf(cfg.N, 0.10, degree(0.3, 0.3, 0.3))
 	opts := cluster.Options{
 		N:       cfg.N,
 		Seed:    cfg.Seed,
 		Backend: cfg.Backend,
 		Shards:  cfg.Shards,
-		Gossip:  gossip.Config{F: cfg.F, Period: cfg.Period, HistoryPeriods: 50},
+		Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
 		Core:    core.Config{Pdcc: 1, Gamma: 8},
-		// Nothing is expelled: the subject is whether the separation
+		// M = 10 managers per node; blames travel as messages (the handoff
+		// path). Nothing is expelled: the subject is whether the separation
 		// survives, read off the surviving population's scores.
-		Rep:          reputation.Config{M: cfg.M, Eta: -1e9},
-		Stream:       stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
-		NetDefaults:  net.Uniform(cfg.MeanLoss, 5*time.Millisecond),
-		LiFTinG:      true,
-		BlameMode:    cluster.BlameMessages,
-		ExpectedLoss: cfg.MeanLoss,
-		BehaviorFor:  co.behaviorFor(),
+		Rep:         reputation.Config{M: 10, Eta: -1e9},
+		Stream:      stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
+		NetDefaults: net.Uniform(0.02, 5*time.Millisecond),
+		LiFTinG:     true,
+		BlameMode:   cluster.BlameMessages,
+		BehaviorFor: co.behaviorFor(),
 	}
 	c := launch(opts, cfg.Duration, nil)
 	arrivals, joinAt := scheduleChurn(c, cfg.Duration, cfg.Joins,
 		co.drawLeavers(rng.New(cfg.Seed).Derive("churn"), cfg.Leaves))
-	if err := advance(ctx, c, nil, cfg.Duration+cfg.Period); err != nil {
+	if err := advance(ctx, c, nil, cfg.Duration+opts.Gossip.Period); err != nil {
 		return nil, nil, err
 	}
 

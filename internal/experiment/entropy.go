@@ -9,14 +9,17 @@ import (
 	"lifting/internal/stats"
 )
 
+// paperHistory is the paper's history length nh in gossip periods; a
+// history holds nh·f = 600 partner draws at the paper's f = 12.
+const paperHistory = 50
+
 // EntropyConfig parameterizes the Figure 13 experiment: the distribution of
-// history entropies under full-membership uniform partner selection.
-// Defaults match the paper: n = 10,000, nh = 50, f = 12 (nh·f = 600).
+// history entropies under full-membership uniform partner selection, over
+// histories of paperHistory periods at paperParams' fanout. Defaults match
+// the paper: n = 10,000.
 type EntropyConfig struct {
-	N       int
-	History int // nh
-	F       int
-	Seed    uint64
+	N    int
+	Seed uint64
 	// SampleNodes bounds how many nodes' entropies are computed (0 = all);
 	// fanin entropies require simulating everyone's draws regardless.
 	SampleNodes int
@@ -24,7 +27,7 @@ type EntropyConfig struct {
 
 // DefaultEntropyConfig returns the paper's parameters.
 func DefaultEntropyConfig() EntropyConfig {
-	return EntropyConfig{N: 10_000, History: 50, F: 12, Seed: 1}
+	return EntropyConfig{N: 10_000, Seed: 1}
 }
 
 // EntropyResult carries the two distributions of Figure 13.
@@ -43,7 +46,7 @@ type EntropyResult struct {
 // and sets γ = 8.95 just below both.
 func Fig13(ctx context.Context, cfg EntropyConfig) (*Table, *EntropyResult, error) {
 	root := rng.New(cfg.Seed)
-	draws := cfg.History * cfg.F
+	draws := paperHistory * paperParams.F
 
 	res := &EntropyResult{MaxAttainable: stats.MaxEntropy(draws)}
 	fanin := make([]*stats.Multiset[msg.NodeID], cfg.N)

@@ -89,21 +89,21 @@ type Scenario struct {
 	Oracle Oracle
 
 	// Population shape: N nodes, the top Adversaries ids adversarial, on
-	// lossless links. QuickDuration overrides Duration under
-	// MatrixConfig.Quick (0 = same as full).
-	N, Adversaries          int
-	F                       int
-	Period                  time.Duration
-	Duration, QuickDuration time.Duration
+	// lossless links. MatrixConfig.Quick shrinks only the shape a scenario
+	// leaves zero.
+	N, Adversaries int
+	F              int
+	Period         time.Duration
+	Duration       time.Duration
 	// BlameMode defaults to cluster.BlameDirect.
 	BlameMode cluster.BlameMode
 	// Expel turns on expulsion at the calibrated η, after Grace periods
 	// (0 = the cluster default).
 	Expel bool
 	Grace int
-	// EtaSigma and EtaFloor place the threshold: η = −max(EtaSigma·σ,
-	// EtaFloor) with σ from an honest calibration pilot. Defaults: 6, 1.5.
-	EtaSigma, EtaFloor float64
+	// EtaFloor is the threshold's floor: η = −max(matrixEtaSigmas·σ,
+	// EtaFloor) with σ from an honest calibration pilot. Default: 1.5.
+	EtaFloor float64
 	// Behavior builds the adversary behavior for id; adv is the adversary
 	// cohort in ascending id order.
 	Behavior func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior
@@ -156,7 +156,7 @@ func Scenarios() []Scenario {
 			Detect:   DetectScore,
 			Oracle:   Oracle{MinDetection: 0.75, MaxFalsePositive: 0.1, MinGap: 3},
 			N:        24, Adversaries: 4, F: 6, Period: 60 * time.Millisecond,
-			Duration: 2400 * time.Millisecond, QuickDuration: 2400 * time.Millisecond,
+			Duration: 2400 * time.Millisecond,
 			EtaFloor: 3,
 			Behavior: degree(0.5, 0.5, 0.5),
 		},
@@ -340,26 +340,25 @@ func (s Scenario) resolve(quick bool) shape {
 	if sh.BlameMode == 0 {
 		sh.BlameMode = cluster.BlameDirect
 	}
-	if sh.EtaSigma == 0 {
-		sh.EtaSigma = 6
-	}
 	if sh.EtaFloor == 0 {
 		sh.EtaFloor = 1.5
 	}
 	if quick {
-		// Only the population shrinks: coalition attacks need the full
-		// adversary cohort to concentrate the fanout history.
+		// Only the population and the stream shrink: coalition attacks need
+		// the full adversary cohort to concentrate the fanout history.
 		if s.N == 0 {
 			sh.n = 40
 		}
-		if s.QuickDuration > 0 {
-			sh.dur = s.QuickDuration
-		} else if s.Duration == 0 {
+		if s.Duration == 0 {
 			sh.dur = 5 * time.Second
 		}
 	}
 	return sh
 }
+
+// matrixEtaSigmas is every scenario's threshold margin in honest-pilot
+// standard deviations (η = −max(6σ, EtaFloor)).
+const matrixEtaSigmas = 6
 
 // options assembles the cluster options for one repetition.
 func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
@@ -571,7 +570,7 @@ func matrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *MatrixRes
 		// on the discrete-event backend): the analysis's saturated-workload
 		// b̃ over-compensates the real chunk workload, and the threshold
 		// must sit at a margin below the empirical honest spread.
-		cal, eta, err := calibrate(ctx, sh.options(runtime.KindSim, scRoot.Derive("cal").Seed()), sh.dur, sh.EtaSigma, sh.EtaFloor)
+		cal, eta, err := calibrate(ctx, sh.options(runtime.KindSim, scRoot.Derive("cal").Seed()), sh.dur, matrixEtaSigmas, sh.EtaFloor)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"lifting/internal/runtime"
 )
@@ -46,6 +48,62 @@ func TestMatrixRegistryCoversAttackSpace(t *testing.T) {
 	// The cross-backend entry must cover the whole runtime seam.
 	if wd := byName["wise-degree"]; len(wd.Backends) != 2 {
 		t.Errorf("wise-degree covers %d backends, want sim+udp", len(wd.Backends))
+	}
+}
+
+// TestMatrixShapes pins every scenario's resolved cluster shape at both
+// sizes. `make identical` runs only the quick sweep, so this is the one
+// standing check on the full-size shapes; η's σ-multiple is the same
+// matrixEtaSigmas = 6 for all of them.
+func TestMatrixShapes(t *testing.T) {
+	if matrixEtaSigmas != 6 {
+		t.Errorf("matrixEtaSigmas = %v, want 6", matrixEtaSigmas)
+	}
+	type size struct {
+		n, k int
+		dur  time.Duration
+	}
+	def, quick := size{60, 6, 10 * time.Second}, size{40, 6, 5 * time.Second}
+	wise := size{24, 4, 2400 * time.Millisecond}
+	for _, c := range []struct {
+		name        string
+		full, quick size
+		f           int
+		period      time.Duration
+		floor       float64
+	}{
+		{"fanout-decrease", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"partial-propose", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"partial-serve", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"wise-degree", wise, wise, 6, 60 * time.Millisecond, 3},
+		{"period-stretch", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"biased-selection", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"mitm", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"history-forgery", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"colluder-stretcher", def, quick, 7, 100 * time.Millisecond, 1.5},
+		{"blame-spam", def, quick, 7, 100 * time.Millisecond, 6},
+	} {
+		i := slices.Index(ScenarioNames(), c.name)
+		if i < 0 {
+			t.Errorf("no scenario %q", c.name)
+			continue
+		}
+		sc := Scenarios()[i]
+		for _, q := range []bool{false, true} {
+			want := c.full
+			if q {
+				want = c.quick
+			}
+			sh := sc.resolve(q)
+			got := size{sh.n, sh.k, sh.dur}
+			if got != want || sh.F != c.f || sh.Period != c.period || sh.EtaFloor != c.floor {
+				t.Errorf("%s quick=%v: n, k, dur = %v, F %d, Tg %v, floor %v; want %v, F %d, Tg %v, floor %v",
+					c.name, q, got, sh.F, sh.Period, sh.EtaFloor, want, c.f, c.period, c.floor)
+			}
+		}
+	}
+	if n := len(Scenarios()); n != 10 {
+		t.Errorf("%d scenarios, the table pins 10", n)
 	}
 }
 

@@ -41,7 +41,8 @@ func Table3(ctx context.Context, p PlanetLabConfig, pdccs []float64) (*Table, er
 			return nil, err
 		}
 
-		periods := float64(pc.Duration / pc.Period)
+		f := c.Opts.Gossip.F
+		periods := float64(pc.Duration / c.Opts.Gossip.Period)
 		perNodePeriod := func(k msg.Kind) float64 {
 			return float64(c.Collector.SentMsgs(k)) / float64(pc.N) / periods
 		}
@@ -53,7 +54,7 @@ func Table3(ctx context.Context, p PlanetLabConfig, pdccs []float64) (*Table, er
 			F(perNodePeriod(msg.KindConfirmResp), 2),
 			F(perNodePeriod(msg.KindBlame), 2),
 			F(float64(verifMsgs)/float64(pc.N)/periods, 2),
-			F(pdcc*float64(pc.F*pc.F), 1),
+			F(pdcc*float64(f*f), 1),
 		)
 	}
 	t.Notes = append(t.Notes,

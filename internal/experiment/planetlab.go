@@ -21,13 +21,9 @@ import (
 type PlanetLabConfig struct {
 	N            int
 	BitrateBps   int
-	F            int
-	Period       time.Duration
-	M            int
 	FreeriderPct float64
 	Delta        [3]float64
 	Pdcc         float64
-	MeanLoss     float64
 	// PoorPct is the fraction of honest nodes with degraded connectivity
 	// (higher loss, capped uplink) — the population behind the paper's
 	// false positives (§7.3).
@@ -42,13 +38,9 @@ func DefaultPlanetLabConfig() PlanetLabConfig {
 	return PlanetLabConfig{
 		N:            300,
 		BitrateBps:   674_000,
-		F:            7,
-		Period:       500 * time.Millisecond,
-		M:            25,
 		FreeriderPct: 0.10,
 		Delta:        [3]float64{1.0 / 7, 0.1, 0.1},
 		Pdcc:         1,
-		MeanLoss:     0.04,
 		PoorPct:      0.10,
 		Seed:         42,
 		Duration:     35 * time.Second,
@@ -70,26 +62,27 @@ func (p PlanetLabConfig) buildOptions() cluster.Options {
 	// a capped uplink — they cannot contribute their fair share even though
 	// they follow the protocol (§7.3's false-positive population).
 	poor := rng.New(p.Seed).Derive("poor")
+	// The mean loss PlanetLab measured (§7).
+	const loss = 0.04
 	return cluster.Options{
 		N:      p.N,
 		Seed:   p.Seed,
-		Gossip: gossip.Config{F: p.F, Period: p.Period, HistoryPeriods: 50},
+		Gossip: gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
 		Core:   core.Config{Pdcc: p.Pdcc, Gamma: 8.95},
 		// Blames are reported to the managers every 10 gossip periods:
 		// scores act on the r ≈ 50-period timescale, and per-period
 		// reporting to M = 25 managers would alone exceed the paper's
 		// measured blaming overhead (Table 5).
-		Rep: reputation.Config{M: p.M, Eta: -9.75, FlushEvery: 10},
+		Rep: reputation.Config{M: 25, Eta: paperEta, FlushEvery: 10},
 		// The chunk rate is held constant across stream rates (≈64 chunks/s,
 		// as in the paper's streaming substrate [6]): a faster stream means
 		// bigger chunks, not more of them. This is why Table 5's overhead
 		// falls as the bitrate grows — verification traffic depends on the
 		// chunk rate only.
-		Stream:       stream.Config{BitrateBps: p.BitrateBps, ChunkPayload: 1316 * p.BitrateBps / 674_000},
-		NetDefaults:  net.Uniform(p.MeanLoss, 20*time.Millisecond),
-		LiFTinG:      true,
-		ExpectedLoss: p.MeanLoss,
-		BehaviorFor:  co.behaviorFor(),
+		Stream:      stream.Config{BitrateBps: p.BitrateBps, ChunkPayload: 1316 * p.BitrateBps / 674_000},
+		NetDefaults: net.Uniform(loss, 20*time.Millisecond),
+		LiFTinG:     true,
+		BehaviorFor: co.behaviorFor(),
 		ConditionsFor: func(id msg.NodeID) (net.Conditions, bool) {
 			if id == 0 || co.has(id) {
 				return net.Conditions{}, false
@@ -99,7 +92,7 @@ func (p PlanetLabConfig) buildOptions() cluster.Options {
 				// freerider (§7.3: the false positives "do not deliberately
 				// freeride, but their connection does not allow them to
 				// contribute their fair share").
-				c := net.Uniform(2*p.MeanLoss, 60*time.Millisecond)
+				c := net.Uniform(2*loss, 60*time.Millisecond)
 				c.LatencyJitter = 60 * time.Millisecond
 				return c, true
 			}

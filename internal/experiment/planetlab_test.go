@@ -164,17 +164,18 @@ func TestTable3MessageCounts(t *testing.T) {
 		t.Fatal("no acks at pdcc=0")
 	}
 	// pdcc = 1: confirm traffic present and bounded by O(f²).
+	opts := p.buildOptions()
+	f, m := float64(opts.Gossip.F), float64(opts.Rep.M)
 	c1 := parse(tab.Rows[1][2])
 	if c1 <= 0 {
 		t.Fatal("no confirms at pdcc=1")
 	}
-	if c1 > float64(p.F*p.F) {
-		t.Fatalf("confirms per node-period %v exceed f² = %d", c1, p.F*p.F)
+	if c1 > f*f {
+		t.Fatalf("confirms per node-period %v exceed f² = %v", c1, f*f)
 	}
 	// The total grows with pdcc and stays within the paper's
 	// O(pdcc·f² + M·f): an ack to each of f servers, a confirm and its
 	// response per witness, a blame for at most f partners to M managers.
-	f, m := float64(p.F), float64(p.M)
 	total0, total1 := parse(tab.Rows[0][5]), parse(tab.Rows[1][5])
 	if bound := f + 2*f*f + m*f; total1 <= total0 || total1 > bound {
 		t.Fatalf("verification messages per node-period: %v at pdcc=0, %v at pdcc=1, bound %v", total0, total1, bound)

@@ -149,7 +149,7 @@ func init() {
 				return nil, err
 			}
 			out := newResult("eq7", p)
-			out.addTable(obs, Eq7(8.95, 600, nil))
+			out.addTable(obs, Eq7(8.95, paperHistory*paperParams.F, nil))
 			return out, nil
 		},
 	})
@@ -298,6 +298,7 @@ func init() {
 			// QoE oracles: the content plane must actually deliver verified
 			// payload, with first arrivals trailing the source by less than
 			// the run and spacing close to the chunk interval.
+			period := cfg.scaleOptions(cfg.N).Gossip.Period
 			for _, r := range []ScaleRun{res.Baseline, res.Target} {
 				if r.GoodputBytes == 0 {
 					out.fail("scale N=%d delivered no verified payload (goodput 0)", r.N)
@@ -305,8 +306,8 @@ func init() {
 				if lag := r.StreamLag(); lag <= 0 || lag >= cfg.Duration {
 					out.fail("scale N=%d mean stream lag %s outside (0, %s)", r.N, lag, cfg.Duration)
 				}
-				if jit := r.StreamJitter(); jit >= cfg.Period {
-					out.fail("scale N=%d mean jitter %s >= gossip period %s", r.N, jit, cfg.Period)
+				if jit := r.StreamJitter(); jit >= period {
+					out.fail("scale N=%d mean jitter %s >= gossip period %s", r.N, jit, period)
 				}
 			}
 			// The gate is the expected verdict at BOTH populations, not mere

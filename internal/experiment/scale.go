@@ -26,19 +26,7 @@ import (
 // at 10k+ nodes, all in message mode.
 type ScaleConfig struct {
 	// N is the target population (10000 for the headline run).
-	N int
-	// BaselineN is the reference population whose verdict N must reproduce
-	// (300, the paper's deployment size). The blame compensation and the
-	// expulsion threshold are calibrated once, at this scale.
-	BaselineN int
-	// FreeriderPct of each population freerides at degree Delta.
-	FreeriderPct float64
-	Delta        [3]float64
-	F            int
-	Period       time.Duration
-	// M managers per node; blames and score reads travel as messages.
-	M        int
-	MeanLoss float64
+	N        int
 	Duration time.Duration
 	Seed     uint64
 	// Shards is the engine shard count (0 or 1 = one, −1 = one per CPU,
@@ -50,28 +38,17 @@ type ScaleConfig struct {
 // DefaultScaleConfig returns the 10k-node scenario.
 func DefaultScaleConfig() ScaleConfig {
 	return ScaleConfig{
-		N:            10000,
-		BaselineN:    300,
-		FreeriderPct: 0.10,
-		// Hard freeriding in fanout and propose, full serves: δ1/δ2 blame is
-		// self-contained (acks reveal the shrunken partner list, witnesses
-		// fail the confirms), whereas a δ3 freerider wrongfully blames its
-		// honest receivers for never acking chunks it silently dropped —
-		// which would push the honest tail toward the threshold and make a
-		// clean verdict unattainable at any scale.
-		Delta:  [3]float64{0.7, 0.7, 0},
-		F:      7,
-		Period: 500 * time.Millisecond,
-		M:      25,
-		// 1% loss: wrongful blame grows superlinearly with loss (broken
-		// chains compound), and the workload's subject is the substrate at
-		// scale, not loss tolerance (Fig. 10/11 cover that axis).
-		MeanLoss: 0.01,
+		N:        10000,
 		Duration: 20 * time.Second,
 		Seed:     23,
 		Shards:   -1,
 	}
 }
+
+// scaleBaselineN is the reference population whose verdict N must
+// reproduce (the paper's deployment size). The blame compensation and the
+// expulsion threshold are calibrated once, at this scale.
+const scaleBaselineN = 300
 
 // ScaleRun is the outcome of one population's run: its size and the run's
 // tally.
@@ -117,9 +94,14 @@ const snapshotEvery = 5
 // coarser chunks keep the honest blame tail within the calibrated spread.
 const chunkPayload = 5264
 
-// cohort is the freerider share of a population of n.
-func (cfg ScaleConfig) cohort(n int) cohort {
-	return cohortOf(n, cfg.FreeriderPct, degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2]))
+// scaleCohort is the freerider tenth of a population of n. Hard freeriding
+// in fanout and propose, full serves: δ1/δ2 blame is self-contained (acks
+// reveal the shrunken partner list, witnesses fail the confirms), whereas a
+// δ3 freerider wrongfully blames its honest receivers for never acking
+// chunks it silently dropped — which would push the honest tail toward the
+// threshold and make a clean verdict unattainable at any scale.
+func scaleCohort(n int) cohort {
+	return cohortOf(n, 0.10, degree(0.7, 0.7, 0))
 }
 
 // scaleOptions assembles the cluster for one population of the workload.
@@ -131,20 +113,23 @@ func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
 		// deployment question, not this workload's.
 		Backend: runtime.KindSim,
 		Shards:  cfg.Shards,
-		Gossip:  gossip.Config{F: cfg.F, Period: cfg.Period, HistoryPeriods: 50},
+		Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
 		Core:    core.Config{Pdcc: 1, Gamma: 8.95},
-		// Grace of 24 periods: a single late-ack burst (the heavy tail of
-		// honest wrongful blame — one lost ack forfeits a whole period of
-		// per-chunk serve expectations) amortizes over r ≥ 24 before η ever
-		// applies, while δ = 0.7 freeriders accrue blame steadily and are not
-		// latency-bound (§6.3.1: σ(s) shrinks as 1/√r).
-		Rep:          reputation.Config{M: cfg.M, FlushEvery: 5, GracePeriods: 24},
-		Stream:       stream.Config{BitrateBps: 674_000, ChunkPayload: chunkPayload},
-		NetDefaults:  net.Uniform(cfg.MeanLoss, 5*time.Millisecond),
-		LiFTinG:      true,
-		BlameMode:    cluster.BlameMessages,
-		ExpectedLoss: cfg.MeanLoss,
-		BehaviorFor:  cfg.cohort(n).behaviorFor(),
+		// M = 25 managers per node; blames and score reads travel as
+		// messages. Grace of 24 periods: a single late-ack burst (the heavy
+		// tail of honest wrongful blame — one lost ack forfeits a whole
+		// period of per-chunk serve expectations) amortizes over r ≥ 24
+		// before η ever applies, while δ = 0.7 freeriders accrue blame
+		// steadily and are not latency-bound (§6.3.1: σ(s) shrinks as 1/√r).
+		Rep:    reputation.Config{M: 25, FlushEvery: 5, GracePeriods: 24},
+		Stream: stream.Config{BitrateBps: 674_000, ChunkPayload: chunkPayload},
+		// 1% loss: wrongful blame grows superlinearly with loss (broken
+		// chains compound), and the workload's subject is the substrate at
+		// scale, not loss tolerance (Fig. 10/11 cover that axis).
+		NetDefaults: net.Uniform(0.01, 5*time.Millisecond),
+		LiFTinG:     true,
+		BlameMode:   cluster.BlameMessages,
+		BehaviorFor: scaleCohort(n).behaviorFor(),
 	}
 }
 
@@ -163,10 +148,10 @@ func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta fl
 		}
 	}
 	c := launch(opts, cfg.Duration, nil)
-	if err := advance(ctx, c, nil, cfg.Duration+2*cfg.Period); err != nil {
+	if err := advance(ctx, c, nil, cfg.Duration+2*opts.Gossip.Period); err != nil {
 		return ScaleRun{}, nil, err
 	}
-	return ScaleRun{N: n, tallyResult: tally(c, cfg.cohort(n))}, snaps, nil
+	return ScaleRun{N: n, tallyResult: tally(c, scaleCohort(n))}, snaps, nil
 }
 
 // Scale runs the scale workload: calibrate at the baseline population, run
@@ -181,13 +166,13 @@ func Scale(ctx context.Context, cfg ScaleConfig) (*Table, *ScaleResult, error) {
 	// −10σ: the honest extreme over 10k nodes — including one amortized
 	// late-ack burst — stays above it, while the least-blamed δ = 0.7
 	// freerider sits a full unit below it by grace expiry.
-	cal, eta, err := calibrate(ctx, cfg.scaleOptions(cfg.BaselineN), cfg.Duration, 10, 0)
+	cal, eta, err := calibrate(ctx, cfg.scaleOptions(scaleBaselineN), cfg.Duration, 10, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	res := &ScaleResult{Compensation: cal.Compensation, Eta: eta}
-	if res.Baseline, _, err = cfg.scaleRun(ctx, cfg.BaselineN, cal.Compensation, eta); err != nil {
+	if res.Baseline, _, err = cfg.scaleRun(ctx, scaleBaselineN, cal.Compensation, eta); err != nil {
 		return nil, nil, err
 	}
 	if res.Target, res.TargetSnapshots, err = cfg.scaleRun(ctx, cfg.N, cal.Compensation, eta); err != nil {

@@ -46,6 +46,7 @@ func TestScaleVerdictScaleInvariant(t *testing.T) {
 	// Content-plane QoE: the stream carries real verified payload, arrivals
 	// trail the source by less than the run, and spacing stays within a
 	// gossip period of the chunk interval.
+	period := cfg.scaleOptions(cfg.N).Gossip.Period
 	for _, run := range []ScaleRun{res.Baseline, res.Target} {
 		if run.GoodputBytes == 0 {
 			t.Errorf("N=%d: no goodput", run.N)
@@ -53,8 +54,8 @@ func TestScaleVerdictScaleInvariant(t *testing.T) {
 		if lag := run.StreamLag(); lag <= 0 || lag >= cfg.Duration {
 			t.Errorf("N=%d: mean stream lag %v outside (0, %v)", run.N, lag, cfg.Duration)
 		}
-		if jit := run.StreamJitter(); jit >= cfg.Period {
-			t.Errorf("N=%d: mean jitter %v >= period %v", run.N, jit, cfg.Period)
+		if jit := run.StreamJitter(); jit >= period {
+			t.Errorf("N=%d: mean jitter %v >= period %v", run.N, jit, period)
 		}
 	}
 
@@ -102,7 +103,7 @@ func TestScaleShardInvariant(t *testing.T) {
 	cfg := DefaultScaleConfig()
 	cfg.N = 600
 	cfg.Duration = 15 * time.Second
-	cal, err := cluster.Calibrate(context.Background(), cfg.scaleOptions(cfg.BaselineN), cfg.Duration)
+	cal, err := cluster.Calibrate(context.Background(), cfg.scaleOptions(scaleBaselineN), cfg.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}

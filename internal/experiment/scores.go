@@ -8,17 +8,23 @@ import (
 	"lifting/internal/stats"
 )
 
+// paperParams is the §6 workload every blame-process experiment samples:
+// fanout f = 12, |R| = 4 chunks per request, pl = 7% message loss.
+var paperParams = analysis.Params{F: 12, R: 4, Loss: 0.07}
+
+// paperEta is the paper's detection threshold η (§6.3.1, applied again in
+// the §7 deployment).
+const paperEta = -9.75
+
 // ScoreConfig parameterizes the score-distribution experiments (Figures
-// 10-12). Defaults reproduce the paper: n = 10,000, f = 12, |R| = 4,
-// pl = 7%, m = 1,000 freeriders of degree (0.1, 0.1, 0.1), r = 50 periods,
-// η = −9.75.
+// 10-12) on paperParams, classified against paperEta. Defaults reproduce
+// the paper: n = 10,000, m = 1,000 freeriders of degree (0.1, 0.1, 0.1),
+// r = 50 periods.
 type ScoreConfig struct {
 	N          int
 	Freeriders int
-	Params     analysis.Params
 	Delta      analysis.Delta
 	Periods    int
-	Eta        float64
 	Seed       uint64
 	// NoCompensation disables wrongful-blame compensation (ablation: shows
 	// why Figure 10's centering matters).
@@ -35,10 +41,8 @@ func DefaultScoreConfig() ScoreConfig {
 	return ScoreConfig{
 		N:          10_000,
 		Freeriders: 1_000,
-		Params:     analysis.Params{F: 12, R: 4, Loss: 0.07},
 		Delta:      analysis.Uniform(0.1),
 		Periods:    50,
-		Eta:        -9.75,
 		Seed:       1,
 	}
 }
@@ -61,7 +65,7 @@ type ScoreResult struct {
 // aggregation is serial in node order, so the result does not depend on the
 // worker count. Cancelling ctx aborts between per-node trials.
 func RunScores(ctx context.Context, cfg ScoreConfig) (*ScoreResult, error) {
-	comp := cfg.Params.WrongfulBlame()
+	comp := paperParams.WrongfulBlame()
 	if cfg.NoCompensation {
 		comp = 0
 	}
@@ -70,11 +74,11 @@ func RunScores(ctx context.Context, cfg ScoreConfig) (*ScoreResult, error) {
 
 	scores := make([]float64, cfg.N)
 	err := parallelRange(ctx, cfg.Workers, cfg.N, func(i int) {
-		bp := BlameProcess{P: cfg.Params, Rand: root.ForNode(uint32(i))}
+		bp := BlameProcess{P: paperParams, Rand: root.ForNode(uint32(i))}
 		if i < cfg.Freeriders {
 			bp.Delta = cfg.Delta
 		}
-		scores[i] = bp.SampleScore(cfg.Periods, comp)
+		scores[i] = bp.SampleScore(cfg.Periods, comp, 1)
 	})
 	if err != nil {
 		return nil, err
@@ -86,13 +90,13 @@ func RunScores(ctx context.Context, cfg ScoreConfig) (*ScoreResult, error) {
 		if i < cfg.Freeriders {
 			riders = append(riders, s)
 			res.FreeriderM.Add(s)
-			if s < cfg.Eta {
+			if s < paperEta {
 				res.Detection++
 			}
 		} else {
 			honest = append(honest, s)
 			res.HonestM.Add(s)
-			if s < cfg.Eta {
+			if s < paperEta {
 				res.FalsePositives++
 			}
 		}
@@ -124,10 +128,10 @@ func Fig10(ctx context.Context, cfg ScoreConfig) (*Table, *ScoreResult, error) {
 		Title:   "Figure 10 — impact of message losses (honest scores after one period)",
 		Columns: []string{"quantity", "paper", "measured"},
 	}
-	t.AddRow("compensation b̃ (Eq. 5)", "72.95", F(cfg.Params.WrongfulBlame(), 2))
+	t.AddRow("compensation b̃ (Eq. 5)", "72.95", F(paperParams.WrongfulBlame(), 2))
 	t.AddRow("mean score", "≈0 (<0.01)", F(res.HonestM.Mean(), 3))
 	t.AddRow("σ(b)", "25.6", F(res.HonestM.Std(), 1))
-	t.AddRow("analytical σ(b)", "-", F(cfg.Params.WrongfulBlameStd(), 1))
+	t.AddRow("analytical σ(b)", "-", F(paperParams.WrongfulBlameStd(), 1))
 	t.Notes = append(t.Notes,
 		"score range ["+F(res.Honest.Min(), 1)+", "+F(res.Honest.Max(), 1)+
 			"] — compare Figure 10's x-axis of [-250, 50]")
@@ -177,7 +181,7 @@ func Fig12(ctx context.Context, cfg ScoreConfig, deltas []float64, samplesPerDel
 			deltas = append(deltas, d)
 		}
 	}
-	comp := cfg.Params.WrongfulBlame()
+	comp := paperParams.WrongfulBlame()
 	root := rng.New(cfg.Seed)
 	t := &Table{
 		Title:   "Figure 12 — detection and gain vs degree of freeriding δ",
@@ -188,9 +192,9 @@ func Fig12(ctx context.Context, cfg ScoreConfig, deltas []float64, samplesPerDel
 		d := deltas[i]
 		delta := analysis.Uniform(d)
 		detected := 0
-		bp := BlameProcess{P: cfg.Params, Delta: delta, Rand: root.Derive(F(d, 3))}
+		bp := BlameProcess{P: paperParams, Delta: delta, Rand: root.Derive(F(d, 3))}
 		for s := 0; s < samplesPerDelta; s++ {
-			if bp.SampleScore(cfg.Periods, comp) < cfg.Eta {
+			if bp.SampleScore(cfg.Periods, comp, 1) < paperEta {
 				detected++
 			}
 		}
@@ -198,7 +202,7 @@ func Fig12(ctx context.Context, cfg ScoreConfig, deltas []float64, samplesPerDel
 			Delta:     d,
 			Detection: float64(detected) / float64(samplesPerDelta),
 			Gain:      delta.Gain(),
-			BoundLow:  cfg.Params.DetectionBound(delta, cfg.Periods, cfg.Eta),
+			BoundLow:  paperParams.DetectionBound(delta, cfg.Periods, paperEta),
 		}
 	})
 	if err != nil {

@@ -10,18 +10,14 @@ import (
 	"lifting/internal/stats"
 )
 
-func paperParams() analysis.Params {
-	return analysis.Params{F: 12, R: 4, Loss: 0.07}
-}
-
 func TestBlameProcessMatchesEquation5(t *testing.T) {
 	// The Monte-Carlo mean must converge to the closed form b̃ = 72.95.
-	bp := BlameProcess{P: paperParams(), Rand: rng.New(3)}
+	bp := BlameProcess{P: paperParams, Rand: rng.New(3)}
 	var m stats.Moments
 	for i := 0; i < 20000; i++ {
-		m.Add(bp.SamplePeriod())
+		m.Add(bp.SamplePeriod(1))
 	}
-	want := paperParams().WrongfulBlame()
+	want := paperParams.WrongfulBlame()
 	if math.Abs(m.Mean()-want) > 0.5 {
 		t.Fatalf("MC mean = %v, closed form b̃ = %v", m.Mean(), want)
 	}
@@ -30,7 +26,7 @@ func TestBlameProcessMatchesEquation5(t *testing.T) {
 		t.Fatalf("MC σ(b) = %v, paper reports 25.6", m.Std())
 	}
 	// Our analytical σ(b) should agree with the MC too.
-	if aStd := paperParams().WrongfulBlameStd(); math.Abs(aStd-m.Std()) > 2 {
+	if aStd := paperParams.WrongfulBlameStd(); math.Abs(aStd-m.Std()) > 2 {
 		t.Fatalf("analytical σ(b) = %v vs MC %v", aStd, m.Std())
 	}
 }
@@ -38,12 +34,12 @@ func TestBlameProcessMatchesEquation5(t *testing.T) {
 func TestBlameProcessFreeriderMatchesBPrime(t *testing.T) {
 	for _, d := range []float64{0.05, 0.1, 0.2} {
 		delta := analysis.Uniform(d)
-		bp := BlameProcess{P: paperParams(), Delta: delta, Rand: rng.New(7)}
+		bp := BlameProcess{P: paperParams, Delta: delta, Rand: rng.New(7)}
 		var m stats.Moments
 		for i := 0; i < 20000; i++ {
-			m.Add(bp.SamplePeriod())
+			m.Add(bp.SamplePeriod(1))
 		}
-		want := paperParams().FreeriderBlame(delta)
+		want := paperParams.FreeriderBlame(delta)
 		// The sampler rounds (1−δ1)·f to an integer partner count; allow a
 		// correspondingly loose tolerance.
 		if math.Abs(m.Mean()-want) > 0.05*want+2 {

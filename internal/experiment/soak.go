@@ -31,22 +31,14 @@ import (
 // merely crashed, rebooted or sat behind a partition must not be expelled
 // for it.
 type SoakConfig struct {
-	// N is the initial population.
+	// N is the initial population; a tenth of it runs the attack behavior.
 	N int
-	// FreeriderPct of the initial population runs the attack behavior.
-	FreeriderPct float64
 	// Attack selects the adversary cohort's behavior: "freeride" (degree
 	// Delta, the default) or the name of a matrix scenario, whose behavior
 	// the cohort then runs — "blame-spam" (§5.1 bad-mouthing) and
 	// "period-stretch" (§4.1(iv) gossip-period ×2) are the ones the tests soak.
-	Attack string
-	Delta  [3]float64
-	F      int
-	Period time.Duration
-	// M managers per node; blames and score reads travel as messages so the
-	// crash→restart manager handoff is actually exercised.
-	M        int
-	MeanLoss float64
+	Attack   string
+	Delta    [3]float64
 	Duration time.Duration
 	Seed     uint64
 	// Grace is the minimum tracked age before η applies.
@@ -61,34 +53,21 @@ type SoakConfig struct {
 	// middle half of the run — the same window the fault plan uses.
 	Joins, Leaves int
 
-	// Fault-plan knobs, passed through to chaos.Generate. Candidates are
-	// derived: honest non-source nodes that are not scheduled to leave.
-	Crashes       int
-	Outage        time.Duration
-	Partitions    int
-	PartitionSpan time.Duration
-	PartitionSize int
-	LossBursts    int
-	BurstLoss     float64
-	BurstSpan     time.Duration
-	BurstSize     int
-	DupProb       float64
-	ReorderProb   float64
-	ReorderDelay  time.Duration
-	SkewCount     int
-	SkewMax       float64
+	// Faults is the fault mix chaos.Generate turns into the plan. Soak
+	// fills its Seed, Duration and Candidates — the honest non-source nodes
+	// that are not scheduled to leave.
+	Faults chaos.Config
 
 	// RecoveryPeriods bounds recovery: after every heal-like event
 	// (restart, partition heal, loss heal) cumulative goodput must have
 	// grown within this many periods.
 	RecoveryPeriods int
 
-	// EtaSigma and EtaFloor place the threshold: η = −max(EtaSigma·σ,
-	// EtaFloor) with σ from an honest chaos-free calibration pilot.
-	// EtaFloor 0 means the attack-specific default (6 for blame-spam,
-	// whose whole point is wrongful blame pressure on honest scores; 3
-	// otherwise).
-	EtaSigma, EtaFloor float64
+	// EtaFloor is the threshold's floor: η = −max(16σ, EtaFloor) with σ
+	// from an honest chaos-free calibration pilot. 0 means the
+	// attack-specific default (6 for blame-spam, whose whole point is
+	// wrongful blame pressure on honest scores; 3 otherwise).
+	EtaFloor float64
 }
 
 // DefaultSoakConfig returns the full soak scenario: 120 nodes, 30 s of
@@ -96,18 +75,13 @@ type SoakConfig struct {
 // third of the honest population.
 func DefaultSoakConfig() SoakConfig {
 	return SoakConfig{
-		N:            120,
-		FreeriderPct: 0.10,
-		Attack:       "freeride",
+		N:      120,
+		Attack: "freeride",
 		// Hard freeriding in fanout and propose, full serves — the same
 		// self-contained δ profile the scale workload uses (δ3 blame would
 		// land on honest receivers and poison the no-honest-expulsion
 		// invariant by construction).
 		Delta:    [3]float64{0.7, 0.7, 0},
-		F:        7,
-		Period:   250 * time.Millisecond,
-		M:        12,
-		MeanLoss: 0.01,
 		Duration: 30 * time.Second,
 		Seed:     29,
 		Grace:    24,
@@ -116,26 +90,24 @@ func DefaultSoakConfig() SoakConfig {
 		Joins:  10,
 		Leaves: 10,
 
-		Crashes:       4,
-		Outage:        time.Second,
-		Partitions:    2,
-		PartitionSpan: 2 * time.Second,
-		PartitionSize: 8,
-		LossBursts:    2,
-		BurstLoss:     0.25,
-		BurstSpan:     2 * time.Second,
-		BurstSize:     8,
-		DupProb:       0.01,
-		ReorderProb:   0.02,
-		ReorderDelay:  20 * time.Millisecond,
-		SkewCount:     4,
-		SkewMax:       0.02,
+		Faults: chaos.Config{
+			Crashes:       4,
+			Outage:        time.Second,
+			Partitions:    2,
+			PartitionSpan: 2 * time.Second,
+			PartitionSize: 8,
+			LossBursts:    2,
+			BurstLoss:     0.25,
+			BurstSpan:     2 * time.Second,
+			BurstSize:     8,
+			DupProb:       0.01,
+			ReorderProb:   0.02,
+			ReorderDelay:  20 * time.Millisecond,
+			SkewCount:     4,
+			SkewMax:       0.02,
+		},
 
 		RecoveryPeriods: 16,
-		// 16σ: a 25% correlated loss burst costs a victim ≈10σ of transient
-		// blame before it amortizes (blame grows superlinearly with loss),
-		// while δ = 0.7 freeriders sit several times deeper by grace expiry.
-		EtaSigma: 16,
 	}
 }
 
@@ -161,13 +133,13 @@ func QuickSoakConfig() SoakConfig {
 	cfg.Delta = [3]float64{0.85, 0.85, 0}
 	cfg.Grace = 16
 	cfg.Joins, cfg.Leaves = 4, 4
-	cfg.Crashes = 2
-	cfg.Outage = 750 * time.Millisecond
-	cfg.Partitions = 1
-	cfg.PartitionSize = 5
-	cfg.LossBursts = 1
-	cfg.BurstSize = 5
-	cfg.SkewCount = 3
+	cfg.Faults.Crashes = 2
+	cfg.Faults.Outage = 750 * time.Millisecond
+	cfg.Faults.Partitions = 1
+	cfg.Faults.PartitionSize = 5
+	cfg.Faults.LossBursts = 1
+	cfg.Faults.BurstSize = 5
+	cfg.Faults.SkewCount = 3
 	cfg.RecoveryPeriods = 12
 	return cfg
 }
@@ -219,35 +191,37 @@ func (cfg SoakConfig) etaFloor() float64 {
 // the soak's own degree Delta, every other name a row of the matrix's
 // Scenarios table.
 func (cfg SoakConfig) cohort() (cohort, error) {
-	if cfg.Attack == "" || cfg.Attack == "freeride" {
-		return cohortOf(cfg.N, cfg.FreeriderPct, degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2])), nil
-	}
-	for _, sc := range Scenarios() {
-		if sc.Name == cfg.Attack {
-			return cohortOf(cfg.N, cfg.FreeriderPct, sc.Behavior), nil
+	behavior := degree(cfg.Delta[0], cfg.Delta[1], cfg.Delta[2])
+	if cfg.Attack != "" && cfg.Attack != "freeride" {
+		i := slices.Index(ScenarioNames(), cfg.Attack)
+		if i < 0 {
+			return cohort{}, fmt.Errorf("soak: unknown attack %q (want freeride or a matrix scenario: %s)",
+				cfg.Attack, strings.Join(ScenarioNames(), ", "))
 		}
+		behavior = Scenarios()[i].Behavior
 	}
-	return cohort{}, fmt.Errorf("soak: unknown attack %q (want freeride or a matrix scenario: %s)",
-		cfg.Attack, strings.Join(ScenarioNames(), ", "))
+	return cohortOf(cfg.N, 0.10, behavior), nil
 }
 
 // soakOptions assembles the cluster options (threshold fields are filled in
 // after calibration).
 func (cfg SoakConfig) soakOptions(co cohort) cluster.Options {
 	return cluster.Options{
-		N:            cfg.N,
-		Seed:         cfg.Seed,
-		Backend:      cfg.Backend,
-		Shards:       cfg.Shards,
-		Gossip:       gossip.Config{F: cfg.F, Period: cfg.Period, HistoryPeriods: 50},
-		Core:         core.Config{Pdcc: 1, Gamma: 8},
-		Rep:          reputation.Config{M: cfg.M, GracePeriods: cfg.Grace},
-		Stream:       stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
-		NetDefaults:  net.Uniform(cfg.MeanLoss, 5*time.Millisecond),
-		LiFTinG:      true,
-		BlameMode:    cluster.BlameMessages,
-		ExpectedLoss: cfg.MeanLoss,
-		BehaviorFor:  co.behaviorFor(),
+		N:       cfg.N,
+		Seed:    cfg.Seed,
+		Backend: cfg.Backend,
+		Shards:  cfg.Shards,
+		Gossip:  gossip.Config{F: 7, Period: 250 * time.Millisecond, HistoryPeriods: 50},
+		Core:    core.Config{Pdcc: 1, Gamma: 8},
+		// M = 12 managers per node; blames and score reads travel as
+		// messages so the crash→restart manager handoff is actually
+		// exercised.
+		Rep:         reputation.Config{M: 12, GracePeriods: cfg.Grace},
+		Stream:      stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
+		NetDefaults: net.Uniform(0.01, 5*time.Millisecond),
+		LiFTinG:     true,
+		BlameMode:   cluster.BlameMessages,
+		BehaviorFor: co.behaviorFor(),
 	}
 }
 
@@ -410,31 +384,18 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 			candidates = append(candidates, id)
 		}
 	}
-	plan := chaos.Generate(chaos.Config{
-		Seed:          cfg.Seed,
-		Duration:      cfg.Duration,
-		Candidates:    candidates,
-		Crashes:       cfg.Crashes,
-		Outage:        cfg.Outage,
-		Partitions:    cfg.Partitions,
-		PartitionSpan: cfg.PartitionSpan,
-		PartitionSize: cfg.PartitionSize,
-		LossBursts:    cfg.LossBursts,
-		BurstLoss:     cfg.BurstLoss,
-		BurstSpan:     cfg.BurstSpan,
-		BurstSize:     cfg.BurstSize,
-		DupProb:       cfg.DupProb,
-		ReorderProb:   cfg.ReorderProb,
-		ReorderDelay:  cfg.ReorderDelay,
-		SkewCount:     cfg.SkewCount,
-		SkewMax:       cfg.SkewMax,
-	})
+	faults := cfg.Faults
+	faults.Seed, faults.Duration, faults.Candidates = cfg.Seed, cfg.Duration, candidates
+	plan := chaos.Generate(faults)
 
 	// Calibrate on the clean configuration: b̃ and σ describe honest
 	// behavior on the healthy network; the faults are what the threshold
-	// must then tolerate.
+	// must then tolerate. 16σ: a 25% correlated loss burst costs a victim
+	// ≈10σ of transient blame before it amortizes (blame grows
+	// superlinearly with loss), while δ = 0.7 freeriders sit several times
+	// deeper by grace expiry.
 	opts := cfg.soakOptions(co)
-	cal, eta, err := calibrate(ctx, opts, cfg.Duration, cfg.EtaSigma, cfg.etaFloor())
+	cal, eta, err := calibrate(ctx, opts, cfg.Duration, 16, cfg.etaFloor())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -452,10 +413,10 @@ func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
 	// point is everything at once.
 	c = launch(opts, cfg.Duration, nil)
 	scheduleChurn(c, cfg.Duration, cfg.Joins, leavers)
-	if err := advance(ctx, c, nil, cfg.Duration+2*cfg.Period); err != nil {
+	if err := advance(ctx, c, nil, cfg.Duration+2*opts.Gossip.Period); err != nil {
 		return nil, nil, err
 	}
-	chk.recovery(plan, cfg.Period, cfg.RecoveryPeriods)
+	chk.recovery(plan, opts.Gossip.Period, cfg.RecoveryPeriods)
 
 	counts := plan.Counts()
 	res := &SoakResult{
