@@ -60,12 +60,14 @@ heap:
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 cluster.test cluster-heap.pprof
 
 # Extended fuzzing of the network-facing decoder and fragment reassembler,
-# and of the engine's event queue and the wire clock's deadline heap against
-# their reference models (the committed seed corpora replay on every plain
+# the gateway's edge cache (hostile ids against its bound and index), and of
+# the engine's event queue and the wire clock's deadline heap against their
+# reference models (the committed seed corpora replay on every plain
 # `go test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 60s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 60s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzEdgeCache -fuzztime 60s ./internal/gateway/
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 60s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 60s ./internal/transport/
 

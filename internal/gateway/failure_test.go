@@ -144,7 +144,7 @@ func TestClientDisconnectDuringSingleflight(t *testing.T) {
 		t.Fatalf("%d flight entries stuck after all clients finished", inflight)
 	}
 	// The chunk landed in the cache despite the leader's departure.
-	if _, _, ok := edge.cache.Get(9); !ok {
+	if _, ok := edge.cache.get(9); !ok {
 		t.Fatal("fetched chunk never reached the cache")
 	}
 }

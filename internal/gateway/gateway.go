@@ -81,7 +81,7 @@ type Stats struct {
 // mount Handler under an existing server), stop with Close.
 type Gateway struct {
 	opts   Options
-	cache  *content.Store
+	cache  *edgeCache
 	client *http.Client
 	mux    *http.ServeMux
 	srv    *http.Server
@@ -101,23 +101,30 @@ type Gateway struct {
 // flightCall deduplicates concurrent misses on the same chunk: followers
 // wait for the leader's fetch instead of hammering the store/upstream.
 type flightCall struct {
-	done    chan struct{}
-	payload []byte
-	hash    uint64
-	src     string
-	ok      bool
+	done chan struct{}
+	e    entry
+	src  []string
+	ok   bool
 }
+
+// upstreamIdleConns bounds the keep-alive connections a gateway keeps to its
+// upstream between fetches, so that many concurrent distinct misses reuse
+// their connections on the next round instead of dialing again
+// (http.DefaultTransport keeps 2 per host).
+const upstreamIdleConns = 16
 
 // New assembles a gateway.
 func New(opts Options) *Gateway {
+	upstream := http.DefaultTransport.(*http.Transport).Clone()
+	upstream.MaxIdleConnsPerHost = upstreamIdleConns
 	g := &Gateway{
 		opts:   opts,
-		cache:  content.NewStore(opts.CacheCapacity),
-		client: &http.Client{Timeout: 5 * time.Second},
+		cache:  newEdgeCache(opts.CacheCapacity),
+		client: &http.Client{Timeout: 5 * time.Second, Transport: upstream},
 		flight: make(map[msg.ChunkID]*flightCall),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /stream/chunk/{id}", g.handleChunk)
+	mux.HandleFunc("GET "+chunkPath+"{id}", g.handleChunk)
 	mux.HandleFunc("GET /stream/have", g.handleHave)
 	mux.HandleFunc("GET /stream/stats", g.handleStats)
 	g.mux = mux
@@ -140,8 +147,10 @@ func (g *Gateway) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the HTTP server. Safe to call without Start.
+// Close stops the HTTP server and drops the idle upstream connections.
+// Safe to call without Start.
 func (g *Gateway) Close() error {
+	g.client.CloseIdleConnections()
 	if g.srv == nil {
 		return nil
 	}
@@ -161,6 +170,19 @@ func (g *Gateway) Stats() Stats {
 	}
 }
 
+// The response header values every chunk response shares. A handler
+// assigns them, and an entry's hashHdr, straight into its header map: no
+// Set, no formatting. net/http clones the handler's header map at
+// WriteHeader and never writes into a value slice, and nobody else may
+// either (DESIGN.md, "a slice is never written once handed out").
+var (
+	octetStream  = []string{"application/octet-stream"}
+	fromCache    = []string{"cache"}
+	fromStore    = []string{"store"}
+	fromOrigin   = []string{"origin"}
+	fromUpstream = []string{"upstream"}
+)
+
 func (g *Gateway) handleChunk(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 32)
@@ -168,91 +190,89 @@ func (g *Gateway) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad chunk id", http.StatusBadRequest)
 		return
 	}
-	payload, hash, src, ok := g.lookup(msg.ChunkID(id))
+	e, src, ok := g.lookup(msg.ChunkID(id))
 	if !ok {
 		http.Error(w, "chunk not available", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HashHeader, fmt.Sprintf("%016x", hash))
-	w.Header().Set(SourceHeader, src)
-	_, _ = w.Write(payload)
-	g.bytesServed.Add(uint64(len(payload)))
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	h[HashHeader] = e.hashHdr
+	h[SourceHeader] = src
+	_, _ = w.Write(e.payload)
+	g.bytesServed.Add(uint64(len(e.payload)))
 }
 
 // lookup resolves a chunk through the cache → store → origin → upstream
-// chain. The returned slice is shared and read-only.
-func (g *Gateway) lookup(c msg.ChunkID) ([]byte, uint64, string, bool) {
-	if payload, hash, ok := g.cache.Get(c); ok {
+// chain, and also returns the X-Lifting-Source value. The returned slices
+// are shared and read-only.
+func (g *Gateway) lookup(c msg.ChunkID) (entry, []string, bool) {
+	if e, ok := g.cache.get(c); ok {
 		g.cacheHits.Add(1)
-		return payload, hash, "cache", true
+		return e, fromCache, true
 	}
 
 	g.mu.Lock()
 	if call, inflight := g.flight[c]; inflight {
 		g.mu.Unlock()
 		<-call.done
-		return call.payload, call.hash, call.src, call.ok
+		return call.e, call.src, call.ok
 	}
 	call := &flightCall{done: make(chan struct{})}
 	g.flight[c] = call
 	g.mu.Unlock()
 
-	call.payload, call.hash, call.src, call.ok = g.fetch(c)
+	call.e, call.src, call.ok = g.fetch(c)
 	g.mu.Lock()
 	delete(g.flight, c)
 	g.mu.Unlock()
 	close(call.done)
-	return call.payload, call.hash, call.src, call.ok
+	return call.e, call.src, call.ok
 }
 
 // fetch is the miss path: the node's store, then the origin generator, then
 // the upstream gateway. Whatever it finds lands in the cache.
-func (g *Gateway) fetch(c msg.ChunkID) ([]byte, uint64, string, bool) {
+func (g *Gateway) fetch(c msg.ChunkID) (entry, []string, bool) {
 	if g.opts.Store != nil {
 		if payload, hash, ok := g.opts.Store.Get(c); ok {
 			g.storeHits.Add(1)
-			g.cache.Put(c, payload, hash)
-			return payload, hash, "store", true
+			return g.cache.put(c, payload, hash), fromStore, true
 		}
 	}
 	if g.opts.Origin != nil {
 		payload, hash := g.opts.Origin.Chunk(c)
 		if payload != nil {
 			g.originHits.Add(1)
-			g.cache.Put(c, payload, hash)
-			return payload, hash, "origin", true
+			return g.cache.put(c, payload, hash), fromOrigin, true
 		}
 	}
 	if g.opts.Upstream != "" {
 		if payload, hash, err := FetchChunk(g.client, g.opts.Upstream, c); err == nil {
 			g.upstreamHits.Add(1)
-			g.cache.Put(c, payload, hash)
-			return payload, hash, "upstream", true
+			return g.cache.put(c, payload, hash), fromUpstream, true
 		}
 	}
 	g.misses.Add(1)
-	return nil, 0, "", false
+	return entry{}, nil, false
 }
 
 func (g *Gateway) handleHave(w http.ResponseWriter, _ *http.Request) {
+	var stored []msg.ChunkID
+	if g.opts.Store != nil {
+		stored = g.opts.Store.Chunks()
+	}
 	seen := make(map[msg.ChunkID]bool)
 	ids := []uint32{}
-	add := func(s *content.Store) {
-		if s == nil {
-			return
-		}
-		for _, c := range s.Chunks() {
+	// Store first, cache second: each list is sorted and the test surface
+	// only needs set semantics, but keep the union stable anyway.
+	for _, list := range [][]msg.ChunkID{stored, g.cache.chunks()} {
+		for _, c := range list {
 			if !seen[c] {
 				seen[c] = true
 				ids = append(ids, uint32(c))
 			}
 		}
 	}
-	// Store first, cache second: Chunks() is sorted per store and the test
-	// surface only needs set semantics, but keep the union stable anyway.
-	add(g.opts.Store)
-	add(g.cache)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(ids)
 }
@@ -262,6 +282,14 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(g.Stats())
 }
 
+// chunkPath is the route prefix of one chunk.
+const chunkPath = "/stream/chunk/"
+
+// errorBodyDrain bounds what FetchChunk reads of a non-200 response body so
+// that its keep-alive connection goes back to the pool: an error page is a
+// line, and a longer body costs its connection instead of the read.
+const errorBodyDrain = 4 << 10
+
 // FetchChunk downloads chunk c from the gateway at base URL and verifies the
 // payload against the advertised content hash. It is the client side of the
 // gateway protocol — the upstream path uses it, and so do tests and tools.
@@ -269,27 +297,55 @@ func FetchChunk(client *http.Client, base string, c msg.ChunkID) ([]byte, uint64
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	resp, err := client.Get(fmt.Sprintf("%s/stream/chunk/%d", base, uint32(c)))
+	var buf [96]byte // the URL is built on the stack; only its string escapes
+	url := strconv.AppendUint(append(append(buf[:0], base...), chunkPath...), uint64(c), 10)
+	resp, err := client.Get(string(url))
 	if err != nil {
 		return nil, 0, fmt.Errorf("gateway: fetch chunk %d: %w", c, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, errorBodyDrain)) // the error is the status
 		return nil, 0, fmt.Errorf("gateway: fetch chunk %d: %s", c, resp.Status)
 	}
 	hash, err := strconv.ParseUint(resp.Header.Get(HashHeader), 16, 64)
 	if err != nil {
 		return nil, 0, fmt.Errorf("gateway: chunk %d: bad %s header: %w", c, HashHeader, err)
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, msg.MaxChunkPayload+1))
+	payload, err := readPayload(resp)
 	if err != nil {
 		return nil, 0, fmt.Errorf("gateway: chunk %d: %w", c, err)
-	}
-	if len(payload) > msg.MaxChunkPayload {
-		return nil, 0, fmt.Errorf("gateway: chunk %d: payload exceeds %d bytes", c, msg.MaxChunkPayload)
 	}
 	if !content.Verify(payload, hash) {
 		return nil, 0, fmt.Errorf("gateway: chunk %d: content hash mismatch", c)
 	}
 	return payload, hash, nil
+}
+
+// readPayload reads a chunk body of at most msg.MaxChunkPayload bytes. A
+// body of advertised length is read into one buffer of exactly that size —
+// the last Read returns EOF with the last byte, so the connection still
+// goes back to the pool — and a longer advertised length is refused before
+// anything is read. A body of unknown length (chunked) is read through a
+// limit one byte past the bound.
+func readPayload(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > msg.MaxChunkPayload {
+		return nil, fmt.Errorf("advertised payload of %d bytes exceeds %d", n, msg.MaxChunkPayload)
+	}
+	if n >= 0 {
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, payload); err != nil {
+			return nil, err
+		}
+		return payload, nil
+	}
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, msg.MaxChunkPayload+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(payload) > msg.MaxChunkPayload {
+		return nil, fmt.Errorf("payload exceeds %d bytes", msg.MaxChunkPayload)
+	}
+	return payload, nil
 }
