@@ -14,7 +14,8 @@ test:
 # wall-clock reads, global rand, unordered map iteration and
 # float/time-typed document fields — and keeps orphan packages, functions and
 # methods only their tests call, and fields only their tests set, from growing
-# back (see DESIGN.md).
+# back (no-orphan), as it keeps knobs nobody turns: fields and parameters the
+# product only ever sets to one constant (one-value; see DESIGN.md).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -30,10 +31,12 @@ lint:
 # merges at the barrier), the metrics collector (striped atomic counters
 # hammered from sender goroutines while scrapers render the exposition), the
 # content plane (chunk stores and the HTTP gateway serve shared payload
-# slices to concurrent readers) and gossip (its serve path is where shard
-# goroutines meet the verified-once table a sim cluster's nodes share).
+# slices to concurrent readers), gossip (its serve path is where shard
+# goroutines meet the verified-once table a sim cluster's nodes share) and obs
+# (its status callback runs on HTTP handler goroutines, concurrently with the
+# node).
 race:
-	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/
+	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/ ./internal/obs/
 
 # The whole-system benchmark every perf or simplicity PR is judged by
 # (BENCHMARK.json, benchmark/README.md): four workloads, end-to-end metrics.

@@ -3,7 +3,9 @@
 // contract — seeded runs emit identical lifting.experiments/v1 documents
 // across shard counts, worker counts and OS processes — and, with no-orphan,
 // that every package, function and method is reachable from something that
-// ships and every struct field is set by it.
+// ships and every struct field is set by it; with one-value, that no field or
+// parameter under internal/ is one the product only ever sets to one
+// constant.
 //
 //	go run ./cmd/lifting-lint ./...
 //
@@ -72,6 +74,10 @@ func analyzers() []lint.Analyzer {
 			},
 		},
 		lint.NoOrphan{},
+		// Writes and calls count everywhere; findings are reported only in
+		// internal/, so none can ask for an edit under benchmark/, cmd/ or
+		// examples/.
+		lint.OneValue{Packages: lint.PackageSet{"lifting/internal/..."}},
 	}
 }
 

@@ -28,6 +28,7 @@ func TestRunFlagsStalePackagePattern(t *testing.T) {
 		`no-wallclock: package pattern "lifting/internal/sim" matches no loaded package`,
 		`ordered-map-range: package pattern "lifting/internal/sim" matches no loaded package`,
 		`no-time-in-results: package pattern "lifting/internal/metrics" matches no loaded package`,
+		`one-value: package pattern "lifting/internal/..." matches no loaded package`,
 	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("findings lack %q:\n%s", want, stdout.String())

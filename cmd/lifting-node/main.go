@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	goruntime "runtime"
@@ -102,6 +103,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	checks := []error{gcfg.Validate(), ccfg.Validate(), scfg.Validate()}
 	if *m < 1 {
 		checks = append(checks, fmt.Errorf("reputation: managers per node (-m) must be positive, got %d", *m))
+	}
+	// What no config validates: -loss 2 would drop every datagram and feed
+	// the compensation a loss rate above one.
+	for _, f := range []struct {
+		ok         bool
+		name, want string
+		got        any
+	}{
+		{*loss >= 0 && *loss < 1, "loss", "in [0, 1)", *loss},
+		{*freeride >= 0 && *freeride <= 1, "freeride", "in [0, 1]", *freeride},
+		{*grace >= 0, "grace", "at least 0", *grace},
+		{*duration > 0, "duration", "positive", *duration},
+		{*warmup >= 0, "warmup", "at least 0", *warmup},
+		{!math.IsNaN(*eta) && !math.IsInf(*eta, 0), "eta", "a finite number", *eta},
+	} {
+		if !f.ok {
+			checks = append(checks, fmt.Errorf("-%s must be %s, got %v", f.name, f.want, f.got))
+		}
 	}
 	for _, err := range checks {
 		if err != nil {
@@ -179,7 +198,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		Core:         ccfg,
 		Rep:          reputation.Config{M: *m, Eta: *eta, GracePeriods: *grace},
 		Stream:       scfg,
-		LiFTinG:      true,
 		Source:       *source,
 		Behavior:     behavior,
 		ExpectedLoss: *loss,
@@ -346,8 +364,8 @@ func newSoakPlane(rt *transport.Runtime, out io.Writer, self msg.NodeID, members
 	}
 	for _, id := range members {
 		c := net.Conditions{
-			DupProb:      plan.DupProb,
-			ReorderProb:  plan.ReorderProb,
+			DupProb:      chaos.DupProb,
+			ReorderProb:  chaos.ReorderProb,
 			ReorderDelay: plan.ReorderDelay,
 		}
 		if id == self {

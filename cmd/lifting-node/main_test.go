@@ -69,6 +69,35 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFlagsOutOfDomain: a probability, count or span outside its
+// domain is refused in one line naming the flag, before a socket is bound,
+// instead of a run that takes it as it comes (-loss 2 would drop every
+// datagram and exit 0).
+func TestRunRejectsFlagsOutOfDomain(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-loss", "2"},
+		{"-loss", "-0.5"},
+		{"-loss", "1"},
+		{"-freeride", "1.5"},
+		{"-freeride", "-0.1"},
+		{"-grace", "-3"},
+		{"-duration", "-1s"},
+		{"-duration", "0s"},
+		{"-warmup", "-1s"},
+		{"-eta", "NaN"},
+		{"-eta", "-Inf"},
+	} {
+		// A short run, so a flag that is not refused ends the run quickly.
+		args := []string{"-id", "1", "-peers", "0=127.0.0.1:9", "-duration", "20ms", "-warmup", "0", c.flag, c.value}
+		var out, errOut bytes.Buffer
+		code := run(context.Background(), args, &out, &errOut, nil)
+		msg := errOut.String()
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "lifting-node: "+c.flag+" ") {
+			t.Errorf("run(%s %s) = %d, stdout %q, stderr %q; want 2, nothing, one line naming %s", c.flag, c.value, code, out.String(), msg, c.flag)
+		}
+	}
+}
+
 // TestRunInterrupt pins the daemon's cancellation path: a node started with
 // a long duration shuts down promptly — sockets closed, callbacks drained —
 // when the interrupt channel closes, exactly as a SIGTERM would via the

@@ -61,9 +61,8 @@ func run(w io.Writer, nodes, coalitionSize int, gamma float64, streamFor time.Du
 		BehaviorFor: func(id msg.NodeID, dir *membership.Directory, r *rng.Stream) gossip.Behavior {
 			for _, m := range coalition {
 				if id == m {
-					col := freerider.NewColluder(id, coalition, bias, dir, r)
-					col.CoverUp = true // confirm anything about the coalition
-					return col
+					// A colluder confirms anything about the coalition.
+					return freerider.NewColluder(id, coalition, bias, dir, r)
 				}
 			}
 			return nil

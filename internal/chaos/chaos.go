@@ -84,12 +84,21 @@ type Plan struct {
 	// Skew maps a node to its clock-rate factor: 1.05 fires every local
 	// timer 5% late, against which the period auditor must hold.
 	Skew map[msg.NodeID]float64
-	// Standing duplication/reordering applied to every node's uplink for
-	// the whole run.
-	DupProb      float64
-	ReorderProb  float64
+	// ReorderDelay turns on standing duplication (DupProb) and reordering
+	// (ReorderProb, each reordered message delayed by ReorderDelay) on every
+	// node's uplink for the whole run; zero leaves both off.
 	ReorderDelay time.Duration
 }
+
+// The magnitudes every fault schedule shares: the correlated loss of a
+// burst, the standing duplication and reordering probabilities, and the
+// largest relative clock skew (0.02 = ±2%).
+const (
+	burstLoss   = 0.25
+	DupProb     = 0.01
+	ReorderProb = 0.02
+	skewMax     = 0.02
+)
 
 // Config seeds a Plan. The zero value of any knob disables that fault class.
 type Config struct {
@@ -106,17 +115,13 @@ type Config struct {
 	PartitionSpan time.Duration // how long each partition holds
 	PartitionSize int           // minority island size (nodes)
 
-	LossBursts int           // correlated-loss episodes
-	BurstLoss  float64       // inbound loss overlaid during a burst
+	LossBursts int           // correlated-loss episodes, burstLoss each
 	BurstSpan  time.Duration // how long each burst holds
 	BurstSize  int           // nodes per burst
 
-	DupProb      float64 // standing duplication probability, all nodes
-	ReorderProb  float64 // standing reordering probability, all nodes
-	ReorderDelay time.Duration
+	ReorderDelay time.Duration // see Plan.ReorderDelay
 
-	SkewCount int     // how many candidates run skewed clocks
-	SkewMax   float64 // max relative skew, e.g. 0.02 = ±2%
+	SkewCount int // how many candidates run clocks skewed by up to skewMax
 }
 
 // Generate materializes the deterministic fault schedule for cfg. All
@@ -131,8 +136,6 @@ func Generate(cfg Config) *Plan {
 	r := rng.New(cfg.Seed).Derive("chaos")
 	p := &Plan{
 		Skew:         map[msg.NodeID]float64{},
-		DupProb:      cfg.DupProb,
-		ReorderProb:  cfg.ReorderProb,
 		ReorderDelay: cfg.ReorderDelay,
 	}
 	if len(cfg.Candidates) == 0 || cfg.Duration <= 0 {
@@ -209,20 +212,20 @@ func Generate(cfg Config) *Plan {
 			heal = start + window
 		}
 		p.Events = append(p.Events,
-			Event{At: t, Kind: LossBurst, Nodes: nodes, Loss: cfg.BurstLoss},
+			Event{At: t, Kind: LossBurst, Nodes: nodes, Loss: burstLoss},
 			Event{At: heal, Kind: LossHeal, Nodes: nodes})
 	}
 
 	sk := r.Derive("skew")
-	if cfg.SkewCount > 0 && cfg.SkewMax > 0 {
+	if cfg.SkewCount > 0 {
 		count := cfg.SkewCount
 		if count > len(cfg.Candidates) {
 			count = len(cfg.Candidates)
 		}
 		for _, idx := range sk.SampleK(len(cfg.Candidates), count) {
-			// Uniform in [-SkewMax, +SkewMax], excluding the exact center
+			// Uniform in [-skewMax, +skewMax], excluding the exact center
 			// only by measure zero; 1.0 would just be a no-op.
-			p.Skew[cfg.Candidates[idx]] = 1 + (sk.Float64()*2-1)*cfg.SkewMax
+			p.Skew[cfg.Candidates[idx]] = 1 + (sk.Float64()*2-1)*skewMax
 		}
 	}
 
@@ -261,16 +264,12 @@ func DeploymentConfig(seed uint64, duration, period time.Duration, candidates []
 		PartitionSize: island,
 
 		LossBursts: 1,
-		BurstLoss:  0.25,
 		BurstSpan:  8 * period,
 		BurstSize:  island,
 
-		DupProb:      0.01,
-		ReorderProb:  0.02,
 		ReorderDelay: period / 10,
 
 		SkewCount: 2,
-		SkewMax:   0.02,
 	}
 }
 

@@ -23,14 +23,10 @@ func testConfig() Config {
 		PartitionSpan: 2 * time.Second,
 		PartitionSize: 5,
 		LossBursts:    2,
-		BurstLoss:     0.3,
 		BurstSpan:     time.Second,
 		BurstSize:     4,
-		DupProb:       0.01,
-		ReorderProb:   0.02,
 		ReorderDelay:  20 * time.Millisecond,
 		SkewCount:     4,
-		SkewMax:       0.02,
 	}
 }
 
@@ -96,8 +92,8 @@ func TestGenerateShape(t *testing.T) {
 		if !candidate[id] {
 			t.Fatalf("skew targets non-candidate %d", id)
 		}
-		if f < 1-cfg.SkewMax || f > 1+cfg.SkewMax {
-			t.Fatalf("skew factor %v outside ±%v", f, cfg.SkewMax)
+		if f < 1-skewMax || f > 1+skewMax {
+			t.Fatalf("skew factor %v outside ±%v", f, skewMax)
 		}
 	}
 }

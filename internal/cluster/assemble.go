@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"lifting/internal/chaos"
 	"lifting/internal/content"
 	"lifting/internal/core"
 	"lifting/internal/gossip"
@@ -56,17 +57,13 @@ func (o *Options) setDefaults() {
 		// Young scores are noisy (σ(s) ∝ 1/√r); don't act on them.
 		o.Rep.GracePeriods = 8
 	}
-	if o.Chaos != nil {
+	if o.Chaos != nil && o.Chaos.ReorderDelay > 0 {
 		// The plan's standing link perturbations apply to every node for
 		// the whole run, so they fold into the default conditions before
 		// the backend is built.
-		if o.Chaos.DupProb > 0 {
-			o.NetDefaults.DupProb = o.Chaos.DupProb
-		}
-		if o.Chaos.ReorderProb > 0 {
-			o.NetDefaults.ReorderProb = o.Chaos.ReorderProb
-			o.NetDefaults.ReorderDelay = o.Chaos.ReorderDelay
-		}
+		o.NetDefaults.DupProb = chaos.DupProb
+		o.NetDefaults.ReorderProb = chaos.ReorderProb
+		o.NetDefaults.ReorderDelay = o.Chaos.ReorderDelay
 	}
 }
 

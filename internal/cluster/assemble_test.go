@@ -98,7 +98,6 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 			Core:      opts.Core,
 			Rep:       opts.Rep,
 			Stream:    opts.Stream,
-			LiFTinG:   true,
 			Source:    i == 0,
 			Collector: collector,
 

@@ -213,7 +213,7 @@ func TestCalibrateIgnoresChaosAndSnapshots(t *testing.T) {
 
 	faulty := clean
 	faulty.Chaos = chaosPlan()
-	faulty.Chaos.DupProb = 0.05
+	faulty.Chaos.ReorderDelay = 20 * time.Millisecond
 	snapshots := 0
 	faulty.OnPeriodSnapshot = func(msg.Period, metrics.Snapshot) { snapshots++ }
 	got, err := Calibrate(context.Background(), faulty, pilot)

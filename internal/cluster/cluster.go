@@ -113,13 +113,6 @@ type Options struct {
 	// content.StoreCapacityFor).
 	//lint:allow no-orphan TestShardsZeroEqualsOne shrinks the stores to force misses
 	StoreCapacity int
-	// OnBlame, if non-nil, observes every blame emission (diagnostics and
-	// per-reason accounting in experiments). Only effective in direct mode,
-	// which the sim backend runs on one shard, so there it is never
-	// invoked concurrently. Under a wall-clock backend it is invoked
-	// concurrently from node goroutines with no lock held; synchronize
-	// externally if it mutates shared state.
-	OnBlame func(target msg.NodeID, value float64, reason msg.BlameReason)
 	// Chaos, if non-nil, layers a deterministic fault schedule onto the
 	// run: crash→restart cycles with manager score handoff, partitions,
 	// correlated loss bursts, standing duplication/reordering and per-node
@@ -172,10 +165,9 @@ type Cluster struct {
 	// goroutines.
 	mu sync.Mutex
 
-	// keeper is direct mode's one score-keeper and sink what blames it by
-	// call: itself, or itself and then OnBlame. Both nil in message mode.
+	// keeper is direct mode's one score-keeper, blamed by call; nil in
+	// message mode.
 	keeper *reputation.Manager
-	sink   core.BlameSink
 
 	root          *rng.Stream
 	verified      *content.Store // the nodes' shared verified-once table; nil off the sim backend
@@ -228,6 +220,8 @@ func New(opts Options) *Cluster { return newCluster(opts, true) }
 
 // newCluster is New with the sim backend's verified-once table optional: the
 // test that shows no run can see the table builds the same cluster without.
+//
+//lint:allow one-value TestShardsZeroEqualsOne builds every cluster again without the table
 func newCluster(opts Options, verifyOnce bool) *Cluster {
 	if opts.N < 2 {
 		panic("cluster: need at least 2 nodes")
@@ -287,14 +281,6 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 			kcfg.Eta = math.Inf(-1)
 		}
 		c.keeper = reputation.NewManager(0, kcfg, nil, c.Dir)
-		c.sink = c.keeper
-		if observe := opts.OnBlame; observe != nil {
-			// Outside the keeper's lock: the observer may read Scores.
-			c.sink = core.BlameFunc(func(target msg.NodeID, value float64, reason msg.BlameReason) {
-				c.keeper.Blame(target, value, reason)
-				observe(target, value, reason)
-			})
-		}
 	}
 
 	for i := 0; i < opts.N; i++ {
@@ -333,7 +319,9 @@ func (c *Cluster) build(id msg.NodeID) {
 		root:      c.root,
 		collector: c.Collector,
 		verified:  c.verified,
-		sink:      c.sink,
+	}
+	if c.keeper != nil {
+		w.sink = c.keeper
 	}
 	if opts.BehaviorFor != nil && id != 0 {
 		w.behavior = func(r *rng.Stream) gossip.Behavior { return opts.BehaviorFor(id, c.Dir, r) }
@@ -478,8 +466,8 @@ type Calibration struct {
 // the discrete-event backend (it is a Monte-Carlo measurement, not an
 // integration test) and owns what "honest and clean" means: it ignores
 // BehaviorFor, expulsion, playout tracking, the fault plan and the caller's
-// blame and snapshot hooks, so a caller hands it the options of the run it is
-// about to police as they are. It discards the first 25% of the run as
+// snapshot hook, so a caller hands it the options of the run it is about to
+// police as they are. It discards the first 25% of the run as
 // warmup (the dissemination ramp-up produces atypical blame). Cancelling ctx
 // aborts the pilot and returns ctx.Err() with a zero Calibration.
 func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calibration, error) {
@@ -489,7 +477,6 @@ func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calib
 	pilot.ExpelOnDetection = false
 	pilot.TrackPlayout = false
 	pilot.BlameMode = BlameDirect
-	pilot.OnBlame = nil
 	pilot.Chaos = nil
 	pilot.OnPeriodSnapshot = nil
 	pilot.Seed = opts.Seed ^ 0x5afec0de
@@ -685,8 +672,8 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	if c.auditor != nil {
 		return c.auditor
 	}
-	sink := c.sink
-	if sink == nil {
+	var sink core.BlameSink = c.keeper
+	if c.keeper == nil {
 		client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
 		c.mu.Lock()
 		c.clients = append(c.clients, ownedClient{owner: 0, client: client})

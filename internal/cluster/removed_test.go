@@ -30,12 +30,13 @@ func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
 	const firstLeave, apart = 5 * time.Second, 70 * time.Millisecond
 	lastLeave := firstLeave + (leavers-1)*apart
 	gone := func(id msg.NodeID) bool { return id >= first && id < first+leavers }
-
-	type ghostBlame struct {
-		at     time.Duration
-		target msg.NodeID
-		reason msg.BlameReason
+	var live []msg.NodeID
+	for id := msg.NodeID(0); id < n; id++ {
+		if !gone(id) {
+			live = append(live, id)
+		}
 	}
+
 	for _, mode := range []BlameMode{BlameDirect, BlameMessages} {
 		for _, remove := range []bool{false, true} {
 			// Everyone honest on a lossless network: nobody has cause to
@@ -43,14 +44,16 @@ func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
 			opts := baseOptions(n, 0)
 			opts.BlameMode = mode
 			opts.ExpelOnDetection = true
-			var c *Cluster
-			var ghosts []ghostBlame // direct mode: blames of a live node
-			opts.OnBlame = func(target msg.NodeID, _ float64, reason msg.BlameReason) {
-				if !gone(target) {
-					ghosts = append(ghosts, ghostBlame{c.RT.Now(), target, reason})
-				}
+			c := New(opts)
+			// Direct mode: the keeper's blame of every live node when the
+			// first node leaves, and once the last one's checks have lapsed
+			// (the longest is the ack timeout).
+			timeout := 2 * opts.Gossip.Period
+			var atFirst, atLapse keeperBlames
+			if mode == BlameDirect {
+				c.After(firstLeave, func() { atFirst = c.keeperBlames(live...) })
+				c.After(lastLeave+timeout, func() { atLapse = c.keeperBlames(live...) })
 			}
-			c = New(opts)
 			if remove {
 				// Staggered, so that some are caught in mid-exchange.
 				for i := 0; i < leavers; i++ {
@@ -86,19 +89,30 @@ func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
 					t.Fatalf("message mode: the scores of live nodes %v moved", blamedLive)
 				}
 			default:
-				if len(ghosts) == 0 || len(blamedLive) == 0 {
-					t.Fatalf("direct mode: %d blames of live nodes, %d live scores moved; want the departed nodes' blames on the keeper", len(ghosts), len(blamedLive))
-				}
-				timeout := 2 * opts.Gossip.Period // the longest: the ack timeout
-				for _, g := range ghosts {
-					if g.reason != msg.ReasonNoAck && g.reason != msg.ReasonPartialServe {
-						t.Fatalf("live node %d blamed for %v", g.target, g.reason)
+				// The departed nodes' blames land on the keeper by call, all
+				// of them between the first leave and the last one's lapsed
+				// checks, and all for a check a departed node had open.
+				atEnd, blamed := c.keeperBlames(live...), 0
+				for _, id := range live {
+					if atFirst[id] != 0 {
+						t.Fatalf("direct mode: live node %d took %v blame before anyone left", id, atFirst[id])
 					}
-					if g.at <= firstLeave || g.at > lastLeave+timeout {
-						t.Fatalf("live node %d blamed at %v, outside (%v, %v]: not a departed node's open check", g.target, g.at, firstLeave, lastLeave+timeout)
+					if atLapse[id] != atEnd[id] {
+						t.Fatalf("direct mode: live node %d blamed after the departed nodes' checks lapsed: %v then, %v at the end", id, atLapse[id], atEnd[id])
+					}
+					if atLapse[id] != 0 {
+						blamed++
 					}
 				}
-				t.Logf("direct mode: %d blames by departed nodes applied to %d live nodes", len(ghosts), len(blamedLive))
+				if blamed == 0 || len(blamedLive) == 0 {
+					t.Fatalf("direct mode: %d live nodes blamed on the keeper, %d live scores moved; want the departed nodes' blames on the keeper", blamed, len(blamedLive))
+				}
+				for reason := range issued {
+					if reason != msg.ReasonNoAck.String() && reason != msg.ReasonPartialServe.String() {
+						t.Fatalf("direct mode: blames issued for %s: %v", reason, issued)
+					}
+				}
+				t.Logf("direct mode: blames %v by departed nodes applied to %d live nodes", issued, blamed)
 			}
 		}
 	}

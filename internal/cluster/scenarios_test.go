@@ -75,22 +75,19 @@ func TestForgedAuditBlamed(t *testing.T) {
 		}
 		return nil
 	}
-	blames := map[msg.NodeID]float64{}
-	opts.OnBlame = func(target msg.NodeID, v float64, reason msg.BlameReason) {
-		if reason == msg.ReasonAuditUnconfirmed {
-			blames[target] += v
-		}
-	}
 	c := New(opts)
 	var outcomes []core.AuditOutcome
 	auditor := c.Auditor(func(out core.AuditOutcome) { outcomes = append(outcomes, out) })
 	c.Start()
 	c.StartStream(8 * time.Second)
+	var blames keeperBlames
 	c.After(7*time.Second, func() {
+		blames = c.keeperBlames(55, 20)
 		auditor.Audit(55)
 		auditor.Audit(20)
 	})
 	c.Run(11 * time.Second)
+	blames = blames.since(c.keeperBlames(55, 20))
 
 	byTarget := map[msg.NodeID]core.AuditOutcome{}
 	for _, o := range outcomes {
@@ -103,6 +100,10 @@ func TestForgedAuditBlamed(t *testing.T) {
 	if forged.Unconfirmed <= honest.Unconfirmed {
 		t.Fatalf("forged history confirmed too well: %d vs honest %d",
 			forged.Unconfirmed, honest.Unconfirmed)
+	}
+	// The audit's blame lands on the keeper, by call.
+	if want := core.UnconfirmedHistoryBlame(forged.Unconfirmed); blames[55] < want-1e-9 {
+		t.Fatalf("forger took %v blame on the keeper after its audit, want at least the audit's %v", blames[55], want)
 	}
 	if blames[55] <= blames[20] {
 		t.Fatalf("forger blame %v not above honest blame %v", blames[55], blames[20])
@@ -120,22 +121,19 @@ func TestPeriodStretcherAudited(t *testing.T) {
 		}
 		return nil
 	}
-	stretchBlame := map[msg.NodeID]float64{}
-	opts.OnBlame = func(target msg.NodeID, v float64, reason msg.BlameReason) {
-		if reason == msg.ReasonPeriodStretch {
-			stretchBlame[target] += v
-		}
-	}
 	c := New(opts)
 	var outcomes []core.AuditOutcome
 	auditor := c.Auditor(func(out core.AuditOutcome) { outcomes = append(outcomes, out) })
 	c.Start()
 	c.StartStream(12 * time.Second)
+	var blames keeperBlames
 	c.After(11*time.Second, func() {
+		blames = c.keeperBlames(30, 10)
 		auditor.Audit(30)
 		auditor.Audit(10)
 	})
 	c.Run(15 * time.Second)
+	blames = blames.since(c.keeperBlames(30, 10))
 
 	byTarget := map[msg.NodeID]core.AuditOutcome{}
 	for _, o := range outcomes {
@@ -147,13 +145,36 @@ func TestPeriodStretcherAudited(t *testing.T) {
 	if byTarget[10].PeriodBlame > 0 {
 		t.Fatalf("honest node blamed for period stretching: %+v", byTarget[10])
 	}
-	if stretchBlame[30] <= stretchBlame[10] {
-		t.Fatal("stretch blame not routed")
+	// The audit's blame lands on the keeper, by call.
+	if blames[30] < byTarget[30].PeriodBlame-1e-9 || blames[30] <= blames[10] {
+		t.Fatalf("stretch blame not routed: keeper blame since the audits %v (stretcher), %v (honest); the audit's %v",
+			blames[30], blames[10], byTarget[30].PeriodBlame)
 	}
 	// The stretcher's history also shows roughly half the propose phases.
 	if got, want := byTarget[30].ProposalPeriods, byTarget[10].ProposalPeriods; got*3 > want*2 {
 		t.Fatalf("stretcher proposal periods %d not well below honest %d", got, want)
 	}
+}
+
+// keeperBlames is the direct-mode keeper's TotalBlame per node.
+type keeperBlames map[msg.NodeID]float64
+
+func (c *Cluster) keeperBlames(ids ...msg.NodeID) keeperBlames {
+	out := keeperBlames{}
+	for _, id := range ids {
+		e, _ := c.keeper.Snapshot(id)
+		out[id] = e.TotalBlame
+	}
+	return out
+}
+
+// since is the blame each node took from b to later.
+func (b keeperBlames) since(later keeperBlames) keeperBlames {
+	out := keeperBlames{}
+	for id, v := range later {
+		out[id] = v - b[id]
+	}
+	return out
 }
 
 // TestPdccTradeoff verifies §7.3's observation: halving pdcc slows

@@ -115,7 +115,7 @@ func TestShardsZeroEqualsOne(t *testing.T) {
 			opts.Rep.Eta = -2 // under the uncalibrated b̃, where these freeriders settle
 			opts.Core.Gamma, opts.Core.GammaFanin, opts.Core.MinEntropySamples = 4.5, 2.0, 16
 			opts.StoreCapacity = 64 // two periods of stream: a late retry meets a server that no longer holds the bytes
-			opts.Chaos = &chaos.Plan{DupProb: 0.02, ReorderProb: 0.05, ReorderDelay: 20 * time.Millisecond}
+			opts.Chaos = &chaos.Plan{ReorderDelay: 20 * time.Millisecond}
 			opts.BehaviorFor = func(id msg.NodeID, dir *membership.Directory, r *rng.Stream) gossip.Behavior {
 				switch {
 				case id >= 52:
@@ -132,7 +132,7 @@ func TestShardsZeroEqualsOne(t *testing.T) {
 					}
 					return col
 				case id == 39:
-					return &freerider.BlameSpammer{Self: id, Dir: dir, Targets: 2, Value: 7}
+					return &freerider.BlameSpammer{Self: id, Dir: dir}
 				case id == 38:
 					return freerider.PeriodStretcher{Factor: 2}
 				}
@@ -220,7 +220,7 @@ func holdSnapshots(t *testing.T, c *Cluster, audited []msg.NodeID, nh int, takeA
 				h.snapCopy.Serves = append(h.snapCopy.Serves, r)
 			}
 			for suspect := range c.Nodes {
-				if a := node.History().AskersFor(suspect, 0); len(a) > 0 {
+				if a := node.History().AskersFor(suspect); len(a) > 0 {
 					h.askers, h.askersCopy = append(h.askers, a), append(h.askersCopy, slices.Clone(a))
 				}
 			}

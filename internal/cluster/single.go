@@ -37,9 +37,8 @@ type NodeOptions struct {
 	// seed; per-node streams are derived from it exactly as the in-process
 	// cluster derives them.
 	Seed uint64
-	// Gossip is the dissemination configuration and Core LiFTinG's (used
-	// when LiFTinG is enabled); what either leaves zero is derived exactly
-	// as Options derives it.
+	// Gossip is the dissemination configuration and Core LiFTinG's; what
+	// either leaves zero is derived exactly as Options derives it.
 	Gossip gossip.Config
 	Core   core.Config
 	// Rep configures the reputation substrate.
@@ -47,8 +46,6 @@ type NodeOptions struct {
 	// Stream describes the broadcast content; it must be valid. The source
 	// injects it, every node sizes its chunk store from it.
 	Stream stream.Config
-	// LiFTinG enables the verification machinery.
-	LiFTinG bool
 	// Source makes this node inject the stream (the cluster convention is
 	// that node 0 is the source).
 	Source bool
@@ -73,11 +70,10 @@ type NodeOptions struct {
 
 // NodeHost is one assembled node of a distributed deployment.
 type NodeHost struct {
-	Opts NodeOptions
-	RT   runtime.Runtime
-	Dir  *membership.Directory
-	Node *gossip.Node
-	// Verifier and Manager are nil when LiFTinG is disabled.
+	Opts     NodeOptions
+	RT       runtime.Runtime
+	Dir      *membership.Directory
+	Node     *gossip.Node
 	Verifier *core.Verifier
 	Manager  *reputation.Manager
 	// Store is the node's chunk store and Content the stream's canonical
@@ -131,7 +127,7 @@ func NewNodeHost(rt runtime.Runtime, opts NodeOptions) *NodeHost {
 		Core:         opts.Core,
 		Rep:          opts.Rep,
 		Stream:       opts.Stream,
-		LiFTinG:      opts.LiFTinG,
+		LiFTinG:      true,
 		BlameMode:    BlameMessages,
 		ExpectedLoss: opts.ExpectedLoss,
 	}
@@ -154,13 +150,11 @@ func NewNodeHost(rt runtime.Runtime, opts NodeOptions) *NodeHost {
 	h.Node, h.Verifier, h.Manager, h.Store = a.node, a.verifier, a.manager, a.node.Store()
 	h.client, h.reader = a.client, a.reader
 
-	if h.Manager != nil {
-		// Track, as of period 0, every member this node manages, so r counts
-		// time in the system — the same pre-registration the cluster does.
-		for _, target := range members {
-			if slices.Contains(h.Dir.Managers(target, opts.Rep.M), opts.ID) {
-				h.Manager.Track(target, 0)
-			}
+	// Track, as of period 0, every member this node manages, so r counts
+	// time in the system — the same pre-registration the cluster does.
+	for _, target := range members {
+		if slices.Contains(h.Dir.Managers(target, opts.Rep.M), opts.ID) {
+			h.Manager.Track(target, 0)
 		}
 	}
 	return h
@@ -211,10 +205,8 @@ func (h *NodeHost) scheduleTick(p msg.Period) {
 		h.mu.Lock()
 		h.period = p
 		h.mu.Unlock()
-		if h.Manager != nil {
-			h.Manager.Tick(p)
-		}
-		if h.client != nil && flushDue(h.Opts.Rep, p) {
+		h.Manager.Tick(p)
+		if flushDue(h.Opts.Rep, p) {
 			h.RT.Exec(h.Opts.ID, h.client.Flush)
 		}
 		h.scheduleTick(p + 1)
@@ -245,9 +237,6 @@ func (h *NodeHost) Expelled() map[msg.NodeID]msg.BlameReason {
 // authoritative score is the min-vote over all M copies — but it is exactly
 // what an operator wants from a single daemon's /status.
 func (h *NodeHost) LocalScores() map[msg.NodeID]float64 {
-	if h.Manager == nil {
-		return nil
-	}
 	return h.Manager.Scores()
 }
 
@@ -268,9 +257,6 @@ func (h *NodeHost) StartStream(duration time.Duration) {
 // (early shutdown) yields partial results, never a hang. Must not be called
 // from inside a node callback.
 func (h *NodeHost) ReadScores(targets []msg.NodeID) map[msg.NodeID]ScoreRead {
-	if h.reader == nil {
-		return nil
-	}
 	out := make(map[msg.NodeID]ScoreRead, len(targets))
 	var mu sync.Mutex
 	resolved := make(chan struct{}, len(targets)) // buffered: callbacks never block

@@ -50,10 +50,9 @@ func TestNodeHostDeployment(t *testing.T) {
 				Gamma:          8,
 				Eta:            -1e9,
 			},
-			Rep:     reputation.Config{M: n, Eta: -1e9},
-			Stream:  stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
-			LiFTinG: true,
-			Source:  id == 0,
+			Rep:    reputation.Config{M: n, Eta: -1e9},
+			Stream: stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
+			Source: id == 0,
 		}
 	}
 

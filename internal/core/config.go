@@ -115,11 +115,3 @@ func (c Config) nominalEntropySize() int {
 type BlameSink interface {
 	Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 }
-
-// BlameFunc adapts a function to the BlameSink interface.
-type BlameFunc func(target msg.NodeID, value float64, reason msg.BlameReason)
-
-// Blame implements BlameSink.
-func (f BlameFunc) Blame(target msg.NodeID, value float64, reason msg.BlameReason) {
-	f(target, value, reason)
-}

@@ -346,7 +346,7 @@ func runScript(seed uint64, steps []step, skew float64, build func(Config, sim.C
 		}})
 	}
 	rand := rng.New(seed).Derive("verifier")
-	sink := BlameFunc(func(target msg.NodeID, value float64, reason msg.BlameReason) {
+	sink := blameFunc(func(target msg.NodeID, value float64, reason msg.BlameReason) {
 		log = append(log, fmt.Sprintf("%v blame %d %v %v", true1.Now(), target, value, reason))
 	})
 	cfg := testCfg()
@@ -358,6 +358,13 @@ func runScript(seed uint64, steps []step, skew float64, build func(Config, sim.C
 	}
 	eng.Run((diffPeriods + 5) * tg)
 	return append(log, fmt.Sprintf("next draw %x", rand.Uint64()))
+}
+
+// blameFunc adapts a function to the BlameSink interface.
+type blameFunc func(target msg.NodeID, value float64, reason msg.BlameReason)
+
+func (f blameFunc) Blame(target msg.NodeID, value float64, reason msg.BlameReason) {
+	f(target, value, reason)
 }
 
 // TestVerifierMatchesClosureReference drives Verifier and the closure-per-

@@ -169,8 +169,8 @@ func (v *Verifier) OnProposePhase(p msg.Period, partners []msg.NodeID, proposed 
 	// Bad-mouthing behaviors piggyback fabricated blames on the period
 	// boundary; the sink routes them like any verification blame because
 	// managers cannot tell them apart (§5.1).
-	for _, a := range v.behavior.SpamBlames(v.rand) {
-		v.blame(a.Target, a.Value, a.Reason)
+	for _, target := range v.behavior.SpamBlames(v.rand) {
+		v.blame(target, gossip.SpamBlame, msg.ReasonNoAck)
 	}
 	if len(serversLastPeriod) == 0 {
 		return
@@ -376,6 +376,6 @@ func (v *Verifier) onAuditPoll(from msg.NodeID, p *msg.AuditPoll) {
 		Suspect:   p.Suspect,
 		Period:    p.Period,
 		Confirmed: answer,
-		Askers:    v.hist.AskersFor(p.Suspect, 0),
+		Askers:    v.hist.AskersFor(p.Suspect),
 	}, net.Reliable)
 }

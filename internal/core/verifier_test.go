@@ -260,7 +260,7 @@ func TestWitnessDutyAnswersFromHistory(t *testing.T) {
 		t.Fatalf("witness answers = %v, want [true false]", answers)
 	}
 	// The asker was recorded for the fanin audit.
-	if got := r.hist.AskersFor(6, 0); len(got) != 2 || got[0] != 7 {
+	if got := r.hist.AskersFor(6); len(got) != 2 || got[0] != 7 {
 		t.Fatalf("askers = %v, want two entries for node 7", got)
 	}
 }
@@ -358,25 +358,21 @@ func TestHandleAuxIgnoresGossipKinds(t *testing.T) {
 	}
 }
 
-// spamBehavior emits fixed accusations at every propose phase.
+// spamBehavior accuses fixed targets at every propose phase.
 type spamBehavior struct {
 	gossip.Honest
-	acc []gossip.Accusation
+	targets []msg.NodeID
 }
 
-func (s spamBehavior) SpamBlames(*rng.Stream) []gossip.Accusation { return s.acc }
+func (s spamBehavior) SpamBlames(*rng.Stream) []msg.NodeID { return s.targets }
 
 func TestSpamBlamesRoutedAtProposePhase(t *testing.T) {
-	acc := []gossip.Accusation{
-		{Target: 4, Value: 3, Reason: msg.ReasonNoAck},
-		{Target: 5, Value: 7, Reason: msg.ReasonNoAck},
-	}
-	r := newRig(t, testCfg(), spamBehavior{acc: acc})
+	r := newRig(t, testCfg(), spamBehavior{targets: []msg.NodeID{4, 5}})
 	// Spam flows even on a phase with nothing proposed and no servers.
 	r.v.OnProposePhase(1, nil, nil, nil)
 	r.v.OnProposePhase(2, nil, nil, nil)
-	if got := r.sink.total(msg.ReasonNoAck); got != 20 {
-		t.Fatalf("spam blame total = %v, want 20 (2 accusations x 2 periods)", got)
+	if got, want := r.sink.total(msg.ReasonNoAck), 4.0*gossip.SpamBlame; got != want {
+		t.Fatalf("spam blame total = %v, want %v (2 accusations x 2 periods)", got, want)
 	}
 	// Honest behaviors never spam.
 	h := newRig(t, testCfg(), gossip.Honest{})

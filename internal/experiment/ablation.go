@@ -11,9 +11,8 @@ import (
 
 // AblationConfig sizes the ablation study.
 type AblationConfig struct {
-	// ScoreN/ScorePeriods size the blame-process runs.
-	ScoreN       int
-	ScorePeriods int
+	// ScoreN sizes the blame-process runs.
+	ScoreN int
 	// ClusterN/Duration size the packet-level runs.
 	ClusterN int
 	Duration time.Duration
@@ -23,11 +22,10 @@ type AblationConfig struct {
 // DefaultAblationConfig returns a laptop-scale study.
 func DefaultAblationConfig() AblationConfig {
 	return AblationConfig{
-		ScoreN:       3000,
-		ScorePeriods: 50,
-		ClusterN:     80,
-		Duration:     15 * time.Second,
-		Seed:         21,
+		ScoreN:   3000,
+		ClusterN: 80,
+		Duration: 15 * time.Second,
+		Seed:     21,
 	}
 }
 
@@ -51,7 +49,6 @@ func Ablations(ctx context.Context, cfg AblationConfig) (*Table, error) {
 	sc := DefaultScoreConfig()
 	sc.N = cfg.ScoreN
 	sc.Freeriders = 0
-	sc.Periods = cfg.ScorePeriods
 	sc.Seed = cfg.Seed
 	on, err := RunScores(ctx, sc)
 	if err != nil {
@@ -77,8 +74,8 @@ func Ablations(ctx context.Context, cfg AblationConfig) (*Table, error) {
 		var hs, fs float64
 		const samples = 400
 		for i := 0; i < samples; i++ {
-			hs += honest.SampleScore(cfg.ScorePeriods, comp, pdcc)
-			fs += rider.SampleScore(cfg.ScorePeriods, comp, pdcc)
+			hs += honest.SampleScore(sc.Periods, comp, pdcc)
+			fs += rider.SampleScore(sc.Periods, comp, pdcc)
 		}
 		return (hs - fs) / samples
 	}

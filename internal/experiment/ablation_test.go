@@ -68,7 +68,6 @@ func TestSamplePeriodPdccZeroDropsWitnessBlame(t *testing.T) {
 func TestAblationsRender(t *testing.T) {
 	cfg := DefaultAblationConfig()
 	cfg.ScoreN = 200
-	cfg.ScorePeriods = 10
 	cfg.ClusterN = 30
 	cfg.Duration = 5 * time.Second
 	tab, err := Ablations(context.Background(), cfg)

@@ -13,6 +13,10 @@ import (
 // history holds nh·f = 600 partner draws at the paper's f = 12.
 const paperHistory = 50
 
+// paperGamma is the paper's entropy threshold γ (§6.3.2), just below every
+// honest history's entropy (Figure 13).
+const paperGamma = 8.95
+
 // EntropyConfig parameterizes the Figure 13 experiment: the distribution of
 // history entropies under full-membership uniform partner selection, over
 // histories of paperHistory periods at paperParams' fanout. Defaults match
@@ -99,18 +103,15 @@ func Fig13(ctx context.Context, cfg EntropyConfig) (*Table, *EntropyResult, erro
 
 // Eq7 reproduces the numeric inversion of Equation 7 (§6.3.2): the maximum
 // collusion bias p*m a freerider can apply without crossing the entropy
-// threshold γ, as a function of the coalition size. The paper's worked
-// example: γ = 8.95, colluding with 25 other nodes, nh·f = 600 → p*m ≈ 21%.
-func Eq7(gamma float64, historyLen int, coalitions []int) *Table {
-	if len(coalitions) == 0 {
-		coalitions = []int{5, 10, 25, 26, 50, 100}
-	}
+// threshold γ = paperGamma, as a function of the coalition size. The paper's
+// worked example: colluding with 25 other nodes, nh·f = 600 → p*m ≈ 21%.
+func Eq7(historyLen int) *Table {
 	t := &Table{
-		Title:   "Equation 7 — maximum undetectable collusion bias p*m (γ = " + F(gamma, 2) + ")",
+		Title:   "Equation 7 — maximum undetectable collusion bias p*m (γ = " + F(paperGamma, 2) + ")",
 		Columns: []string{"coalition m'", "p*m", "entropy at p*m"},
 	}
-	for _, m := range coalitions {
-		pm := analysis.MaxCollusionBias(gamma, m, historyLen)
+	for _, m := range []int{5, 10, 25, 26, 50, 100} {
+		pm := analysis.MaxCollusionBias(paperGamma, m, historyLen)
 		t.AddRow(F(float64(m), 0), Pct(pm), F(analysis.CollusionEntropy(pm, m, historyLen), 3))
 	}
 	t.Notes = append(t.Notes, "paper: a freerider colluding with 25 others can bias 21% of its pushes")

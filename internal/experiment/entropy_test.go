@@ -67,13 +67,13 @@ func TestFig13AtPaperScaleSampled(t *testing.T) {
 }
 
 func TestEq7Table(t *testing.T) {
-	tab := Eq7(8.95, 600, []int{25, 26, 50})
-	if len(tab.Rows) != 3 {
+	tab := Eq7(600)
+	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// The 25/26-coalition rows carry the paper's 21% anchor; checked
 	// numerically in the analysis package — here we check the table wiring.
-	if tab.Rows[0][0] != "25" {
-		t.Fatalf("first row = %v", tab.Rows[0])
+	if tab.Rows[2][0] != "25" {
+		t.Fatalf("third row = %v", tab.Rows[2])
 	}
 }

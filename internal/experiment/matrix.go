@@ -207,7 +207,7 @@ func Scenarios() []Scenario {
 			BlameMode: cluster.BlameMessages, Expel: true, Grace: 16,
 			EtaFloor: 6,
 			Behavior: func(id msg.NodeID, dir *membership.Directory, _ *rng.Stream, _ []msg.NodeID) gossip.Behavior {
-				return &freerider.BlameSpammer{Self: id, Dir: dir, Targets: 2, Value: 7}
+				return &freerider.BlameSpammer{Self: id, Dir: dir}
 			},
 		},
 	}

@@ -17,15 +17,15 @@ func (p PlanetLabConfig) overheadRun(ctx context.Context) (*cluster.Cluster, err
 	return c, advance(ctx, c, nil, p.Duration+time.Second)
 }
 
+// paperPdccs are the cross-check probabilities Tables 3 and 5 sweep.
+var paperPdccs = []float64{0, 0.5, 1}
+
 // Table3 reproduces Table 3 of the paper: the per-node, per-period message
-// overhead of the verifications, for a sweep of pdcc values. The paper gives
+// overhead of the verifications, for each of paperPdccs. The paper gives
 // the asymptotics — O(pdcc·f²) confirm traffic for the verifier and each
 // witness, O(pdcc·f) for the inspected node, plus O(M·f) blames — which the
 // measured counts must track.
-func Table3(ctx context.Context, p PlanetLabConfig, pdccs []float64) (*Table, error) {
-	if len(pdccs) == 0 {
-		pdccs = []float64{0, 0.5, 1}
-	}
+func Table3(ctx context.Context, p PlanetLabConfig) (*Table, error) {
 	t := &Table{
 		Title: "Table 3 — verification messages per node per gossip period",
 		Columns: []string{
@@ -33,7 +33,7 @@ func Table3(ctx context.Context, p PlanetLabConfig, pdccs []float64) (*Table, er
 			"theory confirm O(pdcc·f²)",
 		},
 	}
-	for _, pdcc := range pdccs {
+	for _, pdcc := range paperPdccs {
 		pc := p
 		pc.Pdcc = pdcc
 		c, err := pc.overheadRun(ctx)
@@ -83,16 +83,10 @@ type OverheadPoint struct {
 	Ratio float64
 }
 
-func Table5(ctx context.Context, p PlanetLabConfig, bitrates []int, pdccs []float64) (*Table, []OverheadPoint, error) {
-	if len(bitrates) == 0 {
-		bitrates = []int{674_000, 1_082_000, 2_036_000}
-	}
-	if len(pdccs) == 0 {
-		pdccs = []float64{0, 0.5, 1}
-	}
+func Table5(ctx context.Context, p PlanetLabConfig) (*Table, []OverheadPoint, error) {
 	t := &Table{
 		Title:   "Table 5 — bandwidth overhead of cross-checking and blaming",
-		Columns: append([]string{"stream"}, pdccHeader(pdccs)...),
+		Columns: []string{"stream", "pdcc=0.00", "pdcc=0.50", "pdcc=1.00", "paper (pdcc 0 / 0.5 / 1)"},
 	}
 	paper := map[int][]string{
 		674_000:   {"1.07%", "4.53%", "8.01%"},
@@ -100,9 +94,9 @@ func Table5(ctx context.Context, p PlanetLabConfig, bitrates []int, pdccs []floa
 		2_036_000: {"0.38%", "1.69%", "2.76%"},
 	}
 	var points []OverheadPoint
-	for _, rate := range bitrates {
+	for _, rate := range []int{674_000, 1_082_000, 2_036_000} {
 		row := []string{F(float64(rate)/1000, 0) + " kbps"}
-		for _, pdcc := range pdccs {
+		for _, pdcc := range paperPdccs {
 			pc := p
 			pc.Pdcc = pdcc
 			pc.BitrateBps = rate
@@ -114,21 +108,8 @@ func Table5(ctx context.Context, p PlanetLabConfig, bitrates []int, pdccs []floa
 			points = append(points, OverheadPoint{BitrateBps: rate, Pdcc: pdcc, Ratio: ratio})
 			row = append(row, Pct(ratio))
 		}
-		if ref, ok := paper[rate]; ok && len(pdccs) == 3 {
-			row = append(row, "paper: "+ref[0]+" / "+ref[1]+" / "+ref[2])
-		}
-		t.AddRow(row...)
-	}
-	if len(pdccs) == 3 {
-		t.Columns = append(t.Columns, "paper (pdcc 0 / 0.5 / 1)")
+		ref := paper[rate]
+		t.AddRow(append(row, "paper: "+ref[0]+" / "+ref[1]+" / "+ref[2])...)
 	}
 	return t, points, nil
-}
-
-func pdccHeader(pdccs []float64) []string {
-	out := make([]string, len(pdccs))
-	for i, p := range pdccs {
-		out[i] = "pdcc=" + F(p, 2)
-	}
-	return out
 }

@@ -49,15 +49,14 @@ func TestRunScoresParallelMatchesSerial(t *testing.T) {
 func TestFig12ParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultScoreConfig()
 	cfg.Periods = 10
-	deltas := []float64{0.02, 0.05, 0.08, 0.12}
 
 	cfg.Workers = 1
-	_, serial, err := Fig12(context.Background(), cfg, deltas, 150)
+	_, serial, err := Fig12(context.Background(), cfg, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	_, par, err := Fig12(context.Background(), cfg, deltas, 150)
+	_, par, err := Fig12(context.Background(), cfg, 150)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (p PlanetLabConfig) buildOptions() cluster.Options {
 		N:      p.N,
 		Seed:   p.Seed,
 		Gossip: gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
-		Core:   core.Config{Pdcc: p.Pdcc, Gamma: 8.95},
+		Core:   core.Config{Pdcc: p.Pdcc, Gamma: paperGamma},
 		// Blames are reported to the managers every 10 gossip periods:
 		// scores act on the r ≈ 50-period timescale, and per-period
 		// reporting to M = 25 managers would alone exceed the paper's
@@ -141,10 +141,8 @@ type Fig14Result struct {
 // Compensation and the threshold are calibrated from an honest pilot run
 // (our chunk workload is lighter than the saturated analysis model; the
 // paper instead compensates analytically from the measured 4% loss).
-func Fig14(ctx context.Context, p PlanetLabConfig, snapshots []time.Duration) (*Table, *Fig14Result, error) {
-	if len(snapshots) == 0 {
-		snapshots = []time.Duration{25 * time.Second, 30 * time.Second, 35 * time.Second}
-	}
+func Fig14(ctx context.Context, p PlanetLabConfig) (*Table, *Fig14Result, error) {
+	snapshots := []time.Duration{25 * time.Second, 30 * time.Second, 35 * time.Second}
 	// One options value for pilot and run, in that order (see buildOptions).
 	// The pilot supplies b̃ only; η is placed below.
 	opts := p.buildOptions()

@@ -23,15 +23,15 @@ func TestFig14DetectionShape(t *testing.T) {
 	// test system's chunk workload yields fewer blame opportunities per
 	// period than PlanetLab's saturated one).
 	p.Delta = [3]float64{3.0 / 7, 0.3, 0.3}
-	p.Duration = 30 * time.Second
-	tab, res, err := Fig14(context.Background(), p, []time.Duration{18 * time.Second, 30 * time.Second})
+	p.Duration = 35 * time.Second
+	tab, res, err := Fig14(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab == nil || len(res.Snapshots) != 2 {
+	if tab == nil || len(res.Snapshots) != 3 {
 		t.Fatal("missing snapshots")
 	}
-	early, late := res.Snapshots[0], res.Snapshots[1]
+	early, late := res.Snapshots[0], res.Snapshots[2]
 	// Detection must grow over time (the widening gap of Figure 14) and be
 	// substantial by the end.
 	if late.Detection < early.Detection-0.05 {
@@ -101,16 +101,16 @@ func TestFig1Shape(t *testing.T) {
 func TestTable5OverheadShape(t *testing.T) {
 	p := smallPL()
 	p.Duration = 10 * time.Second
-	tab, points, err := Table5(context.Background(), p, []int{674_000, 2_036_000}, []float64{0, 1})
+	tab, points, err := Table5(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 {
+	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	parse := func(s string) float64 { return parsePct(t, s) }
-	low0, low1 := parse(tab.Rows[0][1]), parse(tab.Rows[0][2])
-	high0, high1 := parse(tab.Rows[1][1]), parse(tab.Rows[1][2])
+	low0, low1 := parse(tab.Rows[0][1]), parse(tab.Rows[0][3])
+	high0, high1 := parse(tab.Rows[2][1]), parse(tab.Rows[2][3])
 	// Overhead grows with pdcc…
 	if low1 <= low0 || high1 <= high0 {
 		t.Fatalf("overhead not increasing in pdcc: %v→%v, %v→%v", low0, low1, high0, high1)
@@ -123,22 +123,12 @@ func TestTable5OverheadShape(t *testing.T) {
 	if low1 > 0.15 || low0 < 0.001 {
 		t.Fatalf("overhead magnitudes off: pdcc0=%v pdcc1=%v", low0, low1)
 	}
-	// The measured points mirror the rendered cells exactly.
-	if len(points) != 4 {
+	// The measured points mirror the rendered cells exactly, row by row.
+	if len(points) != 9 {
 		t.Fatalf("points = %+v", points)
 	}
-	for _, pt := range points {
-		var cell float64
-		switch {
-		case pt.BitrateBps == 674_000 && pt.Pdcc == 0:
-			cell = low0
-		case pt.BitrateBps == 674_000 && pt.Pdcc == 1:
-			cell = low1
-		case pt.BitrateBps == 2_036_000 && pt.Pdcc == 0:
-			cell = high0
-		default:
-			cell = high1
-		}
+	for i, pt := range points {
+		cell := parse(tab.Rows[i/3][1+i%3])
 		if diff := pt.Ratio - cell; diff > 0.001 || diff < -0.001 {
 			t.Fatalf("point %+v disagrees with rendered cell %v", pt, cell)
 		}
@@ -148,11 +138,11 @@ func TestTable5OverheadShape(t *testing.T) {
 func TestTable3MessageCounts(t *testing.T) {
 	p := smallPL()
 	p.Duration = 8 * time.Second
-	tab, err := Table3(context.Background(), p, []float64{0, 1})
+	tab, err := Table3(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 {
+	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	parse := func(s string) float64 { return parseNum(t, s) }
@@ -166,7 +156,7 @@ func TestTable3MessageCounts(t *testing.T) {
 	// pdcc = 1: confirm traffic present and bounded by O(f²).
 	opts := p.buildOptions()
 	f, m := float64(opts.Gossip.F), float64(opts.Rep.M)
-	c1 := parse(tab.Rows[1][2])
+	c1 := parse(tab.Rows[2][2])
 	if c1 <= 0 {
 		t.Fatal("no confirms at pdcc=1")
 	}
@@ -176,7 +166,7 @@ func TestTable3MessageCounts(t *testing.T) {
 	// The total grows with pdcc and stays within the paper's
 	// O(pdcc·f² + M·f): an ack to each of f servers, a confirm and its
 	// response per witness, a blame for at most f partners to M managers.
-	total0, total1 := parse(tab.Rows[0][5]), parse(tab.Rows[1][5])
+	total0, total1 := parse(tab.Rows[0][5]), parse(tab.Rows[2][5])
 	if bound := f + 2*f*f + m*f; total1 <= total0 || total1 > bound {
 		t.Fatalf("verification messages per node-period: %v at pdcc=0, %v at pdcc=1, bound %v", total0, total1, bound)
 	}

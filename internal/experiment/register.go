@@ -108,7 +108,7 @@ func init() {
 			if p.Quick {
 				samples = 1000
 			}
-			tab, _, err := Fig12(ctx, scoreConfig("fig12", p), nil, samples)
+			tab, _, err := Fig12(ctx, scoreConfig("fig12", p), samples)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +149,7 @@ func init() {
 				return nil, err
 			}
 			out := newResult("eq7", p)
-			out.addTable(obs, Eq7(8.95, paperHistory*paperParams.F, nil))
+			out.addTable(obs, Eq7(paperHistory*paperParams.F))
 			return out, nil
 		},
 	})
@@ -179,7 +179,7 @@ func init() {
 		Describe:      "verification messages per node per gossip period, swept over pdcc",
 		DefaultParams: Params{N: planet.N, Seed: planet.Seed, Duration: planet.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			tab, err := Table3(ctx, planetLabConfig("table3", p), nil)
+			tab, err := Table3(ctx, planetLabConfig("table3", p))
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +193,7 @@ func init() {
 		Describe:      "relative bandwidth overhead across stream rates and pdcc",
 		DefaultParams: Params{N: planet.N, Seed: planet.Seed, Duration: planet.Duration, Delta: -1, Pdcc: -1},
 		Run: func(ctx context.Context, p Params, obs Observer) (*Result, error) {
-			tab, points, err := Table5(ctx, planetLabConfig("table5", p), nil, nil)
+			tab, points, err := Table5(ctx, planetLabConfig("table5", p))
 			if err != nil {
 				return nil, err
 			}
@@ -432,7 +432,7 @@ func init() {
 			out := newResult("fig14", p)
 			for _, pd := range fig14Pdccs(p.Pdcc) {
 				pl.Pdcc = pd
-				tab, res, err := Fig14(ctx, pl, nil)
+				tab, res, err := Fig14(ctx, pl)
 				if err != nil {
 					return nil, err
 				}

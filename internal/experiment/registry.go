@@ -293,6 +293,7 @@ const Schema = "lifting.experiments/v1"
 // Document is the JSON document `lifting-sim -json` emits: one entry per
 // experiment run, in run order. CI consumes it directly.
 type Document struct {
+	//lint:allow one-value the JSON field consumers check (TestJSONGoldenSchema, lifting-sim's TestJSONOutputDeterministic)
 	Schema  string    `json:"schema"`
 	Results []*Result `json:"results"`
 }

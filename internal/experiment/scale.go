@@ -114,7 +114,7 @@ func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
 		Backend: runtime.KindSim,
 		Shards:  cfg.Shards,
 		Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
-		Core:    core.Config{Pdcc: 1, Gamma: 8.95},
+		Core:    core.Config{Pdcc: 1, Gamma: paperGamma},
 		// M = 25 managers per node; blames and score reads travel as
 		// messages. Grace of 24 periods: a single late-ack burst (the heavy
 		// tail of honest wrongful blame — one lost ack forfeits a whole

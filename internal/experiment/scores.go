@@ -172,14 +172,14 @@ type Fig12Point struct {
 // Fig12 reproduces Figure 12: detection probability α and upload-bandwidth
 // gain as functions of the degree of freeriding δ (δ1=δ2=δ3=δ). The paper's
 // anchors: α ≈ 0.65 at δ = 0.05; α > 0.99 beyond δ = 0.1; gain 10% at
-// δ = 0.035 where α ≈ 0.5. Each sweep point is an independent Monte-Carlo
-// trial batch with its own delta-derived stream, so the sweep parallelizes
-// across cfg.Workers without changing any number.
-func Fig12(ctx context.Context, cfg ScoreConfig, deltas []float64, samplesPerDelta int) (*Table, []Fig12Point, error) {
-	if len(deltas) == 0 {
-		for d := 0.0; d <= 0.201; d += 0.01 {
-			deltas = append(deltas, d)
-		}
+// δ = 0.035 where α ≈ 0.5. The sweep runs δ from 0 to 0.2 in steps of 0.01.
+// Each sweep point is an independent Monte-Carlo trial batch with its own
+// delta-derived stream, so the sweep parallelizes across cfg.Workers without
+// changing any number.
+func Fig12(ctx context.Context, cfg ScoreConfig, samplesPerDelta int) (*Table, []Fig12Point, error) {
+	var deltas []float64
+	for d := 0.0; d <= 0.201; d += 0.01 {
+		deltas = append(deltas, d)
 	}
 	comp := paperParams.WrongfulBlame()
 	root := rng.New(cfg.Seed)

@@ -107,40 +107,40 @@ func TestFig11NoCompensationAblation(t *testing.T) {
 
 func TestFig12Anchors(t *testing.T) {
 	cfg := DefaultScoreConfig()
-	deltas := []float64{0, 0.035, 0.05, 0.1, 0.2}
-	_, points, err := Fig12(context.Background(), cfg, deltas, 1500)
+	_, points, err := Fig12(context.Background(), cfg, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDelta := map[float64]Fig12Point{}
-	for _, p := range points {
-		byDelta[p.Delta] = p
+	if len(points) != 21 {
+		t.Fatalf("%d sweep points, want δ = 0, 0.01, …, 0.2", len(points))
 	}
+	at := func(d float64) Fig12Point { return points[int(math.Round(d/0.01))] }
 	// Paper anchors (§6.3.1 / Figure 12):
 	// δ=0.05 → α ≈ 65%; δ ≥ 0.1 → α > 99%; δ=0.035 → α ≈ 50%, gain ≈ 10%.
-	if p := byDelta[0.05]; p.Detection < 0.45 || p.Detection > 0.85 {
+	if p := at(0.05); p.Detection < 0.45 || p.Detection > 0.85 {
 		t.Fatalf("α(0.05) = %v, paper says ≈0.65", p.Detection)
 	}
-	if p := byDelta[0.1]; p.Detection < 0.99 {
+	if p := at(0.1); p.Detection < 0.99 {
 		t.Fatalf("α(0.1) = %v, paper says >0.99", p.Detection)
 	}
-	if p := byDelta[0.035]; p.Detection < 0.25 || p.Detection > 0.75 {
-		t.Fatalf("α(0.035) = %v, paper says ≈0.5", p.Detection)
+	// δ = 0.035 lies between the sweep's 0.03 and 0.04 points.
+	if lo, hi := at(0.03), at(0.04); lo.Detection > 0.75 || hi.Detection < 0.25 {
+		t.Fatalf("α(0.03) = %v, α(0.04) = %v, paper says α(0.035) ≈ 0.5", lo.Detection, hi.Detection)
 	}
-	if p := byDelta[0.035]; math.Abs(p.Gain-0.10) > 0.01 {
-		t.Fatalf("gain(0.035) = %v, paper says ≈0.10", p.Gain)
+	if lo, hi := at(0.03), at(0.04); lo.Gain > 0.10 || hi.Gain < 0.10 {
+		t.Fatalf("gain(0.03) = %v, gain(0.04) = %v, paper says gain(0.035) ≈ 0.10", lo.Gain, hi.Gain)
 	}
 	// Honest nodes are almost never flagged.
-	if p := byDelta[0.0]; p.Detection > 0.02 {
+	if p := at(0); p.Detection > 0.02 {
 		t.Fatalf("α(0) = %v, honest nodes should pass", p.Detection)
 	}
 	// Detection is monotone in δ.
 	prev := -1.0
-	for _, d := range deltas {
-		if byDelta[d].Detection < prev-0.05 {
-			t.Fatalf("detection not monotone at δ=%v", d)
+	for _, p := range points {
+		if p.Detection < prev-0.05 {
+			t.Fatalf("detection not monotone at δ=%v", p.Delta)
 		}
-		prev = byDelta[d].Detection
+		prev = p.Detection
 	}
 }
 

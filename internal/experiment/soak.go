@@ -97,14 +97,10 @@ func DefaultSoakConfig() SoakConfig {
 			PartitionSpan: 2 * time.Second,
 			PartitionSize: 8,
 			LossBursts:    2,
-			BurstLoss:     0.25,
 			BurstSpan:     2 * time.Second,
 			BurstSize:     8,
-			DupProb:       0.01,
-			ReorderProb:   0.02,
 			ReorderDelay:  20 * time.Millisecond,
 			SkewCount:     4,
-			SkewMax:       0.02,
 		},
 
 		RecoveryPeriods: 16,

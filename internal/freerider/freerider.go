@@ -130,10 +130,6 @@ type Colluder struct {
 	// PM is the probability of picking a colluder as a propose partner
 	// (§6.3.2: the maximum undetectable value p*m follows Equation 7).
 	PM float64
-	// CoverUp makes the colluder confirm any statement about coalition
-	// members (§5.2: "if p2 colludes with p1, it will answer that p1 sent a
-	// valid proposal regardless of what p1 sent").
-	CoverUp bool
 	// MITM claims coalition members as ack partners and chunk origins
 	// (§5.2, Fig. 8b), deflecting confirm traffic to colluders.
 	MITM bool
@@ -163,7 +159,6 @@ func NewColluder(self msg.NodeID, coalition []msg.NodeID, pm float64, dir *membe
 		Group:   group,
 		Members: members,
 		PM:      pm,
-		CoverUp: true,
 		Dir:     dir,
 		Rand:    rand,
 	}
@@ -198,12 +193,11 @@ func (c *Colluder) SelectPartners(s *rng.Stream, dir *membership.Directory, self
 	return out
 }
 
-// ConfirmAnswer implements gossip.Behavior: cover coalition members up.
+// ConfirmAnswer implements gossip.Behavior: cover coalition members up
+// (§5.2: "if p2 colludes with p1, it will answer that p1 sent a valid
+// proposal regardless of what p1 sent").
 func (c *Colluder) ConfirmAnswer(suspect msg.NodeID, truth bool) bool {
-	if c.CoverUp && c.Group[suspect] {
-		return true
-	}
-	return truth
+	return truth || c.Group[suspect]
 }
 
 // AckPartners implements gossip.Behavior: under MITM, claim coalition
@@ -249,38 +243,30 @@ func (c StretchingColluder) PeriodFactor() float64 {
 }
 
 // BlameSpammer is a bad-mouther: a node that otherwise follows the protocol
-// but floods the reputation substrate with wrongful blames against random
-// honest targets. The blame value masquerades as a missed acknowledgement
-// (the largest blame a single verification plausibly yields, Table 1), so a
-// manager cannot reject it on its face; the system's defense is that a
-// bounded spam rate stays inside the compensated threshold margin.
+// but floods the reputation substrate with wrongful blames (gossip.SpamBlame)
+// against random honest targets, spamTargets of them per gossip period. The
+// system's defense is that a bounded spam rate stays inside the compensated
+// threshold margin.
 type BlameSpammer struct {
 	gossip.Honest
 	// Self is excluded from target sampling.
 	Self msg.NodeID
 	// Dir is the membership view targets are drawn from.
 	Dir *membership.Directory
-	// Targets is the number of wrongful accusations per gossip period.
-	Targets int
-	// Value is the per-accusation blame (defaults to 0 = emit nothing; a
-	// rational spammer uses NoAckBlame(f) = f).
-	Value float64
 }
+
+// spamTargets is how many nodes a bad-mouther accuses per gossip period.
+const spamTargets = 2
 
 var _ gossip.Behavior = (*BlameSpammer)(nil)
 
-// SpamBlames implements gossip.Behavior: accuse Targets uniform random nodes
-// of never acknowledging.
-func (b *BlameSpammer) SpamBlames(s *rng.Stream) []gossip.Accusation {
-	if b.Dir == nil || b.Targets <= 0 || b.Value <= 0 {
+// SpamBlames implements gossip.Behavior: accuse spamTargets uniform random
+// nodes of never acknowledging.
+func (b *BlameSpammer) SpamBlames(s *rng.Stream) []msg.NodeID {
+	if b.Dir == nil {
 		return nil
 	}
-	picks := b.Dir.Sample(s, b.Targets, b.Self)
-	out := make([]gossip.Accusation, 0, len(picks))
-	for _, t := range picks {
-		out = append(out, gossip.Accusation{Target: t, Value: b.Value, Reason: msg.ReasonNoAck})
-	}
-	return out
+	return b.Dir.Sample(s, spamTargets, b.Self)
 }
 
 // ForgeAudit implements gossip.Behavior: optionally rewrite coalition

@@ -168,10 +168,6 @@ func TestColluderCoverUp(t *testing.T) {
 	if !c.ConfirmAnswer(10, true) {
 		t.Fatal("colluder denied a true statement about a non-member")
 	}
-	c.CoverUp = false
-	if c.ConfirmAnswer(91, false) {
-		t.Fatal("cover-up disabled but colluder still lied")
-	}
 }
 
 func TestColluderMITM(t *testing.T) {
@@ -262,30 +258,24 @@ func TestStretchingColluder(t *testing.T) {
 
 func TestBlameSpammer(t *testing.T) {
 	dir := membership.Sequential(50)
-	b := &BlameSpammer{Self: 7, Dir: dir, Targets: 3, Value: 7}
+	b := &BlameSpammer{Self: 7, Dir: dir}
 	s := rng.New(4)
 	seenTargets := map[msg.NodeID]bool{}
 	for trial := 0; trial < 200; trial++ {
 		acc := b.SpamBlames(s)
-		if len(acc) != 3 {
-			t.Fatalf("got %d accusations, want 3", len(acc))
+		if len(acc) != spamTargets {
+			t.Fatalf("got %d accusations, want %d", len(acc), spamTargets)
 		}
 		perPeriod := map[msg.NodeID]bool{}
-		for _, a := range acc {
-			if a.Target == 7 {
+		for _, target := range acc {
+			if target == 7 {
 				t.Fatal("spammer accused itself")
 			}
-			if a.Value != 7 {
-				t.Fatalf("accusation value %v, want 7", a.Value)
-			}
-			if a.Reason != msg.ReasonNoAck {
-				t.Fatalf("accusation reason %v, want no-ack masquerade", a.Reason)
-			}
-			if perPeriod[a.Target] {
+			if perPeriod[target] {
 				t.Fatal("duplicate target within one period")
 			}
-			perPeriod[a.Target] = true
-			seenTargets[a.Target] = true
+			perPeriod[target] = true
+			seenTargets[target] = true
 		}
 	}
 	// Targets are spread over the membership, not fixated.
@@ -296,14 +286,7 @@ func TestBlameSpammer(t *testing.T) {
 
 func TestBlameSpammerDisabled(t *testing.T) {
 	s := rng.New(4)
-	if acc := (&BlameSpammer{Self: 1, Targets: 3, Value: 7}).SpamBlames(s); acc != nil {
+	if acc := (&BlameSpammer{Self: 1}).SpamBlames(s); acc != nil {
 		t.Fatalf("spammer without a directory emitted %v", acc)
-	}
-	dir := membership.Sequential(10)
-	if acc := (&BlameSpammer{Self: 1, Dir: dir, Value: 7}).SpamBlames(s); acc != nil {
-		t.Fatalf("zero-target spammer emitted %v", acc)
-	}
-	if acc := (&BlameSpammer{Self: 1, Dir: dir, Targets: 2}).SpamBlames(s); acc != nil {
-		t.Fatalf("zero-value spammer emitted %v", acc)
 	}
 }

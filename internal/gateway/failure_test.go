@@ -83,8 +83,12 @@ func TestMidChainCorruptionDoesNotPoison(t *testing.T) {
 // and the flight table must drain — no entry stuck behind a dead client.
 func TestClientDisconnectDuringSingleflight(t *testing.T) {
 	src := content.NewSource(13, 512)
-	release := make(chan struct{})
+	arrived, release := make(chan struct{}, 1), make(chan struct{})
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		<-release // hold every fetch until the leader has gone away
 		payload, hash := src.Chunk(9)
 		w.Header().Set(HashHeader, fmt.Sprintf("%016x", hash))
@@ -112,7 +116,7 @@ func TestClientDisconnectDuringSingleflight(t *testing.T) {
 	const followers = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, followers)
-	time.Sleep(100 * time.Millisecond) // let the leader reach the upstream
+	<-arrived // the leader's fetch is at the upstream
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func() {
@@ -127,7 +131,11 @@ func TestClientDisconnectDuringSingleflight(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond) // park the followers on the flight
+	// Park the followers on the flight: each is in the handler, and the
+	// flight only ends once release is closed.
+	if !within(5*time.Second, func() bool { return edge.Stats().Requests == 1+followers }) {
+		t.Fatalf("%d of %d requests reached the edge", edge.Stats().Requests, 1+followers)
+	}
 	cancelLeader()
 	<-leaderDone // leader is gone; the fetch it started is still running
 	close(release)
@@ -155,8 +163,12 @@ func TestClientDisconnectDuringSingleflight(t *testing.T) {
 func TestGatewayCloseUnderLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	release := make(chan struct{})
+	arrived, release := make(chan struct{}, 1), make(chan struct{})
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		<-release
 		http.Error(w, "too late", http.StatusNotFound)
 	}))
@@ -168,10 +180,12 @@ func TestGatewayCloseUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A handful of clients blocked on the parked upstream fetch.
+	// A handful of clients blocked on the parked upstream fetch: one leads
+	// it, the rest follow.
+	const clients = 4
 	var wg sync.WaitGroup
 	client := &http.Client{Timeout: 10 * time.Second}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -181,7 +195,10 @@ func TestGatewayCloseUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
+	<-arrived
+	if !within(5*time.Second, func() bool { return g.Stats().Requests == clients }) {
+		t.Fatalf("%d of %d requests reached the gateway", g.Stats().Requests, clients)
+	}
 
 	closed := make(chan error, 1)
 	go func() { closed <- g.Close() }()
@@ -197,14 +214,26 @@ func TestGatewayCloseUnderLoad(t *testing.T) {
 	wg.Wait()
 	client.CloseIdleConnections()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+5 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !within(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline+5 }) {
+		t.Fatalf("goroutines did not drain after Close: %d now vs %d at start", runtime.NumGoroutine(), baseline)
 	}
-	t.Fatalf("goroutines did not drain after Close: %d now vs %d at start", runtime.NumGoroutine(), baseline)
+}
+
+// within polls cond every millisecond until it holds or d has passed, and
+// reports whether it held.
+func within(d time.Duration, cond func() bool) bool {
+	deadline := time.NewTimer(d)
+	defer deadline.Stop()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !cond() {
+		select {
+		case <-tick.C:
+		case <-deadline.C:
+			return cond()
+		}
+	}
+	return true
 }
 
 // A hostile client bounds nothing but the header phase it is allowed: one

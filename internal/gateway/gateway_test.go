@@ -244,12 +244,7 @@ func TestGatewayConcurrentLoad(t *testing.T) {
 	client.CloseIdleConnections()
 	// The server's per-connection goroutines drain after Close; allow a
 	// little slack for the runtime's own background goroutines.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+5 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !within(5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline+5 }) {
+		t.Fatalf("goroutines did not drain: %d now vs %d at start", runtime.NumGoroutine(), baseline)
 	}
-	t.Fatalf("goroutines did not drain: %d now vs %d at start", runtime.NumGoroutine(), baseline)
 }

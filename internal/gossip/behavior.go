@@ -63,22 +63,20 @@ type Behavior interface {
 	// honest nodes in its history will not be covered by them).
 	ForgeAudit(resp *msg.AuditResp) *msg.AuditResp
 
-	// SpamBlames returns wrongful accusations to emit this gossip period.
-	// Blames are not authenticated (§5.1), so a malicious node can flood
-	// the reputation managers of honest targets with fabricated blame (the
-	// bad-mouthing attack); compensation and the threshold margin must
-	// absorb it. Honest nodes return nil.
-	SpamBlames(s *rng.Stream) []Accusation
+	// SpamBlames returns the nodes to accuse wrongfully this gossip period,
+	// each with a fabricated blame of SpamBlame. Blames are not
+	// authenticated (§5.1), so a malicious node can flood the reputation
+	// managers of honest targets with fabricated blame (the bad-mouthing
+	// attack); compensation and the threshold margin must absorb it. Honest
+	// nodes return nil.
+	SpamBlames(s *rng.Stream) []msg.NodeID
 }
 
-// Accusation is one fabricated blame a bad-mouthing behavior emits through
-// its node's blame sink. Reason is whatever the attacker masquerades as —
-// managers do not verify it.
-type Accusation struct {
-	Target msg.NodeID
-	Value  float64
-	Reason msg.BlameReason
-}
+// SpamBlame is one fabricated accusation, emitted through the accuser's
+// blame sink as a missed acknowledgement (msg.ReasonNoAck): NoAckBlame(f) =
+// f at f = 7, the largest blame a single verification plausibly yields
+// (Table 1), so a manager cannot reject it on its face.
+const SpamBlame = 7
 
 // Honest is the protocol-faithful behavior.
 type Honest struct{}
@@ -139,7 +137,7 @@ func (Honest) ForgeAudit(resp *msg.AuditResp) *msg.AuditResp { return resp }
 
 // SpamBlames implements Behavior: honest nodes only blame through the
 // verification procedures.
-func (Honest) SpamBlames(*rng.Stream) []Accusation { return nil }
+func (Honest) SpamBlames(*rng.Stream) []msg.NodeID { return nil }
 
 // Monitor receives protocol events; LiFTinG's verification component
 // (internal/core) implements it. NopMonitor is used when running the bare

@@ -262,14 +262,14 @@ func (l *Log) RecordConfirmAsker(p msg.Period, suspect, asker msg.NodeID) {
 }
 
 // hasProposalFrom reports whether the owner received, during the retained
-// periods in [from, to], proposals from sender that together cover every
+// periods up to to, proposals from sender that together cover every
 // chunk in asked. This is the witness-side truth for direct cross-checking
 // (§5.2): one pass over the window's sender ids, newest first — a witness is
 // asked within a period or two of the proposal, so the usual yes stops a few
 // ids in — marking what each proposal of that sender covers. O(window records
 // + |asked| × chunk ids that sender proposed), without allocating unless
 // asked is longer than 64, which only a hostile Confirm or AuditPoll is.
-func (l *Log) hasProposalFrom(sender msg.NodeID, from, to msg.Period, asked []msg.ChunkID) bool {
+func (l *Log) hasProposalFrom(sender msg.NodeID, to msg.Period, asked []msg.ChunkID) bool {
 	var word [1]uint64
 	covered, left := word[:], len(asked) // bit j: asked[j] was proposed
 	if left == 0 {
@@ -286,7 +286,7 @@ func (l *Log) hasProposalFrom(sender msg.NodeID, from, to msg.Period, asked []ms
 				continue
 			}
 			r := l.received.at(base + i)
-			if r.period < from || to < r.period {
+			if to < r.period {
 				continue
 			}
 			for j, c := range asked {
@@ -306,7 +306,7 @@ func (l *Log) hasProposalFrom(sender msg.NodeID, from, to msg.Period, asked []ms
 // proposals from sender covers chunks. Witness duty asks over the whole
 // window because sender and witness periods are not synchronized.
 func (l *Log) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) bool {
-	return l.hasProposalFrom(sender, 0, l.newest, chunks)
+	return l.hasProposalFrom(sender, l.newest, chunks)
 }
 
 // Proposals returns the owner's fanout records for periods (since, newest],
@@ -340,12 +340,12 @@ func (l *Log) Serves(since msg.Period) []msg.ServeRecord {
 }
 
 // AskersFor returns the multiset of nodes that asked the owner to confirm
-// proposals of suspect during periods (since, newest], in ascending period
-// order (arrival order within a period): the slice feeds the fanin entropy
+// proposals of suspect during periods (0, newest], in ascending period order
+// (arrival order within a period): the slice feeds the fanin entropy
 // evidence.
-func (l *Log) AskersFor(suspect msg.NodeID, since msg.Period) []msg.NodeID {
+func (l *Log) AskersFor(suspect msg.NodeID) []msg.NodeID {
 	var out []msg.NodeID
-	for _, run := range l.askers.runs(after(&l.askers, since)) {
+	for _, run := range l.askers.runs(after(&l.askers, 0)) {
 		for _, a := range run {
 			if a.suspect == suspect {
 				out = append(out, a.asker)

@@ -58,22 +58,22 @@ func TestHasProposalFrom(t *testing.T) {
 	l.RecordProposalReceived(5, 2, []msg.ChunkID{1, 2, 3})
 	l.RecordProposalReceived(6, 2, []msg.ChunkID{4})
 	cases := []struct {
-		from, to msg.Period
-		chunks   []msg.ChunkID
-		want     bool
+		to     msg.Period
+		chunks []msg.ChunkID
+		want   bool
 	}{
-		{5, 5, []msg.ChunkID{1, 3}, true},
-		{5, 6, []msg.ChunkID{1, 4}, true}, // spans two periods
-		{5, 5, []msg.ChunkID{4}, false},   // wrong period
-		{5, 6, []msg.ChunkID{9}, false},   // never proposed
-		{5, 6, nil, true},                 // empty set vacuously covered
+		{5, []msg.ChunkID{1, 3}, true},
+		{6, []msg.ChunkID{1, 4}, true}, // spans two periods
+		{5, []msg.ChunkID{4}, false},   // proposed after to
+		{6, []msg.ChunkID{9}, false},   // never proposed
+		{6, nil, true},                 // empty set vacuously covered
 	}
 	for i, c := range cases {
-		if got := l.hasProposalFrom(2, c.from, c.to, c.chunks); got != c.want {
+		if got := l.hasProposalFrom(2, c.to, c.chunks); got != c.want {
 			t.Errorf("case %d: hasProposalFrom = %v, want %v", i, got, c.want)
 		}
 	}
-	if l.hasProposalFrom(3, 5, 6, []msg.ChunkID{1}) {
+	if l.hasProposalFrom(3, 6, []msg.ChunkID{1}) {
 		t.Fatal("proposal attributed to the wrong sender")
 	}
 }
@@ -120,11 +120,11 @@ func TestAskersFor(t *testing.T) {
 	l.RecordConfirmAsker(2, 7, 101)
 	l.RecordConfirmAsker(3, 7, 102)
 	l.RecordConfirmAsker(2, 8, 103)
-	askers := l.AskersFor(7, 0)
+	askers := l.AskersFor(7)
 	if len(askers) != 3 {
 		t.Fatalf("askers for suspect 7 = %v, want 3 entries", askers)
 	}
-	if got := l.AskersFor(8, 0); len(got) != 1 || got[0] != 103 {
+	if got := l.AskersFor(8); len(got) != 1 || got[0] != 103 {
 		t.Fatalf("askers for suspect 8 = %v", got)
 	}
 }
@@ -186,7 +186,7 @@ func TestWitnessRecordsAccumulate(t *testing.T) {
 	l := NewLog(5)
 	l.RecordProposalReceived(2, 9, []msg.ChunkID{1})
 	l.RecordProposalReceived(2, 9, []msg.ChunkID{2})
-	if !l.hasProposalFrom(9, 2, 2, []msg.ChunkID{1, 2}) {
+	if !l.hasProposalFrom(9, 2, []msg.ChunkID{1, 2}) {
 		t.Fatal("accumulated proposals from the same sender/period not merged")
 	}
 }
@@ -206,8 +206,8 @@ func TestSparseLogForgetsOldPeriods(t *testing.T) {
 	if got := l.Proposals(0); len(got) != 1 || got[0].Period != 100 {
 		t.Fatalf("Proposals = %v, want only period 100", got)
 	}
-	if len(l.Serves(0)) != 0 || len(l.AskersFor(4, 0)) != 0 || l.received.n != 0 {
-		t.Fatalf("period 1 still visible: %v %v, %d received proposals", l.Serves(0), l.AskersFor(4, 0), l.received.n)
+	if len(l.Serves(0)) != 0 || len(l.AskersFor(4)) != 0 || l.received.n != 0 {
+		t.Fatalf("period 1 still visible: %v %v, %d received proposals", l.Serves(0), l.AskersFor(4), l.received.n)
 	}
 	l.RecordProposalReceived(50, 4, []msg.ChunkID{1}) // newest−nh: outside
 	l.RecordProposalReceived(51, 7, []msg.ChunkID{1}) // oldest retained
@@ -274,7 +274,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			if r.IntN(2) == 0 {
 				since = p - min(p, msg.Period(r.IntN(nh+3)))
 			}
-			who, from, want := node(), since, chunks()
+			who, want := node(), chunks()
 			if len(want) > 0 && r.IntN(8) == 0 {
 				for len(want) <= 64 {
 					want = append(want, want...)
@@ -288,10 +288,10 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			}
 			same("Newest", l.Newest(), ref.newest)
 			same("HasRecentProposalFrom", l.HasRecentProposalFrom(who, want), ref.HasRecentProposalFrom(who, want))
-			same("hasProposalFrom", l.hasProposalFrom(who, from, p-min(p, 1), want), ref.hasProposalFrom(who, from, p-min(p, 1), want))
+			same("hasProposalFrom", l.hasProposalFrom(who, p-min(p, 1), want), ref.hasProposalFrom(who, p-min(p, 1), want))
 			same("Proposals", l.Proposals(since), ref.Proposals(since))
 			same("Serves", l.Serves(since), ref.Serves(since))
-			same("AskersFor", l.AskersFor(who, since), ref.AskersFor(who, since))
+			same("AskersFor", l.AskersFor(who), ref.AskersFor(who))
 			horizon := r.IntN(nh + 3)
 			same("Snapshot", *l.Snapshot(9, horizon), *ref.Snapshot(9, horizon))
 		}
@@ -384,7 +384,7 @@ func TestLateRecordsKeepPeriodOrder(t *testing.T) {
 			if got, want := l.HasRecentProposalFrom(99, []msg.ChunkID{99}), slices.Contains(tc.want, tc.late); got != want {
 				t.Errorf("late proposal witnessed = %v, want %v", got, want)
 			}
-			if got, want := fmt.Sprint(l.Proposals(0), l.Serves(0), l.AskersFor(1, 0)), fmt.Sprint(ref.Proposals(0), ref.Serves(0), ref.AskersFor(1, 0)); got != want {
+			if got, want := fmt.Sprint(l.Proposals(0), l.Serves(0), l.AskersFor(1)), fmt.Sprint(ref.Proposals(0), ref.Serves(0), ref.AskersFor(1)); got != want {
 				t.Errorf("Proposals, Serves, AskersFor =\n%s, reference\n%s", got, want)
 			}
 		})
@@ -479,7 +479,7 @@ func TestQueuesHoldExactlyTheWindow(t *testing.T) {
 		if got, want := l.HasRecentProposalFrom(sender, ids), p > 9*nh; got != want {
 			t.Errorf("proposal of period %d witnessed = %v, want %v (window (%d, %d])", p, got, want, 9*nh, 10*nh)
 		}
-		if got, want := len(l.AskersFor(sender, 0)), 1; (got == want) != (p > 9*nh) {
+		if got, want := len(l.AskersFor(sender)), 1; (got == want) != (p > 9*nh) {
 			t.Errorf("%d askers about the proposer of period %d, window (%d, %d]", got, p, 9*nh, 10*nh)
 		}
 	}
@@ -495,7 +495,7 @@ func TestSnapshotSurvivesSlotReuse(t *testing.T) {
 	for ; p <= 2*nh; p++ {
 		streamPeriod(l, p)
 	}
-	snap, askers := l.Snapshot(1, nh), l.AskersFor(7*nh+7, 0)
+	snap, askers := l.Snapshot(1, nh), l.AskersFor(7*nh+7)
 	want := fmt.Sprint(*snap, askers)
 	if len(snap.Proposals) != 7*nh || len(snap.Serves) != 7*(nh-1) || len(askers) != 1 {
 		t.Fatalf("snapshot has %d proposals, %d serves, %d askers", len(snap.Proposals), len(snap.Serves), len(askers))

@@ -82,10 +82,10 @@ func (l *refLog) RecordConfirmAsker(p msg.Period, suspect, asker msg.NodeID) {
 	}
 }
 
-func (l *refLog) hasProposalFrom(sender msg.NodeID, from, to msg.Period, chunks []msg.ChunkID) bool {
+func (l *refLog) hasProposalFrom(sender msg.NodeID, to msg.Period, chunks []msg.ChunkID) bool {
 	got := make(map[msg.ChunkID]bool)
 	for p, pl := range l.periods {
-		if from <= p && p <= to {
+		if p <= to {
 			for _, c := range pl.proposalsReceived[sender] {
 				got[c] = true
 			}
@@ -100,7 +100,7 @@ func (l *refLog) hasProposalFrom(sender msg.NodeID, from, to msg.Period, chunks 
 }
 
 func (l *refLog) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) bool {
-	return l.hasProposalFrom(sender, 0, l.newest, chunks)
+	return l.hasProposalFrom(sender, l.newest, chunks)
 }
 
 func (l *refLog) periodsAfter(since msg.Period) []msg.Period {
@@ -130,9 +130,9 @@ func (l *refLog) Serves(since msg.Period) []msg.ServeRecord {
 	return out
 }
 
-func (l *refLog) AskersFor(suspect msg.NodeID, since msg.Period) []msg.NodeID {
+func (l *refLog) AskersFor(suspect msg.NodeID) []msg.NodeID {
 	var out []msg.NodeID
-	for _, p := range l.periodsAfter(since) {
+	for _, p := range l.periodsAfter(0) {
 		out = append(out, l.periods[p].confirmAskers[suspect]...)
 	}
 	return out

@@ -34,7 +34,12 @@ var resultSuffixes = []string{"Result", "Run", "Row", "Snapshot", "Table"}
 func (a NoTimeInResults) RunModule(pass *Pass) {
 	reported := make(map[token.Pos]bool)
 	isTime := func(t types.Type) bool {
-		return isNamedAs(t, "time", "Time") || isNamedAs(t, "time", "Duration")
+		named, ok := types.Unalias(t).(*types.Named)
+		if !ok {
+			return false
+		}
+		obj := named.Obj()
+		return obj.Pkg() != nil && obj.Pkg().Path() == "time" && (obj.Name() == "Time" || obj.Name() == "Duration")
 	}
 	check := func(owner *types.Named, field *types.Var) {
 		if !typeHas(field.Type(), isTime) || reported[field.Pos()] {

@@ -9,7 +9,9 @@ import (
 // TypeRef names a type by package path and type name, for configuring the
 // document-closure rules ("lifting/internal/experiment".Document).
 type TypeRef struct {
-	Pkg  string
+	//lint:allow one-value TestNoFloatInDocumentFixture and TestNoTimeInResultsFixture root their fixtures' documents
+	Pkg string
+	//lint:allow one-value TestNoFloatInDocumentFixture and TestNoTimeInResultsFixture root their fixtures' documents
 	Name string
 }
 
@@ -131,16 +133,6 @@ func typeHas(t types.Type, pred func(types.Type) bool) bool {
 		return typeHas(t.Key(), pred) || typeHas(t.Elem(), pred)
 	}
 	return false
-}
-
-// isNamedAs reports whether t is the named type pkgPath.name.
-func isNamedAs(t types.Type, pkgPath, name string) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 // hasSuffixAny reports whether s ends in one of the suffixes.

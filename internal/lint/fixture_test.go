@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"go/ast"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -11,12 +12,16 @@ import (
 	"lifting/internal/lint"
 )
 
-// loadFixture loads one testdata package through the same pipeline a real
-// run uses.
+// loadFixture loads one testdata package, or a testdata module where the
+// directory has a go.mod, through the same pipeline a real run uses.
 func loadFixture(t *testing.T, name string) *lint.Module {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(name))
-	m, err := lint.LoadPackage(dir, "fixture/"+name)
+	load := func() (*lint.Module, error) { return lint.LoadPackage(dir, "fixture/"+name) }
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+		load = func() (*lint.Module, error) { return lint.LoadModule(dir) }
+	}
+	m, err := load()
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -139,6 +144,18 @@ func TestNoWallclockAllowlisted(t *testing.T) {
 // suppression that names the test a kept declaration serves.
 func TestNoOrphanFixture(t *testing.T) {
 	checkFixture(t, "noorphan", []lint.Analyzer{lint.NoOrphan{}})
+}
+
+// TestOneValueFixture pins every one-value finding — a field set to one
+// constant (spelled two ways), a field only ever nil, a field only appended
+// in an empty slice, a field a test file also sets, one-constant parameters —
+// every case that clears one (an omitting literal's zero, a computed write,
+// var x T, new(T), a write from a main package out of scope, a callback, an
+// interface-named method, a tuple argument, a variadic parameter, an exported
+// function called from another package), out-of-scope declarations, and the
+// in-place suppression.
+func TestOneValueFixture(t *testing.T) {
+	checkFixture(t, "onevalue", []lint.Analyzer{lint.OneValue{Packages: lint.PackageSet{"onevalue/internal/..."}}})
 }
 
 func TestNoGlobalRandFixture(t *testing.T) {

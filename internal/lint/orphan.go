@@ -3,6 +3,7 @@ package lint
 import (
 	"cmp"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strconv"
@@ -19,10 +20,10 @@ import (
 //   - a method is exempt when an interface type declared in the module, or
 //     in a package it imports directly or not, has a method of that name: a
 //     call through the interface reaches it without naming it;
-//   - a write is a keyed or positional composite literal, an assignment,
-//     ++ or --, taking an address, or calling a pointer method through an
-//     addressable operand, and it counts for every field on the path
-//     (c.cfg.limit = 1 writes cfg and limit).
+//   - a write is a keyed or positional composite literal, an assignment
+//     (a range clause's included), ++ or --, taking an address, or calling a
+//     pointer method through an addressable operand, and it counts for every
+//     field on the path (c.cfg.limit = 1 writes cfg and limit).
 //
 // Types, variables and constants are out of scope. Code kept on purpose
 // because a test of something else sets up or observes through it says so
@@ -43,7 +44,7 @@ func (NoOrphan) RunModule(pass *Pass) {
 	imported := make(map[string]bool)
 	implementable := interfaceMethodNames(pass.Module)
 	decls := make(map[types.Object]*ast.FuncDecl)
-	fields := make(map[types.Object]string) // field → its struct's name
+	fields := make(map[*types.Var]string) // field → its struct's name
 	for _, pkg := range pass.Module {
 		for _, f := range pkg.Files {
 			for _, imp := range f.Imports {
@@ -61,24 +62,7 @@ func (NoOrphan) RunModule(pass *Pass) {
 					decls[obj] = fd
 				}
 			}
-			owners := make(map[*ast.StructType]string)
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					if st, ok := n.Type.(*ast.StructType); ok {
-						owners[st] = n.Name.Name
-					}
-				case *ast.StructType:
-					for _, fl := range n.Fields.List {
-						for _, name := range fl.Names {
-							if name.Name != "_" {
-								fields[pkg.Info.Defs[name]] = cmp.Or(owners[n], "struct")
-							}
-						}
-					}
-				}
-				return true
-			})
+			forEachField(pkg.Info, f, func(field *types.Var, owner string) { fields[field] = owner })
 		}
 	}
 	for _, pkg := range pass.Module {
@@ -91,15 +75,14 @@ func (NoOrphan) RunModule(pass *Pass) {
 			}
 		}
 		for _, f := range pkg.Files {
-			forEachWrite(pkg.Info, f, func(v *types.Var) { delete(fields, v.Origin()) })
+			forEachWrite(pkg.Info, f, func(v *types.Var, _ ast.Expr) { delete(fields, v.Origin()) }, func(*types.Var) {})
 		}
 	}
 	for obj, fd := range decls {
 		if fd.Recv == nil {
-			pass.Report(fd.Pos(), "func %s.%s is referenced by no non-test file"+orphanHint, obj.Pkg().Name(), obj.Name())
+			pass.Report(fd.Pos(), "%s is referenced by no non-test file"+orphanHint, funcName(obj, fd))
 		} else {
-			pass.Report(fd.Pos(), "method %s.(%s).%s is referenced by no non-test file and no interface has a method of that name"+orphanHint,
-				obj.Pkg().Name(), types.ExprString(fd.Recv.List[0].Type), obj.Name())
+			pass.Report(fd.Pos(), "%s is referenced by no non-test file and no interface has a method of that name"+orphanHint, funcName(obj, fd))
 		}
 	}
 	for obj, owner := range fields {
@@ -155,26 +138,80 @@ func interfaceMethodNames(module []*Package) map[string]bool {
 	return names
 }
 
+// forEachField calls visit for every named struct field f declares, with
+// the name of the type that declares it ("struct" for a literal type).
+func forEachField(info *types.Info, f *ast.File, visit func(field *types.Var, owner string)) {
+	owners := make(map[*ast.StructType]string)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok {
+				owners[st] = n.Name.Name
+			}
+		case *ast.StructType:
+			for _, fl := range n.Fields.List {
+				for _, name := range fl.Names {
+					if name.Name != "_" {
+						visit(info.Defs[name].(*types.Var), cmp.Or(owners[n], "struct"))
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// funcName names a declared function or method in findings:
+// "func pkg.Name" or "method pkg.(Recv).Name".
+func funcName(obj types.Object, fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return "func " + obj.Pkg().Name() + "." + obj.Name()
+	}
+	return "method " + obj.Pkg().Name() + ".(" + types.ExprString(fd.Recv.List[0].Type) + ")." + obj.Name()
+}
+
 // forEachWrite calls write for every struct field f writes (see NoOrphan),
-// as the type checker resolved it at the site.
-func forEachWrite(info *types.Info, f *ast.File, write func(*types.Var)) {
-	path := func(e ast.Expr) {
+// as the type checker resolved it at the site, with the expression the site
+// writes to it, or nil when it writes no one expression: ++, an op-assign, a
+// tuple assignment, taking an address, a pointer method, a range clause, or
+// a field on the path to the one written.
+//
+// zero is called for every field a site sets to its zero value without
+// naming it: a keyed composite literal's omitted fields, and every
+// field of T under var x T, new(T) and make of a container of T but an
+// empty slice (through fields and array elements held by value).
+func forEachWrite(info *types.Info, f *ast.File, write func(field *types.Var, value ast.Expr), zero func(*types.Var)) {
+	path := func(e, value ast.Expr) {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
+				continue
 			case *ast.StarExpr:
 				e = x.X
 			case *ast.IndexExpr:
 				e = x.X
 			case *ast.SelectorExpr:
 				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-					write(sel.Obj().(*types.Var))
+					write(sel.Obj().(*types.Var), value)
 				}
 				e = x.X
 			default:
 				return
 			}
+			value = nil
+		}
+	}
+	var zeroAll func(t types.Type)
+	zeroAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				zero(u.Field(i))
+				zeroAll(u.Field(i).Type())
+			}
+		case *types.Array:
+			zeroAll(u.Elem())
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -188,23 +225,57 @@ func forEachWrite(info *types.Info, f *ast.File, write func(*types.Var)) {
 				t = named.Origin()
 			}
 			if st, ok := t.Underlying().(*types.Struct); ok {
+				set := make(map[*types.Var]bool, len(n.Elts))
 				for i, elt := range n.Elts {
+					v, value := st.Field(i), elt
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						write(info.Uses[kv.Key.(*ast.Ident)].(*types.Var))
-					} else {
-						write(st.Field(i))
+						v, value = info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin(), kv.Value
+					}
+					set[v] = true
+					write(v, value)
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i); !set[v] {
+						zero(v)
+						zeroAll(v.Type())
 					}
 				}
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				path(lhs)
+			for i, lhs := range n.Lhs {
+				var value ast.Expr
+				if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+					value = n.Rhs[i]
+				}
+				path(lhs, value)
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					path(e, nil)
+				}
 			}
 		case *ast.IncDecStmt:
-			path(n.X)
+			path(n.X, nil)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				path(n.X)
+				path(n.X, nil)
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Values) == 0 {
+				zeroAll(info.TypeOf(n.Type))
+			}
+		case *ast.CallExpr:
+			b, _ := info.Uses[identOf(n.Fun)].(*types.Builtin)
+			switch {
+			case b == nil || len(n.Args) == 0:
+			case b.Name() == "new":
+				zeroAll(info.TypeOf(n.Args[0]))
+			case b.Name() == "make": // a slice, map or channel; make([]T, 0, c) holds no T
+				c, ok := info.TypeOf(n.Args[0]).Underlying().(interface{ Elem() types.Type })
+				if _, slice := c.(*types.Slice); ok && !(slice && isZero(info, n.Args[1])) {
+					zeroAll(c.Elem())
+				}
 			}
 		case *ast.SelectorExpr:
 			// A pointer method called (or taken as a value) through an
@@ -212,12 +283,40 @@ func forEachWrite(info *types.Info, f *ast.File, write func(*types.Var)) {
 			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
 				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
 				if _, ptrOperand := info.TypeOf(n.X).Underlying().(*types.Pointer); ptrRecv && !ptrOperand {
-					path(n.X)
+					path(n.X, nil)
 				}
 			}
 		}
 		return true
 	})
+}
+
+// isZero reports whether e is the constant 0.
+func isZero(info *types.Info, e ast.Expr) bool {
+	v := info.Types[e].Value
+	return v != nil && v.Kind() == constant.Int && constant.Sign(v) == 0
+}
+
+// identOf is the identifier a call's function expression names, through
+// parentheses, an explicit instantiation and a selector; nil for anything
+// else.
+func identOf(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		case *ast.Ident:
+			return x
+		default:
+			return nil
+		}
+	}
 }
 
 // declares reports whether the package's non-test files declare anything

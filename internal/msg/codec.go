@@ -239,15 +239,13 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		m = &AuditReq{Sender: sender, Horizon: time.Duration(r.u64())}
 	case KindAuditResp:
 		v := &AuditResp{Sender: sender}
-		// A record is at least period, node and list length: 10 bytes. A
-		// 7-byte message must not buy 65 535 of them.
-		if n := r.count(10); n > 0 {
+		if n := r.records(); n > 0 {
 			v.Proposals = make([]ProposalRecord, n)
 			for i := range v.Proposals {
 				v.Proposals[i] = ProposalRecord{Period: r.period(), Partner: r.node(), Chunks: ids[ChunkID](&r, d, nil)}
 			}
 		}
-		if n := r.count(10); n > 0 {
+		if n := r.records(); n > 0 {
 			v.Serves = make([]ServeRecord, n)
 			for i := range v.Serves {
 				v.Serves[i] = ServeRecord{Period: r.period(), Server: r.node(), Chunks: ids[ChunkID](&r, d, nil)}
@@ -400,12 +398,17 @@ func (r *reader) take(n int) []byte {
 	return b
 }
 
-// count reads a 2-byte list length and checks it against the bytes left,
-// each item taking at least size of them, before anything is allocated for
-// the list.
-func (r *reader) count(size int) int {
+// minRecordSize is the fewest bytes a history record takes on the wire:
+// period, node and list length. A 7-byte message must not buy 65 535 of
+// them.
+const minRecordSize = 10
+
+// records reads a 2-byte record count and checks it against the bytes left,
+// each record taking at least minRecordSize of them, before anything is
+// allocated for the list.
+func (r *reader) records() int {
 	n := int(r.u16())
-	if n*size > len(r.buf)-r.off {
+	if n*minRecordSize > len(r.buf)-r.off {
 		r.fail(ErrTruncated)
 		return 0
 	}

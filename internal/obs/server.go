@@ -55,8 +55,9 @@ type Server struct {
 }
 
 // New assembles a server around a metric registry and a status provider.
-// The status callback runs on HTTP handler goroutines; it must be safe to
-// call concurrently with the node's operation.
+// The status callback runs on HTTP handler goroutines, one per scrape and
+// concurrently with the node and with each other; it must be safe to call
+// that way (make race runs this package's tests under the race detector).
 func New(reg *metrics.Registry, status func() Status) *Server {
 	s := &Server{mux: http.NewServeMux(), start: time.Now(), status: status}
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

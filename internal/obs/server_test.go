@@ -111,12 +111,15 @@ func TestServerEndpoints(t *testing.T) {
 func TestServerCloseDrainsGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	release := make(chan struct{})
+	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	srv := New(metrics.NewRegistry(), func() Status {
 		// First scrape parks inside the node's status provider; later
 		// scrapes (and the node itself) must not be blocked by it.
-		once.Do(func() { <-release })
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
 		return Status{NodeID: 9}
 	})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -140,7 +143,7 @@ func TestServerCloseDrainsGoroutines(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
+	<-parked
 
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
@@ -156,14 +159,18 @@ func TestServerCloseDrainsGoroutines(t *testing.T) {
 	wg.Wait()
 	client.CloseIdleConnections()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+5 {
-			return
+	// The per-connection goroutines drain; the runtime's own background
+	// goroutines get a little slack. Polled against a deadline.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(5 * time.Second)
+	for runtime.NumGoroutine() > baseline+5 {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("goroutines did not drain after Close: %d now vs %d at start", runtime.NumGoroutine(), baseline)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("goroutines did not drain after Close: %d now vs %d at start", runtime.NumGoroutine(), baseline)
 }
 
 func TestServerClose(t *testing.T) {

@@ -53,7 +53,9 @@ func TestEntropyOfCountsDoesNotMutateInput(t *testing.T) {
 func TestMultisetEntropyStableAcrossCalls(t *testing.T) {
 	m := NewMultiset[int]()
 	for elem, c := range faninCounts {
-		m.AddN(elem, c)
+		for i := 0; i < c; i++ {
+			m.Add(elem)
+		}
 	}
 	ref := m.Entropy()
 	for call := 0; call < 100; call++ {

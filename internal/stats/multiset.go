@@ -14,18 +14,9 @@ func NewMultiset[T comparable]() *Multiset[T] {
 }
 
 // Add inserts one occurrence of v.
-func (m *Multiset[T]) Add(v T) { m.AddN(v, 1) }
-
-// AddN inserts n occurrences of v. It panics if n < 0.
-func (m *Multiset[T]) AddN(v T, n int) {
-	if n < 0 {
-		panic("stats: Multiset.AddN: negative count")
-	}
-	if n == 0 {
-		return
-	}
-	m.counts[v] += n
-	m.size += n
+func (m *Multiset[T]) Add(v T) {
+	m.counts[v]++
+	m.size++
 }
 
 // Len returns the total number of occurrences.

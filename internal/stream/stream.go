@@ -91,10 +91,10 @@ func (p *Playout) DeliveredRatio(total int, lag time.Duration) float64 {
 }
 
 // ViewsClearStream reports whether the node can view a clear stream at the
-// given lag: at least threshold (e.g. 0.99) of the first total chunks
-// arrived within lag of generation.
-func (p *Playout) ViewsClearStream(total int, lag time.Duration, threshold float64) bool {
-	return p.DeliveredRatio(total, lag) >= threshold
+// given lag: at least ClearThreshold of the first total chunks arrived within
+// lag of generation.
+func (p *Playout) ViewsClearStream(total int, lag time.Duration) bool {
+	return p.DeliveredRatio(total, lag) >= ClearThreshold
 }
 
 // ClearThreshold is the delivered-ratio above which a stream is considered
@@ -112,7 +112,7 @@ func Health(playouts []*Playout, total int, lags []time.Duration) []float64 {
 	for li, lag := range lags {
 		viewing := 0
 		for _, p := range playouts {
-			if p.ViewsClearStream(total, lag, ClearThreshold) {
+			if p.ViewsClearStream(total, lag) {
 				viewing++
 			}
 		}

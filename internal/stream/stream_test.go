@@ -99,12 +99,12 @@ func TestViewsClearStream(t *testing.T) {
 	for i := 0; i < 99; i++ {
 		p.Received(msg.ChunkID(i), cfg.GenTime(msg.ChunkID(i))+time.Millisecond)
 	}
-	// 99/100 on time: clear at threshold 0.99, not at 1.0.
-	if !p.ViewsClearStream(100, time.Second, 0.99) {
-		t.Fatal("99% delivery should be clear at threshold 0.99")
+	// 99/100 on time is clear at ClearThreshold (0.99); 99/101 is not.
+	if !p.ViewsClearStream(100, time.Second) {
+		t.Fatal("99% delivery should be clear")
 	}
-	if p.ViewsClearStream(100, time.Second, 1.0) {
-		t.Fatal("99% delivery should not be clear at threshold 1.0")
+	if p.ViewsClearStream(101, time.Second) {
+		t.Fatal("98% delivery should not be clear")
 	}
 }
 
