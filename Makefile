@@ -32,11 +32,13 @@ lint:
 # hammered from sender goroutines while scrapers render the exposition), the
 # content plane (chunk stores and the HTTP gateway serve shared payload
 # slices to concurrent readers), gossip (its serve path is where shard
-# goroutines meet the verified-once table a sim cluster's nodes share) and obs
+# goroutines meet the verified-once table a sim cluster's nodes share), obs
 # (its status callback runs on HTTP handler goroutines, concurrently with the
-# node).
+# node) and the lifting-node daemon's in-process runs, whose /status reads the
+# cluster from those goroutines (its subprocess tests stay out).
 race:
 	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/ ./internal/obs/
+	$(GO) test -race -run '^TestRun' ./cmd/lifting-node/
 
 # The whole-system benchmark every perf or simplicity PR is judged by
 # (BENCHMARK.json, benchmark/README.md): four workloads, end-to-end metrics.

@@ -7,10 +7,12 @@
 //	    -duration 30s -seed 7
 //
 // Every process of a deployment must agree on -seed, -period, -f, -m, -eta
-// and the membership implied by -peers: the manager assignment, the
-// per-node random streams and the score thresholds are all derived from
-// them. Node 0 is the source by convention; start it with -source and it
-// injects the stream, which then reaches everyone else only over the wire.
+// and the membership implied by -id and -peers, which must be exactly the
+// ids 0..N-1: the manager assignment, the per-node random streams and the
+// score thresholds are all derived from them. Each process runs the same
+// harness as an in-process experiment, a cluster.Cluster, hosting its one
+// node. Node 0 is the source: it injects the stream, which then reaches
+// everyone else only over the wire.
 //
 // On completion a process started with -report performs decentralized
 // min-vote score reads of the whole membership over UDP and prints one
@@ -43,11 +45,13 @@ import (
 	"lifting/internal/freerider"
 	"lifting/internal/gateway"
 	"lifting/internal/gossip"
+	"lifting/internal/membership"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/obs"
 	"lifting/internal/reputation"
+	"lifting/internal/rng"
 	"lifting/internal/stream"
 	"lifting/internal/transport"
 )
@@ -68,7 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		id       = fs.Uint("id", 0, "this node's id")
 		listen   = fs.String("listen", "127.0.0.1:0", "UDP address to bind")
 		peers    = fs.String("peers", "", "bootstrap peer addresses: comma-separated id=host:port")
-		source   = fs.Bool("source", false, "this node injects the stream (node 0 by convention)")
 		duration = fs.Duration("duration", 30*time.Second, "how long to stream/run before reporting")
 		warmup   = fs.Duration("warmup", 500*time.Millisecond, "delay before the stream starts, so peers can bind")
 		seed     = fs.Uint64("seed", 7, "deployment-wide random seed (must match on every process)")
@@ -76,7 +79,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		period   = fs.Duration("period", 500*time.Millisecond, "gossip period Tg")
 		m        = fs.Int("m", 10, "reputation managers per node")
 		eta      = fs.Float64("eta", -1e9, "expulsion threshold on normalized scores")
-		grace    = fs.Int("grace", 8, "periods before eta applies")
+		grace    = fs.Int("grace", 8, "periods before eta applies (at least 1)")
 		pdcc     = fs.Float64("pdcc", 1, "direct cross-check probability")
 		loss     = fs.Float64("loss", 0, "modelled extra UDP loss on top of the real network")
 		bitrate  = fs.Int("bitrate", 674_000, "stream bitrate, bits per second")
@@ -113,7 +116,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	}{
 		{*loss >= 0 && *loss < 1, "loss", "in [0, 1)", *loss},
 		{*freeride >= 0 && *freeride <= 1, "freeride", "in [0, 1]", *freeride},
-		{*grace >= 0, "grace", "at least 0", *grace},
+		{*grace >= 1, "grace", "at least 1", *grace},
+		{*freeride == 0 || *id != 0, "freeride", "0 on node 0, the always-honest source", *freeride},
 		{*duration > 0, "duration", "positive", *duration},
 		{*warmup >= 0, "warmup", "at least 0", *warmup},
 		{!math.IsNaN(*eta) && !math.IsInf(*eta, 0), "eta", "a finite number", *eta},
@@ -144,17 +148,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		fmt.Fprintf(stderr, "lifting-node: -peers must name at least one other node\n")
 		return 2
 	}
+	members := []msg.NodeID{self}
+	for pid := range peerAddrs {
+		members = append(members, pid)
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	for i, mid := range members {
+		if mid != msg.NodeID(i) {
+			fmt.Fprintf(stderr, "lifting-node: -peers with -id %d must name exactly the ids 0..%d, got %v\n", self, len(members)-1, members)
+			return 2
+		}
+	}
 
 	book := transport.NewBook()
-	members := []msg.NodeID{self}
 	for pid, addr := range peerAddrs {
 		if err := book.Set(pid, addr); err != nil {
 			fmt.Fprintf(stderr, "lifting-node: %v\n", err)
 			return 2
 		}
-		members = append(members, pid)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 
 	collector := metrics.NewCollector()
 	rt := transport.New(transport.Options{
@@ -174,39 +186,45 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 
 	// -soak: every process derives the identical fault plan from the flags
 	// the deployment already shares, then replays it against its own local
-	// network model. The lowest id is the source by convention and is never
-	// a fault target — a faulted source would explain any oracle failure.
+	// network model. Node 0 is the source and is never a fault target — a
+	// faulted source would explain any oracle failure.
 	var plan *chaos.Plan
 	if *soak {
 		plan = chaos.Generate(chaos.DeploymentConfig(*seed, *duration, *period, members[1:]))
 		fmt.Fprintf(stdout, "SOAK %d events=%d skew=%.4f\n", self, len(plan.Events), plan.SkewFactor(self))
 	}
 
-	var behavior gossip.Behavior
-	if *freeride > 0 {
-		behavior = freerider.Degree{Delta1: *freeride, Delta2: *freeride, Delta3: *freeride}
-	}
-	clockSkew := 0.0
-	if plan != nil {
-		clockSkew = plan.SkewFactor(self)
-	}
-	host := cluster.NewNodeHost(rt, cluster.NodeOptions{
-		ID:           self,
-		Members:      members,
-		Seed:         *seed,
-		Gossip:       gcfg,
-		Core:         ccfg,
-		Rep:          reputation.Config{M: *m, Eta: *eta, GracePeriods: *grace},
-		Stream:       scfg,
-		Source:       *source,
-		Behavior:     behavior,
-		ExpectedLoss: *loss,
+	deployment := &cluster.Deployment{
+		Self:      self,
+		Runtime:   rt,
+		Collector: collector,
 		OnExpel: func(target msg.NodeID, reason msg.BlameReason) {
 			fmt.Fprintf(stdout, "EXPEL %d %s\n", target, reason)
 		},
-		Collector: collector,
-		ClockSkew: clockSkew,
+	}
+	if plan != nil {
+		deployment.ClockSkew = plan.SkewFactor(self)
+	}
+	c := cluster.New(cluster.Options{
+		N:                len(members),
+		Seed:             *seed,
+		Gossip:           gcfg,
+		Core:             ccfg,
+		Rep:              reputation.Config{M: *m, Eta: *eta, GracePeriods: *grace},
+		Stream:           scfg,
+		LiFTinG:          true,
+		BlameMode:        cluster.BlameMessages,
+		ExpelOnDetection: true,
+		ExpectedLoss:     *loss,
+		BehaviorFor: func(msg.NodeID, *membership.Directory, *rng.Stream) gossip.Behavior {
+			if *freeride == 0 {
+				return nil
+			}
+			return freerider.Degree{Delta1: *freeride, Delta2: *freeride, Delta3: *freeride}
+		},
+		Deployment: deployment,
 	})
+	manager := c.Managers[self]
 
 	if *httpAddr != "" {
 		reg := metrics.NewRegistry()
@@ -229,21 +247,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 			"local score-period clock minus wall-clock expectation, in periods",
 			func() float64 {
 				expected := time.Since(procStart).Seconds() / tg.Seconds()
-				return float64(host.Period()) - expected
+				return float64(c.Period()) - expected
 			})
 		srv := obs.New(reg, func() obs.Status {
 			st := obs.Status{
 				NodeID:          uint32(self),
-				Period:          uint64(host.Period()),
-				MembershipEpoch: host.Dir.Epoch(),
-				Members:         len(host.Dir.All()),
+				Period:          uint64(c.Period()),
+				MembershipEpoch: c.Dir.Epoch(),
+				Members:         len(members),
 				PeerBookSize:    len(book.IDs()),
 			}
-			for target := range host.Expelled() {
-				st.Expelled = append(st.Expelled, uint32(target))
+			// Every verdict this process learns removes its target from
+			// the directory (ExpelOnDetection), so the dead members are
+			// the expelled ones, in id order.
+			for _, target := range members {
+				if !c.Dir.Alive(target) {
+					st.Expelled = append(st.Expelled, uint32(target))
+				}
 			}
-			sort.Slice(st.Expelled, func(i, j int) bool { return st.Expelled[i] < st.Expelled[j] })
-			for target, score := range host.LocalScores() {
+			// The local manager's copies: a partial view, since the
+			// authoritative score is the min-vote over all M copies.
+			for target, score := range manager.Scores() {
 				st.Scores = append(st.Scores, obs.Score{Node: uint32(target), Score: score})
 			}
 			sort.Slice(st.Scores, func(i, j int) bool { return st.Scores[i].Node < st.Scores[j].Node })
@@ -260,12 +284,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	}
 
 	if *gwAddr != "" {
-		gwOpts := gateway.Options{Store: host.Store, Upstream: *gwSource}
-		if *source {
+		gwOpts := gateway.Options{Store: c.Nodes[self].Store(), Upstream: *gwSource}
+		if self == 0 {
 			// Only the source's gateway regenerates arbitrary chunks: it
 			// knows the canonical stream. Everyone else serves what the
 			// gossip plane delivered, falling back to -gateway-source.
-			gwOpts.Origin = host.Content
+			gwOpts.Origin = c.Content
 		}
 		gw := gateway.New(gwOpts)
 		gwBound, err := gw.Start(*gwAddr)
@@ -278,12 +302,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		fmt.Fprintf(stdout, "GATEWAY %d %s\n", self, gwBound)
 	}
 
-	host.Start()
+	c.Start()
 	if plan != nil {
 		newSoakPlane(rt, stdout, self, members, plan, *loss).schedule(*warmup)
 	}
-	if *source {
-		rt.After(*warmup, func() { host.StartStream(*duration) })
+	if self == 0 {
+		rt.After(*warmup, func() { c.StartStream(*duration) })
 	}
 
 	// The run is one context-bounded Run on the transport runtime: signals
@@ -307,7 +331,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	}
 
 	if *report && !interrupted {
-		reads := host.ReadScores(members)
+		reads := c.ReadScores(members)
 		ids := make([]msg.NodeID, 0, len(reads))
 		for rid := range reads {
 			ids = append(ids, rid)

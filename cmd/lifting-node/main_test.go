@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -69,31 +70,38 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsFlagsOutOfDomain: a probability, count or span outside its
-// domain is refused in one line naming the flag, before a socket is bound,
-// instead of a run that takes it as it comes (-loss 2 would drop every
-// datagram and exit 0).
+// TestRunRejectsFlagsOutOfDomain: a probability, count, span or membership
+// outside its domain is refused in one line naming the flag, before a socket
+// is bound, instead of a run that takes it as it comes (-loss 2 would drop
+// every datagram and exit 0). Each case is a flag, its value and the flags
+// it needs; later flags override the shared ones.
 func TestRunRejectsFlagsOutOfDomain(t *testing.T) {
-	for _, c := range []struct{ flag, value string }{
+	for _, c := range [][]string{
 		{"-loss", "2"},
 		{"-loss", "-0.5"},
 		{"-loss", "1"},
 		{"-freeride", "1.5"},
 		{"-freeride", "-0.1"},
+		{"-freeride", "0.5", "-id", "0"}, // node 0 is the always-honest source
 		{"-grace", "-3"},
+		{"-grace", "0"}, // would silently become the expulsion default of 8
 		{"-duration", "-1s"},
 		{"-duration", "0s"},
 		{"-warmup", "-1s"},
 		{"-eta", "NaN"},
 		{"-eta", "-Inf"},
+		// The membership is -id plus -peers and must be exactly 0..N-1.
+		{"-peers", "0=127.0.0.1:9,5=127.0.0.1:10"},
+		{"-peers", "2=127.0.0.1:9"},
+		{"-peers", "0=127.0.0.1:9", "-id", "7"},
 	} {
 		// A short run, so a flag that is not refused ends the run quickly.
-		args := []string{"-id", "1", "-peers", "0=127.0.0.1:9", "-duration", "20ms", "-warmup", "0", c.flag, c.value}
+		args := append([]string{"-id", "1", "-peers", "0=127.0.0.1:9", "-duration", "20ms", "-warmup", "0"}, c...)
 		var out, errOut bytes.Buffer
 		code := run(context.Background(), args, &out, &errOut, nil)
 		msg := errOut.String()
-		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "lifting-node: "+c.flag+" ") {
-			t.Errorf("run(%s %s) = %d, stdout %q, stderr %q; want 2, nothing, one line naming %s", c.flag, c.value, code, out.String(), msg, c.flag)
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "lifting-node: "+c[0]+" ") {
+			t.Errorf("run(%v) = %d, stdout %q, stderr %q; want 2, nothing, one line naming %s", c, code, out.String(), msg, c[0])
 		}
 	}
 }
@@ -101,28 +109,67 @@ func TestRunRejectsFlagsOutOfDomain(t *testing.T) {
 // TestRunInterrupt pins the daemon's cancellation path: a node started with
 // a long duration shuts down promptly — sockets closed, callbacks drained —
 // when the interrupt channel closes, exactly as a SIGTERM would via the
-// signal context.
+// signal context. Before that, its /status is fetched while the node runs:
+// the handler reads the cluster from an HTTP goroutine.
 func TestRunInterrupt(t *testing.T) {
 	interrupt := make(chan struct{})
 	done := make(chan int, 1)
-	var out, errOut bytes.Buffer
+	stdout, w := io.Pipe()
+	var errOut bytes.Buffer
 	go func() {
-		done <- run(context.Background(),
-			[]string{"-id", "1", "-peers", "0=127.0.0.1:1", "-duration", "1h"},
-			&out, &errOut, interrupt)
+		code := run(context.Background(),
+			[]string{"-id", "1", "-peers", "0=127.0.0.1:1", "-duration", "1h", "-http", "127.0.0.1:0"},
+			w, &errOut, interrupt)
+		w.Close()
+		done <- code
 	}()
-	time.Sleep(300 * time.Millisecond)
+	lines := bufio.NewScanner(stdout)
+	var head []string
+	httpAddr := ""
+	for httpAddr == "" && lines.Scan() {
+		head = append(head, lines.Text())
+		if f := strings.Fields(lines.Text()); len(f) == 3 && f[0] == "HTTP" {
+			httpAddr = f[2]
+		}
+	}
+	if httpAddr == "" {
+		t.Fatalf("daemon printed no HTTP line: %q", head)
+	}
+	// Drain the rest of stdout, so the daemon never blocks on the pipe.
+	rest := make(chan string, 1)
+	go func() {
+		var b strings.Builder
+		for lines.Scan() {
+			b.WriteString(lines.Text() + "\n")
+		}
+		rest <- b.String()
+	}()
+
+	resp, err := http.Get("http://" + httpAddr + "/status")
+	if err != nil {
+		t.Fatalf("/status: %v", err)
+	}
+	var st struct {
+		NodeID  uint32 `json:"node_id"`
+		Members int    `json:"members"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || st.NodeID != 1 || st.Members != 2 {
+		t.Errorf("/status = %+v (err %v), want node 1 of 2 members", st, err)
+	}
+
 	close(interrupt)
 	select {
 	case code := <-done:
 		if code != 0 {
-			t.Fatalf("interrupted daemon exited %d:\n%s%s", code, out.String(), errOut.String())
+			t.Fatalf("interrupted daemon exited %d:\n%s", code, errOut.String())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("interrupted daemon did not shut down within 10s")
 	}
-	if !strings.Contains(out.String(), "DONE 1") {
-		t.Errorf("daemon did not complete its shutdown line:\n%s", out.String())
+	if tail := <-rest; !strings.Contains(tail, "DONE 1") {
+		t.Errorf("daemon did not complete its shutdown line:\n%s", tail)
 	}
 }
 
@@ -295,7 +342,7 @@ func TestMultiProcessDeployment(t *testing.T) {
 		if i == 0 {
 			// The source reports; it finishes first so every peer is still
 			// up to answer its score reads.
-			args = append(args, "-source", "-report", "-duration", scenDur.String(),
+			args = append(args, "-report", "-duration", scenDur.String(),
 				"-gateway", srcGwAddr)
 		} else {
 			args = append(args, "-duration", (scenDur + 1500*time.Millisecond).String())
@@ -453,9 +500,6 @@ func TestMultiProcessSoak(t *testing.T) {
 			"-warmup", warmup.String(),
 			"-duration", soakDur.String(),
 			"-soak",
-		}
-		if i == 0 {
-			args = append(args, "-source")
 		}
 		if i == 1 {
 			args = append(args, "-http", httpAddr)

@@ -18,10 +18,10 @@ import (
 	"lifting/internal/stream"
 )
 
-// This file alone decides what a LiFTinG node is made of. Cluster (initial
-// build, churn joins, crash restarts) and NodeHost both go through
-// setDefaults and assemble; what differs between them is data in wiring,
-// never a second copy of the recipe.
+// This file alone decides what a LiFTinG node is made of. Every node a
+// Cluster builds — initial build, churn join, crash restart, the one node of
+// a deployment process — goes through setDefaults and assemble; what differs
+// between them is data in wiring, never a second copy of the recipe.
 
 // setDefaults fills the derived fields of a system configuration, once per
 // system, before any node is assembled.
@@ -94,7 +94,7 @@ func contentSource(root *rng.Stream, cfg stream.Config) *content.Source {
 type wiring struct {
 	id        msg.NodeID
 	rt        runtime.Runtime
-	dir       *membership.Directory // shared by a Cluster's nodes, private to a NodeHost
+	dir       *membership.Directory // shared by the cluster's nodes
 	root      *rng.Stream           // the deployment's root stream; per-node streams derive from it
 	collector *metrics.Collector    // nil leaves the node unmetered
 	// verified is the verified-once table the nodes of a sim cluster share

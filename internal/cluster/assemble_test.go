@@ -52,16 +52,18 @@ func auxTypes(t *testing.T, node *gossip.Node) []string {
 	return out
 }
 
-// TestClusterAndNodeHostAssembleAlike is the first step of the differential
-// Cluster vs N×NodeHost model test: for one seed and one configuration, node
-// i built through cluster.New and node i built through NewNodeHost are the
-// same node — same propose phase, same random streams, same store, same
-// compensation, same stream bytes, same aux chain up to the two handlers
-// the callers declare (the cluster's auditor proxy at the source, the
-// deployment's score reader) — and a freerider scenario reaches the same
-// verdict, with the same scores, through both entry points. It fails as soon
-// as either caller grows private assembly again.
-func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
+// TestOneNodeClustersAssembleLikeCluster is the first step of the
+// differential test of an in-process cluster against a deployment: for one
+// seed and one configuration, node i built through cluster.New and node i
+// built as the one node of a Deployment cluster are the same node — same
+// propose phase, same random streams, same store, same compensation, same
+// stream bytes, same aux chain up to the two handlers the callers declare
+// (the cluster's auditor proxy at the source, the deployment's score
+// reader) — and a freerider scenario reaches the same verdict, with the same
+// scores, through both. The n one-node clusters share one sim runtime, as
+// deployment processes share a network. It fails as soon as either path
+// grows private assembly again.
+func TestOneNodeClustersAssembleLikeCluster(t *testing.T) {
 	const (
 		n         = 24
 		firstFree = 20
@@ -81,32 +83,18 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 	}
 	c := New(opts)
 
-	members := make([]msg.NodeID, n)
-	for i := range members {
-		members[i] = msg.NodeID(i)
-	}
 	engine := sim.NewSharded(1, opts.NetDefaults.LatencyBase) // the layout New picks for opts
 	collector := metrics.NewCollector()
 	rt := runtime.NewSim(engine, net.NewSimNet(engine, rng.New(opts.Seed).Derive("net"), collector, opts.NetDefaults))
-	hosts := make([]*NodeHost, n)
+	hosts := make([]*Cluster, n)
 	for i := range hosts {
-		ho := NodeOptions{
-			ID:        msg.NodeID(i),
-			Members:   members,
-			Seed:      opts.Seed,
-			Gossip:    opts.Gossip,
-			Core:      opts.Core,
-			Rep:       opts.Rep,
-			Stream:    opts.Stream,
-			Source:    i == 0,
-			Collector: collector,
-
-			ExpectedLoss: c.Opts.ExpectedLoss,
+		ho := opts
+		ho.ExpectedLoss = c.Opts.ExpectedLoss
+		ho.Deployment = &Deployment{Self: msg.NodeID(i), Runtime: rt, Collector: collector}
+		hosts[i] = New(ho)
+		if got := len(hosts[i].Nodes); got != 1 {
+			t.Fatalf("deployment cluster %d built %d nodes, want 1", i, got)
 		}
-		if i >= firstFree {
-			ho.Behavior = rider
-		}
-		hosts[i] = NewNodeHost(rt, ho)
 	}
 
 	// The recipe: every observable ingredient agrees, node by node.
@@ -121,27 +109,27 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 	offsets := make(map[int64]bool)
 	for i, h := range hosts {
 		id := msg.NodeID(i)
-		cn, hn := c.Nodes[id], h.Node
+		cn, hn := c.Nodes[id], h.Nodes[id]
 		co := wired(t, cn, "cfg", "StartOffset").Int()
 		if ho := wired(t, hn, "cfg", "StartOffset").Int(); co != ho {
-			t.Errorf("node %d: StartOffset %v via Cluster, %v via NodeHost", i, time.Duration(co), time.Duration(ho))
+			t.Errorf("node %d: StartOffset %v in the cluster, %v in its deployment", i, time.Duration(co), time.Duration(ho))
 		}
 		offsets[co] = true
 		if cs, hs := wired(t, cn, "deps", "Rand", "seed").Uint(), wired(t, hn, "deps", "Rand", "seed").Uint(); cs != hs {
-			t.Errorf("node %d: gossip stream seed %#x via Cluster, %#x via NodeHost", i, cs, hs)
+			t.Errorf("node %d: gossip stream seed %#x in the cluster, %#x in its deployment", i, cs, hs)
 		}
 		if cc, hc := wired(t, cn, "deps", "Store", "slots").Len(), wired(t, hn, "deps", "Store", "slots").Len(); cc != hc || cc == 0 {
-			t.Errorf("node %d: store capacity %d via Cluster, %d via NodeHost", i, cc, hc)
+			t.Errorf("node %d: store capacity %d in the cluster, %d in its deployment", i, cc, hc)
 		}
 		cb := wired(t, c.Managers[id], "cfg", "Compensation").Float()
-		if hb := wired(t, h.Manager, "cfg", "Compensation").Float(); cb != hb || cb != c.Opts.Rep.Compensation {
-			t.Errorf("node %d: compensation %v via Cluster, %v via NodeHost, defaulted %v", i, cb, hb, c.Opts.Rep.Compensation)
+		if hb := wired(t, h.Managers[id], "cfg", "Compensation").Float(); cb != hb || cb != c.Opts.Rep.Compensation {
+			t.Errorf("node %d: compensation %v in the cluster, %v in its deployment, defaulted %v", i, cb, hb, c.Opts.Rep.Compensation)
 		}
 		if _, hash := h.Content.Chunk(0); hash != wantHash {
 			t.Errorf("node %d: chunk 0 hashes to %#x in its deployment, %#x in the cluster", i, hash, wantHash)
 		}
 		if got, want := cn.Behavior() != (gossip.Honest{}), i >= firstFree; got != want || (hn.Behavior() != gossip.Honest{}) != want {
-			t.Errorf("node %d: freerider = %v via Cluster, %v via NodeHost, want %v", i, got, hn.Behavior() != gossip.Honest{}, want)
+			t.Errorf("node %d: freerider = %v in the cluster, %v in its deployment, want %v", i, got, hn.Behavior() != gossip.Honest{}, want)
 		}
 
 		ca, ha := auxTypes(t, cn), auxTypes(t, hn)
@@ -155,7 +143,7 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 			return slices.DeleteFunc(slices.Clone(chain), func(s string) bool { return s == auditorAux || s == readerAux })
 		}
 		if !slices.Equal(shared(ca), shared(ha)) || len(shared(ca)) == 0 {
-			t.Errorf("node %d: aux chain %v via Cluster, %v via NodeHost", i, ca, ha)
+			t.Errorf("node %d: aux chain %v in the cluster, %v in its deployment", i, ca, ha)
 		}
 	}
 	if len(offsets) < n/2 {
@@ -198,23 +186,23 @@ func TestClusterAndNodeHostAssembleAlike(t *testing.T) {
 	// Cluster.Scores reads them (an over-the-wire ReadScores would block on
 	// virtual time).
 	scores := make(map[msg.NodeID]float64, n)
-	for _, target := range members {
+	for target := range hosts {
 		var copies []float64
-		for _, m := range hosts[0].Dir.Managers(target, opts.Rep.M) {
-			if s, tracked := hosts[m].Manager.Score(target); tracked {
+		for _, m := range hosts[0].Dir.Managers(msg.NodeID(target), opts.Rep.M) {
+			if s, tracked := hosts[m].Managers[m].Score(msg.NodeID(target)); tracked {
 				copies = append(copies, s)
 			}
 		}
-		scores[target], _ = reputation.MinVoteScore(copies, nil)
+		scores[msg.NodeID(target)], _ = reputation.MinVoteScore(copies, nil)
 	}
-	verdict("NewNodeHost", scores)
+	verdict("one-node clusters", scores)
 
 	// Same nodes on the same seeded network: with static membership the two
-	// harnesses differ only in who drives the period clock, so the scores
+	// assemblies differ only in how many period clocks tick, so the scores
 	// agree to the bit, not just in verdict.
 	for id, s := range c.Scores() {
 		if s != scores[id] {
-			t.Errorf("node %d scores %v through cluster.New, %v through NewNodeHost", id, s, scores[id])
+			t.Errorf("node %d scores %v through cluster.New, %v through one-node clusters", id, s, scores[id])
 		}
 	}
 }
@@ -277,26 +265,15 @@ func TestDerivedOptionsAssembleTheSameNode(t *testing.T) {
 }
 
 // TestInvalidStreamPanics pins that no system is assembled around a stream
-// that cannot be broadcast: both entry points refuse it like N < 2, where
-// they once ran with the content plane silently off.
+// that cannot be broadcast: New refuses it like N < 2, where it once ran
+// with the content plane silently off.
 func TestInvalidStreamPanics(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, 4)
 	opts.Stream.BitrateBps = 0
-	engine := sim.NewSharded(1, time.Millisecond)
-	rt := runtime.NewSim(engine, net.NewSimNet(engine, rng.New(1), nil, opts.NetDefaults))
-	for name, assemble := range map[string]func(){
-		"New": func() { New(opts) },
-		"NewNodeHost": func() {
-			NewNodeHost(rt, NodeOptions{Members: []msg.NodeID{0, 1}, Gossip: opts.Gossip, Stream: opts.Stream})
-		},
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stream:") {
-					t.Errorf("%s: recovered %v, want a panic naming the invalid %+v", name, r, opts.Stream)
-				}
-			}()
-			assemble()
-		}()
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stream:") {
+			t.Errorf("recovered %v, want a panic naming the invalid %+v", r, opts.Stream)
+		}
+	}()
+	New(opts)
 }

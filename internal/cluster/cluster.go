@@ -8,13 +8,15 @@
 // runtime.KindSim, the default) or over real UDP sockets on loopback
 // (runtime.KindUDP, one socket per node, wall-clock time). Scenarios —
 // quickstart, collusion, PlanetLab heterogeneity, churn — are therefore
-// written once and run on either backend. For deployments where each node
-// is its own OS process, see NodeHost; both build their nodes through the
-// one recipe in assemble.go.
+// written once and run on either backend. A deployment where each node is
+// its own OS process runs one Cluster per process, hosting one node
+// (Options.Deployment); every node of every cluster is built by the one
+// recipe in assemble.go.
 package cluster
 
 import (
 	"context"
+	"maps"
 	"math"
 	gort "runtime"
 	"sort"
@@ -128,6 +130,38 @@ type Options struct {
 	// counts are byte-identical across shard and worker counts; the
 	// callback receives a value copy and cannot perturb the run.
 	OnPeriodSnapshot func(p msg.Period, s metrics.Snapshot)
+	// Deployment, if non-nil, makes the cluster one process of a deployment:
+	// it hosts node Deployment.Self only, on the caller's runtime, and
+	// reaches the rest of the membership 0..N-1 through that runtime's
+	// network. Backend and Shards are then unused, and blames must travel as
+	// messages (LiFTinG in BlameMessages mode): no keeper is callable across
+	// processes.
+	Deployment *Deployment
+}
+
+// Deployment is where a one-node cluster runs. Every process of a deployment
+// builds the same Options — the manager assignment, the per-node random
+// streams and the stream bytes derive from N, Seed and the protocol
+// configuration — and differs only here.
+type Deployment struct {
+	// Self is the node this process hosts.
+	Self msg.NodeID
+	// Runtime runs Self: typically a transport runtime with Self's socket
+	// bound and the other members in its address book. The cluster asks it
+	// for Self's context and execution only — a transport runtime binds a
+	// socket for any id it is asked about.
+	Runtime runtime.Runtime
+	// Collector, if non-nil, is the cluster's collector: pass the one the
+	// runtime counts wire traffic into.
+	Collector *metrics.Collector
+	// ClockSkew is Self's clock-rate factor: 1.02 fires every local timer —
+	// gossip rounds, verifier deadlines, the score-period clock — 2% late,
+	// drifting against the period clocks of the other processes. 0 (or 1)
+	// means a true clock.
+	ClockSkew float64
+	// OnExpel, if non-nil, observes each expulsion verdict Self's manager
+	// decides or learns from another manager's Expel message.
+	OnExpel func(target msg.NodeID, reason msg.BlameReason)
 }
 
 // Cluster is an assembled system.
@@ -168,6 +202,9 @@ type Cluster struct {
 	// keeper is direct mode's one score-keeper, blamed by call; nil in
 	// message mode.
 	keeper *reputation.Manager
+	// reader is the deployment node's over-the-wire score reader; nil
+	// without a Deployment.
+	reader *reputation.Reader
 
 	root          *rng.Stream
 	verified      *content.Store // the nodes' shared verified-once table; nil off the sim backend
@@ -251,8 +288,16 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 	}
 	c.Content = contentSource(c.root, opts.Stream)
 
-	switch opts.Backend {
-	case runtime.KindSim:
+	switch {
+	case opts.Deployment != nil:
+		if !opts.LiFTinG || opts.BlameMode != BlameMessages {
+			panic("cluster: a Deployment runs LiFTinG with BlameMessages")
+		}
+		c.RT = opts.Deployment.Runtime
+		if opts.Deployment.Collector != nil {
+			c.Collector = opts.Deployment.Collector
+		}
+	case opts.Backend == runtime.KindSim:
 		engine := sim.NewSharded(c.shardCountAndWindow())
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
@@ -262,7 +307,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 			// slice holds for all of them (DESIGN.md "Verified once").
 			c.verified = content.NewStore(c.Opts.storeCapacity())
 		}
-	case runtime.KindUDP:
+	case opts.Backend == runtime.KindUDP:
 		c.RT = transport.New(transport.Options{
 			Seed:      c.root.Derive("net").Seed(),
 			Collector: c.Collector,
@@ -284,7 +329,9 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 	}
 
 	for i := 0; i < opts.N; i++ {
-		c.build(msg.NodeID(i))
+		if d := opts.Deployment; d == nil || d.Self == msg.NodeID(i) {
+			c.build(msg.NodeID(i))
+		}
 	}
 
 	if cf := opts.ConditionsFor; cf != nil {
@@ -296,7 +343,8 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 	}
 
 	// Pre-register every node with the scorekeepers at period 0 so r counts
-	// time in the system, not time since first blame.
+	// time in the system, not time since first blame. A deployment's one
+	// manager tracks the members assigned to it.
 	if opts.LiFTinG {
 		for i := 0; i < opts.N; i++ {
 			c.registerScorekeepers(msg.NodeID(i), 0)
@@ -329,6 +377,9 @@ func (c *Cluster) build(id msg.NodeID) {
 	if opts.Chaos != nil {
 		w.skew = opts.Chaos.SkewFactor(id)
 	}
+	if d := opts.Deployment; d != nil {
+		w.skew, w.reader = d.ClockSkew, true
+	}
 	if opts.TrackPlayout {
 		w.playout = stream.NewPlayout(opts.Stream)
 	}
@@ -337,7 +388,12 @@ func (c *Cluster) build(id msg.NodeID) {
 		// sim backend it fires inside a lookahead window, and the
 		// resulting membership mutation must be deferred to the global
 		// phase keyed by the node that triggered it.
-		w.onExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expelFrom(id, target) }
+		w.onExpel = func(target msg.NodeID, reason msg.BlameReason) {
+			if d := opts.Deployment; d != nil && d.OnExpel != nil {
+				d.OnExpel(target, reason)
+			}
+			c.expelFrom(id, target)
+		}
 	}
 	if id == 0 {
 		w.extraAux = auditorProxy{c}
@@ -354,6 +410,9 @@ func (c *Cluster) build(id msg.NodeID) {
 	}
 	if a.client != nil {
 		c.clients = append(c.clients, ownedClient{owner: id, client: a.client})
+	}
+	if a.reader != nil {
+		c.reader = a.reader
 	}
 	if w.playout != nil {
 		c.Playouts[id] = w.playout
@@ -526,18 +585,29 @@ func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calib
 	}, nil
 }
 
-// Start launches every node (in id order, for reproducibility).
+// Start launches every hosted node (in id order, for reproducibility), each
+// inside its own serialization domain: on a socket, its receive loop is
+// already running.
 func (c *Cluster) Start() {
 	for i := 0; i < c.Opts.N; i++ {
-		c.Nodes[msg.NodeID(i)].Start()
+		if node := c.Nodes[msg.NodeID(i)]; node != nil {
+			c.RT.Exec(msg.NodeID(i), node.Start)
+		}
 	}
 	c.scheduleTick(1)
 	c.startChaos()
 }
 
-// scheduleTick advances the score period every Tg.
+// scheduleTick advances the score period every Tg. A deployment's period
+// clock runs at its node's clock rate: periods only feed the r in score =
+// b̃ − blame/r, so the processes' clocks must agree in rate, not in phase —
+// which a skewed clock violates, and the daemon's drift gauge watches.
 func (c *Cluster) scheduleTick(p msg.Period) {
-	c.RT.After(c.Opts.Gossip.Period, func() {
+	tick := c.Opts.Gossip.Period
+	if d := c.Opts.Deployment; d != nil && d.ClockSkew > 0 {
+		tick = time.Duration(float64(tick) * d.ClockSkew)
+	}
+	c.RT.After(tick, func() {
 		c.tick(p)
 		c.scheduleTick(p + 1)
 	})
@@ -636,8 +706,11 @@ func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
 }
 
 // StartStream schedules chunk injections at the source (node 0) for the
-// given duration.
+// given duration. It panics unless this cluster hosts node 0.
 func (c *Cluster) StartStream(duration time.Duration) {
+	if c.Nodes[0] == nil {
+		panic("cluster: StartStream without the source, node 0, hosted here")
+	}
 	scheduleStream(c.RT.Context(0), c.Nodes[0], c.Content, c.Opts.Stream, duration, c.Playouts[0])
 }
 
@@ -728,6 +801,60 @@ func (c *Cluster) Scores() map[msg.NodeID]float64 {
 		out[target] = score
 	}
 	return out
+}
+
+// ScoreRead is the result of one over-the-wire score read.
+type ScoreRead struct {
+	// Score is the min-vote over the manager copies that answered.
+	Score float64
+	// Expelled reports whether any answering manager holds an expulsion
+	// verdict.
+	Expelled bool
+	// Replies is how many manager copies answered before the timeout.
+	Replies int
+}
+
+// ReadScores performs a deployment's decentralized score reads: each
+// target's M managers are queried over the wire from Self and the copies
+// combined by min-vote (§5.1). It blocks until every read resolves or a
+// deadline slightly past the reader's timeout expires — a runtime closed
+// mid-read (early shutdown) yields partial results, never a hang. It panics
+// without a Deployment, and must not be called from inside a node callback.
+func (c *Cluster) ReadScores(targets []msg.NodeID) map[msg.NodeID]ScoreRead {
+	if c.reader == nil {
+		panic("cluster: ReadScores needs a Deployment")
+	}
+	out := make(map[msg.NodeID]ScoreRead, len(targets))
+	var mu sync.Mutex
+	resolved := make(chan struct{}, len(targets)) // buffered: callbacks never block
+	c.RT.Exec(c.Opts.Deployment.Self, func() {
+		for _, target := range targets {
+			c.reader.Read(target, func(score float64, expelled bool, replies int) {
+				mu.Lock()
+				out[target] = ScoreRead{Score: score, Expelled: expelled, Replies: replies}
+				mu.Unlock()
+				resolved <- struct{}{}
+			})
+		}
+	})
+	// The reader answers every read within its 2·Tg timeout; anything
+	// slower means the runtime stopped scheduling our callbacks (Close
+	// dropped them), so give up rather than wait on tokens that will never
+	// come.
+	//lint:allow no-wallclock liveness deadline for a wall-clock runtime closed mid-read; never reaches a document
+	deadline := time.NewTimer(4*c.Opts.Gossip.Period + time.Second)
+	defer deadline.Stop()
+collect:
+	for range targets {
+		select {
+		case <-resolved:
+		case <-deadline.C:
+			break collect
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return maps.Clone(out)
 }
 
 // Period returns the current score period.

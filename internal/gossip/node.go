@@ -197,7 +197,7 @@ func (n *Node) History() *history.Log { return n.deps.History }
 
 // Behavior returns the node's behavior.
 //
-//lint:allow no-orphan TestClusterAndNodeHostAssembleAlike compares it across the two assemblies
+//lint:allow no-orphan TestOneNodeClustersAssembleLikeCluster compares it between cluster.New and one-node clusters
 func (n *Node) Behavior() Behavior { return n.deps.Behavior }
 
 // Have reports whether the node holds chunk c.
