@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race benchmark profile heap fuzz fmt vet lint identical size
+.PHONY: test race benchmark allocs profile heap fuzz fmt vet lint identical size
 
 test:
 	$(GO) build ./...
@@ -44,6 +44,22 @@ race:
 # (BENCHMARK.json, benchmark/README.md): four workloads, end-to-end metrics.
 benchmark:
 	$(GO) run ./benchmark
+
+# The allocation ceiling: one untraced pass each of sim_churn and sim_scale
+# (~1 min in all), whose allocs_per_chunk — a count that repeats exactly for
+# a seed — must not exceed ALLOCS_CEILING. It reads the result line the
+# benchmark prints last (needs jq). The ceiling sits well above the measured
+# 1.19 and 1.97 because Go releases differ in what their maps allocate.
+ALLOCS_CEILING = 2.5
+allocs:
+	@set -e; for w in sim_churn sim_scale; do \
+		out=$$($(GO) run ./benchmark -workload $$w -seed 23 -seconds 20 -trace 0); \
+		v=$$(printf '%s\n' "$$out" | tail -n 1 | jq '.metrics.allocs_per_chunk.value'); \
+		echo "$$w allocs_per_chunk $$v (ceiling $(ALLOCS_CEILING))"; \
+		printf '%s\n' "$$out" | tail -n 1 | jq -e --argjson max $(ALLOCS_CEILING) \
+			'.metrics.allocs_per_chunk.value | type == "number" and . <= $$max' > /dev/null \
+			|| { echo "allocs: $$w allocates $$v per chunk, over the ceiling $(ALLOCS_CEILING)"; exit 1; }; \
+	done
 
 # Where a workload's CPU and allocations go (sim_scale unless WORKLOAD names
 # another, e.g. `make profile WORKLOAD=wire_udp`): its traced pass (per-layer

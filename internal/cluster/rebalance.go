@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"slices"
-	"sort"
 
 	"lifting/internal/msg"
 	"lifting/internal/reputation"
@@ -113,7 +112,7 @@ func (c *Cluster) rebalanceManagers() {
 				}
 			}
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+		slices.Sort(targets)
 	}
 	c.mu.Unlock()
 
@@ -135,6 +134,7 @@ func (c *Cluster) rebalanceManagers() {
 		return rate(a) > rate(b)
 	}
 	transfers := 0
+	var cand []msg.NodeID // one target's handoff candidates, reused across targets
 	for _, target := range targets {
 		newSet := c.Dir.Managers(target, c.Opts.Rep.M)
 		c.mu.Lock()
@@ -145,14 +145,13 @@ func (c *Cluster) rebalanceManagers() {
 		}
 		c.setAssignmentLocked(target, newSet)
 		c.mu.Unlock()
-		cand := make([]msg.NodeID, 0, len(oldSet)+len(newSet))
-		cand = append(cand, oldSet...)
+		cand = append(cand[:0], oldSet...)
 		for _, m := range newSet {
 			if !slices.Contains(oldSet, m) {
 				cand = append(cand, m)
 			}
 		}
-		sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+		slices.Sort(cand)
 		// The most pessimistic replica seeds (or upgrades) the responsible
 		// managers, so the min-vote score cannot jump up through a handoff.
 		var best reputation.Entry

@@ -40,6 +40,12 @@ type Verifier struct {
 	serveChecks  *sim.Deadlines[serveCheck]
 	expectations *sim.Deadlines[ackExpectation]
 	sessions     *sim.Deadlines[confirmSession]
+
+	// The Confirms and ConfirmResps this node sends, carved from blocks of
+	// msg.SendBlock the way a Decoder carves received ones; only the node's
+	// own context sends them.
+	confirms     msg.Blocks[msg.Confirm]
+	confirmResps msg.Blocks[msg.ConfirmResp]
 }
 
 // marks is a set of positions of a short list — the chunks of one request,
@@ -310,7 +316,7 @@ func (v *Verifier) startConfirmSession(suspect msg.NodeID, ack *msg.Ack, chunks 
 	}
 	// Every witness is asked the same question: one message, read-only once
 	// sent, serves them all.
-	confirm := &msg.Confirm{Sender: v.self, Suspect: suspect, Period: ack.Period, Chunks: chunks}
+	confirm := v.confirms.Place(msg.Confirm{Sender: v.self, Suspect: suspect, Period: ack.Period, Chunks: chunks}, msg.SendBlock)
 	for _, w := range ack.Partners {
 		v.netw.Send(v.self, w, confirm, net.Unreliable)
 	}
@@ -328,12 +334,12 @@ func (v *Verifier) onConfirm(from msg.NodeID, c *msg.Confirm) {
 	truth := v.hist.HasRecentProposalFrom(c.Suspect, c.Chunks)
 	answer := v.behavior.ConfirmAnswer(c.Suspect, truth)
 	v.hist.RecordConfirmAsker(v.hist.Newest(), c.Suspect, from)
-	v.netw.Send(v.self, from, &msg.ConfirmResp{
+	v.netw.Send(v.self, from, v.confirmResps.Place(msg.ConfirmResp{
 		Sender:    v.self,
 		Suspect:   c.Suspect,
 		Period:    c.Period,
 		Confirmed: answer,
-	}, net.Unreliable)
+	}, msg.SendBlock), net.Unreliable)
 }
 
 func (v *Verifier) onConfirmResp(from msg.NodeID, r *msg.ConfirmResp) {

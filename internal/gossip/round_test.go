@@ -86,9 +86,11 @@ func (r *roundRig) round() {
 //	  1  the fan-in block: the served chunks grouped by server
 //	  1  the Ack
 //	node 0, cross-checking the ack:
-//	  1  the Confirm, shared by the 7 witnesses
-//	  1  the ConfirmResp node 0, a witness of its own, answers with
-const roundAllocs = 8 + 2 + 2 + 2 + 2
+//	  1/16  the Confirm, shared by the 7 witnesses: carved, one block of
+//	        msg.SendBlock = 16 every 16 rounds
+//	  1/16  the ConfirmResp node 0, a witness of its own, answers with,
+//	        carved likewise
+const roundAllocs = 8 + 2 + 2 + 2 + 2.0/msg.SendBlock
 
 func TestSteadyStateRoundAllocations(t *testing.T) {
 	r := newRoundRig()
@@ -98,8 +100,15 @@ func TestSteadyStateRoundAllocations(t *testing.T) {
 	if got := r.nodes[1].ChunkCount(); got != 8*120 {
 		t.Fatalf("node 1 holds %d chunks after 120 rounds, want %d: the round is not the one described", got, 8*120)
 	}
-	if got := testing.AllocsPerRun(100, r.round); got != roundAllocs {
-		t.Fatalf("one steady-state round allocates %v objects, want %d (see roundAllocs for what each is)", got, roundAllocs)
+	// msg.SendBlock rounds in a row refill each send block exactly once,
+	// wherever the rounds before left it, so the count per run is exact.
+	block := func() {
+		for i := 0; i < msg.SendBlock; i++ {
+			r.round()
+		}
+	}
+	if got := testing.AllocsPerRun(10, block); got != roundAllocs*msg.SendBlock {
+		t.Fatalf("%d steady-state rounds allocate %v objects, want %v (see roundAllocs for what each is)", msg.SendBlock, got, roundAllocs*msg.SendBlock)
 	}
 }
 

@@ -80,7 +80,11 @@ func (h *haveSet) add(c msg.ChunkID) {
 			h.far[c] = struct{}{}
 			return
 		}
-		h.bits = append(h.bits, make([]uint64, w+1-len(h.bits))...)
+		// Word by word: append(bits, make(…)...) allocates its make on
+		// every call under the race detector, capacity to spare or not.
+		for len(h.bits) <= w {
+			h.bits = append(h.bits, 0)
+		}
 	}
 	h.bits[w] |= 1 << (c & 63)
 }

@@ -236,6 +236,10 @@ func managerHash(target msg.NodeID, salt uint32) uint64 {
 }
 
 // managersLocked computes the assignment from scratch. Callers hold d.mu.
+// A probe that lands on the target, on a departed node or on a pick already
+// made is skipped — the same probes the set of every id seen skipped, since
+// a departed id stays departed within the call — so the result is the one
+// allocation a cache miss makes.
 func (d *Directory) managersLocked(target msg.NodeID, m int) []msg.NodeID {
 	n := len(d.all)
 	if n <= 1 {
@@ -252,18 +256,14 @@ func (d *Directory) managersLocked(target msg.NodeID, m int) []msg.NodeID {
 		return nil
 	}
 	out := make([]msg.NodeID, 0, m)
-	used := map[msg.NodeID]struct{}{target: {}}
 	for salt := uint32(0); len(out) < m; salt++ {
 		id := d.all[managerHash(target, salt)%uint64(n)]
-		if _, dup := used[id]; dup {
+		if id == target || slices.Contains(out, id) {
 			continue
 		}
-		if _, live := d.aliveAt[id]; !live {
-			used[id] = struct{}{}
-			continue
+		if _, live := d.aliveAt[id]; live {
+			out = append(out, id)
 		}
-		used[id] = struct{}{}
-		out = append(out, id)
 	}
 	return out
 }

@@ -155,34 +155,86 @@ const (
 	payloadBlock = 16 << 10
 )
 
+// SendBlock is the block size, in structs, of the messages a node carves on
+// its send side: a verifier's Confirms and ConfirmResps, a blame client's
+// Blames. Every node holds one partly used block of each kind for good, so
+// the size trades that standing cost (DESIGN.md, "Bytes per node") against
+// how often a block is refilled.
+const SendBlock = 16
+
+// Blocks hands out values of T carved from blocks it allocates, for one
+// goroutine at a time. It is the one way this package's messages share an
+// allocation, in both directions: a Decoder carves what it receives from
+// them, and a node carves the small messages it sends. Nothing is ever
+// carved twice: a block is refilled, never reused, so whoever is handed a
+// carved value may keep it forever, and nothing it holds shares memory with
+// another value — every carved slice has cap == len, so even an append
+// cannot reach a neighbour. A block stays alive while anything carved from
+// it does. The zero value is ready to use; a nil *Blocks allocates every
+// carve on its own.
+type Blocks[T any] struct {
+	free []T
+}
+
+// carve cuts an n-element slice with cap == len off the current block,
+// refilling it with a fresh block of size elements when it runs short. A nil
+// b and a request over a quarter of a block get an allocation of their own.
+func (b *Blocks[T]) carve(n, size int) []T {
+	if b == nil || n > size/4 {
+		return make([]T, n)
+	}
+	if len(b.free) < n {
+		b.free = make([]T, size)
+	}
+	s := b.free[:n:n]
+	b.free = b.free[n:]
+	return s
+}
+
+// Place copies v into a struct carved from blocks of size structs and
+// returns it.
+func (b *Blocks[T]) Place(v T, size int) *T {
+	s := b.carve(1, size)
+	s[0] = v
+	return &s[0]
+}
+
 // Decoder decodes exactly as Decode does, for one goroutine at a time, but
 // carves the structs, id lists and payloads of the hot message kinds (serve,
-// blame, confirm, confirm-resp, propose, request, ack) from blocks it owns,
-// one block per field, so a steady stream of messages costs a block refill
-// every few dozen messages instead of an allocation or three each. Nothing
-// is ever carved twice: a receiver may keep, forever, whatever a Decoder
-// hands it, and nothing it holds shares memory with another message's —
-// every carved slice has cap == len, so even an append cannot reach a
-// neighbour. The zero value is ready to use.
+// blame, confirm, confirm-resp, propose, request, ack) from Blocks it owns,
+// one per field, so a steady stream of messages costs a block refill every
+// few dozen messages instead of an allocation or three each. A receiver may
+// keep whatever a Decoder hands it, under the Blocks contract. The zero
+// value is ready to use.
 type Decoder struct {
 	exact bool // Decode's one-off decoder: every carve is its own allocation
 
-	proposes     []Propose
-	requests     []Request
-	serves       []Serve
-	acks         []Ack
-	confirms     []Confirm
-	confirmResps []ConfirmResp
-	blames       []Blame
+	proposes     Blocks[Propose]
+	requests     Blocks[Request]
+	serves       Blocks[Serve]
+	acks         Blocks[Ack]
+	confirms     Blocks[Confirm]
+	confirmResps Blocks[ConfirmResp]
+	blames       Blocks[Blame]
 
-	proposeChunks  []ChunkID
-	proposeOrigins []NodeID
-	requestChunks  []ChunkID
-	ackChunks      []ChunkID
-	ackPartners    []NodeID
-	confirmChunks  []ChunkID
+	proposeChunks  Blocks[ChunkID]
+	proposeOrigins Blocks[NodeID]
+	requestChunks  Blocks[ChunkID]
+	ackChunks      Blocks[ChunkID]
+	ackPartners    Blocks[NodeID]
+	confirmChunks  Blocks[ChunkID]
 
-	payloads []byte
+	payloads Blocks[byte]
+}
+
+// block returns a field's block size, or 0 for Decode's one-off decoder:
+// every carve is larger than a quarter of nothing, so each is then an
+// allocation of its own.
+func (d *Decoder) block(size int) int {
+	if d.exact {
+		return 0
+	}
+	return size
 }
 
 // Decode parses one message; see Decoder.
@@ -194,16 +246,17 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		return nil, r.err
 	}
 	var m Message
+	structs, idList := d.block(structBlock), d.block(idBlock)
 	switch kind {
 	case KindPropose:
 		v := Propose{Sender: sender, Period: r.period()}
-		v.Chunks = ids(&r, d, &d.proposeChunks)
-		v.Origins = ids(&r, d, &d.proposeOrigins)
-		m = place(&r, d, &d.proposes, v)
+		v.Chunks = ids(&r, &d.proposeChunks, idList)
+		v.Origins = ids(&r, &d.proposeOrigins, idList)
+		m = place(&r, &d.proposes, v, structs)
 	case KindRequest:
 		v := Request{Sender: sender, Period: r.period()}
-		v.Chunks = ids(&r, d, &d.requestChunks)
-		m = place(&r, d, &d.requests, v)
+		v.Chunks = ids(&r, &d.requestChunks, idList)
+		m = place(&r, &d.requests, v, structs)
 	case KindServe:
 		v := Serve{Sender: sender, Period: r.period(), Chunk: ChunkID(r.u32())}
 		if size := r.u32(); size <= MaxChunkPayload {
@@ -212,23 +265,23 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 			r.fail(ErrPayloadBounds)
 		}
 		v.Hash = r.u64()
-		v.Payload = chunkPayload(&r, d)
-		m = place(&r, d, &d.serves, v)
+		v.Payload = chunkPayload(&r, &d.payloads, d.block(payloadBlock))
+		m = place(&r, &d.serves, v, structs)
 	case KindAck:
 		v := Ack{Sender: sender, Period: r.period()}
-		v.Chunks = ids(&r, d, &d.ackChunks)
-		v.Partners = ids(&r, d, &d.ackPartners)
-		m = place(&r, d, &d.acks, v)
+		v.Chunks = ids(&r, &d.ackChunks, idList)
+		v.Partners = ids(&r, &d.ackPartners, idList)
+		m = place(&r, &d.acks, v, structs)
 	case KindConfirm:
 		v := Confirm{Sender: sender, Suspect: r.node(), Period: r.period()}
-		v.Chunks = ids(&r, d, &d.confirmChunks)
-		m = place(&r, d, &d.confirms, v)
+		v.Chunks = ids(&r, &d.confirmChunks, idList)
+		m = place(&r, &d.confirms, v, structs)
 	case KindConfirmResp:
 		v := ConfirmResp{Sender: sender, Suspect: r.node(), Period: r.period(), Confirmed: r.bool()}
-		m = place(&r, d, &d.confirmResps, v)
+		m = place(&r, &d.confirmResps, v, structs)
 	case KindBlame:
 		v := Blame{Sender: sender, Target: r.node(), Value: r.f64(), Reason: BlameReason(r.u8())}
-		m = place(&r, d, &d.blames, v)
+		m = place(&r, &d.blames, v, structs)
 	case KindScoreReq:
 		m = &ScoreReq{Sender: sender, Target: r.node()}
 	case KindScoreResp:
@@ -242,20 +295,20 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		if n := r.records(); n > 0 {
 			v.Proposals = make([]ProposalRecord, n)
 			for i := range v.Proposals {
-				v.Proposals[i] = ProposalRecord{Period: r.period(), Partner: r.node(), Chunks: ids[ChunkID](&r, d, nil)}
+				v.Proposals[i] = ProposalRecord{Period: r.period(), Partner: r.node(), Chunks: ids[ChunkID](&r, nil, 0)}
 			}
 		}
 		if n := r.records(); n > 0 {
 			v.Serves = make([]ServeRecord, n)
 			for i := range v.Serves {
-				v.Serves[i] = ServeRecord{Period: r.period(), Server: r.node(), Chunks: ids[ChunkID](&r, d, nil)}
+				v.Serves[i] = ServeRecord{Period: r.period(), Server: r.node(), Chunks: ids[ChunkID](&r, nil, 0)}
 			}
 		}
 		m = v
 	case KindAuditPoll:
-		m = &AuditPoll{Sender: sender, Suspect: r.node(), Period: r.period(), Chunks: ids[ChunkID](&r, d, nil)}
+		m = &AuditPoll{Sender: sender, Suspect: r.node(), Period: r.period(), Chunks: ids[ChunkID](&r, nil, 0)}
 	case KindAuditPollResp:
-		m = &AuditPollResp{Sender: sender, Suspect: r.node(), Period: r.period(), Confirmed: r.bool(), Askers: ids[NodeID](&r, d, nil)}
+		m = &AuditPollResp{Sender: sender, Suspect: r.node(), Period: r.period(), Confirmed: r.bool(), Askers: ids[NodeID](&r, nil, 0)}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
 	}
@@ -265,44 +318,26 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	return m, nil
 }
 
-// carve cuts an n-element slice with cap == len off *free, refilling *free
-// with a fresh block of size elements when it runs short. The one-off
-// decoder, a nil free (the rare kinds) and a request over a quarter of a
-// block get an allocation of their own.
-func carve[T any](d *Decoder, free *[]T, n, size int) []T {
-	if d.exact || free == nil || n > size/4 {
-		return make([]T, n)
-	}
-	if len(*free) < n {
-		*free = make([]T, size)
-	}
-	s := (*free)[:n:n]
-	*free = (*free)[n:]
-	return s
-}
-
-// place copies a parsed message into a struct carved from *free once the
+// place copies a parsed message into a struct carved from blocks once the
 // parse is known to be good, so a message that fails takes no struct. It
 // returns nil otherwise; Decode then returns the reader's error.
-func place[T any](r *reader, d *Decoder, free *[]T, v T) *T {
+func place[T any](r *reader, blocks *Blocks[T], v T, size int) *T {
 	if !r.done() {
 		return nil
 	}
-	s := carve(d, free, 1, structBlock)
-	s[0] = v
-	return &s[0]
+	return blocks.Place(v, size)
 }
 
 // ids reads a length-prefixed list of 4-byte ids into a slice carved from
-// *free, once the bytes are known to be there: a datagram a few bytes long
-// must not buy a 65 535-id list. An empty list decodes as nil, so encodings
-// stay canonical.
-func ids[T ~uint32](r *reader, d *Decoder, free *[]T) []T {
+// blocks of size ids (nil blocks for the rare kinds), once the bytes are
+// known to be there: a datagram a few bytes long must not buy a 65 535-id
+// list. An empty list decodes as nil, so encodings stay canonical.
+func ids[T ~uint32](r *reader, blocks *Blocks[T], size int) []T {
 	b := r.take(4 * int(r.u16()))
 	if len(b) == 0 {
 		return nil
 	}
-	out := carve(d, free, len(b)/4, idBlock)
+	out := blocks.carve(len(b)/4, size)
 	for i := range out {
 		out[i] = T(binary.BigEndian.Uint32(b[4*i:]))
 	}
@@ -310,9 +345,9 @@ func ids[T ~uint32](r *reader, d *Decoder, free *[]T) []T {
 }
 
 // chunkPayload reads a 4-byte-length-prefixed byte string, bounded by
-// MaxChunkPayload, and copies it into the decoder's payload block. An empty
-// payload decodes as nil so encodings stay canonical.
-func chunkPayload(r *reader, d *Decoder) []byte {
+// MaxChunkPayload, and copies it into a slice carved from blocks of size
+// bytes. An empty payload decodes as nil so encodings stay canonical.
+func chunkPayload(r *reader, blocks *Blocks[byte], size int) []byte {
 	n := r.u32()
 	if n > MaxChunkPayload {
 		r.fail(ErrPayloadBounds)
@@ -322,7 +357,7 @@ func chunkPayload(r *reader, d *Decoder) []byte {
 	if len(src) == 0 {
 		return nil
 	}
-	p := carve(d, &d.payloads, len(src), payloadBlock)
+	p := blocks.carve(len(src), size)
 	copy(p, src)
 	return p
 }

@@ -29,11 +29,13 @@ type Entry struct {
 }
 
 // Board accumulates blames and computes normalized, compensated scores.
+// Entries live in the map by value: blaming, adopting for or expelling a
+// tracked node overwrites its entry in place and allocates nothing.
 // The zero value is not usable; create one with NewBoard.
 type Board struct {
 	compensation float64
 	period       msg.Period
-	entries      map[msg.NodeID]*Entry
+	entries      map[msg.NodeID]Entry
 }
 
 // NewBoard creates a board. compensation is b̃, the expected wrongful blame
@@ -42,7 +44,7 @@ type Board struct {
 func NewBoard(compensation float64) *Board {
 	return &Board{
 		compensation: compensation,
-		entries:      make(map[msg.NodeID]*Entry),
+		entries:      make(map[msg.NodeID]Entry),
 	}
 }
 
@@ -56,16 +58,15 @@ func (b *Board) SetPeriod(p msg.Period) {
 
 // Join starts tracking id as of the board's current period. Joining an
 // already-tracked node is a no-op.
-func (b *Board) Join(id msg.NodeID) { b.entry(id) }
+func (b *Board) Join(id msg.NodeID) { b.entries[id] = b.entry(id) }
 
-// entry returns id's entry, tracking id as of the current period if needed.
-func (b *Board) entry(id msg.NodeID) *Entry {
-	e, ok := b.entries[id]
-	if !ok {
-		e = &Entry{JoinPeriod: b.period}
-		b.entries[id] = e
+// entry returns id's entry, or a fresh one as of the current period if id is
+// not tracked. A caller that changes it stores it back, which tracks id.
+func (b *Board) entry(id msg.NodeID) Entry {
+	if e, ok := b.entries[id]; ok {
+		return e
 	}
-	return e
+	return Entry{JoinPeriod: b.period}
 }
 
 // Tracked reports whether id is tracked.
@@ -76,7 +77,9 @@ func (b *Board) Tracked(id msg.NodeID) bool {
 
 // AddBlame applies a blame value to target, tracking it first if needed.
 func (b *Board) AddBlame(target msg.NodeID, value float64) {
-	b.entry(target).TotalBlame += value
+	e := b.entry(target)
+	e.TotalBlame += value
+	b.entries[target] = e
 }
 
 // Periods returns r, the number of gossip periods target has been tracked
@@ -86,6 +89,11 @@ func (b *Board) Periods(target msg.NodeID) int {
 	if !ok {
 		return 0
 	}
+	return b.periods(e)
+}
+
+// periods is Periods of a tracked entry.
+func (b *Board) periods(e Entry) int {
 	r := int(b.period) - int(e.JoinPeriod)
 	if r < 1 {
 		r = 1
@@ -104,8 +112,7 @@ func (b *Board) Score(target msg.NodeID) float64 {
 	if !ok {
 		return 0
 	}
-	r := float64(b.Periods(target))
-	return b.compensation - e.TotalBlame/r
+	return b.compensation - e.TotalBlame/float64(b.periods(e))
 }
 
 // MarkExpelled flags target as expelled with the given reason and reports
@@ -115,26 +122,22 @@ func (b *Board) MarkExpelled(target msg.NodeID, reason msg.BlameReason) bool {
 	if e.Expelled {
 		return false
 	}
-	e.Expelled = true
-	e.Reason = reason
+	e.Expelled, e.Reason = true, reason
+	b.entries[target] = e
 	return true
 }
 
 // Expelled reports whether target is flagged as expelled.
 func (b *Board) Expelled(target msg.NodeID) bool {
-	if e, ok := b.entries[target]; ok {
-		return e.Expelled
-	}
-	return false
+	return b.entries[target].Expelled
 }
 
 // Adopt installs a copy of a replica's entry for target, overwriting any
-// local state. It is the state-transfer half of a reputation-manager
-// handoff: the join period, accumulated blame and expulsion verdict all
-// migrate with the entry.
+// local state in place. It is the state-transfer half of a
+// reputation-manager handoff: the join period, accumulated blame and
+// expulsion verdict all migrate with the entry.
 func (b *Board) Adopt(target msg.NodeID, e Entry) {
-	ee := e
-	b.entries[target] = &ee
+	b.entries[target] = e
 }
 
 // Drop stops tracking target, discarding its entry.
@@ -144,10 +147,8 @@ func (b *Board) Drop(target msg.NodeID) {
 
 // Entry returns a copy of target's entry and whether it is tracked.
 func (b *Board) Entry(target msg.NodeID) (Entry, bool) {
-	if e, ok := b.entries[target]; ok {
-		return *e, true
-	}
-	return Entry{}, false
+	e, ok := b.entries[target]
+	return e, ok
 }
 
 // Len returns how many nodes the board tracks. The soak invariants bound
@@ -160,6 +161,6 @@ func (b *Board) Len() int { return len(b.entries) }
 func (b *Board) Each(fn func(id msg.NodeID, e Entry)) {
 	//lint:allow ordered-map-range order is the documented contract; every caller collects then sorts or reduces commutatively
 	for id, e := range b.entries {
-		fn(id, *e)
+		fn(id, e)
 	}
 }

@@ -42,10 +42,11 @@ func BenchmarkClientFlush(b *testing.B) {
 }
 
 // TestFlushAllocsBounded is the regression guard behind BenchmarkClientFlush:
-// a full accumulate+flush cycle over flushTargets targets must allocate on
-// the order of two allocations per blamed target (the pendingBlame entry and
-// the one shared Blame message) — not one per manager send, and not a fresh
-// pending map per flush.
+// a full accumulate+flush cycle over flushTargets targets must allocate one
+// block of Blames every msg.SendBlock targets — the pending batches live in
+// the map by value, and one carved Blame serves all M sends of a target — not
+// one per manager send, not one per target, and not a fresh pending map per
+// flush.
 func TestFlushAllocsBounded(t *testing.T) {
 	dir := membership.Sequential(10000)
 	client := NewClient(0, Config{M: 25}, &discardNet{}, dir)
@@ -63,9 +64,11 @@ func TestFlushAllocsBounded(t *testing.T) {
 		}
 		client.Flush()
 	})
-	// 2 allocs per target plus slack; the pre-fix code allocated M=25 Blame
-	// values per target (~1664 total).
-	if max := float64(3 * flushTargets); avg > max {
-		t.Fatalf("accumulate+flush of %d targets allocates %.0f/run, want ≤ %.0f", flushTargets, avg, max)
+	// flushTargets is a multiple of msg.SendBlock, so every run refills the
+	// block the same number of times. The code before carving allocated two
+	// objects per target, and before that M=25 Blame values per target
+	// (~1664 total).
+	if want := float64(flushTargets / msg.SendBlock); avg != want {
+		t.Fatalf("accumulate+flush of %d targets allocates %.0f/run, want %.0f", flushTargets, avg, want)
 	}
 }

@@ -215,11 +215,13 @@ func (m *Manager) expel(target msg.NodeID, reason msg.BlameReason) {
 	if m.cfg.OnExpel != nil {
 		m.cfg.OnExpel(target, reason)
 	}
+	// One Expel serves every other manager, as one Blame serves a flush.
+	ex := &msg.Expel{Sender: m.self, Target: target, Reason: reason}
 	for _, mgr := range m.dir.Managers(target, m.cfg.M) {
 		if mgr == m.self {
 			continue
 		}
-		m.netw.Send(m.self, mgr, &msg.Expel{Sender: m.self, Target: target, Reason: reason}, net.Unreliable)
+		m.netw.Send(m.self, mgr, ex, net.Unreliable)
 	}
 }
 
@@ -234,8 +236,11 @@ type Client struct {
 	cfg     Config
 	netw    net.Network
 	dir     *membership.Directory
-	pending map[msg.NodeID]*pendingBlame
+	pending map[msg.NodeID]pendingBlame
 	order   []msg.NodeID
+	// blames are the Blames Flush sends, carved from blocks of
+	// msg.SendBlock; only the owning node's context flushes.
+	blames msg.Blocks[msg.Blame]
 }
 
 type pendingBlame struct {
@@ -250,7 +255,7 @@ func NewClient(self msg.NodeID, cfg Config, netw net.Network, dir *membership.Di
 		cfg:     cfg,
 		netw:    netw,
 		dir:     dir,
-		pending: make(map[msg.NodeID]*pendingBlame),
+		pending: make(map[msg.NodeID]pendingBlame),
 	}
 }
 
@@ -263,9 +268,10 @@ func (c *Client) Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 	}
 	if p, ok := c.pending[target]; ok {
 		p.value += value
+		c.pending[target] = p
 		return
 	}
-	c.pending[target] = &pendingBlame{value: value, reason: reason}
+	c.pending[target] = pendingBlame{value: value, reason: reason}
 	c.order = append(c.order, target)
 }
 
@@ -276,13 +282,17 @@ func (c *Client) Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 // One Blame value is shared by all M sends of a target: every backend treats
 // messages as immutable once handed to Send (the UDP transport serializes
 // them on the spot through the pooled AppendEncode path), so the per-manager
-// re-allocation this replaced bought nothing. The pending map is cleared in
-// place for the same reason — Flush runs once per blamed target per period
-// on every node, which makes it a rebalance-scale hot path at 10k nodes.
+// re-allocation this replaced bought nothing. That Blame is carved from the
+// client's blocks (msg.Blocks, msg.SendBlock to a block), the way a Decoder
+// carves the ones it receives, and never carved twice, so a receiver may
+// keep it. The pending map holds each batch by value and is cleared in
+// place — Flush runs once per blamed target per period on every node, which
+// makes it a rebalance-scale hot path at 10k nodes: a flush allocates a
+// block every msg.SendBlock targets and nothing else.
 func (c *Client) Flush() {
 	for _, target := range c.order {
 		p := c.pending[target]
-		b := &msg.Blame{Sender: c.self, Target: target, Value: p.value, Reason: p.reason}
+		b := c.blames.Place(msg.Blame{Sender: c.self, Target: target, Value: p.value, Reason: p.reason}, msg.SendBlock)
 		for _, mgr := range c.dir.Managers(target, c.cfg.M) {
 			c.netw.Send(c.self, mgr, b, net.Unreliable)
 		}
