@@ -147,13 +147,33 @@ identical:
 
 # The figures a simplicity PR and a re-anchor quote: non-test Go lines outside
 # benchmark/, per package directory and in total, and how many //lint:allow
-# escapes those files carry.
+# escapes those files carry. With BASE=<rev> on the command line it counts the
+# same at BASE too (a `git archive` in a temporary directory, as `identical`
+# takes it) and prints base, working tree and difference for every package
+# that differs, the total and the allows.
+SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + \
+	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); print d, $$1 }'
+SIZE_ALLOWS = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec grep -c '//lint:allow' {} + \
+	| awk -F: '{ s += $$NF } END { print s }'
 size:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + \
-		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-			printf "%6d non-test Go lines outside benchmark/\n", t }'
-	@printf '%6d //lint:allow in them\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec grep -c '//lint:allow' {} + | awk -F: '{ s += $$NF } END { print s }')
+ifeq ($(origin BASE),file)
+	@$(SIZE_LINES) | awk '{ n[$$1] += $$2; t += $$2 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%6d non-test Go lines outside benchmark/\n", t }'
+	@printf '%6d //lint:allow in them\n' $$($(SIZE_ALLOWS))
+else
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$tmp"; \
+	echo "  base   work  delta (base $(BASE), work = working tree)"; \
+	{ (cd "$$tmp" && $(SIZE_LINES)) | sed 's/^/base /'; $(SIZE_LINES) | sed 's/^/work /'; } \
+		| awk '{ n[$$1, $$2] += $$3; d[$$2] = 1; t[$$1] += $$3 } \
+		END { for (p in d) if (n["base", p] != n["work", p]) \
+			printf "%6d %6d %+6d %s\n", n["base", p], n["work", p], n["work", p] - n["base", p], p | "sort -k4"; \
+		close("sort -k4"); \
+		printf "%6d %6d %+6d non-test Go lines outside benchmark/\n", t["base"], t["work"], t["work"] - t["base"] }'; \
+	base=$$(cd "$$tmp" && $(SIZE_ALLOWS)); work=$$($(SIZE_ALLOWS)); \
+	printf '%6d %6d %+6d //lint:allow in them\n' $$base $$work $$((work - base))
+endif
 
 fmt:
 	gofmt -l .

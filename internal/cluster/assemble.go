@@ -96,7 +96,7 @@ type wiring struct {
 	rt        runtime.Runtime
 	dir       *membership.Directory // shared by the cluster's nodes
 	root      *rng.Stream           // the deployment's root stream; per-node streams derive from it
-	collector *metrics.Collector    // nil leaves the node unmetered
+	collector *metrics.Collector    // shared by the cluster's nodes
 	// verified is the verified-once table the nodes of a sim cluster share
 	// (gossip.Deps.VerifiedOnce); nil wherever payloads cross a socket.
 	verified *content.Store
@@ -163,30 +163,25 @@ func assemble(o *Options, w wiring) assembled {
 		VerifiedOnce: w.verified,
 	}
 
-	if w.playout != nil || w.collector != nil {
-		// QoE accounting rides the same per-chunk callback as playout
-		// tracking. The closure state (previous arrival) is only touched
-		// from the node's serialized execution context, and the collector
-		// sums are commuting integer adds, so sharded runs stay
-		// byte-identical across shard counts. It lives as long as the node:
-		// capture the three values it needs, not the wiring.
-		playout, coll, scfg := w.playout, w.collector, o.Stream
-		interval := scfg.ChunkInterval()
-		var lastArrival time.Duration
-		seenArrival := false
-		deps.OnChunk = func(ch msg.ChunkID, at time.Duration) {
-			if playout != nil {
-				playout.Received(ch, at)
-			}
-			if coll == nil {
-				return
-			}
-			coll.OnStreamLag(at - scfg.GenTime(ch))
-			if seenArrival {
-				coll.OnJitter((at - lastArrival) - interval)
-			}
-			lastArrival, seenArrival = at, true
+	// QoE accounting rides the same per-chunk callback as playout
+	// tracking. The closure state (previous arrival) is only touched from
+	// the node's serialized execution context, and the collector sums are
+	// commuting integer adds, so sharded runs stay byte-identical across
+	// shard counts. It lives as long as the node: capture the three values
+	// it needs, not the wiring.
+	playout, coll, scfg := w.playout, w.collector, o.Stream
+	interval := scfg.ChunkInterval()
+	var lastArrival time.Duration
+	seenArrival := false
+	deps.OnChunk = func(ch msg.ChunkID, at time.Duration) {
+		if playout != nil {
+			playout.Received(ch, at)
 		}
+		coll.OnStreamLag(at - scfg.GenTime(ch))
+		if seenArrival {
+			coll.OnJitter((at - lastArrival) - interval)
+		}
+		lastArrival, seenArrival = at, true
 	}
 
 	if o.LiFTinG {
@@ -195,9 +190,7 @@ func assemble(o *Options, w wiring) assembled {
 			a.client = reputation.NewClient(id, o.Rep, netw, w.dir)
 			sink = a.client
 		}
-		if w.collector != nil {
-			sink = countingSink{coll: w.collector, inner: sink}
-		}
+		sink = countingSink{coll: w.collector, inner: sink}
 		a.verifier = core.NewVerifier(id, o.Core, ctx, netw, nodeRand.Derive("verify"), deps.History, behavior, sink)
 		aux := auxChain{a.verifier}
 		if a.client != nil {

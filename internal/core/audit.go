@@ -232,7 +232,7 @@ func (a *Auditor) onAuditResp(from msg.NodeID, resp *msg.AuditResp) {
 		elapsed := int(a.ctx.Now() / a.cfg.Period)
 		st.outcome.PeriodBlame += PeriodStretchBlame(int(newest), elapsed, a.cfg.PeriodCheckSlack)
 	}
-	if a.sink != nil && st.outcome.PeriodBlame > 0 {
+	if st.outcome.PeriodBlame > 0 {
 		a.sink.Blame(from, st.outcome.PeriodBlame, msg.ReasonPeriodStretch)
 	}
 
@@ -304,7 +304,7 @@ func (a *Auditor) conclude(target msg.NodeID, st *auditState) {
 		}
 	}
 	st.outcome.Unconfirmed = unconfirmed
-	if a.sink != nil && unconfirmed > 0 {
+	if unconfirmed > 0 {
 		a.sink.Blame(target, UnconfirmedHistoryBlame(unconfirmed), msg.ReasonAuditUnconfirmed)
 	}
 

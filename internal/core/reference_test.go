@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"lifting/internal/gossip"
+	"lifting/internal/history"
+	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/rng"
@@ -336,7 +339,7 @@ func runScript(seed uint64, steps []step, skew float64, build func(Config, sim.C
 	var log []string
 	eng := sim.NewEngine()
 	true1 := eng.Domain(1)
-	netw := net.NewSimNet(eng, rng.New(seed).Derive("net"), nil, net.Uniform(0, 2*time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(seed).Derive("net"), metrics.NewCollector(), net.Uniform(0, 2*time.Millisecond))
 	for id := msg.NodeID(0); id < 2+diffPeers; id++ {
 		id := id
 		netw.Attach(id, capture{func(from msg.NodeID, m msg.Message) {
@@ -382,7 +385,7 @@ func TestVerifierMatchesClosureReference(t *testing.T) {
 		for _, skew := range []float64{1, 0.98, 1.05} {
 			var v *Verifier
 			got := runScript(seed, steps, skew, func(cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, sink BlameSink) checker {
-				v = NewVerifier(1, cfg, ctx, netw, rand, nil, nil, sink)
+				v = NewVerifier(1, cfg, ctx, netw, rand, history.NewLog(cfg.HistoryPeriods), gossip.Honest{}, sink)
 				return v
 			})
 			want := runScript(seed, steps, skew, func(cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, sink BlameSink) checker {

@@ -136,9 +136,6 @@ func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network,
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if behavior == nil {
-		behavior = gossip.Honest{}
-	}
 	v := &Verifier{
 		self:     self,
 		cfg:      cfg.withDefaults(),
@@ -160,7 +157,7 @@ var (
 )
 
 func (v *Verifier) blame(target msg.NodeID, value float64, reason msg.BlameReason) {
-	if v.sink != nil && value > 0 {
+	if value > 0 {
 		v.sink.Blame(target, value, reason)
 	}
 }

@@ -91,7 +91,7 @@ func TestNewVerifierPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("invalid config did not panic")
 		}
 	}()
-	NewVerifier(1, Config{}, sim.NewEngine().Domain(1), nil, rng.New(1), nil, nil, nil)
+	NewVerifier(1, Config{}, sim.NewEngine().Domain(1), nil, rng.New(1), nil, gossip.Honest{}, &sinkRec{})
 }
 
 func TestDirectVerificationBlamesMissingServes(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"lifting/internal/gossip"
 	"lifting/internal/history"
 	"lifting/internal/membership"
+	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/rng"
@@ -57,7 +58,6 @@ type forged struct {
 type plan struct {
 	seed   uint64
 	n, f   int
-	store  bool
 	degree bool // the last node is a freerider.Degree
 	mitm   bool // the two before it are MITM colluders
 	cond   net.Conditions
@@ -78,7 +78,6 @@ func newPlan(seed uint64) plan {
 		seed:   seed,
 		n:      6 + r.IntN(9),
 		f:      2 + r.IntN(3),
-		store:  r.IntN(2) == 0,
 		degree: r.IntN(3) > 0,
 		mitm:   r.IntN(3) > 0,
 		far:    r.IntN(4) == 0,
@@ -173,6 +172,29 @@ func newPlan(seed uint64) plan {
 	return p
 }
 
+// shipped completes d with what cluster.New gives every node and the tests
+// of this package have no reason to vary — an honest behaviour, an
+// accountability log of cfg's retention, a chunk store, a collector and an
+// arrival callback — keeping whatever d already sets.
+func shipped(cfg gossip.Config, d gossip.Deps) gossip.Deps {
+	if d.Behavior == nil {
+		d.Behavior = gossip.Honest{}
+	}
+	if d.History == nil {
+		d.History = history.NewLog(cfg.HistoryPeriods)
+	}
+	if d.Store == nil {
+		d.Store = content.NewStore(0)
+	}
+	if d.Metrics == nil {
+		d.Metrics = metrics.NewCollector()
+	}
+	if d.OnChunk == nil {
+		d.OnChunk = func(msg.ChunkID, time.Duration) {}
+	}
+	return d
+}
+
 // recNet writes every Send into the transcript before passing it on.
 type recNet struct {
 	inner *net.SimNet
@@ -233,7 +255,7 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 	eng := sim.NewEngine()
 	root := rng.New(p.seed)
 	dir := membership.Sequential(p.n)
-	simnet := net.NewSimNet(eng, root.Derive("net"), nil, p.cond)
+	simnet := net.NewSimNet(eng, root.Derive("net"), metrics.NewCollector(), p.cond)
 	netw := recNet{inner: simnet, eng: eng, log: &res.log}
 	cfg := gossip.Config{
 		F: p.f, Period: eqPeriod, ChunkPayload: eqPayload,
@@ -265,18 +287,14 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 		deps := gossip.Deps{
 			Ctx: ctx, Net: netw, Dir: dir, Rand: root.ForNode(uint32(i)),
 			Behavior: b, Monitor: recMonitor{id: id, log: &res.log},
+			VerifiedOnce: verified,
 		}
-		if p.store {
-			capacity := 0
-			if i == 1 {
-				// Node 1 keeps two payloads: it proposes chunks it can no
-				// longer deliver, and its serves of those are rejected.
-				capacity = 2
-			}
-			deps.Store = content.NewStore(capacity)
-			deps.VerifiedOnce = verified
+		if i == 1 {
+			// Node 1 keeps two payloads: it proposes chunks it can no
+			// longer deliver, and its serves of those are rejected.
+			deps.Store = content.NewStore(2)
 		}
-		nodes[i] = build(id, nodeCfg, deps)
+		nodes[i] = build(id, nodeCfg, shipped(nodeCfg, deps))
 		simnet.Attach(id, nodes[i])
 		nodes[i].Start()
 	}
@@ -284,11 +302,7 @@ func runWorld(p plan, build func(msg.NodeID, gossip.Config, gossip.Deps) dissemi
 	// Node 0 is the source: four chunks a period, dense ids.
 	src := content.NewSource(p.seed, eqPayload)
 	inject := func(c msg.ChunkID) {
-		var payload []byte
-		var hash uint64
-		if p.store {
-			payload, hash = src.Chunk(c)
-		}
+		payload, hash := src.Chunk(c)
 		nodes[0].InjectChunkData(c, payload, hash)
 	}
 	last := msg.ChunkID(4 * (eqPeriods - 5))
@@ -366,8 +380,8 @@ func TestNodeMatchesMapReference(t *testing.T) {
 				if i < len(got.log) {
 					line = got.log[i]
 				}
-				t.Fatalf("seed %d (n=%d f=%d store=%t verified=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
-					seed, p.n, p.f, p.store, p.verified, p.degree, p.mitm, p.skew, i, line, want.log[i])
+				t.Fatalf("seed %d (n=%d f=%d verified=%t degree=%t mitm=%t skew=%v): transcripts part at line %d:\n  node:      %s\n  reference: %s",
+					seed, p.n, p.f, p.verified, p.degree, p.mitm, p.skew, i, line, want.log[i])
 			}
 		}
 		if len(got.log) != len(want.log) {

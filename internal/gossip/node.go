@@ -31,7 +31,8 @@ type Config struct {
 	F int
 	// Period is the gossip period Tg (500 ms in the paper's deployment).
 	Period time.Duration
-	// ChunkPayload is the modelled chunk payload size in bytes.
+	// ChunkPayload is the stream's chunk payload size in bytes: what a
+	// serve of a chunk the node no longer stores says it would have carried.
 	ChunkPayload int
 	// RequestRetry is how long an outstanding request blocks re-requesting
 	// the same chunk from a later proposal (loss recovery over UDP).
@@ -72,31 +73,34 @@ type AuxHandler interface {
 	HandleAux(from msg.NodeID, m msg.Message) bool
 }
 
-// Deps wires a node to its environment.
+// Deps wires a node to its environment. Every field is required but the
+// three that say what nil means.
 type Deps struct {
-	Ctx  sim.Context
-	Net  net.Network
-	Dir  *membership.Directory
-	Rand *rng.Stream
-	// Behavior defaults to Honest{}.
+	Ctx      sim.Context
+	Net      net.Network
+	Dir      *membership.Directory
+	Rand     *rng.Stream
 	Behavior Behavior
-	// Monitor defaults to NopMonitor{}.
+	// Monitor observes the node for LiFTinG's verifications; nil (LiFTinG
+	// off) is NopMonitor{}.
 	Monitor Monitor
-	// Aux receives verification/reputation messages; may be nil.
+	// Aux receives verification/reputation messages; nil when LiFTinG is
+	// off.
 	Aux AuxHandler
-	// History defaults to a fresh log with Config.HistoryPeriods retention.
+	// History is the node's accountability log, retaining
+	// Config.HistoryPeriods periods. It is also where a request is checked
+	// against the proposal it names.
 	History *history.Log
-	// OnChunk, if non-nil, fires once per distinct chunk received, with the
-	// arrival time (feeds the playout/health metric).
+	// OnChunk fires once per distinct chunk received, with the arrival time
+	// (feeds the playout and stream-lag metrics).
 	OnChunk func(c msg.ChunkID, at time.Duration)
-	// Metrics, if non-nil, receives redundancy accounting: duplicate vs
-	// useful serves and the propose→serve latency per accepted chunk.
+	// Metrics receives redundancy accounting: duplicate vs useful serves,
+	// invalid serves and the propose→serve latency per accepted chunk.
 	Metrics *metrics.Collector
-	// Store, if non-nil, turns on the content plane: serves carry the real
-	// payload bytes held in the store, and incoming serves are verified
-	// against their content hash before acceptance — an invalid payload is
-	// rejected and blamed like an undelivered serve. Nil keeps the
-	// modelled-size behavior (serves carry only PayloadSize).
+	// Store holds the payloads the node serves: a serve carries the real
+	// bytes, and an incoming serve is verified against its content hash
+	// before acceptance — an invalid payload is rejected and blamed like an
+	// undelivered serve.
 	Store *content.Store
 	// VerifiedOnce, if non-nil, is the table of payloads that already
 	// passed the full content hash, shared by every node of a runtime that
@@ -140,9 +144,10 @@ type Node struct {
 	fanin   []arrival
 	servers []msg.ServeRecord
 
-	// phases is the ring of the last nh propose phases, so that requests can
-	// be validated (nodes only serve chunks in P ∩ R, §3). Period p lives in
-	// phases[p%nh]; the ring is made by the first proposal.
+	// phases is the ring of the last nh propose phases' consumed marks, so
+	// that a chunk is served once per proposal (nodes only serve chunks in
+	// P ∩ R, §3; the log says what P was). Period p lives in phases[p%nh];
+	// the ring is made by the first proposal.
 	phases []phase
 }
 
@@ -164,14 +169,8 @@ func NewNode(id msg.NodeID, cfg Config, deps Deps) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if deps.Behavior == nil {
-		deps.Behavior = Honest{}
-	}
 	if deps.Monitor == nil {
 		deps.Monitor = NopMonitor{}
-	}
-	if deps.History == nil {
-		deps.History = history.NewLog(cfg.HistoryPeriods)
 	}
 	if cfg.RequestRetry == 0 {
 		cfg.RequestRetry = cfg.Period / 2
@@ -231,9 +230,7 @@ func (n *Node) InjectChunkData(c msg.ChunkID, payload []byte, hash uint64) {
 	if n.have.has(c) {
 		return
 	}
-	if n.deps.Store != nil {
-		n.deps.Store.Put(c, payload, hash)
-	}
+	n.deps.Store.Put(c, payload, hash)
 	n.hold(c, 0)
 }
 
@@ -248,7 +245,7 @@ func (n *Node) hold(c msg.ChunkID, from msg.NodeID) {
 	n.pendingFrom = append(n.pendingFrom, from)
 }
 
-// Store returns the node's chunk store (nil in modelled-only runs).
+// Store returns the node's chunk store.
 func (n *Node) Store() *content.Store { return n.deps.Store }
 
 // proposePhase runs one propose phase and reschedules itself.
@@ -259,10 +256,6 @@ func (n *Node) proposePhase() {
 	n.period++
 	nh := msg.Period(n.cfg.HistoryPeriods)
 	n.wants.expire(n.period, nh)
-	if n.phases != nil {
-		// The phase nh periods back leaves the ring.
-		n.phases[n.period%nh].period = 0
-	}
 
 	// Flush last period's fanin into the accountability log, and keep the
 	// grouping for the ack duty (§5.2).
@@ -313,7 +306,7 @@ func (n *Node) proposePhase() {
 		if n.phases == nil {
 			n.phases = make([]phase, nh)
 		}
-		n.phases[n.period%nh].set(n.period, advertised, partners)
+		n.phases[n.period%nh].set(len(advertised) * len(partners))
 	}
 
 	n.deps.Monitor.OnProposePhase(n.period, partners, advertised, serversLast)
@@ -452,7 +445,7 @@ func (n *Node) retry(r sentRequest) {
 }
 
 func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
-	ph, row := n.proposalTo(from, m.Period)
+	advertised, ph, row := n.proposalTo(from, m.Period)
 	if ph == nil {
 		// Requests that do not correspond to a proposal are ignored (§4.2).
 		return
@@ -461,9 +454,9 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 	for _, c := range m.Chunks {
 		// Each chunk is served at most once per proposal, even across
 		// repeated requests.
-		if i := slices.Index(ph.advertised, c); i >= 0 && ph.consume(row, i) {
+		if i := slices.Index(advertised, c); i >= 0 && ph.consume(row*len(advertised)+i) {
 			if valid == nil {
-				valid = make([]msg.ChunkID, 0, min(len(m.Chunks), len(ph.advertised)))
+				valid = make([]msg.ChunkID, 0, min(len(m.Chunks), len(advertised)))
 			}
 			valid = append(valid, c)
 		}
@@ -483,15 +476,13 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 			Chunk:       c,
 			PayloadSize: n.cfg.ChunkPayload,
 		}
-		if n.deps.Store != nil {
-			// A store miss (evicted, or never verified in) sends the serve
-			// without payload; the receiver rejects and blames it, which is
-			// exactly what proposing undeliverable chunks deserves.
-			if payload, hash, ok := n.deps.Store.Get(c); ok {
-				serve.PayloadSize = len(payload)
-				serve.Hash = hash
-				serve.Payload = payload
-			}
+		// A store miss (evicted, or never verified in) sends the serve
+		// without payload; the receiver rejects and blames it, which is
+		// exactly what proposing undeliverable chunks deserves.
+		if payload, hash, ok := n.deps.Store.Get(c); ok {
+			serve.PayloadSize = len(payload)
+			serve.Hash = hash
+			serve.Payload = payload
 		}
 		n.deps.Net.Send(n.id, from, serve, net.Unreliable)
 	}
@@ -500,37 +491,30 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 	}
 }
 
-// proposalTo returns the phase of the given period and partner's row in it,
-// if that phase is still in the ring and is the last one partner was
-// proposed to: a later proposal supersedes an earlier one.
-func (n *Node) proposalTo(partner msg.NodeID, period msg.Period) (*phase, int) {
+// proposalTo returns the chunks advertised to partner in the given period,
+// the phase that marks which of them were requested and partner's row in it,
+// if that proposal is younger than nh periods and is the last one partner
+// got: a later proposal supersedes an earlier one. The log holds every phase
+// of the ring's nh periods: its records are made at n.period, at n.period−1
+// or at its own newest period, so that newest is at most n.period and its
+// window (newest−nh, newest] reaches back at least as far as the ring's.
+func (n *Node) proposalTo(partner msg.NodeID, period msg.Period) ([]msg.ChunkID, *phase, int) {
 	nh := msg.Period(n.cfg.HistoryPeriods)
-	if n.phases == nil || period == 0 || period > n.period || n.period-period >= nh {
-		return nil, 0
+	if period == 0 || period > n.period || n.period-period >= nh {
+		return nil, nil, 0
 	}
-	ph := &n.phases[period%nh]
-	if ph.period != period {
-		return nil, 0
+	last, advertised, row, ok := n.deps.History.LastProposalTo(partner)
+	if !ok || last != period {
+		return nil, nil, 0
 	}
-	row := slices.Index(ph.partners, partner)
-	if row < 0 {
-		return nil, 0
-	}
-	for q := period + 1; q <= n.period; q++ {
-		if later := &n.phases[q%nh]; later.period == q && slices.Contains(later.partners, partner) {
-			return nil, 0
-		}
-	}
-	return ph, row
+	return advertised, &n.phases[period%nh], row
 }
 
 func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 	if n.have.has(m.Chunk) {
 		// Pure redundancy on the wire: a second copy of a chunk this node
 		// already holds (a lost ack, overlapping proposals, a retry race).
-		if n.deps.Metrics != nil {
-			n.deps.Metrics.OnDuplicateChunk()
-		}
+		n.deps.Metrics.OnDuplicateChunk()
 		return
 	}
 	w := n.wants.get(m.Chunk)
@@ -538,31 +522,19 @@ func (n *Node) onServe(from msg.NodeID, m *msg.Serve) {
 		// Unsolicited serve; the protocol only accepts chunks in P ∩ R.
 		return
 	}
-	if n.deps.Store != nil {
-		if !n.deps.VerifiedOnce.Verified(m.Chunk, m.Payload, m.Hash) {
-			// Missing or corrupted payload: reject before accepting, leaving
-			// the want record intact so the open retry deadline re-requests the
-			// chunk from a different proposer.
-			if n.deps.Metrics != nil {
-				n.deps.Metrics.OnInvalidServe()
-			}
-			n.deps.Monitor.OnServeInvalid(from, m.Chunk)
-			return
-		}
-		n.deps.Store.Put(m.Chunk, m.Payload, m.Hash)
+	if !n.deps.VerifiedOnce.Verified(m.Chunk, m.Payload, m.Hash) {
+		// Missing or corrupted payload: reject before accepting, leaving
+		// the want record intact so the open retry deadline re-requests the
+		// chunk from a different proposer.
+		n.deps.Metrics.OnInvalidServe()
+		n.deps.Monitor.OnServeInvalid(from, m.Chunk)
+		return
 	}
-	if n.deps.Metrics != nil {
-		payloadBytes := m.PayloadSize
-		if m.Payload != nil {
-			payloadBytes = len(m.Payload)
-		}
-		n.deps.Metrics.OnUsefulChunk(n.deps.Ctx.Now()-w.lastRequest, payloadBytes)
-	}
+	n.deps.Store.Put(m.Chunk, m.Payload, m.Hash)
+	n.deps.Metrics.OnUsefulChunk(n.deps.Ctx.Now()-w.lastRequest, len(m.Payload))
 	n.wants.release(w)
 	n.hold(m.Chunk, from)
 	n.fanin = append(n.fanin, arrival{server: from, chunk: m.Chunk})
-	if n.deps.OnChunk != nil {
-		n.deps.OnChunk(m.Chunk, n.deps.Ctx.Now())
-	}
+	n.deps.OnChunk(m.Chunk, n.deps.Ctx.Now())
 	n.deps.Monitor.OnServeReceived(from, m.Chunk)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lifting/internal/content"
+	"lifting/internal/history"
 	"lifting/internal/membership"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
@@ -21,6 +22,45 @@ func testConfig() Config {
 		ChunkPayload:   1000,
 		HistoryPeriods: 50,
 	}
+}
+
+// testSource is the stream every node of this package's tests injects and
+// serves: its payloads are what a chunk store holds and a receiver verifies.
+var testSource = content.NewSource(7, testConfig().ChunkPayload)
+
+// shipped completes d with what cluster.New gives every node and these tests
+// have no reason to vary — an honest behaviour, an accountability log of
+// cfg's retention, a chunk store, a collector and an arrival callback —
+// keeping whatever d already sets.
+func shipped(cfg Config, d Deps) Deps {
+	if d.Behavior == nil {
+		d.Behavior = Honest{}
+	}
+	if d.History == nil {
+		d.History = history.NewLog(cfg.HistoryPeriods)
+	}
+	if d.Store == nil {
+		d.Store = content.NewStore(0)
+	}
+	if d.Metrics == nil {
+		d.Metrics = metrics.NewCollector()
+	}
+	if d.OnChunk == nil {
+		d.OnChunk = func(msg.ChunkID, time.Duration) {}
+	}
+	return d
+}
+
+// inject hands n chunk c of testSource, as the stream source does.
+func inject(n *Node, c msg.ChunkID) {
+	payload, hash := testSource.Chunk(c)
+	n.InjectChunkData(c, payload, hash)
+}
+
+// serveOf is a serve of chunk c of testSource, payload and hash included.
+func serveOf(sender msg.NodeID, period msg.Period, c msg.ChunkID) *msg.Serve {
+	payload, hash := testSource.Chunk(c)
+	return &msg.Serve{Sender: sender, Period: period, Chunk: c, PayloadSize: len(payload), Hash: hash, Payload: payload}
 }
 
 // world is a small deterministic gossip system for tests.
@@ -44,12 +84,13 @@ func newWorld(t *testing.T, n int, cfg Config, loss float64) *world {
 	w.netw = net.NewSimNet(w.eng, root.Derive("net"), w.col, net.Uniform(loss, time.Millisecond))
 	for i := 0; i < n; i++ {
 		id := msg.NodeID(i)
-		node := NewNode(id, cfg, Deps{
-			Ctx:  w.eng.Domain(i),
-			Net:  w.netw,
-			Dir:  w.dir,
-			Rand: root.ForNode(uint32(i)),
-		})
+		node := NewNode(id, cfg, shipped(cfg, Deps{
+			Ctx:     w.eng.Domain(i),
+			Net:     w.netw,
+			Dir:     w.dir,
+			Rand:    root.ForNode(uint32(i)),
+			Metrics: w.col,
+		}))
 		w.nodes[id] = node
 		w.netw.Attach(id, node)
 		node.Start()
@@ -84,7 +125,7 @@ func TestNewNodePanicsOnBadConfig(t *testing.T) {
 
 func TestDisseminationReachesEveryone(t *testing.T) {
 	w := newWorld(t, 40, testConfig(), 0)
-	w.nodes[0].InjectChunkData(7, nil, 0)
+	inject(w.nodes[0], 7)
 	w.eng.Run(3 * time.Second)
 	for id, n := range w.nodes {
 		if !n.Have(7) {
@@ -99,7 +140,7 @@ func TestDisseminationUnderLoss(t *testing.T) {
 	cfg := testConfig()
 	cfg.F = 6
 	w := newWorld(t, 60, cfg, 0.07)
-	w.nodes[0].InjectChunkData(1, nil, 0)
+	inject(w.nodes[0], 1)
 	w.eng.Run(4 * time.Second)
 	got := 0
 	for _, n := range w.nodes {
@@ -116,7 +157,7 @@ func TestInfectAndDie(t *testing.T) {
 	// A chunk is proposed exactly once by each node: once the whole system
 	// has it, propose traffic for it stops.
 	w := newWorld(t, 10, testConfig(), 0)
-	w.nodes[0].InjectChunkData(3, nil, 0)
+	inject(w.nodes[0], 3)
 	w.eng.Run(2 * time.Second)
 	sent := w.col.SentMsgs(msg.KindPropose)
 	w.eng.Run(4 * time.Second)
@@ -131,8 +172,8 @@ func TestInfectAndDie(t *testing.T) {
 
 func TestInjectDuplicateIgnored(t *testing.T) {
 	w := newWorld(t, 5, testConfig(), 0)
-	w.nodes[0].InjectChunkData(1, nil, 0)
-	w.nodes[0].InjectChunkData(1, nil, 0)
+	inject(w.nodes[0], 1)
+	inject(w.nodes[0], 1)
 	if w.nodes[0].ChunkCount() != 1 {
 		t.Fatal("duplicate injection created a second chunk")
 	}
@@ -143,7 +184,7 @@ func TestRequestOnlyMissingChunks(t *testing.T) {
 	cfg := testConfig()
 	w := newWorld(t, 6, cfg, 0)
 	for id := range w.nodes {
-		w.nodes[id].InjectChunkData(5, nil, 0) // everyone already has it
+		inject(w.nodes[id], 5) // everyone already has it
 	}
 	w.eng.Run(time.Second)
 	if w.col.SentMsgs(msg.KindRequest) != 0 {
@@ -157,9 +198,9 @@ func TestRequestEveryMissingChunk(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
 	var requested []msg.ChunkID
-	receiver := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(2)})
+	receiver := NewNode(1, cfg, shipped(cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(2)}))
 	netw.Attach(1, receiver)
 	netw.Attach(0, handlerFunc(func(from msg.NodeID, m msg.Message) {
 		if r, ok := m.(*msg.Request); ok {
@@ -183,9 +224,9 @@ func TestServeOnlyProposedAndRequested(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
 	var served []msg.ChunkID
-	server := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
+	server := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)}))
 	netw.Attach(0, server)
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
 		if s, ok := m.(*msg.Serve); ok {
@@ -207,8 +248,8 @@ func TestServeIntersectionOnly(t *testing.T) {
 	cfg.F = 1
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	server := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
+	server := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)}))
 	netw.Attach(0, server)
 	var served []msg.ChunkID
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
@@ -220,8 +261,8 @@ func TestServeIntersectionOnly(t *testing.T) {
 			served = append(served, v.Chunk)
 		}
 	}))
-	server.InjectChunkData(1, nil, 0)
-	server.InjectChunkData(2, nil, 0)
+	inject(server, 1)
+	inject(server, 2)
 	server.Start()
 	eng.Run(time.Second)
 	if len(served) != 2 {
@@ -239,8 +280,8 @@ func TestDuplicateRequestIgnored(t *testing.T) {
 	cfg.F = 1
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	server := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
+	server := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)}))
 	netw.Attach(0, server)
 	serves := 0
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
@@ -252,7 +293,7 @@ func TestDuplicateRequestIgnored(t *testing.T) {
 			serves++
 		}
 	}))
-	server.InjectChunkData(1, nil, 0)
+	inject(server, 1)
 	server.Start()
 	eng.Run(time.Second)
 	if serves != 1 {
@@ -264,11 +305,11 @@ func TestUnsolicitedServeRejected(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	node := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)})
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
+	node := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(3)}))
 	netw.Attach(0, node)
 	netw.Attach(1, handlerFunc(func(msg.NodeID, msg.Message) {}))
-	netw.Send(1, 0, &msg.Serve{Sender: 1, Period: 1, Chunk: 77, PayloadSize: 10}, net.Unreliable)
+	netw.Send(1, 0, serveOf(1, 1, 77), net.Unreliable)
 	eng.RunAll()
 	if node.Have(77) {
 		t.Fatal("node accepted an unsolicited chunk")
@@ -278,7 +319,7 @@ func TestUnsolicitedServeRejected(t *testing.T) {
 func TestStopHaltsNode(t *testing.T) {
 	w := newWorld(t, 10, testConfig(), 0)
 	w.nodes[3].Stop()
-	w.nodes[0].InjectChunkData(1, nil, 0)
+	inject(w.nodes[0], 1)
 	w.eng.Run(3 * time.Second)
 	if w.nodes[3].Have(1) {
 		t.Fatal("stopped node still received a chunk")
@@ -290,7 +331,7 @@ func TestStopHaltsNode(t *testing.T) {
 
 func TestHistoryRecordsFanoutAndFanin(t *testing.T) {
 	w := newWorld(t, 20, testConfig(), 0)
-	w.nodes[0].InjectChunkData(1, nil, 0)
+	inject(w.nodes[0], 1)
 	w.eng.Run(2 * time.Second)
 	// Node 0 proposed to F partners in its first phase.
 	if got := len(w.nodes[0].History().Proposals(0)); got != testConfig().F {
@@ -316,18 +357,18 @@ func TestOnChunkCallback(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
 	var gotChunk msg.ChunkID
 	var gotAt time.Duration
-	node := NewNode(1, cfg, Deps{
+	node := NewNode(1, cfg, shipped(cfg, Deps{
 		Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(2),
 		OnChunk: func(c msg.ChunkID, at time.Duration) { gotChunk, gotAt = c, at },
-	})
+	}))
 	netw.Attach(1, node)
 	netw.Attach(0, handlerFunc(func(msg.NodeID, msg.Message) {}))
 	netw.Send(0, 1, &msg.Propose{Sender: 0, Period: 1, Chunks: []msg.ChunkID{5}}, net.Unreliable)
 	eng.After(10*time.Millisecond, func() {
-		netw.Send(0, 1, &msg.Serve{Sender: 0, Period: 1, Chunk: 5, PayloadSize: 10}, net.Unreliable)
+		netw.Send(0, 1, serveOf(0, 1, 5), net.Unreliable)
 	})
 	eng.RunAll()
 	if gotChunk != 5 {
@@ -359,14 +400,14 @@ func TestMonitorHooksFire(t *testing.T) {
 	cfg.F = 1
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
 	mon0 := &recordingMonitor{}
 	mon1 := &recordingMonitor{}
-	n0 := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(2), Monitor: mon0})
-	n1 := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: mon1})
+	n0 := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(2), Monitor: mon0}))
+	n1 := NewNode(1, cfg, shipped(cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: mon1}))
 	netw.Attach(0, n0)
 	netw.Attach(1, n1)
-	n0.InjectChunkData(9, nil, 0)
+	inject(n0, 9)
 	n0.Start()
 	n1.Start()
 	eng.Run(500 * time.Millisecond)
@@ -389,11 +430,11 @@ func TestPeriodStretchBehavior(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
 	monH := &recordingMonitor{}
 	monS := &recordingMonitor{}
-	honest := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(2), Monitor: monH})
-	stretch := NewNode(1, cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: monS, Behavior: stretchBehavior{}})
+	honest := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: dir, Rand: rng.New(2), Monitor: monH}))
+	stretch := NewNode(1, cfg, shipped(cfg, Deps{Ctx: eng.Domain(1), Net: netw, Dir: dir, Rand: rng.New(3), Monitor: monS, Behavior: stretchBehavior{}}))
 	netw.Attach(0, honest)
 	netw.Attach(1, stretch)
 	honest.Start()
@@ -411,7 +452,7 @@ func (stretchBehavior) PeriodFactor() float64 { return 2 }
 func TestDeterministicDissemination(t *testing.T) {
 	run := func() uint64 {
 		w := newWorld(t, 30, testConfig(), 0.05)
-		w.nodes[0].InjectChunkData(1, nil, 0)
+		inject(w.nodes[0], 1)
 		w.eng.Run(2 * time.Second)
 		return w.col.SentMsgs(msg.KindPropose) + w.col.SentMsgs(msg.KindServe)*1000
 	}
@@ -421,34 +462,11 @@ func TestDeterministicDissemination(t *testing.T) {
 }
 
 func TestContentPlaneDissemination(t *testing.T) {
-	// With stores wired in, real payload bytes reach every node and verify
-	// against the source's hashes; goodput accounts for each first copy.
-	cfg := testConfig()
-	w := &world{
-		eng:   sim.NewEngine(),
-		dir:   membership.Sequential(20),
-		nodes: make(map[msg.NodeID]*Node, 20),
-		col:   metrics.NewCollector(),
-	}
-	root := rng.New(42)
-	w.netw = net.NewSimNet(w.eng, root.Derive("net"), w.col, net.Uniform(0, time.Millisecond))
-	for i := 0; i < 20; i++ {
-		id := msg.NodeID(i)
-		node := NewNode(id, cfg, Deps{
-			Ctx:     w.eng.Domain(i),
-			Net:     w.netw,
-			Dir:     w.dir,
-			Rand:    root.ForNode(uint32(i)),
-			Metrics: w.col,
-			Store:   content.NewStore(0),
-		})
-		w.nodes[id] = node
-		w.netw.Attach(id, node)
-		node.Start()
-	}
-	src := content.NewSource(7, 512)
-	payload, hash := src.Chunk(9)
-	w.nodes[0].InjectChunkData(9, payload, hash)
+	// Real payload bytes reach every node and verify against the source's
+	// hashes; goodput accounts for each first copy.
+	w := newWorld(t, 20, testConfig(), 0)
+	inject(w.nodes[0], 9)
+	payload, hash := testSource.Chunk(9)
 	w.eng.Run(3 * time.Second)
 	for id, n := range w.nodes {
 		got, gotHash, ok := n.Store().Get(9)
@@ -483,19 +501,18 @@ func invalidServeRejectedAndBlamed(t *testing.T, verified *content.Store) {
 	col := metrics.NewCollector()
 	netw := net.NewSimNet(eng, rng.New(1), col, net.Uniform(0, time.Millisecond))
 	mon := &recordingMonitor{}
-	r := NewNode(0, cfg, Deps{
+	r := NewNode(0, cfg, shipped(cfg, Deps{
 		Ctx:          eng.Domain(0),
 		Net:          netw,
 		Dir:          membership.Sequential(3),
 		Rand:         rng.New(2),
 		Monitor:      mon,
 		Metrics:      col,
-		Store:        content.NewStore(0),
 		VerifiedOnce: verified,
-	})
+	}))
 	netw.Attach(0, r)
 
-	payload, hash := content.NewSource(7, 256).Chunk(5)
+	payload, hash := testSource.Chunk(5)
 	if !verified.Verified(5, payload, hash) {
 		t.Fatal("the canonical payload fails its own hash")
 	}

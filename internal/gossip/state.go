@@ -234,22 +234,22 @@ func (t *wantTable) expire(now, retention msg.Period) {
 	}
 }
 
-// phase is one propose phase: what was advertised to whom, and which of it
-// each partner already requested (each chunk is served at most once per
-// proposal). Chunk i of the proposal to partners[k] is bit
-// k·len(advertised)+i of consumed. Phases live in a ring of nh slots indexed
-// by period, so a request naming a period is matched without any lookup
-// keyed by requester, and a proposal older than the history is forgotten.
+// phase is what the serve rule keeps of one propose phase beside the
+// accountability log, which holds its advertised list and partners
+// (history.Log.LastProposalTo): which chunks of the proposal to each partner
+// were already requested, since each is served at most once per proposal.
+// Chunk i of the proposal to the partner in row k is bit k·len(advertised)+i.
+// Phases live in a ring of nh slots indexed by period; a slot is read only
+// for the proposal the log names as a partner's last, inside the ring's nh
+// periods, so what an older phase left in it is never seen.
 type phase struct {
-	period     msg.Period // 0: the slot is empty
-	advertised []msg.ChunkID
-	partners   []msg.NodeID
-	consumed   []uint64
+	consumed []uint64
 }
 
-func (ph *phase) set(period msg.Period, advertised []msg.ChunkID, partners []msg.NodeID) {
-	ph.period, ph.advertised, ph.partners = period, advertised, partners
-	words := (len(advertised)*len(partners) + 63) / 64
+// set clears the bits of a proposal of the given number of (partner, chunk)
+// pairs.
+func (ph *phase) set(pairs int) {
+	words := (pairs + 63) / 64
 	if cap(ph.consumed) < words {
 		ph.consumed = make([]uint64, words)
 		return
@@ -258,10 +258,8 @@ func (ph *phase) set(period msg.Period, advertised []msg.ChunkID, partners []msg
 	clear(ph.consumed)
 }
 
-// consume marks chunk i of the proposal to partner row requested and
-// reports whether it was not yet.
-func (ph *phase) consume(row, i int) bool {
-	bit := row*len(ph.advertised) + i
+// consume marks a bit and reports whether it was not yet marked.
+func (ph *phase) consume(bit int) bool {
 	if ph.consumed[bit>>6]&(1<<(bit&63)) != 0 {
 		return false
 	}

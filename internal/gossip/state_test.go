@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"lifting/internal/membership"
+	"lifting/internal/metrics"
 	"lifting/internal/msg"
 	"lifting/internal/net"
 	"lifting/internal/rng"
@@ -118,8 +119,8 @@ func TestHaveSetGrowsWithinHorizonOnly(t *testing.T) {
 func soloNode(t *testing.T, cfg Config, peers int) (*sim.Engine, *net.SimNet, *Node) {
 	t.Helper()
 	eng := sim.NewEngine()
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
-	node := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: membership.Sequential(peers + 1), Rand: rng.New(3)})
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
+	node := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: membership.Sequential(peers + 1), Rand: rng.New(3)}))
 	netw.Attach(0, node)
 	return eng, netw, node
 }
@@ -143,7 +144,7 @@ func TestWideProposalServedOncePerPartner(t *testing.T) {
 		}))
 	}
 	for c := msg.ChunkID(0); c < 100; c++ {
-		node.InjectChunkData(c, nil, 0)
+		inject(node, c)
 	}
 	node.Start()
 	eng.Run(10 * time.Millisecond)
@@ -187,10 +188,10 @@ func TestRequestForSupersededOrForgottenProposalIgnored(t *testing.T) {
 		eng.Run(eng.Now() + 10*time.Millisecond)
 		return serves - before
 	}
-	node.InjectChunkData(1, nil, 0)
+	inject(node, 1)
 	node.Start()
 	eng.Run(10 * time.Millisecond) // period 1 proposes chunk 1
-	node.InjectChunkData(2, nil, 0)
+	inject(node, 2)
 	eng.Run(110 * time.Millisecond) // period 2 proposes chunk 2
 	if got := request(1, 1); got != 0 {
 		t.Fatal("a request naming a proposal that a later one superseded was served")
@@ -202,30 +203,27 @@ func TestRequestForSupersededOrForgottenProposalIgnored(t *testing.T) {
 		t.Fatalf("the last proposal was served %d times, want 1", got)
 	}
 	// Nothing more is proposed; period 2 leaves the ring after nh periods.
-	node.InjectChunkData(3, nil, 0)
+	inject(node, 3)
 	eng.Run(610 * time.Millisecond) // period 7 is running: 7 − 3 < nh, 7 − 2 = nh
 	if got := request(3, 3); got != 1 {
 		t.Fatalf("a proposal inside the retention window was served %d times, want 1", got)
 	}
-	if node.phases[2%5].period == 2 {
-		t.Fatal("the ring still holds a phase nh periods old")
-	}
-	node.InjectChunkData(4, nil, 0)
+	inject(node, 4)
 	eng.Run(1210 * time.Millisecond) // period 8 proposed chunk 4; period 13 is running
 	if got := request(8, 4); got != 0 {
 		t.Fatal("a proposal nh periods old was still served")
 	}
 }
 
-// proposalsHeld counts the (phase, partner) records of a node's ring.
-func proposalsHeld(n *Node) int {
-	held := 0
-	for i := range n.phases {
-		if n.phases[i].period != 0 {
-			held += len(n.phases[i].partners)
-		}
+// proposalsHeld counts the (phase, partner) records a node keeps, and the
+// most chunks one of them advertised. They are its log's fanout entries: the
+// serve rule reads the proposals there.
+func proposalsHeld(n *Node) (held, widest int) {
+	for _, r := range n.deps.History.Proposals(0) {
+		held++
+		widest = max(widest, len(r.Chunks))
 	}
-	return held
+	return held, widest
 }
 
 // TestFloodOfUnservedIdsIsBounded has a hostile proposer advertise 50 000
@@ -244,7 +242,7 @@ func TestFloodOfUnservedIdsIsBounded(t *testing.T) {
 	netw.Attach(2, handlerFunc(func(_ msg.NodeID, m msg.Message) {
 		if r, ok := m.(*msg.Request); ok {
 			for _, c := range r.Chunks {
-				netw.Send(2, 0, &msg.Serve{Sender: 2, Period: r.Period, Chunk: c, PayloadSize: 10}, net.Unreliable)
+				netw.Send(2, 0, serveOf(2, r.Period, c), net.Unreliable)
 			}
 		}
 	}))
@@ -301,7 +299,7 @@ func TestSteadyStateIsBoundedByProtocolParameters(t *testing.T) {
 	w := newWorld(t, 20, cfg, 0.05)
 	for c := 0; c < periods*perPeriod; c++ {
 		c := msg.ChunkID(c)
-		w.eng.After(time.Duration(c)*cfg.Period/perPeriod, func() { w.nodes[0].InjectChunkData(c, nil, 0) })
+		w.eng.After(time.Duration(c)*cfg.Period/perPeriod, func() { inject(w.nodes[0], c) })
 	}
 	w.eng.Run(time.Duration(periods+5) * cfg.Period)
 	limit := wantCapFor(cfg) // 4·4·10 = 160
@@ -313,11 +311,19 @@ func TestSteadyStateIsBoundedByProtocolParameters(t *testing.T) {
 		if live > limit || records-live > limit {
 			t.Errorf("node %d: %d wants and %d free records, bound f·|R|·nh = %d", id, live, records-live, limit)
 		}
-		if got := proposalsHeld(n); got > cfg.F*cfg.HistoryPeriods {
-			t.Errorf("node %d remembers %d proposals, bound f·nh = %d", id, got, cfg.F*cfg.HistoryPeriods)
+		held, widest := proposalsHeld(n)
+		if held > cfg.F*cfg.HistoryPeriods {
+			t.Errorf("node %d remembers %d proposals, bound f·nh = %d", id, held, cfg.F*cfg.HistoryPeriods)
 		}
 		if len(n.phases) != cfg.HistoryPeriods {
 			t.Errorf("node %d: ring of %d phases, want nh = %d", id, len(n.phases), cfg.HistoryPeriods)
+		}
+		// The ring holds serve-once bits only: a slot is one bitset of
+		// ⌈f·|advertised|/64⌉ words, however many proposals went through it.
+		for i := range n.phases {
+			if words := len(n.phases[i].consumed); words > (cfg.F*widest+63)/64 {
+				t.Errorf("node %d: ring slot %d holds %d words, bound ⌈f·%d/64⌉", id, i, words, widest)
+			}
 		}
 		if len(n.have.far) != 0 || 64*len(n.have.bits) > periods*perPeriod+64 {
 			t.Errorf("node %d: have set of %d words and %d sparse ids for %d dense ids", id, len(n.have.bits), len(n.have.far), periods*perPeriod)
@@ -351,9 +357,9 @@ func (r *requestTimes) OnRequestSent(msg.NodeID, msg.Period, []msg.ChunkID) {
 func TestRetryQueueHoldsTheRequestsOfOneRetryTimeout(t *testing.T) {
 	cfg := testConfig()
 	eng := sim.NewEngine()
-	netw := net.NewSimNet(eng, rng.New(1), nil, net.Uniform(0, time.Millisecond))
+	netw := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
 	sent := &requestTimes{now: func() time.Duration { return eng.NodeNow(0) }}
-	victim := NewNode(0, cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: membership.Sequential(2), Rand: rng.New(3), Monitor: sent})
+	victim := NewNode(0, cfg, shipped(cfg, Deps{Ctx: eng.Domain(0), Net: netw, Dir: membership.Sequential(2), Rand: rng.New(3), Monitor: sent}))
 	netw.Attach(0, victim)
 	netw.Attach(1, handlerFunc(func(msg.NodeID, msg.Message) {})) // never serves
 	victim.Start()

@@ -1,6 +1,6 @@
 // Package history implements the bounded accountability log every LiFTinG
 // node maintains (§5 of the paper): a trace of the events of the last nh
-// gossip periods. The log feeds three consumers:
+// gossip periods. The log feeds four consumers:
 //
 //   - witness duty for direct cross-checking: "did node s propose chunks C
 //     to me recently?" (§5.2);
@@ -8,7 +8,9 @@
 //     proposed to) and the fanin multiset F'h (nodes that served the owner),
 //     whose entropies are checked against γ (§5.3);
 //   - a-posteriori cross-checking: the list of proposals to be confirmed by
-//     their alleged receivers (§5.3).
+//     their alleged receivers (§5.3);
+//   - the owner's serve rule: a partner may request only from the last
+//     proposal it got, and only chunks that proposal advertised (§3).
 //
 // The log is four queues of small records, each in period order: the owner's
 // propose phases, the proposals it received, the serves it received and the
@@ -300,6 +302,26 @@ func (l *Log) hasProposalFrom(sender msg.NodeID, to msg.Period, asked []msg.Chun
 		}
 	}
 	return false
+}
+
+// LastProposalTo returns the owner's last proposal to partner in the window:
+// its period, the chunks it advertised and partner's row among that phase's
+// partners. It is one pass over the propose phases, newest first, and that
+// pass is the supersede rule: a later proposal replaces an earlier one, so
+// the first phase that names partner is the only one partner may still
+// request from. It costs at most one compare per partner entry the window
+// holds, f·nh for an owner that proposes to f partners a period.
+func (l *Log) LastProposalTo(partner msg.NodeID) (period msg.Period, chunks []msg.ChunkID, row int, ok bool) {
+	runs := l.sent.runs(0)
+	for k := 1; k >= 0; k-- {
+		run := runs[k]
+		for i := len(run) - 1; i >= 0; i-- {
+			if row := slices.Index(run[i].partners, partner); row >= 0 {
+				return run[i].period, run[i].chunks, row, true
+			}
+		}
+	}
+	return 0, nil, 0, false
 }
 
 // HasRecentProposalFrom reports whether any combination of retained

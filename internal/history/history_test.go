@@ -239,6 +239,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			return out
 		}
 		node := func() msg.NodeID { return msg.NodeID(r.IntN(5)) }
+		phases := make(map[msg.Period][][]msg.NodeID) // partner lists sent, by period
 		for step := 0; step < 1500; step++ {
 			switch x := r.IntN(24); {
 			case x < 6:
@@ -255,6 +256,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			case 0:
 				partners := []msg.NodeID{a, b}[:1+b%2]
 				l.RecordProposalsSent(at, partners, c)
+				phases[at] = append(phases[at], partners)
 				for _, partner := range partners {
 					ref.RecordProposalSent(at, partner, c)
 				}
@@ -287,6 +289,20 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				}
 			}
 			same("Newest", l.Newest(), ref.newest)
+			period, last, row, ok := l.LastProposalTo(who)
+			refPeriod, refLast, refOK := ref.LastProposalTo(who)
+			same("LastProposalTo", []any{period, last, ok}, []any{refPeriod, refLast, refOK})
+			if ok {
+				// The reference does not group partners by phase: the row is
+				// who's place in the last list of that period naming it.
+				lists := phases[period]
+				for i := len(lists) - 1; i >= 0; i-- {
+					if j := slices.Index(lists[i], who); j >= 0 {
+						same("LastProposalTo row", row, j)
+						break
+					}
+				}
+			}
 			same("HasRecentProposalFrom", l.HasRecentProposalFrom(who, want), ref.HasRecentProposalFrom(who, want))
 			same("hasProposalFrom", l.hasProposalFrom(who, p-min(p, 1), want), ref.hasProposalFrom(who, p-min(p, 1), want))
 			same("Proposals", l.Proposals(since), ref.Proposals(since))

@@ -103,6 +103,27 @@ func (l *refLog) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) 
 	return l.hasProposalFrom(sender, l.newest, chunks)
 }
 
+// LastProposalTo returns the period and chunks of the last proposal recorded
+// to partner: the newest period's last record naming it.
+func (l *refLog) LastProposalTo(partner msg.NodeID) (msg.Period, []msg.ChunkID, bool) {
+	for p := l.newest; l.retains(p); p-- {
+		pl := l.periods[p]
+		if pl == nil {
+			continue
+		}
+		sent := pl.proposalsSent
+		for j := len(sent) - 1; j >= 0; j-- {
+			if sent[j].Partner == partner {
+				return sent[j].Period, sent[j].Chunks, true
+			}
+		}
+		if p == 0 {
+			break
+		}
+	}
+	return 0, nil, false
+}
+
 func (l *refLog) periodsAfter(since msg.Period) []msg.Period {
 	out := make([]msg.Period, 0, len(l.periods))
 	for p := range l.periods {

@@ -152,25 +152,24 @@ func (m *Request) WireSize() int {
 }
 
 // MaxChunkPayload bounds the payload bytes one Serve may carry (and the
-// modelled PayloadSize). It is a codec-level defense: a remote peer claiming
+// PayloadSize it claims). It is a codec-level defense: a remote peer claiming
 // a multi-gigabyte chunk must produce a decode error, not an allocation.
 const MaxChunkPayload = 1 << 20
 
 // Serve delivers one chunk (§3, serving phase). Since frame v3 the message
 // carries the real payload bytes plus their 64-bit content hash, so
-// receivers verify what they were served. Payload may be nil in
-// modelled-only runs (bookkeeping without a content plane); PayloadSize then
-// carries the modelled chunk size for bandwidth accounting.
+// receivers verify what they were served. Payload is nil when the server no
+// longer holds the chunk (a store miss, which the receiver rejects); a
+// payload-less Serve then carries the stream's chunk size in PayloadSize.
 type Serve struct {
 	Sender NodeID
 	Period Period
 	Chunk  ChunkID
-	// PayloadSize is the modelled chunk size in bytes. When Payload is
-	// non-nil the wire carries the real bytes and this field equals
-	// len(Payload).
+	// PayloadSize is the chunk size in bytes. When Payload is non-nil the
+	// wire carries the real bytes and this field equals len(Payload).
 	PayloadSize int
 	// Hash is the 64-bit content hash (content.HashBytes) of the chunk
-	// payload. Zero in modelled-only runs.
+	// payload. Zero on a store miss.
 	Hash uint64
 	// Payload is the chunk content. Decode and Decoder copy it out of the
 	// input, like every list they return, so a receiver may keep it.

@@ -43,8 +43,8 @@ var _ Network = (*SimNet)(nil)
 
 // NewSimNet creates the network of the given engine, binding itself as the
 // engine's delivery Sink (so an engine carries one SimNet). rand is the parent
-// of the per-node loss/latency streams; collector may be nil to disable
-// accounting; defaults apply to nodes without explicit conditions.
+// of the per-node loss/latency streams; collector counts every send, delivery
+// and drop; defaults apply to nodes without explicit conditions.
 func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collector, defaults Conditions) *SimNet {
 	n := &SimNet{
 		engine:    engine,
@@ -119,9 +119,7 @@ func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 // the sender must have been attached.
 func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	size := m.WireSize()
-	if n.collector != nil {
-		n.collector.OnSend(from, m, size)
-	}
+	n.collector.OnSend(from, m, size)
 	src, dst := n.cond(from), n.cond(to)
 	if src.Down || dst.Down || Partitioned(src.PartitionGroup, dst.PartitionGroup) {
 		n.drop(m, size)
@@ -168,9 +166,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		// In-network duplication: a second identical copy arrives right
 		// behind the first (no extra uplink charge). It is accounted as
 		// a send of its own so the sent/recv/dropped books still balance.
-		if n.collector != nil {
-			n.collector.OnSend(from, m, size)
-		}
+		n.collector.OnSend(from, m, size)
 		n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, m, int32(size))
 	}
 }
@@ -188,14 +184,10 @@ func (n *SimNet) Deliver(from, to int32, payload any, size int32) {
 		n.drop(m, int(size))
 		return
 	}
-	if n.collector != nil {
-		n.collector.OnDeliver(msg.NodeID(to), m, int(size))
-	}
+	n.collector.OnDeliver(msg.NodeID(to), m, int(size))
 	h.HandleMessage(msg.NodeID(from), m)
 }
 
 func (n *SimNet) drop(m msg.Message, size int) {
-	if n.collector != nil {
-		n.collector.OnDrop(m, size)
-	}
+	n.collector.OnDrop(m, size)
 }

@@ -259,7 +259,7 @@ func TestSendFromUnattachedNodePanics(t *testing.T) {
 func TestDeterministicDelivery(t *testing.T) {
 	run := func() []time.Duration {
 		eng := sim.NewEngine()
-		n := NewSimNet(eng, rng.New(99), nil, Conditions{LatencyBase: time.Millisecond, LatencyJitter: 5 * time.Millisecond, LossIn: 0.1})
+		n := NewSimNet(eng, rng.New(99), metrics.NewCollector(), Conditions{LatencyBase: time.Millisecond, LatencyJitter: 5 * time.Millisecond, LossIn: 0.1})
 		n.Attach(1, &capture{})
 		rx := &capture{clock: eng.Domain(2)}
 		n.Attach(2, rx)

@@ -44,7 +44,8 @@ const implicitListen = "127.0.0.1:0"
 type Options struct {
 	// Seed roots the randomness used for modelled loss and latency jitter.
 	Seed uint64
-	// Collector receives traffic accounting; may be nil.
+	// Collector receives traffic accounting; nil gives the runtime a
+	// collector of its own.
 	Collector *metrics.Collector
 	// Defaults is the connection quality of nodes without an override. Loss
 	// and latency are modelled on top of the real sockets, so loopback
@@ -102,9 +103,13 @@ func New(o Options) *Runtime {
 	if book == nil {
 		book = NewBook()
 	}
+	collector := o.Collector
+	if collector == nil {
+		collector = metrics.NewCollector()
+	}
 	r := &Runtime{
 		start:     time.Now(),
-		collector: o.Collector,
+		collector: collector,
 		defaults:  o.Defaults,
 		book:      book,
 		rand:      rng.New(o.Seed),
@@ -311,9 +316,7 @@ func (r *Runtime) jitter(j time.Duration) time.Duration {
 // same end-to-end link model as the other backends.
 func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	size := m.WireSize()
-	if r.collector != nil {
-		r.collector.OnSend(from, m, size)
-	}
+	r.collector.OnSend(from, m, size)
 
 	r.mu.RLock()
 	if r.closed {
@@ -351,17 +354,13 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 			// In-network duplication: ship a second identical datagram,
 			// accounted as a send of its own so the books balance.
 			copies = 2
-			if r.collector != nil {
-				r.collector.OnSend(from, m, size)
-			}
+			r.collector.OnSend(from, m, size)
 		}
 	}
 
 	addr, known := r.book.Lookup(to)
 	if drop || !known || sender == nil {
-		if r.collector != nil {
-			r.collector.OnDrop(m, size)
-		}
+		r.collector.OnDrop(m, size)
 		return
 	}
 
@@ -385,9 +384,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 			panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
 		}
 		if fragments(body) > maxFragments {
-			if r.collector != nil {
-				r.collector.OnDrop(m, size)
-			}
+			r.collector.OnDrop(m, size)
 			return
 		}
 		j.frame, j.flags = &body, j.flags|msg.FlagFragment
@@ -410,7 +407,7 @@ func (r *Runtime) write(sender *nodeCtx, j *job) {
 		return
 	}
 	for i := 0; i < int(j.copies); i++ {
-		if _, err := sender.conn.WriteToUDPAddrPort(*j.frame, j.addr); err != nil && r.collector != nil {
+		if _, err := sender.conn.WriteToUDPAddrPort(*j.frame, j.addr); err != nil {
 			r.collector.OnDrop(j.m, j.m.WireSize())
 		}
 	}
@@ -441,9 +438,7 @@ func (r *Runtime) writeFragments(sender *nodeCtx, j *job) {
 	for i := 0; i < int(j.copies); i++ {
 		for _, f := range frames {
 			if _, err := sender.conn.WriteToUDPAddrPort(f, j.addr); err != nil {
-				if r.collector != nil {
-					r.collector.OnDrop(j.m, j.m.WireSize())
-				}
+				r.collector.OnDrop(j.m, j.m.WireSize())
 				return
 			}
 		}
@@ -460,10 +455,8 @@ func (r *Runtime) release(j *job) {
 // drop accounts a delayed datagram its clock had no room for as lost — each
 // copy of a send — and releases it.
 func (r *Runtime) drop(j *job) {
-	if r.collector != nil {
-		for i := 0; i < max(int(j.copies), 1); i++ {
-			r.collector.OnDrop(j.m, j.m.WireSize())
-		}
+	for i := 0; i < max(int(j.copies), 1); i++ {
+		r.collector.OnDrop(j.m, j.m.WireSize())
 	}
 	r.release(j)
 }
@@ -693,9 +686,7 @@ func (r *Runtime) deliver(n *nodeCtx, m msg.Message, flags uint8) {
 	}
 	lost := flags&msg.FlagReliable == 0 && r.bernoulli(cond.LossIn)
 	if cond.Down || lost {
-		if r.collector != nil {
-			r.collector.OnDrop(m, m.WireSize())
-		}
+		r.collector.OnDrop(m, m.WireSize())
 		return
 	}
 	delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
@@ -713,9 +704,7 @@ func (r *Runtime) deliver(n *nodeCtx, m msg.Message, flags uint8) {
 
 // dispatch hands m to n's handler. n's lock is held.
 func (r *Runtime) dispatch(n *nodeCtx, from msg.NodeID, m msg.Message) {
-	if r.collector != nil {
-		r.collector.OnDeliver(n.id, m, m.WireSize())
-	}
+	r.collector.OnDeliver(n.id, m, m.WireSize())
 	if n.h != nil {
 		n.h.HandleMessage(from, m)
 	}
