@@ -35,7 +35,6 @@ import (
 	"os/signal"
 	goruntime "runtime"
 	"sort"
-	"sync"
 	"syscall"
 	"time"
 
@@ -86,9 +85,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		payload  = fs.Int("payload", 1316, "chunk payload size, bytes")
 		freeride = fs.Float64("freeride", 0, "degree of freeriding in all three dimensions (0 = honest)")
 		report   = fs.Bool("report", false, "after the run, read every node's score over the wire and print SCORE lines")
-		soak     = fs.Bool("soak", false, "replay the deployment fault schedule (derived from -seed, -duration, -period and the membership) against this process's network model")
+		soak     = fs.Bool("soak", false, "replay the deployment fault schedule (derived from -seed, -duration, -period and the membership) through the cluster's fault plane: a crash of this node tears it down and rebuilds it on restart, a crash of another takes it out of the directory until then")
 		httpAddr = fs.String("http", "", "serve /metrics, /status and /debug/pprof/ on this address (empty = disabled)")
-		gwAddr   = fs.String("gateway", "", "serve the HTTP stream gateway (/stream/chunk/{id}) on this address (empty = disabled)")
+		gwAddr   = fs.String("gateway", "", "serve the HTTP stream gateway (/stream/chunk/{id}) on this address (empty = disabled); it serves the chunk store the node started with, so after a -soak restart of this node newer chunks come from -gateway-source")
 		gwSource = fs.String("gateway-source", "", "upstream gateway base URL for chunks this node does not hold (e.g. the source's gateway)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -174,9 +173,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		Book:      book,
 		Collector: collector,
 	})
-	if *loss > 0 {
-		rt.SetConditions(self, net.Uniform(*loss, 0))
-	}
 	bound, err := rt.AddNode(self, *listen)
 	if err != nil {
 		fmt.Fprintf(stderr, "lifting-node: %v\n", err)
@@ -185,26 +181,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	fmt.Fprintf(stdout, "LISTEN %d %s\n", self, bound)
 
 	// -soak: every process derives the identical fault plan from the flags
-	// the deployment already shares, then replays it against its own local
-	// network model. Node 0 is the source and is never a fault target — a
-	// faulted source would explain any oracle failure.
+	// the deployment already shares, and its cluster replays it. Node 0 is
+	// the source and is never a fault target — a faulted source would
+	// explain any oracle failure. Faults keep their offset from the stream
+	// start, which is -warmup after this process's.
 	var plan *chaos.Plan
 	if *soak {
 		plan = chaos.Generate(chaos.DeploymentConfig(*seed, *duration, *period, members[1:]))
 		fmt.Fprintf(stdout, "SOAK %d events=%d skew=%.4f\n", self, len(plan.Events), plan.SkewFactor(self))
+		for i := range plan.Events {
+			ev := &plan.Events[i]
+			ev.At += *warmup
+			fmt.Fprintf(stdout, "CHAOS %d %s %v\n", self, ev.Kind, ev.Nodes)
+		}
 	}
 
-	deployment := &cluster.Deployment{
-		Self:      self,
-		Runtime:   rt,
-		Collector: collector,
-		OnExpel: func(target msg.NodeID, reason msg.BlameReason) {
-			fmt.Fprintf(stdout, "EXPEL %d %s\n", target, reason)
-		},
-	}
-	if plan != nil {
-		deployment.ClockSkew = plan.SkewFactor(self)
-	}
 	c := cluster.New(cluster.Options{
 		N:                len(members),
 		Seed:             *seed,
@@ -215,16 +206,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		LiFTinG:          true,
 		BlameMode:        cluster.BlameMessages,
 		ExpelOnDetection: true,
-		ExpectedLoss:     *loss,
+		NetDefaults:      net.Uniform(*loss, 0),
+		Chaos:            plan,
 		BehaviorFor: func(msg.NodeID, *membership.Directory, *rng.Stream) gossip.Behavior {
 			if *freeride == 0 {
 				return nil
 			}
 			return freerider.Degree{Delta1: *freeride, Delta2: *freeride, Delta3: *freeride}
 		},
-		Deployment: deployment,
+		Deployment: &cluster.Deployment{
+			Self:      self,
+			Runtime:   rt,
+			Collector: collector,
+			OnExpel: func(target msg.NodeID, reason msg.BlameReason) {
+				fmt.Fprintf(stdout, "EXPEL %d %s\n", target, reason)
+			},
+		},
 	})
-	manager := c.Managers[self]
 
 	if *httpAddr != "" {
 		reg := metrics.NewRegistry()
@@ -266,8 +264,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 				}
 			}
 			// The local manager's copies: a partial view, since the
-			// authoritative score is the min-vote over all M copies.
-			for target, score := range manager.Scores() {
+			// authoritative score is the min-vote over all M copies. A
+			// restart replaces the manager, so it is looked up per scrape.
+			for target, score := range c.Manager(self).Scores() {
 				st.Scores = append(st.Scores, obs.Score{Node: uint32(target), Score: score})
 			}
 			sort.Slice(st.Scores, func(i, j int) bool { return st.Scores[i].Node < st.Scores[j].Node })
@@ -303,9 +302,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	}
 
 	c.Start()
-	if plan != nil {
-		newSoakPlane(rt, stdout, self, members, plan, *loss).schedule(*warmup)
-	}
 	if self == 0 {
 		rt.After(*warmup, func() { c.StartStream(*duration) })
 	}
@@ -344,86 +340,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	}
 
 	rt.Close()
-	fmt.Fprintf(stdout, "DONE %d\n", self)
+	fmt.Fprintf(stdout, "DONE %d chaos=%d\n", self, c.ChaosApplied())
 	return 0
-}
-
-// soakPlane replays a chaos.Plan against ONE process's local network model.
-// Every process derives the identical plan from the deployment's shared
-// flags and replays it on its own clock, so the fleet agrees on the fault
-// timeline up to process start skew (boundaries are fuzzy by at most the
-// stagger between process launches, which blame compensation absorbs).
-//
-// A Crash here is a network-level blackhole — both directions dropped at
-// every process, including the victim's own — while the victim's process
-// keeps running with its protocol state intact. That is deliberately the
-// conservative half of a crash: the state-losing half (rebuild, manager
-// score re-adoption) is exercised by the in-process soak experiment, where
-// the harness can actually tear a node down. The reputation contract under
-// test is the same in both: the blackholed node must not be expelled.
-type soakPlane struct {
-	rt      *transport.Runtime
-	out     io.Writer
-	self    msg.NodeID
-	members []msg.NodeID
-	plan    *chaos.Plan
-	base    map[msg.NodeID]net.Conditions
-
-	mu     sync.Mutex
-	faults *chaos.Overlay
-}
-
-// newSoakPlane builds the per-member baseline: the modelled -loss on our own
-// inbound path (the same thing the non-soak path sets), plus the plan's
-// standing duplication/reordering on every member.
-func newSoakPlane(rt *transport.Runtime, out io.Writer, self msg.NodeID, members []msg.NodeID, plan *chaos.Plan, loss float64) *soakPlane {
-	s := &soakPlane{
-		rt:      rt,
-		out:     out,
-		self:    self,
-		members: append([]msg.NodeID(nil), members...),
-		plan:    plan,
-		base:    make(map[msg.NodeID]net.Conditions, len(members)),
-		faults:  chaos.NewOverlay(),
-	}
-	for _, id := range members {
-		c := net.Conditions{
-			DupProb:      chaos.DupProb,
-			ReorderProb:  chaos.ReorderProb,
-			ReorderDelay: plan.ReorderDelay,
-		}
-		if id == self {
-			c.LossIn = loss
-		}
-		s.base[id] = c
-	}
-	return s
-}
-
-// schedule installs the baseline now and every plan event at offset+ev.At on
-// the transport's harness timer.
-func (s *soakPlane) schedule(offset time.Duration) {
-	s.apply()
-	for _, ev := range s.plan.Events {
-		ev := ev
-		s.rt.After(offset+ev.At, func() { s.fire(ev) })
-	}
-}
-
-func (s *soakPlane) fire(ev chaos.Event) {
-	s.mu.Lock()
-	s.faults.Apply(ev)
-	s.mu.Unlock()
-	s.apply()
-	fmt.Fprintf(s.out, "CHAOS %d %s %v\n", s.self, ev.Kind, ev.Nodes)
-}
-
-// apply rebuilds every member's conditions from the baseline plus the
-// standing faults.
-func (s *soakPlane) apply() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range s.members {
-		s.rt.SetConditions(id, s.faults.Conditions(id, s.base[id]))
-	}
 }

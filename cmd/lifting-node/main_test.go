@@ -11,12 +11,14 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"lifting/internal/chaos"
 	"lifting/internal/cluster"
 	"lifting/internal/content"
 	"lifting/internal/core"
@@ -170,6 +172,107 @@ func TestRunInterrupt(t *testing.T) {
 	}
 	if tail := <-rest; !strings.Contains(tail, "DONE 1") {
 		t.Errorf("daemon did not complete its shutdown line:\n%s", tail)
+	}
+}
+
+// TestRunSoakStatusAcrossRestart runs one daemon in process with -soak and
+// -http. With the source unreachable its membership is {0, 1}, so the
+// deployment plan's one fault candidate is the daemon's own node: the plan
+// crashes it, and its cluster tears the node down and rebuilds it on
+// restart, replacing the local manager /status reads. /status is scraped
+// from HTTP goroutines before, across and after that, and must answer every
+// time; the run must end having applied every planned event.
+func TestRunSoakStatusAcrossRestart(t *testing.T) {
+	const (
+		seed     = 5
+		period   = 100 * time.Millisecond
+		duration = 2 * time.Second
+	)
+	plan := chaos.Generate(chaos.DeploymentConfig(seed, duration, period, []msg.NodeID{1}))
+	var restartAt time.Duration
+	for _, ev := range plan.Events {
+		if ev.Kind == chaos.Restart && slices.Contains(ev.Nodes, 1) {
+			restartAt = ev.At
+		}
+	}
+	if restartAt == 0 {
+		t.Fatalf("the plan restarts no node 1: %+v", plan.Events)
+	}
+
+	done := make(chan int, 1)
+	stdout, w := io.Pipe()
+	var errOut bytes.Buffer
+	go func() {
+		code := run(context.Background(), []string{
+			"-id", "1", "-peers", "0=127.0.0.1:1", "-seed", strconv.Itoa(seed),
+			"-period", period.String(), "-duration", duration.String(), "-warmup", "0",
+			"-soak", "-http", "127.0.0.1:0",
+		}, w, &errOut, nil)
+		w.Close()
+		done <- code
+	}()
+	lines := bufio.NewScanner(stdout)
+	var head []string
+	httpAddr := ""
+	for httpAddr == "" && lines.Scan() {
+		head = append(head, lines.Text())
+		if f := strings.Fields(lines.Text()); len(f) == 3 && f[0] == "HTTP" {
+			httpAddr = f[2]
+		}
+	}
+	if httpAddr == "" {
+		t.Fatalf("daemon printed no HTTP line: %q", head)
+	}
+	rest := make(chan string, 1)
+	go func() {
+		var b strings.Builder
+		for lines.Scan() {
+			b.WriteString(lines.Text() + "\n")
+		}
+		rest <- b.String()
+	}()
+
+	// The daemon's clock started before its HTTP line, so a scrape this
+	// long after the line is at least as late on the daemon's clock.
+	client := &http.Client{Timeout: 2 * time.Second}
+	start := time.Now()
+	scrapes, afterRestart := 0, 0
+	for time.Since(start) < duration {
+		resp, err := client.Get("http://" + httpAddr + "/status")
+		if err != nil {
+			t.Fatalf("/status after %v: %v", time.Since(start), err)
+		}
+		var st struct {
+			NodeID uint32 `json:"node_id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || st.NodeID != 1 {
+			t.Fatalf("/status after %v = %+v (err %v), want node 1", time.Since(start), st, err)
+		}
+		scrapes++
+		if time.Since(start) > restartAt+period {
+			afterRestart++
+		}
+		time.Sleep(period / 4)
+	}
+	if afterRestart == 0 {
+		t.Errorf("no /status scrape after the restart at %v (%d scrapes)", restartAt, scrapes)
+	}
+
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("soaking daemon exited %d:\n%s", code, errOut.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("soaking daemon did not finish within 10s of its duration")
+	}
+	out := strings.Join(head, "\n") + "\n" + <-rest
+	for _, want := range []string{"CHAOS 1 crash [1]", "CHAOS 1 restart [1]", fmt.Sprintf("DONE 1 chaos=%d", len(plan.Events))} {
+		if !strings.Contains(out, want) {
+			t.Errorf("daemon output lacks %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -431,13 +534,15 @@ func TestMultiProcessDeployment(t *testing.T) {
 
 // TestMultiProcessSoak drives the deployment fault schedule through real OS
 // processes: five honest daemons started with -soak independently derive the
-// same chaos plan from their shared flags and replay it against their local
-// network models — a crash blackhole, a partition, a correlated loss burst,
-// standing duplication/reordering and two skewed clocks. The oracles are the
-// deployment-level halves of the soak invariants: every process applies the
-// identical schedule, nobody expels an honest node under it, the stream
-// keeps delivering, and the /metrics scrape exposes the RSS and period-drift
-// gauges the long-running harness watches.
+// same chaos plan from their shared flags and replay it through their
+// clusters' fault plane — a crash (the victim's process tears its node down
+// and rebuilds it, the others drop the victim until its restart), a
+// partition, a correlated loss burst, standing duplication/reordering and
+// two skewed clocks. The oracles are the deployment-level halves of the soak
+// invariants: every process announces the identical plan (its CHAOS lines)
+// and applies every event of it (DONE … chaos=), nobody expels an honest
+// node under it, the stream keeps delivering, and the /metrics scrape
+// exposes the RSS and period-drift gauges the long-running harness watches.
 func TestMultiProcessSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process soak test is slow")
@@ -521,20 +626,16 @@ func TestMultiProcessSoak(t *testing.T) {
 		}
 	}
 
-	// Each process must have announced the same plan, replayed the same
-	// events (compared as multisets — near-simultaneous heals may interleave
-	// in stdout), and expelled nobody.
+	// Each process must have announced the same plan (compared as
+	// multisets), applied every event of it, and expelled nobody.
 	var wantEvents, skewed int
 	var wantChaos string
 	for i := range outs {
 		out := outs[i].String()
-		if !strings.Contains(out, fmt.Sprintf("DONE %d", i)) {
-			t.Errorf("node %d never completed:\n%s", i, out)
-		}
 		if strings.Contains(out, "EXPEL") {
 			t.Errorf("node %d expelled someone under the fault plan:\n%s", i, out)
 		}
-		events := -1
+		events, applied := -1, -1
 		var chaos []string
 		for _, line := range strings.Split(out, "\n") {
 			fields := strings.Fields(line)
@@ -547,19 +648,25 @@ func TestMultiProcessSoak(t *testing.T) {
 			if len(fields) >= 3 && fields[0] == "CHAOS" {
 				chaos = append(chaos, strings.Join(fields[2:], " "))
 			}
+			if len(fields) == 3 && fields[0] == "DONE" && fields[1] == strconv.Itoa(i) {
+				fmt.Sscanf(fields[2], "chaos=%d", &applied)
+			}
 		}
 		if events <= 0 {
 			t.Fatalf("node %d announced no fault plan:\n%s", i, out)
 		}
 		if len(chaos) != events {
-			t.Errorf("node %d applied %d of %d scheduled events", i, len(chaos), events)
+			t.Errorf("node %d announced %d of %d planned events", i, len(chaos), events)
+		}
+		if applied != events {
+			t.Errorf("node %d applied %d of %d planned events (-1: it never completed):\n%s", i, applied, events, out)
 		}
 		sort.Strings(chaos)
-		applied := strings.Join(chaos, ";")
+		plan := strings.Join(chaos, ";")
 		if i == 0 {
-			wantEvents, wantChaos = events, applied
-		} else if events != wantEvents || applied != wantChaos {
-			t.Errorf("node %d derived a different plan:\n%s\nvs\n%s", i, applied, wantChaos)
+			wantEvents, wantChaos = events, plan
+		} else if events != wantEvents || plan != wantChaos {
+			t.Errorf("node %d derived a different plan:\n%s\nvs\n%s", i, plan, wantChaos)
 		}
 	}
 	for _, kind := range []string{"crash", "restart", "partition", "heal", "loss-burst", "loss-heal"} {
@@ -570,7 +677,7 @@ func TestMultiProcessSoak(t *testing.T) {
 	if skewed == 0 {
 		t.Error("no process reported a skewed clock; the deployment schedule skews 2")
 	}
-	t.Logf("soak: %d processes replayed %d events each (%d skewed clocks): %s",
+	t.Logf("soak: %d processes applied %d events each (%d skewed clocks): %s",
 		soakN, wantEvents, skewed, wantChaos)
 }
 

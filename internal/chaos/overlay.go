@@ -8,9 +8,9 @@ import (
 // Overlay is the standing fault state a Plan's events leave behind at any
 // moment — who is down, who sits in the partition's minority island, who is
 // under a loss burst — and what that makes of a node's base link
-// conditions. Every replayer of a plan keeps one (the in-process cluster,
-// each lifting-node process) and pushes the conditions to its backend; the
-// overlay itself touches no runtime. Not safe for concurrent use: the
+// conditions. The cluster that replays a plan keeps one, whether it runs
+// every node or a deployment process's one, and pushes the conditions to
+// its backend; the overlay itself touches no runtime. Not safe for concurrent use: the
 // replayer's lock guards it.
 type Overlay struct {
 	down     map[msg.NodeID]bool

@@ -11,6 +11,7 @@ import (
 	"lifting/internal/membership"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
+	"lifting/internal/net"
 	"lifting/internal/reputation"
 	"lifting/internal/rng"
 	"lifting/internal/runtime"
@@ -65,6 +66,17 @@ func (o *Options) setDefaults() {
 		o.NetDefaults.ReorderProb = chaos.ReorderProb
 		o.NetDefaults.ReorderDelay = o.Chaos.ReorderDelay
 	}
+}
+
+// conditions returns node id's base link conditions — ConditionsFor's
+// override, else NetDefaults — and whether they are an override.
+func (o *Options) conditions(id msg.NodeID) (net.Conditions, bool) {
+	if cf := o.ConditionsFor; cf != nil {
+		if cond, ok := cf(id); ok {
+			return cond, true
+		}
+	}
+	return o.NetDefaults, false
 }
 
 // storeCapacity is the size of a chunk store of the system: the configured

@@ -73,7 +73,7 @@ func TestOneNodeClustersAssembleLikeCluster(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, n)
 	opts.BlameMode = BlameMessages
 	// Lossy links, so the default compensation (Equation 5) is nonzero: the
-	// cluster derives pl from its network defaults, a deployment is told.
+	// cluster and every deployment derive pl from the network defaults.
 	opts.NetDefaults = net.Uniform(0.02, 2*time.Millisecond)
 	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
 		if id >= firstFree {
@@ -89,7 +89,6 @@ func TestOneNodeClustersAssembleLikeCluster(t *testing.T) {
 	hosts := make([]*Cluster, n)
 	for i := range hosts {
 		ho := opts
-		ho.ExpectedLoss = c.Opts.ExpectedLoss
 		ho.Deployment = &Deployment{Self: msg.NodeID(i), Runtime: rt, Collector: collector}
 		hosts[i] = New(ho)
 		if got := len(hosts[i].Nodes); got != 1 {

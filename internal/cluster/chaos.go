@@ -53,12 +53,7 @@ func (c *Cluster) applyChaosEvent(ev chaos.Event) {
 // from its base (defaults or ConditionsFor) plus the standing faults. A node
 // that was expelled or left stays down whatever the plan restarts.
 func (c *Cluster) applyChaosConditions(id msg.NodeID) {
-	cond := c.Opts.NetDefaults
-	if cf := c.Opts.ConditionsFor; cf != nil {
-		if o, ok := cf(id); ok {
-			cond = o
-		}
-	}
+	cond, _ := c.Opts.conditions(id)
 	c.mu.Lock()
 	cond = c.faults.Conditions(id, cond)
 	if c.goneLocked(id) {
@@ -83,7 +78,9 @@ func (c *Cluster) applyChaosConditionsAll() {
 // crash takes node id down hard: off the membership and the network, its
 // process state (gossip history, pending blames, its manager replica's
 // clock) frozen. The node's own score lives on its remote managers and is
-// untouched. No-op for nodes already gone.
+// untouched. A deployment tears down only its own node; a remote victim
+// leaves this process's directory and goes down on its network. No-op for
+// nodes already gone.
 func (c *Cluster) crash(id msg.NodeID) {
 	c.mu.Lock()
 	if c.goneLocked(id) || c.crashedNow[id] {

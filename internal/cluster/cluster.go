@@ -135,7 +135,9 @@ type Options struct {
 	// reaches the rest of the membership 0..N-1 through that runtime's
 	// network. Backend and Shards are then unused, and blames must travel as
 	// messages (LiFTinG in BlameMessages mode): no keeper is callable across
-	// processes.
+	// processes. NetDefaults, ConditionsFor and Chaos apply as in process:
+	// New pushes every member's conditions onto the caller's runtime, and
+	// the plan's events and Self's clock skew replay on it.
 	Deployment *Deployment
 }
 
@@ -154,11 +156,6 @@ type Deployment struct {
 	// Collector, if non-nil, is the cluster's collector: pass the one the
 	// runtime counts wire traffic into.
 	Collector *metrics.Collector
-	// ClockSkew is Self's clock-rate factor: 1.02 fires every local timer —
-	// gossip rounds, verifier deadlines, the score-period clock — 2% late,
-	// drifting against the period clocks of the other processes. 0 (or 1)
-	// means a true clock.
-	ClockSkew float64
 	// OnExpel, if non-nil, observes each expulsion verdict Self's manager
 	// decides or learns from another manager's Expel message.
 	OnExpel func(target msg.NodeID, reason msg.BlameReason)
@@ -329,16 +326,17 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 	}
 
 	for i := 0; i < opts.N; i++ {
-		if d := opts.Deployment; d == nil || d.Self == msg.NodeID(i) {
+		if c.hosts(msg.NodeID(i)) {
 			c.build(msg.NodeID(i))
 		}
 	}
 
-	if cf := opts.ConditionsFor; cf != nil {
-		for i := 0; i < opts.N; i++ {
-			if cond, ok := cf(msg.NodeID(i)); ok {
-				c.RT.SetConditions(msg.NodeID(i), cond)
-			}
+	// A backend New built starts from NetDefaults and needs only the
+	// overrides; a deployment's runtime is the caller's, so every member's
+	// conditions go onto it.
+	for i := 0; i < opts.N; i++ {
+		if cond, override := opts.conditions(msg.NodeID(i)); override || opts.Deployment != nil {
+			c.RT.SetConditions(msg.NodeID(i), cond)
 		}
 	}
 
@@ -352,6 +350,13 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 	}
 
 	return c
+}
+
+// hosts reports whether node id runs in this cluster: every node in process,
+// Self alone in a deployment.
+func (c *Cluster) hosts(id msg.NodeID) bool {
+	d := c.Opts.Deployment
+	return d == nil || d.Self == id
 }
 
 // build assembles node id from the shared recipe with the cluster's wiring
@@ -377,9 +382,7 @@ func (c *Cluster) build(id msg.NodeID) {
 	if opts.Chaos != nil {
 		w.skew = opts.Chaos.SkewFactor(id)
 	}
-	if d := opts.Deployment; d != nil {
-		w.skew, w.reader = d.ClockSkew, true
-	}
+	w.reader = opts.Deployment != nil
 	if opts.TrackPlayout {
 		w.playout = stream.NewPlayout(opts.Stream)
 	}
@@ -599,13 +602,14 @@ func (c *Cluster) Start() {
 }
 
 // scheduleTick advances the score period every Tg. A deployment's period
-// clock runs at its node's clock rate: periods only feed the r in score =
-// b̃ − blame/r, so the processes' clocks must agree in rate, not in phase —
-// which a skewed clock violates, and the daemon's drift gauge watches.
+// clock runs at its node's clock rate (Chaos.SkewFactor(Self)): periods only
+// feed the r in score = b̃ − blame/r, so the processes' clocks must agree in
+// rate, not in phase — which a skewed clock violates, and the daemon's drift
+// gauge watches. An in-process cluster's one period clock stays true.
 func (c *Cluster) scheduleTick(p msg.Period) {
 	tick := c.Opts.Gossip.Period
-	if d := c.Opts.Deployment; d != nil && d.ClockSkew > 0 {
-		tick = time.Duration(float64(tick) * d.ClockSkew)
+	if d := c.Opts.Deployment; d != nil && c.Opts.Chaos != nil {
+		tick = time.Duration(float64(tick) * c.Opts.Chaos.SkewFactor(d.Self))
 	}
 	c.RT.After(tick, func() {
 		c.tick(p)
@@ -864,6 +868,15 @@ func (c *Cluster) Period() msg.Period {
 	return c.period
 }
 
+// Manager returns node id's manager replica (message mode), nil where this
+// cluster holds none. A crash restart replaces it, so a reader on another
+// goroutine asks again instead of keeping one.
+func (c *Cluster) Manager(id msg.NodeID) *reputation.Manager {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Managers[id]
+}
+
 // Handoffs returns how many reputation-manager state transfers membership
 // changes have triggered so far.
 func (c *Cluster) Handoffs() int {
@@ -904,23 +917,26 @@ func (c *Cluster) join(id msg.NodeID) {
 	c.mu.Unlock()
 }
 
-// admit builds node id into the running system and starts it: a churn
-// arrival, or a crashed node coming back with fresh protocol state under
-// its old id. Scorekeepers pick it up at the current period — Track does not
-// reset an entry that survived a crash — and the full rebalance hands the
-// most pessimistic surviving replica to its fresh local manager.
+// admit brings node id into the running system: a churn arrival, or a
+// crashed node coming back with fresh protocol state under its old id. A
+// hosted node is built and started; a deployment's remote member only
+// rejoins the directory and the scorekeepers — its own process rebuilds it.
+// Scorekeepers pick it up at the current period — Track does not reset an
+// entry that survived a crash — and the full rebalance hands the most
+// pessimistic surviving replica to its fresh local manager.
 func (c *Cluster) admit(id msg.NodeID) {
 	c.Dir.Join(id)
-	c.build(id)
+	hosted := c.hosts(id)
+	if hosted {
+		c.build(id)
+	}
 	if c.Opts.Chaos != nil {
 		// Rebuilt from the node's base plus the standing fault overlays: a
 		// restart clears Down, a node joining mid-partition lands on the
 		// majority side.
 		c.applyChaosConditions(id)
-	} else if cf := c.Opts.ConditionsFor; cf != nil {
-		if cond, ok := cf(id); ok {
-			c.RT.SetConditions(id, cond)
-		}
+	} else if cond, ok := c.Opts.conditions(id); ok {
+		c.RT.SetConditions(id, cond)
 	}
 	c.mu.Lock()
 	p := c.period
@@ -929,8 +945,10 @@ func (c *Cluster) admit(id msg.NodeID) {
 	if c.Opts.LiFTinG {
 		c.registerScorekeepers(id, p)
 	}
-	// The node starts inside its own serialization domain.
-	c.RT.Exec(id, node.Start)
+	if hosted {
+		// The node starts inside its own serialization domain.
+		c.RT.Exec(id, node.Start)
+	}
 	// A join grows the registration set, which can reshuffle the manager
 	// assignment of every existing target: full rebalance.
 	c.scheduleRebalance(true)

@@ -1,16 +1,22 @@
 package cluster
 
 import (
+	"context"
+	"maps"
 	"net/netip"
 	"testing"
 	"time"
 
+	"lifting/internal/chaos"
 	"lifting/internal/freerider"
 	"lifting/internal/gossip"
 	"lifting/internal/membership"
+	"lifting/internal/metrics"
 	"lifting/internal/msg"
+	"lifting/internal/net"
 	"lifting/internal/rng"
 	"lifting/internal/runtime"
+	"lifting/internal/sim"
 	"lifting/internal/transport"
 )
 
@@ -116,9 +122,11 @@ func TestOneNodeClusterDeployment(t *testing.T) {
 // TestOneNodeClusterHostsOneSocket pins that a deployment cluster asks its
 // transport about its own node only: the transport binds a socket for any id
 // it is asked a Context, Attach or Exec for, and re-registers that id in the
-// shared book. After a stream, a few periods, the expulsion of a remote
-// member and an over-the-wire read, every remote address in the book is
-// still the one the test registered.
+// shared book. After a stream, a few periods, a planned crash and restart of
+// remote member 2, the expulsion of remote member 3 and an over-the-wire
+// read, every remote address in the book is still the one the test
+// registered, and member 2 is back in the directory and tracked — rejoined,
+// not rebuilt here.
 func TestOneNodeClusterHostsOneSocket(t *testing.T) {
 	const n = 5
 	book := transport.NewBook()
@@ -136,8 +144,12 @@ func TestOneNodeClusterHostsOneSocket(t *testing.T) {
 	}
 	opts := deploymentOptions(n, 0, rt)
 	opts.ExpelOnDetection = true
+	tg := opts.Gossip.Period
+	opts.Chaos = &chaos.Plan{Events: []chaos.Event{
+		{At: tg, Kind: chaos.Crash, Nodes: []msg.NodeID{2}},
+		{At: 3 * tg, Kind: chaos.Restart, Nodes: []msg.NodeID{2}},
+	}}
 	c := New(opts)
-	tg := c.Opts.Gossip.Period
 	c.Start()
 	c.StartStream(4 * tg)
 	c.Run(4 * tg)
@@ -151,6 +163,15 @@ func TestOneNodeClusterHostsOneSocket(t *testing.T) {
 	}
 	if c.Dir.Alive(3) {
 		t.Error("expelled member 3 is still in the sampling population")
+	}
+	if _, ok := c.Restarted[2]; !ok || c.ChaosApplied() != 2 {
+		t.Fatalf("the planned crash and restart of member 2 did not both apply (%d applied)", c.ChaosApplied())
+	}
+	if !c.Dir.Alive(2) {
+		t.Error("restarted member 2 is not back in the sampling population")
+	}
+	if _, tracked := c.Managers[0].Snapshot(2); !tracked {
+		t.Error("restarted member 2 is not tracked by the local manager")
 	}
 	if len(reads) != 2 {
 		t.Errorf("ReadScores resolved %d of 2 reads", len(reads))
@@ -178,4 +199,159 @@ func TestDeploymentStartStreamNeedsTheSource(t *testing.T) {
 		}
 	}()
 	c.StartStream(time.Second)
+}
+
+// viewRuntime is one deployment process's view of a network it shares with
+// other clusters: it forwards every call and keeps the conditions its own
+// cluster pushed per member — what a transport runtime in that process would
+// hold — so clusters on one sim network can each be asked what they set.
+type viewRuntime struct {
+	runtime.Runtime
+	conds map[msg.NodeID]net.Conditions
+}
+
+func newViewRuntime(rt runtime.Runtime) *viewRuntime {
+	return &viewRuntime{Runtime: rt, conds: make(map[msg.NodeID]net.Conditions)}
+}
+
+func (v *viewRuntime) SetConditions(id msg.NodeID, c net.Conditions) {
+	v.conds[id] = c
+	v.Runtime.SetConditions(id, c)
+}
+
+func (v *viewRuntime) SetDown(id msg.NodeID, down bool) {
+	c := v.conds[id]
+	c.Down = down
+	v.conds[id] = c
+	v.Runtime.SetDown(id, down)
+}
+
+// TestDeploymentsReplayChaosLikeCluster is the fault-plane half of the
+// differential test of a deployment against cluster.New: one plan — a crash
+// and restart, a partition and heal, a loss burst and heal, standing
+// duplication and reordering, two skewed clocks — runs through cluster.New
+// and through n one-node clusters sharing one sim runtime. Just after every
+// event each one-node cluster has applied as many events, recorded the same
+// crash and restart times, pushed the same conditions for every member and
+// holds the same directory as cluster.New, and only the victim's own cluster
+// has rebuilt its node.
+func TestDeploymentsReplayChaosLikeCluster(t *testing.T) {
+	const (
+		n        = 16
+		victim   = msg.NodeID(7)
+		duration = 2400 * time.Millisecond
+	)
+	opts := fastOptions(runtime.KindSim, n)
+	opts.BlameMode = BlameMessages
+	opts.NetDefaults = net.Uniform(0.02, 2*time.Millisecond)
+	opts.Chaos = chaosPlan()
+	opts.Chaos.ReorderDelay = 20 * time.Millisecond
+	c := New(opts)
+	simnet := c.RT.Network().(*net.SimNet)
+	firstBuilt := maps.Clone(c.Nodes)
+
+	// The shared network starts from what New made of the defaults: the
+	// plan's standing duplication and reordering folded in.
+	defaults := c.Opts.NetDefaults
+	engine := sim.NewSharded(1, defaults.LatencyBase)
+	shared := runtime.NewSim(engine, net.NewSimNet(engine, rng.New(opts.Seed).Derive("net"), metrics.NewCollector(), defaults))
+	hosts := make([]*Cluster, n)
+	views := make([]*viewRuntime, n)
+	built := make([]*gossip.Node, n)
+	for i := range hosts {
+		views[i] = newViewRuntime(shared)
+		ho := opts
+		ho.Deployment = &Deployment{Self: msg.NodeID(i), Runtime: views[i]}
+		hosts[i] = New(ho)
+		built[i] = hosts[i].Nodes[msg.NodeID(i)]
+	}
+
+	c.Start()
+	c.StartStream(duration)
+	for _, h := range hosts {
+		h.Start()
+	}
+	hosts[0].StartStream(duration)
+
+	var times []time.Duration // the plan's distinct event times; its events are in time order
+	for _, ev := range opts.Chaos.Events {
+		if len(times) == 0 || times[len(times)-1] != ev.At {
+			times = append(times, ev.At)
+		}
+	}
+	for _, at := range times {
+		probe := at + time.Millisecond
+		c.Run(probe)
+		if err := shared.Run(context.Background(), probe); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := c.Nodes[victim] != firstBuilt[victim]
+		for i, h := range hosts {
+			self := msg.NodeID(i)
+			if got, want := h.ChaosApplied(), c.ChaosApplied(); got != want {
+				t.Errorf("at %v: cluster %d applied %d events, cluster.New %d", at, i, got, want)
+			}
+			if !maps.Equal(h.Crashed, c.Crashed) || !maps.Equal(h.Restarted, c.Restarted) {
+				t.Errorf("at %v: cluster %d crashed %v restarted %v; cluster.New %v, %v", at, i, h.Crashed, h.Restarted, c.Crashed, c.Restarted)
+			}
+			for id := msg.NodeID(0); id < n; id++ {
+				if got, want := views[i].conds[id], simnet.ConditionsOf(id); got != want {
+					t.Errorf("at %v: cluster %d holds member %d at %+v, cluster.New at %+v", at, i, id, got, want)
+				}
+				if got, want := h.Dir.Alive(id), c.Dir.Alive(id); got != want {
+					t.Errorf("at %v: cluster %d has member %d alive = %v, cluster.New %v", at, i, id, got, want)
+				}
+			}
+			if len(h.Nodes) != 1 {
+				t.Errorf("at %v: cluster %d holds %d nodes, want its own alone", at, i, len(h.Nodes))
+			}
+			if got, want := h.Nodes[self] != built[i], rebuilt && self == victim; got != want {
+				t.Errorf("at %v: cluster %d rebuilt its node = %v, want %v (cluster.New rebuilt node %d: %v)", at, i, got, want, victim, rebuilt)
+			}
+		}
+	}
+	if c.ChaosApplied() != len(opts.Chaos.Events) || c.Nodes[victim] == firstBuilt[victim] {
+		t.Fatalf("cluster.New applied %d of %d events and rebuilt node %d: %v; the comparison is vacuous",
+			c.ChaosApplied(), len(opts.Chaos.Events), victim, c.Nodes[victim] != firstBuilt[victim])
+	}
+}
+
+// TestDeploymentKeepsExpelledMemberDown: an expelled member stays down in a
+// deployment process whatever the plan does next. A partition and its heal
+// rebuild every member's conditions; the expelled one's keep Down.
+func TestDeploymentKeepsExpelledMemberDown(t *testing.T) {
+	const n = 5
+	opts := fastOptions(runtime.KindSim, n)
+	opts.Gossip.F, opts.Core.F = n-1, n-1
+	opts.Rep.M = n
+	opts.BlameMode = BlameMessages
+	opts.ExpelOnDetection = true
+	tg := opts.Gossip.Period
+	opts.Chaos = &chaos.Plan{Events: []chaos.Event{
+		{At: 2 * tg, Kind: chaos.Partition, Nodes: []msg.NodeID{1, 3}},
+		{At: 4 * tg, Kind: chaos.Heal, Nodes: []msg.NodeID{1, 3}},
+	}}
+	engine := sim.NewSharded(1, opts.NetDefaults.LatencyBase)
+	view := newViewRuntime(runtime.NewSim(engine, net.NewSimNet(engine, rng.New(opts.Seed).Derive("net"), metrics.NewCollector(), opts.NetDefaults)))
+	opts.Deployment = &Deployment{Self: 0, Runtime: view}
+	c := New(opts)
+	c.Start()
+	c.StartStream(6 * tg)
+	c.Run(tg)
+	c.expel(3)
+
+	c.Run(3 * tg)
+	if cond := view.conds[3]; !cond.Down || cond.PartitionGroup != 2 {
+		t.Errorf("mid-partition: expelled member 3 at %+v, want down in the minority", cond)
+	}
+	if cond := view.conds[1]; cond.Down || cond.PartitionGroup != 2 {
+		t.Errorf("mid-partition: member 1 at %+v, want up in the minority", cond)
+	}
+	c.Run(5 * tg)
+	if c.ChaosApplied() != 2 {
+		t.Fatalf("%d of 2 events applied", c.ChaosApplied())
+	}
+	if cond := view.conds[3]; !cond.Down || cond.PartitionGroup != 0 {
+		t.Errorf("after the heal: expelled member 3 at %+v, want down and unpartitioned", cond)
+	}
 }

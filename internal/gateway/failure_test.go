@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -280,4 +281,41 @@ func TestHeaderPhaseBounded(t *testing.T) {
 			t.Fatalf("64 KB header: status %d, want 431", resp.StatusCode)
 		}
 	})
+}
+
+// An idle kept-alive connection is bounded too: one that sends nothing after
+// its response is closed once idleTimeout has passed, instead of holding a
+// server goroutine for as long as the client likes.
+func TestIdleKeepAliveClosed(t *testing.T) {
+	t.Parallel()
+	g := New(Options{Origin: content.NewSource(1, 64)})
+	addr, err := g.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /stream/stats HTTP/1.1\r\nHost: lifting\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.Close {
+		t.Fatal("the server did not keep the connection alive; there is no idle phase to bound")
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(idleTimeout + 2*time.Second))
+	if rest, err := io.ReadAll(br); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("an idle kept-alive connection is still open after %v (read %q)", time.Since(start), rest)
+	}
 }

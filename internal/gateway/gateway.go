@@ -60,9 +60,11 @@ type Options struct {
 // The header phase is bounded far above what a bare GET needs: headers must
 // arrive within readHeaderTimeout (from accept, or from a kept-alive
 // connection's next first byte) and fit in maxHeaderBytes (else 431), or the
-// connection is closed. Idle keep-alive connections are cut by neither.
+// connection is closed. A kept-alive connection that sends nothing for
+// idleTimeout is closed too.
 const (
 	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 5 * time.Second
 	maxHeaderBytes    = 16 << 10
 )
 
@@ -142,7 +144,7 @@ func (g *Gateway) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("gateway: %w", err)
 	}
-	g.srv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
+	g.srv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes}
 	go func() { _ = g.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

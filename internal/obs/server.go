@@ -38,10 +38,12 @@ type Status struct {
 
 // The header phase is bounded: headers must arrive within readHeaderTimeout
 // (from accept, or from a kept-alive connection's next first byte) and fit in
-// maxHeaderBytes (else 431), or the connection is closed. Idle keep-alive
-// connections are cut by neither.
+// maxHeaderBytes (else 431), or the connection is closed. A kept-alive
+// connection that sends nothing for idleTimeout is closed too. Writes are not
+// bounded: /debug/pprof/profile streams for 30 s.
 const (
 	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 5 * time.Second
 	maxHeaderBytes    = 16 << 10
 )
 
@@ -95,7 +97,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes}
 	go s.srv.Serve(ln)
 	return ln.Addr().String(), nil
 }
