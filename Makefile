@@ -98,18 +98,23 @@ fuzz:
 # at BASE (a `git archive` of that revision in a temporary directory — nothing
 # is written to the repository or its .git) and at the working tree, the
 # standing set of seeded documents run on both, `cmp`ed pair by pair. A
-# document that differs lists every scalar that does — experiment, JSON path,
-# the column of a table cell, old → new (JSONDIFF, a jq program) — so "only
-# scale's events cells moved" is this command's output. ~1 min.
+# document that differs prints how many cells moved in each experiment, then
+# lists every scalar that does — experiment, JSON path, the column of a table
+# cell, old → new (JSONDIFF, a jq program) — so "only scale's events cells
+# moved" is this command's output. ~1 min.
 define JSONDIFF
-($$a[0] | [paths(scalars)]) + ($$b[0] | [paths(scalars)]) | unique | .[] as $$p
+[($$a[0] | [paths(scalars)]) + ($$b[0] | [paths(scalars)]) | unique | .[] as $$p
 | (try ($$a[0] | getpath($$p)) catch null) as $$old
 | (try ($$b[0] | getpath($$p)) catch null) as $$new
 | select($$old != $$new)
-| (if $$p[0] == "results" then "\($$b[0].results[$$p[1]].experiment // "?"): " else "" end) as $$exp
-| (if ($$p | length) == 7 and $$p[2] == "tables" and $$p[4] == "rows"
-   then " (\(try ($$b[0] | getpath($$p[0:4] + ["columns", $$p[6]])) catch "?"))" else "" end) as $$col
-| "    \($$exp)\($$p | map(tostring) | join("."))\($$col)  \($$old | tojson) → \($$new | tojson)"
+| {p: $$p, old: $$old, new: $$new,
+   exp: (if $$p[0] == "results" then $$b[0].results[$$p[1]].experiment // "?" else null end)}]
+| ("  moved cells: \(group_by(.exp) | map("\(.[0].exp // "(document)") \(length)") | join(", ")) (\(length) in all)"),
+  (.[] | .p as $$p
+   | (if .exp != null then "\(.exp): " else "" end) as $$exp
+   | (if ($$p | length) == 7 and $$p[2] == "tables" and $$p[4] == "rows"
+      then " (\(try ($$b[0] | getpath($$p[0:4] + ["columns", $$p[6]])) catch "?"))" else "" end) as $$col
+   | "    \($$exp)\($$p | map(tostring) | join("."))\($$col)  \(.old | tojson) → \(.new | tojson)")
 endef
 export JSONDIFF
 BASE ?= HEAD

@@ -53,3 +53,20 @@ func TestChurnDeterministic(t *testing.T) {
 		t.Fatalf("two identical churn runs diverged: %+v vs %+v", a, b)
 	}
 }
+
+// TestChurnHandoffsScaleWithChanges: a membership change moves about M
+// manager slots, so the default scenario's handoffs stay within 5·M per
+// join or leave — not the N·M a re-dealt assignment would move on every
+// join.
+func TestChurnHandoffsScaleWithChanges(t *testing.T) {
+	const m = 10 // Churn's reputation.Config.M
+	cfg := DefaultChurnConfig()
+	_, res, err := Churn(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := 5 * m * (cfg.Joins + cfg.Leaves); res.Handoffs > bound {
+		t.Fatalf("%d handoffs for %d joins and %d leaves, want at most %d",
+			res.Handoffs, cfg.Joins, cfg.Leaves, bound)
+	}
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // managersByMap is managersLocked as it stood before the linear scan: a set
-// of every id the probe has seen, seeded with the target. Kept as the
-// reference the scan is diffed against.
+// of every id the probe has seen, seeded with the target, over the same jump
+// buckets. Kept as the reference the scan is diffed against.
 func (d *Directory) managersByMap(target msg.NodeID, m int) []msg.NodeID {
 	n := len(d.all)
 	if n <= 1 {
@@ -29,7 +29,7 @@ func (d *Directory) managersByMap(target msg.NodeID, m int) []msg.NodeID {
 	out := make([]msg.NodeID, 0, m)
 	used := map[msg.NodeID]struct{}{target: {}}
 	for salt := uint32(0); len(out) < m; salt++ {
-		id := d.all[managerHash(target, salt)%uint64(n)]
+		id := d.all[jump(managerHash(target, salt), n)]
 		if _, dup := used[id]; dup {
 			continue
 		}

@@ -220,9 +220,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// managerHash is FNV-1a over the big-endian (target, salt) pair —
-// bit-identical to the hash/fnv code it replaced, so assignments (and every
-// seeded experiment) are unchanged.
+// managerHash is FNV-1a over the big-endian (target, salt) pair: the key of
+// one probe, which jump turns into a registration slot.
 func managerHash(target msg.NodeID, salt uint32) uint64 {
 	h := uint64(fnvOffset64)
 	for _, b := range [8]byte{
@@ -235,11 +234,29 @@ func managerHash(target msg.NodeID, salt uint32) uint64 {
 	return h
 }
 
+// jump is Lamping and Veach's jump consistent hash ("A Fast, Minimal Memory,
+// Consistent Hash Algorithm", 2014): it maps key to a bucket in [0, n), and
+// growing n to n+1 moves a key with probability 1/(n+1), only ever to the new
+// bucket n. It takes O(ln n) steps and no memory.
+func jump(key uint64, n int) int {
+	b, j := int64(-1), int64(0)
+	for j < int64(n) {
+		b = j
+		key = key*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
+	}
+	return int(b)
+}
+
 // managersLocked computes the assignment from scratch. Callers hold d.mu.
-// A probe that lands on the target, on a departed node or on a pick already
-// made is skipped — the same probes the set of every id seen skipped, since
-// a departed id stays departed within the call — so the result is the one
-// allocation a cache miss makes.
+// Each probe picks the registration slot jump(managerHash(target, salt), n).
+// d.all is append-only, so a fresh join only adds slot n and moves just the
+// probes that now land on the joiner: a target's set changes only if the new
+// set contains the joiner, and an Expel or a revival leaves every probe where
+// it was. A probe that lands on the target, on a departed node or on a pick
+// already made is skipped — the same probes the set of every id seen skipped,
+// since a departed id stays departed within the call — so the result is the
+// one allocation a cache miss makes.
 func (d *Directory) managersLocked(target msg.NodeID, m int) []msg.NodeID {
 	n := len(d.all)
 	if n <= 1 {
@@ -257,7 +274,7 @@ func (d *Directory) managersLocked(target msg.NodeID, m int) []msg.NodeID {
 	}
 	out := make([]msg.NodeID, 0, m)
 	for salt := uint32(0); len(out) < m; salt++ {
-		id := d.all[managerHash(target, salt)%uint64(n)]
+		id := d.all[jump(managerHash(target, salt), n)]
 		if id == target || slices.Contains(out, id) {
 			continue
 		}

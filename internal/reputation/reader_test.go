@@ -214,8 +214,18 @@ func TestReaderIgnoresForgedSenders(t *testing.T) {
 		managers[m].board.AddBlame(7, 50) // genuine copies at -50
 		managers[m].Tick(1)
 	}
-	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
-	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
+	isMgr := map[msg.NodeID]bool{7: true}
+	for _, m := range mgrs {
+		isMgr[m] = true
+	}
+	// The reader's handler replaces the node's own, so a reader that is one
+	// of 7's managers would never answer its own query: pick it, and then the
+	// forger, from outside 7 and its manager set.
+	self := msg.NodeID(0)
+	for ; isMgr[self]; self++ {
+	}
+	reader := NewReader(self, cfg, eng, netw, dir, 100*time.Millisecond)
+	netw.Attach(self, handlerFunc(func(from msg.NodeID, m msg.Message) {
 		reader.HandleAux(from, m)
 	}))
 	var gotScore float64
@@ -224,12 +234,8 @@ func TestReaderIgnoresForgedSenders(t *testing.T) {
 	// Forgeries from ids outside the manager set arrive before the genuine
 	// replies: M untracked ones (early-termination attempt) and one tracked
 	// with an inflated score (injection attempt).
-	isMgr := map[msg.NodeID]bool{}
-	for _, m := range mgrs {
-		isMgr[m] = true
-	}
-	forger := msg.NodeID(0)
-	for forger = 2; isMgr[forger] || forger == 1; forger++ {
+	forger := self + 1
+	for ; isMgr[forger]; forger++ {
 	}
 	for i := 0; i < 3; i++ {
 		reader.HandleAux(forger, &msg.ScoreResp{Sender: forger + msg.NodeID(i)*100, Target: 7, Tracked: false})
