@@ -153,20 +153,22 @@ identical:
 	echo "identical: every document byte-equal to $(BASE)'s"
 
 # The figures a simplicity PR and a re-anchor quote: non-test Go lines outside
-# benchmark/, per package directory and in total, and how many //lint:allow
-# escapes those files carry. With BASE=<rev> on the command line it counts the
+# benchmark/ and outside testdata/ (lint fixtures are not product), per
+# package directory and in total, and how many //lint:allow escapes those
+# files carry. With BASE=<rev> on the command line it counts the
 # same at BASE too (a `git archive` in a temporary directory, as `identical`
 # takes it) and prints base, working tree and difference for every package
 # that differs, the total and the allows.
-SIZE_LINES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec wc -l {} + \
+SIZE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*'
+SIZE_LINES = $(SIZE_FILES) -exec wc -l {} + \
 	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); print d, $$1 }'
-SIZE_ALLOWS = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec grep -c '//lint:allow' {} + \
+SIZE_ALLOWS = $(SIZE_FILES) -exec grep -c '//lint:allow' {} + \
 	| awk -F: '{ s += $$NF } END { print s }'
 size:
 ifeq ($(origin BASE),file)
 	@$(SIZE_LINES) | awk '{ n[$$1] += $$2; t += $$2 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-		printf "%6d non-test Go lines outside benchmark/\n", t }'
+		printf "%6d non-test Go lines outside benchmark/ and testdata/\n", t }'
 	@printf '%6d //lint:allow in them\n' $$($(SIZE_ALLOWS))
 else
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -177,7 +179,7 @@ else
 		END { for (p in d) if (n["base", p] != n["work", p]) \
 			printf "%6d %6d %+6d %s\n", n["base", p], n["work", p], n["work", p] - n["base", p], p | "sort -k4"; \
 		close("sort -k4"); \
-		printf "%6d %6d %+6d non-test Go lines outside benchmark/\n", t["base"], t["work"], t["work"] - t["base"] }'; \
+		printf "%6d %6d %+6d non-test Go lines outside benchmark/ and testdata/\n", t["base"], t["work"], t["work"] - t["base"] }'; \
 	base=$$(cd "$$tmp" && $(SIZE_ALLOWS)); work=$$($(SIZE_ALLOWS)); \
 	printf '%6d %6d %+6d //lint:allow in them\n' $$base $$work $$((work - base))
 endif

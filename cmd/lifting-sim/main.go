@@ -15,7 +15,8 @@
 // table as data, headline metrics, and the pass/fail verdict — the format
 // CI and tooling consume. Runs are cancellable: SIGINT/SIGTERM aborts the
 // current experiment promptly (sockets closed, goroutines drained) and
-// exits 130. A failed experiment verdict (scale, matrix oracles) exits 1.
+// exits 130. A failed experiment verdict — the oracle of every experiment
+// but fig14, checked on the run itself — exits 1.
 package main
 
 import (

@@ -10,151 +10,142 @@ import (
 	"lifting/internal/net"
 	"lifting/internal/reputation"
 	"lifting/internal/rng"
-	"lifting/internal/runtime"
 	"lifting/internal/stats"
 	"lifting/internal/stream"
 )
 
-// ChurnConfig describes the churn workload: a LiFTinG-policed broadcast in
-// which nodes join and leave mid-stream. The paper deploys on a static
-// membership (§2 assumes a full-membership view); churn is the natural next
-// workload for the reproduction — arrivals must catch up with the stream,
-// departures must not strand score state, and the reputation managers must
-// hand their duties off as the membership shifts.
-type ChurnConfig struct {
-	// N is the initial population.
-	N int
-	// Joins and Leaves are the number of mid-stream arrivals/departures,
-	// spread uniformly over the middle half of the run.
-	Joins, Leaves int
-	Duration      time.Duration
-	Seed          uint64
-	// Backend selects the execution backend; churn runs identically on the
-	// discrete-event engine and over loopback UDP sockets.
-	Backend runtime.Kind
-	// Shards is the engine shard count (sim backend only; same semantics as
-	// ScaleConfig.Shards).
-	Shards int
-}
-
-// DefaultChurnConfig returns a medium-scale churn scenario.
-func DefaultChurnConfig() ChurnConfig {
-	return ChurnConfig{
-		N:        120,
-		Joins:    20,
-		Leaves:   20,
-		Duration: 30 * time.Second,
-		Seed:     17,
-	}
-}
-
-// ChurnResult aggregates the run.
-type ChurnResult struct {
-	Joined, Departed int
-	// Handoffs counts reputation-manager state transfers.
-	Handoffs int
-	// CatchUp is the distribution over arrivals of (chunks received) /
-	// (chunks generated after the join).
-	CatchUp stats.Moments
-	// HonestMean and FreeriderMean are the min-vote score means over the
-	// surviving population.
-	HonestMean, FreeriderMean float64
-	// AliveEnd is the population size at the end.
-	AliveEnd int
-}
-
-// Churn runs the churn scenario and reports whether LiFTinG's separation
-// survives a shifting membership. Cancelling ctx aborts the run mid-stream.
-func Churn(ctx context.Context, cfg ChurnConfig) (*Table, *ChurnResult, error) {
-	// A tenth of the initial population freerides mildly on every prong.
-	co := cohortOf(cfg.N, 0.10, degree(0.3, 0.3, 0.3))
-	opts := cluster.Options{
-		N:       cfg.N,
-		Seed:    cfg.Seed,
-		Backend: cfg.Backend,
-		Shards:  cfg.Shards,
-		Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
-		Core:    core.Config{Pdcc: 1, Gamma: 8},
-		// M = 10 managers per node; blames travel as messages (the handoff
-		// path). Nothing is expelled: the subject is whether the separation
-		// survives, read off the surviving population's scores.
-		Rep:         reputation.Config{M: 10, Eta: -1e9},
-		Stream:      stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
-		NetDefaults: net.Uniform(0.02, 5*time.Millisecond),
-		LiFTinG:     true,
-		BlameMode:   cluster.BlameMessages,
-		BehaviorFor: co.behaviorFor(),
-	}
-	c := launch(opts, cfg.Duration, nil)
-	arrivals, joinAt := scheduleChurn(c, cfg.Duration, cfg.Joins,
-		co.drawLeavers(rng.New(cfg.Seed).Derive("churn"), cfg.Leaves))
-	if err := advance(ctx, c, nil, cfg.Duration+opts.Gossip.Period); err != nil {
-		return nil, nil, err
-	}
-
-	res := &ChurnResult{
-		Joined:   len(c.Joined),
-		Departed: len(c.Departed),
-		Handoffs: c.Handoffs(),
-		AliveEnd: c.Dir.NAlive(),
-	}
-	totalChunks := opts.Stream.ChunksBy(cfg.Duration)
-	// Arrivals come in ascending id order: the Moments mean is a float
-	// fold, so the order is part of the result.
-	for i, id := range arrivals {
-		node, ok := c.Nodes[id]
-		if !ok {
-			// Under the udp backend a join timer due near the end of the
-			// run can be suppressed by Close; the arrival never existed.
-			continue
+// churn is the churn workload: a LiFTinG-policed broadcast in which nodes
+// join and leave mid-stream. The paper deploys on a static membership (§2
+// assumes a full-membership view); churn is the natural next workload for
+// the reproduction — arrivals must catch up with the stream, departures must
+// not strand score state, and the reputation managers must hand their
+// duties off as the membership shifts. 120 nodes stream 30 s with 20 joins
+// and 20 leaves, spread uniformly over the middle half of the run (-quick:
+// 50 nodes, 8 s, 6 and 6). It runs identically on the discrete-event engine
+// and over loopback UDP sockets.
+var churn = Experiment{
+	Name: "churn", Paper: "beyond the paper — churn workload",
+	Describe:      "joins and leaves mid-stream with reputation-manager handoff",
+	DefaultParams: Params{N: 120, Seed: 17, Duration: 30 * time.Second, Delta: -1, Pdcc: -1},
+	quick:         Params{N: 50, Duration: 8 * time.Second},
+	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
+		joins, leaves := 20, 20
+		if p.Quick {
+			joins, leaves = 6, 6
 		}
-		missed := opts.Stream.ChunksBy(joinAt[i])
-		generatedAfter := totalChunks - missed
-		if generatedAfter <= 0 {
-			continue
+		backend := p.backend()
+		// A tenth of the initial population freerides mildly on every prong.
+		co := cohortOf(p.N, 0.10, degree(0.3, 0.3, 0.3))
+		opts := cluster.Options{
+			N:       p.N,
+			Seed:    p.Seed,
+			Backend: backend,
+			Shards:  p.Shards,
+			Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
+			Core:    core.Config{Pdcc: 1, Gamma: 8},
+			// M = 10 managers per node; blames travel as messages (the
+			// handoff path). Nothing is expelled: the subject is whether the
+			// separation survives, read off the surviving population's scores.
+			Rep:         reputation.Config{M: 10, Eta: -1e9},
+			Stream:      stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
+			NetDefaults: net.Uniform(0.02, 5*time.Millisecond),
+			LiFTinG:     true,
+			BlameMode:   cluster.BlameMessages,
+			BehaviorFor: co.behaviorFor(),
 		}
-		ratio := float64(node.ChunkCount()) / float64(generatedAfter)
-		if ratio > 1 {
-			ratio = 1
+		c := launch(opts, p.Duration, nil)
+		arrivals, joinAt := scheduleChurn(c, p.Duration, joins,
+			co.drawLeavers(rng.New(p.Seed).Derive("churn"), leaves))
+		if err := advance(ctx, c, nil, p.Duration+opts.Gossip.Period); err != nil {
+			return err
 		}
-		res.CatchUp.Add(ratio)
-	}
-	scores := c.Scores()
-	var nh, nr int
-	for _, id := range c.Dir.All() {
-		if id == 0 || !c.Dir.Alive(id) {
-			continue
-		}
-		if co.has(id) {
-			res.FreeriderMean += scores[id]
-			nr++
-		} else {
-			res.HonestMean += scores[id]
-			nh++
-		}
-	}
-	if nh > 0 {
-		res.HonestMean /= float64(nh)
-	}
-	if nr > 0 {
-		res.FreeriderMean /= float64(nr)
-	}
 
-	t := &Table{
-		Title:   "Churn — joins/leaves mid-stream with manager handoff (backend " + cfg.Backend.String() + ")",
-		Columns: []string{"quantity", "value"},
-	}
-	t.AddRow("initial population", F(float64(cfg.N), 0))
-	t.AddRow("joined mid-stream", F(float64(res.Joined), 0))
-	t.AddRow("departed mid-stream", F(float64(res.Departed), 0))
-	t.AddRow("alive at end", F(float64(res.AliveEnd), 0))
-	t.AddRow("manager handoffs", F(float64(res.Handoffs), 0))
-	t.AddRow("arrival catch-up (mean)", Pct(res.CatchUp.Mean()))
-	t.AddRow("honest mean score", F(res.HonestMean, 2))
-	t.AddRow("freerider mean score", F(res.FreeriderMean, 2))
-	t.AddRow("separation gap", F(res.HonestMean-res.FreeriderMean, 2))
-	t.Notes = append(t.Notes,
-		"arrivals catch up on chunks generated after their join (infect-and-die does not replay history)",
-		"manager duties migrate on every membership change; gaining managers adopt the most pessimistic replica")
-	return t, res, nil
+		joined, departed, handoffs, alive := len(c.Joined), len(c.Departed), c.Handoffs(), c.Dir.NAlive()
+		// catchUp is the distribution over arrivals of (chunks received) /
+		// (chunks generated after the join). Arrivals come in ascending id
+		// order: the Moments mean is a float fold, so the order is part of
+		// the result.
+		var catchUp stats.Moments
+		totalChunks := opts.Stream.ChunksBy(p.Duration)
+		for i, id := range arrivals {
+			node, ok := c.Nodes[id]
+			if !ok {
+				// Under the udp backend a join timer due near the end of the
+				// run can be suppressed by Close; the arrival never existed.
+				continue
+			}
+			generatedAfter := totalChunks - opts.Stream.ChunksBy(joinAt[i])
+			if generatedAfter <= 0 {
+				continue
+			}
+			catchUp.Add(min(float64(node.ChunkCount())/float64(generatedAfter), 1))
+		}
+		// The min-vote score means over the surviving population.
+		scores := c.Scores()
+		var honestMean, riderMean float64
+		var nh, nr int
+		for _, id := range c.Dir.All() {
+			if id == 0 || !c.Dir.Alive(id) {
+				continue
+			}
+			if co.has(id) {
+				riderMean += scores[id]
+				nr++
+			} else {
+				honestMean += scores[id]
+				nh++
+			}
+		}
+		if nh > 0 {
+			honestMean /= float64(nh)
+		}
+		if nr > 0 {
+			riderMean /= float64(nr)
+		}
+
+		t := &Table{
+			Title:   "Churn — joins/leaves mid-stream with manager handoff (backend " + backend.String() + ")",
+			Columns: []string{"quantity", "value"},
+		}
+		t.AddRow("initial population", F(float64(p.N), 0))
+		t.AddRow("joined mid-stream", F(float64(joined), 0))
+		t.AddRow("departed mid-stream", F(float64(departed), 0))
+		t.AddRow("alive at end", F(float64(alive), 0))
+		t.AddRow("manager handoffs", F(float64(handoffs), 0))
+		t.AddRow("arrival catch-up (mean)", Pct(catchUp.Mean()))
+		t.AddRow("honest mean score", F(honestMean, 2))
+		t.AddRow("freerider mean score", F(riderMean, 2))
+		t.AddRow("separation gap", F(honestMean-riderMean, 2))
+		t.Notes = append(t.Notes,
+			"arrivals catch up on chunks generated after their join (infect-and-die does not replay history)",
+			"manager duties migrate on every membership change; gaining managers adopt the most pessimistic replica")
+		out.addTable(obs, t)
+		out.addMetric("joined", float64(joined))
+		out.addMetric("departed", float64(departed))
+		out.addMetric("handoffs", float64(handoffs))
+		out.addMetric("catch-up", catchUp.Mean())
+		out.addMetric("score-gap", honestMean-riderMean)
+
+		// Every scheduled change happens, the managers hand off — about M
+		// slots per change, so at most 5·M per join or leave, not the N·M a
+		// re-dealt assignment would move on every join — arrivals catch up
+		// on at least half the stream after their join, and the separation
+		// survives.
+		if joined != joins || departed != leaves {
+			out.fail("churn events incomplete: joined %d of %d, departed %d of %d", joined, joins, departed, leaves)
+		}
+		if want := p.N + joins - leaves; alive != want {
+			out.fail("alive at end = %d, want %d (%d in, %d out)", alive, want, joins, leaves)
+		}
+		if bound := 5 * opts.Rep.M * (joins + leaves); handoffs == 0 || handoffs > bound {
+			out.fail("%d manager handoffs for %d joins and %d leaves, want within [1, %d]", handoffs, joins, leaves, bound)
+		}
+		if m := catchUp.Mean(); m < 0.5 {
+			out.fail("arrivals caught only %.0f%% of the post-join stream, want ≥ 50%%", 100*m)
+		}
+		if riderMean >= honestMean {
+			out.fail("separation lost under churn: honest %.2f vs freeriders %.2f", honestMean, riderMean)
+		}
+		return nil
+	},
 }

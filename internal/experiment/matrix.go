@@ -289,13 +289,11 @@ func (r MatrixRow) Verdict() string {
 	return "FAIL: " + strings.Join(r.Failures, "; ")
 }
 
-// MatrixResult is the whole sweep.
-type MatrixResult struct {
+// matrixResult is the whole sweep.
+type matrixResult struct {
 	Rows []MatrixRow
 	// ScenariosRun is the number of distinct scenarios that ran.
 	ScenariosRun int
-	// Failed reports whether any oracle failed.
-	Failed bool
 }
 
 // repOutcome is the classification of a single repetition on top of its
@@ -524,28 +522,64 @@ func (o Oracle) check(r *MatrixRow) {
 	}
 }
 
-// Matrix runs the adversary scenario sweep and renders the attack ×
-// (α, β, gap, verdict) table. The result's Failed flag is the caller's exit
-// code: any oracle violation means the detection claims regressed.
-// Cancelling ctx aborts the sweep — mid-calibration or mid-repetition — and
-// returns ctx.Err().
-func Matrix(ctx context.Context, cfg MatrixConfig) (*Table, *MatrixResult, error) {
-	reps := 3
-	if cfg.Quick {
-		reps = 1
-	}
-	return matrix(ctx, cfg, reps)
+// matrix runs the adversary scenario sweep and renders the attack ×
+// (α, β, gap, verdict) table; any oracle violation fails the verdict — the
+// detection claims regressed. The sim backend runs 3 seeded repetitions per
+// scenario (1 under -quick). Cancelling ctx aborts the sweep —
+// mid-calibration or mid-repetition — and returns ctx.Err().
+var matrix = Experiment{
+	Name: "matrix", Paper: "§4/§5 adversary matrix",
+	Describe:      "every §4/§5 attack scenario against its statistical oracle",
+	MultiBackend:  true,
+	DefaultParams: Params{Seed: 1, Delta: -1, Pdcc: -1},
+	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
+		reps := 3
+		if p.Quick {
+			reps = 1
+		}
+		tab, res, err := sweepMatrix(ctx, MatrixConfig{
+			Quick:    p.Quick,
+			Backends: p.Backends,
+			Filter:   p.Filter,
+			Seed:     p.Seed,
+			Workers:  p.Workers,
+			Shards:   p.Shards,
+		}, reps)
+		if err != nil {
+			return err
+		}
+		out.addTable(obs, tab)
+		out.addMetric("scenarios", float64(res.ScenariosRun))
+		out.addMetric("rows", float64(len(res.Rows)))
+		failures := 0
+		if res.ScenariosRun == 0 {
+			// Either the filter matched nothing or the backend set
+			// intersected every matching scenario away; name both.
+			out.fail("matrix ran no scenario (filter %q, backends %s; scenarios: %s)",
+				p.Filter, p.backendsLabel(), strings.Join(ScenarioNames(), ", "))
+		}
+		for _, r := range res.Rows {
+			if len(r.Failures) > 0 {
+				failures += len(r.Failures)
+				out.fail("matrix %s on %s failed its oracle: %s",
+					r.Scenario, r.Backend, strings.Join(r.Failures, "; "))
+			}
+		}
+		out.addMetric("oracle-failures", float64(failures))
+		return nil
+	},
 }
 
-// matrix is Matrix with the sim backend's repetition count given, so a test
-// can fan several repetitions of a quick scenario across workers.
-func matrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *MatrixResult, error) {
+// sweepMatrix runs every scenario cfg selects, the sim backend's repetition
+// count given — so a test can fan several repetitions of a quick scenario
+// across workers.
+func sweepMatrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *matrixResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	root := rng.New(cfg.Seed).Derive("matrix")
 
-	res := &MatrixResult{}
+	res := &matrixResult{}
 	for _, sc := range Scenarios() {
 		if cfg.Filter != "" && !strings.Contains(sc.Name, cfg.Filter) {
 			continue
@@ -637,9 +671,6 @@ func matrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *MatrixRes
 				row.Failures = append(row.Failures, "no goodput")
 			}
 			res.Rows = append(res.Rows, row)
-			if len(row.Failures) > 0 {
-				res.Failed = true
-			}
 			ran = true
 		}
 		if ran {

@@ -108,26 +108,17 @@ func TestMatrixShapes(t *testing.T) {
 }
 
 // TestMatrixQuickAllScenariosPass runs the whole quick sweep on the sim
-// backend — the same regression net CI runs — and requires every oracle to
-// hold.
+// backend — the same regression net CI runs: every oracle holds, and the
+// sweep covers at least 8 distinct attacks.
 func TestMatrixQuickAllScenariosPass(t *testing.T) {
-	tab, res, err := Matrix(context.Background(), MatrixConfig{Quick: true, Backends: []runtime.Kind{runtime.KindSim}})
-	if err != nil {
-		t.Fatal(err)
+	p := quick()
+	p.Backends = []runtime.Kind{runtime.KindSim}
+	res := passes(t, "matrix", p)
+	if n := metric(t, res, "scenarios"); n < 8 {
+		t.Fatalf("quick matrix ran %v scenarios, want >= 8", n)
 	}
-	if res.ScenariosRun < 8 {
-		t.Fatalf("quick matrix ran %d scenarios, want >= 8", res.ScenariosRun)
-	}
-	if res.Failed {
-		for _, r := range res.Rows {
-			if len(r.Failures) > 0 {
-				t.Errorf("%s on %s: %s", r.Scenario, r.Backend, strings.Join(r.Failures, "; "))
-			}
-		}
-		t.Fatal("quick matrix failed its oracles")
-	}
-	if len(tab.Rows) != len(res.Rows) {
-		t.Fatalf("table has %d rows for %d results", len(tab.Rows), len(res.Rows))
+	if rows := metric(t, res, "rows"); len(res.Tables[0].Rows) != int(rows) {
+		t.Fatalf("table has %d rows for %v results", len(res.Tables[0].Rows), rows)
 	}
 }
 
@@ -173,9 +164,9 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 		if tc.shards != nil {
 			cfg.Shards = 1
 		}
-		_, a, errA := matrix(context.Background(), cfg, 2)
+		_, a, errA := sweepMatrix(context.Background(), cfg, 2)
 		cfg.Workers = 1 // worker count must not change a single bit either
-		_, b, errB := matrix(context.Background(), cfg, 2)
+		_, b, errB := sweepMatrix(context.Background(), cfg, 2)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -188,7 +179,7 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 		}
 		for _, s := range tc.shards {
 			cfg.Shards = s
-			_, c, err := matrix(context.Background(), cfg, 2)
+			_, c, err := sweepMatrix(context.Background(), cfg, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,24 +197,15 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 // sockets, and the oracle verdict — freeriders detected, honest clean,
 // modes separated — agrees.
 func TestMatrixScenarioAgreesAcrossBackends(t *testing.T) {
-	_, res, err := Matrix(context.Background(), MatrixConfig{
-		Quick:    true,
-		Filter:   "wise-degree",
-		Backends: []runtime.Kind{runtime.KindSim, runtime.KindUDP},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want sim and udp", len(res.Rows))
-	}
+	p := quick()
+	p.Filter = "wise-degree"
+	p.Backends = []runtime.Kind{runtime.KindSim, runtime.KindUDP}
 	// Both rows passing IS the agreement pinned here: the same oracle —
 	// freeriders detected, honest clean, modes separated — holds under
 	// both execution backends.
-	for _, r := range res.Rows {
-		if len(r.Failures) > 0 {
-			t.Errorf("%s on %s failed: %s", r.Scenario, r.Backend, strings.Join(r.Failures, "; "))
-		}
+	res := passes(t, "matrix", p)
+	if rows := metric(t, res, "rows"); rows != 2 {
+		t.Fatalf("got %v rows, want sim and udp", rows)
 	}
 }
 
@@ -254,13 +236,19 @@ func TestMatrixOracleBounds(t *testing.T) {
 	}
 }
 
-// TestMatrixFilterMiss: an unmatched filter runs nothing and reports it.
+// TestMatrixFilterMiss: an unmatched filter runs nothing and fails the
+// verdict saying so.
 func TestMatrixFilterMiss(t *testing.T) {
-	_, res, err := Matrix(context.Background(), MatrixConfig{Quick: true, Filter: "no-such-attack"})
+	p := quick()
+	p.Filter = "no-such-attack"
+	res, err := matrix.Run(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ScenariosRun != 0 || len(res.Rows) != 0 {
-		t.Fatalf("unmatched filter ran %d scenarios", res.ScenariosRun)
+	if metric(t, res, "scenarios") != 0 || metric(t, res, "rows") != 0 {
+		t.Fatalf("unmatched filter ran scenarios: %+v", res.Metrics)
+	}
+	if res.Verdict.Pass || !strings.Contains(strings.Join(res.Verdict.Failures, "\n"), "ran no scenario") {
+		t.Fatalf("unmatched filter verdict = %+v, want a 'ran no scenario' failure", res.Verdict)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"lifting/internal/analysis"
 )
 
 // TestRunScoresParallelMatchesSerial pins the determinism contract of the
@@ -11,19 +13,14 @@ import (
 // results, because per-node streams are derived independently and
 // aggregation is serial.
 func TestRunScoresParallelMatchesSerial(t *testing.T) {
-	cfg := DefaultScoreConfig()
-	cfg.N = 1200
-	cfg.Freeriders = 120
-	cfg.Periods = 5
-
-	cfg.Workers = 1
-	serial, err := RunScores(context.Background(), cfg)
+	p := Params{N: 1200, Seed: 1, Periods: 5, Workers: 1}
+	serial, err := runScores(context.Background(), p, 120, analysis.Uniform(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, 64} {
-		cfg.Workers = workers
-		par, err := RunScores(context.Background(), cfg)
+		p.Workers = workers
+		par, err := runScores(context.Background(), p, 120, analysis.Uniform(0.1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,16 +44,13 @@ func TestRunScoresParallelMatchesSerial(t *testing.T) {
 
 // TestFig12ParallelMatchesSerial does the same for the delta sweep.
 func TestFig12ParallelMatchesSerial(t *testing.T) {
-	cfg := DefaultScoreConfig()
-	cfg.Periods = 10
-
-	cfg.Workers = 1
-	_, serial, err := Fig12(context.Background(), cfg, 150)
+	p := Params{Seed: 1, Periods: 10, Workers: 1}
+	serial, err := fig12Sweep(context.Background(), p, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	_, par, err := Fig12(context.Background(), cfg, 150)
+	p.Workers = 4
+	par, err := fig12Sweep(context.Background(), p, 150)
 	if err != nil {
 		t.Fatal(err)
 	}

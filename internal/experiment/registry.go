@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 	"time"
 
 	"lifting/internal/metrics"
@@ -13,12 +13,12 @@ import (
 )
 
 // The experiment registry is the public face of this package: every table
-// and figure runner registers an Experiment value, and everything downstream
+// and figure is one Experiment value, and everything downstream
 // — the lifting-sim driver, its `all` batch, `list`, usage text, the JSON
 // output CI consumes — derives from the registry instead of hand-maintained
 // name lists and per-experiment flag plumbing. Adding an experiment is
-// registering a value; the CLI, the batch and the docs pick it up without
-// another edit.
+// declaring its value and listing it in experiments; the CLI, the batch and
+// the docs pick it up without another edit.
 
 // Params is the one typed parameter set every experiment runs from. It
 // carries exactly the overrides the lifting-sim flags expose; each
@@ -80,17 +80,16 @@ func DefaultParams() Params {
 
 // resolve fills every parameter the caller left at "experiment default", in
 // the one precedence every experiment shares: an explicit value, else — under
-// Quick — the experiment's quick value, else its registered DefaultParams.
-// Sizes, seeds, durations and period counts are set when positive; Delta and
-// Pdcc (−1 = unset, no quick values) when non-negative. Execution knobs pass
-// through. A Result echoes the Params it was given, never these.
-func (p Params) resolve(name string, quick Params) Params {
-	e, _ := Lookup(name)
+// Quick — the experiment's quick value, else its DefaultParams. Sizes, seeds,
+// durations and period counts are set when positive; Delta and Pdcc (−1 =
+// unset, no quick values) when non-negative. Execution knobs pass through. A
+// Result echoes the Params it was given, never these.
+func (p Params) resolve(def, quick Params) Params {
 	if !p.Quick {
 		quick = Params{}
 	}
 	r := p
-	for _, l := range []Params{e.DefaultParams, quick, p} {
+	for _, l := range []Params{def, quick, p} {
 		if l.N > 0 {
 			r.N = l.N
 		}
@@ -105,10 +104,10 @@ func (p Params) resolve(name string, quick Params) Params {
 		}
 	}
 	if p.Delta < 0 {
-		r.Delta = e.DefaultParams.Delta
+		r.Delta = def.Delta
 	}
 	if p.Pdcc < 0 {
-		r.Pdcc = e.DefaultParams.Pdcc
+		r.Pdcc = def.Pdcc
 	}
 	return r
 }
@@ -146,9 +145,10 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// Verdict is an experiment's pass/fail outcome. Experiments without an
-// acceptance gate always pass; gated ones (scale, matrix) list every
-// violated bound.
+// Verdict is an experiment's pass/fail outcome: the oracle of its paper
+// artefact or workload, checked on the run itself, with every violated bound
+// listed. fig14 alone always passes — its gate waits for seeded repetitions,
+// as one seed decides nothing there.
 type Verdict struct {
 	Pass     bool     `json:"pass"`
 	Failures []string `json:"failures,omitempty"`
@@ -207,13 +207,7 @@ type Observer interface {
 	OnTable(t *Table)
 }
 
-// RunFunc executes an experiment: it maps Params onto the experiment's
-// config, runs, and returns the structured result. Implementations must
-// honor ctx (they thread it into cluster runs and Monte-Carlo drivers) and
-// return ctx.Err() — not a partial result — when cancelled.
-type RunFunc func(ctx context.Context, p Params, obs Observer) (*Result, error)
-
-// Experiment is one registry entry.
+// Experiment is one registry entry, declared in the file that runs it.
 type Experiment struct {
 	// Name is the CLI name (`lifting-sim <name>`).
 	Name string
@@ -230,60 +224,58 @@ type Experiment struct {
 	// -json` and `-describe` print and what Params.resolve falls back to, so
 	// the two cannot drift.
 	DefaultParams Params
-	// Run executes the experiment.
-	Run RunFunc
+	// quick holds the sizes -quick shrinks to (Params.resolve).
+	quick Params
+	// run executes the experiment on resolved params: it adds its tables
+	// (streaming each to obs), its metrics and every verdict failure to out.
+	// It must honor ctx — threading it into cluster runs and Monte-Carlo
+	// drivers — and return ctx.Err() when cancelled.
+	run func(ctx context.Context, p Params, out *Result, obs Observer) error
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Experiment)
-	// registryOrder keeps registration order: cheap analytic experiments
-	// first, long cluster streams last — the order `all` executes and usage
-	// lists.
-	registryOrder []string
-)
+// Run executes the experiment: it resolves p against the experiment's
+// defaults, runs, and returns the structured result with its verdict — or
+// ctx.Err(), not a partial result, when cancelled.
+func (e Experiment) Run(ctx context.Context, p Params, obs Observer) (*Result, error) {
+	out := &Result{Experiment: e.Name, Paper: e.Paper, Params: p, Verdict: Verdict{Pass: true}}
+	if err := e.run(ctx, p.resolve(e.DefaultParams, e.quick), out, obs); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-// Register installs an experiment. Registering a nameless, runless or
-// duplicate experiment panics: the registry is assembled from init
-// functions, so a bad entry is a programming error.
-func Register(e Experiment) {
-	if e.Name == "" || e.Run == nil {
-		panic("experiment: Register needs a name and a run function")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[e.Name]; dup {
-		panic(fmt.Sprintf("experiment: %q registered twice", e.Name))
-	}
-	registry[e.Name] = e
-	registryOrder = append(registryOrder, e.Name)
+// experiments is the registry, in the order `all` runs it and usage lists
+// it: cheap analytic experiments first, the long cluster streams (fig14,
+// fig1) last. It is one list, not per-file init functions, because Go runs
+// those in file-name order.
+var experiments = []Experiment{
+	fig10, fig11, fig12, fig13, eq7, ablate,
+	table3, table5, churn, scale, soak, matrix, fig14, fig1,
 }
 
 // Lookup returns the named experiment.
 func Lookup(name string) (Experiment, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
-}
-
-// Experiments returns every registered experiment in registration order —
-// the order `lifting-sim all` runs them.
-func Experiments() []Experiment {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Experiment, 0, len(registryOrder))
-	for _, name := range registryOrder {
-		out = append(out, registry[name])
+	for _, e := range experiments {
+		if e.Name == name {
+			return e, true
+		}
 	}
-	return out
+	return Experiment{}, false
 }
 
-// Names returns the registered experiment names in registration order.
+// Experiments returns every registered experiment in batch order — the
+// order `lifting-sim all` runs them.
+func Experiments() []Experiment {
+	return slices.Clone(experiments)
+}
+
+// Names returns the registered experiment names in batch order.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return append([]string(nil), registryOrder...)
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // Schema identifies the JSON document layout. Bump it when the shape of

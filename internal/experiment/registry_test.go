@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func TestRegistryInventory(t *testing.T) {
 		}
 	}
 	for _, e := range Experiments() {
-		if e.Paper == "" || e.Describe == "" || e.Run == nil {
+		if e.Paper == "" || e.Describe == "" || e.run == nil {
 			t.Errorf("experiment %q is missing paper/describe/run", e.Name)
 		}
 		if e.DefaultParams.Delta != -1 && e.Name != "fig11" {
@@ -234,23 +235,6 @@ func TestRegistryRunCancels(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsBadEntries: the registry panics on nameless, runless
-// and duplicate registrations — they are programming errors.
-func TestRegisterRejectsBadEntries(t *testing.T) {
-	expectPanic := func(what string, e Experiment) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Register accepted %s", what)
-			}
-		}()
-		Register(e)
-	}
-	expectPanic("a nameless experiment", Experiment{Run: func(context.Context, Params, Observer) (*Result, error) { return nil, nil }})
-	expectPanic("a runless experiment", Experiment{Name: "runless"})
-	expectPanic("a duplicate", Experiment{Name: "fig10", Run: func(context.Context, Params, Observer) (*Result, error) { return nil, nil }})
-}
-
 // TestParamsResolution pins the one precedence every experiment resolves
 // its parameters by: explicit value > -quick value > DefaultParams. A
 // parameterless resolution is DefaultParams field for field, for every
@@ -260,7 +244,7 @@ func TestParamsResolution(t *testing.T) {
 	quick := Params{N: 7, Seed: 8, Duration: 9 * time.Second, Periods: 10}
 	for _, e := range Experiments() {
 		def := e.DefaultParams
-		got := DefaultParams().resolve(e.Name, quick)
+		got := DefaultParams().resolve(def, quick)
 		got.Shards = def.Shards // an execution knob, passed through
 		if !reflect.DeepEqual(got, def) {
 			t.Errorf("%s: parameterless resolution %+v, want DefaultParams %+v", e.Name, got, def)
@@ -268,38 +252,79 @@ func TestParamsResolution(t *testing.T) {
 
 		p := DefaultParams()
 		p.Quick = true
-		got = p.resolve(e.Name, quick)
+		got = p.resolve(def, quick)
 		if got.N != 7 || got.Seed != 8 || got.Duration != 9*time.Second || got.Periods != 10 {
 			t.Errorf("%s: -quick did not override the defaults: %+v", e.Name, got)
 		}
 		if got.Delta != def.Delta || got.Pdcc != def.Pdcc {
 			t.Errorf("%s: -quick moved Delta/Pdcc to %v/%v, want the defaults %v/%v", e.Name, got.Delta, got.Pdcc, def.Delta, def.Pdcc)
 		}
-		if got = p.resolve(e.Name, Params{}); got.N != def.N || got.Duration != def.Duration {
+		if got = p.resolve(def, Params{}); got.N != def.N || got.Duration != def.Duration {
 			t.Errorf("%s: an empty quick set overrode the defaults: %+v", e.Name, got)
 		}
 
 		p.N, p.Seed, p.Duration, p.Periods, p.Delta, p.Pdcc = 11, 12, 13*time.Second, 14, 0, 0.5
-		got = p.resolve(e.Name, quick)
+		got = p.resolve(def, quick)
 		if got.N != 11 || got.Seed != 12 || got.Duration != 13*time.Second || got.Periods != 14 || got.Delta != 0 || got.Pdcc != 0.5 {
 			t.Errorf("%s: explicit values did not override -quick and the defaults: %+v", e.Name, got)
 		}
 	}
 
-	// The §7 scenario's mapping, fig1's longer stream included.
+	// The §7 scenario's sizes, fig1's longer stream included.
+	resolved := func(name string, p Params) Params {
+		e, _ := Lookup(name)
+		return p.resolve(e.DefaultParams, e.quick)
+	}
 	p := DefaultParams()
-	if d := planetLabConfig("fig1", p).Duration; d != 45*time.Second {
+	if d := resolved("fig1", p).Duration; d != 45*time.Second {
 		t.Errorf("fig1 streams %v by default, want 45s", d)
 	}
-	if d := planetLabConfig("fig14", p).Duration; d != DefaultPlanetLabConfig().Duration {
-		t.Errorf("fig14 streams %v by default, want the §7 scenario's %v", d, DefaultPlanetLabConfig().Duration)
+	if d := resolved("fig14", p).Duration; d != planetLabParams.Duration {
+		t.Errorf("fig14 streams %v by default, want the §7 scenario's %v", d, planetLabParams.Duration)
 	}
 	p.Quick = true
-	if pl := planetLabConfig("fig1", p); pl.Duration != 20*time.Second || pl.N != 100 {
-		t.Errorf("fig1 -quick runs n=%d for %v, want n=100 for 20s", pl.N, pl.Duration)
+	if r := resolved("fig1", p); r.Duration != 20*time.Second || r.N != 100 {
+		t.Errorf("fig1 -quick runs n=%d for %v, want n=100 for 20s", r.N, r.Duration)
 	}
 	p.Duration = 35 * time.Second
-	if d := planetLabConfig("fig1", p).Duration; d != 35*time.Second {
+	if d := resolved("fig1", p).Duration; d != 35*time.Second {
 		t.Errorf("fig1 -quick -duration 35s streams %v", d)
 	}
+}
+
+// quick is the -quick parameter set.
+func quick() Params {
+	p := DefaultParams()
+	p.Quick = true
+	return p
+}
+
+// passes runs the named experiment and fails the test, listing every
+// violated bound, unless its verdict passes.
+func passes(t *testing.T, name string, p Params) *Result {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q not registered", name)
+	}
+	res, err := e.Run(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verdict.Pass {
+		t.Fatalf("%s verdict failed:\n  %s", name, strings.Join(res.Verdict.Failures, "\n  "))
+	}
+	return res
+}
+
+// metric returns the named metric of a result.
+func metric(t *testing.T, res *Result, name string) float64 {
+	t.Helper()
+	for _, m := range res.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("%s carries no metric %q", res.Experiment, name)
+	return 0
 }

@@ -120,8 +120,8 @@ func advance(ctx context.Context, c *cluster.Cluster, each func(step int), steps
 
 // tallyResult is what a finished policed run yields, by value: the expulsion
 // split against the cohort, the engine's event count and the collector's
-// wire and content-plane totals. ScaleRun, SoakResult and the matrix's
-// repOutcome embed it.
+// wire and content-plane totals. The scale workload's scalePop and the
+// matrix's repOutcome embed it.
 type tallyResult struct {
 	// Freeriders is the cohort size; FreeridersExpelled how many of them
 	// were expelled. HonestExpelled counts every other expelled node still

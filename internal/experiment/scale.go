@@ -35,30 +35,20 @@ type ScaleConfig struct {
 	Shards int
 }
 
-// DefaultScaleConfig returns the 10k-node scenario.
-func DefaultScaleConfig() ScaleConfig {
-	return ScaleConfig{
-		N:        10000,
-		Duration: 20 * time.Second,
-		Seed:     23,
-		Shards:   -1,
-	}
-}
-
 // scaleBaselineN is the reference population whose verdict N must
 // reproduce (the paper's deployment size). The blame compensation and the
 // expulsion threshold are calibrated once, at this scale.
 const scaleBaselineN = 300
 
-// ScaleRun is the outcome of one population's run: its size and the run's
+// scalePop is the outcome of one population's run: its size and the run's
 // tally.
-type ScaleRun struct {
+type scalePop struct {
 	N int
 	tallyResult
 }
 
 // Verdict summarizes the run's expulsion outcome.
-func (r ScaleRun) Verdict() string {
+func (r scalePop) Verdict() string {
 	switch {
 	case r.CohortExpelled() && r.HonestClean():
 		return "cohort expelled, honest clean"
@@ -67,21 +57,6 @@ func (r ScaleRun) Verdict() string {
 	default:
 		return "cohort not fully expelled"
 	}
-}
-
-// ScaleResult aggregates the baseline and target runs.
-type ScaleResult struct {
-	Baseline, Target ScaleRun
-	// Compensation and Eta are the calibrated b̃ and threshold shared by
-	// both runs.
-	Compensation, Eta float64
-	// Agree reports whether the target population reproduced the baseline's
-	// verdict.
-	Agree bool
-	// TargetSnapshots are the target run's periodic metrics snapshots
-	// (every snapshotEvery periods), deterministic across shard and worker
-	// counts — they become the JSON document's metrics_snapshots section.
-	TargetSnapshots []metrics.Snapshot
 }
 
 // snapshotEvery is the period sampling interval of the metrics snapshots.
@@ -136,7 +111,7 @@ func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
 // scaleRun executes one population with the shared compensation/threshold.
 // Alongside the outcome it returns the run's periodic metrics snapshots,
 // sampled on period boundaries (sim time), every snapshotEvery periods.
-func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta float64) (ScaleRun, []metrics.Snapshot, error) {
+func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta float64) (scalePop, []metrics.Snapshot, error) {
 	opts := cfg.scaleOptions(n)
 	opts.Rep.Compensation = compensation
 	opts.Rep.Eta = eta
@@ -149,71 +124,148 @@ func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta fl
 	}
 	c := launch(opts, cfg.Duration, nil)
 	if err := advance(ctx, c, nil, cfg.Duration+2*opts.Gossip.Period); err != nil {
-		return ScaleRun{}, nil, err
+		return scalePop{}, nil, err
 	}
-	return ScaleRun{N: n, tallyResult: tally(c, scaleCohort(n))}, snaps, nil
+	return scalePop{N: n, tallyResult: tally(c, scaleCohort(n))}, snaps, nil
 }
 
-// Scale runs the scale workload: calibrate at the baseline population, run
+// scale runs the scale workload: calibrate at the baseline population, run
 // the baseline and the target population with the shared threshold, and
-// compare expulsion verdicts. Cancelling ctx aborts whichever phase is
-// running — calibration, baseline or the large population.
-func Scale(ctx context.Context, cfg ScaleConfig) (*Table, *ScaleResult, error) {
-	// Calibrate b̃ and η once, from an honest pilot at baseline scale: the
-	// per-node wrongful-blame rate depends on fanout and loss, not on N, so
-	// the threshold is meaningful at both populations — and a 300-node pilot
-	// costs nothing next to the 10k-node run.
-	// −10σ: the honest extreme over 10k nodes — including one amortized
-	// late-ack burst — stays above it, while the least-blamed δ = 0.7
-	// freerider sits a full unit below it by grace expiry.
-	cal, eta, err := calibrate(ctx, cfg.scaleOptions(scaleBaselineN), cfg.Duration, 10, 0)
-	if err != nil {
-		return nil, nil, err
-	}
+// compare expulsion verdicts — the target population is 10,000 nodes
+// (-quick: 1,000). Cancelling ctx aborts whichever phase is running —
+// calibration, baseline or the large population.
+var scale = Experiment{
+	Name: "scale", Paper: "beyond the paper — 10k-node scale workload",
+	Describe:      "expulsion verdict at a large population vs the 300-node baseline",
+	DefaultParams: Params{N: 10000, Seed: 23, Duration: 20 * time.Second, Delta: -1, Pdcc: -1},
+	quick:         Params{N: 1000},
+	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
+		cfg := ScaleConfig{N: p.N, Duration: p.Duration, Seed: p.Seed, Shards: p.Shards}
+		// Calibrate b̃ and η once, from an honest pilot at baseline scale:
+		// the per-node wrongful-blame rate depends on fanout and loss, not
+		// on N, so the threshold is meaningful at both populations — and a
+		// 300-node pilot costs nothing next to the 10k-node run. −10σ: the
+		// honest extreme over 10k nodes — including one amortized late-ack
+		// burst — stays above it, while the least-blamed δ = 0.7 freerider
+		// sits a full unit below it by grace expiry.
+		cal, eta, err := calibrate(ctx, cfg.scaleOptions(scaleBaselineN), cfg.Duration, 10, 0)
+		if err != nil {
+			return err
+		}
+		baseline, _, err := cfg.scaleRun(ctx, scaleBaselineN, cal.Compensation, eta)
+		if err != nil {
+			return err
+		}
+		target, snaps, err := cfg.scaleRun(ctx, cfg.N, cal.Compensation, eta)
+		if err != nil {
+			return err
+		}
+		agree := baseline.Verdict() == target.Verdict()
 
-	res := &ScaleResult{Compensation: cal.Compensation, Eta: eta}
-	if res.Baseline, _, err = cfg.scaleRun(ctx, scaleBaselineN, cal.Compensation, eta); err != nil {
-		return nil, nil, err
-	}
-	if res.Target, res.TargetSnapshots, err = cfg.scaleRun(ctx, cfg.N, cal.Compensation, eta); err != nil {
-		return nil, nil, err
-	}
-	res.Agree = res.Baseline.Verdict() == res.Target.Verdict()
+		// The table carries only seed-determined quantities (virtual
+		// detection time, event counts), so the structured JSON document of
+		// a seeded run is byte-identical across repetitions.
+		t := &Table{
+			Title: "Scale — expulsion verdict at baseline vs large population (message-mode reputation)",
+			Columns: []string{"population", "freeriders", "expelled", "honest expelled",
+				"mean detection", "events", "overhead", "dup serves",
+				"goodput", "lag", "jitter", "verdict"},
+		}
+		for _, r := range []scalePop{baseline, target} {
+			t.AddRow(
+				F(float64(r.N), 0),
+				F(float64(r.Freeriders), 0),
+				F(float64(r.FreeridersExpelled), 0),
+				F(float64(r.HonestExpelled), 0),
+				r.DetectionMean.Round(time.Millisecond).String(),
+				F(float64(r.Events), 0),
+				Pct(r.Overhead()),
+				Pct(r.DupRatio()),
+				F(float64(r.GoodputBytes), 0)+" B",
+				r.StreamLag().Round(time.Millisecond).String(),
+				r.StreamJitter().Round(time.Millisecond).String(),
+				r.Verdict(),
+			)
+		}
+		agreeNote := "yes"
+		if !agree {
+			agreeNote = "NO"
+		}
+		t.Notes = append(t.Notes,
+			"verdicts agree: "+agreeNote,
+			"b̃ = "+F(cal.Compensation, 2)+" blame/period and η = "+F(eta, 2)+" calibrated once at baseline scale (per-node traffic depends on f, not N)",
+			"all blames and expulsions travel as messages to each target's M managers; manager assignment served from the epoch cache",
+			"overhead = verification bytes / dissemination bytes (Table 5's metric); dup serves = share of received serves the node already held",
+			"goodput = verified payload bytes first-delivered over the content plane; lag = mean source-to-receiver chunk delay; jitter = mean inter-arrival deviation from the chunk interval")
+		out.addTable(obs, t)
+		out.addMetric("target-freeriders-expelled", float64(target.FreeridersExpelled))
+		out.addMetric("target-honest-expelled", float64(target.HonestExpelled))
+		out.addMetric("target-overhead", target.Overhead())
+		out.addMetric("target-dup-ratio", target.DupRatio())
+		out.addMetric("target-goodput-bytes", float64(target.GoodputBytes))
+		out.addMetric("target-stream-lag", target.StreamLag().Seconds())
+		out.addMetric("target-stream-jitter", target.StreamJitter().Seconds())
+		out.MetricsSnapshots = snaps
 
-	// The table carries only seed-determined quantities (virtual detection
-	// time, event counts), so the structured JSON document of a seeded run
-	// is byte-identical across repetitions.
-	t := &Table{
-		Title: "Scale — expulsion verdict at baseline vs large population (message-mode reputation)",
-		Columns: []string{"population", "freeriders", "expelled", "honest expelled",
-			"mean detection", "events", "overhead", "dup serves",
-			"goodput", "lag", "jitter", "verdict"},
-	}
-	for _, r := range []ScaleRun{res.Baseline, res.Target} {
-		t.AddRow(
-			F(float64(r.N), 0),
-			F(float64(r.Freeriders), 0),
-			F(float64(r.FreeridersExpelled), 0),
-			F(float64(r.HonestExpelled), 0),
-			r.DetectionMean.Round(time.Millisecond).String(),
-			F(float64(r.Events), 0),
-			Pct(r.Overhead()),
-			Pct(r.DupRatio()),
-			F(float64(r.GoodputBytes), 0)+" B",
-			r.StreamLag().Round(time.Millisecond).String(),
-			r.StreamJitter().Round(time.Millisecond).String(),
-			r.Verdict(),
-		)
-	}
-	agree := "yes"
-	if !res.Agree {
-		agree = "NO"
-	}
-	t.Notes = append(t.Notes,
-		"verdicts agree: "+agree,
-		"b̃ = "+F(cal.Compensation, 2)+" blame/period and η = "+F(eta, 2)+" calibrated once at baseline scale (per-node traffic depends on f, not N)",
-		"all blames and expulsions travel as messages to each target's M managers; manager assignment served from the epoch cache",
-		"overhead = verification bytes / dissemination bytes (Table 5's metric); dup serves = share of received serves the node already held",
-		"goodput = verified payload bytes first-delivered over the content plane; lag = mean source-to-receiver chunk delay; jitter = mean inter-arrival deviation from the chunk interval")
-	return t, res, nil
+		// The scale workload uses 4x chunks (fewer, larger serves), so its
+		// verification overhead is NOT Table 5's figure — but it must stay
+		// in the same order of magnitude, and the stream must be
+		// overwhelmingly useful traffic.
+		if o := target.Overhead(); o <= 0 || o >= 0.25 {
+			out.fail("target verification overhead %.2f%% outside (0%%, 25%%)", 100*o)
+		}
+		if d := target.DupRatio(); d >= 0.5 {
+			out.fail("duplicate serves are the majority of received serves: %.2f%%", 100*d)
+		}
+		// QoE oracles: the content plane must actually deliver verified
+		// payload, with first arrivals trailing the source by less than the
+		// run and spacing close to the chunk interval.
+		period := cfg.scaleOptions(cfg.N).Gossip.Period
+		for _, r := range []scalePop{baseline, target} {
+			if r.GoodputBytes == 0 {
+				out.fail("scale N=%d delivered no verified payload (goodput 0)", r.N)
+			}
+			if lag := r.StreamLag(); lag <= 0 || lag >= cfg.Duration {
+				out.fail("scale N=%d mean stream lag %s outside (0, %s)", r.N, lag, cfg.Duration)
+			}
+			if jit := r.StreamJitter(); jit >= period {
+				out.fail("scale N=%d mean jitter %s >= gossip period %s", r.N, jit, period)
+			}
+		}
+		// The gate is the expected verdict at BOTH populations, not mere
+		// agreement: two identically-broken runs must still fail. The
+		// threshold sits below zero and the cohort is caught within the run.
+		for _, r := range []scalePop{baseline, target} {
+			if !r.CohortExpelled() || !r.HonestClean() {
+				out.fail("scale N=%d verdict %q, want cohort expelled and honest clean", r.N, r.Verdict())
+			}
+		}
+		if !agree {
+			out.fail("scale verdict mismatch: baseline %q vs N=%d %q", baseline.Verdict(), target.N, target.Verdict())
+		}
+		if eta >= 0 {
+			out.fail("calibrated η = %.2f, want negative", eta)
+		}
+		if d := target.DetectionMean; d <= 0 || d > cfg.Duration {
+			out.fail("scale N=%d mean detection %s outside (0, %s]", target.N, d, cfg.Duration)
+		}
+		// The periodic metrics section: sampled every snapshotEvery periods,
+		// increasing in period and cumulative in useful chunks, with every
+		// traffic and QoE count accounted by the end.
+		if len(snaps) < 2 {
+			out.fail("target run produced %d metrics snapshots, want ≥ 2", len(snaps))
+			return nil
+		}
+		for i := 1; i < len(snaps); i++ {
+			if snaps[i].Period <= snaps[i-1].Period || snaps[i].UsefulChunks < snaps[i-1].UsefulChunks {
+				out.fail("metrics snapshot %d (period %d) not after snapshot %d (period %d) or not cumulative",
+					i, snaps[i].Period, i-1, snaps[i-1].Period)
+			}
+		}
+		if last := snaps[len(snaps)-1]; last.UsefulChunks == 0 || last.ProtocolBytes == 0 || last.VerificationBytes == 0 ||
+			last.GoodputBytes == 0 || last.StreamLagMeanNs == 0 {
+			out.fail("final metrics snapshot lacks traffic or QoE accounting: %+v", last)
+		}
+		return nil
+	},
 }

@@ -10,77 +10,20 @@ import (
 	"lifting/internal/cluster"
 )
 
-// TestScaleVerdictScaleInvariant runs the scale workload at a reduced
-// target population: the expulsion verdict — whole freerider cohort out,
-// no honest casualties — must match the 300-node baseline's. The 10k-node
-// target is exercised by `lifting-sim scale` and the CI smoke step; here it
-// would dominate the package's test time.
+// TestScaleVerdictScaleInvariant runs the scale workload at the -quick
+// target population (600 in -short mode): the verdict asks for the
+// 300-node baseline's expulsion outcome at both sizes, the QoE bounds and a
+// well-formed metrics section. The 10k-node target is exercised by
+// `lifting-sim scale` and the CI smoke step; here it would dominate the
+// package's test time. The snapshot carries the JSON keys the document
+// schema promises.
 func TestScaleVerdictScaleInvariant(t *testing.T) {
-	cfg := DefaultScaleConfig()
-	cfg.N = 1000
+	p := quick()
 	if testing.Short() {
-		cfg.N = 600
+		p.N = 600
 	}
-	_, res, err := Scale(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Agree {
-		t.Fatalf("verdicts disagree: baseline %q vs target %q", res.Baseline.Verdict(), res.Target.Verdict())
-	}
-	for _, run := range []ScaleRun{res.Baseline, res.Target} {
-		if !run.CohortExpelled() {
-			t.Errorf("N=%d: %d/%d freeriders expelled", run.N, run.FreeridersExpelled, run.Freeriders)
-		}
-		if !run.HonestClean() {
-			t.Errorf("N=%d: %d honest nodes expelled", run.N, run.HonestExpelled)
-		}
-	}
-	if res.Eta >= 0 {
-		t.Fatalf("calibrated η = %v, want negative", res.Eta)
-	}
-	if res.Target.DetectionMean <= 0 || res.Target.DetectionMean > cfg.Duration {
-		t.Fatalf("mean detection %v outside the run", res.Target.DetectionMean)
-	}
-
-	// Content-plane QoE: the stream carries real verified payload, arrivals
-	// trail the source by less than the run, and spacing stays within a
-	// gossip period of the chunk interval.
-	period := cfg.scaleOptions(cfg.N).Gossip.Period
-	for _, run := range []ScaleRun{res.Baseline, res.Target} {
-		if run.GoodputBytes == 0 {
-			t.Errorf("N=%d: no goodput", run.N)
-		}
-		if lag := run.StreamLag(); lag <= 0 || lag >= cfg.Duration {
-			t.Errorf("N=%d: mean stream lag %v outside (0, %v)", run.N, lag, cfg.Duration)
-		}
-		if jit := run.StreamJitter(); jit >= period {
-			t.Errorf("N=%d: mean jitter %v >= period %v", run.N, jit, period)
-		}
-	}
-
-	// The periodic metrics section: sampled every snapshotEvery periods,
-	// monotone in period and in every cumulative count, with the JSON keys
-	// the document schema promises.
-	snaps := res.TargetSnapshots
-	if len(snaps) < 2 {
-		t.Fatalf("target run produced %d snapshots", len(snaps))
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].Period <= snaps[i-1].Period {
-			t.Fatalf("snapshot periods not increasing: %d then %d", snaps[i-1].Period, snaps[i].Period)
-		}
-		if snaps[i].UsefulChunks < snaps[i-1].UsefulChunks {
-			t.Fatalf("useful chunks not cumulative at snapshot %d", i)
-		}
-	}
-	last := snaps[len(snaps)-1]
-	if last.UsefulChunks == 0 || last.ProtocolBytes == 0 || last.VerificationBytes == 0 {
-		t.Fatalf("final snapshot empty: %+v", last)
-	}
-	if last.GoodputBytes == 0 || last.StreamLagMeanNs == 0 {
-		t.Fatalf("final snapshot has no QoE accounting: %+v", last)
-	}
+	res := passes(t, "scale", p)
+	last := res.MetricsSnapshots[len(res.MetricsSnapshots)-1]
 	encoded, err := json.Marshal(last)
 	if err != nil {
 		t.Fatal(err)
@@ -100,15 +43,13 @@ func TestScaleVerdictScaleInvariant(t *testing.T) {
 // engine shards must produce identical results — same expulsions, same
 // virtual detection times, same event count.
 func TestScaleShardInvariant(t *testing.T) {
-	cfg := DefaultScaleConfig()
-	cfg.N = 600
-	cfg.Duration = 15 * time.Second
+	cfg := ScaleConfig{N: 600, Duration: 15 * time.Second, Seed: scale.DefaultParams.Seed}
 	cal, err := cluster.Calibrate(context.Background(), cfg.scaleOptions(scaleBaselineN), cfg.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eta := -10 * cal.ScoreStd
-	var ref ScaleRun
+	var ref scalePop
 	var refSnaps []byte
 	for i, s := range []int{1, 2, 8} {
 		cfg.Shards = s
@@ -155,14 +96,7 @@ func TestScaleShortDuration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by TestScaleVerdictScaleInvariant in short mode")
 	}
-	cfg := DefaultScaleConfig()
-	cfg.N = 800
-	cfg.Duration = 15 * time.Second
-	_, res, err := Scale(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Agree || !res.Target.CohortExpelled() || !res.Target.HonestClean() {
-		t.Fatalf("15s run verdict broke: agree=%v target=%q", res.Agree, res.Target.Verdict())
-	}
+	p := DefaultParams()
+	p.N, p.Duration = 800, 15*time.Second
+	passes(t, "scale", p)
 }

@@ -140,38 +140,6 @@ func QuickSoakConfig() SoakConfig {
 	return cfg
 }
 
-// SoakResult aggregates one soak run.
-type SoakResult struct {
-	N int
-	// The run's tally: the cohort size and the expulsion split (cohort, live
-	// honest, departed-then-expelled), goodput and overhead.
-	tallyResult
-	Joined, Departed int
-	Handoffs         int
-	// PlanEvents and ChaosApplied pin schedule execution: every generated
-	// fault event must actually have fired.
-	PlanEvents   int
-	ChaosApplied int
-	// CrashCycles/PartitionEpisodes/LossBurstEpisodes/SkewedNodes describe
-	// the generated plan (each episode is an apply+heal event pair).
-	CrashCycles       int
-	PartitionEpisodes int
-	LossBurstEpisodes int
-	SkewedNodes       int
-	// PeriodsChecked is how many period snapshots the standing invariants
-	// ran against; MaxTracked is the largest per-manager tracked-target
-	// count ever observed.
-	PeriodsChecked int
-	MaxTracked     int
-	// Violations lists every standing-invariant violation, in period order.
-	Violations []string
-	// Compensation and Eta are the calibrated b̃ and threshold.
-	Compensation, Eta float64
-	// Snapshots are the periodic metrics snapshots (every snapshotEvery
-	// periods) — the JSON document's metrics_snapshots section.
-	Snapshots []metrics.Snapshot
-}
-
 // etaFloor returns the configured or attack-specific threshold floor.
 func (cfg SoakConfig) etaFloor() float64 {
 	if cfg.EtaFloor > 0 {
@@ -358,108 +326,159 @@ func (k *soakChecker) recovery(plan *chaos.Plan, period time.Duration, recoveryP
 	}
 }
 
-// Soak runs the soak workload: calibrate a threshold on an honest
+// soak runs the soak workload: calibrate a threshold on an honest
 // chaos-free pilot, then stream under churn, the configured attack and the
 // generated fault plan, with the standing invariants checked at every score
-// period. Cancelling ctx aborts the run.
-func Soak(ctx context.Context, cfg SoakConfig) (*Table, *SoakResult, error) {
-	co, err := cfg.cohort()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Draw the departure set before generating the fault plan: a node that
-	// leaves voluntarily cannot also crash or sit in a partition minority,
-	// so the plan's candidates are the honest stayers. The adversary cohort
-	// and the source stay out too — their fates are what the oracles
-	// assert, so a fault must never be an alternative explanation.
-	leavers := co.drawLeavers(rng.New(cfg.Seed).Derive("soak-churn"), cfg.Leaves)
-	candidates := make([]msg.NodeID, 0, int(co.first())-1-len(leavers))
-	for id := msg.NodeID(1); id < co.first(); id++ {
-		if !slices.Contains(leavers, id) {
-			candidates = append(candidates, id)
+// period — DefaultSoakConfig, or QuickSoakConfig under -quick. -filter
+// selects the attack: freeride, or a matrix scenario such as blame-spam or
+// period-stretch. Cancelling ctx aborts the run.
+var soak = Experiment{
+	Name: "soak", Paper: "beyond the paper — fault-plane soak",
+	Describe: "churn + one attack + a seeded fault schedule under standing invariant checkers",
+	DefaultParams: Params{N: DefaultSoakConfig().N, Seed: DefaultSoakConfig().Seed,
+		Duration: DefaultSoakConfig().Duration, Delta: -1, Pdcc: -1},
+	quick: Params{N: QuickSoakConfig().N, Duration: QuickSoakConfig().Duration},
+	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
+		cfg := DefaultSoakConfig()
+		if p.Quick {
+			cfg = QuickSoakConfig()
 		}
-	}
-	faults := cfg.Faults
-	faults.Seed, faults.Duration, faults.Candidates = cfg.Seed, cfg.Duration, candidates
-	plan := chaos.Generate(faults)
+		cfg.N, cfg.Seed, cfg.Duration = p.N, p.Seed, p.Duration
+		cfg.Backend = p.backend()
+		cfg.Shards = p.Shards
+		if p.Filter != "" {
+			cfg.Attack = p.Filter
+		}
+		co, err := cfg.cohort()
+		if err != nil {
+			return err
+		}
 
-	// Calibrate on the clean configuration: b̃ and σ describe honest
-	// behavior on the healthy network; the faults are what the threshold
-	// must then tolerate. 16σ: a 25% correlated loss burst costs a victim
-	// ≈10σ of transient blame before it amortizes (blame grows
-	// superlinearly with loss), while δ = 0.7 freeriders sit several times
-	// deeper by grace expiry.
-	opts := cfg.soakOptions(co)
-	cal, eta, err := calibrate(ctx, opts, cfg.Duration, 16, cfg.etaFloor())
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Chaos = plan
-	opts.Rep.Compensation = cal.Compensation
-	opts.Rep.Eta = eta
-	opts.ExpelOnDetection = true
+		// Draw the departure set before generating the fault plan: a node
+		// that leaves voluntarily cannot also crash or sit in a partition
+		// minority, so the plan's candidates are the honest stayers. The
+		// adversary cohort and the source stay out too — their fates are
+		// what the oracles assert, so a fault must never be an alternative
+		// explanation.
+		leavers := co.drawLeavers(rng.New(cfg.Seed).Derive("soak-churn"), cfg.Leaves)
+		candidates := make([]msg.NodeID, 0, int(co.first())-1-len(leavers))
+		for id := msg.NodeID(1); id < co.first(); id++ {
+			if !slices.Contains(leavers, id) {
+				candidates = append(candidates, id)
+			}
+		}
+		faults := cfg.Faults
+		faults.Seed, faults.Duration, faults.Candidates = cfg.Seed, cfg.Duration, candidates
+		plan := chaos.Generate(faults)
 
-	chk := newSoakChecker(cfg.N + cfg.Joins)
-	var c *cluster.Cluster
-	opts.OnPeriodSnapshot = func(p msg.Period, snap metrics.Snapshot) {
-		chk.check(p, snap, c.MaxTrackedPerManager())
-	}
-	// Churn rides the same middle-half window as the fault plan: the soak's
-	// point is everything at once.
-	c = launch(opts, cfg.Duration, nil)
-	scheduleChurn(c, cfg.Duration, cfg.Joins, leavers)
-	if err := advance(ctx, c, nil, cfg.Duration+2*opts.Gossip.Period); err != nil {
-		return nil, nil, err
-	}
-	chk.recovery(plan, opts.Gossip.Period, cfg.RecoveryPeriods)
+		// Calibrate on the clean configuration: b̃ and σ describe honest
+		// behavior on the healthy network; the faults are what the
+		// threshold must then tolerate. 16σ: a 25% correlated loss burst
+		// costs a victim ≈10σ of transient blame before it amortizes (blame
+		// grows superlinearly with loss), while δ = 0.7 freeriders sit
+		// several times deeper by grace expiry.
+		opts := cfg.soakOptions(co)
+		cal, eta, err := calibrate(ctx, opts, cfg.Duration, 16, cfg.etaFloor())
+		if err != nil {
+			return err
+		}
+		opts.Chaos = plan
+		opts.Rep.Compensation = cal.Compensation
+		opts.Rep.Eta = eta
+		opts.ExpelOnDetection = true
 
-	counts := plan.Counts()
-	res := &SoakResult{
-		N:                 cfg.N,
-		tallyResult:       tally(c, co),
-		Joined:            len(c.Joined),
-		Departed:          len(c.Departed),
-		Handoffs:          c.Handoffs(),
-		PlanEvents:        len(plan.Events),
-		ChaosApplied:      c.ChaosApplied(),
-		CrashCycles:       counts[chaos.Crash],
-		PartitionEpisodes: counts[chaos.Partition],
-		LossBurstEpisodes: counts[chaos.LossBurst],
-		SkewedNodes:       len(plan.Skew),
-		PeriodsChecked:    chk.periods,
-		MaxTracked:        chk.maxTracked,
-		Violations:        chk.violations,
-		Compensation:      cal.Compensation,
-		Eta:               eta,
-		Snapshots:         chk.snaps,
-	}
+		maxPop := cfg.N + cfg.Joins
+		chk := newSoakChecker(maxPop)
+		var c *cluster.Cluster
+		opts.OnPeriodSnapshot = func(p msg.Period, snap metrics.Snapshot) {
+			chk.check(p, snap, c.MaxTrackedPerManager())
+		}
+		// Churn rides the same middle-half window as the fault plan: the
+		// soak's point is everything at once.
+		c = launch(opts, cfg.Duration, nil)
+		scheduleChurn(c, cfg.Duration, cfg.Joins, leavers)
+		if err := advance(ctx, c, nil, cfg.Duration+2*opts.Gossip.Period); err != nil {
+			return err
+		}
+		chk.recovery(plan, opts.Gossip.Period, cfg.RecoveryPeriods)
 
-	t := &Table{
-		Title:   "Soak — churn + " + cfg.Attack + " + fault plan under standing invariants (backend " + cfg.Backend.String() + ")",
-		Columns: []string{"quantity", "value"},
-	}
-	t.AddRow("population / cohort", F(float64(cfg.N), 0)+" / "+F(float64(res.Freeriders), 0))
-	t.AddRow("joined / departed", F(float64(res.Joined), 0)+" / "+F(float64(res.Departed), 0))
-	t.AddRow("fault events applied", F(float64(res.ChaosApplied), 0)+" of "+F(float64(res.PlanEvents), 0))
-	t.AddRow("crash cycles / partitions / bursts",
-		F(float64(res.CrashCycles), 0)+" / "+F(float64(res.PartitionEpisodes), 0)+" / "+F(float64(res.LossBurstEpisodes), 0))
-	t.AddRow("skewed clocks", F(float64(res.SkewedNodes), 0))
-	t.AddRow("manager handoffs", F(float64(res.Handoffs), 0))
-	t.AddRow("cohort expelled", F(float64(res.FreeridersExpelled), 0)+" of "+F(float64(res.Freeriders), 0))
-	t.AddRow("honest expelled (live / departed)",
-		F(float64(res.HonestExpelled), 0)+" / "+F(float64(res.DepartedExpelled), 0))
-	t.AddRow("periods checked", F(float64(res.PeriodsChecked), 0))
-	t.AddRow("max tracked per manager", F(float64(res.MaxTracked), 0))
-	t.AddRow("invariant violations", F(float64(len(res.Violations)), 0))
-	t.AddRow("goodput", F(float64(res.GoodputBytes), 0)+" B")
-	t.AddRow("overhead", Pct(res.Overhead()))
-	t.Notes = append(t.Notes,
-		"b̃ = "+F(cal.Compensation, 2)+" blame/period and η = "+F(eta, 2)+" calibrated on an honest chaos-free pilot",
-		"standing invariants, checked at every score period: counters monotone, sent ≥ recv + dropped per kind, per-manager state bounded by the population, goodput recovering within "+F(float64(cfg.RecoveryPeriods), 0)+" periods of every heal",
-		"fault candidates are honest stayers only: a crash must never be an alternative explanation for a verdict the oracles assert")
-	for _, v := range res.Violations {
-		t.Notes = append(t.Notes, "VIOLATION: "+v)
-	}
-	return t, res, nil
+		res := tally(c, co)
+		counts := plan.Counts()
+		joined, departed, handoffs := len(c.Joined), len(c.Departed), c.Handoffs()
+		planEvents, applied := len(plan.Events), c.ChaosApplied()
+		t := &Table{
+			Title:   "Soak — churn + " + cfg.Attack + " + fault plan under standing invariants (backend " + cfg.Backend.String() + ")",
+			Columns: []string{"quantity", "value"},
+		}
+		t.AddRow("population / cohort", F(float64(cfg.N), 0)+" / "+F(float64(res.Freeriders), 0))
+		t.AddRow("joined / departed", F(float64(joined), 0)+" / "+F(float64(departed), 0))
+		t.AddRow("fault events applied", F(float64(applied), 0)+" of "+F(float64(planEvents), 0))
+		t.AddRow("crash cycles / partitions / bursts",
+			F(float64(counts[chaos.Crash]), 0)+" / "+F(float64(counts[chaos.Partition]), 0)+" / "+F(float64(counts[chaos.LossBurst]), 0))
+		t.AddRow("skewed clocks", F(float64(len(plan.Skew)), 0))
+		t.AddRow("manager handoffs", F(float64(handoffs), 0))
+		t.AddRow("cohort expelled", F(float64(res.FreeridersExpelled), 0)+" of "+F(float64(res.Freeriders), 0))
+		t.AddRow("honest expelled (live / departed)",
+			F(float64(res.HonestExpelled), 0)+" / "+F(float64(res.DepartedExpelled), 0))
+		t.AddRow("periods checked", F(float64(chk.periods), 0))
+		t.AddRow("max tracked per manager", F(float64(chk.maxTracked), 0))
+		t.AddRow("invariant violations", F(float64(len(chk.violations)), 0))
+		t.AddRow("goodput", F(float64(res.GoodputBytes), 0)+" B")
+		t.AddRow("overhead", Pct(res.Overhead()))
+		t.Notes = append(t.Notes,
+			"b̃ = "+F(cal.Compensation, 2)+" blame/period and η = "+F(eta, 2)+" calibrated on an honest chaos-free pilot",
+			"standing invariants, checked at every score period: counters monotone, sent ≥ recv + dropped per kind, per-manager state bounded by the population, goodput recovering within "+F(float64(cfg.RecoveryPeriods), 0)+" periods of every heal",
+			"fault candidates are honest stayers only: a crash must never be an alternative explanation for a verdict the oracles assert")
+		for _, v := range chk.violations {
+			t.Notes = append(t.Notes, "VIOLATION: "+v)
+		}
+		out.addTable(obs, t)
+		out.addMetric("chaos-events", float64(applied))
+		out.addMetric("joined", float64(joined))
+		out.addMetric("departed", float64(departed))
+		out.addMetric("handoffs", float64(handoffs))
+		out.addMetric("freeriders-expelled", float64(res.FreeridersExpelled))
+		out.addMetric("honest-expelled", float64(res.HonestExpelled))
+		out.addMetric("max-tracked-per-manager", float64(chk.maxTracked))
+		out.addMetric("invariant-violations", float64(len(chk.violations)))
+		out.addMetric("goodput-bytes", float64(res.GoodputBytes))
+		out.MetricsSnapshots = chk.snaps
+
+		// The standing invariants are the verdict: any per-period violation
+		// fails the run, as does a fault plan that is empty or did not fully
+		// execute, churn that did not happen, manager state beyond the
+		// population ever present, or a stream that delivered nothing.
+		for _, v := range chk.violations {
+			out.fail("invariant violated: %s", v)
+		}
+		if planEvents == 0 {
+			out.fail("fault plan empty — the soak soaked nothing")
+		}
+		if applied != planEvents {
+			out.fail("fault plan incomplete: applied %d of %d events", applied, planEvents)
+		}
+		if joined == 0 || departed == 0 {
+			out.fail("churn did not run: joined %d, departed %d", joined, departed)
+		}
+		if chk.maxTracked > maxPop {
+			out.fail("per-manager state unbounded: %d tracked, population ever %d", chk.maxTracked, maxPop)
+		}
+		if res.GoodputBytes == 0 {
+			out.fail("soak delivered no verified payload (goodput 0)")
+		}
+		if len(chk.snaps) == 0 {
+			out.fail("no metrics snapshots recorded")
+		}
+		// Detection oracles: honest nodes survive every fault; the freerider
+		// cohort does not (cohort expulsion is only asserted for the
+		// freeride attack — bad-mouthers are undetectable by construction
+		// and stretchers are an audit subject).
+		if !res.HonestClean() {
+			out.fail("%d live honest nodes expelled under the fault plan, want 0", res.HonestExpelled)
+		}
+		if cfg.Attack == "freeride" && !res.CohortExpelled() {
+			out.fail("freerider cohort not fully expelled: %d of %d", res.FreeridersExpelled, res.Freeriders)
+		}
+		return nil
+	},
 }

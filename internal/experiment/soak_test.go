@@ -1,106 +1,48 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
-
-	"lifting/internal/runtime"
 )
 
-// TestSoakQuickVerdict pins the soak's acceptance contract on the sim
-// backend: the full fault plan executes, the standing invariants hold at
-// every period, honest nodes survive every crash/partition/burst, and the
-// freerider cohort is still expelled.
-func TestSoakQuickVerdict(t *testing.T) {
-	cfg := QuickSoakConfig()
-	_, res, err := Soak(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ChaosApplied != res.PlanEvents {
-		t.Errorf("fault plan incomplete: applied %d of %d events", res.ChaosApplied, res.PlanEvents)
-	}
-	if res.PlanEvents == 0 {
-		t.Error("fault plan empty — the soak soaked nothing")
-	}
-	for _, v := range res.Violations {
-		t.Errorf("standing invariant violated: %s", v)
-	}
-	if !res.HonestClean() {
-		t.Errorf("%d live honest nodes expelled, want 0", res.HonestExpelled)
-	}
-	if !res.CohortExpelled() {
-		t.Errorf("freerider cohort not fully expelled: %d of %d", res.FreeridersExpelled, res.Freeriders)
-	}
-	if res.Joined == 0 || res.Departed == 0 {
-		t.Errorf("churn did not run: joined %d, departed %d", res.Joined, res.Departed)
-	}
-	if res.GoodputBytes == 0 {
-		t.Error("no verified payload delivered")
-	}
-	if res.MaxTracked > cfg.N+cfg.Joins {
-		t.Errorf("per-manager state unbounded: %d tracked, population ever %d", res.MaxTracked, cfg.N+cfg.Joins)
-	}
-	if len(res.Snapshots) == 0 {
-		t.Error("no metrics snapshots recorded")
-	}
-}
+// TestSoakQuickVerdict: the soak's acceptance contract on the sim backend is
+// its verdict — the full fault plan executes, churn runs, the standing
+// invariants hold at every period, honest nodes survive every
+// crash/partition/burst, and the freerider cohort is still expelled.
+func TestSoakQuickVerdict(t *testing.T) { passes(t, "soak", quick()) }
 
 // TestSoakShardInvariant runs the same quick soak on 1 and 4 engine shards
-// and requires identical results — the fault plane applies everything from
+// and requires identical documents — the fault plane applies everything from
 // the engine's global phase, so sharding must not change a single byte.
 func TestSoakShardInvariant(t *testing.T) {
-	run := func(shards int) []byte {
-		cfg := QuickSoakConfig()
-		cfg.Shards = shards
-		_, res, err := Soak(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := run(1), run(4)
-	if string(a) != string(b) {
-		t.Fatalf("soak diverged across shard counts:\n--- 1 shard ---\n%s\n--- 4 shards ---\n%s", a, b)
+	p := quick()
+	p.Shards = 1
+	one := encodeRun(t, "soak", p)
+	p.Shards = 4
+	if four := encodeRun(t, "soak", p); !bytes.Equal(one, four) {
+		t.Fatalf("soak diverged across shard counts:\n--- 1 shard ---\n%s--- 4 shards ---\n%s", one, four)
 	}
 }
 
 // TestSoakUnknownAttack pins the attack-name validation.
 func TestSoakUnknownAttack(t *testing.T) {
-	cfg := QuickSoakConfig()
-	cfg.Attack = "ddos"
-	if _, _, err := Soak(context.Background(), cfg); err == nil {
+	p := quick()
+	p.Filter = "ddos"
+	if _, err := soak.Run(context.Background(), p, nil); err == nil {
 		t.Fatal("unknown attack accepted")
 	}
 }
 
-// TestSoakAltAttacks runs the two non-default attacks briefly: the soak
-// must hold its no-honest-expulsion invariant under bad-mouthing, and the
-// stretch cohort must not destabilize the stream.
+// TestSoakAltAttacks runs the two non-default attacks: the soak must hold
+// its standing invariants and its no-honest-expulsion oracle under
+// bad-mouthing, and the stretch cohort must not destabilize the stream.
 func TestSoakAltAttacks(t *testing.T) {
 	for _, attack := range []string{"blame-spam", "period-stretch"} {
 		t.Run(attack, func(t *testing.T) {
-			cfg := QuickSoakConfig()
-			cfg.Attack = attack
-			cfg.Backend = runtime.KindSim
-			_, res, err := Soak(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("standing invariant violated: %s", v)
-			}
-			if !res.HonestClean() {
-				t.Errorf("%d live honest nodes expelled under %s, want 0", res.HonestExpelled, attack)
-			}
-			if res.GoodputBytes == 0 {
-				t.Error("no verified payload delivered")
-			}
+			p := quick()
+			p.Filter = attack
+			passes(t, "soak", p)
 		})
 	}
 }
