@@ -36,8 +36,8 @@ lint:
 # (its status callback runs on HTTP handler goroutines, concurrently with the
 # node) and the lifting-node daemon's in-process runs, whose /status reads the
 # cluster from those goroutines — one across a -soak crash and restart of its
-# own node, which replaces the manager /status reads (its subprocess tests
-# stay out).
+# own node, which takes the manager /status reads away and builds a fresh one
+# (its subprocess tests stay out).
 race:
 	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/ ./internal/obs/
 	$(GO) test -race -run '^TestRun' ./cmd/lifting-node/

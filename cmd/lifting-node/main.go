@@ -265,9 +265,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 			}
 			// The local manager's copies: a partial view, since the
 			// authoritative score is the min-vote over all M copies. A
-			// restart replaces the manager, so it is looked up per scrape.
-			for target, score := range c.Manager(self).Scores() {
-				st.Scores = append(st.Scores, obs.Score{Node: uint32(target), Score: score})
+			// crash takes the manager away and the restart builds a new
+			// one, so it is looked up per scrape, and a node that is down
+			// shows no scores.
+			if mgr := c.Manager(self); mgr != nil {
+				for target, score := range mgr.Scores() {
+					st.Scores = append(st.Scores, obs.Score{Node: uint32(target), Score: score})
+				}
 			}
 			sort.Slice(st.Scores, func(i, j int) bool { return st.Scores[i].Node < st.Scores[j].Node })
 			return st

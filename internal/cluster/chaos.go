@@ -76,8 +76,9 @@ func (c *Cluster) applyChaosConditionsAll() {
 }
 
 // crash takes node id down hard: off the membership and the network, its
-// process state (gossip history, pending blames, its manager replica's
-// clock) frozen. The node's own score lives on its remote managers and is
+// process state (gossip history, pending blames) frozen, and its manager
+// replica out of Managers once the handoff has read it; the restart builds
+// a fresh one. The node's own score lives on its remote managers and is
 // untouched. A deployment tears down only its own node; a remote victim
 // leaves this process's directory and goes down on its network. No-op for
 // nodes already gone.

@@ -17,7 +17,6 @@ package cluster
 import (
 	"context"
 	"maps"
-	"math"
 	gort "runtime"
 	"sort"
 	"sync"
@@ -49,7 +48,7 @@ const (
 	// BlameDirect hands blames by function call to one keeper, a manager
 	// nobody sends to — the idealized reputation used by the large-scale
 	// score experiments (equivalent to min-vote over loss-free managers). It
-	// decides at period boundaries, and only under ExpelOnDetection.
+	// decides at period boundaries.
 	BlameDirect BlameMode = iota + 1
 	// BlameMessages routes blames as messages to each target's M managers,
 	// as deployed on PlanetLab (§7).
@@ -174,9 +173,12 @@ type Cluster struct {
 	// Content is the stream's canonical payload source. Its memoized slices
 	// are shared by every node's store, so large populations hold one copy
 	// of the stream.
-	Content  *content.Source
-	Nodes    map[msg.NodeID]*gossip.Node
-	Managers map[msg.NodeID]*reputation.Manager // message mode; empty in direct mode
+	Content *content.Source
+	Nodes   map[msg.NodeID]*gossip.Node
+	// Managers holds the manager replicas of the members this cluster hosts
+	// (message mode; empty in direct mode). A removal takes the node's
+	// replica out; a restart builds a fresh one.
+	Managers map[msg.NodeID]*reputation.Manager
 	Playouts map[msg.NodeID]*stream.Playout
 	// Expelled records when each node was expelled (virtual time).
 	Expelled map[msg.NodeID]time.Duration
@@ -214,13 +216,13 @@ type Cluster struct {
 	rebalanceFull bool // ...and must rescan every assignment (a join)
 
 	// Message-mode rebalance bookkeeping: the manager set last applied per
-	// target, its reverse index (manager -> targets it manages), and the
-	// nodes removed since the last rebalance. Together they make a
-	// removal-triggered rebalance O(affected targets) instead of O(N·M):
-	// only the departed managers' targets can change assignment.
+	// target (a Directory.Managers slice, shared and read-only), and the
+	// nodes removed since the last rebalance with the replica each one's
+	// removal took out of Managers (nil where this cluster hosts none). A
+	// removal-only rebalance hands off just the targets whose applied set
+	// names a removed node.
 	lastMgrs       map[msg.NodeID][]msg.NodeID
-	mgrTargets     map[msg.NodeID]map[msg.NodeID]bool
-	pendingRemoved []msg.NodeID
+	pendingRemoved map[msg.NodeID]*reputation.Manager
 
 	// Fault-plane state (guarded by mu): the plan's standing faults, the
 	// nodes this harness has torn down for a crash and not yet re-admitted,
@@ -278,7 +280,6 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		root:       rng.New(opts.Seed),
 		nextID:     msg.NodeID(opts.N),
 		lastMgrs:   make(map[msg.NodeID][]msg.NodeID),
-		mgrTargets: make(map[msg.NodeID]map[msg.NodeID]bool),
 
 		faults:     chaos.NewOverlay(),
 		crashedNow: make(map[msg.NodeID]bool),
@@ -319,9 +320,6 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		kcfg := opts.Rep
 		kcfg.M = 0
 		kcfg.OnExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expel(target) }
-		if !opts.ExpelOnDetection {
-			kcfg.Eta = math.Inf(-1)
-		}
 		c.keeper = reputation.NewManager(0, kcfg, nil, c.Dir)
 	}
 
@@ -431,7 +429,7 @@ func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
 	}
 	set := c.Dir.Managers(id, c.Opts.Rep.M)
 	c.mu.Lock()
-	c.setAssignmentLocked(id, set)
+	c.lastMgrs[id] = set
 	mgrs := make([]*reputation.Manager, 0, len(set))
 	for _, m := range set {
 		if mgr, ok := c.Managers[m]; ok {
@@ -633,12 +631,6 @@ func (c *Cluster) tick(p msg.Period) {
 	mgrIDs := make([]msg.NodeID, 0, len(c.Managers))
 	//lint:allow ordered-map-range collect-then-sort: ids are sorted before the period fan-out
 	for id := range c.Managers {
-		// A crashed node's manager replica is frozen, not authoritative:
-		// it must not advance its clock or issue expulsion verdicts while
-		// the process is down. Its entries stay readable for handoff.
-		if c.crashedNow[id] {
-			continue
-		}
 		mgrIDs = append(mgrIDs, id)
 	}
 	c.mu.Unlock()
@@ -693,15 +685,26 @@ func (c *Cluster) expel(id msg.NodeID) {
 }
 
 // remove takes a node out of the running system: out of the sampling
-// population, off the network, stopped.
+// population, off the network, stopped, and its manager replica out of
+// Managers — kept only for the handoff of the rebalance the removal
+// triggers.
 func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
-	c.Dir.Expel(id)
+	member := c.Dir.Expel(id)
 	c.RT.SetDown(id, true)
 	if node != nil {
 		c.RT.Exec(id, node.Stop)
 	}
 	c.mu.Lock()
-	c.pendingRemoved = append(c.pendingRemoved, id)
+	replica := c.Managers[id]
+	delete(c.Managers, id)
+	// A node removed twice (a crashed node that then leaves) hands off
+	// once, at the first removal.
+	if member && c.rebalances() {
+		if c.pendingRemoved == nil {
+			c.pendingRemoved = make(map[msg.NodeID]*reputation.Manager)
+		}
+		c.pendingRemoved[id] = replica
+	}
 	c.mu.Unlock()
 	// A removal only adds one replacement manager per affected target (the
 	// assignment probes over the unchanged registration set, skipping the
@@ -784,11 +787,7 @@ func (c *Cluster) Scores() map[msg.NodeID]float64 {
 		return out
 	}
 	c.mu.Lock()
-	mgrByID := make(map[msg.NodeID]*reputation.Manager, len(c.Managers))
-	//lint:allow ordered-map-range map-to-map copy; the copy is order-insensitive
-	for id, m := range c.Managers {
-		mgrByID[id] = m
-	}
+	mgrByID := maps.Clone(c.Managers)
 	c.mu.Unlock()
 	for _, target := range ids {
 		var copies []float64
@@ -868,9 +867,10 @@ func (c *Cluster) Period() msg.Period {
 	return c.period
 }
 
-// Manager returns node id's manager replica (message mode), nil where this
-// cluster holds none. A crash restart replaces it, so a reader on another
-// goroutine asks again instead of keeping one.
+// Manager returns member id's manager replica (message mode), nil where this
+// cluster holds none — a node that left, was expelled or is crashed has
+// none. A crash restart builds a fresh one, so a reader on another goroutine
+// asks again instead of keeping one.
 func (c *Cluster) Manager(id msg.NodeID) *reputation.Manager {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -949,8 +949,9 @@ func (c *Cluster) admit(id msg.NodeID) {
 		// The node starts inside its own serialization domain.
 		c.RT.Exec(id, node.Start)
 	}
-	// A join grows the registration set, which can reshuffle the manager
-	// assignment of every existing target: full rebalance.
+	// A join grows the registration set. Jump hashing moves about M of the
+	// N·M manager slots to the joiner, but which ones only a pass over every
+	// target finds: full rebalance.
 	c.scheduleRebalance(true)
 }
 

@@ -1,32 +1,15 @@
 package cluster
 
 import (
+	"maps"
 	"slices"
 
 	"lifting/internal/msg"
 	"lifting/internal/reputation"
 )
 
-// Message-mode manager assignment: the reverse index behind incremental
-// rebalances, and the score handoff a membership change triggers.
-
-// setAssignmentLocked records set as target's current manager assignment
-// and maintains the reverse index. Callers hold c.mu. The slice comes from
-// Directory.Managers and is shared and read-only.
-func (c *Cluster) setAssignmentLocked(target msg.NodeID, set []msg.NodeID) {
-	for _, m := range c.lastMgrs[target] {
-		delete(c.mgrTargets[m], target)
-	}
-	c.lastMgrs[target] = set
-	for _, m := range set {
-		ts := c.mgrTargets[m]
-		if ts == nil {
-			ts = make(map[msg.NodeID]bool)
-			c.mgrTargets[m] = ts
-		}
-		ts[target] = true
-	}
-}
+// Message-mode manager assignment: the score handoff a membership change
+// triggers.
 
 // MaxTrackedPerManager returns the largest per-manager tracked-target count
 // (message mode; 0 in direct mode). The soak invariants bound it by the
@@ -48,12 +31,18 @@ func (c *Cluster) MaxTrackedPerManager() int {
 	return most
 }
 
+// rebalances reports whether membership changes hand manager duty off:
+// message mode with LiFTinG.
+func (c *Cluster) rebalances() bool {
+	return c.Opts.BlameMode == BlameMessages && c.Opts.LiFTinG
+}
+
 // scheduleRebalance queues a manager-assignment rebalance (message mode
 // only). It runs as a harness event so no manager locks are held when it
 // starts, and coalesces bursts of membership changes (a full request
 // upgrades a pending cheap one).
 func (c *Cluster) scheduleRebalance(full bool) {
-	if c.Opts.BlameMode != BlameMessages || !c.Opts.LiFTinG {
+	if !c.rebalances() {
 		return
 	}
 	c.mu.Lock()
@@ -71,20 +60,21 @@ func (c *Cluster) scheduleRebalance(full bool) {
 // change and performs the state handoff: a manager that became responsible
 // for a target adopts the most pessimistic replica (consistent with
 // min-vote reads), and managers no longer responsible drop their copy.
-// Deterministic under the simulator: targets in id order, candidate
-// replicas in id order.
+// Deterministic under the simulator: candidate replicas in id order, and a
+// target's handoff touches only that target's entries, so the order targets
+// are visited in cannot be observed.
 //
-// The pass is incremental. The directory's probe assignment only changes a
-// target's manager set when one of the recorded managers left (a removal)
-// or the registration set grew (a join), so a removal-triggered rebalance
-// visits only the departed nodes' targets — found through the reverse
-// index — and a join-triggered one walks every target but short-circuits
-// the unchanged assignments. Handoff candidates are the union of the old
-// and new sets: the old set is by construction exactly the target's live
-// tracker set (registration seeds it, every rebalance re-establishes it),
-// so no live replica escapes the pessimism scan. Replicas frozen on
-// long-expelled managers are not candidates — they are equally invisible
-// to min-vote reads, which only consult the current assignment.
+// The directory's probe assignment only changes a target's manager set when
+// one of the recorded managers left (a removal) or the registration set grew
+// (a join). So one pass over the directory selects the targets: after a
+// join, all of them, short-circuiting the unchanged assignments; after
+// removals only, those whose applied set names a removed node. Handoff
+// candidates are the union of the old and new sets: the old set is by
+// construction exactly the target's live tracker set (registration seeds it,
+// every rebalance re-establishes it), so no live replica escapes the
+// pessimism scan. A removed node's replica is read here, as a candidate for
+// the targets it managed, and then dropped: it left Managers at the removal,
+// and pendingRemoved is its last reference.
 func (c *Cluster) rebalanceManagers() {
 	c.mu.Lock()
 	c.rebalance = false
@@ -93,28 +83,26 @@ func (c *Cluster) rebalanceManagers() {
 	removed := c.pendingRemoved
 	c.pendingRemoved = nil
 	p := c.period
-	mgrByID := make(map[msg.NodeID]*reputation.Manager, len(c.Managers))
-	//lint:allow ordered-map-range map-to-map copy; the copy is order-insensitive
-	for id, m := range c.Managers {
-		mgrByID[id] = m
+	live := maps.Clone(c.Managers)
+	wasRemoved := func(id msg.NodeID) bool {
+		_, ok := removed[id]
+		return ok
 	}
-	var targets []msg.NodeID
-	if full {
-		targets = c.Dir.All()
-	} else {
-		seen := make(map[msg.NodeID]bool)
-		for _, r := range removed {
-			//lint:allow ordered-map-range collect-then-sort: targets are deduped then sorted below
-			for t := range c.mgrTargets[r] {
-				if !seen[t] {
-					seen[t] = true
-					targets = append(targets, t)
-				}
-			}
-		}
-		slices.Sort(targets)
+	targets := c.Dir.All()
+	if !full {
+		targets = slices.DeleteFunc(targets, func(t msg.NodeID) bool {
+			return !slices.ContainsFunc(c.lastMgrs[t], wasRemoved)
+		})
 	}
 	c.mu.Unlock()
+	// A live replica wins over a removed one: a node restarted since its
+	// removal manages with its fresh replica.
+	replica := func(id msg.NodeID) *reputation.Manager {
+		if mgr, ok := live[id]; ok {
+			return mgr
+		}
+		return removed[id]
+	}
 
 	// A replica's pessimism is its per-period blame rate — the score is
 	// comp − blame/r, so the lowest score is the highest rate, not the
@@ -139,11 +127,14 @@ func (c *Cluster) rebalanceManagers() {
 		newSet := c.Dir.Managers(target, c.Opts.Rep.M)
 		c.mu.Lock()
 		oldSet := c.lastMgrs[target]
-		if slices.Equal(oldSet, newSet) {
+		// An unchanged set that names a removed node names one re-admitted
+		// since (a crash and a restart at one instant), whose fresh replica
+		// tracks nothing yet: it still needs the handoff.
+		if slices.Equal(oldSet, newSet) && !slices.ContainsFunc(newSet, wasRemoved) {
 			c.mu.Unlock()
 			continue
 		}
-		c.setAssignmentLocked(target, newSet)
+		c.lastMgrs[target] = newSet
 		c.mu.Unlock()
 		cand = append(cand[:0], oldSet...)
 		for _, m := range newSet {
@@ -157,8 +148,8 @@ func (c *Cluster) rebalanceManagers() {
 		var best reputation.Entry
 		bestOK := false
 		for _, id := range cand {
-			mgr, ok := mgrByID[id]
-			if !ok {
+			mgr := replica(id)
+			if mgr == nil {
 				continue
 			}
 			if e, tracked := mgr.Snapshot(target); tracked {
@@ -168,8 +159,8 @@ func (c *Cluster) rebalanceManagers() {
 			}
 		}
 		for _, m := range newSet {
-			mgr, ok := mgrByID[m]
-			if !ok {
+			mgr := replica(m)
+			if mgr == nil {
 				continue
 			}
 			if e, tracked := mgr.Snapshot(target); tracked {
@@ -199,8 +190,8 @@ func (c *Cluster) rebalanceManagers() {
 			if slices.Contains(newSet, id) {
 				continue
 			}
-			mgr, ok := mgrByID[id]
-			if !ok {
+			mgr := replica(id)
+			if mgr == nil {
 				continue
 			}
 			if _, tracked := mgr.Snapshot(target); tracked {

@@ -263,15 +263,17 @@ func (l *Log) RecordConfirmAsker(p msg.Period, suspect, asker msg.NodeID) {
 	}
 }
 
-// hasProposalFrom reports whether the owner received, during the retained
-// periods up to to, proposals from sender that together cover every
-// chunk in asked. This is the witness-side truth for direct cross-checking
-// (§5.2): one pass over the window's sender ids, newest first — a witness is
-// asked within a period or two of the proposal, so the usual yes stops a few
-// ids in — marking what each proposal of that sender covers. O(window records
-// + |asked| × chunk ids that sender proposed), without allocating unless
-// asked is longer than 64, which only a hostile Confirm or AuditPoll is.
-func (l *Log) hasProposalFrom(sender msg.NodeID, to msg.Period, asked []msg.ChunkID) bool {
+// HasRecentProposalFrom reports whether the owner received, during the
+// retained periods, proposals from sender that together cover every chunk in
+// asked. This is the witness-side truth for direct cross-checking (§5.2),
+// asked over the whole window because sender and witness periods are not
+// synchronized. It is one pass over the window's sender ids, newest first —
+// a witness is asked within a period or two of the proposal, so the usual
+// yes stops a few ids in — marking what each proposal of that sender covers.
+// O(window records + |asked| × chunk ids that sender proposed), without
+// allocating unless asked is longer than 64, which only a hostile Confirm or
+// AuditPoll is.
+func (l *Log) HasRecentProposalFrom(sender msg.NodeID, asked []msg.ChunkID) bool {
 	var word [1]uint64
 	covered, left := word[:], len(asked) // bit j: asked[j] was proposed
 	if left == 0 {
@@ -288,9 +290,6 @@ func (l *Log) hasProposalFrom(sender msg.NodeID, to msg.Period, asked []msg.Chun
 				continue
 			}
 			r := l.received.at(base + i)
-			if to < r.period {
-				continue
-			}
 			for j, c := range asked {
 				if covered[j>>6]>>(j&63)&1 == 0 && slices.Contains(r.chunks, c) {
 					covered[j>>6] |= 1 << (j & 63)
@@ -322,13 +321,6 @@ func (l *Log) LastProposalTo(partner msg.NodeID) (period msg.Period, chunks []ms
 		}
 	}
 	return 0, nil, 0, false
-}
-
-// HasRecentProposalFrom reports whether any combination of retained
-// proposals from sender covers chunks. Witness duty asks over the whole
-// window because sender and witness periods are not synchronized.
-func (l *Log) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) bool {
-	return l.hasProposalFrom(sender, l.newest, chunks)
 }
 
 // Proposals returns the owner's fanout records for periods (since, newest],

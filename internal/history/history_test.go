@@ -58,22 +58,20 @@ func TestHasProposalFrom(t *testing.T) {
 	l.RecordProposalReceived(5, 2, []msg.ChunkID{1, 2, 3})
 	l.RecordProposalReceived(6, 2, []msg.ChunkID{4})
 	cases := []struct {
-		to     msg.Period
 		chunks []msg.ChunkID
 		want   bool
 	}{
-		{5, []msg.ChunkID{1, 3}, true},
-		{6, []msg.ChunkID{1, 4}, true}, // spans two periods
-		{5, []msg.ChunkID{4}, false},   // proposed after to
-		{6, []msg.ChunkID{9}, false},   // never proposed
-		{6, nil, true},                 // empty set vacuously covered
+		{[]msg.ChunkID{1, 3}, true},
+		{[]msg.ChunkID{1, 4}, true}, // spans two periods
+		{[]msg.ChunkID{9}, false},   // never proposed
+		{nil, true},                 // empty set vacuously covered
 	}
 	for i, c := range cases {
-		if got := l.hasProposalFrom(2, c.to, c.chunks); got != c.want {
-			t.Errorf("case %d: hasProposalFrom = %v, want %v", i, got, c.want)
+		if got := l.HasRecentProposalFrom(2, c.chunks); got != c.want {
+			t.Errorf("case %d: HasRecentProposalFrom = %v, want %v", i, got, c.want)
 		}
 	}
-	if l.hasProposalFrom(3, 6, []msg.ChunkID{1}) {
+	if l.HasRecentProposalFrom(3, []msg.ChunkID{1}) {
 		t.Fatal("proposal attributed to the wrong sender")
 	}
 }
@@ -186,7 +184,7 @@ func TestWitnessRecordsAccumulate(t *testing.T) {
 	l := NewLog(5)
 	l.RecordProposalReceived(2, 9, []msg.ChunkID{1})
 	l.RecordProposalReceived(2, 9, []msg.ChunkID{2})
-	if !l.hasProposalFrom(9, 2, []msg.ChunkID{1, 2}) {
+	if !l.HasRecentProposalFrom(9, []msg.ChunkID{1, 2}) {
 		t.Fatal("accumulated proposals from the same sender/period not merged")
 	}
 }
@@ -304,7 +302,6 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				}
 			}
 			same("HasRecentProposalFrom", l.HasRecentProposalFrom(who, want), ref.HasRecentProposalFrom(who, want))
-			same("hasProposalFrom", l.hasProposalFrom(who, p-min(p, 1), want), ref.hasProposalFrom(who, p-min(p, 1), want))
 			same("Proposals", l.Proposals(since), ref.Proposals(since))
 			same("Serves", l.Serves(since), ref.Serves(since))
 			same("AskersFor", l.AskersFor(who), ref.AskersFor(who))

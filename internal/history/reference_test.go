@@ -82,13 +82,11 @@ func (l *refLog) RecordConfirmAsker(p msg.Period, suspect, asker msg.NodeID) {
 	}
 }
 
-func (l *refLog) hasProposalFrom(sender msg.NodeID, to msg.Period, chunks []msg.ChunkID) bool {
+func (l *refLog) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) bool {
 	got := make(map[msg.ChunkID]bool)
-	for p, pl := range l.periods {
-		if p <= to {
-			for _, c := range pl.proposalsReceived[sender] {
-				got[c] = true
-			}
+	for _, pl := range l.periods {
+		for _, c := range pl.proposalsReceived[sender] {
+			got[c] = true
 		}
 	}
 	for _, c := range chunks {
@@ -97,10 +95,6 @@ func (l *refLog) hasProposalFrom(sender msg.NodeID, to msg.Period, chunks []msg.
 		}
 	}
 	return true
-}
-
-func (l *refLog) HasRecentProposalFrom(sender msg.NodeID, chunks []msg.ChunkID) bool {
-	return l.hasProposalFrom(sender, l.newest, chunks)
 }
 
 // LastProposalTo returns the period and chunks of the last proposal recorded

@@ -1,7 +1,6 @@
 package reputation
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -14,31 +13,29 @@ import (
 // refSweep is the direct-mode score-keeper the cluster harness carried until
 // a Manager blamed by call replaced it: a bare Board behind the harness's
 // lock, and the period sweep Cluster.tick ran over it. Kept as the reference
-// the keeper is driven against.
+// the keeper is driven against. The sweep is the one the harness ran under
+// expel-on-detection; the keeper decides at η whatever that setting.
 type refSweep struct {
-	board            *Board
-	grace            int
-	eta              float64
-	expelOnDetection bool
-	expel            func(msg.NodeID)
+	board *Board
+	grace int
+	eta   float64
+	expel func(msg.NodeID)
 }
 
 func (r *refSweep) tick(p msg.Period) {
 	r.board.SetPeriod(p)
 	var toExpel []msg.NodeID
-	if r.expelOnDetection {
-		r.board.Each(func(id msg.NodeID, e Entry) {
-			if e.Expelled || r.board.Periods(id) < r.grace {
-				return
-			}
-			if r.board.Score(id) < r.eta {
-				toExpel = append(toExpel, id)
-			}
-		})
-		sort.Slice(toExpel, func(i, j int) bool { return toExpel[i] < toExpel[j] })
-		for _, id := range toExpel {
-			r.board.MarkExpelled(id, msg.ReasonUnknown)
+	r.board.Each(func(id msg.NodeID, e Entry) {
+		if e.Expelled || r.board.Periods(id) < r.grace {
+			return
 		}
+		if r.board.Score(id) < r.eta {
+			toExpel = append(toExpel, id)
+		}
+	})
+	sort.Slice(toExpel, func(i, j int) bool { return toExpel[i] < toExpel[j] })
+	for _, id := range toExpel {
+		r.board.MarkExpelled(id, msg.ReasonUnknown)
 	}
 	for _, id := range toExpel {
 		r.expel(id)
@@ -51,8 +48,6 @@ func (r *refSweep) tick(p msg.Period) {
 // joins, some of them blamed hard from the period they join so that they
 // cross η inside the grace window and must wait it out. Every period both
 // hold bit-equal scores and have expelled the same nodes in the same order.
-// Without expel-on-detection the keeper's η is −∞ (the harness's mapping) and
-// neither side ever expels.
 func TestKeeperMatchesBoardSweep(t *testing.T) {
 	const (
 		initial = 40
@@ -61,74 +56,66 @@ func TestKeeperMatchesBoardSweep(t *testing.T) {
 		comp    = 1.2
 		eta     = -3.0
 	)
-	for _, expelOnDetection := range []bool{true, false} {
-		for seed := uint64(1); seed <= 12; seed++ {
-			r := rng.New(seed).Derive("keeper")
-			var wantOrder, gotOrder []msg.NodeID
+	for seed := uint64(1); seed <= 12; seed++ {
+		r := rng.New(seed).Derive("keeper")
+		var wantOrder, gotOrder []msg.NodeID
 
-			ref := &refSweep{board: NewBoard(comp), grace: grace, eta: eta, expelOnDetection: expelOnDetection,
-				expel: func(id msg.NodeID) { wantOrder = append(wantOrder, id) }}
-			cfg := Config{M: 0, Compensation: comp, Eta: eta, GracePeriods: grace,
-				OnExpel: func(id msg.NodeID, _ msg.BlameReason) { gotOrder = append(gotOrder, id) }}
-			if !expelOnDetection {
-				cfg.Eta = math.Inf(-1)
-			}
-			keeper := NewManager(0, cfg, nil, membership.Sequential(initial))
+		ref := &refSweep{board: NewBoard(comp), grace: grace, eta: eta,
+			expel: func(id msg.NodeID) { wantOrder = append(wantOrder, id) }}
+		cfg := Config{M: 0, Compensation: comp, Eta: eta, GracePeriods: grace,
+			OnExpel: func(id msg.NodeID, _ msg.BlameReason) { gotOrder = append(gotOrder, id) }}
+		keeper := NewManager(0, cfg, nil, membership.Sequential(initial))
 
-			ids := make([]msg.NodeID, 0, initial+periods)
-			hard := map[msg.NodeID]bool{} // blamed well past η every period
-			join := func(id msg.NodeID, p msg.Period) {
-				ref.board.Join(id)
-				keeper.Track(id, p)
-				ids = append(ids, id)
+		ids := make([]msg.NodeID, 0, initial+periods)
+		hard := map[msg.NodeID]bool{} // blamed well past η every period
+		join := func(id msg.NodeID, p msg.Period) {
+			ref.board.Join(id)
+			keeper.Track(id, p)
+			ids = append(ids, id)
+		}
+		for id := msg.NodeID(0); id < initial; id++ {
+			join(id, 0)
+			hard[id] = id%9 == 4
+		}
+		crossedInGrace := 0
+		for p := msg.Period(1); p <= periods; p++ {
+			for i, n := 0, r.IntN(3*len(ids)); i < n; i++ {
+				target, value := ids[r.IntN(len(ids))], r.Float64()*2
+				ref.board.AddBlame(target, value)
+				keeper.Blame(target, value, msg.ReasonNoAck)
 			}
-			for id := msg.NodeID(0); id < initial; id++ {
-				join(id, 0)
-				hard[id] = id%9 == 4
+			for _, id := range ids {
+				if hard[id] {
+					ref.board.AddBlame(id, 7)
+					keeper.Blame(id, 7, msg.ReasonPartialServe)
+				}
 			}
-			crossedInGrace := 0
-			for p := msg.Period(1); p <= periods; p++ {
-				for i, n := 0, r.IntN(3*len(ids)); i < n; i++ {
-					target, value := ids[r.IntN(len(ids))], r.Float64()*2
-					ref.board.AddBlame(target, value)
-					keeper.Blame(target, value, msg.ReasonNoAck)
-				}
-				for _, id := range ids {
-					if hard[id] {
-						ref.board.AddBlame(id, 7)
-						keeper.Blame(id, 7, msg.ReasonPartialServe)
-					}
-				}
-				ref.tick(p)
-				keeper.Tick(p)
-				if r.Bernoulli(0.4) { // a late join, registered at the current period
-					id := msg.NodeID(initial) + msg.NodeID(p)
-					join(id, p)
-					hard[id] = r.Bernoulli(0.5)
-				}
+			ref.tick(p)
+			keeper.Tick(p)
+			if r.Bernoulli(0.4) { // a late join, registered at the current period
+				id := msg.NodeID(initial) + msg.NodeID(p)
+				join(id, p)
+				hard[id] = r.Bernoulli(0.5)
+			}
 
-				if !slices.Equal(gotOrder, wantOrder) {
-					t.Fatalf("expel=%v seed %d period %d: keeper expelled %v, sweep %v", expelOnDetection, seed, p, gotOrder, wantOrder)
+			if !slices.Equal(gotOrder, wantOrder) {
+				t.Fatalf("seed %d period %d: keeper expelled %v, sweep %v", seed, p, gotOrder, wantOrder)
+			}
+			for _, id := range ids {
+				got, tracked := keeper.Score(id)
+				if want := ref.board.Score(id); !tracked || got != want {
+					t.Fatalf("seed %d period %d: node %d scores %v (tracked %v) on the keeper, %v on the board", seed, p, id, got, tracked, want)
 				}
-				for _, id := range ids {
-					got, tracked := keeper.Score(id)
-					if want := ref.board.Score(id); !tracked || got != want {
-						t.Fatalf("expel=%v seed %d period %d: node %d scores %v (tracked %v) on the keeper, %v on the board", expelOnDetection, seed, p, id, got, tracked, want)
-					}
-					if e, _ := keeper.Snapshot(id); e.Expelled != ref.board.Expelled(id) {
-						t.Fatalf("expel=%v seed %d period %d: node %d expelled %v on the keeper, %v on the board", expelOnDetection, seed, p, id, e.Expelled, ref.board.Expelled(id))
-					}
-					if got < eta && ref.board.Periods(id) < grace && id >= initial {
-						crossedInGrace++
-					}
+				if e, _ := keeper.Snapshot(id); e.Expelled != ref.board.Expelled(id) {
+					t.Fatalf("seed %d period %d: node %d expelled %v on the keeper, %v on the board", seed, p, id, e.Expelled, ref.board.Expelled(id))
+				}
+				if got < eta && ref.board.Periods(id) < grace && id >= initial {
+					crossedInGrace++
 				}
 			}
-			switch {
-			case !expelOnDetection && len(gotOrder) != 0:
-				t.Fatalf("seed %d: η = −∞ expelled %v", seed, gotOrder)
-			case expelOnDetection && (len(gotOrder) < initial/9 || crossedInGrace == 0):
-				t.Fatalf("seed %d: %d expelled, %d late joiners under η inside grace; the sequence must exercise both", seed, len(gotOrder), crossedInGrace)
-			}
+		}
+		if len(gotOrder) < initial/9 || crossedInGrace == 0 {
+			t.Fatalf("seed %d: %d expelled, %d late joiners under η inside grace; the sequence must exercise both", seed, len(gotOrder), crossedInGrace)
 		}
 	}
 }
