@@ -23,21 +23,24 @@ lint:
 
 # The concurrent half of the runtime seam (the UDP transport, whose receive
 # loops each own a decoder that hands out memory other goroutines keep, and
-# the cluster assembled on it) under the race detector, plus the reputation substrate
-# (manager boards are hit from node goroutines while the harness ticks
-# periods and hands state off), the discrete-event engine (node events run
-# on shard goroutines inside lookahead windows — its one layout, whatever the
+# the cluster assembled on it) under the race detector, plus the reputation
+# substrate (manager boards are hit from node goroutines while the harness
+# ticks periods and hands state off), the membership directory (the
+# epoch-cached manager assignment is read from every node goroutine while
+# churn mutates the view), the discrete-event engine (node events run on
+# shard goroutines inside lookahead windows — its one layout, whatever the
 # shard count — and cross shards by value, through outboxes the coordinator
 # merges at the barrier), the metrics collector (striped atomic counters
-# hammered from sender goroutines while scrapers render the exposition), the
-# content plane (chunk stores and the HTTP gateway serve shared payload
-# slices to concurrent readers), gossip (its serve path is where shard
-# goroutines meet the verified-once table a sim cluster's nodes share), obs
-# (its status callback runs on HTTP handler goroutines, concurrently with the
-# node) and the lifting-node daemon's in-process runs, whose /status reads the
-# cluster from those goroutines — one across a -soak crash and restart of its
-# own node, which takes the manager /status reads away and builds a fresh one
-# (its subprocess tests stay out).
+# hammered from sender goroutines while scrapers take snapshots, one per
+# /metrics scrape), the content plane (chunk stores and the HTTP gateway
+# serve shared payload slices to concurrent readers), gossip (its serve path
+# is where shard goroutines meet the verified-once table a sim cluster's
+# nodes share), obs (its scrape and status callbacks run on HTTP handler
+# goroutines, concurrently with the node) and the lifting-node daemon's
+# in-process runs, whose /status reads the cluster from those goroutines —
+# one across a -soak crash and restart of its own node, which takes the
+# manager /status reads away and builds a fresh one (its subprocess tests
+# stay out). ci.yml's race step points here.
 race:
 	$(GO) test -race -timeout 600s ./internal/cluster/ ./internal/transport/ ./internal/reputation/ ./internal/membership/ ./internal/sim/ ./internal/metrics/ ./internal/content/ ./internal/gateway/ ./internal/gossip/ ./internal/obs/
 	$(GO) test -race -run '^TestRun' ./cmd/lifting-node/

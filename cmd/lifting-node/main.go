@@ -225,29 +225,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	})
 
 	if *httpAddr != "" {
-		reg := metrics.NewRegistry()
-		collector.Register(reg)
 		// Soak-harness gauges: memory growth and score-period drift are the
 		// two things a long-running scrape watches for. Heap-in-use is the
 		// dependency-free stand-in for RSS; drift is measured in periods
 		// against the process's own wall clock, so a skewed clock (or a
 		// stalled tick loop) shows up as a linear ramp.
-		reg.NewGaugeFunc("lifting_process_heap_bytes",
-			"process heap in use (runtime.ReadMemStats HeapAlloc)",
-			func() float64 {
-				var ms goruntime.MemStats
-				goruntime.ReadMemStats(&ms)
-				return float64(ms.HeapAlloc)
-			})
 		procStart := time.Now()
 		tg := *period
-		reg.NewGaugeFunc("lifting_period_drift_periods",
-			"local score-period clock minus wall-clock expectation, in periods",
-			func() float64 {
-				expected := time.Since(procStart).Seconds() / tg.Seconds()
-				return float64(c.Period()) - expected
-			})
-		srv := obs.New(reg, func() obs.Status {
+		scrape := func() (metrics.Snapshot, []obs.Gauge) {
+			p := c.Period()
+			drift := float64(p) - time.Since(procStart).Seconds()/tg.Seconds()
+			var ms goruntime.MemStats
+			goruntime.ReadMemStats(&ms)
+			return collector.SnapshotAt(uint64(p)), []obs.Gauge{
+				{Name: "lifting_process_heap_bytes", Help: "process heap in use (runtime.ReadMemStats HeapAlloc)", Value: float64(ms.HeapAlloc)},
+				{Name: "lifting_period_drift_periods", Help: "local score-period clock minus wall-clock expectation, in periods", Value: drift},
+			}
+		}
+		srv := obs.New(scrape, func() obs.Status {
 			st := obs.Status{
 				NodeID:          uint32(self),
 				Period:          uint64(c.Period()),

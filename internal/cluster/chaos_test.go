@@ -223,9 +223,9 @@ func TestCalibrateIgnoresChaosAndSnapshots(t *testing.T) {
 	if snapshots != 0 {
 		t.Errorf("the pilot called the caller's snapshot hook %d times", snapshots)
 	}
-	if got.Compensation != want.Compensation || got.ScoreStd != want.ScoreStd || got.Periods != want.Periods {
-		t.Errorf("the fault plan reached the pilot:\n with plan: b̃ %v σ %v over %d periods\n without:   b̃ %v σ %v over %d periods",
-			got.Compensation, got.ScoreStd, got.Periods, want.Compensation, want.ScoreStd, want.Periods)
+	if got != want {
+		t.Errorf("the fault plan reached the pilot:\n with plan: b̃ %v σ %v\n without:   b̃ %v σ %v",
+			got.Compensation, got.ScoreStd, want.Compensation, want.ScoreStd)
 	}
 	if want.Compensation <= 0 {
 		t.Fatalf("clean pilot measured no wrongful blame (b̃ = %v); the comparison is vacuous", want.Compensation)

@@ -512,13 +512,6 @@ type Calibration struct {
 	// honest scores; η is typically set at a few multiples of it (the
 	// paper's η = −9.75 is ≈ 2.7·σ(s) at its parameters).
 	ScoreStd float64
-	// Scores is the empirical distribution of honest pilot scores (with
-	// Compensation applied). Under heterogeneous connectivity it has a
-	// poor-node tail; thresholds are best placed by quantile (the paper's
-	// η flags ≈12% of honest nodes, almost all from that tail, §7.3).
-	Scores *stats.ECDF
-	// Periods is the pilot length used.
-	Periods int
 }
 
 // Calibrate runs an all-honest pilot with the given options and returns the
@@ -565,25 +558,13 @@ func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calib
 		periods = 1
 	}
 	var blame stats.Moments
-	rates := make([]float64, 0, pilot.N-1)
 	for i := 1; i < pilot.N; i++ { // skip the source: it never requests
 		e, _ := c.keeper.Snapshot(msg.NodeID(i))
-		rate := (e.TotalBlame - atWarmup[msg.NodeID(i)]) / float64(periods)
-		blame.Add(rate)
-		rates = append(rates, rate)
+		blame.Add((e.TotalBlame - atWarmup[msg.NodeID(i)]) / float64(periods))
 	}
 	// With compensation set to the measured mean, s = comp − total/r, so
 	// σ(s) equals the spread of per-period blame rates.
-	scores := make([]float64, len(rates))
-	for i, r := range rates {
-		scores[i] = blame.Mean() - r
-	}
-	return Calibration{
-		Compensation: blame.Mean(),
-		ScoreStd:     blame.Std(),
-		Scores:       stats.NewECDF(scores),
-		Periods:      periods,
-	}, nil
+	return Calibration{Compensation: blame.Mean(), ScoreStd: blame.Std()}, nil
 }
 
 // Start launches every hosted node (in id order, for reproducibility), each

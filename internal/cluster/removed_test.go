@@ -151,7 +151,7 @@ func TestVerdictsWithoutExpelOnDetection(t *testing.T) {
 		if alive := c.Dir.NAlive(); alive != n {
 			t.Fatalf("mode %v: %d of %d nodes alive with ExpelOnDetection off", mode, alive, n)
 		}
-		if verdicts, counted := len(c.Expelled), c.Collector.Expulsions(); verdicts == 0 || counted == 0 {
+		if verdicts, counted := len(c.Expelled), c.Collector.SnapshotAt(0).Expulsions; verdicts == 0 || counted == 0 {
 			t.Fatalf("mode %v: %d verdicts recorded, %d counted, with %d freeriders under η; want some", mode, verdicts, counted, under)
 		}
 	}

@@ -1,8 +1,10 @@
 // Package metrics collects message and byte counters for the dissemination
 // protocol and LiFTinG's verifications. It feeds the overhead accounting of
-// Table 3 (message counts) and Table 5 (bandwidth overhead) of the paper,
-// the /metrics endpoint of lifting-node, and the deterministic metrics
-// snapshots embedded in the lifting.experiments/v1 JSON document.
+// Table 3 (message counts) and Table 5 (bandwidth overhead) of the paper.
+// It holds data only: the Collector, its Snapshot and the Histogram. A
+// Snapshot is the one record every reader takes — the deterministic metrics
+// snapshots embedded in the lifting.experiments/v1 JSON document, and each
+// scrape of lifting-node's /metrics, which internal/obs renders from one.
 package metrics
 
 import (
@@ -260,9 +262,6 @@ func (c *Collector) StreamJitterMeanNs() uint64 {
 	return 0
 }
 
-// Expulsions returns the number of expulsion decisions recorded.
-func (c *Collector) Expulsions() uint64 { return c.expulsions.Load() }
-
 // BlamesIssued returns the locally issued blame counts keyed by reason name,
 // zeros omitted.
 func (c *Collector) BlamesIssued() map[string]uint64 {
@@ -422,83 +421,4 @@ func (c *Collector) SnapshotAt(period uint64) Snapshot {
 		s.OverheadPpm = s.VerificationBytes * 1_000_000 / s.ProtocolBytes
 	}
 	return s
-}
-
-// Register installs the collector's metric families into reg for Prometheus
-// exposition. All values are read at scrape time; recording never touches
-// the registry.
-func (c *Collector) Register(reg *Registry) {
-	perKind := func(pick func(k msg.Kind) uint64) func() []LabeledValue {
-		return func() []LabeledValue {
-			var out []LabeledValue
-			for k := msg.Kind(1); int(k) < kindSlots; k++ {
-				if v := pick(k); v > 0 {
-					out = append(out, LabeledValue{
-						Labels: [][2]string{{"kind", k.String()}},
-						Value:  v,
-					})
-				}
-			}
-			return out
-		}
-	}
-	reg.NewLabeledCounterFunc("lifting_sent_messages_total",
-		"Messages sent, by wire kind.", perKind(c.SentMsgs))
-	reg.NewLabeledCounterFunc("lifting_sent_bytes_total",
-		"Bytes sent on the wire, by kind.", perKind(c.SentBytes))
-	reg.NewLabeledCounterFunc("lifting_recv_messages_total",
-		"Messages delivered, by wire kind.", perKind(c.RecvMsgs))
-	reg.NewLabeledCounterFunc("lifting_recv_bytes_total",
-		"Bytes delivered, by kind.", perKind(c.RecvBytes))
-	reg.NewLabeledCounterFunc("lifting_dropped_messages_total",
-		"Messages lost in transit, by kind.", perKind(c.Dropped))
-	reg.NewLabeledCounterFunc("lifting_dropped_bytes_total",
-		"Bytes lost in transit, by kind.", perKind(c.DroppedBytes))
-	reg.NewCounterFunc("lifting_protocol_bytes_total",
-		"Bytes sent by the dissemination protocol (propose/request/serve).",
-		func() uint64 { _, b := c.ProtocolTotals(); return b })
-	reg.NewCounterFunc("lifting_verification_bytes_total",
-		"Bytes sent by LiFTinG verifications.",
-		func() uint64 { _, b := c.VerificationTotals(); return b })
-	reg.NewGaugeFunc("lifting_verification_overhead_ratio",
-		"Verification bytes divided by dissemination bytes (Table 5; paper claims <8%).",
-		c.Overhead)
-	reg.NewCounterFunc("lifting_duplicate_chunks_total",
-		"Serves received for chunks the node already held.", c.DupChunks)
-	reg.NewCounterFunc("lifting_useful_chunks_total",
-		"Serves that delivered a new chunk.", c.UsefulChunks)
-	reg.NewCounterFunc("lifting_goodput_bytes_total",
-		"Payload bytes delivered as first copies (QoE goodput).", c.GoodputBytes)
-	reg.NewCounterFunc("lifting_invalid_serves_total",
-		"Serves rejected by content hash verification.", c.InvalidServes)
-	reg.NewGaugeFunc("lifting_stream_lag_seconds",
-		"Mean stream lag: chunk arrival minus source generation time.",
-		func() float64 { return float64(c.StreamLagMeanNs()) / 1e9 })
-	reg.NewGaugeFunc("lifting_stream_jitter_seconds",
-		"Mean inter-arrival jitter against the nominal chunk interval.",
-		func() float64 { return float64(c.StreamJitterMeanNs()) / 1e9 })
-	reg.NewLabeledCounterFunc("lifting_blames_issued_total",
-		"Blames issued locally, by reason.", func() []LabeledValue {
-			var out []LabeledValue
-			for _, rc := range c.blameCounts() {
-				out = append(out, LabeledValue{Labels: [][2]string{{"reason", rc.Reason}}, Value: rc.Count})
-			}
-			return out
-		})
-	reg.NewCounterFunc("lifting_blames_received_total",
-		"Blame messages delivered to this collector's nodes.",
-		func() uint64 { return c.RecvMsgs(msg.KindBlame) })
-	reg.NewLabeledCounterFunc("lifting_audit_outcomes_total",
-		"Completed audits, by response and verdict.", func() []LabeledValue {
-			return []LabeledValue{
-				{Labels: [][2]string{{"result", "failed"}}, Value: c.auditsFailed.Load()},
-				{Labels: [][2]string{{"result", "passed"}}, Value: c.auditsPassed.Load()},
-				{Labels: [][2]string{{"result", "responded"}}, Value: c.auditsResponded.Load()},
-				{Labels: [][2]string{{"result", "unresponsive"}}, Value: c.auditsUnresponsive.Load()},
-			}
-		})
-	reg.NewCounterFunc("lifting_expulsions_total",
-		"Expulsion decisions recorded.", c.Expulsions)
-	reg.NewHistogramMetric("lifting_serve_latency_seconds",
-		"Propose-to-serve latency: request sent to chunk delivered.", c.ServeLatency)
 }

@@ -1,9 +1,9 @@
 // Package obs serves a node's observability surface over HTTP: Prometheus
 // text exposition on /metrics, an operator-facing JSON summary on /status,
 // and the standard pprof handlers on /debug/pprof/. It is deliberately
-// dependency-free: the exposition format is hand-rolled in
-// internal/metrics, and everything here is net/http from the standard
-// library.
+// dependency-free: the exposition format is hand-rolled here, one
+// metrics.Snapshot per scrape, and everything else is net/http from the
+// standard library.
 package obs
 
 import (
@@ -51,20 +51,22 @@ const (
 type Server struct {
 	mux    *http.ServeMux
 	srv    *http.Server
-	ln     net.Listener
 	start  time.Time
 	status func() Status
 }
 
-// New assembles a server around a metric registry and a status provider.
-// The status callback runs on HTTP handler goroutines, one per scrape and
-// concurrently with the node and with each other; it must be safe to call
-// that way (make race runs this package's tests under the race detector).
-func New(reg *metrics.Registry, status func() Status) *Server {
+// New assembles a server around a scrape and a status provider. scrape
+// returns the collector's snapshot and the process gauges rendered after it,
+// read once per /metrics request. Both callbacks run on HTTP handler
+// goroutines, one per scrape and concurrently with the node and with each
+// other; they must be safe to call that way (make race runs this package's
+// tests under the race detector).
+func New(scrape func() (metrics.Snapshot, []Gauge), status func() Status) *Server {
 	s := &Server{mux: http.NewServeMux(), start: time.Now(), status: status}
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
+		snap, gauges := scrape()
+		writeMetrics(w, snap, gauges)
 	})
 	s.mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		st := s.status()
@@ -96,7 +98,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
 	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes}
 	go s.srv.Serve(ln)
 	return ln.Addr().String(), nil

@@ -18,6 +18,11 @@ import (
 	"lifting/internal/msg"
 )
 
+// noTraffic scrapes a collector that has recorded nothing.
+func noTraffic() (metrics.Snapshot, []Gauge) {
+	return metrics.NewCollector().SnapshotAt(0), nil
+}
+
 func get(t *testing.T, url string) (string, http.Header) {
 	t.Helper()
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -41,10 +46,7 @@ func TestServerEndpoints(t *testing.T) {
 	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1000}
 	c.OnSend(1, serve, serve.WireSize())
 	c.OnDeliver(2, serve, serve.WireSize())
-	reg := metrics.NewRegistry()
-	c.Register(reg)
-
-	srv := New(reg, func() Status {
+	srv := New(func() (metrics.Snapshot, []Gauge) { return c.SnapshotAt(0), nil }, func() Status {
 		return Status{
 			NodeID:          3,
 			Period:          12,
@@ -114,7 +116,7 @@ func TestServerCloseDrainsGoroutines(t *testing.T) {
 
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	srv := New(metrics.NewRegistry(), func() Status {
+	srv := New(noTraffic, func() Status {
 		// First scrape parks inside the node's status provider; later
 		// scrapes (and the node itself) must not be blocked by it.
 		once.Do(func() {
@@ -175,7 +177,7 @@ func TestServerCloseDrainsGoroutines(t *testing.T) {
 }
 
 func TestServerClose(t *testing.T) {
-	srv := New(metrics.NewRegistry(), func() Status { return Status{} })
+	srv := New(noTraffic, func() Status { return Status{} })
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -193,7 +195,7 @@ func TestServerClose(t *testing.T) {
 // that stalls mid request line is disconnected once readHeaderTimeout has
 // passed, and a 64 KB header is answered 431 without reaching a handler.
 func TestHeaderPhaseBounded(t *testing.T) {
-	srv := New(metrics.NewRegistry(), func() Status { return Status{} })
+	srv := New(noTraffic, func() Status { return Status{} })
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +242,7 @@ func TestHeaderPhaseBounded(t *testing.T) {
 // server goroutine for as long as the client likes.
 func TestIdleKeepAliveClosed(t *testing.T) {
 	t.Parallel()
-	srv := New(metrics.NewRegistry(), func() Status { return Status{} })
+	srv := New(noTraffic, func() Status { return Status{} })
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
