@@ -14,6 +14,7 @@ var (
 	ErrUnknownKind   = errors.New("msg: unknown message kind")
 	ErrTooLong       = errors.New("msg: list too long for wire format")
 	ErrPayloadBounds = errors.New("msg: chunk payload exceeds MaxChunkPayload")
+	ErrNonFinite     = errors.New("msg: non-finite number")
 )
 
 const maxListLen = 1<<16 - 1
@@ -486,7 +487,19 @@ func (r *reader) u64() uint64 {
 	return 0
 }
 
-func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
+// f64 reads a float the protocol only ever means as a finite amount (a
+// blame's value, a score): a NaN or an infinity fails the message, so a peer
+// cannot smuggle one into a manager's arithmetic, where NaN never compares
+// under η and −Inf outweighs every honest blame.
+func (r *reader) f64() float64 {
+	v := math.Float64frombits(r.u64())
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		r.fail(ErrNonFinite)
+		return 0
+	}
+	return v
+}
+
 func (r *reader) bool() bool     { return r.u8() != 0 }
 func (r *reader) node() NodeID   { return NodeID(r.u32()) }
 func (r *reader) period() Period { return Period(r.u32()) }

@@ -118,6 +118,52 @@ func TestBlameValuePrecision(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonFinite: a blame's value and a score are amounts, and
+// a NaN or an infinity in either is a peer reaching for a manager's
+// arithmetic — a NaN score never compares under η, a −Inf blame absolves
+// any freerider. Both decoders refuse them; every honest value of every
+// kind, the extremes of the finite range included, still round-trips.
+func TestDecodeRejectsNonFinite(t *testing.T) {
+	var dec Decoder
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8dead00000001)} {
+		for _, m := range []Message{
+			&Blame{Sender: 1, Target: 2, Value: v, Reason: ReasonNoAck},
+			&ScoreResp{Sender: 1, Target: 2, Score: v, Tracked: true},
+		} {
+			b, err := Encode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(b); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("Decode of a %s carrying %v: err %v, want ErrNonFinite", m.Kind(), v, err)
+			}
+			if _, err := dec.Decode(b); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("Decoder.Decode of a %s carrying %v: err %v, want ErrNonFinite", m.Kind(), v, err)
+			}
+		}
+	}
+	finite := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64}
+	msgs := allMessages()
+	for _, v := range finite {
+		msgs = append(msgs, &Blame{Sender: 1, Target: 2, Value: v}, &ScoreResp{Sender: 1, Target: 2, Score: v})
+	}
+	for _, m := range msgs {
+		b, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for how, decode := range map[string]func([]byte) (Message, error){"Decode": Decode, "Decoder": dec.Decode} {
+			got, err := decode(b)
+			if err != nil {
+				t.Fatalf("%s of an honest %s: %v", how, m.Kind(), err)
+			}
+			if again, err := Encode(got); err != nil || string(again) != string(b) {
+				t.Fatalf("%s of an honest %s did not round-trip: % x vs % x (err %v)", how, m.Kind(), again, b, err)
+			}
+		}
+	}
+}
+
 func TestProposeQuickRoundTrip(t *testing.T) {
 	f := func(sender uint32, period uint32, chunks []uint32, origins []uint8) bool {
 		m := &Propose{Sender: NodeID(sender), Period: Period(period)}

@@ -13,31 +13,39 @@ import (
 //	offset  size  field
 //	0       2     magic "LF"
 //	2       1     frame version (FrameVersion)
-//	3       1     flags (bit 0: reliable-class traffic; rest reserved)
+//	3       1     flags (bit 0: reliable-class traffic; bit 1: fragment)
 //	4       2     payload length, big-endian
 //	6       4     CRC-32 (IEEE) of the payload
-//	10      —     payload: one codec message (see Encode)
+//	10      —     payload
+//
+// A plain frame's payload is a message count (2 bytes) and then that many
+// entries, each a 2-byte length and one codec message (see Encode), all from
+// one sender. A fragment frame's payload is a fragment header and a slice of
+// one message's encoding (see AppendFragment).
 //
 // The magic and version reject foreign traffic on a reused port, the length
 // rejects truncated or concatenated reads, and the checksum rejects
-// corruption that UDP's 16-bit checksum missed. DecodeFrame never panics on
-// arbitrary input; anything malformed yields an error.
+// corruption that UDP's 16-bit checksum missed. DecodeFrame and ParseBatch
+// never panic on arbitrary input; anything malformed yields an error.
 
-// Frame constants. Part of the wire format. FrameVersion 3 covers the
-// content plane: Serve frames now carry real payload bytes plus a content
-// hash, and oversized messages ship as fragment frames (FlagFragment)
-// instead of being dropped. As with the v1→v2 bump, daemons from before the
-// change must be rejected loudly (ErrBadVersion) instead of having every
-// Serve die a silent codec death mid-deployment.
+// Frame constants. Part of the wire format. FrameVersion 4 carries a list
+// of messages per datagram, so a node's sends to one peer during one
+// callback share a header, a checksum and a syscall. A daemon speaking an
+// older version is rejected loudly (ErrBadVersion) instead of having every
+// frame die a silent codec death mid-deployment.
 const (
 	frameMagic0  = 'L'
 	frameMagic1  = 'F'
-	FrameVersion = 3
+	FrameVersion = 4
 	// FrameHeaderSize is the number of bytes preceding the payload.
 	FrameHeaderSize = 10
 	// MaxFramePayload is the largest payload that fits a single IPv4 UDP
 	// datagram alongside the frame header.
 	MaxFramePayload = 65507 - FrameHeaderSize
+	// CountSize is the message count ahead of a plain frame's entries, and
+	// EntryHeaderSize the length ahead of each entry.
+	CountSize       = 2
+	EntryHeaderSize = 2
 )
 
 // Frame flags.
@@ -70,29 +78,125 @@ var (
 	ErrBadChecksum     = errors.New("msg: frame checksum mismatch")
 	ErrPayloadTooLarge = errors.New("msg: payload exceeds max datagram size")
 	ErrBadFragment     = errors.New("msg: malformed fragment")
+	ErrBadBatch        = errors.New("msg: malformed message list")
 )
 
-// AppendFrame appends a framed encoding of m to dst and returns the extended
-// slice. Passing a reused dst[:0] avoids per-message allocations on the send
-// path. FlagFragment is rejected: a complete message is by definition not a
-// fragment (use AppendFragment to build fragment frames).
+// minEntrySize is the shortest encoding an entry may hold: a kind and a
+// sender, which every message starts with.
+const minEntrySize = 5
+
+// AppendFrame appends a plain frame carrying m alone to dst and returns the
+// extended slice. Passing a reused dst[:0] avoids per-message allocations
+// on the send path. FlagFragment is rejected: a complete message is by
+// definition not a fragment (use AppendFragment to build fragment frames).
 func AppendFrame(dst []byte, m Message, flags uint8) ([]byte, error) {
 	if flags&FlagFragment != 0 {
 		return nil, fmt.Errorf("%w: FlagFragment on a complete message", ErrBadFragment)
 	}
 	start := len(dst)
-	dst = append(dst, frameMagic0, frameMagic1, FrameVersion, flags, 0, 0, 0, 0, 0, 0)
-	out, err := AppendEncode(dst, m)
+	out, err := appendMessage(StartFrame(dst, flags), start, m)
 	if err != nil {
 		return nil, err
 	}
-	payload := out[start+FrameHeaderSize:]
-	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("%w: %T is %d bytes", ErrPayloadTooLarge, m, len(payload))
-	}
-	binary.BigEndian.PutUint16(out[start+4:], uint16(len(payload)))
-	binary.BigEndian.PutUint32(out[start+6:], crc32.ChecksumIEEE(payload))
+	SealFrame(out[start:])
 	return out, nil
+}
+
+// StartFrame appends the header and an empty message list of a plain frame
+// to dst. AppendMessage adds messages to the frame, and SealFrame fills in
+// its length and checksum once the last one is in.
+func StartFrame(dst []byte, flags uint8) []byte {
+	return append(dst, frameMagic0, frameMagic1, FrameVersion, flags, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// AppendMessage appends m as the next entry of frame, a plain frame begun
+// by StartFrame (frame[0] is its first byte), and returns the extended
+// slice. If the entry would take the payload past MaxFramePayload it
+// returns ErrPayloadTooLarge and leaves frame as it was. The payload bound
+// also bounds the count: every entry takes at least 7 bytes.
+func AppendMessage(frame []byte, m Message) ([]byte, error) {
+	return appendMessage(frame, 0, m)
+}
+
+// appendMessage is AppendMessage for a frame that starts at buf[start].
+func appendMessage(buf []byte, start int, m Message) ([]byte, error) {
+	at := len(buf)
+	out, err := AppendEncode(append(buf, 0, 0), m)
+	if err != nil {
+		return nil, err
+	}
+	if len(out)-start-FrameHeaderSize > MaxFramePayload {
+		return nil, fmt.Errorf("%w: %T is %d bytes", ErrPayloadTooLarge, m, len(out)-at-EntryHeaderSize)
+	}
+	binary.BigEndian.PutUint16(out[at:], uint16(len(out)-at-EntryHeaderSize))
+	count := out[start+FrameHeaderSize:]
+	binary.BigEndian.PutUint16(count, binary.BigEndian.Uint16(count)+1)
+	return out, nil
+}
+
+// SealFrame writes the payload length and checksum of a plain frame built
+// with StartFrame and AppendMessage.
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeaderSize:]
+	binary.BigEndian.PutUint16(frame[4:], uint16(len(payload)))
+	binary.BigEndian.PutUint32(frame[6:], crc32.ChecksumIEEE(payload))
+}
+
+// Batch walks the entries of a plain frame's payload that ParseBatch has
+// checked whole. It holds no memory of its own.
+type Batch struct {
+	rest []byte
+	// Sender is the one sender of every message in the frame.
+	Sender NodeID
+	// Len is the number of messages.
+	Len int
+}
+
+// ParseBatch checks a plain frame's payload whole before anything in it is
+// decoded: a count of at least one, exactly that many entries and not a
+// byte after them, every entry at least a kind and a sender long and inside
+// the payload, and every entry from the same sender. Any of these wrong
+// drops the whole datagram: a peer that lies about one entry has said
+// nothing about the others worth believing. It allocates nothing.
+func ParseBatch(payload []byte) (Batch, error) {
+	if len(payload) < CountSize {
+		return Batch{}, ErrBadBatch
+	}
+	n := int(binary.BigEndian.Uint16(payload))
+	rest := payload[CountSize:]
+	var sender []byte
+	for i := 0; i < n; i++ {
+		if len(rest) < EntryHeaderSize {
+			return Batch{}, ErrBadBatch
+		}
+		size := int(binary.BigEndian.Uint16(rest))
+		if size < minEntrySize || size > len(rest)-EntryHeaderSize {
+			return Batch{}, ErrBadBatch
+		}
+		entry := rest[EntryHeaderSize : EntryHeaderSize+size]
+		if sender == nil {
+			sender = entry[1:minEntrySize]
+		} else if string(entry[1:minEntrySize]) != string(sender) {
+			return Batch{}, ErrBadBatch
+		}
+		rest = rest[EntryHeaderSize+size:]
+	}
+	if n == 0 || len(rest) != 0 {
+		return Batch{}, ErrBadBatch
+	}
+	return Batch{rest: payload[CountSize:], Sender: NodeID(binary.BigEndian.Uint32(sender)), Len: n}, nil
+}
+
+// Next returns the next message's encoding, aliasing the payload, or nil
+// after the last one.
+func (b *Batch) Next() []byte {
+	if len(b.rest) == 0 {
+		return nil
+	}
+	size := int(binary.BigEndian.Uint16(b.rest))
+	entry := b.rest[EntryHeaderSize : EntryHeaderSize+size]
+	b.rest = b.rest[EntryHeaderSize+size:]
+	return entry
 }
 
 // appendHeader appends the header of a frame whose payload is n bytes with
@@ -172,9 +276,10 @@ func EncodeFrame(m Message, flags uint8) ([]byte, error) {
 }
 
 // DecodeFrame parses one datagram previously produced by AppendFrame,
-// returning the decoded message and the frame flags. A fragment frame is an
-// error here — a single fragment is not a decodable message; the transport
-// reassembles via RawFrame/ParseFragment.
+// returning its one message and the frame flags. A frame carrying several
+// messages is ErrBadBatch here — the transport walks those with ParseBatch
+// — and a fragment frame is ErrBadFragment: a single fragment is not a
+// decodable message; the transport reassembles via RawFrame/ParseFragment.
 func DecodeFrame(b []byte) (Message, uint8, error) {
 	payload, flags, err := RawFrame(b)
 	if err != nil {
@@ -183,7 +288,14 @@ func DecodeFrame(b []byte) (Message, uint8, error) {
 	if flags&FlagFragment != 0 {
 		return nil, 0, fmt.Errorf("%w: fragment frame outside reassembly", ErrBadFragment)
 	}
-	m, err := Decode(payload)
+	batch, err := ParseBatch(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	if batch.Len != 1 {
+		return nil, 0, fmt.Errorf("%w: %d messages where one was expected", ErrBadBatch, batch.Len)
+	}
+	m, err := Decode(batch.Next())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -60,9 +62,13 @@ func TestDecodeValidPrefixMutations(t *testing.T) {
 // panic, a hang, or an unbounded allocation. Successful decodes must
 // re-encode, and the re-encoding must be a fixed point (canonical form). A
 // Decoder shared across inputs, as a receive loop shares one across
-// datagrams, must agree with Decode on every input. The seed corpus under testdata/fuzz/FuzzDecode holds one framed encoding
-// of every message kind plus the malformed shapes that matter (length
-// bombs, bad checksums, truncations); `go test` replays it on every run.
+// datagrams, must agree with Decode on every input. A plain frame's message
+// list is checked whole; when every entry decodes, re-framing the messages
+// gives a frame whose own re-framing is itself (canonical form again). The
+// seed corpus under testdata/fuzz/FuzzDecode holds one framed encoding of
+// every message kind, frames of several messages, and the malformed shapes
+// that matter (length bombs, bad checksums, truncations, lying message
+// lists, mixed senders, a v3 frame); `go test` replays it on every run.
 func FuzzDecode(f *testing.F) {
 	for _, m := range allMessages() {
 		if b, err := Encode(m); err == nil {
@@ -74,10 +80,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindPropose), 0, 0, 0, 1, 0, 0, 0, 2, 0xFF, 0xFF}) // length bomb
+	for _, seed := range batchSeeds() {
+		f.Add(seed.data)
+	}
 	for _, seed := range malformedSeeds() {
 		f.Add(seed.data)
 	}
-	// A NaN score: the two decoders agree byte for byte, not by ==.
+	// A NaN score: both decoders refuse it.
 	f.Add([]byte("\t00000000\xff\xff00000000"))
 	var dec Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -115,7 +124,108 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("re-framing a decoded frame failed: %v", err)
 			}
 		}
+		payload, flags, err := RawFrame(data)
+		if err != nil || flags&FlagFragment != 0 {
+			return
+		}
+		batch, err := ParseBatch(payload)
+		if err != nil {
+			return
+		}
+		ms := decodeBatch(t, &dec, batch)
+		if ms == nil {
+			return
+		}
+		again := reframe(t, flags, ms)
+		payload, _, err = RawFrame(again)
+		if err != nil {
+			t.Fatalf("re-framed %d messages do not frame: %v", len(ms), err)
+		}
+		batch2, err := ParseBatch(payload)
+		if err != nil || batch2.Len != batch.Len || batch2.Sender != batch.Sender {
+			t.Fatalf("re-framed %d messages from %d parse as %d from %d (err %v)", batch.Len, batch.Sender, batch2.Len, batch2.Sender, err)
+		}
+		if again2 := reframe(t, flags, decodeBatch(t, &dec, batch2)); string(again2) != string(again) {
+			t.Fatalf("re-framing is not a fixed point:\n% x\n% x", again, again2)
+		}
 	})
+}
+
+// decodeBatch decodes every entry of batch, or returns nil if one fails.
+func decodeBatch(t *testing.T, dec *Decoder, batch Batch) []Message {
+	var ms []Message
+	for e := batch.Next(); e != nil; e = batch.Next() {
+		m, err := dec.Decode(e)
+		if err != nil {
+			return nil
+		}
+		if m.From() != batch.Sender {
+			t.Fatalf("a %s from %d in a batch from %d", m.Kind(), m.From(), batch.Sender)
+		}
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// reframe frames ms as one plain frame.
+func reframe(t *testing.T, flags uint8, ms []Message) []byte {
+	frame := StartFrame(nil, flags)
+	for _, m := range ms {
+		var err error
+		if frame, err = AppendMessage(frame, m); err != nil {
+			t.Fatalf("re-framing a decoded %s failed: %v", m.Kind(), err)
+		}
+	}
+	SealFrame(frame)
+	return frame
+}
+
+// batchSeeds are frames of several messages — every kind from one sender,
+// three serves — and the list shapes a hostile peer would try (see
+// TestHostileBatches), plus a frame of the retired version 3.
+func batchSeeds() []corpusSeed {
+	encode := func(m Message) []byte {
+		b, err := Encode(m)
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	entry := func(b []byte) []byte { return append(binary.BigEndian.AppendUint16(nil, uint16(len(b))), b...) }
+	list := func(count uint16, entries ...[]byte) []byte {
+		b := binary.BigEndian.AppendUint16(nil, count)
+		for _, e := range entries {
+			b = append(b, e...)
+		}
+		return b
+	}
+	frame := func(flags uint8, payload []byte) []byte {
+		return append(appendHeader(nil, flags, len(payload), crc32.ChecksumIEEE(payload)), payload...)
+	}
+	var every [][]byte
+	for _, m := range allMessages() {
+		b := encode(m)
+		binary.BigEndian.PutUint32(b[1:], 9)
+		every = append(every, entry(b))
+	}
+	var serves [][]byte
+	for i := 0; i < 3; i++ {
+		serves = append(serves, entry(encode(&Serve{Sender: 4, Chunk: ChunkID(i), PayloadSize: 3, Hash: 1, Payload: []byte("abc")})))
+	}
+	req7, req8 := entry(encode(&ScoreReq{Sender: 7, Target: 2})), entry(encode(&ScoreReq{Sender: 8, Target: 2}))
+	v3 := frame(0, list(1, req7))
+	v3[2] = 3
+	return []corpusSeed{
+		{"seed-batch-every-kind", frame(0, list(uint16(len(every)), every...))},
+		{"seed-batch-serves", frame(FlagReliable, list(3, serves...))},
+		{"seed-batch-mixed-senders", frame(0, list(2, req7, req8))},
+		{"seed-batch-count-over", frame(0, list(3, req7, req7))},
+		{"seed-batch-count-under", frame(0, list(1, req7, req7))},
+		{"seed-batch-count-bomb", frame(0, list(0xFFFF, req7))},
+		{"seed-batch-length-over", frame(0, list(1, req7[:len(req7)-1]))},
+		{"seed-batch-zero-length", frame(0, list(2, req7, []byte{0, 0}))},
+		{"seed-frame-v3", v3},
+	}
 }
 
 type corpusSeed struct {
@@ -167,7 +277,7 @@ func malformedSeeds() []corpusSeed {
 }
 
 // TestRegenFuzzCorpus rewrites testdata/fuzz/FuzzDecode from the live
-// encoders. Run it after any wire-format change (like the v3 payload frame):
+// encoders. Run it after any wire-format change (like v4's message lists):
 //
 //	LIFTING_REGEN_CORPUS=1 go test ./internal/msg -run TestRegenFuzzCorpus
 func TestRegenFuzzCorpus(t *testing.T) {
@@ -201,6 +311,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 			corpusSeed{"seed-raw-" + base, raw},
 			corpusSeed{"seed-frame-" + base, framed})
 	}
+	seeds = append(seeds, batchSeeds()...)
 	seeds = append(seeds, malformedSeeds()...)
 	for _, s := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)

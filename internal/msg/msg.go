@@ -156,9 +156,10 @@ func (m *Request) WireSize() int {
 // a multi-gigabyte chunk must produce a decode error, not an allocation.
 const MaxChunkPayload = 1 << 20
 
-// Serve delivers one chunk (§3, serving phase). Since frame v3 the message
-// carries the real payload bytes plus their 64-bit content hash, so
-// receivers verify what they were served. Payload is nil when the server no
+// Serve delivers one chunk (§3, serving phase). The message carries the
+// real payload bytes plus their 64-bit content hash, so receivers verify
+// what they were served; a batch of serves answering one request shares
+// one datagram (frame v4). Payload is nil when the server no
 // longer holds the chunk (a store miss, which the receiver rejects); a
 // payload-less Serve then carries the stream's chunk size in PayloadSize.
 type Serve struct {

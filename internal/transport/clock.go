@@ -8,11 +8,14 @@ import (
 	"lifting/internal/msg"
 )
 
-// maxDelayedDatagrams bounds the delayed datagrams one node's clock holds,
-// inbound dispatches and outbound sends together. Past it a datagram is
-// dropped and counted like any other loss; callbacks are never dropped. A
-// node hears a few hundred datagrams a second, so at the modelled latencies
-// (milliseconds to a second) a healthy clock holds a small fraction of it.
+// maxDelayedDatagrams bounds the delayed wire jobs one node's clock holds:
+// each outbound datagram — the frame one callback's sends to one peer share,
+// however many messages it carries — and each inbound message waiting out
+// the node's half of the latency (the receiver delays messages, not
+// datagrams). Past it a job is dropped, every message in it counted like
+// any other loss; callbacks are never dropped. A node hears a few hundred
+// messages a second, so at the modelled latencies (milliseconds to a
+// second) a healthy clock holds a small fraction of it.
 const maxDelayedDatagrams = 4096
 
 // job is one entry of a clock, held by value. It is exactly one of
@@ -21,8 +24,6 @@ const maxDelayedDatagrams = 4096
 //     to addr from the clock's node — or, with msg.FlagFragment in flags, the
 //     message encoding in *frame, cut into a fragment train when it fires;
 //   - a delayed dispatch: m, from from, handed to the clock's node.
-//
-// m is kept on a send for the drop accounting of a failed write.
 type job struct {
 	due    time.Duration
 	seq    uint64
@@ -118,11 +119,14 @@ func startClock(rt *Runtime, node *nodeCtx) *clock {
 	return c
 }
 
-// push queues j to run d from now (d < 0 is 0). A stopped clock queues
-// nothing; a full one drops a datagram with OnDrop. Either way a refused
-// job's frame goes back to the pool.
-func (c *clock) push(d time.Duration, j job) {
-	j.due = c.rt.Now() + max(d, 0)
+// push queues j to run d from now (d < 0 is 0); see at.
+func (c *clock) push(d time.Duration, j job) { c.at(c.rt.Now()+max(d, 0), j) }
+
+// at queues j to run at due. A stopped clock queues nothing; a full one
+// drops a datagram with OnDrop. Either way a refused job's frame goes back
+// to the pool.
+func (c *clock) at(due time.Duration, j job) {
+	j.due = due
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -219,15 +223,18 @@ func (c *clock) fire(j *job) {
 	switch {
 	case j.copies > 0:
 		c.rt.write(n, j)
+		c.rt.release(j)
 	case n == nil:
 		j.fn()
 	default:
 		n.mu.Lock()
 		defer n.mu.Unlock()
+		n.out.begin()
 		if j.fn != nil {
 			j.fn()
 		} else {
 			c.rt.dispatch(n, j.from, j.m)
 		}
+		n.out.flush(n)
 	}
 }

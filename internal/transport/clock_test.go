@@ -1,6 +1,8 @@
 package transport
 
 import (
+	gonet "net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -97,25 +99,62 @@ func FuzzClockOrder(f *testing.F) {
 // Propose (its frame from the pool) and a delayed dispatch are each one
 // by-value job. It pins the receive path's too: a Propose or a Serve
 // datagram through a warmed Decoder, then onto the clock, costs a block
-// refill every few dozen datagrams, 0 in AllocsPerRun's integer mean. Every
-// delay is an hour, so nothing fires while measuring.
+// refill every few dozen datagrams, 0 in AllocsPerRun's integer mean. And
+// it pins the outbox's: a callback that sends k messages to each of d
+// destinations ships d datagrams for nothing, whether they leave inline
+// (a zero-latency node, what lifting-node runs) or wait on the clock. Every
+// other delay is an hour, so nothing fires while measuring.
 func TestWireAllocs(t *testing.T) {
 	rt := New(Options{Seed: 1, Defaults: net.Conditions{LatencyBase: 2 * time.Hour}})
 	defer rt.Close()
 	rt.Attach(1, nil)
 	rt.Attach(2, nil)
-	const runs = 200
+	const runs, k, d = 200, 4, 3
 	n := rt.localNode(1)
 	n.clock.mu.Lock()
-	n.clock.heap.jobs = make([]job, 0, 6*runs) // steady state: the heap has grown
+	n.clock.heap.jobs = make([]job, 0, (6+d)*runs) // steady state: the heap has grown
 	n.clock.mu.Unlock()
-	for i := 0; i <= runs; i++ { // steady state: sent frames come back to the pool
+	// Steady state: sent frames come back to the pool. Twice what the runs
+	// take, because under -race sync.Pool drops a random quarter of Puts.
+	for i := 0; i < 2*(1+d)*(runs+1); i++ {
 		b := make([]byte, 0, msg.FrameHeaderSize+512)
 		rt.bufs.Put(&b)
 	}
 
+	// The callbacks' destinations: sockets nobody reads, so what the inline
+	// ones write costs no receive loop anything while measuring.
+	dests := make([]msg.NodeID, d)
+	for i := range dests {
+		sink, err := gonet.ListenUDP("udp", gonet.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sink.Close()
+		dests[i] = msg.NodeID(10 + i)
+		rt.book.SetAddr(dests[i], sink.LocalAddr().(*gonet.UDPAddr).AddrPort())
+	}
+	sendAll := func(from msg.NodeID) func() {
+		blame := &msg.Blame{Sender: from, Target: 5, Value: 1, Reason: msg.ReasonPartialServe}
+		return func() {
+			for i := 0; i < k; i++ {
+				for _, to := range dests {
+					rt.Send(from, to, blame, net.Unreliable)
+				}
+			}
+		}
+	}
+	// Node 3 has no latency: a datagram it receives is dispatched inline,
+	// and what its handler sends leaves inline when the dispatch returns.
+	rt.SetConditions(3, net.Conditions{})
+	answer := sendAll(3)
+	rt.Attach(3, handlerFunc(func(msg.NodeID, msg.Message) { answer() }))
+	inline := rt.localNode(3)
+	trigger := []msg.Message{&msg.ScoreReq{Sender: 2, Target: 4}}
+	timer := job{fn: sendAll(1)}
+
 	noop := func() {}
 	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8}, Origins: []msg.NodeID{4, 5}}
+	proposes := []msg.Message{propose}
 	serve := &msg.Serve{Sender: 1, Period: 3, Chunk: 7, PayloadSize: 1316, Hash: 9, Payload: make([]byte, 1316)}
 	datagram := func(m msg.Message) []byte {
 		b, err := msg.AppendFrame(nil, m, 0)
@@ -126,26 +165,35 @@ func TestWireAllocs(t *testing.T) {
 	}
 	proposeDatagram, serveDatagram := datagram(propose), datagram(serve)
 	src, _ := rt.book.Lookup(1)
-	var dec msg.Decoder
-	reasm := newReassembler()
+	in := &inbox{reasm: newReassembler()}
 	for _, c := range []struct {
 		name string
 		f    func()
 	}{
 		{"nodeCtx.After", func() { n.After(time.Hour, noop) }},
 		{"delayed Send", func() { rt.Send(1, 2, propose, net.Unreliable) }},
-		{"delayed dispatch", func() { rt.deliver(n, propose, 0) }},
-		{"decode a Propose datagram", func() { rt.receive(n, &dec, reasm, proposeDatagram, src) }},
-		{"decode a Serve datagram", func() { rt.receive(n, &dec, reasm, serveDatagram, src) }},
+		{"delayed dispatch", func() { rt.deliver(n, proposes, 0) }},
+		{"decode a Propose datagram", func() { rt.receive(n, in, proposeDatagram, src) }},
+		{"decode a Serve datagram", func() { rt.receive(n, in, serveDatagram, src) }},
+		{"callback, datagrams inline", func() { rt.deliver(inline, trigger, 0) }},
+		{"callback, datagrams delayed", func() { n.clock.fire(&timer) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, c.f); allocs != 0 {
 			t.Errorf("%s allocates %v objects, want 0", c.name, allocs)
 		}
 	}
-	if jobs, datagrams := n.clock.pending(); jobs != 5*(runs+1) || datagrams != 4*(runs+1) {
-		t.Fatalf("clock holds %d jobs, %d of them datagrams; want %d and %d", jobs, datagrams, 5*(runs+1), 4*(runs+1))
+	if jobs, datagrams := n.clock.pending(); jobs != (5+d)*(runs+1) || datagrams != (4+d)*(runs+1) {
+		t.Fatalf("clock holds %d jobs, %d of them datagrams; want %d and %d", jobs, datagrams, (5+d)*(runs+1), (4+d)*(runs+1))
+	}
+	if jobs, _ := inline.clock.pending(); jobs != 0 {
+		t.Fatalf("the zero-latency node queued %d jobs, want none", jobs)
 	}
 }
+
+// handlerFunc adapts a function to net.Handler.
+type handlerFunc func(from msg.NodeID, m msg.Message)
+
+func (f handlerFunc) HandleMessage(from msg.NodeID, m msg.Message) { f(from, m) }
 
 // TestCloseDropsPendingWork: a callback, a harness callback and a delayed
 // send an hour out are neither run nor waited for.
@@ -177,7 +225,8 @@ func TestCloseDropsPendingWork(t *testing.T) {
 // TestDelayedDatagramsAreBounded floods one node's clock — its own sends and
 // datagrams it receives, both waiting out its half of a 1 s link — past
 // maxDelayedDatagrams: the clock holds exactly the bound, every datagram
-// past it is an accounted drop, and a callback still gets in.
+// past it is an accounted drop — every message of it — and a callback
+// still gets in.
 func TestDelayedDatagramsAreBounded(t *testing.T) {
 	coll := metrics.NewCollector()
 	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{LatencyBase: time.Second}})
@@ -195,7 +244,7 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 		rt.Send(1, 2, m, net.Reliable)
 	}
 	for i := 0; i < maxDelayedDatagrams/2+extra; i++ {
-		rt.deliver(n, m, msg.FlagReliable)
+		rt.deliver(n, []msg.Message{m}, msg.FlagReliable)
 	}
 	if time.Since(start) > time.Second {
 		t.Skip("the flood outlasted the modelled latency on this machine")
@@ -205,6 +254,16 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 	}
 	if got := coll.Dropped(msg.KindAuditReq); got != extra {
 		t.Fatalf("%d drops accounted, want the %d datagrams past the bound", got, extra)
+	}
+	// One callback's three sends to one peer are one datagram: refused
+	// whole, each of its messages an accounted drop.
+	n.clock.fire(&job{fn: func() {
+		for i := 0; i < 3; i++ {
+			rt.Send(1, 2, m, net.Reliable)
+		}
+	}})
+	if got := coll.Dropped(msg.KindAuditReq); got != extra+3 {
+		t.Fatalf("%d drops accounted, want %d: the 3 messages of a refused datagram count one each", got, extra+3)
 	}
 	n.After(time.Hour, func() {})
 	if jobs, datagrams := n.clock.pending(); jobs != maxDelayedDatagrams+1 || datagrams != maxDelayedDatagrams {

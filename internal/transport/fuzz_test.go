@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"testing"
 	"unsafe"
 
@@ -25,24 +28,12 @@ import (
 // unwrapped it off the socket, alternating between two source addresses.
 // With N's top bit set the fragment body past the 8-byte header is repeated
 // out to a full msg.MaxFragmentBody, so a short input can reach the byte
-// budget.
+// budget. The committed corpus under testdata/fuzz/FuzzReassembly holds
+// reassemblySeeds and what the fuzzer found; `go test` replays it.
 func FuzzReassembly(f *testing.F) {
-	// A complete single-fragment message, a two-source split train with a
-	// contradictory count, a short header, raw garbage, nothing, a train
-	// longer than any message.
-	f.Add([]byte("\t\x00\x00\x00\x01\x00\x00\x00\x01A"))
-	f.Add([]byte("\n\x00\x00\x00\x02\x00\x00\x00\x02xx\n\x00\x00\x00\x02\x00\x01\x00\x03yy"))
-	f.Add([]byte("\x03abc"))
-	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte{})
-	f.Add([]byte("\t\x00\x00\x00\x03\x00\x00\xff\xffA")) // one byte of a 65 535-fragment train
-	// 40 full-size fragments from each source: past the byte budget.
-	var flood []byte
-	for n := byte(0); n < 80; n++ {
-		flood = append(flood, 0x80|10, 0, 0, 0, n/32, 0, n/2%16, 0, maxFragments, 'x', 'y')
+	for _, seed := range reassemblySeeds() {
+		f.Add(seed.data)
 	}
-	f.Add(flood)
-
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		ra := newReassembler()
 		srcs := [2]netip.AddrPort{netip.MustParseAddrPort("10.0.0.1:9000"), netip.MustParseAddrPort("10.0.0.2:9000")}
@@ -119,6 +110,78 @@ func FuzzReassembly(f *testing.F) {
 			t.Fatalf("reassembled %d bytes differ from the %d-byte original", len(got), len(body))
 		}
 	})
+}
+
+// reassemblySeeds: a complete single-fragment message, a two-source split
+// train with a contradictory count, interleaved trains, a short header,
+// raw garbage, nothing, one byte of a train longer than any message, 40
+// full-size fragments from each source (past the byte budget), and v4
+// message lists posing as fragments — what a plain frame of several
+// messages becomes when a peer sets FlagFragment on it.
+func reassemblySeeds() []struct {
+	name string
+	data []byte
+} {
+	var flood []byte
+	for n := byte(0); n < 80; n++ {
+		flood = append(flood, 0x80|10, 0, 0, 0, n/32, 0, n/2%16, 0, maxFragments, 'x', 'y')
+	}
+	record := func(full bool, payload []byte) []byte {
+		n := byte(len(payload))
+		if full {
+			n |= 0x80
+		}
+		return append([]byte{n}, payload...)
+	}
+	list := func(ms ...msg.Message) []byte {
+		frame := msg.StartFrame(nil, 0)
+		for _, m := range ms {
+			var err error
+			if frame, err = msg.AppendMessage(frame, m); err != nil {
+				panic(err)
+			}
+		}
+		return frame[msg.FrameHeaderSize:]
+	}
+	serves := list(
+		&msg.Serve{Sender: 4, Chunk: 1, PayloadSize: 3, Hash: 1, Payload: []byte("abc")},
+		&msg.Serve{Sender: 4, Chunk: 2, PayloadSize: 3, Hash: 2, Payload: []byte("def")},
+	)
+	blames := list(&msg.ScoreReq{Sender: 7, Target: 2}, &msg.Blame{Sender: 7, Target: 2, Value: 1})
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"seed-complete-single", []byte("\t\x00\x00\x00\x01\x00\x00\x00\x01A")},
+		{"seed-contradictory-count", []byte("\n\x00\x00\x00\x02\x00\x00\x00\x02xx\n\x00\x00\x00\x02\x00\x01\x00\x03yy")},
+		{"seed-interleaved-trains", []byte("\n\x00\x00\x00\x05\x00\x00\x00\x02aa\n\x00\x00\x00\x06\x00\x00\x00\x02bb\n\x00\x00\x00\x05\x00\x01\x00\x02cc\n\x00\x00\x00\x06\x00\x01\x00\x02dd")},
+		{"seed-short-header", []byte("\x03abc")},
+		{"seed-garbage", []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00\x00")},
+		{"seed-garbage-short", []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff")},
+		{"seed-empty", []byte{}},
+		{"seed-count-bomb", []byte("\t\x00\x00\x00\x03\x00\x00\xff\xffA")},
+		{"seed-byte-budget-flood", flood},
+		{"seed-batch-as-fragments", append(record(false, serves), record(false, blames)...)},
+		{"seed-batch-as-full-fragments", append(record(true, serves), record(true, blames)...)},
+	}
+}
+
+// TestRegenFuzzCorpus rewrites the seed files of testdata/fuzz/FuzzReassembly
+// from reassemblySeeds, leaving what the fuzzer found. Run it after any
+// wire-format change:
+//
+//	LIFTING_REGEN_CORPUS=1 go test ./internal/transport -run TestRegenFuzzCorpus
+func TestRegenFuzzCorpus(t *testing.T) {
+	if os.Getenv("LIFTING_REGEN_CORPUS") == "" {
+		t.Skip("set LIFTING_REGEN_CORPUS=1 to rewrite the corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzReassembly")
+	for _, s := range reassemblySeeds() {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
+		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 const sliceHeaderBytes = int(unsafe.Sizeof([]byte(nil)))

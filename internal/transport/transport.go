@@ -79,7 +79,12 @@ type Runtime struct {
 	randMu sync.Mutex
 	rand   *rng.Stream
 
-	bufs sync.Pool // frame buffers on the send path
+	// Frame buffers on the send path: bufs for a frame of a few small
+	// messages, full for one that outgrew that — a batch of serves. Kept
+	// apart, the few full buffers in flight stay full and the many small
+	// ones stay small; in one pool every buffer would in time grow to the
+	// largest frame it ever carried, and be grown again after each GC.
+	bufs, full sync.Pool
 
 	// fragID numbers outbound fragmented messages so receivers can group
 	// their fragments. Uniqueness per (sender socket, recent window) is all
@@ -119,13 +124,17 @@ func New(o Options) *Runtime {
 			b := make([]byte, 0, msg.FrameHeaderSize+512)
 			return &b
 		}},
+		full: sync.Pool{New: func() any {
+			b := make([]byte, 0, fullFrame)
+			return &b
+		}},
 	}
 	r.clock = startClock(r, nil)
 	return r
 }
 
 // nodeCtx is one locally hosted node: its socket, the lock serializing all
-// its callbacks, and its clock.
+// its callbacks, its clock, and the outbox its callbacks send through.
 type nodeCtx struct {
 	rt    *Runtime
 	id    msg.NodeID
@@ -133,6 +142,7 @@ type nodeCtx struct {
 	clock *clock
 	mu    sync.Mutex
 	h     net.Handler
+	out   outbox
 }
 
 var _ sim.Context = (*nodeCtx)(nil)
@@ -302,11 +312,13 @@ func (r *Runtime) jitter(j time.Duration) time.Duration {
 }
 
 // Send implements net.Network: the message is framed through the binary
-// codec and shipped as one UDP datagram to the destination's address-book
-// entry. Loss and latency from the node conditions are modelled on top of
-// the real socket (loopback is effectively lossless and instant, and
-// scenarios still want the paper's 4%-loss PlanetLab links); messages to
-// down or unknown destinations are dropped like any other network loss.
+// codec and shipped to the destination's address-book entry — in the one
+// datagram that carries everything the sender sends that peer during the
+// callback it runs in (see outbox), or alone when it runs in none. Loss and
+// latency from the node conditions are modelled on top of the real socket
+// (loopback is effectively lossless and instant, and scenarios still want
+// the paper's 4%-loss PlanetLab links); messages to down or unknown
+// destinations are dropped like any other network loss.
 //
 // Each side of a link applies its own conditions: the sender delays by its
 // half of the latency, the receiver draws LossIn and delays by its half
@@ -345,8 +357,9 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		latency *= net.ReliableSetupFactor
 	}
 	copies := uint8(1)
+	held := false
 	if !drop && mode == net.Unreliable {
-		if r.bernoulli(src.ReorderProb) {
+		if held = r.bernoulli(src.ReorderProb); held {
 			// Hold the datagram back so later sends overtake it.
 			latency += src.ReorderDelay
 		}
@@ -364,9 +377,12 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		return
 	}
 
-	j := job{m: m, copies: copies, addr: addr}
+	j := job{copies: copies, addr: addr}
 	if mode == net.Reliable {
 		j.flags = msg.FlagReliable
+	}
+	if copies == 1 && !held && sender.id == from && sender.out.add(r, addr, j.flags, m, latency) {
+		return
 	}
 	j.frame = r.bufs.Get().(*[]byte)
 	frame, err := msg.AppendFrame((*j.frame)[:0], m, j.flags)
@@ -393,22 +409,23 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	}
 	if latency <= 0 {
 		r.write(sender, &j)
+		r.release(&j)
 		return
 	}
 	sender.clock.push(latency, j)
 }
 
 // write ships a send job's datagrams from sender's socket; a failed write
-// is a drop. The frame goes back to the pool.
+// is a drop of every message the datagram carries. The frame stays the
+// caller's.
 func (r *Runtime) write(sender *nodeCtx, j *job) {
-	defer r.release(j)
 	if j.flags&msg.FlagFragment != 0 {
 		r.writeFragments(sender, j)
 		return
 	}
 	for i := 0; i < int(j.copies); i++ {
 		if _, err := sender.conn.WriteToUDPAddrPort(*j.frame, j.addr); err != nil {
-			r.collector.OnDrop(j.m, j.m.WireSize())
+			r.lost(j, 1)
 		}
 	}
 }
@@ -431,34 +448,77 @@ func (r *Runtime) writeFragments(sender *nodeCtx, j *job) {
 		start, end := i*msg.MaxFragmentBody, min((i+1)*msg.MaxFragmentBody, len(body))
 		f, err := msg.AppendFragment(nil, msgID, uint16(i), uint16(count), body[start:end], j.flags)
 		if err != nil {
-			panic(fmt.Sprintf("transport: fragmenting %T: %v", j.m, err))
+			panic(fmt.Sprintf("transport: fragmenting a %d-byte message: %v", len(body), err))
 		}
 		frames = append(frames, f)
 	}
 	for i := 0; i < int(j.copies); i++ {
 		for _, f := range frames {
 			if _, err := sender.conn.WriteToUDPAddrPort(f, j.addr); err != nil {
-				r.collector.OnDrop(j.m, j.m.WireSize())
+				r.lost(j, 1)
 				return
 			}
 		}
 	}
 }
 
+// fullFrame is the capacity of a full buffer: the largest datagram.
+const fullFrame = msg.FrameHeaderSize + msg.MaxFramePayload
+
 // release returns a job's pooled frame, if it holds one.
 func (r *Runtime) release(j *job) {
 	if j.frame != nil && j.flags&msg.FlagFragment == 0 {
-		r.bufs.Put(j.frame)
+		r.put(j.frame)
+	}
+}
+
+// put returns a frame buffer to the pool of its size.
+func (r *Runtime) put(frame *[]byte) {
+	if cap(*frame) == fullFrame {
+		r.full.Put(frame)
+	} else {
+		r.bufs.Put(frame)
 	}
 }
 
 // drop accounts a delayed datagram its clock had no room for as lost — each
-// copy of a send — and releases it.
+// message of a dispatch, each message of each copy of a send — and releases
+// it.
 func (r *Runtime) drop(j *job) {
-	for i := 0; i < max(int(j.copies), 1); i++ {
+	if j.copies == 0 {
 		r.collector.OnDrop(j.m, j.m.WireSize())
+	} else {
+		r.lost(j, int(j.copies))
 	}
 	r.release(j)
+}
+
+// lost accounts every message a send job carries as dropped, times times.
+// The job keeps only its encoding, so the messages are decoded back: a
+// failure path, rare enough to pay for what the send path saves.
+func (r *Runtime) lost(j *job, times int) {
+	if j.flags&msg.FlagFragment != 0 {
+		r.lostEncoding(*j.frame, times)
+		return
+	}
+	batch, err := msg.ParseBatch((*j.frame)[msg.FrameHeaderSize:])
+	if err != nil {
+		return
+	}
+	for e := batch.Next(); e != nil; e = batch.Next() {
+		r.lostEncoding(e, times)
+	}
+}
+
+// lostEncoding accounts the message encoded in e as dropped, times times.
+func (r *Runtime) lostEncoding(e []byte, times int) {
+	m, err := msg.Decode(e)
+	if err != nil {
+		return
+	}
+	for i := 0; i < times; i++ {
+		r.collector.OnDrop(m, m.WireSize())
+	}
 }
 
 // maxReassembly bounds the half-built messages a socket keeps, and
@@ -628,15 +688,22 @@ func (ra *reassembler) remove(key reasmKey) {
 	}
 }
 
+// inbox is what one receive loop owns besides its read buffer: the fragment
+// reassembler, the message decoder, and the messages of the datagram in
+// hand.
+type inbox struct {
+	reasm *reassembler
+	dec   msg.Decoder
+	batch []msg.Message
+}
+
 // recvLoop reads datagrams off one node's socket until the runtime closes.
-// The loop owns the socket's read buffer, fragment reassembler and message
-// decoder: every datagram is read into the same buffer, and the decoder
-// copies out whatever the message keeps.
+// Every datagram is read into the same buffer, and the decoder copies out
+// whatever the messages keep.
 func (r *Runtime) recvLoop(n *nodeCtx) {
 	defer r.loops.Done()
 	buf := make([]byte, 1<<16)
-	reasm := newReassembler()
-	var dec msg.Decoder
+	in := &inbox{reasm: newReassembler()}
 	for {
 		sz, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -645,38 +712,56 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 			}
 			continue
 		}
-		r.receive(n, &dec, reasm, buf[:sz], src)
+		r.receive(n, in, buf[:sz], src)
 	}
 }
 
-// receive handles one datagram for n: validate the frame, reassemble
-// fragments, decode, learn the sender's address, deliver. Malformed
-// datagrams are dropped — FuzzDecode guarantees the decoder survives
-// anything the network delivers.
-func (r *Runtime) receive(n *nodeCtx, dec *msg.Decoder, reasm *reassembler, datagram []byte, src netip.AddrPort) {
+// receive handles one datagram for n: validate the frame and its checksum,
+// reassemble fragments or check the message list whole, decode every
+// message, learn the sender's address, deliver. A malformed datagram is
+// dropped whole, nothing of it delivered — FuzzDecode guarantees the
+// decoder survives anything the network delivers.
+func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.AddrPort) {
 	payload, flags, err := msg.RawFrame(datagram)
 	if err != nil {
 		return
 	}
+	ms := in.batch[:0]
+	defer func() { clear(ms); in.batch = ms[:0] }()
 	if flags&msg.FlagFragment != 0 {
-		var done bool
-		if payload, done = reasm.add(src, payload); !done {
+		body, done := in.reasm.add(src, payload)
+		if !done {
 			return
 		}
+		m, err := in.dec.Decode(body)
+		if err != nil {
+			return
+		}
+		ms = append(ms, m)
+	} else {
+		batch, err := msg.ParseBatch(payload)
+		if err != nil {
+			return
+		}
+		for e := batch.Next(); e != nil; e = batch.Next() {
+			m, err := in.dec.Decode(e)
+			if err != nil {
+				return
+			}
+			ms = append(ms, m)
+		}
 	}
-	m, err := dec.Decode(payload)
-	if err != nil {
-		return
-	}
-	r.book.Learn(m.From(), src)
-	r.deliver(n, m, flags)
+	r.book.Learn(ms[0].From(), src)
+	r.deliver(n, ms, flags)
 }
 
-// deliver applies the receiver's side of the link to m: its inbound loss
-// and its half of the latency apply here, where the node's own conditions
-// are known even when the sender is another process. Without a delay m is
-// dispatched at once, otherwise it waits on the node's clock.
-func (r *Runtime) deliver(n *nodeCtx, m msg.Message, flags uint8) {
+// deliver applies the receiver's side of the link to one datagram's
+// messages: its inbound loss and its half of the latency apply here, where
+// the node's own conditions are known even when the sender is another
+// process, each message drawing its own. A message without a delay is
+// dispatched at once, the datagram's together as one callback; one with a
+// delay waits on the node's clock, a callback of its own.
+func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	r.mu.RLock()
 	closed := r.closed
 	cond := r.conditionsOf(n.id)
@@ -684,22 +769,32 @@ func (r *Runtime) deliver(n *nodeCtx, m msg.Message, flags uint8) {
 	if closed {
 		return
 	}
-	lost := flags&msg.FlagReliable == 0 && r.bernoulli(cond.LossIn)
-	if cond.Down || lost {
-		r.collector.OnDrop(m, m.WireSize())
-		return
+	locked := false
+	for _, m := range ms {
+		lost := flags&msg.FlagReliable == 0 && r.bernoulli(cond.LossIn)
+		if cond.Down || lost {
+			r.collector.OnDrop(m, m.WireSize())
+			continue
+		}
+		delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
+		if flags&msg.FlagReliable != 0 {
+			delay *= net.ReliableSetupFactor // the receiver's half
+		}
+		if delay > 0 {
+			n.clock.push(delay, job{m: m, from: m.From()})
+			continue
+		}
+		if !locked {
+			n.mu.Lock()
+			n.out.begin()
+			locked = true
+		}
+		r.dispatch(n, m.From(), m)
 	}
-	delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
-	if flags&msg.FlagReliable != 0 {
-		delay *= net.ReliableSetupFactor // the receiver's half
+	if locked {
+		n.out.flush(n)
+		n.mu.Unlock()
 	}
-	if delay > 0 {
-		n.clock.push(delay, job{m: m, from: m.From()})
-		return
-	}
-	n.mu.Lock()
-	r.dispatch(n, m.From(), m)
-	n.mu.Unlock()
 }
 
 // dispatch hands m to n's handler. n's lock is held.

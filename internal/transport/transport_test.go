@@ -483,3 +483,197 @@ func TestServePayloadSurvivesBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// peer is a raw UDP socket standing in for a remote node: it counts the
+// datagrams a runtime sends it and the messages they carry.
+type peer struct {
+	t    *testing.T
+	conn *gonet.UDPConn
+}
+
+func listenPeer(t *testing.T) *peer {
+	conn, err := gonet.ListenUDP("udp", gonet.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &peer{t: t, conn: conn}
+}
+
+func (p *peer) addr() netip.AddrPort { return p.conn.LocalAddr().(*gonet.UDPAddr).AddrPort() }
+
+// datagrams reads until want messages have arrived and returns how many
+// datagrams carried them, checking that each carries one sender's
+// messages and that nothing else follows.
+func (p *peer) datagrams(want int) int {
+	p.t.Helper()
+	buf := make([]byte, 1<<16)
+	got, n := 0, 0
+	for got < want {
+		p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		sz, err := p.conn.Read(buf)
+		if err != nil {
+			p.t.Fatalf("%d of %d messages in %d datagrams, then: %v", got, want, n, err)
+		}
+		payload, _, err := msg.RawFrame(buf[:sz])
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		batch, err := msg.ParseBatch(payload)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		got, n = got+batch.Len, n+1
+	}
+	p.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := p.conn.Read(buf); err == nil {
+		p.t.Fatalf("a datagram past the %d messages expected", want)
+	}
+	return n
+}
+
+// TestOneDatagramPerDestinationPerCallback counts datagrams at raw sockets:
+// the 17 serves a node sends one peer during one callback arrive in one
+// datagram, a callback sending to 3 peers sends 3, and so it is whether the
+// datagrams leave inline (latency 0, what lifting-node runs) or wait out
+// the sender's half of a modelled latency on its clock. Sends made outside
+// any callback ship one datagram each, as they did before frame v4.
+func TestOneDatagramPerDestinationPerCallback(t *testing.T) {
+	for _, latency := range []time.Duration{0, 40 * time.Millisecond} {
+		book := NewBook()
+		rt := New(Options{Seed: 1, Book: book, Defaults: net.Conditions{LatencyBase: latency}})
+		defer rt.Close()
+		rt.Attach(1, nil)
+		peers := []*peer{listenPeer(t), listenPeer(t), listenPeer(t)}
+		for i, p := range peers {
+			book.SetAddr(msg.NodeID(10+i), p.addr())
+		}
+		serve := func(chunk int) msg.Message {
+			return &msg.Serve{Sender: 1, Chunk: msg.ChunkID(chunk), PayloadSize: 1316, Hash: 7, Payload: make([]byte, 1316)}
+		}
+
+		start := time.Now()
+		rt.Exec(1, func() {
+			for c := 0; c < 17; c++ {
+				rt.Send(1, 10, serve(c), net.Unreliable)
+			}
+		})
+		if n := peers[0].datagrams(17); n != 1 {
+			t.Errorf("latency %v: 17 serves in one callback arrived in %d datagrams, want 1", latency, n)
+		}
+		if took := time.Since(start); took < latency/2 {
+			t.Errorf("latency %v: the datagram left after %v, before the sender's half", latency, took)
+		}
+
+		rt.Exec(1, func() {
+			for c := 0; c < 4; c++ {
+				for i := range peers {
+					rt.Send(1, msg.NodeID(10+i), &msg.Blame{Sender: 1, Target: 3, Value: 1}, net.Unreliable)
+				}
+			}
+			rt.Send(1, 10, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable)
+		})
+		for i, p := range peers {
+			want, datagrams := 4, 1
+			if i == 0 {
+				want, datagrams = 5, 2 // the reliable-class audit is its own datagram
+			}
+			if n := p.datagrams(want); n != datagrams {
+				t.Errorf("latency %v: peer %d got its %d messages in %d datagrams, want %d", latency, i, want, n, datagrams)
+			}
+		}
+
+		for c := 0; c < 3; c++ {
+			rt.Send(1, 11, serve(c), net.Unreliable)
+		}
+		if n := peers[1].datagrams(3); n != 3 {
+			t.Errorf("latency %v: 3 serves sent outside any callback arrived in %d datagrams, want 3", latency, n)
+		}
+	}
+}
+
+// TestDatagramFromMixedSendersDeliversNothing: every message in a v4
+// datagram carries the one sender the receiver learns the source address
+// for. A hand-built datagram whose messages claim two senders is dropped
+// whole — nothing delivered, no address learned — and the next honest
+// datagram of several messages is delivered in full, in order.
+func TestDatagramFromMixedSendersDeliversNothing(t *testing.T) {
+	book := NewBook()
+	rt := New(Options{Seed: 1, Book: book})
+	defer rt.Close()
+	sink := &collect{}
+	rt.Attach(2, sink)
+	addr, _ := book.Lookup(2)
+	raw, err := gonet.DialUDP("udp", nil, gonet.UDPAddrFromAddrPort(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	frame := func(ms ...msg.Message) []byte {
+		f := msg.StartFrame(nil, 0)
+		for _, m := range ms {
+			if f, err = msg.AppendMessage(f, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		msg.SealFrame(f)
+		return f
+	}
+	// AppendMessage does not police senders; the receiver does.
+	mixed := frame(&msg.ScoreReq{Sender: 7, Target: 4}, &msg.ScoreReq{Sender: 8, Target: 4})
+	honest := frame(&msg.ScoreReq{Sender: 9, Target: 1}, &msg.ScoreReq{Sender: 9, Target: 2}, &msg.ScoreReq{Sender: 9, Target: 3})
+	for _, d := range [][]byte{mixed, honest} {
+		if _, err := raw.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the honest datagram", func() bool { return sink.count() >= 3 })
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for i, m := range sink.got {
+		if r, ok := m.(*msg.ScoreReq); !ok || r.Sender != 9 || r.Target != msg.NodeID(i+1) {
+			t.Fatalf("delivery %d is %+v; want the honest datagram's messages alone, in order", i, m)
+		}
+	}
+	if len(sink.got) != 3 {
+		t.Fatalf("%d deliveries, want the honest datagram's 3", len(sink.got))
+	}
+	for _, id := range []msg.NodeID{7, 8} {
+		if a, ok := book.Lookup(id); ok {
+			t.Errorf("the mixed datagram taught the book %d at %v", id, a)
+		}
+	}
+	if _, ok := book.Lookup(9); !ok {
+		t.Error("the honest datagram did not teach the book its sender")
+	}
+}
+
+// TestInboundLossPerMessage: coalescing is invisible to §6's Bernoulli
+// model — the receiver draws LossIn for each message of a datagram, not
+// once for the datagram.
+func TestInboundLossPerMessage(t *testing.T) {
+	book := NewBook()
+	rt := New(Options{Seed: 3, Book: book})
+	defer rt.Close()
+	sink := &collect{}
+	rt.Attach(1, nil)
+	rt.Attach(2, sink)
+	rt.SetConditions(2, net.Conditions{LossIn: 0.5})
+	const n = 200
+	rt.Exec(1, func() {
+		for i := 0; i < n; i++ {
+			rt.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: msg.NodeID(i)}, net.Unreliable)
+		}
+	})
+	// Reliable-class traffic is exempt from LossIn and leaves the same
+	// socket after the batch; once it is in, the batch has been drawn.
+	rt.Exec(1, func() { rt.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable) })
+	waitFor(t, "the reliable marker", func() bool {
+		sink.mu.Lock()
+		defer sink.mu.Unlock()
+		return len(sink.got) > 0 && sink.got[len(sink.got)-1].Kind() == msg.KindAuditReq
+	})
+	if got := sink.count() - 1; got < n/4 || got > 3*n/4 {
+		t.Fatalf("%d of %d messages in one datagram survived a 50%% inbound loss; want each drawn on its own", got, n)
+	}
+}
