@@ -53,9 +53,12 @@ benchmark:
 # The allocation ceiling: one untraced pass each of sim_churn and sim_scale
 # (~1 min in all), whose allocs_per_chunk — a count that repeats exactly for
 # a seed — must not exceed ALLOCS_CEILING. It reads the result line the
-# benchmark prints last (needs jq). The ceiling sits well above the measured
-# 1.19 and 1.97 because Go releases differ in what their maps allocate.
-ALLOCS_CEILING = 2.5
+# benchmark prints last (needs jq). Measured 0.58 and 0.65 on Go 1.24 since
+# every message a node sends is carved from send blocks (1.18 and 1.98
+# before): the ceiling sits below the old cost, so a return to it fails, and
+# above the new one by the room Go releases take in what their maps
+# allocate.
+ALLOCS_CEILING = 1.2
 allocs:
 	@set -e; for w in sim_churn sim_scale; do \
 		out=$$($(GO) run ./benchmark -workload $$w -seed 23 -seconds 20 -trace 0); \

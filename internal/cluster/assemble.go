@@ -112,6 +112,9 @@ type wiring struct {
 	// verified is the verified-once table the nodes of a sim cluster share
 	// (gossip.Deps.VerifiedOnce); nil wherever payloads cross a socket.
 	verified *content.Store
+	// sends is the set of send blocks of the node's execution context: its
+	// engine shard's on the sim, its own on udp.
+	sends *msg.Sends
 	// behavior picks the node's behavior from its "behavior" stream; a nil
 	// func or result means honest.
 	behavior func(*rng.Stream) gossip.Behavior
@@ -169,6 +172,7 @@ func assemble(o *Options, w wiring) assembled {
 		Rand:     nodeRand.Derive("gossip"),
 		Behavior: behavior,
 		History:  history.NewLog(gcfg.HistoryPeriods),
+		Sends:    w.sends,
 		Metrics:  w.collector,
 
 		Store:        content.NewStore(o.storeCapacity()),
@@ -199,11 +203,11 @@ func assemble(o *Options, w wiring) assembled {
 	if o.LiFTinG {
 		sink := w.sink
 		if sink == nil {
-			a.client = reputation.NewClient(id, o.Rep, netw, w.dir)
+			a.client = reputation.NewClientOn(id, o.Rep, netw, w.dir, w.sends)
 			sink = a.client
 		}
 		sink = countingSink{coll: w.collector, inner: sink}
-		a.verifier = core.NewVerifier(id, o.Core, ctx, netw, nodeRand.Derive("verify"), deps.History, behavior, sink)
+		a.verifier = core.NewVerifier(id, o.Core, ctx, netw, nodeRand.Derive("verify"), deps.History, behavior, sink, w.sends)
 		aux := auxChain{a.verifier}
 		if a.client != nil {
 			mcfg := o.Rep

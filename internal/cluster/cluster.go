@@ -207,6 +207,7 @@ type Cluster struct {
 
 	root          *rng.Stream
 	verified      *content.Store // the nodes' shared verified-once table; nil off the sim backend
+	sends         []msg.Sends    // one set of send blocks per engine shard; nil off the sim backend
 	auditor       *core.Auditor
 	period        msg.Period
 	clients       []ownedClient // message-mode blame clients, flushed per period
@@ -299,6 +300,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		engine := sim.NewSharded(c.shardCountAndWindow())
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
+		c.sends = make([]msg.Sends, engine.ShardCount())
 		if verifyOnce {
 			// The one runtime that delivers payloads by reference: every
 			// node is handed the source's own slices, so one full hash per
@@ -370,6 +372,7 @@ func (c *Cluster) build(id msg.NodeID) {
 		root:      c.root,
 		collector: c.Collector,
 		verified:  c.verified,
+		sends:     c.sendsFor(id),
 	}
 	if c.keeper != nil {
 		w.sink = c.keeper
@@ -419,6 +422,17 @@ func (c *Cluster) build(id msg.NodeID) {
 		c.Playouts[id] = w.playout
 	}
 	c.mu.Unlock()
+}
+
+// sendsFor returns the set of send blocks node id carves what it sends from:
+// its shard's on the sim, where a shard runs all its nodes on one goroutine;
+// a set of its own on udp, where only the node's own callbacks are
+// serialized with one another.
+func (c *Cluster) sendsFor(id msg.NodeID) *msg.Sends {
+	if c.Engine == nil {
+		return new(msg.Sends)
+	}
+	return &c.sends[c.Engine.ShardOf(int(id))]
 }
 
 // registerScorekeepers starts tracking id's score as of period p.

@@ -36,7 +36,7 @@ func newAuditRig(t *testing.T, cfg Config) *auditRig {
 
 // attachVerifier gives node id a real Verifier over the given history.
 func (r *auditRig) attachVerifier(id msg.NodeID, hist *history.Log, behavior gossip.Behavior) *Verifier {
-	v := NewVerifier(id, auditCfg(), r.eng.Domain(int(id)), r.netw, rng.New(uint64(id)), hist, behavior, &sinkRec{})
+	v := NewVerifier(id, auditCfg(), r.eng.Domain(int(id)), r.netw, rng.New(uint64(id)), hist, behavior, &sinkRec{}, new(msg.Sends))
 	r.netw.Attach(id, capture{func(from msg.NodeID, m msg.Message) {
 		v.HandleAux(from, m)
 	}})

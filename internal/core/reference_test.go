@@ -385,7 +385,7 @@ func TestVerifierMatchesClosureReference(t *testing.T) {
 		for _, skew := range []float64{1, 0.98, 1.05} {
 			var v *Verifier
 			got := runScript(seed, steps, skew, func(cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, sink BlameSink) checker {
-				v = NewVerifier(1, cfg, ctx, netw, rand, history.NewLog(cfg.HistoryPeriods), gossip.Honest{}, sink)
+				v = NewVerifier(1, cfg, ctx, netw, rand, history.NewLog(cfg.HistoryPeriods), gossip.Honest{}, sink, new(msg.Sends))
 				return v
 			})
 			want := runScript(seed, steps, skew, func(cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, sink BlameSink) checker {

@@ -34,18 +34,15 @@ type Verifier struct {
 	hist     *history.Log
 	behavior gossip.Behavior
 	sink     BlameSink
+	// sends is the execution context's set of send blocks, which every
+	// Ack, Confirm and ConfirmResp the node sends is carved from.
+	sends *msg.Sends
 
 	// The open checks, oldest first, each kind until its timeout: a few
 	// periods' worth, scanned instead of indexed.
 	serveChecks  *sim.Deadlines[serveCheck]
 	expectations *sim.Deadlines[ackExpectation]
 	sessions     *sim.Deadlines[confirmSession]
-
-	// The Confirms and ConfirmResps this node sends, carved from blocks of
-	// msg.SendBlock the way a Decoder carves received ones; only the node's
-	// own context sends them.
-	confirms     msg.Blocks[msg.Confirm]
-	confirmResps msg.Blocks[msg.ConfirmResp]
 }
 
 // marks is a set of positions of a short list — the chunks of one request,
@@ -130,9 +127,10 @@ type confirmSession struct {
 
 // NewVerifier creates the LiFTinG component of one node. behavior is the
 // node's own behavior (honest verifiers follow the protocol; freerider
-// behaviors lie in acks, confirmations and audits). cfg zero-timeouts are
-// defaulted from the period.
-func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, hist *history.Log, behavior gossip.Behavior, sink BlameSink) *Verifier {
+// behaviors lie in acks, confirmations and audits). sends is the set of send
+// blocks of ctx's execution context. cfg zero-timeouts are defaulted from
+// the period.
+func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network, rand *rng.Stream, hist *history.Log, behavior gossip.Behavior, sink BlameSink, sends *msg.Sends) *Verifier {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -144,6 +142,7 @@ func NewVerifier(self msg.NodeID, cfg Config, ctx sim.Context, netw net.Network,
 		hist:     hist,
 		behavior: behavior,
 		sink:     sink,
+		sends:    sends,
 	}
 	v.serveChecks = sim.NewDeadlines(ctx, v.cfg.serveTimeout(), v.serveTimedOut)
 	v.expectations = sim.NewDeadlines(ctx, v.cfg.ackTimeout(), v.ackTimedOut)
@@ -181,12 +180,12 @@ func (v *Verifier) OnProposePhase(p msg.Period, partners []msg.NodeID, proposed 
 	claimedPartners := v.behavior.AckPartners(partners)
 	for _, s := range serversLastPeriod {
 		ackChunks := v.behavior.AckChunks(s.Chunks, proposed)
-		v.netw.Send(v.self, s.Server, &msg.Ack{
+		v.netw.Send(v.self, s.Server, v.sends.Ack(msg.Ack{
 			Sender:   v.self,
 			Period:   p,
 			Chunks:   ackChunks,
 			Partners: claimedPartners,
-		}, net.Unreliable)
+		}), net.Unreliable)
 	}
 }
 
@@ -313,7 +312,7 @@ func (v *Verifier) startConfirmSession(suspect msg.NodeID, ack *msg.Ack, chunks 
 	}
 	// Every witness is asked the same question: one message, read-only once
 	// sent, serves them all.
-	confirm := v.confirms.Place(msg.Confirm{Sender: v.self, Suspect: suspect, Period: ack.Period, Chunks: chunks}, msg.SendBlock)
+	confirm := v.sends.Confirm(msg.Confirm{Sender: v.self, Suspect: suspect, Period: ack.Period, Chunks: chunks})
 	for _, w := range ack.Partners {
 		v.netw.Send(v.self, w, confirm, net.Unreliable)
 	}
@@ -331,12 +330,12 @@ func (v *Verifier) onConfirm(from msg.NodeID, c *msg.Confirm) {
 	truth := v.hist.HasRecentProposalFrom(c.Suspect, c.Chunks)
 	answer := v.behavior.ConfirmAnswer(c.Suspect, truth)
 	v.hist.RecordConfirmAsker(v.hist.Newest(), c.Suspect, from)
-	v.netw.Send(v.self, from, v.confirmResps.Place(msg.ConfirmResp{
+	v.netw.Send(v.self, from, v.sends.ConfirmResp(msg.ConfirmResp{
 		Sender:    v.self,
 		Suspect:   c.Suspect,
 		Period:    c.Period,
 		Confirmed: answer,
-	}, msg.SendBlock), net.Unreliable)
+	}), net.Unreliable)
 }
 
 func (v *Verifier) onConfirmResp(from msg.NodeID, r *msg.ConfirmResp) {

@@ -68,7 +68,7 @@ func newRig(t *testing.T, cfg Config, behavior gossip.Behavior) *rig {
 		sent: make(map[msg.NodeID][]msg.Message),
 	}
 	r.netw = net.NewSimNet(r.eng, rng.New(7), metrics.NewCollector(), net.Uniform(0, time.Millisecond))
-	r.v = NewVerifier(1, cfg, r.eng.Domain(1), r.netw, rng.New(9), r.hist, behavior, r.sink)
+	r.v = NewVerifier(1, cfg, r.eng.Domain(1), r.netw, rng.New(9), r.hist, behavior, r.sink, new(msg.Sends))
 	// Node 1 is attached too: the network registers senders at Attach.
 	for id := msg.NodeID(0); id < 10; id++ {
 		id := id
@@ -91,7 +91,7 @@ func TestNewVerifierPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("invalid config did not panic")
 		}
 	}()
-	NewVerifier(1, Config{}, sim.NewEngine().Domain(1), nil, rng.New(1), nil, gossip.Honest{}, &sinkRec{})
+	NewVerifier(1, Config{}, sim.NewEngine().Domain(1), nil, rng.New(1), nil, gossip.Honest{}, &sinkRec{}, nil)
 }
 
 func TestDirectVerificationBlamesMissingServes(t *testing.T) {

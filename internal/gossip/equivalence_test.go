@@ -186,6 +186,9 @@ func shipped(cfg gossip.Config, d gossip.Deps) gossip.Deps {
 	if d.Store == nil {
 		d.Store = content.NewStore(0)
 	}
+	if d.Sends == nil {
+		d.Sends = new(msg.Sends)
+	}
 	if d.Metrics == nil {
 		d.Metrics = metrics.NewCollector()
 	}

@@ -94,6 +94,10 @@ type Deps struct {
 	// OnChunk fires once per distinct chunk received, with the arrival time
 	// (feeds the playout and stream-lag metrics).
 	OnChunk func(c msg.ChunkID, at time.Duration)
+	// Sends is the set of blocks of the node's execution context that every
+	// message it sends, and the lists they carry, are carved from: the
+	// context's one set, shared with its other nodes and components.
+	Sends *msg.Sends
 	// Metrics receives redundancy accounting: duplicate vs useful serves,
 	// invalid serves and the propose→serve latency per accepted chunk.
 	Metrics *metrics.Collector
@@ -131,12 +135,13 @@ type Node struct {
 	retries *sim.Deadlines[sentRequest]
 
 	// pending are the chunks received since the last propose phase, in
-	// arrival order: the next proposal. pendingFrom names the server of each
-	// (0 for an injected chunk); it is scratch, reused every period.
+	// arrival order: the next proposal, carved from it at the phase.
+	// pendingFrom names the server of each (0 for an injected chunk). Both
+	// are scratch, reused every period, as is picked, where a request or a
+	// serve list is gathered before it is carved.
 	pending     []msg.ChunkID
 	pendingFrom []msg.NodeID
-	// proposed is the size of the last proposal, the size pending starts at.
-	proposed int
+	picked      []msg.ChunkID
 
 	// fanin logs the serves accepted in the current period in arrival order;
 	// a propose phase groups it by server into servers, one fanin record per
@@ -238,9 +243,6 @@ func (n *Node) InjectChunkData(c msg.ChunkID, payload []byte, hash uint64) {
 // that served it.
 func (n *Node) hold(c msg.ChunkID, from msg.NodeID) {
 	n.have.add(c)
-	if n.pending == nil {
-		n.pending = make([]msg.ChunkID, 0, max(n.proposed, 1))
-	}
 	n.pending = append(n.pending, c)
 	n.pendingFrom = append(n.pendingFrom, from)
 }
@@ -264,8 +266,13 @@ func (n *Node) proposePhase() {
 		n.deps.History.RecordServeReceived(s.Period, s.Server, s.Chunks)
 	}
 
-	proposal, from := n.pending, n.pendingFrom
-	n.pending, n.pendingFrom, n.proposed = nil, n.pendingFrom[:0], len(proposal)
+	from := n.pendingFrom
+	var proposal []msg.ChunkID
+	if len(n.pending) > 0 {
+		proposal = n.deps.Sends.KeptChunks(len(n.pending))
+		copy(proposal, n.pending)
+	}
+	n.pending, n.pendingFrom = n.pending[:0], n.pendingFrom[:0]
 
 	b := n.deps.Behavior
 	var partners []msg.NodeID
@@ -283,22 +290,24 @@ func (n *Node) proposePhase() {
 		// One message for the whole fan-out: a message is read-only once
 		// sent. A partner gets its own only when the behavior claims other
 		// origins to it (the draws are made per partner, per chunk).
-		origins := originsOf(advertised, proposal, from)
-		shared := &msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: origins}
+		origins := n.deps.Sends.Origins(len(advertised))
+		originsOf(origins, advertised, proposal, from)
+		shared := n.deps.Sends.Propose(msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: origins})
 		for _, p := range partners {
 			m := shared
 			var claimed []msg.NodeID
 			for i, o := range origins {
 				co := b.ClaimedOrigin(o)
 				if co != o && claimed == nil {
-					claimed = slices.Clone(origins)
+					claimed = n.deps.Sends.Origins(len(origins))
+					copy(claimed, origins)
 				}
 				if claimed != nil {
 					claimed[i] = co
 				}
 			}
 			if claimed != nil {
-				m = &msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: claimed}
+				m = n.deps.Sends.Propose(msg.Propose{Sender: n.id, Period: n.period, Chunks: advertised, Origins: claimed})
 			}
 			n.deps.Net.Send(n.id, p, m, net.Unreliable)
 		}
@@ -323,15 +332,15 @@ func (n *Node) proposePhase() {
 
 // groupFanin turns the period's arrival log into one record per server, in
 // server order, each with its chunks in arrival order. The records are
-// scratch, good until the next call; the chunk lists are one fresh block
-// that whoever is handed them may keep.
+// scratch, good until the next call; the chunk lists are one list carved
+// from the long-lived send blocks, which whoever is handed them may keep.
 func (n *Node) groupFanin() []msg.ServeRecord {
 	n.servers = n.servers[:0]
 	if len(n.fanin) == 0 {
 		return nil
 	}
 	slices.SortStableFunc(n.fanin, func(a, b arrival) int { return cmp.Compare(a.server, b.server) })
-	chunks := make([]msg.ChunkID, len(n.fanin))
+	chunks := n.deps.Sends.KeptChunks(len(n.fanin))
 	start := 0
 	for i, a := range n.fanin {
 		chunks[i] = a.chunk
@@ -344,11 +353,10 @@ func (n *Node) groupFanin() []msg.ServeRecord {
 	return n.servers
 }
 
-// originsOf returns the server of each advertised chunk, given the proposal
-// it was filtered from — a filter keeps the order — and the servers of that.
-// A chunk that is not of the proposal has origin 0.
-func originsOf(advertised, proposal []msg.ChunkID, from []msg.NodeID) []msg.NodeID {
-	origins := make([]msg.NodeID, len(advertised))
+// originsOf fills origins with the server of each advertised chunk, given
+// the proposal it was filtered from — a filter keeps the order — and the
+// servers of that. A chunk that is not of the proposal has origin 0.
+func originsOf(origins []msg.NodeID, advertised, proposal []msg.ChunkID, from []msg.NodeID) {
 	j := 0
 	for i, c := range advertised {
 		for j < len(proposal) && proposal[j] != c {
@@ -359,7 +367,6 @@ func originsOf(advertised, proposal []msg.ChunkID, from []msg.NodeID) []msg.Node
 			j++
 		}
 	}
-	return origins
 }
 
 // HandleMessage implements net.Handler: the dissemination dispatch. Unknown
@@ -387,8 +394,8 @@ var _ net.Handler = (*Node)(nil)
 func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 	n.deps.History.RecordProposalReceived(n.period, from, m.Chunks)
 	now := n.deps.Ctx.Now()
-	var needed []msg.ChunkID
-	for i, c := range m.Chunks {
+	n.picked = n.picked[:0]
+	for _, c := range m.Chunks {
 		if n.have.has(c) {
 			continue
 		}
@@ -401,15 +408,12 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 		if w.requested && now-w.lastRequest < n.cfg.RequestRetry {
 			continue
 		}
-		if needed == nil {
-			needed = make([]msg.ChunkID, 0, len(m.Chunks)-i)
-		}
-		needed = append(needed, c)
+		n.picked = append(n.picked, c)
 	}
-	if len(needed) == 0 {
+	if len(n.picked) == 0 {
 		return
 	}
-	n.sendRequest(from, m.Period, needed)
+	n.sendRequest(from, m.Period, n.deps.Sends.Chunks(n.picked))
 }
 
 // sendRequest issues a request and opens its recovery deadline.
@@ -418,7 +422,7 @@ func (n *Node) sendRequest(to msg.NodeID, period msg.Period, chunks []msg.ChunkI
 	for _, c := range chunks {
 		n.wants.obtain(c, n.period).ask(to, now, n.askLimit)
 	}
-	n.deps.Net.Send(n.id, to, &msg.Request{Sender: n.id, Period: period, Chunks: chunks}, net.Unreliable)
+	n.deps.Net.Send(n.id, to, n.deps.Sends.Request(msg.Request{Sender: n.id, Period: period, Chunks: chunks}), net.Unreliable)
 	n.deps.Monitor.OnRequestSent(to, period, chunks)
 	n.retries.Push(sentRequest{server: to, chunks: chunks})
 }
@@ -437,7 +441,7 @@ func (n *Node) retry(r sentRequest) {
 		for _, o := range w.offers[:w.nOffers] {
 			if o.from != r.server && !w.askedFrom(o.from) {
 				w.retries++
-				n.sendRequest(o.from, o.period, []msg.ChunkID{c})
+				n.sendRequest(o.from, o.period, n.deps.Sends.Chunks([]msg.ChunkID{c}))
 				break
 			}
 		}
@@ -450,24 +454,22 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 		// Requests that do not correspond to a proposal are ignored (§4.2).
 		return
 	}
-	var valid []msg.ChunkID
+	n.picked = n.picked[:0]
 	for _, c := range m.Chunks {
 		// Each chunk is served at most once per proposal, even across
 		// repeated requests.
 		if i := slices.Index(advertised, c); i >= 0 && ph.consume(row*len(advertised)+i) {
-			if valid == nil {
-				valid = make([]msg.ChunkID, 0, min(len(m.Chunks), len(advertised)))
-			}
-			valid = append(valid, c)
+			n.picked = append(n.picked, c)
 		}
 	}
-	if len(valid) == 0 {
+	if len(n.picked) == 0 {
 		return
 	}
-	served := n.deps.Behavior.FilterServe(n.deps.Rand, valid)
-	// The serves of one request are one block; a message is read-only once
-	// sent, so nothing else tells them apart from separate ones.
-	serves := make([]msg.Serve, len(served))
+	served := n.deps.Behavior.FilterServe(n.deps.Rand, n.deps.Sends.Chunks(n.picked))
+	// The serves of one request are carved together; a message is
+	// read-only once sent, so nothing else tells them apart from separate
+	// ones.
+	serves := n.deps.Sends.Serves(len(served))
 	for i, c := range served {
 		serve := &serves[i]
 		*serve = msg.Serve{

@@ -30,8 +30,8 @@ var testSource = content.NewSource(7, testConfig().ChunkPayload)
 
 // shipped completes d with what cluster.New gives every node and these tests
 // have no reason to vary — an honest behaviour, an accountability log of
-// cfg's retention, a chunk store, a collector and an arrival callback —
-// keeping whatever d already sets.
+// cfg's retention, a chunk store, a set of send blocks, a collector and an
+// arrival callback — keeping whatever d already sets.
 func shipped(cfg Config, d Deps) Deps {
 	if d.Behavior == nil {
 		d.Behavior = Honest{}
@@ -41,6 +41,9 @@ func shipped(cfg Config, d Deps) Deps {
 	}
 	if d.Store == nil {
 		d.Store = content.NewStore(0)
+	}
+	if d.Sends == nil {
+		d.Sends = new(msg.Sends)
 	}
 	if d.Metrics == nil {
 		d.Metrics = metrics.NewCollector()

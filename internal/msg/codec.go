@@ -156,17 +156,21 @@ const (
 	payloadBlock = 16 << 10
 )
 
-// SendBlock is the block size, in structs, of the messages a node carves on
-// its send side: a verifier's Confirms and ConfirmResps, a blame client's
-// Blames. Every node holds one partly used block of each kind for good, so
-// the size trades that standing cost (DESIGN.md, "Bytes per node") against
-// how often a block is refilled.
-const SendBlock = 16
+// Block sizes of a Sends set: SendBlock structs of each kind but Serve,
+// sendServeBlock serves, sendIDBlock ids per list field. An execution
+// context holds one partly used block of each for good — one set per engine
+// shard on the sim, one per node on udp — so the sizes trade that standing
+// cost (DESIGN.md, "The send side") against how often a block is refilled.
+const (
+	SendBlock      = 16
+	sendServeBlock = 64
+	sendIDBlock    = 512
+)
 
 // Blocks hands out values of T carved from blocks it allocates, for one
 // goroutine at a time. It is the one way this package's messages share an
 // allocation, in both directions: a Decoder carves what it receives from
-// them, and a node carves the small messages it sends. Nothing is ever
+// them, and a Sends set what an execution context sends. Nothing is ever
 // carved twice: a block is refilled, never reused, so whoever is handed a
 // carved value may keep it forever, and nothing it holds shares memory with
 // another value — every carved slice has cap == len, so even an append
@@ -199,6 +203,72 @@ func (b *Blocks[T]) Place(v T, size int) *T {
 	s[0] = v
 	return &s[0]
 }
+
+// Sends is the set of blocks the messages of one execution context are
+// carved from as they are sent: every Propose, Request, Serve, Ack, Confirm,
+// ConfirmResp and Blame, and the id lists they carry. Every node of the
+// context shares it, each with all of its components — gossip, verifier,
+// blame client — and, like Blocks, it is used by one goroutine at a time:
+// there is one set per engine shard on the sim (a shard's window runs on one
+// goroutine, and the global phase only while every shard is parked) and one
+// per node on udp, whose callbacks the node's lock serializes. The lists a
+// history.Log keeps for nh periods — a proposal, a fan-in block — come from
+// blocks of their own, so that one long-held list does not pin a block of
+// short-lived ones. Nothing is carved twice (see Blocks), so a receiver on
+// the sim, which is handed the sender's very message, may keep what it
+// holds. The zero value is ready to use.
+type Sends struct {
+	proposes     Blocks[Propose]
+	requests     Blocks[Request]
+	serves       Blocks[Serve]
+	acks         Blocks[Ack]
+	confirms     Blocks[Confirm]
+	confirmResps Blocks[ConfirmResp]
+	blames       Blocks[Blame]
+
+	chunks  Blocks[ChunkID] // request and serve lists: held until a timeout
+	kept    Blocks[ChunkID] // proposals and fan-in blocks: held nh periods
+	origins Blocks[NodeID]
+}
+
+// Propose returns v carved from the set.
+func (s *Sends) Propose(v Propose) *Propose { return s.proposes.Place(v, SendBlock) }
+
+// Request returns v carved from the set.
+func (s *Sends) Request(v Request) *Request { return s.requests.Place(v, SendBlock) }
+
+// Ack returns v carved from the set.
+func (s *Sends) Ack(v Ack) *Ack { return s.acks.Place(v, SendBlock) }
+
+// Confirm returns v carved from the set.
+func (s *Sends) Confirm(v Confirm) *Confirm { return s.confirms.Place(v, SendBlock) }
+
+// ConfirmResp returns v carved from the set.
+func (s *Sends) ConfirmResp(v ConfirmResp) *ConfirmResp {
+	return s.confirmResps.Place(v, SendBlock)
+}
+
+// Blame returns v carved from the set.
+func (s *Sends) Blame(v Blame) *Blame { return s.blames.Place(v, SendBlock) }
+
+// Serves returns n zero serves carved from the set: the serves of one
+// request.
+func (s *Sends) Serves(n int) []Serve { return s.serves.carve(n, sendServeBlock) }
+
+// Chunks returns a copy of ids carved from the set's short-lived lists: a
+// request's, a serve list.
+func (s *Sends) Chunks(ids []ChunkID) []ChunkID {
+	out := s.chunks.carve(len(ids), sendIDBlock)
+	copy(out, ids)
+	return out
+}
+
+// KeptChunks returns n zero ids carved from the set's long-lived lists: a
+// proposal, a fan-in block.
+func (s *Sends) KeptChunks(n int) []ChunkID { return s.kept.carve(n, sendIDBlock) }
+
+// Origins returns n zero node ids carved from the set: a proposal's origins.
+func (s *Sends) Origins(n int) []NodeID { return s.origins.carve(n, sendIDBlock) }
 
 // Decoder decodes exactly as Decode does, for one goroutine at a time, but
 // carves the structs, id lists and payloads of the hot message kinds (serve,

@@ -238,9 +238,9 @@ type Client struct {
 	dir     *membership.Directory
 	pending map[msg.NodeID]pendingBlame
 	order   []msg.NodeID
-	// blames are the Blames Flush sends, carved from blocks of
-	// msg.SendBlock; only the owning node's context flushes.
-	blames msg.Blocks[msg.Blame]
+	// sends is the set of send blocks the Blames Flush sends are carved
+	// from: the owning node's execution context's, which alone flushes.
+	sends *msg.Sends
 }
 
 type pendingBlame struct {
@@ -248,14 +248,22 @@ type pendingBlame struct {
 	reason msg.BlameReason
 }
 
-// NewClient creates the client component of node self.
+// NewClient creates the client component of node self, with a set of send
+// blocks of its own: a client alone on its execution context.
 func NewClient(self msg.NodeID, cfg Config, netw net.Network, dir *membership.Directory) *Client {
+	return NewClientOn(self, cfg, netw, dir, new(msg.Sends))
+}
+
+// NewClientOn creates the client component of node self, carving its Blames
+// from sends, the set of send blocks of the node's execution context.
+func NewClientOn(self msg.NodeID, cfg Config, netw net.Network, dir *membership.Directory, sends *msg.Sends) *Client {
 	return &Client{
 		self:    self,
 		cfg:     cfg,
 		netw:    netw,
 		dir:     dir,
 		pending: make(map[msg.NodeID]pendingBlame),
+		sends:   sends,
 	}
 }
 
@@ -283,16 +291,17 @@ func (c *Client) Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 // messages as immutable once handed to Send (the UDP transport serializes
 // them on the spot through the pooled AppendEncode path), so the per-manager
 // re-allocation this replaced bought nothing. That Blame is carved from the
-// client's blocks (msg.Blocks, msg.SendBlock to a block), the way a Decoder
-// carves the ones it receives, and never carved twice, so a receiver may
-// keep it. The pending map holds each batch by value and is cleared in
-// place — Flush runs once per blamed target per period on every node, which
-// makes it a rebalance-scale hot path at 10k nodes: a flush allocates a
-// block every msg.SendBlock targets and nothing else.
+// send blocks of the client's execution context (msg.Sends, msg.SendBlock
+// to a block), the way a Decoder carves the ones it receives, and never
+// carved twice, so a receiver may keep it. The pending map holds each batch
+// by value and is cleared in place — Flush runs once per blamed target per
+// period on every node, which makes it a rebalance-scale hot path at 10k
+// nodes: a flush allocates a block every msg.SendBlock targets and nothing
+// else.
 func (c *Client) Flush() {
 	for _, target := range c.order {
 		p := c.pending[target]
-		b := c.blames.Place(msg.Blame{Sender: c.self, Target: target, Value: p.value, Reason: p.reason}, msg.SendBlock)
+		b := c.sends.Blame(msg.Blame{Sender: c.self, Target: target, Value: p.value, Reason: p.reason})
 		for _, mgr := range c.dir.Managers(target, c.cfg.M) {
 			c.netw.Send(c.self, mgr, b, net.Unreliable)
 		}

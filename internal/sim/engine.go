@@ -152,6 +152,10 @@ var _ Context = (*Engine)(nil)
 // ShardCount returns the number of shards.
 func (e *Engine) ShardCount() int { return len(e.shards) }
 
+// ShardOf returns the shard node id runs on: every one of its events, on
+// that shard's goroutine during a window.
+func (e *Engine) ShardOf(id int) int { return id % len(e.shards) }
+
 // InWindow reports whether a window is currently executing — i.e. whether
 // the caller is running inside a node callback. Harness code uses it to
 // decide between acting immediately (global phase) and deferring through
@@ -199,7 +203,7 @@ func (e *Engine) Domain(id int) Context {
 			e.domains = append(e.domains, nil)
 			e.nodeSeq = append(e.nodeSeq, 0)
 		}
-		e.domains[id] = &Domain{e: e, id: int32(id), sh: e.shards[id%len(e.shards)]}
+		e.domains[id] = &Domain{e: e, id: int32(id), sh: e.shards[e.ShardOf(id)]}
 	}
 	return e.domains[id]
 }
@@ -207,7 +211,7 @@ func (e *Engine) Domain(id int) Context {
 // NodeNow returns node id's current clock: its shard's event time during a
 // window, the global clock otherwise.
 func (e *Engine) NodeNow(id int) time.Duration {
-	return e.shards[id%len(e.shards)].now
+	return e.shards[e.ShardOf(id)].now
 }
 
 // nextSeq returns node from's next scheduling sequence number. Only a
@@ -242,11 +246,10 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, size int3
 		panic(fmt.Sprintf("sim: delivery %d→%d to a negative node id", from, to))
 	}
 	seq := e.nextSeq(from)
-	s := len(e.shards)
-	src := e.shards[int(from)%s]
-	dst := int(to) % s
+	own, dst := e.ShardOf(int(from)), e.ShardOf(int(to))
+	src := e.shards[own]
 	ev := event{at: src.now + d, dom: from, seq: seq, to: to, payload: payload, size: size}
-	if dst == int(from)%s {
+	if dst == own {
 		src.q.push(ev)
 		return
 	}
@@ -270,7 +273,7 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, size int3
 // ahead of harness events scheduled for that instant.
 func (e *Engine) DeferGlobal(from int, fn func()) {
 	seq := e.nextSeq(int32(from))
-	sh := e.shards[from%len(e.shards)]
+	sh := e.shards[e.ShardOf(from)]
 	ev := event{at: sh.now + e.window, dom: int32(from), seq: seq, to: callback, payload: fn}
 	if e.inWindow {
 		sh.outG = append(sh.outG, ev)

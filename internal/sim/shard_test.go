@@ -329,3 +329,33 @@ func BenchmarkEngineTraffic(b *testing.B) {
 		})
 	}
 }
+
+// Every event of a node — its timers, the deliveries to it and those it
+// sends itself — runs on the shard ShardOf names, id mod the shard count:
+// that shard alone counts them.
+func TestNodeEventsRunOnShardOf(t *testing.T) {
+	for _, shards := range []int{1, 2, 3, 8} {
+		for _, id := range []int{0, 1, 5, 17} {
+			e := NewSharded(shards, twin)
+			e.Bind(&countSink{})
+			if got := e.ShardOf(id); got != id%shards {
+				t.Fatalf("S=%d: ShardOf(%d) = %d, want %d", shards, id, got, id%shards)
+			}
+			d, sender := e.Domain(id), id+1
+			e.Domain(sender)
+			d.After(time.Millisecond, func() {})
+			d.After(3*twin, func() { e.Deliver(int32(id), int32(id), twin, nil, 0) })
+			e.Deliver(int32(sender), int32(id), twin, nil, 0)
+			e.RunAll()
+			for k, sh := range e.shards {
+				want := uint64(0)
+				if k == id%shards {
+					want = 4
+				}
+				if sh.events != want {
+					t.Fatalf("S=%d node %d: shard %d ran %d events, want %d", shards, id, k, sh.events, want)
+				}
+			}
+		}
+	}
+}
