@@ -57,16 +57,22 @@ benchmark:
 # every message a node sends is carved from send blocks (1.18 and 1.98
 # before): the ceiling sits below the old cost, so a return to it fails, and
 # above the new one by the room Go releases take in what their maps
-# allocate.
+# allocate. wire_udp (20 s of wall clock more) has a ceiling of its own,
+# WIRE_ALLOCS_CEILING: its count varies a few per cent run to run, and it
+# measured 0.47 with one wire clock, 0.55 with a clock per node and 0.93
+# before send blocks — so a clock or send-path change that brings back
+# per-message allocations fails.
 ALLOCS_CEILING = 1.2
+WIRE_ALLOCS_CEILING = 0.8
 allocs:
-	@set -e; for w in sim_churn sim_scale; do \
+	@set -e; for spec in sim_churn:$(ALLOCS_CEILING) sim_scale:$(ALLOCS_CEILING) wire_udp:$(WIRE_ALLOCS_CEILING); do \
+		w=$${spec%%:*}; max=$${spec#*:}; \
 		out=$$($(GO) run ./benchmark -workload $$w -seed 23 -seconds 20 -trace 0); \
 		v=$$(printf '%s\n' "$$out" | tail -n 1 | jq '.metrics.allocs_per_chunk.value'); \
-		echo "$$w allocs_per_chunk $$v (ceiling $(ALLOCS_CEILING))"; \
-		printf '%s\n' "$$out" | tail -n 1 | jq -e --argjson max $(ALLOCS_CEILING) \
+		echo "$$w allocs_per_chunk $$v (ceiling $$max)"; \
+		printf '%s\n' "$$out" | tail -n 1 | jq -e --argjson max $$max \
 			'.metrics.allocs_per_chunk.value | type == "number" and . <= $$max' > /dev/null \
-			|| { echo "allocs: $$w allocates $$v per chunk, over the ceiling $(ALLOCS_CEILING)"; exit 1; }; \
+			|| { echo "allocs: $$w allocates $$v per chunk, over the ceiling $$max"; exit 1; }; \
 	done
 
 # Where a workload's CPU and allocations go (sim_scale unless WORKLOAD names

@@ -8,25 +8,27 @@ import (
 	"lifting/internal/msg"
 )
 
-// maxDelayedDatagrams bounds the delayed wire jobs one node's clock holds:
-// each outbound datagram — the frame one callback's sends to one peer share,
-// however many messages it carries — and each inbound message waiting out
-// the node's half of the latency (the receiver delays messages, not
+// maxDelayedDatagrams bounds the delayed wire jobs the clock holds for one
+// node: each outbound datagram — the frame one callback's sends to one peer
+// share, however many messages it carries — and each inbound message waiting
+// out the node's half of the latency (the receiver delays messages, not
 // datagrams). Past it a job is dropped, every message in it counted like
-// any other loss; callbacks are never dropped. A node hears a few hundred
-// messages a second, so at the modelled latencies (milliseconds to a
-// second) a healthy clock holds a small fraction of it.
+// any other loss; callbacks are never dropped. The bound is per node, so a
+// flooded node costs the others on the shared clock nothing. A node hears a
+// few hundred messages a second, so at the modelled latencies (milliseconds
+// to a second) a healthy node holds a small fraction of it.
 const maxDelayedDatagrams = 4096
 
-// job is one entry of a clock, held by value. It is exactly one of
-//   - a callback: fn;
+// job is one entry of the clock, held by value. It is exactly one of
+//   - a callback: fn, of node — or of the harness, with node nil;
 //   - a delayed send (copies > 0): the frame in *frame, shipped copies times
-//     to addr from the clock's node — or, with msg.FlagFragment in flags, the
-//     message encoding in *frame, cut into a fragment train when it fires;
-//   - a delayed dispatch: m, from from, handed to the clock's node.
+//     to addr from node — or, with msg.FlagFragment in flags, the message
+//     encoding in *frame, cut into a fragment train when it fires;
+//   - a delayed dispatch: m, from from, handed to node.
 type job struct {
 	due    time.Duration
 	seq    uint64
+	node   *nodeCtx
 	fn     func()
 	m      msg.Message
 	from   msg.NodeID
@@ -40,91 +42,77 @@ type job struct {
 func (j *job) datagram() bool { return j.fn == nil }
 
 // jobHeap is a binary min-heap of jobs on (due, seq). push numbers the jobs,
-// so jobs with equal dues pop in push order.
+// so jobs with equal dues pop in push order. A sift moves the hole, not the
+// job: one copy of a job per level.
 type jobHeap struct {
 	jobs []job
 	seq  uint64
 }
 
-func (h *jobHeap) less(a, b int) bool {
-	x, y := &h.jobs[a], &h.jobs[b]
-	return x.due < y.due || x.due == y.due && x.seq < y.seq
-}
+func (x *job) before(y *job) bool { return x.due < y.due || x.due == y.due && x.seq < y.seq }
 
 // push adds j and reports whether it is now the earliest job.
 func (h *jobHeap) push(j job) bool {
 	j.seq = h.seq
 	h.seq++
-	h.jobs = append(h.jobs, j)
+	h.jobs = append(h.jobs, job{})
 	i := len(h.jobs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !j.before(&h.jobs[parent]) {
 			break
 		}
-		h.jobs[i], h.jobs[parent] = h.jobs[parent], h.jobs[i]
+		h.jobs[i] = h.jobs[parent]
 		i = parent
 	}
+	h.jobs[i] = j
 	return i == 0
 }
 
 // pop removes and returns the earliest job. The vacated slot is zeroed, so
 // the heap pins nothing a popped job held.
 func (h *jobHeap) pop() job {
-	j := h.jobs[0]
-	last := len(h.jobs) - 1
-	h.jobs[0] = h.jobs[last]
+	top, last := h.jobs[0], len(h.jobs)-1
+	if last > 0 {
+		i := 0
+		for c := 1; c < last; c = 2*i + 1 {
+			if c+1 < last && h.jobs[c+1].before(&h.jobs[c]) {
+				c++
+			}
+			if !h.jobs[c].before(&h.jobs[last]) {
+				break
+			}
+			h.jobs[i] = h.jobs[c]
+			i = c
+		}
+		h.jobs[i] = h.jobs[last]
+	}
 	h.jobs[last] = job{}
 	h.jobs = h.jobs[:last]
-	for i := 0; ; {
-		least, l := i, 2*i+1
-		if l < last && h.less(l, least) {
-			least = l
-		}
-		if r := l + 1; r < last && h.less(r, least) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h.jobs[i], h.jobs[least] = h.jobs[least], h.jobs[i]
-		i = least
-	}
-	return j
+	return top
 }
 
-// clock is the one source of delays of a hosted node (or, with node nil, of
-// the runtime's harness callbacks): a jobHeap served by one goroutine and one
-// time.Timer. Callbacks and dispatches run under the node's lock, sends
-// without it; harness callbacks run under no lock.
+// clock is the one source of delays of a runtime: a jobHeap served by one
+// goroutine and one time.Timer, for every hosted node and for the harness.
+// Callbacks and dispatches run under their node's lock, sends without it;
+// harness callbacks run under no lock.
 type clock struct {
-	rt   *Runtime
-	node *nodeCtx
+	rt *Runtime
 
-	mu        sync.Mutex
-	heap      jobHeap
-	datagrams int // delayed dispatches and sends pending
-	stopped   bool
+	mu      sync.Mutex // guards heap, stopped and every nodeCtx.delayed
+	heap    jobHeap
+	stopped bool
 
 	wake  chan struct{} // a new earliest job, or stop; buffered 1
 	timer *time.Timer
 }
 
-// startClock makes a clock and starts its goroutine, counted in rt.loops.
-func startClock(rt *Runtime, node *nodeCtx) *clock {
-	c := &clock{rt: rt, node: node, wake: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
-	c.timer.Stop()
-	rt.loops.Add(1)
-	go c.run()
-	return c
-}
-
 // push queues j to run d from now (d < 0 is 0); see at.
 func (c *clock) push(d time.Duration, j job) { c.at(c.rt.Now()+max(d, 0), j) }
 
-// at queues j to run at due. A stopped clock queues nothing; a full one
-// drops a datagram with OnDrop. Either way a refused job's frame goes back
-// to the pool.
+// at queues j to run at due. A stopped clock queues nothing; a datagram
+// whose node is at maxDelayedDatagrams is dropped with OnDrop. Either way a
+// refused job's frame goes back to the pool.
 func (c *clock) at(due time.Duration, j job) {
 	j.due = due
 	c.mu.Lock()
@@ -134,12 +122,12 @@ func (c *clock) at(due time.Duration, j job) {
 		return
 	}
 	if j.datagram() {
-		if c.datagrams >= maxDelayedDatagrams {
+		if j.node.delayed >= maxDelayedDatagrams {
 			c.mu.Unlock()
 			c.rt.drop(&j)
 			return
 		}
-		c.datagrams++
+		j.node.delayed++
 	}
 	head := c.heap.push(j)
 	c.mu.Unlock()
@@ -164,25 +152,19 @@ func (c *clock) stop() {
 	c.signal()
 }
 
-// pending returns the number of queued jobs and how many of them are
-// datagrams.
-//
-//lint:allow no-orphan TestDelayedDatagramsAreBounded and TestCloseDropsPendingWork observe the queue through it
-func (c *clock) pending() (jobs, datagrams int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.heap.jobs), c.datagrams
-}
-
 func (c *clock) run() {
 	defer c.rt.loops.Done()
 	for {
 		c.mu.Lock()
 		if c.stopped {
 			for i := range c.heap.jobs {
-				c.rt.release(&c.heap.jobs[i])
+				j := &c.heap.jobs[i]
+				if j.datagram() {
+					j.node.delayed--
+				}
+				c.rt.release(j)
 			}
-			c.heap.jobs, c.datagrams = nil, 0
+			c.heap = jobHeap{}
 			c.mu.Unlock()
 			return
 		}
@@ -211,7 +193,7 @@ func (c *clock) run() {
 		}
 		j := c.heap.pop()
 		if j.datagram() {
-			c.datagrams--
+			j.node.delayed--
 		}
 		c.mu.Unlock()
 		c.fire(&j)
@@ -219,10 +201,10 @@ func (c *clock) run() {
 }
 
 func (c *clock) fire(j *job) {
-	n := c.node
+	n := j.node
 	switch {
 	case j.copies > 0:
-		c.rt.write(n, j)
+		c.rt.write(j)
 		c.rt.release(j)
 	case n == nil:
 		j.fn()

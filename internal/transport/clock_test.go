@@ -13,24 +13,30 @@ import (
 
 // FuzzClockOrder drives a jobHeap with a fuzzer-written schedule and checks
 // every pop against the model of a clock: the pending job with the least
-// due, ties to the one pushed first. Dues come from a small range, so ties
-// are the common case. The committed corpus under testdata/fuzz replays on
-// every plain `go test`.
+// due, ties to the one pushed first, whichever node each belongs to. Dues
+// come from a small range, so ties are the common case. Each job carries
+// one of four nodes (the harness's nil among them), and no node's own jobs
+// may ever reorder: one pushed after another with a due no earlier pops
+// after it — what sim.Deadlines needs of a node's equal delays. The
+// committed corpus under testdata/fuzz replays on every plain `go test`.
 //
-// The schedule is two bytes per step, an operation and its argument: push
-// one job (arg = due), push a run of jobs with one due, or pop a few.
+// The schedule is two bytes per step, an operation with its node and the
+// operation's argument: push one job (arg = due), push a run of jobs with
+// one due, or pop a few.
 func FuzzClockOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 2, 2, 0, 1, 3, 0})
 	f.Add([]byte{1, 0x47, 0, 7, 2, 1, 1, 0x27, 2, 7})
+	f.Add([]byte{3, 2, 6, 2, 0, 2, 9, 2, 4, 0x32, 7, 0x12, 2, 3, 10, 0x22, 2, 7})
 	f.Fuzz(func(t *testing.T, schedule []byte) {
 		if len(schedule) > 4096 {
 			t.Skip("long schedules only repeat short ones")
 		}
+		nodes := []*nodeCtx{nil, {id: 1}, {id: 2}, {id: 3}}
 		var h jobHeap
 		var model []job // pending, in push order; from numbers the pushes
 		pushed := msg.NodeID(0)
-		push := func(due time.Duration) {
-			j := job{due: due, from: pushed}
+		push := func(node *nodeCtx, due time.Duration) {
+			j := job{due: due, node: node, from: pushed}
 			pushed++
 			wantHead := true
 			for _, p := range model {
@@ -56,11 +62,16 @@ func FuzzClockOrder(f *testing.F) {
 			want := model[k]
 			model = append(model[:k], model[k+1:]...)
 			got := h.pop()
-			if got.from != want.from || got.due != want.due {
+			if got.from != want.from || got.due != want.due || got.node != want.node {
 				t.Fatalf("pop #%d = push #%d (due %v), the model says push #%d (due %v)", popped, got.from, got.due, want.from, want.due)
 			}
 			if popped > 0 && got.due == last.due && got.from < last.from {
 				t.Fatalf("equal dues %v popped out of push order: #%d after #%d", got.due, got.from, last.from)
+			}
+			for _, p := range model {
+				if p.node == got.node && p.from < got.from && p.due <= got.due {
+					t.Fatalf("a node's jobs reordered: #%d (due %v) popped before #%d (due %v)", got.from, got.due, p.from, p.due)
+				}
 			}
 			last = got
 			popped++
@@ -69,13 +80,13 @@ func FuzzClockOrder(f *testing.F) {
 			}
 		}
 		for i := 0; i+1 < len(schedule); i += 2 {
-			op, arg := schedule[i]%3, schedule[i+1]
+			op, node, arg := schedule[i]%3, nodes[schedule[i]/3%4], schedule[i+1]
 			switch op {
 			case 0:
-				push(time.Duration(arg % 16))
+				push(node, time.Duration(arg%16))
 			case 1:
 				for k := byte(0); k <= arg>>4; k++ {
-					push(time.Duration(arg % 16))
+					push(node, time.Duration(arg%16))
 				}
 			case 2:
 				for k := byte(0); k <= arg%8; k++ {
@@ -87,7 +98,7 @@ func FuzzClockOrder(f *testing.F) {
 			pop()
 		}
 		for _, j := range h.jobs[:cap(h.jobs)] {
-			if j.due != 0 || j.from != 0 || j.seq != 0 {
+			if j.due != 0 || j.from != 0 || j.seq != 0 || j.node != nil {
 				t.Fatalf("drained heap still holds push #%d (due %v)", j.from, j.due)
 			}
 		}
@@ -111,13 +122,13 @@ func TestWireAllocs(t *testing.T) {
 	rt.Attach(2, nil)
 	const runs, k, d = 200, 4, 3
 	n := rt.localNode(1)
-	n.clock.mu.Lock()
-	n.clock.heap.jobs = make([]job, 0, (6+d)*runs) // steady state: the heap has grown
-	n.clock.mu.Unlock()
+	rt.clock.mu.Lock()
+	rt.clock.heap.jobs = make([]job, 0, (6+d)*runs) // steady state: the heap has grown
+	rt.clock.mu.Unlock()
 	// Steady state: sent frames come back to the pool. Twice what the runs
 	// take, because under -race sync.Pool drops a random quarter of Puts.
 	for i := 0; i < 2*(1+d)*(runs+1); i++ {
-		b := make([]byte, 0, msg.FrameHeaderSize+512)
+		b := make([]byte, 0, smallFrame)
 		rt.bufs.Put(&b)
 	}
 
@@ -150,7 +161,7 @@ func TestWireAllocs(t *testing.T) {
 	rt.Attach(3, handlerFunc(func(msg.NodeID, msg.Message) { answer() }))
 	inline := rt.localNode(3)
 	trigger := []msg.Message{&msg.ScoreReq{Sender: 2, Target: 4}}
-	timer := job{fn: sendAll(1)}
+	timer := job{node: n, fn: sendAll(1)}
 
 	noop := func() {}
 	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8}, Origins: []msg.NodeID{4, 5}}
@@ -176,16 +187,16 @@ func TestWireAllocs(t *testing.T) {
 		{"decode a Propose datagram", func() { rt.receive(n, in, proposeDatagram, src) }},
 		{"decode a Serve datagram", func() { rt.receive(n, in, serveDatagram, src) }},
 		{"callback, datagrams inline", func() { rt.deliver(inline, trigger, 0) }},
-		{"callback, datagrams delayed", func() { n.clock.fire(&timer) }},
+		{"callback, datagrams delayed", func() { rt.clock.fire(&timer) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, c.f); allocs != 0 {
 			t.Errorf("%s allocates %v objects, want 0", c.name, allocs)
 		}
 	}
-	if jobs, datagrams := n.clock.pending(); jobs != (5+d)*(runs+1) || datagrams != (4+d)*(runs+1) {
-		t.Fatalf("clock holds %d jobs, %d of them datagrams; want %d and %d", jobs, datagrams, (5+d)*(runs+1), (4+d)*(runs+1))
+	if jobs, datagrams := pending(rt.clock, n); jobs != (5+d)*(runs+1) || datagrams != (4+d)*(runs+1) {
+		t.Fatalf("clock holds %d jobs of node 1, %d of them datagrams; want %d and %d", jobs, datagrams, (5+d)*(runs+1), (4+d)*(runs+1))
 	}
-	if jobs, _ := inline.clock.pending(); jobs != 0 {
+	if jobs, _ := pending(rt.clock, inline); jobs != 0 {
 		t.Fatalf("the zero-latency node queued %d jobs, want none", jobs)
 	}
 }
@@ -206,8 +217,11 @@ func TestCloseDropsPendingWork(t *testing.T) {
 	rt.After(time.Hour, func() { t.Error("harness callback ran after Close") })
 	rt.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 4}, net.Unreliable)
 	n := rt.localNode(1)
-	if jobs, datagrams := n.clock.pending(); jobs != 2 || datagrams != 1 {
-		t.Fatalf("node clock holds %d jobs (%d datagrams), want 2 (1)", jobs, datagrams)
+	if jobs, datagrams := pending(rt.clock, n); jobs != 2 || datagrams != 1 {
+		t.Fatalf("clock holds %d jobs of node 1 (%d datagrams), want 2 (1)", jobs, datagrams)
+	}
+	if jobs, _ := pending(rt.clock, nil); jobs != 1 {
+		t.Fatalf("clock holds %d harness jobs, want 1", jobs)
 	}
 
 	start := time.Now()
@@ -215,18 +229,18 @@ func TestCloseDropsPendingWork(t *testing.T) {
 	if took := time.Since(start); took > 100*time.Millisecond {
 		t.Fatalf("Close took %v with an hour of work pending, want < 100ms", took)
 	}
-	for _, c := range []*clock{rt.clock, n.clock} {
-		if jobs, datagrams := c.pending(); jobs != 0 || datagrams != 0 {
-			t.Errorf("closed clock still holds %d jobs (%d datagrams)", jobs, datagrams)
+	for _, n := range []*nodeCtx{nil, n} {
+		if jobs, datagrams := pending(rt.clock, n); jobs != 0 || datagrams != 0 {
+			t.Errorf("closed clock still holds %d jobs (%d datagrams) of %v", jobs, datagrams, n)
 		}
 	}
 }
 
-// TestDelayedDatagramsAreBounded floods one node's clock — its own sends and
+// TestDelayedDatagramsAreBounded floods one node — its own sends and
 // datagrams it receives, both waiting out its half of a 1 s link — past
-// maxDelayedDatagrams: the clock holds exactly the bound, every datagram
-// past it is an accounted drop — every message of it — and a callback
-// still gets in.
+// maxDelayedDatagrams: the clock holds exactly the bound for it, every
+// datagram past it is an accounted drop — every message of it — and a
+// callback still gets in.
 func TestDelayedDatagramsAreBounded(t *testing.T) {
 	coll := metrics.NewCollector()
 	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{LatencyBase: time.Second}})
@@ -249,7 +263,7 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 	if time.Since(start) > time.Second {
 		t.Skip("the flood outlasted the modelled latency on this machine")
 	}
-	if _, datagrams := n.clock.pending(); datagrams != maxDelayedDatagrams {
+	if _, datagrams := pending(rt.clock, n); datagrams != maxDelayedDatagrams {
 		t.Fatalf("clock holds %d delayed datagrams, want the bound %d", datagrams, maxDelayedDatagrams)
 	}
 	if got := coll.Dropped(msg.KindAuditReq); got != extra {
@@ -257,7 +271,7 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 	}
 	// One callback's three sends to one peer are one datagram: refused
 	// whole, each of its messages an accounted drop.
-	n.clock.fire(&job{fn: func() {
+	rt.clock.fire(&job{node: n, fn: func() {
 		for i := 0; i < 3; i++ {
 			rt.Send(1, 2, m, net.Reliable)
 		}
@@ -266,7 +280,60 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 		t.Fatalf("%d drops accounted, want %d: the 3 messages of a refused datagram count one each", got, extra+3)
 	}
 	n.After(time.Hour, func() {})
-	if jobs, datagrams := n.clock.pending(); jobs != maxDelayedDatagrams+1 || datagrams != maxDelayedDatagrams {
+	if jobs, datagrams := pending(rt.clock, n); jobs != maxDelayedDatagrams+1 || datagrams != maxDelayedDatagrams {
 		t.Fatalf("a callback on a full clock: %d jobs, %d datagrams; want %d and %d", jobs, datagrams, maxDelayedDatagrams+1, maxDelayedDatagrams)
 	}
+}
+
+// TestFloodedNodeCostsOthersNothing: the bound is per node. With node 1 at
+// maxDelayedDatagrams on the shared clock, node 3's delayed sends and
+// dispatches are all queued — not one of them dropped — and count against
+// node 3 alone.
+func TestFloodedNodeCostsOthersNothing(t *testing.T) {
+	coll := metrics.NewCollector()
+	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{LatencyBase: time.Second}})
+	defer rt.Close()
+	for _, id := range []msg.NodeID{1, 2, 3} {
+		rt.Attach(id, nil)
+	}
+	flooded, other := rt.localNode(1), rt.localNode(3)
+
+	const extra, sent = 10, 50
+	start := time.Now()
+	m := &msg.AuditReq{Sender: 2, Horizon: time.Second}
+	for i := 0; i < maxDelayedDatagrams+extra; i++ {
+		rt.deliver(flooded, []msg.Message{m}, msg.FlagReliable)
+	}
+	for i := 0; i < sent; i++ {
+		rt.Send(3, 2, m, net.Reliable)
+		rt.deliver(other, []msg.Message{m}, msg.FlagReliable)
+	}
+	if time.Since(start) > time.Second {
+		t.Skip("the flood outlasted the modelled latency on this machine")
+	}
+	if got := coll.Dropped(msg.KindAuditReq); got != extra {
+		t.Fatalf("%d drops accounted, want only the flooded node's %d", got, extra)
+	}
+	if _, datagrams := pending(rt.clock, flooded); datagrams != maxDelayedDatagrams {
+		t.Fatalf("the flooded node holds %d delayed datagrams, want the bound %d", datagrams, maxDelayedDatagrams)
+	}
+	if jobs, datagrams := pending(rt.clock, other); jobs != 2*sent || datagrams != 2*sent {
+		t.Fatalf("node 3 holds %d jobs (%d datagrams), want %d (%d)", jobs, datagrams, 2*sent, 2*sent)
+	}
+}
+
+// pending returns the number of c's queued jobs of node n (of the harness,
+// for n nil) and n's count of delayed datagrams.
+func pending(c *clock, n *nodeCtx) (jobs, datagrams int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.heap.jobs {
+		if c.heap.jobs[i].node == n {
+			jobs++
+		}
+	}
+	if n != nil {
+		datagrams = n.delayed
+	}
+	return jobs, datagrams
 }

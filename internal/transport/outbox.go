@@ -13,13 +13,14 @@ import (
 // outbox gathers what one node sends during one callback — a dispatch, a
 // timer or an Exec — into one plain frame per destination, sender and flags,
 // and ships each frame as one datagram when the callback returns: at once
-// when the node's half of the link latency is 0, otherwise as one job on its
-// clock at the latest modelled due of the frame's messages, so no message
-// leaves before its own due. The outbox is open only while a callback of its
-// node runs; a send made outside any callback ships alone, as does a message
-// that drew a modelled reorder or duplication. A frame that would pass
-// msg.MaxFramePayload starts a second datagram to the same destination, and
-// a message too big for any frame ships as a fragment train.
+// when the node's half of the link latency is 0, otherwise as one job on the
+// runtime's clock at the latest modelled due of the frame's messages, so no
+// message leaves before its own due. The outbox is open only while a
+// callback of its node runs; a send made outside any callback ships alone,
+// as does a message that drew a modelled reorder or duplication. A frame
+// that would pass msg.MaxFramePayload starts a second datagram to the same
+// destination, and a message too big for any frame ships as a fragment
+// train.
 //
 // The storage is reused across callbacks: the group slots stay, and so does
 // each slot's frame buffer, unless a delayed datagram took it to the clock.
@@ -119,12 +120,12 @@ func (o *outbox) flush(n *nodeCtx) {
 	for i := range o.groups {
 		g := &o.groups[i]
 		msg.SealFrame(*g.frame)
-		j := job{copies: 1, flags: g.flags, frame: g.frame, addr: g.addr}
+		j := job{node: n, copies: 1, flags: g.flags, frame: g.frame, addr: g.addr}
 		if g.due == 0 {
-			n.rt.write(n, &j)
+			n.rt.write(&j)
 			continue
 		}
-		n.clock.at(g.due, j)
+		n.rt.clock.at(g.due, j)
 		g.frame = nil
 	}
 	o.groups = o.groups[:0]

@@ -12,9 +12,11 @@
 //
 // The concurrency contract matches sim.Context: all callbacks for one node —
 // inbound messages, timers, Exec functions — are serialized under that node's
-// lock; callbacks for different nodes run concurrently. Every delay a node
-// sees — its timers, its half of each link's latency on both the send and
-// the receive side — is a job on that node's one clock (clock.go).
+// lock; callbacks for different nodes dispatched by different receive loops
+// run concurrently. Every delay the runtime models — each node's timers, its
+// half of each link's latency on both the send and the receive side, the
+// harness's callbacks — is a job on the runtime's one clock (clock.go), so
+// delayed work runs one job at a time, whichever node it belongs to.
 package transport
 
 import (
@@ -83,7 +85,10 @@ type Runtime struct {
 	// messages, full for one that outgrew that — a batch of serves. Kept
 	// apart, the few full buffers in flight stay full and the many small
 	// ones stay small; in one pool every buffer would in time grow to the
-	// largest frame it ever carried, and be grown again after each GC.
+	// largest frame it ever carried, and be grown again after each GC. A
+	// miss of bufs carves smallFrames buffers from one block: a blame flush
+	// holds thousands of delayed frames at once, and each GC empties the
+	// pools.
 	bufs, full sync.Pool
 
 	// fragID numbers outbound fragmented messages so receivers can group
@@ -91,8 +96,8 @@ type Runtime struct {
 	// reassembly needs.
 	fragID atomic.Uint32
 
-	clock *clock         // harness callbacks (After), outside any node's lock
-	loops sync.WaitGroup // receive loops and clock goroutines
+	clock *clock         // every delay: node timers, Exec, latency, harness After
+	loops sync.WaitGroup // receive loops and the clock goroutine
 }
 
 var (
@@ -120,29 +125,39 @@ func New(o Options) *Runtime {
 		rand:      rng.New(o.Seed),
 		nodes:     make(map[msg.NodeID]*nodeCtx),
 		conds:     make(map[msg.NodeID]net.Conditions),
-		bufs: sync.Pool{New: func() any {
-			b := make([]byte, 0, msg.FrameHeaderSize+512)
-			return &b
-		}},
 		full: sync.Pool{New: func() any {
 			b := make([]byte, 0, fullFrame)
 			return &b
 		}},
 	}
-	r.clock = startClock(r, nil)
+	r.bufs.New = func() any {
+		mem, bs := make([]byte, smallFrames*smallFrame), make([][]byte, smallFrames)
+		for i := range bs {
+			bs[i] = mem[i*smallFrame : i*smallFrame : (i+1)*smallFrame]
+			if i > 0 {
+				r.bufs.Put(&bs[i])
+			}
+		}
+		return &bs[0]
+	}
+	r.clock = &clock{rt: r, wake: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+	r.clock.timer.Stop()
+	r.loops.Add(1)
+	go r.clock.run()
 	return r
 }
 
 // nodeCtx is one locally hosted node: its socket, the lock serializing all
-// its callbacks, its clock, and the outbox its callbacks send through.
+// its callbacks, the outbox its callbacks send through, and the count of its
+// delayed datagrams on the runtime's clock.
 type nodeCtx struct {
-	rt    *Runtime
-	id    msg.NodeID
-	conn  *gonet.UDPConn
-	clock *clock
-	mu    sync.Mutex
-	h     net.Handler
-	out   outbox
+	rt      *Runtime
+	id      msg.NodeID
+	conn    *gonet.UDPConn
+	mu      sync.Mutex
+	h       net.Handler
+	out     outbox
+	delayed int // guarded by the clock's mu; see maxDelayedDatagrams
 }
 
 var _ sim.Context = (*nodeCtx)(nil)
@@ -150,12 +165,12 @@ var _ sim.Context = (*nodeCtx)(nil)
 // Now implements sim.Context: time elapsed since the runtime started.
 func (n *nodeCtx) Now() time.Duration { return time.Since(n.rt.start) }
 
-// After implements sim.Context: fn runs on the node's clock under the
+// After implements sim.Context: fn runs on the runtime's clock under the
 // node's lock, unless the runtime has been closed first.
-func (n *nodeCtx) After(d time.Duration, fn func()) { n.clock.push(d, job{fn: fn}) }
+func (n *nodeCtx) After(d time.Duration, fn func()) { n.rt.clock.push(d, job{node: n, fn: fn}) }
 
 // AddNode binds a UDP socket for a locally hosted node and starts its
-// receive loop and its clock. The bound address (with the kernel-assigned
+// receive loop. The bound address (with the kernel-assigned
 // port when listen ends in ":0") is recorded in the address book and
 // returned. Adding a node twice fails.
 func (r *Runtime) AddNode(id msg.NodeID, listen string) (netip.AddrPort, error) {
@@ -180,7 +195,6 @@ func (r *Runtime) AddNode(id msg.NodeID, listen string) (netip.AddrPort, error) 
 		return netip.AddrPort{}, fmt.Errorf("transport: node %d already hosted here", id)
 	}
 	n := &nodeCtx{rt: r, id: id, conn: conn}
-	n.clock = startClock(r, n)
 	r.nodes[id] = n
 	r.loops.Add(1)
 	r.mu.Unlock()
@@ -253,12 +267,12 @@ func (r *Runtime) SetDown(id msg.NodeID, down bool) {
 	r.conds[id] = c
 }
 
-// After implements runtime.Runtime: a harness callback on the runtime's own
+// After implements runtime.Runtime: a harness callback on the runtime's
 // clock, outside any node's serialization.
 func (r *Runtime) After(d time.Duration, fn func()) { r.clock.push(d, job{fn: fn}) }
 
-// Exec implements runtime.Runtime: fn runs on node id's clock, under its
-// lock, behind every job of that clock already due.
+// Exec implements runtime.Runtime: fn runs on the runtime's clock, under node
+// id's lock, behind every job already due.
 func (r *Runtime) Exec(id msg.NodeID, fn func()) { r.localNode(id).After(0, fn) }
 
 // Now implements runtime.Runtime.
@@ -377,7 +391,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		return
 	}
 
-	j := job{copies: copies, addr: addr}
+	j := job{node: sender, copies: copies, addr: addr}
 	if mode == net.Reliable {
 		j.flags = msg.FlagReliable
 	}
@@ -408,23 +422,23 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		*j.frame = frame
 	}
 	if latency <= 0 {
-		r.write(sender, &j)
+		r.write(&j)
 		r.release(&j)
 		return
 	}
-	sender.clock.push(latency, j)
+	r.clock.push(latency, j)
 }
 
-// write ships a send job's datagrams from sender's socket; a failed write
+// write ships a send job's datagrams from its node's socket; a failed write
 // is a drop of every message the datagram carries. The frame stays the
 // caller's.
-func (r *Runtime) write(sender *nodeCtx, j *job) {
+func (r *Runtime) write(j *job) {
 	if j.flags&msg.FlagFragment != 0 {
-		r.writeFragments(sender, j)
+		r.writeFragments(j)
 		return
 	}
 	for i := 0; i < int(j.copies); i++ {
-		if _, err := sender.conn.WriteToUDPAddrPort(*j.frame, j.addr); err != nil {
+		if _, err := j.node.conn.WriteToUDPAddrPort(*j.frame, j.addr); err != nil {
 			r.lost(j, 1)
 		}
 	}
@@ -438,8 +452,9 @@ func fragments(body []byte) int {
 // writeFragments ships a message too large for one datagram as a train of
 // fragment frames cut from its encoding; the receiver's reassembler rebuilds
 // the encoding before dispatch. The fragments leave one socket back-to-back.
-// copies > 1 replays the whole train (fault-injected duplication).
-func (r *Runtime) writeFragments(sender *nodeCtx, j *job) {
+// copies > 1 replays the whole train (fault-injected duplication); a failed
+// write ends the run of trains, every copy not yet whole lost.
+func (r *Runtime) writeFragments(j *job) {
 	body := *j.frame
 	count := fragments(body)
 	msgID := r.fragID.Add(1)
@@ -454,16 +469,21 @@ func (r *Runtime) writeFragments(sender *nodeCtx, j *job) {
 	}
 	for i := 0; i < int(j.copies); i++ {
 		for _, f := range frames {
-			if _, err := sender.conn.WriteToUDPAddrPort(f, j.addr); err != nil {
-				r.lost(j, 1)
+			if _, err := j.node.conn.WriteToUDPAddrPort(f, j.addr); err != nil {
+				r.lost(j, int(j.copies)-i)
 				return
 			}
 		}
 	}
 }
 
-// fullFrame is the capacity of a full buffer: the largest datagram.
-const fullFrame = msg.FrameHeaderSize + msg.MaxFramePayload
+// smallFrame is the capacity of a small buffer, carved smallFrames to a
+// block; fullFrame, of a full one: the largest datagram.
+const (
+	smallFrame  = msg.FrameHeaderSize + 512
+	smallFrames = 16
+	fullFrame   = msg.FrameHeaderSize + msg.MaxFramePayload
+)
 
 // release returns a job's pooled frame, if it holds one.
 func (r *Runtime) release(j *job) {
@@ -481,7 +501,7 @@ func (r *Runtime) put(frame *[]byte) {
 	}
 }
 
-// drop accounts a delayed datagram its clock had no room for as lost — each
+// drop accounts a delayed datagram its node had no room for as lost — each
 // message of a dispatch, each message of each copy of a send — and releases
 // it.
 func (r *Runtime) drop(j *job) {
@@ -760,7 +780,7 @@ func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.Addr
 // the node's own conditions are known even when the sender is another
 // process, each message drawing its own. A message without a delay is
 // dispatched at once, the datagram's together as one callback; one with a
-// delay waits on the node's clock, a callback of its own.
+// delay waits on the runtime's clock, a callback of its own.
 func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	r.mu.RLock()
 	closed := r.closed
@@ -781,7 +801,7 @@ func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 			delay *= net.ReliableSetupFactor // the receiver's half
 		}
 		if delay > 0 {
-			n.clock.push(delay, job{m: m, from: m.From()})
+			r.clock.push(delay, job{node: n, m: m, from: m.From()})
 			continue
 		}
 		if !locked {
@@ -805,28 +825,20 @@ func (r *Runtime) dispatch(n *nodeCtx, from msg.NodeID, m msg.Message) {
 	}
 }
 
-// Close implements runtime.Runtime: it stops delivery, stops every clock —
-// their pending jobs are dropped, not waited out, and delayed frames go back
+// Close implements runtime.Runtime: it stops delivery, stops the clock —
+// its pending jobs are dropped, not waited out, and delayed frames go back
 // to the pool — closes every socket, and waits for the receive loops and for
-// the job each clock may be running. Close is idempotent and safe to call
+// the job the clock may be running. Close is idempotent and safe to call
 // concurrently; every caller returns only after the drain completes.
 func (r *Runtime) Close() {
 	r.mu.Lock()
-	first := !r.closed
-	r.closed = true
-	var nodes []*nodeCtx
-	if first {
+	if !r.closed {
+		r.closed = true
+		r.clock.stop()
 		for _, n := range r.nodes {
-			nodes = append(nodes, n)
+			n.conn.Close()
 		}
 	}
 	r.mu.Unlock()
-	if first {
-		r.clock.stop()
-	}
-	for _, n := range nodes {
-		n.clock.stop()
-		n.conn.Close()
-	}
 	r.loops.Wait()
 }

@@ -288,10 +288,10 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	rt.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 4}, net.Unreliable)
 	rt.After(time.Millisecond, func() { t.Error("callback ran after Close") })
 	rt.Context(1).After(time.Millisecond, func() { t.Error("node callback ran after Close") })
-	if jobs, _ := rt.clock.pending(); jobs != 0 {
+	if jobs, _ := pending(rt.clock, nil); jobs != 0 {
 		t.Errorf("a closed runtime queued %d harness callbacks", jobs)
 	}
-	if jobs, _ := rt.localNode(1).clock.pending(); jobs != 0 {
+	if jobs, _ := pending(rt.clock, rt.localNode(1)); jobs != 0 {
 		t.Errorf("a closed runtime queued %d node jobs", jobs)
 	}
 	if _, err := rt.AddNode(9, "127.0.0.1:0"); err == nil {
@@ -339,6 +339,28 @@ func TestOversizedMessageFragmentedAndReassembled(t *testing.T) {
 	}
 	if coll.Dropped(msg.KindAuditResp) != 0 {
 		t.Fatal("fragmented message counted as dropped")
+	}
+}
+
+// TestFailedFragmentTrainDropsEveryCopy: a duplicated fragment train whose
+// first write fails loses both copies of its message, and both are
+// accounted, as both were accounted sent.
+func TestFailedFragmentTrainDropsEveryCopy(t *testing.T) {
+	coll := metrics.NewCollector()
+	rt := New(Options{Seed: 1, Collector: coll})
+	defer rt.Close()
+	rt.Attach(1, nil)
+	rt.Attach(2, nil)
+	rt.SetConditions(1, net.Conditions{DupProb: 1})
+	rt.localNode(1).conn.Close()
+
+	huge := &msg.AuditResp{Sender: 1}
+	for i := 0; i < 5000; i++ {
+		huge.Proposals = append(huge.Proposals, msg.ProposalRecord{Period: msg.Period(i), Partner: 2, Chunks: []msg.ChunkID{1, 2, 3, 4}})
+	}
+	rt.Send(1, 2, huge, net.Unreliable)
+	if got := coll.Dropped(msg.KindAuditResp); got != 2 {
+		t.Fatalf("%d drops accounted for a duplicated train that never left, want 2", got)
 	}
 }
 
