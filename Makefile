@@ -113,7 +113,8 @@ fuzz:
 # document that differs prints how many cells moved in each experiment, then
 # lists every scalar that does — experiment, JSON path, the column of a table
 # cell, old → new (JSONDIFF, a jq program) — so "only scale's events cells
-# moved" is this command's output. ~1 min.
+# moved" is this command's output. The last document is the full-size `all`
+# (every experiment at paper scale): ~4 min in all on 2 cores.
 define JSONDIFF
 [($$a[0] | [paths(scalars)]) + ($$b[0] | [paths(scalars)]) | unique | .[] as $$p
 | (try ($$a[0] | getpath($$p)) catch null) as $$old
@@ -148,7 +149,8 @@ identical:
 		"soak-shards1: soak -quick -backend sim -shards 1" \
 		"soak-shards8: soak -quick -backend sim -shards 8" \
 		"soak-full: soak -backend sim -shards 8" \
-		"matrix: matrix -quick -backend sim"; do \
+		"matrix: matrix -quick -backend sim" \
+		"all-full: all"; do \
 		name=$${spec%%:*}; args=$${spec#*:}; \
 		for side in base work; do \
 			"$$tmp/$$side/lifting-sim" $$args -json > "$$tmp/$$side/$$name.json" 2> "$$tmp/$$side/$$name.err" || true; \

@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -58,17 +59,18 @@ func (o asciiObserver) OnTable(t *experiment.Table) { t.Render(o.w) }
 func run(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("lifting-sim", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
+	def := experiment.DefaultParams()
 	var (
 		n        = fs.Int("n", 0, "override system size (0 = experiment default)")
 		seed     = fs.Uint64("seed", 0, "override random seed (0 = experiment default)")
 		duration = fs.Duration("duration", 0, "override streamed duration (cluster experiments)")
-		pdcc     = fs.Float64("pdcc", -1, "override pdcc (fig14; -1 = default)")
+		pdcc     = fs.Float64("pdcc", def.Pdcc, "override pdcc (fig14; -1 = default)")
 		periods  = fs.Int("periods", 0, "override score periods r (fig11/fig12)")
-		delta    = fs.Float64("delta", -1, "override degree of freeriding (fig11; -1 = default 0.1)")
+		delta    = fs.Float64("delta", def.Delta, "override degree of freeriding (fig11; -1 = default 0.1)")
 		noComp   = fs.Bool("no-compensation", false, "ablation: disable wrongful-blame compensation (fig10/fig11)")
 		quick    = fs.Bool("quick", false, "shrink paper-scale experiments for a fast pass")
 		workers  = fs.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		shards   = fs.Int("shards", -1, "discrete-event engine shards for eligible experiments on the sim backend (-1 = one per CPU, 0 or 1 = one shard, n = n; results are identical for every value; ignored by udp)")
+		shards   = fs.Int("shards", def.Shards, "discrete-event engine shards for eligible experiments on the sim backend (-1 = one per CPU, 0 or 1 = one shard, n = n; results are identical for every value; ignored by udp)")
 		backendF = fs.String("backend", "sim", "execution backend: sim (deterministic discrete-event engine) or udp (loopback sockets, wall-clock time); matrix accepts a comma list or 'all' (= sim,udp)")
 		filter   = fs.String("filter", "", "matrix: run only scenarios whose name contains this substring")
 		jsonOut  = fs.Bool("json", false, "emit one structured JSON document instead of ASCII tables")
@@ -153,6 +155,18 @@ func run(ctx context.Context, args []string) int {
 		for _, e := range batch {
 			if !e.MultiBackend {
 				fmt.Fprintf(stderrW, "lifting-sim: experiment %q takes a single -backend\n", name)
+				return 2
+			}
+		}
+	}
+	// An experiment runs only on the backends it declares; echoing one it
+	// would ignore into the document would be a lie about the run.
+	for _, e := range batch {
+		runsOn := e.Backends()
+		for _, b := range backends {
+			if !slices.Contains(runsOn, b) {
+				fmt.Fprintf(stderrW, "lifting-sim: experiment %q does not run on -backend %s (it runs on %v)\n",
+					e.Name, b, runsOn)
 				return 2
 			}
 		}

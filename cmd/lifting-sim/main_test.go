@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,6 +102,38 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if code := run(context.Background(), []string{"-bogus-flag", "fig10"}); code == 0 {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestRunRejectsIgnoredBackend: an experiment refuses a backend it does not
+// run on — one line naming the experiment and the backend, exit 2, no
+// document — instead of running on sim and echoing the backend it ignored.
+// `all` takes only what every experiment runs on.
+func TestRunRejectsIgnoredBackend(t *testing.T) {
+	for _, args := range [][]string{
+		{"eq7", "-backend", "udp", "-json"},
+		{"-quick", "-backend", "udp", "fig14"},
+		{"scale", "-backend", "udp"},
+		{"-quick", "-backend", "udp", "all"},
+	} {
+		code, out, errOut := capture(t, context.Background(), args)
+		if code != 2 || out != "" {
+			t.Errorf("run(%v) = %d with stdout %q, want 2 and nothing", args, code, out)
+		}
+		if lines := strings.Split(strings.TrimSuffix(errOut, "\n"), "\n"); len(lines) != 1 ||
+			!strings.Contains(lines[0], "does not run on -backend udp") {
+			t.Errorf("run(%v) stderr %q, want one line refusing udp", args, errOut)
+		}
+	}
+	for _, e := range experiment.Experiments() {
+		want := "[sim]"
+		switch e.Name {
+		case "churn", "soak", "matrix":
+			want = "[sim udp]"
+		}
+		if got := fmt.Sprint(e.Backends()); got != want {
+			t.Errorf("%s runs on %s, want %s", e.Name, got, want)
+		}
 	}
 }
 

@@ -9,6 +9,28 @@ import (
 	"lifting/internal/rng"
 )
 
+// ablateWorkloads are the loss-recovery row's runs, with re-requests and
+// without: the deployment over 80 nodes for 15 s (-quick: 50, 8 s) without
+// its freeriders, its poorly connected tail or LiFTinG, run on 2 s past the
+// stream.
+func ablateWorkloads(p Params) []workload {
+	n, dur := 80, 15*time.Second
+	if p.Quick {
+		n, dur = 50, 8*time.Second
+	}
+	var ws []workload
+	for _, retry := range []bool{true, false} {
+		w := deployment(Params{N: n, Seed: p.Seed, Duration: dur, Pdcc: -1})
+		w.k, w.poor, w.unpoliced, w.playout, w.tail = 0, 0, true, true, 2*time.Second
+		if !retry {
+			// A retry window longer than the run disables recovery.
+			w.gossip.RequestRetry = time.Hour
+		}
+		ws = append(ws, w)
+	}
+	return ws
+}
+
 // ablate quantifies the contribution of each LiFTinG mechanism by disabling
 // it and measuring what breaks:
 //
@@ -26,10 +48,11 @@ var ablate = Experiment{
 	Name: "ablate", Paper: "beyond the paper — mechanism ablations",
 	Describe:      "what compensation, cross-checking and loss recovery each buy",
 	DefaultParams: Params{Seed: 21, Delta: -1, Pdcc: -1},
+	workloads:     ablateWorkloads,
 	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
-		scoreN, clusterN, dur := 3000, 80, 15*time.Second
+		scoreN := 3000
 		if p.Quick {
-			scoreN, clusterN, dur = 500, 50, 8*time.Second
+			scoreN = 500
 		}
 		t := &Table{
 			Title:   "Ablations — what each mechanism buys",
@@ -72,31 +95,15 @@ var ablate = Experiment{
 			F(gapOn, 1), F(gapOff, 1))
 
 		// 3. Loss recovery.
-		recovery := func(retry bool) (float64, error) {
-			pl := planetLab(Params{N: clusterN, Seed: p.Seed, Pdcc: -1})
-			pl.PoorPct = 0
-			pl.FreeriderPct = 0
-			opts := pl.buildOptions()
-			opts.LiFTinG = false
-			opts.TrackPlayout = true
-			if !retry {
-				// A retry window longer than the run disables recovery.
-				opts.Gossip.RequestRetry = time.Hour
+		var recovered [2]float64
+		for i, w := range ablateWorkloads(p) {
+			o, err := w.run(ctx, nil, hooks{})
+			if err != nil {
+				return err
 			}
-			c := launch(opts, dur, nil)
-			if err := advance(ctx, c, nil, dur+2*time.Second); err != nil {
-				return 0, err
-			}
-			return health(c, dur, []time.Duration{dur})[0], nil
+			recovered[i] = health(o.c, w.stream, []time.Duration{w.stream})[0]
 		}
-		healthOn, err := recovery(true)
-		if err != nil {
-			return err
-		}
-		healthOff, err := recovery(false)
-		if err != nil {
-			return err
-		}
+		healthOn, healthOff := recovered[0], recovered[1]
 		t.AddRow("loss recovery (re-request)", "baseline health under 4% loss",
 			F(healthOn, 3), F(healthOff, 3))
 

@@ -10,9 +10,40 @@ import (
 	"lifting/internal/net"
 	"lifting/internal/reputation"
 	"lifting/internal/rng"
+	"lifting/internal/runtime"
 	"lifting/internal/stats"
-	"lifting/internal/stream"
 )
+
+// churnWorkload declares churn's one run: 20 joins and 20 honest leavers
+// (-quick: 6 and 6), a tenth of the initial population freeriding mildly on
+// every prong.
+func churnWorkload(p Params) workload {
+	churned := 20
+	if p.Quick {
+		churned = 6
+	}
+	co := cohortOf(p.N, 0.10, degree(0.3, 0.3, 0.3))
+	tg := 500 * time.Millisecond
+	return workload{
+		cohort:  co,
+		seed:    p.Seed,
+		backend: p.backend(),
+		shards:  p.Shards,
+		gossip:  gossip.Config{F: 7, Period: tg},
+		core:    core.Config{Pdcc: 1, Gamma: 8},
+		// M = 10 managers per node; blames travel as messages (the handoff
+		// path). Nothing is expelled: the subject is whether the separation
+		// survives, read off the surviving population's scores.
+		rep:      reputation.Config{M: 10, Eta: -1e9},
+		blame:    cluster.BlameMessages,
+		net:      net.Uniform(0.02, 5*time.Millisecond),
+		stream:   p.Duration,
+		tail:     tg,
+		joins:    churned,
+		leavers:  co.drawLeavers(rng.New(p.Seed).Derive("churn"), churned),
+		backends: []runtime.Kind{runtime.KindSim, runtime.KindUDP},
+	}
+}
 
 // churn is the churn workload: a LiFTinG-policed broadcast in which nodes
 // join and leave mid-stream. The paper deploys on a static membership (§2
@@ -28,53 +59,29 @@ var churn = Experiment{
 	Describe:      "joins and leaves mid-stream with reputation-manager handoff",
 	DefaultParams: Params{N: 120, Seed: 17, Duration: 30 * time.Second, Delta: -1, Pdcc: -1},
 	quick:         Params{N: 50, Duration: 8 * time.Second},
+	workloads:     func(p Params) []workload { return []workload{churnWorkload(p)} },
 	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
-		joins, leaves := 20, 20
-		if p.Quick {
-			joins, leaves = 6, 6
-		}
-		backend := p.backend()
-		// A tenth of the initial population freerides mildly on every prong.
-		co := cohortOf(p.N, 0.10, degree(0.3, 0.3, 0.3))
-		opts := cluster.Options{
-			N:       p.N,
-			Seed:    p.Seed,
-			Backend: backend,
-			Shards:  p.Shards,
-			Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
-			Core:    core.Config{Pdcc: 1, Gamma: 8},
-			// M = 10 managers per node; blames travel as messages (the
-			// handoff path). Nothing is expelled: the subject is whether the
-			// separation survives, read off the surviving population's scores.
-			Rep:         reputation.Config{M: 10, Eta: -1e9},
-			Stream:      stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
-			NetDefaults: net.Uniform(0.02, 5*time.Millisecond),
-			LiFTinG:     true,
-			BlameMode:   cluster.BlameMessages,
-			BehaviorFor: co.behaviorFor(),
-		}
-		c := launch(opts, p.Duration, nil)
-		arrivals, joinAt := scheduleChurn(c, p.Duration, joins,
-			co.drawLeavers(rng.New(p.Seed).Derive("churn"), leaves))
-		if err := advance(ctx, c, nil, p.Duration+opts.Gossip.Period); err != nil {
+		w := churnWorkload(p)
+		o, err := w.run(ctx, nil, hooks{})
+		if err != nil {
 			return err
 		}
-
+		c, joins, leaves := o.c, w.joins, len(w.leavers)
 		joined, departed, handoffs, alive := len(c.Joined), len(c.Departed), c.Handoffs(), c.Dir.NAlive()
 		// catchUp is the distribution over arrivals of (chunks received) /
 		// (chunks generated after the join). Arrivals come in ascending id
 		// order: the Moments mean is a float fold, so the order is part of
 		// the result.
 		var catchUp stats.Moments
-		totalChunks := opts.Stream.ChunksBy(p.Duration)
-		for i, id := range arrivals {
+		totalChunks := c.Opts.Stream.ChunksBy(w.stream)
+		for i, id := range o.arrivals {
 			node, ok := c.Nodes[id]
 			if !ok {
 				// Under the udp backend a join timer due near the end of the
 				// run can be suppressed by Close; the arrival never existed.
 				continue
 			}
-			generatedAfter := totalChunks - opts.Stream.ChunksBy(joinAt[i])
+			generatedAfter := totalChunks - c.Opts.Stream.ChunksBy(o.joinAt[i])
 			if generatedAfter <= 0 {
 				continue
 			}
@@ -88,7 +95,7 @@ var churn = Experiment{
 			if id == 0 || !c.Dir.Alive(id) {
 				continue
 			}
-			if co.has(id) {
+			if w.has(id) {
 				riderMean += scores[id]
 				nr++
 			} else {
@@ -104,7 +111,7 @@ var churn = Experiment{
 		}
 
 		t := &Table{
-			Title:   "Churn — joins/leaves mid-stream with manager handoff (backend " + backend.String() + ")",
+			Title:   "Churn — joins/leaves mid-stream with manager handoff (backend " + w.backend.String() + ")",
 			Columns: []string{"quantity", "value"},
 		}
 		t.AddRow("initial population", F(float64(p.N), 0))
@@ -137,7 +144,7 @@ var churn = Experiment{
 		if want := p.N + joins - leaves; alive != want {
 			out.fail("alive at end = %d, want %d (%d in, %d out)", alive, want, joins, leaves)
 		}
-		if bound := 5 * opts.Rep.M * (joins + leaves); handoffs == 0 || handoffs > bound {
+		if bound := 5 * w.rep.M * (joins + leaves); handoffs == 0 || handoffs > bound {
 			out.fail("%d manager handoffs for %d joins and %d leaves, want within [1, %d]", handoffs, joins, leaves, bound)
 		}
 		if m := catchUp.Mean(); m < 0.5 {

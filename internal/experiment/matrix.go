@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -19,7 +20,6 @@ import (
 	"lifting/internal/reputation"
 	"lifting/internal/rng"
 	"lifting/internal/runtime"
-	"lifting/internal/stream"
 )
 
 // The adversary scenario matrix turns every rational deviation the paper
@@ -72,41 +72,28 @@ type Oracle struct {
 	NoHonestExpulsion bool
 }
 
-// Scenario is one registry entry: an attack, the backends it runs on, the
-// cluster shape, and the oracle its outcome must satisfy.
+// Scenario is one registry entry: an attack, how a repetition detects it,
+// the oracle its outcome must satisfy, and its cluster.
 type Scenario struct {
 	// Name identifies the scenario (`lifting-sim matrix -filter <name>`).
 	Name string
 	// Attack cites the paper's section for the strategy under test.
 	Attack string
-	// Backends are the execution backends the scenario supports. The first
-	// entry is the Monte-Carlo backend (repetitions run there); the
-	// wall-clock backend (udp) always runs a single repetition.
-	Backends []runtime.Kind
 	// Detect selects the detection criterion.
 	Detect DetectMode
 	// Oracle is the pass/fail contract.
 	Oracle Oracle
+	// spec is what the scenario states of its workload: the cohort's
+	// behavior, the backends — the first runs the repetitions, the
+	// wall-clock backend (udp) a single one — and whatever else departs
+	// from the matrix's cluster (Scenario.workload).
+	spec workload
+}
 
-	// Population shape: N nodes, the top Adversaries ids adversarial, on
-	// lossless links. MatrixConfig.Quick shrinks only the shape a scenario
-	// leaves zero.
-	N, Adversaries int
-	F              int
-	Period         time.Duration
-	Duration       time.Duration
-	// BlameMode defaults to cluster.BlameDirect.
-	BlameMode cluster.BlameMode
-	// Expel turns on expulsion at the calibrated η, after Grace periods
-	// (0 = the cluster default).
-	Expel bool
-	Grace int
-	// EtaFloor is the threshold's floor: η = −max(matrixEtaSigmas·σ,
-	// EtaFloor) with σ from an honest calibration pilot. Default: 1.5.
-	EtaFloor float64
-	// Behavior builds the adversary behavior for id; adv is the adversary
-	// cohort in ascending id order.
-	Behavior func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior
+// adversary is the spec of a scenario that departs from the matrix's
+// cluster only in its cohort's behavior, on the sim backend.
+func adversary(b behaviorFunc) workload {
+	return workload{cohort: cohort{behavior: b}, backends: []runtime.Kind{runtime.KindSim}}
 }
 
 // degree is the behavior constructor of a (δ1, δ2, δ3) freerider cohort.
@@ -130,84 +117,81 @@ func Scenarios() []Scenario {
 	}
 	return []Scenario{
 		{
-			Name: "fanout-decrease", Attack: "§4.1(i) reduced fanout",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectScore,
-			Oracle:   Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
-			Behavior: degree(0.5, 0, 0),
+			Name: "fanout-decrease", Attack: "§4.1(i) reduced fanout", Detect: DetectScore,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
+			spec:   adversary(degree(0.5, 0, 0)),
 		},
 		{
-			Name: "partial-propose", Attack: "§4.1(ii) partial propose + §5.2 ack lie",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectScore,
-			Oracle:   Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
-			Behavior: degree(0, 0.6, 0),
+			Name: "partial-propose", Attack: "§4.1(ii) partial propose + §5.2 ack lie", Detect: DetectScore,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
+			spec:   adversary(degree(0, 0.6, 0)),
 		},
 		{
-			Name: "partial-serve", Attack: "§4.3(i) partial serve",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectScore,
-			Oracle:   Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
-			Behavior: degree(0, 0, 0.6),
+			Name: "partial-serve", Attack: "§4.3(i) partial serve", Detect: DetectScore,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
+			spec:   adversary(degree(0, 0, 0.6)),
 		},
 		{
 			// The wise freerider of §6.3.1 with every rational lie of §5.2;
 			// the one entry that runs on both backends, so the matrix pins
 			// the cross-backend verdict agreement of the runtime seam.
-			Name: "wise-degree", Attack: "§6.3.1 ∆=(.5,.5,.5) + §5.2 ack lies",
-			Backends: []runtime.Kind{runtime.KindSim, runtime.KindUDP},
-			Detect:   DetectScore,
-			Oracle:   Oracle{MinDetection: 0.75, MaxFalsePositive: 0.1, MinGap: 3},
-			N:        24, Adversaries: 4, F: 6, Period: 60 * time.Millisecond,
-			Duration: 2400 * time.Millisecond,
-			EtaFloor: 3,
-			Behavior: degree(0.5, 0.5, 0.5),
-		},
-		{
-			Name: "period-stretch", Attack: "§4.1(iv) gossip-period ×2",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectAuditPeriod,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
-			Behavior: func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
-				return freerider.PeriodStretcher{Factor: 2}
+			Name: "wise-degree", Attack: "§6.3.1 ∆=(.5,.5,.5) + §5.2 ack lies", Detect: DetectScore,
+			Oracle: Oracle{MinDetection: 0.75, MaxFalsePositive: 0.1, MinGap: 3},
+			spec: workload{
+				cohort:   cohort{n: 24, k: 4, behavior: degree(0.5, 0.5, 0.5)},
+				gossip:   gossip.Config{F: 6, Period: 60 * time.Millisecond},
+				stream:   2400 * time.Millisecond,
+				floor:    3,
+				backends: []runtime.Kind{runtime.KindSim, runtime.KindUDP},
 			},
 		},
 		{
-			Name: "biased-selection", Attack: "§4.1(iii) coalition bias pm=0.9",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectAudit,
-			Oracle:   Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
-			Behavior: colluder(false, false),
-		},
-		{
-			Name: "mitm", Attack: "§5.2 Fig 8b ack-partner substitution",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectAudit,
-			Oracle:   Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
-			Behavior: colluder(true, false),
-		},
-		{
-			Name: "history-forgery", Attack: "§5.3 uniform audit forgery",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectAuditBlame,
-			Oracle:   Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
-			Behavior: colluder(false, true),
-		},
-		{
-			Name: "colluder-stretcher", Attack: "§4.1(iii)+(iv) combined",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectAudit,
+			Name: "period-stretch", Attack: "§4.1(iv) gossip-period ×2", Detect: DetectAuditPeriod,
 			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
-			Behavior: func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior {
+			spec: adversary(func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
+				return freerider.PeriodStretcher{Factor: 2}
+			}),
+		},
+		{
+			Name: "biased-selection", Attack: "§4.1(iii) coalition bias pm=0.9", Detect: DetectAudit,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			spec:   adversary(colluder(false, false)),
+		},
+		{
+			Name: "mitm", Attack: "§5.2 Fig 8b ack-partner substitution", Detect: DetectAudit,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			spec:   adversary(colluder(true, false)),
+		},
+		{
+			Name: "history-forgery", Attack: "§5.3 uniform audit forgery", Detect: DetectAuditBlame,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			spec:   adversary(colluder(false, true)),
+		},
+		{
+			Name: "colluder-stretcher", Attack: "§4.1(iii)+(iv) combined", Detect: DetectAudit,
+			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			spec: adversary(func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior {
 				return freerider.StretchingColluder{
 					Colluder: freerider.NewColluder(id, adv, 0.9, dir, r),
 					Factor:   2,
 				}
-			},
+			}),
 		},
 		{
 			// The bad-mouther is undetectable by construction (blames carry
 			// no proof, §5.1); the claim under test is resilience: a bounded
 			// spam rate must not push any honest node over the threshold.
-			Name: "blame-spam", Attack: "§5.1 bad-mouthing (wrongful blame flood)",
-			Backends: []runtime.Kind{runtime.KindSim}, Detect: DetectScore,
-			Oracle:    Oracle{MinDetection: -1, MaxFalsePositive: 0, NoHonestExpulsion: true},
-			BlameMode: cluster.BlameMessages, Expel: true, Grace: 16,
-			EtaFloor: 6,
-			Behavior: func(id msg.NodeID, dir *membership.Directory, _ *rng.Stream, _ []msg.NodeID) gossip.Behavior {
-				return &freerider.BlameSpammer{Self: id, Dir: dir}
+			Name: "blame-spam", Attack: "§5.1 bad-mouthing (wrongful blame flood)", Detect: DetectScore,
+			Oracle: Oracle{MinDetection: -1, MaxFalsePositive: 0, NoHonestExpulsion: true},
+			spec: workload{
+				cohort: cohort{behavior: func(id msg.NodeID, dir *membership.Directory, _ *rng.Stream, _ []msg.NodeID) gossip.Behavior {
+					return &freerider.BlameSpammer{Self: id, Dir: dir}
+				}},
+				rep:      reputation.Config{GracePeriods: 16},
+				blame:    cluster.BlameMessages,
+				floor:    6,
+				expel:    true,
+				backends: []runtime.Kind{runtime.KindSim},
 			},
 		},
 	}
@@ -221,29 +205,6 @@ func ScenarioNames() []string {
 		names[i] = s.Name
 	}
 	return names
-}
-
-// MatrixConfig parameterizes a matrix sweep.
-type MatrixConfig struct {
-	// Quick shrinks populations, durations and repetitions for a smoke pass.
-	Quick bool
-	// Backends restricts scenarios to these backends (intersection with
-	// each scenario's declared set). Nil means every backend a scenario
-	// declares; lifting-sim defaults to sim so wall-clock backends stay
-	// opt-in on the command line.
-	Backends []runtime.Kind
-	// Filter keeps only scenarios whose name contains this substring.
-	Filter string
-	// Seed roots all randomness (0 = 1). The sim backend runs 3 seeded
-	// repetitions per scenario (1 under Quick); wall-clock backends run one.
-	Seed uint64
-	// Workers fans repetitions across goroutines (0 = GOMAXPROCS).
-	Workers int
-	// Shards is the engine shard count inside each repetition (0 or 1 =
-	// one, −1 = one per CPU, n = n). Scenarios that cannot run concurrently
-	// get one shard regardless; results are byte-identical for every
-	// value.
-	Shards int
 }
 
 // MatrixRow is the aggregated outcome of one scenario on one backend.
@@ -307,146 +268,103 @@ type repOutcome struct {
 	honestMean, advMean        float64
 }
 
-// shape is a Scenario with sizing defaults resolved: its cohort (n nodes,
-// the top k adversarial), its stream length and the engine-shard request
-// passed through to every repetition's cluster (scenarios that cannot run
-// concurrently — direct blame, per-node conditions — get one shard there).
-type shape struct {
-	Scenario
-	cohort
-	dur    time.Duration
-	shards int
+// workload declares the scenario's cluster at p's size: its spec, with
+// what the spec leaves zero the matrix's — 60 nodes, 6 adversaries, 10 s of
+// stream, F = 7, Tg = 100 ms, direct blame, the cluster's grace and a 1.5
+// floor under η = −6σ. -quick shrinks only the population and the stream
+// (40 nodes, 5 s) — coalition attacks need the full adversary cohort to
+// concentrate the fanout history. The sim backend runs 3 seeded
+// repetitions (1 under -quick).
+func (s Scenario) workload(p Params) workload {
+	w := s.spec
+	n, dur, reps := 60, 10*time.Second, 3
+	if p.Quick {
+		n, dur, reps = 40, 5*time.Second, 1
+	}
+	w.n, w.k, w.stream = cmp.Or(w.n, n), cmp.Or(w.k, 6), cmp.Or(w.stream, dur)
+	w.shards, w.reps = p.Shards, reps
+	tg := cmp.Or(w.gossip.Period, 100*time.Millisecond)
+	w.tail = 6 * tg
+	if s.Detect != DetectScore {
+		w.tail = 12 * tg // AuditReq + poll round-trips (4·Tg timeouts each)
+	}
+	w.gossip = gossip.Config{
+		F:      cmp.Or(w.gossip.F, 7),
+		Period: tg,
+		// Without jitter the propose order — and with it each node's share
+		// of the first-proposal race — is frozen at start time, so an
+		// adversary's service demand (the thing partial-serve blame is
+		// proportional to) becomes a lottery over offsets.
+		PhaseJitter: tg / 2,
+	}
+	w.core = core.Config{
+		Pdcc:              1,
+		Gamma:             4.5,
+		GammaFanin:        2.0,
+		MinEntropySamples: 16,
+		// An honest node skips a propose phase whenever jittered arrivals
+		// leave it nothing pending, so the period check needs more slack
+		// than the default 0.8 to keep honest histories clean while still
+		// condemning a ×2 stretcher (~0.5).
+		PeriodCheckSlack: 0.6,
+	}
+	w.rep.M, w.rep.Eta = 8, -1e9
+	w.blame = cmp.Or(w.blame, cluster.BlameDirect)
+	// Latency jitter matters: with a constant delay the first-proposal race
+	// has a fixed winner per pair, so one adversary can end up with no
+	// service demand — and no blame — by accident of its start offset
+	// rather than by strategy.
+	w.net = net.Conditions{LatencyBase: 2 * time.Millisecond, LatencyJitter: 4 * time.Millisecond}
+	w.pilot, w.sigmas, w.floor = w.stream, 6, cmp.Or(w.floor, 1.5)
+	return w
 }
 
-func (s Scenario) resolve(quick bool) shape {
-	sh := shape{Scenario: s, cohort: cohort{n: s.N, k: s.Adversaries, behavior: s.Behavior}, dur: s.Duration}
-	if sh.n == 0 {
-		sh.n = 60
+// matrixWorkloads declares every scenario's cluster, in Scenarios order.
+func matrixWorkloads(p Params) []workload {
+	var ws []workload
+	for _, sc := range Scenarios() {
+		ws = append(ws, sc.workload(p))
 	}
-	if sh.k == 0 {
-		sh.k = 6
-	}
-	if sh.dur == 0 {
-		sh.dur = 10 * time.Second
-	}
-	if sh.F == 0 {
-		sh.F = 7
-	}
-	if sh.Period == 0 {
-		sh.Period = 100 * time.Millisecond
-	}
-	if sh.BlameMode == 0 {
-		sh.BlameMode = cluster.BlameDirect
-	}
-	if sh.EtaFloor == 0 {
-		sh.EtaFloor = 1.5
-	}
-	if quick {
-		// Only the population and the stream shrink: coalition attacks need
-		// the full adversary cohort to concentrate the fanout history.
-		if s.N == 0 {
-			sh.n = 40
-		}
-		if s.Duration == 0 {
-			sh.dur = 5 * time.Second
-		}
-	}
-	return sh
+	return ws
 }
 
-// matrixEtaSigmas is every scenario's threshold margin in honest-pilot
-// standard deviations (η = −max(6σ, EtaFloor)).
-const matrixEtaSigmas = 6
-
-// options assembles the cluster options for one repetition.
-func (sh shape) options(backend runtime.Kind, seed uint64) cluster.Options {
-	return cluster.Options{
-		N:       sh.n,
-		Seed:    seed,
-		Backend: backend,
-		Shards:  sh.shards,
-		Gossip: gossip.Config{
-			F:              sh.F,
-			Period:         sh.Period,
-			HistoryPeriods: 50,
-			// Without jitter the propose order — and with it each node's
-			// share of the first-proposal race — is frozen at start time,
-			// so an adversary's service demand (the thing partial-serve
-			// blame is proportional to) becomes a lottery over offsets.
-			PhaseJitter: sh.Period / 2,
-		},
-		Core: core.Config{
-			Pdcc:              1,
-			Gamma:             4.5,
-			GammaFanin:        2.0,
-			MinEntropySamples: 16,
-			// An honest node skips a propose phase whenever jittered
-			// arrivals leave it nothing pending, so the period check needs
-			// more slack than the default 0.8 to keep honest histories
-			// clean while still condemning a ×2 stretcher (~0.5).
-			PeriodCheckSlack: 0.6,
-		},
-		Rep:    reputation.Config{M: 8, Eta: -1e9},
-		Stream: stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
-		// Latency jitter matters: with a constant delay the first-proposal
-		// race has a fixed winner per pair, so one adversary can end up
-		// with no service demand — and no blame — by accident of its start
-		// offset rather than by strategy.
-		NetDefaults: net.Conditions{
-			LatencyBase:   2 * time.Millisecond,
-			LatencyJitter: 4 * time.Millisecond,
-		},
-		LiFTinG:     true,
-		BlameMode:   sh.BlameMode,
-		BehaviorFor: sh.behaviorFor(),
-	}
-}
-
-// runRep executes one seeded repetition and classifies it against eta. On
-// cancellation it tears the cluster down and returns a zero outcome — the
-// caller discards everything once it sees the context error.
-func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, comp, eta float64) repOutcome {
-	opts := sh.options(backend, seed)
-	opts.Rep.Compensation = comp
-	if sh.Expel {
-		opts.ExpelOnDetection = true
-		opts.Rep.Eta = eta
-		opts.Rep.GracePeriods = sh.Grace
-	}
+// runRep executes one seeded repetition of w at cal and classifies it
+// against cal's η. On cancellation it returns a zero outcome — the caller
+// discards everything once it sees the context error.
+func (s Scenario) runRep(ctx context.Context, w workload, cal calibration) repOutcome {
 	var mu sync.Mutex
 	audits := make(map[msg.NodeID]core.AuditOutcome)
-	auditing := sh.Detect != DetectScore
-	tail := 6 * sh.Period
-	var audit func(*cluster.Cluster)
+	auditing := s.Detect != DetectScore
+	var h hooks
 	if auditing {
-		tail = 12 * sh.Period // AuditReq + poll round-trips (4·Tg timeouts each)
 		// The auditor and its timer are set up before the nodes start: a
 		// timer's place in the schedule is part of the seeded result.
-		audit = func(c *cluster.Cluster) {
+		h.pre = func(c *cluster.Cluster) {
 			auditor := c.Auditor(func(o core.AuditOutcome) {
 				mu.Lock()
 				audits[o.Target] = o
 				mu.Unlock()
 			})
-			targets := sh.ids()
+			targets := w.ids()
 			// An equal-sized honest control sample: the same audit must not
 			// condemn protocol-faithful histories.
-			for i := 1; len(targets) < 2*sh.k && i < sh.n-sh.k; i++ {
+			for i := 1; len(targets) < 2*w.k && i < w.n-w.k; i++ {
 				targets = append(targets, msg.NodeID(i))
 			}
-			c.After(sh.dur, func() {
+			c.After(w.stream, func() {
 				for _, id := range targets {
 					auditor.Audit(id)
 				}
 			})
 		}
 	}
-	c := launch(opts, sh.dur, audit)
-	if err := advance(ctx, c, nil, sh.dur+tail); err != nil {
+	o, err := w.run(ctx, &cal, h)
+	if err != nil {
 		return repOutcome{}
 	}
+	c, eta := o.c, cal.eta
 
-	out := repOutcome{tallyResult: tally(c, sh.cohort)}
+	out := repOutcome{tallyResult: o.tallyResult}
 	scores := c.Scores()
 	ids := make([]msg.NodeID, 0, len(scores))
 	//lint:allow ordered-map-range collect-then-sort: ids are sorted before classification
@@ -457,7 +375,7 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 
 	detected := func(id msg.NodeID) bool {
 		_, expelled := c.Expelled[id]
-		switch sh.Detect {
+		switch s.Detect {
 		case DetectAudit:
 			return audits[id].Expel
 		case DetectAuditBlame:
@@ -479,7 +397,7 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 			// excluded from the score statistics.
 			continue
 		}
-		if sh.has(id) {
+		if w.has(id) {
 			out.advMean += scores[id]
 			if !auditing || audited(id) {
 				out.advTotal++
@@ -497,11 +415,11 @@ func (sh shape) runRep(ctx context.Context, backend runtime.Kind, seed uint64, c
 			}
 		}
 	}
-	if nh := sh.n - 1 - sh.k; nh > 0 {
+	if nh := w.n - 1 - w.k; nh > 0 {
 		out.honestMean /= float64(nh)
 	}
-	if sh.k > 0 {
-		out.advMean /= float64(sh.k)
+	if w.k > 0 {
+		out.advMean /= float64(w.k)
 	}
 	return out
 }
@@ -532,19 +450,9 @@ var matrix = Experiment{
 	Describe:      "every §4/§5 attack scenario against its statistical oracle",
 	MultiBackend:  true,
 	DefaultParams: Params{Seed: 1, Delta: -1, Pdcc: -1},
+	workloads:     matrixWorkloads,
 	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
-		reps := 3
-		if p.Quick {
-			reps = 1
-		}
-		tab, res, err := sweepMatrix(ctx, MatrixConfig{
-			Quick:    p.Quick,
-			Backends: p.Backends,
-			Filter:   p.Filter,
-			Seed:     p.Seed,
-			Workers:  p.Workers,
-			Shards:   p.Shards,
-		}, reps)
+		tab, res, err := sweepMatrix(ctx, p, matrixWorkloads(p))
 		if err != nil {
 			return err
 		}
@@ -570,25 +478,23 @@ var matrix = Experiment{
 	},
 }
 
-// sweepMatrix runs every scenario cfg selects, the sim backend's repetition
-// count given — so a test can fan several repetitions of a quick scenario
-// across workers.
-func sweepMatrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *matrixResult, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	root := rng.New(cfg.Seed).Derive("matrix")
+// sweepMatrix runs the scenarios p selects (p.Filter, p.Backends), each on
+// its workload in ws (Scenarios order) — so a test can set a quick
+// scenario's repetitions.
+func sweepMatrix(ctx context.Context, p Params, ws []workload) (*Table, *matrixResult, error) {
+	root := rng.New(p.Seed).Derive("matrix")
 
 	res := &matrixResult{}
-	for _, sc := range Scenarios() {
-		if cfg.Filter != "" && !strings.Contains(sc.Name, cfg.Filter) {
+	for i, sc := range Scenarios() {
+		w := ws[i]
+		if p.Filter != "" && !strings.Contains(sc.Name, p.Filter) {
 			continue
 		}
-		backends := sc.Backends
-		if cfg.Backends != nil {
+		backends := w.backends
+		if p.Backends != nil {
 			backends = nil
-			for _, b := range sc.Backends {
-				if slices.Contains(cfg.Backends, b) {
+			for _, b := range w.backends {
+				if slices.Contains(p.Backends, b) {
 					backends = append(backends, b)
 				}
 			}
@@ -596,29 +502,29 @@ func sweepMatrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *matr
 		if len(backends) == 0 {
 			continue
 		}
-		sh := sc.resolve(cfg.Quick)
-		sh.shards = cfg.Shards
 		scRoot := root.Derive(sc.Name)
 
 		// Calibrate b̃ and η once per scenario from an honest pilot (always
 		// on the discrete-event backend): the analysis's saturated-workload
 		// b̃ over-compensates the real chunk workload, and the threshold
 		// must sit at a margin below the empirical honest spread.
-		cal, eta, err := calibrate(ctx, sh.options(runtime.KindSim, scRoot.Derive("cal").Seed()), sh.dur, matrixEtaSigmas, sh.EtaFloor)
+		w.seed = scRoot.Derive("cal").Seed()
+		cal, err := w.calibrate(ctx, w.options())
 		if err != nil {
 			return nil, nil, err
 		}
 
 		ran := false
 		for _, backend := range backends {
-			n := reps
+			n := w.reps
 			if backend != runtime.KindSim {
 				n = 1 // wall-clock backends stream in real time
 			}
 			outs := make([]repOutcome, n)
-			if err := parallelRange(ctx, cfg.Workers, n, func(i int) {
-				seed := scRoot.Derive(fmt.Sprintf("rep/%d", i)).Seed()
-				outs[i] = sh.runRep(ctx, backend, seed, cal.Compensation, eta)
+			if err := parallelRange(ctx, p.Workers, n, func(i int) {
+				rep := w
+				rep.backend, rep.seed = backend, scRoot.Derive(fmt.Sprintf("rep/%d", i)).Seed()
+				outs[i] = sc.runRep(ctx, rep, cal)
 			}); err != nil {
 				return nil, nil, err
 			}
@@ -628,7 +534,7 @@ func sweepMatrix(ctx context.Context, cfg MatrixConfig, reps int) (*Table, *matr
 				Attack:   sc.Attack,
 				Backend:  backend,
 				Reps:     n,
-				Eta:      eta,
+				Eta:      cal.eta,
 			}
 			var advDet, advTot, honFlag, honTot int
 			var proto, verif, dup, useful uint64

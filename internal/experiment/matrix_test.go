@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"lifting/internal/runtime"
 )
@@ -38,72 +36,16 @@ func TestMatrixRegistryCoversAttackSpace(t *testing.T) {
 			t.Errorf("registry missing scenario %q", name)
 			continue
 		}
-		if len(s.Backends) == 0 {
+		if len(s.spec.backends) == 0 {
 			t.Errorf("scenario %q declares no backend", name)
 		}
-		if s.Behavior == nil {
+		if s.spec.behavior == nil {
 			t.Errorf("scenario %q has no behavior constructor", name)
 		}
 	}
 	// The cross-backend entry must cover the whole runtime seam.
-	if wd := byName["wise-degree"]; len(wd.Backends) != 2 {
-		t.Errorf("wise-degree covers %d backends, want sim+udp", len(wd.Backends))
-	}
-}
-
-// TestMatrixShapes pins every scenario's resolved cluster shape at both
-// sizes. `make identical` runs only the quick sweep, so this is the one
-// standing check on the full-size shapes; η's σ-multiple is the same
-// matrixEtaSigmas = 6 for all of them.
-func TestMatrixShapes(t *testing.T) {
-	if matrixEtaSigmas != 6 {
-		t.Errorf("matrixEtaSigmas = %v, want 6", matrixEtaSigmas)
-	}
-	type size struct {
-		n, k int
-		dur  time.Duration
-	}
-	def, quick := size{60, 6, 10 * time.Second}, size{40, 6, 5 * time.Second}
-	wise := size{24, 4, 2400 * time.Millisecond}
-	for _, c := range []struct {
-		name        string
-		full, quick size
-		f           int
-		period      time.Duration
-		floor       float64
-	}{
-		{"fanout-decrease", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"partial-propose", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"partial-serve", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"wise-degree", wise, wise, 6, 60 * time.Millisecond, 3},
-		{"period-stretch", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"biased-selection", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"mitm", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"history-forgery", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"colluder-stretcher", def, quick, 7, 100 * time.Millisecond, 1.5},
-		{"blame-spam", def, quick, 7, 100 * time.Millisecond, 6},
-	} {
-		i := slices.Index(ScenarioNames(), c.name)
-		if i < 0 {
-			t.Errorf("no scenario %q", c.name)
-			continue
-		}
-		sc := Scenarios()[i]
-		for _, q := range []bool{false, true} {
-			want := c.full
-			if q {
-				want = c.quick
-			}
-			sh := sc.resolve(q)
-			got := size{sh.n, sh.k, sh.dur}
-			if got != want || sh.F != c.f || sh.Period != c.period || sh.EtaFloor != c.floor {
-				t.Errorf("%s quick=%v: n, k, dur = %v, F %d, Tg %v, floor %v; want %v, F %d, Tg %v, floor %v",
-					c.name, q, got, sh.F, sh.Period, sh.EtaFloor, want, c.f, c.period, c.floor)
-			}
-		}
-	}
-	if n := len(Scenarios()); n != 10 {
-		t.Errorf("%d scenarios, the table pins 10", n)
+	if wd := byName["wise-degree"]; len(wd.spec.backends) != 2 {
+		t.Errorf("wise-degree covers %d backends, want sim+udp", len(wd.spec.backends))
 	}
 }
 
@@ -155,18 +97,26 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 		{"history-forgery", nil},
 		{"blame-spam", []int{2, 8}},
 	} {
-		cfg := MatrixConfig{
+		p := Params{
 			Quick:    true,
 			Filter:   tc.filter,
 			Backends: []runtime.Kind{runtime.KindSim},
 			Seed:     42,
 		}
 		if tc.shards != nil {
-			cfg.Shards = 1
+			p.Shards = 1
 		}
-		_, a, errA := sweepMatrix(context.Background(), cfg, 2)
-		cfg.Workers = 1 // worker count must not change a single bit either
-		_, b, errB := sweepMatrix(context.Background(), cfg, 2)
+		sweep := func(p Params) (*matrixResult, error) {
+			ws := matrixWorkloads(p)
+			for i := range ws {
+				ws[i].reps = 2
+			}
+			_, res, err := sweepMatrix(context.Background(), p, ws)
+			return res, err
+		}
+		a, errA := sweep(p)
+		p.Workers = 1 // worker count must not change a single bit either
+		b, errB := sweep(p)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -178,8 +128,8 @@ func TestMatrixDeterministicPerBackend(t *testing.T) {
 			t.Fatalf("two identically seeded %s runs diverged:\n--- first ---\n%s--- second ---\n%s", tc.filter, fa, fb)
 		}
 		for _, s := range tc.shards {
-			cfg.Shards = s
-			_, c, err := sweepMatrix(context.Background(), cfg, 2)
+			p.Shards = s
+			c, err := sweep(p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,17 +9,32 @@ import (
 	"lifting/internal/msg"
 )
 
-// overheadRun streams the scenario with blames travelling as messages — the
-// traffic Tables 3 and 5 count — and returns the finished cluster.
-func (p PlanetLabConfig) overheadRun(ctx context.Context) (*cluster.Cluster, error) {
-	opts := p.buildOptions()
-	opts.BlameMode = cluster.BlameMessages
-	c := launch(opts, p.Duration, nil)
-	return c, advance(ctx, c, nil, p.Duration+time.Second)
-}
-
 // paperPdccs are the cross-check probabilities Tables 3 and 5 sweep.
 var paperPdccs = []float64{0, 0.5, 1}
+
+// table5Rates are the stream rates Table 5 sweeps.
+var table5Rates = []int{674_000, 1_082_000, 2_036_000}
+
+// overheadWorkloads stream the deployment at each of paperPdccs and the
+// given rates (rate-major) with blames travelling as messages — the traffic
+// Tables 3 and 5 count — and no pilot.
+func overheadWorkloads(p Params, rates ...int) []workload {
+	var ws []workload
+	for _, rate := range rates {
+		for _, pdcc := range paperPdccs {
+			w := deployment(p)
+			w.core.Pdcc, w.bitrate = pdcc, rate
+			w.blame, w.tail = cluster.BlameMessages, time.Second
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+// table3Workloads stream at the paper's deployed rate, 674 kbps.
+func table3Workloads(p Params) []workload { return overheadWorkloads(p, table5Rates[0]) }
+
+func table5Workloads(p Params) []workload { return overheadWorkloads(p, table5Rates...) }
 
 // table3 reproduces Table 3 of the paper: the per-node, per-period message
 // overhead of the verifications, for each of paperPdccs. The paper gives
@@ -31,6 +46,7 @@ var table3 = Experiment{
 	Describe:      "verification messages per node per gossip period, swept over pdcc",
 	DefaultParams: planetLabParams,
 	quick:         planetLabQuick,
+	workloads:     table3Workloads,
 	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
 		t := &Table{
 			Title: "Table 3 — verification messages per node per gossip period",
@@ -41,31 +57,29 @@ var table3 = Experiment{
 		}
 		var acks, confirms, totals []float64
 		var f, m float64
-		for _, pdcc := range paperPdccs {
-			pc := planetLab(p)
-			pc.Pdcc = pdcc
-			c, err := pc.overheadRun(ctx)
+		for _, w := range table3Workloads(p) {
+			o, err := w.run(ctx, nil, hooks{})
 			if err != nil {
 				return err
 			}
-
+			c := o.c
 			f, m = float64(c.Opts.Gossip.F), float64(c.Opts.Rep.M)
-			periods := float64(pc.Duration / c.Opts.Gossip.Period)
+			periods := float64(w.stream / c.Opts.Gossip.Period)
 			perNodePeriod := func(k msg.Kind) float64 {
-				return float64(c.Collector.SentMsgs(k)) / float64(pc.N) / periods
+				return float64(c.Collector.SentMsgs(k)) / float64(w.n) / periods
 			}
 			verifMsgs, _ := c.Collector.VerificationTotals()
 			acks = append(acks, perNodePeriod(msg.KindAck))
 			confirms = append(confirms, perNodePeriod(msg.KindConfirm))
-			totals = append(totals, float64(verifMsgs)/float64(pc.N)/periods)
+			totals = append(totals, float64(verifMsgs)/float64(w.n)/periods)
 			t.AddRow(
-				F(pdcc, 2),
+				F(w.core.Pdcc, 2),
 				F(perNodePeriod(msg.KindAck), 2),
 				F(perNodePeriod(msg.KindConfirm), 2),
 				F(perNodePeriod(msg.KindConfirmResp), 2),
 				F(perNodePeriod(msg.KindBlame), 2),
 				F(totals[len(totals)-1], 2),
-				F(pdcc*f*f, 1),
+				F(w.core.Pdcc*f*f, 1),
 			)
 		}
 		t.Notes = append(t.Notes,
@@ -113,6 +127,7 @@ var table5 = Experiment{
 	Describe:      "relative bandwidth overhead across stream rates and pdcc",
 	DefaultParams: planetLabParams,
 	quick:         planetLabQuick,
+	workloads:     table5Workloads,
 	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
 		t := &Table{
 			Title:   "Table 5 — bandwidth overhead of cross-checking and blaming",
@@ -123,22 +138,21 @@ var table5 = Experiment{
 			1_082_000: {"0.69%", "3.51%", "5.04%"},
 			2_036_000: {"0.38%", "1.69%", "2.76%"},
 		}
-		rates := []int{674_000, 1_082_000, 2_036_000}
+		rates := table5Rates
 		// ratio[rate][i] is the overhead at paperPdccs[i].
 		ratio := make(map[int][]float64, len(rates))
+		for _, w := range table5Workloads(p) {
+			o, err := w.run(ctx, nil, hooks{})
+			if err != nil {
+				return err
+			}
+			r := o.c.Collector.Overhead()
+			ratio[w.bitrate] = append(ratio[w.bitrate], r)
+			out.addMetric(fmt.Sprintf("overhead-%dkbps-pdcc%.2f", w.bitrate/1000, w.core.Pdcc), r)
+		}
 		for _, rate := range rates {
 			row := []string{F(float64(rate)/1000, 0) + " kbps"}
-			for _, pdcc := range paperPdccs {
-				pc := planetLab(p)
-				pc.Pdcc = pdcc
-				pc.BitrateBps = rate
-				c, err := pc.overheadRun(ctx)
-				if err != nil {
-					return err
-				}
-				r := c.Collector.Overhead()
-				ratio[rate] = append(ratio[rate], r)
-				out.addMetric(fmt.Sprintf("overhead-%dkbps-pdcc%.2f", rate/1000, pdcc), r)
+			for _, r := range ratio[rate] {
 				row = append(row, Pct(r))
 			}
 			ref := paper[rate]

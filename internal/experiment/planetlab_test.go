@@ -12,9 +12,9 @@ func TestFig14DetectionShape(t *testing.T) {
 	// from 8 freeriders within a minute of simulated time (the test
 	// system's chunk workload yields fewer blame opportunities per period
 	// than PlanetLab's saturated one).
-	p := planetLab(Params{N: 80, Seed: planetLabParams.Seed, Duration: 35 * time.Second, Pdcc: -1})
-	p.Delta = [3]float64{3.0 / 7, 0.3, 0.3}
-	tab, snaps, err := fig14Run(context.Background(), p)
+	w := fig14Workloads(Params{N: 80, Seed: planetLabParams.Seed, Duration: 35 * time.Second, Pdcc: -1})[0]
+	w.behavior = degree(3.0/7, 0.3, 0.3)
+	tab, snaps, err := fig14Run(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,8 @@ type Params struct {
 }
 
 // DefaultParams returns the neutral parameter set: every override off, the
-// Delta/Pdcc sentinels at −1 and the engine sharding on auto.
-//
-//lint:allow no-orphan the registry tests and benchmarks (TestRegistryRunStreamsTables, BenchmarkRegistryDispatch, …) start every run from it
+// Delta/Pdcc sentinels at −1 and the engine sharding on auto — lifting-sim's
+// flag defaults.
 func DefaultParams() Params {
 	return Params{Delta: -1, Pdcc: -1, Shards: -1}
 }
@@ -226,6 +225,9 @@ type Experiment struct {
 	DefaultParams Params
 	// quick holds the sizes -quick shrinks to (Params.resolve).
 	quick Params
+	// workloads declares the cluster runs the experiment makes at resolved
+	// params, in run order (nil: it runs no cluster).
+	workloads func(Params) []workload
 	// run executes the experiment on resolved params: it adds its tables
 	// (streaming each to obs), its metrics and every verdict failure to out.
 	// It must honor ctx — threading it into cluster runs and Monte-Carlo
@@ -242,6 +244,24 @@ func (e Experiment) Run(ctx context.Context, p Params, obs Observer) (*Result, e
 		return nil, err
 	}
 	return out, nil
+}
+
+// Backends lists the execution backends the experiment runs on: those its
+// workloads declare, or sim alone for an experiment that runs no cluster.
+// lifting-sim refuses any other.
+func (e Experiment) Backends() []runtime.Kind {
+	if e.workloads == nil {
+		return []runtime.Kind{runtime.KindSim}
+	}
+	var ks []runtime.Kind
+	for _, w := range e.workloads(DefaultParams().resolve(e.DefaultParams, e.quick)) {
+		for _, k := range w.backends {
+			if !slices.Contains(ks, k) {
+				ks = append(ks, k)
+			}
+		}
+	}
+	return ks
 }
 
 // experiments is the registry, in the order `all` runs it and usage lists

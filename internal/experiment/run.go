@@ -1,35 +1,39 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"time"
 
+	"lifting/internal/chaos"
 	"lifting/internal/cluster"
+	"lifting/internal/core"
 	"lifting/internal/gossip"
 	"lifting/internal/membership"
+	"lifting/internal/metrics"
 	"lifting/internal/msg"
+	"lifting/internal/net"
+	"lifting/internal/reputation"
 	"lifting/internal/rng"
+	"lifting/internal/runtime"
+	"lifting/internal/stream"
 )
 
 // This file alone knows what a policed-stream run is. Every cluster
-// experiment — the paper's (Figures 1 and 14, Tables 3 and 5) and the
-// reproduction's (churn, scale, soak, the adversary matrix, the ablations) —
-// is the same experiment: a broadcast with an adversary cohort in the top
-// ids, compensated by a calibrated b̃ and thresholded at an η placed from the
-// honest pilot's σ. The stages live here once (cohort, calibrate, launch,
-// advance, tally, the churn spread); which cohort, which σ-multiple and how
-// long stay with each workload, next to its cluster.Options literal.
+// experiment is the same experiment — a broadcast with an adversary cohort
+// in the top ids, compensated by a calibrated b̃ and thresholded at an η
+// placed from the honest pilot's σ — and declares its runs as workload
+// values in its own file. options is the package's one cluster.Options
+// literal and run its one path: pilot → launch → churn → advance → tally.
 //
-// Two orders are part of every seeded result and are the callers' to keep.
-// Harness timers due at the same instant fire in scheduling order, so what a
-// workload schedules before Start (launch's pre hook: the matrix's audit
-// timer) and what it schedules after StartStream (on the returned cluster:
-// churn's joins and leaves) must stay where they are. And an Options value
-// may carry a stateful ConditionsFor (PlanetLabConfig.buildOptions draws the
-// poor tail per call): the pilot consumes the first n draws and the run the
-// next, so one Options value goes to calibrate and then to launch, in that
-// order.
+// run keeps the three orders every seeded result depends on. Harness timers
+// due at the same instant fire in scheduling order, so hooks.pre (the
+// matrix's auditor and audit timer) runs before Start and the churn after
+// StartStream. conditionsFor draws the poor tail per call, so one Options
+// value goes to the pilot and then to the run, in that order. And the rng
+// labels (matrix/<scenario>/cal and rep/<i>, soak-churn, churn, poor) name
+// the streams the documents were seeded from.
 
 // behaviorFunc builds the adversary behavior of cohort member id; adv is the
 // whole cohort in ascending id order (coalition attacks need it).
@@ -78,50 +82,209 @@ func (co cohort) behaviorFor() func(msg.NodeID, *membership.Directory, *rng.Stre
 	}
 }
 
-// calibrate runs the honest pilot for opts and places the threshold from its
-// spread: η = −max(sigmas·σ, floor). cluster.Calibrate owns what an honest,
-// clean pilot is, so opts is the run's own options, unprepared.
-func calibrate(ctx context.Context, opts cluster.Options, pilot time.Duration, sigmas, floor float64) (cluster.Calibration, float64, error) {
-	cal, err := cluster.Calibrate(ctx, opts, pilot)
-	return cal, -math.Max(sigmas*cal.ScoreStd, floor), err
+// A workload is one cluster run declared as data: who runs it, what
+// protocol, over what network, for how long, under which threshold rule,
+// with what churn and faults, on which backends.
+type workload struct {
+	// cohort is the population: n nodes, the top k adversarial.
+	cohort
+	seed    uint64
+	backend runtime.Kind
+	shards  int
+	// gossip, core and rep state F, Tg, γ, pdcc, M, FlushEvery, the grace
+	// and the η the managers hold before (or without) a pilot's.
+	gossip gossip.Config
+	core   core.Config
+	rep    reputation.Config
+	// blame is the route blames take to the scores — the experiment's
+	// policy, stated by every workload.
+	blame cluster.BlameMode
+	// unpoliced turns LiFTinG off.
+	unpoliced bool
+	// bitrate is the stream rate (0: 674 kbps); chunk is a chunk's payload
+	// at 674 kbps (0: 1316 B).
+	bitrate, chunk int
+	// net is every link's default. poor is the share of honest nodes in the
+	// poorly connected tail; uplink, if set, caps every uplink but the
+	// source's at that multiple of the stream rate.
+	net          net.Conditions
+	poor, uplink float64
+	// playout records every node's playout for the health curves.
+	playout bool
+	// stream is how long the source injects chunks; tail how long the run
+	// goes on after.
+	stream, tail time.Duration
+	// pilot is the honest calibration pilot's length (0: no pilot, b̃ from
+	// the analysis). Its σ places η = −max(sigmas·σ, floor); expel expels
+	// at it.
+	pilot         time.Duration
+	sigmas, floor float64
+	expel         bool
+	// joins arrive and leavers leave over the middle half of the stream.
+	joins   int
+	leavers []msg.NodeID
+	// chaos is the fault plan (nil: none).
+	chaos *chaos.Plan
+	// backends are those the workload runs on; reps is how many seeded
+	// repetitions the matrix runs on sim.
+	backends []runtime.Kind
+	reps     int
 }
 
-// launch assembles the cluster, lets pre schedule on it ahead of the nodes'
-// own timers (nil for most workloads), starts every node and schedules
-// stream's worth of chunk injections at the source. Whatever the caller
-// schedules on the returned cluster fires after all of that at equal times.
-// Every launch ends in advance, which closes the cluster.
-func launch(opts cluster.Options, stream time.Duration, pre func(*cluster.Cluster)) *cluster.Cluster {
-	c := cluster.New(opts)
-	if pre != nil {
-		pre(c)
+// options is the package's one cluster.Options literal: what every workload
+// shares — the paper's history length, 674 kbps, LiFTinG on — is stated
+// here once, the rest is the workload's.
+func (w workload) options() cluster.Options {
+	g := w.gossip
+	g.HistoryPeriods = paperHistory
+	bitrate := cmp.Or(w.bitrate, 674_000)
+	defaults := w.net
+	defaults.UplinkBps = w.uplink * float64(bitrate) / 8
+	return cluster.Options{
+		N:       w.n,
+		Seed:    w.seed,
+		Backend: w.backend,
+		Shards:  w.shards,
+		Gossip:  g,
+		Core:    w.core,
+		Rep:     w.rep,
+		// The chunk rate is held constant across stream rates (≈64 chunks/s,
+		// as in the paper's streaming substrate [6]): a faster stream means
+		// bigger chunks, not more of them. This is why Table 5's overhead
+		// falls as the bitrate grows — verification traffic depends on the
+		// chunk rate only.
+		Stream:           stream.Config{BitrateBps: bitrate, ChunkPayload: cmp.Or(w.chunk, 1316) * bitrate / 674_000},
+		NetDefaults:      defaults,
+		ConditionsFor:    w.conditionsFor(),
+		LiFTinG:          !w.unpoliced,
+		BlameMode:        w.blame,
+		BehaviorFor:      w.behaviorFor(),
+		ExpelOnDetection: w.expel,
+		TrackPlayout:     w.playout,
+		Chaos:            w.chaos,
+	}
+}
+
+// conditionsFor is the per-node override (nil when there is none): the
+// source's uplink stays unlimited under a cap — its f partners pull the
+// whole stream from it — and a poor share of the honest nodes, drawn from
+// the seed as the closure is called node by node, suffers doubled loss and
+// high latency jitter. The draws make it stateful: a pilot and the run it
+// calibrates share one options value, pilot first.
+func (w workload) conditionsFor() func(msg.NodeID) (net.Conditions, bool) {
+	if w.poor == 0 && w.uplink == 0 {
+		return nil
+	}
+	poor := rng.New(w.seed).Derive("poor")
+	return func(id msg.NodeID) (net.Conditions, bool) {
+		if id == 0 && w.uplink > 0 {
+			return w.net, true
+		}
+		if id == 0 || w.has(id) || !poor.Bernoulli(w.poor) {
+			return net.Conditions{}, false
+		}
+		// Blamed like a mild freerider (§7.3: the false positives "do not
+		// deliberately freeride, but their connection does not allow them
+		// to contribute their fair share").
+		c := net.Uniform(2*w.net.LossIn, 60*time.Millisecond)
+		c.LatencyJitter = 60 * time.Millisecond
+		return c, true
+	}
+}
+
+// calibration is what an honest pilot measured — b̃ and σ — and the η the
+// workload's rule places from σ.
+type calibration struct {
+	cluster.Calibration
+	eta float64
+}
+
+// calibrate runs w's honest pilot on opts: η = −max(sigmas·σ, floor).
+// cluster.Calibrate owns what an honest, clean pilot is, so opts is the
+// run's own options, unprepared.
+func (w workload) calibrate(ctx context.Context, opts cluster.Options) (calibration, error) {
+	cal, err := cluster.Calibrate(ctx, opts, w.pilot)
+	return calibration{cal, -math.Max(w.sigmas*cal.ScoreStd, w.floor)}, err
+}
+
+// hooks are what a caller sees of a run while it runs.
+type hooks struct {
+	// pre schedules on the assembled cluster ahead of the nodes' own timers.
+	pre func(*cluster.Cluster)
+	// snapshot receives every period's metrics snapshot.
+	snapshot func(*cluster.Cluster, msg.Period, metrics.Snapshot)
+	// at replaces the one advance to stream + tail: the run stops at each
+	// step in turn and calls each there.
+	at   []time.Duration
+	each func(c *cluster.Cluster, step int)
+}
+
+// outcome is a finished run: its tally, the closed cluster, the calibration
+// it ran at (zero without one) and the churn arrivals, ascending, with their
+// join times.
+type outcome struct {
+	tallyResult
+	c        *cluster.Cluster
+	cal      calibration
+	arrivals []msg.NodeID
+	joinAt   []time.Duration
+}
+
+// run streams w once at cal, or at its own pilot's calibration when cal is
+// nil and w has a pilot: launch (New, h.pre, Start, StartStream), the
+// churn, advance, tally. The cluster is closed on every path — end of run,
+// cancellation, a wall-clock backend's pending timers — so state read from
+// the outcome is final on either backend.
+func (w workload) run(ctx context.Context, cal *calibration, h hooks) (outcome, error) {
+	opts := w.options()
+	if cal == nil && w.pilot > 0 {
+		own, err := w.calibrate(ctx, opts)
+		if err != nil {
+			return outcome{}, err
+		}
+		cal = &own
+	}
+	var out outcome
+	if cal != nil {
+		out.cal = *cal
+		opts.Rep.Compensation = cal.Compensation
+		if w.expel {
+			opts.Rep.Eta = cal.eta
+		}
+	}
+	var c *cluster.Cluster
+	if h.snapshot != nil {
+		opts.OnPeriodSnapshot = func(p msg.Period, s metrics.Snapshot) { h.snapshot(c, p, s) }
+	}
+	c = cluster.New(opts)
+	if h.pre != nil {
+		h.pre(c)
 	}
 	c.Start()
-	c.StartStream(stream)
-	return c
-}
-
-// advance runs c to each step in turn, calling each (when non-nil) with the
-// step's index once the clock is there, and closes the cluster on every
-// path — end of run, cancellation, a wall-clock backend's pending timers.
-// State read after it returns is final on either backend.
-func advance(ctx context.Context, c *cluster.Cluster, each func(step int), steps ...time.Duration) error {
-	defer c.Close()
+	c.StartStream(w.stream)
+	out.arrivals, out.joinAt = scheduleChurn(c, w.stream, w.joins, w.leavers)
+	steps := h.at
+	if steps == nil {
+		steps = []time.Duration{w.stream + w.tail}
+	}
 	for i, until := range steps {
 		if err := c.RunContext(ctx, until); err != nil {
-			return err
+			c.Close()
+			return outcome{}, err
 		}
-		if each != nil {
-			each(i)
+		if h.each != nil {
+			h.each(c, i)
 		}
 	}
-	return nil
+	c.Close()
+	out.c, out.tallyResult = c, tally(c, w.cohort)
+	return out, nil
 }
 
 // tallyResult is what a finished policed run yields, by value: the expulsion
 // split against the cohort, the engine's event count and the collector's
-// wire and content-plane totals. The scale workload's scalePop and the
-// matrix's repOutcome embed it.
+// wire and content-plane totals. An outcome, the scale workload's scalePop
+// and the matrix's repOutcome embed it.
 type tallyResult struct {
 	// Freeriders is the cohort size; FreeridersExpelled how many of them
 	// were expelled. HonestExpelled counts every other expelled node still
@@ -234,8 +397,8 @@ func (co cohort) drawLeavers(r *rng.Stream, want int) []msg.NodeID {
 // scheduleChurn spreads joins arrivals and then the given departures
 // uniformly over the middle half of a run of length d — the ramp-up and the
 // tail stay quiet, so catch-up and separation are measurable. Called after
-// launch, so at equal times a churn event follows the chunk injection. It
-// returns the arrivals' ids, ascending, and their join times.
+// StartStream, so at equal times a churn event follows the chunk injection.
+// It returns the arrivals' ids, ascending, and their join times.
 func scheduleChurn(c *cluster.Cluster, d time.Duration, joins int, leavers []msg.NodeID) ([]msg.NodeID, []time.Duration) {
 	slot := func(i, of int) time.Duration {
 		windowStart, window := d/4, d/2

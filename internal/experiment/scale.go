@@ -12,28 +12,7 @@ import (
 	"lifting/internal/net"
 	"lifting/internal/reputation"
 	"lifting/internal/runtime"
-	"lifting/internal/stream"
 )
-
-// ScaleConfig describes the scale workload: the same LiFTinG-policed
-// broadcast with a freerider cohort run at two population sizes — a
-// 300-node baseline (the paper's deployment scale, §7) and a large target
-// population — asserting that the expulsion verdict is scale-invariant.
-// Per-node verification traffic depends on the fanout f, not on N, so the
-// calibrated compensation and threshold transfer from the baseline to the
-// target population; what the large run actually stresses is the substrate:
-// manager assignment (the epoch cache), blame flushing and min-vote reads
-// at 10k+ nodes, all in message mode.
-type ScaleConfig struct {
-	// N is the target population (10000 for the headline run).
-	N        int
-	Duration time.Duration
-	Seed     uint64
-	// Shards is the engine shard count (0 or 1 = one, −1 = one per CPU,
-	// n = n). The workload is message-mode with uniform 5 ms base latency,
-	// so any count is eligible; results are byte-identical for every value.
-	Shards int
-}
 
 // scaleBaselineN is the reference population whose verdict N must
 // reproduce (the paper's deployment size). The blame compensation and the
@@ -62,71 +41,79 @@ func (r scalePop) Verdict() string {
 // snapshotEvery is the period sampling interval of the metrics snapshots.
 const snapshotEvery = 5
 
-// chunkPayload is 4x the paper's 1316-byte chunk at the same bitrate: 8
-// chunks per gossip period instead of 32. The chunk rate sets both the
-// discrete-event cost per node (what caps the 10k-node run) and the blame
-// quantum of a late acknowledgement (expectations are per served chunk), so
-// coarser chunks keep the honest blame tail within the calibrated spread.
-const chunkPayload = 5264
-
-// scaleCohort is the freerider tenth of a population of n. Hard freeriding
-// in fanout and propose, full serves: δ1/δ2 blame is self-contained (acks
-// reveal the shrunken partner list, witnesses fail the confirms), whereas a
-// δ3 freerider wrongfully blames its honest receivers for never acking
-// chunks it silently dropped — which would push the honest tail toward the
-// threshold and make a clean verdict unattainable at any scale.
-func scaleCohort(n int) cohort {
-	return cohortOf(n, 0.10, degree(0.7, 0.7, 0))
-}
-
-// scaleOptions assembles the cluster for one population of the workload.
-func (cfg ScaleConfig) scaleOptions(n int) cluster.Options {
-	return cluster.Options{
-		N:    n,
-		Seed: cfg.Seed,
-		// The discrete-event engine: 10k real sockets or goroutines is a
-		// deployment question, not this workload's.
-		Backend: runtime.KindSim,
-		Shards:  cfg.Shards,
-		Gossip:  gossip.Config{F: 7, Period: 500 * time.Millisecond, HistoryPeriods: 50},
-		Core:    core.Config{Pdcc: 1, Gamma: paperGamma},
-		// M = 25 managers per node; blames and score reads travel as
-		// messages. Grace of 24 periods: a single late-ack burst (the heavy
-		// tail of honest wrongful blame — one lost ack forfeits a whole
-		// period of per-chunk serve expectations) amortizes over r ≥ 24
-		// before η ever applies, while δ = 0.7 freeriders accrue blame
-		// steadily and are not latency-bound (§6.3.1: σ(s) shrinks as 1/√r).
-		Rep:    reputation.Config{M: 25, FlushEvery: 5, GracePeriods: 24},
-		Stream: stream.Config{BitrateBps: 674_000, ChunkPayload: chunkPayload},
-		// 1% loss: wrongful blame grows superlinearly with loss (broken
-		// chains compound), and the workload's subject is the substrate at
-		// scale, not loss tolerance (Fig. 10/11 cover that axis).
-		NetDefaults: net.Uniform(0.01, 5*time.Millisecond),
-		LiFTinG:     true,
-		BlameMode:   cluster.BlameMessages,
-		BehaviorFor: scaleCohort(n).behaviorFor(),
-	}
-}
-
-// scaleRun executes one population with the shared compensation/threshold.
-// Alongside the outcome it returns the run's periodic metrics snapshots,
-// sampled on period boundaries (sim time), every snapshotEvery periods.
-func (cfg ScaleConfig) scaleRun(ctx context.Context, n int, compensation, eta float64) (scalePop, []metrics.Snapshot, error) {
-	opts := cfg.scaleOptions(n)
-	opts.Rep.Compensation = compensation
-	opts.Rep.Eta = eta
-	opts.ExpelOnDetection = true
-	var snaps []metrics.Snapshot
-	opts.OnPeriodSnapshot = func(p msg.Period, snap metrics.Snapshot) {
-		if p%snapshotEvery == 0 {
-			snaps = append(snaps, snap)
+// scaleWorkloads are the scale workload's two runs: the same
+// LiFTinG-policed broadcast with a freerider cohort at the 300-node
+// baseline (the paper's deployment scale, §7) and at the target population,
+// whose expulsion verdict must be the baseline's. Per-node verification
+// traffic depends on the fanout f, not on N, so the baseline's calibration
+// transfers to the target; what the large run stresses is the substrate:
+// manager assignment (the epoch cache), blame flushing and min-vote reads
+// at 10k+ nodes, all in message mode.
+func scaleWorkloads(p Params) []workload {
+	tg := 500 * time.Millisecond
+	at := func(n int) workload {
+		return workload{
+			// Hard freeriding in fanout and propose, full serves: δ1/δ2
+			// blame is self-contained (acks reveal the shrunken partner
+			// list, witnesses fail the confirms), whereas a δ3 freerider
+			// wrongfully blames its honest receivers for never acking
+			// chunks it silently dropped — which would push the honest tail
+			// toward the threshold and make a clean verdict unattainable at
+			// any scale.
+			cohort: cohortOf(n, 0.10, degree(0.7, 0.7, 0)),
+			seed:   p.Seed,
+			// The discrete-event engine: 10k real sockets or goroutines is
+			// a deployment question, not this workload's.
+			backend: runtime.KindSim,
+			shards:  p.Shards,
+			gossip:  gossip.Config{F: 7, Period: tg},
+			core:    core.Config{Pdcc: 1, Gamma: paperGamma},
+			// M = 25 managers per node; blames and score reads travel as
+			// messages. Grace of 24 periods: a single late-ack burst (the
+			// heavy tail of honest wrongful blame — one lost ack forfeits a
+			// whole period of per-chunk serve expectations) amortizes over
+			// r ≥ 24 before η ever applies, while δ = 0.7 freeriders accrue
+			// blame steadily and are not latency-bound (§6.3.1: σ(s)
+			// shrinks as 1/√r).
+			rep:   reputation.Config{M: 25, FlushEvery: 5, GracePeriods: 24},
+			blame: cluster.BlameMessages,
+			// 4x the paper's 1316-byte chunk at the same bitrate: 8 chunks
+			// per gossip period instead of 32. The chunk rate sets both the
+			// discrete-event cost per node (what caps the 10k-node run) and
+			// the blame quantum of a late acknowledgement (expectations are
+			// per served chunk), so coarser chunks keep the honest blame
+			// tail within the calibrated spread.
+			chunk: 5264,
+			// 1% loss: wrongful blame grows superlinearly with loss (broken
+			// chains compound), and the workload's subject is the substrate
+			// at scale, not loss tolerance (Fig. 10/11 cover that axis).
+			net:    net.Uniform(0.01, 5*time.Millisecond),
+			stream: p.Duration,
+			tail:   2 * tg,
+			// Calibrated once, from an honest pilot at baseline scale: the
+			// per-node wrongful-blame rate depends on fanout and loss, not
+			// on N, so the threshold is meaningful at both populations — and
+			// a 300-node pilot costs nothing next to the 10k-node run.
+			// −10σ: the honest extreme over 10k nodes — including one
+			// amortized late-ack burst — stays above it, while the
+			// least-blamed δ = 0.7 freerider sits a full unit below it by
+			// grace expiry.
+			pilot:    p.Duration,
+			sigmas:   10,
+			expel:    true,
+			backends: []runtime.Kind{runtime.KindSim},
 		}
 	}
-	c := launch(opts, cfg.Duration, nil)
-	if err := advance(ctx, c, nil, cfg.Duration+2*opts.Gossip.Period); err != nil {
-		return scalePop{}, nil, err
-	}
-	return scalePop{N: n, tallyResult: tally(c, scaleCohort(n))}, snaps, nil
+	return []workload{at(scaleBaselineN), at(p.N)}
+}
+
+// sampleSnapshots keeps every snapshotEvery-th period's metrics snapshot.
+func sampleSnapshots(snaps *[]metrics.Snapshot) hooks {
+	return hooks{snapshot: func(_ *cluster.Cluster, p msg.Period, s metrics.Snapshot) {
+		if p%snapshotEvery == 0 {
+			*snaps = append(*snaps, s)
+		}
+	}}
 }
 
 // scale runs the scale workload: calibrate at the baseline population, run
@@ -139,27 +126,21 @@ var scale = Experiment{
 	Describe:      "expulsion verdict at a large population vs the 300-node baseline",
 	DefaultParams: Params{N: 10000, Seed: 23, Duration: 20 * time.Second, Delta: -1, Pdcc: -1},
 	quick:         Params{N: 1000},
+	workloads:     scaleWorkloads,
 	run: func(ctx context.Context, p Params, out *Result, obs Observer) error {
-		cfg := ScaleConfig{N: p.N, Duration: p.Duration, Seed: p.Seed, Shards: p.Shards}
-		// Calibrate b̃ and η once, from an honest pilot at baseline scale:
-		// the per-node wrongful-blame rate depends on fanout and loss, not
-		// on N, so the threshold is meaningful at both populations — and a
-		// 300-node pilot costs nothing next to the 10k-node run. −10σ: the
-		// honest extreme over 10k nodes — including one amortized late-ack
-		// burst — stays above it, while the least-blamed δ = 0.7 freerider
-		// sits a full unit below it by grace expiry.
-		cal, eta, err := calibrate(ctx, cfg.scaleOptions(scaleBaselineN), cfg.Duration, 10, 0)
+		ws := scaleWorkloads(p)
+		base, err := ws[0].run(ctx, nil, hooks{})
 		if err != nil {
 			return err
 		}
-		baseline, _, err := cfg.scaleRun(ctx, scaleBaselineN, cal.Compensation, eta)
+		var snaps []metrics.Snapshot
+		top, err := ws[1].run(ctx, &base.cal, sampleSnapshots(&snaps))
 		if err != nil {
 			return err
 		}
-		target, snaps, err := cfg.scaleRun(ctx, cfg.N, cal.Compensation, eta)
-		if err != nil {
-			return err
-		}
+		cal, eta := base.cal, base.cal.eta
+		baseline := scalePop{N: ws[0].n, tallyResult: base.tallyResult}
+		target := scalePop{N: ws[1].n, tallyResult: top.tallyResult}
 		agree := baseline.Verdict() == target.Verdict()
 
 		// The table carries only seed-determined quantities (virtual
@@ -220,13 +201,13 @@ var scale = Experiment{
 		// QoE oracles: the content plane must actually deliver verified
 		// payload, with first arrivals trailing the source by less than the
 		// run and spacing close to the chunk interval.
-		period := cfg.scaleOptions(cfg.N).Gossip.Period
+		period := ws[1].gossip.Period
 		for _, r := range []scalePop{baseline, target} {
 			if r.GoodputBytes == 0 {
 				out.fail("scale N=%d delivered no verified payload (goodput 0)", r.N)
 			}
-			if lag := r.StreamLag(); lag <= 0 || lag >= cfg.Duration {
-				out.fail("scale N=%d mean stream lag %s outside (0, %s)", r.N, lag, cfg.Duration)
+			if lag := r.StreamLag(); lag <= 0 || lag >= p.Duration {
+				out.fail("scale N=%d mean stream lag %s outside (0, %s)", r.N, lag, p.Duration)
 			}
 			if jit := r.StreamJitter(); jit >= period {
 				out.fail("scale N=%d mean jitter %s >= gossip period %s", r.N, jit, period)
@@ -246,8 +227,8 @@ var scale = Experiment{
 		if eta >= 0 {
 			out.fail("calibrated η = %.2f, want negative", eta)
 		}
-		if d := target.DetectionMean; d <= 0 || d > cfg.Duration {
-			out.fail("scale N=%d mean detection %s outside (0, %s]", target.N, d, cfg.Duration)
+		if d := target.DetectionMean; d <= 0 || d > p.Duration {
+			out.fail("scale N=%d mean detection %s outside (0, %s]", target.N, d, p.Duration)
 		}
 		// The periodic metrics section: sampled every snapshotEvery periods,
 		// increasing in period and cumulative in useful chunks, with every

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"lifting/internal/cluster"
+	"lifting/internal/metrics"
 )
 
 // TestScaleVerdictScaleInvariant runs the scale workload at the -quick
@@ -43,20 +43,22 @@ func TestScaleVerdictScaleInvariant(t *testing.T) {
 // engine shards must produce identical results — same expulsions, same
 // virtual detection times, same event count.
 func TestScaleShardInvariant(t *testing.T) {
-	cfg := ScaleConfig{N: 600, Duration: 15 * time.Second, Seed: scale.DefaultParams.Seed}
-	cal, err := cluster.Calibrate(context.Background(), cfg.scaleOptions(scaleBaselineN), cfg.Duration)
+	ws := scaleWorkloads(Params{N: 600, Duration: 15 * time.Second, Seed: scale.DefaultParams.Seed})
+	base, target := ws[0], ws[1]
+	cal, err := base.calibrate(context.Background(), base.options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	eta := -10 * cal.ScoreStd
 	var ref scalePop
 	var refSnaps []byte
 	for i, s := range []int{1, 2, 8} {
-		cfg.Shards = s
-		run, snaps, err := cfg.scaleRun(context.Background(), cfg.N, cal.Compensation, eta)
+		target.shards = s
+		var snaps []metrics.Snapshot
+		o, err := target.run(context.Background(), &cal, sampleSnapshots(&snaps))
 		if err != nil {
 			t.Fatal(err)
 		}
+		run := scalePop{N: target.n, tallyResult: o.tallyResult}
 		encoded, err := json.Marshal(snaps)
 		if err != nil {
 			t.Fatal(err)

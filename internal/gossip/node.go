@@ -40,7 +40,6 @@ type Config struct {
 	RequestRetry time.Duration
 	// HistoryPeriods is nh, the number of gossip periods retained in the
 	// accountability log (50 in the paper).
-	//lint:allow one-value benchmark/cluster.go sets it, and changes only with the benchmark it defines
 	HistoryPeriods int
 	// StartOffset staggers the first propose phase to desynchronize nodes.
 	StartOffset time.Duration
