@@ -10,22 +10,23 @@ import (
 	"lifting/internal/msg"
 )
 
-// outbox gathers what one node sends during one callback — a dispatch, a
-// timer or an Exec — into one plain frame per destination, sender and flags,
-// and ships each frame as one datagram when the callback returns: at once
-// when the node's half of the link latency is 0, otherwise as one job on the
-// runtime's clock at the latest modelled due of the frame's messages, so no
-// message leaves before its own due. The outbox is open only while a
-// callback of its node runs; a send made outside any callback ships alone,
-// as does a message that drew a modelled reorder or duplication. A frame
-// that would pass msg.MaxFramePayload starts a second datagram to the same
-// destination, and a message too big for any frame ships as a fragment
-// train.
+// outbox frames every plain frame its node sends. During a callback of the
+// node — a dispatch, a timer or an Exec — it gathers the sends into one frame
+// per destination, sender and flags, and ships each frame as one datagram
+// when the callback returns: at once when the node's half of the link
+// latency is 0, otherwise as one job on the runtime's clock at the latest
+// modelled due of the frame's messages, so no message leaves before its own
+// due. A send made outside any callback, and a message that drew a modelled
+// reorder or duplication, gets a group of its own: it carries its own due and
+// copies, ships as soon as it is sealed, and no later message joins it. A
+// frame that would pass msg.MaxFramePayload starts a second datagram to the
+// same destination; a message too big for any frame is left to Send, which
+// ships it as a fragment train.
 //
 // The storage is reused across callbacks: the group slots stay, and so does
 // each slot's frame buffer, unless a delayed datagram took it to the clock.
 type outbox struct {
-	mu     sync.Mutex // Send may reach an open outbox from any goroutine
+	mu     sync.Mutex // Send may reach an outbox from any goroutine
 	open   bool
 	groups []group // this callback's datagrams, in the order they were begun
 }
@@ -35,6 +36,7 @@ type group struct {
 	addr   netip.AddrPort
 	sender msg.NodeID
 	flags  uint8
+	copies uint8         // datagrams the frame ships as: 2 for a modelled duplicate
 	due    time.Duration // the latest due of its messages; 0 ships inline
 	frame  *[]byte
 }
@@ -46,21 +48,16 @@ func (o *outbox) begin() {
 	o.mu.Unlock()
 }
 
-// add puts m into the datagram for its destination and reports whether it
-// took it: not when no callback is open, nor when m alone outgrows a frame.
-// latency is the sender's half of the link for m.
-func (o *outbox) add(r *Runtime, addr netip.AddrPort, flags uint8, m msg.Message, latency time.Duration) bool {
+// add frames m, due at due (0: inline), into the datagram for addr — one of
+// its own, shipped at once as copies datagrams, when alone or when no
+// callback is open. It reports false when m alone outgrows a frame.
+func (o *outbox) add(n *nodeCtx, addr netip.AddrPort, flags uint8, m msg.Message, due time.Duration, copies uint8, alone bool) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !o.open {
-		return false
-	}
-	var due time.Duration
-	if latency > 0 {
-		due = r.Now() + latency
-	}
+	r := n.rt
+	alone = alone || !o.open
 	sender := m.From()
-	for i := len(o.groups) - 1; i >= 0; i-- {
+	for i := len(o.groups) - 1; i >= 0 && !alone; i-- {
 		g := &o.groups[i]
 		if g.addr != addr || g.sender != sender || g.flags != flags {
 			continue
@@ -81,12 +78,16 @@ func (o *outbox) add(r *Runtime, addr netip.AddrPort, flags uint8, m msg.Message
 		frame = r.bufs.Get().(*[]byte)
 	}
 	*frame = msg.StartFrame((*frame)[:0], flags)
-	*g = group{addr: addr, sender: sender, flags: flags, frame: frame}
-	if o.append(r, g, m, due) {
+	*g = group{addr: addr, sender: sender, flags: flags, copies: copies, frame: frame}
+	took := o.append(r, g, m, due)
+	if took && !alone {
 		return true
 	}
-	o.groups = o.groups[:len(o.groups)-1] // the slot keeps its buffer
-	return false
+	if took {
+		o.seal(n, g)
+	}
+	o.groups = o.groups[:len(o.groups)-1] // the slot keeps its buffer, unless the clock took it
+	return took
 }
 
 // append adds m to g's frame, or reports that the frame has no room for it.
@@ -111,6 +112,16 @@ func (o *outbox) append(r *Runtime, g *group, m msg.Message, due time.Duration) 
 	return true
 }
 
+// seal closes g's frame and ships it from n. A delayed datagram takes the
+// frame to the clock; an inline one leaves it in the slot.
+func (o *outbox) seal(n *nodeCtx, g *group) {
+	msg.SealFrame(*g.frame)
+	n.rt.ship(job{node: n, copies: g.copies, flags: g.flags, frame: g.frame, addr: g.addr}, g.due)
+	if g.due != 0 {
+		g.frame = nil
+	}
+}
+
 // flush closes the outbox and ships its datagrams, in the order they were
 // begun. n is the outbox's node, and n's lock is held.
 func (o *outbox) flush(n *nodeCtx) {
@@ -118,15 +129,7 @@ func (o *outbox) flush(n *nodeCtx) {
 	defer o.mu.Unlock()
 	o.open = false
 	for i := range o.groups {
-		g := &o.groups[i]
-		msg.SealFrame(*g.frame)
-		j := job{node: n, copies: 1, flags: g.flags, frame: g.frame, addr: g.addr}
-		if g.due == 0 {
-			n.rt.write(&j)
-			continue
-		}
-		n.rt.clock.at(g.due, j)
-		g.frame = nil
+		o.seal(n, &o.groups[i])
 	}
 	o.groups = o.groups[:0]
 }

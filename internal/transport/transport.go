@@ -148,8 +148,8 @@ func New(o Options) *Runtime {
 }
 
 // nodeCtx is one locally hosted node: its socket, the lock serializing all
-// its callbacks, the outbox its callbacks send through, and the count of its
-// delayed datagrams on the runtime's clock.
+// its callbacks, the outbox that frames everything it sends, and the count
+// of its delayed datagrams on the runtime's clock.
 type nodeCtx struct {
 	rt      *Runtime
 	id      msg.NodeID
@@ -326,13 +326,15 @@ func (r *Runtime) jitter(j time.Duration) time.Duration {
 }
 
 // Send implements net.Network: the message is framed through the binary
-// codec and shipped to the destination's address-book entry — in the one
-// datagram that carries everything the sender sends that peer during the
-// callback it runs in (see outbox), or alone when it runs in none. Loss and
-// latency from the node conditions are modelled on top of the real socket
-// (loopback is effectively lossless and instant, and scenarios still want
-// the paper's 4%-loss PlanetLab links); messages to down or unknown
-// destinations are dropped like any other network loss.
+// codec by the sender's outbox (see outbox) and shipped to the
+// destination's address-book entry — in the one datagram that carries
+// everything the sender sends that peer during the callback it runs in, or
+// alone. Loss and latency from the node conditions are modelled on top of
+// the real socket (loopback is effectively lossless and instant, and
+// scenarios still want the paper's 4%-loss PlanetLab links); messages to
+// down or unknown destinations are dropped like any other network loss, and
+// so are messages from an id this runtime does not host: it has no socket
+// to send them from.
 //
 // Each side of a link applies its own conditions: the sender delays by its
 // half of the latency, the receiver draws LossIn and delays by its half
@@ -351,18 +353,11 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	}
 	src := r.conditionsOf(from)
 	dst := r.conditionsOf(to)
+	sender := r.nodes[from]
 	// Partition state is locally applied for every known id (the soak
 	// schedule is replayed by each process), so the sender can cut
 	// cross-partition traffic before it touches the wire.
-	drop := src.Down || dst.Down || net.Partitioned(src.PartitionGroup, dst.PartitionGroup)
-	sender := r.nodes[from]
-	if sender == nil {
-		// Harness traffic from an id not hosted here: use any local socket.
-		for _, n := range r.nodes {
-			sender = n
-			break
-		}
-	}
+	drop := sender == nil || src.Down || dst.Down || net.Partitioned(src.PartitionGroup, dst.PartitionGroup)
 	r.mu.RUnlock()
 	latency := src.LatencyBase/2 + r.jitter(src.LatencyJitter/2)
 	if mode == net.Reliable {
@@ -386,47 +381,44 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	}
 
 	addr, known := r.book.Lookup(to)
-	if drop || !known || sender == nil {
+	if drop || !known {
 		r.collector.OnDrop(m, size)
 		return
 	}
-
-	j := job{node: sender, copies: copies, addr: addr}
+	var flags uint8
 	if mode == net.Reliable {
-		j.flags = msg.FlagReliable
+		flags = msg.FlagReliable
 	}
-	if copies == 1 && !held && sender.id == from && sender.out.add(r, addr, j.flags, m, latency) {
+	var due time.Duration
+	if latency > 0 {
+		due = r.Now() + latency
+	}
+	if sender.out.add(sender, addr, flags, m, due, copies, held || copies > 1) {
 		return
 	}
-	j.frame = r.bufs.Get().(*[]byte)
-	frame, err := msg.AppendFrame((*j.frame)[:0], m, j.flags)
+	// m outgrew a frame (a long audit history, an oversized chunk): it ships
+	// as a fragment train of its encoding; failing to encode is a bug.
+	body, err := msg.Encode(m)
 	if err != nil {
-		// Outbound messages are constructed by our own protocol code; an
-		// encoding failure is a programming error — except for messages that
-		// outgrew a datagram (big audit histories, oversized chunks), which
-		// ship as a train of fragment frames instead.
-		r.bufs.Put(j.frame)
-		if !errors.Is(err, msg.ErrPayloadTooLarge) {
-			panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
-		}
-		body, err := msg.Encode(m)
-		if err != nil {
-			panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
-		}
-		if fragments(body) > maxFragments {
-			r.collector.OnDrop(m, size)
-			return
-		}
-		j.frame, j.flags = &body, j.flags|msg.FlagFragment
-	} else {
-		*j.frame = frame
+		panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
 	}
-	if latency <= 0 {
-		r.write(&j)
-		r.release(&j)
+	if fragments(body) > maxFragments {
+		r.collector.OnDrop(m, size)
 		return
 	}
-	r.clock.push(latency, j)
+	r.ship(job{node: sender, copies: copies, flags: flags | msg.FlagFragment, frame: &body, addr: addr}, due)
+}
+
+// ship sends one datagram job from its node's socket: at once when due is
+// 0, otherwise as a job on the clock at due. An inline job's frame stays
+// the caller's; a delayed one's goes to the clock, which releases it when
+// the job fires or is refused.
+func (r *Runtime) ship(j job, due time.Duration) {
+	if due == 0 {
+		r.write(&j)
+		return
+	}
+	r.clock.at(due, j)
 }
 
 // write ships a send job's datagrams from its node's socket; a failed write

@@ -524,33 +524,54 @@ func listenPeer(t *testing.T) *peer {
 
 func (p *peer) addr() netip.AddrPort { return p.conn.LocalAddr().(*gonet.UDPAddr).AddrPort() }
 
+// next reads one datagram and returns its messages and its flags.
+func (p *peer) next() ([]msg.Message, uint8) {
+	p.t.Helper()
+	buf := make([]byte, 1<<16)
+	p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sz, err := p.conn.Read(buf)
+	if err != nil {
+		p.t.Fatalf("waiting for a datagram: %v", err)
+	}
+	payload, flags, err := msg.RawFrame(buf[:sz])
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	batch, err := msg.ParseBatch(payload)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	var ms []msg.Message
+	for e := batch.Next(); e != nil; e = batch.Next() {
+		m, err := msg.Decode(e)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	return ms, flags
+}
+
+// quiet checks that no datagram arrives within 50 ms.
+func (p *peer) quiet() {
+	p.t.Helper()
+	p.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := p.conn.Read(make([]byte, 1<<16)); err == nil {
+		p.t.Fatal("an unexpected datagram")
+	}
+}
+
 // datagrams reads until want messages have arrived and returns how many
 // datagrams carried them, checking that each carries one sender's
 // messages and that nothing else follows.
 func (p *peer) datagrams(want int) int {
 	p.t.Helper()
-	buf := make([]byte, 1<<16)
 	got, n := 0, 0
 	for got < want {
-		p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		sz, err := p.conn.Read(buf)
-		if err != nil {
-			p.t.Fatalf("%d of %d messages in %d datagrams, then: %v", got, want, n, err)
-		}
-		payload, _, err := msg.RawFrame(buf[:sz])
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		batch, err := msg.ParseBatch(payload)
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		got, n = got+batch.Len, n+1
+		ms, _ := p.next()
+		got, n = got+len(ms), n+1
 	}
-	p.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := p.conn.Read(buf); err == nil {
-		p.t.Fatalf("a datagram past the %d messages expected", want)
-	}
+	p.quiet()
 	return n
 }
 
@@ -559,7 +580,10 @@ func (p *peer) datagrams(want int) int {
 // datagram, a callback sending to 3 peers sends 3, and so it is whether the
 // datagrams leave inline (latency 0, what lifting-node runs) or wait out
 // the sender's half of a modelled latency on its clock. Sends made outside
-// any callback ship one datagram each, as they did before frame v4.
+// any callback ship one datagram each, as they did before frame v4, and so
+// does a message that drew a modelled reorder or duplication, inside a
+// callback or not. A send from an id the runtime does not host ships
+// nothing.
 func TestOneDatagramPerDestinationPerCallback(t *testing.T) {
 	for _, latency := range []time.Duration{0, 40 * time.Millisecond} {
 		book := NewBook()
@@ -610,6 +634,74 @@ func TestOneDatagramPerDestinationPerCallback(t *testing.T) {
 		}
 		if n := peers[1].datagrams(3); n != 3 {
 			t.Errorf("latency %v: 3 serves sent outside any callback arrived in %d datagrams, want 3", latency, n)
+		}
+
+		// A message held back by the modelled reorder leaves alone, after
+		// ReorderDelay: the callback's datagram to the same peer (reliable
+		// class, never reordered) overtakes it.
+		const hold = 150 * time.Millisecond
+		rt.SetConditions(1, net.Conditions{LatencyBase: latency, ReorderProb: 1, ReorderDelay: hold})
+		start = time.Now()
+		rt.Exec(1, func() {
+			rt.Send(1, 10, &msg.Blame{Sender: 1, Target: 3, Value: 1}, net.Unreliable)
+			rt.Send(1, 10, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable)
+		})
+		if ms, flags := peers[0].next(); len(ms) != 1 || flags&msg.FlagReliable == 0 {
+			t.Errorf("latency %v: the first datagram carries %d messages, flags %#x; want the callback's reliable audit alone", latency, len(ms), flags)
+		}
+		if ms, _ := peers[0].next(); len(ms) != 1 || ms[0].Kind() != msg.KindBlame {
+			t.Errorf("latency %v: the second datagram carries %v, want the held blame alone", latency, ms)
+		}
+		if took := time.Since(start); took < hold {
+			t.Errorf("latency %v: the held blame arrived after %v, before ReorderDelay %v", latency, took, hold)
+		}
+		peers[0].quiet()
+
+		// Each message that drew the modelled duplication leaves alone,
+		// twice, and counts as two sends.
+		rt.SetConditions(1, net.Conditions{LatencyBase: latency, DupProb: 1})
+		sent := rt.collector.SentMsgs(msg.KindBlame)
+		rt.Exec(1, func() {
+			for c := 0; c < 2; c++ {
+				rt.Send(1, 11, &msg.Blame{Sender: 1, Target: 3, Value: 1}, net.Unreliable)
+			}
+		})
+		if n := peers[1].datagrams(4); n != 4 {
+			t.Errorf("latency %v: 2 duplicated blames arrived in %d datagrams, want 4", latency, n)
+		}
+		if got := rt.collector.SentMsgs(msg.KindBlame) - sent; got != 4 {
+			t.Errorf("latency %v: 2 duplicated blames counted as %d sends, want 4", latency, got)
+		}
+
+		// An id this runtime does not host has no socket to send from.
+		rt.SetConditions(1, net.Conditions{LatencyBase: latency})
+		drops := rt.collector.Dropped(msg.KindScoreReq)
+		rt.Send(99, 12, &msg.ScoreReq{Sender: 99, Target: 4}, net.Unreliable)
+		if got := rt.collector.Dropped(msg.KindScoreReq) - drops; got != 1 {
+			t.Errorf("latency %v: a send from an unhosted id counted %d drops, want 1", latency, got)
+		}
+		peers[2].quiet()
+	}
+}
+
+// TestSmallPoolStaysSmall: a frame about to outgrow a small buffer moves to
+// a full one, a message sent alone as much as a callback's datagram, so no
+// buffer the small pool hands back has grown past smallFrame.
+func TestSmallPoolStaysSmall(t *testing.T) {
+	book := NewBook()
+	rt := New(Options{Seed: 1, Book: book})
+	defer rt.Close()
+	rt.Attach(1, nil)
+	p := listenPeer(t)
+	book.SetAddr(10, p.addr())
+	payload := make([]byte, 5000)
+	for c := 0; c < 4; c++ {
+		rt.Send(1, 10, &msg.Serve{Sender: 1, Chunk: msg.ChunkID(c), PayloadSize: len(payload), Hash: 7, Payload: payload}, net.Unreliable)
+	}
+	p.datagrams(4)
+	for i := 0; i < 64; i++ {
+		if b := rt.bufs.Get().(*[]byte); cap(*b) > smallFrame {
+			t.Fatalf("buffer %d of the small pool holds %d bytes, over smallFrame's %d", i, cap(*b), smallFrame)
 		}
 	}
 }
