@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,6 +181,48 @@ func TestExpelOnDetectionRemovesFreeriders(t *testing.T) {
 		if !c.Nodes[id].Stopped() {
 			t.Fatalf("expelled node %d still running", id)
 		}
+	}
+}
+
+// TestManagersRefuseSelfAbsolutionAndForgedVerdicts: the two attacks on the
+// managers that need no more than sending a message. Six freeriders each
+// send their own managers a blame of −1e12 about themselves at 1 s, and
+// node 1, no manager of honest node 7, sends one of 7's managers an Expel
+// of 7 (before the managers refused them, 0 of the 6 were expelled, and 7
+// was). All six freeriders go, as they do without the blame, and 7 stays.
+func TestManagersRefuseSelfAbsolutionAndForgedVerdicts(t *testing.T) {
+	opts := baseOptions(40, 0)
+	opts.BlameMode = BlameMessages
+	opts.ExpelOnDetection = true
+	opts.Rep.Eta = -3 // lossless: an honest node is never blamed
+	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
+		if id >= 34 {
+			return freerider.Degree{Delta1: 0.5, Delta2: 0.5, Delta3: 0.5}
+		}
+		return nil
+	}
+	c := New(opts)
+	c.After(time.Second, func() {
+		netw := c.RT.Network()
+		for id := msg.NodeID(34); id < 40; id++ {
+			for _, mgr := range c.Dir.Managers(id, opts.Rep.M) {
+				netw.Send(id, mgr, &msg.Blame{Sender: id, Target: id, Value: -1e12}, net.Unreliable)
+			}
+		}
+		mgrs := c.Dir.Managers(7, opts.Rep.M)
+		if slices.Contains(mgrs, 1) {
+			t.Error("node 1 manages node 7: pick another forger")
+		}
+		netw.Send(1, mgrs[0], &msg.Expel{Sender: 1, Target: 7}, net.Unreliable)
+	})
+	run(c, 10*time.Second)
+	for id := msg.NodeID(34); id < 40; id++ {
+		if _, ok := c.Expelled[id]; !ok {
+			t.Errorf("freerider %d absolved itself", id)
+		}
+	}
+	if at, ok := c.Expelled[7]; ok {
+		t.Errorf("honest node 7 expelled at %v by a forged verdict", at)
 	}
 }
 

@@ -1,6 +1,8 @@
 package reputation
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -157,6 +159,12 @@ func (m *Manager) Scores() map[msg.NodeID]float64 {
 func (m *Manager) HandleMessage(from msg.NodeID, mm msg.Message) bool {
 	switch v := mm.(type) {
 	case *msg.Blame:
+		// A blame only ever lowers a score: one that would raise it (a value
+		// not > 0, NaN included), swamp it (+Inf) or come from its own
+		// target (self-absolution) is refused.
+		if !(v.Value > 0) || math.IsInf(v.Value, 1) || from == v.Target {
+			return true
+		}
 		m.mu.Lock()
 		m.board.AddBlame(v.Target, v.Value)
 		doomed := !m.board.Expelled(v.Target) &&
@@ -188,7 +196,10 @@ func (m *Manager) HandleMessage(from msg.NodeID, mm msg.Message) bool {
 		return true
 	case *msg.Expel:
 		// Another manager of the target decided to expel: adopt the verdict
-		// so reads from this manager agree.
+		// so reads from this manager agree. Anyone else's is a forgery.
+		if !slices.Contains(m.dir.Managers(v.Target, m.cfg.M), from) {
+			return true
+		}
 		m.mu.Lock()
 		first := m.board.MarkExpelled(v.Target, v.Reason)
 		m.mu.Unlock()

@@ -21,15 +21,15 @@ import (
 // vote, so a read that reaches only such managers reports zero replies
 // instead of a fabricated score.
 //
-// Trust model: like every layer of this substrate, the reader trusts the
-// self-declared Sender id — there is no message authentication anywhere in
-// the protocol, and an adversary able to forge sender ids already owns
-// strictly stronger moves (a forged Expel marks the target expelled
-// outright; forged Blames poison every manager copy directly). The queried
-// set below therefore defends against ids from OUTSIDE the manager set
-// (cheap, and keeps forgeries from crowding out the vote or terminating
-// the read), not against an adversary impersonating the managers
-// themselves. A reply credited from a manager answering a previous,
+// Trust model: like every layer of this substrate, the reader trusts the id
+// a reply arrives from (not the Sender it names) — there is no message
+// authentication anywhere in the protocol, and an adversary able to forge
+// that id already owns strictly stronger moves (posing as a manager, its
+// Expel marks the target expelled outright and its Blames poison a copy
+// directly). The queried set below therefore defends against ids from
+// OUTSIDE the manager set (cheap, and keeps forgeries from crowding out the
+// vote or terminating the read), not against an adversary impersonating the
+// managers themselves. A reply credited from a manager answering a previous,
 // timed-out read of the same target is likewise accepted: it is a genuine
 // copy from the right manager, merely milliseconds staler.
 type Reader struct {
@@ -113,7 +113,7 @@ func (r *Reader) finish(target msg.NodeID, st *readState) {
 
 // HandleAux consumes ScoreResp messages addressed to this reader. It
 // reports whether the message belonged to an outstanding read.
-func (r *Reader) HandleAux(_ msg.NodeID, m msg.Message) bool {
+func (r *Reader) HandleAux(from msg.NodeID, m msg.Message) bool {
 	resp, ok := m.(*msg.ScoreResp)
 	if !ok {
 		return false
@@ -123,10 +123,10 @@ func (r *Reader) HandleAux(_ msg.NodeID, m msg.Message) bool {
 		return true
 	}
 	// Unqueried senders (forgeries, duplicates) are consumed but ignored.
-	if !st.queried[resp.Sender] {
+	if !st.queried[from] {
 		return true
 	}
-	st.queried[resp.Sender] = false
+	st.queried[from] = false
 	st.awaiting--
 	if resp.Tracked {
 		st.copies = append(st.copies, resp.Score)

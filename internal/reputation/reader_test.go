@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,5 +262,38 @@ func TestReaderIgnoresForeignMessages(t *testing.T) {
 	// A stray score response with no outstanding read is consumed quietly.
 	if !reader.HandleAux(2, &msg.ScoreResp{Sender: 2, Target: 9}) {
 		t.Fatal("reader rejected a score response")
+	}
+}
+
+// TestReaderCreditsRepliesToTheirSource: a reply counts for the manager it
+// arrives from, not for the one its Sender field names. A node outside the
+// manager set that answers in every manager's name neither ends the read
+// nor moves the vote.
+func TestReaderCreditsRepliesToTheirSource(t *testing.T) {
+	cfg := Config{M: 5, Compensation: 2, Eta: -1e9}
+	eng, netw, dir, managers, _ := managed(t, 30, cfg, 0)
+	mgrs := dir.Managers(7, 5)
+	for i, m := range mgrs {
+		managers[m].Track(7, 0)
+		managers[m].board.AddBlame(7, float64(i)) // scores 2, 1, 0, -1, -2
+		managers[m].Tick(1)
+	}
+	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
+	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
+		reader.HandleAux(from, m)
+	}))
+	forger := msg.NodeID(2)
+	for slices.Contains(mgrs, forger) {
+		forger++
+	}
+	var gotScore float64
+	var gotReplies int
+	reader.Read(7, func(score float64, _ bool, replies int) { gotScore, gotReplies = score, replies })
+	for _, m := range mgrs {
+		reader.HandleAux(forger, &msg.ScoreResp{Sender: m, Target: 7, Tracked: true, Score: 1000})
+	}
+	eng.RunAll()
+	if gotReplies != 5 || math.Abs(gotScore-(-2)) > 1e-12 {
+		t.Fatalf("read %v from %d replies, want the managers' own minimum -2 from 5", gotScore, gotReplies)
 	}
 }

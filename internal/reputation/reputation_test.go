@@ -244,3 +244,27 @@ func TestManagerHandleMessageIgnoresOtherKinds(t *testing.T) {
 		t.Fatal("manager claimed a gossip message")
 	}
 }
+
+// TestManagerRefusesBlamesThatRaiseScores: a blame only lowers its target's
+// copy. A value not > 0 (NaN among them) would raise the score, +Inf would
+// swamp it, and a blame from its own target is self-absolution: the manager
+// refuses all of them, and still applies an honest blame.
+func TestManagerRefusesBlamesThatRaiseScores(t *testing.T) {
+	cfg := Config{M: 5, Compensation: 0, Eta: -9.75}
+	_, _, dir, managers, _ := managed(t, 30, cfg, 0)
+	mgr := managers[dir.Managers(7, 5)[0]]
+	mgr.Track(7, 0)
+	for _, b := range []struct {
+		from  msg.NodeID
+		value float64
+	}{{3, 0}, {3, -1e12}, {3, math.NaN()}, {3, math.Inf(1)}, {3, math.Inf(-1)}, {7, 5}} {
+		mgr.HandleMessage(b.from, &msg.Blame{Sender: b.from, Target: 7, Value: b.value})
+		if e, _ := mgr.Snapshot(7); e.TotalBlame != 0 || e.Expelled {
+			t.Fatalf("a blame of %v from %d was applied: total %v, expelled %v", b.value, b.from, e.TotalBlame, e.Expelled)
+		}
+	}
+	mgr.HandleMessage(3, &msg.Blame{Sender: 3, Target: 7, Value: 2})
+	if e, _ := mgr.Snapshot(7); e.TotalBlame != 2 {
+		t.Fatalf("an honest blame of 2 left a total of %v", e.TotalBlame)
+	}
+}
