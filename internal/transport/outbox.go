@@ -48,9 +48,9 @@ func (o *outbox) begin() {
 	o.mu.Unlock()
 }
 
-// add frames m, due at due (0: inline), into the datagram for addr — one of
-// its own, shipped at once as copies datagrams, when alone or when no
-// callback is open. It reports false when m alone outgrows a frame.
+// add frames m, due at due (0: inline), into this callback's datagram for
+// addr — or, alone or outside any callback, into one of its own, shipped at
+// once as copies datagrams. It reports false when m alone outgrows a frame.
 func (o *outbox) add(n *nodeCtx, addr netip.AddrPort, flags uint8, m msg.Message, due time.Duration, copies uint8, alone bool) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
