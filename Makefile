@@ -97,8 +97,9 @@ heap:
 # Extended fuzzing of the network-facing decoder and fragment reassembler,
 # the gateway's edge cache (hostile ids against its bound and index), of
 # the engine's event queue and the wire clock's deadline heap against their
-# reference models, and of the outbox against its model (the committed seed
-# corpora replay on every plain `go test`).
+# reference models, of the outbox against its model, and of the link model
+# against the inline code it replaced (the committed seed corpora replay on
+# every plain `go test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 60s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 60s ./internal/transport/
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 60s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 60s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzOutbox -fuzztime 60s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzLinkModel -fuzztime 60s ./internal/net/
 
 # The identity check every refactor of the seeded path runs: lifting-sim built
 # at BASE (a `git archive` of that revision in a temporary directory — nothing

@@ -3,7 +3,8 @@
 // delivery with per-node loss rates, latency jitter and uplink bandwidth
 // caps. Heterogeneous node conditions reproduce the "nodes with poor
 // connectivity" population responsible for most of the paper's false
-// positives (§7.3).
+// positives (§7.3). Link states the link model once; SimNet and the udp
+// runtime of internal/transport both apply it.
 package net
 
 import (
@@ -47,7 +48,9 @@ type Conditions struct {
 	LatencyBase, LatencyJitter time.Duration
 	// UplinkBps caps the node's upload bandwidth in bytes per second;
 	// 0 means unlimited. Messages queue at the uplink, which is how a
-	// poorly provisioned node ends up late (and wrongfully blamed).
+	// poorly provisioned node ends up late (and wrongfully blamed). Only
+	// SimNet models it: on udp the uplink is the socket's, and every
+	// uplink-capped workload runs on the sim only.
 	UplinkBps float64
 	// Down marks the node as departed or expelled: all its traffic is
 	// dropped in both directions.
@@ -72,6 +75,67 @@ type Conditions struct {
 // cut by a partition.
 func Partitioned(a, b uint8) bool {
 	return a != 0 && b != 0 && a != b
+}
+
+// ReliableSetupFactor models the extra one-way latency of establishing a TCP
+// connection (SYN/SYN-ACK) relative to a bare datagram: Link scales a
+// reliable send's latency by it.
+const ReliableSetupFactor = 3
+
+// Rand is the source of Link's draws: a uniform value in [0, 1).
+type Rand interface{ Float64() float64 }
+
+// Link is the link model, stated once for every runtime: what the network
+// does to one message sent in mode from a node with conditions src to one
+// with dst. It returns how many copies arrive, after what delay, and whether
+// the message was held back by a reorder, so that later sends overtake it.
+//
+// No copy arrives (copies 0) when either end is down or a partition
+// separates them, or when the message is lost: an Unreliable message is
+// lost with dst.LossIn, drawn here only when lossHere is set — the sim draws
+// it with the rest, a udp receiver draws its own. Otherwise the delay is
+// each end's half of LatencyBase, plus a uniform draw over each end's half
+// of LatencyJitter, times ReliableSetupFactor in Reliable mode. An
+// Unreliable message is then held back by src.ReorderDelay with
+// src.ReorderProb, and arrives twice with src.DupProb.
+//
+// The draws come in that order — loss, jitter, reorder, duplication — and
+// only those the conditions call for, so a lossless link without jitter,
+// reordering or duplication draws nothing.
+func Link(src, dst *Conditions, mode Mode, lossHere bool, rand Rand) (delay time.Duration, copies int, held bool) {
+	if src.Down || dst.Down || Partitioned(src.PartitionGroup, dst.PartitionGroup) {
+		return 0, 0, false
+	}
+	unreliable := mode == Unreliable
+	if unreliable && lossHere && Bernoulli(rand, dst.LossIn) {
+		return 0, 0, false
+	}
+	delay = src.LatencyBase/2 + dst.LatencyBase/2
+	if jitter := src.LatencyJitter/2 + dst.LatencyJitter/2; jitter > 0 {
+		delay += time.Duration(rand.Float64() * float64(jitter))
+	}
+	if mode == Reliable {
+		delay *= ReliableSetupFactor
+	}
+	copies = 1
+	if unreliable {
+		if held = Bernoulli(rand, src.ReorderProb); held {
+			delay += src.ReorderDelay
+		}
+		if Bernoulli(rand, src.DupProb) {
+			copies = 2
+		}
+	}
+	return delay, copies, held
+}
+
+// Bernoulli is true with probability p. It draws from rand exactly when
+// rng.Stream.Bernoulli draws, so a stream passed to Link moves as it would.
+func Bernoulli(rand Rand, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	return p >= 1 || rand.Float64() < p
 }
 
 // Uniform returns homogeneous conditions with the given loss probability and

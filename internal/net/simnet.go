@@ -10,11 +10,6 @@ import (
 	"lifting/internal/sim"
 )
 
-// ReliableSetupFactor models the extra one-way latency of establishing a TCP
-// connection (SYN/SYN-ACK) relative to a bare datagram. Every backend scales
-// a reliable send's latency by it.
-const ReliableSetupFactor = 3
-
 // SimNet delivers messages through the discrete-event engine. It is the
 // simulation-side implementation of Network.
 //
@@ -113,61 +108,38 @@ func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 }
 
 // Send implements Network. The message is delivered through the event queue
-// after uplink serialization and propagation delay, unless it is lost. Send
-// must be called from the sending node's own callbacks (or the global phase)
-// — the same serialization the rest of a node's state already requires — and
-// the sender must have been attached.
+// after uplink serialization and the delay Link models, unless Link cuts or
+// loses it. Send must be called from the sending node's own callbacks (or
+// the global phase) — the same serialization the rest of a node's state
+// already requires — and the sender must have been attached.
 func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	size := m.WireSize()
 	n.collector.OnSend(from, m, size)
-	src, dst := n.cond(from), n.cond(to)
-	if src.Down || dst.Down || Partitioned(src.PartitionGroup, dst.PartitionGroup) {
-		n.drop(m, size)
-		return
-	}
 	if int(from) >= len(n.nodeRand) || n.nodeRand[from] == nil {
 		panic(fmt.Sprintf("net: node %d sends but was never attached; attach the node first", from))
 	}
-	rand := n.nodeRand[from]
-	now := n.engine.NodeNow(int(from))
-	if mode == Unreliable {
-		if rand.Bernoulli(dst.LossIn) {
-			n.drop(m, size)
-			return
-		}
+	src := n.cond(from)
+	latency, copies, _ := Link(src, n.cond(to), mode, true, n.nodeRand[from])
+	if copies == 0 {
+		n.drop(m, size)
+		return
 	}
 
-	start := now
-	if busy := n.nodeUplink[from]; busy > start {
-		start = busy
-	}
+	now := n.engine.NodeNow(int(from))
+	start := max(now, n.nodeUplink[from])
 	var tx time.Duration
 	if src.UplinkBps > 0 {
 		tx = time.Duration(float64(size) / src.UplinkBps * float64(time.Second))
 	}
 	n.nodeUplink[from] = start + tx
-
-	latency := src.LatencyBase/2 + dst.LatencyBase/2
-	jitter := src.LatencyJitter/2 + dst.LatencyJitter/2
-	if jitter > 0 {
-		latency += time.Duration(rand.Float64() * float64(jitter))
-	}
-	if mode == Reliable {
-		latency *= ReliableSetupFactor
-	}
-	if mode == Unreliable && rand.Bernoulli(src.ReorderProb) {
-		// Hold the datagram back so later sends overtake it.
-		latency += src.ReorderDelay
-	}
-
-	n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, m, int32(size))
-
-	if mode == Unreliable && rand.Bernoulli(src.DupProb) {
+	delay := start + tx + latency - now
+	n.engine.Deliver(int32(from), int32(to), delay, m, int32(size))
+	if copies > 1 {
 		// In-network duplication: a second identical copy arrives right
 		// behind the first (no extra uplink charge). It is accounted as
 		// a send of its own so the sent/recv/dropped books still balance.
 		n.collector.OnSend(from, m, size)
-		n.engine.Deliver(int32(from), int32(to), start+tx+latency-now, m, int32(size))
+		n.engine.Deliver(int32(from), int32(to), delay, m, int32(size))
 	}
 }
 

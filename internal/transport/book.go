@@ -12,12 +12,12 @@ import (
 	"lifting/internal/msg"
 )
 
-// Book is the peer address book: it maps node ids to UDP addresses. A
-// deployment seeds it from bootstrap peer specs (-peers on the daemon);
-// the runtime adds every socket it binds and learns the addresses of peers
-// it hears from, so a book only needs enough seeds to reach the rest of the
-// membership. A Book is safe for concurrent use and may be shared by
-// several runtimes in one process (the single-process-many-sockets mode).
+// Book is the peer address book: it maps node ids to UDP addresses. The
+// runtime adds every socket it binds; every other member's address comes
+// from a bootstrap peer spec (-peers on the daemon, which must name every
+// member). Nothing is learned from inbound traffic. A Book is safe for
+// concurrent use and may be shared by several runtimes in one process (the
+// single-process-many-sockets mode).
 type Book struct {
 	mu    sync.RWMutex
 	addrs map[msg.NodeID]netip.AddrPort
@@ -44,23 +44,6 @@ func (b *Book) SetAddr(id msg.NodeID, addr netip.AddrPort) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.addrs[id] = unmap(addr)
-}
-
-// Learn records an address for id only if none is known — the passive path
-// fed by every inbound datagram, which must never clobber a bootstrap seed.
-// Almost every call finds the id known, so it asks under the read lock first.
-func (b *Book) Learn(id msg.NodeID, addr netip.AddrPort) {
-	b.mu.RLock()
-	_, known := b.addrs[id]
-	b.mu.RUnlock()
-	if known {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, known := b.addrs[id]; !known {
-		b.addrs[id] = unmap(addr)
-	}
 }
 
 // unmap stores IPv4 peers in their 4-byte form, whichever socket family

@@ -4,34 +4,28 @@ import (
 	"net/netip"
 	"sync"
 	"time"
-
-	"lifting/internal/msg"
 )
 
 // maxDelayedDatagrams bounds the delayed wire jobs the clock holds for one
-// node: each outbound datagram — the frame one callback's sends to one peer
-// share, however many messages it carries — and each inbound message waiting
-// out the node's half of the latency (the receiver delays messages, not
-// datagrams). Past it a job is dropped, every message in it counted like
-// any other loss; callbacks are never dropped. The bound is per node, so a
-// flooded node costs the others on the shared clock nothing. A node hears a
-// few hundred messages a second, so at the modelled latencies (milliseconds
-// to a second) a healthy node holds a small fraction of it.
+// node: each outbound datagram waiting out its modelled latency — the frame
+// one callback's sends to one peer share, however many messages it carries.
+// Past it a datagram is dropped, every message in it counted like any other
+// loss; callbacks are never dropped. The bound is per node, so a flooded
+// node costs the others on the shared clock nothing. A node sends a few
+// hundred messages a second, so at the modelled latencies (milliseconds to a
+// second) a healthy node holds a small fraction of it.
 const maxDelayedDatagrams = 4096
 
 // job is one entry of the clock, held by value. It is exactly one of
 //   - a callback: fn, of node — or of the harness, with node nil;
-//   - a delayed send (copies > 0): the frame in *frame, shipped copies times
-//     to addr from node — or, with msg.FlagFragment in flags, the message
-//     encoding in *frame, cut into a fragment train when it fires;
-//   - a delayed dispatch: m, from from, handed to node.
+//   - a delayed send: the frame in *frame, shipped copies times to addr from
+//     node — or, with msg.FlagFragment in flags, the message encoding in
+//     *frame, cut into a fragment train when it fires.
 type job struct {
 	due    time.Duration
 	seq    uint64
 	node   *nodeCtx
 	fn     func()
-	m      msg.Message
-	from   msg.NodeID
 	copies uint8
 	flags  uint8
 	frame  *[]byte
@@ -94,8 +88,8 @@ func (h *jobHeap) pop() job {
 
 // clock is the one source of delays of a runtime: a jobHeap served by one
 // goroutine and one time.Timer, for every hosted node and for the harness.
-// Callbacks and dispatches run under their node's lock, sends without it;
-// harness callbacks run under no lock.
+// Node callbacks run under their node's lock, sends without it; harness
+// callbacks run under no lock.
 type clock struct {
 	rt *Runtime
 
@@ -111,8 +105,8 @@ type clock struct {
 func (c *clock) push(d time.Duration, j job) { c.at(c.rt.Now()+max(d, 0), j) }
 
 // at queues j to run at due. A stopped clock queues nothing; a datagram
-// whose node is at maxDelayedDatagrams is dropped with OnDrop. Either way a
-// refused job's frame goes back to the pool.
+// whose node is at maxDelayedDatagrams is lost, each message of each copy an
+// OnDrop. Either way a refused job's frame goes back to the pool.
 func (c *clock) at(due time.Duration, j job) {
 	j.due = due
 	c.mu.Lock()
@@ -124,7 +118,8 @@ func (c *clock) at(due time.Duration, j job) {
 	if j.datagram() {
 		if j.node.delayed >= maxDelayedDatagrams {
 			c.mu.Unlock()
-			c.rt.drop(&j)
+			c.rt.lost(&j, int(j.copies))
+			c.rt.release(&j)
 			return
 		}
 		j.node.delayed++
@@ -203,7 +198,7 @@ func (c *clock) run() {
 func (c *clock) fire(j *job) {
 	n := j.node
 	switch {
-	case j.copies > 0:
+	case j.datagram():
 		c.rt.write(j)
 		c.rt.release(j)
 	case n == nil:
@@ -212,11 +207,7 @@ func (c *clock) fire(j *job) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		n.out.begin()
-		if j.fn != nil {
-			j.fn()
-		} else {
-			c.rt.dispatch(n, j.from, j.m)
-		}
+		j.fn()
 		n.out.flush(n)
 	}
 }

@@ -33,17 +33,17 @@ func FuzzClockOrder(f *testing.F) {
 		}
 		nodes := []*nodeCtx{nil, {id: 1}, {id: 2}, {id: 3}}
 		var h jobHeap
-		var model []job // pending, in push order; from numbers the pushes
-		pushed := msg.NodeID(0)
+		var model []job // pending, in push order; seq numbers the pushes
+		pushed := uint64(0)
 		push := func(node *nodeCtx, due time.Duration) {
-			j := job{due: due, node: node, from: pushed}
+			j := job{due: due, node: node, seq: pushed}
 			pushed++
 			wantHead := true
 			for _, p := range model {
 				wantHead = wantHead && p.due > due
 			}
 			if head := h.push(j); head != wantHead {
-				t.Fatalf("push #%d (due %v) reported head=%v, the model says %v", j.from, due, head, wantHead)
+				t.Fatalf("push #%d (due %v) reported head=%v, the model says %v", j.seq, due, head, wantHead)
 			}
 			model = append(model, j)
 		}
@@ -62,15 +62,15 @@ func FuzzClockOrder(f *testing.F) {
 			want := model[k]
 			model = append(model[:k], model[k+1:]...)
 			got := h.pop()
-			if got.from != want.from || got.due != want.due || got.node != want.node {
-				t.Fatalf("pop #%d = push #%d (due %v), the model says push #%d (due %v)", popped, got.from, got.due, want.from, want.due)
+			if got.seq != want.seq || got.due != want.due || got.node != want.node {
+				t.Fatalf("pop #%d = push #%d (due %v), the model says push #%d (due %v)", popped, got.seq, got.due, want.seq, want.due)
 			}
-			if popped > 0 && got.due == last.due && got.from < last.from {
-				t.Fatalf("equal dues %v popped out of push order: #%d after #%d", got.due, got.from, last.from)
+			if popped > 0 && got.due == last.due && got.seq < last.seq {
+				t.Fatalf("equal dues %v popped out of push order: #%d after #%d", got.due, got.seq, last.seq)
 			}
 			for _, p := range model {
-				if p.node == got.node && p.from < got.from && p.due <= got.due {
-					t.Fatalf("a node's jobs reordered: #%d (due %v) popped before #%d (due %v)", got.from, got.due, p.from, p.due)
+				if p.node == got.node && p.seq < got.seq && p.due <= got.due {
+					t.Fatalf("a node's jobs reordered: #%d (due %v) popped before #%d (due %v)", got.seq, got.due, p.seq, p.due)
 				}
 			}
 			last = got
@@ -98,23 +98,23 @@ func FuzzClockOrder(f *testing.F) {
 			pop()
 		}
 		for _, j := range h.jobs[:cap(h.jobs)] {
-			if j.due != 0 || j.from != 0 || j.seq != 0 || j.node != nil {
-				t.Fatalf("drained heap still holds push #%d (due %v)", j.from, j.due)
+			if j.due != 0 || j.seq != 0 || j.node != nil {
+				t.Fatalf("drained heap still holds push #%d (due %v)", j.seq, j.due)
 			}
 		}
 	})
 }
 
 // TestWireAllocs pins the clock's promise: queuing a delay allocates
-// nothing — a node timer with a shared func value, a delayed Send of a
-// Propose (its frame from the pool) and a delayed dispatch are each one
-// by-value job. It pins the receive path's too: a Propose or a Serve
-// datagram through a warmed Decoder, then onto the clock, costs a block
-// refill every few dozen datagrams, 0 in AllocsPerRun's integer mean. And
-// it pins the outbox's: a callback that sends k messages to each of d
-// destinations ships d datagrams for nothing, whether they leave inline
-// (a zero-latency node, what lifting-node runs) or wait on the clock. Every
-// other delay is an hour, so nothing fires while measuring.
+// nothing — a node timer with a shared func value and a delayed Send of a
+// Propose (its frame from the pool) are each one by-value job. It pins the
+// receive path's too: a Propose or a Serve datagram through a warmed
+// Decoder, dispatched as one callback, costs a block refill every few dozen
+// datagrams, 0 in AllocsPerRun's integer mean. And it pins the outbox's: a
+// callback that sends k messages to each of d destinations ships d
+// datagrams for nothing, whether they leave inline (a zero-latency link,
+// what lifting-node runs) or wait on the clock. Every other delay is an
+// hour, so nothing fires while measuring.
 func TestWireAllocs(t *testing.T) {
 	rt := New(Options{Seed: 1, Defaults: net.Conditions{LatencyBase: 2 * time.Hour}})
 	defer rt.Close()
@@ -123,7 +123,7 @@ func TestWireAllocs(t *testing.T) {
 	const runs, k, d = 200, 4, 3
 	n := rt.localNode(1)
 	rt.clock.mu.Lock()
-	rt.clock.heap.jobs = make([]job, 0, (6+d)*runs) // steady state: the heap has grown
+	rt.clock.heap.jobs = make([]job, 0, (2+d)*(runs+1)) // steady state: the heap has grown
 	rt.clock.mu.Unlock()
 	// Steady state: sent frames come back to the pool. Twice what the runs
 	// take, because under -race sync.Pool drops a random quarter of Puts.
@@ -133,7 +133,8 @@ func TestWireAllocs(t *testing.T) {
 	}
 
 	// The callbacks' destinations: sockets nobody reads, so what the inline
-	// ones write costs no receive loop anything while measuring.
+	// ones write costs no receive loop anything while measuring, and with no
+	// latency of their own, so a link to one is as slow as its sender.
 	dests := make([]msg.NodeID, d)
 	for i := range dests {
 		sink, err := gonet.ListenUDP("udp", gonet.UDPAddrFromAddrPort(netip.MustParseAddrPort("127.0.0.1:0")))
@@ -143,6 +144,7 @@ func TestWireAllocs(t *testing.T) {
 		defer sink.Close()
 		dests[i] = msg.NodeID(10 + i)
 		rt.book.SetAddr(dests[i], sink.LocalAddr().(*gonet.UDPAddr).AddrPort())
+		rt.SetConditions(dests[i], net.Conditions{})
 	}
 	sendAll := func(from msg.NodeID) func() {
 		blame := &msg.Blame{Sender: from, Target: 5, Value: 1, Reason: msg.ReasonPartialServe}
@@ -154,8 +156,8 @@ func TestWireAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Node 3 has no latency: a datagram it receives is dispatched inline,
-	// and what its handler sends leaves inline when the dispatch returns.
+	// Node 3 has no latency: what its handler sends to the destinations
+	// leaves inline when the dispatch returns.
 	rt.SetConditions(3, net.Conditions{})
 	answer := sendAll(3)
 	rt.Attach(3, handlerFunc(func(msg.NodeID, msg.Message) { answer() }))
@@ -165,7 +167,6 @@ func TestWireAllocs(t *testing.T) {
 
 	noop := func() {}
 	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8}, Origins: []msg.NodeID{4, 5}}
-	proposes := []msg.Message{propose}
 	serve := &msg.Serve{Sender: 1, Period: 3, Chunk: 7, PayloadSize: 1316, Hash: 9, Payload: make([]byte, 1316)}
 	datagram := func(m msg.Message) []byte {
 		b, err := msg.AppendFrame(nil, m, 0)
@@ -183,7 +184,6 @@ func TestWireAllocs(t *testing.T) {
 	}{
 		{"nodeCtx.After", func() { n.After(time.Hour, noop) }},
 		{"delayed Send", func() { rt.Send(1, 2, propose, net.Unreliable) }},
-		{"delayed dispatch", func() { rt.deliver(n, proposes, 0) }},
 		{"decode a Propose datagram", func() { rt.receive(n, in, proposeDatagram, src) }},
 		{"decode a Serve datagram", func() { rt.receive(n, in, serveDatagram, src) }},
 		{"callback, datagrams inline", func() { rt.deliver(inline, trigger, 0) }},
@@ -193,8 +193,8 @@ func TestWireAllocs(t *testing.T) {
 			t.Errorf("%s allocates %v objects, want 0", c.name, allocs)
 		}
 	}
-	if jobs, datagrams := pending(rt.clock, n); jobs != (5+d)*(runs+1) || datagrams != (4+d)*(runs+1) {
-		t.Fatalf("clock holds %d jobs of node 1, %d of them datagrams; want %d and %d", jobs, datagrams, (5+d)*(runs+1), (4+d)*(runs+1))
+	if jobs, datagrams := pending(rt.clock, n); jobs != (2+d)*(runs+1) || datagrams != (1+d)*(runs+1) {
+		t.Fatalf("clock holds %d jobs of node 1, %d of them datagrams; want %d and %d", jobs, datagrams, (2+d)*(runs+1), (1+d)*(runs+1))
 	}
 	if jobs, _ := pending(rt.clock, inline); jobs != 0 {
 		t.Fatalf("the zero-latency node queued %d jobs, want none", jobs)
@@ -236,11 +236,10 @@ func TestCloseDropsPendingWork(t *testing.T) {
 	}
 }
 
-// TestDelayedDatagramsAreBounded floods one node — its own sends and
-// datagrams it receives, both waiting out its half of a 1 s link — past
-// maxDelayedDatagrams: the clock holds exactly the bound for it, every
-// datagram past it is an accounted drop — every message of it — and a
-// callback still gets in.
+// TestDelayedDatagramsAreBounded floods one node with sends, each waiting
+// out a 1 s link, past maxDelayedDatagrams: the clock holds exactly the
+// bound for it, every datagram past it is an accounted drop — every message
+// of it — and a callback still gets in.
 func TestDelayedDatagramsAreBounded(t *testing.T) {
 	coll := metrics.NewCollector()
 	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{LatencyBase: time.Second}})
@@ -249,16 +248,13 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 	rt.Attach(2, nil)
 	n := rt.localNode(1)
 
-	// Reliable-class traffic: each half of the link is 3 × 0.5 s, far longer
-	// than the flood takes.
+	// Reliable-class traffic: the link is 3 × 1 s, far longer than the
+	// flood takes.
 	const extra = 100
 	start := time.Now()
-	m := &msg.AuditReq{Sender: 2, Horizon: time.Second}
-	for i := 0; i < maxDelayedDatagrams/2; i++ {
+	m := &msg.AuditReq{Sender: 1, Horizon: time.Second}
+	for i := 0; i < maxDelayedDatagrams+extra; i++ {
 		rt.Send(1, 2, m, net.Reliable)
-	}
-	for i := 0; i < maxDelayedDatagrams/2+extra; i++ {
-		rt.deliver(n, []msg.Message{m}, msg.FlagReliable)
 	}
 	if time.Since(start) > time.Second {
 		t.Skip("the flood outlasted the modelled latency on this machine")
@@ -286,9 +282,8 @@ func TestDelayedDatagramsAreBounded(t *testing.T) {
 }
 
 // TestFloodedNodeCostsOthersNothing: the bound is per node. With node 1 at
-// maxDelayedDatagrams on the shared clock, node 3's delayed sends and
-// dispatches are all queued — not one of them dropped — and count against
-// node 3 alone.
+// maxDelayedDatagrams on the shared clock, node 3's delayed sends are all
+// queued — not one of them dropped — and count against node 3 alone.
 func TestFloodedNodeCostsOthersNothing(t *testing.T) {
 	coll := metrics.NewCollector()
 	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{LatencyBase: time.Second}})
@@ -300,13 +295,11 @@ func TestFloodedNodeCostsOthersNothing(t *testing.T) {
 
 	const extra, sent = 10, 50
 	start := time.Now()
-	m := &msg.AuditReq{Sender: 2, Horizon: time.Second}
 	for i := 0; i < maxDelayedDatagrams+extra; i++ {
-		rt.deliver(flooded, []msg.Message{m}, msg.FlagReliable)
+		rt.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable)
 	}
 	for i := 0; i < sent; i++ {
-		rt.Send(3, 2, m, net.Reliable)
-		rt.deliver(other, []msg.Message{m}, msg.FlagReliable)
+		rt.Send(3, 2, &msg.AuditReq{Sender: 3, Horizon: time.Second}, net.Reliable)
 	}
 	if time.Since(start) > time.Second {
 		t.Skip("the flood outlasted the modelled latency on this machine")
@@ -317,8 +310,8 @@ func TestFloodedNodeCostsOthersNothing(t *testing.T) {
 	if _, datagrams := pending(rt.clock, flooded); datagrams != maxDelayedDatagrams {
 		t.Fatalf("the flooded node holds %d delayed datagrams, want the bound %d", datagrams, maxDelayedDatagrams)
 	}
-	if jobs, datagrams := pending(rt.clock, other); jobs != 2*sent || datagrams != 2*sent {
-		t.Fatalf("node 3 holds %d jobs (%d datagrams), want %d (%d)", jobs, datagrams, 2*sent, 2*sent)
+	if jobs, datagrams := pending(rt.clock, other); jobs != sent || datagrams != sent {
+		t.Fatalf("node 3 holds %d jobs (%d datagrams), want %d (%d)", jobs, datagrams, sent, sent)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // outbox frames every plain frame its node sends. During a callback of the
 // node — a dispatch, a timer or an Exec — it gathers the sends into one frame
 // per destination, sender and flags, and ships each frame as one datagram
-// when the callback returns: at once when the node's half of the link
-// latency is 0, otherwise as one job on the runtime's clock at the latest
+// when the callback returns: at once when the modelled latency of its
+// messages is 0, otherwise as one job on the runtime's clock at the latest
 // modelled due of the frame's messages, so no message leaves before its own
 // due. A send made outside any callback, and a message that drew a modelled
 // reorder or duplication, gets a group of its own: it carries its own due and

@@ -4,17 +4,23 @@
 // through the binary codec and the datagram framing of internal/msg.
 //
 // Every locally hosted node owns one UDP socket; peers are found through an
-// address Book seeded from bootstrap specs and extended passively from
-// inbound traffic. A runtime may host a whole population on loopback (the
+// address Book that holds every socket the runtime binds and the bootstrap
+// specs of the rest. A runtime may host a whole population on loopback (the
 // single-process-many-sockets mode behind `lifting-sim -backend udp`) or a
 // single node whose peers live in other OS processes or on other machines
 // (the lifting-node daemon) — the paper's PlanetLab deployment shape (§7).
 //
+// The link between two nodes is the one model of internal/net (net.Link),
+// applied by the sender: it cuts, delays, holds back and duplicates what a
+// node sends before it reaches the wire. The receiver draws only its own
+// inbound loss, per message.
+//
 // The concurrency contract matches sim.Context: all callbacks for one node —
-// inbound messages, timers, Exec functions — are serialized under that node's
-// lock; callbacks for different nodes dispatched by different receive loops
-// run concurrently. Every delay the runtime models — each node's timers, its
-// half of each link's latency on both the send and the receive side, the
+// a datagram's messages, timers, Exec functions — are serialized under that
+// node's lock; callbacks for different nodes dispatched by different receive
+// loops run concurrently. A datagram's surviving messages are dispatched
+// together, as one callback on the receiving socket's loop. Every delay the
+// runtime models — each node's timers, the latency of what it sends, the
 // harness's callbacks — is a job on the runtime's one clock (clock.go), so
 // delayed work runs one job at a time, whichever node it belongs to.
 package transport
@@ -75,11 +81,9 @@ type Runtime struct {
 	conds  map[msg.NodeID]net.Conditions
 	closed bool
 
-	// randMu guards the loss/jitter stream. Taken only when a draw is
-	// actually needed (nonzero loss or jitter), so lossless scenarios pay
-	// nothing.
-	randMu sync.Mutex
-	rand   *rng.Stream
+	// rand is the one stream of modelled draws, link and loss, of every
+	// sender and receive loop.
+	rand draws
 
 	// Frame buffers on the send path: bufs for a frame of a few small
 	// messages, full for one that outgrew that — a batch of serves. Kept
@@ -122,7 +126,7 @@ func New(o Options) *Runtime {
 		collector: collector,
 		defaults:  o.Defaults,
 		book:      book,
-		rand:      rng.New(o.Seed),
+		rand:      draws{s: rng.New(o.Seed)},
 		nodes:     make(map[msg.NodeID]*nodeCtx),
 		conds:     make(map[msg.NodeID]net.Conditions),
 		full: sync.Pool{New: func() any {
@@ -304,44 +308,34 @@ func (r *Runtime) conditionsOf(id msg.NodeID) net.Conditions {
 	return r.defaults
 }
 
-// bernoulli draws from the shared loss stream; p = 0 short-circuits without
-// touching the stream.
-func (r *Runtime) bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	r.randMu.Lock()
-	defer r.randMu.Unlock()
-	return r.rand.Bernoulli(p)
+// draws is a stream shared by goroutines: each draw takes its lock, and only
+// a draw the conditions call for is made (net.Link, net.Bernoulli), so
+// lossless scenarios pay nothing.
+type draws struct {
+	mu sync.Mutex
+	s  *rng.Stream
 }
 
-// jitter draws a uniform latency jitter in [0, j); j = 0 short-circuits.
-func (r *Runtime) jitter(j time.Duration) time.Duration {
-	if j <= 0 {
-		return 0
-	}
-	r.randMu.Lock()
-	defer r.randMu.Unlock()
-	return time.Duration(r.rand.Float64() * float64(j))
+// Float64 implements net.Rand.
+func (d *draws) Float64() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.s.Float64()
 }
 
 // Send implements net.Network: the message is framed through the binary
 // codec by the sender's outbox (see outbox) and shipped to the
 // destination's address-book entry — in the one datagram that carries
 // everything the sender sends that peer during the callback it runs in, or
-// alone. Loss and latency from the node conditions are modelled on top of
-// the real socket (loopback is effectively lossless and instant, and
-// scenarios still want the paper's 4%-loss PlanetLab links); messages to
-// down or unknown destinations are dropped like any other network loss, and
-// so are messages from an id this runtime does not host: it has no socket
-// to send them from.
-//
-// Each side of a link applies its own conditions: the sender delays by its
-// half of the latency, the receiver draws LossIn and delays by its half
-// before dispatching. In a multi-process deployment a
-// process only knows its own conditions, so this split is what makes -loss
-// and per-node latency work there; in single-process mode it adds up to the
-// same end-to-end link model as the other backends.
+// alone. The sender applies the whole link model, net.Link, on top of the
+// real socket (loopback is effectively lossless and instant, and scenarios
+// still want the paper's 4%-loss PlanetLab links): it may do so because
+// every process knows every member's conditions — a cluster pushes them
+// all onto its runtime, and the chaos plan replays in every process. The
+// one exception is LossIn, which the receiver draws (see deliver). Messages
+// on a cut link or to an unknown destination are dropped like any other
+// network loss, and so are messages from an id this runtime does not host:
+// it has no socket to send them from.
 func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	size := m.WireSize()
 	r.collector.OnSend(from, m, size)
@@ -351,39 +345,23 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		r.mu.RUnlock()
 		return
 	}
-	src := r.conditionsOf(from)
-	dst := r.conditionsOf(to)
+	src, dst := r.conditionsOf(from), r.conditionsOf(to)
 	sender := r.nodes[from]
-	// Partition state is locally applied for every known id (the soak
-	// schedule is replayed by each process), so the sender can cut
-	// cross-partition traffic before it touches the wire.
-	drop := sender == nil || src.Down || dst.Down || net.Partitioned(src.PartitionGroup, dst.PartitionGroup)
 	r.mu.RUnlock()
-	latency := src.LatencyBase/2 + r.jitter(src.LatencyJitter/2)
-	if mode == net.Reliable {
-		// Connection-setup cost of the reliable transport; each side scales
-		// its own half.
-		latency *= net.ReliableSetupFactor
-	}
-	copies := uint8(1)
-	held := false
-	if !drop && mode == net.Unreliable {
-		if held = r.bernoulli(src.ReorderProb); held {
-			// Hold the datagram back so later sends overtake it.
-			latency += src.ReorderDelay
-		}
-		if r.bernoulli(src.DupProb) {
-			// In-network duplication: ship a second identical datagram,
-			// accounted as a send of its own so the books balance.
-			copies = 2
-			r.collector.OnSend(from, m, size)
-		}
-	}
-
 	addr, known := r.book.Lookup(to)
-	if drop || !known {
+	if sender == nil || !known {
 		r.collector.OnDrop(m, size)
 		return
+	}
+	latency, copies, held := net.Link(&src, &dst, mode, false, &r.rand)
+	if copies == 0 {
+		r.collector.OnDrop(m, size)
+		return
+	}
+	if copies > 1 {
+		// In-network duplication, accounted as a send of its own so the
+		// books balance.
+		r.collector.OnSend(from, m, size)
 	}
 	var flags uint8
 	if mode == net.Reliable {
@@ -393,7 +371,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	if latency > 0 {
 		due = r.Now() + latency
 	}
-	if sender.out.add(sender, addr, flags, m, due, copies, held || copies > 1) {
+	if sender.out.add(sender, addr, flags, m, due, uint8(copies), held || copies > 1) {
 		return
 	}
 	// m outgrew a frame (a long audit history, an oversized chunk): it ships
@@ -403,10 +381,12 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		panic(fmt.Sprintf("transport: encoding %T: %v", m, err))
 	}
 	if fragments(body) > maxFragments {
-		r.collector.OnDrop(m, size)
+		for range copies {
+			r.collector.OnDrop(m, size)
+		}
 		return
 	}
-	r.ship(job{node: sender, copies: copies, flags: flags | msg.FlagFragment, frame: &body, addr: addr}, due)
+	r.ship(job{node: sender, copies: uint8(copies), flags: flags | msg.FlagFragment, frame: &body, addr: addr}, due)
 }
 
 // ship sends one datagram job from its node's socket: at once when due is
@@ -491,18 +471,6 @@ func (r *Runtime) put(frame *[]byte) {
 	} else {
 		r.bufs.Put(frame)
 	}
-}
-
-// drop accounts a delayed datagram its node had no room for as lost — each
-// message of a dispatch, each message of each copy of a send — and releases
-// it.
-func (r *Runtime) drop(j *job) {
-	if j.copies == 0 {
-		r.collector.OnDrop(j.m, j.m.WireSize())
-	} else {
-		r.lost(j, int(j.copies))
-	}
-	r.release(j)
 }
 
 // lost accounts every message a send job carries as dropped, times times.
@@ -730,9 +698,9 @@ func (r *Runtime) recvLoop(n *nodeCtx) {
 
 // receive handles one datagram for n: validate the frame and its checksum,
 // reassemble fragments or check the message list whole, decode every
-// message, learn the sender's address, deliver. A malformed datagram is
-// dropped whole, nothing of it delivered — FuzzDecode guarantees the
-// decoder survives anything the network delivers.
+// message, deliver. A malformed datagram is dropped whole, nothing of it
+// delivered — FuzzDecode guarantees the decoder survives anything the
+// network delivers.
 func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.AddrPort) {
 	payload, flags, err := msg.RawFrame(datagram)
 	if err != nil {
@@ -763,16 +731,14 @@ func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.Addr
 			ms = append(ms, m)
 		}
 	}
-	r.book.Learn(ms[0].From(), src)
 	r.deliver(n, ms, flags)
 }
 
-// deliver applies the receiver's side of the link to one datagram's
-// messages: its inbound loss and its half of the latency apply here, where
-// the node's own conditions are known even when the sender is another
-// process, each message drawing its own. A message without a delay is
-// dispatched at once, the datagram's together as one callback; one with a
-// delay waits on the runtime's clock, a callback of its own.
+// deliver dispatches one datagram's messages to n, together as one
+// callback, so what n sends in reply shares datagrams too. The sender has
+// applied the link; the receiver draws its own LossIn for each unreliable
+// message, where the node's own conditions are known even when the sender
+// is another process.
 func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	r.mu.RLock()
 	closed := r.closed
@@ -781,40 +747,20 @@ func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	if closed {
 		return
 	}
-	locked := false
+	n.mu.Lock()
+	n.out.begin()
 	for _, m := range ms {
-		lost := flags&msg.FlagReliable == 0 && r.bernoulli(cond.LossIn)
-		if cond.Down || lost {
+		if cond.Down || flags&msg.FlagReliable == 0 && net.Bernoulli(&r.rand, cond.LossIn) {
 			r.collector.OnDrop(m, m.WireSize())
 			continue
 		}
-		delay := cond.LatencyBase/2 + r.jitter(cond.LatencyJitter/2)
-		if flags&msg.FlagReliable != 0 {
-			delay *= net.ReliableSetupFactor // the receiver's half
+		r.collector.OnDeliver(n.id, m, m.WireSize())
+		if n.h != nil {
+			n.h.HandleMessage(m.From(), m)
 		}
-		if delay > 0 {
-			r.clock.push(delay, job{node: n, m: m, from: m.From()})
-			continue
-		}
-		if !locked {
-			n.mu.Lock()
-			n.out.begin()
-			locked = true
-		}
-		r.dispatch(n, m.From(), m)
 	}
-	if locked {
-		n.out.flush(n)
-		n.mu.Unlock()
-	}
-}
-
-// dispatch hands m to n's handler. n's lock is held.
-func (r *Runtime) dispatch(n *nodeCtx, from msg.NodeID, m msg.Message) {
-	r.collector.OnDeliver(n.id, m, m.WireSize())
-	if n.h != nil {
-		n.h.HandleMessage(from, m)
-	}
+	n.out.flush(n)
+	n.mu.Unlock()
 }
 
 // Close implements runtime.Runtime: it stops delivery, stops the clock —

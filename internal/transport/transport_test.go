@@ -72,12 +72,12 @@ func TestSendReceiveOverRealSockets(t *testing.T) {
 }
 
 // TestCrossRuntimeDelivery is the daemon shape: two runtimes in this process
-// (standing in for two OS processes), a bootstrap seed for one direction,
-// and address learning for the reply path.
+// (standing in for two OS processes), each knowing the other only through
+// a bootstrap seed.
 func TestCrossRuntimeDelivery(t *testing.T) {
-	bookA := NewBook()
+	bookA, bookB := NewBook(), NewBook()
 	a := New(Options{Seed: 1, Book: bookA})
-	b := New(Options{Seed: 2})
+	b := New(Options{Seed: 2, Book: bookB})
 	defer a.Close()
 	defer b.Close()
 
@@ -85,11 +85,12 @@ func TestCrossRuntimeDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AddNode(1, "127.0.0.1:0"); err != nil {
+	addrA, err := a.AddNode(1, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// a only knows b through a bootstrap seed; b has no seed for a at all.
 	bookA.SetAddr(2, addrB)
+	bookB.SetAddr(1, addrA)
 
 	sinkA, sinkB := &collect{}, &collect{}
 	a.Attach(1, sinkA)
@@ -98,10 +99,8 @@ func TestCrossRuntimeDelivery(t *testing.T) {
 	a.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: 9}, net.Unreliable)
 	waitFor(t, "forward delivery", func() bool { return sinkB.count() > 0 })
 
-	// b learned a's address from the inbound datagram: the reply needs no
-	// seed.
 	b.Send(2, 1, &msg.ScoreResp{Sender: 2, Target: 9, Score: -1.5}, net.Unreliable)
-	waitFor(t, "reply via learned address", func() bool { return sinkA.count() > 0 })
+	waitFor(t, "reply", func() bool { return sinkA.count() > 0 })
 }
 
 // TestSharedBook is the single-process cluster shape: many runtimes (or one)
@@ -229,8 +228,8 @@ func TestModelledLatency(t *testing.T) {
 		t.Errorf("delivered after %v, want the modelled ~80ms latency", elapsed)
 	}
 
-	// Reliable-class traffic pays the 3x connection-setup factor on both
-	// halves of the link, as under the sim backend.
+	// Reliable-class traffic pays the 3x connection-setup factor, as under
+	// the sim backend.
 	start = time.Now()
 	rt.Send(1, 2, &msg.AuditReq{Sender: 1, Horizon: time.Second}, net.Reliable)
 	waitFor(t, "reliable delayed delivery", func() bool { return sink.count() > 1 })
@@ -364,6 +363,36 @@ func TestFailedFragmentTrainDropsEveryCopy(t *testing.T) {
 	}
 }
 
+// TestUnshippedSendDropsEveryCopy: a send that never leaves is dropped once
+// for each copy counted as sent — one to an id with no address, before any
+// duplicate is drawn, and both copies of a duplicated fragment train longer
+// than maxFragments.
+func TestUnshippedSendDropsEveryCopy(t *testing.T) {
+	coll := metrics.NewCollector()
+	rt := New(Options{Seed: 1, Collector: coll, Defaults: net.Conditions{DupProb: 1}})
+	defer rt.Close()
+	rt.Attach(1, nil)
+	rt.Attach(2, nil)
+
+	rt.Send(1, 99, &msg.ScoreReq{Sender: 1, Target: 4}, net.Unreliable)
+	huge := &msg.AuditResp{Sender: 1, Proposals: make([]msg.ProposalRecord, 50000)}
+	for i := range huge.Proposals {
+		huge.Proposals[i] = msg.ProposalRecord{Period: msg.Period(i), Partner: 2, Chunks: []msg.ChunkID{1, 2, 3, 4}}
+	}
+	if body, err := msg.Encode(huge); err != nil || fragments(body) <= maxFragments {
+		t.Fatalf("the oversized message must take more than %d fragments: %v", maxFragments, err)
+	}
+	rt.Send(1, 2, huge, net.Unreliable)
+	for _, c := range []struct {
+		kind msg.Kind
+		sent uint64
+	}{{msg.KindScoreReq, 1}, {msg.KindAuditResp, 2}} {
+		if sent, dropped := coll.SentMsgs(c.kind), coll.Dropped(c.kind); sent != c.sent || dropped != sent {
+			t.Errorf("%v: sent %d, dropped %d; want %d of each", c.kind, sent, dropped, c.sent)
+		}
+	}
+}
+
 func TestParsePeers(t *testing.T) {
 	got, err := ParsePeers("0=127.0.0.1:9000, 3=host.example:9003,")
 	if err != nil {
@@ -379,21 +408,19 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-func TestBookLearnDoesNotClobberSeeds(t *testing.T) {
+func TestBookStoresUnmappedAddresses(t *testing.T) {
 	b := NewBook()
 	if err := b.Set(1, "127.0.0.1:9000"); err != nil {
 		t.Fatal(err)
 	}
-	// A dual-stack socket reports an IPv4 peer in its mapped form; the book
-	// keeps the 4-byte one, which every socket family can write to.
-	learned := netip.MustParseAddrPort("[::ffff:127.0.0.1]:1234")
-	b.Learn(1, learned)
-	if a, _ := b.Lookup(1); a.Port() != 9000 {
-		t.Fatalf("Learn overwrote a seed: %v", a)
-	}
-	b.Learn(2, learned)
+	// A dual-stack socket reports an IPv4 address in its mapped form; the
+	// book keeps the 4-byte one, which every socket family can write to.
+	b.SetAddr(2, netip.MustParseAddrPort("[::ffff:127.0.0.1]:1234"))
 	if a, ok := b.Lookup(2); !ok || a != netip.MustParseAddrPort("127.0.0.1:1234") {
-		t.Fatalf("Learn did not record a new peer: %v %v", a, ok)
+		t.Fatalf("SetAddr recorded %v %v, want the unmapped 127.0.0.1:1234", a, ok)
+	}
+	if a, _ := b.Lookup(1); a.Port() != 9000 {
+		t.Fatalf("SetAddr of one id moved another's: %v", a)
 	}
 	if ids := b.IDs(); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("IDs = %v", ids)
@@ -579,11 +606,12 @@ func (p *peer) datagrams(want int) int {
 // the 17 serves a node sends one peer during one callback arrive in one
 // datagram, a callback sending to 3 peers sends 3, and so it is whether the
 // datagrams leave inline (latency 0, what lifting-node runs) or wait out
-// the sender's half of a modelled latency on its clock. Sends made outside
-// any callback ship one datagram each, as they did before frame v4, and so
-// does a message that drew a modelled reorder or duplication, inside a
-// callback or not. A send from an id the runtime does not host ships
-// nothing.
+// the modelled latency on the sender's clock. A datagram is dispatched as
+// one callback, so the replies to its messages share a datagram too. Sends
+// made outside any callback ship one datagram each, as they did before
+// frame v4, and so does a message that drew a modelled reorder or
+// duplication, inside a callback or not. A send from an id the runtime does
+// not host ships nothing.
 func TestOneDatagramPerDestinationPerCallback(t *testing.T) {
 	for _, latency := range []time.Duration{0, 40 * time.Millisecond} {
 		book := NewBook()
@@ -607,8 +635,8 @@ func TestOneDatagramPerDestinationPerCallback(t *testing.T) {
 		if n := peers[0].datagrams(17); n != 1 {
 			t.Errorf("latency %v: 17 serves in one callback arrived in %d datagrams, want 1", latency, n)
 		}
-		if took := time.Since(start); took < latency/2 {
-			t.Errorf("latency %v: the datagram left after %v, before the sender's half", latency, took)
+		if took := time.Since(start); took < latency {
+			t.Errorf("latency %v: the datagram left after %v, before the modelled latency", latency, took)
 		}
 
 		rt.Exec(1, func() {
@@ -634,6 +662,21 @@ func TestOneDatagramPerDestinationPerCallback(t *testing.T) {
 		}
 		if n := peers[1].datagrams(3); n != 3 {
 			t.Errorf("latency %v: 3 serves sent outside any callback arrived in %d datagrams, want 3", latency, n)
+		}
+
+		// Node 2 answers each of the 3 messages one callback sends it, to
+		// peer 0: dispatched as one callback, the datagram's 3 messages get
+		// their 3 answers in one datagram.
+		rt.Attach(2, handlerFunc(func(_ msg.NodeID, m msg.Message) {
+			rt.Send(2, 10, &msg.ScoreResp{Sender: 2, Target: m.(*msg.ScoreReq).Target}, net.Unreliable)
+		}))
+		rt.Exec(1, func() {
+			for c := 0; c < 3; c++ {
+				rt.Send(1, 2, &msg.ScoreReq{Sender: 1, Target: msg.NodeID(c)}, net.Unreliable)
+			}
+		})
+		if n := peers[0].datagrams(3); n != 1 {
+			t.Errorf("latency %v: the answers to one datagram's 3 messages arrived in %d datagrams, want 1", latency, n)
 		}
 
 		// A message held back by the modelled reorder leaves alone, after
@@ -707,9 +750,8 @@ func TestSmallPoolStaysSmall(t *testing.T) {
 }
 
 // TestDatagramFromMixedSendersDeliversNothing: every message in a v4
-// datagram carries the one sender the receiver learns the source address
-// for. A hand-built datagram whose messages claim two senders is dropped
-// whole — nothing delivered, no address learned — and the next honest
+// datagram carries one sender. A hand-built datagram whose messages claim
+// two senders is dropped whole — nothing delivered — and the next honest
 // datagram of several messages is delivered in full, in order.
 func TestDatagramFromMixedSendersDeliversNothing(t *testing.T) {
 	book := NewBook()
@@ -751,14 +793,6 @@ func TestDatagramFromMixedSendersDeliversNothing(t *testing.T) {
 	}
 	if len(sink.got) != 3 {
 		t.Fatalf("%d deliveries, want the honest datagram's 3", len(sink.got))
-	}
-	for _, id := range []msg.NodeID{7, 8} {
-		if a, ok := book.Lookup(id); ok {
-			t.Errorf("the mixed datagram taught the book %d at %v", id, a)
-		}
-	}
-	if _, ok := book.Lookup(9); !ok {
-		t.Error("the honest datagram did not teach the book its sender")
 	}
 }
 
