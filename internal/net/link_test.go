@@ -47,18 +47,18 @@ func oracleLink(src, dst *Conditions, mode Mode, rand *rng.Stream) (time.Duratio
 // fuzzer-written conditions and mode, and demands the same latency, copies
 // and hold, and the same next draw from both streams afterwards: Link moves
 // the stream exactly as the sim's inline code did, so every seeded document
-// stays byte-equal. Link without lossHere must match the oracle on a
-// lossless destination. Probabilities are folded into [0, 1] and durations
-// are at most a uint32 of nanoseconds (odd ones test the halving). The
-// fields of the end Link must not read get other values than the ones it
-// must, so reading the wrong end shows.
+// stays byte-equal. Probabilities are folded into [0, 1] and durations are
+// at most a uint32 of nanoseconds (odd ones test the halving). The fields
+// of the end Link must not read get other values than the ones it must, so
+// reading the wrong end shows.
 //
-// flags: bit 0 Reliable, bit 1 lossHere, bits 2 and 3 src and dst down,
+// flags: bit 0 Reliable, bit 1 a lossless destination (what a udp sender
+// passes, its receiver drawing the loss), bits 2 and 3 src and dst down,
 // bits 4–5 and 6–7 the src and dst partition groups. The committed corpus
 // under testdata/fuzz replays on every plain `go test`.
 func FuzzLinkModel(f *testing.F) {
-	f.Add(uint64(1), uint8(0x02), 0.04, 0.0, 0.0, uint32(20e6), uint32(20e6), uint32(0), uint32(0), uint32(0))
-	f.Add(uint64(7), uint8(0x02), 0.5, 0.5, 0.5, uint32(5e6+1), uint32(3), uint32(4e6+1), uint32(7), uint32(20e6))
+	f.Add(uint64(1), uint8(0x00), 0.04, 0.0, 0.0, uint32(20e6), uint32(20e6), uint32(0), uint32(0), uint32(0))
+	f.Add(uint64(7), uint8(0x00), 0.5, 0.5, 0.5, uint32(5e6+1), uint32(3), uint32(4e6+1), uint32(7), uint32(20e6))
 	f.Add(uint64(9), uint8(0x01), 0.3, 1.0, 1.0, uint32(2e6), uint32(2e6), uint32(4e6), uint32(4e6), uint32(1e6))
 	f.Fuzz(func(t *testing.T, seed uint64, flags uint8, loss, reorder, dup float64, srcBase, dstBase, srcJitter, dstJitter, hold uint32) {
 		loss, reorder, dup = prob(loss), prob(reorder), prob(dup)
@@ -66,7 +66,6 @@ func FuzzLinkModel(f *testing.F) {
 		if flags&1 != 0 {
 			mode = Reliable
 		}
-		lossHere := flags&2 != 0
 		src := Conditions{
 			LossIn:         1 - loss,
 			LatencyBase:    time.Duration(srcBase),
@@ -87,13 +86,12 @@ func FuzzLinkModel(f *testing.F) {
 			ReorderDelay:   time.Duration(hold/3 + 1),
 			DupProb:        1 - dup,
 		}
-		want := dst
-		if !lossHere {
-			want.LossIn = 0
+		if flags&2 != 0 {
+			dst.LossIn = 0
 		}
 		got, oracle := rng.New(seed), rng.New(seed)
-		gotLatency, gotCopies, gotHeld := Link(&src, &dst, mode, lossHere, got)
-		wantLatency, wantCopies, wantHeld := oracleLink(&src, &want, mode, oracle)
+		gotLatency, gotCopies, gotHeld := Link(&src, &dst, mode, got)
+		wantLatency, wantCopies, wantHeld := oracleLink(&src, &dst, mode, oracle)
 		if gotLatency != wantLatency || gotCopies != wantCopies || gotHeld != wantHeld {
 			t.Fatalf("Link = %v, %d copies, held %v; the oracle says %v, %d, %v", gotLatency, gotCopies, gotHeld, wantLatency, wantCopies, wantHeld)
 		}

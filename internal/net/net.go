@@ -82,8 +82,12 @@ func Partitioned(a, b uint8) bool {
 // reliable send's latency by it.
 const ReliableSetupFactor = 3
 
-// Rand is the source of Link's draws: a uniform value in [0, 1).
-type Rand interface{ Float64() float64 }
+// Rand is the source of Link's draws: a uniform value in [0, 1), and a coin
+// that is true with probability p. *rng.Stream is one.
+type Rand interface {
+	Float64() float64
+	Bernoulli(p float64) bool
+}
 
 // Link is the link model, stated once for every runtime: what the network
 // does to one message sent in mode from a node with conditions src to one
@@ -92,22 +96,22 @@ type Rand interface{ Float64() float64 }
 //
 // No copy arrives (copies 0) when either end is down or a partition
 // separates them, or when the message is lost: an Unreliable message is
-// lost with dst.LossIn, drawn here only when lossHere is set — the sim draws
-// it with the rest, a udp receiver draws its own. Otherwise the delay is
-// each end's half of LatencyBase, plus a uniform draw over each end's half
-// of LatencyJitter, times ReliableSetupFactor in Reliable mode. An
+// lost with dst.LossIn — a udp sender passes a dst without it, because its
+// receiver draws its own. Otherwise the delay is each end's half of
+// LatencyBase, plus a uniform draw over each end's half of LatencyJitter,
+// times ReliableSetupFactor in Reliable mode. An
 // Unreliable message is then held back by src.ReorderDelay with
 // src.ReorderProb, and arrives twice with src.DupProb.
 //
 // The draws come in that order — loss, jitter, reorder, duplication — and
 // only those the conditions call for, so a lossless link without jitter,
 // reordering or duplication draws nothing.
-func Link(src, dst *Conditions, mode Mode, lossHere bool, rand Rand) (delay time.Duration, copies int, held bool) {
+func Link(src, dst *Conditions, mode Mode, rand Rand) (delay time.Duration, copies int, held bool) {
 	if src.Down || dst.Down || Partitioned(src.PartitionGroup, dst.PartitionGroup) {
 		return 0, 0, false
 	}
 	unreliable := mode == Unreliable
-	if unreliable && lossHere && Bernoulli(rand, dst.LossIn) {
+	if unreliable && rand.Bernoulli(dst.LossIn) {
 		return 0, 0, false
 	}
 	delay = src.LatencyBase/2 + dst.LatencyBase/2
@@ -119,23 +123,14 @@ func Link(src, dst *Conditions, mode Mode, lossHere bool, rand Rand) (delay time
 	}
 	copies = 1
 	if unreliable {
-		if held = Bernoulli(rand, src.ReorderProb); held {
+		if held = rand.Bernoulli(src.ReorderProb); held {
 			delay += src.ReorderDelay
 		}
-		if Bernoulli(rand, src.DupProb) {
+		if rand.Bernoulli(src.DupProb) {
 			copies = 2
 		}
 	}
 	return delay, copies, held
-}
-
-// Bernoulli is true with probability p. It draws from rand exactly when
-// rng.Stream.Bernoulli draws, so a stream passed to Link moves as it would.
-func Bernoulli(rand Rand, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return p >= 1 || rand.Float64() < p
 }
 
 // Uniform returns homogeneous conditions with the given loss probability and

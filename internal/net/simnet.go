@@ -119,7 +119,7 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		panic(fmt.Sprintf("net: node %d sends but was never attached; attach the node first", from))
 	}
 	src := n.cond(from)
-	latency, copies, _ := Link(src, n.cond(to), mode, true, n.nodeRand[from])
+	latency, copies, _ := Link(src, n.cond(to), mode, n.nodeRand[from])
 	if copies == 0 {
 		n.drop(m, size)
 		return

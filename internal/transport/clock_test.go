@@ -33,19 +33,18 @@ func FuzzClockOrder(f *testing.F) {
 		}
 		nodes := []*nodeCtx{nil, {id: 1}, {id: 2}, {id: 3}}
 		var h jobHeap
-		var model []job // pending, in push order; seq numbers the pushes
+		var model []job // pending, in push order, each with the seq push must give it
 		pushed := uint64(0)
 		push := func(node *nodeCtx, due time.Duration) {
-			j := job{due: due, node: node, seq: pushed}
-			pushed++
 			wantHead := true
 			for _, p := range model {
 				wantHead = wantHead && p.due > due
 			}
-			if head := h.push(j); head != wantHead {
-				t.Fatalf("push #%d (due %v) reported head=%v, the model says %v", j.seq, due, head, wantHead)
+			if head := h.push(job{due: due, node: node}); head != wantHead {
+				t.Fatalf("push #%d (due %v) reported head=%v, the model says %v", pushed, due, head, wantHead)
 			}
-			model = append(model, j)
+			model = append(model, job{due: due, node: node, seq: pushed})
+			pushed++
 		}
 		var last job
 		popped := 0

@@ -309,8 +309,8 @@ func (r *Runtime) conditionsOf(id msg.NodeID) net.Conditions {
 }
 
 // draws is a stream shared by goroutines: each draw takes its lock, and only
-// a draw the conditions call for is made (net.Link, net.Bernoulli), so
-// lossless scenarios pay nothing.
+// a draw the conditions call for is made (see net.Link), so lossless
+// scenarios pay nothing.
 type draws struct {
 	mu sync.Mutex
 	s  *rng.Stream
@@ -321,6 +321,13 @@ func (d *draws) Float64() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.s.Float64()
+}
+
+// Bernoulli implements net.Rand.
+func (d *draws) Bernoulli(p float64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.s.Bernoulli(p)
 }
 
 // Send implements net.Network: the message is framed through the binary
@@ -353,7 +360,8 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 		r.collector.OnDrop(m, size)
 		return
 	}
-	latency, copies, held := net.Link(&src, &dst, mode, false, &r.rand)
+	dst.LossIn = 0 // the receiver draws it
+	latency, copies, held := net.Link(&src, &dst, mode, &r.rand)
 	if copies == 0 {
 		r.collector.OnDrop(m, size)
 		return
@@ -750,7 +758,7 @@ func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	n.mu.Lock()
 	n.out.begin()
 	for _, m := range ms {
-		if cond.Down || flags&msg.FlagReliable == 0 && net.Bernoulli(&r.rand, cond.LossIn) {
+		if cond.Down || flags&msg.FlagReliable == 0 && r.rand.Bernoulli(cond.LossIn) {
 			r.collector.OnDrop(m, m.WireSize())
 			continue
 		}
