@@ -234,10 +234,11 @@ type Cluster struct {
 }
 
 // ownedClient pairs a blame client with the node whose execution context
-// serializes it.
+// serializes it, and with its Flush as a func value, made once: every flush
+// round hands it to RT.Exec.
 type ownedClient struct {
-	owner  msg.NodeID
-	client *reputation.Client
+	owner msg.NodeID
+	flush func()
 }
 
 // auditorProxy routes audit responses to the cluster's auditor once it
@@ -413,7 +414,7 @@ func (c *Cluster) build(id msg.NodeID) {
 		c.Managers[id] = a.manager
 	}
 	if a.client != nil {
-		c.clients = append(c.clients, ownedClient{owner: id, client: a.client})
+		c.clients = append(c.clients, ownedClient{owner: id, flush: a.client.Flush})
 	}
 	if a.reader != nil {
 		c.reader = a.reader
@@ -636,10 +637,9 @@ func (c *Cluster) tick(p msg.Period) {
 
 	if flushDue(c.Opts.Rep, p) {
 		for _, oc := range clients {
-			client := oc.client
 			// Client state is written by the owner's verifier under the
 			// node's serialization; flush there too.
-			c.RT.Exec(oc.owner, client.Flush)
+			c.RT.Exec(oc.owner, oc.flush)
 		}
 	}
 
@@ -751,7 +751,7 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	if c.keeper == nil {
 		client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
 		c.mu.Lock()
-		c.clients = append(c.clients, ownedClient{owner: 0, client: client})
+		c.clients = append(c.clients, ownedClient{owner: 0, flush: client.Flush})
 		c.mu.Unlock()
 		sink = client
 	}

@@ -19,6 +19,7 @@ package freerider
 
 import (
 	"math"
+	"slices"
 
 	"lifting/internal/gossip"
 	"lifting/internal/membership"
@@ -168,26 +169,23 @@ func NewColluder(self msg.NodeID, coalition []msg.NodeID, pm float64, dir *membe
 // a random coalition member with probability PM, and by a uniform random
 // node otherwise (the entropy-maximizing strategy of §6.3.2: uniform within
 // each class).
-func (c *Colluder) SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int) []msg.NodeID {
-	chosen := make(map[msg.NodeID]bool, count)
-	out := make([]msg.NodeID, 0, count)
-	attempts := 0
-	for len(out) < count && attempts < count*20 {
-		attempts++
+func (c *Colluder) SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int, out []msg.NodeID) []msg.NodeID {
+	start := len(out)
+	var one [1]msg.NodeID
+	for attempts := 0; len(out)-start < count && attempts < count*20; attempts++ {
 		var pick msg.NodeID
 		if s.Bernoulli(c.PM) {
 			pick = c.Members[s.IntN(len(c.Members))]
 		} else {
-			sample := dir.Sample(s, 1, self)
+			sample := dir.Sample(s, 1, self, one[:0])
 			if len(sample) == 0 {
 				break
 			}
 			pick = sample[0]
 		}
-		if pick == self || chosen[pick] || !dir.Alive(pick) {
+		if pick == self || slices.Contains(out[start:], pick) || !dir.Alive(pick) {
 			continue
 		}
-		chosen[pick] = true
 		out = append(out, pick)
 	}
 	return out
@@ -266,7 +264,7 @@ func (b *BlameSpammer) SpamBlames(s *rng.Stream) []msg.NodeID {
 	if b.Dir == nil {
 		return nil
 	}
-	return b.Dir.Sample(s, spamTargets, b.Self)
+	return b.Dir.Sample(s, spamTargets, b.Self, nil)
 }
 
 // ForgeAudit implements gossip.Behavior: optionally rewrite coalition
@@ -282,7 +280,7 @@ func (c *Colluder) ForgeAudit(resp *msg.AuditResp) *msg.AuditResp {
 	copy(forged.Proposals, resp.Proposals)
 	for i := range forged.Proposals {
 		if c.Group[forged.Proposals[i].Partner] {
-			if sample := c.Dir.Sample(c.Rand, 1, c.Self); len(sample) == 1 {
+			if sample := c.Dir.Sample(c.Rand, 1, c.Self, nil); len(sample) == 1 {
 				forged.Proposals[i].Partner = sample[0]
 			}
 		}

@@ -124,7 +124,7 @@ func TestColluderBiasesSelection(t *testing.T) {
 	inCoalition := 0
 	total := 0
 	for trial := 0; trial < 500; trial++ {
-		for _, p := range c.SelectPartners(s, dir, 90, 7) {
+		for _, p := range c.SelectPartners(s, dir, 90, 7, nil) {
 			total++
 			if c.Group[p] {
 				inCoalition++
@@ -141,7 +141,7 @@ func TestColluderBiasesSelection(t *testing.T) {
 func TestColluderSelectionValid(t *testing.T) {
 	c, dir, s := newColluderWorld(t, 0.9)
 	f := func(seed uint16) bool {
-		out := c.SelectPartners(rng.New(uint64(seed)), dir, 90, 4)
+		out := c.SelectPartners(rng.New(uint64(seed)), dir, 90, 4, nil)
 		seen := map[msg.NodeID]bool{}
 		for _, p := range out {
 			if p == 90 || seen[p] || !dir.Alive(p) {

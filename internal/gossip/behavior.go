@@ -19,9 +19,10 @@ type Behavior interface {
 	// fanout f (attack i of §4.1: a freerider returns f̂ < f).
 	Fanout(f int) int
 
-	// SelectPartners picks the propose-phase partners (attack iii of §4.1:
-	// colluding freeriders bias the selection toward colluders).
-	SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int) []msg.NodeID
+	// SelectPartners appends the propose-phase partners, at most count, to
+	// out and returns it (attack iii of §4.1: colluding freeriders bias the
+	// selection toward colluders).
+	SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int, out []msg.NodeID) []msg.NodeID
 
 	// FilterProposal returns the chunks actually advertised out of those
 	// received in the last period, in the same order (attack ii of §4.1:
@@ -87,8 +88,8 @@ var _ Behavior = Honest{}
 func (Honest) Fanout(f int) int { return f }
 
 // SelectPartners implements Behavior: uniform random selection.
-func (Honest) SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int) []msg.NodeID {
-	return dir.Sample(s, count, self)
+func (Honest) SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int, out []msg.NodeID) []msg.NodeID {
+	return dir.Sample(s, count, self, out)
 }
 
 // FilterProposal implements Behavior: propose everything received.

@@ -71,7 +71,7 @@ func TestHonestTruthfulAtEveryDecisionPoint(t *testing.T) {
 		}
 
 		// Partners, origins, confirmations and audits are reported as-is.
-		partners := dir.Sample(s, 7, 0)
+		partners := dir.Sample(s, 7, 0, nil)
 		if got := h.AckPartners(partners); !slices.Equal(got, partners) {
 			return false
 		}
@@ -103,7 +103,7 @@ func TestHonestUniformSelection(t *testing.T) {
 	dir := membership.Sequential(30)
 	f := func(seed uint16, count uint8) bool {
 		k := int(count % 16)
-		out := h.SelectPartners(rng.New(uint64(seed)), dir, 3, k)
+		out := h.SelectPartners(rng.New(uint64(seed)), dir, 3, k, nil)
 		if len(out) != k {
 			return false
 		}

@@ -282,7 +282,8 @@ func (n *Node) proposePhase() {
 		advertised = slices.Clip(advertised)
 		if len(advertised) > 0 {
 			count := b.Fanout(n.cfg.F)
-			partners = b.SelectPartners(n.deps.Rand, n.deps.Dir, n.id, count)
+			// The log keeps the list nh periods, and every ack names it.
+			partners = slices.Clip(b.SelectPartners(n.deps.Rand, n.deps.Dir, n.id, count, n.deps.Sends.Partners(count)))
 		}
 	}
 	if len(partners) > 0 {

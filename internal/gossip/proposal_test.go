@@ -106,8 +106,8 @@ type scriptedPartners struct {
 	next []msg.NodeID
 }
 
-func (s *scriptedPartners) SelectPartners(*rng.Stream, *membership.Directory, msg.NodeID, int) []msg.NodeID {
-	return s.next
+func (s *scriptedPartners) SelectPartners(_ *rng.Stream, _ *membership.Directory, _ msg.NodeID, _ int, out []msg.NodeID) []msg.NodeID {
+	return append(out, s.next...)
 }
 
 // sentLog is a network that keeps what the node sends.

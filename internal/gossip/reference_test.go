@@ -122,7 +122,7 @@ func (n *refNode) proposePhase() {
 		advertised = b.FilterProposal(n.deps.Rand, proposal, from)
 		if len(advertised) > 0 {
 			count := b.Fanout(n.cfg.F)
-			partners = b.SelectPartners(n.deps.Rand, n.deps.Dir, n.id, count)
+			partners = b.SelectPartners(n.deps.Rand, n.deps.Dir, n.id, count, nil)
 			for _, p := range partners {
 				origins := make([]msg.NodeID, len(advertised))
 				for i, c := range advertised {

@@ -20,15 +20,15 @@ import (
 // the dependencies cluster.New gives them on the sim: a chunk store each, one
 // collector, one shared verified-once table, the one engine shard's set of
 // send blocks, an honest behaviour and a blame sink — on the sim engine,
-// among six silent peers, at f = 7: everyone is everyone's partner. One
+// among seven silent peers, at f = 8: everyone is everyone's partner. One
 // round is one gossip period in which eight new chunks enter node 0
 // out-of-band, so that
 //
-//   - each node runs a propose phase advertising 8 chunks to its 7 partners;
+//   - each node runs a propose phase advertising 8 chunks to its 8 partners;
 //   - node 1 answers node 0's proposal with one 8-chunk request;
 //   - node 0 sends the eight serves, and node 1 takes them in;
 //   - node 1's next phase acks them, and node 0 cross-checks the ack with
-//     the seven witnesses it names (node 0 itself among them).
+//     the eight witnesses it names (node 0 itself among them).
 //
 // Every id list a round carves is 8 long, so no block ever ends in a gap
 // too short for the next list, and blockRounds rounds refill each block a
@@ -54,7 +54,7 @@ type nopSink struct{}
 func (nopSink) Blame(msg.NodeID, float64, msg.BlameReason) {}
 
 func newRoundRig() *roundRig {
-	const n, f, nh = 8, 7, 50
+	const n, f, nh = 9, 8, 50
 	r := &roundRig{eng: sim.NewEngine()}
 	root := rng.New(5)
 	dir := membership.Sequential(n)
@@ -102,27 +102,25 @@ func (r *roundRig) round() {
 }
 
 // blockRounds is how many rounds refill every send block a whole number of
-// times: the long-lived id lists take 24 ids a round, 3 blocks of 512 in 64
-// rounds.
+// times: the long-lived chunk lists take 24 ids a round, 3 blocks of 512 in
+// 64 rounds.
 const blockRounds = 64
 
 // blockAllocs is what blockRounds rounds allocate once every ring, pool and
-// slice has reached its size. What is left is the partner lists and the send
-// blocks everything sent is carved from: msg.Sends blocks of msg.SendBlock =
-// 16 structs, of 64 serves and of 512 ids. An armed deadline or an open check
-// is none of it: the retry of a request, a serve check, an ack expectation
-// and a confirm session are by-value records in the node's four
-// sim.Deadlines queues, armed with a func value made once. Nor is the content
-// plane: a serve carries the stored slice itself, the receiver hashes it once
-// and stores it in a slot, and the collector's counters are atomic adds. Nor
-// is the scratch a node gathers a proposal, a request or a serve list in
-// before carving it.
+// slice has reached its size: the send blocks everything sent is carved
+// from, msg.Sends blocks of msg.SendBlock = 16 structs, of 64 serves and of
+// 512 ids. An armed deadline or an open check is none of it: the retry of a
+// request, a serve check, an ack expectation and a confirm session are
+// by-value records in the node's four sim.Deadlines queues, armed with a
+// func value made once. Nor is the content plane: a serve carries the stored
+// slice itself, the receiver hashes it once and stores it in a slot, and the
+// collector's counters are atomic adds. Nor is the scratch a node gathers a
+// proposal, a request or a serve list in before carving it.
 //
 //	per round:
-//	  2  partner lists (membership.Sample), one per propose phase
-//	  2  Proposes, one per phase, shared by the 7 partners: 128 in 64
+//	  2  Proposes, one per phase, shared by the 8 partners: 128 in 64
 //	     rounds, 8 blocks
-//	  1  Request, 1 Ack, 1 Confirm (shared by the 7 witnesses) and
+//	  1  Request, 1 Ack, 1 Confirm (shared by the 8 witnesses) and
 //	     1 ConfirmResp (node 0, a witness of its own, answers): 64 each,
 //	     4 blocks of each
 //	  8  Serves, the serves of node 1's request: 512, 8 blocks
@@ -130,9 +128,12 @@ const blockRounds = 64
 //	     (message, serve check, recovery and ack expectation share them):
 //	     1024, 2 blocks
 //	  16 origins, 8 a proposal: 1024, 2 blocks
-//	  24 long-lived ids, the two proposals and node 1's fan-in block, which
-//	     the logs keep nh periods: 1536, 3 blocks
-const blockAllocs = 2*blockRounds + 8 + 4*4 + 8 + 2 + 2 + 3
+//	  16 partners, 8 a propose phase (membership.Sample appends them to
+//	     a list carved from the set), which the logs keep nh periods and
+//	     the acks name: 1024, 2 blocks
+//	  24 long-lived chunk ids, the two proposals and node 1's fan-in
+//	     block, which the logs keep nh periods: 1536, 3 blocks
+const blockAllocs = 8 + 4*4 + 8 + 2 + 2 + 2 + 3
 
 func TestSteadyStateRoundAllocations(t *testing.T) {
 	const runs = 10

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,7 +10,39 @@ import (
 	"lifting/internal/rng"
 )
 
-// managersFresh recomputes the assignment from scratch, bypassing the epoch
+// managersLocked is the assignment computed from scratch, as Managers
+// computed it on every cache miss before its sets outlived membership
+// changes: the oracle the cache is tested against. Callers hold d.mu.
+func (d *Directory) managersLocked(target msg.NodeID, m int) []msg.NodeID {
+	n := len(d.all)
+	if n <= 1 {
+		return nil
+	}
+	alive := len(d.alive)
+	if _, selfAlive := d.aliveAt[target]; selfAlive {
+		alive--
+	}
+	if m > alive {
+		m = alive
+	}
+	if m <= 0 {
+		return nil
+	}
+	out := make([]msg.NodeID, 0, m)
+	for salt := uint32(0); len(out) < m; salt++ {
+		b, _ := jump(managerHash(target, salt), n)
+		id := d.all[b]
+		if id == target || slices.Contains(out, id) {
+			continue
+		}
+		if _, live := d.aliveAt[id]; live {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// managersFresh recomputes the assignment from scratch, bypassing the
 // cache — the reference the cache is tested against.
 func (d *Directory) managersFresh(target msg.NodeID, m int) []msg.NodeID {
 	d.mu.Lock()
@@ -117,6 +150,64 @@ func TestManagersHitAllocsZero(t *testing.T) {
 	}
 }
 
+// TestManagersSurviveUnrelatedExpel: an Expel of a node outside a target's
+// set cannot move it, so the cached set stands — the lookup after it
+// allocates nothing and returns the very slice it returned before.
+func TestManagersSurviveUnrelatedExpel(t *testing.T) {
+	const n, m, runs = 1000, 25, 100
+	d := Sequential(n)
+	set := d.Managers(42, m)
+	var victims []msg.NodeID
+	for id := msg.NodeID(0); len(victims) < runs+1; id++ { // AllocsPerRun warms up once
+		if id != 42 && !slices.Contains(set, id) {
+			victims = append(victims, id)
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		d.Expel(victims[i])
+		i++
+		d.Managers(42, m)
+	})
+	if got != 0 {
+		t.Fatalf("Managers after an unrelated Expel allocates %v objects, want 0", got)
+	}
+	if now := d.Managers(42, m); &now[0] != &set[0] {
+		t.Fatal("Managers after unrelated Expels returned a new slice")
+	}
+}
+
+// TestManagersKeepSetsAChangeLeavesAlone: across random churn, a lookup
+// whose answer a change did not move returns the very slice it returned
+// before the change — the cache allocates only for answers that change.
+func TestManagersKeepSetsAChangeLeavesAlone(t *testing.T) {
+	d := Sequential(120)
+	r := rng.New(17).Derive("keep")
+	next := msg.NodeID(120)
+	const m = 8
+	before := map[msg.NodeID][]msg.NodeID{}
+	for step := 0; step < 200; step++ {
+		for _, target := range d.All() {
+			before[target] = d.Managers(target, m)
+		}
+		switch all := d.All(); r.IntN(3) {
+		case 0:
+			d.Join(next)
+			next++
+		case 1:
+			d.Join(all[r.IntN(len(all))])
+		default:
+			d.Expel(all[r.IntN(len(all))])
+		}
+		for target, old := range before {
+			now := d.Managers(target, m)
+			if slices.Equal(old, now) && len(now) > 0 && &old[0] != &now[0] {
+				t.Fatalf("step %d: Managers(%d, %d) = %v again, in a new slice", step, target, m, now)
+			}
+		}
+	}
+}
+
 // TestManagersConcurrentWithChurn drives lookups from several goroutines
 // while the membership shifts — the shape the live and UDP backends produce.
 // Run with -race to check the cache's locking.
@@ -151,7 +242,7 @@ func TestManagersConcurrentWithChurn(t *testing.T) {
 
 // BenchmarkManagers measures the steady-state manager lookup at 10k nodes —
 // the per-blame/per-read/per-rebalance hot path. All lookups after the first
-// epoch-warming pass are cache hits: 0 allocs/op.
+// warming pass are cache hits: 0 allocs/op.
 func BenchmarkManagers(b *testing.B) {
 	const n, m = 10000, 25
 	d := Sequential(n)

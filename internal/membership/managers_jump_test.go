@@ -15,7 +15,7 @@ func TestJumpInRange(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 1000, 1 << 20, 1 << 30} {
 		for i := 0; i < 2000; i++ {
 			for _, key := range []uint64{r.Uint64(), managerHash(msg.NodeID(i), uint32(n))} {
-				if b := jump(key, n); b < 0 || b >= n {
+				if b, _ := jump(key, n); b < 0 || b >= n {
 					t.Fatalf("jump(%#x, %d) = %d, outside [0, %d)", key, n, b, n)
 				}
 			}
@@ -25,7 +25,9 @@ func TestJumpInRange(t *testing.T) {
 
 // TestJumpMovesOnlyToNewBucket is the consistency property a join rests on:
 // growing the bucket count from n to n+1 leaves a key where it was or moves
-// it to the new bucket n, never between old buckets.
+// it to the new bucket n, never between old buckets. The walk's next
+// candidate, which the manager cache keeps as its reach, says which: the key
+// moves exactly when n+1 passes it, and stays with the same next otherwise.
 func TestJumpMovesOnlyToNewBucket(t *testing.T) {
 	r := rng.New(5).Derive("jump-grow")
 	keys := make([]uint64, 200)
@@ -33,14 +35,18 @@ func TestJumpMovesOnlyToNewBucket(t *testing.T) {
 		keys[i] = r.Uint64()
 	}
 	for _, key := range keys {
-		prev := jump(key, 1)
+		prev, reach := jump(key, 1)
 		for n := 1; n <= 5000; n++ {
-			next := jump(key, n+1)
+			next, nextReach := jump(key, n+1)
 			if next != prev && next != n {
 				t.Fatalf("jump(%#x, %d) = %d but jump(%#x, %d) = %d: moved between old buckets",
 					key, n, prev, key, n+1, next)
 			}
-			prev = next
+			if moved := next != prev; moved != (int64(n+1) > reach) || !moved && nextReach != reach {
+				t.Fatalf("jump(%#x, %d) = %d with next %d, but jump(%#x, %d) = %d with next %d",
+					key, n, prev, reach, key, n+1, next, nextReach)
+			}
+			prev, reach = next, nextReach
 		}
 	}
 }
@@ -54,7 +60,8 @@ func TestJumpUniform(t *testing.T) {
 		counts := make([]int, n)
 		for target := 0; target < n; target++ {
 			for salt := uint32(0); salt < perBucket; salt++ {
-				counts[jump(managerHash(msg.NodeID(target), salt), n)]++
+				b, _ := jump(managerHash(msg.NodeID(target), salt), n)
+				counts[b]++
 			}
 		}
 		for b, c := range counts {

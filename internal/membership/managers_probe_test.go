@@ -29,7 +29,8 @@ func (d *Directory) managersByMap(target msg.NodeID, m int) []msg.NodeID {
 	out := make([]msg.NodeID, 0, m)
 	used := map[msg.NodeID]struct{}{target: {}}
 	for salt := uint32(0); len(out) < m; salt++ {
-		id := d.all[jump(managerHash(target, salt), n)]
+		b, _ := jump(managerHash(target, salt), n)
+		id := d.all[b]
 		if _, dup := used[id]; dup {
 			continue
 		}

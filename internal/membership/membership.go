@@ -7,6 +7,8 @@ package membership
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -30,21 +32,43 @@ type Directory struct {
 	aliveAt map[msg.NodeID]int // index into alive, for O(1) removal
 
 	// epoch counts membership changes (Join/Expel that actually changed the
-	// view). The manager-assignment cache below is valid for exactly one
-	// epoch: Managers is the hot path of every blame flush, score read and
-	// rebalance, and at 10k nodes recomputing the probe sequence (plus its
-	// dedup map) on every call dominated those paths.
+	// view); expelledAt and revivedAt hold, per idBit, the epoch of the last
+	// Expel and the last revival of an id with that bit.
 	epoch      uint64
-	mgrCache   map[mgrKey][]msg.NodeID
-	cacheEpoch uint64
+	expelledAt [64]uint64
+	revivedAt  [64]uint64
+
+	// The manager cache. Managers is the hot path of every blame flush,
+	// score read and rebalance, and at 10k nodes recomputing the probe
+	// sequence on every call dominated those paths. An entry outlives every
+	// membership change that cannot move its set: the first lookup after a
+	// change checks it (validLocked), and recomputes it only if the change
+	// may have moved it. Entries are never dropped.
+	mgrCache map[mgrKey]mgrEntry
+	scratch  []msg.NodeID // a recomputed set, until it is kept
 }
 
 // mgrKey indexes the manager cache: the assignment depends on the target and
-// the requested set size only (given the membership view of one epoch).
+// the requested set size only (given the membership view).
 type mgrKey struct {
 	target msg.NodeID
 	m      int
 }
+
+// mgrEntry is one cached assignment and what it rests on: 48 bytes, which
+// with its 16-byte key make a 64-byte map slot, plus the set's 4 bytes a
+// manager.
+type mgrEntry struct {
+	set     []msg.NodeID
+	checked uint64 // the epoch at which set was last known right
+	skipped uint64 // idBit of every departed node a probe passed over
+	reach   int32  // no probe moves while there are at most reach slots
+	capped  bool   // the set is cut short of m, or nothing was probed
+}
+
+// idBit is id's bit in mgrEntry.skipped, and its index in expelledAt and
+// revivedAt.
+func idBit(id msg.NodeID) uint { return uint(id & 63) }
 
 // NewDirectory creates a directory over the given node ids, all alive.
 // It panics on duplicate ids.
@@ -54,7 +78,7 @@ func NewDirectory(ids []msg.NodeID) *Directory {
 		known:    make(map[msg.NodeID]bool, len(ids)),
 		alive:    make([]msg.NodeID, len(ids)),
 		aliveAt:  make(map[msg.NodeID]int, len(ids)),
-		mgrCache: make(map[mgrKey][]msg.NodeID),
+		mgrCache: make(map[mgrKey]mgrEntry),
 	}
 	copy(d.all, ids)
 	copy(d.alive, ids)
@@ -110,13 +134,15 @@ func (d *Directory) Join(id msg.NodeID) bool {
 	if _, live := d.aliveAt[id]; live {
 		return false
 	}
-	if !d.known[id] {
+	d.epoch++
+	if d.known[id] {
+		d.revivedAt[idBit(id)] = d.epoch
+	} else {
 		d.known[id] = true
 		d.all = append(d.all, id)
 	}
 	d.aliveAt[id] = len(d.alive)
 	d.alive = append(d.alive, id)
-	d.epoch++
 	return true
 }
 
@@ -136,6 +162,7 @@ func (d *Directory) Expel(id msg.NodeID) bool {
 	d.alive = d.alive[:last]
 	delete(d.aliveAt, id)
 	d.epoch++
+	d.expelledAt[idBit(id)] = d.epoch
 	return true
 }
 
@@ -147,10 +174,11 @@ func (d *Directory) Epoch() uint64 {
 	return d.epoch
 }
 
-// Sample returns k distinct live nodes chosen uniformly at random, never
-// including self. If fewer than k candidates exist, all of them are
-// returned. The result order is random.
-func (d *Directory) Sample(s *rng.Stream, k int, self msg.NodeID) []msg.NodeID {
+// Sample appends k distinct live nodes chosen uniformly at random, never
+// including self, to out and returns it. If fewer than k candidates exist,
+// all of them are appended. The order is random. A caller that hands in a
+// slice with room for k allocates nothing.
+func (d *Directory) Sample(s *rng.Stream, k int, self msg.NodeID, out []msg.NodeID) []msg.NodeID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	candidates := len(d.alive)
@@ -161,16 +189,15 @@ func (d *Directory) Sample(s *rng.Stream, k int, self msg.NodeID) []msg.NodeID {
 		k = candidates
 	}
 	if k <= 0 {
-		return nil
+		return out
 	}
-	out := make([]msg.NodeID, 0, k)
 	// Draw slots of the alive slice, re-drawing self and repeats: rejection
 	// is cheap because k is a fanout, a handful against the population, and
 	// so is finding a repeat by scanning the picks made so far.
-	n := len(d.alive)
-	for len(out) < k {
+	n, start := len(d.alive), len(out)
+	for len(out)-start < k {
 		pick := d.alive[s.IntN(n)]
-		if pick == self || slices.Contains(out, pick) {
+		if pick == self || slices.Contains(out[start:], pick) {
 			continue
 		}
 		out = append(out, pick)
@@ -185,32 +212,71 @@ func (d *Directory) Sample(s *rng.Stream, k int, self msg.NodeID) []msg.NodeID {
 // manager's duties migrate when it leaves — the caller performs the state
 // handoff.
 //
-// Results are cached per membership epoch: a cache hit takes a read lock and
-// a map probe, no allocation. The returned slice is shared — callers must
-// treat it as read-only (every caller only iterates it).
+// Results are cached per (target, m), and a set survives every membership
+// change that cannot move it: a hit takes a read lock and a map probe, no
+// allocation, and a set is allocated again only when it really changes.
+// The returned slice is shared — callers must treat it as read-only (every
+// caller only iterates it) — and is never written after it is returned.
 func (d *Directory) Managers(target msg.NodeID, m int) []msg.NodeID {
 	key := mgrKey{target: target, m: m}
 	d.mu.RLock()
-	if d.cacheEpoch == d.epoch {
-		if out, ok := d.mgrCache[key]; ok {
-			d.mu.RUnlock()
-			return out
-		}
+	if e, ok := d.mgrCache[key]; ok && e.checked == d.epoch {
+		d.mu.RUnlock()
+		return e.set
 	}
 	d.mu.RUnlock()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cacheEpoch != d.epoch {
-		clear(d.mgrCache)
-		d.cacheEpoch = d.epoch
+	e, ok := d.mgrCache[key]
+	if ok && e.checked == d.epoch {
+		return e.set
 	}
-	if out, ok := d.mgrCache[key]; ok {
-		return out
+	if !ok || !d.validLocked(&e) {
+		d.scratch = d.probeLocked(&e, target, m, d.scratch[:0])
+		switch {
+		case len(d.scratch) == 0:
+			e.set = nil
+		case !slices.Equal(d.scratch, e.set):
+			e.set = append(make([]msg.NodeID, 0, len(d.scratch)), d.scratch...)
+		}
 	}
-	out := d.managersLocked(target, m)
-	d.mgrCache[key] = out
-	return out
+	e.checked = d.epoch
+	d.mgrCache[key] = e
+	return e.set
+}
+
+// validLocked reports whether e's set is still right. Callers hold d.mu.
+// The set is what probes 0..k computed — each a registration slot, skipped
+// if it holds the target, an earlier pick or a departed node — until m were
+// live, m cut to the live nodes but the target. It stands while every one
+// of those probes lands where it did on a node as live as it was, and the
+// cut does not move:
+//   - a fresh join appends slot n, and moves a probe onto it once there are
+//     more than reach slots (jump);
+//   - a probe that stopped on a live node picked it, so an Expel can only
+//     matter if it took a node of the set — and the cut can bite only then,
+//     as the set holds every live node but the target;
+//   - a revival can only matter if it is of a departed node a probe passed
+//     over, which skipped and revivedAt say conservatively (by idBit);
+//   - a capped set may move with any change.
+func (d *Directory) validLocked(e *mgrEntry) bool {
+	if e.capped || len(d.all) > int(e.reach) {
+		return false
+	}
+	for _, id := range e.set {
+		if d.expelledAt[idBit(id)] > e.checked {
+			if _, live := d.aliveAt[id]; !live {
+				return false
+			}
+		}
+	}
+	for skipped := e.skipped; skipped != 0; skipped &= skipped - 1 {
+		if d.revivedAt[bits.TrailingZeros64(skipped)] > e.checked {
+			return false
+		}
+	}
+	return true
 }
 
 // FNV-1a parameters (identical to hash/fnv's 64-bit variant, inlined so a
@@ -237,49 +303,50 @@ func managerHash(target msg.NodeID, salt uint32) uint64 {
 // jump is Lamping and Veach's jump consistent hash ("A Fast, Minimal Memory,
 // Consistent Hash Algorithm", 2014): it maps key to a bucket in [0, n), and
 // growing n to n+1 moves a key with probability 1/(n+1), only ever to the new
-// bucket n. It takes O(ln n) steps and no memory.
-func jump(key uint64, n int) int {
+// bucket n. It takes O(ln n) steps and no memory. next is the candidate that
+// ended the walk: key stays in bucket for every bucket count up to next, and
+// moves to bucket next at next+1.
+func jump(key uint64, n int) (bucket int, next int64) {
 	b, j := int64(-1), int64(0)
 	for j < int64(n) {
 		b = j
 		key = key*2862933555777941757 + 1
 		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
 	}
-	return int(b)
+	return int(b), j
 }
 
-// managersLocked computes the assignment from scratch. Callers hold d.mu.
-// Each probe picks the registration slot jump(managerHash(target, salt), n).
-// d.all is append-only, so a fresh join only adds slot n and moves just the
-// probes that now land on the joiner: a target's set changes only if the new
-// set contains the joiner, and an Expel or a revival leaves every probe where
-// it was. A probe that lands on the target, on a departed node or on a pick
-// already made is skipped — the same probes the set of every id seen skipped,
-// since a departed id stays departed within the call — so the result is the
-// one allocation a cache miss makes.
-func (d *Directory) managersLocked(target msg.NodeID, m int) []msg.NodeID {
+// probeLocked computes target's m managers into out and records in e what
+// the result rests on (validLocked). Callers hold d.mu. Each probe picks
+// the registration slot jump(managerHash(target, salt), n) and skips the
+// target, a pick already made and a departed node, until it has m — cut to
+// the live nodes but the target — picks. d.all is append-only, so a fresh
+// join only adds slot n and moves just the probes that now land on the
+// joiner, and an Expel or a revival leaves every probe where it was.
+func (d *Directory) probeLocked(e *mgrEntry, target msg.NodeID, m int, out []msg.NodeID) []msg.NodeID {
 	n := len(d.all)
-	if n <= 1 {
-		return nil
-	}
 	alive := len(d.alive)
 	if _, selfAlive := d.aliveAt[target]; selfAlive {
 		alive--
 	}
-	if m > alive {
-		m = alive
+	e.capped, e.skipped, e.reach = n <= 1 || m > alive, 0, math.MaxInt32
+	if n <= 1 {
+		return out
 	}
-	if m <= 0 {
-		return nil
-	}
-	out := make([]msg.NodeID, 0, m)
+	m = min(m, alive)
 	for salt := uint32(0); len(out) < m; salt++ {
-		id := d.all[jump(managerHash(target, salt), n)]
+		b, next := jump(managerHash(target, salt), n)
+		if next < int64(e.reach) {
+			e.reach = int32(next)
+		}
+		id := d.all[b]
 		if id == target || slices.Contains(out, id) {
 			continue
 		}
 		if _, live := d.aliveAt[id]; live {
 			out = append(out, id)
+		} else {
+			e.skipped |= 1 << idBit(id)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +53,7 @@ func TestExpel(t *testing.T) {
 	}
 	// Remaining nodes still sampleable.
 	s := rng.New(1)
-	got := d.Sample(s, 3, 0)
+	got := d.Sample(s, 3, 0, nil)
 	for _, id := range got {
 		if id == 2 || id == 0 {
 			t.Fatalf("Sample returned expelled or self node: %v", got)
@@ -67,7 +68,7 @@ func TestSampleNeverSelfNeverDup(t *testing.T) {
 	d := Sequential(30)
 	s := rng.New(7)
 	for trial := 0; trial < 500; trial++ {
-		out := d.Sample(s, 12, 5)
+		out := d.Sample(s, 12, 5, nil)
 		if len(out) != 12 {
 			t.Fatalf("len = %d, want 12", len(out))
 		}
@@ -91,7 +92,7 @@ func TestSampleUniformity(t *testing.T) {
 	counts := make([]int, 50)
 	const trials = 30000
 	for i := 0; i < trials; i++ {
-		for _, id := range d.Sample(s, 7, 0) {
+		for _, id := range d.Sample(s, 7, 0, nil) {
 			counts[id]++
 		}
 	}
@@ -108,7 +109,7 @@ func TestSampleUniformity(t *testing.T) {
 func TestSampleKLargerThanPopulation(t *testing.T) {
 	d := Sequential(4)
 	s := rng.New(1)
-	out := d.Sample(s, 10, 1)
+	out := d.Sample(s, 10, 1, nil)
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3 (everyone but self)", len(out))
 	}
@@ -117,11 +118,11 @@ func TestSampleKLargerThanPopulation(t *testing.T) {
 func TestSampleZeroAndEmpty(t *testing.T) {
 	d := Sequential(3)
 	s := rng.New(1)
-	if out := d.Sample(s, 0, 0); out != nil {
+	if out := d.Sample(s, 0, 0, nil); out != nil {
 		t.Fatalf("Sample(0) = %v, want nil", out)
 	}
 	d1 := Sequential(1)
-	if out := d1.Sample(s, 5, 0); out != nil {
+	if out := d1.Sample(s, 5, 0, nil); out != nil {
 		t.Fatalf("Sample from single-node system = %v, want nil", out)
 	}
 }
@@ -131,7 +132,7 @@ func TestSampleExternalSelf(t *testing.T) {
 	// dedicated id) must still be able to sample everyone.
 	d := Sequential(5)
 	s := rng.New(2)
-	out := d.Sample(s, 5, 1000)
+	out := d.Sample(s, 5, 1000, nil)
 	if len(out) != 5 {
 		t.Fatalf("len = %d, want 5", len(out))
 	}
@@ -199,7 +200,7 @@ func TestSamplePropertyQuick(t *testing.T) {
 		self := msg.NodeID(selfRaw % uint8(n))
 		d := Sequential(n)
 		s := rng.New(uint64(nRaw)<<16 | uint64(kRaw)<<8 | uint64(selfRaw))
-		out := d.Sample(s, k, self)
+		out := d.Sample(s, k, self, nil)
 		want := k
 		if want > n-1 {
 			want = n - 1
@@ -218,5 +219,65 @@ func TestSamplePropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sampleFresh is Sample as it stood when it allocated its result: the
+// reference the appending Sample is diffed against, draw for draw.
+func (d *Directory) sampleFresh(s *rng.Stream, k int, self msg.NodeID) []msg.NodeID {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	candidates := len(d.alive)
+	if _, selfAlive := d.aliveAt[self]; selfAlive {
+		candidates--
+	}
+	if k > candidates {
+		k = candidates
+	}
+	if k <= 0 {
+		return nil
+	}
+	out := make([]msg.NodeID, 0, k)
+	n := len(d.alive)
+	for len(out) < k {
+		pick := d.alive[s.IntN(n)]
+		if pick == self || slices.Contains(out, pick) {
+			continue
+		}
+		out = append(out, pick)
+	}
+	return out
+}
+
+// TestSampleAppendsLikeFreshSample: appending to a list that already holds
+// ids — some of them the ones drawn — picks what the allocating Sample
+// picked with the same draws, leaves the prefix alone, and allocates
+// nothing when the list has room.
+func TestSampleAppendsLikeFreshSample(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rng.New(seed).Derive("sample-append")
+		n := 1 + r.IntN(40)
+		d := Sequential(n)
+		for k := r.IntN(n); k > 0; k-- {
+			d.Expel(msg.NodeID(r.IntN(n)))
+		}
+		k, self := r.IntN(n+3), msg.NodeID(r.IntN(n+1))
+		prefix := []msg.NodeID{msg.NodeID(r.IntN(n)), msg.NodeID(r.IntN(n))}
+		want := d.sampleFresh(rng.New(seed), k, self)
+		s := rng.New(seed)
+		got := d.Sample(s, k, self, append(make([]msg.NodeID, 0, len(prefix)+k), prefix...))
+		if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+			t.Fatalf("seed %d: Sample(k %d, self %d) after %v = %v, want %v", seed, k, self, prefix, got, want)
+		}
+		ref := rng.New(seed)
+		d.sampleFresh(ref, k, self)
+		if s.Uint64() != ref.Uint64() {
+			t.Fatalf("seed %d: Sample made other draws than the allocating one", seed)
+		}
+	}
+	d, s := Sequential(100), rng.New(1)
+	buf := make([]msg.NodeID, 0, 12)
+	if got := testing.AllocsPerRun(100, func() { d.Sample(s, 12, 3, buf[:0]) }); got != 0 {
+		t.Fatalf("Sample into a list with room allocates %v objects, want 0", got)
 	}
 }

@@ -212,11 +212,11 @@ func (b *Blocks[T]) Place(v T, size int) *T {
 // there is one set per engine shard on the sim (a shard's window runs on one
 // goroutine, and the global phase only while every shard is parked) and one
 // per node on udp, whose callbacks the node's lock serializes. The lists a
-// history.Log keeps for nh periods — a proposal, a fan-in block — come from
-// blocks of their own, so that one long-held list does not pin a block of
-// short-lived ones. Nothing is carved twice (see Blocks), so a receiver on
-// the sim, which is handed the sender's very message, may keep what it
-// holds. The zero value is ready to use.
+// history.Log keeps for nh periods — a proposal, a fan-in block, a propose
+// phase's partners — come from blocks of their own, so that one long-held
+// list does not pin a block of short-lived ones. Nothing is carved twice
+// (see Blocks), so a receiver on the sim, which is handed the sender's very
+// message, may keep what it holds. The zero value is ready to use.
 type Sends struct {
 	proposes     Blocks[Propose]
 	requests     Blocks[Request]
@@ -226,9 +226,10 @@ type Sends struct {
 	confirmResps Blocks[ConfirmResp]
 	blames       Blocks[Blame]
 
-	chunks  Blocks[ChunkID] // request and serve lists: held until a timeout
-	kept    Blocks[ChunkID] // proposals and fan-in blocks: held nh periods
-	origins Blocks[NodeID]
+	chunks   Blocks[ChunkID] // request and serve lists: held until a timeout
+	kept     Blocks[ChunkID] // proposals and fan-in blocks: held nh periods
+	origins  Blocks[NodeID]
+	partners Blocks[NodeID] // partner lists: held nh periods
 }
 
 // Propose returns v carved from the set.
@@ -269,6 +270,10 @@ func (s *Sends) KeptChunks(n int) []ChunkID { return s.kept.carve(n, sendIDBlock
 
 // Origins returns n zero node ids carved from the set: a proposal's origins.
 func (s *Sends) Origins(n int) []NodeID { return s.origins.carve(n, sendIDBlock) }
+
+// Partners returns an empty list with room for n node ids, carved from the
+// set's long-lived lists: a propose phase's partners, appended to it.
+func (s *Sends) Partners(n int) []NodeID { return s.partners.carve(n, sendIDBlock)[:0] }
 
 // Decoder decodes exactly as Decode does, for one goroutine at a time, but
 // carves the structs, id lists and payloads of the hot message kinds (serve,

@@ -112,6 +112,11 @@ func (b *Board) Score(target msg.NodeID) float64 {
 	if !ok {
 		return 0
 	}
+	return b.score(e)
+}
+
+// score is Score of a tracked entry.
+func (b *Board) score(e Entry) float64 {
 	return b.compensation - e.TotalBlame/float64(b.periods(e))
 }
 

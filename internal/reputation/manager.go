@@ -68,10 +68,7 @@ func (m *Manager) Tick(p msg.Period) {
 	m.board.SetPeriod(p)
 	var toExpel []msg.NodeID
 	m.board.Each(func(id msg.NodeID, e Entry) {
-		if e.Expelled || m.board.Periods(id) < m.cfg.GracePeriods {
-			return
-		}
-		if m.board.Score(id) < m.cfg.Eta {
+		if !e.Expelled && m.board.periods(e) >= m.cfg.GracePeriods && m.board.score(e) < m.cfg.Eta {
 			toExpel = append(toExpel, id)
 		}
 	})
@@ -148,8 +145,8 @@ func (m *Manager) Scores() map[msg.NodeID]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[msg.NodeID]float64)
-	m.board.Each(func(id msg.NodeID, _ Entry) {
-		out[id] = m.board.Score(id)
+	m.board.Each(func(id msg.NodeID, e Entry) {
+		out[id] = m.board.score(e)
 	})
 	return out
 }
