@@ -66,7 +66,7 @@ func TestSendRecvDropSymmetry(t *testing.T) {
 
 func TestOverheadRatio(t *testing.T) {
 	c := NewCollector()
-	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 10000}
+	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 10000, Payload: make([]byte, 10000)}
 	blame := &msg.Blame{Sender: 2, Target: 3, Value: 1}
 	c.OnSend(1, serve, serve.WireSize())
 	c.OnSend(2, blame, blame.WireSize())

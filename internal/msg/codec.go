@@ -19,8 +19,7 @@ var (
 
 const maxListLen = 1<<16 - 1
 
-// Encode serializes m into a fresh byte slice. The layout is
-// kind(1) | sender(4) | kind-specific body, all big-endian.
+// Encode serializes m into a fresh byte slice (see walk for the layout).
 func Encode(m Message) ([]byte, error) {
 	return AppendEncode(make([]byte, 0, 64), m)
 }
@@ -29,113 +28,119 @@ func Encode(m Message) ([]byte, error) {
 // slice. The hot send paths pass a reused buffer (dst[:0]) so steady-state
 // encoding allocates nothing.
 func AppendEncode(dst []byte, m Message) ([]byte, error) {
-	w := &writer{buf: dst}
-	w.u8(uint8(m.Kind()))
-	w.u32(uint32(m.From()))
+	b, _, err := walk(dst, false, m)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// EncodedSize returns the length of m's encoding: AppendEncode's walk,
+// adding up lengths instead of writing bytes, so it allocates nothing. A
+// message Encode rejects is counted as its layout would hold it.
+func EncodedSize(m Message) int {
+	_, n, _ := walk(nil, true, m)
+	return n
+}
+
+// walk walks m in its wire layout: kind(1) | sender(4) | kind-specific
+// body, all big-endian; an id list is a 2-byte length and then 4 bytes per
+// id. It is the one statement of every message's layout: AppendEncode has
+// it append to dst, EncodedSize has it count. It returns the extended dst,
+// the bytes counted and the walk's error. Two choices keep it as fast as
+// the appends it replaced: the writer is a local of walk, so storing its
+// buffer takes no write barrier, and each case walks its own head, so a
+// count makes no interface call.
+func walk(dst []byte, count bool, m Message) ([]byte, int, error) {
+	w := &writer{buf: dst, count: count}
 	switch v := m.(type) {
 	case *Propose:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Period))
-		if err := w.chunkList(v.Chunks); err != nil {
-			return nil, err
-		}
-		if err := w.nodeList(v.Origins); err != nil {
-			return nil, err
-		}
+		list(w, v.Chunks)
+		list(w, v.Origins)
 	case *Request:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Period))
-		if err := w.chunkList(v.Chunks); err != nil {
-			return nil, err
-		}
+		list(w, v.Chunks)
 	case *Serve:
+		w.head(v.Kind(), v.Sender)
 		if v.PayloadSize < 0 || v.PayloadSize > MaxChunkPayload || len(v.Payload) > MaxChunkPayload {
-			return nil, ErrPayloadBounds
+			w.err = ErrPayloadBounds
 		}
-		// Serves dominate wire traffic: reserve the fixed 24-byte body in
-		// one grow instead of five appends, then append the payload bytes
-		// directly after their 4-byte length (the zero-copy half of the
-		// hot encode path).
-		n := len(w.buf)
-		w.buf = append(w.buf, make([]byte, 24)...)
-		b := w.buf[n : n+24 : n+24]
-		binary.BigEndian.PutUint32(b[0:], uint32(v.Period))
-		binary.BigEndian.PutUint32(b[4:], uint32(v.Chunk))
-		binary.BigEndian.PutUint32(b[8:], uint32(v.PayloadSize))
-		binary.BigEndian.PutUint64(b[12:], v.Hash)
-		binary.BigEndian.PutUint32(b[20:], uint32(len(v.Payload)))
-		w.buf = append(w.buf, v.Payload...)
-	case *Ack:
 		w.u32(uint32(v.Period))
-		if err := w.chunkList(v.Chunks); err != nil {
-			return nil, err
-		}
-		if err := w.nodeList(v.Partners); err != nil {
-			return nil, err
-		}
+		w.u32(uint32(v.Chunk))
+		w.u32(uint32(v.PayloadSize))
+		w.u64(v.Hash)
+		w.u32(uint32(len(v.Payload)))
+		w.raw(v.Payload)
+	case *Ack:
+		w.head(v.Kind(), v.Sender)
+		w.u32(uint32(v.Period))
+		list(w, v.Chunks)
+		list(w, v.Partners)
 	case *Confirm:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Suspect))
 		w.u32(uint32(v.Period))
-		if err := w.chunkList(v.Chunks); err != nil {
-			return nil, err
-		}
+		list(w, v.Chunks)
 	case *ConfirmResp:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Suspect))
 		w.u32(uint32(v.Period))
 		w.bool(v.Confirmed)
 	case *Blame:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Target))
 		w.f64(v.Value)
 		w.u8(uint8(v.Reason))
 	case *ScoreReq:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Target))
 	case *ScoreResp:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Target))
 		w.f64(v.Score)
 		w.bool(v.Expelled)
 		w.bool(v.Tracked)
 	case *Expel:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Target))
 		w.u8(uint8(v.Reason))
 	case *AuditReq:
+		w.head(v.Kind(), v.Sender)
 		w.u64(uint64(v.Horizon))
 	case *AuditResp:
-		if len(v.Proposals) > maxListLen || len(v.Serves) > maxListLen {
-			return nil, ErrTooLong
-		}
-		w.u16(uint16(len(v.Proposals)))
+		w.head(v.Kind(), v.Sender)
+		w.length(len(v.Proposals))
 		for i := range v.Proposals {
 			r := &v.Proposals[i]
 			w.u32(uint32(r.Period))
 			w.u32(uint32(r.Partner))
-			if err := w.chunkList(r.Chunks); err != nil {
-				return nil, err
-			}
+			list(w, r.Chunks)
 		}
-		w.u16(uint16(len(v.Serves)))
+		w.length(len(v.Serves))
 		for i := range v.Serves {
 			r := &v.Serves[i]
 			w.u32(uint32(r.Period))
 			w.u32(uint32(r.Server))
-			if err := w.chunkList(r.Chunks); err != nil {
-				return nil, err
-			}
+			list(w, r.Chunks)
 		}
 	case *AuditPoll:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Suspect))
 		w.u32(uint32(v.Period))
-		if err := w.chunkList(v.Chunks); err != nil {
-			return nil, err
-		}
+		list(w, v.Chunks)
 	case *AuditPollResp:
+		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Suspect))
 		w.u32(uint32(v.Period))
 		w.bool(v.Confirmed)
-		if err := w.nodeList(v.Askers); err != nil {
-			return nil, err
-		}
+		list(w, v.Askers)
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnknownKind, m)
+		w.err = fmt.Errorf("%w: %T", ErrUnknownKind, m)
 	}
-	return w.buf, nil
+	return w.buf, w.n, w.err
 }
 
 // Decode parses a message previously produced by Encode. Everything it
@@ -438,46 +443,87 @@ func chunkPayload(r *reader, blocks *Blocks[byte], size int) []byte {
 	return p
 }
 
+// writer walks one message (see walk): it appends the bytes to buf or,
+// counting, only adds their number to n. err holds the walk's error, if
+// any.
 type writer struct {
-	buf []byte
+	buf   []byte
+	count bool
+	n     int
+	err   error
 }
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
+// head walks what every message starts with: its kind and its sender.
+func (w *writer) head(k Kind, sender NodeID) {
+	w.u8(uint8(k))
+	w.u32(uint32(sender))
 }
+
+func (w *writer) u8(v uint8) {
+	if w.count {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, v)
+}
+
+func (w *writer) u32(v uint32) {
+	if w.count {
+		w.n += 4
+		return
+	}
+	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
+}
+
+func (w *writer) u64(v uint64) {
+	if w.count {
+		w.n += 8
+		return
+	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+}
+
+func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 func (w *writer) bool(v bool) {
+	var b uint8
 	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		b = 1
 	}
+	w.u8(b)
 }
 
-func (w *writer) chunkList(chunks []ChunkID) error {
-	if len(chunks) > maxListLen {
-		return ErrTooLong
+// raw walks p as it is.
+func (w *writer) raw(p []byte) {
+	if w.count {
+		w.n += len(p)
+		return
 	}
-	w.u16(uint16(len(chunks)))
-	for _, c := range chunks {
-		w.u32(uint32(c))
-	}
-	return nil
+	w.buf = append(w.buf, p...)
 }
 
-func (w *writer) nodeList(nodes []NodeID) error {
-	if len(nodes) > maxListLen {
-		return ErrTooLong
+// length walks a list's 2-byte length.
+func (w *writer) length(n int) {
+	if n > maxListLen {
+		w.err = ErrTooLong
 	}
-	w.u16(uint16(len(nodes)))
-	for _, n := range nodes {
-		w.u32(uint32(n))
+	if w.count {
+		w.n += 2
+		return
 	}
-	return nil
+	w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(n))
+}
+
+// list walks a length-prefixed list of 4-byte ids; counting, by arithmetic.
+func list[T ~uint32](w *writer, ids []T) {
+	w.length(len(ids))
+	if w.count {
+		w.n += 4 * len(ids)
+		return
+	}
+	for _, id := range ids {
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(id))
+	}
 }
 
 // reader walks one encoded message. The first error sticks: every later

@@ -126,3 +126,18 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireSize measures the count pass every simulated send makes: the
+// encoder's walk over the mix, adding up lengths instead of writing bytes.
+func BenchmarkWireSize(b *testing.B) {
+	msgs := benchMessages()
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n += msgs[i%len(msgs)].WireSize()
+	}
+	if n == 0 {
+		b.Fatal("no bytes counted")
+	}
+}

@@ -189,14 +189,13 @@ func TestProposeQuickRoundTrip(t *testing.T) {
 }
 
 func TestWireSizeMatchesScale(t *testing.T) {
-	// WireSize is a model, not the codec's exact output, but it must grow
-	// with content and dominate for serve payloads.
+	// WireSize grows with content and, for a serve, with its payload.
 	small := (&Propose{Sender: 1, Chunks: []ChunkID{1}}).WireSize()
 	big := (&Propose{Sender: 1, Chunks: make([]ChunkID, 100)}).WireSize()
 	if big-small != 99*4 {
 		t.Fatalf("propose wire size growth = %d, want %d", big-small, 99*4)
 	}
-	serve := &Serve{Sender: 1, Chunk: 1, PayloadSize: 1316}
+	serve := &Serve{Sender: 1, Chunk: 1, PayloadSize: 1316, Payload: make([]byte, 1316)}
 	if serve.WireSize() < 1316 {
 		t.Fatal("serve wire size must include payload")
 	}
@@ -457,21 +456,21 @@ func TestKindAndReasonStrings(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeCloseToModel(t *testing.T) {
-	// The model includes a 28-byte transport header the codec does not
-	// emit; otherwise the two should be within a few bytes of each other
-	// for non-payload messages.
+// TestWireSizeIsEncodingPlusHeader pins the one byte count both runtimes
+// charge: a message's encoding plus the IP/UDP header, exactly, for every
+// kind — a serve without a payload included, which ships no payload bytes.
+// Every simulated send counts it, so it must not allocate.
+func TestWireSizeIsEncodingPlusHeader(t *testing.T) {
 	for _, m := range allMessages() {
-		if m.Kind() == KindServe {
-			continue // model includes payload bytes, codec does not
-		}
 		b, err := Encode(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := m.WireSize() - 28
-		if diff := model - len(b); diff < -4 || diff > 12 {
-			t.Errorf("%T: model %d vs encoded %d (diff %d)", m, model, len(b), diff)
+		if got, want := m.WireSize(), TransportHeaderSize+len(b); got != want {
+			t.Errorf("%T: WireSize %d, want %d (%d encoded bytes)", m, got, want, len(b))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = m.WireSize() }); allocs != 0 {
+			t.Errorf("%T: WireSize allocates %.1f times", m, allocs)
 		}
 	}
 }

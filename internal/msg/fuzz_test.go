@@ -60,15 +60,17 @@ func TestDecodeValidPrefixMutations(t *testing.T) {
 // through both the raw codec and the datagram framing. Whatever a remote
 // peer puts in a datagram must produce a message or an error — never a
 // panic, a hang, or an unbounded allocation. Successful decodes must
-// re-encode, and the re-encoding must be a fixed point (canonical form). A
-// Decoder shared across inputs, as a receive loop shares one across
-// datagrams, must agree with Decode on every input. A plain frame's message
-// list is checked whole; when every entry decodes, re-framing the messages
-// gives a frame whose own re-framing is itself (canonical form again). The
-// seed corpus under testdata/fuzz/FuzzDecode holds one framed encoding of
-// every message kind, frames of several messages, and the malformed shapes
-// that matter (length bombs, bad checksums, truncations, lying message
-// lists, mixed senders, a v3 frame); `go test` replays it on every run.
+// re-encode, the re-encoding must be a fixed point (canonical form), and
+// the count pass must agree with the decoder: WireSize is the input's
+// length plus TransportHeaderSize. A Decoder shared across inputs, as a
+// receive loop shares one across datagrams, must agree with Decode on every
+// input. A plain frame's message list is checked whole; when every entry
+// decodes, re-framing the messages gives a frame whose own re-framing is
+// itself (canonical form again). The seed corpus under
+// testdata/fuzz/FuzzDecode holds one framed encoding of every message kind,
+// frames of several messages, and the malformed shapes that matter (length
+// bombs, bad checksums, truncations, lying message lists, mixed senders, a
+// v3 frame); `go test` replays it on every run.
 func FuzzDecode(f *testing.F) {
 	for _, m := range allMessages() {
 		if b, err := Encode(m); err == nil {
@@ -99,6 +101,9 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decoder gave error %v, Decode %v", derr, err)
 		}
 		if err == nil {
+			if got, want := m.WireSize(), TransportHeaderSize+len(data); got != want {
+				t.Fatalf("a %d-byte %s: WireSize %d, want %d", len(data), m.Kind(), got, want)
+			}
 			b, err := Encode(m)
 			if err != nil {
 				t.Fatalf("re-encoding a decoded message failed: %v", err)

@@ -4,9 +4,10 @@
 // direct cross-checking, blame/score traffic for the reputation substrate,
 // and the audit messages of local history auditing.
 //
-// Every message carries an explicit wire-size model so the simulator can
-// account bandwidth without serializing each event, and a real binary codec
-// (see codec.go) used by the UDP transport and the codec tests.
+// Every message's wire size is the encoding's length plus a 28-byte IP/UDP
+// header. The binary codec (see codec.go) that the UDP transport ships
+// walks a message once to write it; the same walk, counting instead of
+// writing, gives the simulator each message's size without serializing it.
 package msg
 
 import "time"
@@ -83,28 +84,19 @@ func (k Kind) IsVerification() bool {
 	}
 }
 
-// Wire-size model constants, in bytes. headerSize approximates the UDP/IP
-// header plus our own kind/sender framing; the exact values only matter for
-// the relative overhead numbers of Table 5, which compare verification bytes
-// against stream bytes under the same model.
-const (
-	headerSize   = 28 + 5 // IP+UDP header, kind byte, 4-byte sender
-	nodeIDSize   = 4
-	chunkIDSize  = 4
-	periodSize   = 4
-	float64Size  = 8
-	boolSize     = 1
-	lenPrefix    = 2
-	durationSize = 8
-)
+// TransportHeaderSize is what the network adds to every message on top of
+// its encoding: a 20-byte IPv4 header and an 8-byte UDP header. Both
+// runtimes charge each message this plus EncodedSize (see WireSize); a
+// frame's header and entry lengths are not charged.
+const TransportHeaderSize = 28
 
 // Message is implemented by every protocol and verification message.
 type Message interface {
 	Kind() Kind
 	// From returns the sending node.
 	From() NodeID
-	// WireSize returns the modelled size of the message on the wire, in
-	// bytes, including transport headers.
+	// WireSize returns the size of the message on the wire, in bytes:
+	// TransportHeaderSize plus the length of its encoding (EncodedSize).
 	WireSize() int
 }
 
@@ -128,9 +120,7 @@ func (m *Propose) Kind() Kind { return KindPropose }
 func (m *Propose) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Propose) WireSize() int {
-	return headerSize + periodSize + lenPrefix + len(m.Chunks)*chunkIDSize + lenPrefix + len(m.Origins)*nodeIDSize
-}
+func (m *Propose) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // Request asks the proposer to serve the subset of proposed chunks the
 // requester needs (§3, request phase).
@@ -147,9 +137,7 @@ func (m *Request) Kind() Kind { return KindRequest }
 func (m *Request) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Request) WireSize() int {
-	return headerSize + periodSize + lenPrefix + len(m.Chunks)*chunkIDSize
-}
+func (m *Request) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // MaxChunkPayload bounds the payload bytes one Serve may carry (and the
 // PayloadSize it claims). It is a codec-level defense: a remote peer claiming
@@ -184,13 +172,7 @@ func (m *Serve) Kind() Kind { return KindServe }
 func (m *Serve) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Serve) WireSize() int {
-	p := m.PayloadSize
-	if m.Payload != nil {
-		p = len(m.Payload)
-	}
-	return headerSize + periodSize + chunkIDSize + 4 + 8 + 4 + p
-}
+func (m *Serve) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // Ack tells a previous server which partners the sender forwarded the served
 // chunks to (§5.2): "p1 acknowledges to p0 that it proposed ci to a set of f
@@ -213,9 +195,7 @@ func (m *Ack) Kind() Kind { return KindAck }
 func (m *Ack) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Ack) WireSize() int {
-	return headerSize + periodSize + lenPrefix + len(m.Chunks)*chunkIDSize + lenPrefix + len(m.Partners)*nodeIDSize
-}
+func (m *Ack) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // Confirm asks a witness whether it received a proposal from Suspect
 // containing Chunks (§5.2, sent with probability pdcc).
@@ -233,9 +213,7 @@ func (m *Confirm) Kind() Kind { return KindConfirm }
 func (m *Confirm) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Confirm) WireSize() int {
-	return headerSize + nodeIDSize + periodSize + lenPrefix + len(m.Chunks)*chunkIDSize
-}
+func (m *Confirm) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // ConfirmResp is the witness's yes/no answer to a Confirm.
 type ConfirmResp struct {
@@ -254,9 +232,7 @@ func (m *ConfirmResp) Kind() Kind { return KindConfirmResp }
 func (m *ConfirmResp) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *ConfirmResp) WireSize() int {
-	return headerSize + nodeIDSize + periodSize + boolSize
-}
+func (m *ConfirmResp) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // BlameReason classifies why a blame was emitted (Table 1 / Table 2).
 type BlameReason uint8
@@ -310,9 +286,7 @@ func (m *Blame) Kind() Kind { return KindBlame }
 func (m *Blame) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Blame) WireSize() int {
-	return headerSize + nodeIDSize + float64Size + 1
-}
+func (m *Blame) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // ScoreReq asks a manager for its copy of Target's score.
 type ScoreReq struct {
@@ -327,7 +301,7 @@ func (m *ScoreReq) Kind() Kind { return KindScoreReq }
 func (m *ScoreReq) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *ScoreReq) WireSize() int { return headerSize + nodeIDSize }
+func (m *ScoreReq) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // ScoreResp returns a manager's copy of Target's score. Tracked reports
 // whether the responding manager actually holds a score copy for Target: a
@@ -349,9 +323,7 @@ func (m *ScoreResp) Kind() Kind { return KindScoreResp }
 func (m *ScoreResp) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *ScoreResp) WireSize() int {
-	return headerSize + nodeIDSize + float64Size + 2*boolSize
-}
+func (m *ScoreResp) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // Expel announces that Target has been expelled (score below η or failed
 // entropy audit).
@@ -368,7 +340,7 @@ func (m *Expel) Kind() Kind { return KindExpel }
 func (m *Expel) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *Expel) WireSize() int { return headerSize + nodeIDSize + 1 }
+func (m *Expel) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // ProposalRecord is one fanout entry of a node's local history: a proposal
 // sent to Partner during Period advertising Chunks.
@@ -378,22 +350,12 @@ type ProposalRecord struct {
 	Chunks  []ChunkID
 }
 
-// WireSize returns the modelled serialized size of the record.
-func (r *ProposalRecord) WireSize() int {
-	return periodSize + nodeIDSize + lenPrefix + len(r.Chunks)*chunkIDSize
-}
-
 // ServeRecord is one fanin entry of a node's local history: Server served
 // Chunks to the node during Period.
 type ServeRecord struct {
 	Period Period
 	Server NodeID
 	Chunks []ChunkID
-}
-
-// WireSize returns the modelled serialized size of the record.
-func (r *ServeRecord) WireSize() int {
-	return periodSize + nodeIDSize + lenPrefix + len(r.Chunks)*chunkIDSize
 }
 
 // AuditReq asks the target node for its bounded local history (§5.3). Sent
@@ -412,7 +374,7 @@ func (m *AuditReq) Kind() Kind { return KindAuditReq }
 func (m *AuditReq) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *AuditReq) WireSize() int { return headerSize + durationSize }
+func (m *AuditReq) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // AuditResp carries the audited node's history snapshot: all fanout and
 // fanin entries within the horizon.
@@ -429,16 +391,7 @@ func (m *AuditResp) Kind() Kind { return KindAuditResp }
 func (m *AuditResp) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *AuditResp) WireSize() int {
-	n := headerSize + lenPrefix + lenPrefix
-	for i := range m.Proposals {
-		n += m.Proposals[i].WireSize()
-	}
-	for i := range m.Serves {
-		n += m.Serves[i].WireSize()
-	}
-	return n
-}
+func (m *AuditResp) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // AuditPoll asks an alleged receiver whether Suspect really proposed Chunks
 // to it during Period (a-posteriori cross-checking, §5.3). Sent over the
@@ -457,9 +410,7 @@ func (m *AuditPoll) Kind() Kind { return KindAuditPoll }
 func (m *AuditPoll) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *AuditPoll) WireSize() int {
-	return headerSize + nodeIDSize + periodSize + lenPrefix + len(m.Chunks)*chunkIDSize
-}
+func (m *AuditPoll) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // AuditPollResp answers an AuditPoll. Confirmed reports whether the polled
 // node received the proposal; Askers lists the nodes that sent Confirm
@@ -480,9 +431,7 @@ func (m *AuditPollResp) Kind() Kind { return KindAuditPollResp }
 func (m *AuditPollResp) From() NodeID { return m.Sender }
 
 // WireSize implements Message.
-func (m *AuditPollResp) WireSize() int {
-	return headerSize + nodeIDSize + periodSize + boolSize + lenPrefix + len(m.Askers)*nodeIDSize
-}
+func (m *AuditPollResp) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
 // Compile-time interface compliance checks.
 var (

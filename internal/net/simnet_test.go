@@ -144,8 +144,8 @@ func TestUplinkSerialization(t *testing.T) {
 	eng, n, _ := newNet(t, Conditions{UplinkBps: 10000, LatencyBase: 0})
 	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
-	big := &msg.Serve{Sender: 1, Chunk: 1}
-	big.PayloadSize = 1000 - big.WireSize()
+	size := 1000 - (&msg.Serve{Sender: 1, Chunk: 1}).WireSize()
+	big := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: size, Payload: make([]byte, size)}
 	n.Send(1, 2, big, Unreliable)
 	n.Send(1, 2, big, Unreliable)
 	eng.RunAll()
@@ -162,7 +162,7 @@ func TestUplinkUnlimitedWhenZero(t *testing.T) {
 	eng, n, _ := newNet(t, Conditions{LatencyBase: time.Millisecond})
 	rx := &capture{clock: eng.Domain(2)}
 	n.Attach(2, rx)
-	n.Send(1, 2, &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1 << 20}, Unreliable)
+	n.Send(1, 2, &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1 << 20, Payload: make([]byte, 1<<20)}, Unreliable)
 	eng.RunAll()
 	if rx.at[0] != time.Millisecond {
 		t.Fatalf("unlimited uplink delivery at %v, want 1ms", rx.at[0])

@@ -22,7 +22,7 @@ func populated() *metrics.Collector {
 	c := metrics.NewCollector()
 	propose := &msg.Propose{Sender: 1, Chunks: []msg.ChunkID{1, 2, 3}}
 	request := &msg.Request{Sender: 2, Chunks: []msg.ChunkID{1, 2}}
-	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1316}
+	serve := &msg.Serve{Sender: 1, Chunk: 1, PayloadSize: 1316, Payload: make([]byte, 1316)}
 	confirm := &msg.Confirm{Sender: 3, Suspect: 1, Chunks: []msg.ChunkID{1}}
 	blame := &msg.Blame{Sender: 2, Target: 3, Value: 1}
 	for _, m := range []msg.Message{propose, request, serve, serve, confirm, blame} {

@@ -91,10 +91,10 @@ func (o *outbox) add(n *nodeCtx, addr netip.AddrPort, flags uint8, m msg.Message
 }
 
 // append adds m to g's frame, or reports that the frame has no room for it.
-// A frame about to outgrow a small buffer moves to a full one (m's modelled
-// wire size bounds its encoding), so no buffer grows by appending.
+// A frame about to outgrow a small buffer moves to a full one (an entry is
+// m's encoding and its length), so no buffer grows by appending.
 func (o *outbox) append(r *Runtime, g *group, m msg.Message, due time.Duration) bool {
-	if need := len(*g.frame) + msg.EntryHeaderSize + m.WireSize(); need > cap(*g.frame) && cap(*g.frame) < fullFrame {
+	if need := len(*g.frame) + msg.EntryHeaderSize + msg.EncodedSize(m); need > cap(*g.frame) && cap(*g.frame) < fullFrame {
 		full := r.full.Get().(*[]byte)
 		*full = append((*full)[:0], *g.frame...)
 		r.put(g.frame)
