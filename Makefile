@@ -25,7 +25,9 @@ lint:
 # loops each own a decoder that hands out memory other goroutines keep, and
 # the cluster assembled on it) under the race detector, plus the reputation
 # substrate (manager boards are hit from node goroutines while the harness
-# ticks periods and hands state off), the membership directory (the
+# ticks periods and tracks, drops and queues handoffs of the targets a
+# membership change moves; each manager sends its Handoffs on its own
+# node's goroutine), the membership directory (the
 # cached manager assignment is read from every node goroutine while
 # churn mutates the view), the discrete-event engine (node events run on
 # shard goroutines inside lookahead windows — its one layout, whatever the

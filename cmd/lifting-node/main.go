@@ -19,7 +19,9 @@
 //
 //	SCORE <id> <score> <expelled> <replies>
 //
-// line per node, then exits 0. SIGINT/SIGTERM cancel the daemon's context,
+// line per node. Every process then prints its manager's copy of each score
+// it holds, as one "COPY <self> <target> <blame> <join-period> <expelled>"
+// line per target, and exits 0. SIGINT/SIGTERM cancel the daemon's context,
 // which shuts the node down early but cleanly (pending timers cancelled,
 // sockets closed, in-flight callbacks drained) — the same cancellation path
 // the experiment API exposes programmatically.
@@ -339,6 +341,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 	}
 
 	rt.Close()
+	if mgr := c.Manager(self); mgr != nil {
+		for _, target := range members {
+			if e, tracked := mgr.Snapshot(target); tracked {
+				fmt.Fprintf(stdout, "COPY %d %d %.6f %d %t\n", self, target, e.TotalBlame, e.JoinPeriod, e.Expelled)
+			}
+		}
+	}
 	fmt.Fprintf(stdout, "DONE %d chaos=%d\n", self, c.ChaosApplied())
 	return 0
 }

@@ -681,6 +681,150 @@ func TestMultiProcessSoak(t *testing.T) {
 		soakN, wantEvents, skewed, wantChaos)
 }
 
+// TestMultiProcessSoakHandoff is the handoff across processes: three
+// daemons started with -soak, M = 3 (each node managed by the other two), a
+// freerider never expelled (η out of reach), and the plan's one crash. The
+// crashed node's restart gives its fresh manager the freerider back, and the
+// source's manager, which kept it, pushes its copy over UDP: at the end the
+// restarted node's copy must be the source's — the blame history from period
+// 0 — not a fresh entry begun at the restart. The crashed node is started
+// first and the others only once it listens, so its clock, and with it its
+// restart, leads theirs: a copy pushed to it arrives when it is back up.
+func TestMultiProcessSoakHandoff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process handoff test is slow")
+	}
+	// Seed 13's plan crashes node 2 and restarts it with its links clear:
+	// its partition and the loss burst come later and hit node 1. A plan
+	// that cut the crashed node off across its restart would drop the push.
+	const (
+		n        = 3
+		seed     = 13
+		period   = 200 * time.Millisecond
+		duration = 6 * time.Second
+		warmup   = 500 * time.Millisecond
+	)
+	plan := chaos.Generate(chaos.DeploymentConfig(seed, duration, period, []msg.NodeID{1, 2}))
+	var crashed msg.NodeID
+	var restartAt time.Duration
+	for _, ev := range plan.Events {
+		switch ev.Kind {
+		case chaos.Crash:
+			if crashed != 0 || len(ev.Nodes) != 1 {
+				t.Fatalf("the plan must crash one node once: %+v", plan.Events)
+			}
+			crashed = ev.Nodes[0]
+		case chaos.Restart:
+			restartAt = ev.At + warmup
+		case chaos.Partition, chaos.LossBurst:
+			if restartAt == 0 && slices.Contains(ev.Nodes, crashed) {
+				t.Fatalf("the plan cuts the crashed node off before its restart: %+v", plan.Events)
+			}
+		}
+	}
+	if crashed == 0 || restartAt == 0 {
+		t.Fatalf("the plan crashes and restarts no node: %+v", plan.Events)
+	}
+	rider := 3 - crashed // the other non-source node
+
+	bin := filepath.Join(t.TempDir(), "lifting-node")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building lifting-node: %v\n%s", err, out)
+	}
+	ports := make([]int, n)
+	for i := range ports {
+		c, err := gonet.ListenUDP("udp", &gonet.UDPAddr{IP: gonet.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports[i] = c.LocalAddr().(*gonet.UDPAddr).Port
+		c.Close()
+	}
+	var peerSpecs []string
+	for i, p := range ports {
+		peerSpecs = append(peerSpecs, fmt.Sprintf("%d=127.0.0.1:%d", i, p))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	outs := make([]bytes.Buffer, n)
+	exited := make([]chan error, n)
+	// start launches node i; its output also goes to listen, if non-nil.
+	start := func(i msg.NodeID, listen io.WriteCloser) {
+		args := []string{
+			"-id", strconv.Itoa(int(i)),
+			"-listen", fmt.Sprintf("127.0.0.1:%d", ports[i]),
+			"-peers", strings.Join(peerSpecs, ","),
+			"-seed", strconv.Itoa(seed),
+			"-f", strconv.Itoa(n - 1),
+			"-period", period.String(),
+			"-m", strconv.Itoa(n),
+			"-eta", "-1000",
+			"-grace", "8",
+			"-warmup", warmup.String(),
+			"-duration", duration.String(),
+			"-soak",
+		}
+		if i == rider {
+			args = append(args, "-freeride", "0.5")
+		}
+		cmd := exec.CommandContext(ctx, bin, args...)
+		var out io.Writer = &outs[i]
+		if listen != nil {
+			out = io.MultiWriter(&outs[i], listen)
+		}
+		cmd.Stdout, cmd.Stderr = out, out
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("starting node %d: %v", i, err)
+		}
+		exited[i] = make(chan error, 1)
+		go func() {
+			err := cmd.Wait()
+			if listen != nil {
+				listen.Close()
+			}
+			exited[i] <- err
+		}()
+	}
+	// The crashed node first; the others once its LISTEN line shows its
+	// clock running; the source last.
+	pr, pw := io.Pipe()
+	start(crashed, pw)
+	lines := bufio.NewScanner(pr)
+	for lines.Scan() && !strings.HasPrefix(lines.Text(), "LISTEN ") {
+	}
+	go func() {
+		for lines.Scan() {
+		}
+	}()
+	start(rider, nil)
+	start(0, nil)
+
+	copies := make(map[msg.NodeID]string) // holder → its copy of the rider
+	for i := range exited {
+		if err := <-exited[i]; err != nil {
+			t.Errorf("node %d exited with %v:\n%s", i, err, outs[i].String())
+		}
+		for _, line := range strings.Split(outs[i].String(), "\n") {
+			if f := strings.Fields(line); len(f) == 6 && f[0] == "COPY" && f[2] == strconv.Itoa(int(rider)) {
+				copies[msg.NodeID(i)] = strings.Join(f[3:], " ")
+			}
+		}
+	}
+	kept, restarted := copies[0], copies[crashed]
+	t.Logf("copies of freerider %d (blame join expelled): source %q, node %d (restarted at %v) %q",
+		rider, kept, crashed, restartAt, restarted)
+	var blame float64
+	var join int
+	if _, err := fmt.Sscanf(kept, "%g %d", &blame, &join); err != nil || blame == 0 || join != 0 {
+		t.Fatalf("the source holds %q for freerider %d: want a blamed copy from period 0", kept, rider)
+	}
+	if _, err := fmt.Sscanf(restarted, "%g %d", &blame, &join); err != nil || join != 0 || blame == 0 {
+		t.Errorf("restarted node %d holds %q for freerider %d: want the blamed copy from period 0 the source pushed, not a fresh entry:\n%s",
+			crashed, restarted, rider, outs[crashed].String())
+	}
+}
+
 // scrapeSoakGauges polls a soaking node's /metrics until stream traffic is
 // flowing, then checks the two gauges the long-running soak harness records:
 // heap-in-use (RSS stand-in) must be a sane nonzero size and the

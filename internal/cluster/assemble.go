@@ -212,7 +212,7 @@ func assemble(o *Options, w wiring) assembled {
 		if a.client != nil {
 			mcfg := o.Rep
 			mcfg.OnExpel = w.onExpel
-			a.manager = reputation.NewManager(id, mcfg, netw, w.dir)
+			a.manager = reputation.NewManager(id, mcfg, netw, w.dir, w.sends)
 			aux = append(aux, managerAux{a.manager})
 		}
 		if w.reader {

@@ -135,7 +135,7 @@ func TestLiveBackendDisseminates(t *testing.T) {
 			// once (messages in flight when Close cancels their timers are
 			// the only ones unaccounted, so ≤ rather than =).
 			var sent, recv, dropped uint64
-			for k := msg.Kind(1); k <= msg.KindAuditPollResp; k++ {
+			for k := msg.Kind(1); k <= msg.KindHandoff; k++ {
 				sent += c.Collector.SentMsgs(k)
 				recv += c.Collector.RecvMsgs(k)
 				dropped += c.Collector.Dropped(k)

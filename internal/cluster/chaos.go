@@ -76,12 +76,13 @@ func (c *Cluster) applyChaosConditionsAll() {
 }
 
 // crash takes node id down hard: off the membership and the network, its
-// process state (gossip history, pending blames) frozen, and its manager
-// replica out of Managers once the handoff has read it; the restart builds
-// a fresh one. The node's own score lives on its remote managers and is
-// untouched. A deployment tears down only its own node; a remote victim
-// leaves this process's directory and goes down on its network. No-op for
-// nodes already gone.
+// process state (gossip history, pending blames) frozen, and its manager out
+// of Managers with every score copy it held; the restart builds a fresh one,
+// which the managers kept by each of its targets push their copies to. The
+// node's own score lives on its remote managers and is untouched. A
+// deployment tears down only its own node; a remote victim leaves this
+// process's directory and goes down on its network. No-op for nodes already
+// gone.
 func (c *Cluster) crash(id msg.NodeID) {
 	c.mu.Lock()
 	if c.goneLocked(id) || c.crashedNow[id] {

@@ -175,9 +175,9 @@ type Cluster struct {
 	// of the stream.
 	Content *content.Source
 	Nodes   map[msg.NodeID]*gossip.Node
-	// Managers holds the manager replicas of the members this cluster hosts
+	// Managers holds the managers of the members this cluster hosts
 	// (message mode; empty in direct mode). A removal takes the node's
-	// replica out; a restart builds a fresh one.
+	// manager out; a restart builds a fresh one.
 	Managers map[msg.NodeID]*reputation.Manager
 	Playouts map[msg.NodeID]*stream.Playout
 	// Expelled records when each node was expelled (virtual time).
@@ -218,12 +218,11 @@ type Cluster struct {
 
 	// Message-mode rebalance bookkeeping: the manager set last applied per
 	// target (a Directory.Managers slice, shared and read-only), and the
-	// nodes removed since the last rebalance with the replica each one's
-	// removal took out of Managers (nil where this cluster hosts none). A
+	// nodes that left or (re)joined since the last rebalance. A
 	// removal-only rebalance hands off just the targets whose applied set
-	// names a removed node.
-	lastMgrs       map[msg.NodeID][]msg.NodeID
-	pendingRemoved map[msg.NodeID]*reputation.Manager
+	// names a changed node.
+	lastMgrs map[msg.NodeID][]msg.NodeID
+	changed  map[msg.NodeID]bool
 
 	// Fault-plane state (guarded by mu): the plan's standing faults, the
 	// nodes this harness has torn down for a crash and not yet re-admitted,
@@ -282,6 +281,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		root:       rng.New(opts.Seed),
 		nextID:     msg.NodeID(opts.N),
 		lastMgrs:   make(map[msg.NodeID][]msg.NodeID),
+		changed:    make(map[msg.NodeID]bool),
 
 		faults:     chaos.NewOverlay(),
 		crashedNow: make(map[msg.NodeID]bool),
@@ -323,7 +323,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		kcfg := opts.Rep
 		kcfg.M = 0
 		kcfg.OnExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expel(target) }
-		c.keeper = reputation.NewManager(0, kcfg, nil, c.Dir)
+		c.keeper = reputation.NewManager(0, kcfg, nil, c.Dir, nil)
 	}
 
 	for i := 0; i < opts.N; i++ {
@@ -680,31 +680,22 @@ func (c *Cluster) expel(id msg.NodeID) {
 }
 
 // remove takes a node out of the running system: out of the sampling
-// population, off the network, stopped, and its manager replica out of
-// Managers — kept only for the handoff of the rebalance the removal
-// triggers.
+// population, off the network, stopped, and its manager out of Managers —
+// its score copies go with it, and the targets it managed keep the copies
+// of their other managers.
 func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
-	member := c.Dir.Expel(id)
+	c.Dir.Expel(id)
 	c.RT.SetDown(id, true)
 	if node != nil {
 		c.RT.Exec(id, node.Stop)
 	}
 	c.mu.Lock()
-	replica := c.Managers[id]
 	delete(c.Managers, id)
-	// A node removed twice (a crashed node that then leaves) hands off
-	// once, at the first removal.
-	if member && c.rebalances() {
-		if c.pendingRemoved == nil {
-			c.pendingRemoved = make(map[msg.NodeID]*reputation.Manager)
-		}
-		c.pendingRemoved[id] = replica
-	}
 	c.mu.Unlock()
 	// A removal only adds one replacement manager per affected target (the
 	// assignment probes over the unchanged registration set, skipping the
 	// departed node), so the cheap gains-only rebalance suffices.
-	c.scheduleRebalance(false)
+	c.scheduleRebalance(id, false)
 }
 
 // StartStream schedules chunk injections at the source (node 0) for the
@@ -862,7 +853,7 @@ func (c *Cluster) Period() msg.Period {
 	return c.period
 }
 
-// Manager returns member id's manager replica (message mode), nil where this
+// Manager returns member id's manager (message mode), nil where this
 // cluster holds none — a node that left, was expelled or is crashed has
 // none. A crash restart builds a fresh one, so a reader on another goroutine
 // asks again instead of keeping one.
@@ -872,8 +863,9 @@ func (c *Cluster) Manager(id msg.NodeID) *reputation.Manager {
 	return c.Managers[id]
 }
 
-// Handoffs returns how many reputation-manager state transfers membership
-// changes have triggered so far.
+// Handoffs returns how many times membership changes have given a hosted
+// manager a target so far: one per (target, gained manager) pair, whatever
+// the Handoffs pushed to it.
 func (c *Cluster) Handoffs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -917,8 +909,8 @@ func (c *Cluster) join(id msg.NodeID) {
 // hosted node is built and started; a deployment's remote member only
 // rejoins the directory and the scorekeepers — its own process rebuilds it.
 // Scorekeepers pick it up at the current period — Track does not reset an
-// entry that survived a crash — and the full rebalance hands the most
-// pessimistic surviving replica to its fresh local manager.
+// entry that survived a crash — and the full rebalance has the managers of
+// its targets push their copies to its fresh manager.
 func (c *Cluster) admit(id msg.NodeID) {
 	c.Dir.Join(id)
 	hosted := c.hosts(id)
@@ -947,7 +939,7 @@ func (c *Cluster) admit(id msg.NodeID) {
 	// A join grows the registration set. Jump hashing moves about M of the
 	// N·M manager slots to the joiner, but which ones only a pass over every
 	// target finds: full rebalance.
-	c.scheduleRebalance(true)
+	c.scheduleRebalance(id, true)
 }
 
 // leave removes a voluntarily departing node.

@@ -9,7 +9,7 @@ import (
 )
 
 // Message-mode manager assignment: the score handoff a membership change
-// triggers.
+// triggers, by message (msg.Handoff).
 
 // MaxTrackedPerManager returns the largest per-manager tracked-target count
 // (message mode; 0 in direct mode). The soak invariants bound it by the
@@ -37,15 +37,16 @@ func (c *Cluster) rebalances() bool {
 	return c.Opts.BlameMode == BlameMessages && c.Opts.LiFTinG
 }
 
-// scheduleRebalance queues a manager-assignment rebalance (message mode
-// only). It runs as a harness event so no manager locks are held when it
-// starts, and coalesces bursts of membership changes (a full request
-// upgrades a pending cheap one).
-func (c *Cluster) scheduleRebalance(full bool) {
+// scheduleRebalance records that node id left or (re)joined and queues a
+// manager-assignment rebalance (message mode only). It runs as a harness
+// event so no manager locks are held when it starts, and coalesces bursts of
+// membership changes (a full request upgrades a pending cheap one).
+func (c *Cluster) scheduleRebalance(id msg.NodeID, full bool) {
 	if !c.rebalances() {
 		return
 	}
 	c.mu.Lock()
+	c.changed[id] = true
 	c.rebalanceFull = c.rebalanceFull || full
 	if c.rebalance {
 		c.mu.Unlock()
@@ -56,150 +57,90 @@ func (c *Cluster) scheduleRebalance(full bool) {
 	c.RT.After(0, c.rebalanceManagers)
 }
 
-// rebalanceManagers recomputes manager assignments after a membership
-// change and performs the state handoff: a manager that became responsible
-// for a target adopts the most pessimistic replica (consistent with
-// min-vote reads), and managers no longer responsible drop their copy.
-// Deterministic under the simulator: candidate replicas in id order, and a
-// target's handoff touches only that target's entries, so the order targets
-// are visited in cannot be observed.
+// rebalanceManagers applies the manager assignment the membership changes
+// since the last rebalance moved, and hands the scores off by message: for
+// each target whose set changed, every hosted manager the target gained
+// tracks it, every one it lost drops it, and every one it kept pushes its
+// copy to the gained ones (msg.Handoff). A node (re)admitted since the last
+// rebalance counts as gained wherever it is in a set: a restarted node's
+// manager starts empty. A removed node's manager is gone and sends nothing:
+// a score outlives a change only through the managers that stay.
+// Deterministic under the simulator: targets in directory order, each
+// target's managers in set order.
 //
 // The directory's probe assignment only changes a target's manager set when
 // one of the recorded managers left (a removal) or the registration set grew
 // (a join). So one pass over the directory selects the targets: after a
 // join, all of them, short-circuiting the unchanged assignments; after
-// removals only, those whose applied set names a removed node. Handoff
-// candidates are the union of the old and new sets: the old set is by
-// construction exactly the target's live tracker set (registration seeds it,
-// every rebalance re-establishes it), so no live replica escapes the
-// pessimism scan. A removed node's replica is read here, as a candidate for
-// the targets it managed, and then dropped: it left Managers at the removal,
-// and pendingRemoved is its last reference.
+// removals only, those whose applied set names a changed node.
 func (c *Cluster) rebalanceManagers() {
 	c.mu.Lock()
 	c.rebalance = false
 	full := c.rebalanceFull
 	c.rebalanceFull = false
-	removed := c.pendingRemoved
-	c.pendingRemoved = nil
+	changed := c.changed
+	c.changed = make(map[msg.NodeID]bool)
 	p := c.period
-	live := maps.Clone(c.Managers)
-	wasRemoved := func(id msg.NodeID) bool {
-		_, ok := removed[id]
-		return ok
-	}
+	hosted := maps.Clone(c.Managers)
+	wasChanged := func(id msg.NodeID) bool { return changed[id] }
 	targets := c.Dir.All()
 	if !full {
 		targets = slices.DeleteFunc(targets, func(t msg.NodeID) bool {
-			return !slices.ContainsFunc(c.lastMgrs[t], wasRemoved)
+			return !slices.ContainsFunc(c.lastMgrs[t], wasChanged)
 		})
 	}
 	c.mu.Unlock()
-	// A live replica wins over a removed one: a node restarted since its
-	// removal manages with its fresh replica.
-	replica := func(id msg.NodeID) *reputation.Manager {
-		if mgr, ok := live[id]; ok {
-			return mgr
-		}
-		return removed[id]
-	}
 
-	// A replica's pessimism is its per-period blame rate — the score is
-	// comp − blame/r, so the lowest score is the highest rate, not the
-	// largest raw blame (a freshly joined entry with little blame but tiny
-	// r can be the most damning copy). Expulsion verdicts trump rates.
-	rate := func(e reputation.Entry) float64 {
-		r := int(p) - int(e.JoinPeriod)
-		if r < 1 {
-			r = 1
-		}
-		return e.TotalBlame / float64(r)
-	}
-	worse := func(a, b reputation.Entry) bool { // is a more pessimistic than b?
-		if a.Expelled != b.Expelled {
-			return a.Expelled
-		}
-		return rate(a) > rate(b)
-	}
-	transfers := 0
-	var cand []msg.NodeID // one target's handoff candidates, reused across targets
+	gains := 0
+	var gained []msg.NodeID // one target's gained managers
 	for _, target := range targets {
 		newSet := c.Dir.Managers(target, c.Opts.Rep.M)
 		c.mu.Lock()
 		oldSet := c.lastMgrs[target]
-		// An unchanged set that names a removed node names one re-admitted
-		// since (a crash and a restart at one instant), whose fresh replica
-		// tracks nothing yet: it still needs the handoff.
-		if slices.Equal(oldSet, newSet) && !slices.ContainsFunc(newSet, wasRemoved) {
+		// An unchanged set that names a changed node names one re-admitted
+		// since (a crash and a restart at one instant), whose fresh manager
+		// tracks nothing yet: it still gains the target.
+		if slices.Equal(oldSet, newSet) && !slices.ContainsFunc(newSet, wasChanged) {
 			c.mu.Unlock()
 			continue
 		}
 		c.lastMgrs[target] = newSet
 		c.mu.Unlock()
-		cand = append(cand[:0], oldSet...)
-		for _, m := range newSet {
-			if !slices.Contains(oldSet, m) {
-				cand = append(cand, m)
+		for _, id := range oldSet {
+			if mgr := hosted[id]; mgr != nil && !slices.Contains(newSet, id) {
+				mgr.Drop(target)
 			}
 		}
-		slices.Sort(cand)
-		// The most pessimistic replica seeds (or upgrades) the responsible
-		// managers, so the min-vote score cannot jump up through a handoff.
-		var best reputation.Entry
-		bestOK := false
-		for _, id := range cand {
-			mgr := replica(id)
-			if mgr == nil {
-				continue
-			}
-			if e, tracked := mgr.Snapshot(target); tracked {
-				if !bestOK || worse(e, best) {
-					best, bestOK = e, true
+		gained = gained[:0]
+		for _, id := range newSet {
+			if changed[id] || !slices.Contains(oldSet, id) {
+				gained = append(gained, id)
+				if mgr := hosted[id]; mgr != nil {
+					mgr.Track(target, p)
+					gains++
 				}
 			}
 		}
-		for _, m := range newSet {
-			mgr := replica(m)
-			if mgr == nil {
-				continue
-			}
-			if e, tracked := mgr.Snapshot(target); tracked {
-				// Already tracking, but perhaps only a near-empty entry from
-				// an in-flight blame: adopt the historical copy if it is
-				// more pessimistic, or the outgoing managers would discard
-				// the target's record.
-				if full && bestOK && worse(best, e) {
-					mgr.Adopt(target, best, p)
-					transfers++
-				}
-				continue
-			}
-			if bestOK {
-				mgr.Adopt(target, best, p)
-				transfers++
-			} else {
-				mgr.Track(target, p)
-			}
-		}
-		if !full {
-			// A removal never strips an alive manager of responsibility:
-			// gains only, no drops.
+		if len(gained) == 0 {
 			continue
 		}
-		for _, id := range cand {
-			if slices.Contains(newSet, id) {
+		for _, id := range newSet {
+			mgr := hosted[id]
+			if mgr == nil || slices.Contains(gained, id) {
 				continue
 			}
-			mgr := replica(id)
-			if mgr == nil {
-				continue
-			}
-			if _, tracked := mgr.Snapshot(target); tracked {
-				mgr.Drop(target)
+			// On its execution context: on the sim the rebalance's own, the
+			// global phase, where every shard's send blocks are free; on udp
+			// its node's.
+			if c.Engine != nil {
+				mgr.HandOff(target, gained)
+			} else {
+				target, to := target, slices.Clone(gained) // the closure's own: no capture moves the loop's to the heap
+				c.RT.Exec(id, func() { mgr.HandOff(target, to) })
 			}
 		}
 	}
 	c.mu.Lock()
-	c.handoffs += transfers
+	c.handoffs += gains
 	c.mu.Unlock()
 }

@@ -15,9 +15,9 @@ import (
 	"lifting/internal/msg"
 )
 
-// kindSlots is the size of the per-kind counter arrays: kinds run 1..14
-// (KindPropose..KindAuditPollResp), slot 0 absorbs the zero Kind.
-const kindSlots = int(msg.KindAuditPollResp) + 1
+// kindSlots is the size of the per-kind counter arrays: kinds run 1..15
+// (KindPropose..KindHandoff), slot 0 absorbs the zero Kind.
+const kindSlots = int(msg.KindHandoff) + 1
 
 // numStripes spreads the per-kind counters across sender-id stripes so
 // concurrent senders (timer goroutines, UDP readers, engine shards) do not

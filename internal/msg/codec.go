@@ -107,6 +107,13 @@ func walk(dst []byte, count bool, m Message) ([]byte, int, error) {
 		w.head(v.Kind(), v.Sender)
 		w.u32(uint32(v.Target))
 		w.u8(uint8(v.Reason))
+	case *Handoff:
+		w.head(v.Kind(), v.Sender)
+		w.u32(uint32(v.Target))
+		w.f64(v.TotalBlame)
+		w.u32(uint32(v.JoinPeriod))
+		w.bool(v.Expelled)
+		w.u8(uint8(v.Reason))
 	case *AuditReq:
 		w.head(v.Kind(), v.Sender)
 		w.u64(uint64(v.Horizon))
@@ -211,7 +218,7 @@ func (b *Blocks[T]) Place(v T, size int) *T {
 
 // Sends is the set of blocks the messages of one execution context are
 // carved from as they are sent: every Propose, Request, Serve, Ack, Confirm,
-// ConfirmResp and Blame, and the id lists they carry. Every node of the
+// ConfirmResp, Blame and Handoff, and their id lists. Every node of the
 // context shares it, each with all of its components — gossip, verifier,
 // blame client — and, like Blocks, it is used by one goroutine at a time:
 // there is one set per engine shard on the sim (a shard's window runs on one
@@ -230,6 +237,7 @@ type Sends struct {
 	confirms     Blocks[Confirm]
 	confirmResps Blocks[ConfirmResp]
 	blames       Blocks[Blame]
+	handoffs     Blocks[Handoff]
 
 	chunks   Blocks[ChunkID] // request and serve lists: held until a timeout
 	kept     Blocks[ChunkID] // proposals and fan-in blocks: held nh periods
@@ -256,6 +264,9 @@ func (s *Sends) ConfirmResp(v ConfirmResp) *ConfirmResp {
 
 // Blame returns v carved from the set.
 func (s *Sends) Blame(v Blame) *Blame { return s.blames.Place(v, SendBlock) }
+
+// Handoff returns v carved from the set.
+func (s *Sends) Handoff(v Handoff) *Handoff { return s.handoffs.Place(v, SendBlock) }
 
 // Serves returns n zero serves carved from the set: the serves of one
 // request.
@@ -369,6 +380,8 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		m = &ScoreResp{Sender: sender, Target: r.node(), Score: r.f64(), Expelled: r.bool(), Tracked: r.bool()}
 	case KindExpel:
 		m = &Expel{Sender: sender, Target: r.node(), Reason: BlameReason(r.u8())}
+	case KindHandoff:
+		m = &Handoff{Sender: sender, Target: r.node(), TotalBlame: r.f64(), JoinPeriod: r.period(), Expelled: r.bool(), Reason: BlameReason(r.u8())}
 	case KindAuditReq:
 		m = &AuditReq{Sender: sender, Horizon: time.Duration(r.u64())}
 	case KindAuditResp:

@@ -27,6 +27,8 @@ func allMessages() []Message {
 		&ScoreResp{Sender: 10, Target: 5, Score: -12.25, Expelled: true, Tracked: true},
 		&ScoreResp{Sender: 10, Target: 6, Tracked: false},
 		&Expel{Sender: 11, Target: 5, Reason: ReasonAuditEntropy},
+		&Handoff{Sender: 11, Target: 5, TotalBlame: 41.5, JoinPeriod: 3, Expelled: true, Reason: ReasonFanoutDecrease},
+		&Handoff{Sender: 12, Target: 6, JoinPeriod: 40},
 		&AuditReq{Sender: 12, Horizon: 25 * time.Second},
 		&AuditResp{Sender: 13, Proposals: []ProposalRecord{
 			{Period: 1, Partner: 2, Chunks: []ChunkID{10, 11}},
@@ -118,10 +120,10 @@ func TestBlameValuePrecision(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsNonFinite: a blame's value and a score are amounts, and
-// a NaN or an infinity in either is a peer reaching for a manager's
-// arithmetic — a NaN score never compares under η, a −Inf blame absolves
-// any freerider. Both decoders refuse them; every honest value of every
+// TestDecodeRejectsNonFinite: a blame's value, a score and a handed-off
+// blame total are amounts, and a NaN or an infinity in any is a peer
+// reaching for a manager's arithmetic — a NaN score never compares under η,
+// a −Inf blame absolves any freerider. Both decoders refuse them; every honest value of every
 // kind, the extremes of the finite range included, still round-trips.
 func TestDecodeRejectsNonFinite(t *testing.T) {
 	var dec Decoder
@@ -129,6 +131,7 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 		for _, m := range []Message{
 			&Blame{Sender: 1, Target: 2, Value: v, Reason: ReasonNoAck},
 			&ScoreResp{Sender: 1, Target: 2, Score: v, Tracked: true},
+			&Handoff{Sender: 1, Target: 2, TotalBlame: v, JoinPeriod: 3},
 		} {
 			b, err := Encode(m)
 			if err != nil {
@@ -145,7 +148,8 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 	finite := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64}
 	msgs := allMessages()
 	for _, v := range finite {
-		msgs = append(msgs, &Blame{Sender: 1, Target: 2, Value: v}, &ScoreResp{Sender: 1, Target: 2, Score: v})
+		msgs = append(msgs, &Blame{Sender: 1, Target: 2, Value: v}, &ScoreResp{Sender: 1, Target: 2, Score: v},
+			&Handoff{Sender: 1, Target: 2, TotalBlame: v})
 	}
 	for _, m := range msgs {
 		b, err := Encode(m)

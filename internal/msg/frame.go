@@ -28,15 +28,15 @@ import (
 // corruption that UDP's 16-bit checksum missed. DecodeFrame and ParseBatch
 // never panic on arbitrary input; anything malformed yields an error.
 
-// Frame constants. Part of the wire format. FrameVersion 4 carries a list
-// of messages per datagram, so a node's sends to one peer during one
-// callback share a header, a checksum and a syscall. A daemon speaking an
-// older version is rejected loudly (ErrBadVersion) instead of having every
-// frame die a silent codec death mid-deployment.
+// Frame constants. Part of the wire format. Since version 4 a frame carries
+// a list of messages, so a node's sends to one peer during one callback
+// share a header, a checksum and a syscall; version 5 adds Handoff. A daemon
+// speaking an older version is rejected loudly (ErrBadVersion) instead of
+// having every frame die a silent codec death mid-deployment.
 const (
 	frameMagic0  = 'L'
 	frameMagic1  = 'F'
-	FrameVersion = 4
+	FrameVersion = 5
 	// FrameHeaderSize is the number of bytes preceding the payload.
 	FrameHeaderSize = 10
 	// MaxFramePayload is the largest payload that fits a single IPv4 UDP

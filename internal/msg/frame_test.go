@@ -83,6 +83,25 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameRejectsVersion4: a daemon of the version before Handoff
+// speaks frame version 4; its frames, a Handoff's included, are refused
+// whole with ErrBadVersion before any entry is looked at.
+func TestDecodeFrameRejectsVersion4(t *testing.T) {
+	for _, m := range []Message{&ScoreReq{Sender: 1, Target: 2}, &Handoff{Sender: 1, Target: 2, TotalBlame: 3, JoinPeriod: 4}} {
+		b, err := EncodeFrame(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[2] = 4
+		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("a version-4 frame of a %s: err %v, want ErrBadVersion", m.Kind(), err)
+		}
+		if _, _, err := RawFrame(b); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("RawFrame of a version-4 frame of a %s: err %v, want ErrBadVersion", m.Kind(), err)
+		}
+	}
+}
+
 func TestDecodeFrameRejectsBadPayload(t *testing.T) {
 	// A well-formed frame around a truncated message must surface the codec
 	// error, not panic.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -70,7 +71,8 @@ func TestDecodeValidPrefixMutations(t *testing.T) {
 // testdata/fuzz/FuzzDecode holds one framed encoding of every message kind,
 // frames of several messages, and the malformed shapes that matter (length
 // bombs, bad checksums, truncations, lying message lists, mixed senders, a
-// v3 frame); `go test` replays it on every run.
+// v3 and a v4 frame, a Handoff with a non-finite blame total or an
+// out-of-range reason); `go test` replays it on every run.
 func FuzzDecode(f *testing.F) {
 	for _, m := range allMessages() {
 		if b, err := Encode(m); err == nil {
@@ -86,6 +88,9 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed.data)
 	}
 	for _, seed := range malformedSeeds() {
+		f.Add(seed.data)
+	}
+	for _, seed := range handoffSeeds() {
 		f.Add(seed.data)
 	}
 	// A NaN score: both decoders refuse it.
@@ -187,7 +192,7 @@ func reframe(t *testing.T, flags uint8, ms []Message) []byte {
 
 // batchSeeds are frames of several messages — every kind from one sender,
 // three serves — and the list shapes a hostile peer would try (see
-// TestHostileBatches), plus a frame of the retired version 3.
+// TestHostileBatches), plus frames of the retired versions 3 and 4.
 func batchSeeds() []corpusSeed {
 	encode := func(m Message) []byte {
 		b, err := Encode(m)
@@ -218,8 +223,8 @@ func batchSeeds() []corpusSeed {
 		serves = append(serves, entry(encode(&Serve{Sender: 4, Chunk: ChunkID(i), PayloadSize: 3, Hash: 1, Payload: []byte("abc")})))
 	}
 	req7, req8 := entry(encode(&ScoreReq{Sender: 7, Target: 2})), entry(encode(&ScoreReq{Sender: 8, Target: 2}))
-	v3 := frame(0, list(1, req7))
-	v3[2] = 3
+	v3, v4 := frame(0, list(1, req7)), frame(0, list(1, req7))
+	v3[2], v4[2] = 3, 4
 	return []corpusSeed{
 		{"seed-batch-every-kind", frame(0, list(uint16(len(every)), every...))},
 		{"seed-batch-serves", frame(FlagReliable, list(3, serves...))},
@@ -230,6 +235,7 @@ func batchSeeds() []corpusSeed {
 		{"seed-batch-length-over", frame(0, list(1, req7[:len(req7)-1]))},
 		{"seed-batch-zero-length", frame(0, list(2, req7, []byte{0, 0}))},
 		{"seed-frame-v3", v3},
+		{"seed-frame-v4", v4},
 	}
 }
 
@@ -281,6 +287,37 @@ func malformedSeeds() []corpusSeed {
 	}
 }
 
+// handoffSeeds are hostile Handoffs: blame totals that are NaN or infinite,
+// which the codec refuses like any non-finite amount, and reasons past the
+// last one, which decode — a reason is a label, as on a Blame or an Expel —
+// and are the receiving manager's to judge.
+func handoffSeeds() []corpusSeed {
+	var seeds []corpusSeed
+	for _, s := range []struct {
+		name string
+		m    Handoff
+	}{
+		{"nan", Handoff{Sender: 3, Target: 5, TotalBlame: math.NaN(), JoinPeriod: 2}},
+		{"inf", Handoff{Sender: 3, Target: 5, TotalBlame: math.Inf(1), JoinPeriod: 2}},
+		{"neg-inf", Handoff{Sender: 3, Target: 5, TotalBlame: math.Inf(-1), JoinPeriod: 2, Expelled: true}},
+		{"reason-over", Handoff{Sender: 3, Target: 5, TotalBlame: 7, JoinPeriod: 2, Expelled: true, Reason: ReasonInvalidPayload + 1}},
+		{"reason-max", Handoff{Sender: 3, Target: 5, TotalBlame: 7, Reason: 0xFF}},
+	} {
+		raw, err := Encode(&s.m)
+		if err != nil {
+			panic(err)
+		}
+		framed, err := EncodeFrame(&s.m, 0)
+		if err != nil {
+			panic(err)
+		}
+		seeds = append(seeds,
+			corpusSeed{"seed-raw-handoff-" + s.name, raw},
+			corpusSeed{"seed-frame-handoff-" + s.name, framed})
+	}
+	return seeds
+}
+
 // TestRegenFuzzCorpus rewrites testdata/fuzz/FuzzDecode from the live
 // encoders. Run it after any wire-format change (like v4's message lists):
 //
@@ -318,6 +355,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	}
 	seeds = append(seeds, batchSeeds()...)
 	seeds = append(seeds, malformedSeeds()...)
+	seeds = append(seeds, handoffSeeds()...)
 	for _, s := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
 		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {

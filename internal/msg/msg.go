@@ -1,8 +1,8 @@
 // Package msg defines the protocol vocabulary of the three-phase gossip
 // dissemination protocol (§3 of the paper) and of LiFTinG's verification
 // machinery (§5): propose/request/serve, ack/confirm/confirm-response for
-// direct cross-checking, blame/score traffic for the reputation substrate,
-// and the audit messages of local history auditing.
+// direct cross-checking, blame/score/handoff traffic for the reputation
+// substrate, and the audit messages of local history auditing.
 //
 // Every message's wire size is the encoding's length plus a 28-byte IP/UDP
 // header. The binary codec (see codec.go) that the UDP transport ships
@@ -45,6 +45,7 @@ const (
 	KindAuditResp
 	KindAuditPoll
 	KindAuditPollResp
+	KindHandoff
 )
 
 var kindNames = map[Kind]string{
@@ -62,6 +63,7 @@ var kindNames = map[Kind]string{
 	KindAuditResp:     "audit-resp",
 	KindAuditPoll:     "audit-poll",
 	KindAuditPollResp: "audit-poll-resp",
+	KindHandoff:       "handoff",
 }
 
 // String returns the lowercase name of the kind.
@@ -342,6 +344,27 @@ func (m *Expel) From() NodeID { return m.Sender }
 // WireSize implements Message.
 func (m *Expel) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
 
+// Handoff pushes a manager's whole copy of Target's score — blame total,
+// the period its clock started, verdict — to a manager Target gained at a
+// membership change (§5.1: a score survives churn through its live copies).
+type Handoff struct {
+	Sender     NodeID
+	Target     NodeID
+	TotalBlame float64
+	JoinPeriod Period
+	Expelled   bool
+	Reason     BlameReason
+}
+
+// Kind implements Message.
+func (m *Handoff) Kind() Kind { return KindHandoff }
+
+// From implements Message.
+func (m *Handoff) From() NodeID { return m.Sender }
+
+// WireSize implements Message.
+func (m *Handoff) WireSize() int { return TransportHeaderSize + EncodedSize(m) }
+
 // ProposalRecord is one fanout entry of a node's local history: a proposal
 // sent to Partner during Period advertising Chunks.
 type ProposalRecord struct {
@@ -445,6 +468,7 @@ var (
 	_ Message = (*ScoreReq)(nil)
 	_ Message = (*ScoreResp)(nil)
 	_ Message = (*Expel)(nil)
+	_ Message = (*Handoff)(nil)
 	_ Message = (*AuditReq)(nil)
 	_ Message = (*AuditResp)(nil)
 	_ Message = (*AuditPoll)(nil)

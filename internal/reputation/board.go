@@ -13,7 +13,9 @@
 // batches them into (lossy) messages to the target's M managers, and a
 // Reader takes the min-vote over their replies; the idealized system of the
 // large-scale score experiments is a single Manager nobody sends to, blamed
-// by function call (Manager.Blame) and ticked by the harness.
+// by function call (Manager.Blame) and ticked by the harness. At a
+// membership change a target's kept managers push their copies to its new
+// ones (msg.Handoff).
 package reputation
 
 import (
@@ -89,16 +91,36 @@ func (b *Board) Periods(target msg.NodeID) int {
 	if !ok {
 		return 0
 	}
-	return b.periods(e)
+	return e.periods(b.period)
 }
 
-// periods is Periods of a tracked entry.
-func (b *Board) periods(e Entry) int {
-	r := int(b.period) - int(e.JoinPeriod)
+// periods is Periods of e as of period p.
+func (e Entry) periods(p msg.Period) int {
+	r := int(p) - int(e.JoinPeriod)
 	if r < 1 {
 		r = 1
 	}
 	return r
+}
+
+// Worse reports whether a is a more pessimistic copy of a score than b as of
+// period p, under grace periods before η applies: an expulsion verdict
+// first; then a copy past its grace periods, which can expel now, over one
+// within them, which cannot; then the higher blame per period tracked (s =
+// b̃ − blame/r, so not the larger raw blame); then the older copy.
+func Worse(a, b Entry, p msg.Period, grace int) bool {
+	if a.Expelled != b.Expelled {
+		return a.Expelled
+	}
+	if aActs, bActs := a.periods(p) >= grace, b.periods(p) >= grace; aActs != bActs {
+		return aActs
+	}
+	ra := a.TotalBlame / float64(a.periods(p))
+	rb := b.TotalBlame / float64(b.periods(p))
+	if ra != rb {
+		return ra > rb
+	}
+	return a.JoinPeriod < b.JoinPeriod
 }
 
 // Score returns the normalized, compensated score of target (Equation 6):
@@ -117,7 +139,7 @@ func (b *Board) Score(target msg.NodeID) float64 {
 
 // score is Score of a tracked entry.
 func (b *Board) score(e Entry) float64 {
-	return b.compensation - e.TotalBlame/float64(b.periods(e))
+	return b.compensation - e.TotalBlame/float64(e.periods(b.period))
 }
 
 // MarkExpelled flags target as expelled with the given reason and reports
@@ -137,10 +159,10 @@ func (b *Board) Expelled(target msg.NodeID) bool {
 	return b.entries[target].Expelled
 }
 
-// Adopt installs a copy of a replica's entry for target, overwriting any
-// local state in place. It is the state-transfer half of a
-// reputation-manager handoff: the join period, accumulated blame and
-// expulsion verdict all migrate with the entry.
+// Adopt installs a copy of another manager's entry for target, overwriting
+// any local state in place. It is the receiving half of a reputation-manager
+// handoff (a msg.Handoff a Manager accepted): the join period, accumulated
+// blame and expulsion verdict all migrate with the entry.
 func (b *Board) Adopt(target msg.NodeID, e Entry) {
 	b.entries[target] = e
 }

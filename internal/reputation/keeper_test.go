@@ -64,7 +64,7 @@ func TestKeeperMatchesBoardSweep(t *testing.T) {
 			expel: func(id msg.NodeID) { wantOrder = append(wantOrder, id) }}
 		cfg := Config{M: 0, Compensation: comp, Eta: eta, GracePeriods: grace,
 			OnExpel: func(id msg.NodeID, _ msg.BlameReason) { gotOrder = append(gotOrder, id) }}
-		keeper := NewManager(0, cfg, nil, membership.Sequential(initial))
+		keeper := NewManager(0, cfg, nil, membership.Sequential(initial), nil)
 
 		ids := make([]msg.NodeID, 0, initial+periods)
 		hard := map[msg.NodeID]bool{} // blamed well past η every period
@@ -126,7 +126,7 @@ func TestKeeperMatchesBoardSweep(t *testing.T) {
 func TestKeeperBlameOnlyAccumulates(t *testing.T) {
 	var expelled []msg.NodeID
 	keeper := NewManager(0, Config{Eta: -1, OnExpel: func(id msg.NodeID, _ msg.BlameReason) { expelled = append(expelled, id) }},
-		nil, membership.Sequential(4))
+		nil, membership.Sequential(4), nil)
 	keeper.Track(2, 0)
 	keeper.Tick(5)
 	for i := 0; i < 100; i++ {

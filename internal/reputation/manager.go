@@ -36,11 +36,11 @@ type Config struct {
 }
 
 // Manager is the manager-side duty of one node: it holds score copies for
-// the targets it manages and serves blame/score/expel traffic.
+// the targets it manages and serves blame/score/expel/handoff traffic.
 //
 // A Manager's board operations are guarded by an internal mutex: under the
 // UDP runtime its messages arrive on the owning node's goroutine while the
-// harness ticks periods and hands off state from other goroutines.
+// harness ticks periods and tracks and drops targets from other goroutines.
 type Manager struct {
 	self  msg.NodeID
 	cfg   Config
@@ -48,16 +48,21 @@ type Manager struct {
 	board *Board
 	netw  net.Network
 	dir   *membership.Directory
+	// sends is the set of send blocks of the node's execution context, the
+	// Handoffs are carved from; nil for a manager that never hands off.
+	sends *msg.Sends
 }
 
-// NewManager creates the manager component of node self.
-func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.Directory) *Manager {
+// NewManager creates the manager component of node self, carving its
+// Handoffs from sends.
+func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.Directory, sends *msg.Sends) *Manager {
 	return &Manager{
 		self:  self,
 		cfg:   cfg,
 		board: NewBoard(cfg.Compensation),
 		netw:  netw,
 		dir:   dir,
+		sends: sends,
 	}
 }
 
@@ -68,7 +73,7 @@ func (m *Manager) Tick(p msg.Period) {
 	m.board.SetPeriod(p)
 	var toExpel []msg.NodeID
 	m.board.Each(func(id msg.NodeID, e Entry) {
-		if !e.Expelled && m.board.periods(e) >= m.cfg.GracePeriods && m.board.score(e) < m.cfg.Eta {
+		if !e.Expelled && e.periods(m.board.period) >= m.cfg.GracePeriods && m.board.score(e) < m.cfg.Eta {
 			toExpel = append(toExpel, id)
 		}
 	})
@@ -104,14 +109,20 @@ func (m *Manager) Snapshot(target msg.NodeID) (Entry, bool) {
 	return m.board.Entry(target)
 }
 
-// Adopt installs a replica's entry for target as of period p, overwriting
-// local state. The harness uses it to hand score state to a manager that
-// became responsible for target after a membership change.
-func (m *Manager) Adopt(target msg.NodeID, e Entry, p msg.Period) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.board.SetPeriod(p)
-	m.board.Adopt(target, e)
+// HandOff pushes this manager's entry for target to to, the managers
+// target gained at a membership change, in one Handoff carved from the
+// execution context's send blocks; nothing if it does not track target. It
+// runs on the manager's execution context.
+func (m *Manager) HandOff(target msg.NodeID, to []msg.NodeID) {
+	e, tracked := m.Snapshot(target)
+	if !tracked {
+		return
+	}
+	h := m.sends.Handoff(msg.Handoff{Sender: m.self, Target: target,
+		TotalBlame: e.TotalBlame, JoinPeriod: e.JoinPeriod, Expelled: e.Expelled, Reason: e.Reason})
+	for _, id := range to {
+		m.netw.Send(m.self, id, h, net.Unreliable)
+	}
 }
 
 // TrackedCount returns how many targets this manager currently tracks.
@@ -173,11 +184,11 @@ func (m *Manager) HandleMessage(from msg.NodeID, mm msg.Message) bool {
 		}
 		return true
 	case *msg.ScoreReq:
-		// Answer honestly about targets this manager does not track (churn
-		// handoffs move score copies around): a fabricated 0 would poison the
-		// reader's min-vote. The reply still goes out — readers count it
-		// toward "all managers answered" — but carries Tracked=false and no
-		// score.
+		// Answer honestly about targets this manager does not track (a
+		// manager that lost the target at a membership change dropped its
+		// copy): a fabricated 0 would poison the reader's min-vote. The reply
+		// still goes out — readers count it toward "all managers answered" —
+		// but carries Tracked=false and no score.
 		m.mu.Lock()
 		resp := &msg.ScoreResp{
 			Sender:  m.self,
@@ -203,6 +214,23 @@ func (m *Manager) HandleMessage(from msg.NodeID, mm msg.Message) bool {
 		if first && m.cfg.OnExpel != nil {
 			m.cfg.OnExpel(v.Target, v.Reason)
 		}
+		return true
+	case *msg.Handoff:
+		// Another manager's copy, pushed at a membership change: taken only
+		// from a current manager of the target (as for Expel), by one, and
+		// only if Worse than the copy here. A copy begun at the gain is
+		// within its grace periods, so a kept manager's older one replaces
+		// it even when blames flushed at the change landed first.
+		mgrs := m.dir.Managers(v.Target, m.cfg.M)
+		if !slices.Contains(mgrs, from) || !slices.Contains(mgrs, m.self) {
+			return true
+		}
+		e := Entry{TotalBlame: v.TotalBlame, JoinPeriod: v.JoinPeriod, Expelled: v.Expelled, Reason: v.Reason}
+		m.mu.Lock()
+		if cur, tracked := m.board.Entry(v.Target); !tracked || Worse(e, cur, m.board.period, m.cfg.GracePeriods) {
+			m.board.Adopt(v.Target, e)
+		}
+		m.mu.Unlock()
 		return true
 	default:
 		return false

@@ -16,7 +16,9 @@ import (
 // the minimum below the truth).
 //
 // Replies flagged Tracked=false carry no genuine score copy (the manager
-// lost the target in a churn handoff, or never had it) and are discarded:
+// dropped the target when a membership change took it away, or never had
+// it — the Handoff a manager the target gains is pushed may not have
+// landed yet) and are discarded:
 // they count toward "every manager answered" but contribute nothing to the
 // vote, so a read that reaches only such managers reports zero replies
 // instead of a fabricated score.

@@ -117,7 +117,7 @@ func managed(t *testing.T, n int, cfg Config, loss float64) (*sim.Engine, *net.S
 	managers := make(map[msg.NodeID]*Manager, n)
 	for i := 0; i < n; i++ {
 		id := msg.NodeID(i)
-		m := NewManager(id, cfg, netw, dir)
+		m := NewManager(id, cfg, netw, dir, new(msg.Sends))
 		managers[id] = m
 		netw.Attach(id, handlerFunc(func(from msg.NodeID, mm msg.Message) {
 			managers[id].HandleMessage(from, mm)
