@@ -125,7 +125,7 @@ var churn = Experiment{
 		t.AddRow("separation gap", F(honestMean-riderMean, 2))
 		t.Notes = append(t.Notes,
 			"arrivals catch up on chunks generated after their join (infect-and-die does not replay history)",
-			"manager duties migrate on every membership change; gaining managers adopt the most pessimistic replica")
+			"manager duties migrate on every membership change; kept managers push their score copies to gained ones, which take the most pessimistic")
 		out.addTable(obs, t)
 		out.addMetric("joined", float64(joined))
 		out.addMetric("departed", float64(departed))
