@@ -425,15 +425,18 @@ func (c *Cluster) build(id msg.NodeID) {
 	c.mu.Unlock()
 }
 
-// sendsFor returns the set of send blocks node id carves what it sends from:
-// its shard's on the sim, where a shard runs all its nodes on one goroutine;
-// a set of its own on udp, where only the node's own callbacks are
-// serialized with one another.
+// sendsFor returns the set of send blocks node id carves what it sends from,
+// wired to it (msg.Sends.Wire sizes the set's blocks by the nodes that share
+// it): its shard's on the sim, where a shard runs all its nodes on one
+// goroutine; a set of its own on udp, where only the node's own callbacks
+// are serialized with one another.
 func (c *Cluster) sendsFor(id msg.NodeID) *msg.Sends {
-	if c.Engine == nil {
-		return new(msg.Sends)
+	s := new(msg.Sends)
+	if c.Engine != nil {
+		s = &c.sends[c.Engine.ShardOf(int(id))]
 	}
-	return &c.sends[c.Engine.ShardOf(int(id))]
+	s.Wire()
+	return s
 }
 
 // registerScorekeepers starts tracking id's score as of period p.

@@ -7,19 +7,33 @@ import (
 	"lifting/internal/gossip"
 	"lifting/internal/msg"
 	"lifting/internal/net"
+	"lifting/internal/rng"
 )
 
 // TestSentConfirmRespsAreNotAliased has a witness answer three blocks' worth
 // of Confirms, each about its own suspect and period, through a network that
-// delivers every message twice. The ConfirmResps are carved from the
-// verifier's send blocks; after the last send, every one delivered must still
-// hold its own Suspect and Period, and each answer is one message of its own,
-// delivered twice. A block reused for a later answer would rewrite an earlier
-// one here.
+// delivers every message twice: from a set with one node's blocks, and from
+// one wired to a shard's nodes, whose blocks are maxSendShare = 64 times
+// larger. The ConfirmResps are carved from the verifier's send blocks; after
+// the last send, every one delivered must still hold its own Suspect and
+// Period, and each answer is one message of its own, delivered twice. A
+// block reused for a later answer would rewrite an earlier one here.
 func TestSentConfirmRespsAreNotAliased(t *testing.T) {
+	t.Run("one node's blocks", func(t *testing.T) { checkConfirmRespsNotAliased(t, 1) })
+	t.Run("a shard's blocks", func(t *testing.T) { checkConfirmRespsNotAliased(t, 64) })
+}
+
+// checkConfirmRespsNotAliased runs TestSentConfirmRespsAreNotAliased's
+// answers on a set wired to share nodes.
+func checkConfirmRespsNotAliased(t *testing.T, share int) {
 	r := newRig(t, testCfg(), gossip.Honest{})
+	sends := new(msg.Sends)
+	for i := 0; i < share; i++ {
+		sends.Wire()
+	}
+	r.v = NewVerifier(1, testCfg(), r.eng.Domain(1), r.netw, rng.New(9), r.hist, gossip.Honest{}, r.sink, sends)
 	r.netw.SetConditions(1, net.Conditions{LatencyBase: time.Millisecond, DupProb: 1})
-	const asks = 3 * msg.SendBlock
+	asks := 3 * msg.SendBlock * share
 	for i := 0; i < asks; i++ {
 		r.v.HandleAux(2, &msg.Confirm{Sender: 2, Suspect: msg.NodeID(100 + i), Period: msg.Period(1000 + i), Chunks: []msg.ChunkID{msg.ChunkID(i)}})
 		r.eng.Run(r.eng.Now() + 10*time.Millisecond)

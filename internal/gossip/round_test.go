@@ -19,7 +19,7 @@ import (
 // roundRig is two whole nodes — gossip.Node plus its core.Verifier, with
 // the dependencies cluster.New gives them on the sim: a chunk store each, one
 // collector, one shared verified-once table, the one engine shard's set of
-// send blocks, an honest behaviour and a blame sink — on the sim engine,
+// send blocks, wired to both, an honest behaviour and a blame sink — on the sim engine,
 // among seven silent peers, at f = 8: everyone is everyone's partner. One
 // round is one gossip period in which eight new chunks enter node 0
 // out-of-band, so that
@@ -64,6 +64,7 @@ func newRoundRig() *roundRig {
 	sends := new(msg.Sends) // the one engine shard's
 	for i := range r.nodes {
 		id := msg.NodeID(i)
+		sends.Wire() // as cluster.New's sendsFor does for each node
 		ctx := r.eng.Domain(i)
 		cfg := gossip.Config{
 			F: f, Period: roundPeriod, ChunkPayload: roundPayload, HistoryPeriods: nh,
@@ -102,14 +103,16 @@ func (r *roundRig) round() {
 }
 
 // blockRounds is how many rounds refill every send block a whole number of
-// times: the long-lived chunk lists take 24 ids a round, 3 blocks of 512 in
-// 64 rounds.
-const blockRounds = 64
+// times: the long-lived chunk lists take 24 ids a round, 3 blocks of 1 024
+// in 128 rounds.
+const blockRounds = 128
 
 // blockAllocs is what blockRounds rounds allocate once every ring, pool and
 // slice has reached its size: the send blocks everything sent is carved
-// from, msg.Sends blocks of msg.SendBlock = 16 structs, of 64 serves and of
-// 512 ids. An armed deadline or an open check is none of it: the retry of a
+// from, msg.Sends blocks twice a one-node set's, the set being wired to both
+// nodes — 2 × msg.SendBlock = 32 structs, 128 serves and 1 024 ids. (A
+// one-node set's blocks half the size make the same 41 in 64 rounds.) An
+// armed deadline or an open check is none of it: the retry of a
 // request, a serve check, an ack expectation and a confirm session are
 // by-value records in the node's four sim.Deadlines queues, armed with a
 // func value made once. Nor is the content plane: a serve carries the stored
@@ -118,32 +121,37 @@ const blockRounds = 64
 // proposal, a request or a serve list in before carving it.
 //
 //	per round:
-//	  2  Proposes, one per phase, shared by the 8 partners: 128 in 64
+//	  2  Proposes, one per phase, shared by the 8 partners: 256 in 128
 //	     rounds, 8 blocks
 //	  1  Request, 1 Ack, 1 Confirm (shared by the 8 witnesses) and
-//	     1 ConfirmResp (node 0, a witness of its own, answers): 64 each,
+//	     1 ConfirmResp (node 0, a witness of its own, answers): 128 each,
 //	     4 blocks of each
-//	  8  Serves, the serves of node 1's request: 512, 8 blocks
+//	  8  Serves, the serves of node 1's request: 1024, 8 blocks
 //	  16 short-lived ids, the request and the list of chunks to serve
 //	     (message, serve check, recovery and ack expectation share them):
-//	     1024, 2 blocks
-//	  16 origins, 8 a proposal: 1024, 2 blocks
+//	     2048, 2 blocks
+//	  16 origins, 8 a proposal: 2048, 2 blocks
 //	  16 partners, 8 a propose phase (membership.Sample appends them to
 //	     a list carved from the set), which the logs keep nh periods and
-//	     the acks name: 1024, 2 blocks
+//	     the acks name: 2048, 2 blocks
 //	  24 long-lived chunk ids, the two proposals and node 1's fan-in
-//	     block, which the logs keep nh periods: 1536, 3 blocks
+//	     block, which the logs keep nh periods: 3072, 3 blocks
 const blockAllocs = 8 + 4*4 + 8 + 2 + 2 + 2 + 3
 
 func TestSteadyStateRoundAllocations(t *testing.T) {
 	const runs = 10
 	r := newRoundRig()
-	r.prepare(120 + (runs+1)*blockRounds) // AllocsPerRun runs once more to warm up
-	for i := 0; i < 120; i++ {            // past the nh = 50 rings, twice
+	// Past the nh = 50 rings many times over, and far enough into the
+	// stream that the have-sets' bit words, which grow by appending as a
+	// node holds more chunks, grow only a few times in the measured rounds:
+	// fewer than runs, so the mean per run stays exact.
+	const warm = 512
+	r.prepare(warm + (runs+1)*blockRounds) // AllocsPerRun runs once more to warm up
+	for i := 0; i < warm; i++ {
 		r.round()
 	}
-	if got := r.nodes[1].ChunkCount(); got != 8*120 {
-		t.Fatalf("node 1 holds %d chunks after 120 rounds, want %d: the round is not the one described", got, 8*120)
+	if got := r.nodes[1].ChunkCount(); got != 8*warm {
+		t.Fatalf("node 1 holds %d chunks after %d rounds, want %d: the round is not the one described", got, warm, 8*warm)
 	}
 	// blockRounds rounds in a row refill each send block a whole number of
 	// times, wherever the rounds before left it, so the count per run is

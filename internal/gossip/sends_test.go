@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lifting/internal/content"
 	"lifting/internal/membership"
 	"lifting/internal/metrics"
 	"lifting/internal/msg"
@@ -70,24 +71,38 @@ func (d deliveries) HandleMessage(from msg.NodeID, m msg.Message) {
 
 // TestSentMessagesAreNotAliased runs two nodes on one engine shard, carving
 // from its one set of send blocks as cluster.New's nodes do, through a
-// network that delivers every message twice. Each period both nodes take 16
+// network that delivers every message twice. Each period both nodes take
 // new chunks of their own and trade them: each proposes to the other, which
-// requests all 16, and is served. In 64 periods the two carve at least three
-// blocks' worth of every kind they send — Proposes, Requests, Serves, the
-// proposals and fan-in blocks, the origins, the requests and serve lists —
-// interleaved. After the last send, every message, each delivered twice,
-// must still be what its sender built, and every list handed to a monitor
-// what it was handed: a block reused for a later carve would rewrite an
-// earlier one here.
+// requests them all, and is served. The two carve at least three blocks'
+// worth of every kind they send — Proposes, Requests, Serves, the proposals
+// and fan-in blocks, the origins, the requests and serve lists —
+// interleaved, from a set with one node's blocks and from one with a shard's,
+// maxSendShare = 64 times larger. After the last send, every message, each
+// delivered twice, must still be what its sender built, and every list
+// handed to a monitor what it was handed: a block reused for a later carve
+// would rewrite an earlier one here.
 func TestSentMessagesAreNotAliased(t *testing.T) {
-	const perPeriod, periods = 16, 64
+	t.Run("one node's blocks", func(t *testing.T) { checkSentNotAliased(t, 1, 16, 64) })
+	// Three Propose blocks of 1 024 take 1 536 periods of two proposals,
+	// and three id blocks of 32 768 as many periods of 32 chunks a node.
+	t.Run("a shard's blocks", func(t *testing.T) { checkSentNotAliased(t, 64, 32, 1536) })
+}
+
+// checkSentNotAliased runs TestSentMessagesAreNotAliased's exchange for the
+// given periods, perPeriod chunks a node each, on a set wired to share nodes.
+func checkSentNotAliased(t *testing.T, share, perPeriod, periods int) {
 	cfg := testConfig()
 	cfg.F = 1
+	cfg.ChunkPayload = 64 // a shard's many chunks stay small in the source
+	source := content.NewSource(7, cfg.ChunkPayload)
 	eng := sim.NewEngine()
 	dir := membership.Sequential(2)
 	inner := net.NewSimNet(eng, rng.New(1), metrics.NewCollector(), net.Conditions{LatencyBase: time.Millisecond, DupProb: 1})
 	netw := &builtNet{inner: inner}
 	sends := new(msg.Sends)
+	for i := 0; i < share; i++ {
+		sends.Wire()
+	}
 	var nodes [2]*Node
 	var mons [2]keptLists
 	var got int
@@ -103,7 +118,8 @@ func TestSentMessagesAreNotAliased(t *testing.T) {
 	for p := 0; p < periods; p++ {
 		for i := range nodes {
 			for k := 0; k < perPeriod; k++ {
-				inject(nodes[i], next)
+				payload, hash := source.Chunk(next)
+				nodes[i].InjectChunkData(next, payload, hash)
 				next++
 			}
 		}
@@ -116,7 +132,9 @@ func TestSentMessagesAreNotAliased(t *testing.T) {
 			t.Fatalf("node %d holds %d of %d chunks: the periods are not the exchange described", i, n.ChunkCount(), want)
 		}
 	}
-	// The block sizes of a msg.Sends set: 16 structs, 64 serves, 512 ids.
+	// The one-node block sizes of a msg.Sends set: 16 structs, 64 serves,
+	// 512 ids.
+	structs, serves, ids := 16*share, 64*share, 512*share
 	counts := map[msg.Kind]int{}
 	var proposed, origins, requested int
 	for _, m := range netw.sent {
@@ -129,8 +147,8 @@ func TestSentMessagesAreNotAliased(t *testing.T) {
 			requested += len(v.Chunks)
 		}
 	}
-	if counts[msg.KindPropose] < 3*16 || counts[msg.KindRequest] < 3*16 || counts[msg.KindServe] < 3*64 ||
-		proposed < 3*512 || origins < 3*512 || requested < 3*512 {
+	if counts[msg.KindPropose] < 3*structs || counts[msg.KindRequest] < 3*structs || counts[msg.KindServe] < 3*serves ||
+		proposed < 3*ids || origins < 3*ids || requested < 3*ids {
 		t.Fatalf("built %v, with %d proposed ids, %d origins and %d requested: fewer than three blocks of some kind", counts, proposed, origins, requested)
 	}
 	if got != 2*len(netw.sent) {

@@ -168,15 +168,18 @@ const (
 	payloadBlock = 16 << 10
 )
 
-// Block sizes of a Sends set: SendBlock structs of each kind but Serve,
-// sendServeBlock serves, sendIDBlock ids per list field. An execution
-// context holds one partly used block of each for good — one set per engine
-// shard on the sim, one per node on udp — so the sizes trade that standing
-// cost (DESIGN.md, "The send side") against how often a block is refilled.
+// Block sizes of a Sends set one node carves from: SendBlock structs of each
+// kind but Serve, sendServeBlock serves, sendIDBlock ids per list field. An
+// execution context holds one partly used block of each for good — one set
+// per engine shard on the sim, one per node on udp — so the sizes trade that
+// standing cost (DESIGN.md, "The send side") against how often a block is
+// refilled. A set that k nodes carve from takes blocks min(k, maxSendShare)
+// times as large (Sends.Wire).
 const (
 	SendBlock      = 16
 	sendServeBlock = 64
 	sendIDBlock    = 512
+	maxSendShare   = 64
 )
 
 // Blocks hands out values of T carved from blocks it allocates, for one
@@ -228,8 +231,11 @@ func (b *Blocks[T]) Place(v T, size int) *T {
 // phase's partners — come from blocks of their own, so that one long-held
 // list does not pin a block of short-lived ones. Nothing is carved twice
 // (see Blocks), so a receiver on the sim, which is handed the sender's very
-// message, may keep what it holds. The zero value is ready to use.
+// message, may keep what it holds. The zero value is ready to use, with the
+// blocks of a set one node carves from.
 type Sends struct {
+	share int // nodes wired to the set (Wire), at most maxSendShare
+
 	proposes     Blocks[Propose]
 	requests     Blocks[Request]
 	serves       Blocks[Serve]
@@ -245,51 +251,68 @@ type Sends struct {
 	partners Blocks[NodeID] // partner lists: held nh periods
 }
 
+// Wire records one more node carving from the set; whoever hands a node its
+// set calls it once per node it wires. A set's blocks are its one-node sizes
+// times the nodes wired to it, up to maxSendShare times: the nodes share the
+// set's refills, so a block lasts each of them about as long as a one-node
+// set's would, while the set's standing partial blocks are paid once for all
+// of them. A sim shard's thousands of nodes get blocks maxSendShare times
+// the one-node size; a udp node's set, wired once, keeps it.
+func (s *Sends) Wire() {
+	if s.share < maxSendShare {
+		s.share++
+	}
+}
+
+// block returns the size of the set's blocks of a field whose one-node
+// block is base.
+func (s *Sends) block(base int) int { return base * max(s.share, 1) }
+
 // Propose returns v carved from the set.
-func (s *Sends) Propose(v Propose) *Propose { return s.proposes.Place(v, SendBlock) }
+func (s *Sends) Propose(v Propose) *Propose { return s.proposes.Place(v, s.block(SendBlock)) }
 
 // Request returns v carved from the set.
-func (s *Sends) Request(v Request) *Request { return s.requests.Place(v, SendBlock) }
+func (s *Sends) Request(v Request) *Request { return s.requests.Place(v, s.block(SendBlock)) }
 
 // Ack returns v carved from the set.
-func (s *Sends) Ack(v Ack) *Ack { return s.acks.Place(v, SendBlock) }
+func (s *Sends) Ack(v Ack) *Ack { return s.acks.Place(v, s.block(SendBlock)) }
 
 // Confirm returns v carved from the set.
-func (s *Sends) Confirm(v Confirm) *Confirm { return s.confirms.Place(v, SendBlock) }
+func (s *Sends) Confirm(v Confirm) *Confirm { return s.confirms.Place(v, s.block(SendBlock)) }
 
 // ConfirmResp returns v carved from the set.
 func (s *Sends) ConfirmResp(v ConfirmResp) *ConfirmResp {
-	return s.confirmResps.Place(v, SendBlock)
+	return s.confirmResps.Place(v, s.block(SendBlock))
 }
 
 // Blame returns v carved from the set.
-func (s *Sends) Blame(v Blame) *Blame { return s.blames.Place(v, SendBlock) }
+func (s *Sends) Blame(v Blame) *Blame { return s.blames.Place(v, s.block(SendBlock)) }
 
 // Handoff returns v carved from the set.
-func (s *Sends) Handoff(v Handoff) *Handoff { return s.handoffs.Place(v, SendBlock) }
+func (s *Sends) Handoff(v Handoff) *Handoff { return s.handoffs.Place(v, s.block(SendBlock)) }
 
 // Serves returns n zero serves carved from the set: the serves of one
 // request.
-func (s *Sends) Serves(n int) []Serve { return s.serves.carve(n, sendServeBlock) }
+func (s *Sends) Serves(n int) []Serve { return s.serves.carve(n, s.block(sendServeBlock)) }
 
 // Chunks returns a copy of ids carved from the set's short-lived lists: a
 // request's, a serve list.
 func (s *Sends) Chunks(ids []ChunkID) []ChunkID {
-	out := s.chunks.carve(len(ids), sendIDBlock)
+	out := s.chunks.carve(len(ids), s.block(sendIDBlock))
 	copy(out, ids)
 	return out
 }
 
 // KeptChunks returns n zero ids carved from the set's long-lived lists: a
 // proposal, a fan-in block.
-func (s *Sends) KeptChunks(n int) []ChunkID { return s.kept.carve(n, sendIDBlock) }
+func (s *Sends) KeptChunks(n int) []ChunkID { return s.kept.carve(n, s.block(sendIDBlock)) }
 
 // Origins returns n zero node ids carved from the set: a proposal's origins.
-func (s *Sends) Origins(n int) []NodeID { return s.origins.carve(n, sendIDBlock) }
+func (s *Sends) Origins(n int) []NodeID { return s.origins.carve(n, s.block(sendIDBlock)) }
 
 // Partners returns an empty list with room for n node ids, carved from the
 // set's long-lived lists: a propose phase's partners, appended to it.
-func (s *Sends) Partners(n int) []NodeID { return s.partners.carve(n, sendIDBlock)[:0] }
+func (s *Sends) Partners(n int) []NodeID { return s.partners.carve(n, s.block(sendIDBlock))[:0] }
 
 // Decoder decodes exactly as Decode does, for one goroutine at a time, but
 // carves the structs, id lists and payloads of the hot message kinds (serve,

@@ -43,8 +43,10 @@ func BenchmarkClientFlush(b *testing.B) {
 
 // TestFlushAllocsBounded is the regression guard behind BenchmarkClientFlush:
 // a full accumulate+flush cycle over flushTargets targets must allocate one
-// block of Blames every msg.SendBlock targets — the pending batches live in
-// the map by value, and one carved Blame serves all M sends of a target — not
+// block of Blames every msg.SendBlock targets (NewClient's set of its own is
+// a one-node set, whose blocks are msg.SendBlock long) — the pending batches
+// live in the map by value, and one carved Blame serves all M sends of a
+// target — not
 // one per manager send, not one per target, and not a fresh pending map per
 // flush.
 func TestFlushAllocsBounded(t *testing.T) {

@@ -327,13 +327,14 @@ func (c *Client) Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 // messages as immutable once handed to Send (the UDP transport serializes
 // them on the spot through the pooled AppendEncode path), so the per-manager
 // re-allocation this replaced bought nothing. That Blame is carved from the
-// send blocks of the client's execution context (msg.Sends, msg.SendBlock
-// to a block), the way a Decoder carves the ones it receives, and never
+// send blocks of the client's execution context (msg.Sends: msg.SendBlock
+// to a block for each node that carves from the set, up to a sim shard's
+// 64 times that), the way a Decoder carves the ones it receives, and never
 // carved twice, so a receiver may keep it. The pending map holds each batch
 // by value and is cleared in place — Flush runs once per blamed target per
 // period on every node, which makes it a rebalance-scale hot path at 10k
-// nodes: a flush allocates a block every msg.SendBlock targets and nothing
-// else.
+// nodes: a flush allocates a block every block's worth of targets and
+// nothing else.
 func (c *Client) Flush() {
 	for _, target := range c.order {
 		p := c.pending[target]

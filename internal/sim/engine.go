@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -87,6 +88,10 @@ type shard struct {
 	// outG buffers deferred-global events scheduled from this shard's
 	// node callbacks during a window.
 	outG []event
+	// run executes the shard's part of the current window (to the
+	// engine's bound) and reports it done: what a window starts the
+	// shard's goroutine with, built once by NewSharded.
+	run func()
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not
@@ -108,6 +113,10 @@ type Engine struct {
 	// written by the coordinator with a happens-before edge to the workers
 	// (the window dispatch), so they may read it without synchronization.
 	inWindow bool
+	// bound is the current window's bound, which shard goroutines read
+	// (written before the dispatch, like inWindow), and wg joins them.
+	bound time.Duration
+	wg    sync.WaitGroup
 }
 
 // NewEngine returns a one-shard engine with a fixed 5 ms lookahead, for
@@ -133,6 +142,10 @@ func NewSharded(s int, window time.Duration) *Engine {
 	for i := range e.shards {
 		sh := &shard{out: make([][]event, s)}
 		sh.q.init(window)
+		sh.run = func() {
+			sh.runTo(e.bound, e.sink)
+			e.wg.Done()
+		}
 		e.shards[i] = sh
 	}
 	return e

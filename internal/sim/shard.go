@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sync"
+	gort "runtime"
 	"time"
 )
 
@@ -13,11 +13,12 @@ import (
 //     globals). Global events run on the coordinator goroutine and may
 //     freely mutate shared state and schedule into any shard.
 //  2. Pick the window bound B = min(T+window, next global event, just past
-//     until). Every shard then executes its events with time < B — in
-//     parallel, one goroutine per shard. Cross-shard deliveries produced
-//     inside the window land at ≥ T+window ≥ B (the lookahead guarantee),
-//     so no shard can affect another within the window; they are buffered
-//     in per-shard outboxes.
+//     until). Every shard with an event before B then executes its events
+//     with time < B, in parallel: one of them on the coordinator goroutine,
+//     each other one on a goroutine of its own. Cross-shard deliveries
+//     produced inside the window land at ≥ T+window ≥ B (the lookahead
+//     guarantee), so no shard can affect another within the window; they
+//     are buffered in per-shard outboxes.
 //  3. Barrier: merge the outboxes into the destination queues and the
 //     deferred globals into the global queue, advance every clock to the
 //     new T, repeat.
@@ -114,9 +115,12 @@ func (e *Engine) advanceTo(t time.Duration) {
 }
 
 // runWindow executes every shard's events with time < bound and returns
-// how many ran. With more than one shard the shards run on their own
-// goroutines; the WaitGroup gives the coordinator a happens-before edge
-// over all shard state.
+// how many ran. With more than one shard, the first shard with work runs on
+// the coordinator and every other one on a goroutine started from the func
+// value it was built with (shard.run); the engine's WaitGroup gives the
+// coordinator a happens-before edge over all shard state. Nothing is
+// allocated per window: the func values, the bound they read and the
+// WaitGroup all belong to the engine.
 func (e *Engine) runWindow(bound time.Duration) uint64 {
 	var before uint64
 	for _, sh := range e.shards {
@@ -126,18 +130,27 @@ func (e *Engine) runWindow(bound time.Duration) uint64 {
 	if len(e.shards) == 1 {
 		e.shards[0].runTo(bound, e.sink)
 	} else {
-		var wg sync.WaitGroup
+		e.bound = bound
+		var local *shard
 		for _, sh := range e.shards {
-			if sh.q.nextAt() >= bound {
-				continue
+			switch {
+			case sh.q.nextAt() >= bound:
+			case local == nil:
+				local = sh
+			default:
+				e.wg.Add(1)
+				go sh.run()
 			}
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.runTo(bound, e.sink)
-			}(sh)
 		}
-		wg.Wait()
+		if local != nil {
+			// Yield once: a goroutine just started sits in this P's
+			// next-to-run slot, which an idle P steals only after a
+			// sleep, while one that yields is taken from the global queue
+			// at once (DESIGN.md, "The discrete-event engine").
+			gort.Gosched()
+			local.runTo(bound, e.sink)
+		}
+		e.wg.Wait()
 	}
 	e.inWindow = false
 	var after uint64

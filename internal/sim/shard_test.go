@@ -312,6 +312,38 @@ func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A window of a sharded engine allocates nothing either: one shard runs on
+// the coordinator, the others start from func values built with the engine
+// and join on the engine's WaitGroup — no closure or WaitGroup per window.
+func TestShardedWindowsAllocateNothing(t *testing.T) {
+	e := newMixRig(2).e
+	before := [2]uint64{e.shards[0].events, e.shards[1].events}
+	allocs := testing.AllocsPerRun(20, func() { e.RunChunk(time.Duration(1<<62), 20_000) })
+	for k, sh := range e.shards {
+		if ran := sh.events - before[k]; ran < 20*20_000/4 {
+			t.Fatalf("shard %d ran %d events, want ≥ 100k: the load is not spread over both shards", k, ran)
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("two-shard steady-state windows allocate %v objects a round, want 0", allocs)
+	}
+}
+
+// BenchmarkShardedWindows measures one lookahead window of a two-shard
+// engine under the measured traffic mix, whose deliveries all cross to the
+// other shard: the dispatch to the shard goroutines, both shards' events,
+// the join and the outbox merge. ns/op is ns/window.
+func BenchmarkShardedWindows(b *testing.B) {
+	e := newMixRig(2).e
+	before := e.Events()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunChunk(time.Duration(1<<62), 1) // a budget of 1 stops after one window
+	}
+	b.ReportMetric(float64(e.Events()-before)/float64(b.N), "events/op")
+}
+
 // BenchmarkEngineTraffic measures the engine end to end — calendar pushes,
 // slice sorts and pops, window barriers, outbox merges — under the measured
 // traffic mix.
