@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: test race benchmark allocs profile heap fuzz fmt vet lint identical size
+.PHONY: test race benchmark allocs profile heap fuzz fmt vet lint identical size pairs
 
 test:
 	$(GO) build ./...
@@ -31,8 +31,9 @@ lint:
 # cached manager assignment is read from every node goroutine while
 # churn mutates the view), the discrete-event engine (node events run on
 # shard goroutines inside lookahead windows — its one layout, whatever the
-# shard count — and cross shards by value, through outboxes the coordinator
-# merges at the barrier), the metrics collector (striped atomic counters
+# shard count — as do the period tick's blame flushes and manager scans,
+# fanned out at the barrier, and cross shards by value, through outboxes
+# the coordinator merges at the barrier), the metrics collector (striped atomic counters
 # hammered from sender goroutines while scrapers take snapshots, one per
 # /metrics scrape), the content plane (chunk stores and the HTTP gateway
 # serve shared payload slices to concurrent readers), gossip (its serve path
@@ -179,6 +180,66 @@ identical:
 	done; \
 	if [ $$fail -ne 0 ]; then echo "identical: documents differ from $(BASE)"; exit 1; fi; \
 	echo "identical: every document byte-equal to $(BASE)'s"
+
+# The table a claimed gain is judged by (ROADMAP's claim rule): the benchmark
+# built at BASE (a `git archive` in a temporary directory, as `identical`
+# takes it) and at the working tree, and N alternating pairs of one untraced
+# pass each, `-workload $(WORKLOAD) -seed $(SEED) -seconds 20 -trace 0`,
+# base first in odd pairs and the working tree first in even ones. It prints
+# every run as it ends (its end-to-end metrics and sim digest), then for each
+# end-to-end metric of BENCHMARK.json each side's median and quartiles, the
+# change of the medians, how many pairs the working tree won (by the
+# metric's direction; a tie wins nothing) and whether the medians are further
+# apart than the base's interquartile range. Nothing is written to the
+# repository. e.g. `make pairs BASE=HEAD~1 WORKLOAD=sim_scale N=10`.
+N ?= 10
+SEED ?= 23
+define PAIRSTABLE
+def q($$p): sort as $$s | ($$s | length) as $$n | (($$n - 1) * $$p) as $$x | ($$x | floor) as $$i
+  | $$s[$$i] + ($$s[[$$i + 1, $$n - 1] | min] - $$s[$$i]) * ($$x - $$i);
+def r: if . == null then "-" else (. * 10000 | round) / 10000 | tostring end;
+. as $$runs
+| ($$runs | map(.pair) | max) as $$pairs
+| "metric  base median [q1, q3]  →  work median [q1, q3]  change  wins  gap > base IQR",
+  ($$bench[0].end_to_end[] as $$e
+   | [$$runs[] | select(.side == "base") | .m[$$e.name] | select(. != null)] as $$b
+   | [$$runs[] | select(.side == "work") | .m[$$e.name] | select(. != null)] as $$w
+   | select(($$b | length) > 0 and ($$w | length) > 0)
+   | [range(1; $$pairs + 1) as $$p
+      | ([$$runs[] | select(.pair == $$p and .side == "base") | .m[$$e.name]][0]) as $$x
+      | ([$$runs[] | select(.pair == $$p and .side == "work") | .m[$$e.name]][0]) as $$y
+      | select($$x != null and $$y != null)
+      | if $$e.better == "lower" then $$y < $$x else $$y > $$x end
+      | select(.)] as $$won
+   | ($$b | q(0.5)) as $$bm | ($$w | q(0.5)) as $$wm
+   | (($$b | q(0.75)) - ($$b | q(0.25))) as $$iqr
+   | "\($$e.name | .+ "                    " | .[:18])  \($$bm | r) [\($$b | q(0.25) | r), \($$b | q(0.75) | r)]"
+     + "  →  \($$wm | r) [\($$w | q(0.25) | r), \($$w | q(0.75) | r)]"
+     + "  \(if $$bm == 0 then "-" else (($$wm - $$bm) / $$bm * 1000 | round) / 10 | tostring + "%" end)"
+     + "  \($$won | length)/\($$pairs) won"
+     + "  \(if ($$wm - $$bm | fabs) > $$iqr and (if $$e.better == "lower" then $$wm < $$bm else $$wm > $$bm end) then "yes" else "no" end)")
+endef
+export PAIRSTABLE
+pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; \
+	git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base.bench" ./benchmark); \
+	$(GO) build -o "$$tmp/work.bench" ./benchmark; \
+	echo "pairs: $(N) of -workload $(WORKLOAD) -seed $(SEED), base $(BASE) against the working tree"; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi; \
+		for side in $$order; do \
+			"$$tmp/$$side.bench" -workload $(WORKLOAD) -seed $(SEED) -seconds 20 -trace 0 > "$$tmp/out" 2>&1 \
+				|| { cat "$$tmp/out"; echo "pairs: the $$side run of pair $$i failed"; exit 1; }; \
+			digest=$$(sed -n 's/^sim_digest: //p' "$$tmp/out"); \
+			tail -n 1 "$$tmp/out" | jq -c --arg side $$side --argjson pair $$i \
+				'{pair: $$pair, side: $$side, failed: .failed, m: (.metrics | map_values(.value))}' >> "$$tmp/runs.jsonl"; \
+			tail -n 1 "$$tmp/runs.jsonl" | jq -r --arg digest "$$digest" \
+				'"pair \(.pair) \(.side)  " + ([.m | to_entries[] | "\(.key)=\(.value)"] | join(" ")) + "  failed=\(.failed)" + (if $$digest == "" then "" else "  sim_digest=\($$digest)" end)'; \
+		done; \
+	done; \
+	jq -rs --slurpfile bench BENCHMARK.json "$$PAIRSTABLE" "$$tmp/runs.jsonl"
 
 # The figures a simplicity PR and a re-anchor quote: non-test Go lines outside
 # benchmark/ and outside testdata/ (lint fixtures are not product), per

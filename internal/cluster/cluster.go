@@ -18,7 +18,7 @@ import (
 	"context"
 	"maps"
 	gort "runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -210,6 +210,7 @@ type Cluster struct {
 	sends         []msg.Sends    // one set of send blocks per engine shard; nil off the sim backend
 	auditor       *core.Auditor
 	period        msg.Period
+	ticking       periodTick
 	clients       []ownedClient // message-mode blame clients, flushed per period
 	nextID        msg.NodeID
 	handoffs      int
@@ -233,8 +234,8 @@ type Cluster struct {
 }
 
 // ownedClient pairs a blame client with the node whose execution context
-// serializes it, and with its Flush as a func value, made once: every flush
-// round hands it to RT.Exec.
+// serializes it, and with its Flush as a func value, made once: a flush
+// round calls it on the owner's shard (sim) or hands it to RT.Exec (udp).
 type ownedClient struct {
 	owner msg.NodeID
 	flush func()
@@ -302,6 +303,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
 		c.sends = make([]msg.Sends, engine.ShardCount())
+		c.ticking.shard = c.tickShard
 		if verifyOnce {
 			// The one runtime that delivers payloads by reference: every
 			// node is handed the source's own slices, so one full hash per
@@ -616,46 +618,99 @@ func (c *Cluster) scheduleTick(p msg.Period) {
 
 // tick runs one score-period advance: blame flushes, and the tick of every
 // manager — period clock, expulsion checks. Under a wall-clock backend it
-// runs on a harness goroutine outside any node lock.
+// runs on a harness goroutine outside any node lock, each flush on its
+// node's context; on the sim the flushes and the managers' scans fan out
+// across the engine's shards (tickShard), and only the expulsions, which
+// touch membership, run here, in manager id order and each manager's in
+// target id order — the order of one serial pass, whatever the shard count.
 func (c *Cluster) tick(p msg.Period) {
 	if c.Opts.OnPeriodSnapshot != nil {
 		// Sampled before the period's flushes so the snapshot reflects
 		// exactly the traffic of completed periods.
 		c.Opts.OnPeriodSnapshot(p, c.Collector.SnapshotAt(uint64(p)))
 	}
+	t := &c.ticking
 	c.mu.Lock()
 	c.period = p
-	clients := make([]ownedClient, len(c.clients))
-	copy(clients, c.clients)
-	mgrIDs := make([]msg.NodeID, 0, len(c.Managers))
+	t.p, t.flush = p, flushDue(c.Opts.Rep, p)
+	t.clients = append(t.clients, c.clients...)
 	//lint:allow ordered-map-range collect-then-sort: ids are sorted before the period fan-out
 	for id := range c.Managers {
-		mgrIDs = append(mgrIDs, id)
+		t.mgrIDs = append(t.mgrIDs, id)
+	}
+	slices.Sort(t.mgrIDs)
+	for _, id := range t.mgrIDs {
+		t.mgrs = append(t.mgrs, c.Managers[id])
 	}
 	c.mu.Unlock()
 
 	if c.keeper != nil {
 		c.keeper.Tick(p)
 	}
-
-	if flushDue(c.Opts.Rep, p) {
-		for _, oc := range clients {
-			// Client state is written by the owner's verifier under the
-			// node's serialization; flush there too.
-			c.RT.Exec(oc.owner, oc.flush)
+	if c.Engine != nil {
+		t.doomed = slices.Grow(t.doomed, len(t.mgrs))[:len(t.mgrs)]
+		c.Engine.Fan(t.shard)
+		for i, m := range t.mgrs {
+			m.Expel(t.doomed[i])
+		}
+	} else {
+		if t.flush {
+			for _, oc := range t.clients {
+				// Client state is written by the owner's verifier under
+				// the node's serialization; flush there too.
+				c.RT.Exec(oc.owner, oc.flush)
+			}
+		}
+		for _, m := range t.mgrs {
+			m.Tick(p)
 		}
 	}
+	t.reset()
+}
 
-	sort.Slice(mgrIDs, func(i, j int) bool { return mgrIDs[i] < mgrIDs[j] })
-	c.mu.Lock()
-	mgrs := make([]*reputation.Manager, 0, len(mgrIDs))
-	for _, id := range mgrIDs {
-		mgrs = append(mgrs, c.Managers[id])
+// periodTick is a period tick's scratch, reused from tick to tick (ticks
+// never overlap): the clients and managers of the period, managers in id
+// order, and on the sim what each manager's scan found.
+type periodTick struct {
+	p       msg.Period
+	flush   bool // the clients flush this period
+	clients []ownedClient
+	mgrIDs  []msg.NodeID
+	mgrs    []*reputation.Manager
+	doomed  [][]msg.NodeID // doomed[i] is mgrs[i]'s Scan: its own scratch
+	// shard is the tick's part on one sim shard, made once; tick hands it
+	// to sim.Engine.Fan.
+	shard func(shard int)
+}
+
+// tickShard is a period tick's part on engine shard s, run on the
+// goroutine that owns the shard while the others run theirs: the flushes
+// of the clients whose owners it runs, then the scans of its managers. A
+// flush's sends are keyed by (time, sender, sender's sequence) whichever
+// goroutine pushes them, and a scan reads its own manager's board alone,
+// so the outcome is the serial pass's.
+func (c *Cluster) tickShard(s int) {
+	t := &c.ticking
+	if t.flush {
+		for _, oc := range t.clients {
+			if c.Engine.ShardOf(int(oc.owner)) == s {
+				oc.flush()
+			}
+		}
 	}
-	c.mu.Unlock()
-	for _, m := range mgrs {
-		m.Tick(p)
+	for i, id := range t.mgrIDs {
+		if c.Engine.ShardOf(int(id)) == s {
+			t.doomed[i] = t.mgrs[i].Scan(t.p)
+		}
 	}
+}
+
+// reset empties the scratch, keeping no client or manager alive.
+func (t *periodTick) reset() {
+	clear(t.clients)
+	clear(t.mgrs)
+	clear(t.doomed)
+	t.clients, t.mgrIDs, t.mgrs, t.doomed = t.clients[:0], t.mgrIDs[:0], t.mgrs[:0], t.doomed[:0]
 }
 
 // goneLocked reports whether id has been expelled or has departed — either

@@ -3,7 +3,6 @@ package reputation
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"lifting/internal/membership"
@@ -51,6 +50,8 @@ type Manager struct {
 	// sends is the set of send blocks of the node's execution context, the
 	// Handoffs are carved from; nil for a manager that never hands off.
 	sends *msg.Sends
+	// doomed is Scan's scratch: the targets its last scan found below η.
+	doomed []msg.NodeID
 }
 
 // NewManager creates the manager component of node self, carving its
@@ -67,19 +68,33 @@ func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.D
 }
 
 // Tick advances the manager's period clock and re-evaluates expulsion for
-// every tracked node: scores change with r even without new blames.
-func (m *Manager) Tick(p msg.Period) {
+// every tracked node: Expel of what Scan returns.
+func (m *Manager) Tick(p msg.Period) { m.Expel(m.Scan(p)) }
+
+// Scan advances the manager's period clock to p and returns, in id order,
+// the tracked targets not yet expelled whose score is below η past their
+// grace periods: scores change with r even without new blames. It reads and
+// writes this manager's board alone, so the scans of different managers may
+// run at once. The slice is the manager's scratch, valid until its next
+// Scan: a scan allocates nothing once it has held its largest verdict.
+func (m *Manager) Scan(p msg.Period) []msg.NodeID {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.board.SetPeriod(p)
-	var toExpel []msg.NodeID
+	m.doomed = m.doomed[:0]
 	m.board.Each(func(id msg.NodeID, e Entry) {
 		if !e.Expelled && e.periods(m.board.period) >= m.cfg.GracePeriods && m.board.score(e) < m.cfg.Eta {
-			toExpel = append(toExpel, id)
+			m.doomed = append(m.doomed, id)
 		}
 	})
-	m.mu.Unlock()
-	sort.Slice(toExpel, func(i, j int) bool { return toExpel[i] < toExpel[j] })
-	for _, id := range toExpel {
+	slices.Sort(m.doomed)
+	return m.doomed
+}
+
+// Expel expels each of targets in turn, the verdicts of a Scan: it marks
+// them, notifies the harness (OnExpel) and tells their other managers.
+func (m *Manager) Expel(targets []msg.NodeID) {
+	for _, id := range targets {
 		m.expel(id, msg.ReasonUnknown)
 	}
 }

@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -206,6 +207,35 @@ func TestTickTriggersExpulsion(t *testing.T) {
 	eng.RunAll()
 	if len(got) == 0 || got[0] != 4 {
 		t.Fatalf("Tick did not expel: %v", got)
+	}
+}
+
+// Scan returns the targets below η past their grace periods, in id order,
+// and nothing already expelled; once its scratch has held the verdicts, a
+// scan allocates nothing — no closure, no sort.Slice swapper.
+func TestScanVerdictsInIDOrderWithoutAllocating(t *testing.T) {
+	cfg := Config{M: 3, Compensation: 0, Eta: -5, GracePeriods: 2}
+	m := NewManager(0, cfg, nil, membership.Sequential(1), nil)
+	var want []msg.NodeID
+	for id := msg.NodeID(300); id > 0; id-- {
+		m.Track(id, 0)
+		if id%7 == 0 {
+			m.Blame(id, 100, msg.ReasonNoAck) // −50 at r = 2
+			want = append([]msg.NodeID{id}, want...)
+		}
+	}
+	if got := m.Scan(1); len(got) != 0 {
+		t.Fatalf("Scan within the grace periods = %v, want none", got)
+	}
+	if got := m.Scan(2); !slices.Equal(got, want) {
+		t.Fatalf("Scan(2) = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Scan(2) }); allocs != 0 {
+		t.Fatalf("a scan of 300 targets, 42 of them below η, allocates %v objects, want 0", allocs)
+	}
+	m.Expel(m.Scan(3)[:2])
+	if got := m.Scan(3); !slices.Equal(got, want[2:]) {
+		t.Fatalf("Scan after expelling %v = %v, want %v", want[:2], got, want[2:])
 	}
 }
 

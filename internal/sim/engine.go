@@ -81,16 +81,17 @@ type shard struct {
 	now    time.Duration
 	q      queue
 	events uint64
-	// out buffers events destined for other shards during a window; the
-	// coordinator merges them at the barrier. out[own index] is unused
-	// (same-shard events are pushed directly).
-	out [][]event
+	// out buffers events destined for other shards during a window, in
+	// pages of the shard's queue; the coordinator merges them at the
+	// barrier, and the pages go to the destination's free list.
+	// out[own index] is unused (same-shard events are pushed directly).
+	out []bucket
 	// outG buffers deferred-global events scheduled from this shard's
 	// node callbacks during a window.
 	outG []event
-	// run executes the shard's part of the current window (to the
-	// engine's bound) and reports it done: what a window starts the
-	// shard's goroutine with, built once by NewSharded.
+	// run executes the shard's part of the current job (a window to the
+	// engine's bound, or a fan) and reports it done: what a window or a fan
+	// starts the shard's goroutine with, built once by NewSharded.
 	run func()
 }
 
@@ -113,9 +114,11 @@ type Engine struct {
 	// written by the coordinator with a happens-before edge to the workers
 	// (the window dispatch), so they may read it without synchronization.
 	inWindow bool
-	// bound is the current window's bound, which shard goroutines read
-	// (written before the dispatch, like inWindow), and wg joins them.
+	// bound is the current window's bound and fan the function of the
+	// current Fan (nil during a window), which shard goroutines read
+	// (written before the dispatch, like inWindow); wg joins them.
 	bound time.Duration
+	fan   func(shard int)
 	wg    sync.WaitGroup
 }
 
@@ -140,10 +143,10 @@ func NewSharded(s int, window time.Duration) *Engine {
 	e := &Engine{window: window, shards: make([]*shard, s)}
 	e.gq.init(window)
 	for i := range e.shards {
-		sh := &shard{out: make([][]event, s)}
+		sh := &shard{out: make([]bucket, s)}
 		sh.q.init(window)
 		sh.run = func() {
-			sh.runTo(e.bound, e.sink)
+			e.work(i)
 			e.wg.Done()
 		}
 		e.shards[i] = sh
@@ -270,7 +273,7 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, size int3
 		if d < e.window {
 			panic(fmt.Sprintf("sim: cross-shard delivery %d→%d with delay %v below the %v lookahead window", from, to, d, e.window))
 		}
-		src.out[dst] = append(src.out[dst], ev)
+		src.q.appendTo(&src.out[dst], ev)
 		return
 	}
 	// Global phase: every shard is parked at the barrier, push directly.

@@ -173,7 +173,13 @@ func (q *queue) push(ev event) {
 
 // hang appends ev, which lies within the ring's span, to its slot's bucket.
 func (q *queue) hang(ev event) {
-	b := &q.ring[int64(ev.at/q.window)&(ringLen-1)]
+	q.appendTo(&q.ring[int64(ev.at/q.window)&(ringLen-1)], ev)
+	q.inRing++
+}
+
+// appendTo appends ev to the chain b — a bucket of the ring, or an outbox —
+// taking a page from the free list when b's last one is full.
+func (q *queue) appendTo(b *bucket, ev event) {
 	p := b.tail
 	if p == nil || p.n == pageLen {
 		p = q.free
@@ -191,7 +197,24 @@ func (q *queue) hang(ev event) {
 	}
 	p.ev[p.n] = ev
 	p.n++
-	q.inRing++
+}
+
+// drain pushes every event of b, an outbox another queue filled, and empties
+// it. Each page joins this queue's free list as soon as its events are in,
+// so the pushes it makes reuse it: the merge of a burst needs the pages its
+// events will wait in, not those and a copy.
+func (q *queue) drain(b *bucket) {
+	for p := b.head; p != nil; {
+		for i := range p.ev[:p.n] {
+			q.push(p.ev[i])
+		}
+		clear(p.ev[:p.n]) // a free page keeps no payload alive
+		p.n = 0
+		next := p.next
+		p.next, q.free = q.free, p
+		p = next
+	}
+	*b = bucket{}
 }
 
 // below reports whether any queued event lies below the horizon, opening the
@@ -208,13 +231,38 @@ func (q *queue) lateFirst() bool {
 
 // nextAt returns the time of the earliest queued event, or never.
 func (q *queue) nextAt() time.Duration {
+	q.below(never)
+	return q.earliest()
+}
+
+// earliest returns a lower bound on the time of the earliest queued event,
+// or never: the earlier of cur's and late's heads when either holds one —
+// exact — else the start of the first non-empty slot, else far's head.
+// Unlike nextAt it never opens a slice, so a scan between windows leaves the
+// loading and sorting to the goroutine that runs the queue's next window.
+func (q *queue) earliest() time.Duration {
 	switch {
-	case !q.below(never):
-		return never
-	case q.lateFirst():
-		return q.late[0].at
+	case len(q.cur) > 0 || len(q.late) > 0:
+		if q.lateFirst() {
+			return q.late[0].at
+		}
+		return q.cur[0].at
+	case q.inRing > 0:
+		return time.Duration(q.firstSlot()) * q.window
+	case len(q.far) > 0:
+		return q.far[0].at
 	}
-	return q.cur[0].at
+	return never
+}
+
+// firstSlot returns the first slot at or past the horizon whose bucket holds
+// events; the ring must hold some.
+func (q *queue) firstSlot() int64 {
+	slot := int64(q.horizon / q.window)
+	for q.ring[slot&(ringLen-1)].head == nil {
+		slot++
+	}
+	return slot
 }
 
 // popBefore removes and returns the earliest event if it is due before
@@ -251,10 +299,7 @@ func (q *queue) load() bool {
 		q.seek(q.far[0].at)
 		q.migrate()
 	}
-	slot := int64(q.horizon / q.window)
-	for q.ring[slot&(ringLen-1)].head == nil {
-		slot++
-	}
+	slot := q.firstSlot()
 	b := &q.ring[slot&(ringLen-1)]
 	p := b.head
 	*b = bucket{}

@@ -101,10 +101,18 @@ func (r *orderRig) check() {
 	}
 }
 
+// peek checks nextAt against the reference, and earliest — asked first,
+// as the engine asks it, before any slice is opened — as a lower bound on
+// it that is never only when the queue is empty.
 func (r *orderRig) peek() {
 	r.t.Helper()
-	if got, want := r.q.nextAt(), r.ref.nextAt(); got != want {
+	lower := r.q.earliest()
+	want := r.ref.nextAt()
+	if got := r.q.nextAt(); got != want {
 		r.t.Fatalf("nextAt at clock %v = %v, the sorted reference says %v", r.now, got, want)
+	}
+	if lower > want || (lower == never) != (want == never) {
+		r.t.Fatalf("earliest at clock %v = %v, above the earliest event at %v or never while one waits", r.now, lower, want)
 	}
 }
 

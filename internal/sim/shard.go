@@ -12,13 +12,16 @@ import (
 //     the global queue of events at T (harness callbacks, deferred
 //     globals). Global events run on the coordinator goroutine and may
 //     freely mutate shared state and schedule into any shard.
-//  2. Pick the window bound B = min(T+window, next global event, just past
-//     until). Every shard with an event before B then executes its events
-//     with time < B, in parallel: one of them on the coordinator goroutine,
-//     each other one on a goroutine of its own. Cross-shard deliveries
-//     produced inside the window land at ≥ T+window ≥ B (the lookahead
-//     guarantee), so no shard can affect another within the window; they
-//     are buffered in per-shard outboxes.
+//  2. Pick the window bound B = min(the end of T's slot, next global event,
+//     just past until): windows end on the calendar's slot grid (slots are
+//     one window wide), so a window never straddles two slots. Every shard
+//     with an event before B then executes its events with time < B, in
+//     parallel: one of them on the coordinator goroutine, each other one on
+//     a goroutine of its own. Cross-shard deliveries produced inside the
+//     window land at ≥ T+window ≥ B (the lookahead guarantee), so no shard
+//     can affect another within the window; they are buffered in per-shard
+//     outboxes, and they land past the slot the window opened, so a merge
+//     appends them to a bucket instead of taking the late heap.
 //  3. Barrier: merge the outboxes into the destination queues and the
 //     deferred globals into the global queue, advance every clock to the
 //     new T, repeat.
@@ -55,19 +58,18 @@ func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 		}
 		// Fast-forward across empty stretches: nothing anywhere is due
 		// before earliest, so hop the barrier straight there instead of
-		// walking empty windows one lookahead at a time.
+		// walking empty windows one lookahead at a time. A shard's part is
+		// a lower bound that opens no slice (queue.earliest): the slices
+		// are loaded and sorted on the goroutines that run them.
 		earliest := nextG
 		for _, sh := range e.shards {
-			earliest = min(earliest, sh.q.nextAt())
+			earliest = min(earliest, sh.q.earliest())
 		}
 		if earliest > e.now {
 			e.advanceTo(earliest)
 			continue
 		}
-		bound := e.now + e.window
-		if nextG < bound {
-			bound = nextG
-		}
+		bound := min(e.now-e.now%e.window+e.window, nextG)
 		final := false
 		if until+1 <= bound {
 			// The last window is [T, until]: events exactly at until still
@@ -78,7 +80,6 @@ func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 			final = true
 		}
 		executed += e.runWindow(bound)
-		e.mergeOutboxes()
 		if final {
 			e.advanceTo(until)
 			return executed
@@ -87,10 +88,12 @@ func (e *Engine) RunChunk(until time.Duration, max uint64) uint64 {
 	}
 }
 
-// idleUpTo reports whether no shard has an event due at or before until.
+// idleUpTo reports whether no shard has an event due at or before until. It
+// may answer false for a shard whose first slot starts by until but whose
+// events lie past it: the final window then runs none of them.
 func (e *Engine) idleUpTo(until time.Duration) bool {
 	for _, sh := range e.shards {
-		if sh.q.nextAt() <= until {
+		if sh.q.earliest() <= until {
 			return false
 		}
 	}
@@ -114,50 +117,76 @@ func (e *Engine) advanceTo(t time.Duration) {
 	}
 }
 
-// runWindow executes every shard's events with time < bound and returns
-// how many ran. With more than one shard, the first shard with work runs on
-// the coordinator and every other one on a goroutine started from the func
-// value it was built with (shard.run); the engine's WaitGroup gives the
-// coordinator a happens-before edge over all shard state. Nothing is
-// allocated per window: the func values, the bound they read and the
-// WaitGroup all belong to the engine.
+// runWindow executes every shard's events with time < bound, merges what
+// they sent across shards and returns how many ran.
 func (e *Engine) runWindow(bound time.Duration) uint64 {
-	var before uint64
-	for _, sh := range e.shards {
-		before += sh.events
+	before := e.Events()
+	e.bound = bound
+	e.runShards()
+	return e.Events() - before
+}
+
+// Fan calls fn once for every shard, with the shard's index, all at once
+// and each on the goroutine that would run that shard's window: harness
+// work that splits by shard (a period tick's blame flushes and manager
+// scans) runs at the barrier as a window's node events do. It has a
+// window's semantics — fn may act for the shard's nodes as their callbacks
+// do (send, arm their timers, DeferGlobal), cross-shard deliveries wait in
+// the outboxes until every call has returned and are then merged, After
+// panics — and, like a window, allocates nothing. It must be called from
+// the global phase, and the clock does not move.
+func (e *Engine) Fan(fn func(shard int)) {
+	if e.inWindow {
+		panic("sim: Fan called from a node callback; it runs at the barrier")
 	}
+	e.fan = fn
+	e.runShards()
+	e.fan = nil
+}
+
+// runShards runs the current job — the window to e.bound, or e.fan — on
+// every shard that has one (under a fan, every shard), then merges the
+// outboxes. The first such shard runs on the coordinator and every other
+// one on a goroutine started from the func value it was built with
+// (shard.run); the engine's WaitGroup gives the coordinator a
+// happens-before edge over all shard state. Nothing is allocated: the func
+// values, the job they read and the WaitGroup all belong to the engine.
+func (e *Engine) runShards() {
 	e.inWindow = true
-	if len(e.shards) == 1 {
-		e.shards[0].runTo(bound, e.sink)
-	} else {
-		e.bound = bound
-		var local *shard
-		for _, sh := range e.shards {
-			switch {
-			case sh.q.nextAt() >= bound:
-			case local == nil:
-				local = sh
-			default:
-				e.wg.Add(1)
-				go sh.run()
-			}
+	local, started := -1, false
+	for i, sh := range e.shards {
+		switch {
+		case e.fan == nil && sh.q.earliest() >= e.bound:
+		case local < 0:
+			local = i
+		default:
+			e.wg.Add(1)
+			go sh.run()
+			started = true
 		}
-		if local != nil {
+	}
+	if local >= 0 {
+		if started {
 			// Yield once: a goroutine just started sits in this P's
 			// next-to-run slot, which an idle P steals only after a
 			// sleep, while one that yields is taken from the global queue
 			// at once (DESIGN.md, "The discrete-event engine").
 			gort.Gosched()
-			local.runTo(bound, e.sink)
 		}
-		e.wg.Wait()
+		e.work(local)
 	}
+	e.wg.Wait()
 	e.inWindow = false
-	var after uint64
-	for _, sh := range e.shards {
-		after += sh.events
+	e.mergeOutboxes()
+}
+
+// work runs the current job on shard i.
+func (e *Engine) work(i int) {
+	if e.fan != nil {
+		e.fan(i)
+		return
 	}
-	return after - before
+	e.shards[i].runTo(e.bound, e.sink)
 }
 
 // runTo executes the shard's events with time strictly below bound:
@@ -183,13 +212,8 @@ func (sh *shard) runTo(bound time.Duration, sink Sink) {
 // and the queues order by them. The emptied outboxes keep no payload alive.
 func (e *Engine) mergeOutboxes() {
 	for _, sh := range e.shards {
-		for d, lst := range sh.out {
-			dst := &e.shards[d].q
-			for i := range lst {
-				dst.push(lst[i])
-			}
-			clear(lst)
-			sh.out[d] = lst[:0]
+		for d := range sh.out {
+			e.shards[d].q.drain(&sh.out[d])
 		}
 		for i := range sh.outG {
 			e.gq.push(sh.outG[i])

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -315,17 +316,221 @@ func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 // A window of a sharded engine allocates nothing either: one shard runs on
 // the coordinator, the others start from func values built with the engine
 // and join on the engine's WaitGroup — no closure or WaitGroup per window.
+// The count is exact: every allocation of the 20 rounds, on the shard
+// goroutines too, at the module's own sites.
 func TestShardedWindowsAllocateNothing(t *testing.T) {
 	e := newMixRig(2).e
+	round := func() { e.RunChunk(time.Duration(1<<62), 20_000) }
+	round() // a round past the rig's setup, as testing.AllocsPerRun warms up
 	before := [2]uint64{e.shards[0].events, e.shards[1].events}
-	allocs := testing.AllocsPerRun(20, func() { e.RunChunk(time.Duration(1<<62), 20_000) })
+	sites := siteAllocs(t, 20, round)
 	for k, sh := range e.shards {
 		if ran := sh.events - before[k]; ran < 20*20_000/4 {
 			t.Fatalf("shard %d ran %d events, want ≥ 100k: the load is not spread over both shards", k, ran)
 		}
 	}
-	if allocs != 0 {
-		t.Fatalf("two-shard steady-state windows allocate %v objects a round, want 0", allocs)
+	if len(sites) != 0 {
+		t.Fatalf("20 rounds of two-shard steady-state windows allocate, want nothing; by site: %v", sites)
+	}
+}
+
+// A fan allocates nothing: its calls start from the shards' func values, as
+// a window's do, and what they send across shards goes through the
+// outboxes the windows reuse.
+func TestFanAllocatesNothing(t *testing.T) {
+	const nodes = 64
+	e := NewSharded(2, twin)
+	sink := &nodeCounts{n: make([]int, nodes)}
+	e.Bind(sink)
+	for i := 0; i < nodes; i++ {
+		e.Domain(i)
+	}
+	send := func(s int) {
+		for id := s; id < nodes; id += e.ShardCount() {
+			e.Deliver(int32(id), int32((id+1)%nodes), twin, nil, 64) // to the other shard
+		}
+	}
+	round := func() {
+		e.Fan(send)
+		e.Run(e.Now() + 2*twin)
+	}
+	for i := 0; i < 4; i++ { // pages, buffers and outboxes reach their sizes
+		round()
+	}
+	sites := siteAllocs(t, 50, round)
+	if got := sink.n[1]; got != 54 {
+		t.Fatalf("node 1 took %d deliveries in 54 rounds, want 54", got)
+	}
+	if len(sites) != 0 {
+		t.Fatalf("50 fans and their deliveries allocate, want nothing; by site: %v", sites)
+	}
+}
+
+// nodeCounts counts each node's deliveries in a slot of its own, which only
+// the node's shard writes.
+type nodeCounts struct{ n []int }
+
+func (c *nodeCounts) Deliver(_, to int32, _ any, _ int32) { c.n[to]++ }
+
+// A fan behaves as the global phase would, for every shard count: sends and
+// timers its calls make for their shards' nodes, at an instant off the slot
+// grid, leave the same trace as the same sends made serially from a harness
+// event, node by node.
+func TestFanMatchesSerialPhase(t *testing.T) {
+	const at = 9*time.Millisecond + 500*time.Microsecond
+	kick := func(e *Engine, tn *toyNet, id int) {
+		e.Deliver(int32(id), int32((id*7+3)%len(tn.nodes)), twin+time.Duration(id%3)*time.Millisecond, 3, 64)
+		n := tn.nodes[id]
+		n.ctx.After(time.Duration(id%4)*time.Millisecond, func() {
+			n.log = append(n.log, fmt.Sprintf("n%d kicked at=%v", n.id, n.ctx.Now()))
+		})
+	}
+	drive := func(fan bool) func(*Engine) {
+		return func(e *Engine) {
+			tn := e.sink.(*toyNet)
+			e.After(at, func() {
+				if !fan {
+					for id := range tn.nodes {
+						kick(e, tn, id)
+					}
+					return
+				}
+				e.Fan(func(s int) {
+					for id := s; id < len(tn.nodes); id += e.ShardCount() {
+						kick(e, tn, id)
+					}
+				})
+			})
+			e.RunAll()
+		}
+	}
+	ref := runToy(1, drive(false))
+	for _, s := range []int{1, 2, 3, 8} {
+		got := runToy(s, drive(true))
+		if got.fingerprint() != ref.fingerprint() {
+			t.Fatalf("fan at S=%d diverged from the serial phase at S=1:\n--- serial ---\n%s--- fan ---\n%s",
+				s, ref.fingerprint(), got.fingerprint())
+		}
+	}
+}
+
+// Windows end on the calendar's slot grid even when a fast-forward parks the
+// barrier off it, so a delivery sent across shards at exactly the lookahead
+// lands past the slot its destination has open: it is appended to a bucket,
+// never pushed into the late heap. Two nodes on two shards bounce one
+// message from an instant off the grid, and the other has work in the slot
+// the first window would straddle.
+func TestAlignedWindowsKeepLateHeapEmpty(t *testing.T) {
+	const w = 5 * time.Millisecond
+	e := NewSharded(2, w)
+	b := &bouncer{e: e}
+	e.Bind(b)
+	e.Domain(0).After(7*time.Millisecond, func() { e.Deliver(0, 1, w, 20, 0) })
+	e.Domain(1).After(11*time.Millisecond, func() { e.Deliver(1, 0, w, 20, 0) })
+	windows := 0
+	for e.RunChunk(time.Second, 1) > 0 {
+		windows++
+		for k, sh := range e.shards {
+			if n := len(sh.q.late); n != 0 {
+				t.Fatalf("after window %d (clock %v) shard %d holds %d events in its late heap, want 0", windows, e.Now(), k, n)
+			}
+		}
+	}
+	if b.n[0]+b.n[1] != 42 {
+		t.Fatalf("the two bounces delivered %d messages, want 42", b.n[0]+b.n[1])
+	}
+}
+
+// bouncer sends every delivery back to its sender at exactly the lookahead
+// until its hop count runs out.
+type bouncer struct {
+	e *Engine
+	n [2]int
+}
+
+func (b *bouncer) Deliver(from, to int32, payload any, _ int32) {
+	b.n[to]++
+	if hops := payload.(int); hops > 0 {
+		b.e.Deliver(to, from, b.e.window, hops-1, 0)
+	}
+}
+
+// siteAllocs runs f runs times with every allocation profiled
+// (runtime.MemProfileRate = 1) and returns how many objects the runs
+// allocated in all, by site: the innermost frame of this module on the
+// allocating stack, shard goroutines' stacks included. Stacks that never
+// pass through the module — a GC worker's, the profiler's — are not counted,
+// so the runtime's own allocations cannot decide a test, and the count is
+// exact where testing.AllocsPerRun floors a mean.
+func siteAllocs(t *testing.T, runs int, f func()) map[string]int64 {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocsByStack()
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	after := allocsByStack()
+	sites := make(map[string]int64)
+	for stk, n := range after {
+		if n -= before[stk]; n > 0 {
+			if site := moduleSite(stk); site != "" {
+				sites[site] += n
+			}
+		}
+	}
+	return sites
+}
+
+// allocsByStack returns the objects allocated so far per allocating stack,
+// as of a collection it forces: the profile publishes an allocation once
+// the cycle it was made in has been swept.
+func allocsByStack() map[[32]uintptr]int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	by := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		by[r.Stack0] += r.AllocObjects
+	}
+	return by
+}
+
+// moduleSite names the innermost frame of this module on stk, or "" if
+// there is none, if it is the profiling itself, or if the allocation refills
+// one of the runtime's own caches from inside it — a count no code of the
+// module decides:
+//
+//   - runtime.typeAssert and runtime.interfaceSwitch rebuild a call site's
+//     type-assertion cache at random, about one miss in 1 024, until it
+//     holds every type the site sees: SimNet.Deliver's payload.(msg.Message)
+//     made one in 1 280 rounds of the gossip round rig in some runs, none in
+//     others;
+//   - runtime.acquireSudog allocates the wait record of a blocking
+//     WaitGroup.Wait when the Ps' pools run dry, which the collection the
+//     profile forces makes happen: the sharded windows' join made up to 64
+//     (one pool's spill) in some runs of 20 rounds, none in others.
+func moduleSite(stk [32]uintptr) string {
+	frames := runtime.CallersFrames(stk[:])
+	for {
+		fr, more := frames.Next()
+		switch fr.Function {
+		case "runtime.typeAssert", "runtime.interfaceSwitch", "runtime.acquireSudog":
+			return ""
+		}
+		if strings.HasPrefix(fr.Function, "lifting/") {
+			if strings.HasSuffix(fr.Function, ".allocsByStack") || strings.HasSuffix(fr.Function, ".siteAllocs") {
+				return ""
+			}
+			return fmt.Sprintf("%s %s:%d", fr.Function, fr.File, fr.Line)
+		}
+		if !more {
+			return ""
+		}
 	}
 }
 
