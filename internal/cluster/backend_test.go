@@ -320,4 +320,9 @@ func TestChurnRunsUnderLiveBackend(t *testing.T) {
 	if !c.Nodes[5].Stopped() {
 		t.Error("udp departed node still running")
 	}
+	for _, oc := range c.clients {
+		if oc.owner == 5 {
+			t.Error("udp departed node's blame client still flushed each period")
+		}
+	}
 }

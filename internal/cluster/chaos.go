@@ -75,11 +75,10 @@ func (c *Cluster) applyChaosConditionsAll() {
 	}
 }
 
-// crash takes node id down hard: off the membership and the network, its
-// process state (gossip history, pending blames) frozen, and its manager out
-// of Managers with every score copy it held; the restart builds a fresh one,
-// which the managers kept by each of its targets push their copies to. The
-// node's own score lives on its remote managers and is untouched. A
+// crash takes node id down hard: removed like a leave, its manager out of
+// Managers with every score copy it held; the restart builds a fresh node and
+// manager, which the managers kept by each of its targets push their copies
+// to. The node's own score lives on its remote managers and is untouched. A
 // deployment tears down only its own node; a remote victim leaves this
 // process's directory and goes down on its network. No-op for nodes already
 // gone.
@@ -92,14 +91,6 @@ func (c *Cluster) crash(id msg.NodeID) {
 	c.crashedNow[id] = true
 	c.Crashed[id] = c.RT.Now()
 	node := c.Nodes[id]
-	// The crashed process's unflushed blames die with it.
-	kept := c.clients[:0]
-	for _, oc := range c.clients {
-		if oc.owner != id {
-			kept = append(kept, oc)
-		}
-	}
-	c.clients = kept
 	c.mu.Unlock()
 	c.remove(id, node)
 }

@@ -737,10 +737,12 @@ func (c *Cluster) expel(id msg.NodeID) {
 	}
 }
 
-// remove takes a node out of the running system: out of the sampling
-// population, off the network, stopped, and its manager out of Managers —
-// its score copies go with it, and the targets it managed keep the copies
-// of their other managers.
+// remove takes a node out of the running system — the one path under leave,
+// expel and crash: out of the sampling population, off the network, stopped
+// (Node.Stop drops what its own callbacks hold open), its blame client out of
+// the flush rounds with its unflushed blames, and its manager out of
+// Managers — its score copies go with it, and the targets it managed keep
+// the copies of their other managers.
 func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
 	c.Dir.Expel(id)
 	c.RT.SetDown(id, true)
@@ -748,6 +750,8 @@ func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
 		c.RT.Exec(id, node.Stop)
 	}
 	c.mu.Lock()
+	// DeleteFunc clears the tail, so no pruned flush stays reachable.
+	c.clients = slices.DeleteFunc(c.clients, func(oc ownedClient) bool { return oc.owner == id })
 	delete(c.Managers, id)
 	c.mu.Unlock()
 	// A removal only adds one replacement manager per affected target (the

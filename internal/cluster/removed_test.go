@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lifting/internal/chaos"
 	"lifting/internal/freerider"
 	"lifting/internal/gossip"
 	"lifting/internal/membership"
@@ -11,25 +12,24 @@ import (
 	"lifting/internal/rng"
 )
 
-// TestRemovedNodeStillTimesOutItsChecks pins what a node taken out of the
-// system — by leave or by expel, both go through remove — does with the
-// checks it had open: it is stopped and off the network, but its verifier's
-// deadlines still lapse, and nothing that would have answered them reaches
-// it (serves and acks to a down node are dropped). So it blames its live,
-// honest servers and receivers.
+// TestRemovedNodeBlamesNobody checks what a node taken out of the system —
+// by leave, by expel or by a crash of the fault plan, all three through
+// remove — does with the checks it had open: nothing. Node.Stop drops its
+// verifier's serve, ack and confirm deadlines unlapsed, and remove drops its
+// blame client with whatever it had not flushed. Everyone is honest on a
+// lossless network, so nobody has cause to blame a live node, and the removals
+// are staggered so that some are caught in mid-exchange.
 //
-//   - In message mode the blames die at the network: their sender is down.
-//   - In direct mode they are calls on the keeper, which land: live nodes are
-//     blamed by a node that is no longer in the system.
+//   - Direct mode: no live node is blamed on the keeper.
+//   - Message mode: no Blame message is dropped. A removed node is down, so
+//     every Blame it still sent would be.
 //
-// This is today's behaviour, pinned and not endorsed: it is a candidate cause
-// of direct and message mode reading differently (DESIGN.md, "Assembly and
-// workloads"), and fixing it moves seeded documents.
-func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
-	const n, first, leavers = 30, 7, 8
-	const firstLeave, apart = 5 * time.Second, 70 * time.Millisecond
-	lastLeave := firstLeave + (leavers-1)*apart
-	gone := func(id msg.NodeID) bool { return id >= first && id < first+leavers }
+// In both, no live node's score moves. Live nodes may blame the removed ones
+// for the exchanges the removal cut short.
+func TestRemovedNodeBlamesNobody(t *testing.T) {
+	const n, first, removed = 30, 7, 8
+	const firstAt, apart = 5 * time.Second, 70 * time.Millisecond
+	gone := func(id msg.NodeID) bool { return id >= first && id < first+removed }
 	var live []msg.NodeID
 	for id := msg.NodeID(0); id < n; id++ {
 		if !gone(id) {
@@ -38,82 +38,58 @@ func TestRemovedNodeStillTimesOutItsChecks(t *testing.T) {
 	}
 
 	for _, mode := range []BlameMode{BlameDirect, BlameMessages} {
-		for _, remove := range []bool{false, true} {
-			// Everyone honest on a lossless network: nobody has cause to
-			// blame anybody.
+		for _, how := range []string{"leave", "expel", "crash"} {
 			opts := baseOptions(n, 0)
 			opts.BlameMode = mode
 			opts.ExpelOnDetection = true
-			c := New(opts)
-			// Direct mode: the keeper's blame of every live node when the
-			// first node leaves, and once the last one's checks have lapsed
-			// (the longest is the ack timeout).
-			timeout := 2 * opts.Gossip.Period
-			var atFirst, atLapse keeperBlames
-			if mode == BlameDirect {
-				c.After(firstLeave, func() { atFirst = c.keeperBlames(live...) })
-				c.After(lastLeave+timeout, func() { atLapse = c.keeperBlames(live...) })
+			var crashes []chaos.Event
+			for i := 0; i < removed; i++ {
+				at := firstAt + time.Duration(i)*apart
+				crashes = append(crashes, chaos.Event{At: at, Kind: chaos.Crash, Nodes: []msg.NodeID{first + msg.NodeID(i)}})
 			}
-			if remove {
-				// Staggered, so that some are caught in mid-exchange.
-				for i := 0; i < leavers; i++ {
-					id, at := msg.NodeID(first+i), firstLeave+time.Duration(i)*apart
-					if i%2 == 0 {
-						c.ScheduleLeave(at, id)
-					} else {
-						c.After(at, func() { c.expel(id) })
-					}
+			if how == "crash" {
+				opts.Chaos = &chaos.Plan{Events: crashes}
+			}
+			c := New(opts)
+			for _, e := range crashes {
+				id := e.Nodes[0]
+				switch how {
+				case "leave":
+					c.ScheduleLeave(e.At, id)
+				case "expel":
+					c.After(e.At, func() { c.expel(id) })
 				}
 			}
 			run(c, 10*time.Second)
 
-			issued := c.Collector.BlamesIssued()
+			for id := msg.NodeID(first); id < first+removed; id++ {
+				_, left := c.Departed[id]
+				_, expelled := c.Expelled[id]
+				_, crashed := c.Crashed[id]
+				if !left && !expelled && !crashed {
+					t.Fatalf("mode %v, %s: node %d was never removed", mode, how, id)
+				}
+			}
 			var blamedLive []msg.NodeID
 			for id, score := range c.Scores() {
 				if !gone(id) && score != 0 {
 					blamedLive = append(blamedLive, id)
 				}
 			}
-			switch {
-			case !remove:
-				if len(issued) != 0 || len(blamedLive) != 0 {
-					t.Fatalf("mode %v, nobody removed: blames %v issued, scores of %v moved", mode, issued, blamedLive)
-				}
-			case mode == BlameMessages:
-				// The departed issue their blames like the live; none of
-				// theirs reaches a manager.
-				if issued[msg.ReasonNoAck.String()] == 0 || c.Collector.Dropped(msg.KindBlame) == 0 {
-					t.Fatalf("message mode: blames %v issued, %d blame messages dropped; want some of each", issued, c.Collector.Dropped(msg.KindBlame))
-				}
-				if len(blamedLive) != 0 {
-					t.Fatalf("message mode: the scores of live nodes %v moved", blamedLive)
-				}
-			default:
-				// The departed nodes' blames land on the keeper by call, all
-				// of them between the first leave and the last one's lapsed
-				// checks, and all for a check a departed node had open.
-				atEnd, blamed := c.keeperBlames(live...), 0
-				for _, id := range live {
-					if atFirst[id] != 0 {
-						t.Fatalf("direct mode: live node %d took %v blame before anyone left", id, atFirst[id])
-					}
-					if atLapse[id] != atEnd[id] {
-						t.Fatalf("direct mode: live node %d blamed after the departed nodes' checks lapsed: %v then, %v at the end", id, atLapse[id], atEnd[id])
-					}
-					if atLapse[id] != 0 {
-						blamed++
-					}
-				}
-				if blamed == 0 || len(blamedLive) == 0 {
-					t.Fatalf("direct mode: %d live nodes blamed on the keeper, %d live scores moved; want the departed nodes' blames on the keeper", blamed, len(blamedLive))
-				}
-				for reason := range issued {
-					if reason != msg.ReasonNoAck.String() && reason != msg.ReasonPartialServe.String() {
-						t.Fatalf("direct mode: blames issued for %s: %v", reason, issued)
-					}
-				}
-				t.Logf("direct mode: blames %v by departed nodes applied to %d live nodes", issued, blamed)
+			issued := c.Collector.BlamesIssued()
+			if len(blamedLive) != 0 {
+				t.Fatalf("mode %v, %s: the scores of live nodes %v moved (blames issued: %v)", mode, how, blamedLive, issued)
 			}
+			if mode == BlameDirect {
+				for id, b := range c.keeperBlames(live...) {
+					if b != 0 {
+						t.Fatalf("direct mode, %s: live node %d took %v blame on the keeper", how, id, b)
+					}
+				}
+			} else if dropped := c.Collector.Dropped(msg.KindBlame); dropped != 0 {
+				t.Fatalf("message mode, %s: %d Blame messages dropped; a removed node still sent blames", how, dropped)
+			}
+			t.Logf("mode %v, %s: blames issued %v", mode, how, issued)
 		}
 	}
 }

@@ -239,6 +239,15 @@ func (v *Verifier) ackTimedOut(exp ackExpectation) {
 	}
 }
 
+// OnStop implements gossip.Monitor: a stopped node's open checks are dropped
+// unlapsed. The node is out of the system and nothing that would have
+// answered them reaches it any more, so each would blame a live peer.
+func (v *Verifier) OnStop() {
+	v.serveChecks.Release()
+	v.expectations.Release()
+	v.sessions.Release()
+}
+
 // --- gossip.AuxHandler ---
 
 // HandleAux implements gossip.AuxHandler: verification traffic addressed to

@@ -456,8 +456,9 @@ func TestWitnessNamedTwiceAnswersForBothPlaces(t *testing.T) {
 // 300 requests sent, 300 serve batches, each acknowledged at once and
 // cross-checked — and checks the bound of each queue of open checks: it holds
 // exactly what was opened within its timeout (serve checks Tg, ack
-// expectations 2·Tg, confirm sessions Tg), one by-value record each, and all
-// three are empty one ack timeout after the flood. (That a lapsed record's
+// expectations 2·Tg, confirm sessions Tg), one by-value record each, all
+// three are empty one ack timeout after the flood, and all three are let go
+// of at once by OnStop, after which nothing is blamed. (That a lapsed record's
 // place pins none of its lists, and that a ring — which never shrinks — ends
 // within a quarter of the most records ever open, are sim.Deadlines' own
 // tests: this flood leaves some 340 places of each kind behind, 56 KB in all.)
@@ -466,19 +467,26 @@ func TestOpenChecksAreBoundedByTheirTimeouts(t *testing.T) {
 	const floods = 300
 	var opened []time.Duration
 	next := msg.ChunkID(0)
-	for i := 0; i < floods; i++ {
-		at := time.Duration(i) * tg / floods
-		asked := []msg.ChunkID{next, next + 1, next + 2}
-		served := []msg.ChunkID{next + 3, next + 4}
-		next += 5
-		ack := &msg.Ack{Sender: 3, Period: msg.Period(i + 1), Chunks: served, Partners: []msg.NodeID{4, 5, 6}}
-		opened = append(opened, at)
-		r.eng.After(at, func() {
-			r.v.OnRequestSent(2, 1, asked)
-			r.v.OnServed(3, 1, served)
-			r.v.HandleAux(3, ack)
-		})
+	stopped := false  // a stopped node calls its verifier no more
+	flood := func() { // one period of it, from now
+		for i := 0; i < floods; i++ {
+			in := time.Duration(i) * tg / floods
+			asked := []msg.ChunkID{next, next + 1, next + 2}
+			served := []msg.ChunkID{next + 3, next + 4}
+			next += 5
+			ack := &msg.Ack{Sender: 3, Period: msg.Period(i + 1), Chunks: served, Partners: []msg.NodeID{4, 5, 6}}
+			opened = append(opened, r.eng.Now()+in)
+			r.eng.After(in, func() {
+				if stopped {
+					return
+				}
+				r.v.OnRequestSent(2, 1, asked)
+				r.v.OnServed(3, 1, served)
+				r.v.HandleAux(3, ack)
+			})
+		}
 	}
+	flood()
 	within := func(timeout, probe time.Duration) int {
 		n := 0
 		for _, at := range opened {
@@ -505,5 +513,24 @@ func TestOpenChecksAreBoundedByTheirTimeouts(t *testing.T) {
 	}
 	if a, b, c := unsafe.Sizeof(serveCheck{}), unsafe.Sizeof(ackExpectation{}), unsafe.Sizeof(confirmSession{}); a != 64 || b != 40 || c != 64 {
 		t.Fatalf("a serve check, an ack expectation and a confirm session take %d, %d and %d bytes; DESIGN.md says 64, 40 and 64", a, b, c)
+	}
+
+	// Stopped in mid-flood, the node's verifier drops every open check at
+	// once, and the timers armed for them find nothing to blame.
+	flood()
+	r.eng.Run(r.eng.Now() + tg/2)
+	if r.v.serveChecks.Pending() == 0 || r.v.expectations.Pending() == 0 || r.v.sessions.Pending() == 0 {
+		t.Fatalf("in mid-flood: %d serve checks, %d ack expectations, %d confirm sessions open; want some of each",
+			r.v.serveChecks.Pending(), r.v.expectations.Pending(), r.v.sessions.Pending())
+	}
+	stopped = true
+	r.v.OnStop()
+	if checks, expectations, sessions := r.v.serveChecks.Pending(), r.v.expectations.Pending(), r.v.sessions.Pending(); checks+expectations+sessions != 0 {
+		t.Fatalf("after OnStop: %d serve checks, %d ack expectations, %d confirm sessions open", checks, expectations, sessions)
+	}
+	before := len(r.sink.blames)
+	r.eng.Run(r.eng.Now() + 3*tg)
+	if got := len(r.sink.blames) - before; got != 0 {
+		t.Fatalf("a stopped verifier blamed %d times: %+v", got, r.sink.blames[before:])
 	}
 }

@@ -165,6 +165,10 @@ type Monitor interface {
 	// direct cross-checking of §5.2: the receiver must ack and further
 	// propose).
 	OnServed(receiver msg.NodeID, p msg.Period, served []msg.ChunkID)
+	// OnStop fires when the node stops for good (Node.Stop): the monitor
+	// drops what it holds open for the node, so that nothing it armed
+	// before the stop fires afterwards. No other event follows it.
+	OnStop()
 }
 
 // NopMonitor ignores all events.
@@ -186,3 +190,6 @@ func (NopMonitor) OnServeInvalid(msg.NodeID, msg.ChunkID) {}
 
 // OnServed implements Monitor.
 func (NopMonitor) OnServed(msg.NodeID, msg.Period, []msg.ChunkID) {}
+
+// OnStop implements Monitor.
+func (NopMonitor) OnStop() {}

@@ -245,6 +245,10 @@ func (r recMonitor) OnServed(receiver msg.NodeID, p msg.Period, served []msg.Chu
 	*r.log = append(*r.log, fmt.Sprintf("node %d OnServed(%d, %d, %v)", r.id, receiver, p, served))
 }
 
+func (r recMonitor) OnStop() {
+	*r.log = append(*r.log, fmt.Sprintf("node %d OnStop()", r.id))
+}
+
 // worldResult is everything the two implementations must agree on.
 type worldResult struct {
 	log       []string

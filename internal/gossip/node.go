@@ -214,11 +214,14 @@ func (n *Node) Start() {
 	n.deps.Ctx.After(n.cfg.StartOffset, n.phaseFn)
 }
 
-// Stop halts the node: no further phases run, incoming messages are ignored
-// and nothing is re-requested. Used when a node is expelled.
+// Stop halts the node for good: no further phases run, incoming messages are
+// ignored, and its retry queue and (through Monitor.OnStop) its verifier's
+// open checks are dropped, so nothing armed before the stop re-requests or
+// blames. Every removal uses it: leave, expulsion, crash.
 func (n *Node) Stop() {
 	n.stopped = true
 	n.retries.Release()
+	n.deps.Monitor.OnStop()
 }
 
 // Stopped reports whether the node has been stopped.

@@ -388,6 +388,7 @@ type recordingMonitor struct {
 	servesSeen    int
 	servesInvalid int
 	served        int
+	stops         int
 }
 
 func (r *recordingMonitor) OnProposePhase(msg.Period, []msg.NodeID, []msg.ChunkID, []msg.ServeRecord) {
@@ -397,6 +398,7 @@ func (r *recordingMonitor) OnRequestSent(msg.NodeID, msg.Period, []msg.ChunkID) 
 func (r *recordingMonitor) OnServeReceived(msg.NodeID, msg.ChunkID)             { r.servesSeen++ }
 func (r *recordingMonitor) OnServeInvalid(msg.NodeID, msg.ChunkID)              { r.servesInvalid++ }
 func (r *recordingMonitor) OnServed(msg.NodeID, msg.Period, []msg.ChunkID)      { r.served++ }
+func (r *recordingMonitor) OnStop()                                             { r.stops++ }
 
 func TestMonitorHooksFire(t *testing.T) {
 	cfg := testConfig()
@@ -425,6 +427,13 @@ func TestMonitorHooksFire(t *testing.T) {
 	}
 	if mon1.servesSeen == 0 {
 		t.Fatal("OnServeReceived never fired on the receiver")
+	}
+	if mon0.stops != 0 {
+		t.Fatal("OnStop fired on a running node")
+	}
+	n0.Stop()
+	if mon0.stops != 1 || mon1.stops != 0 {
+		t.Fatalf("OnStop fired %d times on the stopped node and %d on the running one; want 1 and 0", mon0.stops, mon1.stops)
 	}
 }
 

@@ -323,10 +323,13 @@ func (q *queue) load() bool {
 
 // sorted returns the events of s, which starts buf's backing array, in
 // canonical order. A bucket is ascending runs laid end to end — a shard's own
-// sends of one window, each other shard's, each timer delay's; a few dozen in
-// a 4000-node run — so the runs are merged, pairwise, to and fro between s and
-// the room behind it: O(n log runs) comparisons, n when the bucket is already
-// in order and no worse than any sort when it is in none.
+// sends of one window, each other shard's, each timer delay's, and a period
+// flush's sends one short run per sender: up to 31 640 runs in one
+// 207 464-event slice of a 4000-node run, and 425 708 of its 8 008 473
+// events in slices of more than 256 — so the runs are merged, pairwise, to
+// and fro between s and the room behind it: O(n log runs) comparisons, n
+// when the bucket is already in order and no worse than any sort when it is
+// in none.
 func (q *queue) sorted(s []event) []event {
 	n := len(s)
 	runs := append(q.runs[:0], 0)
