@@ -206,7 +206,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, interrupt
 		Rep:              reputation.Config{M: *m, Eta: *eta, GracePeriods: *grace},
 		Stream:           scfg,
 		LiFTinG:          true,
-		BlameMode:        cluster.BlameMessages,
 		ExpelOnDetection: true,
 		NetDefaults:      net.Uniform(*loss, 0),
 		Chaos:            plan,

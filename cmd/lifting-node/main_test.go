@@ -319,7 +319,6 @@ func simVerdict(t *testing.T) (honestMean, riderScore float64, expelled map[msg.
 		Stream:           stream.Config{BitrateBps: 674_000, ChunkPayload: 1316},
 		NetDefaults:      net.Uniform(0, 2*time.Millisecond),
 		LiFTinG:          true,
-		BlameMode:        cluster.BlameMessages,
 		ExpelOnDetection: false, // verdict only: managers mark, nobody is removed
 		BehaviorFor: func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
 			if id == scenRider {

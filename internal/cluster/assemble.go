@@ -27,9 +27,6 @@ import (
 // setDefaults fills the derived fields of a system configuration, once per
 // system, before any node is assembled.
 func (o *Options) setDefaults() {
-	if o.BlameMode == 0 {
-		o.BlameMode = BlameDirect
-	}
 	// The verifier checks the protocol the node gossips and a serve carries
 	// the stream's chunks: what Core and Gossip leave zero of those is read
 	// off the field that states it.
@@ -120,10 +117,7 @@ type wiring struct {
 	behavior func(*rng.Stream) gossip.Behavior
 	skew     float64         // clock-rate factor (see sim.Skewed); 0 or 1 is a true clock
 	playout  *stream.Playout // nil = arrivals untracked
-	// sink takes the node's blames by call (direct mode's keeper). Nil
-	// routes them as messages: the node gets a blame client and serves
-	// manager duty, reporting verdicts to onExpel.
-	sink     core.BlameSink
+	// onExpel receives the verdicts of the node's manager.
 	onExpel  func(target msg.NodeID, reason msg.BlameReason)
 	reader   bool              // add the over-the-wire score reader (deployments)
 	extraAux gossip.AuxHandler // appended to the aux chain; may be nil
@@ -141,8 +135,8 @@ type assembled struct {
 
 // assemble builds one node — gossip, chunk store, verifier, its share of the
 // reputation substrate — from the defaulted system configuration and the
-// caller's wiring, and attaches it to the runtime. Registering it with the
-// scorekeepers and starting it is the caller's.
+// caller's wiring, and attaches it to the runtime. Registering it with its
+// managers and starting it is the caller's.
 func assemble(o *Options, w wiring) assembled {
 	id := w.id
 	nodeRand := w.root.ForNode(uint32(id))
@@ -201,20 +195,13 @@ func assemble(o *Options, w wiring) assembled {
 	}
 
 	if o.LiFTinG {
-		sink := w.sink
-		if sink == nil {
-			a.client = reputation.NewClientOn(id, o.Rep, netw, w.dir, w.sends)
-			sink = a.client
-		}
-		sink = countingSink{coll: w.collector, inner: sink}
+		a.client = reputation.NewClientOn(id, o.Rep, netw, w.dir, w.sends)
+		sink := countingSink{coll: w.collector, inner: a.client}
 		a.verifier = core.NewVerifier(id, o.Core, ctx, netw, nodeRand.Derive("verify"), deps.History, behavior, sink, w.sends)
-		aux := auxChain{a.verifier}
-		if a.client != nil {
-			mcfg := o.Rep
-			mcfg.OnExpel = w.onExpel
-			a.manager = reputation.NewManager(id, mcfg, netw, w.dir, w.sends)
-			aux = append(aux, managerAux{a.manager})
-		}
+		mcfg := o.Rep
+		mcfg.OnExpel = w.onExpel
+		a.manager = reputation.NewManager(id, mcfg, netw, w.dir, w.sends)
+		aux := auxChain{a.verifier, managerAux{a.manager}}
 		if w.reader {
 			a.reader = reputation.NewReader(id, o.Rep, ctx, netw, w.dir, 2*gcfg.Period)
 			aux = append(aux, a.reader)

@@ -71,7 +71,6 @@ func TestOneNodeClustersAssembleLikeCluster(t *testing.T) {
 	)
 	rider := freerider.Degree{Delta1: 0.5, Delta2: 0.5, Delta3: 0.5}
 	opts := fastOptions(runtime.KindSim, n)
-	opts.BlameMode = BlameMessages
 	// Lossy links, so the default compensation (Equation 5) is nonzero: the
 	// cluster and every deployment derive pl from the network defaults.
 	opts.NetDefaults = net.Uniform(0.02, 2*time.Millisecond)
@@ -214,7 +213,7 @@ func TestOneNodeClustersAssembleLikeCluster(t *testing.T) {
 func TestDerivedOptionsAssembleTheSameNode(t *testing.T) {
 	shape := func() Options {
 		opts := baseOptions(120, 0.01)
-		opts.Seed, opts.Shards, opts.BlameMode = 23, 1, BlameMessages
+		opts.Seed, opts.Shards = 23, 1
 		opts.Gossip.ChunkPayload, opts.Stream.ChunkPayload = 5264, 5264
 		opts.Rep = reputation.Config{M: 25, Eta: -1e9, FlushEvery: 5, GracePeriods: 24}
 		opts.NetDefaults = net.Uniform(0.01, 5*time.Millisecond)

@@ -189,7 +189,6 @@ func metricsFingerprint(c *Cluster) string {
 func TestSeedReproducibilityByteIdentical(t *testing.T) {
 	runOnce := func() string {
 		opts := fastOptions(runtime.KindSim, 30)
-		opts.BlameMode = BlameMessages
 		opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
 			if id >= 26 {
 				return freerider.Degree{Delta1: 0.4, Delta2: 0.4, Delta3: 0.4}
@@ -217,7 +216,6 @@ func TestSeedReproducibilityByteIdentical(t *testing.T) {
 // manager duties are handed off, and freerider detection keeps working.
 func TestChurnScenario(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, 40)
-	opts.BlameMode = BlameMessages
 	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
 		if id >= 36 && id < 40 {
 			return freerider.Degree{Delta1: 0.5, Delta2: 0.5, Delta3: 0.5}
@@ -299,7 +297,6 @@ func TestChurnScenario(t *testing.T) {
 // concurrency.
 func TestChurnRunsUnderLiveBackend(t *testing.T) {
 	opts := fastOptions(runtime.KindUDP, 20)
-	opts.BlameMode = BlameMessages
 	c := New(opts)
 	c.Start()
 	c.StartStream(1500 * time.Millisecond)

@@ -47,7 +47,7 @@ func TestBytesPerNode(t *testing.T) {
 		wantKB = 61.3
 	)
 	opts := baseOptions(n, 0.01)
-	opts.Seed, opts.Shards, opts.BlameMode = 23, 1, BlameMessages
+	opts.Seed, opts.Shards = 23, 1
 	opts.Gossip.ChunkPayload, opts.Stream.ChunkPayload = 5264, 5264
 	opts.Core.Eta = -1e9
 	opts.Rep = reputation.Config{M: 25, Eta: -1e9, FlushEvery: 5, GracePeriods: 24}

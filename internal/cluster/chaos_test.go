@@ -36,7 +36,6 @@ func chaosPlan() *chaos.Plan {
 // entry's JoinPeriod still predates the crash.
 func TestChaosCrashRestartKeepsScoreState(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, 24)
-	opts.BlameMode = BlameMessages
 	opts.Chaos = chaosPlan()
 	c := New(opts)
 	c.Start()
@@ -100,7 +99,6 @@ func TestChaosCrashRestartKeepsScoreState(t *testing.T) {
 func TestChaosDeterministicByteIdentical(t *testing.T) {
 	run := func() string {
 		opts := fastOptions(runtime.KindSim, 24)
-		opts.BlameMode = BlameMessages
 		opts.Chaos = chaosPlan()
 		c := New(opts)
 		c.Start()
@@ -131,7 +129,6 @@ func TestChaosDeterministicByteIdentical(t *testing.T) {
 // stream progress; after the heal it catches up again.
 func TestChaosPartitionCutsMinority(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, 16)
-	opts.BlameMode = BlameMessages
 	opts.Chaos = &chaos.Plan{
 		Events: []chaos.Event{
 			{At: 800 * time.Millisecond, Kind: chaos.Partition, Nodes: []msg.NodeID{3, 4}},
@@ -168,7 +165,6 @@ func TestChaosPartitionCutsMinority(t *testing.T) {
 // heal all apply without deadlock or expulsion.
 func TestChaosRunsOnLiveBackend(t *testing.T) {
 	opts := fastOptions(runtime.KindUDP, 12)
-	opts.BlameMode = BlameMessages
 	opts.Chaos = &chaos.Plan{
 		Events: []chaos.Event{
 			{At: 400 * time.Millisecond, Kind: chaos.Crash, Nodes: []msg.NodeID{5}},

@@ -40,20 +40,14 @@ import (
 	"lifting/internal/transport"
 )
 
-// BlameMode selects how blames reach the scores.
+// BlameMode is read by nothing: every node's reputation.Client batches its
+// blames into messages to the target's M managers, as deployed on PlanetLab
+// (§7). The type, its one value and Options.BlameMode stay while
+// benchmark/cluster.go sets them.
 type BlameMode int
 
-// Blame routing modes.
-const (
-	// BlameDirect hands blames by function call to one keeper, a manager
-	// nobody sends to — the idealized reputation used by the large-scale
-	// score experiments (equivalent to min-vote over loss-free managers). It
-	// decides at period boundaries.
-	BlameDirect BlameMode = iota + 1
-	// BlameMessages routes blames as messages to each target's M managers,
-	// as deployed on PlanetLab (§7).
-	BlameMessages
-)
+// BlameMessages is the one blame route, by message to the M managers.
+const BlameMessages BlameMode = 1
 
 // Options configures a cluster.
 type Options struct {
@@ -70,9 +64,9 @@ type Options struct {
 	// Shards is how many shards (goroutines) the discrete-event engine
 	// runs on: 0 or 1 = one, -1 = one per CPU, n = n. It is an execution
 	// knob only — seeded results are byte-identical for every value on any
-	// machine. Configurations that cannot run concurrently (direct blame
-	// mode's one keeper, ConditionsFor overrides, LiFTinG off, zero base
-	// latency) always get one shard; see shardCountAndWindow.
+	// machine. Configurations that cannot run concurrently (ConditionsFor
+	// overrides, zero base latency) always get one shard; see
+	// shardCountAndWindow.
 	Shards int
 	// Gossip is the dissemination configuration. A zero ChunkPayload is
 	// Stream.ChunkPayload: serves carry the stream's chunks.
@@ -96,7 +90,7 @@ type Options struct {
 	ConditionsFor func(id msg.NodeID) (net.Conditions, bool)
 	// LiFTinG enables the verification machinery.
 	LiFTinG bool
-	// BlameMode defaults to BlameDirect.
+	// BlameMode is read by nothing (see the type).
 	BlameMode BlameMode
 	// BehaviorFor, if non-nil, supplies per-node behaviors (freeriders).
 	// Returning nil means honest. Node 0 (the source) is always honest.
@@ -132,11 +126,10 @@ type Options struct {
 	// Deployment, if non-nil, makes the cluster one process of a deployment:
 	// it hosts node Deployment.Self only, on the caller's runtime, and
 	// reaches the rest of the membership 0..N-1 through that runtime's
-	// network. Backend and Shards are then unused, and blames must travel as
-	// messages (LiFTinG in BlameMessages mode): no keeper is callable across
-	// processes. NetDefaults, ConditionsFor and Chaos apply as in process:
-	// New pushes every member's conditions onto the caller's runtime, and
-	// the plan's events and Self's clock skew replay on it.
+	// network. Backend and Shards are then unused, and LiFTinG must be on.
+	// NetDefaults, ConditionsFor and Chaos apply as in process: New pushes
+	// every member's conditions onto the caller's runtime, and the plan's
+	// events and Self's clock skew replay on it.
 	Deployment *Deployment
 }
 
@@ -175,8 +168,8 @@ type Cluster struct {
 	// of the stream.
 	Content *content.Source
 	Nodes   map[msg.NodeID]*gossip.Node
-	// Managers holds the managers of the members this cluster hosts
-	// (message mode; empty in direct mode). A removal takes the node's
+	// Managers holds the managers of the members this cluster hosts, one
+	// per LiFTinG node (empty with LiFTinG off). A removal takes the node's
 	// manager out; a restart builds a fresh one.
 	Managers map[msg.NodeID]*reputation.Manager
 	Playouts map[msg.NodeID]*stream.Playout
@@ -198,9 +191,6 @@ type Cluster struct {
 	// goroutines.
 	mu sync.Mutex
 
-	// keeper is direct mode's one score-keeper, blamed by call; nil in
-	// message mode.
-	keeper *reputation.Manager
 	// reader is the deployment node's over-the-wire score reader; nil
 	// without a Deployment.
 	reader *reputation.Reader
@@ -211,17 +201,16 @@ type Cluster struct {
 	auditor       *core.Auditor
 	period        msg.Period
 	ticking       periodTick
-	clients       []ownedClient // message-mode blame clients, flushed per period
+	clients       []ownedClient // the blame clients, in build order, flushed per FlushEvery periods
 	nextID        msg.NodeID
 	handoffs      int
 	rebalance     bool // a manager rebalance is scheduled
 	rebalanceFull bool // ...and must rescan every assignment (a join)
 
-	// Message-mode rebalance bookkeeping: the manager set last applied per
-	// target (a Directory.Managers slice, shared and read-only), and the
-	// nodes that left or (re)joined since the last rebalance. A
-	// removal-only rebalance hands off just the targets whose applied set
-	// names a changed node.
+	// Rebalance bookkeeping: the manager set last applied per target (a
+	// Directory.Managers slice, shared and read-only), and the nodes that
+	// left or (re)joined since the last rebalance. A removal-only rebalance
+	// hands off just the targets whose applied set names a changed node.
 	lastMgrs map[msg.NodeID][]msg.NodeID
 	changed  map[msg.NodeID]bool
 
@@ -237,8 +226,9 @@ type Cluster struct {
 // serializes it, and with its Flush as a func value, made once: a flush
 // round calls it on the owner's shard (sim) or hands it to RT.Exec (udp).
 type ownedClient struct {
-	owner msg.NodeID
-	flush func()
+	owner  msg.NodeID
+	client *reputation.Client
+	flush  func()
 }
 
 // auditorProxy routes audit responses to the cluster's auditor once it
@@ -291,8 +281,8 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 
 	switch {
 	case opts.Deployment != nil:
-		if !opts.LiFTinG || opts.BlameMode != BlameMessages {
-			panic("cluster: a Deployment runs LiFTinG with BlameMessages")
+		if !opts.LiFTinG {
+			panic("cluster: a Deployment runs LiFTinG")
 		}
 		c.RT = opts.Deployment.Runtime
 		if opts.Deployment.Collector != nil {
@@ -320,14 +310,6 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		panic("cluster: Options.Backend is neither runtime.KindSim nor runtime.KindUDP")
 	}
 
-	if opts.BlameMode == BlameDirect {
-		// M = 0 and no network: a verdict goes to expel and to nobody else.
-		kcfg := opts.Rep
-		kcfg.M = 0
-		kcfg.OnExpel = func(target msg.NodeID, _ msg.BlameReason) { c.expel(target) }
-		c.keeper = reputation.NewManager(0, kcfg, nil, c.Dir, nil)
-	}
-
 	for i := 0; i < opts.N; i++ {
 		if c.hosts(msg.NodeID(i)) {
 			c.build(msg.NodeID(i))
@@ -343,12 +325,12 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		}
 	}
 
-	// Pre-register every node with the scorekeepers at period 0 so r counts
+	// Pre-register every node with its managers at period 0 so r counts
 	// time in the system, not time since first blame. A deployment's one
 	// manager tracks the members assigned to it.
 	if opts.LiFTinG {
 		for i := 0; i < opts.N; i++ {
-			c.registerScorekeepers(msg.NodeID(i), 0)
+			c.trackAtManagers(msg.NodeID(i), 0)
 		}
 	}
 
@@ -363,9 +345,9 @@ func (c *Cluster) hosts(id msg.NodeID) bool {
 }
 
 // build assembles node id from the shared recipe with the cluster's wiring
-// — shared directory and collector, the keeper or manager duty by blame
-// mode, expulsions routed through the harness — and publishes its parts. The
-// caller registers scorekeepers and per-node conditions.
+// — shared directory and collector, manager duty whose expulsions are routed
+// through the harness — and publishes its parts. The caller registers it
+// with its managers and sets per-node conditions.
 func (c *Cluster) build(id msg.NodeID) {
 	opts := &c.Opts
 	w := wiring{
@@ -377,9 +359,6 @@ func (c *Cluster) build(id msg.NodeID) {
 		verified:  c.verified,
 		sends:     c.sendsFor(id),
 	}
-	if c.keeper != nil {
-		w.sink = c.keeper
-	}
 	if opts.BehaviorFor != nil && id != 0 {
 		w.behavior = func(r *rng.Stream) gossip.Behavior { return opts.BehaviorFor(id, c.Dir, r) }
 	}
@@ -390,17 +369,15 @@ func (c *Cluster) build(id msg.NodeID) {
 	if opts.TrackPlayout {
 		w.playout = stream.NewPlayout(opts.Stream)
 	}
-	if opts.BlameMode == BlameMessages {
-		// The expulsion callback carries the hosting manager's id: under the
-		// sim backend it fires inside a lookahead window, and the
-		// resulting membership mutation must be deferred to the global
-		// phase keyed by the node that triggered it.
-		w.onExpel = func(target msg.NodeID, reason msg.BlameReason) {
-			if d := opts.Deployment; d != nil && d.OnExpel != nil {
-				d.OnExpel(target, reason)
-			}
-			c.expelFrom(id, target)
+	// The expulsion callback carries the hosting manager's id: under the sim
+	// backend it fires inside a lookahead window, and the resulting
+	// membership mutation must be deferred to the global phase keyed by the
+	// node that triggered it.
+	w.onExpel = func(target msg.NodeID, reason msg.BlameReason) {
+		if d := opts.Deployment; d != nil && d.OnExpel != nil {
+			d.OnExpel(target, reason)
 		}
+		c.expelFrom(id, target)
 	}
 	if id == 0 {
 		w.extraAux = auditorProxy{c}
@@ -416,7 +393,7 @@ func (c *Cluster) build(id msg.NodeID) {
 		c.Managers[id] = a.manager
 	}
 	if a.client != nil {
-		c.clients = append(c.clients, ownedClient{owner: id, flush: a.client.Flush})
+		c.clients = append(c.clients, ownedClient{owner: id, client: a.client, flush: a.client.Flush})
 	}
 	if a.reader != nil {
 		c.reader = a.reader
@@ -441,12 +418,9 @@ func (c *Cluster) sendsFor(id msg.NodeID) *msg.Sends {
 	return s
 }
 
-// registerScorekeepers starts tracking id's score as of period p.
-func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
-	if c.keeper != nil {
-		c.keeper.Track(id, p)
-		return
-	}
+// trackAtManagers starts tracking id's score on its hosted managers as of
+// period p.
+func (c *Cluster) trackAtManagers(id msg.NodeID, p msg.Period) {
 	set := c.Dir.Managers(id, c.Opts.Rep.M)
 	c.mu.Lock()
 	c.lastMgrs[id] = set
@@ -466,15 +440,13 @@ func (c *Cluster) registerScorekeepers(id msg.NodeID, p msg.Period) {
 // the discrete-event engine runs with. The window is the default base
 // latency, a lower bound on every cross-node delivery delay. More than one
 // shard requires that bound to hold and be positive (no per-node condition
-// overrides) and a harness that stays out of the event hot path: LiFTinG in
-// message mode (in direct mode every node adds floats onto the one keeper,
-// and float addition is order-dependent). Every other configuration runs the
-// same layout on one shard, where no delivery crosses shards and the window
-// (the gossip period, absent a latency) only paces the global phase.
+// overrides). Every other configuration runs the same layout on one shard,
+// where no delivery crosses shards and the window (the gossip period, absent
+// a latency) only paces the global phase.
 func (c *Cluster) shardCountAndWindow() (int, time.Duration) {
 	o := &c.Opts
 	window := o.NetDefaults.LatencyBase
-	concurrent := window > 0 && o.LiFTinG && o.BlameMode == BlameMessages && o.ConditionsFor == nil
+	concurrent := window > 0 && o.ConditionsFor == nil
 	if window <= 0 {
 		window = o.Gossip.Period
 	}
@@ -536,38 +508,29 @@ type Calibration struct {
 
 // Calibrate runs an all-honest pilot with the given options and returns the
 // empirical compensation and honest score spread. The pilot always runs on
-// the discrete-event backend (it is a Monte-Carlo measurement, not an
-// integration test) and owns what "honest and clean" means: it ignores
-// BehaviorFor, expulsion, playout tracking, the fault plan and the caller's
-// snapshot hook, so a caller hands it the options of the run it is about to
-// police as they are. It discards the first 25% of the run as
-// warmup (the dissemination ramp-up produces atypical blame). Cancelling ctx
-// aborts the pilot and returns ctx.Err() with a zero Calibration.
+// the discrete-event backend and on one shard (it is a Monte-Carlo
+// measurement, not an integration test) and owns what "honest and clean"
+// means: it ignores BehaviorFor, expulsion, playout tracking, the fault plan
+// and the caller's snapshot hook, so a caller hands it the options of the run
+// it is about to police as they are. No blame batch falls due inside it: every
+// client still holds each blame it issued when the pilot reads it, so a
+// node's blame is what the clients hold against it, summed in build order
+// (heldBlame) — whatever the managers would have made of it, and with no
+// Blame on the wire. It discards the first 25% of the run as warmup (the
+// dissemination ramp-up produces atypical blame). Cancelling ctx aborts the
+// pilot and returns ctx.Err() with a zero Calibration.
 func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calibration, error) {
-	pilot := opts
-	pilot.Backend = runtime.KindSim
-	pilot.BehaviorFor = nil
-	pilot.ExpelOnDetection = false
-	pilot.TrackPlayout = false
-	pilot.BlameMode = BlameDirect
-	pilot.Chaos = nil
-	pilot.OnPeriodSnapshot = nil
-	pilot.Seed = opts.Seed ^ 0x5afec0de
+	pilot := pilotOptions(opts, duration)
 	c := New(pilot)
 	c.Start()
 	c.StartStream(duration)
 
-	warmup := duration / 4
-	if err := c.RunContext(ctx, warmup); err != nil {
+	if err := c.RunContext(ctx, duration/4); err != nil {
 		c.Close()
 		return Calibration{}, err
 	}
 	warmupPeriod := int(c.Period())
-	atWarmup := make(map[msg.NodeID]float64, pilot.N)
-	for i := 1; i < pilot.N; i++ {
-		e, _ := c.keeper.Snapshot(msg.NodeID(i))
-		atWarmup[msg.NodeID(i)] = e.TotalBlame
-	}
+	atWarmup := c.heldBlame()
 	if err := c.RunContext(ctx, duration+pilot.Gossip.Period); err != nil {
 		c.Close()
 		return Calibration{}, err
@@ -578,13 +541,46 @@ func Calibrate(ctx context.Context, opts Options, duration time.Duration) (Calib
 		periods = 1
 	}
 	var blame stats.Moments
-	for i := 1; i < pilot.N; i++ { // skip the source: it never requests
-		e, _ := c.keeper.Snapshot(msg.NodeID(i))
-		blame.Add((e.TotalBlame - atWarmup[msg.NodeID(i)]) / float64(periods))
+	for i, total := range c.heldBlame()[1:] { // skip the source: it never requests
+		blame.Add((total - atWarmup[i+1]) / float64(periods))
 	}
 	// With compensation set to the measured mean, s = comp − total/r, so
 	// σ(s) equals the spread of per-period blame rates.
 	return Calibration{Compensation: blame.Mean(), ScoreStd: blame.Std()}, nil
+}
+
+// pilotOptions are the options of Calibrate's pilot over a stream of the
+// given length: the caller's, honest and clean, on one sim shard, with a
+// blame batch that closes past the pilot's last period (it runs one gossip
+// period past the stream).
+func pilotOptions(opts Options, duration time.Duration) Options {
+	pilot := opts
+	pilot.Backend = runtime.KindSim
+	pilot.Shards = 1
+	pilot.BehaviorFor = nil
+	pilot.ExpelOnDetection = false
+	pilot.TrackPlayout = false
+	pilot.Chaos = nil
+	pilot.OnPeriodSnapshot = nil
+	pilot.Seed = opts.Seed ^ 0x5afec0de
+	pilot.Rep.FlushEvery = int(duration/opts.Gossip.Period) + 2
+	return pilot
+}
+
+// heldBlame returns, indexed by node id over the initial population, the
+// blame the cluster's clients hold unflushed against each node: for each
+// node, the sum over c.clients in build order, so the same for every shard
+// count.
+func (c *Cluster) heldBlame() []float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]float64, c.Opts.N)
+	for i := range out {
+		for _, oc := range c.clients {
+			out[i] += oc.client.Pending(msg.NodeID(i))
+		}
+	}
+	return out
 }
 
 // Start launches every hosted node (in id order, for reproducibility), each
@@ -644,9 +640,6 @@ func (c *Cluster) tick(p msg.Period) {
 	}
 	c.mu.Unlock()
 
-	if c.keeper != nil {
-		c.keeper.Tick(p)
-	}
 	if c.Engine != nil {
 		t.doomed = slices.Grow(t.doomed, len(t.mgrs))[:len(t.mgrs)]
 		c.Engine.Fan(t.shard)
@@ -800,15 +793,11 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	if c.auditor != nil {
 		return c.auditor
 	}
-	var sink core.BlameSink = c.keeper
-	if c.keeper == nil {
-		client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
-		c.mu.Lock()
-		c.clients = append(c.clients, ownedClient{owner: 0, flush: client.Flush})
-		c.mu.Unlock()
-		sink = client
-	}
-	sink = countingSink{coll: c.Collector, inner: sink}
+	client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
+	c.mu.Lock()
+	c.clients = append(c.clients, ownedClient{owner: 0, client: client, flush: client.Flush})
+	c.mu.Unlock()
+	sink := countingSink{coll: c.Collector, inner: client}
 	c.auditor = core.NewAuditor(0, c.Opts.Core, c.RT.Context(0), c.RT.Network(), sink,
 		func(out core.AuditOutcome) {
 			c.Collector.OnAuditOutcome(out.Responded, !out.Expel)
@@ -822,18 +811,12 @@ func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	return c.auditor
 }
 
-// Scores returns every known node's current score: the keeper's copy in
-// direct mode, or the min-vote over manager copies in message mode. Under
-// a wall-clock backend call it after Close (or accept slightly stale reads).
+// Scores returns every known node's current score: the min-vote over its
+// manager copies. Under a wall-clock backend call it after Close (or accept
+// slightly stale reads).
 func (c *Cluster) Scores() map[msg.NodeID]float64 {
 	ids := c.Dir.All()
 	out := make(map[msg.NodeID]float64, len(ids))
-	if c.keeper != nil {
-		for _, id := range ids {
-			out[id], _ = c.keeper.Score(id)
-		}
-		return out
-	}
 	c.mu.Lock()
 	mgrByID := maps.Clone(c.Managers)
 	c.mu.Unlock()
@@ -915,10 +898,10 @@ func (c *Cluster) Period() msg.Period {
 	return c.period
 }
 
-// Manager returns member id's manager (message mode), nil where this
-// cluster holds none — a node that left, was expelled or is crashed has
-// none. A crash restart builds a fresh one, so a reader on another goroutine
-// asks again instead of keeping one.
+// Manager returns member id's manager, nil where this cluster holds none —
+// a node that left, was expelled or is crashed has none. A crash restart
+// builds a fresh one, so a reader on another goroutine asks again instead of
+// keeping one.
 func (c *Cluster) Manager(id msg.NodeID) *reputation.Manager {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -939,9 +922,9 @@ func (c *Cluster) Handoffs() int {
 // ScheduleJoin arranges for a fresh node to join the system at time at. The
 // node's id is allocated immediately (and returned); the node itself — with
 // its behavior from BehaviorFor, verifier and manager duty — is assembled
-// and started when the time comes. Scorekeepers pick it up at the
-// then-current period, and in message mode the manager assignment is
-// rebalanced with state handoff.
+// and started when the time comes. Its managers pick it up at the
+// then-current period, and the manager assignment is rebalanced with state
+// handoff.
 func (c *Cluster) ScheduleJoin(at time.Duration) msg.NodeID {
 	c.mu.Lock()
 	id := c.nextID
@@ -953,7 +936,7 @@ func (c *Cluster) ScheduleJoin(at time.Duration) msg.NodeID {
 
 // ScheduleLeave arranges for id to leave the system voluntarily at time at:
 // it stops gossiping, drops off the network and exits the sampling
-// population. In message mode its manager duties are handed off.
+// population. Its manager duties are handed off.
 func (c *Cluster) ScheduleLeave(at time.Duration, id msg.NodeID) {
 	c.RT.After(at, func() { c.leave(id) })
 }
@@ -969,8 +952,8 @@ func (c *Cluster) join(id msg.NodeID) {
 // admit brings node id into the running system: a churn arrival, or a
 // crashed node coming back with fresh protocol state under its old id. A
 // hosted node is built and started; a deployment's remote member only
-// rejoins the directory and the scorekeepers — its own process rebuilds it.
-// Scorekeepers pick it up at the current period — Track does not reset an
+// rejoins the directory and its managers — its own process rebuilds it.
+// The managers pick it up at the current period — Track does not reset an
 // entry that survived a crash — and the full rebalance has the managers of
 // its targets push their copies to its fresh manager.
 func (c *Cluster) admit(id msg.NodeID) {
@@ -992,7 +975,7 @@ func (c *Cluster) admit(id msg.NodeID) {
 	node := c.Nodes[id]
 	c.mu.Unlock()
 	if c.Opts.LiFTinG {
-		c.registerScorekeepers(id, p)
+		c.trackAtManagers(id, p)
 	}
 	if hosted {
 		// The node starts inside its own serialization domain.

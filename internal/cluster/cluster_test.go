@@ -192,7 +192,6 @@ func TestExpelOnDetectionRemovesFreeriders(t *testing.T) {
 // was). All six freeriders go, as they do without the blame, and 7 stays.
 func TestManagersRefuseSelfAbsolutionAndForgedVerdicts(t *testing.T) {
 	opts := baseOptions(40, 0)
-	opts.BlameMode = BlameMessages
 	opts.ExpelOnDetection = true
 	opts.Rep.Eta = -3 // lossless: an honest node is never blamed
 	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
@@ -227,10 +226,10 @@ func TestManagersRefuseSelfAbsolutionAndForgedVerdicts(t *testing.T) {
 }
 
 func TestMessageModeAgreesWithDirectMode(t *testing.T) {
-	// Blames routed through managers (min-vote) must separate freeriders
-	// from honest nodes just like the direct keeper.
+	// Blames batched to the managers as messages, read by min-vote over
+	// their copies, separate freeriders from honest nodes under loss, as
+	// the one keeper blamed by call that this route replaced did.
 	opts := baseOptions(50, 0.02)
-	opts.BlameMode = BlameMessages
 	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {
 		if id >= 45 {
 			return freerider.Degree{Delta1: 0.3, Delta2: 0.3, Delta3: 0.3}
@@ -252,7 +251,7 @@ func TestMessageModeAgreesWithDirectMode(t *testing.T) {
 		}
 	}
 	if riders.Mean() >= honest.Mean() {
-		t.Fatalf("message-mode scores do not separate: riders %v vs honest %v", riders.Mean(), honest.Mean())
+		t.Fatalf("scores do not separate: riders %v vs honest %v", riders.Mean(), honest.Mean())
 	}
 }
 

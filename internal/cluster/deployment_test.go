@@ -27,7 +27,6 @@ func deploymentOptions(n int, self msg.NodeID, rt runtime.Runtime) Options {
 	opts.Seed = 11
 	opts.Gossip.F, opts.Core.F = n-1, n-1
 	opts.Rep.M = n
-	opts.BlameMode = BlameMessages
 	opts.Deployment = &Deployment{Self: self, Runtime: rt}
 	return opts
 }
@@ -242,7 +241,6 @@ func TestDeploymentsReplayChaosLikeCluster(t *testing.T) {
 		duration = 2400 * time.Millisecond
 	)
 	opts := fastOptions(runtime.KindSim, n)
-	opts.BlameMode = BlameMessages
 	opts.NetDefaults = net.Uniform(0.02, 2*time.Millisecond)
 	opts.Chaos = chaosPlan()
 	opts.Chaos.ReorderDelay = 20 * time.Millisecond
@@ -324,7 +322,6 @@ func TestDeploymentKeepsExpelledMemberDown(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, n)
 	opts.Gossip.F, opts.Core.F = n-1, n-1
 	opts.Rep.M = n
-	opts.BlameMode = BlameMessages
 	opts.ExpelOnDetection = true
 	tg := opts.Gossip.Period
 	opts.Chaos = &chaos.Plan{Events: []chaos.Event{

@@ -86,15 +86,14 @@ func oracleRebalance(live, removed boards, targets []msg.NodeID, oldSets, newSet
 	}
 }
 
-// TestHandoffMatchesOracle drives churn — joins, leaves and expulsions — in
-// message mode with no loss and no crash, each change half a period after a
-// blame flush, so no blame is in flight across one. Just before each change
-// it copies every manager's board; once the change's Handoffs have landed,
-// every hosted manager must hold exactly what the oracle computes from those
-// copies, and track nothing else.
+// TestHandoffMatchesOracle drives churn — joins, leaves and expulsions — with
+// no loss and no crash, each change half a period after a blame flush, so no
+// blame is in flight across one. Just before each change it copies every
+// manager's board; once the change's Handoffs have landed, every hosted
+// manager must hold exactly what the oracle computes from those copies, and
+// track nothing else.
 func TestHandoffMatchesOracle(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, 40)
-	opts.BlameMode = BlameMessages
 	opts.ExpelOnDetection = true
 	riders := map[msg.NodeID]bool{5: true, 11: true, 23: true}
 	opts.BehaviorFor = func(id msg.NodeID, _ *membership.Directory, _ *rng.Stream) gossip.Behavior {

@@ -8,12 +8,12 @@ import (
 	"lifting/internal/reputation"
 )
 
-// Message-mode manager assignment: the score handoff a membership change
+// Manager assignment: the score handoff a membership change
 // triggers, by message (msg.Handoff).
 
 // MaxTrackedPerManager returns the largest per-manager tracked-target count
-// (message mode; 0 in direct mode). The soak invariants bound it by the
-// total population ever seen.
+// (0 with LiFTinG off). The soak invariants bound it by the total population
+// ever seen.
 func (c *Cluster) MaxTrackedPerManager() int {
 	c.mu.Lock()
 	mgrs := make([]*reputation.Manager, 0, len(c.Managers))
@@ -31,18 +31,12 @@ func (c *Cluster) MaxTrackedPerManager() int {
 	return most
 }
 
-// rebalances reports whether membership changes hand manager duty off:
-// message mode with LiFTinG.
-func (c *Cluster) rebalances() bool {
-	return c.Opts.BlameMode == BlameMessages && c.Opts.LiFTinG
-}
-
 // scheduleRebalance records that node id left or (re)joined and queues a
-// manager-assignment rebalance (message mode only). It runs as a harness
+// manager-assignment rebalance (LiFTinG only). It runs as a harness
 // event so no manager locks are held when it starts, and coalesces bursts of
 // membership changes (a full request upgrades a pending cheap one).
 func (c *Cluster) scheduleRebalance(id msg.NodeID, full bool) {
-	if !c.rebalances() {
+	if !c.Opts.LiFTinG {
 		return
 	}
 	c.mu.Lock()

@@ -18,15 +18,16 @@ import (
 // TestRemovedReplicaDecidesNothing pins that manager duty follows the
 // membership: a node removed by leave or by expulsion takes its manager out
 // of the cluster at the removal. A copy of an honest target damning enough
-// to cross η, put into that manager afterwards, must then expel nobody — the
-// manager no longer ticks.
+// to cross η, put into that manager by message right after the removal and
+// inside the copy's grace periods (so the Blame's arrival decides nothing),
+// must then expel nobody once the grace is over — the manager no longer
+// ticks.
 func TestRemovedReplicaDecidesNothing(t *testing.T) {
 	const target, removeAt = msg.NodeID(5), 2 * time.Second
 	for _, how := range []string{"leave", "expel"} {
 		opts := baseOptions(30, 0)
-		opts.BlameMode = BlameMessages
 		opts.Rep.Eta = -2
-		opts.Rep.GracePeriods = 4
+		opts.Rep.GracePeriods = 6 // past the removal, at 2 s = 4 periods
 		opts.ExpelOnDetection = true
 		c := New(opts)
 		var mgrID msg.NodeID
@@ -49,10 +50,11 @@ func TestRemovedReplicaDecidesNothing(t *testing.T) {
 		case "expel":
 			c.After(removeAt, func() { c.expel(mgrID) })
 		}
-		// After the removal, the kept manager's copy of the target is blamed
-		// far past η.
+		// After the removal, the manager's copy of the target is blamed far
+		// past η: a verdict at the first tick past the grace periods, were
+		// the manager still ticked.
 		c.After(removeAt+time.Millisecond, func() {
-			mgr.Blame(target, 1e6, msg.ReasonUnknown)
+			mgr.HandleMessage(1, &msg.Blame{Sender: 1, Target: target, Value: 1e6})
 		})
 		run(c, 6*time.Second)
 
@@ -70,13 +72,12 @@ func TestRemovedReplicaDecidesNothing(t *testing.T) {
 	}
 }
 
-// TestAppliedAssignmentIsTheDirectorys runs churn and crash/restart cycles in
-// message mode and then checks the rebalance's one record: for every node
-// ever registered, the applied manager set equals the directory's, and every
-// manager in it tracks the node. Every key of Managers is a member.
+// TestAppliedAssignmentIsTheDirectorys runs churn and crash/restart cycles and
+// then checks the rebalance's one record: for every node ever registered, the
+// applied manager set equals the directory's, and every manager in it tracks
+// the node. Every key of Managers is a member.
 func TestAppliedAssignmentIsTheDirectorys(t *testing.T) {
 	opts := fastOptions(runtime.KindSim, 40)
-	opts.BlameMode = BlameMessages
 	opts.ExpelOnDetection = true
 	opts.Chaos = &chaos.Plan{Events: []chaos.Event{
 		{At: 500 * time.Millisecond, Kind: chaos.Crash, Nodes: []msg.NodeID{7, 12}},
@@ -134,7 +135,6 @@ func TestAppliedAssignmentIsTheDirectorys(t *testing.T) {
 func TestCrashOfEveryManagerLosesTheScore(t *testing.T) {
 	const crashAt, restartAt = 800 * time.Millisecond, 1100 * time.Millisecond
 	opts := fastOptions(runtime.KindSim, 40)
-	opts.BlameMode = BlameMessages
 	tg := opts.Gossip.Period
 	probe := New(opts)
 	// The freerider: the first node none of whose managers is the source,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -80,14 +81,14 @@ func TestForgedAuditBlamed(t *testing.T) {
 	auditor := c.Auditor(func(out core.AuditOutcome) { outcomes = append(outcomes, out) })
 	c.Start()
 	c.StartStream(8 * time.Second)
-	var blames keeperBlames
+	var blames managerBlames
 	c.After(7*time.Second, func() {
-		blames = c.keeperBlames(55, 20)
+		blames = c.managerBlames(55, 20)
 		auditor.Audit(55)
 		auditor.Audit(20)
 	})
 	c.Run(11 * time.Second)
-	blames = blames.since(c.keeperBlames(55, 20))
+	blames = blames.since(c.managerBlames(55, 20))
 
 	byTarget := map[msg.NodeID]core.AuditOutcome{}
 	for _, o := range outcomes {
@@ -101,9 +102,9 @@ func TestForgedAuditBlamed(t *testing.T) {
 		t.Fatalf("forged history confirmed too well: %d vs honest %d",
 			forged.Unconfirmed, honest.Unconfirmed)
 	}
-	// The audit's blame lands on the keeper, by call.
+	// The audit's blame reaches every manager copy of the forger.
 	if want := core.UnconfirmedHistoryBlame(forged.Unconfirmed); blames[55] < want-1e-9 {
-		t.Fatalf("forger took %v blame on the keeper after its audit, want at least the audit's %v", blames[55], want)
+		t.Fatalf("forger took %v blame on its managers after its audit, want at least the audit's %v", blames[55], want)
 	}
 	if blames[55] <= blames[20] {
 		t.Fatalf("forger blame %v not above honest blame %v", blames[55], blames[20])
@@ -126,14 +127,14 @@ func TestPeriodStretcherAudited(t *testing.T) {
 	auditor := c.Auditor(func(out core.AuditOutcome) { outcomes = append(outcomes, out) })
 	c.Start()
 	c.StartStream(12 * time.Second)
-	var blames keeperBlames
+	var blames managerBlames
 	c.After(11*time.Second, func() {
-		blames = c.keeperBlames(30, 10)
+		blames = c.managerBlames(30, 10)
 		auditor.Audit(30)
 		auditor.Audit(10)
 	})
 	c.Run(15 * time.Second)
-	blames = blames.since(c.keeperBlames(30, 10))
+	blames = blames.since(c.managerBlames(30, 10))
 
 	byTarget := map[msg.NodeID]core.AuditOutcome{}
 	for _, o := range outcomes {
@@ -145,9 +146,9 @@ func TestPeriodStretcherAudited(t *testing.T) {
 	if byTarget[10].PeriodBlame > 0 {
 		t.Fatalf("honest node blamed for period stretching: %+v", byTarget[10])
 	}
-	// The audit's blame lands on the keeper, by call.
+	// The audit's blame reaches every manager copy of the stretcher.
 	if blames[30] < byTarget[30].PeriodBlame-1e-9 || blames[30] <= blames[10] {
-		t.Fatalf("stretch blame not routed: keeper blame since the audits %v (stretcher), %v (honest); the audit's %v",
+		t.Fatalf("stretch blame not routed: manager blame since the audits %v (stretcher), %v (honest); the audit's %v",
 			blames[30], blames[10], byTarget[30].PeriodBlame)
 	}
 	// The stretcher's history also shows roughly half the propose phases.
@@ -156,21 +157,27 @@ func TestPeriodStretcherAudited(t *testing.T) {
 	}
 }
 
-// keeperBlames is the direct-mode keeper's TotalBlame per node.
-type keeperBlames map[msg.NodeID]float64
+// managerBlames is the TotalBlame per node on its managers: the least of
+// their copies (on a lossless run they hold the same blames).
+type managerBlames map[msg.NodeID]float64
 
-func (c *Cluster) keeperBlames(ids ...msg.NodeID) keeperBlames {
-	out := keeperBlames{}
+func (c *Cluster) managerBlames(ids ...msg.NodeID) managerBlames {
+	out := managerBlames{}
 	for _, id := range ids {
-		e, _ := c.keeper.Snapshot(id)
-		out[id] = e.TotalBlame
+		least := math.Inf(1)
+		for _, m := range c.Dir.Managers(id, c.Opts.Rep.M) {
+			if e, tracked := c.Manager(m).Snapshot(id); tracked {
+				least = min(least, e.TotalBlame)
+			}
+		}
+		out[id] = least
 	}
 	return out
 }
 
 // since is the blame each node took from b to later.
-func (b keeperBlames) since(later keeperBlames) keeperBlames {
-	out := keeperBlames{}
+func (b managerBlames) since(later managerBlames) managerBlames {
+	out := managerBlames{}
 	for id, v := range later {
 		out[id] = v - b[id]
 	}

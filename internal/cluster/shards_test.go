@@ -19,8 +19,8 @@ import (
 )
 
 // Options.Shards only ever picks a goroutine count: every configuration gets
-// at least one shard of the one engine layout, a configuration that cannot
-// run concurrently gets exactly one, and the lookahead window is the default
+// at least one shard of the one engine layout, policed or not, a
+// configuration that cannot run concurrently gets exactly one, and the lookahead window is the default
 // base latency (the gossip period where there is none).
 func TestShardCountAndWindow(t *testing.T) {
 	const lat = 2 * time.Millisecond
@@ -36,8 +36,7 @@ func TestShardCountAndWindow(t *testing.T) {
 		{name: "1 is one shard", shards: 1, wantShards: 1, wantWindow: lat},
 		{name: "n is n", shards: 5, wantShards: 5, wantWindow: lat},
 		{name: "-1 is one per CPU", shards: -1, wantShards: perCPU, wantWindow: lat},
-		{name: "direct mode", shards: 4, mutate: func(o *Options) { o.BlameMode = BlameDirect }, wantShards: 1, wantWindow: lat},
-		{name: "LiFTinG off", shards: 4, mutate: func(o *Options) { o.LiFTinG = false }, wantShards: 1, wantWindow: lat},
+		{name: "LiFTinG off", shards: 4, mutate: func(o *Options) { o.LiFTinG = false }, wantShards: 4, wantWindow: lat},
 		{name: "ConditionsFor", shards: -1, mutate: func(o *Options) {
 			o.ConditionsFor = func(msg.NodeID) (net.Conditions, bool) { return net.Conditions{}, false }
 		}, wantShards: 1, wantWindow: lat},
@@ -68,13 +67,12 @@ func TestShardCountAndWindow(t *testing.T) {
 }
 
 // Shards 0, 1 and 4 are the same run: one layout, so the shard count cannot
-// change a score, an expulsion or a traffic counter — in message mode, where
-// 4 really is four goroutines, and in direct mode, which always gets one.
-// Neither can the verified-once table (DESIGN.md "Verified once"): the
-// reference of each mode is the Shards = 0 run with no table, every payload
-// hashed by every receiver, and each run with the table must equal it in
-// expulsions, scores, the blame counts of every period and the collector's
-// snapshot — invalid serves included.
+// change a score, an expulsion or a traffic counter — where 4 really is four
+// goroutines, with LiFTinG on and with it off. Neither can the verified-once
+// table (DESIGN.md "Verified once"): the reference of each is the Shards = 0
+// run with no table, every payload hashed by every receiver, and each run
+// with the table must equal it in expulsions, scores, the blame counts of
+// every period and the collector's snapshot — invalid serves included.
 //
 // The population holds the matrix's adversaries (degree freeriders, a period
 // stretcher, a blame spammer, a MITM coalition with stretching colluders, a
@@ -83,7 +81,7 @@ func TestShardCountAndWindow(t *testing.T) {
 // (DESIGN.md): a history.Log keeps the lists it is handed, so one advertised
 // list is held by its proposer's log and phase ring, by the log of every
 // partner and by every snapshot taken of any of them, on whatever shard each
-// lives. In message mode every node's snapshot and asker lists are taken at
+// lives. With LiFTinG on every node's snapshot and asker lists are taken at
 // period snapAt — held as an AuditResp in flight would be — deep-copied, and
 // compared nh−1 periods later, when every ring has been round once: a writer
 // to a shared list, on any shard, fails the comparison or the race detector.
@@ -98,10 +96,11 @@ func TestShardsZeroEqualsOne(t *testing.T) {
 		c      *Cluster
 		blames [][]metrics.ReasonCount // cumulative, one entry per score period
 	}
-	for _, mode := range []BlameMode{BlameMessages, BlameDirect} {
-		streamed := 10 * time.Second
-		if mode == BlameMessages {
-			streamed = (snapAt + nh) * tg
+	for _, policed := range []bool{true, false} {
+		mode := "policed"
+		streamed := (snapAt + nh) * tg
+		if !policed {
+			mode, streamed = "unpoliced", 10*time.Second
 		}
 		var ref outcome
 		for _, v := range []struct {
@@ -109,7 +108,7 @@ func TestShardsZeroEqualsOne(t *testing.T) {
 			verifyOnce bool
 		}{{0, false}, {0, true}, {1, true}, {4, true}} {
 			opts := baseOptions(60, 0.05)
-			opts.BlameMode = mode
+			opts.LiFTinG = policed
 			opts.Shards = v.shards
 			opts.ExpelOnDetection = true
 			opts.Rep.Eta = -2 // under the uncalibrated b̃, where these freeriders settle
@@ -147,46 +146,43 @@ func TestShardsZeroEqualsOne(t *testing.T) {
 			if (c.verified != nil) != v.verifyOnce {
 				t.Fatalf("verifyOnce=%t: table %v", v.verifyOnce, c.verified)
 			}
-			if mode == BlameMessages {
+			if policed {
 				holdSnapshots(t, c, forgers, nh, snapAt*tg, (snapAt+nh-1)*tg)
 			}
 			run(c, streamed)
-			want := 1
-			if mode == BlameMessages && v.shards > 1 {
-				want = v.shards
-			}
+			want := max(1, v.shards)
 			if c.ShardCount() != want {
-				t.Fatalf("mode %v Shards=%d runs %d shards, want %d", mode, v.shards, c.ShardCount(), want)
+				t.Fatalf("%s Shards=%d runs %d shards, want %d", mode, v.shards, c.ShardCount(), want)
 			}
 			emitted := opts.Stream.ChunksBy(streamed)
 			for ch := msg.ChunkID(0); int(ch) < emitted; ch++ {
 				if payload, hash := c.Content.Chunk(ch); !content.Verify(payload, hash) {
-					t.Fatalf("mode %v Shards=%d: chunk %d of the source no longer hashes to its recorded hash: a shared payload was written to", mode, v.shards, ch)
+					t.Fatalf("%s Shards=%d: chunk %d of the source no longer hashes to its recorded hash: a shared payload was written to", mode, v.shards, ch)
 				}
 			}
 			if v.verifyOnce && c.verified.Puts() < uint64(emitted) {
-				t.Fatalf("mode %v Shards=%d: %d payloads passed the full hash, the source emitted %d", mode, v.shards, c.verified.Puts(), emitted)
+				t.Fatalf("%s Shards=%d: %d payloads passed the full hash, the source emitted %d", mode, v.shards, c.verified.Puts(), emitted)
 			}
 			if ref.c == nil {
 				ref = got
 				snap := c.Collector.SnapshotAt(0)
-				if len(c.Expelled) == 0 || snap.InvalidServes == 0 || snap.DupChunks == 0 || len(got.blames) < 2 {
-					t.Fatalf("mode %v: %d expulsions, %d invalid serves, %d duplicate chunks, %d periods: the comparison would be vacuous",
+				if (policed && (len(c.Expelled) == 0 || snap.InvalidServes == 0)) || snap.DupChunks == 0 || len(got.blames) < 2 {
+					t.Fatalf("%s: %d expulsions, %d invalid serves, %d duplicate chunks, %d periods: the comparison would be vacuous",
 						mode, len(c.Expelled), snap.InvalidServes, snap.DupChunks, len(got.blames))
 				}
 				continue
 			}
 			if !reflect.DeepEqual(c.Scores(), ref.c.Scores()) {
-				t.Errorf("mode %v: scores at Shards=%d differ from the reference", mode, v.shards)
+				t.Errorf("%s: scores at Shards=%d differ from the reference", mode, v.shards)
 			}
 			if !reflect.DeepEqual(c.Expelled, ref.c.Expelled) {
-				t.Errorf("mode %v: expulsions at Shards=%d differ from the reference:\n%v\n%v", mode, v.shards, c.Expelled, ref.c.Expelled)
+				t.Errorf("%s: expulsions at Shards=%d differ from the reference:\n%v\n%v", mode, v.shards, c.Expelled, ref.c.Expelled)
 			}
 			if !reflect.DeepEqual(got.blames, ref.blames) {
-				t.Errorf("mode %v: per-period blame counts at Shards=%d differ from the reference", mode, v.shards)
+				t.Errorf("%s: per-period blame counts at Shards=%d differ from the reference", mode, v.shards)
 			}
 			if got, want := c.Collector.SnapshotAt(0), ref.c.Collector.SnapshotAt(0); !reflect.DeepEqual(got, want) {
-				t.Errorf("mode %v: collector snapshot at Shards=%d differs from the reference:\n%+v\n%+v", mode, v.shards, got, want)
+				t.Errorf("%s: collector snapshot at Shards=%d differs from the reference:\n%+v\n%+v", mode, v.shards, got, want)
 			}
 		}
 	}

@@ -110,8 +110,8 @@ func (c Config) nominalEntropySize() int {
 }
 
 // BlameSink receives blame emissions from verification procedures.
-// reputation.Client (message-driven) and reputation.Manager (blamed by call)
-// both satisfy it.
+// reputation.Client, which batches them into messages to the managers,
+// satisfies it.
 type BlameSink interface {
 	Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 }

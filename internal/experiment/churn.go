@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"lifting/internal/cluster"
 	"lifting/internal/core"
 	"lifting/internal/gossip"
 	"lifting/internal/net"
@@ -31,11 +30,10 @@ func churnWorkload(p Params) workload {
 		shards:  p.Shards,
 		gossip:  gossip.Config{F: 7, Period: tg},
 		core:    core.Config{Pdcc: 1, Gamma: 8},
-		// M = 10 managers per node; blames travel as messages (the handoff
-		// path). Nothing is expelled: the subject is whether the separation
-		// survives, read off the surviving population's scores.
+		// M = 10 managers per node. Nothing is expelled: the subject is
+		// whether the separation survives, read off the surviving
+		// population's scores.
 		rep:      reputation.Config{M: 10, Eta: -1e9},
-		blame:    cluster.BlameMessages,
 		net:      net.Uniform(0.02, 5*time.Millisecond),
 		stream:   p.Duration,
 		tail:     tg,

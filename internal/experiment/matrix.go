@@ -188,7 +188,6 @@ func Scenarios() []Scenario {
 					return &freerider.BlameSpammer{Self: id, Dir: dir}
 				}},
 				rep:      reputation.Config{GracePeriods: 16},
-				blame:    cluster.BlameMessages,
 				floor:    6,
 				expel:    true,
 				backends: []runtime.Kind{runtime.KindSim},
@@ -309,7 +308,6 @@ func (s Scenario) workload(p Params) workload {
 		PeriodCheckSlack: 0.6,
 	}
 	w.rep.M, w.rep.Eta = 8, -1e9
-	w.blame = cmp.Or(w.blame, cluster.BlameDirect)
 	// Latency jitter matters: with a constant delay the first-proposal race
 	// has a fixed winner per pair, so one adversary can end up with no
 	// service demand — and no blame — by accident of its start offset

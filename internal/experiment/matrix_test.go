@@ -86,8 +86,8 @@ func rowFingerprint(rows []MatrixRow) string {
 func TestMatrixDeterministicPerBackend(t *testing.T) {
 	// history-forgery is the regression scenario: the forger's rewrite
 	// draws consume randomness in audit-snapshot record order, so a
-	// map-ordered history snapshot made seeded runs diverge. blame-spam is
-	// the message-mode scenario, the one that actually runs sharded — its
+	// map-ordered history snapshot made seeded runs diverge. Every scenario
+	// runs sharded; blame-spam, the one that expels, stands for them — its
 	// rows must be identical for every shard count.
 	for _, tc := range []struct {
 		filter string

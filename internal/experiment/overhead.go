@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"lifting/internal/cluster"
 	"lifting/internal/msg"
 )
 
@@ -24,7 +23,7 @@ func overheadWorkloads(p Params, rates ...int) []workload {
 		for _, pdcc := range paperPdccs {
 			w := deployment(p)
 			w.core.Pdcc, w.bitrate = pdcc, rate
-			w.blame, w.tail = cluster.BlameMessages, time.Second
+			w.tail = time.Second
 			ws = append(ws, w)
 		}
 	}

@@ -96,9 +96,6 @@ type workload struct {
 	gossip gossip.Config
 	core   core.Config
 	rep    reputation.Config
-	// blame is the route blames take to the scores — the experiment's
-	// policy, stated by every workload.
-	blame cluster.BlameMode
 	// unpoliced turns LiFTinG off.
 	unpoliced bool
 	// bitrate is the stream rate (0: 674 kbps); chunk is a chunk's payload
@@ -157,7 +154,6 @@ func (w workload) options() cluster.Options {
 		NetDefaults:      defaults,
 		ConditionsFor:    w.conditionsFor(),
 		LiFTinG:          !w.unpoliced,
-		BlameMode:        w.blame,
 		BehaviorFor:      w.behaviorFor(),
 		ExpelOnDetection: w.expel,
 		TrackPlayout:     w.playout,

@@ -48,7 +48,7 @@ const snapshotEvery = 5
 // traffic depends on the fanout f, not on N, so the baseline's calibration
 // transfers to the target; what the large run stresses is the substrate:
 // manager assignment (the epoch cache), blame flushing and min-vote reads
-// at 10k+ nodes, all in message mode.
+// at 10k+ nodes.
 func scaleWorkloads(p Params) []workload {
 	tg := 500 * time.Millisecond
 	at := func(n int) workload {
@@ -75,8 +75,7 @@ func scaleWorkloads(p Params) []workload {
 			// r ≥ 24 before η ever applies, while δ = 0.7 freeriders accrue
 			// blame steadily and are not latency-bound (§6.3.1: σ(s)
 			// shrinks as 1/√r).
-			rep:   reputation.Config{M: 25, FlushEvery: 5, GracePeriods: 24},
-			blame: cluster.BlameMessages,
+			rep: reputation.Config{M: 25, FlushEvery: 5, GracePeriods: 24},
 			// 4x the paper's 1316-byte chunk at the same bitrate: 8 chunks
 			// per gossip period instead of 32. The chunk rate sets both the
 			// discrete-event cost per node (what caps the 10k-node run) and

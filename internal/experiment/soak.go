@@ -115,11 +115,9 @@ func soakWorkload(p Params) workload {
 		shards:  p.Shards,
 		gossip:  gossip.Config{F: 7, Period: tg},
 		core:    core.Config{Pdcc: 1, Gamma: 8},
-		// M = 12 managers per node; blames and score reads travel as
-		// messages so the crash→restart manager handoff is actually
-		// exercised.
+		// M = 12 managers per node, so the crash→restart manager handoff
+		// is exercised.
 		rep:    reputation.Config{M: 12, GracePeriods: grace},
-		blame:  cluster.BlameMessages,
 		net:    net.Uniform(0.01, 5*time.Millisecond),
 		stream: p.Duration,
 		tail:   2 * tg,

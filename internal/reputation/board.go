@@ -5,17 +5,14 @@
 // minimum (which makes score inflation by colluding managers ineffective);
 // expulsion is triggered through the same managers.
 //
-// There is one score-keeper, the Manager: it holds copies of scores on a
+// Scores are kept by one type, the Manager: it holds copies of scores on a
 // Board — the pure score algebra: blame accumulation, per-period
 // compensation of wrongful blames (b̃ of Equation 5) and normalization by the
 // time spent in the system (Equation 6) — and decides expulsion under η.
-// What varies is how blames reach one. As deployed on PlanetLab a Client
-// batches them into (lossy) messages to the target's M managers, and a
-// Reader takes the min-vote over their replies; the idealized system of the
-// large-scale score experiments is a single Manager nobody sends to, blamed
-// by function call (Manager.Blame) and ticked by the harness. At a
-// membership change a target's kept managers push their copies to its new
-// ones (msg.Handoff).
+// Blames reach it as deployed on PlanetLab: a Client batches them into
+// (lossy) messages to the target's M managers, and a Reader takes the
+// min-vote over their replies. At a membership change a target's kept
+// managers push their copies to its new ones (msg.Handoff).
 package reputation
 
 import (

@@ -19,8 +19,8 @@ func (d *discardNet) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) { d
 const flushTargets = 64
 
 // BenchmarkClientFlush measures one blame-accumulate-and-flush cycle against
-// a 10k-node membership with M=25 managers per target — the message-mode hot
-// path of every verifier every FlushEvery periods. Guards allocations/op:
+// a 10k-node membership with M=25 managers per target — the blame hot path
+// of every verifier every FlushEvery periods. Guards allocations/op:
 // the Blame value is hoisted out of the per-manager loop (one allocation per
 // blamed target, not per manager) and the pending map is cleared in place,
 // so allocs/op stays proportional to blamed targets, not to M·targets.

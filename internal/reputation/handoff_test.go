@@ -74,7 +74,7 @@ func TestManagerHandoffRoundTripProperty(t *testing.T) {
 				p++
 				a.Tick(p)
 			} else {
-				a.Blame(target, r.Float64()*3, msg.ReasonNoAck)
+				a.board.AddBlame(target, r.Float64()*3)
 			}
 		}
 
@@ -136,8 +136,8 @@ func TestManagerHandoffRoundTripProperty(t *testing.T) {
 				b.Tick(p)
 			} else {
 				v := r.Float64() * 3
-				a.Blame(target, v, msg.ReasonNoAck)
-				b.Blame(target, v, msg.ReasonNoAck)
+				a.board.AddBlame(target, v)
+				b.board.AddBlame(target, v)
 			}
 		}
 		scoreA, _ = a.Score(target)
@@ -165,7 +165,7 @@ func TestManagerAdoptCarriesExpulsion(t *testing.T) {
 	w := &wire{t: t}
 	a := NewManager(1, cfg, w, dir, new(msg.Sends))
 	a.Track(7, 0)
-	a.Blame(7, 12, msg.ReasonAuditEntropy)
+	a.board.AddBlame(7, 12)
 	a.mu.Lock()
 	a.board.MarkExpelled(7, msg.ReasonAuditEntropy)
 	a.mu.Unlock()

@@ -99,15 +99,6 @@ func (m *Manager) Expel(targets []msg.NodeID) {
 	}
 }
 
-// Blame applies a blame to target's copy here, by call instead of by
-// message (core.BlameSink). It only accumulates: a manager blamed this way
-// decides at the period boundary, in Tick, never on arrival.
-func (m *Manager) Blame(target msg.NodeID, value float64, _ msg.BlameReason) {
-	m.mu.Lock()
-	m.board.AddBlame(target, value)
-	m.mu.Unlock()
-}
-
 // Track registers target with this manager as of period p.
 func (m *Manager) Track(target msg.NodeID, p msg.Period) {
 	m.mu.Lock()
@@ -333,6 +324,10 @@ func (c *Client) Blame(target msg.NodeID, value float64, reason msg.BlameReason)
 	c.pending[target] = pendingBlame{value: value, reason: reason}
 	c.order = append(c.order, target)
 }
+
+// Pending returns the blame the client holds against target, batched since
+// its last Flush.
+func (c *Client) Pending(target msg.NodeID) float64 { return c.pending[target].value }
 
 // Flush sends one aggregated blame message per blamed target to each of its
 // M managers (§5.1). Blames travel over the unreliable transport; min-vote

@@ -155,6 +155,31 @@ func TestClientBlameReachesAllManagers(t *testing.T) {
 	}
 }
 
+// Pending is the batch a client holds against a target: every positive
+// blame since the last Flush, summed, and nothing once it is flushed.
+func TestClientPendingIsTheUnflushedBatch(t *testing.T) {
+	cfg := Config{M: 5, Compensation: 0, Eta: -1e9}
+	eng, _, dir, managers, client := managed(t, 10, cfg, 0)
+	client.Blame(7, 3, msg.ReasonPartialServe)
+	client.Blame(7, 0.5, msg.ReasonNoAck)
+	client.Blame(7, -4, msg.ReasonNoAck)
+	client.Blame(8, 2, msg.ReasonNoAck)
+	if got := client.Pending(7); got != 3.5 {
+		t.Fatalf("Pending(7) = %v, want 3.5", got)
+	}
+	if got := client.Pending(9); got != 0 {
+		t.Fatalf("Pending(9) = %v for a target never blamed, want 0", got)
+	}
+	client.Flush()
+	eng.RunAll()
+	if got := client.Pending(7); got != 0 {
+		t.Fatalf("Pending(7) = %v after the flush, want 0", got)
+	}
+	if e, _ := managers[dir.Managers(7, 5)[0]].Snapshot(7); e.TotalBlame != 3.5 {
+		t.Fatalf("the flushed batch landed as %v, want 3.5", e.TotalBlame)
+	}
+}
+
 func TestClientIgnoresNonPositiveBlame(t *testing.T) {
 	cfg := Config{M: 5, Compensation: 0, Eta: -1e9}
 	eng, _, dir, managers, client := managed(t, 10, cfg, 0)
@@ -220,7 +245,7 @@ func TestScanVerdictsInIDOrderWithoutAllocating(t *testing.T) {
 	for id := msg.NodeID(300); id > 0; id-- {
 		m.Track(id, 0)
 		if id%7 == 0 {
-			m.Blame(id, 100, msg.ReasonNoAck) // −50 at r = 2
+			m.board.AddBlame(id, 100) // −50 at r = 2
 			want = append([]msg.NodeID{id}, want...)
 		}
 	}
