@@ -31,9 +31,9 @@ lint:
 # cached manager assignment is read from every node goroutine while
 # churn mutates the view), the discrete-event engine (node events run on
 # shard goroutines inside lookahead windows — its one layout, whatever the
-# shard count — as do the period tick's blame flushes and manager scans,
-# fanned out at the barrier, and cross shards by value, through outboxes
-# the coordinator merges at the barrier), the metrics collector (striped atomic counters
+# shard count — each node's period duty and blame flush among them, and
+# cross shards by value, through outboxes the coordinator merges at the
+# barrier), the metrics collector (striped atomic counters
 # hammered from sender goroutines while scrapers take snapshots, one per
 # /metrics scrape), the content plane (chunk stores and the HTTP gateway
 # serve shared payload slices to concurrent readers), gossip (its serve path

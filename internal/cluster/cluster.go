@@ -186,8 +186,8 @@ type Cluster struct {
 	// Freeriders records which nodes got a non-honest behavior.
 	Freeriders map[msg.NodeID]bool
 
-	// mu guards the mutable maps above plus period/clients/handoffs: under
-	// a wall-clock backend churn, expulsion and ticks run on separate
+	// mu guards the mutable maps above plus period/nextTick/duties/handoffs:
+	// under a wall-clock backend churn, expulsion and ticks run on separate
 	// goroutines.
 	mu sync.Mutex
 
@@ -200,8 +200,11 @@ type Cluster struct {
 	sends         []msg.Sends    // one set of send blocks per engine shard; nil off the sim backend
 	auditor       *core.Auditor
 	period        msg.Period
-	ticking       periodTick
-	clients       []ownedClient // the blame clients, in build order, flushed per FlushEvery periods
+	ticker        func()                     // the harness tick's callback, made once by newCluster
+	nextTick      time.Duration              // when the harness tick of period+1 runs
+	duties        map[msg.NodeID]*periodDuty // each hosted LiFTinG node's period duty, its latest build's
+	tickIDs       []msg.NodeID               // the tick's scratch: manager ids in order...
+	tickMgrs      []*reputation.Manager      // ...and their managers
 	nextID        msg.NodeID
 	handoffs      int
 	rebalance     bool // a manager rebalance is scheduled
@@ -222,13 +225,31 @@ type Cluster struct {
 	chaosApplied int
 }
 
-// ownedClient pairs a blame client with the node whose execution context
-// serializes it, and with its Flush as a func value, made once: a flush
-// round calls it on the owner's shard (sim) or hands it to RT.Exec (udp).
-type ownedClient struct {
-	owner  msg.NodeID
+// periodDuty is a LiFTinG node's period work, run on the node's own execution
+// context: at every score-period boundary, after that instant's harness tick,
+// it flushes the node's blame client when the period closes a batch
+// (flushDue), then re-arms one period later, until the node stops. It
+// re-arms with a fixed After, never with the time left to a boundary:
+// sim.Skewed scales After and not Now.
+type periodDuty struct {
+	ctx    sim.Context // the node's unskewed context
+	node   *gossip.Node
 	client *reputation.Client
-	flush  func()
+	rep    *reputation.Config
+	tick   time.Duration // the period clock's period (tickPeriod)
+	p      msg.Period    // the period whose boundary it fires at next
+	fire   func()        // run, made once: a period's re-arm allocates nothing
+}
+
+func (d *periodDuty) run() {
+	if d.node.Stopped() {
+		return
+	}
+	if flushDue(*d.rep, d.p) {
+		d.client.Flush()
+	}
+	d.p++
+	d.ctx.After(d.tick, d.fire)
 }
 
 // auditorProxy routes audit responses to the cluster's auditor once it
@@ -269,6 +290,7 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		Crashed:    make(map[msg.NodeID]time.Duration),
 		Restarted:  make(map[msg.NodeID]time.Duration),
 		Freeriders: make(map[msg.NodeID]bool),
+		duties:     make(map[msg.NodeID]*periodDuty),
 		root:       rng.New(opts.Seed),
 		nextID:     msg.NodeID(opts.N),
 		lastMgrs:   make(map[msg.NodeID][]msg.NodeID),
@@ -278,6 +300,10 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		crashedNow: make(map[msg.NodeID]bool),
 	}
 	c.Content = contentSource(c.root, opts.Stream)
+	c.ticker = func() {
+		c.tick(c.Period() + 1)
+		c.scheduleTick()
+	}
 
 	switch {
 	case opts.Deployment != nil:
@@ -293,7 +319,6 @@ func newCluster(opts Options, verifyOnce bool) *Cluster {
 		c.Engine = engine
 		c.RT = runtime.NewSim(engine, net.NewSimNet(engine, c.root.Derive("net"), c.Collector, opts.NetDefaults))
 		c.sends = make([]msg.Sends, engine.ShardCount())
-		c.ticking.shard = c.tickShard
 		if verifyOnce {
 			// The one runtime that delivers payloads by reference: every
 			// node is handed the source's own slices, so one full hash per
@@ -393,7 +418,9 @@ func (c *Cluster) build(id msg.NodeID) {
 		c.Managers[id] = a.manager
 	}
 	if a.client != nil {
-		c.clients = append(c.clients, ownedClient{owner: id, client: a.client, flush: a.client.Flush})
+		d := &periodDuty{ctx: c.RT.Context(id), node: a.node, client: a.client, rep: &opts.Rep, tick: c.tickPeriod()}
+		d.fire = d.run
+		c.duties[id] = d
 	}
 	if a.reader != nil {
 		c.reader = a.reader
@@ -568,142 +595,104 @@ func pilotOptions(opts Options, duration time.Duration) Options {
 }
 
 // heldBlame returns, indexed by node id over the initial population, the
-// blame the cluster's clients hold unflushed against each node: for each
-// node, the sum over c.clients in build order, so the same for every shard
-// count.
+// blame the clients of that population hold unflushed against each node:
+// for each node, the sum over the clients in id order — their build order —
+// so the same for every shard count.
 func (c *Cluster) heldBlame() []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]float64, c.Opts.N)
-	for i := range out {
-		for _, oc := range c.clients {
-			out[i] += oc.client.Pending(msg.NodeID(i))
+	for id := range msg.NodeID(c.Opts.N) {
+		if d := c.duties[id]; d != nil { // none with LiFTinG off
+			for i := range out {
+				out[i] += d.client.Pending(msg.NodeID(i))
+			}
 		}
 	}
 	return out
 }
 
-// Start launches every hosted node (in id order, for reproducibility), each
-// inside its own serialization domain: on a socket, its receive loop is
-// already running.
+// Start launches the period clock and every hosted node (in id order, for
+// reproducibility), each inside its own serialization domain: on a socket,
+// its receive loop is already running.
 func (c *Cluster) Start() {
+	c.scheduleTick()
 	for i := 0; i < c.Opts.N; i++ {
-		if node := c.Nodes[msg.NodeID(i)]; node != nil {
-			c.RT.Exec(msg.NodeID(i), node.Start)
-		}
+		c.startNode(msg.NodeID(i))
 	}
-	c.scheduleTick(1)
 	c.startChaos()
 }
 
-// scheduleTick advances the score period every Tg. A deployment's period
-// clock runs at its node's clock rate (Chaos.SkewFactor(Self)): periods only
-// feed the r in score = b̃ − blame/r, so the processes' clocks must agree in
-// rate, not in phase — which a skewed clock violates, and the daemon's drift
-// gauge watches. An in-process cluster's one period clock stays true.
-func (c *Cluster) scheduleTick(p msg.Period) {
+// startNode starts hosted node id and arms its period duty for the next
+// boundary of the period clock, where it joins the period count.
+func (c *Cluster) startNode(id msg.NodeID) {
+	c.mu.Lock()
+	node, d := c.Nodes[id], c.duties[id]
+	at := c.nextTick
+	if d != nil {
+		d.p = c.period + 1
+	}
+	c.mu.Unlock()
+	if node == nil {
+		return
+	}
+	c.RT.Exec(id, node.Start)
+	if d != nil {
+		d.ctx.After(at-c.RT.Now(), d.fire)
+	}
+}
+
+// tickPeriod is the period of the score-period clock. A deployment's runs at
+// its node's clock rate (Chaos.SkewFactor(Self)): periods only feed the r in
+// score = b̃ − blame/r, so the processes' clocks must agree in rate, not in
+// phase — which a skewed clock violates, and the daemon's drift gauge
+// watches. An in-process cluster's one period clock stays true.
+func (c *Cluster) tickPeriod() time.Duration {
 	tick := c.Opts.Gossip.Period
 	if d := c.Opts.Deployment; d != nil && c.Opts.Chaos != nil {
 		tick = time.Duration(float64(tick) * c.Opts.Chaos.SkewFactor(d.Self))
 	}
-	c.RT.After(tick, func() {
-		c.tick(p)
-		c.scheduleTick(p + 1)
-	})
+	return tick
 }
 
-// tick runs one score-period advance: blame flushes, and the tick of every
-// manager — period clock, expulsion checks. Under a wall-clock backend it
-// runs on a harness goroutine outside any node lock, each flush on its
-// node's context; on the sim the flushes and the managers' scans fan out
-// across the engine's shards (tickShard), and only the expulsions, which
-// touch membership, run here, in manager id order and each manager's in
-// target id order — the order of one serial pass, whatever the shard count.
+// scheduleTick queues the harness tick of the next score period, a
+// tickPeriod from now. It notes when that tick runs after queueing it, so a
+// duty armed for that instant runs after it on either runtime.
+func (c *Cluster) scheduleTick() {
+	tick := c.tickPeriod()
+	c.RT.After(tick, c.ticker)
+	c.mu.Lock()
+	c.nextTick = c.RT.Now() + tick
+	c.mu.Unlock()
+}
+
+// tick runs one score-period advance on the harness: the period counter, the
+// snapshot, and the tick of every manager — period clock, expulsion checks —
+// in manager id order, each manager's verdicts in target id order. The
+// nodes' blame flushes are their duties', which run after it at the same
+// instant. Under a wall-clock backend it runs outside any node lock.
 func (c *Cluster) tick(p msg.Period) {
 	if c.Opts.OnPeriodSnapshot != nil {
 		// Sampled before the period's flushes so the snapshot reflects
 		// exactly the traffic of completed periods.
 		c.Opts.OnPeriodSnapshot(p, c.Collector.SnapshotAt(uint64(p)))
 	}
-	t := &c.ticking
 	c.mu.Lock()
 	c.period = p
-	t.p, t.flush = p, flushDue(c.Opts.Rep, p)
-	t.clients = append(t.clients, c.clients...)
-	//lint:allow ordered-map-range collect-then-sort: ids are sorted before the period fan-out
+	//lint:allow ordered-map-range collect-then-sort: ids are sorted before the managers tick
 	for id := range c.Managers {
-		t.mgrIDs = append(t.mgrIDs, id)
+		c.tickIDs = append(c.tickIDs, id)
 	}
-	slices.Sort(t.mgrIDs)
-	for _, id := range t.mgrIDs {
-		t.mgrs = append(t.mgrs, c.Managers[id])
+	slices.Sort(c.tickIDs)
+	for _, id := range c.tickIDs {
+		c.tickMgrs = append(c.tickMgrs, c.Managers[id])
 	}
 	c.mu.Unlock()
-
-	if c.Engine != nil {
-		t.doomed = slices.Grow(t.doomed, len(t.mgrs))[:len(t.mgrs)]
-		c.Engine.Fan(t.shard)
-		for i, m := range t.mgrs {
-			m.Expel(t.doomed[i])
-		}
-	} else {
-		if t.flush {
-			for _, oc := range t.clients {
-				// Client state is written by the owner's verifier under
-				// the node's serialization; flush there too.
-				c.RT.Exec(oc.owner, oc.flush)
-			}
-		}
-		for _, m := range t.mgrs {
-			m.Tick(p)
-		}
+	for _, m := range c.tickMgrs {
+		m.Tick(p)
 	}
-	t.reset()
-}
-
-// periodTick is a period tick's scratch, reused from tick to tick (ticks
-// never overlap): the clients and managers of the period, managers in id
-// order, and on the sim what each manager's scan found.
-type periodTick struct {
-	p       msg.Period
-	flush   bool // the clients flush this period
-	clients []ownedClient
-	mgrIDs  []msg.NodeID
-	mgrs    []*reputation.Manager
-	doomed  [][]msg.NodeID // doomed[i] is mgrs[i]'s Scan: its own scratch
-	// shard is the tick's part on one sim shard, made once; tick hands it
-	// to sim.Engine.Fan.
-	shard func(shard int)
-}
-
-// tickShard is a period tick's part on engine shard s, run on the
-// goroutine that owns the shard while the others run theirs: the flushes
-// of the clients whose owners it runs, then the scans of its managers. A
-// flush's sends are keyed by (time, sender, sender's sequence) whichever
-// goroutine pushes them, and a scan reads its own manager's board alone,
-// so the outcome is the serial pass's.
-func (c *Cluster) tickShard(s int) {
-	t := &c.ticking
-	if t.flush {
-		for _, oc := range t.clients {
-			if c.Engine.ShardOf(int(oc.owner)) == s {
-				oc.flush()
-			}
-		}
-	}
-	for i, id := range t.mgrIDs {
-		if c.Engine.ShardOf(int(id)) == s {
-			t.doomed[i] = t.mgrs[i].Scan(t.p)
-		}
-	}
-}
-
-// reset empties the scratch, keeping no client or manager alive.
-func (t *periodTick) reset() {
-	clear(t.clients)
-	clear(t.mgrs)
-	clear(t.doomed)
-	t.clients, t.mgrIDs, t.mgrs, t.doomed = t.clients[:0], t.mgrIDs[:0], t.mgrs[:0], t.doomed[:0]
+	clear(c.tickMgrs) // keep no manager alive
+	c.tickIDs, c.tickMgrs = c.tickIDs[:0], c.tickMgrs[:0]
 }
 
 // goneLocked reports whether id has been expelled or has departed — either
@@ -732,8 +721,8 @@ func (c *Cluster) expel(id msg.NodeID) {
 
 // remove takes a node out of the running system — the one path under leave,
 // expel and crash: out of the sampling population, off the network, stopped
-// (Node.Stop drops what its own callbacks hold open), its blame client out of
-// the flush rounds with its unflushed blames, and its manager out of
+// (Node.Stop drops what its own callbacks hold open, and its period duty
+// ends, its blame client's unflushed blames unsent), and its manager out of
 // Managers — its score copies go with it, and the targets it managed keep
 // the copies of their other managers.
 func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
@@ -743,8 +732,6 @@ func (c *Cluster) remove(id msg.NodeID, node *gossip.Node) {
 		c.RT.Exec(id, node.Stop)
 	}
 	c.mu.Lock()
-	// DeleteFunc clears the tail, so no pruned flush stays reachable.
-	c.clients = slices.DeleteFunc(c.clients, func(oc ownedClient) bool { return oc.owner == id })
 	delete(c.Managers, id)
 	c.mu.Unlock()
 	// A removal only adds one replacement manager per affected target (the
@@ -787,17 +774,15 @@ func (c *Cluster) Close() { c.RT.Close() }
 
 // Auditor lazily creates the system's auditor, hosted at the source node
 // (audits run sporadically from any node; one auditor keeps the experiments
-// deterministic). Its outcomes expel on verdict when ExpelOnDetection is
-// set.
+// deterministic). It blames through the source's own client. Its outcomes
+// expel on verdict when ExpelOnDetection is set.
 func (c *Cluster) Auditor(onOutcome func(core.AuditOutcome)) *core.Auditor {
 	if c.auditor != nil {
 		return c.auditor
 	}
-	client := reputation.NewClient(0, c.Opts.Rep, c.RT.Network(), c.Dir)
 	c.mu.Lock()
-	c.clients = append(c.clients, ownedClient{owner: 0, client: client, flush: client.Flush})
+	sink := countingSink{coll: c.Collector, inner: c.duties[0].client}
 	c.mu.Unlock()
-	sink := countingSink{coll: c.Collector, inner: client}
 	c.auditor = core.NewAuditor(0, c.Opts.Core, c.RT.Context(0), c.RT.Network(), sink,
 		func(out core.AuditOutcome) {
 			c.Collector.OnAuditOutcome(out.Responded, !out.Expel)
@@ -958,8 +943,7 @@ func (c *Cluster) join(id msg.NodeID) {
 // its targets push their copies to its fresh manager.
 func (c *Cluster) admit(id msg.NodeID) {
 	c.Dir.Join(id)
-	hosted := c.hosts(id)
-	if hosted {
+	if c.hosts(id) {
 		c.build(id)
 	}
 	if c.Opts.Chaos != nil {
@@ -972,15 +956,11 @@ func (c *Cluster) admit(id msg.NodeID) {
 	}
 	c.mu.Lock()
 	p := c.period
-	node := c.Nodes[id]
 	c.mu.Unlock()
 	if c.Opts.LiFTinG {
 		c.trackAtManagers(id, p)
 	}
-	if hosted {
-		// The node starts inside its own serialization domain.
-		c.RT.Exec(id, node.Start)
-	}
+	c.startNode(id)
 	// A join grows the registration set. Jump hashing moves about M of the
 	// N·M manager slots to the joiner, but which ones only a pass over every
 	// target finds: full rebalance.

@@ -225,7 +225,7 @@ func TestManagersRefuseSelfAbsolutionAndForgedVerdicts(t *testing.T) {
 	}
 }
 
-func TestMessageModeAgreesWithDirectMode(t *testing.T) {
+func TestMinVoteScoresSeparateFreeriders(t *testing.T) {
 	// Blames batched to the managers as messages, read by min-vote over
 	// their copies, separate freeriders from honest nodes under loss, as
 	// the one keeper blamed by call that this route replaced did.

@@ -16,14 +16,14 @@ import (
 // TestRemovedNodeBlamesNobody checks what a node taken out of the system —
 // by leave, by expel or by a crash of the fault plan, all three through
 // remove — does with the checks it had open: nothing. Node.Stop drops its
-// verifier's serve, ack and confirm deadlines unlapsed, and remove drops its
-// blame client with whatever it had not flushed. Everyone is honest on a
-// lossless network, so nobody has cause to blame a live node, and the removals
-// are staggered so that some are caught in mid-exchange.
+// verifier's serve, ack and confirm deadlines unlapsed, and ends its period
+// duty, so its blame client keeps whatever it had not flushed. Everyone is
+// honest on a lossless network, so nobody has cause to blame a live node, and
+// the removals are staggered so that some are caught in mid-exchange.
 //
-//   - No removed node's blame client holds blame against a live node: the
-//     client leaves the flush rounds at the removal, so what a lapsing check
-//     would blame after it stays there, unsent.
+//   - No removed node's blame client holds blame against a live node: its
+//     duty flushes it no more after the removal, so what a lapsing check
+//     would blame after it would stay there, unsent.
 //   - No live node is blamed on any of its managers' copies.
 //   - No Blame message is dropped. A removed node is down, so every Blame it
 //     still sent would be.
@@ -54,10 +54,8 @@ func TestRemovedNodeBlamesNobody(t *testing.T) {
 		}
 		c := New(opts)
 		removedClients := map[msg.NodeID]*reputation.Client{}
-		for _, oc := range c.clients {
-			if gone(oc.owner) {
-				removedClients[oc.owner] = oc.client
-			}
+		for id := msg.NodeID(first); id < first+removed; id++ {
+			removedClients[id] = c.duties[id].client
 		}
 		for _, e := range crashes {
 			id := e.Nodes[0]

@@ -269,11 +269,11 @@ type repOutcome struct {
 
 // workload declares the scenario's cluster at p's size: its spec, with
 // what the spec leaves zero the matrix's — 60 nodes, 6 adversaries, 10 s of
-// stream, F = 7, Tg = 100 ms, direct blame, the cluster's grace and a 1.5
-// floor under η = −6σ. -quick shrinks only the population and the stream
-// (40 nodes, 5 s) — coalition attacks need the full adversary cohort to
-// concentrate the fanout history. The sim backend runs 3 seeded
-// repetitions (1 under -quick).
+// stream, F = 7, Tg = 100 ms, the cluster's grace and a 1.5 floor under
+// η = −6σ. -quick shrinks only the population and the stream (40 nodes,
+// 5 s) — coalition attacks need the full adversary cohort to concentrate
+// the fanout history. The sim backend runs 3 seeded repetitions (1 under
+// -quick).
 func (s Scenario) workload(p Params) workload {
 	w := s.spec
 	n, dur, reps := 60, 10*time.Second, 3

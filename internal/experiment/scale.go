@@ -146,7 +146,7 @@ var scale = Experiment{
 		// detection time, event counts), so the structured JSON document of
 		// a seeded run is byte-identical across repetitions.
 		t := &Table{
-			Title: "Scale — expulsion verdict at baseline vs large population (message-mode reputation)",
+			Title: "Scale — expulsion verdict at baseline vs large population",
 			Columns: []string{"population", "freeriders", "expelled", "honest expelled",
 				"mean detection", "events", "overhead", "dup serves",
 				"goodput", "lag", "jitter", "verdict"},

@@ -225,8 +225,6 @@ func (n *Node) Stop() {
 }
 
 // Stopped reports whether the node has been stopped.
-//
-//lint:allow no-orphan TestExpelOnDetectionRemovesFreeriders and TestChurnScenario check that removed nodes stop
 func (n *Node) Stopped() bool { return n.stopped }
 
 // InjectChunkData hands the node a chunk out-of-band, as if generated

@@ -50,7 +50,7 @@ type Manager struct {
 	// sends is the set of send blocks of the node's execution context, the
 	// Handoffs are carved from; nil for a manager that never hands off.
 	sends *msg.Sends
-	// doomed is Scan's scratch: the targets its last scan found below η.
+	// doomed is Tick's scratch: the targets its last tick found below η.
 	doomed []msg.NodeID
 }
 
@@ -67,19 +67,13 @@ func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.D
 	}
 }
 
-// Tick advances the manager's period clock and re-evaluates expulsion for
-// every tracked node: Expel of what Scan returns.
-func (m *Manager) Tick(p msg.Period) { m.Expel(m.Scan(p)) }
-
-// Scan advances the manager's period clock to p and returns, in id order,
-// the tracked targets not yet expelled whose score is below η past their
-// grace periods: scores change with r even without new blames. It reads and
-// writes this manager's board alone, so the scans of different managers may
-// run at once. The slice is the manager's scratch, valid until its next
-// Scan: a scan allocates nothing once it has held its largest verdict.
-func (m *Manager) Scan(p msg.Period) []msg.NodeID {
+// Tick advances the manager's period clock to p and expels, in id order, the
+// tracked targets not yet expelled whose score is below η past their grace
+// periods: scores change with r even without new blames. The verdicts are
+// gathered in a scratch of the manager's, so a tick allocates nothing for
+// them once the scratch has held its largest set.
+func (m *Manager) Tick(p msg.Period) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.board.SetPeriod(p)
 	m.doomed = m.doomed[:0]
 	m.board.Each(func(id msg.NodeID, e Entry) {
@@ -87,14 +81,9 @@ func (m *Manager) Scan(p msg.Period) []msg.NodeID {
 			m.doomed = append(m.doomed, id)
 		}
 	})
+	m.mu.Unlock()
 	slices.Sort(m.doomed)
-	return m.doomed
-}
-
-// Expel expels each of targets in turn, the verdicts of a Scan: it marks
-// them, notifies the harness (OnExpel) and tells their other managers.
-func (m *Manager) Expel(targets []msg.NodeID) {
-	for _, id := range targets {
+	for _, id := range m.doomed {
 		m.expel(id, msg.ReasonUnknown)
 	}
 }

@@ -235,11 +235,14 @@ func TestTickTriggersExpulsion(t *testing.T) {
 	}
 }
 
-// Scan returns the targets below η past their grace periods, in id order,
+// Tick expels the targets below η past their grace periods, in id order,
 // and nothing already expelled; once its scratch has held the verdicts, a
-// scan allocates nothing — no closure, no sort.Slice swapper.
-func TestScanVerdictsInIDOrderWithoutAllocating(t *testing.T) {
-	cfg := Config{M: 3, Compensation: 0, Eta: -5, GracePeriods: 2}
+// tick allocates the one Expel each verdict sends and nothing else — no
+// closure, no sort.Slice swapper.
+func TestTickExpelsInIDOrderWithoutAllocating(t *testing.T) {
+	var got []msg.NodeID
+	cfg := Config{M: 3, Compensation: 0, Eta: -5, GracePeriods: 2,
+		OnExpel: func(id msg.NodeID, _ msg.BlameReason) { got = append(got, id) }}
 	m := NewManager(0, cfg, nil, membership.Sequential(1), nil)
 	var want []msg.NodeID
 	for id := msg.NodeID(300); id > 0; id-- {
@@ -249,18 +252,29 @@ func TestScanVerdictsInIDOrderWithoutAllocating(t *testing.T) {
 			want = append([]msg.NodeID{id}, want...)
 		}
 	}
-	if got := m.Scan(1); len(got) != 0 {
-		t.Fatalf("Scan within the grace periods = %v, want none", got)
+	if m.Tick(1); len(got) != 0 {
+		t.Fatalf("Tick within the grace periods expelled %v, want none", got)
 	}
-	if got := m.Scan(2); !slices.Equal(got, want) {
-		t.Fatalf("Scan(2) = %v, want %v", got, want)
+	before := make(map[msg.NodeID]Entry, len(want))
+	for _, id := range want {
+		before[id], _ = m.board.Entry(id)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { m.Scan(2) }); allocs != 0 {
-		t.Fatalf("a scan of 300 targets, 42 of them below η, allocates %v objects, want 0", allocs)
+	if m.Tick(2); !slices.Equal(got, want) {
+		t.Fatalf("Tick(2) expelled %v, want %v", got, want)
 	}
-	m.Expel(m.Scan(3)[:2])
-	if got := m.Scan(3); !slices.Equal(got, want[2:]) {
-		t.Fatalf("Scan after expelling %v = %v, want %v", want[:2], got, want[2:])
+	got = got[:0]
+	if m.Tick(3); len(got) != 0 {
+		t.Fatalf("Tick(3) expelled %v again", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, id := range want {
+			m.board.Adopt(id, before[id]) // not expelled again
+		}
+		got = got[:0]
+		m.Tick(2)
+	})
+	if len(got) != len(want) || allocs != float64(len(want)) {
+		t.Fatalf("a tick of 300 targets expelling %d allocates %v objects, want one Expel each", len(got), allocs)
 	}
 }
 

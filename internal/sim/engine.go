@@ -89,9 +89,9 @@ type shard struct {
 	// outG buffers deferred-global events scheduled from this shard's
 	// node callbacks during a window.
 	outG []event
-	// run executes the shard's part of the current job (a window to the
-	// engine's bound, or a fan) and reports it done: what a window or a fan
-	// starts the shard's goroutine with, built once by NewSharded.
+	// run executes the shard's part of the current window, to the engine's
+	// bound, and reports it done: what a window starts the shard's goroutine
+	// with, built once by NewSharded.
 	run func()
 }
 
@@ -114,11 +114,9 @@ type Engine struct {
 	// written by the coordinator with a happens-before edge to the workers
 	// (the window dispatch), so they may read it without synchronization.
 	inWindow bool
-	// bound is the current window's bound and fan the function of the
-	// current Fan (nil during a window), which shard goroutines read
+	// bound is the current window's bound, which shard goroutines read
 	// (written before the dispatch, like inWindow); wg joins them.
 	bound time.Duration
-	fan   func(shard int)
 	wg    sync.WaitGroup
 }
 
@@ -146,7 +144,7 @@ func NewSharded(s int, window time.Duration) *Engine {
 		sh := &shard{out: make([]bucket, s)}
 		sh.q.init(window)
 		sh.run = func() {
-			e.work(i)
+			sh.runTo(e.bound, e.sink)
 			e.wg.Done()
 		}
 		e.shards[i] = sh

@@ -118,45 +118,20 @@ func (e *Engine) advanceTo(t time.Duration) {
 }
 
 // runWindow executes every shard's events with time < bound, merges what
-// they sent across shards and returns how many ran.
+// they sent across shards and returns how many ran. Of the shards with an
+// event before bound, the first runs on the coordinator and every other one
+// on a goroutine started from the func value it was built with (shard.run);
+// the engine's WaitGroup gives the coordinator a happens-before edge over all
+// shard state. Nothing is allocated: the func values, the bound they read and
+// the WaitGroup all belong to the engine.
 func (e *Engine) runWindow(bound time.Duration) uint64 {
 	before := e.Events()
 	e.bound = bound
-	e.runShards()
-	return e.Events() - before
-}
-
-// Fan calls fn once for every shard, with the shard's index, all at once
-// and each on the goroutine that would run that shard's window: harness
-// work that splits by shard (a period tick's blame flushes and manager
-// scans) runs at the barrier as a window's node events do. It has a
-// window's semantics — fn may act for the shard's nodes as their callbacks
-// do (send, arm their timers, DeferGlobal), cross-shard deliveries wait in
-// the outboxes until every call has returned and are then merged, After
-// panics — and, like a window, allocates nothing. It must be called from
-// the global phase, and the clock does not move.
-func (e *Engine) Fan(fn func(shard int)) {
-	if e.inWindow {
-		panic("sim: Fan called from a node callback; it runs at the barrier")
-	}
-	e.fan = fn
-	e.runShards()
-	e.fan = nil
-}
-
-// runShards runs the current job — the window to e.bound, or e.fan — on
-// every shard that has one (under a fan, every shard), then merges the
-// outboxes. The first such shard runs on the coordinator and every other
-// one on a goroutine started from the func value it was built with
-// (shard.run); the engine's WaitGroup gives the coordinator a
-// happens-before edge over all shard state. Nothing is allocated: the func
-// values, the job they read and the WaitGroup all belong to the engine.
-func (e *Engine) runShards() {
 	e.inWindow = true
 	local, started := -1, false
 	for i, sh := range e.shards {
 		switch {
-		case e.fan == nil && sh.q.earliest() >= e.bound:
+		case sh.q.earliest() >= bound:
 		case local < 0:
 			local = i
 		default:
@@ -173,20 +148,12 @@ func (e *Engine) runShards() {
 			// at once (DESIGN.md, "The discrete-event engine").
 			gort.Gosched()
 		}
-		e.work(local)
+		e.shards[local].runTo(bound, e.sink)
 	}
 	e.wg.Wait()
 	e.inWindow = false
 	e.mergeOutboxes()
-}
-
-// work runs the current job on shard i.
-func (e *Engine) work(i int) {
-	if e.fan != nil {
-		e.fan(i)
-		return
-	}
-	e.shards[i].runTo(e.bound, e.sink)
+	return e.Events() - before
 }
 
 // runTo executes the shard's events with time strictly below bound:

@@ -334,86 +334,6 @@ func TestShardedWindowsAllocateNothing(t *testing.T) {
 	}
 }
 
-// A fan allocates nothing: its calls start from the shards' func values, as
-// a window's do, and what they send across shards goes through the
-// outboxes the windows reuse.
-func TestFanAllocatesNothing(t *testing.T) {
-	const nodes = 64
-	e := NewSharded(2, twin)
-	sink := &nodeCounts{n: make([]int, nodes)}
-	e.Bind(sink)
-	for i := 0; i < nodes; i++ {
-		e.Domain(i)
-	}
-	send := func(s int) {
-		for id := s; id < nodes; id += e.ShardCount() {
-			e.Deliver(int32(id), int32((id+1)%nodes), twin, nil, 64) // to the other shard
-		}
-	}
-	round := func() {
-		e.Fan(send)
-		e.Run(e.Now() + 2*twin)
-	}
-	for i := 0; i < 4; i++ { // pages, buffers and outboxes reach their sizes
-		round()
-	}
-	sites := siteAllocs(t, 50, round)
-	if got := sink.n[1]; got != 54 {
-		t.Fatalf("node 1 took %d deliveries in 54 rounds, want 54", got)
-	}
-	if len(sites) != 0 {
-		t.Fatalf("50 fans and their deliveries allocate, want nothing; by site: %v", sites)
-	}
-}
-
-// nodeCounts counts each node's deliveries in a slot of its own, which only
-// the node's shard writes.
-type nodeCounts struct{ n []int }
-
-func (c *nodeCounts) Deliver(_, to int32, _ any, _ int32) { c.n[to]++ }
-
-// A fan behaves as the global phase would, for every shard count: sends and
-// timers its calls make for their shards' nodes, at an instant off the slot
-// grid, leave the same trace as the same sends made serially from a harness
-// event, node by node.
-func TestFanMatchesSerialPhase(t *testing.T) {
-	const at = 9*time.Millisecond + 500*time.Microsecond
-	kick := func(e *Engine, tn *toyNet, id int) {
-		e.Deliver(int32(id), int32((id*7+3)%len(tn.nodes)), twin+time.Duration(id%3)*time.Millisecond, 3, 64)
-		n := tn.nodes[id]
-		n.ctx.After(time.Duration(id%4)*time.Millisecond, func() {
-			n.log = append(n.log, fmt.Sprintf("n%d kicked at=%v", n.id, n.ctx.Now()))
-		})
-	}
-	drive := func(fan bool) func(*Engine) {
-		return func(e *Engine) {
-			tn := e.sink.(*toyNet)
-			e.After(at, func() {
-				if !fan {
-					for id := range tn.nodes {
-						kick(e, tn, id)
-					}
-					return
-				}
-				e.Fan(func(s int) {
-					for id := s; id < len(tn.nodes); id += e.ShardCount() {
-						kick(e, tn, id)
-					}
-				})
-			})
-			e.RunAll()
-		}
-	}
-	ref := runToy(1, drive(false))
-	for _, s := range []int{1, 2, 3, 8} {
-		got := runToy(s, drive(true))
-		if got.fingerprint() != ref.fingerprint() {
-			t.Fatalf("fan at S=%d diverged from the serial phase at S=1:\n--- serial ---\n%s--- fan ---\n%s",
-				s, ref.fingerprint(), got.fingerprint())
-		}
-	}
-}
-
 // Windows end on the calendar's slot grid even when a fast-forward parks the
 // barrier off it, so a delivery sent across shards at exactly the lookahead
 // lands past the slot its destination has open: it is appended to a bucket,
