@@ -107,10 +107,12 @@ heap:
 # Extended fuzzing of the network-facing decoder and fragment reassembler,
 # the gateway's edge cache (hostile ids against its bound and index), of
 # the engine's event queue and the wire clock's deadline heap against their
-# reference models, of the outbox against its model, of the link model
-# against the inline code it replaced, and of the manager cache under churn
-# against the from-scratch assignment (the committed seed corpora replay on
-# every plain `go test`).
+# reference models, of the udp outbox against the datagram model's groups,
+# of the datagram model and the sim's delivery of its groups against a
+# model of the rule, of the link model against the inline code it replaced,
+# and of the manager cache under churn against the from-scratch assignment
+# (the committed seed corpora replay on every plain `go test`). ci.yml's
+# pull-request fuzz step names the same targets, for 20 s each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 60s ./internal/msg/
 	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 60s ./internal/transport/
@@ -118,6 +120,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 60s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 60s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzOutbox -fuzztime 60s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzGrouping -fuzztime 60s ./internal/net/
 	$(GO) test -run '^$$' -fuzz FuzzLinkModel -fuzztime 60s ./internal/net/
 	$(GO) test -run '^$$' -fuzz FuzzManagers -fuzztime 60s ./internal/membership/
 

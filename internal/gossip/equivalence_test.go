@@ -358,10 +358,10 @@ func ids(from, to msg.ChunkID) []msg.ChunkID {
 // network; honest, Degree and MITM-colluder behaviours; forged stale,
 // repeated, unsolicited and corrupted messages — and demands the same sends,
 // the same Monitor calls and the same histories from both. The reference
-// arms one timer per requested chunk where Node queues one deadline per
-// request, so the same transcript is also the proof that the queue lapses
-// what the timers fired, in their order — on true clocks and, for a sixth of
-// the schedules each, on clocks running 2 % fast and 5 % slow.
+// arms one timer per request where Node queues one deadline per request, so
+// the same transcript is also the proof that the queue lapses what the
+// timers fired, in their order — on true clocks and, for a sixth of the
+// schedules each, on clocks running 2 % fast and 5 % slow.
 func TestNodeMatchesMapReference(t *testing.T) {
 	const schedules, skewed = 240, 80
 	var requests, single, invalid, batches, swarmed int

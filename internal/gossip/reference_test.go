@@ -211,10 +211,14 @@ func (n *refNode) sendRequest(to msg.NodeID, period msg.Period, chunks []msg.Chu
 	}
 	n.deps.Net.Send(n.id, to, &msg.Request{Sender: n.id, Period: period, Chunks: chunks}, net.Unreliable)
 	n.deps.Monitor.OnRequestSent(to, period, chunks)
-	for _, c := range chunks {
-		c := c
-		n.deps.Ctx.After(n.cfg.RequestRetry, func() { n.retry(c, to) })
-	}
+	// One timer per request, retrying its chunks in turn: a callback's
+	// sends to one peer travel as one group, so what one callback sends is
+	// observable, and Node retries a request in one callback too.
+	n.deps.Ctx.After(n.cfg.RequestRetry, func() {
+		for _, c := range chunks {
+			n.retry(c, to)
+		}
+	})
 }
 
 func (n *refNode) retry(c msg.ChunkID, lastServer msg.NodeID) {

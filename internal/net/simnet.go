@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"lifting/internal/metrics"
@@ -32,6 +33,9 @@ type SimNet struct {
 	conds      []*Conditions // nil: the defaults
 	nodeRand   []*rng.Stream
 	nodeUplink []time.Duration // uplink busy-until
+
+	outs    []shardOutbox // one for each engine shard: the node event it runs
+	batches *batches      // allocated on its own, off the lines sends read
 }
 
 var _ Network = (*SimNet)(nil)
@@ -46,6 +50,8 @@ func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collecto
 		rand:      rand,
 		collector: collector,
 		defaults:  defaults,
+		outs:      make([]shardOutbox, engine.ShardCount()),
+		batches:   new(batches),
 	}
 	engine.Bind(n)
 	return n
@@ -109,9 +115,11 @@ func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 
 // Send implements Network. The message is delivered through the event queue
 // after uplink serialization and the delay Link models, unless Link cuts or
-// loses it. Send must be called from the sending node's own callbacks (or
-// the global phase) — the same serialization the rest of a node's state
-// already requires — and the sender must have been attached.
+// loses it, in the group Outbox gives it: a group travels as one engine
+// event, sealed when the node event that sends it returns, at the latest
+// due of its messages. Send must be called from the sending node's own
+// callbacks (or the global phase) — the same serialization the rest of a
+// node's state already requires — and the sender must have been attached.
 func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	size := m.WireSize()
 	n.collector.OnSend(from, m, size)
@@ -119,9 +127,9 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		panic(fmt.Sprintf("net: node %d sends but was never attached; attach the node first", from))
 	}
 	src := n.cond(from)
-	latency, copies, _ := Link(src, n.cond(to), mode, n.nodeRand[from])
+	latency, copies, held := Link(src, n.cond(to), mode, n.nodeRand[from])
 	if copies == 0 {
-		n.drop(m, size)
+		n.collector.OnDrop(m, size)
 		return
 	}
 
@@ -132,34 +140,162 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 		tx = time.Duration(float64(size) / src.UplinkBps * float64(time.Second))
 	}
 	n.nodeUplink[from] = start + tx
-	delay := start + tx + latency - now
-	n.engine.Deliver(int32(from), int32(to), delay, m, int32(size))
 	if copies > 1 {
 		// In-network duplication: a second identical copy arrives right
 		// behind the first (no extra uplink charge). It is accounted as
 		// a send of its own so the sent/recv/dropped books still balance.
 		n.collector.OnSend(from, m, size)
-		n.engine.Deliver(int32(from), int32(to), delay, m, int32(size))
+	}
+	var flags uint8
+	if mode == Reliable {
+		flags = msg.FlagReliable
+	}
+	// A new group finds its slot's parcel empty: ship emptied it.
+	g, _ := n.outs[n.engine.ShardOf(int(from))].Add(from, to, flags, size-msg.TransportHeaderSize, start+tx+latency, copies, held, n.engine.InWindow())
+	n.batches.put(&g.Body, m)
+	if g.Alone {
+		n.ship(g, now)
+	}
+}
+
+// Returned implements sim.Sink: the node event shard ran has returned, so
+// the groups its sends began are sealed and ship.
+func (n *SimNet) Returned(shard int) {
+	gs := n.outs[shard].End()
+	if len(gs) == 0 {
+		return
+	}
+	now := n.engine.NodeNow(int(gs[0].Sender)) // the event's clock, on shard
+	for i := range gs {
+		n.ship(&gs[i], now)
+	}
+}
+
+// ship schedules g's delivery, now being its sender's clock: one engine
+// event for each copy, carrying g's parcel.
+func (n *SimNet) ship(g *Group[parcel], now time.Duration) {
+	var payload any = g.Body.one
+	if g.Body.head != nil {
+		payload = g.Body.head
+	}
+	g.Body = parcel{}
+	d := g.Due - now
+	for range g.Copies { // only a group of one has two: it carries no batch
+		n.engine.Deliver(int32(g.Sender), int32(g.To), d, payload)
 	}
 }
 
 // Deliver implements sim.Sink: the arrival half of Send, fired by the
-// engine at delivery time. Handler lookup and down-ness are evaluated on
-// arrival, exactly as the closure-based path did.
-func (n *SimNet) Deliver(from, to int32, payload any, size int32) {
-	m := payload.(msg.Message)
+// engine at a group's due. It hands the group to its destination through
+// Receive, as one callback, on arrival: the handler and down-ness are
+// looked up then. A batch goes back to the free list once its messages
+// are in.
+func (n *SimNet) Deliver(from, to int32, payload any) {
 	var h Handler
 	if int(to) < len(n.handlers) {
 		h = n.handlers[to]
 	}
-	if h == nil || n.cond(msg.NodeID(to)).Down {
-		n.drop(m, int(size))
+	down := n.cond(msg.NodeID(to)).Down
+	b, ok := payload.(*batch)
+	if !ok {
+		one := [1]msg.Message{payload.(msg.Message)}
+		Receive(n.collector, msg.NodeID(from), msg.NodeID(to), h, one[:], down, 0, nil)
 		return
 	}
-	n.collector.OnDeliver(msg.NodeID(to), m, int(size))
-	h.HandleMessage(msg.NodeID(from), m)
+	for b != nil {
+		Receive(n.collector, msg.NodeID(from), msg.NodeID(to), h, b.ms[:b.n], down, 0, nil)
+		next := b.next
+		n.batches.release(b)
+		b = next
+	}
 }
 
-func (n *SimNet) drop(m msg.Message, size int) {
-	n.collector.OnDrop(m, size)
+// shardOutbox is one shard's outbox, padded so that no two shards' share a
+// cache line: each shard writes its own at every send and every return,
+// and a line two cores write ping-pongs between them (it cost `sim_scale`
+// several per cent of its CPU).
+type shardOutbox struct {
+	Outbox[parcel]
+	_ [64]byte
+}
+
+// parcel is what a group keeps of its messages on the sim, and what its
+// delivery event carries: the one message of a group of one — almost every
+// group — or the chain of batches of a larger one.
+type parcel struct {
+	one        msg.Message
+	head, tail *batch
+}
+
+// batchLen is the messages one batch holds, and batchBlock the batches one
+// allocation makes.
+const (
+	batchLen   = 4
+	batchBlock = 64
+)
+
+// batch is a run of a group's messages, chained to the next run of the
+// group or, on the free list, to the next free batch.
+type batch struct {
+	n    int
+	ms   [batchLen]msg.Message
+	next *batch
+}
+
+// batches is the free list of the batches that carry groups of more than
+// one message through the engine. Every shard takes from it and gives
+// back to it — a batch a shard sends is freed on the shard that delivers
+// it — so it is one list under a lock: a list per shard would drift apart
+// with the traffic, and the shard that runs short would allocate. Few
+// groups take a batch, so the lock is cheap; in steady state no group
+// allocates.
+type batches struct {
+	mu   sync.Mutex
+	free *batch
+}
+
+// put adds m to the parcel p, taking batches once p holds more than one
+// message.
+func (l *batches) put(p *parcel, m msg.Message) {
+	switch {
+	case p.one == nil && p.head == nil:
+		p.one = m
+		return
+	case p.head == nil:
+		p.head = l.take()
+		p.tail = p.head
+		p.tail.ms[0], p.tail.n = p.one, 1
+		p.one = nil
+	case p.tail.n == batchLen:
+		p.tail.next = l.take()
+		p.tail = p.tail.next
+	}
+	p.tail.ms[p.tail.n] = m
+	p.tail.n++
+}
+
+// take returns an empty batch from the free list, which a miss refills
+// with a block of batchBlock.
+func (l *batches) take() *batch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.free == nil {
+		blk := make([]batch, batchBlock)
+		for i := range blk[1:] {
+			blk[i].next = &blk[i+1]
+		}
+		l.free = &blk[0]
+	}
+	b := l.free
+	l.free, b.next = b.next, nil
+	return b
+}
+
+// release empties b and puts it on the free list.
+func (l *batches) release(b *batch) {
+	clear(b.ms[:b.n]) // a free batch keeps no message alive
+	b.n = 0
+	l.mu.Lock()
+	b.next, l.free = l.free, b
+	l.mu.Unlock()
 }

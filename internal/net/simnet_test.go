@@ -1,7 +1,10 @@
 package net
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -345,5 +348,246 @@ func TestDetachAndConditionsBeforeAttach(t *testing.T) {
 	n.SetDown(40, true)
 	if c := n.ConditionsOf(40); !c.Down || c.LatencyBase != 8*time.Millisecond {
 		t.Fatalf("SetDown lost the node's other conditions: %+v", c)
+	}
+}
+
+// eventLog records what a node receives, one entry per delivery event: the
+// first message of an event arms a timer of the node at the same instant
+// that closes the entry. The nodes that log have ids below every sender's,
+// so that timer runs before any other delivery of the instant — a
+// delivery event is ordered by its sender's id.
+type eventLog struct {
+	ctx    sim.Context
+	open   bool
+	end    func()
+	events [][]msg.Message
+}
+
+func newEventLog(ctx sim.Context) *eventLog {
+	l := &eventLog{ctx: ctx}
+	l.end = func() { l.open = false }
+	return l
+}
+
+func (l *eventLog) HandleMessage(_ msg.NodeID, m msg.Message) {
+	if !l.open {
+		l.open = true
+		l.events = append(l.events, nil)
+		l.ctx.After(0, l.end)
+	}
+	l.events[len(l.events)-1] = append(l.events[len(l.events)-1], m)
+}
+
+// sizes returns how many messages each logged event carried, and forgets
+// them.
+func (l *eventLog) sizes() []int {
+	var out []int
+	for _, e := range l.events {
+		out = append(out, len(e))
+	}
+	l.events = nil
+	return out
+}
+
+// TestOneDeliveryPerDestinationPerNodeEvent is the sim's twin of the udp
+// runtime's TestOneDatagramPerDestinationPerCallback, on one shard and on
+// two: the 17 serves a node sends one peer during one node event arrive in
+// one delivery event, a node event sending to 3 peers makes 3, and a
+// delivery event's messages are dispatched as one callback, so the replies
+// to them share a delivery too. A send from the global phase arrives alone,
+// and so does a message that drew a modelled reorder or duplication — each
+// copy of a duplicate, counted as two sends.
+func TestOneDeliveryPerDestinationPerNodeEvent(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		eng := sim.NewSharded(shards, 5*time.Millisecond)
+		col := metrics.NewCollector()
+		n := NewSimNet(eng, rng.New(1), col, Uniform(0, 10*time.Millisecond))
+		const sender, replier = 10, 11
+		n.Attach(sender, &capture{})
+		n.Attach(replier, handlerFunc(func(_ msg.NodeID, m msg.Message) {
+			n.Send(replier, 1, &msg.ScoreResp{Sender: replier, Target: m.(*msg.ScoreReq).Target}, Unreliable)
+		}))
+		logs := make([]*eventLog, 4)
+		for id := 1; id < 4; id++ {
+			logs[id] = newEventLog(eng.Domain(id))
+			n.Attach(msg.NodeID(id), logs[id])
+		}
+		step := func(what string, fn func(), want ...[]int) {
+			t.Helper()
+			if fn != nil {
+				eng.Domain(sender).After(0, fn)
+			}
+			eng.RunAll()
+			for id := 1; id < 4; id++ {
+				if got := logs[id].sizes(); !slices.Equal(got, want[id-1]) {
+					t.Errorf("S=%d, %s: node %d got deliveries of %v messages, want %v", shards, what, id, got, want[id-1])
+				}
+			}
+		}
+		serve := func(c int) msg.Message {
+			return &msg.Serve{Sender: sender, Chunk: msg.ChunkID(c), PayloadSize: 1316, Payload: make([]byte, 1316)}
+		}
+
+		step("17 serves", func() {
+			for c := 0; c < 17; c++ {
+				n.Send(sender, 1, serve(c), Unreliable)
+			}
+		}, []int{17}, nil, nil)
+		step("3 peers", func() {
+			for c := 0; c < 4; c++ {
+				for id := 1; id < 4; id++ {
+					n.Send(sender, msg.NodeID(id), &msg.Blame{Sender: sender, Target: 3, Value: 1}, Unreliable)
+				}
+			}
+			n.Send(sender, 1, &msg.AuditReq{Sender: sender, Horizon: time.Second}, Reliable) // a group of its own
+		}, []int{4, 1}, []int{4}, []int{4})
+		for c := 0; c < 3; c++ {
+			n.Send(sender, 2, serve(c), Unreliable)
+		}
+		step("the global phase", nil, nil, []int{1, 1, 1}, nil)
+		step("replies", func() {
+			for c := 0; c < 3; c++ {
+				n.Send(sender, replier, &msg.ScoreReq{Sender: sender, Target: msg.NodeID(c)}, Unreliable)
+			}
+		}, []int{3}, nil, nil)
+
+		// A held message arrives alone, after ReorderDelay: the node
+		// event's reliable delivery overtakes it.
+		n.SetConditions(sender, Conditions{LatencyBase: 10 * time.Millisecond, ReorderProb: 1, ReorderDelay: 150 * time.Millisecond})
+		step("a held message", func() {
+			n.Send(sender, 1, &msg.Blame{Sender: sender, Target: 3, Value: 1}, Unreliable)
+			n.Send(sender, 1, &msg.AuditReq{Sender: sender, Horizon: time.Second}, Reliable)
+			n.Send(sender, 1, &msg.AuditReq{Sender: sender, Horizon: time.Second}, Reliable)
+		}, []int{2, 1}, nil, nil)
+
+		n.SetConditions(sender, Conditions{LatencyBase: 10 * time.Millisecond, DupProb: 1})
+		sent := col.SentMsgs(msg.KindBlame)
+		step("duplicates", func() {
+			for c := 0; c < 2; c++ {
+				n.Send(sender, 2, &msg.Blame{Sender: sender, Target: 3, Value: 1}, Unreliable)
+			}
+		}, nil, []int{1, 1, 1, 1}, nil)
+		if got := col.SentMsgs(msg.KindBlame) - sent; got != 4 {
+			t.Errorf("S=%d: 2 duplicated blames counted as %d sends, want 4", shards, got)
+		}
+	}
+}
+
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(msg.NodeID, msg.Message)
+
+func (f handlerFunc) HandleMessage(from msg.NodeID, m msg.Message) { f(from, m) }
+
+// TestGroupedTrafficAllocatesNothing runs 64 nodes on two shards, each
+// sending three messages to each of two peers every 10 ms, from a timer
+// re-armed with a func value made once. Once warm, a window of grouped
+// sends and deliveries allocates nothing, on the shard goroutines too: the
+// outboxes keep their slots, and the batches that carry groups through the
+// engine come back to SimNet's free list, whichever shard delivers them.
+func TestGroupedTrafficAllocatesNothing(t *testing.T) {
+	const nodes, every = 64, 10 * time.Millisecond
+	eng := sim.NewSharded(2, 5*time.Millisecond)
+	n := NewSimNet(eng, rng.New(1), metrics.NewCollector(), Uniform(0.01, 5*time.Millisecond))
+	delivered := make([]int, nodes)
+	for id := range nodes {
+		ctx := eng.Domain(id)
+		n.Attach(msg.NodeID(id), handlerFunc(func(msg.NodeID, msg.Message) { delivered[id]++ }))
+		ms := []msg.Message{
+			&msg.Blame{Sender: msg.NodeID(id), Target: 1, Value: 1},
+			&msg.ScoreReq{Sender: msg.NodeID(id), Target: 2},
+			&msg.Propose{Sender: msg.NodeID(id), Chunks: []msg.ChunkID{1, 2, 3}},
+		}
+		var fire func()
+		fire = func() {
+			for _, peer := range []int{(id + 1) % nodes, (id + 7) % nodes} {
+				for _, m := range ms {
+					n.Send(msg.NodeID(id), msg.NodeID(peer), m, Unreliable)
+				}
+			}
+			ctx.After(every, fire)
+		}
+		ctx.After(time.Duration(id)*every/nodes, fire)
+	}
+	// Rounds of whole windows, as a cluster's run is: a Run to an instant
+	// inside a window hands a page of cross-shard events from one shard's
+	// queue to the other's at its end (see the engine's mergeOutboxes).
+	round := func() { eng.RunChunk(time.Duration(1<<62), 2000) }
+	for range 20 {
+		round()
+	}
+	before := delivered[5]
+	sites := siteAllocs(t, 20, round)
+	if got := delivered[5] - before; got < 20*2*3 {
+		t.Fatalf("node 5 got %d messages in 20 rounds, want at least %d", got, 20*2*3)
+	}
+	if len(sites) != 0 {
+		t.Fatalf("20 rounds of grouped traffic allocate, want nothing; by site: %v", sites)
+	}
+}
+
+// siteAllocs runs f runs times with every allocation profiled
+// (runtime.MemProfileRate = 1) and returns how many objects the runs
+// allocated in all, by site: the innermost frame of this module on the
+// allocating stack, shard goroutines' stacks included. (The sim package's
+// tests hold the same helper, and say which runtime caches it leaves out.)
+func siteAllocs(t *testing.T, runs int, f func()) map[string]int64 {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocsByStack()
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	after := allocsByStack()
+	sites := make(map[string]int64)
+	for stk, n := range after {
+		if n -= before[stk]; n > 0 {
+			if site := moduleSite(stk); site != "" {
+				sites[site] += n
+			}
+		}
+	}
+	return sites
+}
+
+// allocsByStack returns the objects allocated so far per allocating stack,
+// as of a collection it forces: the profile publishes an allocation once
+// the cycle it was made in has been swept.
+func allocsByStack() map[[32]uintptr]int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	by := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		by[r.Stack0] += r.AllocObjects
+	}
+	return by
+}
+
+// moduleSite names the innermost frame of this module on stk, or "" if
+// there is none, if it is the profiling itself, or if the allocation refills
+// one of the runtime's own caches from inside it (a type-assertion cache, or
+// the wait record of the sharded windows' join; see the sim package's copy).
+func moduleSite(stk [32]uintptr) string {
+	frames := runtime.CallersFrames(stk[:])
+	for {
+		fr, more := frames.Next()
+		switch fr.Function {
+		case "runtime.typeAssert", "runtime.interfaceSwitch", "runtime.acquireSudog":
+			return ""
+		}
+		if strings.HasPrefix(fr.Function, "lifting/") {
+			if strings.HasSuffix(fr.Function, ".allocsByStack") || strings.HasSuffix(fr.Function, ".siteAllocs") {
+				return ""
+			}
+			return fmt.Sprintf("%s %s:%d", fr.Function, fr.File, fr.Line)
+		}
+		if !more {
+			return ""
+		}
 	}
 }

@@ -10,7 +10,7 @@
 // (time, scheduling domain, per-domain sequence), so results are
 // byte-identical for every S — see DESIGN.md, "The discrete-event engine".
 //
-// Events are 48-byte values, and every queue is a calendar (queue.go): a ring
+// Events are 40-byte values, and every queue is a calendar (queue.go): a ring
 // of buckets one lookahead window wide, of which only the one being executed
 // is ordered — sorted when its window opens. Pages of events recycle within a
 // queue, so the steady-state scheduling path — including message delivery
@@ -54,12 +54,16 @@ func (s skewed) After(d time.Duration, fn func()) {
 
 // Sink receives the engine's simulated message deliveries. It exists so a
 // network implementation can schedule deliveries without allocating a closure
-// per message: the engine keeps the four delivery operands in the event and
-// calls the Sink bound to it (Bind) when the event fires.
+// per message: the engine keeps the delivery operands in the event and calls
+// the Sink bound to it (Bind) when the event fires.
 type Sink interface {
 	// Deliver hands the payload scheduled from node `from` to node `to`. It
 	// runs on the goroutine of to's shard.
-	Deliver(from, to int32, payload any, size int32)
+	Deliver(from, to int32, payload any)
+	// Returned reports that a node event — a callback or a delivery — that
+	// shard ran has returned. It runs on that shard's goroutine, before the
+	// shard's next event.
+	Returned(shard int)
 }
 
 // globalDomain is the ordering domain of harness events (After). Global
@@ -78,6 +82,7 @@ const globalDomain int32 = 1<<31 - 1
 // shard is owned exclusively by one goroutine; between windows the
 // coordinator owns all of them.
 type shard struct {
+	id     int
 	now    time.Duration
 	q      queue
 	events uint64
@@ -141,7 +146,7 @@ func NewSharded(s int, window time.Duration) *Engine {
 	e := &Engine{window: window, shards: make([]*shard, s)}
 	e.gq.init(window)
 	for i := range e.shards {
-		sh := &shard{out: make([]bucket, s)}
+		sh := &shard{id: i, out: make([]bucket, s)}
 		sh.q.init(window)
 		sh.run = func() {
 			sh.runTo(e.bound, e.sink)
@@ -240,7 +245,7 @@ func (e *Engine) nextSeq(from int32) uint64 {
 	return seq
 }
 
-// Deliver schedules a message delivery from node `from` to node `to`, d
+// Deliver schedules a delivery of payload from node `from` to node `to`, d
 // from from's current clock, through the bound Sink. This is the
 // allocation-free delivery path: the operands ride in the event itself, no
 // closure is built.
@@ -249,7 +254,7 @@ func (e *Engine) nextSeq(from int32) uint64 {
 // shard-count-independent order — and a cross-shard delivery with d < the
 // lookahead window panics: the destination shard may already have advanced
 // past it.
-func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, size int32) {
+func (e *Engine) Deliver(from, to int32, d time.Duration, payload any) {
 	if d < 0 {
 		d = 0
 	}
@@ -262,7 +267,7 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, size int3
 	seq := e.nextSeq(from)
 	own, dst := e.ShardOf(int(from)), e.ShardOf(int(to))
 	src := e.shards[own]
-	ev := event{at: src.now + d, dom: from, seq: seq, to: to, payload: payload, size: size}
+	ev := event{at: src.now + d, dom: from, seq: seq, to: to, payload: payload}
 	if dst == own {
 		src.q.push(ev)
 		return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -166,7 +167,7 @@ func TestDeterminism(t *testing.T) {
 // it is reported with the node's id, not as a bare index error.
 func TestUnregisteredNodePanicsByName(t *testing.T) {
 	for name, schedule := range map[string]func(e *Engine){
-		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil, 0) },
+		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil) },
 		"DeferGlobal": func(e *Engine) { e.DeferGlobal(7, func() {}) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -187,9 +188,9 @@ func TestUnregisteredNodePanicsByName(t *testing.T) {
 // harness bugs and panic where they are made, not when the event fires.
 func TestSinkBinding(t *testing.T) {
 	for name, misuse := range map[string]func(e *Engine){
-		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil, 0) },
+		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil) },
 		"Bind twice":          func(e *Engine) { e.Bind(&countSink{}); e.Bind(&countSink{}) },
-		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil, 0) },
+		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			e, _ := newNode()
@@ -200,5 +201,52 @@ func TestSinkBinding(t *testing.T) {
 			}()
 			misuse(e)
 		})
+	}
+}
+
+// returnSink logs, per shard, every delivery it gets and every return the
+// engine reports.
+type returnSink struct {
+	e    *Engine
+	logs [][]string
+}
+
+func (s *returnSink) Deliver(from, to int32, payload any) {
+	sh := s.e.ShardOf(int(to))
+	s.logs[sh] = append(s.logs[sh], fmt.Sprintf("deliver %d", to))
+}
+
+func (s *returnSink) Returned(shard int) { s.logs[shard] = append(s.logs[shard], "return") }
+
+// The engine tells its Sink when each node event returns — a callback or a
+// delivery — on the shard that ran it, before that shard's next event; the
+// global phase's events are no node's and report nothing.
+func TestSinkHearsEveryNodeEventReturn(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e := NewSharded(shards, twin)
+		sink := &returnSink{e: e, logs: make([][]string, shards)}
+		e.Bind(sink)
+		for id := 0; id < 4; id++ {
+			d := e.Domain(id)
+			for k := 1; k <= 3; k++ {
+				d.After(time.Duration(k)*time.Millisecond, func() {
+					sh := e.ShardOf(id)
+					sink.logs[sh] = append(sink.logs[sh], fmt.Sprintf("callback %d", id))
+					e.Deliver(int32(id), int32((id+1)%4), twin, nil)
+				})
+			}
+		}
+		e.After(2*time.Millisecond, func() {}) // a global event
+		e.RunAll()
+		for k, log := range sink.logs {
+			if uint64(len(log)) != 2*e.shards[k].events {
+				t.Fatalf("S=%d: shard %d logged %d lines for %d events", shards, k, len(log), e.shards[k].events)
+			}
+			for i := 0; i < len(log); i += 2 {
+				if log[i] == "return" || log[i+1] != "return" {
+					t.Fatalf("S=%d: shard %d logged %q then %q, want each event followed by its return", shards, k, log[i], log[i+1])
+				}
+			}
+		}
 	}
 }

@@ -21,7 +21,6 @@ type event struct {
 	payload any
 	dom     int32 // ordering domain: the scheduling node's id, or globalDomain
 	to      int32
-	size    int32
 }
 
 // less is the canonical event order: time, then domain, then per-domain
@@ -92,9 +91,9 @@ const (
 	// 5 ms lookahead of a default run the ring spans 1.28 s, past the
 	// protocol's longest routine timer (1 s).
 	ringLen = 256
-	// pageLen makes a page one 4 KB allocation: 85 events of 48 bytes plus
+	// pageLen makes a page one 4 KB allocation: 102 events of 40 bytes plus
 	// the 16-byte header.
-	pageLen = 85
+	pageLen = 102
 )
 
 // page is a fixed-size run of a bucket's events.
@@ -325,11 +324,11 @@ func (q *queue) load() bool {
 // canonical order. A bucket is ascending runs laid end to end — a shard's own
 // sends of one window, each other shard's, each timer delay's, and a period
 // flush's sends one short run per sender: up to 31 640 runs in one
-// 207 464-event slice of a 4000-node run, and 425 708 of its 8 008 473
-// events in slices of more than 256 — so the runs are merged, pairwise, to
-// and fro between s and the room behind it: O(n log runs) comparisons, n
-// when the bucket is already in order and no worse than any sort when it is
-// in none.
+// 207 415-event slice of a 4000-node run, and 425 169 of the 8 260 536
+// events its slices hold in slices of more than 256 — so the runs are
+// merged, pairwise, to and fro between s and the room behind it:
+// O(n log runs) comparisons, n when the bucket is already in order and no
+// worse than any sort when it is in none.
 func (q *queue) sorted(s []event) []event {
 	n := len(s)
 	runs := append(q.runs[:0], 0)

@@ -72,7 +72,7 @@ func newOrderRig(t testing.TB, window time.Duration) *orderRig {
 
 func (r *orderRig) push(delay time.Duration, dom int) {
 	r.pushed++
-	ev := event{at: r.now + delay, dom: int32(dom), seq: r.seq[dom], to: callback, size: r.pushed}
+	ev := event{at: r.now + delay, dom: int32(dom), seq: r.seq[dom], to: callback, payload: r.pushed}
 	r.seq[dom]++
 	r.q.push(ev)
 	r.ref.push(ev)
@@ -311,7 +311,7 @@ func TestCalendarFollowsClockAcrossIdleGap(t *testing.T) {
 	q := &e.shards[0].q
 	for round := 1; round <= 3; round++ {
 		for i := 0; i < 100; i++ {
-			e.Deliver(0, 1, w, nil, 0)
+			e.Deliver(0, 1, w, nil)
 		}
 		if len(q.far) != 0 || q.inRing != 100 {
 			t.Fatalf("round %d at %v: %d events in the far heap and %d in the ring, want 0 and 100", round, e.Now(), len(q.far), q.inRing)
@@ -325,7 +325,7 @@ func TestCalendarFollowsClockAcrossIdleGap(t *testing.T) {
 	// sends one window ahead must again be an append.
 	d := e.Domain(0)
 	d.After(10*time.Second, func() {
-		e.Deliver(0, 1, w, nil, 0)
+		e.Deliver(0, 1, w, nil)
 		if len(q.far) != 0 || q.inRing != 1 {
 			t.Errorf("after the hop: %d events in the far heap and %d in the ring, want 0 and 1", len(q.far), q.inRing)
 		}
@@ -354,11 +354,11 @@ func TestInWindowPushesDegradeToHeap(t *testing.T) {
 	r.drain()
 }
 
-// An event is at most 48 bytes and a page exactly one 4 KB size class; both
+// An event is at most 40 bytes and a page exactly one 4 KB size class; both
 // are what the memory bound in DESIGN.md is computed from.
 func TestEventAndPageSizes(t *testing.T) {
-	if s := unsafe.Sizeof(event{}); s > 48 {
-		t.Fatalf("event is %d bytes, want at most 48", s)
+	if s := unsafe.Sizeof(event{}); s > 40 {
+		t.Fatalf("event is %d bytes, want at most 40", s)
 	}
 	if s := unsafe.Sizeof(page{}); s > 4096 {
 		t.Fatalf("page is %d bytes, want at most 4096", s)
@@ -391,7 +391,7 @@ func TestBurstPagesAreReused(t *testing.T) {
 	e.Domain(0)
 	e.Domain(1)
 	for i := 0; i < burst; i++ {
-		e.Deliver(0, 1, w, nil, 0)
+		e.Deliver(0, 1, w, nil)
 	}
 	q := &e.shards[0].q
 	want := (burst + pageLen - 1) / pageLen
@@ -404,7 +404,7 @@ func TestBurstPagesAreReused(t *testing.T) {
 	}
 	steady := func() {
 		for i := 0; i < 1000; i++ {
-			e.Deliver(0, 1, w+time.Duration(i)*w/100, nil, 0) // ten slices
+			e.Deliver(0, 1, w+time.Duration(i)*w/100, nil) // ten slices
 		}
 		e.RunAll()
 	}
@@ -440,12 +440,12 @@ func TestDrainedQueueDropsPayloads(t *testing.T) {
 		return p
 	}
 	for i := 0; i < each; i++ {
-		e.Deliver(0, 2, w, tracked(), 0)                            // ring, same shard
-		e.Deliver(0, 2, (ringLen+time.Duration(i))*w, tracked(), 0) // far heap
+		e.Deliver(0, 2, w, tracked())                            // ring, same shard
+		e.Deliver(0, 2, (ringLen+time.Duration(i))*w, tracked()) // far heap
 		p, q, r := tracked(), tracked(), tracked()
 		d0.After(w/2, func() { // cur, then from inside the window:
-			e.Deliver(0, 1, w, p, 0)           // the outbox to shard 1
-			e.Deliver(0, 2, 0, q, 0)           // a push below the horizon
+			e.Deliver(0, 1, w, p)              // the outbox to shard 1
+			e.Deliver(0, 2, 0, q)              // a push below the horizon
 			e.DeferGlobal(0, func() { _ = r }) // the global outbox
 		})
 	}

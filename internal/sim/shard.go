@@ -157,7 +157,8 @@ func (e *Engine) runWindow(bound time.Duration) uint64 {
 }
 
 // runTo executes the shard's events with time strictly below bound:
-// callbacks directly, deliveries through sink.
+// callbacks directly, deliveries through sink, which hears when each
+// returns.
 func (sh *shard) runTo(bound time.Duration, sink Sink) {
 	for {
 		ev, ok := sh.q.popBefore(bound)
@@ -169,7 +170,10 @@ func (sh *shard) runTo(bound time.Duration, sink Sink) {
 		if ev.to == callback {
 			ev.payload.(func())()
 		} else {
-			sink.Deliver(ev.dom, ev.to, ev.payload, ev.size)
+			sink.Deliver(ev.dom, ev.to, ev.payload)
+		}
+		if sink != nil {
+			sink.Returned(sh.id)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package transport
 import (
 	gonet "net"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -12,28 +14,38 @@ import (
 	"lifting/internal/net"
 )
 
-// outboxSend is one send of FuzzOutbox's schedule, as the model sees it.
+// outboxSend is one send of FuzzOutbox's schedule, as the test sees it.
 type outboxSend struct {
-	m                   msg.Message
-	to                  netip.AddrPort
-	flags               uint8
-	held, dup, oversize bool
+	m         msg.Message
+	to        msg.NodeID
+	flags     uint8
+	held, dup bool
+	callback  int // the callback it is sent in, the index of its run; -1 for none
 }
 
-// FuzzOutbox drives a fuzzer-written sequence of one node's sends through a
-// runtime, once at latency 0 and once at 2 h, and checks what left against
-// a model of the outbox. At latency 0 the datagrams leave inline, to sink
-// sockets nobody reads; at 2 h every one waits on the clock heap, where the
-// target reads it. A held message waits ReorderDelay (2 h) at either
-// latency. The checks:
+// sentGroup is one datagram, as the runtime queued it or as net.Outbox
+// groups it: where it goes, its flags, its copies, whether it is a
+// fragment train, and the sends it carries, by index.
+type sentGroup struct {
+	to       netip.AddrPort
+	flags    uint8
+	copies   uint8
+	fragment bool
+	members  []int
+}
+
+// FuzzOutbox drives a fuzzer-written sequence of one node's sends through
+// a runtime, once at latency 0 and once at 2 h, and holds what left against
+// the groups net.Outbox — the datagram model, which FuzzGrouping holds
+// against its own model — makes of the same sends. At latency 0 the
+// datagrams leave inline, to sink sockets nobody reads; at 2 h every one
+// waits on the clock heap, where the target reads it. A held message waits
+// ReorderDelay (2 h) at either latency. The checks:
 //   - every queued frame passes RawFrame and ParseBatch, with node 1 its
-//     one sender, and carries what was sent to its address with its flags;
-//   - the messages that join groups keep their send order per destination
-//     and flags;
-//   - a held or duplicated message is alone in its datagram, with copies 2
-//     for a duplicate, and every message is queued exactly when the model
-//     says it waits (all of them at 2 h, the held ones at 0);
-//   - a message too big for a frame is a fragment job carrying its encoding;
+//     one sender, and a fragment job carries one message's encoding;
+//   - what is queued is exactly net.Outbox's groups — all of them at 2 h,
+//     the held ones at 0 — each with its address, flags and copies, a
+//     message too big for a frame as a fragment train;
 //   - no buffer is held by a slot, a job or the pools twice over, and the
 //     pools hold only buffers of their own size.
 //
@@ -80,9 +92,8 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 	}
 
 	var sends []outboxSend
-	send := func(op []byte) {
-		dest := int(op[0]>>2&3) % 3
-		s := outboxSend{to: dests[dest], held: op[0]&0x10 != 0, dup: op[0]&0x20 != 0}
+	send := func(op []byte, callback int) {
+		s := outboxSend{to: msg.NodeID(10 + int(op[0]>>2&3)%3), held: op[0]&0x10 != 0, dup: op[0]&0x20 != 0, callback: callback}
 		mode := net.Unreliable
 		if op[0]&0x40 != 0 {
 			mode, s.flags, s.held, s.dup = net.Reliable, msg.FlagReliable, false, false
@@ -97,19 +108,14 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 			size := (int(op[1])<<7 | int(op[2]&0x7f)) * 4
 			s.m = &msg.Serve{Sender: 1, Chunk: msg.ChunkID(seq), PayloadSize: size, Payload: payload[:size]}
 		}
-		enc, err := msg.Encode(s.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.oversize = msg.CountSize+msg.EntryHeaderSize+len(enc) > msg.MaxFramePayload
 		sends = append(sends, s)
 		rt.SetConditions(1, net.Conditions{LatencyBase: latency, ReorderProb: prob(s.held), ReorderDelay: 2 * time.Hour, DupProb: prob(s.dup)})
-		rt.Send(1, msg.NodeID(10+dest), s.m, mode)
+		rt.Send(1, s.to, s.m, mode)
 	}
 	ops := schedule[:len(schedule)/3*3]
 	for i := 0; i < len(ops); {
 		if ops[i]&0x80 != 0 {
-			send(ops[i : i+3])
+			send(ops[i:i+3], -1)
 			i += 3
 			continue
 		}
@@ -117,26 +123,51 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 		for j < len(ops) && ops[j]&0x80 == 0 && ops[j+2]&0x80 == 0 {
 			j += 3
 		}
-		run := ops[i:j]
+		run, callback := ops[i:j], i
 		rt.clock.fire(&job{node: n, fn: func() {
 			for k := 0; k < len(run); k += 3 {
-				send(run[k : k+3])
+				send(run[k:k+3], callback)
 			}
 		}})
 		i = j
 	}
 
-	// What waits on the clock, in the order it would leave.
+	// What net.Outbox makes of the same sends: every group at 2 h, the
+	// held ones at 0.
+	var want []sentGroup
+	var o net.Outbox[[]int]
+	leave := func(g *net.Group[[]int]) {
+		if latency > 0 || sends[g.Body[0]].held {
+			want = append(want, sentGroup{to: dests[g.To-10], flags: g.Flags, copies: g.Copies, fragment: g.Oversize(), members: slices.Clone(g.Body)})
+		}
+	}
+	for i, s := range sends {
+		if i > 0 && s.callback != sends[i-1].callback {
+			for _, g := range o.End() {
+				leave(&g)
+			}
+		}
+		copies := 1
+		if s.dup {
+			copies = 2
+		}
+		g, fresh := o.Add(1, s.to, s.flags, msg.EncodedSize(s.m), 0, copies, s.held, s.callback >= 0)
+		if fresh {
+			g.Body = g.Body[:0]
+		}
+		g.Body = append(g.Body, i)
+		if g.Alone {
+			leave(g)
+		}
+	}
+	for _, g := range o.End() {
+		leave(&g)
+	}
+
+	// What waits on the clock.
 	rt.clock.mu.Lock()
 	jobs := append([]job(nil), rt.clock.heap.jobs...)
 	rt.clock.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].before(&jobs[b]) })
-	type stream struct {
-		to    netip.AddrPort
-		flags uint8
-	}
-	last := make(map[stream]int)
-	queued := make([]int, len(sends))
 	seqOf := func(m msg.Message) int {
 		switch v := m.(type) {
 		case *msg.Blame:
@@ -149,20 +180,18 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 		t.Fatalf("a queued %T was never sent", m)
 		return 0
 	}
+	var got []sentGroup
 	for _, j := range jobs {
 		if j.node != n || j.copies == 0 || j.frame == nil {
 			t.Fatalf("a job that is no datagram of node 1: %+v", j)
 		}
-		var ms []msg.Message
-		if j.flags&msg.FlagFragment != 0 {
+		g := sentGroup{to: j.addr, flags: j.flags &^ msg.FlagFragment, copies: j.copies, fragment: j.flags&msg.FlagFragment != 0}
+		if g.fragment {
 			m, err := msg.Decode(*j.frame)
 			if err != nil {
 				t.Fatalf("a fragment job's encoding: %v", err)
 			}
-			if !sends[seqOf(m)].oversize {
-				t.Fatalf("send #%d fits a frame, yet left as a fragment train", seqOf(m))
-			}
-			ms = append(ms, m)
+			g.members = append(g.members, seqOf(m))
 		} else {
 			payload, flags, err := msg.RawFrame(*j.frame)
 			if err != nil || flags != j.flags {
@@ -177,39 +206,18 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sends[seqOf(m)].oversize {
-					t.Fatalf("send #%d outgrows a frame, yet left in one", seqOf(m))
-				}
-				ms = append(ms, m)
+				g.members = append(g.members, seqOf(m))
 			}
 		}
-		for _, m := range ms {
-			seq := seqOf(m)
-			s := sends[seq]
-			queued[seq]++
-			if s.to != j.addr || s.flags != j.flags&^msg.FlagFragment {
-				t.Fatalf("send #%d to %v, flags %#x, left for %v with flags %#x", seq, s.to, s.flags, j.addr, j.flags)
-			}
-			if want := 1 + int(prob(s.dup)); int(j.copies) != want {
-				t.Fatalf("send #%d left as %d copies, want %d", seq, j.copies, want)
-			}
-			if (s.held || s.dup) && len(ms) != 1 {
-				t.Fatalf("send #%d drew a reorder or duplication, yet shares a datagram with %d others", seq, len(ms)-1)
-			}
-			if s.held || s.dup || s.oversize {
-				continue
-			}
-			k := stream{s.to, s.flags}
-			if prev, ok := last[k]; ok && prev > seq {
-				t.Fatalf("send #%d leaves for %v after send #%d, sent after it", seq, s.to, prev)
-			}
-			last[k] = seq
-		}
+		got = append(got, g)
 	}
-	for seq, s := range sends {
-		if want := latency > 0 || s.held; queued[seq] != int(prob(want)) {
-			t.Fatalf("send #%d (held %v, latency %v) is queued %d times", seq, s.held, latency, queued[seq])
-		}
+	byFirst := func(gs []sentGroup) {
+		sort.Slice(gs, func(a, b int) bool { return gs[a].members[0] < gs[b].members[0] })
+	}
+	byFirst(got)
+	byFirst(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("latency %v: queued\n%+v\nnet.Outbox groups\n%+v", latency, got, want)
 	}
 
 	// Every buffer has one holder: a slot, a job or a pool.
@@ -222,12 +230,13 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 		holder[at] = who
 	}
 	n.out.mu.Lock()
-	if n.out.open || len(n.out.groups) != 0 {
-		t.Fatalf("the outbox is left open %v with %d groups", n.out.open, len(n.out.groups))
+	slots := n.out.groups.End()
+	if n.out.open || len(slots) != 0 {
+		t.Fatalf("the outbox is left open %v with %d groups", n.out.open, len(slots))
 	}
-	for _, g := range n.out.groups[:cap(n.out.groups)] {
-		if g.frame != nil {
-			hold(g.frame, "a slot")
+	for _, g := range slots[:cap(slots)] {
+		if g.Body.frame != nil {
+			hold(g.Body.frame, "a slot")
 		}
 	}
 	n.out.mu.Unlock()

@@ -379,7 +379,7 @@ func (r *Runtime) Send(from, to msg.NodeID, m msg.Message, mode net.Mode) {
 	if latency > 0 {
 		due = r.Now() + latency
 	}
-	if sender.out.add(sender, addr, flags, m, due, uint8(copies), held || copies > 1) {
+	if sender.out.add(sender, to, addr, flags, m, size, due, copies, held) {
 		return
 	}
 	// m outgrew a frame (a long audit history, an oversized chunk): it ships
@@ -743,10 +743,11 @@ func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.Addr
 }
 
 // deliver dispatches one datagram's messages to n, together as one
-// callback, so what n sends in reply shares datagrams too. The sender has
-// applied the link; the receiver draws its own LossIn for each unreliable
-// message, where the node's own conditions are known even when the sender
-// is another process.
+// callback, through the receive loop both runtimes share (net.Receive), so
+// what n sends in reply shares datagrams too. The sender has applied the
+// link; the receiver draws its own LossIn for each unreliable message, where
+// the node's own conditions are known even when the sender is another
+// process.
 func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	r.mu.RLock()
 	closed := r.closed
@@ -755,18 +756,13 @@ func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	if closed {
 		return
 	}
+	loss := cond.LossIn
+	if flags&msg.FlagReliable != 0 {
+		loss = 0
+	}
 	n.mu.Lock()
 	n.out.begin()
-	for _, m := range ms {
-		if cond.Down || flags&msg.FlagReliable == 0 && r.rand.Bernoulli(cond.LossIn) {
-			r.collector.OnDrop(m, m.WireSize())
-			continue
-		}
-		r.collector.OnDeliver(n.id, m, m.WireSize())
-		if n.h != nil {
-			n.h.HandleMessage(m.From(), m)
-		}
-	}
+	net.Receive(r.collector, ms[0].From(), n.id, n.h, ms, cond.Down, loss, &r.rand) // one sender a datagram (ParseBatch)
 	n.out.flush(n)
 	n.mu.Unlock()
 }
