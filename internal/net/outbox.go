@@ -10,8 +10,8 @@ import (
 // Group is one datagram in the making: the messages one node callback sends
 // one destination under one sender and one set of flags, or one message
 // that goes alone. Body is what the runtime keeps of the messages — the udp
-// runtime's frame, the sim's parcel — and outlives the group in its slot,
-// so a runtime may reuse it.
+// runtime's frame, the sim's chain of messages — and outlives the group in its
+// slot, so a runtime may reuse it.
 type Group[B any] struct {
 	Sender, To msg.NodeID
 	Flags      uint8

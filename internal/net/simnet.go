@@ -2,7 +2,6 @@ package net
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"lifting/internal/metrics"
@@ -34,8 +33,7 @@ type SimNet struct {
 	nodeRand   []*rng.Stream
 	nodeUplink []time.Duration // uplink busy-until
 
-	outs    []shardOutbox // one for each engine shard: the node event it runs
-	batches *batches      // allocated on its own, off the lines sends read
+	shards []simShard // one for each engine shard
 }
 
 var _ Network = (*SimNet)(nil)
@@ -50,8 +48,7 @@ func NewSimNet(engine *sim.Engine, rand *rng.Stream, collector *metrics.Collecto
 		rand:      rand,
 		collector: collector,
 		defaults:  defaults,
-		outs:      make([]shardOutbox, engine.ShardCount()),
-		batches:   new(batches),
+		shards:    make([]simShard, engine.ShardCount()),
 	}
 	engine.Bind(n)
 	return n
@@ -115,11 +112,12 @@ func (n *SimNet) SetDown(id msg.NodeID, down bool) {
 
 // Send implements Network. The message is delivered through the event queue
 // after uplink serialization and the delay Link models, unless Link cuts or
-// loses it, in the group Outbox gives it: a group travels as one engine
-// event, sealed when the node event that sends it returns, at the latest
-// due of its messages. Send must be called from the sending node's own
-// callbacks (or the global phase) — the same serialization the rest of a
-// node's state already requires — and the sender must have been attached.
+// loses it, in the group Outbox gives it: a group is sealed when the node
+// event that sends it returns, and arrives at the latest due of its
+// messages, as one node event of its destination. Send must be called from
+// the sending node's own callbacks (or the global phase) — the same
+// serialization the rest of a node's state already requires — and the
+// sender must have been attached.
 func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	size := m.WireSize()
 	n.collector.OnSend(from, m, size)
@@ -150,152 +148,84 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	if mode == Reliable {
 		flags = msg.FlagReliable
 	}
-	// A new group finds its slot's parcel empty: ship emptied it.
-	g, _ := n.outs[n.engine.ShardOf(int(from))].Add(from, to, flags, size-msg.TransportHeaderSize, start+tx+latency, copies, held, n.engine.InWindow())
-	n.batches.put(&g.Body, m)
+	sh := &n.shards[n.engine.ShardOf(int(from))]
+	g, fresh := sh.out.Add(from, to, flags, size-msg.TransportHeaderSize, start+tx+latency, copies, held, n.engine.InWindow())
 	if g.Alone {
-		n.ship(g, now)
+		for range copies {
+			n.engine.Deliver(int32(from), int32(to), g.Due-now, m, false)
+		}
+		return
+	}
+	i := int32(len(sh.msgs))
+	sh.msgs = append(sh.msgs, link{m: m, next: -1})
+	if fresh {
+		g.Body = chain{i, i}
+	} else {
+		sh.msgs[g.Body.tail].next = i
+		g.Body.tail = i
 	}
 }
 
 // Returned implements sim.Sink: the node event shard ran has returned, so
-// the groups its sends began are sealed and ship.
+// the groups its sends began are sealed and ship, each at its due as one
+// engine delivery per message, each but the last joined to the next one:
+// the group arrives as one node event.
 func (n *SimNet) Returned(shard int) {
-	gs := n.outs[shard].End()
+	sh := &n.shards[shard]
+	gs := sh.out.End()
 	if len(gs) == 0 {
 		return
 	}
 	now := n.engine.NodeNow(int(gs[0].Sender)) // the event's clock, on shard
-	for i := range gs {
-		n.ship(&gs[i], now)
+	for _, g := range gs {
+		for i := g.Body.head; i >= 0; i = sh.msgs[i].next {
+			n.engine.Deliver(int32(g.Sender), int32(g.To), g.Due-now, sh.msgs[i].m, sh.msgs[i].next >= 0)
+		}
 	}
-}
-
-// ship schedules g's delivery, now being its sender's clock: one engine
-// event for each copy, carrying g's parcel.
-func (n *SimNet) ship(g *Group[parcel], now time.Duration) {
-	var payload any = g.Body.one
-	if g.Body.head != nil {
-		payload = g.Body.head
-	}
-	g.Body = parcel{}
-	d := g.Due - now
-	for range g.Copies { // only a group of one has two: it carries no batch
-		n.engine.Deliver(int32(g.Sender), int32(g.To), d, payload)
-	}
+	clear(sh.msgs) // keeps no message alive
+	sh.msgs = sh.msgs[:0]
 }
 
 // Deliver implements sim.Sink: the arrival half of Send, fired by the
-// engine at a group's due. It hands the group to its destination through
-// Receive, as one callback, on arrival: the handler and down-ness are
-// looked up then. A batch goes back to the free list once its messages
-// are in.
-func (n *SimNet) Deliver(from, to int32, payload any) {
+// engine at a group's due for each of its messages. The shard gathers them
+// up to the last one, then hands the group to its destination through
+// Receive, as one callback: the handler and down-ness are looked up then.
+func (n *SimNet) Deliver(from, to int32, payload any, more bool) {
+	sh := &n.shards[n.engine.ShardOf(int(to))]
+	sh.in = append(sh.in, payload.(msg.Message))
+	if more {
+		return
+	}
 	var h Handler
 	if int(to) < len(n.handlers) {
 		h = n.handlers[to]
 	}
-	down := n.cond(msg.NodeID(to)).Down
-	b, ok := payload.(*batch)
-	if !ok {
-		one := [1]msg.Message{payload.(msg.Message)}
-		Receive(n.collector, msg.NodeID(from), msg.NodeID(to), h, one[:], down, 0, nil)
-		return
-	}
-	for b != nil {
-		Receive(n.collector, msg.NodeID(from), msg.NodeID(to), h, b.ms[:b.n], down, 0, nil)
-		next := b.next
-		n.batches.release(b)
-		b = next
-	}
+	Receive(n.collector, msg.NodeID(from), msg.NodeID(to), h, sh.in, n.cond(msg.NodeID(to)).Down, 0, nil)
+	clear(sh.in)
+	sh.in = sh.in[:0]
 }
 
-// shardOutbox is one shard's outbox, padded so that no two shards' share a
-// cache line: each shard writes its own at every send and every return,
-// and a line two cores write ping-pongs between them (it cost `sim_scale`
-// several per cent of its CPU).
-type shardOutbox struct {
-	Outbox[parcel]
-	_ [64]byte
+// simShard is what SimNet keeps for one engine shard, padded so that no two
+// shards' share a cache line: each shard writes its own at every send,
+// delivery and return, and a line two cores write ping-pongs between them
+// (it cost `sim_scale` several per cent of its CPU). The messages of the
+// node event the shard runs wait in msgs, and those of the group arriving
+// in in; both keep their capacity from node event to node event, so a
+// steady state allocates no group.
+type simShard struct {
+	out  Outbox[chain] // the groups of the node event the shard runs
+	msgs []link        // their messages, in the order they were sent
+	in   []msg.Message // the group arriving, up to its last message
+	_    [64]byte
 }
 
-// parcel is what a group keeps of its messages on the sim, and what its
-// delivery event carries: the one message of a group of one — almost every
-// group — or the chain of batches of a larger one.
-type parcel struct {
-	one        msg.Message
-	head, tail *batch
-}
+// chain is what a group keeps of its messages on the sim: the first and
+// last of them in its shard's msgs.
+type chain struct{ head, tail int32 }
 
-// batchLen is the messages one batch holds, and batchBlock the batches one
-// allocation makes.
-const (
-	batchLen   = 4
-	batchBlock = 64
-)
-
-// batch is a run of a group's messages, chained to the next run of the
-// group or, on the free list, to the next free batch.
-type batch struct {
-	n    int
-	ms   [batchLen]msg.Message
-	next *batch
-}
-
-// batches is the free list of the batches that carry groups of more than
-// one message through the engine. Every shard takes from it and gives
-// back to it — a batch a shard sends is freed on the shard that delivers
-// it — so it is one list under a lock: a list per shard would drift apart
-// with the traffic, and the shard that runs short would allocate. Few
-// groups take a batch, so the lock is cheap; in steady state no group
-// allocates.
-type batches struct {
-	mu   sync.Mutex
-	free *batch
-}
-
-// put adds m to the parcel p, taking batches once p holds more than one
-// message.
-func (l *batches) put(p *parcel, m msg.Message) {
-	switch {
-	case p.one == nil && p.head == nil:
-		p.one = m
-		return
-	case p.head == nil:
-		p.head = l.take()
-		p.tail = p.head
-		p.tail.ms[0], p.tail.n = p.one, 1
-		p.one = nil
-	case p.tail.n == batchLen:
-		p.tail.next = l.take()
-		p.tail = p.tail.next
-	}
-	p.tail.ms[p.tail.n] = m
-	p.tail.n++
-}
-
-// take returns an empty batch from the free list, which a miss refills
-// with a block of batchBlock.
-func (l *batches) take() *batch {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.free == nil {
-		blk := make([]batch, batchBlock)
-		for i := range blk[1:] {
-			blk[i].next = &blk[i+1]
-		}
-		l.free = &blk[0]
-	}
-	b := l.free
-	l.free, b.next = b.next, nil
-	return b
-}
-
-// release empties b and puts it on the free list.
-func (l *batches) release(b *batch) {
-	clear(b.ms[:b.n]) // a free batch keeps no message alive
-	b.n = 0
-	l.mu.Lock()
-	b.next, l.free = l.free, b
-	l.mu.Unlock()
+// link is a message waiting in msgs, with the index of the next message of
+// its group (-1 after the last).
+type link struct {
+	m    msg.Message
+	next int32
 }

@@ -482,8 +482,9 @@ func (f handlerFunc) HandleMessage(from msg.NodeID, m msg.Message) { f(from, m) 
 // sending three messages to each of two peers every 10 ms, from a timer
 // re-armed with a func value made once. Once warm, a window of grouped
 // sends and deliveries allocates nothing, on the shard goroutines too: the
-// outboxes keep their slots, and the batches that carry groups through the
-// engine come back to SimNet's free list, whichever shard delivers them.
+// outboxes keep their slots and each slot its message slice, a group's
+// messages travel as engine events, and each shard gathers the group it
+// receives in a slice it keeps.
 func TestGroupedTrafficAllocatesNothing(t *testing.T) {
 	const nodes, every = 64, 10 * time.Millisecond
 	eng := sim.NewSharded(2, 5*time.Millisecond)
@@ -508,9 +509,11 @@ func TestGroupedTrafficAllocatesNothing(t *testing.T) {
 		}
 		ctx.After(time.Duration(id)*every/nodes, fire)
 	}
-	// Rounds of whole windows, as a cluster's run is: a Run to an instant
-	// inside a window hands a page of cross-shard events from one shard's
-	// queue to the other's at its end (see the engine's mergeOutboxes).
+	// Rounds of whole windows: a Run to an instant inside a window
+	// allocates an event page per call on two shards, with or without
+	// grouping (the engine's mergeOutboxes hands a page of cross-shard
+	// events from one shard's queue to the other's at its end), and a
+	// cluster's Run ends in one such window per call.
 	round := func() { eng.RunChunk(time.Duration(1<<62), 2000) }
 	for range 20 {
 		round()

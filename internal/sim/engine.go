@@ -58,11 +58,15 @@ func (s skewed) After(d time.Duration, fn func()) {
 // the Sink bound to it (Bind) when the event fires.
 type Sink interface {
 	// Deliver hands the payload scheduled from node `from` to node `to`. It
-	// runs on the goroutine of to's shard.
-	Deliver(from, to int32, payload any)
-	// Returned reports that a node event — a callback or a delivery — that
-	// shard ran has returned. It runs on that shard's goroutine, before the
-	// shard's next event.
+	// runs on the goroutine of to's shard. more reports that the shard's
+	// next event is the next delivery of the same run (Engine.Deliver);
+	// the Sink then schedules nothing, for an event it scheduled at this
+	// instant could sort into the run.
+	Deliver(from, to int32, payload any, more bool)
+	// Returned reports that a node event — a callback, or a run of
+	// deliveries joined by Engine.Deliver's more — that shard ran has
+	// returned. It runs on that shard's goroutine, before the shard's next
+	// event.
 	Returned(shard int)
 }
 
@@ -253,21 +257,27 @@ func (e *Engine) nextSeq(from int32) uint64 {
 // The delivery is keyed by (time, from, from's send sequence) — a
 // shard-count-independent order — and a cross-shard delivery with d < the
 // lookahead window panics: the destination shard may already have advanced
-// past it.
-func (e *Engine) Deliver(from, to int32, d time.Duration, payload any) {
+// past it. more joins the delivery to the next one into one node event: the
+// caller schedules that one at once, to the same node with the same d, so
+// no event comes between them, the Sink hears no Returned between them, and
+// Events counts the run once.
+func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, more bool) {
 	if d < 0 {
 		d = 0
 	}
 	if e.sink == nil {
 		panic("sim: Deliver before Bind; the engine has no Sink")
 	}
-	if to < 0 {
-		panic(fmt.Sprintf("sim: delivery %d→%d to a negative node id", from, to))
+	if to < 0 || to >= follows {
+		panic(fmt.Sprintf("sim: delivery %d→%d to a node id outside [0, %d)", from, to, follows))
 	}
 	seq := e.nextSeq(from)
 	own, dst := e.ShardOf(int(from)), e.ShardOf(int(to))
 	src := e.shards[own]
 	ev := event{at: src.now + d, dom: from, seq: seq, to: to, payload: payload}
+	if more {
+		ev.to |= follows
+	}
 	if dst == own {
 		src.q.push(ev)
 		return
@@ -331,7 +341,8 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// Events returns the total number of events executed so far.
+// Events returns the total number of events executed so far, a run of
+// deliveries joined by more (Deliver) counting as one.
 func (e *Engine) Events() uint64 {
 	n := e.gevents
 	for _, sh := range e.shards {

@@ -167,7 +167,7 @@ func TestDeterminism(t *testing.T) {
 // it is reported with the node's id, not as a bare index error.
 func TestUnregisteredNodePanicsByName(t *testing.T) {
 	for name, schedule := range map[string]func(e *Engine){
-		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil) },
+		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil, false) },
 		"DeferGlobal": func(e *Engine) { e.DeferGlobal(7, func() {}) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -188,9 +188,9 @@ func TestUnregisteredNodePanicsByName(t *testing.T) {
 // harness bugs and panic where they are made, not when the event fires.
 func TestSinkBinding(t *testing.T) {
 	for name, misuse := range map[string]func(e *Engine){
-		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil) },
+		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil, false) },
 		"Bind twice":          func(e *Engine) { e.Bind(&countSink{}); e.Bind(&countSink{}) },
-		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil) },
+		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil, false) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			e, _ := newNode()
@@ -211,16 +211,24 @@ type returnSink struct {
 	logs [][]string
 }
 
-func (s *returnSink) Deliver(from, to int32, payload any) {
-	sh := s.e.ShardOf(int(to))
-	s.logs[sh] = append(s.logs[sh], fmt.Sprintf("deliver %d", to))
+// Deliver logs a delivery whose payload is its place in its run: {i, k},
+// the i-th of k.
+func (s *returnSink) Deliver(from, to int32, payload any, more bool) {
+	sh, at := s.e.ShardOf(int(to)), payload.([2]int)
+	line := fmt.Sprintf("deliver %d→%d %d of %d", from, to, at[0]+1, at[1])
+	if more != (at[0] < at[1]-1) {
+		line = fmt.Sprintf("more=%v on %s", more, line)
+	}
+	s.logs[sh] = append(s.logs[sh], line)
 }
 
 func (s *returnSink) Returned(shard int) { s.logs[shard] = append(s.logs[shard], "return") }
 
-// The engine tells its Sink when each node event returns — a callback or a
-// delivery — on the shard that ran it, before that shard's next event; the
-// global phase's events are no node's and report nothing.
+// The engine tells its Sink when each node event returns — a callback, or a
+// run of deliveries joined by more — on the shard that ran it, before that
+// shard's next event; the global phase's events are no node's and report
+// nothing. A run arrives whole and in order, though every node sends runs
+// to the same destinations at the same instants.
 func TestSinkHearsEveryNodeEventReturn(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e := NewSharded(shards, twin)
@@ -232,20 +240,44 @@ func TestSinkHearsEveryNodeEventReturn(t *testing.T) {
 				d.After(time.Duration(k)*time.Millisecond, func() {
 					sh := e.ShardOf(id)
 					sink.logs[sh] = append(sink.logs[sh], fmt.Sprintf("callback %d", id))
-					e.Deliver(int32(id), int32((id+1)%4), twin, nil)
+					for _, to := range []int{(id + 1) % 4, (id + 2) % 4} {
+						for i := range k {
+							e.Deliver(int32(id), int32(to), twin, [2]int{i, k}, i < k-1)
+						}
+					}
 				})
 			}
 		}
 		e.After(2*time.Millisecond, func() {}) // a global event
 		e.RunAll()
-		for k, log := range sink.logs {
-			if uint64(len(log)) != 2*e.shards[k].events {
-				t.Fatalf("S=%d: shard %d logged %d lines for %d events", shards, k, len(log), e.shards[k].events)
-			}
-			for i := 0; i < len(log); i += 2 {
-				if log[i] == "return" || log[i+1] != "return" {
-					t.Fatalf("S=%d: shard %d logged %q then %q, want each event followed by its return", shards, k, log[i], log[i+1])
+		for sh, log := range sink.logs {
+			returns, want := 0, ""
+			for i, line := range log {
+				if want != "" && !strings.HasPrefix(line, want) {
+					t.Fatalf("S=%d: shard %d logged %q after %q, want %q", shards, sh, line, log[i-1], want)
 				}
+				var from, to, n, k int
+				switch {
+				case line == "return":
+					returns++
+					want = ""
+				case strings.HasPrefix(line, "callback"):
+					want = "return"
+				case strings.HasPrefix(line, "more"):
+					t.Fatalf("S=%d: shard %d logged %q", shards, sh, line)
+				default:
+					fmt.Sscanf(line, "deliver %d→%d %d of %d", &from, &to, &n, &k)
+					if want == "" && n != 1 {
+						t.Fatalf("S=%d: shard %d logged %q, which begins no run", shards, sh, line)
+					}
+					want = "return"
+					if n < k {
+						want = fmt.Sprintf("deliver %d→%d %d of %d", from, to, n+1, k)
+					}
+				}
+			}
+			if want != "" || uint64(returns) != e.shards[sh].events {
+				t.Fatalf("S=%d: shard %d heard %d returns for %d events, its log ending on %q", shards, sh, returns, e.shards[sh].events, log[len(log)-1])
 			}
 		}
 	}

@@ -8,13 +8,18 @@ import (
 // callback in event.to marks a callback event: payload holds the func().
 const callback int32 = -1
 
+// follows in event.to marks a delivery that the next event of its queue
+// continues, as part of one node event: a group's member other than its
+// last. Node ids stay below it.
+const follows int32 = 1 << 30
+
 // never is the time of the next event of an empty queue.
 const never = time.Duration(1<<63 - 1)
 
 // event is one scheduled occurrence, kept by value wherever it waits: in a
 // calendar page, a heap or an outbox. to ≥ 0 marks a delivery of payload to
-// node to through the engine's Sink, sent by node dom; to == callback marks a
-// func() held in payload.
+// node to&^follows through the engine's Sink, sent by node dom; to ==
+// callback marks a func() held in payload.
 type event struct {
 	at      time.Duration
 	seq     uint64
@@ -324,7 +329,7 @@ func (q *queue) load() bool {
 // canonical order. A bucket is ascending runs laid end to end — a shard's own
 // sends of one window, each other shard's, each timer delay's, and a period
 // flush's sends one short run per sender: up to 31 640 runs in one
-// 207 415-event slice of a 4000-node run, and 425 169 of the 8 260 536
+// 207 464-event slice of a 4000-node run, and 425 708 of the 10 006 877
 // events its slices hold in slices of more than 256 — so the runs are
 // merged, pairwise, to and fro between s and the room behind it:
 // O(n log runs) comparisons, n when the bucket is already in order and no

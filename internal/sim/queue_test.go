@@ -311,7 +311,7 @@ func TestCalendarFollowsClockAcrossIdleGap(t *testing.T) {
 	q := &e.shards[0].q
 	for round := 1; round <= 3; round++ {
 		for i := 0; i < 100; i++ {
-			e.Deliver(0, 1, w, nil)
+			e.Deliver(0, 1, w, nil, false)
 		}
 		if len(q.far) != 0 || q.inRing != 100 {
 			t.Fatalf("round %d at %v: %d events in the far heap and %d in the ring, want 0 and 100", round, e.Now(), len(q.far), q.inRing)
@@ -325,7 +325,7 @@ func TestCalendarFollowsClockAcrossIdleGap(t *testing.T) {
 	// sends one window ahead must again be an append.
 	d := e.Domain(0)
 	d.After(10*time.Second, func() {
-		e.Deliver(0, 1, w, nil)
+		e.Deliver(0, 1, w, nil, false)
 		if len(q.far) != 0 || q.inRing != 1 {
 			t.Errorf("after the hop: %d events in the far heap and %d in the ring, want 0 and 1", len(q.far), q.inRing)
 		}
@@ -391,7 +391,7 @@ func TestBurstPagesAreReused(t *testing.T) {
 	e.Domain(0)
 	e.Domain(1)
 	for i := 0; i < burst; i++ {
-		e.Deliver(0, 1, w, nil)
+		e.Deliver(0, 1, w, nil, false)
 	}
 	q := &e.shards[0].q
 	want := (burst + pageLen - 1) / pageLen
@@ -404,7 +404,7 @@ func TestBurstPagesAreReused(t *testing.T) {
 	}
 	steady := func() {
 		for i := 0; i < 1000; i++ {
-			e.Deliver(0, 1, w+time.Duration(i)*w/100, nil) // ten slices
+			e.Deliver(0, 1, w+time.Duration(i)*w/100, nil, false) // ten slices
 		}
 		e.RunAll()
 	}
@@ -440,12 +440,12 @@ func TestDrainedQueueDropsPayloads(t *testing.T) {
 		return p
 	}
 	for i := 0; i < each; i++ {
-		e.Deliver(0, 2, w, tracked())                            // ring, same shard
-		e.Deliver(0, 2, (ringLen+time.Duration(i))*w, tracked()) // far heap
+		e.Deliver(0, 2, w, tracked(), false)                            // ring, same shard
+		e.Deliver(0, 2, (ringLen+time.Duration(i))*w, tracked(), false) // far heap
 		p, q, r := tracked(), tracked(), tracked()
 		d0.After(w/2, func() { // cur, then from inside the window:
-			e.Deliver(0, 1, w, p)              // the outbox to shard 1
-			e.Deliver(0, 2, 0, q)              // a push below the horizon
+			e.Deliver(0, 1, w, p, false)       // the outbox to shard 1
+			e.Deliver(0, 2, 0, q, false)       // a push below the horizon
 			e.DeferGlobal(0, func() { _ = r }) // the global outbox
 		})
 	}

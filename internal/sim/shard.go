@@ -157,22 +157,29 @@ func (e *Engine) runWindow(bound time.Duration) uint64 {
 }
 
 // runTo executes the shard's events with time strictly below bound:
-// callbacks directly, deliveries through sink, which hears when each
-// returns.
+// callbacks directly, deliveries through sink, which hears when each node
+// event returns. A delivery scheduled with more and the one after it are one
+// node event: the two share one (time, sender) and adjacent sequence
+// numbers, so no other event sorts between them, and no window bound parts
+// them.
 func (sh *shard) runTo(bound time.Duration, sink Sink) {
+	joined := false // ev continues the node event of the one before it
 	for {
 		ev, ok := sh.q.popBefore(bound)
 		if !ok {
 			return
 		}
 		sh.now = ev.at
-		sh.events++
+		if !joined {
+			sh.events++
+		}
+		joined = ev.to >= follows // callback is negative
 		if ev.to == callback {
 			ev.payload.(func())()
 		} else {
-			sink.Deliver(ev.dom, ev.to, ev.payload)
+			sink.Deliver(ev.dom, ev.to&^follows, ev.payload, joined)
 		}
-		if sink != nil {
+		if !joined && sink != nil {
 			sink.Returned(sh.id)
 		}
 	}

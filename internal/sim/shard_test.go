@@ -36,7 +36,7 @@ type toyNode struct {
 // `to` except the engine's own scheduling entry points.
 func (*toyNet) Returned(int) {}
 
-func (t *toyNet) Deliver(from, to int32, payload any) {
+func (t *toyNet) Deliver(from, to int32, payload any, more bool) {
 	n := t.nodes[to]
 	hop := payload.(int)
 	n.log = append(n.log, fmt.Sprintf("n%d recv hop=%d from=%d at=%v", to, hop, from, n.ctx.Now()))
@@ -47,7 +47,7 @@ func (t *toyNet) Deliver(from, to int32, payload any) {
 	for k := 0; k < 2; k++ {
 		tgt := (int(to)*5 + hop*13 + k*3) % len(t.nodes)
 		d := twin + time.Duration(n.state%5)*time.Millisecond
-		t.e.Deliver(to, int32(tgt), d, hop-1)
+		t.e.Deliver(to, int32(tgt), d, hop-1, false)
 	}
 	if n.state%3 == 0 {
 		n.ctx.After(time.Duration(n.state%2)*time.Millisecond, func() {
@@ -71,7 +71,7 @@ func runToy(s int, drive func(e *Engine)) *toyNet {
 		t.nodes = append(t.nodes, &toyNode{net: t, id: int32(i), ctx: e.Domain(i)})
 	}
 	for i := 0; i < nodes; i += 3 {
-		e.Deliver(int32(i), int32((i+1)%nodes), twin+time.Duration(i%4)*time.Millisecond, 6)
+		e.Deliver(int32(i), int32((i+1)%nodes), twin+time.Duration(i%4)*time.Millisecond, 6, false)
 	}
 	drive(e)
 	return t
@@ -227,7 +227,7 @@ func TestShardedCrossShardMinDelayPanics(t *testing.T) {
 	d := e.Domain(0)
 	d.After(time.Millisecond, func() {
 		defer func() { panicked = recover() != nil }()
-		e.Deliver(0, 1, twin/2, nil) // node 1 lives on the other shard
+		e.Deliver(0, 1, twin/2, nil, false) // node 1 lives on the other shard
 	})
 	e.RunAll()
 	if !panicked {
@@ -242,7 +242,7 @@ func TestShardedSameShardShortDelay(t *testing.T) {
 	e.Bind(sink)
 	d := e.Domain(0)
 	d.After(time.Millisecond, func() {
-		e.Deliver(0, 2, 0, nil) // node 2 shares shard 0
+		e.Deliver(0, 2, 0, nil, false) // node 2 shares shard 0
 	})
 	e.RunAll()
 	if sink.n != 1 {
@@ -252,7 +252,7 @@ func TestShardedSameShardShortDelay(t *testing.T) {
 
 type countSink struct{ n int }
 
-func (c *countSink) Deliver(from, to int32, payload any) { c.n++ }
+func (c *countSink) Deliver(from, to int32, payload any, more bool) { c.n++ }
 
 func (c *countSink) Returned(int) {}
 
@@ -282,7 +282,7 @@ func newMixRig(shards int) *mixRig {
 	for i := 0; i < mixDeliveries; i++ {
 		// Arrivals spread over the window instead of one instant.
 		offset := mixWindow * time.Duration(i) / mixDeliveries
-		e.Deliver(int32(i), int32(i+1), mixWindow+offset, nil)
+		e.Deliver(int32(i), int32(i+1), mixWindow+offset, nil, false)
 	}
 	for j := 0; j < mixTimers; j++ {
 		node, fires := ctx[j%mixNodes], j
@@ -303,8 +303,8 @@ func newMixRig(shards int) *mixRig {
 // there is more than one — at exactly the lookahead window.
 func (*mixRig) Returned(int) {}
 
-func (r *mixRig) Deliver(from, to int32, payload any) {
-	r.e.Deliver(to, (to+1)%mixNodes, mixWindow, payload)
+func (r *mixRig) Deliver(from, to int32, payload any, more bool) {
+	r.e.Deliver(to, (to+1)%mixNodes, mixWindow, payload, false)
 }
 
 // The steady-state scheduling path allocates nothing, through Deliver and
@@ -351,8 +351,8 @@ func TestAlignedWindowsKeepLateHeapEmpty(t *testing.T) {
 	e := NewSharded(2, w)
 	b := &bouncer{e: e}
 	e.Bind(b)
-	e.Domain(0).After(7*time.Millisecond, func() { e.Deliver(0, 1, w, 20) })
-	e.Domain(1).After(11*time.Millisecond, func() { e.Deliver(1, 0, w, 20) })
+	e.Domain(0).After(7*time.Millisecond, func() { e.Deliver(0, 1, w, 20, false) })
+	e.Domain(1).After(11*time.Millisecond, func() { e.Deliver(1, 0, w, 20, false) })
 	windows := 0
 	for e.RunChunk(time.Second, 1) > 0 {
 		windows++
@@ -376,10 +376,10 @@ type bouncer struct {
 
 func (*bouncer) Returned(int) {}
 
-func (b *bouncer) Deliver(from, to int32, payload any) {
+func (b *bouncer) Deliver(from, to int32, payload any, more bool) {
 	b.n[to]++
 	if hops := payload.(int); hops > 0 {
-		b.e.Deliver(to, from, b.e.window, hops-1)
+		b.e.Deliver(to, from, b.e.window, hops-1, false)
 	}
 }
 
@@ -509,8 +509,8 @@ func TestNodeEventsRunOnShardOf(t *testing.T) {
 			d, sender := e.Domain(id), id+1
 			e.Domain(sender)
 			d.After(time.Millisecond, func() {})
-			d.After(3*twin, func() { e.Deliver(int32(id), int32(id), twin, nil) })
-			e.Deliver(int32(sender), int32(id), twin, nil)
+			d.After(3*twin, func() { e.Deliver(int32(id), int32(id), twin, nil, false) })
+			e.Deliver(int32(sender), int32(id), twin, nil, false)
 			e.RunAll()
 			for k, sh := range e.shards {
 				want := uint64(0)

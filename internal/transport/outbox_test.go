@@ -34,6 +34,27 @@ type sentGroup struct {
 	members  []int
 }
 
+// lane is a class of datagrams whose order on the clock is their order of
+// shipping: the held ones; the others of one set of flags that go alone;
+// and the callbacks' groups of one destination and flags.
+type lane struct {
+	held, alone bool
+	to          netip.AddrPort
+	flags       uint8
+}
+
+// laneOf returns g's lane, sends being the schedule g's members index.
+func laneOf(g sentGroup, sends []outboxSend) lane {
+	s := sends[g.members[0]]
+	switch {
+	case s.held:
+		return lane{held: true}
+	case g.copies > 1 || g.fragment || s.callback < 0:
+		return lane{alone: true, flags: g.flags}
+	}
+	return lane{to: g.to, flags: g.flags}
+}
+
 // FuzzOutbox drives a fuzzer-written sequence of one node's sends through
 // a runtime, once at latency 0 and once at 2 h, and holds what left against
 // the groups net.Outbox — the datagram model, which FuzzGrouping holds
@@ -46,6 +67,8 @@ type sentGroup struct {
 //   - what is queued is exactly net.Outbox's groups — all of them at 2 h,
 //     the held ones at 0 — each with its address, flags and copies, a
 //     message too big for a frame as a fragment train;
+//   - they wait on the clock in the order net.Outbox ships them, lane by
+//     lane (see lane);
 //   - no buffer is held by a slot, a job or the pools twice over, and the
 //     pools hold only buffers of their own size.
 //
@@ -164,10 +187,11 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 		leave(&g)
 	}
 
-	// What waits on the clock.
+	// What waits on the clock, in the order it would leave.
 	rt.clock.mu.Lock()
 	jobs := append([]job(nil), rt.clock.heap.jobs...)
 	rt.clock.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].before(&jobs[b]) })
 	seqOf := func(m msg.Message) int {
 		switch v := m.(type) {
 		case *msg.Blame:
@@ -211,13 +235,21 @@ func checkOutbox(t *testing.T, schedule []byte, latency time.Duration, payload [
 		}
 		got = append(got, g)
 	}
-	byFirst := func(gs []sentGroup) {
-		sort.Slice(gs, func(a, b int) bool { return gs[a].members[0] < gs[b].members[0] })
+	// Every datagram is due one delay after its latest member's send, the
+	// delay set by its flags and whether it is held, so within a lane the
+	// clock keeps the order net.Outbox ships in: a group that goes alone
+	// ships at its send, and a destination and flags' groups of a callback
+	// follow each other as each fills. Across lanes the dues interleave.
+	lanes := func(gs []sentGroup) map[lane][]sentGroup {
+		by := make(map[lane][]sentGroup)
+		for _, g := range gs {
+			k := laneOf(g, sends)
+			by[k] = append(by[k], g)
+		}
+		return by
 	}
-	byFirst(got)
-	byFirst(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("latency %v: queued\n%+v\nnet.Outbox groups\n%+v", latency, got, want)
+	if got, want := lanes(got), lanes(want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("latency %v: queued, lane by lane in clock order\n%+v\nnet.Outbox groups, in the order it ships them\n%+v", latency, got, want)
 	}
 
 	// Every buffer has one holder: a slot, a job or a pool.
