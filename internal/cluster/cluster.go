@@ -205,6 +205,7 @@ type Cluster struct {
 	duties        map[msg.NodeID]*periodDuty // each hosted LiFTinG node's period duty, its latest build's
 	tickIDs       []msg.NodeID               // the tick's scratch: manager ids in order...
 	tickMgrs      []*reputation.Manager      // ...and their managers
+	tickSends     msg.Sends                  // ...and the set they gather verdicts in and carve Expels from (Manager.Tick)
 	nextID        msg.NodeID
 	handoffs      int
 	rebalance     bool // a manager rebalance is scheduled
@@ -416,6 +417,7 @@ func (c *Cluster) build(id msg.NodeID) {
 	c.Nodes[id] = a.node
 	if a.manager != nil {
 		c.Managers[id] = a.manager
+		c.tickSends.Wire()
 	}
 	if a.client != nil {
 		d := &periodDuty{ctx: c.RT.Context(id), node: a.node, client: a.client, rep: &opts.Rep, tick: c.tickPeriod()}
@@ -636,7 +638,7 @@ func (c *Cluster) startNode(id msg.NodeID) {
 	if node == nil {
 		return
 	}
-	c.RT.Exec(id, node.Start)
+	c.RT.Exec(id, node.Starter())
 	if d != nil {
 		d.ctx.After(at-c.RT.Now(), d.fire)
 	}
@@ -689,7 +691,7 @@ func (c *Cluster) tick(p msg.Period) {
 	}
 	c.mu.Unlock()
 	for _, m := range c.tickMgrs {
-		m.Tick(p)
+		m.Tick(p, &c.tickSends)
 	}
 	clear(c.tickMgrs) // keep no manager alive
 	c.tickIDs, c.tickMgrs = c.tickIDs[:0], c.tickMgrs[:0]

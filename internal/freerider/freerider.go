@@ -61,12 +61,11 @@ func (d Degree) Fanout(f int) int {
 
 // FilterProposal implements gossip.Behavior: drop each server's chunks with
 // probability δ2.
-func (d Degree) FilterProposal(s *rng.Stream, chunks []msg.ChunkID, origins []msg.NodeID) []msg.ChunkID {
+func (d Degree) FilterProposal(s *rng.Stream, chunks []msg.ChunkID, origins []msg.NodeID, out []msg.ChunkID) []msg.ChunkID {
 	if d.Delta2 <= 0 {
-		return chunks
+		return append(out, chunks...)
 	}
 	dropped := make(map[msg.NodeID]bool)
-	out := make([]msg.ChunkID, 0, len(chunks))
 	for i, c := range chunks {
 		drop, decided := dropped[origins[i]]
 		if !decided {

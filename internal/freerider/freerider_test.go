@@ -37,18 +37,18 @@ func TestDegreeFilterProposalDropsWholeServers(t *testing.T) {
 	chunks := []msg.ChunkID{0, 1, 2, 3, 4, 5}
 	origin := []msg.NodeID{0, 1, 2, 0, 1, 2}
 	d := Degree{Delta2: 1}
-	if out := d.FilterProposal(s, chunks, origin); len(out) != 0 {
+	if out := d.FilterProposal(s, chunks, origin, nil); len(out) != 0 {
 		t.Fatalf("δ2=1 kept %v", out)
 	}
 	d = Degree{Delta2: 0}
-	if out := d.FilterProposal(s, chunks, origin); len(out) != 6 {
+	if out := d.FilterProposal(s, chunks, origin, nil); len(out) != 6 {
 		t.Fatalf("δ2=0 dropped chunks: %v", out)
 	}
 	// Per-server atomicity: for any draw, chunks 0 and 3 (same origin)
 	// are either both kept or both dropped.
 	d = Degree{Delta2: 0.5}
 	for trial := 0; trial < 100; trial++ {
-		out := d.FilterProposal(s, chunks, origin)
+		out := d.FilterProposal(s, chunks, origin, nil)
 		has := map[msg.ChunkID]bool{}
 		for _, c := range out {
 			has[c] = true
@@ -67,7 +67,7 @@ func TestDegreeFilterProposalRate(t *testing.T) {
 		chunks[i], origin[i] = msg.ChunkID(i), msg.NodeID(i)
 	}
 	d := Degree{Delta2: 0.3}
-	kept := len(d.FilterProposal(s, chunks, origin))
+	kept := len(d.FilterProposal(s, chunks, origin, nil))
 	if math.Abs(float64(kept)/1000-0.7) > 0.05 {
 		t.Fatalf("kept %d/1000, want ≈700", kept)
 	}

@@ -24,13 +24,13 @@ type Behavior interface {
 	// selection toward colluders).
 	SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.NodeID, count int, out []msg.NodeID) []msg.NodeID
 
-	// FilterProposal returns the chunks actually advertised out of those
-	// received in the last period, in the same order (attack ii of §4.1:
-	// partial propose). origins[i] is the node that served chunks[i] — the
-	// footnote in §6.3.1 notes a freerider drops chunks from whole sources
-	// to minimize the number of blaming servers. origins is only good
-	// during the call.
-	FilterProposal(s *rng.Stream, chunks []msg.ChunkID, origins []msg.NodeID) []msg.ChunkID
+	// FilterProposal appends the chunks actually advertised out of those
+	// received in the last period, in the same order, to out and returns
+	// it (attack ii of §4.1: partial propose). origins[i] is the node that
+	// served chunks[i] — the footnote in §6.3.1 notes a freerider drops
+	// chunks from whole sources to minimize the number of blaming servers.
+	// chunks and origins are only good during the call.
+	FilterProposal(s *rng.Stream, chunks []msg.ChunkID, origins []msg.NodeID, out []msg.ChunkID) []msg.ChunkID
 
 	// FilterServe returns the chunks actually served out of those validly
 	// requested (attack i of §4.3: partial serve).
@@ -93,8 +93,8 @@ func (Honest) SelectPartners(s *rng.Stream, dir *membership.Directory, self msg.
 }
 
 // FilterProposal implements Behavior: propose everything received.
-func (Honest) FilterProposal(_ *rng.Stream, chunks []msg.ChunkID, _ []msg.NodeID) []msg.ChunkID {
-	return chunks
+func (Honest) FilterProposal(_ *rng.Stream, chunks []msg.ChunkID, _ []msg.NodeID, out []msg.ChunkID) []msg.ChunkID {
+	return append(out, chunks...)
 }
 
 // FilterServe implements Behavior: serve everything requested.

@@ -40,7 +40,7 @@ func TestHonestTruthfulAtEveryDecisionPoint(t *testing.T) {
 		for i, c := range chunks {
 			origins[i] = msg.NodeID(c % 7)
 		}
-		if got := h.FilterProposal(s, chunks, origins); !slices.Equal(got, chunks) {
+		if got := h.FilterProposal(s, chunks, origins, nil); !slices.Equal(got, chunks) {
 			return false
 		}
 		if got := h.FilterServe(s, chunks); !slices.Equal(got, chunks) {

@@ -123,8 +123,9 @@ type Node struct {
 	period  msg.Period
 	stopped bool
 	// phaseFn is proposePhase as a value, made once: every period hands it
-	// to the timer again.
-	phaseFn func()
+	// to the timer again. startFn is Start as a value, made once too, for
+	// whoever runs it on the node's context (Starter).
+	phaseFn, startFn func()
 
 	have     haveSet
 	wants    wantTable
@@ -136,22 +137,22 @@ type Node struct {
 	// pending are the chunks received since the last propose phase, in
 	// arrival order: the next proposal, carved from it at the phase.
 	// pendingFrom names the server of each (0 for an injected chunk). Both
-	// are scratch, reused every period, as is picked, where a request or a
-	// serve list is gathered before it is carved.
+	// are scratch, reused every period. (A request or a serve list is
+	// gathered in the context's scratch before it is carved:
+	// msg.Sends.ScratchChunks.)
 	pending     []msg.ChunkID
 	pendingFrom []msg.NodeID
-	picked      []msg.ChunkID
 
 	// fanin logs the serves accepted in the current period in arrival order;
-	// a propose phase groups it by server into servers, one fanin record per
-	// server per period. Both are scratch, reused every period.
-	fanin   []arrival
-	servers []msg.ServeRecord
+	// a propose phase groups it by server, one fanin record per server per
+	// period, in the context's scratch (msg.Sends.ScratchServes). It is
+	// scratch too, reused every period.
+	fanin []arrival
 
 	// phases is the ring of the last nh propose phases' consumed marks, so
 	// that a chunk is served once per proposal (nodes only serve chunks in
 	// P ∩ R, §3; the log says what P was). Period p lives in phases[p%nh];
-	// the ring is made by the first proposal.
+	// the ring is made with the node.
 	phases []phase
 }
 
@@ -187,8 +188,9 @@ func NewNode(id msg.NodeID, cfg Config, deps Deps) *Node {
 		have:     haveSet{horizon: limit},
 		wants:    newWantTable(limit),
 		askLimit: askLimitFor(cfg),
+		phases:   make([]phase, cfg.HistoryPeriods),
 	}
-	n.phaseFn = n.proposePhase
+	n.phaseFn, n.startFn = n.proposePhase, n.Start
 	n.retries = sim.NewDeadlines(deps.Ctx, cfg.RequestRetry, n.retry)
 	return n
 }
@@ -213,6 +215,10 @@ func (n *Node) ChunkCount() int { return n.have.count }
 func (n *Node) Start() {
 	n.deps.Ctx.After(n.cfg.StartOffset, n.phaseFn)
 }
+
+// Starter returns Start as a func value made with the node, to run it on
+// the node's execution context without making one.
+func (n *Node) Starter() func() { return n.startFn }
 
 // Stop halts the node for good: no further phases run, incoming messages are
 // ignored, and its retry queue and (through Monitor.OnStop) its verifier's
@@ -266,20 +272,19 @@ func (n *Node) proposePhase() {
 		n.deps.History.RecordServeReceived(s.Period, s.Server, s.Chunks)
 	}
 
-	from := n.pendingFrom
-	var proposal []msg.ChunkID
-	if len(n.pending) > 0 {
-		proposal = n.deps.Sends.KeptChunks(len(n.pending))
-		copy(proposal, n.pending)
-	}
+	// The period's scratch, emptied for the next period and read through
+	// this phase: nothing the phase calls holds a chunk, so nothing refills
+	// it before the phase returns.
+	proposal, from := n.pending, n.pendingFrom
 	n.pending, n.pendingFrom = n.pending[:0], n.pendingFrom[:0]
 
 	b := n.deps.Behavior
 	var partners []msg.NodeID
 	var advertised []msg.ChunkID
 	if len(proposal) > 0 {
-		advertised = b.FilterProposal(n.deps.Rand, proposal, from)
-		// Everyone the list is handed to from here on only reads it.
+		// The advertised list is carved: the log keeps it nh periods, and
+		// everyone it is handed to from here on only reads it.
+		advertised = b.FilterProposal(n.deps.Rand, proposal, from, n.deps.Sends.KeptChunks(len(proposal))[:0])
 		advertised = slices.Clip(advertised)
 		if len(advertised) > 0 {
 			count := b.Fanout(n.cfg.F)
@@ -313,10 +318,7 @@ func (n *Node) proposePhase() {
 			n.deps.Net.Send(n.id, p, m, net.Unreliable)
 		}
 		n.deps.History.RecordProposalsSent(n.period, partners, advertised)
-		if n.phases == nil {
-			n.phases = make([]phase, nh)
-		}
-		n.phases[n.period%nh].set(len(advertised) * len(partners))
+		n.phases[n.period%nh].consumed = n.deps.Sends.Marks((len(advertised)*len(partners) + 63) / 64)
 	}
 
 	n.deps.Monitor.OnProposePhase(n.period, partners, advertised, serversLast)
@@ -332,26 +334,27 @@ func (n *Node) proposePhase() {
 }
 
 // groupFanin turns the period's arrival log into one record per server, in
-// server order, each with its chunks in arrival order. The records are
-// scratch, good until the next call; the chunk lists are one list carved
-// from the long-lived send blocks, which whoever is handed them may keep.
+// server order, each with its chunks in arrival order. The records are the
+// context's scratch, good until the propose phase returns; the chunk lists
+// are one list carved from the long-lived send blocks, which whoever is
+// handed them may keep.
 func (n *Node) groupFanin() []msg.ServeRecord {
-	n.servers = n.servers[:0]
 	if len(n.fanin) == 0 {
 		return nil
 	}
+	servers := n.deps.Sends.ScratchServes()
 	slices.SortStableFunc(n.fanin, func(a, b arrival) int { return cmp.Compare(a.server, b.server) })
 	chunks := n.deps.Sends.KeptChunks(len(n.fanin))
 	start := 0
 	for i, a := range n.fanin {
 		chunks[i] = a.chunk
 		if i+1 == len(n.fanin) || n.fanin[i+1].server != a.server {
-			n.servers = append(n.servers, msg.ServeRecord{Period: n.period - 1, Server: a.server, Chunks: chunks[start : i+1 : i+1]})
+			*servers = append(*servers, msg.ServeRecord{Period: n.period - 1, Server: a.server, Chunks: chunks[start : i+1 : i+1]})
 			start = i + 1
 		}
 	}
 	n.fanin = n.fanin[:0]
-	return n.servers
+	return *servers
 }
 
 // originsOf fills origins with the server of each advertised chunk, given
@@ -395,7 +398,7 @@ var _ net.Handler = (*Node)(nil)
 func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 	n.deps.History.RecordProposalReceived(n.period, from, m.Chunks)
 	now := n.deps.Ctx.Now()
-	n.picked = n.picked[:0]
+	picked := n.deps.Sends.ScratchChunks()
 	for _, c := range m.Chunks {
 		if n.have.has(c) {
 			continue
@@ -409,12 +412,12 @@ func (n *Node) onPropose(from msg.NodeID, m *msg.Propose) {
 		if w.requested && now-w.lastRequest < n.cfg.RequestRetry {
 			continue
 		}
-		n.picked = append(n.picked, c)
+		*picked = append(*picked, c)
 	}
-	if len(n.picked) == 0 {
+	if len(*picked) == 0 {
 		return
 	}
-	n.sendRequest(from, m.Period, n.deps.Sends.Chunks(n.picked))
+	n.sendRequest(from, m.Period, n.deps.Sends.Chunks(*picked))
 }
 
 // sendRequest issues a request and opens its recovery deadline.
@@ -455,18 +458,18 @@ func (n *Node) onRequest(from msg.NodeID, m *msg.Request) {
 		// Requests that do not correspond to a proposal are ignored (§4.2).
 		return
 	}
-	n.picked = n.picked[:0]
+	picked := n.deps.Sends.ScratchChunks()
 	for _, c := range m.Chunks {
 		// Each chunk is served at most once per proposal, even across
 		// repeated requests.
 		if i := slices.Index(advertised, c); i >= 0 && ph.consume(row*len(advertised)+i) {
-			n.picked = append(n.picked, c)
+			*picked = append(*picked, c)
 		}
 	}
-	if len(n.picked) == 0 {
+	if len(*picked) == 0 {
 		return
 	}
-	served := n.deps.Behavior.FilterServe(n.deps.Rand, n.deps.Sends.Chunks(n.picked))
+	served := n.deps.Behavior.FilterServe(n.deps.Rand, n.deps.Sends.Chunks(*picked))
 	// The serves of one request are carved together; a message is
 	// read-only once sent, so nothing else tells them apart from separate
 	// ones.

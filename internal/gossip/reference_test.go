@@ -119,7 +119,7 @@ func (n *refNode) proposePhase() {
 		for i, c := range proposal {
 			from[i] = n.originOf[c]
 		}
-		advertised = b.FilterProposal(n.deps.Rand, proposal, from)
+		advertised = b.FilterProposal(n.deps.Rand, proposal, from, nil)
 		if len(advertised) > 0 {
 			count := b.Fanout(n.cfg.F)
 			partners = b.SelectPartners(n.deps.Rand, n.deps.Dir, n.id, count, nil)

@@ -57,7 +57,10 @@ type nopSink struct{}
 
 func (nopSink) Blame(msg.NodeID, float64, msg.BlameReason) {}
 
-func newRoundRig() *roundRig {
+func newRoundRig() *roundRig { return newRoundRigWith(gossip.Honest{}) }
+
+// newRoundRigWith is newRoundRig with b as both nodes' behaviour.
+func newRoundRigWith(b gossip.Behavior) *roundRig {
 	const n, f, nh = 9, 8, 50
 	r := &roundRig{eng: sim.NewEngine()}
 	root := rng.New(5)
@@ -78,7 +81,7 @@ func newRoundRig() *roundRig {
 		v := core.NewVerifier(id, core.Config{F: f, Period: roundPeriod, Pdcc: 1, HistoryPeriods: nh, Gamma: 8.95, Eta: -9.75},
 			ctx, netw, root.ForNode(uint32(i)).Derive("verifier"), hist, gossip.Honest{}, nopSink{}, sends)
 		r.nodes[i] = gossip.NewNode(id, cfg, shipped(cfg, gossip.Deps{
-			Ctx: ctx, Net: netw, Dir: dir, Rand: root.ForNode(uint32(i)),
+			Ctx: ctx, Net: netw, Dir: dir, Rand: root.ForNode(uint32(i)), Behavior: b,
 			Monitor: v, Aux: v, History: hist, Sends: sends, Metrics: col, VerifiedOnce: verified,
 		}))
 		netw.Attach(id, r.nodes[i])
@@ -97,8 +100,11 @@ func (r *roundRig) prepare(rounds int) {
 	}
 }
 
-func (r *roundRig) round() {
-	for i := 0; i < 8; i++ {
+func (r *roundRig) round() { r.roundOf(8) }
+
+// roundOf is a round in which k new chunks enter node 0.
+func (r *roundRig) roundOf(k int) {
+	for i := 0; i < k; i++ {
 		payload, hash := r.payloads[r.next], r.hashes[r.next]
 		r.nodes[0].InjectChunkData(r.next, payload, hash)
 		r.next++
@@ -114,15 +120,17 @@ const blockRounds = 128
 // blockAllocs is what blockRounds rounds allocate once every ring, pool and
 // slice has reached its size: the send blocks everything sent is carved
 // from, msg.Sends blocks twice a one-node set's, the set being wired to both
-// nodes — 2 × msg.SendBlock = 32 structs, 128 serves and 1 024 ids. (A
-// one-node set's blocks half the size make the same 41 in 64 rounds.) An
+// nodes — 2 × msg.SendBlock = 32 structs, 128 serves, 1 024 ids and 256
+// mark words. (A one-node set's blocks half the size make the same 42 in 64
+// rounds.) An
 // armed deadline or an open check is none of it: the retry of a
 // request, a serve check, an ack expectation and a confirm session are
 // by-value records in the node's four sim.Deadlines queues, armed with a
 // func value made once. Nor is the content plane: a serve carries the stored
 // slice itself, the receiver hashes it once and stores it in a slot, and the
 // collector's counters are atomic adds. Nor is the scratch a node gathers a
-// proposal, a request or a serve list in before carving it.
+// proposal, a request or a serve list in before carving it, nor the ring of
+// its propose phases, made with the node.
 //
 //	per round:
 //	  2  Proposes, one per phase, shared by the 8 partners: 256 in 128
@@ -140,7 +148,9 @@ const blockRounds = 128
 //	     the acks name: 2048, 2 blocks
 //	  24 long-lived chunk ids, the two proposals and node 1's fan-in
 //	     block, which the logs keep nh periods: 3072, 3 blocks
-const blockAllocs = 8 + 4*4 + 8 + 2 + 2 + 2 + 3
+//	  2  mark words, one a propose phase's 8 × 8 consumed bits, which live
+//	     as long as the proposal: 256, 1 block
+const blockAllocs = 8 + 4*4 + 8 + 2 + 2 + 2 + 3 + 1
 
 func TestSteadyStateRoundAllocations(t *testing.T) {
 	const runs = 10
@@ -177,6 +187,69 @@ func TestSteadyStateRoundAllocations(t *testing.T) {
 	if !maps.Equal(got, want) {
 		t.Fatalf("%d × %d steady-state rounds allocate %v by function, want %v (see blockAllocs and haveGrowth); by site: %v",
 			runs, blockRounds, got, want, sites)
+	}
+}
+
+// setFanout is an honest behaviour whose fanout is set from outside, round
+// by round.
+type setFanout struct {
+	gossip.Honest
+	f *int
+}
+
+func (b setFanout) Fanout(int) int { return *b.f }
+
+// Rounds whose proposals and partner lists change size from period to
+// period allocate nothing outside the send blocks and the have-set either,
+// once the largest round has been seen: a propose phase's marks are carved
+// as its proposal is, not kept per slot of the phase ring and re-made when
+// a slot meets a larger proposal than it held before. The warm-up opens
+// with the largest round — 16 chunks to all 8 partners, 128 marks — and
+// goes on with rounds of at most 8 chunks to at most 8 partners, each
+// proposal's marks one word; the measured rounds draw from 1 to 16 chunks
+// and from 1 to 8 partners, so that phase slots meet their first two-word
+// proposals after the warm-up. What the rounds carve varies, so the blocks
+// are not counted.
+func TestVaryingRoundsAllocateOnlySendBlocks(t *testing.T) {
+	const warm, measured = 512, 1280
+	fanout := 8
+	r := newRoundRigWith(setFanout{f: &fanout})
+	draw := rng.New(9)
+	sizes := make([]int, warm+measured)
+	fanouts := make([]int, warm+measured)
+	for i := range sizes {
+		switch {
+		case i == 0:
+			sizes[i], fanouts[i] = 16, 8
+		case i < warm:
+			sizes[i], fanouts[i] = 1+draw.IntN(8), 1+draw.IntN(8)
+		default:
+			sizes[i], fanouts[i] = 1+draw.IntN(16), 1+draw.IntN(8)
+		}
+	}
+	total := 0
+	for _, k := range sizes {
+		total += k
+	}
+	r.prepare((total + 7) / 8)
+	i := 0
+	play := func() {
+		fanout = fanouts[i]
+		r.roundOf(sizes[i])
+		i++
+	}
+	for i < warm {
+		play()
+	}
+	sites := siteAllocs(t, measured, play)
+	for site := range sites {
+		fn, _, _ := strings.Cut(site, " ")
+		if fn != "lifting/internal/msg.(*Blocks[...]).carve" && fn != "lifting/internal/gossip.(*haveSet).add" {
+			t.Fatalf("%d rounds of varying size allocate outside the send blocks and the have-set; by site: %v", measured, sites)
+		}
+	}
+	if held := r.nodes[1].ChunkCount(); held == 0 {
+		t.Fatal("node 1 took in no chunk: the rounds are not the ones described")
 	}
 }
 

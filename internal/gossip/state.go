@@ -159,21 +159,25 @@ func (w *want) ask(server msg.NodeID, now time.Duration, limit int) {
 // chunk arrives, leave oldest first when the table is full, and expire nh
 // periods after they were made; the slab never exceeds limit records.
 type wantTable struct {
-	index          map[msg.ChunkID]int32
+	index          wantIndex
 	slab           []want
 	free           int32
 	oldest, newest int32
-	limit          int
+	live, limit    int
 }
 
 func newWantTable(limit int) wantTable {
-	return wantTable{index: make(map[msg.ChunkID]int32), free: -1, oldest: -1, newest: -1, limit: limit}
+	horizon := indexHorizon(limit)
+	return wantTable{
+		index: wantIndex{ring: make([]int32, min(wantRing, horizon)), horizon: horizon},
+		free:  -1, oldest: -1, newest: -1, limit: limit,
+	}
 }
 
 // get returns the record of c, or nil. The pointer is good until the next
 // obtain.
 func (t *wantTable) get(c msg.ChunkID) *want {
-	if i, ok := t.index[c]; ok {
+	if i := t.index.find(t.slab, c); i >= 0 {
 		return &t.slab[i]
 	}
 	return nil
@@ -184,7 +188,7 @@ func (t *wantTable) obtain(c msg.ChunkID, now msg.Period) *want {
 	if w := t.get(c); w != nil {
 		return w
 	}
-	if len(t.index) >= t.limit {
+	if t.live >= t.limit {
 		t.release(&t.slab[t.oldest])
 	}
 	i := t.free
@@ -194,6 +198,9 @@ func (t *wantTable) obtain(c msg.ChunkID, now msg.Period) *want {
 		i = int32(len(t.slab))
 		t.slab = append(t.slab, want{})
 	}
+	// Indexed before it is linked: a ring that grows indexes the live
+	// records, and this one is not yet.
+	t.index.add(t, c, i)
 	w := &t.slab[i]
 	*w = want{chunk: c, born: now, slot: i, prev: t.newest, next: -1}
 	if t.newest >= 0 {
@@ -202,13 +209,14 @@ func (t *wantTable) obtain(c msg.ChunkID, now msg.Period) *want {
 		t.oldest = i
 	}
 	t.newest = i
-	t.index[c] = i
+	t.live++
 	return w
 }
 
 // release recycles a live record.
 func (t *wantTable) release(w *want) {
-	delete(t.index, w.chunk)
+	t.index.remove(w.chunk, w.slot)
+	t.live--
 	if w.prev >= 0 {
 		t.slab[w.prev].next = w.next
 	} else {
@@ -234,6 +242,107 @@ func (t *wantTable) expire(now, retention msg.Period) {
 	}
 }
 
+// wantIndex finds a live want's slot by chunk id. The stream's ids are
+// dense and a node's live wants span a short run of them, so the index is a
+// ring over the ids, not a hash of them: id c sits at ring[c mod len(ring)],
+// which holds its slot plus one, 0 for none. Two live ids the ring cannot
+// tell apart double it, up to horizon entries; past that, the id that
+// collides is kept in the sparse map instead — where a flood of hostile ids
+// ends up, as haveSet keeps the ids above its horizon.
+type wantIndex struct {
+	ring    []int32
+	far     map[msg.ChunkID]int32
+	horizon int
+}
+
+// wantRing is the ring a want table starts with, made with the node: 32
+// entries, 128 bytes, the span of live ids most nodes' wants stay within
+// (in sim_scale, 128 of 4 000 nodes outgrow it, 27 of them to 512).
+const wantRing = 32
+
+// indexHorizon is the largest ring a table of limit records takes: the
+// power of two at or above limit, 4 bytes an entry.
+func indexHorizon(limit int) int {
+	h := 1
+	for h < limit {
+		h *= 2
+	}
+	return h
+}
+
+// find returns c's slot in slab, or -1.
+func (x *wantIndex) find(slab []want, c msg.ChunkID) int32 {
+	if i := x.ring[int(c)&(len(x.ring)-1)] - 1; i >= 0 && slab[i].chunk == c {
+		return i
+	}
+	if len(x.far) == 0 {
+		return -1
+	}
+	if i, ok := x.far[c]; ok {
+		return i
+	}
+	return -1
+}
+
+// add indexes c, which has no entry, at slot i of t's slab.
+func (x *wantIndex) add(t *wantTable, c msg.ChunkID, i int32) {
+	for {
+		if e := &x.ring[int(c)&(len(x.ring)-1)]; *e == 0 {
+			*e = i + 1
+			return
+		}
+		if len(x.ring) >= x.horizon {
+			x.spill(c, i)
+			return
+		}
+		x.grow(t)
+	}
+}
+
+// grow doubles the ring, and again while two live records collide in it
+// below the horizon, and indexes every live record of t anew, oldest first.
+// Nothing is in the sparse map yet: only a ring at the horizon spills.
+func (x *wantIndex) grow(t *wantTable) {
+	for n := 2 * len(x.ring); !x.rebuild(t, n); n *= 2 {
+	}
+}
+
+// rebuild indexes every live record of t in a ring of n entries. It reports
+// false, leaving the index to be rebuilt, if two of them collide in a ring
+// below the horizon.
+func (x *wantIndex) rebuild(t *wantTable, n int) bool {
+	x.ring = make([]int32, n)
+	for i := t.oldest; i >= 0; i = t.slab[i].next {
+		c := t.slab[i].chunk
+		switch e := &x.ring[int(c)&(n-1)]; {
+		case *e == 0:
+			*e = i + 1
+		case n < x.horizon:
+			return false
+		default:
+			x.spill(c, i)
+		}
+	}
+	return true
+}
+
+// spill indexes c at slot i in the sparse map.
+func (x *wantIndex) spill(c msg.ChunkID, i int32) {
+	if x.far == nil {
+		x.far = make(map[msg.ChunkID]int32)
+	}
+	x.far[c] = i
+}
+
+// remove drops c's entry, which names slot i.
+func (x *wantIndex) remove(c msg.ChunkID, i int32) {
+	if e := &x.ring[int(c)&(len(x.ring)-1)]; *e == i+1 {
+		*e = 0
+		return
+	}
+	delete(x.far, c)
+}
+
 // phase is what the serve rule keeps of one propose phase beside the
 // accountability log, which holds its advertised list and partners
 // (history.Log.LastProposalTo): which chunks of the proposal to each partner
@@ -241,21 +350,11 @@ func (t *wantTable) expire(now, retention msg.Period) {
 // Chunk i of the proposal to the partner in row k is bit k·len(advertised)+i.
 // Phases live in a ring of nh slots indexed by period; a slot is read only
 // for the proposal the log names as a partner's last, inside the ring's nh
-// periods, so what an older phase left in it is never seen.
+// periods, so what an older phase left in it is never seen. Each phase's
+// bitset is carved from the execution context's long-lived blocks
+// (msg.Sends.Marks), as the proposal it marks is: the two live as long.
 type phase struct {
 	consumed []uint64
-}
-
-// set clears the bits of a proposal of the given number of (partner, chunk)
-// pairs.
-func (ph *phase) set(pairs int) {
-	words := (pairs + 63) / 64
-	if cap(ph.consumed) < words {
-		ph.consumed = make([]uint64, words)
-		return
-	}
-	ph.consumed = ph.consumed[:words]
-	clear(ph.consumed)
 }
 
 // consume marks a bit and reports whether it was not yet marked.

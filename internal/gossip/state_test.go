@@ -23,8 +23,8 @@ func TestWantTableRecyclesEvictsAndExpires(t *testing.T) {
 	}
 	// A chunk that arrives frees its record for the next want.
 	tab.release(tab.get(12))
-	if tab.get(12) != nil || len(tab.index) != 3 {
-		t.Fatalf("released record still found (%d live)", len(tab.index))
+	if tab.get(12) != nil || tab.live != 3 {
+		t.Fatalf("released record still found (%d live)", tab.live)
 	}
 	tab.obtain(20, 5)
 	if len(tab.slab) != 4 {
@@ -35,8 +35,8 @@ func TestWantTableRecyclesEvictsAndExpires(t *testing.T) {
 	if tab.get(10) != nil || tab.get(11) == nil || tab.get(13) == nil || tab.get(20) == nil {
 		t.Fatal("a full table did not evict its oldest record")
 	}
-	if len(tab.index) != 4 || len(tab.slab) != 4 {
-		t.Fatalf("table holds %d live in %d records, want 4 in 4", len(tab.index), len(tab.slab))
+	if tab.live != 4 || len(tab.slab) != 4 {
+		t.Fatalf("table holds %d live in %d records, want 4 in 4", tab.live, len(tab.slab))
 	}
 	// Retention 3 at period 5 drops what was born at or before period 2.
 	tab.expire(5, 3)
@@ -44,8 +44,8 @@ func TestWantTableRecyclesEvictsAndExpires(t *testing.T) {
 		t.Fatal("expire did not drop exactly the records of age >= retention")
 	}
 	tab.expire(100, 3)
-	if len(tab.index) != 0 || tab.oldest != -1 || tab.newest != -1 {
-		t.Fatalf("expired table still lists records: %d live, ends %d..%d", len(tab.index), tab.oldest, tab.newest)
+	if tab.live != 0 || tab.oldest != -1 || tab.newest != -1 {
+		t.Fatalf("expired table still lists records: %d live, ends %d..%d", tab.live, tab.oldest, tab.newest)
 	}
 	if w := tab.obtain(30, 100); w.nOffers != 0 || len(w.askedOf()) != 0 || w.requested || w.retries != 0 {
 		t.Fatalf("recycled record was not reset: %+v", *w)
@@ -263,9 +263,9 @@ func TestFloodOfUnservedIdsIsBounded(t *testing.T) {
 			netw.Send(2, 0, &msg.Propose{Sender: 2, Period: msg.Period(p), Chunks: []msg.ChunkID{legit}}, net.Unreliable)
 		}
 		eng.Run(time.Duration(p) * cfg.Period)
-		maxLive = max(maxLive, len(victim.wants.index))
-		if len(victim.wants.index) > limit || len(victim.wants.slab) > limit {
-			t.Fatalf("period %d: %d wants in %d records, cap %d", p, len(victim.wants.index), len(victim.wants.slab), limit)
+		maxLive = max(maxLive, victim.wants.live)
+		if victim.wants.live > limit || len(victim.wants.slab) > limit {
+			t.Fatalf("period %d: %d wants in %d records, cap %d", p, victim.wants.live, len(victim.wants.slab), limit)
 		}
 	}
 	if maxLive != limit {
@@ -284,8 +284,8 @@ func TestFloodOfUnservedIdsIsBounded(t *testing.T) {
 	}
 	// Once the flood stops the table drains by age.
 	eng.Run(time.Duration(periods+cfg.HistoryPeriods+1) * cfg.Period)
-	if len(victim.wants.index) != 0 {
-		t.Fatalf("%d wants left nh periods after the flood", len(victim.wants.index))
+	if victim.wants.live != 0 {
+		t.Fatalf("%d wants left nh periods after the flood", victim.wants.live)
 	}
 }
 
@@ -307,7 +307,7 @@ func TestSteadyStateIsBoundedByProtocolParameters(t *testing.T) {
 		if got := n.ChunkCount(); got < periods*perPeriod*95/100 {
 			t.Fatalf("node %d holds %d of %d chunks: dissemination broke", id, got, periods*perPeriod)
 		}
-		live, records := len(n.wants.index), len(n.wants.slab)
+		live, records := n.wants.live, len(n.wants.slab)
 		if live > limit || records-live > limit {
 			t.Errorf("node %d: %d wants and %d free records, bound f·|R|·nh = %d", id, live, records-live, limit)
 		}
@@ -328,8 +328,8 @@ func TestSteadyStateIsBoundedByProtocolParameters(t *testing.T) {
 		if len(n.have.far) != 0 || 64*len(n.have.bits) > periods*perPeriod+64 {
 			t.Errorf("node %d: have set of %d words and %d sparse ids for %d dense ids", id, len(n.have.bits), len(n.have.far), periods*perPeriod)
 		}
-		if cap(n.pendingFrom) > 64 || cap(n.fanin) > 64 || cap(n.servers) > 64 {
-			t.Errorf("node %d: per-period scratch grew to %d/%d/%d entries", id, cap(n.pendingFrom), cap(n.fanin), cap(n.servers))
+		if cap(n.pendingFrom) > 64 || cap(n.fanin) > 64 {
+			t.Errorf("node %d: per-period scratch grew to %d/%d entries", id, cap(n.pendingFrom), cap(n.fanin))
 		}
 	}
 }

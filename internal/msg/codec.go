@@ -169,7 +169,8 @@ const (
 )
 
 // Block sizes of a Sends set one node carves from: SendBlock structs of each
-// kind but Serve, sendServeBlock serves, sendIDBlock ids per list field. An
+// kind but Serve, sendServeBlock serves, sendIDBlock ids per list field,
+// sendBitBlock words of a propose phase's consumed marks. An
 // execution context holds one partly used block of each for good — one set
 // per engine shard on the sim, one per node on udp — so the sizes trade that
 // standing cost (DESIGN.md, "The send side") against how often a block is
@@ -179,6 +180,7 @@ const (
 	SendBlock      = 16
 	sendServeBlock = 64
 	sendIDBlock    = 512
+	sendBitBlock   = 128
 	maxSendShare   = 64
 )
 
@@ -221,18 +223,26 @@ func (b *Blocks[T]) Place(v T, size int) *T {
 
 // Sends is the set of blocks the messages of one execution context are
 // carved from as they are sent: every Propose, Request, Serve, Ack, Confirm,
-// ConfirmResp, Blame and Handoff, and their id lists. Every node of the
+// ConfirmResp, Blame, Expel and Handoff, and their id lists. Every node of the
 // context shares it, each with all of its components — gossip, verifier,
 // blame client — and, like Blocks, it is used by one goroutine at a time:
 // there is one set per engine shard on the sim (a shard's window runs on one
 // goroutine, and the global phase only while every shard is parked) and one
 // per node on udp, whose callbacks the node's lock serializes. The lists a
 // history.Log keeps for nh periods — a proposal, a fan-in block, a propose
-// phase's partners — come from blocks of their own, so that one long-held
-// list does not pin a block of short-lived ones. Nothing is carved twice
-// (see Blocks), so a receiver on the sim, which is handed the sender's very
-// message, may keep what it holds. The zero value is ready to use, with the
-// blocks of a set one node carves from.
+// phase's partners, and the marks of what its partners requested — come
+// from blocks of their own, so that one long-held list does not pin a block
+// of short-lived ones. Nothing is carved twice (see Blocks), so a receiver
+// on the sim, which is handed the sender's very message, may keep what it
+// holds.
+//
+// The set also keeps the context's scratch lists (ScratchChunks,
+// ScratchNodes, ScratchServes): a list a component gathers, reads and drops
+// within one call, which the context's nodes take in turn, so its capacity
+// is paid once per context and not once per node. A scratch list is good
+// until the call that took it returns, and nothing it calls may take the
+// same kind. The zero value is ready to use, with the blocks of a set one
+// node carves from.
 type Sends struct {
 	share int // nodes wired to the set (Wire), at most maxSendShare
 
@@ -243,12 +253,18 @@ type Sends struct {
 	confirms     Blocks[Confirm]
 	confirmResps Blocks[ConfirmResp]
 	blames       Blocks[Blame]
+	expels       Blocks[Expel]
 	handoffs     Blocks[Handoff]
 
 	chunks   Blocks[ChunkID] // request and serve lists: held until a timeout
 	kept     Blocks[ChunkID] // proposals and fan-in blocks: held nh periods
 	origins  Blocks[NodeID]
 	partners Blocks[NodeID] // partner lists: held nh periods
+	marks    Blocks[uint64] // propose phases' consumed marks: held nh periods
+
+	scratchChunks []ChunkID
+	scratchNodes  []NodeID
+	scratchServes []ServeRecord
 }
 
 // Wire records one more node carving from the set; whoever hands a node its
@@ -288,6 +304,9 @@ func (s *Sends) ConfirmResp(v ConfirmResp) *ConfirmResp {
 // Blame returns v carved from the set.
 func (s *Sends) Blame(v Blame) *Blame { return s.blames.Place(v, s.block(SendBlock)) }
 
+// Expel returns v carved from the set.
+func (s *Sends) Expel(v Expel) *Expel { return s.expels.Place(v, s.block(SendBlock)) }
+
 // Handoff returns v carved from the set.
 func (s *Sends) Handoff(v Handoff) *Handoff { return s.handoffs.Place(v, s.block(SendBlock)) }
 
@@ -313,6 +332,32 @@ func (s *Sends) Origins(n int) []NodeID { return s.origins.carve(n, s.block(send
 // Partners returns an empty list with room for n node ids, carved from the
 // set's long-lived lists: a propose phase's partners, appended to it.
 func (s *Sends) Partners(n int) []NodeID { return s.partners.carve(n, s.block(sendIDBlock))[:0] }
+
+// Marks returns n zero words carved from the set's long-lived lists: the
+// bitset that marks which chunks of a propose phase its partners requested.
+func (s *Sends) Marks(n int) []uint64 { return s.marks.carve(n, s.block(sendBitBlock)) }
+
+// ScratchChunks returns the set's scratch id list, emptied: append to it
+// through the pointer, and what it grows to serves the next call.
+func (s *Sends) ScratchChunks() *[]ChunkID {
+	s.scratchChunks = s.scratchChunks[:0]
+	return &s.scratchChunks
+}
+
+// ScratchNodes returns the set's scratch node list, emptied, as
+// ScratchChunks does.
+func (s *Sends) ScratchNodes() *[]NodeID {
+	s.scratchNodes = s.scratchNodes[:0]
+	return &s.scratchNodes
+}
+
+// ScratchServes returns the set's scratch list of fan-in records, emptied,
+// as ScratchChunks does. The records' chunk lists are the caller's; what
+// the list last held keeps them alive until the next call overwrites it.
+func (s *Sends) ScratchServes() *[]ServeRecord {
+	s.scratchServes = s.scratchServes[:0]
+	return &s.scratchServes
+}
 
 // Decoder decodes exactly as Decode does, for one goroutine at a time, but
 // carves the structs, id lists and payloads of the hot message kinds (serve,

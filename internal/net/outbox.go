@@ -96,6 +96,14 @@ func (o *Outbox[B]) End() []Group[B] {
 	return gs
 }
 
+// Arrival is one message of a group as its runtime received it, with its
+// wire size (msg.Message.WireSize), which the runtime knows without walking
+// the message again: the sim from the send, udp from the bytes it decoded.
+type Arrival struct {
+	M    msg.Message
+	Size int
+}
+
 // Receive is the receive loop of both runtimes: it hands node to the
 // messages of one group from sender from that arrived for it, in order,
 // within one callback of to's. A message to a node that is down or has no
@@ -103,13 +111,13 @@ func (o *Outbox[B]) End() []Group[B] {
 // draw, with probability loss (0 on the sim, whose sender drew it); each of
 // the others is delivered, and the collector counts every drop and
 // delivery.
-func Receive(c *metrics.Collector, from, to msg.NodeID, h Handler, ms []msg.Message, down bool, loss float64, rand Rand) {
-	for _, m := range ms {
+func Receive(c *metrics.Collector, from, to msg.NodeID, h Handler, in []Arrival, down bool, loss float64, rand Rand) {
+	for _, a := range in {
 		if h == nil || down || loss > 0 && rand.Bernoulli(loss) {
-			c.OnDrop(m, m.WireSize())
+			c.OnDrop(a.M, a.Size)
 			continue
 		}
-		c.OnDeliver(to, m, m.WireSize())
-		h.HandleMessage(from, m)
+		c.OnDeliver(to, a.M, a.Size)
+		h.HandleMessage(from, a.M)
 	}
 }

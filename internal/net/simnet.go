@@ -152,12 +152,12 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 	g, fresh := sh.out.Add(from, to, flags, size-msg.TransportHeaderSize, start+tx+latency, copies, held, n.engine.InWindow())
 	if g.Alone {
 		for range copies {
-			n.engine.Deliver(int32(from), int32(to), g.Due-now, m, false)
+			n.engine.Deliver(int32(from), int32(to), g.Due-now, m, uint32(size), false)
 		}
 		return
 	}
 	i := int32(len(sh.msgs))
-	sh.msgs = append(sh.msgs, link{m: m, next: -1})
+	sh.msgs = append(sh.msgs, link{m: m, size: uint32(size), next: -1})
 	if fresh {
 		g.Body = chain{i, i}
 	} else {
@@ -169,7 +169,8 @@ func (n *SimNet) Send(from, to msg.NodeID, m msg.Message, mode Mode) {
 // Returned implements sim.Sink: the node event shard ran has returned, so
 // the groups its sends began are sealed and ship, each at its due as one
 // engine delivery per message, each but the last joined to the next one:
-// the group arrives as one node event.
+// the group arrives as one node event. Each delivery's tag is its message's
+// wire size, so that the receiving shard need not walk the message again.
 func (n *SimNet) Returned(shard int) {
 	sh := &n.shards[shard]
 	gs := sh.out.End()
@@ -179,7 +180,8 @@ func (n *SimNet) Returned(shard int) {
 	now := n.engine.NodeNow(int(gs[0].Sender)) // the event's clock, on shard
 	for _, g := range gs {
 		for i := g.Body.head; i >= 0; i = sh.msgs[i].next {
-			n.engine.Deliver(int32(g.Sender), int32(g.To), g.Due-now, sh.msgs[i].m, sh.msgs[i].next >= 0)
+			l := &sh.msgs[i]
+			n.engine.Deliver(int32(g.Sender), int32(g.To), g.Due-now, l.m, l.size, l.next >= 0)
 		}
 	}
 	clear(sh.msgs) // keeps no message alive
@@ -187,12 +189,13 @@ func (n *SimNet) Returned(shard int) {
 }
 
 // Deliver implements sim.Sink: the arrival half of Send, fired by the
-// engine at a group's due for each of its messages. The shard gathers them
-// up to the last one, then hands the group to its destination through
-// Receive, as one callback: the handler and down-ness are looked up then.
-func (n *SimNet) Deliver(from, to int32, payload any, more bool) {
+// engine at a group's due for each of its messages, tagged with its wire
+// size. The shard gathers them up to the last one, then hands the group to
+// its destination through Receive, as one callback: the handler and
+// down-ness are looked up then.
+func (n *SimNet) Deliver(from, to int32, payload any, size uint32, more bool) {
 	sh := &n.shards[n.engine.ShardOf(int(to))]
-	sh.in = append(sh.in, payload.(msg.Message))
+	sh.in = append(sh.in, Arrival{M: payload.(msg.Message), Size: int(size)})
 	if more {
 		return
 	}
@@ -215,7 +218,7 @@ func (n *SimNet) Deliver(from, to int32, payload any, more bool) {
 type simShard struct {
 	out  Outbox[chain] // the groups of the node event the shard runs
 	msgs []link        // their messages, in the order they were sent
-	in   []msg.Message // the group arriving, up to its last message
+	in   []Arrival     // the group arriving, up to its last message
 	_    [64]byte
 }
 
@@ -223,9 +226,10 @@ type simShard struct {
 // last of them in its shard's msgs.
 type chain struct{ head, tail int32 }
 
-// link is a message waiting in msgs, with the index of the next message of
-// its group (-1 after the last).
+// link is a message waiting in msgs, with its wire size and the index of
+// the next message of its group (-1 after the last).
 type link struct {
 	m    msg.Message
+	size uint32
 	next int32
 }

@@ -72,7 +72,7 @@ func TestManagerHandoffRoundTripProperty(t *testing.T) {
 		for i, n := 0, r.IntN(30); i < n; i++ {
 			if r.Bernoulli(0.5) {
 				p++
-				a.Tick(p)
+				a.Tick(p, new(msg.Sends))
 			} else {
 				a.board.AddBlame(target, r.Float64()*3)
 			}
@@ -127,13 +127,13 @@ func TestManagerHandoffRoundTripProperty(t *testing.T) {
 		// managers keep their scores identical — nothing about the handoff
 		// leaks into future scoring.
 		p = restartP
-		a.Tick(p)
-		b.Tick(p)
+		a.Tick(p, new(msg.Sends))
+		b.Tick(p, new(msg.Sends))
 		for i, n := 0, r.IntN(30); i < n; i++ {
 			if r.Bernoulli(0.5) {
 				p++
-				a.Tick(p)
-				b.Tick(p)
+				a.Tick(p, new(msg.Sends))
+				b.Tick(p, new(msg.Sends))
 			} else {
 				v := r.Float64() * 3
 				a.board.AddBlame(target, v)

@@ -48,14 +48,13 @@ type Manager struct {
 	netw  net.Network
 	dir   *membership.Directory
 	// sends is the set of send blocks of the node's execution context, the
-	// Handoffs are carved from; nil for a manager that never hands off.
+	// Handoffs, and the Expels of its message handling, are carved from; nil
+	// for a manager that never sends.
 	sends *msg.Sends
-	// doomed is Tick's scratch: the targets its last tick found below η.
-	doomed []msg.NodeID
 }
 
 // NewManager creates the manager component of node self, carving its
-// Handoffs from sends.
+// Handoffs, and the Expels of its message handling, from sends.
 func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.Directory, sends *msg.Sends) *Manager {
 	return &Manager{
 		self:  self,
@@ -69,22 +68,23 @@ func NewManager(self msg.NodeID, cfg Config, netw net.Network, dir *membership.D
 
 // Tick advances the manager's period clock to p and expels, in id order, the
 // tracked targets not yet expelled whose score is below η past their grace
-// periods: scores change with r even without new blames. The verdicts are
-// gathered in a scratch of the manager's, so a tick allocates nothing for
-// them once the scratch has held its largest set.
-func (m *Manager) Tick(p msg.Period) {
+// periods: scores change with r even without new blames. sends is the set
+// of the goroutine that ticks — the harness's, which may run beside the
+// node's own callbacks on udp: the verdicts are gathered in its scratch,
+// and the Expels carved from it.
+func (m *Manager) Tick(p msg.Period, sends *msg.Sends) {
+	doomed := sends.ScratchNodes()
 	m.mu.Lock()
 	m.board.SetPeriod(p)
-	m.doomed = m.doomed[:0]
 	m.board.Each(func(id msg.NodeID, e Entry) {
 		if !e.Expelled && e.periods(m.board.period) >= m.cfg.GracePeriods && m.board.score(e) < m.cfg.Eta {
-			m.doomed = append(m.doomed, id)
+			*doomed = append(*doomed, id)
 		}
 	})
 	m.mu.Unlock()
-	slices.Sort(m.doomed)
-	for _, id := range m.doomed {
-		m.expel(id, msg.ReasonUnknown)
+	slices.Sort(*doomed)
+	for _, id := range *doomed {
+		m.expel(id, msg.ReasonUnknown, sends)
 	}
 }
 
@@ -175,7 +175,7 @@ func (m *Manager) HandleMessage(from msg.NodeID, mm msg.Message) bool {
 			m.board.Score(v.Target) < m.cfg.Eta
 		m.mu.Unlock()
 		if doomed {
-			m.expel(v.Target, v.Reason)
+			m.expel(v.Target, v.Reason, m.sends)
 		}
 		return true
 	case *msg.ScoreReq:
@@ -233,10 +233,11 @@ func (m *Manager) HandleMessage(from msg.NodeID, mm msg.Message) bool {
 }
 
 // expel marks the target expelled, notifies the harness and informs the
-// target's other managers so their copies converge. Side effects run
-// outside the manager lock: OnExpel re-enters the harness, which may call
-// back into managers.
-func (m *Manager) expel(target msg.NodeID, reason msg.BlameReason) {
+// target's other managers so their copies converge, in one Expel carved from
+// sends, the set of the goroutine it runs on. Side effects run outside the
+// manager lock: OnExpel re-enters the harness, which may call back into
+// managers.
+func (m *Manager) expel(target msg.NodeID, reason msg.BlameReason, sends *msg.Sends) {
 	m.mu.Lock()
 	first := m.board.MarkExpelled(target, reason)
 	m.mu.Unlock()
@@ -247,7 +248,7 @@ func (m *Manager) expel(target msg.NodeID, reason msg.BlameReason) {
 		m.cfg.OnExpel(target, reason)
 	}
 	// One Expel serves every other manager, as one Blame serves a flush.
-	ex := &msg.Expel{Sender: m.self, Target: target, Reason: reason}
+	ex := sends.Expel(msg.Expel{Sender: m.self, Target: target, Reason: reason})
 	for _, mgr := range m.dir.Managers(target, m.cfg.M) {
 		if mgr == m.self {
 			continue

@@ -18,7 +18,7 @@ func TestReaderMinVote(t *testing.T) {
 	for i, m := range mgrs {
 		managers[m].Track(7, 0)
 		managers[m].board.AddBlame(7, float64(i)) // scores 2, 1, 0, -1, -2
-		managers[m].Tick(1)
+		managers[m].Tick(1, new(msg.Sends))
 	}
 
 	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
@@ -53,7 +53,7 @@ func TestReaderToleratesLossAndInflation(t *testing.T) {
 		} else {
 			managers[m].board.AddBlame(9, 50)
 		}
-		managers[m].Tick(1)
+		managers[m].Tick(1, new(msg.Sends))
 	}
 	reader := NewReader(1, cfg, eng, netw, dir, 200*time.Millisecond)
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
@@ -126,7 +126,7 @@ func TestReaderDiscardsUntrackedReplies(t *testing.T) {
 	for _, m := range mgrs[:4] {
 		managers[m].Track(7, 0)
 		managers[m].board.AddBlame(7, 1)
-		managers[m].Tick(2)
+		managers[m].Tick(2, new(msg.Sends))
 	}
 	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {
@@ -175,7 +175,7 @@ func TestReaderCompletesBeforeTimeout(t *testing.T) {
 	for i, m := range mgrs {
 		managers[m].Track(7, 0)
 		managers[m].board.AddBlame(7, float64(i))
-		managers[m].Tick(1)
+		managers[m].Tick(1, new(msg.Sends))
 	}
 	const timeout = 10 * time.Second
 	reader := NewReader(1, cfg, eng, netw, dir, timeout)
@@ -213,7 +213,7 @@ func TestReaderIgnoresForgedSenders(t *testing.T) {
 	for _, m := range mgrs {
 		managers[m].Track(7, 0)
 		managers[m].board.AddBlame(7, 50) // genuine copies at -50
-		managers[m].Tick(1)
+		managers[m].Tick(1, new(msg.Sends))
 	}
 	isMgr := map[msg.NodeID]bool{7: true}
 	for _, m := range mgrs {
@@ -276,7 +276,7 @@ func TestReaderCreditsRepliesToTheirSource(t *testing.T) {
 	for i, m := range mgrs {
 		managers[m].Track(7, 0)
 		managers[m].board.AddBlame(7, float64(i)) // scores 2, 1, 0, -1, -2
-		managers[m].Tick(1)
+		managers[m].Tick(1, new(msg.Sends))
 	}
 	reader := NewReader(1, cfg, eng, netw, dir, 100*time.Millisecond)
 	netw.Attach(1, handlerFunc(func(from msg.NodeID, m msg.Message) {

@@ -228,7 +228,7 @@ func TestTickTriggersExpulsion(t *testing.T) {
 	mgr := managers[dir.Managers(4, 3)[0]]
 	mgr.Track(4, 0)
 	mgr.board.AddBlame(4, 12) // below η at r=1: score -12
-	mgr.Tick(1)
+	mgr.Tick(1, new(msg.Sends))
 	eng.RunAll()
 	if len(got) == 0 || got[0] != 4 {
 		t.Fatalf("Tick did not expel: %v", got)
@@ -236,34 +236,36 @@ func TestTickTriggersExpulsion(t *testing.T) {
 }
 
 // Tick expels the targets below η past their grace periods, in id order,
-// and nothing already expelled; once its scratch has held the verdicts, a
-// tick allocates the one Expel each verdict sends and nothing else — no
-// closure, no sort.Slice swapper.
+// and nothing already expelled; once the ticking set's scratch has held the
+// verdicts, a tick allocates nothing but the blocks its Expels are carved
+// from — no closure, no sort.Slice swapper: msg.SendBlock verdicts a tick
+// take one block of a one-node set, wherever the tick before left it.
 func TestTickExpelsInIDOrderWithoutAllocating(t *testing.T) {
 	var got []msg.NodeID
 	cfg := Config{M: 3, Compensation: 0, Eta: -5, GracePeriods: 2,
 		OnExpel: func(id msg.NodeID, _ msg.BlameReason) { got = append(got, id) }}
 	m := NewManager(0, cfg, nil, membership.Sequential(1), nil)
+	sends := new(msg.Sends)
 	var want []msg.NodeID
 	for id := msg.NodeID(300); id > 0; id-- {
 		m.Track(id, 0)
-		if id%7 == 0 {
+		if id%7 == 0 && id <= 7*msg.SendBlock {
 			m.board.AddBlame(id, 100) // −50 at r = 2
 			want = append([]msg.NodeID{id}, want...)
 		}
 	}
-	if m.Tick(1); len(got) != 0 {
+	if m.Tick(1, sends); len(got) != 0 {
 		t.Fatalf("Tick within the grace periods expelled %v, want none", got)
 	}
 	before := make(map[msg.NodeID]Entry, len(want))
 	for _, id := range want {
 		before[id], _ = m.board.Entry(id)
 	}
-	if m.Tick(2); !slices.Equal(got, want) {
+	if m.Tick(2, sends); !slices.Equal(got, want) {
 		t.Fatalf("Tick(2) expelled %v, want %v", got, want)
 	}
 	got = got[:0]
-	if m.Tick(3); len(got) != 0 {
+	if m.Tick(3, sends); len(got) != 0 {
 		t.Fatalf("Tick(3) expelled %v again", got)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -271,10 +273,10 @@ func TestTickExpelsInIDOrderWithoutAllocating(t *testing.T) {
 			m.board.Adopt(id, before[id]) // not expelled again
 		}
 		got = got[:0]
-		m.Tick(2)
+		m.Tick(2, sends)
 	})
-	if len(got) != len(want) || allocs != float64(len(want)) {
-		t.Fatalf("a tick of 300 targets expelling %d allocates %v objects, want one Expel each", len(got), allocs)
+	if len(got) != msg.SendBlock || allocs != 1 {
+		t.Fatalf("a tick of 300 targets expelling %d allocates %v objects, want one block of Expels", len(got), allocs)
 	}
 }
 
@@ -285,7 +287,7 @@ func TestScoreReqResp(t *testing.T) {
 	mgrID := dir.Managers(9, 3)[0]
 	managers[mgrID].Track(9, 0)
 	managers[mgrID].board.AddBlame(9, 6)
-	managers[mgrID].Tick(3)
+	managers[mgrID].Tick(3, new(msg.Sends))
 
 	var resp *msg.ScoreResp
 	reader := msg.NodeID(1)

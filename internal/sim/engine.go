@@ -57,12 +57,13 @@ func (s skewed) After(d time.Duration, fn func()) {
 // per message: the engine keeps the delivery operands in the event and calls
 // the Sink bound to it (Bind) when the event fires.
 type Sink interface {
-	// Deliver hands the payload scheduled from node `from` to node `to`. It
-	// runs on the goroutine of to's shard. more reports that the shard's
+	// Deliver hands the payload scheduled from node `from` to node `to`, and
+	// the tag it was scheduled with (Engine.Deliver). It runs on the
+	// goroutine of to's shard. more reports that the shard's
 	// next event is the next delivery of the same run (Engine.Deliver);
 	// the Sink then schedules nothing, for an event it scheduled at this
 	// instant could sort into the run.
-	Deliver(from, to int32, payload any, more bool)
+	Deliver(from, to int32, payload any, tag uint32, more bool)
 	// Returned reports that a node event — a callback, or a run of
 	// deliveries joined by Engine.Deliver's more — that shard ran has
 	// returned. It runs on that shard's goroutine, before the shard's next
@@ -92,7 +93,7 @@ type shard struct {
 	events uint64
 	// out buffers events destined for other shards during a window, in
 	// pages of the shard's queue; the coordinator merges them at the
-	// barrier, and the pages go to the destination's free list.
+	// barrier, and the pages go back to the shard's free list.
 	// out[own index] is unused (same-shard events are pushed directly).
 	out []bucket
 	// outG buffers deferred-global events scheduled from this shard's
@@ -237,22 +238,27 @@ func (e *Engine) NodeNow(id int) time.Duration {
 	return e.shards[e.ShardOf(id)].now
 }
 
-// nextSeq returns node from's next scheduling sequence number. Only a
-// registered node has one: scheduling on behalf of an id that never got a
-// Domain is a harness bug, reported by name instead of as an index error.
+// nextSeq returns node from's next scheduling sequence number, shifted up
+// by tagBits (event.seq). Only a registered node has one: scheduling on
+// behalf of an id that never got a Domain is a harness bug, reported by name
+// instead of as an index error.
 func (e *Engine) nextSeq(from int32) uint64 {
 	if from < 0 || int(from) >= len(e.nodeSeq) {
 		panic(fmt.Sprintf("sim: node %d schedules an event but has no domain; attach the node first", from))
 	}
 	seq := e.nodeSeq[from]
+	if seq>>(64-tagBits) != 0 {
+		panic(fmt.Sprintf("sim: node %d has scheduled 2^%d events", from, 64-tagBits))
+	}
 	e.nodeSeq[from]++
-	return seq
+	return seq << tagBits
 }
 
 // Deliver schedules a delivery of payload from node `from` to node `to`, d
-// from from's current clock, through the bound Sink. This is the
-// allocation-free delivery path: the operands ride in the event itself, no
-// closure is built.
+// from from's current clock, through the bound Sink, which is handed tag
+// with it. This is the allocation-free delivery path: the operands ride in
+// the event itself, no closure is built, and tag rides in the low half of
+// its sequence word.
 //
 // The delivery is keyed by (time, from, from's send sequence) — a
 // shard-count-independent order — and a cross-shard delivery with d < the
@@ -261,7 +267,7 @@ func (e *Engine) nextSeq(from int32) uint64 {
 // caller schedules that one at once, to the same node with the same d, so
 // no event comes between them, the Sink hears no Returned between them, and
 // Events counts the run once.
-func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, more bool) {
+func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, tag uint32, more bool) {
 	if d < 0 {
 		d = 0
 	}
@@ -274,7 +280,7 @@ func (e *Engine) Deliver(from, to int32, d time.Duration, payload any, more bool
 	seq := e.nextSeq(from)
 	own, dst := e.ShardOf(int(from)), e.ShardOf(int(to))
 	src := e.shards[own]
-	ev := event{at: src.now + d, dom: from, seq: seq, to: to, payload: payload}
+	ev := event{at: src.now + d, dom: from, seq: seq | uint64(tag), to: to, payload: payload}
 	if more {
 		ev.to |= follows
 	}
@@ -373,7 +379,5 @@ func (d *Domain) After(dur time.Duration, fn func()) {
 	if dur < 0 {
 		dur = 0
 	}
-	e := d.e
-	d.sh.q.push(event{at: d.sh.now + dur, dom: d.id, seq: e.nodeSeq[d.id], to: callback, payload: fn})
-	e.nodeSeq[d.id]++
+	d.sh.q.push(event{at: d.sh.now + dur, dom: d.id, seq: d.e.nextSeq(d.id), to: callback, payload: fn})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -167,7 +168,7 @@ func TestDeterminism(t *testing.T) {
 // it is reported with the node's id, not as a bare index error.
 func TestUnregisteredNodePanicsByName(t *testing.T) {
 	for name, schedule := range map[string]func(e *Engine){
-		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil, false) },
+		"Deliver":     func(e *Engine) { e.Bind(&countSink{}); e.Deliver(7, 0, time.Millisecond, nil, 0, false) },
 		"DeferGlobal": func(e *Engine) { e.DeferGlobal(7, func() {}) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -188,9 +189,9 @@ func TestUnregisteredNodePanicsByName(t *testing.T) {
 // harness bugs and panic where they are made, not when the event fires.
 func TestSinkBinding(t *testing.T) {
 	for name, misuse := range map[string]func(e *Engine){
-		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil, false) },
+		"Deliver before Bind": func(e *Engine) { e.Deliver(0, 0, time.Millisecond, nil, 0, false) },
 		"Bind twice":          func(e *Engine) { e.Bind(&countSink{}); e.Bind(&countSink{}) },
-		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil, false) },
+		"negative node id":    func(e *Engine) { e.Bind(&countSink{}); e.Deliver(0, -1, time.Millisecond, nil, 0, false) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			e, _ := newNode()
@@ -212,23 +213,32 @@ type returnSink struct {
 }
 
 // Deliver logs a delivery whose payload is its place in its run: {i, k},
-// the i-th of k.
-func (s *returnSink) Deliver(from, to int32, payload any, more bool) {
+// the i-th of k, tagged runTag(i).
+func (s *returnSink) Deliver(from, to int32, payload any, tag uint32, more bool) {
 	sh, at := s.e.ShardOf(int(to)), payload.([2]int)
 	line := fmt.Sprintf("deliver %d→%d %d of %d", from, to, at[0]+1, at[1])
 	if more != (at[0] < at[1]-1) {
 		line = fmt.Sprintf("more=%v on %s", more, line)
+	}
+	if tag != runTag(at[0]) {
+		line = fmt.Sprintf("tag %#x on %s", tag, line)
 	}
 	s.logs[sh] = append(s.logs[sh], line)
 }
 
 func (s *returnSink) Returned(shard int) { s.logs[shard] = append(s.logs[shard], "return") }
 
+// runTag is the tag of a run's i-th delivery: falling along the run, and
+// using every bit, so that a tag that decided the order, or lost a bit on
+// the way, would show.
+func runTag(i int) uint32 { return math.MaxUint32 - uint32(i) }
+
 // The engine tells its Sink when each node event returns — a callback, or a
 // run of deliveries joined by more — on the shard that ran it, before that
 // shard's next event; the global phase's events are no node's and report
 // nothing. A run arrives whole and in order, though every node sends runs
-// to the same destinations at the same instants.
+// to the same destinations at the same instants, each delivery with the tag
+// it was sent with.
 func TestSinkHearsEveryNodeEventReturn(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e := NewSharded(shards, twin)
@@ -242,7 +252,7 @@ func TestSinkHearsEveryNodeEventReturn(t *testing.T) {
 					sink.logs[sh] = append(sink.logs[sh], fmt.Sprintf("callback %d", id))
 					for _, to := range []int{(id + 1) % 4, (id + 2) % 4} {
 						for i := range k {
-							e.Deliver(int32(id), int32(to), twin, [2]int{i, k}, i < k-1)
+							e.Deliver(int32(id), int32(to), twin, [2]int{i, k}, runTag(i), i < k-1)
 						}
 					}
 				})

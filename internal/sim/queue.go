@@ -19,7 +19,10 @@ const never = time.Duration(1<<63 - 1)
 // event is one scheduled occurrence, kept by value wherever it waits: in a
 // calendar page, a heap or an outbox. to ≥ 0 marks a delivery of payload to
 // node to&^follows through the engine's Sink, sent by node dom; to ==
-// callback marks a func() held in payload.
+// callback marks a func() held in payload. seq is dom's sequence number
+// shifted up by tagBits, which orders dom's events, and a delivery keeps
+// its tag (Engine.Deliver) in the low tagBits: no two events of a domain
+// share a sequence number, so the tag never decides the order.
 type event struct {
 	at      time.Duration
 	seq     uint64
@@ -27,6 +30,10 @@ type event struct {
 	dom     int32 // ordering domain: the scheduling node's id, or globalDomain
 	to      int32
 }
+
+// tagBits is how much of an event's seq a delivery's tag takes: a domain
+// numbers its first 2^32 events, and a tag is 32 bits.
+const tagBits = 32
 
 // less is the canonical event order: time, then domain, then per-domain
 // sequence.
@@ -203,11 +210,13 @@ func (q *queue) appendTo(b *bucket, ev event) {
 	p.n++
 }
 
-// drain pushes every event of b, an outbox another queue filled, and empties
-// it. Each page joins this queue's free list as soon as its events are in,
-// so the pushes it makes reuse it: the merge of a burst needs the pages its
-// events will wait in, not those and a copy.
-func (q *queue) drain(b *bucket) {
+// drain pushes every event of b, an outbox that queue src filled from its
+// free list, and empties it. Each page goes back to src's free list, for
+// the outbox to take again: a page that joined this queue's list instead
+// would move a page from one shard to the other at every merge whose
+// traffic runs one way, and the sender would allocate one where the
+// receiver's list grows (a Run that ends inside a window did, every call).
+func (q *queue) drain(b *bucket, src *queue) {
 	for p := b.head; p != nil; {
 		for i := range p.ev[:p.n] {
 			q.push(p.ev[i])
@@ -215,7 +224,7 @@ func (q *queue) drain(b *bucket) {
 		clear(p.ev[:p.n]) // a free page keeps no payload alive
 		p.n = 0
 		next := p.next
-		p.next, q.free = q.free, p
+		p.next, src.free = src.free, p
 		p = next
 	}
 	*b = bucket{}

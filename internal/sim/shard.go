@@ -177,7 +177,7 @@ func (sh *shard) runTo(bound time.Duration, sink Sink) {
 		if ev.to == callback {
 			ev.payload.(func())()
 		} else {
-			sink.Deliver(ev.dom, ev.to&^follows, ev.payload, joined)
+			sink.Deliver(ev.dom, ev.to&^follows, ev.payload, uint32(ev.seq), joined)
 		}
 		if !joined && sink != nil {
 			sink.Returned(sh.id)
@@ -191,7 +191,7 @@ func (sh *shard) runTo(bound time.Duration, sink Sink) {
 func (e *Engine) mergeOutboxes() {
 	for _, sh := range e.shards {
 		for d := range sh.out {
-			e.shards[d].q.drain(&sh.out[d])
+			e.shards[d].q.drain(&sh.out[d], &sh.q)
 		}
 		for i := range sh.outG {
 			e.gq.push(sh.outG[i])

@@ -161,7 +161,8 @@ func TestWireAllocs(t *testing.T) {
 	answer := sendAll(3)
 	rt.Attach(3, handlerFunc(func(msg.NodeID, msg.Message) { answer() }))
 	inline := rt.localNode(3)
-	trigger := []msg.Message{&msg.ScoreReq{Sender: 2, Target: 4}}
+	req := &msg.ScoreReq{Sender: 2, Target: 4}
+	trigger := []net.Arrival{{M: req, Size: req.WireSize()}}
 	timer := job{node: n, fn: sendAll(1)}
 
 	noop := func() {}

@@ -682,7 +682,7 @@ func (ra *reassembler) remove(key reasmKey) {
 type inbox struct {
 	reasm *reassembler
 	dec   msg.Decoder
-	batch []msg.Message
+	batch []net.Arrival
 }
 
 // recvLoop reads datagrams off one node's socket until the runtime closes.
@@ -725,7 +725,7 @@ func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.Addr
 		if err != nil {
 			return
 		}
-		ms = append(ms, m)
+		ms = append(ms, net.Arrival{M: m, Size: msg.TransportHeaderSize + len(body)})
 	} else {
 		batch, err := msg.ParseBatch(payload)
 		if err != nil {
@@ -736,7 +736,7 @@ func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.Addr
 			if err != nil {
 				return
 			}
-			ms = append(ms, m)
+			ms = append(ms, net.Arrival{M: m, Size: msg.TransportHeaderSize + len(e)})
 		}
 	}
 	r.deliver(n, ms, flags)
@@ -748,7 +748,7 @@ func (r *Runtime) receive(n *nodeCtx, in *inbox, datagram []byte, src netip.Addr
 // link; the receiver draws its own LossIn for each unreliable message, where
 // the node's own conditions are known even when the sender is another
 // process.
-func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
+func (r *Runtime) deliver(n *nodeCtx, ms []net.Arrival, flags uint8) {
 	r.mu.RLock()
 	closed := r.closed
 	cond := r.conditionsOf(n.id)
@@ -762,7 +762,7 @@ func (r *Runtime) deliver(n *nodeCtx, ms []msg.Message, flags uint8) {
 	}
 	n.mu.Lock()
 	n.out.begin()
-	net.Receive(r.collector, ms[0].From(), n.id, n.h, ms, cond.Down, loss, &r.rand) // one sender a datagram (ParseBatch)
+	net.Receive(r.collector, ms[0].M.From(), n.id, n.h, ms, cond.Down, loss, &r.rand) // one sender a datagram (ParseBatch)
 	n.out.flush(n)
 	n.mu.Unlock()
 }

@@ -71,6 +71,40 @@ func TestSendReceiveOverRealSockets(t *testing.T) {
 	}
 }
 
+// A receiver counts each message at the size its sender did — its
+// WireSize — taken from the bytes it decoded, not from walking the message
+// again: two messages sharing one callback's datagram, and a message too
+// big for any frame, which travels as a fragment train.
+func TestReceivedBytesAreWireSizes(t *testing.T) {
+	coll := metrics.NewCollector()
+	rt := New(Options{Seed: 1, Collector: coll})
+	defer rt.Close()
+	sink := &collect{}
+	rt.Attach(1, nil)
+	rt.Attach(2, sink)
+
+	propose := &msg.Propose{Sender: 1, Period: 3, Chunks: []msg.ChunkID{7, 8, 9}, Origins: []msg.NodeID{4, 5, 6}}
+	blame := &msg.Blame{Sender: 1, Target: 5, Value: 2.5, Reason: msg.ReasonPartialServe}
+	audit := &msg.AuditResp{Sender: 1}
+	for p := range 400 {
+		audit.Proposals = append(audit.Proposals, msg.ProposalRecord{Period: msg.Period(p), Partner: 3, Chunks: make([]msg.ChunkID, 40)})
+	}
+	if audit.WireSize() <= msg.MaxFramePayload {
+		t.Fatalf("the audit response is %d bytes, want one past a frame", audit.WireSize())
+	}
+	rt.Exec(1, func() {
+		rt.Send(1, 2, propose, net.Unreliable)
+		rt.Send(1, 2, blame, net.Unreliable)
+	})
+	rt.Send(1, 2, audit, net.Reliable)
+	waitFor(t, "delivery", func() bool { return sink.count() == 3 })
+	for _, m := range []msg.Message{propose, blame, audit} {
+		if got, want := coll.RecvBytes(m.Kind()), uint64(m.WireSize()); got != want || coll.SentBytes(m.Kind()) != want {
+			t.Errorf("%v: sent %d bytes, received %d, want %d each", m.Kind(), coll.SentBytes(m.Kind()), got, want)
+		}
+	}
+}
+
 // TestCrossRuntimeDelivery is the daemon shape: two runtimes in this process
 // (standing in for two OS processes), each knowing the other only through
 // a bootstrap seed.
