@@ -1,6 +1,6 @@
 // Command lifting-lint runs the lint suite over the module and exits nonzero
 // on any finding. It mechanically enforces the repository's byte-identical
-// contract — seeded runs emit identical lifting.experiments/v1 documents
+// contract — seeded runs emit identical lifting.experiments/v2 documents
 // across shard counts, worker counts and OS processes — and, with no-orphan,
 // that every package, function and method is reachable from something that
 // ships and every struct field is set by it; with one-value, that no field or

@@ -11,12 +11,12 @@
 // `lifting-sim list` prints it (name, paper artifact, description, default
 // parameters), `all` runs every registered experiment, and `-describe`
 // explains one. Output is ASCII tables by default; `-json` emits one
-// structured JSON document (schema `lifting.experiments/v1`) with every
-// table as data, headline metrics, and the pass/fail verdict — the format
+// structured JSON document (schema `lifting.experiments/v2`) with every
+// table as data, headline metrics, and the verdict's check rows — the format
 // CI and tooling consume. Runs are cancellable: SIGINT/SIGTERM aborts the
-// current experiment promptly (sockets closed, goroutines drained) and
-// exits 130. A failed experiment verdict — the oracle of every experiment
-// but fig14, checked on the run itself — exits 1.
+// current experiment promptly (sockets closed, goroutines drained) and exits
+// 130. A failed verdict — the oracle of every experiment but fig14, checked
+// on the run itself — prints its failed rows and exits 1.
 package main
 
 import (
@@ -204,8 +204,10 @@ func run(ctx context.Context, args []string) int {
 			fmt.Fprintf(stderrW, "lifting-sim: %s: %v\n", e.Name, err)
 			return 1
 		}
-		for _, f := range res.Verdict.Failures {
-			fmt.Fprintf(stderrW, "lifting-sim: %s\n", f)
+		for _, c := range res.Verdict.Checks {
+			if !c.Holds() {
+				fmt.Fprintf(stderrW, "%s: %s\n", e.Name, c)
+			}
 		}
 		if !res.Verdict.Pass {
 			failed = true

@@ -210,7 +210,7 @@ func TestRunMatrix(t *testing.T) {
 	if code == 0 {
 		t.Fatal("matrix with unmatched filter reported success")
 	}
-	if !strings.Contains(out, "ran no scenario") {
+	if !strings.Contains(out, "matrix: scenarios run = 0, want >= 1 (sanity)") {
 		t.Errorf("filter miss not explained:\n%s", out)
 	}
 	code, _, out = capture(t, context.Background(), []string{"-backend", "sim,quantum", "matrix"})
@@ -318,18 +318,40 @@ func TestJSONOutputDeterministic(t *testing.T) {
 }
 
 // TestJSONVerdictFailure: a failed verdict still emits the JSON document
-// (with the failure recorded) and exits 1.
+// (with the failed row recorded under verdict.checks), prints the row on
+// stderr and exits 1.
 func TestJSONVerdictFailure(t *testing.T) {
-	code, out, _ := capture(t, context.Background(), []string{"-quick", "-filter", "no-such-attack", "-json", "matrix"})
+	code, out, errOut := capture(t, context.Background(), []string{"-quick", "-filter", "no-such-attack", "-json", "matrix"})
 	if code != 1 {
 		t.Fatalf("failed matrix -json = %d, want 1", code)
 	}
-	var doc experiment.Document
+	if want := "matrix: scenarios run = 0, want >= 1 (sanity)\n"; errOut != want {
+		t.Errorf("stderr = %q, want the failed row %q", errOut, want)
+	}
+	var doc struct {
+		Results []struct {
+			Verdict struct {
+				Pass   bool `json:"pass"`
+				Checks []struct {
+					Name, Value, Ref string
+					Min              struct {
+						Value     string
+						Inclusive bool
+					}
+					Pass bool
+				} `json:"checks"`
+			} `json:"verdict"`
+		} `json:"results"`
+	}
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("failure document is not valid JSON: %v\n%s", err, out)
 	}
-	if len(doc.Results) != 1 || doc.Results[0].Verdict.Pass {
-		t.Fatalf("verdict not recorded: %+v", doc.Results[0])
+	if len(doc.Results) != 1 || doc.Results[0].Verdict.Pass || len(doc.Results[0].Verdict.Checks) != 1 {
+		t.Fatalf("verdict not recorded: %+v", doc.Results)
+	}
+	c := doc.Results[0].Verdict.Checks[0]
+	if c.Name != "scenarios run" || c.Value != "0" || c.Min.Value != "1" || !c.Min.Inclusive || c.Ref != "sanity" || c.Pass {
+		t.Errorf("failed row = %+v, want scenarios run = 0 against an inclusive min of 1, not passing", c)
 	}
 }
 

@@ -38,7 +38,7 @@ func ablateResult(t *testing.T) *Result {
 func TestAblationsTable(t *testing.T) {
 	res := ablateResult(t)
 	if !res.Verdict.Pass {
-		t.Fatalf("ablate verdict failed:\n  %s", strings.Join(res.Verdict.Failures, "\n  "))
+		t.Fatalf("ablate verdict failed:\n  %s", failed(res.Verdict))
 	}
 	if n := len(res.Tables[0].Rows); n != 3 {
 		t.Fatalf("rows = %d, want 3", n)

@@ -136,21 +136,13 @@ var churn = Experiment{
 		// re-dealt assignment would move on every join — arrivals catch up
 		// on at least half the stream after their join, and the separation
 		// survives.
-		if joined != joins || departed != leaves {
-			out.fail("churn events incomplete: joined %d of %d, departed %d of %d", joined, joins, departed, leaves)
-		}
-		if want := p.N + joins - leaves; alive != want {
-			out.fail("alive at end = %d, want %d (%d in, %d out)", alive, want, joins, leaves)
-		}
-		if bound := 5 * w.rep.M * (joins + leaves); handoffs == 0 || handoffs > bound {
-			out.fail("%d manager handoffs for %d joins and %d leaves, want within [1, %d]", handoffs, joins, leaves, bound)
-		}
-		if m := catchUp.Mean(); m < 0.5 {
-			out.fail("arrivals caught only %.0f%% of the post-join stream, want ≥ 50%%", 100*m)
-		}
-		if riderMean >= honestMean {
-			out.fail("separation lost under churn: honest %.2f vs freeriders %.2f", honestMean, riderMean)
-		}
+		out.check("joined", "sanity", count(joined), incl(float64(joins)), incl(float64(joins)))
+		out.check("departed", "sanity", count(departed), incl(float64(leaves)), incl(float64(leaves)))
+		want := float64(p.N + joins - leaves)
+		out.check("alive at end", "sanity", count(alive), incl(want), incl(want))
+		out.check("manager handoffs", "sanity", count(handoffs), incl(1), incl(float64(5*w.rep.M*(joins+leaves))))
+		out.check("arrival catch-up", "sanity", pct(catchUp.Mean(), 0), incl(0.5), none)
+		out.check("separation gap", "sanity", num(honestMean-riderMean, 2), excl(0), none)
 		return nil
 	},
 }

@@ -55,22 +55,16 @@ const (
 	DetectAuditPeriod
 )
 
-// Oracle is the statistical pass/fail contract of one scenario.
-type Oracle struct {
-	// MinDetection is the α lower bound over all repetitions. Negative
-	// disables the check (bad-mouthers are undetectable by design; the
-	// oracle for them is that honest nodes survive).
-	MinDetection float64
-	// MaxFalsePositive is the β upper bound over all repetitions.
-	MaxFalsePositive float64
-	// MinGap is the lower bound on the mean honest-minus-adversary score
-	// gap. Zero disables the check (audit scenarios deliberately blunt
-	// score separation — that is what makes them audit scenarios).
-	MinGap float64
-	// NoHonestExpulsion requires that no honest node was expelled in any
-	// repetition (the blame-spam oracle).
-	NoHonestExpulsion bool
-}
+// The rows a scenario's oracle may declare, over all repetitions: α, β, the
+// mean honest-minus-adversary score gap, and honest expulsions. Bad-mouthers
+// declare no α (they are undetectable by design: their oracle is that honest
+// nodes survive), audit scenarios no gap (they deliberately blunt score
+// separation — that is what makes them audit scenarios).
+func minAlpha(v float64) Check { return Check{name: "α", min: incl(v)} }
+func maxBeta(v float64) Check  { return Check{name: "β", max: incl(v)} }
+func minGap(v float64) Check   { return Check{name: "gap", min: incl(v)} }
+
+var noHonestExpelled = Check{name: "honest expelled", max: incl(0)}
 
 // Scenario is one registry entry: an attack, how a repetition detects it,
 // the oracle its outcome must satisfy, and its cluster.
@@ -81,8 +75,9 @@ type Scenario struct {
 	Attack string
 	// Detect selects the detection criterion.
 	Detect DetectMode
-	// Oracle is the pass/fail contract.
-	Oracle Oracle
+	// Oracle is the pass/fail contract: the rows the scenario declares,
+	// valued on each of its matrix rows (MatrixRow.judge).
+	Oracle []Check
 	// spec is what the scenario states of its workload: the cohort's
 	// behavior, the backends — the first runs the repetitions, the
 	// wall-clock backend (udp) a single one — and whatever else departs
@@ -118,17 +113,17 @@ func Scenarios() []Scenario {
 	return []Scenario{
 		{
 			Name: "fanout-decrease", Attack: "§4.1(i) reduced fanout", Detect: DetectScore,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0.02), minGap(2)},
 			spec:   adversary(degree(0.5, 0, 0)),
 		},
 		{
 			Name: "partial-propose", Attack: "§4.1(ii) partial propose + §5.2 ack lie", Detect: DetectScore,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0.02), minGap(2)},
 			spec:   adversary(degree(0, 0.6, 0)),
 		},
 		{
 			Name: "partial-serve", Attack: "§4.3(i) partial serve", Detect: DetectScore,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0.02), minGap(2)},
 			spec:   adversary(degree(0, 0, 0.6)),
 		},
 		{
@@ -136,7 +131,7 @@ func Scenarios() []Scenario {
 			// the one entry that runs on both backends, so the matrix pins
 			// the cross-backend verdict agreement of the runtime seam.
 			Name: "wise-degree", Attack: "§6.3.1 ∆=(.5,.5,.5) + §5.2 ack lies", Detect: DetectScore,
-			Oracle: Oracle{MinDetection: 0.75, MaxFalsePositive: 0.1, MinGap: 3},
+			Oracle: []Check{minAlpha(0.75), maxBeta(0.1), minGap(3)},
 			spec: workload{
 				cohort:   cohort{n: 24, k: 4, behavior: degree(0.5, 0.5, 0.5)},
 				gossip:   gossip.Config{F: 6, Period: 60 * time.Millisecond},
@@ -147,29 +142,29 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "period-stretch", Attack: "§4.1(iv) gossip-period ×2", Detect: DetectAuditPeriod,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0)},
 			spec: adversary(func(msg.NodeID, *membership.Directory, *rng.Stream, []msg.NodeID) gossip.Behavior {
 				return freerider.PeriodStretcher{Factor: 2}
 			}),
 		},
 		{
 			Name: "biased-selection", Attack: "§4.1(iii) coalition bias pm=0.9", Detect: DetectAudit,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0)},
 			spec:   adversary(colluder(false, false)),
 		},
 		{
 			Name: "mitm", Attack: "§5.2 Fig 8b ack-partner substitution", Detect: DetectAudit,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0)},
 			spec:   adversary(colluder(true, false)),
 		},
 		{
 			Name: "history-forgery", Attack: "§5.3 uniform audit forgery", Detect: DetectAuditBlame,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0)},
 			spec:   adversary(colluder(false, true)),
 		},
 		{
 			Name: "colluder-stretcher", Attack: "§4.1(iii)+(iv) combined", Detect: DetectAudit,
-			Oracle: Oracle{MinDetection: 0.9, MaxFalsePositive: 0},
+			Oracle: []Check{minAlpha(0.9), maxBeta(0)},
 			spec: adversary(func(id msg.NodeID, dir *membership.Directory, r *rng.Stream, adv []msg.NodeID) gossip.Behavior {
 				return freerider.StretchingColluder{
 					Colluder: freerider.NewColluder(id, adv, 0.9, dir, r),
@@ -182,7 +177,7 @@ func Scenarios() []Scenario {
 			// no proof, §5.1); the claim under test is resilience: a bounded
 			// spam rate must not push any honest node over the threshold.
 			Name: "blame-spam", Attack: "§5.1 bad-mouthing (wrongful blame flood)", Detect: DetectScore,
-			Oracle: Oracle{MinDetection: -1, MaxFalsePositive: 0, NoHonestExpulsion: true},
+			Oracle: []Check{maxBeta(0), noHonestExpelled},
 			spec: workload{
 				cohort: cohort{behavior: func(id msg.NodeID, dir *membership.Directory, _ *rng.Stream, _ []msg.NodeID) gossip.Behavior {
 					return &freerider.BlameSpammer{Self: id, Dir: dir}
@@ -237,16 +232,23 @@ type MatrixRow struct {
 	// the collector's integer nanosecond counters, not wall-clock readings.
 	//lint:allow no-time-in-results sim-time means derived from integer ns counters; byte-stable for a fixed seed
 	StreamLag, StreamJitter time.Duration
-	// Failures lists violated oracle bounds (empty = pass).
-	Failures []string
+	// Checks are the scenario's oracle rows and the goodput row, valued on
+	// this row.
+	Checks []Check
 }
 
-// Verdict renders the row's oracle outcome.
+// Verdict renders the row's oracle outcome: "ok", or every failed check.
 func (r MatrixRow) Verdict() string {
-	if len(r.Failures) == 0 {
+	var failed []string
+	for _, c := range r.Checks {
+		if !c.Holds() {
+			failed = append(failed, c.String())
+		}
+	}
+	if len(failed) == 0 {
 		return "ok"
 	}
-	return "FAIL: " + strings.Join(r.Failures, "; ")
+	return "FAIL: " + strings.Join(failed, "; ")
 }
 
 // matrixResult is the whole sweep.
@@ -422,20 +424,27 @@ func (s Scenario) runRep(ctx context.Context, w workload, cal calibration) repOu
 	return out
 }
 
-// check applies the oracle to an aggregated row.
-func (o Oracle) check(r *MatrixRow) {
-	if o.MinDetection >= 0 && r.Detection < o.MinDetection {
-		r.Failures = append(r.Failures, fmt.Sprintf("α %.2f < %.2f", r.Detection, o.MinDetection))
+// judge values the rows s declares on the aggregated row r, citing s's
+// attack, and adds the row every scenario carries: it streams real payload,
+// so zero goodput means the content plane itself broke — the row fails even
+// when the detection oracle is satisfied.
+func (r MatrixRow) judge(s Scenario) []Check {
+	var cs []Check
+	for _, c := range s.Oracle {
+		switch c.name {
+		case "α":
+			c.measure = num(r.Detection, 2)
+		case "β":
+			c.measure = num(r.FalsePositives, 3)
+		case "gap":
+			c.measure = num(r.Gap, 2)
+		case "honest expelled":
+			c.measure = count(r.HonestExpelled)
+		}
+		c.ref = s.Attack
+		cs = append(cs, c)
 	}
-	if r.FalsePositives > o.MaxFalsePositive {
-		r.Failures = append(r.Failures, fmt.Sprintf("β %.3f > %.3f", r.FalsePositives, o.MaxFalsePositive))
-	}
-	if o.MinGap != 0 && r.Gap < o.MinGap {
-		r.Failures = append(r.Failures, fmt.Sprintf("gap %.2f < %.2f", r.Gap, o.MinGap))
-	}
-	if o.NoHonestExpulsion && r.HonestExpelled > 0 {
-		r.Failures = append(r.Failures, fmt.Sprintf("%d honest expelled", r.HonestExpelled))
-	}
+	return append(cs, Check{name: "goodput", ref: "sanity", measure: count(r.GoodputBytes), min: excl(0)})
 }
 
 // matrix runs the adversary scenario sweep and renders the attack ×
@@ -457,21 +466,14 @@ var matrix = Experiment{
 		out.addTable(obs, tab)
 		out.addMetric("scenarios", float64(res.ScenariosRun))
 		out.addMetric("rows", float64(len(res.Rows)))
-		failures := 0
-		if res.ScenariosRun == 0 {
-			// Either the filter matched nothing or the backend set
-			// intersected every matching scenario away; name both.
-			out.fail("matrix ran no scenario (filter %q, backends %s; scenarios: %s)",
-				p.Filter, p.backendsLabel(), strings.Join(ScenarioNames(), ", "))
-		}
+		// None runs when the filter matches nothing or the backend set
+		// intersects every matching scenario away.
+		out.check("scenarios run", "sanity", count(res.ScenariosRun), incl(1), none)
 		for _, r := range res.Rows {
-			if len(r.Failures) > 0 {
-				failures += len(r.Failures)
-				out.fail("matrix %s on %s failed its oracle: %s",
-					r.Scenario, r.Backend, strings.Join(r.Failures, "; "))
+			for _, c := range r.Checks {
+				out.check(r.Scenario+" on "+r.Backend.String()+": "+c.name, c.ref, c.measure, c.min, c.max)
 			}
 		}
-		out.addMetric("oracle-failures", float64(failures))
 		return nil
 	},
 }
@@ -567,13 +569,7 @@ func sweepMatrix(ctx context.Context, p Params, ws []workload) (*Table, *matrixR
 			row.Gap /= float64(n)
 			row.StreamLag = time.Duration(lagNs / uint64(n))
 			row.StreamJitter = time.Duration(jitterNs / uint64(n))
-			sc.Oracle.check(&row)
-			// Universal QoE oracle: every scenario streams real payload, so
-			// zero goodput means the content plane itself broke — fail the
-			// row even when the detection oracle is satisfied.
-			if row.GoodputBytes == 0 {
-				row.Failures = append(row.Failures, "no goodput")
-			}
+			row.Checks = row.judge(sc)
 			res.Rows = append(res.Rows, row)
 			ran = true
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func rowFingerprint(rows []MatrixRow) string {
 			r.Scenario, r.Backend, r.Reps,
 			math.Float64bits(r.Eta), math.Float64bits(r.Detection),
 			math.Float64bits(r.FalsePositives), math.Float64bits(r.Gap),
-			r.HonestExpelled, r.Failures)
+			r.HonestExpelled, r.Verdict())
 	}
 	return b.String()
 }
@@ -159,35 +160,49 @@ func TestMatrixScenarioAgreesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestMatrixOracleBounds exercises the oracle algebra directly: each bound
-// fails exactly when violated, and disabled checks stay silent.
+// TestMatrixOracleBounds drives the declared rows: each bound fails exactly
+// when violated, a check a scenario does not declare produces no row, and
+// every scenario carries the goodput row.
 func TestMatrixOracleBounds(t *testing.T) {
 	cases := []struct {
 		name   string
-		o      Oracle
+		oracle []Check
 		row    MatrixRow
 		failed bool
 	}{
-		{"pass", Oracle{MinDetection: 0.9, MaxFalsePositive: 0.02, MinGap: 2},
-			MatrixRow{Detection: 0.95, FalsePositives: 0.01, Gap: 3}, false},
-		{"alpha", Oracle{MinDetection: 0.9}, MatrixRow{Detection: 0.5}, true},
-		{"alpha-disabled", Oracle{MinDetection: -1}, MatrixRow{Detection: 0}, false},
-		{"beta", Oracle{MaxFalsePositive: 0.01}, MatrixRow{FalsePositives: 0.02}, true},
-		{"gap", Oracle{MinGap: 2}, MatrixRow{Gap: 1}, true},
-		{"gap-disabled", Oracle{}, MatrixRow{Gap: -5}, false},
-		{"expulsion", Oracle{NoHonestExpulsion: true}, MatrixRow{HonestExpelled: 1}, true},
+		{"pass", []Check{minAlpha(0.9), maxBeta(0.02), minGap(2)},
+			MatrixRow{Detection: 0.95, FalsePositives: 0.01, Gap: 3, GoodputBytes: 1}, false},
+		{"alpha", []Check{minAlpha(0.9)}, MatrixRow{Detection: 0.5, GoodputBytes: 1}, true},
+		{"alpha-disabled", []Check{maxBeta(0)}, MatrixRow{Detection: 0, GoodputBytes: 1}, false},
+		{"beta", []Check{maxBeta(0.01)}, MatrixRow{FalsePositives: 0.02, GoodputBytes: 1}, true},
+		{"gap", []Check{minGap(2)}, MatrixRow{Gap: 1, GoodputBytes: 1}, true},
+		{"gap-disabled", []Check{minAlpha(0.9), maxBeta(0)}, MatrixRow{Detection: 1, Gap: -5, GoodputBytes: 1}, false},
+		{"expulsion", []Check{noHonestExpelled}, MatrixRow{HonestExpelled: 1, GoodputBytes: 1}, true},
+		{"goodput", nil, MatrixRow{}, true},
 	}
 	for _, c := range cases {
-		row := c.row
-		c.o.check(&row)
-		if got := len(row.Failures) > 0; got != c.failed {
-			t.Errorf("%s: failed=%v (%v), want %v", c.name, got, row.Failures, c.failed)
+		checks := c.row.judge(Scenario{Name: c.name, Attack: "§0", Oracle: c.oracle})
+		var names []string
+		failed := false
+		for _, r := range checks {
+			names = append(names, r.name)
+			failed = failed || !r.Holds()
+		}
+		var want []string
+		for _, o := range c.oracle {
+			want = append(want, o.name)
+		}
+		if want = append(want, "goodput"); !slices.Equal(names, want) {
+			t.Errorf("%s: rows %q, want the declared ones and goodput: %q", c.name, names, want)
+		}
+		if failed != c.failed {
+			t.Errorf("%s: failed=%v (%s), want %v", c.name, failed, c.row.Verdict(), c.failed)
 		}
 	}
 }
 
-// TestMatrixFilterMiss: an unmatched filter runs nothing and fails the
-// verdict saying so.
+// TestMatrixFilterMiss: an unmatched filter runs nothing, and its failed
+// "scenarios run" row says so.
 func TestMatrixFilterMiss(t *testing.T) {
 	p := quick()
 	p.Filter = "no-such-attack"
@@ -198,7 +213,10 @@ func TestMatrixFilterMiss(t *testing.T) {
 	if metric(t, res, "scenarios") != 0 || metric(t, res, "rows") != 0 {
 		t.Fatalf("unmatched filter ran scenarios: %+v", res.Metrics)
 	}
-	if res.Verdict.Pass || !strings.Contains(strings.Join(res.Verdict.Failures, "\n"), "ran no scenario") {
-		t.Fatalf("unmatched filter verdict = %+v, want a 'ran no scenario' failure", res.Verdict)
+	if len(res.Verdict.Checks) != 1 {
+		t.Fatalf("unmatched filter verdict = %+v, want the one scenarios-run row", res.Verdict)
+	}
+	if c := res.Verdict.Checks[0]; res.Verdict.Pass || c.name != "scenarios run" || c.value != 0 || c.Holds() {
+		t.Fatalf("unmatched filter verdict = %v (pass %v), want a failed 'scenarios run' row at 0", c, res.Verdict.Pass)
 	}
 }

@@ -92,19 +92,11 @@ var table3 = Experiment{
 		// a confirm and its response per witness, a blame for at most f
 		// partners to M managers.
 		last := len(paperPdccs) - 1
-		if confirms[0] != 0 {
-			out.fail("%.2f confirms per node-period at pdcc = 0, want none", confirms[0])
-		}
-		if acks[0] <= 0 {
-			out.fail("no acks at pdcc = 0")
-		}
-		if c1 := confirms[last]; c1 <= 0 || c1 > f*f {
-			out.fail("%.2f confirms per node-period at pdcc = 1, want within (0, f² = %.0f]", c1, f*f)
-		}
-		if bound := f + 2*f*f + m*f; totals[last] <= totals[0] || totals[last] > bound {
-			out.fail("verification messages per node-period: %.2f at pdcc = 0, %.2f at pdcc = 1, want growing and ≤ f + 2f² + M·f = %.0f",
-				totals[0], totals[last], bound)
-		}
+		out.check("confirms per node-period at pdcc 0", "§6.1", num(confirms[0], 2), incl(0), incl(0))
+		out.check("acks per node-period at pdcc 0", "sanity", num(acks[0], 2), excl(0), none)
+		out.check("confirms per node-period at pdcc 1", "§6.1", num(confirms[last], 2), excl(0), incl(f*f))
+		out.check("verification growth pdcc 0 → 1", "§6.1", num(totals[last]-totals[0], 2), excl(0), none)
+		out.check("verification per node-period at pdcc 1", "§6.1", num(totals[last], 2), none, incl(f+2*f*f+m*f))
 		return nil
 	},
 }
@@ -167,27 +159,18 @@ var table5 = Experiment{
 		// where the claim is unambiguous — must stay strictly under 8%.
 		// At pdcc = 0 the acks alone still cost at least 0.1%.
 		const full = 2 // paperPdccs[2] = 1
-		if r := ratio[674_000][full]; r <= 0 || r >= 0.10 {
-			out.fail("overhead at 674 kbps / pdcc=1 is %.2f%%, want within (0%%, 10%%)", 100*r)
-		}
+		kbps := func(rate int) string { return F(float64(rate)/1000, 0) + " kbps" }
+		out.check("overhead at 674 kbps pdcc 1", "§7.2", pct(ratio[674_000][full], 2), excl(0), excl(0.10))
 		for _, rate := range rates[1:] {
-			if r := ratio[rate][full]; r <= 0 || r >= 0.08 {
-				out.fail("overhead at %d kbps / pdcc=1 is %.2f%%, want under the paper's 8%%", rate/1000, 100*r)
-			}
+			out.check("overhead at "+kbps(rate)+" pdcc 1", "§7.2", pct(ratio[rate][full], 2), excl(0), excl(0.08))
 		}
-		if r := ratio[674_000][0]; r < 0.001 {
-			out.fail("overhead at 674 kbps / pdcc=0 is %.2f%%, want at least 0.1%%", 100*r)
-		}
+		out.check("overhead at 674 kbps pdcc 0", "sanity", pct(ratio[674_000][0], 2), incl(0.001), none)
 		// And Table 5's two shapes: overhead grows with pdcc and shrinks as
 		// the stream rate grows.
 		for _, rate := range rates {
-			if r0, r1 := ratio[rate][0], ratio[rate][full]; r1 <= r0 {
-				out.fail("overhead at %d kbps not increasing in pdcc: %.2f%% → %.2f%%", rate/1000, 100*r0, 100*r1)
-			}
+			out.check("overhead growth pdcc 0 → 1 at "+kbps(rate), "§7.2", pct(ratio[rate][full]-ratio[rate][0], 2), excl(0), none)
 		}
-		if low, high := ratio[674_000][full], ratio[2_036_000][full]; high >= low {
-			out.fail("overhead did not shrink with bitrate: %.2f%% (674k) vs %.2f%% (2036k)", 100*low, 100*high)
-		}
+		out.check("overhead drop 674 → 2036 kbps at pdcc 1", "§7.2", pct(ratio[674_000][full]-ratio[2_036_000][full], 2), excl(0), none)
 		return nil
 	},
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"slices"
 	"time"
@@ -119,21 +118,6 @@ func (p Params) backend() runtime.Kind {
 	return runtime.KindSim
 }
 
-// backendsLabel names the backend set for messages ("all" when unrestricted).
-func (p Params) backendsLabel() string {
-	if len(p.Backends) == 0 {
-		return "all"
-	}
-	s := ""
-	for i, k := range p.Backends {
-		if i > 0 {
-			s += ","
-		}
-		s += k.String()
-	}
-	return s
-}
-
 // Metric is one named scalar of a structured result.
 type Metric struct {
 	Name string `json:"name"`
@@ -144,13 +128,114 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// Verdict is an experiment's pass/fail outcome: the oracle of its paper
-// artefact or workload, checked on the run itself, with every violated bound
-// listed. fig14 alone always passes — its gate waits for seeded repetitions,
-// as one seed decides nothing there.
+// Verdict is an experiment's pass/fail outcome: every check row of the
+// oracle of its paper artefact or workload, checked on the run itself, pass
+// or fail, and whether all of them hold. fig14 alone declares no row — its
+// gate waits for seeded repetitions, as one seed decides nothing there.
 type Verdict struct {
-	Pass     bool     `json:"pass"`
-	Failures []string `json:"failures,omitempty"`
+	Pass   bool    `json:"pass"`
+	Checks []Check `json:"checks,omitempty"`
+}
+
+// Check is one row of a verdict: a measured value held to a range whose
+// bounds are inclusive or strict as the claim states them, with the paper
+// section that states the claim ("sanity" for a plausibility bound of this
+// reproduction). It marshals as text rendered at its own precision, so the
+// document carries no float.
+type Check struct {
+	name, ref string
+	measure
+	min, max bound
+}
+
+// measure is a check's value and how it prints: digits decimals of unit
+// ("%" prints 100 times the value; "ns" a duration in nanoseconds).
+type measure struct {
+	value  float64
+	unit   string
+	digits int
+}
+
+func num(v float64, digits int) measure { return measure{v, "", digits} }
+func pct(v float64, digits int) measure { return measure{v, "%", digits} }
+func count[T int | uint64](n T) measure { return measure{float64(n), "", 0} }
+func nanos(d time.Duration) measure     { return measure{float64(d), "ns", 0} }
+
+// bound is one side of a check's range; none is no bound on that side.
+type bound struct {
+	v           float64
+	set, strict bool
+}
+
+var none bound
+
+func incl(v float64) bound { return bound{v: v, set: true} }
+func excl(v float64) bound { return bound{v: v, set: true, strict: true} }
+
+// Holds reports whether the value lies within the range. It tests for a
+// violation (below min, above max) and negates it, so a NaN value, which
+// compares false, violates nothing.
+func (c Check) Holds() bool {
+	v := c.value
+	low := c.min.set && (v < c.min.v || c.min.strict && v == c.min.v)
+	high := c.max.set && (v > c.max.v || c.max.strict && v == c.max.v)
+	return !low && !high
+}
+
+// number renders v at the check's precision, without its unit.
+func (m measure) number(v float64) string {
+	if m.unit == "%" {
+		v *= 100
+	}
+	return F(v, m.digits)
+}
+
+// want renders the range: "21", ">= 0.99" or "> 0.00% and < 10.00%".
+func (c Check) want() string {
+	side := func(b bound, op string) string {
+		if !b.strict {
+			op += "="
+		}
+		return op + " " + c.number(b.v) + c.unit
+	}
+	switch {
+	case c.min.set && c.min == c.max && !c.min.strict:
+		return c.number(c.min.v) + c.unit
+	case !c.max.set:
+		return side(c.min, ">")
+	case !c.min.set:
+		return side(c.max, "<")
+	}
+	return side(c.min, ">") + " and " + side(c.max, "<")
+}
+
+// String renders the row as "<name> = <value>, want <range> (<ref>)".
+func (c Check) String() string {
+	return c.name + " = " + c.number(c.value) + c.unit + ", want " + c.want() + " (" + c.ref + ")"
+}
+
+// MarshalJSON renders the row with its value and bounds as text: jq's
+// tonumber reads them back.
+func (c Check) MarshalJSON() ([]byte, error) {
+	type side struct {
+		Value     string `json:"value"`
+		Inclusive bool   `json:"inclusive"`
+	}
+	edge := func(b bound) *side {
+		if !b.set {
+			return nil
+		}
+		return &side{c.number(b.v), !b.strict}
+	}
+	return json.Marshal(struct {
+		Name  string `json:"name"`
+		Value string `json:"value"`
+		Unit  string `json:"unit,omitempty"`
+		Min   *side  `json:"min,omitempty"`
+		Max   *side  `json:"max,omitempty"`
+		Ref   string `json:"ref"`
+		Pass  bool   `json:"pass"`
+	}{c.name, c.number(c.value), c.unit, edge(c.min), edge(c.max), c.ref, c.Holds()})
 }
 
 // Result is the structured outcome of one experiment run: the tables as
@@ -192,10 +277,12 @@ func (r *Result) addMetric(name string, value float64) {
 	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value})
 }
 
-// fail records a verdict failure.
-func (r *Result) fail(format string, args ...any) {
-	r.Verdict.Pass = false
-	r.Verdict.Failures = append(r.Verdict.Failures, fmt.Sprintf(format, args...))
+// check appends one row to the verdict: the measured m held to [lo, hi]
+// as the claim at ref states it. Every row is recorded, pass or fail.
+func (r *Result) check(name, ref string, m measure, lo, hi bound) {
+	c := Check{name: name, ref: ref, measure: m, min: lo, max: hi}
+	r.Verdict.Checks = append(r.Verdict.Checks, c)
+	r.Verdict.Pass = r.Verdict.Pass && c.Holds()
 }
 
 // Observer streams experiment progress to a consumer. A nil Observer is
@@ -229,7 +316,7 @@ type Experiment struct {
 	// params, in run order (nil: it runs no cluster).
 	workloads func(Params) []workload
 	// run executes the experiment on resolved params: it adds its tables
-	// (streaming each to obs), its metrics and every verdict failure to out.
+	// (streaming each to obs), its metrics and every check row to out.
 	// It must honor ctx — threading it into cluster runs and Monte-Carlo
 	// drivers — and return ctx.Err() when cancelled.
 	run func(ctx context.Context, p Params, out *Result, obs Observer) error
@@ -300,7 +387,7 @@ func Names() []string {
 
 // Schema identifies the JSON document layout. Bump it when the shape of
 // Document/Result changes; the golden-schema test pins the current shape.
-const Schema = "lifting.experiments/v1"
+const Schema = "lifting.experiments/v2"
 
 // Document is the JSON document `lifting-sim -json` emits: one entry per
 // experiment run, in run order. CI consumes it directly.

@@ -73,7 +73,7 @@ func TestRegistryRunStreamsTables(t *testing.T) {
 		}
 	}
 	if !res.Verdict.Pass {
-		t.Fatalf("eq7 verdict failed: %v", res.Verdict.Failures)
+		t.Fatalf("eq7 verdict failed:\n  %s", failed(res.Verdict))
 	}
 	if res.Experiment != "eq7" || res.Paper == "" {
 		t.Fatalf("result not self-describing: %+v", res)
@@ -203,7 +203,23 @@ func TestJSONGoldenSchema(t *testing.T) {
 	if err := json.Unmarshal(res["verdict"], &verdict); err != nil {
 		t.Fatal(err)
 	}
-	assertKeys(t, "verdict", verdict, []string{"pass"}, []string{"failures"})
+	assertKeys(t, "verdict", verdict, []string{"pass"}, []string{"checks"})
+	var checks []map[string]json.RawMessage
+	if err := json.Unmarshal(verdict["checks"], &checks); err != nil || len(checks) == 0 {
+		t.Fatalf("fig10 verdict carries no check rows: %v", err)
+	}
+	for _, c := range checks {
+		assertKeys(t, "check", c, []string{"name", "value", "ref", "pass"}, []string{"unit", "min", "max"})
+		for _, side := range []string{"min", "max"} {
+			if raw, ok := c[side]; ok {
+				var b map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &b); err != nil {
+					t.Fatal(err)
+				}
+				assertKeys(t, "check bound", b, []string{"value", "inclusive"}, nil)
+			}
+		}
+	}
 
 	if raw, ok := res["metrics"]; ok {
 		var metrics []map[string]json.RawMessage
@@ -312,9 +328,20 @@ func passes(t *testing.T, name string, p Params) *Result {
 		t.Fatal(err)
 	}
 	if !res.Verdict.Pass {
-		t.Fatalf("%s verdict failed:\n  %s", name, strings.Join(res.Verdict.Failures, "\n  "))
+		t.Fatalf("%s verdict failed:\n  %s", name, failed(res.Verdict))
 	}
 	return res
+}
+
+// failed lists the rows of v that do not hold, one a line.
+func failed(v Verdict) string {
+	var rows []string
+	for _, c := range v.Checks {
+		if !c.Holds() {
+			rows = append(rows, c.String())
+		}
+	}
+	return strings.Join(rows, "\n  ")
 }
 
 // metric returns the named metric of a result.

@@ -191,61 +191,48 @@ var scale = Experiment{
 		// verification overhead is NOT Table 5's figure — but it must stay
 		// in the same order of magnitude, and the stream must be
 		// overwhelmingly useful traffic.
-		if o := target.Overhead(); o <= 0 || o >= 0.25 {
-			out.fail("target verification overhead %.2f%% outside (0%%, 25%%)", 100*o)
-		}
-		if d := target.DupRatio(); d >= 0.5 {
-			out.fail("duplicate serves are the majority of received serves: %.2f%%", 100*d)
-		}
+		out.check("target overhead", "sanity", pct(target.Overhead(), 2), excl(0), excl(0.25))
+		out.check("target dup serves", "sanity", pct(target.DupRatio(), 2), none, excl(0.5))
 		// QoE oracles: the content plane must actually deliver verified
 		// payload, with first arrivals trailing the source by less than the
-		// run and spacing close to the chunk interval.
+		// run and spacing close to the chunk interval. The gate is the
+		// expected verdict at BOTH populations, not mere agreement: two
+		// identically-broken runs must still fail.
 		period := ws[1].gossip.Period
 		for _, r := range []scalePop{baseline, target} {
-			if r.GoodputBytes == 0 {
-				out.fail("scale N=%d delivered no verified payload (goodput 0)", r.N)
-			}
-			if lag := r.StreamLag(); lag <= 0 || lag >= p.Duration {
-				out.fail("scale N=%d mean stream lag %s outside (0, %s)", r.N, lag, p.Duration)
-			}
-			if jit := r.StreamJitter(); jit >= period {
-				out.fail("scale N=%d mean jitter %s >= gossip period %s", r.N, jit, period)
-			}
+			at := " at N=" + F(float64(r.N), 0)
+			out.check("goodput"+at, "sanity", count(r.GoodputBytes), excl(0), none)
+			out.check("stream lag"+at, "sanity", nanos(r.StreamLag()), excl(0), excl(float64(p.Duration)))
+			out.check("stream jitter"+at, "sanity", nanos(r.StreamJitter()), none, excl(float64(period)))
+			out.check("freeriders expelled"+at, "sanity", count(r.FreeridersExpelled), incl(float64(r.Freeriders)), incl(float64(r.Freeriders)))
+			out.check("honest expelled"+at, "sanity", count(r.HonestExpelled), incl(0), incl(0))
 		}
-		// The gate is the expected verdict at BOTH populations, not mere
-		// agreement: two identically-broken runs must still fail. The
-		// threshold sits below zero and the cohort is caught within the run.
-		for _, r := range []scalePop{baseline, target} {
-			if !r.CohortExpelled() || !r.HonestClean() {
-				out.fail("scale N=%d verdict %q, want cohort expelled and honest clean", r.N, r.Verdict())
-			}
-		}
+		mismatch := 0
 		if !agree {
-			out.fail("scale verdict mismatch: baseline %q vs N=%d %q", baseline.Verdict(), target.N, target.Verdict())
+			mismatch = 1
 		}
-		if eta >= 0 {
-			out.fail("calibrated η = %.2f, want negative", eta)
-		}
-		if d := target.DetectionMean; d <= 0 || d > p.Duration {
-			out.fail("scale N=%d mean detection %s outside (0, %s]", target.N, d, p.Duration)
-		}
+		out.check("verdict mismatches", "sanity", count(mismatch), incl(0), incl(0))
+		// The threshold sits below zero and the cohort is caught within the
+		// run.
+		out.check("calibrated η", "sanity", num(eta, 2), none, excl(0))
+		out.check("target mean detection", "sanity", nanos(target.DetectionMean), excl(0), incl(float64(p.Duration)))
 		// The periodic metrics section: sampled every snapshotEvery periods,
 		// increasing in period and cumulative in useful chunks, with every
 		// traffic and QoE count accounted by the end.
+		out.check("target snapshots", "sanity", count(len(snaps)), incl(2), none)
 		if len(snaps) < 2 {
-			out.fail("target run produced %d metrics snapshots, want ≥ 2", len(snaps))
 			return nil
 		}
+		disorders := 0
 		for i := 1; i < len(snaps); i++ {
 			if snaps[i].Period <= snaps[i-1].Period || snaps[i].UsefulChunks < snaps[i-1].UsefulChunks {
-				out.fail("metrics snapshot %d (period %d) not after snapshot %d (period %d) or not cumulative",
-					i, snaps[i].Period, i-1, snaps[i-1].Period)
+				disorders++
 			}
 		}
-		if last := snaps[len(snaps)-1]; last.UsefulChunks == 0 || last.ProtocolBytes == 0 || last.VerificationBytes == 0 ||
-			last.GoodputBytes == 0 || last.StreamLagMeanNs == 0 {
-			out.fail("final metrics snapshot lacks traffic or QoE accounting: %+v", last)
-		}
+		out.check("snapshots out of order or not cumulative", "sanity", count(disorders), incl(0), incl(0))
+		last := snaps[len(snaps)-1]
+		out.check("final snapshot's least count", "sanity",
+			count(min(last.UsefulChunks, last.ProtocolBytes, last.VerificationBytes, last.GoodputBytes, last.StreamLagMeanNs)), excl(0), none)
 		return nil
 	},
 }

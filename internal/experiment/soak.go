@@ -147,7 +147,8 @@ const soakMaxViolations = 24
 // soakChecker holds the standing-invariant state checked at every period
 // snapshot: counter monotonicity, sent ≥ recv + dropped conservation,
 // bounded per-manager reputation state, and the per-period goodput history
-// the post-run recovery check reads.
+// the post-run recovery check reads. violated counts every violation;
+// transcript describes the first soakMaxViolations of them.
 type soakChecker struct {
 	maxPop     int
 	prevSnap   metrics.Snapshot
@@ -155,8 +156,8 @@ type soakChecker struct {
 	last       msg.Period
 	periods    int
 	maxTracked int
-	truncated  bool
-	violations []string
+	violated   int
+	transcript []string
 	snaps      []metrics.Snapshot
 }
 
@@ -165,14 +166,13 @@ func newSoakChecker(maxPop int) *soakChecker {
 }
 
 func (k *soakChecker) fail(format string, args ...any) {
-	if len(k.violations) >= soakMaxViolations {
-		if !k.truncated {
-			k.truncated = true
-			k.violations = append(k.violations, "… further violations truncated")
-		}
-		return
+	k.violated++
+	switch {
+	case k.violated <= soakMaxViolations:
+		k.transcript = append(k.transcript, fmt.Sprintf(format, args...))
+	case k.violated == soakMaxViolations+1:
+		k.transcript = append(k.transcript, "… further violations truncated")
 	}
-	k.violations = append(k.violations, fmt.Sprintf(format, args...))
 }
 
 // check runs the per-period invariants against one snapshot. tracked is the
@@ -330,14 +330,14 @@ var soak = Experiment{
 			F(float64(res.HonestExpelled), 0)+" / "+F(float64(res.DepartedExpelled), 0))
 		t.AddRow("periods checked", F(float64(chk.periods), 0))
 		t.AddRow("max tracked per manager", F(float64(chk.maxTracked), 0))
-		t.AddRow("invariant violations", F(float64(len(chk.violations)), 0))
+		t.AddRow("invariant violations", F(float64(chk.violated), 0))
 		t.AddRow("goodput", F(float64(res.GoodputBytes), 0)+" B")
 		t.AddRow("overhead", Pct(res.Overhead()))
 		t.Notes = append(t.Notes,
 			"b̃ = "+F(cal.Compensation, 2)+" blame/period and η = "+F(cal.eta, 2)+" calibrated on an honest chaos-free pilot",
 			"standing invariants, checked at every score period: counters monotone, sent ≥ recv + dropped per kind, per-manager state bounded by the population, goodput recovering within "+F(float64(recoveryPeriods), 0)+" periods of every heal",
 			"fault candidates are honest stayers only: a crash must never be an alternative explanation for a verdict the oracles assert")
-		for _, v := range chk.violations {
+		for _, v := range chk.transcript {
 			t.Notes = append(t.Notes, "VIOLATION: "+v)
 		}
 		out.addTable(obs, t)
@@ -348,7 +348,6 @@ var soak = Experiment{
 		out.addMetric("freeriders-expelled", float64(res.FreeridersExpelled))
 		out.addMetric("honest-expelled", float64(res.HonestExpelled))
 		out.addMetric("max-tracked-per-manager", float64(chk.maxTracked))
-		out.addMetric("invariant-violations", float64(len(chk.violations)))
 		out.addMetric("goodput-bytes", float64(res.GoodputBytes))
 		out.MetricsSnapshots = chk.snaps
 
@@ -356,36 +355,21 @@ var soak = Experiment{
 		// fails the run, as does a fault plan that is empty or did not fully
 		// execute, churn that did not happen, manager state beyond the
 		// population ever present, or a stream that delivered nothing.
-		for _, v := range chk.violations {
-			out.fail("invariant violated: %s", v)
-		}
-		if planEvents == 0 {
-			out.fail("fault plan empty — the soak soaked nothing")
-		}
-		if applied != planEvents {
-			out.fail("fault plan incomplete: applied %d of %d events", applied, planEvents)
-		}
-		if joined == 0 || departed == 0 {
-			out.fail("churn did not run: joined %d, departed %d", joined, departed)
-		}
-		if chk.maxTracked > maxPop {
-			out.fail("per-manager state unbounded: %d tracked, population ever %d", chk.maxTracked, maxPop)
-		}
-		if res.GoodputBytes == 0 {
-			out.fail("soak delivered no verified payload (goodput 0)")
-		}
-		if len(chk.snaps) == 0 {
-			out.fail("no metrics snapshots recorded")
-		}
+		out.check("invariant violations", "sanity", count(chk.violated), incl(0), incl(0))
+		out.check("fault plan events", "sanity", count(planEvents), incl(1), none)
+		out.check("fault events applied", "sanity", count(applied), incl(float64(planEvents)), incl(float64(planEvents)))
+		out.check("joined", "sanity", count(joined), incl(1), none)
+		out.check("departed", "sanity", count(departed), incl(1), none)
+		out.check("max tracked per manager", "sanity", count(chk.maxTracked), none, incl(float64(maxPop)))
+		out.check("goodput", "sanity", count(res.GoodputBytes), excl(0), none)
+		out.check("metrics snapshots", "sanity", count(len(chk.snaps)), incl(1), none)
 		// Detection oracles: honest nodes survive every fault; the freerider
 		// cohort does not (cohort expulsion is only asserted for the
 		// freeride attack — bad-mouthers are undetectable by construction
 		// and stretchers are an audit subject).
-		if !res.HonestClean() {
-			out.fail("%d live honest nodes expelled under the fault plan, want 0", res.HonestExpelled)
-		}
-		if attack == "freeride" && !res.CohortExpelled() {
-			out.fail("freerider cohort not fully expelled: %d of %d", res.FreeridersExpelled, res.Freeriders)
+		out.check("live honest expelled", "sanity", count(res.HonestExpelled), incl(0), incl(0))
+		if attack == "freeride" {
+			out.check("freeriders expelled", "sanity", count(res.FreeridersExpelled), incl(float64(res.Freeriders)), incl(float64(res.Freeriders)))
 		}
 		return nil
 	},

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"lifting/internal/metrics"
+	"lifting/internal/msg"
 )
 
 // TestSoakQuickVerdict: the soak's acceptance contract on the sim backend is
@@ -44,5 +47,22 @@ func TestSoakAltAttacks(t *testing.T) {
 			p.Filter = attack
 			passes(t, "soak", p)
 		})
+	}
+}
+
+// TestSoakCountsEveryViolation: the count the soak's "invariant violations"
+// row carries is every violation, while the transcript in the table's notes
+// stops at soakMaxViolations and says so once.
+func TestSoakCountsEveryViolation(t *testing.T) {
+	k := newSoakChecker(1)
+	for p := msg.Period(1); p <= 30; p++ {
+		k.check(p, metrics.Snapshot{}, 2) // a manager tracks 2 targets; the population ever is 1
+	}
+	if k.violated != 30 {
+		t.Errorf("checker counted %d violations, want 30", k.violated)
+	}
+	if n := len(k.transcript); n != soakMaxViolations+1 || k.transcript[n-1] != "… further violations truncated" {
+		t.Errorf("transcript holds %d lines ending %q, want %d violations and the truncation line",
+			n, k.transcript[n-1], soakMaxViolations)
 	}
 }

@@ -1,6 +1,6 @@
 // Package lint is a stdlib-only static-analysis framework that mechanically
 // enforces the repository's byte-identical contract: seeded runs must emit
-// the same lifting.experiments/v1 document across shard counts, worker
+// the same lifting.experiments/v2 document across shard counts, worker
 // counts and OS processes. The contract has been broken three times by the
 // same bug classes — unsorted map-order snapshots (fixed by hand in PR 4),
 // wall-clock fields leaking into result tables (PR 5), float and rng-order

@@ -3,7 +3,7 @@
 // Table 3 (message counts) and Table 5 (bandwidth overhead) of the paper.
 // It holds data only: the Collector, its Snapshot and the Histogram. A
 // Snapshot is the one record every reader takes — the deterministic metrics
-// snapshots embedded in the lifting.experiments/v1 JSON document, and each
+// snapshots embedded in the lifting.experiments/v2 JSON document, and each
 // scrape of lifting-node's /metrics, which internal/obs renders from one.
 package metrics
 
